@@ -39,7 +39,7 @@ func TestDevicePaths(t *testing.T) {
 func TestWriteDevicePairNegotiatesToConnected(t *testing.T) {
 	store := xenstore.New(0)
 	meter := vclock.NewMeter(nil)
-	if err := WriteDevicePair(store, 3, "vif", 0, map[string]string{"mac": "00:16:3e:00:00:03"}, meter); err != nil {
+	if err := WriteDevicePair(store, 3, "vif", 0, []Entry{{Key: "mac", Value: "00:16:3e:00:00:03"}}, meter); err != nil {
 		t.Fatal(err)
 	}
 	st, err := DeviceState(store, 3, "vif", 0, nil)

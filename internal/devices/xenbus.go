@@ -77,34 +77,39 @@ func BackendDir(domid uint32, kind string) string {
 	return fmt.Sprintf("/local/domain/0/backend/%s/%d", kind, domid)
 }
 
+// Entry is one Xenstore key/value pair of a device directory.
+type Entry struct{ Key, Value string }
+
 // WriteDevicePair creates the frontend and backend Xenstore entries for a
 // new device, the way xl does during boot, and drives the two-sided
 // negotiation to Connected. Each Write is one store request; the
-// negotiation itself costs DeviceNegotiate.
-func WriteDevicePair(store *xenstore.Store, domid uint32, kind string, index int, extra map[string]string, meter *vclock.Meter) error {
+// negotiation itself costs DeviceNegotiate. The writes go out in a fixed
+// order — the frontend's entries, the backend's, then each extra entry on
+// both ends — because a request's StorePerNode charge depends on how many
+// directories the requests before it created.
+func WriteDevicePair(store *xenstore.Store, domid uint32, kind string, index int, extra []Entry, meter *vclock.Meter) error {
 	fp := FrontendPath(domid, kind, index)
 	bp := BackendPath(domid, kind, index)
-	writes := map[string]string{
-		fp + "/backend":        bp,
-		fp + "/backend-id":     "0",
-		fp + "/state":          strconv.Itoa(int(StateInitialising)),
-		fp + "/handle":         strconv.Itoa(index),
-		fp + "/tx-ring-ref":    "0",
-		fp + "/rx-ring-ref":    "0",
-		fp + "/event-channel":  "0",
-		bp + "/frontend":       fp,
-		bp + "/frontend-id":    strconv.FormatUint(uint64(domid), 10),
-		bp + "/state":          strconv.Itoa(int(StateInitialising)),
-		bp + "/handle":         strconv.Itoa(index),
-		bp + "/online":         "1",
-		bp + "/hotplug-status": "connected",
+	writes := []Entry{
+		{fp + "/backend", bp},
+		{fp + "/backend-id", "0"},
+		{fp + "/state", strconv.Itoa(int(StateInitialising))},
+		{fp + "/handle", strconv.Itoa(index)},
+		{fp + "/tx-ring-ref", "0"},
+		{fp + "/rx-ring-ref", "0"},
+		{fp + "/event-channel", "0"},
+		{bp + "/frontend", fp},
+		{bp + "/frontend-id", strconv.FormatUint(uint64(domid), 10)},
+		{bp + "/state", strconv.Itoa(int(StateInitialising))},
+		{bp + "/handle", strconv.Itoa(index)},
+		{bp + "/online", "1"},
+		{bp + "/hotplug-status", "connected"},
 	}
-	for k, v := range extra {
-		writes[fp+"/"+k] = v
-		writes[bp+"/"+k] = v
+	for _, e := range extra {
+		writes = append(writes, Entry{fp + "/" + e.Key, e.Value}, Entry{bp + "/" + e.Key, e.Value})
 	}
-	for k, v := range writes {
-		if err := store.Write(k, v, meter); err != nil {
+	for _, w := range writes {
+		if err := store.Write(w.Key, w.Value, meter); err != nil {
 			return err
 		}
 	}

@@ -49,38 +49,28 @@ const streamChunk = 128
 // ownership or charging virtual time — the transfer and its PageShare charge
 // are deferred to whoever materializes the page first. Validation runs
 // before any mutation, so a failed call leaves the pool untouched.
+//
+//nephele:noalloc
 func (m *Memory) pledgePTEs(ptes []pte) error {
-	var buf [segStack]segment
-	for {
-		lay := m.lay.Load()
-		segs, mask, err := lay.segmentsPTEs(ptes, buf[:0])
-		if err != nil {
-			return err
-		}
-		if !m.lockLayout(lay, mask) {
-			continue
-		}
-		return m.pledgeSegs(lay, segs, mask)
+	c := runCursor{ptes: ptes}
+	lay, mask, err := m.lockRuns(&c)
+	if err != nil {
+		return err
 	}
-}
-
-// pledgeSegs applies pledgePTEs's validate-then-mutate pass. The caller has
-// locked mask's shards under a validated pin of lay; pledgeSegs unlocks.
-func (m *Memory) pledgeSegs(lay *layout, segs []segment, mask uint32) error {
 	defer m.unlockMask(lay, mask)
-	for _, sg := range segs {
-		fr, short := sg.frames()
+	for c.next() {
+		fr, short := c.frames()
 		for j := range fr {
 			if !fr[j].inUse {
-				return fmt.Errorf("%w: %d", ErrDoubleFree, sg.mfn(j))
+				return frameErr(ErrDoubleFree, c.mfn(j))
 			}
 		}
 		if short {
-			return fmt.Errorf("%w: %d", ErrDoubleFree, sg.mfn(len(fr)))
+			return frameErr(ErrDoubleFree, c.mfn(len(fr)))
 		}
 	}
-	for _, sg := range segs {
-		fr, _ := sg.frames()
+	for c.rewind(); c.next(); {
+		fr, _ := c.frames()
 		for j := range fr {
 			fr[j].pledges++
 		}
@@ -91,87 +81,51 @@ func (m *Memory) pledgeSegs(lay *layout, segs []segment, mask uint32) error {
 // cancelPledged drops one pledge per frame referenced by the run without
 // materializing anything (lazy-child teardown). Zombie frames whose last
 // pledge goes are freed. Like ReleaseN, bad frames are recorded and skipped
-// and the first error is returned after the whole run is processed.
+// and the first error is returned after the whole run is processed, an
+// out-of-range MFN outranking a per-frame error.
+//
+//nephele:noalloc
 func (m *Memory) cancelPledged(ptes []pte) error {
-	var buf [segStack]segment
-	for {
-		lay := m.lay.Load()
-		segs, mask, firstErr := lay.segmentsPTEsSkipBad(ptes, buf[:0])
-		if !m.lockLayout(lay, mask) {
-			continue
-		}
-		return m.cancelPledgedSegs(lay, segs, mask, firstErr)
-	}
-}
-
-// cancelPledgedSegs applies cancelPledged's skip-and-record pass. The caller
-// has locked mask's shards under a validated pin of lay; cancelPledgedSegs
-// unlocks.
-func (m *Memory) cancelPledgedSegs(lay *layout, segs []segment, mask uint32, firstErr error) error {
+	c := runCursor{ptes: ptes, mode: runSkipBad}
+	lay, mask, _ := m.lockRuns(&c) // the skipping modes never fail here
 	defer m.unlockMask(lay, mask)
+	var firstErr error
 	var freed [MaxShards]int
-	for _, sg := range segs {
-		fr, short := sg.frames()
+	for c.next() {
+		sh := &lay.shards[c.si]
+		fr, short := c.frames()
 		for j := range fr {
 			f := &fr[j]
 			if !f.inUse || f.pledges == 0 {
 				if firstErr == nil {
-					firstErr = fmt.Errorf("%w: %d", ErrNotPledged, sg.mfn(j))
+					firstErr = frameErr(ErrNotPledged, c.mfn(j))
 				}
 				continue
 			}
 			f.pledges--
 			if f.pledges == 0 && f.owner == DomIDCOW && f.refcount == 0 {
-				freed[sg.si]++
-				sg.sh.resetFrameLocked(sg.mfn(j))
+				freed[c.si]++
+				sh.resetFrameLocked(c.mfn(j))
 			}
 		}
 		if short && firstErr == nil {
-			firstErr = fmt.Errorf("%w: %d", ErrNotPledged, sg.mfn(len(fr)))
+			firstErr = frameErr(ErrNotPledged, c.mfn(len(fr)))
 		}
 	}
 	m.beginAccount()
 	for si := range lay.shards {
-		if c := freed[si]; c > 0 {
+		if n := freed[si]; n > 0 {
 			sh := &lay.shards[si]
-			sh.dropUsageLocked(DomIDCOW, c)
-			sh.shared.Add(-int64(c))
-			sh.free.Add(int64(c))
+			sh.dropUsageLocked(DomIDCOW, n)
+			sh.shared.Add(-int64(n))
+			sh.free.Add(int64(n))
 		}
 	}
 	m.endAccount()
-	return firstErr
-}
-
-// segmentsPTEsSkipBad is segmentsPTEs under cancelPledged's skip-and-record
-// rules: out-of-range MFNs are dropped and the first such error returned
-// alongside the segments.
-func (lay *layout) segmentsPTEsSkipBad(ptes []pte, segs []segment) ([]segment, uint32, error) {
-	var mask uint32
-	var firstErr error
-	for lo := 0; lo < len(ptes); {
-		start := ptes[lo].mfn
-		if int(start) >= lay.total {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("%w: %d", ErrBadFrame, start)
-			}
-			lo++
-			continue
-		}
-		si := int(start >> lay.shift)
-		sh := &lay.shards[si]
-		mask |= 1 << si
-		end := start + 1
-		lim := sh.lo + MFN(sh.size)
-		hi := lo + 1
-		for hi < len(ptes) && end < lim && ptes[hi].mfn == end {
-			hi++
-			end++
-		}
-		segs = append(segs, segment{sh: sh, si: si, a: int(start - sh.lo), b: int(end - sh.lo)})
-		lo = hi
+	if c.anyBad {
+		return c.badFrame()
 	}
-	return segs, mask, firstErr
+	return firstErr
 }
 
 // adoptPledged materializes one pledge per frame referenced by the run on
@@ -183,54 +137,44 @@ func (lay *layout) segmentsPTEsSkipBad(ptes []pte, segs []segment) ([]segment, u
 // already owned by dom_cow (including zombies) just gain a reference at no
 // virtual cost, mirroring the eager second-clone fast path. Validation runs
 // before any mutation.
+//
+//nephele:noalloc
 func (m *Memory) adoptPledged(dom DomID, ptes []pte, meter *vclock.Meter) error {
-	var buf [segStack]segment
-	for {
-		lay := m.lay.Load()
-		segs, mask, err := lay.segmentsPTEs(ptes, buf[:0])
-		if err != nil {
-			return err
-		}
-		if !m.lockLayout(lay, mask) {
-			continue
-		}
-		return m.adoptPledgedSegs(lay, dom, segs, mask, meter)
+	c := runCursor{ptes: ptes}
+	lay, mask, err := m.lockRuns(&c)
+	if err != nil {
+		return err
 	}
-}
-
-// adoptPledgedSegs applies adoptPledged's validate-then-mutate pass. The
-// caller has locked mask's shards under a validated pin of lay;
-// adoptPledgedSegs unlocks.
-func (m *Memory) adoptPledgedSegs(lay *layout, dom DomID, segs []segment, mask uint32, meter *vclock.Meter) error {
 	defer m.unlockMask(lay, mask)
-	for _, sg := range segs {
-		fr, short := sg.frames()
+	for c.next() {
+		fr, short := c.frames()
 		for j := range fr {
 			f := &fr[j]
 			if !f.inUse {
-				return fmt.Errorf("%w: %d", ErrDoubleFree, sg.mfn(j))
+				return frameErr(ErrDoubleFree, c.mfn(j))
 			}
 			if f.pledges == 0 {
-				return fmt.Errorf("%w: %d", ErrNotPledged, sg.mfn(j))
+				return frameErr(ErrNotPledged, c.mfn(j))
 			}
 		}
 		if short {
-			return fmt.Errorf("%w: %d", ErrDoubleFree, sg.mfn(len(fr)))
+			return frameErr(ErrDoubleFree, c.mfn(len(fr)))
 		}
 	}
 	converted := 0
 	var perShard [MaxShards]int
-	for _, sg := range segs {
-		fr, _ := sg.frames()
+	for c.rewind(); c.next(); {
+		sh := &lay.shards[c.si]
+		fr, _ := c.frames()
 		for j := range fr {
 			f := &fr[j]
 			if f.owner != DomIDCOW {
 				// The previous owner keeps its mapping and becomes the
 				// first sharer; the adopter's reference is added below.
-				sg.sh.dropUsageLocked(f.owner, 1)
+				sh.dropUsageLocked(f.owner, 1)
 				f.owner = DomIDCOW
-				sg.sh.usedByDom[DomIDCOW]++
-				perShard[sg.si]++
+				sh.usedByDom[DomIDCOW]++
+				perShard[c.si]++
 				converted++
 			}
 			f.refcount++
@@ -240,8 +184,8 @@ func (m *Memory) adoptPledgedSegs(lay *layout, dom DomID, segs []segment, mask u
 	if converted > 0 {
 		m.beginAccount()
 		for si := range lay.shards {
-			if c := perShard[si]; c > 0 {
-				lay.shards[si].shared.Add(int64(c))
+			if n := perShard[si]; n > 0 {
+				lay.shards[si].shared.Add(int64(n))
 			}
 		}
 		m.endAccount()

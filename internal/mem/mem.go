@@ -281,131 +281,200 @@ func (lay *layout) frameAt(mfn MFN) (*frame, error) {
 	return &sh.frames[idx], nil
 }
 
-// segment is a contiguous frame-index range [a, b) within one shard — the
-// unit the batched run operations work in. Input runs are split at MFN
-// discontinuities and at shard boundaries before any lock is taken, so the
-// per-frame loops inside the critical sections are plain walks over a
-// shard's frame array with no per-frame index math, as cheap as the
-// pre-shard single-array code.
-type segment struct {
-	sh   *shard
-	si   int // shard index, for per-shard accounting arrays
-	a, b int // frame-index range within sh.frames
+// frameErr is the "<kind>: <mfn>" error of the batched operations, built out
+// of line so their allocation-free bodies box nothing on the error branch.
+func frameErr(kind error, mfn MFN) error { return fmt.Errorf("%w: %d", kind, mfn) }
+
+// runMode selects what a runCursor does with input entries that name no
+// frame.
+type runMode uint8
+
+const (
+	// runStrict ends the walk at the first out-of-range MFN: the
+	// validate-before-mutate operations fail the whole call on it.
+	runStrict runMode = iota
+	// runSkipBad drops out-of-range MFNs and keeps walking (the
+	// skip-and-record rule of ReleaseN and cancelPledged).
+	runSkipBad
+	// runSkipAbsent is runSkipBad that also drops page-table entries that
+	// are not present, without recording anything: a torn-down mapping has
+	// nothing to release.
+	runSkipAbsent
+)
+
+// runCursor streams the maximal contiguous same-shard runs of a batched
+// operation's input — a list of MFNs or the frames a run of page-table
+// entries reference (exactly one of mfns and ptes is set) — one run per next
+// call. A run is a frame-index range [a, b) of shard si, so the per-frame
+// loops inside the critical sections are plain walks over a shard's frame
+// array with no per-frame index math. Nothing is materialized: an operation
+// walks its input once unlocked for the shard mask and again under the
+// locks for each pass over the frames, rewinding in between, so a table
+// fragmented into one-page runs costs no memory.
+//
+// Escape analysis is not field-sensitive, so what the cursor's methods do
+// decides whether callers' input slices — CopyFrame's and AddSharer's
+// one-element lists — can stay on their stacks: nothing reached through the
+// receiver is stored in the heap or returned. That is why the run is
+// integers rather than a *shard (operations that mutate a shard's free list
+// index the layout lockRuns returned) and the bad frame is a number rather
+// than an error.
+type runCursor struct {
+	lay  *layout
+	mfns []MFN
+	ptes []pte
+	mode runMode
+
+	// The current run, valid after next returned true.
+	si    int // shard index
+	a, b  int // frame-index range within the shard's frames
+	first MFN // machine frame number of frame a
+
+	i      int  // next input index
+	anyBad bool // the current walk met an out-of-range MFN:
+	bad    MFN  // the first one
 }
 
-// segStack sizes the callers' on-stack segment buffers; a clone of a
-// non-fragmented space produces a handful of segments, so the buffer
-// almost never spills.
-const segStack = 24
-
-// frames returns the materialized slice of the segment's frames and whether
-// the segment extends past the shard's watermark-grown array (those trailing
-// frames have never been allocated, i.e. they are not in use).
-func (sg segment) frames() ([]frame, bool) {
-	fr := sg.sh.frames
-	if sg.b <= len(fr) {
-		return fr[sg.a:sg.b], false
+// badFrame returns the error for the first out-of-range MFN the current
+// walk met, nil when there was none.
+func (c *runCursor) badFrame() error {
+	if !c.anyBad {
+		return nil
 	}
-	if sg.a >= len(fr) {
+	return frameErr(ErrBadFrame, c.bad)
+}
+
+// frames returns the materialized slice of the current run's frames and
+// whether the run extends past the shard's watermark-grown array (those
+// trailing frames have never been allocated, i.e. they are not in use).
+//
+//nephele:noalloc
+func (c *runCursor) frames() ([]frame, bool) {
+	fr := c.lay.shards[c.si].frames
+	if c.b <= len(fr) {
+		return fr[c.a:c.b], false
+	}
+	if c.a >= len(fr) {
 		return nil, true
 	}
-	return fr[sg.a:], true
+	return fr[c.a:], true
 }
 
-// mfn returns the machine frame number of the segment's j-th frame.
-func (sg segment) mfn(j int) MFN { return sg.sh.lo + MFN(sg.a+j) }
+// mfn returns the machine frame number of the current run's j-th frame.
+//
+//nephele:noalloc
+func (c *runCursor) mfn(j int) MFN { return c.first + MFN(j) }
 
-// segmentsMFNs splits a run of MFNs into contiguous same-shard segments,
-// accumulating the shard lock mask. An out-of-range MFN fails the whole
-// call (the callers' validate-before-mutate contract).
-func (lay *layout) segmentsMFNs(mfns []MFN, segs []segment) ([]segment, uint32, error) {
-	var mask uint32
-	for lo := 0; lo < len(mfns); {
-		start := mfns[lo]
-		if int(start) >= lay.total {
-			return nil, 0, fmt.Errorf("%w: %d", ErrBadFrame, start)
-		}
-		si := int(start >> lay.shift)
-		sh := &lay.shards[si]
-		mask |= 1 << si
-		end := start + 1
-		lim := sh.lo + MFN(sh.size)
-		hi := lo + 1
-		for hi < len(mfns) && end < lim && mfns[hi] == end {
-			hi++
-			end++
-		}
-		segs = append(segs, segment{sh: sh, si: si, a: int(start - sh.lo), b: int(end - sh.lo)})
-		lo = hi
-	}
-	return segs, mask, nil
-}
+// rewind restarts the walk from the first input entry.
+//
+//nephele:noalloc
+func (c *runCursor) rewind() { c.i, c.anyBad = 0, false }
 
-// segmentsPTEs is segmentsMFNs over the frames referenced by a run of
-// page-table entries, so the clone hot path never materializes an MFN list.
-func (lay *layout) segmentsPTEs(ptes []pte, segs []segment) ([]segment, uint32, error) {
-	var mask uint32
-	for lo := 0; lo < len(ptes); {
-		start := ptes[lo].mfn
-		if int(start) >= lay.total {
-			return nil, 0, fmt.Errorf("%w: %d", ErrBadFrame, start)
+// next advances to the next run and reports whether there was one.
+//
+//nephele:noalloc
+func (c *runCursor) next() bool {
+	lay := c.lay
+	n := len(c.mfns) + len(c.ptes)
+	for c.i < n {
+		var start MFN
+		if c.ptes == nil {
+			start = c.mfns[c.i]
+		} else if p := &c.ptes[c.i]; p.present || c.mode != runSkipAbsent {
+			start = p.mfn
+		} else {
+			c.i++
+			continue
 		}
-		si := int(start >> lay.shift)
-		sh := &lay.shards[si]
-		mask |= 1 << si
-		end := start + 1
-		lim := sh.lo + MFN(sh.size)
-		hi := lo + 1
-		for hi < len(ptes) && end < lim && ptes[hi].mfn == end {
-			hi++
-			end++
-		}
-		segs = append(segs, segment{sh: sh, si: si, a: int(start - sh.lo), b: int(end - sh.lo)})
-		lo = hi
-	}
-	return segs, mask, nil
-}
-
-// segmentsSkipBad is segmentsMFNs under ReleaseN's skip-and-record rules:
-// out-of-range MFNs are dropped from the segments and the first such error
-// is returned alongside them instead of failing the call.
-func (lay *layout) segmentsSkipBad(mfns []MFN, segs []segment) ([]segment, uint32, error) {
-	var mask uint32
-	var firstErr error
-	for lo := 0; lo < len(mfns); {
-		start := mfns[lo]
+		c.i++
 		if int(start) >= lay.total {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("%w: %d", ErrBadFrame, start)
+			if !c.anyBad {
+				c.anyBad, c.bad = true, start
 			}
-			lo++
+			if c.mode == runStrict {
+				c.i = n
+				return false
+			}
 			continue
 		}
 		si := int(start >> lay.shift)
 		sh := &lay.shards[si]
-		mask |= 1 << si
-		end := start + 1
-		lim := sh.lo + MFN(sh.size)
-		hi := lo + 1
-		for hi < len(mfns) && end < lim && mfns[hi] == end {
-			hi++
-			end++
+		a := int(start - sh.lo)
+		// The run ends where the input stops being MFN-contiguous, at the
+		// input's end or at the shard's, whichever comes first. A run that
+		// continues at all is likely long — an unfragmented table — so
+		// after each single step the loops try four entries at a time;
+		// over a fragmented table the first comparison ends it. Batched
+		// operations spend their splitting time here, which is why each
+		// input form has its own loop with nothing else in it.
+		i, end := c.i, start+1
+		stop := n
+		if room := i + sh.size - a - 1; room < stop {
+			stop = room
 		}
-		segs = append(segs, segment{sh: sh, si: si, a: int(start - sh.lo), b: int(end - sh.lo)})
-		lo = hi
+		if c.ptes == nil {
+			in := c.mfns[:stop]
+			for i < len(in) && in[i] == end {
+				i, end = i+1, end+1
+				for ; i+4 <= len(in); i, end = i+4, end+4 {
+					if q := in[i : i+4 : i+4]; (q[0]^end)|(q[1]^(end+1))|(q[2]^(end+2))|(q[3]^(end+3)) != 0 {
+						break
+					}
+				}
+			}
+		} else {
+			in := c.ptes[:stop]
+			all := c.mode != runSkipAbsent
+			for i < len(in) && in[i].mfn == end && (all || in[i].present) {
+				i, end = i+1, end+1
+				for ; i+4 <= len(in); i, end = i+4, end+4 {
+					q := in[i : i+4 : i+4]
+					if (q[0].mfn^end)|(q[1].mfn^(end+1))|(q[2].mfn^(end+2))|(q[3].mfn^(end+3)) != 0 ||
+						!(all || q[0].present && q[1].present && q[2].present && q[3].present) {
+						break
+					}
+				}
+			}
+		}
+		c.i = i
+		c.si, c.a, c.b, c.first = si, a, a+int(end-start), start
+		return true
 	}
-	return segs, mask, firstErr
+	return false
 }
 
-// maskOf computes the set of shards a frame run touches as a bitmask.
-// Out-of-range MFNs are skipped (the caller's per-frame validation reports
-// them); the mask only drives locking.
-func (lay *layout) maskOf(n int, mfnAt func(int) MFN) uint32 {
-	var mask uint32
-	for i := 0; i < n; i++ {
-		if mfn := mfnAt(i); int(mfn) < lay.total {
-			mask |= 1 << lay.shardIdx(mfn)
+// lockRuns pins the current layout, binds c to it, walks the input once
+// without locks (only lay's immutable geometry is read) for the set of
+// shards its runs touch and locks those, retrying when a Restride wins the
+// race between the pin and the acquisition. A strict cursor over an
+// out-of-range MFN fails here, before any lock is taken; the skipping modes
+// report theirs from the locked walk. On success c is rewound and the
+// caller owns the locks: unlockMask(lay, mask).
+//
+//nephele:noalloc
+func (m *Memory) lockRuns(c *runCursor) (*layout, uint32, error) {
+	for {
+		lay := m.lay.Load()
+		c.lay = lay
+		mask := c.mask()
+		if c.anyBad && c.mode == runStrict {
+			return nil, 0, c.badFrame()
 		}
+		c.rewind()
+		if m.lockLayout(lay, mask) {
+			return lay, mask, nil
+		}
+	}
+}
+
+// mask rewinds c, walks the whole input and returns the set of shards its
+// runs touch.
+//
+//nephele:noalloc
+func (c *runCursor) mask() uint32 {
+	var mask uint32
+	for c.rewind(); c.next(); {
+		mask |= 1 << c.si
 	}
 	return mask
 }
@@ -862,68 +931,56 @@ func (m *Memory) Share(dom DomID, mfn MFN, refs int, meter *vclock.Meter) error 
 // refs-1 references at no virtual cost, frames owned by dom are transferred
 // to dom_cow and charged one PageShare. Validation runs before any
 // mutation, so a failed call leaves the pool untouched.
+//
+//nephele:noalloc
 func (m *Memory) ShareN(dom DomID, mfns []MFN, refs int, meter *vclock.Meter) error {
-	var buf [segStack]segment
-	for {
-		lay := m.lay.Load()
-		segs, mask, err := lay.segmentsMFNs(mfns, buf[:0])
-		if err != nil {
-			return err
-		}
-		if !m.lockLayout(lay, mask) {
-			continue
-		}
-		return m.shareSegs(lay, dom, segs, mask, refs, meter)
-	}
+	return m.shareRuns(dom, runCursor{mfns: mfns}, refs, meter)
 }
 
 // sharePTEs is ShareN over the frames referenced by a run of page-table
-// entries, so the clone hot path never materializes an MFN list for runs
-// it only shares.
+// entries: the cursor reads the MFNs off the entries, so the clone hot path
+// builds neither an MFN list nor a list of runs for extents it only shares.
+//
+//nephele:noalloc
 func (m *Memory) sharePTEs(dom DomID, ptes []pte, refs int, meter *vclock.Meter) error {
-	var buf [segStack]segment
-	for {
-		lay := m.lay.Load()
-		segs, mask, err := lay.segmentsPTEs(ptes, buf[:0])
-		if err != nil {
-			return err
-		}
-		if !m.lockLayout(lay, mask) {
-			continue
-		}
-		return m.shareSegs(lay, dom, segs, mask, refs, meter)
-	}
+	return m.shareRuns(dom, runCursor{ptes: ptes}, refs, meter)
 }
 
-// shareSegs applies ShareN's fused validate+mutate pass. The caller has
-// locked mask's shards under a validated pin of lay; shareSegs unlocks.
-func (m *Memory) shareSegs(lay *layout, dom DomID, segs []segment, mask uint32, refs int, meter *vclock.Meter) error {
+// shareRuns is ShareN's body over either input form: one locked walk
+// validates every frame, a second one mutates.
+//
+//nephele:noalloc
+func (m *Memory) shareRuns(dom DomID, c runCursor, refs int, meter *vclock.Meter) error {
+	lay, mask, err := m.lockRuns(&c)
+	if err != nil {
+		return err
+	}
 	defer m.unlockMask(lay, mask)
 	if refs < 1 {
-		return fmt.Errorf("mem: share with %d refs", refs)
+		return fmt.Errorf("mem: share with %d refs", refs) //nephele:hotalloc-ok — caller bug, never on the warm path
 	}
 	transfers := 0
-	for _, sg := range segs {
-		fr, short := sg.frames()
+	for c.next() {
+		fr, short := c.frames()
 		for j := range fr {
 			f := &fr[j]
 			if !f.inUse {
-				return fmt.Errorf("%w: %d", ErrDoubleFree, sg.mfn(j))
+				return frameErr(ErrDoubleFree, c.mfn(j))
 			}
 			if f.owner != DomIDCOW {
 				if f.owner != dom {
-					return fmt.Errorf("%w: frame %d owned by %d, shared by %d", ErrNotOwner, sg.mfn(j), f.owner, dom)
+					return fmt.Errorf("%w: frame %d owned by %d, shared by %d", ErrNotOwner, c.mfn(j), f.owner, dom) //nephele:hotalloc-ok — validation failure, the call aborts
 				}
 				transfers++
 			}
 		}
 		if short {
-			return fmt.Errorf("%w: %d", ErrDoubleFree, sg.mfn(len(fr)))
+			return frameErr(ErrDoubleFree, c.mfn(len(fr)))
 		}
 	}
 	var perShard [MaxShards]int
-	for _, sg := range segs {
-		fr, _ := sg.frames()
+	for c.rewind(); c.next(); {
+		fr, _ := c.frames()
 		t := 0
 		for j := range fr {
 			f := &fr[j]
@@ -935,18 +992,18 @@ func (m *Memory) shareSegs(lay *layout, dom DomID, segs []segment, mask uint32, 
 			f.refcount = int32(refs)
 			t++
 		}
-		perShard[sg.si] += t
+		perShard[c.si] += t
 	}
 	if transfers > 0 {
 		// Every transferred frame was validated as owned by dom, so the
 		// per-owner accounting moves per shard instead of per frame.
 		m.beginAccount()
 		for si := range lay.shards {
-			if c := perShard[si]; c > 0 {
+			if n := perShard[si]; n > 0 {
 				sh := &lay.shards[si]
-				sh.dropUsageLocked(dom, c)
-				sh.usedByDom[DomIDCOW] += c
-				sh.shared.Add(int64(c))
+				sh.dropUsageLocked(dom, n)
+				sh.usedByDom[DomIDCOW] += n //nephele:hotalloc-ok — one int-keyed entry per shard, re-inserted only after the shard's last shared frame went
+				sh.shared.Add(int64(n))
 			}
 		}
 		m.endAccount()
@@ -967,79 +1024,78 @@ func (m *Memory) AddSharer(mfn MFN, n int) error {
 // frames by n each, locking the shards the run touches once. Validation
 // runs before any mutation. This is the 2nd..Nth-clone fast path:
 // re-cloning an already-COW parent is nothing but sharer bumps.
+//
+//nephele:noalloc
 func (m *Memory) AddSharerN(mfns []MFN, n int) error {
-	var buf [segStack]segment
-	for {
-		lay := m.lay.Load()
-		segs, mask, err := lay.segmentsMFNs(mfns, buf[:0])
-		if err != nil {
-			return err
-		}
-		if !m.lockLayout(lay, mask) {
-			continue
-		}
-		return m.addSharerSegs(lay, segs, mask, n)
-	}
+	return m.addSharerRuns(runCursor{mfns: mfns}, n)
 }
 
 // addSharerPTEs is AddSharerN over the frames referenced by a run of
 // page-table entries (the 2nd..Nth-clone fast path works straight off the
 // parent's table).
+//
+//nephele:noalloc
 func (m *Memory) addSharerPTEs(ptes []pte, n int) error {
-	var buf [segStack]segment
-	for {
-		lay := m.lay.Load()
-		segs, mask, err := lay.segmentsPTEs(ptes, buf[:0])
-		if err != nil {
-			return err
-		}
-		if !m.lockLayout(lay, mask) {
-			continue
-		}
-		return m.addSharerSegs(lay, segs, mask, n)
-	}
+	return m.addSharerRuns(runCursor{ptes: ptes}, n)
 }
 
-// addSharerSegs bumps sharer counts in a single fused validate+mutate pass;
+// addSharerRuns bumps sharer counts in a single fused validate+mutate walk;
 // on a validation failure every bump applied so far is subtracted back, so
 // a failed call still leaves the pool untouched (the increment is its own
 // exact inverse, which is what makes the fusion safe). One pass instead of
-// two matters: this is the entire cost of a 2nd..Nth clone. The caller has
-// locked mask's shards under a validated pin of lay; addSharerSegs unlocks.
-func (m *Memory) addSharerSegs(lay *layout, segs []segment, mask uint32, n int) error {
-	defer m.unlockMask(lay, mask)
-	undo := func(done int, sg segment, j int) {
-		for _, dsg := range segs[:done] {
-			fr, _ := dsg.frames()
-			for k := range fr {
-				fr[k].refcount -= int32(n)
-			}
-		}
-		fr, _ := sg.frames()
-		for k := 0; k < j; k++ {
-			fr[k].refcount -= int32(n)
-		}
+// two matters: this is the entire cost of a 2nd..Nth clone.
+//
+//nephele:noalloc
+func (m *Memory) addSharerRuns(c runCursor, n int) error {
+	lay, mask, err := m.lockRuns(&c)
+	if err != nil {
+		return err
 	}
-	for si, sg := range segs {
-		fr, short := sg.frames()
+	defer m.unlockMask(lay, mask)
+	runs := 0 // whole runs bumped so far
+	for ; c.next(); runs++ {
+		fr, short := c.frames()
 		for j := range fr {
 			f := &fr[j]
 			if !f.inUse {
-				undo(si, sg, j)
-				return fmt.Errorf("%w: %d", ErrDoubleFree, sg.mfn(j))
+				bad := c.mfn(j)
+				c.unbump(n, runs, j)
+				return frameErr(ErrDoubleFree, bad)
 			}
 			if f.owner != DomIDCOW {
-				undo(si, sg, j)
-				return fmt.Errorf("%w: frame %d owned by %d", ErrNotShared, sg.mfn(j), f.owner)
+				bad := c.mfn(j)
+				c.unbump(n, runs, j)
+				return fmt.Errorf("%w: frame %d owned by %d", ErrNotShared, bad, f.owner) //nephele:hotalloc-ok — validation failure, the call aborts
 			}
 			f.refcount += int32(n)
 		}
 		if short {
-			undo(si, sg, len(fr))
-			return fmt.Errorf("%w: %d", ErrDoubleFree, sg.mfn(len(fr)))
+			bad := c.mfn(len(fr))
+			c.unbump(n, runs, len(fr))
+			return frameErr(ErrDoubleFree, bad)
 		}
 	}
 	return nil
+}
+
+// unbump is addSharerRuns' undo: it re-walks the input from the start and
+// subtracts n from every frame of the first runs runs and from the first j
+// frames of the one after them.
+//
+//nephele:noalloc
+func (c *runCursor) unbump(n, runs, j int) {
+	for c.rewind(); c.next(); runs-- {
+		fr, _ := c.frames()
+		if runs == 0 {
+			fr = fr[:j]
+		}
+		for k := range fr {
+			fr[k].refcount -= int32(n)
+		}
+		if runs == 0 {
+			return
+		}
+	}
 }
 
 // CopyOnWrite resolves a write fault by dom on a shared frame. If the frame
@@ -1058,9 +1114,9 @@ func (m *Memory) CopyOnWrite(dom DomID, mfn MFN, meter *vclock.Meter) (MFN, erro
 		sh.mu.Unlock()
 		return 0, err
 	}
-	if f.owner != DomIDCOW {
+	if owner := f.owner; owner != DomIDCOW {
 		sh.mu.Unlock()
-		return 0, fmt.Errorf("%w: frame %d owned by %d", ErrNotShared, mfn, f.owner)
+		return 0, fmt.Errorf("%w: frame %d owned by %d", ErrNotShared, mfn, owner)
 	}
 	if f.refcount == 1 && f.pledges == 0 {
 		m.transferLastSharerLocked(sh, f, dom)
@@ -1188,76 +1244,40 @@ func (m *Memory) DropShared(mfn MFN) error {
 // last), frames owned by dom are freed, and frames owned by anyone else
 // are skipped. Bad frames are recorded and skipped; the first error is
 // returned after the whole run is processed.
+//
+//nephele:noalloc
 func (m *Memory) ReleaseN(dom DomID, mfns []MFN) error {
-	var buf [segStack]segment
-	for {
-		lay := m.lay.Load()
-		segs, mask, firstErr := lay.segmentsSkipBad(mfns, buf[:0])
-		if !m.lockLayout(lay, mask) {
-			continue
-		}
-		return m.releaseSegs(lay, dom, segs, mask, firstErr)
-	}
+	return m.releaseRuns(dom, runCursor{mfns: mfns, mode: runSkipBad})
 }
 
 // releasePTEs is ReleaseN over the frames referenced by the present entries
-// of a page table, so releasing a whole space never materializes an MFN
-// list. Entries that are not present are skipped without error (an already
-// torn-down mapping has nothing to release).
+// of a page table: releasing a whole space builds neither an MFN list nor a
+// list of runs, however fragmented the table. Entries that are not present
+// are skipped without error (an already torn-down mapping has nothing to
+// release).
+//
+//nephele:noalloc
 func (m *Memory) releasePTEs(dom DomID, ptes []pte) error {
-	var buf [segStack]segment
-	for {
-		lay := m.lay.Load()
-		var mask uint32
-		var firstErr error
-		segs := buf[:0]
-		for lo := 0; lo < len(ptes); {
-			if !ptes[lo].present {
-				lo++
-				continue
-			}
-			start := ptes[lo].mfn
-			if int(start) >= lay.total {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("%w: %d", ErrBadFrame, start)
-				}
-				lo++
-				continue
-			}
-			si := int(start >> lay.shift)
-			sh := &lay.shards[si]
-			mask |= 1 << si
-			end := start + 1
-			lim := sh.lo + MFN(sh.size)
-			hi := lo + 1
-			for hi < len(ptes) && end < lim && ptes[hi].present && ptes[hi].mfn == end {
-				hi++
-				end++
-			}
-			segs = append(segs, segment{sh: sh, si: si, a: int(start - sh.lo), b: int(end - sh.lo)})
-			lo = hi
-		}
-		if !m.lockLayout(lay, mask) {
-			continue
-		}
-		return m.releaseSegs(lay, dom, segs, mask, firstErr)
-	}
+	return m.releaseRuns(dom, runCursor{ptes: ptes, mode: runSkipAbsent})
 }
 
-// releaseSegs applies the domain-teardown rules over locked segments. The
-// caller has locked mask's shards under a validated pin of lay;
-// releaseSegs unlocks.
-func (m *Memory) releaseSegs(lay *layout, dom DomID, segs []segment, mask uint32, firstErr error) error {
+// releaseRuns applies the domain-teardown rules in one locked walk. An
+// out-of-range MFN outranks a per-frame error in what is returned.
+//
+//nephele:noalloc
+func (m *Memory) releaseRuns(dom DomID, c runCursor) error {
+	lay, mask, _ := m.lockRuns(&c) // the skipping modes never fail here
 	defer m.unlockMask(lay, mask)
+	var firstErr error
 	var ownFreed, cowFreed, zombied [MaxShards]int
-	for _, sg := range segs {
-		sh := sg.sh
-		fr, short := sg.frames()
+	for c.next() {
+		sh := &lay.shards[c.si]
+		fr, short := c.frames()
 		for j := range fr {
 			f := &fr[j]
 			if !f.inUse {
 				if firstErr == nil {
-					firstErr = fmt.Errorf("%w: %d", ErrDoubleFree, sg.mfn(j))
+					firstErr = frameErr(ErrDoubleFree, c.mfn(j))
 				}
 				continue
 			}
@@ -1265,8 +1285,8 @@ func (m *Memory) releaseSegs(lay *layout, dom DomID, segs []segment, mask uint32
 			case DomIDCOW:
 				f.refcount--
 				if f.refcount == 0 && f.pledges == 0 {
-					cowFreed[sg.si]++
-					sh.resetFrameLocked(sg.mfn(j))
+					cowFreed[c.si]++
+					sh.resetFrameLocked(c.mfn(j))
 				}
 			case dom:
 				if f.pledges > 0 {
@@ -1274,36 +1294,39 @@ func (m *Memory) releaseSegs(lay *layout, dom DomID, segs []segment, mask uint32
 					// keep the frame as a dom_cow zombie.
 					f.owner = DomIDCOW
 					f.refcount = 0
-					zombied[sg.si]++
+					zombied[c.si]++
 				} else {
-					ownFreed[sg.si]++
-					sh.resetFrameLocked(sg.mfn(j))
+					ownFreed[c.si]++
+					sh.resetFrameLocked(c.mfn(j))
 				}
 			}
 		}
 		if short && firstErr == nil {
-			firstErr = fmt.Errorf("%w: %d", ErrDoubleFree, sg.mfn(len(fr)))
+			firstErr = frameErr(ErrDoubleFree, c.mfn(len(fr)))
 		}
 	}
 	m.beginAccount()
 	for si := range lay.shards {
 		sh := &lay.shards[si]
-		if c := ownFreed[si]; c > 0 {
-			sh.dropUsageLocked(dom, c)
-			sh.free.Add(int64(c))
+		if n := ownFreed[si]; n > 0 {
+			sh.dropUsageLocked(dom, n)
+			sh.free.Add(int64(n))
 		}
-		if c := cowFreed[si]; c > 0 {
-			sh.dropUsageLocked(DomIDCOW, c)
-			sh.shared.Add(-int64(c))
-			sh.free.Add(int64(c))
+		if n := cowFreed[si]; n > 0 {
+			sh.dropUsageLocked(DomIDCOW, n)
+			sh.shared.Add(-int64(n))
+			sh.free.Add(int64(n))
 		}
-		if c := zombied[si]; c > 0 {
-			sh.dropUsageLocked(dom, c)
-			sh.usedByDom[DomIDCOW] += c
-			sh.shared.Add(int64(c))
+		if n := zombied[si]; n > 0 {
+			sh.dropUsageLocked(dom, n)
+			sh.usedByDom[DomIDCOW] += n //nephele:hotalloc-ok — one int-keyed entry per shard, re-inserted only after the shard's last shared frame went
+			sh.shared.Add(int64(n))
 		}
 	}
 	m.endAccount()
+	if c.anyBad {
+		return c.badFrame()
+	}
 	return firstErr
 }
 
@@ -1370,8 +1393,11 @@ func (m *Memory) CopyFrameN(dst, src []MFN, meter *vclock.Meter) error {
 	}
 	for {
 		lay := m.lay.Load()
-		mask := lay.maskOf(len(dst), func(i int) MFN { return dst[i] }) |
-			lay.maskOf(len(src), func(i int) MFN { return src[i] })
+		// An out-of-range MFN only drops out of the lock mask;
+		// copyFrameLocked reports it.
+		d := runCursor{lay: lay, mfns: dst, mode: runSkipBad}
+		s := runCursor{lay: lay, mfns: src, mode: runSkipBad}
+		mask := d.mask() | s.mask()
 		if !m.lockLayout(lay, mask) {
 			continue
 		}
@@ -1422,29 +1448,19 @@ func (lay *layout) copyFrameLocked(dst, src MFN) error {
 // shards keep allocating — and a concurrent ReleaseN on the same shards
 // orders strictly before or after the whole snapshot.
 func (m *Memory) SnapshotFrames(mfns []MFN) ([][]byte, error) {
-	for {
-		lay := m.lay.Load()
-		mask := lay.maskOf(len(mfns), func(i int) MFN { return mfns[i] })
-		if !m.lockLayout(lay, mask) {
-			continue
-		}
-		out := make([][]byte, len(mfns))
-		err := func() error {
-			defer m.unlockMask(lay, mask)
-			for i, mfn := range mfns {
-				f, err := lay.frameAt(mfn)
-				if err != nil {
-					return err
-				}
-				if f.data != nil {
-					out[i] = append([]byte(nil), f.data...)
-				}
-			}
-			return nil
-		}()
+	// An out-of-range MFN only drops out of the lock mask; frameAt reports it.
+	c := runCursor{mfns: mfns, mode: runSkipBad}
+	lay, mask, _ := m.lockRuns(&c)
+	defer m.unlockMask(lay, mask)
+	out := make([][]byte, len(mfns))
+	for i, mfn := range mfns {
+		f, err := lay.frameAt(mfn)
 		if err != nil {
 			return nil, err
 		}
-		return out, nil
+		if f.data != nil {
+			out[i] = append([]byte(nil), f.data...)
+		}
 	}
+	return out, nil
 }

@@ -849,9 +849,9 @@ func (s *Space) release() error {
 	// a reference, owned frames are freed, frames owned by another domain
 	// are left alone — the same per-frame dispatch the old per-page
 	// Owner/DropShared/Free sequence made. The guest pages go straight off
-	// the page table as extents (no intermediate MFN list); the metadata
-	// frames follow. Setting retired retires every entry, so the per-pte
-	// present bits need no touching.
+	// the page table run by run (no intermediate list of any kind); the
+	// metadata frames follow. Setting retired retires every entry, so the
+	// per-pte present bits need no touching.
 	if err := s.mem.releasePTEs(s.dom, s.ptes); firstErr == nil {
 		firstErr = err
 	}

@@ -290,13 +290,14 @@ func (x *XL) introduce(id hv.DomID, name string, meter *vclock.Meter) error {
 		meter.Charge(meter.Costs().Introduce, 1)
 	}
 	base := fmt.Sprintf("/local/domain/%d", id)
-	writes := map[string]string{
-		base + "/name":   name,
-		base + "/domid":  strconv.FormatUint(uint64(id), 10),
-		base + "/memory": "static-max",
-	}
-	for k, v := range writes {
-		if err := x.Store.Write(k, v, meter); err != nil {
+	// A fixed order: the first write creates the domain's directory, and
+	// every later request's StorePerNode charge counts it.
+	for _, w := range []devices.Entry{
+		{Key: base + "/name", Value: name},
+		{Key: base + "/domid", Value: strconv.FormatUint(uint64(id), 10)},
+		{Key: base + "/memory", Value: "static-max"},
+	} {
+		if err := x.Store.Write(w.Key, w.Value, meter); err != nil {
 			return err
 		}
 	}
@@ -313,9 +314,9 @@ func (x *XL) createDevices(id hv.DomID, cfg DomainConfig, meter *vclock.Meter) e
 		x.Backends.Console.Create(domid, meter)
 	}
 	for i, vc := range cfg.Vifs {
-		extra := map[string]string{
-			"mac": netsim.MACForDomain(domid).String(),
-			"ip":  vc.IP.String(),
+		extra := []devices.Entry{
+			{Key: "mac", Value: netsim.MACForDomain(domid).String()},
+			{Key: "ip", Value: vc.IP.String()},
 		}
 		if err := devices.WriteDevicePair(x.Store, domid, "vif", i, extra, meter); err != nil {
 			return err
@@ -328,7 +329,7 @@ func (x *XL) createDevices(id hv.DomID, cfg DomainConfig, meter *vclock.Meter) e
 		}
 	}
 	for i, np := range cfg.NinePFS {
-		extra := map[string]string{"tag": np.Tag, "export": np.Export}
+		extra := []devices.Entry{{Key: "tag", Value: np.Tag}, {Key: "export", Value: np.Export}}
 		if err := devices.WriteDevicePair(x.Store, domid, "9pfs", i, extra, meter); err != nil {
 			return err
 		}
