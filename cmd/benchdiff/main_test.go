@@ -14,10 +14,11 @@ BenchmarkFoo/a=1   	  20	  150000 ns/op	  14 allocs/op
 BenchmarkFoo/a=1   	  20	  120000 ns/op	  14 allocs/op
 BenchmarkFoo/a=1   	  20	  180000 ns/op	  14 allocs/op
 `)
-	got, cpus, err := parseBench(in)
+	got, units, err := parseBench(in)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cpus := units["ns/op"]
 	rec, ok := got["BenchmarkFoo/a=1"]
 	if !ok {
 		t.Fatalf("benchmark missing: %v", got)
@@ -42,7 +43,7 @@ BenchmarkBar/sched=affinity-2	 3	 40272000 ns/op	 326 allocs/op
 BenchmarkBar/sched=affinity-8	 3	 16360500 ns/op	 326 allocs/op
 BenchmarkBar/sched=affinity-8	 3	 16360500 ns/op	 326 allocs/op
 `)
-	got, cpus, err := parseBench(in)
+	got, units, err := parseBench(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ BenchmarkBar/sched=affinity-8	 3	 16360500 ns/op	 326 allocs/op
 	if rec.NsPerOp != 40272000 {
 		t.Fatalf("ns/op = %v, want the cpu=2 run", rec.NsPerOp)
 	}
-	byCPU := cpus["BenchmarkBar/sched=affinity"]
+	byCPU := units["ns/op"]["BenchmarkBar/sched=affinity"]
 	if byCPU[2] != 40272000 || byCPU[8] != 16360500 {
 		t.Fatalf("per-cpu map = %v", byCPU)
 	}
@@ -78,21 +79,32 @@ PASS
 	}
 }
 
-// TestReportXferRatios: xfer=cold / xfer=warm pairs yield the remote-clone
-// dedup speedup at the highest common cpu count; unpaired names don't.
-func TestReportXferRatios(t *testing.T) {
+// TestReportRatios: cold/warm pairs yield the speedup at the highest
+// common cpu count, in the gate's own column; unpaired names don't. The
+// cached-restore gate reads the virtual restore-ms the benchmark reports,
+// so wall ns/op moving the other way does not reach it.
+func TestReportRatios(t *testing.T) {
 	in := strings.NewReader(`
 BenchmarkRemoteClone/xfer=cold   	  50	  24000000 ns/op
 BenchmarkRemoteClone/xfer=warm   	  50	  16000000 ns/op
 BenchmarkRemoteClone/xfer=cold-8 	  50	  20000000 ns/op
 BenchmarkRemoteClone/xfer=warm-8 	  50	  10000000 ns/op
 BenchmarkOther/xfer=warm         	  50	   1000000 ns/op
+BenchmarkCachedRestore/mode=cold-2 	   3	   7000000 ns/op	      1374 restore-ms
+BenchmarkCachedRestore/mode=warm-2 	   3	   7500000 ns/op	       134.1 restore-ms
+BenchmarkCachedRestore/mode=warm-2 	   3	   4600000 ns/op	       134.1 restore-ms
 `)
-	_, cpus, err := parseBench(in)
+	_, units, err := parseBench(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if best := reportXferRatios(cpus); best != 2.0 {
+	if best := reportRatios(units[xferGate.unit], xferGate); best != 2.0 {
 		t.Fatalf("best xfer speedup = %v, want 2.0 (cpu=8 pair)", best)
+	}
+	if best, want := reportRatios(units[warmGate.unit], warmGate), 1374/134.1; best != want {
+		t.Fatalf("best cached-restore speedup = %v, want %v (restore-ms, not ns/op)", best, want)
+	}
+	if best := reportRatios(units[schedGate.unit], schedGate); best != 0 {
+		t.Fatalf("sched speedup = %v with no sched pairs in the input", best)
 	}
 }

@@ -61,10 +61,19 @@ type Cluster struct {
 	hosts   []*Host
 	fabric  *netsim.Fabric
 	metrics *obs.Registry
+	ctr     counters
 	nameSeq atomic.Int64
 
 	mu     sync.Mutex
 	faults *fault.Registry
+}
+
+// counters are the cluster.* instruments of the routed clone path,
+// resolved once by New.
+type counters struct {
+	localClones, remoteClones        *obs.Counter
+	xfers, xferPages, dedupPages     *obs.Counter
+	materializeWarm, materializeCold *obs.Counter
 }
 
 // New builds a cluster of opts.Hosts identical platforms and attaches a
@@ -79,9 +88,19 @@ func New(opts Options) *Cluster {
 	if width < 1 {
 		width = 2
 	}
+	reg := obs.NewRegistry()
 	c := &Cluster{
 		fabric:  netsim.NewFabric(n, width),
-		metrics: obs.NewRegistry(),
+		metrics: reg,
+		ctr: counters{
+			localClones:     reg.Counter("cluster.local_clones"),
+			remoteClones:    reg.Counter("cluster.remote_clones"),
+			xfers:           reg.Counter("cluster.xfers"),
+			xferPages:       reg.Counter("cluster.xfer_pages"),
+			dedupPages:      reg.Counter("cluster.dedup_pages"),
+			materializeWarm: reg.Counter("cluster.materialize_warm"),
+			materializeCold: reg.Counter("cluster.materialize_cold"),
+		},
 	}
 	for i := 0; i < n; i++ {
 		p := core.NewPlatform(opts.Platform)

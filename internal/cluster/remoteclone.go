@@ -95,7 +95,7 @@ func (c *Cluster) routeClone(ctx obs.OpCtx, src int, spec core.CloneSpec) ([]*co
 			errs = append(errs, lerr)
 		} else {
 			srcHost.VC.Tick(src, meter.Elapsed()-lstart)
-			c.metrics.Counter("cluster.local_clones").Add(int64(counts[src]))
+			c.ctr.localClones.Add(int64(counts[src]))
 		}
 	}
 
@@ -168,9 +168,9 @@ func (c *Cluster) remoteClone(ctx obs.OpCtx, src, dst *Host, img *toolstack.Imag
 	if err != nil {
 		return nil, err
 	}
-	c.metrics.Counter("cluster.xfers").Inc()
-	c.metrics.Counter("cluster.xfer_pages").Add(int64(plan.Pages))
-	c.metrics.Counter("cluster.dedup_pages").Add(int64(plan.DedupPages))
+	c.ctr.xfers.Inc()
+	c.ctr.xferPages.Add(int64(plan.Pages))
+	c.ctr.dedupPages.Add(int64(plan.DedupPages))
 	sendElapsed := meter.Elapsed() - start
 
 	children, err := func() ([]core.DomID, error) {
@@ -193,9 +193,9 @@ func (c *Cluster) remoteClone(ctx obs.OpCtx, src, dst *Host, img *toolstack.Imag
 					i+1, n, dst.Index, rerr)
 			}
 			if cached {
-				c.metrics.Counter("cluster.materialize_warm").Inc()
+				c.ctr.materializeWarm.Inc()
 			} else {
-				c.metrics.Counter("cluster.materialize_cold").Inc()
+				c.ctr.materializeCold.Inc()
 			}
 			kids = append(kids, rec.ID)
 		}
@@ -212,7 +212,7 @@ func (c *Cluster) remoteClone(ctx obs.OpCtx, src, dst *Host, img *toolstack.Imag
 	src.VC.Tick(src.Index, sendElapsed)
 	dst.VC.Merge(src.VC.Snapshot())
 	dst.VC.Tick(dst.Index, meter.Elapsed()-start-sendElapsed)
-	c.metrics.Counter("cluster.remote_clones").Add(int64(n))
+	c.ctr.remoteClones.Add(int64(n))
 
 	return &core.CloneResult{OpResult: core.OpResult{
 		Children:      children,

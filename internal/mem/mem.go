@@ -82,11 +82,18 @@ var (
 // copies away, and teardown keeps a pledged frame alive as a dom_cow
 // "zombie" (refcount 0, pledges > 0) until the last pledge is adopted or
 // cancelled.
+//
+// sealed means the data slice is also held by a snapshot, an image or
+// another frame, so it is never written in place again: SnapshotFrames and
+// WritePage set it, and every path that stores into data replaces a sealed
+// slice with a private one first (DESIGN.md §10.1). The bit sits in the
+// padding after inUse.
 type frame struct {
 	owner    DomID
 	refcount int32
 	pledges  int32
 	inUse    bool
+	sealed   bool
 	data     []byte
 }
 
@@ -666,6 +673,7 @@ func (sh *shard) initFrameLocked(mfn MFN, dom DomID) {
 	f.owner = dom
 	f.refcount = 1
 	f.inUse = true
+	f.sealed = false
 	f.data = nil
 }
 
@@ -726,6 +734,7 @@ func (sh *shard) dropUsageLocked(dom DomID, n int) {
 func (sh *shard) resetFrameLocked(mfn MFN) {
 	f := &sh.frames[mfn-sh.lo]
 	f.inUse = false
+	f.sealed = false
 	f.data = nil
 	f.refcount = 0
 	f.pledges = 0
@@ -1356,7 +1365,9 @@ func (m *Memory) Read(mfn MFN, off int, buf []byte) error {
 }
 
 // Write stores buf at (mfn, off). Write does not check ownership or
-// sharing; address spaces enforce COW before calling it.
+// sharing; address spaces enforce COW before calling it. A sealed page is
+// replaced by a private copy first, so holders of the old slice never see
+// the write.
 func (m *Memory) Write(mfn MFN, off int, buf []byte) error {
 	lay, sh, err := m.lockShard(mfn)
 	if err != nil {
@@ -1370,10 +1381,38 @@ func (m *Memory) Write(mfn MFN, off int, buf []byte) error {
 	if off < 0 || off+len(buf) > PageSize {
 		return ErrBadOffset
 	}
-	if f.data == nil {
+	if f.data == nil || f.sealed {
+		old := f.data
 		f.data = make([]byte, PageSize)
+		f.sealed = false
+		if len(buf) < PageSize {
+			copy(f.data, old)
+		}
 	}
 	copy(f.data[off:], buf)
+	return nil
+}
+
+// WritePage makes page the whole contents of mfn without copying it: the
+// frame keeps the slice itself, sealed, so the caller (an image, a cache
+// chunk) and any number of frames may hold the same page as long as none
+// of them writes through it again. A page shorter than PageSize cannot
+// stand for a frame and is stored as the copying prefix write
+// Write(mfn, 0, page) instead; a longer one is refused.
+func (m *Memory) WritePage(mfn MFN, page []byte) error {
+	if len(page) != PageSize {
+		return m.Write(mfn, 0, page)
+	}
+	lay, sh, err := m.lockShard(mfn)
+	if err != nil {
+		return err
+	}
+	defer sh.mu.Unlock()
+	f, err := lay.frameAt(mfn)
+	if err != nil {
+		return err
+	}
+	f.data, f.sealed = page, true
 	return nil
 }
 
@@ -1431,10 +1470,10 @@ func (lay *layout) copyFrameLocked(dst, src MFN) error {
 		return err
 	}
 	if fs.data == nil {
-		fd.data = nil
+		fd.data, fd.sealed = nil, false
 	} else {
-		if fd.data == nil {
-			fd.data = make([]byte, PageSize)
+		if fd.data == nil || fd.sealed {
+			fd.data, fd.sealed = make([]byte, PageSize), false
 		}
 		copy(fd.data, fs.data)
 	}
@@ -1443,7 +1482,11 @@ func (lay *layout) copyFrameLocked(dst, src MFN) error {
 
 // SnapshotFrames captures the contents of every frame in mfns, one slot per
 // input, with nil for frames whose backing store has never been written
-// (they read as zeroes). The shards the run touches are locked once, in
+// (they read as zeroes). Nothing is copied: each slot is the frame's own
+// page, sealed on the way out, so the result is immutable — a later write
+// to the frame goes to a private copy — and two captures of an unwritten
+// frame return the very same slice. Callers must not write through the
+// returned pages. The shards the run touches are locked once, in
 // ascending order, so the capture is one coherent pass even while other
 // shards keep allocating — and a concurrent ReleaseN on the same shards
 // orders strictly before or after the whole snapshot.
@@ -1459,7 +1502,8 @@ func (m *Memory) SnapshotFrames(mfns []MFN) ([][]byte, error) {
 			return nil, err
 		}
 		if f.data != nil {
-			out[i] = append([]byte(nil), f.data...)
+			f.sealed = true
+			out[i] = f.data
 		}
 	}
 	return out, nil

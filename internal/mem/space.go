@@ -330,33 +330,50 @@ func (s *Space) Write(pfn PFN, off int, buf []byte, meter *vclock.Meter) error {
 // (demand-fault span) before the regular COW break, both charged to the
 // context's meter.
 func (s *Space) WriteOp(ctx obs.OpCtx, pfn PFN, off int, buf []byte) error {
+	mfn, err := s.writableMFN(ctx, pfn)
+	if err != nil {
+		return err
+	}
+	return s.mem.Write(mfn, off, buf)
+}
+
+// WritePage makes page the whole contents of guest page pfn by reference
+// (Memory.WritePage: the caller keeps the slice and nobody writes through
+// it again), after the same fault handling as Write. It is how an image's
+// or a cache chunk's pages reach a restored domain without a copy.
+func (s *Space) WritePage(pfn PFN, page []byte, meter *vclock.Meter) error {
+	mfn, err := s.writableMFN(obs.Ctx(meter), pfn)
+	if err != nil {
+		return err
+	}
+	return s.mem.WritePage(mfn, page)
+}
+
+// writableMFN resolves pfn to a frame the space may store into: a lazy
+// entry is materialized, a COW mapping broken, a read-only one refused.
+func (s *Space) writableMFN(ctx obs.OpCtx, pfn PFN) (MFN, error) {
 	if ls := s.demandHint(); ls != nil {
 		defer ls.wantFault.Add(-1)
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	p, err := s.pteLocked(pfn)
 	if err != nil {
-		s.mu.Unlock()
-		return err
+		return 0, err
 	}
 	if p.lazy {
 		if err := s.demandFaultLocked(ctx, pfn, p); err != nil {
-			s.mu.Unlock()
-			return err
+			return 0, err
 		}
 	}
 	if p.cow {
 		if err := s.breakCOWLocked(pfn, p, ctx.Meter()); err != nil {
-			s.mu.Unlock()
-			return err
+			return 0, err
 		}
 	} else if !p.writable {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: pfn %d", ErrReadOnly, pfn)
+		return 0, fmt.Errorf("%w: pfn %d", ErrReadOnly, pfn)
 	}
-	mfn := p.mfn
-	s.mu.Unlock()
-	return s.mem.Write(mfn, off, buf)
+	return p.mfn, nil
 }
 
 // TouchCOW forces the fault path for a page without writing data, exactly
@@ -870,9 +887,9 @@ func (s *Space) release() error {
 // Snapshot returns the contents of every guest page, one slot per pfn, with
 // nil for pages whose backing frame has never been written (they read as
 // zeroes). The whole capture locks each touched pool shard once (in the
-// pool-wide ascending order) instead of a page-sized Read per pfn, which is
-// what makes save/restore cycles cheap for mostly-untouched unikernel
-// memory.
+// pool-wide ascending order) instead of a page-sized Read per pfn, and the
+// pages are the frames' own, sealed (Memory.SnapshotFrames): read-only to
+// the caller, untouched by later guest writes.
 func (s *Space) Snapshot() ([][]byte, error) {
 	mfns, err := s.snapshotMFNs()
 	if err != nil {

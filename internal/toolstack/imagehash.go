@@ -47,15 +47,23 @@ func hashRun(pages [][]byte) uint64 {
 	return h
 }
 
-// ensureHashed computes the per-run content hashes and the image cache key
-// once. The key covers the restore-relevant configuration (the name is
-// cleared — a restore renames the domain anyway, and two saves of the same
-// guest under different names are the same image), the on-wire page count,
-// and every run's geometry plus content hash, so any difference in layout
-// or bytes yields a different key.
+// ensureHashed computes, once, the transfer-planning view of every run
+// (data runs' content hashes included) and the image cache key. The key
+// covers the restore-relevant configuration (the name is cleared — a
+// restore renames the domain anyway, and two saves of the same guest under
+// different names are the same image), the on-wire page count, and every
+// run's geometry plus content hash, so any difference in layout or bytes
+// yields a different key.
+//
+// A data run that an earlier image of the same domain already hashed —
+// same geometry, the very same backing arrays (sameRunHash) — takes that
+// hash over instead of being hashed again, so a re-save pays only for the
+// runs that changed. The predecessor is let go afterwards: a hashed image
+// is itself what the next save inherits from.
 func (img *Image) ensureHashed() {
 	img.hashOnce.Do(func() {
-		img.runHashes = make([]uint64, len(img.runs))
+		prev := img.prev.Load()
+		infos := make([]RunInfo, len(img.runs))
 		cfg := img.Config
 		cfg.Name = ""
 		cfgJSON, err := json.Marshal(cfg)
@@ -66,22 +74,81 @@ func (img *Image) ensureHashed() {
 		h = fnvUint(h, uint64(img.npages))
 		for i := range img.runs {
 			r := &img.runs[i]
+			ri := &infos[i]
+			ri.Start, ri.Count = r.start, r.count
 			h = fnvUint(h, uint64(r.start))
 			h = fnvUint(h, uint64(r.count))
 			switch {
 			case r.isAlias:
+				ri.Kind = RunAlias
 				h = fnvUint(h, 1)
 				h = fnvUint(h, uint64(r.alias))
 			case r.pages == nil:
+				ri.Kind = RunZero
 				h = fnvUint(h, 2)
 			default:
+				ri.Kind = RunData
+				for _, data := range r.pages {
+					if data != nil {
+						ri.StoredPages++
+					}
+				}
+				var same bool
+				if ri.Hash, same = prev.sameRunHash(r); !same {
+					ri.Hash = hashRun(r.pages)
+				}
 				h = fnvUint(h, 3)
-				img.runHashes[i] = hashRun(r.pages)
-				h = fnvUint(h, img.runHashes[i])
+				h = fnvUint(h, ri.Hash)
 			}
 		}
-		img.key = h
+		img.infos, img.key = infos, h
+		// hashed before prev is cleared: hashedAncestor reads them in the
+		// opposite order and so never finds neither.
+		img.hashed.Store(true)
+		img.prev.Store(nil)
 	})
+}
+
+// sameRunHash returns the stored content hash of old's data run that has
+// r's geometry and whose every slot is r's slot: both absent, or the same
+// backing array. Image pages are never written after they enter an image
+// (sealed frames privatise before a write, DESIGN.md §10.1), so the same
+// array is the same bytes and the hash may be taken over unread. old must
+// be hashed or nil.
+func (old *Image) sameRunHash(r *imageRun) (uint64, bool) {
+	if old == nil {
+		return 0, false
+	}
+	i := old.runIndexOf(r.start)
+	if i < 0 {
+		return 0, false
+	}
+	o := &old.runs[i]
+	if o.start != r.start || o.count != r.count || o.isAlias || o.pages == nil {
+		return 0, false
+	}
+	for j, p := range r.pages {
+		q := o.pages[j]
+		if (p == nil) != (q == nil) || len(p) != len(q) || (len(p) > 0 && &p[0] != &q[0]) {
+			return 0, false
+		}
+	}
+	return old.infos[i].Hash, true
+}
+
+// hashedAncestor returns the nearest image at or before img that has been
+// hashed — what a later save of the same domain may inherit from — or nil.
+// An unhashed image is skipped rather than chained through, so however
+// many saves go unhashed, only one earlier image stays reachable.
+func (img *Image) hashedAncestor() *Image {
+	if img == nil {
+		return nil
+	}
+	prev := img.prev.Load()
+	if img.hashed.Load() {
+		return img
+	}
+	return prev
 }
 
 // CacheKey returns the image's deterministic content-addressed identity:
@@ -118,28 +185,9 @@ type RunInfo struct {
 }
 
 // RunInfos returns the transfer-planning view of the image's extents, in
-// layout order. The first call hashes the image.
+// layout order. The first call hashes the image; every call returns the
+// same slice, which callers must not modify.
 func (img *Image) RunInfos() []RunInfo {
 	img.ensureHashed()
-	out := make([]RunInfo, len(img.runs))
-	for i := range img.runs {
-		r := &img.runs[i]
-		ri := RunInfo{Start: r.start, Count: r.count}
-		switch {
-		case r.isAlias:
-			ri.Kind = RunAlias
-		case r.pages == nil:
-			ri.Kind = RunZero
-		default:
-			ri.Kind = RunData
-			ri.Hash = img.runHashes[i]
-			for _, data := range r.pages {
-				if data != nil {
-					ri.StoredPages++
-				}
-			}
-		}
-		out[i] = ri
-	}
-	return out
+	return img.infos
 }

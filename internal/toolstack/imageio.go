@@ -68,7 +68,7 @@ func (img *Image) WriteTo(w io.Writer) (int64, error) {
 			cw.u8(runKindData)
 			cw.u64(uint64(r.start))
 			cw.u32(uint32(r.count))
-			cw.u64(img.runHashes[i])
+			cw.u64(img.infos[i].Hash)
 			for _, data := range r.pages {
 				if data == nil {
 					cw.u8(0)

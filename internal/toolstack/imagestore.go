@@ -38,8 +38,15 @@ type ImageStore struct {
 
 	hits, misses, inserts, evictions, insertFailures, adopted int64
 
-	faults  *fault.Registry
-	metrics *obs.Registry
+	faults *fault.Registry
+	gauges storeGauges
+}
+
+// storeGauges are the imagecache.* instruments, resolved once by
+// SetMetrics so publishing a counter is a store, not a registry lookup.
+// They are nil (and Set a no-op) while no registry is attached.
+type storeGauges struct {
+	hits, misses, inserts, evictions, insertFailures, adopted, resident, images *obs.Gauge
 }
 
 // imageChunk is one resident data run, shared by every cached image whose
@@ -99,9 +106,19 @@ func (st *ImageStore) SetFaults(r *fault.Registry) {
 // SetMetrics mirrors the cache counters into a metrics registry (the
 // platform registry, normally); nil detaches.
 func (st *ImageStore) SetMetrics(r *obs.Registry) {
+	g := storeGauges{
+		hits:           r.Gauge("imagecache.hits"),
+		misses:         r.Gauge("imagecache.misses"),
+		inserts:        r.Gauge("imagecache.inserts"),
+		evictions:      r.Gauge("imagecache.evictions"),
+		insertFailures: r.Gauge("imagecache.insert_failures"),
+		adopted:        r.Gauge("imagecache.adopted_frames"),
+		resident:       r.Gauge("imagecache.resident_pages"),
+		images:         r.Gauge("imagecache.images"),
+	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.metrics = r
+	st.gauges = g
 }
 
 // Stats snapshots the cache counters.
@@ -119,22 +136,15 @@ func (st *ImageStore) Stats() ImageStoreStats {
 
 // publishLocked pushes the counters into the attached registry.
 func (st *ImageStore) publishLocked() {
-	r := st.metrics
-	if r == nil {
-		return
-	}
-	set := func(name string, v int64) {
-		g := r.Gauge(name)
-		g.Set(v)
-	}
-	set("imagecache.hits", st.hits)
-	set("imagecache.misses", st.misses)
-	set("imagecache.inserts", st.inserts)
-	set("imagecache.evictions", st.evictions)
-	set("imagecache.insert_failures", st.insertFailures)
-	set("imagecache.adopted_frames", st.adopted)
-	set("imagecache.resident_pages", int64(st.resident))
-	set("imagecache.images", int64(len(st.images)))
+	g := &st.gauges
+	g.hits.Set(st.hits)
+	g.misses.Set(st.misses)
+	g.inserts.Set(st.inserts)
+	g.evictions.Set(st.evictions)
+	g.insertFailures.Set(st.insertFailures)
+	g.adopted.Set(st.adopted)
+	g.resident.Set(int64(st.resident))
+	g.images.Set(int64(len(st.images)))
 }
 
 // touch looks the key up, counting a hit or miss and refreshing the LRU
@@ -211,9 +221,10 @@ func (st *ImageStore) noteInsertFailure() {
 	st.mu.Unlock()
 }
 
-// Insert makes the image resident: every data run not already cached is
-// copied into freshly allocated cache frames and transferred to dom_cow
-// under the cache's reference. The copy-in is charged to the meter (one
+// Insert makes the image resident: every data run not already cached gets
+// freshly allocated cache frames, which take the image's pages by
+// reference (Memory.WritePage) and are transferred to dom_cow under the
+// cache's reference. The modelled copy-in is charged to the meter (one
 // PageCopy per stored page plus the allocation and one PageShare per
 // frame). Inserting an already-resident image only refreshes its LRU
 // position. On any failure — allocation, or the toolstack/cache-insert
@@ -244,7 +255,7 @@ func (st *ImageStore) Insert(img *Image, meter *vclock.Meter) error {
 		r := &img.runs[i]
 		cr := cachedRun{start: r.start, count: r.count}
 		if !r.isAlias && r.pages != nil {
-			h := img.runHashes[i]
+			h := img.infos[i].Hash
 			ch := st.chunks[h]
 			if ch == nil {
 				ch = freshAt[h]
@@ -259,7 +270,7 @@ func (st *ImageStore) Insert(img *Image, meter *vclock.Meter) error {
 					if data == nil {
 						continue // the frame already reads as zeroes
 					}
-					if err := st.mem.Write(mfns[j], 0, data); err != nil {
+					if err := st.mem.WritePage(mfns[j], data); err != nil {
 						st.mem.ReleaseN(st.dom, mfns)
 						rollback()
 						return fmt.Errorf("toolstack: image cache insert: %w", err)

@@ -18,8 +18,8 @@ func (x *XL) RestoreCached(store *ImageStore, img *Image, name string, meter *vc
 // The image is hashed (span "image-hash"); on a hit the child is created
 // fresh and populated by COW-sharing the cache's resident chunk frames
 // (span "restore-cached", Space.AdoptShared per data run) — O(page-table
-// writes) instead of O(page copies). On a miss it falls back to the plain
-// copying Restore, with its exact virtual-time charging, and populates the
+// writes) instead of O(pages). On a miss it falls back to the plain
+// Restore, with its exact virtual-time charging, and populates the
 // cache as a side effect; an insert failure is swallowed (the restore
 // stands, the store rolled back) and counted in the store stats.
 //
@@ -68,15 +68,15 @@ func (x *XL) RestoreCachedOp(ctx obs.OpCtx, store *ImageStore, img *Image, name 
 
 	// Only regular pages can adopt cache frames; the top-of-memory
 	// special pages (start_info, console and xenstore rings) keep their
-	// private frames and receive their bytes by copy.
+	// private frames and receive the image's pages by reference.
 	limit := img.npages
 	if limit >= 3 {
 		limit -= 3
 	}
 	adopted := 0
 	// place adopts one stretch of cache frames at pfn, clipping at limit
-	// and falling back to a per-page copy above it. pages parallels mfns
-	// and provides the fallback bytes.
+	// and falling back to a per-page install above it. pages parallels
+	// mfns and provides the fallback pages.
 	place := func(pfn mem.PFN, mfns []mem.MFN, pages [][]byte) error {
 		cut := len(mfns)
 		if int(pfn)+cut > limit {
@@ -93,7 +93,7 @@ func (x *XL) RestoreCachedOp(ctx obs.OpCtx, store *ImageStore, img *Image, name 
 		}
 		for j := cut; j < len(mfns); j++ {
 			if data := pages[j]; data != nil {
-				if err := space.Write(pfn+mem.PFN(j), 0, data, meter); err != nil {
+				if err := space.WritePage(pfn+mem.PFN(j), data, meter); err != nil {
 					return err
 				}
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"nephele/internal/hv"
 	"nephele/internal/mem"
@@ -14,22 +15,31 @@ import (
 // of the guest memory, encoded as run-length extents rather than one slice
 // per page. Zero runs (pages the guest never wrote) store nothing, alias
 // runs (family-shared mappings that repeat earlier frames) store nothing,
-// and only genuinely distinct written pages carry data. Restore still
-// copies the entire allocated VM memory back regardless of how much the
-// guest actually used — Pages() reports the full on-wire count and the
-// restore charge covers it — which is why restore is consistently slower
-// than boot in Fig. 4.
+// and only genuinely distinct written pages carry data. A page in an image
+// is immutable: Save takes the frames' own pages, sealed (mem.Space
+// SnapshotRuns), and Restore installs them by reference, so the simulator
+// itself copies nothing. The model is unchanged by that — restore still
+// charges for the entire allocated VM memory regardless of how much the
+// guest actually used (Pages() reports the full on-wire count), which is
+// why restore is consistently slower than boot in Fig. 4.
 type Image struct {
 	Config DomainConfig
-	npages int // full allocated page count (the on-wire size)
+	npages int        // full allocated page count (the on-wire size)
 	runs   []imageRun // sorted by start, non-overlapping
 
-	// hashOnce lazily computes the content-addressed identity: one FNV-1a
-	// hash per data run plus the image-wide cache key. Hashing never
-	// mutates runs, so a hashed image stays safe for concurrent readers.
-	hashOnce  sync.Once
-	runHashes []uint64 // parallel to runs; 0 for zero and alias runs
-	key       uint64
+	// hashOnce lazily computes the content-addressed identity: infos (one
+	// entry per run, a data run's FNV-1a content hash included) plus the
+	// image-wide cache key. Hashing never mutates runs, so a hashed image
+	// stays safe for concurrent readers.
+	hashOnce sync.Once
+	infos    []RunInfo // parallel to runs
+	key      uint64
+
+	// prev is the nearest hashed earlier image of the same live domain
+	// (set by Save, cleared once this image is hashed itself); hashed
+	// flips when infos and key are final. See ensureHashed.
+	prev   atomic.Pointer[Image]
+	hashed atomic.Bool
 }
 
 // imageRun is one extent of the image: count consecutive pfns from start.
@@ -140,8 +150,8 @@ func (x *XL) Save(id hv.DomID, meter *vclock.Meter) (*Image, error) {
 	// SnapshotRuns captures the whole space in one coherent pass as
 	// extents: never-written ranges collapse into zero runs with no
 	// per-page storage, repeated family-shared frames into alias runs,
-	// so only pages the guest actually touched need the zero scan and a
-	// copy into the image.
+	// so only pages the guest actually touched need the zero scan. The
+	// pages are the frames' own, sealed: nothing is copied.
 	runs, err := space.SnapshotRuns()
 	if err != nil {
 		return nil, fmt.Errorf("toolstack: save domain %d: %w", id, err)
@@ -157,6 +167,14 @@ func (x *XL) Save(id hv.DomID, meter *vclock.Meter) (*Image, error) {
 		}
 	}
 	img := &Image{Config: rec.Config, npages: n, runs: iruns}
+	// Remember the image as the domain's latest, and let it inherit run
+	// hashes from the nearest hashed one before it. Destroy forgets it.
+	x.mu.Lock()
+	if _, live := x.byID[id]; live {
+		img.prev.Store(x.lastSave[id].hashedAncestor())
+		x.lastSave[id] = img
+	}
+	x.mu.Unlock()
 	if meter != nil {
 		meter.Charge(meter.Costs().ImagePageSave, n)
 	}
@@ -164,8 +182,9 @@ func (x *XL) Save(id hv.DomID, meter *vclock.Meter) (*Image, error) {
 }
 
 // Restore instantiates a new domain from an image under a fresh name. The
-// toolstack path mirrors Create, then the whole image memory is copied
-// into the new domain.
+// toolstack path mirrors Create, then every stored page of the image is
+// installed in the new domain by reference (Space.WritePage) and the copy
+// of the whole image memory is charged.
 func (x *XL) Restore(img *Image, name string, meter *vclock.Meter) (*Record, error) {
 	cfg := img.Config
 	cfg.Name = name
@@ -190,7 +209,7 @@ func (x *XL) Restore(img *Image, name string, meter *vclock.Meter) (*Record, err
 		r := &img.runs[ri]
 		if r.isAlias {
 			err := img.forEachAliasPage(r, func(off int, data []byte) error {
-				return space.Write(r.start+mem.PFN(off), 0, data, nil)
+				return space.WritePage(r.start+mem.PFN(off), data, nil)
 			})
 			if err != nil {
 				x.Destroy(rec.ID, nil)
@@ -202,7 +221,7 @@ func (x *XL) Restore(img *Image, name string, meter *vclock.Meter) (*Record, err
 			if data == nil {
 				continue
 			}
-			if err := space.Write(r.start+mem.PFN(j), 0, data, nil); err != nil {
+			if err := space.WritePage(r.start+mem.PFN(j), data, nil); err != nil {
 				x.Destroy(rec.ID, nil)
 				return nil, fmt.Errorf("toolstack: restore pfn %d: %w", r.start+mem.PFN(j), err)
 			}

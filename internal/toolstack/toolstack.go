@@ -170,6 +170,9 @@ type XL struct {
 	byID    map[hv.DomID]*Record
 	dom0Mem uint64 // bytes of Dom0 memory consumed by instance state
 	faults  *fault.Registry
+	// lastSave is each live domain's most recent Save, which the next one
+	// inherits unchanged runs' hashes from (Image.ensureHashed).
+	lastSave map[hv.DomID]*Image
 }
 
 // New creates a toolstack over the given platform components.
@@ -181,6 +184,7 @@ func New(hyp *hv.Hypervisor, store *xenstore.Store, be Backends, net Switch) *XL
 		Net:      net,
 		byName:   make(map[string]hv.DomID),
 		byID:     make(map[hv.DomID]*Record),
+		lastSave: make(map[hv.DomID]*Image),
 	}
 }
 
@@ -358,6 +362,7 @@ func (x *XL) Destroy(id hv.DomID, meter *vclock.Meter) error {
 	}
 	delete(x.byID, id)
 	delete(x.byName, rec.Config.Name)
+	delete(x.lastSave, id)
 	x.dom0Mem -= Dom0MemPerInstanceBytes
 	x.mu.Unlock()
 
@@ -418,6 +423,7 @@ func (x *XL) ReleaseClone(child hv.DomID) bool {
 	}
 	delete(x.byID, child)
 	delete(x.byName, rec.Config.Name)
+	delete(x.lastSave, child)
 	x.dom0Mem -= Dom0MemPerInstanceBytes
 	return true
 }
