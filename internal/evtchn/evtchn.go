@@ -76,11 +76,33 @@ type channel struct {
 	masked     bool
 }
 
-// domainTable is the per-domain event channel table.
+// domainTable is the per-domain event channel table. channels covers the
+// ports the domain has touched so far: it starts as the reserved port 0
+// alone and is extended up to the subsystem's limit, the way Xen adds event
+// channel buckets on demand. A port in [len(channels), maxPort) is a free
+// port that simply has no slot yet.
 type domainTable struct {
 	dom      mem.DomID
 	channels []channel
 	handler  Handler
+}
+
+// slot returns the endpoint of port p, extending the table to it; the
+// caller has checked p against the limit.
+func (dt *domainTable) slot(p Port) *channel {
+	if need := int(p) + 1 - len(dt.channels); need > 0 {
+		dt.channels = append(dt.channels, make([]channel, need)...)
+	}
+	return &dt.channels[p]
+}
+
+// peek returns a copy of the endpoint of port p without extending the
+// table: a port past the table's end reads as the free port it is.
+func (dt *domainTable) peek(p Port) channel {
+	if int(p) < len(dt.channels) {
+		return dt.channels[p]
+	}
+	return channel{}
 }
 
 // Subsystem is the machine-wide event channel state.
@@ -91,8 +113,9 @@ type Subsystem struct {
 	virqs   map[VIRQ]map[mem.DomID]Port // virq -> (dom -> port bound)
 }
 
-// New creates the event channel subsystem; maxPorts bounds each domain's
-// port table (Xen's default is 1024 for 2-level ABI).
+// New creates the event channel subsystem; maxPorts is the limit each
+// domain's port table may grow to, not its size (Xen's default is 1024 for
+// 2-level ABI).
 func New(maxPorts int) *Subsystem {
 	return &Subsystem{
 		maxPort: maxPorts,
@@ -105,13 +128,12 @@ func New(maxPorts int) *Subsystem {
 func (s *Subsystem) AddDomain(dom mem.DomID, h Handler) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// Port 0 is reserved, like on Xen.
 	s.domains[dom] = &domainTable{
 		dom:      dom,
-		channels: make([]channel, s.maxPort),
+		channels: []channel{{state: StateInterdomain}},
 		handler:  h,
 	}
-	// Port 0 is reserved, like on Xen.
-	s.domains[dom].channels[0].state = StateInterdomain
 }
 
 // SetHandler installs or replaces the event delivery handler of an
@@ -134,9 +156,9 @@ func (s *Subsystem) RemoveDomain(dom mem.DomID) {
 	if dt == nil {
 		return
 	}
-	for p := range dt.channels {
+	for p := 1; p < len(dt.channels); p++ {
 		ch := &dt.channels[p]
-		if ch.state == StateInterdomain && p != 0 {
+		if ch.state == StateInterdomain {
 			if peer := s.domains[ch.remoteDom]; peer != nil && int(ch.remotePort) < len(peer.channels) {
 				pc := &peer.channels[ch.remotePort]
 				if pc.state == StateInterdomain && pc.remoteDom == dom {
@@ -154,14 +176,22 @@ func (s *Subsystem) RemoveDomain(dom mem.DomID) {
 	delete(s.domains, dom)
 }
 
+// allocPortLocked returns the lowest free port: a freed slot of the table
+// if there is one, else the first port past its end.
 func (s *Subsystem) allocPortLocked(dt *domainTable) (Port, error) {
 	for p := 1; p < len(dt.channels); p++ {
 		if dt.channels[p].state == StateFree {
 			return Port(p), nil
 		}
 	}
-	return 0, ErrPortsFull
+	if len(dt.channels) >= s.maxPort {
+		return 0, ErrPortsFull
+	}
+	return Port(len(dt.channels)), nil
 }
+
+// validPort reports whether p is a usable port number (port 0 is reserved).
+func (s *Subsystem) validPort(p Port) bool { return int(p) > 0 && int(p) < s.maxPort }
 
 func (s *Subsystem) tableLocked(dom mem.DomID) (*domainTable, error) {
 	dt := s.domains[dom]
@@ -185,7 +215,7 @@ func (s *Subsystem) AllocUnbound(dom, remote mem.DomID) (Port, error) {
 	if err != nil {
 		return 0, err
 	}
-	ch := &dt.channels[p]
+	ch := dt.slot(p)
 	if remote == mem.DomIDChild {
 		ch.state = StateChildWildcard
 	} else {
@@ -208,18 +238,20 @@ func (s *Subsystem) BindInterdomain(dom, remoteDom mem.DomID, remotePort Port) (
 	if err != nil {
 		return 0, err
 	}
-	if int(remotePort) <= 0 || int(remotePort) >= len(rt.channels) {
+	if !s.validPort(remotePort) {
 		return 0, fmt.Errorf("%w: remote %d", ErrBadPort, remotePort)
 	}
-	rch := &rt.channels[remotePort]
-	if rch.state != StateUnbound || (rch.remoteDom != dom && rch.remoteDom != mem.DomIDInvalid) {
+	if rch := rt.peek(remotePort); rch.state != StateUnbound || (rch.remoteDom != dom && rch.remoteDom != mem.DomIDInvalid) {
 		return 0, fmt.Errorf("%w: remote port %d is %v", ErrBadState, remotePort, rch.state)
 	}
 	p, err := s.allocPortLocked(dt)
 	if err != nil {
 		return 0, err
 	}
-	dt.channels[p] = channel{state: StateInterdomain, remoteDom: remoteDom, remotePort: remotePort}
+	*dt.slot(p) = channel{state: StateInterdomain, remoteDom: remoteDom, remotePort: remotePort}
+	// The slot is taken only now: dt may be rt, and extending the table
+	// moves it.
+	rch := &rt.channels[remotePort]
 	rch.state = StateInterdomain
 	rch.remoteDom = dom
 	rch.remotePort = p
@@ -238,7 +270,7 @@ func (s *Subsystem) BindVIRQ(dom mem.DomID, v VIRQ) (Port, error) {
 	if err != nil {
 		return 0, err
 	}
-	dt.channels[p] = channel{state: StateVIRQ, virq: v}
+	*dt.slot(p) = channel{state: StateVIRQ, virq: v}
 	if s.virqs[v] == nil {
 		s.virqs[v] = make(map[mem.DomID]Port)
 	}
@@ -254,8 +286,11 @@ func (s *Subsystem) Close(dom mem.DomID, p Port) error {
 	if err != nil {
 		return err
 	}
-	if int(p) <= 0 || int(p) >= len(dt.channels) {
+	if !s.validPort(p) {
 		return fmt.Errorf("%w: %d", ErrBadPort, p)
+	}
+	if int(p) >= len(dt.channels) {
+		return nil // a free port without a slot: nothing to close
 	}
 	ch := &dt.channels[p]
 	if ch.state == StateVIRQ {
@@ -287,11 +322,11 @@ func (s *Subsystem) Send(dom mem.DomID, p Port) error {
 		s.mu.Unlock()
 		return err
 	}
-	if int(p) <= 0 || int(p) >= len(dt.channels) {
+	if !s.validPort(p) {
 		s.mu.Unlock()
 		return fmt.Errorf("%w: %d", ErrBadPort, p)
 	}
-	ch := dt.channels[p]
+	ch := dt.peek(p)
 	var deliver []func()
 	switch ch.state {
 	case StateInterdomain:
@@ -334,10 +369,10 @@ func (s *Subsystem) RaiseVIRQ(v VIRQ, meter *vclock.Meter) {
 // run outside the lock.
 func (s *Subsystem) raiseLocked(dom mem.DomID, p Port) func() {
 	dt := s.domains[dom]
-	if dt == nil || int(p) <= 0 || int(p) >= len(dt.channels) {
+	if dt == nil || !s.validPort(p) {
 		return nil
 	}
-	ch := &dt.channels[p]
+	ch := dt.slot(p)
 	ch.pending = true
 	if ch.masked || dt.handler == nil {
 		return nil
@@ -352,7 +387,7 @@ func (s *Subsystem) Pending(dom mem.DomID, p Port) bool {
 	defer s.mu.Unlock()
 	dt := s.domains[dom]
 	if dt == nil || int(p) <= 0 || int(p) >= len(dt.channels) {
-		return false
+		return false // no slot, so never raised
 	}
 	was := dt.channels[p].pending
 	dt.channels[p].pending = false
@@ -364,10 +399,10 @@ func (s *Subsystem) State(dom mem.DomID, p Port) State {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	dt := s.domains[dom]
-	if dt == nil || int(p) < 0 || int(p) >= len(dt.channels) {
+	if dt == nil || int(p) < 0 {
 		return StateFree
 	}
-	return dt.channels[p].state
+	return dt.peek(p).state
 }
 
 // Peer returns the remote end of an interdomain channel.
@@ -378,10 +413,10 @@ func (s *Subsystem) Peer(dom mem.DomID, p Port) (mem.DomID, Port, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	if int(p) <= 0 || int(p) >= len(dt.channels) {
+	if !s.validPort(p) {
 		return 0, 0, fmt.Errorf("%w: %d", ErrBadPort, p)
 	}
-	ch := dt.channels[p]
+	ch := dt.peek(p)
 	if ch.state != StateInterdomain {
 		return 0, 0, fmt.Errorf("%w: port %d is %v", ErrBadState, p, ch.state)
 	}
@@ -412,7 +447,13 @@ func (s *Subsystem) CloneDomain(parent, child mem.DomID, meter *vclock.Meter) (C
 	if err != nil {
 		return st, err
 	}
-	for p := 1; p < len(pt.channels); p++ {
+	// The child's table ends where the parent's last bound port does.
+	last := len(pt.channels) - 1
+	for last > 0 && pt.channels[last].state == StateFree {
+		last--
+	}
+	ct.slot(Port(last))
+	for p := 1; p <= last; p++ {
 		pch := &pt.channels[p]
 		switch pch.state {
 		case StateFree:
@@ -458,13 +499,13 @@ func (s *Subsystem) SendToChild(parent mem.DomID, p Port, child mem.DomID) error
 		s.mu.Unlock()
 		return err
 	}
-	if int(p) <= 0 || int(p) >= len(pt.channels) {
+	if !s.validPort(p) {
 		s.mu.Unlock()
 		return fmt.Errorf("%w: %d", ErrBadPort, p)
 	}
-	if pt.channels[p].state != StateChildWildcard {
+	if st := pt.peek(p).state; st != StateChildWildcard {
 		s.mu.Unlock()
-		return fmt.Errorf("%w: port %d is %v, want child-wildcard", ErrBadState, p, pt.channels[p].state)
+		return fmt.Errorf("%w: port %d is %v, want child-wildcard", ErrBadState, p, st)
 	}
 	d := s.raiseLocked(child, p)
 	s.mu.Unlock()
@@ -483,11 +524,11 @@ func (s *Subsystem) NotifyParent(child mem.DomID, p Port) error {
 		s.mu.Unlock()
 		return err
 	}
-	if int(p) <= 0 || int(p) >= len(ct.channels) {
+	if !s.validPort(p) {
 		s.mu.Unlock()
 		return fmt.Errorf("%w: %d", ErrBadPort, p)
 	}
-	ch := ct.channels[p]
+	ch := ct.peek(p)
 	if ch.state != StateInterdomain {
 		s.mu.Unlock()
 		return fmt.Errorf("%w: port %d is %v", ErrBadState, p, ch.state)

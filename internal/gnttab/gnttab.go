@@ -47,8 +47,21 @@ type entry struct {
 	mapCount int
 }
 
+// table is one domain's grant table. entries covers the refs used so far:
+// it starts empty and is extended up to the subsystem's limit, the way
+// Xen's gnttab_grow_table adds grant frames on demand. A ref in
+// [len(entries), size) is an inactive entry that has no slot yet.
 type table struct {
 	entries []entry
+}
+
+// slot returns the entry of ref, extending the table to it; the caller has
+// checked ref against the limit.
+func (t *table) slot(ref int) *entry {
+	if need := ref + 1 - len(t.entries); need > 0 {
+		t.entries = append(t.entries, make([]entry, need)...)
+	}
+	return &t.entries[ref]
 }
 
 // Subsystem is the machine-wide grant table state.
@@ -58,7 +71,8 @@ type Subsystem struct {
 	domains map[mem.DomID]*table
 }
 
-// New creates the grant subsystem with per-domain tables of size entries.
+// New creates the grant subsystem; size is the limit each domain's table
+// may grow to, in entries.
 func New(size int) *Subsystem {
 	return &Subsystem{size: size, domains: make(map[mem.DomID]*table)}
 }
@@ -67,7 +81,7 @@ func New(size int) *Subsystem {
 func (s *Subsystem) AddDomain(dom mem.DomID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.domains[dom] = &table{entries: make([]entry, s.size)}
+	s.domains[dom] = &table{}
 }
 
 // RemoveDomain drops a domain's table.
@@ -95,13 +109,17 @@ func (s *Subsystem) Grant(dom mem.DomID, grantee mem.DomID, frame mem.MFN, flags
 	if err != nil {
 		return 0, err
 	}
-	for i := range t.entries {
-		if !t.entries[i].active {
-			t.entries[i] = entry{active: true, grantee: grantee, frame: frame, flags: flags}
-			return Ref(i), nil
-		}
+	// Lowest inactive ref first: a revoked slot of the table if there is
+	// one, else the first ref past its end.
+	i := 0
+	for i < len(t.entries) && t.entries[i].active {
+		i++
 	}
-	return 0, ErrTableFull
+	if i >= s.size {
+		return 0, ErrTableFull
+	}
+	*t.slot(i) = entry{active: true, grantee: grantee, frame: frame, flags: flags}
+	return Ref(i), nil
 }
 
 // End revokes a grant entry (GNTTABOP_end_access). Fails while mapped.
@@ -112,7 +130,7 @@ func (s *Subsystem) End(dom mem.DomID, ref Ref) error {
 	if err != nil {
 		return err
 	}
-	e, err := t.entry(ref)
+	e, err := s.entryLocked(t, ref)
 	if err != nil {
 		return err
 	}
@@ -123,15 +141,16 @@ func (s *Subsystem) End(dom mem.DomID, ref Ref) error {
 	return nil
 }
 
-func (t *table) entry(ref Ref) (*entry, error) {
-	if int(ref) < 0 || int(ref) >= len(t.entries) {
+// entryLocked returns the active entry of ref: a ref beyond the limit is
+// bad, one below it that is revoked or has no slot yet is inactive.
+func (s *Subsystem) entryLocked(t *table, ref Ref) (*entry, error) {
+	if int(ref) < 0 || int(ref) >= s.size {
 		return nil, fmt.Errorf("%w: %d", ErrBadRef, ref)
 	}
-	e := &t.entries[ref]
-	if !e.active {
+	if int(ref) >= len(t.entries) || !t.entries[ref].active {
 		return nil, fmt.Errorf("%w: %d inactive", ErrBadRef, ref)
 	}
-	return e, nil
+	return &t.entries[ref], nil
 }
 
 // Map resolves (granter, ref) for mapper, returning the machine frame and
@@ -146,7 +165,7 @@ func (s *Subsystem) Map(granter mem.DomID, ref Ref, mapper mem.DomID, isFamilyCh
 	if err != nil {
 		return 0, false, err
 	}
-	e, err := t.entry(ref)
+	e, err := s.entryLocked(t, ref)
 	if err != nil {
 		return 0, false, err
 	}
@@ -166,7 +185,7 @@ func (s *Subsystem) Unmap(granter mem.DomID, ref Ref) error {
 	if err != nil {
 		return err
 	}
-	e, err := t.entry(ref)
+	e, err := s.entryLocked(t, ref)
 	if err != nil {
 		return err
 	}
@@ -240,7 +259,15 @@ func (s *Subsystem) CloneDomain(parent, child mem.DomID, xlate func(mem.MFN) mem
 	if err != nil {
 		return st, err
 	}
-	for i := range pt.entries {
+	// The child's table ends where the parent's last active grant does.
+	n := len(pt.entries)
+	for n > 0 && !pt.entries[n-1].active {
+		n--
+	}
+	if n > 0 {
+		ct.slot(n - 1)
+	}
+	for i := range pt.entries[:n] {
 		pe := &pt.entries[i]
 		if !pe.active {
 			continue

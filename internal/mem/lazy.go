@@ -105,7 +105,7 @@ func (m *Memory) cancelPledged(ptes []pte) error {
 			f.pledges--
 			if f.pledges == 0 && f.owner == DomIDCOW && f.refcount == 0 {
 				freed[c.si]++
-				sh.resetFrameLocked(c.mfn(j))
+				sh.resetFrameLocked(f, c.mfn(j))
 			}
 		}
 		if short && firstErr == nil {

@@ -114,9 +114,10 @@ const (
 )
 
 // shard is one MFN-range slice of the pool with its own lock, free list,
-// watermark recycler and accounting. A frame's metadata lives in exactly
-// one shard (the one covering its MFN), so per-domain usage and the
-// dom_cow sharer table are naturally partitioned. The struct is padded to
+// watermark recycler and accounting. A frame's metadata belongs to exactly
+// one shard (the one covering its MFN; it lives in the layout's frame table,
+// in chunks only that shard's lock holder touches), so per-domain usage and
+// the dom_cow sharer table are naturally partitioned. The struct is padded to
 // a multiple of the cache line size: shards live in one slice, and without
 // padding two neighbours' mutexes would share a line and bounce it between
 // cores even when the workloads are disjoint.
@@ -126,9 +127,8 @@ type shard struct {
 	lo   MFN // first MFN of the range
 	size int // frames in the range (0 for tail shards past the pool end)
 
-	frames    []frame // metadata indexed by mfn-lo, grown lazily
-	watermark int     // frames handed out from the range start
-	recycled  []MFN   // freed frames, reused LIFO
+	watermark int      // frames handed out from the range start
+	recycled  mfnStack // freed frames, reused LIFO
 	usedByDom map[DomID]int
 
 	// free and shared mirror the lock-held state so aggregate readers
@@ -137,7 +137,77 @@ type shard struct {
 	free   atomic.Int64
 	shared atomic.Int64
 
-	_ [24]byte // pad to 128 bytes
+	_ [40]byte // pad to 128 bytes
+}
+
+// frameChunkShift is log2 of the frame table's chunk size, 4096 frames: the
+// metadata of frame mfn is chunks[mfn>>cshift][mfn&cmask] of the layout,
+// where cshift is frameChunkShift or, in a pool whose shards are smaller
+// than that, the shard shift — so a chunk always lies inside one shard, and
+// that shard's lock guards it. A shard's part of the table is materialized
+// from its range start up to the highest frame it ever handed out, under one
+// invariant: every chunk of a shard but its first is whole (a full chunk, or
+// what is left of the range) from the moment it exists, and the first grows
+// by doubling up to that size. So a frame, once in the table, is never
+// copied or cleared again, whatever the pool grows to, while a shard that
+// hands out a few hundred frames (a small pool, a shard few domains call
+// home) pays for those and not for 4096. A runCursor run never crosses a
+// chunk edge, which is what lets its frames be one slice.
+const frameChunkShift = 12
+
+// growLocked extends sh's part of the table, which covers its first
+// sh.watermark frames, to cover its first n (n <= sh.size); sh must be
+// locked or not yet published.
+func (lay *layout) growLocked(sh *shard, n int) {
+	base := int(sh.lo >> lay.cshift)
+	chunk := 1 << lay.cshift
+	whole := min(chunk, sh.size)
+	if first, want := lay.chunks[base], min(n, whole); want > len(first) {
+		if want > cap(first) {
+			first = make([]frame, want, min(max(want, 2*cap(first)), whole))
+			copy(first, lay.chunks[base])
+		}
+		lay.chunks[base] = first[:want]
+	}
+	for k := max(1, sh.watermark>>lay.cshift); k<<lay.cshift < n; k++ {
+		if lay.chunks[base+k] == nil {
+			lay.chunks[base+k] = make([]frame, min(chunk, sh.size-k<<lay.cshift))
+		}
+	}
+}
+
+// frame returns the metadata of mfn, which the table must cover.
+func (lay *layout) frame(mfn MFN) *frame {
+	return &lay.chunks[mfn>>lay.cshift][mfn&lay.cmask]
+}
+
+// mfnStackChunk is the size of one chunk of a shard's free stack, in MFNs.
+const (
+	mfnStackShift = 10
+	mfnStackChunk = 1 << mfnStackShift
+)
+
+// mfnStack is a shard's LIFO of freed frames. Like the frame table it is
+// made of fixed chunks, so a push never copies what is already stacked; a
+// chunk, once made, is kept for the next push that reaches it.
+type mfnStack struct {
+	chunks [][]MFN
+	n      int
+}
+
+func (s *mfnStack) push(mfn MFN) {
+	ci := s.n >> mfnStackShift
+	if ci == len(s.chunks) {
+		s.chunks = append(s.chunks, make([]MFN, mfnStackChunk))
+	}
+	s.chunks[ci][s.n&(mfnStackChunk-1)] = mfn
+	s.n++
+}
+
+// pop removes the most recently pushed frame; the stack must not be empty.
+func (s *mfnStack) pop() MFN {
+	s.n--
+	return s.chunks[s.n>>mfnStackShift][s.n&(mfnStackChunk-1)]
 }
 
 // layout is one generation of the pool's shard geometry: the stride, the
@@ -152,6 +222,12 @@ type layout struct {
 	shift  uint // log2(stride): MFN → shard index is one shift
 	epoch  uint64
 	shards []shard
+
+	// The frame table (see frameChunkShift). The outer slice is fixed; each
+	// element is read and written under the lock of the shard covering it.
+	cshift uint // log2 of the chunk size: min(frameChunkShift, shift)
+	cmask  MFN  // chunk size - 1
+	chunks [][]frame
 }
 
 // Memory is the machine memory pool. All methods are safe for concurrent
@@ -221,6 +297,9 @@ func newLayout(total, nsh int, epoch uint64) *layout {
 	shift := uint(bits.Len(uint(per - 1))) // ceil(log2(per))
 	stride := 1 << shift
 	lay := &layout{total: total, stride: stride, shift: shift, epoch: epoch, shards: make([]shard, nsh)}
+	lay.cshift = min(frameChunkShift, shift)
+	lay.cmask = 1<<lay.cshift - 1
+	lay.chunks = make([][]frame, (total+int(lay.cmask))>>lay.cshift)
 	for i := range lay.shards {
 		sh := &lay.shards[i]
 		sh.lo = MFN(i * stride)
@@ -280,12 +359,11 @@ func (lay *layout) frameAt(mfn MFN) (*frame, error) {
 	if int(mfn) >= lay.total {
 		return nil, fmt.Errorf("%w: %d", ErrBadFrame, mfn)
 	}
-	sh := &lay.shards[lay.shardIdx(mfn)]
-	idx := int(mfn - sh.lo)
-	if idx >= len(sh.frames) || !sh.frames[idx].inUse {
-		return nil, fmt.Errorf("%w: %d", ErrDoubleFree, mfn)
+	ch := lay.chunks[mfn>>lay.cshift]
+	if off := int(mfn & lay.cmask); off < len(ch) && ch[off].inUse {
+		return &ch[off], nil
 	}
-	return &sh.frames[idx], nil
+	return nil, fmt.Errorf("%w: %d", ErrDoubleFree, mfn)
 }
 
 // frameErr is the "<kind>: <mfn>" error of the batched operations, built out
@@ -312,12 +390,12 @@ const (
 // runCursor streams the maximal contiguous same-shard runs of a batched
 // operation's input — a list of MFNs or the frames a run of page-table
 // entries reference (exactly one of mfns and ptes is set) — one run per next
-// call. A run is a frame-index range [a, b) of shard si, so the per-frame
-// loops inside the critical sections are plain walks over a shard's frame
-// array with no per-frame index math. Nothing is materialized: an operation
-// walks its input once unlocked for the shard mask and again under the
-// locks for each pass over the frames, rewinding in between, so a table
-// fragmented into one-page runs costs no memory.
+// call. A run is a frame-index range [a, b) of one chunk of the frame table,
+// in shard si, so the per-frame loops inside the critical sections are plain
+// walks over a slice of frames with no per-frame index math. Nothing is
+// materialized: an operation walks its input once unlocked for the shard
+// mask and again under the locks for each pass over the frames, rewinding
+// in between, so a table fragmented into one-page runs costs no memory.
 //
 // Escape analysis is not field-sensitive, so what the cursor's methods do
 // decides whether callers' input slices — CopyFrame's and AddSharer's
@@ -334,7 +412,7 @@ type runCursor struct {
 
 	// The current run, valid after next returned true.
 	si    int // shard index
-	a, b  int // frame-index range within the shard's frames
+	a, b  int // frame-index range within the chunk covering first
 	first MFN // machine frame number of frame a
 
 	i      int  // next input index
@@ -351,13 +429,14 @@ func (c *runCursor) badFrame() error {
 	return frameErr(ErrBadFrame, c.bad)
 }
 
-// frames returns the materialized slice of the current run's frames and
-// whether the run extends past the shard's watermark-grown array (those
-// trailing frames have never been allocated, i.e. they are not in use).
+// frames returns the materialized slice of the current run's frames — a run
+// lies inside one chunk of the frame table — and whether the run extends
+// past what the table covers (those trailing frames have never been
+// allocated, i.e. they are not in use).
 //
 //nephele:noalloc
 func (c *runCursor) frames() ([]frame, bool) {
-	fr := c.lay.shards[c.si].frames
+	fr := c.lay.chunks[c.first>>c.lay.cshift]
 	if c.b <= len(fr) {
 		return fr[c.a:c.b], false
 	}
@@ -371,6 +450,16 @@ func (c *runCursor) frames() ([]frame, bool) {
 //
 //nephele:noalloc
 func (c *runCursor) mfn(j int) MFN { return c.first + MFN(j) }
+
+// at returns the frame number the i-th input entry names.
+//
+//nephele:noalloc
+func (c *runCursor) at(i int) MFN {
+	if c.ptes == nil {
+		return c.mfns[i]
+	}
+	return c.ptes[i].mfn
+}
 
 // rewind restarts the walk from the first input entry.
 //
@@ -404,21 +493,17 @@ func (c *runCursor) next() bool {
 			}
 			continue
 		}
-		si := int(start >> lay.shift)
-		sh := &lay.shards[si]
-		a := int(start - sh.lo)
 		// The run ends where the input stops being MFN-contiguous, at the
-		// input's end or at the shard's, whichever comes first. A run that
+		// input's end, or at the edge of the frame-table chunk it started
+		// in — which lies inside one shard and ends with it, or with the
+		// pool — whichever comes first. A run that
 		// continues at all is likely long — an unfragmented table — so
 		// after each single step the loops try four entries at a time;
 		// over a fragmented table the first comparison ends it. Batched
 		// operations spend their splitting time here, which is why each
 		// input form has its own loop with nothing else in it.
 		i, end := c.i, start+1
-		stop := n
-		if room := i + sh.size - a - 1; room < stop {
-			stop = room
-		}
+		stop := min(n, i+int(min(start|lay.cmask, MFN(lay.total-1))-start))
 		if c.ptes == nil {
 			in := c.mfns[:stop]
 			for i < len(in) && in[i] == end {
@@ -444,7 +529,8 @@ func (c *runCursor) next() bool {
 			}
 		}
 		c.i = i
-		c.si, c.a, c.b, c.first = si, a, a+int(end-start), start
+		a := int(start & lay.cmask)
+		c.si, c.a, c.b, c.first = int(start>>lay.shift), a, a+int(end-start), start
 		return true
 	}
 	return false
@@ -666,10 +752,10 @@ func (lay *layout) homeShard(dom DomID) int {
 // where a child's metadata frames will land.
 func (m *Memory) HomeShard(dom DomID) int { return m.lay.Load().homeShard(dom) }
 
-// initFrameLocked hands a frame of sh out to dom; sh must be locked and
-// sh.frames must already cover mfn.
-func (sh *shard) initFrameLocked(mfn MFN, dom DomID) {
-	f := &sh.frames[mfn-sh.lo]
+// initFrameLocked hands frame mfn out to dom; its shard must be locked and
+// the table must already cover it.
+func (lay *layout) initFrameLocked(mfn MFN, dom DomID) {
+	f := lay.frame(mfn)
 	f.owner = dom
 	f.refcount = 1
 	f.inUse = true
@@ -677,16 +763,15 @@ func (sh *shard) initFrameLocked(mfn MFN, dom DomID) {
 	f.data = nil
 }
 
-// takeLocked allocates up to want frames from sh for dom, appending them to
-// out and returning how many it took: recycled frames first (most recent
-// first), then a contiguous watermark run — the same order the single-pool
-// allocator made within one range. sh must be locked.
-func (sh *shard) takeLocked(m *Memory, dom DomID, want int, out *[]MFN) int {
+// takeLocked allocates up to want frames from sh, a shard of lay, for dom,
+// appending them to out and returning how many it took: recycled frames
+// first (most recent first), then a contiguous watermark run — the same
+// order the single-pool allocator made within one range. sh must be locked.
+func (lay *layout) takeLocked(m *Memory, sh *shard, dom DomID, want int, out *[]MFN) int {
 	took := 0
-	for took < want && len(sh.recycled) > 0 {
-		mfn := sh.recycled[len(sh.recycled)-1]
-		sh.recycled = sh.recycled[:len(sh.recycled)-1]
-		sh.initFrameLocked(mfn, dom)
+	for took < want && sh.recycled.n > 0 {
+		mfn := sh.recycled.pop()
+		lay.initFrameLocked(mfn, dom)
 		*out = append(*out, mfn)
 		took++
 	}
@@ -696,12 +781,10 @@ func (sh *shard) takeLocked(m *Memory, dom DomID, want int, out *[]MFN) int {
 			run = rest
 		}
 		if run > 0 {
-			if need := sh.watermark + run - len(sh.frames); need > 0 {
-				sh.frames = append(sh.frames, make([]frame, need)...)
-			}
+			lay.growLocked(sh, sh.watermark+run)
 			for i := 0; i < run; i++ {
 				mfn := sh.lo + MFN(sh.watermark+i)
-				sh.initFrameLocked(mfn, dom)
+				lay.initFrameLocked(mfn, dom)
 				*out = append(*out, mfn)
 			}
 			sh.watermark += run
@@ -728,18 +811,17 @@ func (sh *shard) dropUsageLocked(dom DomID, n int) {
 	}
 }
 
-// resetFrameLocked returns one frame of sh to its recycled stack without
-// touching the per-owner usage accounting (the caller batches that). sh
-// must be locked.
-func (sh *shard) resetFrameLocked(mfn MFN) {
-	f := &sh.frames[mfn-sh.lo]
+// resetFrameLocked returns frame f of sh, whose number is mfn, to the
+// recycled stack without touching the per-owner usage accounting (the caller
+// batches that). sh must be locked.
+func (sh *shard) resetFrameLocked(f *frame, mfn MFN) {
 	f.inUse = false
 	f.sealed = false
 	f.data = nil
 	f.refcount = 0
 	f.pledges = 0
 	f.owner = DomIDInvalid
-	sh.recycled = append(sh.recycled, mfn)
+	sh.recycled.push(mfn)
 }
 
 // Alloc allocates one frame for dom, charging the meter.
@@ -772,7 +854,7 @@ func (m *Memory) allocOne(dom DomID) (MFN, error) {
 				stale = true
 				break
 			}
-			took := sh.takeLocked(m, dom, 1, &out)
+			took := lay.takeLocked(m, sh, dom, 1, &out)
 			sh.mu.Unlock()
 			if took == 1 {
 				return out[0], nil
@@ -805,7 +887,7 @@ func (m *Memory) AllocN(dom DomID, n int, meter *vclock.Meter) ([]MFN, error) {
 				stale = true
 				break
 			}
-			sh.takeLocked(m, dom, n-len(out), &out)
+			lay.takeLocked(m, sh, dom, n-len(out), &out)
 			sh.mu.Unlock()
 		}
 		if len(out) >= n {
@@ -848,7 +930,7 @@ func (m *Memory) Free(dom DomID, mfn MFN) error {
 		return nil
 	}
 	sh.dropUsageLocked(f.owner, 1)
-	sh.resetFrameLocked(mfn)
+	sh.resetFrameLocked(f, mfn)
 	m.beginAccount()
 	sh.free.Add(1)
 	m.endAccount()
@@ -1213,7 +1295,7 @@ func (m *Memory) releaseOne(dom DomID, mfn MFN) {
 		return
 	}
 	sh.dropUsageLocked(dom, 1)
-	sh.resetFrameLocked(mfn)
+	sh.resetFrameLocked(f, mfn)
 	m.beginAccount()
 	sh.free.Add(1)
 	m.endAccount()
@@ -1238,7 +1320,7 @@ func (m *Memory) DropShared(mfn MFN) error {
 	f.refcount--
 	if f.refcount == 0 && f.pledges == 0 {
 		sh.dropUsageLocked(DomIDCOW, 1)
-		sh.resetFrameLocked(mfn)
+		sh.resetFrameLocked(f, mfn)
 		m.beginAccount()
 		sh.shared.Add(-1)
 		sh.free.Add(1)
@@ -1295,7 +1377,7 @@ func (m *Memory) releaseRuns(dom DomID, c runCursor) error {
 				f.refcount--
 				if f.refcount == 0 && f.pledges == 0 {
 					cowFreed[c.si]++
-					sh.resetFrameLocked(c.mfn(j))
+					sh.resetFrameLocked(f, c.mfn(j))
 				}
 			case dom:
 				if f.pledges > 0 {
@@ -1306,7 +1388,7 @@ func (m *Memory) releaseRuns(dom DomID, c runCursor) error {
 					zombied[c.si]++
 				} else {
 					ownFreed[c.si]++
-					sh.resetFrameLocked(c.mfn(j))
+					sh.resetFrameLocked(f, c.mfn(j))
 				}
 			}
 		}
@@ -1427,15 +1509,27 @@ func (m *Memory) CopyFrame(dst, src MFN, meter *vclock.Meter) error {
 // (PageCopy × len). Validation of the slice lengths happens up front; a bad
 // frame mid-run stops the copy there.
 func (m *Memory) CopyFrameN(dst, src []MFN, meter *vclock.Meter) error {
-	if len(dst) != len(src) {
-		return fmt.Errorf("mem: CopyFrameN with %d dst, %d src frames", len(dst), len(src))
+	return m.copyRuns(dst, runCursor{mfns: src, mode: runSkipBad}, meter)
+}
+
+// copyFramePTEs is CopyFrameN with the frames a run of page-table entries
+// references as the sources (the clone path copies a private extent straight
+// off the parent's table).
+func (m *Memory) copyFramePTEs(dst []MFN, src []pte, meter *vclock.Meter) error {
+	return m.copyRuns(dst, runCursor{ptes: src, mode: runSkipBad}, meter)
+}
+
+// copyRuns is CopyFrameN's body over either source form.
+func (m *Memory) copyRuns(dst []MFN, s runCursor, meter *vclock.Meter) error {
+	if n := len(s.mfns) + len(s.ptes); len(dst) != n {
+		return fmt.Errorf("mem: CopyFrameN with %d dst, %d src frames", len(dst), n)
 	}
 	for {
 		lay := m.lay.Load()
 		// An out-of-range MFN only drops out of the lock mask;
 		// copyFrameLocked reports it.
 		d := runCursor{lay: lay, mfns: dst, mode: runSkipBad}
-		s := runCursor{lay: lay, mfns: src, mode: runSkipBad}
+		s.lay = lay
 		mask := d.mask() | s.mask()
 		if !m.lockLayout(lay, mask) {
 			continue
@@ -1443,7 +1537,7 @@ func (m *Memory) CopyFrameN(dst, src []MFN, meter *vclock.Meter) error {
 		err := func() error {
 			defer m.unlockMask(lay, mask)
 			for i := range dst {
-				if err := lay.copyFrameLocked(dst[i], src[i]); err != nil {
+				if err := lay.copyFrameLocked(dst[i], s.at(i)); err != nil {
 					return err
 				}
 			}

@@ -71,40 +71,34 @@ func (m *Memory) RestrideOp(ctx obs.OpCtx, n int) error {
 // free lists were shuffled differently by allocation history.
 func restripe(old *layout, n int) *layout {
 	next := newLayout(old.total, n, old.epoch+1)
-	for oi := range old.shards {
-		osh := &old.shards[oi]
-		for idx := range osh.frames {
-			f := &osh.frames[idx]
+	for ci, ch := range old.chunks {
+		for off := range ch {
+			f := &ch[off]
 			if !f.inUse {
 				continue
 			}
-			mfn := osh.lo + MFN(idx)
+			mfn := MFN(ci)<<old.cshift + MFN(off)
 			nsh := &next.shards[next.shardIdx(mfn)]
-			off := int(mfn - nsh.lo)
-			if need := off + 1 - len(nsh.frames); need > 0 {
-				nsh.frames = append(nsh.frames, make([]frame, need)...)
-			}
-			nsh.frames[off] = *f
-			if off+1 > nsh.watermark {
-				nsh.watermark = off + 1
-			}
+			// Frames arrive in ascending MFN order: the last one to land in
+			// a shard sets its watermark.
+			n := int(mfn-nsh.lo) + 1
+			next.growLocked(nsh, n)
+			*next.frame(mfn) = *f
+			nsh.watermark = n
 		}
 	}
 	for ni := range next.shards {
 		nsh := &next.shards[ni]
-		if len(nsh.frames) < nsh.watermark {
-			nsh.frames = append(nsh.frames, make([]frame, nsh.watermark-len(nsh.frames))...)
-		}
 		inUse := 0
 		sharedCt := 0
 		for off := nsh.watermark - 1; off >= 0; off-- {
-			f := &nsh.frames[off]
+			f := next.frame(nsh.lo + MFN(off))
 			if !f.inUse {
 				// Sub-watermark holes re-enter the free list; the zero
 				// frame value and a resetFrameLocked frame are observably
 				// identical (owner aside, which no read path exposes for
 				// free frames).
-				nsh.recycled = append(nsh.recycled, nsh.lo+MFN(off))
+				nsh.recycled.push(nsh.lo + MFN(off))
 				continue
 			}
 			inUse++

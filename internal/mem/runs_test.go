@@ -51,10 +51,9 @@ type poolImage struct {
 func imageOf(m *Memory, doms ...DomID) poolImage {
 	img := poolImage{Frames: map[MFN]frameImage{}, Free: m.FreeFrames(), Shared: m.SharedFrames(), Used: map[DomID]int{}}
 	lay := m.lay.Load()
-	for i := range lay.shards {
-		sh := &lay.shards[i]
-		for j, f := range sh.frames {
-			img.Frames[sh.lo+MFN(j)] = frameImage{f.owner, f.refcount, f.pledges, f.inUse}
+	for ci, ch := range lay.chunks {
+		for j, f := range ch {
+			img.Frames[MFN(ci)<<lay.cshift+MFN(j)] = frameImage{f.owner, f.refcount, f.pledges, f.inUse}
 		}
 	}
 	for _, d := range append(doms, DomIDCOW) {
@@ -64,13 +63,17 @@ func imageOf(m *Memory, doms ...DomID) poolImage {
 }
 
 // TestRunCursorSplits pins the one splitter every batched operation walks
-// its input with: runs break at MFN discontinuities and at shard edges (a
-// short tail shard included), and the three modes differ only in what they
-// do with entries that name no frame.
+// its input with: runs break at MFN discontinuities, at shard edges (a
+// short tail shard included) and at the edges of the frame table's chunks,
+// and the three modes differ only in what they do with entries that name no
+// frame.
 func TestRunCursorSplits(t *testing.T) {
-	lay := newLayout(20, 4, 0) // stride 8: shards [0,8) [8,16) [16,20) and an empty one
+	small := newLayout(20, 4, 0) // stride 8: shards [0,8) [8,16) [16,20) and an empty one
+	// Stride 16384: a shard of four chunks, then a tail shard [16384,16484)
+	// shorter than one chunk.
+	chunked := newLayout(4*frameChunk+100, 2, 0)
 	type span struct{ lo, hi MFN }
-	walk := func(c runCursor) ([]span, error) {
+	walk := func(lay *layout, c runCursor) ([]span, error) {
 		c.lay = lay
 		var got, again []span
 		for c.next() {
@@ -91,24 +94,31 @@ func TestRunCursorSplits(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name string
+		lay  *layout
 		in   []MFN
 		mode runMode
 		want []span
 		bad  bool
 	}{
-		{"empty", nil, runStrict, nil, false},
-		{"one run", run(1, 6), runStrict, []span{{1, 7}}, false},
-		{"shard edges", run(5, 14), runStrict, []span{{5, 8}, {8, 16}, {16, 19}}, false},
-		{"tail shard", run(14, 6), runStrict, []span{{14, 16}, {16, 20}}, false},
-		{"every other", []MFN{2, 4, 6, 8, 10}, runStrict, []span{{2, 3}, {4, 5}, {6, 7}, {8, 9}, {10, 11}}, false},
-		{"long run between gaps", []MFN{0, 2, 3, 4, 5, 6, 7, 8, 9, 11}, runStrict, []span{{0, 1}, {2, 8}, {8, 10}, {11, 12}}, false},
-		{"descending", []MFN{3, 2, 1}, runStrict, []span{{3, 4}, {2, 3}, {1, 2}}, false},
-		{"strict stops at a bad frame", []MFN{1, 2, 20, 3}, runStrict, []span{{1, 3}}, true},
-		{"skip-bad walks on", []MFN{1, 2, 20, 3, 99}, runSkipBad, []span{{1, 3}, {3, 4}}, true},
+		{"empty", small, nil, runStrict, nil, false},
+		{"one run", small, run(1, 6), runStrict, []span{{1, 7}}, false},
+		{"shard edges", small, run(5, 14), runStrict, []span{{5, 8}, {8, 16}, {16, 19}}, false},
+		{"tail shard", small, run(14, 6), runStrict, []span{{14, 16}, {16, 20}}, false},
+		{"every other", small, []MFN{2, 4, 6, 8, 10}, runStrict, []span{{2, 3}, {4, 5}, {6, 7}, {8, 9}, {10, 11}}, false},
+		{"long run between gaps", small, []MFN{0, 2, 3, 4, 5, 6, 7, 8, 9, 11}, runStrict, []span{{0, 1}, {2, 8}, {8, 10}, {11, 12}}, false},
+		{"descending", small, []MFN{3, 2, 1}, runStrict, []span{{3, 4}, {2, 3}, {1, 2}}, false},
+		{"strict stops at a bad frame", small, []MFN{1, 2, 20, 3}, runStrict, []span{{1, 3}}, true},
+		{"skip-bad walks on", small, []MFN{1, 2, 20, 3, 99}, runSkipBad, []span{{1, 3}, {3, 4}}, true},
+		{"chunk edge", chunked, run(4090, 12), runStrict, []span{{4090, 4096}, {4096, 4102}}, false},
+		{"last frame of a chunk", chunked, []MFN{4095, 4096}, runStrict, []span{{4095, 4096}, {4096, 4097}}, false},
+		{"whole chunks", chunked, run(4000, 2*frameChunk), runStrict, []span{{4000, 4096}, {4096, 8192}, {8192, 12192}}, false},
+		{"chunk edge is the shard edge", chunked, run(4*frameChunk-3, 6), runStrict, []span{{16381, 16384}, {16384, 16387}}, false},
+		{"tail shard shorter than a chunk", chunked, run(4*frameChunk+90, 10), runStrict, []span{{16474, 16484}}, false},
+		{"past the tail shard", chunked, run(4*frameChunk+98, 3), runSkipBad, []span{{16482, 16484}}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, form := range []runCursor{{mfns: tc.in, mode: tc.mode}, {ptes: ptesOf(tc.in), mode: tc.mode}} {
-				got, err := walk(form)
+				got, err := walk(tc.lay, form)
 				if !reflect.DeepEqual(got, tc.want) {
 					t.Errorf("runs %v, want %v", got, tc.want)
 				}
@@ -122,11 +132,47 @@ func TestRunCursorSplits(t *testing.T) {
 	// Entries that are not present break a run in skip-absent mode only.
 	ptes := ptesOf(run(0, 7))
 	ptes[3].present = false
-	if got, _ := walk(runCursor{ptes: ptes, mode: runSkipAbsent}); !reflect.DeepEqual(got, []span{{0, 3}, {4, 7}}) {
+	if got, _ := walk(small, runCursor{ptes: ptes, mode: runSkipAbsent}); !reflect.DeepEqual(got, []span{{0, 3}, {4, 7}}) {
 		t.Errorf("skip-absent runs %v", got)
 	}
-	if got, _ := walk(runCursor{ptes: ptes, mode: runSkipBad}); !reflect.DeepEqual(got, []span{{0, 7}}) {
+	if got, _ := walk(small, runCursor{ptes: ptes, mode: runSkipBad}); !reflect.DeepEqual(got, []span{{0, 7}}) {
 		t.Errorf("skip-bad runs over an absent entry %v", got)
+	}
+
+	// frames() against a table that covers the first chunk partly, the
+	// second not at all: a run inside the grown part is whole, one that
+	// leaves it comes back short, one beyond it empty and short.
+	sh := &chunked.shards[0]
+	chunked.growLocked(sh, 100)
+	for _, tc := range []struct {
+		in    []MFN
+		n     int
+		short bool
+	}{
+		{run(10, 90), 90, false},
+		{run(90, 20), 10, true},
+		{run(100, 5), 0, true},
+		{run(frameChunk, 5), 0, true},
+	} {
+		c := runCursor{lay: chunked, mfns: tc.in}
+		if !c.next() {
+			t.Fatalf("no run over %d..", tc.in[0])
+		}
+		if fr, short := c.frames(); len(fr) != tc.n || short != tc.short {
+			t.Errorf("frames of [%d,%d) over a 100-frame table: %d frames, short %v; want %d, %v",
+				tc.in[0], int(tc.in[0])+len(tc.in), len(fr), short, tc.n, tc.short)
+		}
+	}
+	// Growing past the first chunk makes it whole before the second exists.
+	chunked.growLocked(sh, frameChunk+1)
+	if ch := chunked.chunks; len(ch[0]) != frameChunk || len(ch[1]) != frameChunk || ch[2] != nil {
+		t.Fatalf("table grown to %d frames has chunks of %d, %d and %d", frameChunk+1, len(ch[0]), len(ch[1]), len(ch[2]))
+	}
+	c := runCursor{lay: chunked, mfns: run(frameChunk-2, 4)}
+	for want := 2; c.next(); want = 2 {
+		if fr, short := c.frames(); len(fr) != want || short {
+			t.Errorf("run [%d,%d): %d frames, short %v", c.a, c.b, len(fr), short)
+		}
 	}
 }
 
@@ -195,23 +241,28 @@ func TestBatchedOpsAllocFree(t *testing.T) {
 // same frames twice — listed in ascending order on one pool, interleaved
 // into one-page runs on a twin — and requires identical frame metadata,
 // counters, usage and virtual time after every step: how the input splits
-// into runs must not show in any result.
+// into runs must not show in any result. The pool has four frame-table
+// chunks per shard, so the contiguous lists split at chunk edges as well as
+// at the shard edge.
 func TestFragmentedLayoutEquivalence(t *testing.T) {
-	const stride = 4096
+	const stride = 4 * frameChunk
 	type twin struct {
 		m     *Memory
 		meter *vclock.Meter
-		mfns  []MFN // the family's shared frames, over a shard edge
-		kept  []MFN // frames dom 1 keeps owning until a lazy child adopts them
-		left  []MFN // frames dom 1 keeps owning until they are zombies
+		mfns  []MFN // the family's shared frames, over the shard edge
+		kept  []MFN // frames dom 1 keeps owning until a lazy child adopts them, over a chunk edge
+		left  []MFN // frames dom 1 keeps owning until they are zombies, over a chunk edge
 	}
 	build := func(order func([]MFN) []MFN) twin {
-		m := shardedPool(t)
+		m := New(2 * stride * PageSize)
+		if err := m.Restride(2); err != nil || m.Stride() != stride {
+			t.Fatalf("Restride(2): %v, stride %d", err, m.Stride())
+		}
 		if _, err := m.AllocN(1, m.TotalFrames(), nil); err != nil {
 			t.Fatal(err)
 		}
 		return twin{m, vclock.NewMeter(nil),
-			order(run(stride-300, 600)), order(run(2*stride-40, 80)), order(run(3*stride-40, 80))}
+			order(run(stride-300, 600)), order(run(frameChunk-40, 80)), order(run(stride+3*frameChunk-40, 80))}
 	}
 	a := build(func(f []MFN) []MFN { return f })
 	b := build(interleave)

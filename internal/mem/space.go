@@ -561,7 +561,6 @@ func (s *Space) CloneOpMode(ctx obs.OpCtx, childDom DomID, copyRing bool, mode C
 	// time and CloneStats are unchanged.
 	var wctx obs.OpCtx
 	wctx, wspan = ctx.StartSpan("extent-walk")
-	var run []MFN
 	for lo := 0; lo < len(s.ptes); {
 		p := &s.ptes[lo]
 		if !p.present {
@@ -667,8 +666,7 @@ func (s *Space) CloneOpMode(ctx obs.OpCtx, childDom DomID, copyRing bool, mode C
 				return fail(err)
 			}
 			if copyRing {
-				run = appendMFNs(run[:0], ext)
-				if err := s.mem.CopyFrameN(mfns, run, meter); err != nil {
+				if err := s.mem.copyFramePTEs(mfns, ext, meter); err != nil {
 					s.mem.ReleaseN(childDom, mfns)
 					return fail(err)
 				}
@@ -682,8 +680,7 @@ func (s *Space) CloneOpMode(ctx obs.OpCtx, childDom DomID, copyRing bool, mode C
 			if err != nil {
 				return fail(err)
 			}
-			run = appendMFNs(run[:0], ext)
-			if err := s.mem.CopyFrameN(mfns, run, meter); err != nil {
+			if err := s.mem.copyFramePTEs(mfns, ext, meter); err != nil {
 				s.mem.ReleaseN(childDom, mfns)
 				return fail(err)
 			}
@@ -762,14 +759,6 @@ func (s *Space) CloneOpMode(ctx obs.OpCtx, childDom DomID, copyRing bool, mode C
 		child.startStream(ctx, st.Deferred)
 	}
 	return child, st, nil
-}
-
-// appendMFNs appends the frame numbers of a run of entries to dst.
-func appendMFNs(dst []MFN, ptes []pte) []MFN {
-	for i := range ptes {
-		dst = append(dst, ptes[i].mfn)
-	}
-	return dst
 }
 
 // MarkAllCOW re-protects every currently-shared regular page in this space

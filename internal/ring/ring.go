@@ -42,12 +42,17 @@ func (e Entry) clone() Entry {
 }
 
 // Ring is a bounded single-producer single-consumer queue with explicit
-// produce/consume indices, mirroring Xen's ring.h layout.
+// produce/consume indices, mirroring Xen's ring.h layout. The slot count is
+// a limit, not a size: slots is allocated on the first Push (a guest's ring
+// page exists either way; the simulator's copy of its entries need not), so
+// a ring that never carried an entry — every ring of an idle clone — is a
+// header.
 type Ring struct {
-	mu      sync.Mutex
-	slots   []Entry
-	prodIdx uint64
-	consIdx uint64
+	mu       sync.Mutex
+	slots    []Entry // nil until the first Push, then capacity entries
+	capacity uint64
+	prodIdx  uint64
+	consIdx  uint64
 	// Pages is the number of guest frames backing the ring; used for
 	// memory accounting (the paper's 1 MiB RX ring is the largest
 	// per-clone private allocation).
@@ -60,14 +65,14 @@ func New(slots, pages int) *Ring {
 	if slots <= 0 {
 		panic(fmt.Sprintf("ring: bad slot count %d", slots))
 	}
-	return &Ring{slots: make([]Entry, slots), pages: pages}
+	return &Ring{capacity: uint64(slots), pages: pages}
 }
 
 // Pages reports the number of guest frames backing the ring.
 func (r *Ring) Pages() int { return r.pages }
 
 // Capacity reports the slot count.
-func (r *Ring) Capacity() int { return len(r.slots) }
+func (r *Ring) Capacity() int { return int(r.capacity) }
 
 // Len reports the number of produced-but-unconsumed entries.
 func (r *Ring) Len() int {
@@ -80,10 +85,13 @@ func (r *Ring) Len() int {
 func (r *Ring) Push(e Entry) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.prodIdx-r.consIdx >= uint64(len(r.slots)) {
+	if r.prodIdx-r.consIdx >= r.capacity {
 		return ErrFull
 	}
-	r.slots[r.prodIdx%uint64(len(r.slots))] = e
+	if r.slots == nil {
+		r.slots = make([]Entry, r.capacity)
+	}
+	r.slots[r.prodIdx%r.capacity] = e
 	r.prodIdx++
 	return nil
 }
@@ -95,7 +103,7 @@ func (r *Ring) Pop() (Entry, error) {
 	if r.prodIdx == r.consIdx {
 		return Entry{}, ErrEmpty
 	}
-	e := r.slots[r.consIdx%uint64(len(r.slots))]
+	e := r.slots[r.consIdx%r.capacity]
 	r.consIdx++
 	return e, nil
 }
@@ -106,7 +114,7 @@ func (r *Ring) PeekAll() []Entry {
 	defer r.mu.Unlock()
 	out := make([]Entry, 0, r.prodIdx-r.consIdx)
 	for i := r.consIdx; i < r.prodIdx; i++ {
-		out = append(out, r.slots[i%uint64(len(r.slots))])
+		out = append(out, r.slots[i%r.capacity])
 	}
 	return out
 }
@@ -119,13 +127,16 @@ func (r *Ring) Clone() *Ring {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	c := &Ring{
-		slots:   make([]Entry, len(r.slots)),
-		prodIdx: r.prodIdx,
-		consIdx: r.consIdx,
-		pages:   r.pages,
+		capacity: r.capacity,
+		prodIdx:  r.prodIdx,
+		consIdx:  r.consIdx,
+		pages:    r.pages,
+	}
+	if r.prodIdx != r.consIdx {
+		c.slots = make([]Entry, r.capacity)
 	}
 	for i := r.consIdx; i < r.prodIdx; i++ {
-		idx := i % uint64(len(r.slots))
+		idx := i % r.capacity
 		c.slots[idx] = r.slots[idx].clone()
 	}
 	return c
@@ -136,7 +147,7 @@ func (r *Ring) Clone() *Ring {
 func (r *Ring) Fresh() *Ring {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return &Ring{slots: make([]Entry, len(r.slots)), pages: r.pages}
+	return &Ring{capacity: r.capacity, pages: r.pages}
 }
 
 // Reset drops all unconsumed entries.

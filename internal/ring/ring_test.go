@@ -171,3 +171,69 @@ func TestRingOrderProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestEmptyRingIsAHeader: the slot count is a limit, not a size — a ring
+// with nothing in flight clones (and starts fresh) as one object, whether it
+// never carried an entry or has drained, and the copy still holds exactly
+// Capacity entries.
+func TestEmptyRingIsAHeader(t *testing.T) {
+	never := New(256, 64)
+	drained := New(256, 64)
+	drained.Push(Entry{ID: 1})
+	drained.Pop()
+	var sink *Ring
+	for name, r := range map[string]*Ring{"never used": never, "drained": drained} {
+		for op, f := range map[string]func() *Ring{"Clone": r.Clone, "Fresh": r.Fresh} {
+			if n := testing.AllocsPerRun(100, func() { sink = f() }); n != 1 {
+				t.Errorf("%s of a %s 256-slot ring allocates %v objects, want 1", op, name, n)
+			}
+			if sink.Capacity() != 256 || sink.Pages() != 64 || sink.Len() != 0 {
+				t.Errorf("%s of a %s ring: geometry (%d, %d), Len %d", op, name, sink.Capacity(), sink.Pages(), sink.Len())
+			}
+		}
+	}
+	c := drained.Clone()
+	for i := 0; i < 256; i++ {
+		if err := c.Push(Entry{ID: uint64(i)}); err != nil {
+			t.Fatalf("push %d into the clone: %v", i, err)
+		}
+	}
+	if err := c.Push(Entry{}); !errors.Is(err, ErrFull) {
+		t.Fatalf("push 257: %v, want ErrFull", err)
+	}
+	if e, err := c.Pop(); err != nil || e.ID != 0 {
+		t.Fatalf("clone pops %+v, %v", e, err)
+	}
+}
+
+// TestCloneIsIndexExact: a ring cloned mid-wraparound keeps the parent's
+// produce and consume indices, so both sides see the in-flight entries in
+// the same slots and fill up after the same number of pushes.
+func TestCloneIsIndexExact(t *testing.T) {
+	r := New(4, 1)
+	for i := 0; i < 7; i++ { // indices run past one lap: prod 7, cons 5
+		r.Push(Entry{ID: uint64(i), Payload: []byte{byte(i)}})
+		if i >= 2 {
+			r.Pop()
+		}
+	}
+	c := r.Clone()
+	if c.prodIdx != r.prodIdx || c.consIdx != r.consIdx {
+		t.Fatalf("clone indices (%d, %d), parent (%d, %d)", c.prodIdx, c.consIdx, r.prodIdx, r.consIdx)
+	}
+	for i := r.consIdx; i < r.prodIdx; i++ {
+		pe, ce := r.slots[i%4], c.slots[i%4]
+		if ce.ID != pe.ID || string(ce.Payload) != string(pe.Payload) || &ce.Payload[0] == &pe.Payload[0] {
+			t.Fatalf("slot %d: clone %+v, parent %+v (or shared payload)", i%4, ce, pe)
+		}
+	}
+	for _, ring := range []*Ring{r, c} {
+		pushed := 0
+		for ring.Push(Entry{}) == nil {
+			pushed++
+		}
+		if pushed != 2 {
+			t.Fatalf("ring took %d more entries, want 2", pushed)
+		}
+	}
+}

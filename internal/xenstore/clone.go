@@ -1,7 +1,6 @@
 package xenstore
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -28,15 +27,11 @@ func (s *Store) Clone(parentDom, childDom uint32, op CloneOp, parentPath, childP
 	s.chargeRequest(meter, true)
 	s.stats.CloneReqs++
 
-	parts, err := splitPath(parentPath)
+	src, err := s.lookup(parentPath)
 	if err != nil {
 		return err
 	}
-	src, ok := s.lookup(parts)
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, parentPath)
-	}
-	if _, err := splitPath(childPath); err != nil {
+	if _, err := pathElems(childPath); err != nil {
 		return err
 	}
 	rw := rewriter{parent: parentDom, child: childDom, op: op}
@@ -88,13 +83,9 @@ func (s *Store) Snapshot(root string, meter *vclock.Meter) ([]Pair, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.chargeRequest(meter, false)
-	parts, err := splitPath(root)
+	n, err := s.lookup(root)
 	if err != nil {
 		return nil, err
-	}
-	n, ok := s.lookup(parts)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, root)
 	}
 	var out []Pair
 	var rec func(n *node, rel string)

@@ -64,14 +64,12 @@ func (op CloneOp) String() string {
 	}
 }
 
-// node is one entry of the tree.
+// node is one entry of the tree. children is nil until the first child is
+// added: most nodes are leaves, and reading, ranging over or deleting from a
+// nil map does what an empty one does.
 type node struct {
 	value    string
 	children map[string]*node
-}
-
-func newNode() *node {
-	return &node{children: make(map[string]*node)}
 }
 
 // WatchEvent reports a changed path to a subscriber.
@@ -123,7 +121,7 @@ type Store struct {
 // logged requests (0 disables logging).
 func New(rotateEvery int) *Store {
 	return &Store{
-		root:        newNode(),
+		root:        &node{},
 		rotateEvery: rotateEvery,
 		txns:        make(map[int][]func(*Store)),
 	}
@@ -168,20 +166,17 @@ func (s *Store) NodeCount() int {
 	return s.nodes
 }
 
-func splitPath(path string) ([]string, error) {
-	if path == "" || path[0] != '/' {
-		return nil, fmt.Errorf("%w: %q", ErrBadPath, path)
-	}
+// pathElems validates path — absolute, no empty element — and returns its
+// elements as one slash-separated string ("" for the root) for strings.Cut
+// to walk, so no request builds a []string of them.
+func pathElems(path string) (string, error) {
 	if path == "/" {
-		return nil, nil
+		return "", nil
 	}
-	parts := strings.Split(path[1:], "/")
-	for _, p := range parts {
-		if p == "" {
-			return nil, fmt.Errorf("%w: %q", ErrBadPath, path)
-		}
+	if path == "" || path[0] != '/' || path[len(path)-1] == '/' || strings.Contains(path, "//") {
+		return "", fmt.Errorf("%w: %q", ErrBadPath, path)
 	}
-	return parts, nil
+	return path[1:], nil
 }
 
 // chargeRequest accounts one request: the base cost plus the store-size
@@ -207,31 +202,46 @@ func (s *Store) chargeRequest(meter *vclock.Meter, isWrite bool) {
 	}
 }
 
-func (s *Store) lookup(parts []string) (*node, bool) {
+// find returns the node a pathElems string names, nil if there is none.
+func (s *Store) find(elems string) *node {
 	n := s.root
-	for _, p := range parts {
-		c, ok := n.children[p]
-		if !ok {
-			return nil, false
-		}
-		n = c
+	for elem := ""; elems != "" && n != nil; {
+		elem, elems, _ = strings.Cut(elems, "/")
+		n = n.children[elem]
 	}
-	return n, true
+	return n
+}
+
+// lookup returns the node at path, or ErrBadPath / ErrNotFound.
+func (s *Store) lookup(path string) (*node, error) {
+	elems, err := pathElems(path)
+	if err != nil {
+		return nil, err
+	}
+	n := s.find(elems)
+	if n == nil {
+		return nil, fmt.Errorf("%w: %s", ErrNotFound, path)
+	}
+	return n, nil
 }
 
 // writeLocked creates intermediate nodes as needed (mkdir -p semantics,
 // like xenstored) and fires watches.
 func (s *Store) writeLocked(path, value string) error {
-	parts, err := splitPath(path)
+	elems, err := pathElems(path)
 	if err != nil {
 		return err
 	}
 	n := s.root
-	for _, p := range parts {
-		c, ok := n.children[p]
-		if !ok {
-			c = newNode()
-			n.children[p] = c
+	for elem := ""; elems != ""; {
+		elem, elems, _ = strings.Cut(elems, "/")
+		c := n.children[elem]
+		if c == nil {
+			c = &node{}
+			if n.children == nil {
+				n.children = make(map[string]*node)
+			}
+			n.children[elem] = c
 			s.nodes++
 		}
 		n = c
@@ -270,13 +280,9 @@ func (s *Store) Read(path string, meter *vclock.Meter) (string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.chargeRequest(meter, false)
-	parts, err := splitPath(path)
+	n, err := s.lookup(path)
 	if err != nil {
 		return "", err
-	}
-	n, ok := s.lookup(parts)
-	if !ok {
-		return "", fmt.Errorf("%w: %s", ErrNotFound, path)
 	}
 	return n.value, nil
 }
@@ -286,13 +292,9 @@ func (s *Store) Directory(path string, meter *vclock.Meter) ([]string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.chargeRequest(meter, false)
-	parts, err := splitPath(path)
+	n, err := s.lookup(path)
 	if err != nil {
 		return nil, err
-	}
-	n, ok := s.lookup(parts)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, path)
 	}
 	out := make([]string, 0, len(n.children))
 	for name := range n.children {
@@ -307,23 +309,27 @@ func (s *Store) Remove(path string, meter *vclock.Meter) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.chargeRequest(meter, true)
-	parts, err := splitPath(path)
+	elems, err := pathElems(path)
 	if err != nil {
 		return err
 	}
-	if len(parts) == 0 {
+	if elems == "" {
 		return fmt.Errorf("%w: cannot remove root", ErrBadPath)
 	}
-	parent, ok := s.lookup(parts[:len(parts)-1])
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, path)
+	dir, name := "", elems
+	if cut := strings.LastIndexByte(elems, '/'); cut >= 0 {
+		dir, name = elems[:cut], elems[cut+1:]
 	}
-	child, ok := parent.children[parts[len(parts)-1]]
-	if !ok {
+	var child *node
+	parent := s.find(dir)
+	if parent != nil {
+		child = parent.children[name]
+	}
+	if child == nil {
 		return fmt.Errorf("%w: %s", ErrNotFound, path)
 	}
 	s.nodes -= countNodes(child)
-	delete(parent.children, parts[len(parts)-1])
+	delete(parent.children, name)
 	s.fireWatchesLocked(path)
 	return nil
 }
@@ -341,12 +347,8 @@ func (s *Store) Exists(path string, meter *vclock.Meter) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.chargeRequest(meter, false)
-	parts, err := splitPath(path)
-	if err != nil {
-		return false
-	}
-	_, ok := s.lookup(parts)
-	return ok
+	elems, err := pathElems(path)
+	return err == nil && s.find(elems) != nil
 }
 
 // Watch subscribes ch to changes under prefix. Events carry token.
@@ -422,13 +424,9 @@ type WalkFunc func(path, value string)
 func (s *Store) Walk(path string, fn WalkFunc) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	parts, err := splitPath(path)
+	n, err := s.lookup(path)
 	if err != nil {
 		return err
-	}
-	n, ok := s.lookup(parts)
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, path)
 	}
 	walk(n, strings.TrimRight(path, "/"), fn)
 	return nil

@@ -61,13 +61,60 @@ func TestDirectorySorted(t *testing.T) {
 
 func TestBadPaths(t *testing.T) {
 	s := New(0)
-	for _, p := range []string{"", "relative", "//double", "/trailing//x"} {
+	for _, p := range []string{"", "relative", "//double", "/trailing//x", "/trailing/", "/a//"} {
 		if err := s.Write(p, "v", nil); !errors.Is(err, ErrBadPath) {
 			t.Errorf("Write(%q): %v, want ErrBadPath", p, err)
+		}
+		if _, err := s.Read(p, nil); !errors.Is(err, ErrBadPath) {
+			t.Errorf("Read(%q): %v, want ErrBadPath", p, err)
+		}
+		if err := s.Remove(p, nil); !errors.Is(err, ErrBadPath) {
+			t.Errorf("Remove(%q): %v, want ErrBadPath", p, err)
+		}
+		if s.Exists(p, nil) {
+			t.Errorf("Exists(%q)", p)
 		}
 	}
 	if err := s.Remove("/", nil); !errors.Is(err, ErrBadPath) {
 		t.Errorf("Remove(/): %v, want ErrBadPath", err)
+	}
+	if n := s.NodeCount(); n != 0 {
+		t.Errorf("bad paths left %d nodes", n)
+	}
+}
+
+// TestLeavesAndPathWalk: a leaf has no child map and behaves like an empty
+// directory, and walking a path to a node builds nothing on the heap.
+func TestLeavesAndPathWalk(t *testing.T) {
+	s := New(0)
+	const leaf = "/local/domain/3/device/vif/0/state"
+	s.Write(leaf, "4", nil)
+	if names, err := s.Directory(leaf, nil); err != nil || len(names) != 0 {
+		t.Fatalf("Directory of a leaf = %v, %v", names, err)
+	}
+	if err := s.Remove(leaf+"/x", nil); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Remove under a leaf: %v", err)
+	}
+	if err := s.Remove(leaf+"/x/y", nil); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Remove two levels under a leaf: %v", err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if v, err := s.Read(leaf, nil); err != nil || v != "4" {
+			t.Fatalf("Read = %q, %v", v, err)
+		}
+		if s.Exists(leaf+"/x", nil) || !s.Exists("/local/domain", nil) {
+			t.Fatal("Exists")
+		}
+	}); allocs != 0 {
+		t.Fatalf("reading a seven-element path allocates %v times", allocs)
+	}
+	before := s.NodeCount()
+	s.Write(leaf+"/x", "", nil) // the leaf becomes a directory
+	if names, _ := s.Directory(leaf, nil); len(names) != 1 || s.NodeCount() != before+1 {
+		t.Fatalf("child of a former leaf: %v, %d nodes", names, s.NodeCount())
+	}
+	if err := s.Remove("/local", nil); err != nil || s.NodeCount() != 0 {
+		t.Fatalf("Remove(/local): %v, %d nodes left", err, s.NodeCount())
 	}
 }
 
