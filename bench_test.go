@@ -18,9 +18,9 @@ import (
 	"nephele/internal/devices"
 	"nephele/internal/guest"
 	"nephele/internal/hv"
-	"nephele/internal/kvm"
 	"nephele/internal/mem"
 	"nephele/internal/netsim"
+	"nephele/internal/obs"
 	"nephele/internal/toolstack"
 	"nephele/internal/vclock"
 )
@@ -372,35 +372,6 @@ func BenchmarkAblationNameCheck(b *testing.B) {
 	}
 }
 
-// BenchmarkKVMPortClone exercises the §5.3 KVM port: the clone advantage
-// must survive the platform swap (clone ≪ fresh-VM creation on KVM too).
-func BenchmarkKVMPortClone(b *testing.B) {
-	h := kvm.NewHost(8 << 30)
-	h.AttachDaemon()
-	vm, err := h.CreateVM("target", 1024, netsim.IP{192, 168, 122, 10}, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := h.EnableCloneCap(vm.ID, 1<<20); err != nil {
-		b.Fatal(err)
-	}
-	createMeter := vclock.NewMeter(nil)
-	if _, err := h.CreateVM("fresh", 1024, netsim.IP{192, 168, 122, 11}, createMeter); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var last vclock.Duration
-	for i := 0; i < b.N; i++ {
-		meter := vclock.NewMeter(nil)
-		if _, err := h.Clone(vm.ID, meter); err != nil {
-			b.Fatal(err)
-		}
-		last = meter.Elapsed()
-	}
-	b.ReportMetric(last.Seconds()*1e3, "kvm-clone-ms")
-	b.ReportMetric(createMeter.Elapsed().Seconds()*1e3, "kvm-create-ms")
-}
-
 // BenchmarkCloneOp measures the raw CLONEOP first stage for a 4 MB guest
 // (§6.1 reports ~1 ms).
 func BenchmarkCloneOp(b *testing.B) {
@@ -550,7 +521,7 @@ func BenchmarkCachedRestore(b *testing.B) {
 		var lat vclock.Duration
 		for i := 0; i < b.N; i++ {
 			meter := p.NewMeter()
-			rec, served, err := p.RestoreCached(store, img, fmt.Sprintf("warm-%d", i), meter)
+			rec, served, err := p.XL.RestoreCachedOp(obs.Ctx(meter), store, img, fmt.Sprintf("warm-%d", i))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -1,15 +1,17 @@
 // Cross-machine migration: the reason Nephele keeps the p2m map around
-// (§5.2). Two simulated machines are built; a guest boots on the first,
-// accumulates state, and is migrated (stop-and-copy: pause, save, rebuild
-// the page table through the p2m on the target, destroy the source). The
-// example also shows the §8 policy: clone-family members refuse to move,
-// because separating them would break page sharing.
+// (§5.2). A two-host cluster is built; a guest boots on the first host,
+// accumulates state, and is migrated over the cluster's transport (pause,
+// snapshot, ship the pages the target's cache lacks, rebuild the page table
+// through the p2m on the target, destroy the source). The example also
+// shows the §8 policy: clone-family members refuse to move, because
+// separating them would break page sharing.
 package main
 
 import (
 	"fmt"
 	"log"
 
+	"nephele/internal/cluster"
 	"nephele/internal/core"
 	"nephele/internal/netsim"
 	"nephele/internal/obs"
@@ -17,8 +19,8 @@ import (
 )
 
 func main() {
-	machineA := core.NewPlatform(core.Options{})
-	machineB := core.NewPlatform(core.Options{})
+	c := cluster.New(cluster.Options{Hosts: 2})
+	machineA, machineB := c.Host(0).P, c.Host(1).P
 
 	rec, err := machineA.Boot(toolstack.DomainConfig{
 		Name:      "worker",
@@ -36,15 +38,19 @@ func main() {
 	}
 	fmt.Printf("machine A: %s | machine B: %s\n", machineA, machineB)
 
-	meter := machineA.NewMeter()
-	newRec, res, err := machineA.Migrate(rec.ID, machineB, "", meter)
+	res, err := c.Migrate(obs.Ctx(machineA.NewMeter()), 0, rec.ID, 1, "")
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("migrated %q: %d KiB moved, downtime %v (virtual)\n",
-		newRec.Config.Name, res.TransferBytes>>10, res.Downtime)
+	moved := res.Children[0]
+	newRec, err := machineB.XL.Record(moved)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("migrated %q: %d KiB on the wire, downtime %v (virtual)\n",
+		newRec.Config.Name, res.TransferBytes>>10, res.Total)
 
-	newDom, _ := machineB.HV.Domain(newRec.ID)
+	newDom, _ := machineB.HV.Domain(moved)
 	buf := make([]byte, 17)
 	newDom.Space().Read(10, 0, buf)
 	fmt.Printf("state on machine B: %q\n", buf)
@@ -52,7 +58,7 @@ func main() {
 
 	// The migrated guest clones normally on its new home...
 	cresAll, err := machineB.CloneOp(obs.OpCtx{},
-		core.CloneSpec{Caller: newRec.ID, Parent: newRec.ID, Count: 1})
+		core.CloneSpec{Caller: moved, Parent: moved, Count: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,7 +68,7 @@ func main() {
 
 	// ...but family members are pinned to their machine (§8: moving
 	// clones apart would break the page-sharing density win).
-	if _, _, err := machineB.Migrate(cres.Children[0], machineA, "", nil); err != nil {
+	if _, err := c.Migrate(obs.OpCtx{}, 1, cres.Children[0], 0, ""); err != nil {
 		fmt.Printf("migrating the clone is refused, as designed: %v\n", err)
 	}
 }

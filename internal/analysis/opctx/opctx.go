@@ -13,8 +13,9 @@
 // remain available: ctx.WithMeter/WithTrace/WithFaults/EnsureMeter derive
 // from the in-scope context, and ctx.Detach() is the sanctioned way to
 // hand a sub-context to a goroutine with a deterministic merge point.
-// Legacy meter-based wrappers take a *vclock.Meter, not an OpCtx, so the
-// rule does not fire on their obs.Ctx(meter) adaptation calls.
+// Meter-first functions (the layers below the platform surface) take a
+// *vclock.Meter, not an OpCtx, so the rule does not fire on their
+// obs.Ctx(meter) adaptation calls.
 //
 // Waive with //nephele:opctx-ok and a justification (e.g. an intentional
 // throwaway meter in a diagnostic path).
@@ -43,12 +44,15 @@ var ObsPkgs = []string{"nephele/internal/obs"}
 // NewMeter.
 var MeterPkgs = []string{"nephele/internal/vclock"}
 
-// CorePkgs are the import paths of the platform-surface packages whose
-// exported entry points must be OpCtx-first: a new exported function or
-// method there taking a *vclock.Meter without an obs.OpCtx re-introduces
-// the legacy meter-threading shape the PR 5 redesign retired. The kept
-// deprecated wrappers carry explicit //nephele:opctx-ok waivers.
-var CorePkgs = []string{"nephele/internal/core"}
+// CorePkgs are the import paths of the clone-pipeline packages whose
+// exported entry points must be OpCtx-first: an exported function or
+// method there taking a *vclock.Meter without an obs.OpCtx is a second
+// name for an operation that already has one.
+var CorePkgs = []string{
+	"nephele/internal/hv",
+	"nephele/internal/cloned",
+	"nephele/internal/core",
+}
 
 func in(paths []string, path string) bool {
 	for _, p := range paths {
@@ -71,7 +75,7 @@ func run(pass *analysis.Pass) error {
 			case *ast.FuncDecl:
 				if core && d.Name.IsExported() &&
 					!hasOpCtxParam(pass, d.Type.Params) && hasMeterParam(pass, d.Type.Params) {
-					pass.Reportf(d.Pos(), "meter-first signature in core: exported %s takes *vclock.Meter without an obs.OpCtx; new entry points are OpCtx-first (deprecated wrappers carry a //nephele:opctx-ok waiver)", d.Name.Name)
+					pass.Reportf(d.Pos(), "meter-first signature in %s: exported %s takes *vclock.Meter without an obs.OpCtx; entry points here are OpCtx-first", pass.Pkg.Name(), d.Name.Name)
 				}
 				if d.Body == nil {
 					continue

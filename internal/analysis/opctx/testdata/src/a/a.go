@@ -53,9 +53,9 @@ func waived(ctx obs.OpCtx) {
 	_ = vclock.NewMeter(nil) //nephele:opctx-ok fixture: throwaway diagnostic meter
 }
 
-// legacyWrapper has no OpCtx parameter: the canonical adaptation pattern
+// meterFirst has no OpCtx parameter: adapting its meter into a context
 // stays legal.
-func legacyWrapper(meter *vclock.Meter) {
+func meterFirst(meter *vclock.Meter) {
 	ctx := obs.Ctx(meter)
 	op(ctx)
 }

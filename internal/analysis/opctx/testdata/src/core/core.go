@@ -1,6 +1,6 @@
 // Package core is the opctx fixture's stand-in for the platform surface:
 // exported entry points here must be OpCtx-first, and meter-first
-// signatures fire unless they carry a deprecation waiver.
+// signatures fire.
 package core
 
 import (
@@ -20,13 +20,12 @@ func (p *Platform) Clone(n int, meter *vclock.Meter) error { // want `meter-firs
 	return p.CloneOp(ctx, n)
 }
 
-// Migrate is a kept deprecated wrapper: the waiver on the line above the
-// declaration silences the finding.
+// Boot keeps a meter-first signature a caller outside the rule's reach
+// depends on: the waiver on the line above the declaration silences the
+// finding.
 //
-//nephele:opctx-ok fixture: deprecated meter wrapper
-func (p *Platform) Migrate(n int, meter *vclock.Meter) error {
-	return p.CloneOp(obs.Ctx(meter), n)
-}
+//nephele:opctx-ok fixture: signature pinned by an external caller
+func (p *Platform) Boot(n int, meter *vclock.Meter) error { return nil }
 
 // helper is unexported: meter-first helpers stay legal.
 func helper(meter *vclock.Meter) {}

@@ -144,3 +144,38 @@ func CloneWaived(m *Memory, dom int) error {
 	}
 	return nil
 }
+
+// Hypervisor carries the any-receiver teardown the rollback paths call,
+// beside a method whose name is not in the analyzer's table.
+type Hypervisor struct{}
+
+func (h *Hypervisor) DomainDestroy(id int) error { return nil }
+func (h *Hypervisor) Teardown(id int) error      { return nil }
+
+// CloneTeardown destroys the half-built domain, which releases everything
+// it acquired: the table's name and the call site agree.
+func CloneTeardown(m *Memory, h *Hypervisor, dom int) error {
+	mfns, err := m.AllocN(dom, 4)
+	if err != nil {
+		return err
+	}
+	if err := m.ShareN(mfns, 2); err != nil {
+		h.DomainDestroy(dom)
+		return err
+	}
+	return nil
+}
+
+// CloneTeardownMisnamed calls a teardown the table does not know: the
+// rule must not go quiet on a name that merely looks like one.
+func CloneTeardownMisnamed(m *Memory, h *Hypervisor, dom int) error {
+	mfns, err := m.AllocN(dom, 4)
+	if err != nil {
+		return err
+	}
+	if err := m.ShareN(mfns, 2); err != nil {
+		h.Teardown(dom)
+		return err // want `unreleased AllocN`
+	}
+	return nil
+}

@@ -17,10 +17,12 @@ type Space struct{}
 
 func (s *Space) Remap(n int) error { return nil }
 
-// Conn carries the any-receiver teardown.
+// Conn carries the any-receiver teardown, beside a method whose name is
+// not in the analyzer's table.
 type Conn struct{}
 
-func (c *Conn) DestroyDomain(id int) error { return nil }
+func (c *Conn) DomainDestroy(id int) error { return nil }
+func (c *Conn) Teardown(id int) error      { return nil }
 
 func work() error { return nil }
 
@@ -162,15 +164,29 @@ func copied(m *Memory) error {
 	return nil
 }
 
-// destroyed tears the whole domain down; DestroyDomain discharges on any
-// receiver.
+// destroyed tears the whole domain down; DomainDestroy discharges on any
+// receiver — the table's name and the call site agree.
 func destroyed(m *Memory, c *Conn) error {
 	if err := m.ShareN(1); err != nil {
 		return err
 	}
 	if err := work(); err != nil {
-		c.DestroyDomain(7)
+		c.DomainDestroy(7)
 		return err
+	}
+	m.ReleaseN(1)
+	return nil
+}
+
+// misnamedTeardown calls a teardown the table does not know: the rule must
+// not go quiet on a name that merely looks like one.
+func misnamedTeardown(m *Memory, c *Conn) error {
+	if err := m.ShareN(1); err != nil {
+		return err
+	}
+	if err := work(); err != nil {
+		c.Teardown(7)
+		return err // want `error return with unreleased ShareN`
 	}
 	m.ReleaseN(1)
 	return nil

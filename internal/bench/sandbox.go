@@ -8,6 +8,7 @@ import (
 	"nephele/internal/core"
 	"nephele/internal/mem"
 	"nephele/internal/netsim"
+	"nephele/internal/obs"
 	"nephele/internal/toolstack"
 	"nephele/internal/vclock"
 )
@@ -127,7 +128,7 @@ func Sandbox(cfg SandboxConfig) (*Figure, error) {
 		sector := bytes.Repeat([]byte{0xc3}, 512)
 		for i := 0; i < fleet; i++ {
 			meter := p.NewMeter()
-			rec, served, err := p.RestoreCached(store, img, fmt.Sprintf("sbx-%d-%d", fleet, i), meter)
+			rec, served, err := p.XL.RestoreCachedOp(obs.Ctx(meter), store, img, fmt.Sprintf("sbx-%d-%d", fleet, i))
 			if err != nil {
 				return nil, fmt.Errorf("sandbox restore %d/%d: %w", i, fleet, err)
 			}

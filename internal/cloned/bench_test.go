@@ -6,13 +6,14 @@ import (
 
 	"nephele/internal/hv"
 	"nephele/internal/netsim"
+	"nephele/internal/obs"
 	"nephele/internal/toolstack"
 	"nephele/internal/vclock"
 )
 
 // BenchmarkServeAll measures the daemon's second stage — Xenstore writes,
 // device backend clones, unpause — for one CLONEOP batch of n children.
-// The first stage runs outside the timer, so this isolates what ServeAll's
+// The first stage runs outside the timer, so this isolates what Serve's
 // worker pool actually overlaps. Virtual-time output is pinned by the
 // golden-series and fault-matrix tests.
 func BenchmarkServeAll(b *testing.B) {
@@ -36,12 +37,12 @@ func BenchmarkServeAll(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				kids, _, done, err := r.hv.CloneOpClone(rec.ID, rec.ID, n, true, vclock.NewMeter(nil))
+				kids, _, done, err := cloneN(r.hv, rec.ID, rec.ID, n, vclock.NewMeter(nil))
 				if err != nil {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				if _, err := r.d.ServeAll(vclock.NewMeter(nil)); err != nil {
+				if _, err := r.d.Serve(obs.Ctx(vclock.NewMeter(nil))); err != nil {
 					b.Fatal(err)
 				}
 				b.StopTimer()
@@ -81,7 +82,7 @@ func BenchmarkServeAll(b *testing.B) {
 			var kids []hv.DomID
 			var dones []<-chan struct{}
 			for _, rec := range recs {
-				k, _, done, err := r.hv.CloneOpClone(rec.ID, rec.ID, 4, true, vclock.NewMeter(nil))
+				k, _, done, err := cloneN(r.hv, rec.ID, rec.ID, 4, vclock.NewMeter(nil))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -89,7 +90,7 @@ func BenchmarkServeAll(b *testing.B) {
 				dones = append(dones, done)
 			}
 			b.StartTimer()
-			if _, err := r.d.ServeAll(vclock.NewMeter(nil)); err != nil {
+			if _, err := r.d.Serve(obs.Ctx(vclock.NewMeter(nil))); err != nil {
 				b.Fatal(err)
 			}
 			b.StopTimer()

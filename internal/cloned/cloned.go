@@ -87,7 +87,7 @@ type FailureStats struct {
 	// Rollbacks is the number of partial-clone rollbacks performed
 	// (one before every retry and every abort).
 	Rollbacks int
-	// Aborts is the number of CloneOpAbort hypercalls issued.
+	// Aborts is the number of clone_abort hypercalls issued.
 	Aborts int
 }
 
@@ -195,29 +195,24 @@ func (d *Daemon) InvalidateCache(parent hv.DomID) {
 	delete(d.cache, parent)
 }
 
-// ServeAll drains the notification ring and runs the second stage for
-// every pending clone, charging onto meter. It returns the number of
-// clones completed, which is accurate even when some notifications failed:
-// clones are isolated from each other, so one failed child is rolled back
-// and aborted while the rest of the batch completes normally. The returned
-// error joins the per-child failures. Callers that want the asynchronous
-// flavour run it from a VIRQ_CLONED handler.
+// Serve drains the notification ring and runs the second stage for every
+// pending clone. The context carries the meter the round charges onto, the
+// trace its second-stage spans land in, and the fault scope of the round.
+// It returns the number of clones completed, which is accurate even when
+// some notifications failed: clones are isolated from each other, so one
+// failed child is rolled back and aborted while the rest of the batch
+// completes normally. The returned error joins the per-child failures.
+// Callers that want the asynchronous flavour run it from a VIRQ_CLONED
+// handler.
 //
 // Children of different parents are independent and are served on a
 // bounded worker pool; children of the same parent keep their notification
 // order, which the failure protocol (nth-child fault semantics) and the
 // parent-info cache warm-up rely on. A batch from a single parent — every
 // paper experiment — is therefore served exactly like the sequential
-// daemon, on the caller's meter.
-func (d *Daemon) ServeAll(meter *vclock.Meter) (int, error) {
-	return d.Serve(obs.Ctx(meter))
-}
-
-// Serve is the canonical OpCtx form of ServeAll: the context carries the
-// meter the round charges onto, the trace its second-stage spans land in,
-// and the fault scope of the round. A single-parent batch serves on the
-// caller's context directly; multi-parent batches serve each group on a
-// detached context whose meter and sub-trace merge back in group order.
+// daemon, on the caller's context directly; multi-parent batches serve
+// each group on a detached context whose meter and sub-trace merge back in
+// group order.
 func (d *Daemon) Serve(ctx obs.OpCtx) (int, error) {
 	ctx = ctx.EnsureMeter(nil)
 	meter := ctx.Meter()
@@ -304,29 +299,22 @@ func (d *Daemon) Serve(ctx obs.OpCtx) (int, error) {
 	return served, errors.Join(errSlots...)
 }
 
-// CloneAll drives one multi-parent scheduling round end to end: the
-// batched first stage (hv.CloneOpCloneBatch) admits every request, a
-// single ServeAll drains the notification ring for all the rounds'
-// children at once — its per-parent worker pool is exactly the "ServeAll
-// feeding from multi-parent rounds" shape — and the round completes when
-// every admitted parent's Done channel closes (all parents resumed).
+// CloneRound drives one multi-parent scheduling round end to end: the
+// batched first stage (hv.CloneBatch) admits every request, a single Serve
+// drains the notification ring for all the round's children at once — its
+// per-parent worker pool is exactly the "Serve feeding from multi-parent
+// rounds" shape — and the round completes when every admitted parent's
+// Done channel closes (all parents resumed).
 //
 // The returned slice is positionally parallel to reqs; each entry carries
 // that request's children, stats and first-stage error. served counts the
 // second stages completed across the whole round, and the error joins the
 // second-stage failures (first-stage failures stay in their entry's Err).
-// meter receives the ServeAll charges; each request's first-stage virtual
-// time goes to its own CloneRequest.Meter, so batching never leaks charges
+// The context's meter receives the Serve charges; each request's first
+// stage charges the request's own context, so batching never leaks charges
 // between parents.
-func (d *Daemon) CloneAll(reqs []hv.CloneRequest, meter *vclock.Meter) ([]hv.CloneBatchResult, int, error) {
-	return d.CloneRound(obs.Ctx(meter), reqs)
-}
-
-// CloneRound is the canonical OpCtx form of CloneAll. The context's meter
-// receives the Serve charges; each request's first stage charges the
-// request's own context, so batching never leaks charges between parents.
 func (d *Daemon) CloneRound(ctx obs.OpCtx, reqs []hv.CloneRequest) ([]hv.CloneResult, int, error) {
-	results := d.HV.CloneBatchCtx(ctx, reqs)
+	results := d.HV.CloneBatch(ctx, reqs)
 	served, err := d.Serve(ctx)
 	for _, r := range results {
 		if r.Done != nil {

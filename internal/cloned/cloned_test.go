@@ -7,6 +7,7 @@ import (
 	"nephele/internal/devices"
 	"nephele/internal/hv"
 	"nephele/internal/netsim"
+	"nephele/internal/obs"
 	"nephele/internal/toolstack"
 	"nephele/internal/vclock"
 	"nephele/internal/xenstore"
@@ -68,18 +69,25 @@ func (r *rig) bootParent(t *testing.T) *toolstack.Record {
 }
 
 // cloneOne triggers first-stage cloning and serves the second stage.
+// cloneN issues one CLONEOP for n children (copying the I/O ring, as the
+// platform does) and unpacks the result.
+func cloneN(h *hv.Hypervisor, caller, target hv.DomID, n int, meter *vclock.Meter) ([]hv.DomID, *hv.CloneOpStats, <-chan struct{}, error) {
+	res := h.Clone(hv.CloneRequest{Caller: caller, Target: target, N: n, CopyRing: true, Ctx: obs.Ctx(meter)})
+	return res.Children, res.Stats, res.Done, res.Err
+}
+
 func (r *rig) cloneOne(t *testing.T, parent hv.DomID, meter *vclock.Meter) hv.DomID {
 	t.Helper()
-	kids, _, done, err := r.hv.CloneOpClone(parent, parent, 1, true, meter)
+	kids, _, done, err := cloneN(r.hv, parent, parent, 1, meter)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := r.d.ServeAll(meter)
+	n, err := r.d.Serve(obs.Ctx(meter))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 1 {
-		t.Fatalf("ServeAll served %d, want 1", n)
+		t.Fatalf("Serve served %d, want 1", n)
 	}
 	<-done
 	return kids[0]
@@ -251,7 +259,7 @@ func TestLeaveChildrenPausedOption(t *testing.T) {
 
 func TestServeAllEmptyRing(t *testing.T) {
 	r := newRig(t, Options{})
-	n, err := r.d.ServeAll(nil)
+	n, err := r.d.Serve(obs.OpCtx{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,11 +271,11 @@ func TestServeAllEmptyRing(t *testing.T) {
 func TestServeBatchOfClones(t *testing.T) {
 	r := newRig(t, Options{})
 	rec := r.bootParent(t)
-	kids, _, done, err := r.hv.CloneOpClone(rec.ID, rec.ID, 3, true, nil)
+	kids, _, done, err := cloneN(r.hv, rec.ID, rec.ID, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := r.d.ServeAll(vclock.NewMeter(nil))
+	n, err := r.d.Serve(obs.Ctx(vclock.NewMeter(nil)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -226,16 +226,16 @@ func TestFaultMatrixFatal(t *testing.T) {
 			pre := r.snapshot(t)
 
 			r.faults.Inject(point, fault.FailOnce(), fault.Fatal)
-			kids, _, done, err := r.hv.CloneOpClone(rec.ID, rec.ID, 1, true, nil)
+			kids, _, done, err := cloneN(r.hv, rec.ID, rec.ID, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			served, serveErr := r.d.ServeAll(vclock.NewMeter(nil))
+			served, serveErr := r.d.Serve(obs.Ctx(vclock.NewMeter(nil)))
 			if served != 0 {
 				t.Fatalf("served = %d, want 0", served)
 			}
 			if serveErr == nil {
-				t.Fatal("ServeAll reported success despite a fatal fault")
+				t.Fatal("Serve reported success despite a fatal fault")
 			}
 			if !fault.IsFatal(serveErr) {
 				t.Fatalf("error not classified as an injected fatal fault: %v", serveErr)
@@ -258,11 +258,11 @@ func TestFaultMatrixFatal(t *testing.T) {
 			// The pipeline is healthy afterwards: the same parent clones
 			// successfully once the fault is cleared.
 			r.faults.Clear(point)
-			kids2, _, done2, err := r.hv.CloneOpClone(rec.ID, rec.ID, 1, true, nil)
+			kids2, _, done2, err := cloneN(r.hv, rec.ID, rec.ID, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n, err := r.d.ServeAll(vclock.NewMeter(nil)); err != nil || n != 1 {
+			if n, err := r.d.Serve(obs.Ctx(vclock.NewMeter(nil))); err != nil || n != 1 {
 				t.Fatalf("post-fault clone: served %d, err %v", n, err)
 			}
 			waitDone(t, done2)
@@ -282,12 +282,12 @@ func TestFaultMatrixTransientRecovers(t *testing.T) {
 			rec := r.bootParent(t)
 
 			r.faults.Inject(point, fault.FailOnce(), fault.Transient)
-			kids, _, done, err := r.hv.CloneOpClone(rec.ID, rec.ID, 1, true, nil)
+			kids, _, done, err := cloneN(r.hv, rec.ID, rec.ID, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			meter := vclock.NewMeter(nil)
-			served, serveErr := r.d.ServeAll(meter)
+			served, serveErr := r.d.Serve(obs.Ctx(meter))
 			if serveErr != nil {
 				t.Fatalf("transient fault not retried away: %v", serveErr)
 			}
@@ -339,11 +339,11 @@ func TestFaultMatrixTransientExhausted(t *testing.T) {
 			pre := r.snapshot(t)
 
 			r.faults.Inject(point, fault.FailAlways(), fault.Transient)
-			kids, _, done, err := r.hv.CloneOpClone(rec.ID, rec.ID, 1, true, nil)
+			kids, _, done, err := cloneN(r.hv, rec.ID, rec.ID, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			served, serveErr := r.d.ServeAll(vclock.NewMeter(nil))
+			served, serveErr := r.d.Serve(obs.Ctx(vclock.NewMeter(nil)))
 			if served != 0 || serveErr == nil {
 				t.Fatalf("served = %d, err = %v; want 0 and an error", served, serveErr)
 			}
@@ -366,11 +366,11 @@ func TestTransientRetriesChargeBackoff(t *testing.T) {
 	clean := newFaultRig(t, Options{})
 	crec := clean.bootParent(t)
 	cleanMeter := vclock.NewMeter(nil)
-	kids, _, done, err := clean.hv.CloneOpClone(crec.ID, crec.ID, 1, true, cleanMeter)
+	kids, _, done, err := cloneN(clean.hv, crec.ID, crec.ID, 1, cleanMeter)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := clean.d.ServeAll(cleanMeter); err != nil {
+	if _, err := clean.d.Serve(obs.Ctx(cleanMeter)); err != nil {
 		t.Fatal(err)
 	}
 	waitDone(t, done)
@@ -382,11 +382,11 @@ func TestTransientRetriesChargeBackoff(t *testing.T) {
 	frec := faulty.bootParent(t)
 	faulty.faults.Inject(fault.PointDevVbdClone, fault.FailOnce(), fault.Transient)
 	fMeter := vclock.NewMeter(nil)
-	fkids, _, fdone, err := faulty.hv.CloneOpClone(frec.ID, frec.ID, 1, true, fMeter)
+	fkids, _, fdone, err := cloneN(faulty.hv, frec.ID, frec.ID, 1, fMeter)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := faulty.d.ServeAll(fMeter); err != nil {
+	if _, err := faulty.d.Serve(obs.Ctx(fMeter)); err != nil {
 		t.Fatal(err)
 	}
 	waitDone(t, fdone)
@@ -406,7 +406,7 @@ func TestTransientRetriesChargeBackoff(t *testing.T) {
 }
 
 // TestFaultMatrixFirstStage injects faults inside the CLONEOP hypercall:
-// the error surfaces from CloneOpClone itself, the hypervisor unwinds the
+// the error surfaces from hv.Clone itself, the hypervisor unwinds the
 // partial child, and no notification ever reaches the daemon.
 func TestFaultMatrixFirstStage(t *testing.T) {
 	for _, point := range fault.FirstStagePoints() {
@@ -416,9 +416,9 @@ func TestFaultMatrixFirstStage(t *testing.T) {
 			pre := r.snapshot(t)
 
 			r.faults.Inject(point, fault.FailOnce(), fault.Fatal)
-			kids, _, _, err := r.hv.CloneOpClone(rec.ID, rec.ID, 1, true, nil)
+			kids, _, _, err := cloneN(r.hv, rec.ID, rec.ID, 1, nil)
 			if err == nil {
-				t.Fatal("CloneOpClone succeeded despite a first-stage fault")
+				t.Fatal("Clone succeeded despite a first-stage fault")
 			}
 			if p, ok := fault.PointOf(err); !ok || p != point {
 				t.Fatalf("error fired at %q, want %q", p, point)
@@ -436,11 +436,11 @@ func TestFaultMatrixFirstStage(t *testing.T) {
 
 			// The fault was consumed; the next clone goes through both
 			// stages (also proving the clone budget was refunded).
-			kids2, _, done, err := r.hv.CloneOpClone(rec.ID, rec.ID, 1, true, nil)
+			kids2, _, done, err := cloneN(r.hv, rec.ID, rec.ID, 1, nil)
 			if err != nil {
 				t.Fatalf("post-fault clone failed: %v", err)
 			}
-			if n, err := r.d.ServeAll(vclock.NewMeter(nil)); err != nil || n != 1 {
+			if n, err := r.d.Serve(obs.Ctx(vclock.NewMeter(nil))); err != nil || n != 1 {
 				t.Fatalf("post-fault second stage: served %d, err %v", n, err)
 			}
 			waitDone(t, done)
@@ -468,16 +468,16 @@ func TestAcceptanceOneOfFourChildrenFails(t *testing.T) {
 			// belongs to the first child, so the failure lands there; which
 			// child dies is irrelevant to the contract.)
 			r.faults.Inject(point, fault.FailNth(2), fault.Fatal)
-			kids, _, done, err := r.hv.CloneOpClone(rec.ID, rec.ID, 4, true, nil)
+			kids, _, done, err := cloneN(r.hv, rec.ID, rec.ID, 4, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			served, serveErr := r.d.ServeAll(vclock.NewMeter(nil))
+			served, serveErr := r.d.Serve(obs.Ctx(vclock.NewMeter(nil)))
 			if served != 3 {
 				t.Fatalf("served = %d, want 3", served)
 			}
 			if serveErr == nil {
-				t.Fatal("ServeAll reported success with one failed child")
+				t.Fatal("Serve reported success with one failed child")
 			}
 			waitDone(t, done)
 			if pd, _ := r.hv.Domain(rec.ID); pd.Paused() {
@@ -523,7 +523,7 @@ func TestAcceptanceOneOfFourChildrenFails(t *testing.T) {
 	}
 }
 
-// TestServeAllCountsAcrossMixedBatch pins the ServeAll return-value fix:
+// TestServeAllCountsAcrossMixedBatch pins the Serve return-value fix:
 // the served count reflects the successes even when other notifications in
 // the same drain fail, and the error wraps every failed child.
 func TestServeAllCountsAcrossMixedBatch(t *testing.T) {
@@ -533,11 +533,11 @@ func TestServeAllCountsAcrossMixedBatch(t *testing.T) {
 	// Two separate fatal faults kill two of five children.
 	r.faults.Inject(fault.PointDevVifClone, fault.FailNth(2), fault.Fatal)
 	r.faults.Inject(fault.PointDev9pfsClone, fault.FailNth(3), fault.Fatal)
-	kids, _, done, err := r.hv.CloneOpClone(rec.ID, rec.ID, 5, true, nil)
+	kids, _, done, err := cloneN(r.hv, rec.ID, rec.ID, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	served, serveErr := r.d.ServeAll(vclock.NewMeter(nil))
+	served, serveErr := r.d.Serve(obs.Ctx(vclock.NewMeter(nil)))
 	if served != 3 {
 		t.Fatalf("served = %d, want 3", served)
 	}
@@ -574,16 +574,16 @@ func TestRollbackIsIdempotent(t *testing.T) {
 	pre := r.snapshot(t)
 
 	r.faults.Inject(fault.PointDevVbdClone, fault.FailOnce(), fault.Fatal)
-	kids, _, done, err := r.hv.CloneOpClone(rec.ID, rec.ID, 1, true, nil)
+	kids, _, done, err := cloneN(r.hv, rec.ID, rec.ID, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, serveErr := r.d.ServeAll(vclock.NewMeter(nil)); serveErr == nil {
+	if _, serveErr := r.d.Serve(obs.Ctx(vclock.NewMeter(nil))); serveErr == nil {
 		t.Fatal("expected a failure")
 	}
 	waitDone(t, done)
 
-	// ServeAll already rolled back; a second explicit pass changes nothing.
+	// Serve already rolled back; a second explicit pass changes nothing.
 	r.d.rollback(hv.CloneNotification{Parent: rec.ID, Child: kids[0]}, obs.Ctx(vclock.NewMeter(nil)))
 	assertSame(t, pre, r.snapshot(t))
 }

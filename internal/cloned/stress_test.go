@@ -10,6 +10,7 @@ import (
 
 	"nephele/internal/fault"
 	"nephele/internal/hv"
+	"nephele/internal/obs"
 	"nephele/internal/vclock"
 )
 
@@ -38,7 +39,7 @@ func TestStressCloningUnderRandomFaults(t *testing.T) {
 	go func() {
 		defer wgDaemon.Done()
 		for !stopDaemon.Load() {
-			r.d.ServeAll(vclock.NewMeter(nil))
+			r.d.Serve(obs.Ctx(vclock.NewMeter(nil)))
 			time.Sleep(50 * time.Microsecond)
 		}
 	}()
@@ -75,7 +76,7 @@ func TestStressCloningUnderRandomFaults(t *testing.T) {
 			defer wgCloners.Done()
 			for i := 0; i < iters; i++ {
 				n := 1 + (g+i)%2
-				kids, _, done, err := r.hv.CloneOpClone(rec.ID, rec.ID, n, true, vclock.NewMeter(nil))
+				kids, _, done, err := cloneN(r.hv, rec.ID, rec.ID, n, vclock.NewMeter(nil))
 				mu.Lock()
 				created = append(created, kids...)
 				if err != nil {
@@ -109,7 +110,7 @@ func TestStressCloningUnderRandomFaults(t *testing.T) {
 	// Disarm everything and drain stragglers (children of partially failed
 	// batches whose notifications were still queued).
 	r.faults.Reset()
-	if _, err := r.d.ServeAll(vclock.NewMeter(nil)); err != nil {
+	if _, err := r.d.Serve(obs.Ctx(vclock.NewMeter(nil))); err != nil {
 		t.Fatalf("final drain failed with injection disarmed: %v", err)
 	}
 	if pending := r.hv.PendingNotifications(); pending != 0 {

@@ -53,13 +53,9 @@ func (c *Cluster) routeClone(ctx obs.OpCtx, src int, spec core.CloneSpec) ([]*co
 	// Snapshot the parent. Save reads the running domain's memory — the
 	// parent is never paused by a remote clone, which is the whole point
 	// of clone-over-migrate.
-	img, err := func() (*toolstack.Image, error) {
-		sctx, sspan := ctx.StartSpan("snapshot")
-		defer sspan.End()
-		return srcHost.P.XL.Save(spec.Parent, sctx.Meter())
-	}()
+	img, err := snapshot(ctx, srcHost, spec.Parent)
 	if err != nil {
-		return nil, fmt.Errorf("cluster: snapshot of %d on host %d: %w", spec.Parent, src, err)
+		return nil, err
 	}
 
 	dests := spec.Placement.Place(spec.Count, src, c.hostStats(img))
@@ -103,7 +99,7 @@ func (c *Cluster) routeClone(ctx obs.OpCtx, src int, spec core.CloneSpec) ([]*co
 		if dst == src || counts[dst] == 0 {
 			continue
 		}
-		res, rerr := c.remoteClone(ctx, srcHost, c.hosts[dst], img, counts[dst], spec.Mode)
+		res, rerr := c.remoteClone(ctx, srcHost, c.hosts[dst], img, counts[dst], "")
 		if res != nil {
 			out = append(out, res)
 		}
@@ -112,6 +108,17 @@ func (c *Cluster) routeClone(ctx obs.OpCtx, src int, spec core.CloneSpec) ([]*co
 		}
 	}
 	return out, errors.Join(errs...)
+}
+
+// snapshot saves domain id of host h (span snapshot).
+func snapshot(ctx obs.OpCtx, h *Host, id core.DomID) (*toolstack.Image, error) {
+	sctx, sspan := ctx.StartSpan("snapshot")
+	defer sspan.End()
+	img, err := h.P.XL.Save(id, sctx.Meter())
+	if err != nil {
+		return nil, fmt.Errorf("cluster: snapshot of %d on host %d: %w", id, h.Index, err)
+	}
+	return img, nil
 }
 
 // hostStats snapshots every host's placement-relevant state, in cluster
@@ -130,16 +137,18 @@ func (c *Cluster) hostStats(img *toolstack.Image) []core.HostStats {
 }
 
 // remoteClone ships img from src to dst over the fabric and materializes
-// n children there. The transfer is planned chunk-by-chunk against the
-// receiver's cache (dedup'd chunks travel as a header only), charged as
+// n children there, under cluster-unique derived names — or, for the one
+// child of a migration, under the given name. The transfer is planned
+// chunk-by-chunk against the receiver's cache (dedup'd chunks travel as a
+// header only), charged as
 // XferSetup + XferChunk×chunks + XferPage×(busiest bonded slave), and
 // committed only after the cluster/xfer fault point passes — an aborted
 // transfer leaves no child, no link-counter movement, no store change and
 // no vector-clock movement. Materialization restores every child through
 // the receiver's cached-restore path: the first child of a cold receiver
-// populates its cache, every later child COW-shares it.
-func (c *Cluster) remoteClone(ctx obs.OpCtx, src, dst *Host, img *toolstack.Image, n int, mode core.CloneMode) (*core.CloneResult, error) {
-	_ = mode // children materialize fully populated; lazy fill is a local-clone concern
+// populates its cache, every later child COW-shares it. Children always
+// materialize fully populated: lazy fill is a local-clone concern.
+func (c *Cluster) remoteClone(ctx obs.OpCtx, src, dst *Host, img *toolstack.Image, n int, name string) (*core.CloneResult, error) {
 	meter := ctx.Meter()
 	start := meter.Elapsed()
 
@@ -181,8 +190,11 @@ func (c *Cluster) remoteClone(ctx obs.OpCtx, src, dst *Host, img *toolstack.Imag
 		}
 		kids := make([]core.DomID, 0, n)
 		for i := 0; i < n; i++ {
-			name := c.childName(img.Config.Name, dst.Index)
-			rec, cached, rerr := dst.P.XL.RestoreCachedOp(mctx, dst.Store, img, name)
+			childName := name
+			if childName == "" {
+				childName = c.childName(img.Config.Name, dst.Index)
+			}
+			rec, cached, rerr := dst.P.XL.RestoreCachedOp(mctx, dst.Store, img, childName)
 			if rerr != nil {
 				// Roll back the half-materialized group: no child of a
 				// failed group survives.

@@ -1,11 +1,12 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
-	"nephele/internal/hv"
 	"nephele/internal/netsim"
+	"nephele/internal/obs"
 	"nephele/internal/toolstack"
 )
 
@@ -37,16 +38,16 @@ func TestCloneManyMultiParent(t *testing.T) {
 	p := smallPlatform(Options{SkipNameCheck: true})
 	parents := bootParents(t, p, 4)
 
-	reqs := make([]hv.CloneRequest, len(parents))
+	specs := make([]CloneSpec, len(parents))
 	for i, id := range parents {
-		reqs[i] = hv.CloneRequest{Caller: id, Target: id, N: 2, CopyRing: true}
+		specs[i] = CloneSpec{Caller: id, Parent: id, Count: 2}
 	}
-	results, err := p.CloneMany(reqs, nil)
+	results, err := p.CloneOp(obs.OpCtx{}, specs...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != len(reqs) {
-		t.Fatalf("results = %d, want %d", len(results), len(reqs))
+	if len(results) != len(specs) {
+		t.Fatalf("results = %d, want %d", len(results), len(specs))
 	}
 	for i, res := range results {
 		if res.Err != nil {
@@ -55,7 +56,7 @@ func TestCloneManyMultiParent(t *testing.T) {
 		if len(res.Children) != 2 || len(res.Failed) != 0 {
 			t.Fatalf("request %d: %d children, %d failed", i, len(res.Children), len(res.Failed))
 		}
-		if res.FirstStage <= 0 || res.SecondStage <= 0 || res.Total < res.FirstStage {
+		if res.FirstStage <= 0 || res.SecondStage <= 0 || res.Total <= 0 || res.Total < res.FirstStage {
 			t.Fatalf("request %d timings: first=%v second=%v total=%v",
 				i, res.FirstStage, res.SecondStage, res.Total)
 		}
@@ -73,9 +74,6 @@ func TestCloneManyMultiParent(t *testing.T) {
 			if cd.Paused() {
 				t.Fatalf("child %d paused after completed round", k)
 			}
-			if total, ok := p.CloneTotal(k); !ok || total <= 0 {
-				t.Fatalf("child %d clone total not recorded", k)
-			}
 		}
 		pd, _ := p.HV.Domain(parents[i])
 		if pd.Paused() {
@@ -85,7 +83,7 @@ func TestCloneManyMultiParent(t *testing.T) {
 }
 
 // TestCloneManyVirtualTimeMatchesClone: a parent's first-stage virtual
-// time inside a multi-parent round equals what Platform.Clone alone
+// time inside a multi-parent round equals what a one-spec CloneOp alone
 // reports — the golden-series determinism argument at the platform level.
 func TestCloneManyVirtualTimeMatchesClone(t *testing.T) {
 	boot := func() (*Platform, []DomID) {
@@ -94,23 +92,21 @@ func TestCloneManyVirtualTimeMatchesClone(t *testing.T) {
 	}
 
 	solo, soloParents := boot()
-	soloRes, err := solo.Clone(soloParents[0], soloParents[0], 2, nil)
+	soloRes, err := fork(solo, soloParents[0], 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	batch, batchParents := boot()
-	reqs := []hv.CloneRequest{
-		{Caller: batchParents[0], Target: batchParents[0], N: 2, CopyRing: true},
-		{Caller: batchParents[1], Target: batchParents[1], N: 2, CopyRing: true},
-	}
-	results, err := batch.CloneMany(reqs, nil)
+	results, err := batch.CloneOp(obs.OpCtx{},
+		CloneSpec{Caller: batchParents[0], Parent: batchParents[0], Count: 2},
+		CloneSpec{Caller: batchParents[1], Parent: batchParents[1], Count: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, res := range results {
 		if res.FirstStage != soloRes.FirstStage {
-			t.Errorf("request %d FirstStage = %v, solo Clone = %v", i, res.FirstStage, soloRes.FirstStage)
+			t.Errorf("request %d FirstStage = %v, solo CloneOp = %v", i, res.FirstStage, soloRes.FirstStage)
 		}
 	}
 }
@@ -125,12 +121,10 @@ func TestCloneManyPartialAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reqs := []hv.CloneRequest{
-		{Caller: parents[0], Target: parents[0], N: 1, CopyRing: true},
-		{Caller: rec.ID, Target: rec.ID, N: 1, CopyRing: true},
-		{Caller: parents[1], Target: parents[1], N: 1, CopyRing: true},
-	}
-	results, err := p.CloneMany(reqs, nil)
+	results, err := p.CloneOp(obs.OpCtx{},
+		CloneSpec{Caller: parents[0], Parent: parents[0], Count: 1},
+		CloneSpec{Caller: rec.ID, Parent: rec.ID, Count: 1},
+		CloneSpec{Caller: parents[1], Parent: parents[1], Count: 1})
 	if err == nil {
 		t.Fatal("round with failed admission reported no error")
 	}
@@ -143,6 +137,51 @@ func TestCloneManyPartialAdmission(t *testing.T) {
 		}
 		if len(results[i].Children) != 1 {
 			t.Fatalf("request %d children = %d", i, len(results[i].Children))
+		}
+	}
+}
+
+// elsewhere is a placement that sends every child to host 1.
+type elsewhere struct{}
+
+func (elsewhere) Name() string { return "elsewhere" }
+func (elsewhere) Place(n, _ int, _ []HostStats) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = 1
+	}
+	return out
+}
+
+// TestCloneOpPlacedSpecWithoutRouter: a round holding a placed spec on a
+// platform with no cluster router fails as a whole before anything runs —
+// the placement-free spec ahead of it must not have cloned.
+func TestCloneOpPlacedSpecWithoutRouter(t *testing.T) {
+	p := smallPlatform(Options{SkipNameCheck: true})
+	parents := bootParents(t, p, 2)
+	domains, free, nodes := p.HV.DomainCount(), p.HV.Memory.FreeFrames(), p.Store.NodeCount()
+
+	results, err := p.CloneOp(obs.OpCtx{},
+		CloneSpec{Caller: parents[0], Parent: parents[0], Count: 2},
+		CloneSpec{Caller: parents[1], Parent: parents[1], Count: 1, Placement: elsewhere{}})
+	if !errors.Is(err, ErrNoRouter) {
+		t.Fatalf("err = %v, want ErrNoRouter", err)
+	}
+	if len(results) != 0 {
+		t.Fatalf("unroutable round returned %d results", len(results))
+	}
+	if got := p.HV.DomainCount(); got != domains {
+		t.Fatalf("domains = %d, want %d", got, domains)
+	}
+	if got := p.HV.Memory.FreeFrames(); got != free {
+		t.Fatalf("free frames = %d, want %d", got, free)
+	}
+	if got := p.Store.NodeCount(); got != nodes {
+		t.Fatalf("xenstore nodes = %d, want %d", got, nodes)
+	}
+	for _, id := range parents {
+		if d, _ := p.HV.Domain(id); d.Paused() {
+			t.Fatalf("parent %d left paused", id)
 		}
 	}
 }

@@ -37,8 +37,8 @@ type OpResult struct {
 	// Total is the end-to-end operation latency on the virtual clock.
 	Total vclock.Duration
 	// TransferBytes counts bytes shipped across a host boundary: zero for
-	// a local clone, the wire pages (after dedup) for a remote clone, the
-	// full image for a stop-and-copy migration.
+	// a local clone, the wire pages (after dedup) for a remote clone or a
+	// migration.
 	TransferBytes int64
 }
 
@@ -114,7 +114,7 @@ func (p *Platform) cloneRouter() CloneRouter {
 	return p.router
 }
 
-// CloneOp is the canonical clone entry point: one OpCtx-first surface for
+// CloneOp is the clone entry point: one OpCtx-first surface for
 // a single parent, a multi-parent scheduling round, and the cluster
 // remote-clone path.
 //
@@ -129,7 +129,7 @@ func (p *Platform) cloneRouter() CloneRouter {
 //
 //   - Several specs run as one multi-parent scheduling round: the first
 //     stage admits every spec in order into one bounded worker pool and a
-//     single ServeAll drains all the children's second stages together
+//     single Serve drains all the children's second stages together
 //     (span clone-round, one clone-request lane per parent). Results are
 //     positionally parallel to the specs; an entry whose spec failed
 //     admission has only Err set.
@@ -169,7 +169,12 @@ func (p *Platform) CloneOp(ctx obs.OpCtx, specs ...CloneSpec) ([]*CloneResult, e
 		return p.cloneRound(ctx, specs)
 	}
 	// Placed specs route through the cluster; placement-free neighbours
-	// still run locally, in spec order.
+	// still run locally, in spec order. The router is resolved before any
+	// spec runs, so a round that cannot be routed creates nothing.
+	router := p.cloneRouter()
+	if router == nil {
+		return nil, ErrNoRouter
+	}
 	var out []*CloneResult
 	var errs []error
 	for i := range specs {
@@ -182,10 +187,6 @@ func (p *Platform) CloneOp(ctx obs.OpCtx, specs ...CloneSpec) ([]*CloneResult, e
 				errs = append(errs, err)
 			}
 			continue
-		}
-		router := p.cloneRouter()
-		if router == nil {
-			return out, ErrNoRouter
 		}
 		rs, err := router.RouteClone(ctx, specs[i])
 		out = append(out, rs...)
@@ -223,6 +224,17 @@ func (p *Platform) cloneOne(ctx obs.OpCtx, spec CloneSpec) (*CloneResult, error)
 		SecondStage: meter.Elapsed() - secondStart,
 		Stats:       stats,
 	}
+	p.settle(res, kids)
+	if serveErr != nil {
+		return res, fmt.Errorf("core: clone of %d: %d of %d children failed: %w",
+			spec.Parent, len(res.Failed), len(kids), serveErr)
+	}
+	return res, nil
+}
+
+// settle partitions a request's first-stage children by their second-stage
+// outcome: aborted ones are reported as Failed, the rest as Children.
+func (p *Platform) settle(res *CloneResult, kids []DomID) {
 	for _, k := range kids {
 		if out, ok := p.HV.CloneOutcome(k); ok && out == hv.OutcomeAborted {
 			res.Failed = append(res.Failed, k)
@@ -230,16 +242,6 @@ func (p *Platform) cloneOne(ctx obs.OpCtx, spec CloneSpec) (*CloneResult, error)
 		}
 		res.Children = append(res.Children, k)
 	}
-	p.mu.Lock()
-	for _, k := range res.Children {
-		p.cloneTotals[k] = res.Total
-	}
-	p.mu.Unlock()
-	if serveErr != nil {
-		return res, fmt.Errorf("core: clone of %d: %d of %d children failed: %w",
-			spec.Parent, len(res.Failed), len(kids), serveErr)
-	}
-	return res, nil
 }
 
 // cloneRound runs several specs as one multi-parent scheduling round.
@@ -253,10 +255,7 @@ func (p *Platform) cloneRound(ctx obs.OpCtx, specs []CloneSpec) ([]*CloneResult,
 	defer span.End()
 	reqs := make([]hv.CloneRequest, len(specs))
 	for i := range specs {
-		sctx := specs[i].Ctx
-		if sctx.Meter() == nil {
-			sctx = sctx.WithMeter(p.NewMeter())
-		}
+		sctx := specs[i].Ctx.EnsureMeter(p.Costs)
 		if sctx.Trace() == nil {
 			if t := ctx.Trace(); t != nil {
 				sctx = sctx.WithTrace(t)
@@ -287,18 +286,7 @@ func (p *Platform) cloneRound(ctx obs.OpCtx, specs []CloneSpec) ([]*CloneResult,
 			SecondStage: second,
 			Stats:       b.Stats,
 		}
-		for _, k := range b.Children {
-			if outc, ok := p.HV.CloneOutcome(k); ok && outc == hv.OutcomeAborted {
-				res.Failed = append(res.Failed, k)
-				continue
-			}
-			res.Children = append(res.Children, k)
-		}
-		p.mu.Lock()
-		for _, k := range res.Children {
-			p.cloneTotals[k] = res.Total
-		}
-		p.mu.Unlock()
+		p.settle(res, b.Children)
 		out[i] = res
 	}
 	return out, errors.Join(errs...)

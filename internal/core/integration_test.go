@@ -17,7 +17,7 @@ func TestClonePinsVCPUsRoundRobin(t *testing.T) {
 		Cloned:        cloned.Options{PinCloneVCPUs: true, HostCores: 4},
 	})
 	rec, _ := p.Boot(udpServerConfig("pinned"), nil)
-	res, err := p.Clone(rec.ID, rec.ID, 3, nil)
+	res, err := fork(p, rec.ID, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestClonePinsVCPUsRoundRobin(t *testing.T) {
 	// Without the option, clones inherit the parent's affinity (-1).
 	q := smallPlatform(Options{SkipNameCheck: true})
 	qrec, _ := q.Boot(udpServerConfig("unpinned"), nil)
-	qres, _ := q.Clone(qrec.ID, qrec.ID, 1, nil)
+	qres, _ := fork(q, qrec.ID, 1, nil)
 	dom, _ := q.HV.Domain(qres.Children[0])
 	v, _ := dom.VCPU(0)
 	if v.Affinity != -1 {
@@ -71,7 +71,7 @@ func TestVbdThroughFullClonePath(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := p.Clone(rec.ID, rec.ID, 1, nil)
+	res, err := fork(p, rec.ID, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestDeepFamilyTree(t *testing.T) {
 	for depth := 0; depth < 3; depth++ {
 		var next []DomID
 		for _, id := range gen {
-			res, err := p.Clone(id, id, 2, nil)
+			res, err := fork(p, id, 2, nil)
 			if err != nil {
 				t.Fatalf("depth %d clone of %d: %v", depth, id, err)
 			}
@@ -176,7 +176,7 @@ func TestConcurrentClonesOfDistinctParents(t *testing.T) {
 		go func(id DomID) {
 			defer wg.Done()
 			for j := 0; j < 5; j++ {
-				if _, err := p.Clone(id, id, 1, nil); err != nil {
+				if _, err := fork(p, id, 1, nil); err != nil {
 					errs <- fmt.Errorf("clone of %d: %w", id, err)
 					return
 				}
@@ -196,7 +196,7 @@ func TestConcurrentClonesOfDistinctParents(t *testing.T) {
 func TestOVSSwitchPlatform(t *testing.T) {
 	p := smallPlatform(Options{SkipNameCheck: true, Switch: SwitchOVS})
 	rec, _ := p.Boot(udpServerConfig("ovs-guest"), nil)
-	if _, err := p.Clone(rec.ID, rec.ID, 2, nil); err != nil {
+	if _, err := fork(p, rec.ID, 2, nil); err != nil {
 		t.Fatal(err)
 	}
 	if p.OVS.Buckets() != 3 {
@@ -214,7 +214,7 @@ func TestStoreLogRotationSpikeVisibleInCloneSeries(t *testing.T) {
 	rec, _ := p.Boot(udpServerConfig("spiky"), nil)
 	var durations []float64
 	for i := 0; i < 40; i++ {
-		res, err := p.Clone(rec.ID, rec.ID, 1, nil)
+		res, err := fork(p, rec.ID, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -81,14 +81,11 @@ type Platform struct {
 	Backends toolstack.Backends
 
 	mu sync.Mutex
-	// cloneTotals tracks total clone latencies per child for reporting.
-	cloneTotals map[DomID]vclock.Duration
 	// router executes placed clone specs across a cluster (SetCloneRouter).
 	router CloneRouter
 
-	// trace is the sink attached with Observe; the legacy meter-taking
-	// entry points pick it up so existing callers get spans without
-	// threading an OpCtx themselves.
+	// trace is the sink attached with Observe; CloneOp falls back to it
+	// when its context carries no trace of its own.
 	trace atomic.Pointer[obs.Trace]
 }
 
@@ -137,19 +134,18 @@ func NewPlatform(opts Options) *Platform {
 	daemon := cloned.New(hyp, store, xl, sw, opts.Cloned)
 
 	return &Platform{
-		HV:          hyp,
-		Store:       store,
-		XL:          xl,
-		Cloned:      daemon,
-		Clock:       &vclock.Clock{},
-		Costs:       vclock.DefaultCosts(),
-		HostFS:      hostFS,
-		Host:        host,
-		Bond:        bond,
-		OVS:         ovs,
-		Bridge:      bridge,
-		Backends:    be,
-		cloneTotals: make(map[DomID]vclock.Duration),
+		HV:       hyp,
+		Store:    store,
+		XL:       xl,
+		Cloned:   daemon,
+		Clock:    &vclock.Clock{},
+		Costs:    vclock.DefaultCosts(),
+		HostFS:   hostFS,
+		Host:     host,
+		Bond:     bond,
+		OVS:      ovs,
+		Bridge:   bridge,
+		Backends: be,
 	}
 }
 
@@ -170,13 +166,13 @@ func (p *Platform) SetFaults(r *fault.Registry) {
 	p.Backends.Vbd.SetFaults(r)
 }
 
-// Observe attaches a trace sink to the platform: every subsequent clone
-// or migration started through the legacy meter-taking entry points
-// records its span tree into t, and the pool's opt-in hot-path
-// instrumentation (shard lock wait, COW faults) feeds the platform
-// metrics registry. Passing nil detaches the sink and restores the
-// uninstrumented fast paths. Spans never charge the virtual clock, so
-// observed and unobserved runs produce identical virtual-time results.
+// Observe attaches a trace sink to the platform: every subsequent CloneOp
+// whose context carries no trace of its own records its span tree into t,
+// and the pool's opt-in hot-path instrumentation (shard lock wait, COW
+// faults) feeds the platform metrics registry. Passing nil detaches the
+// sink and restores the uninstrumented fast paths. Spans never charge the
+// virtual clock, so observed and unobserved runs produce identical
+// virtual-time results.
 func (p *Platform) Observe(t *obs.Trace) {
 	if t == nil {
 		p.trace.Store(nil)
@@ -192,25 +188,10 @@ func (p *Platform) Observe(t *obs.Trace) {
 // the hypervisor, daemon and memory pool all feed.
 func (p *Platform) Metrics() *obs.Registry { return p.HV.Metrics() }
 
-// opCtx builds the operation context a legacy meter-taking entry point
-// runs under: the given meter (or a fresh platform meter) plus whatever
-// trace sink Observe attached.
-func (p *Platform) opCtx(meter *vclock.Meter) obs.OpCtx {
-	if meter == nil {
-		meter = p.NewMeter()
-	}
-	ctx := obs.Ctx(meter)
-	if t := p.trace.Load(); t != nil {
-		ctx = ctx.WithTrace(t)
-	}
-	return ctx
-}
-
-// Boot creates a domain with xl (the regular instantiation path). Boot
-// predates the OpCtx redesign and has no span tree of its own; it threads
-// the meter straight to the toolstack.
+// Boot creates a domain with xl (the regular instantiation path). It has
+// no span tree of its own and threads the meter straight to the toolstack.
 //
-//nephele:opctx-ok meter-threading boot path; no OpCtx form exists
+//nephele:opctx-ok signature pinned by benchmark/ call sites until the layer-span PR converts XL.Create
 func (p *Platform) Boot(cfg toolstack.DomainConfig, meter *vclock.Meter) (*toolstack.Record, error) {
 	return p.XL.Create(cfg, meter)
 }
@@ -224,23 +205,9 @@ func (p *Platform) NewImageStore(maxResidentMB int) *toolstack.ImageStore {
 	return st
 }
 
-// RestoreCached restores an image through the snapshot cache: a warm image
-// materializes the child by COW-sharing the cache's resident frames, a
-// cold one falls back to the copying restore and populates the cache. The
-// bool result reports whether the cache served the restore.
-//
-// Deprecated: it is the legacy meter-threading form of XL.RestoreCachedOp,
-// kept so existing callers and tests migrate incrementally; the trace
-// attached with Observe rides along (spans image-hash and restore-cached).
-//
-//nephele:opctx-ok deprecated meter wrapper around XL.RestoreCachedOp
-func (p *Platform) RestoreCached(store *toolstack.ImageStore, img *toolstack.Image, name string, meter *vclock.Meter) (*toolstack.Record, bool, error) {
-	return p.XL.RestoreCachedOp(p.opCtx(meter), store, img, name)
-}
-
-// CloneResult describes one completed clone operation. The embedded
-// OpResult carries the fields shared with migrations (children, total
-// latency, transfer bytes).
+// CloneResult describes one completed clone operation — a local clone, one
+// host group of a remote clone, or a migration. The embedded OpResult
+// carries the fields they share (children, total latency, transfer bytes).
 type CloneResult struct {
 	OpResult
 	// Failed lists children whose second stage failed and were rolled
@@ -258,48 +225,6 @@ type CloneResult struct {
 	// first-stage admission (always nil from a single-spec CloneOp, which
 	// returns the error directly).
 	Err error
-}
-
-// Clone clones a running domain n times: the complete two-stage Nephele
-// operation, executed synchronously with exact virtual-time accounting.
-// caller is the domain invoking the CLONEOP hypercall — the guest itself
-// for fork(), or Dom0 when triggered from outside (fuzzing).
-//
-// Deprecated: it is the legacy meter-threading form of CloneOp, kept so
-// existing callers and tests migrate incrementally; the trace attached
-// with Observe rides along.
-//
-//nephele:opctx-ok deprecated meter wrapper around CloneOp
-func (p *Platform) Clone(caller, target DomID, n int, meter *vclock.Meter) (*CloneResult, error) {
-	res, err := p.CloneOp(p.opCtx(meter), CloneSpec{Caller: caller, Parent: target, Count: n})
-	if len(res) == 0 {
-		return nil, err
-	}
-	return res[0], err
-}
-
-// CloneMany clones several independent running domains in one multi-parent
-// scheduling round — the FaaS/NGINX autoscaling scenario (§7), where many
-// parents fork at once. The returned slice is positionally parallel to
-// reqs; an entry whose request failed admission has only Err set.
-//
-// Deprecated: it is the legacy hv.CloneRequest-threading form of CloneOp,
-// kept so existing callers and tests migrate incrementally; the trace
-// attached with Observe rides along. The core path always copies the
-// notification ring (req.CopyRing is ignored).
-//
-//nephele:opctx-ok deprecated meter wrapper around CloneOp
-func (p *Platform) CloneMany(reqs []hv.CloneRequest, meter *vclock.Meter) ([]*CloneResult, error) {
-	specs := make([]CloneSpec, len(reqs))
-	for i, r := range reqs {
-		sctx := r.Ctx
-		if sctx.Meter() == nil && r.Meter != nil {
-			sctx = sctx.WithMeter(r.Meter)
-		}
-		specs[i] = CloneSpec{Caller: r.Caller, Parent: r.Target, Count: r.N,
-			Mode: r.Mode, Ctx: sctx}
-	}
-	return p.CloneOp(p.opCtx(meter), specs...)
 }
 
 // RestrideOp rebuilds the machine pool's shard layout at a new
@@ -329,18 +254,10 @@ func (p *Platform) WaitStreamed(ctx obs.OpCtx, id DomID) error {
 	return p.HV.WaitStreamed(ctx.EnsureMeter(p.Costs), id)
 }
 
-// CloneTotal reports the recorded total clone latency for a child.
-func (p *Platform) CloneTotal(child DomID) (vclock.Duration, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	d, ok := p.cloneTotals[child]
-	return d, ok
-}
-
 // Destroy tears a domain down through the toolstack. Like Boot it has no
 // span tree of its own and threads the meter straight through.
 //
-//nephele:opctx-ok meter-threading teardown path; no OpCtx form exists
+//nephele:opctx-ok signature pinned by benchmark/ call sites until the layer-span PR converts XL.Destroy
 func (p *Platform) Destroy(id DomID, meter *vclock.Meter) error {
 	return p.XL.Destroy(id, meter)
 }

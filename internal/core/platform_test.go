@@ -7,7 +7,9 @@ import (
 	"nephele/internal/cloned"
 	"nephele/internal/hv"
 	"nephele/internal/netsim"
+	"nephele/internal/obs"
 	"nephele/internal/toolstack"
+	"nephele/internal/vclock"
 )
 
 func smallPlatform(opts Options) *Platform {
@@ -31,6 +33,16 @@ func udpServerConfig(name string) toolstack.DomainConfig {
 		MaxClones: 1000,
 		Vifs:      []toolstack.VifConfig{{IP: netsim.IP{10, 0, 0, 2}}},
 	}
+}
+
+// fork clones parent n times as the guest itself would (Caller = Parent)
+// through a one-spec CloneOp and returns its single result.
+func fork(p *Platform, parent DomID, n int, meter *vclock.Meter) (*CloneResult, error) {
+	res, err := p.CloneOp(obs.Ctx(meter), CloneSpec{Caller: parent, Parent: parent, Count: n})
+	if len(res) == 0 {
+		return nil, err
+	}
+	return res[0], err
 }
 
 func TestBootAndDestroy(t *testing.T) {
@@ -61,7 +73,7 @@ func TestCloneEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	meter := p.NewMeter()
-	res, err := p.Clone(rec.ID, rec.ID, 1, meter)
+	res, err := fork(p, rec.ID, 1, meter)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +115,8 @@ func TestCloneEndToEnd(t *testing.T) {
 	if !p.Backends.Console.Has(uint32(child)) {
 		t.Fatal("child console missing")
 	}
-	// Timing recorded.
-	if total, ok := p.CloneTotal(child); !ok || total <= 0 {
+	// Timing recorded on the result.
+	if res.Total <= 0 {
 		t.Fatal("clone total not recorded")
 	}
 	if res.FirstStage <= 0 || res.SecondStage <= 0 || res.Total < res.FirstStage+res.SecondStage {
@@ -118,7 +130,7 @@ func TestCloneLatencyCalibration(t *testing.T) {
 	// low instance counts is in the 15-35 ms band.
 	p := smallPlatform(Options{SkipNameCheck: true})
 	rec, _ := p.Boot(udpServerConfig("udp-0"), nil)
-	res, err := p.Clone(rec.ID, rec.ID, 1, nil)
+	res, err := fork(p, rec.ID, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,11 +150,11 @@ func TestCloneDeepCopySlower(t *testing.T) {
 	slow := smallPlatform(Options{SkipNameCheck: true, Cloned: cloned.Options{UseDeepCopy: true}})
 	frec, _ := fast.Boot(udpServerConfig("udp-0"), nil)
 	srec, _ := slow.Boot(udpServerConfig("udp-0"), nil)
-	fres, err := fast.Clone(frec.ID, frec.ID, 1, nil)
+	fres, err := fork(fast, frec.ID, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sres, err := slow.Clone(srec.ID, srec.ID, 1, nil)
+	sres, err := fork(slow, srec.ID, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,11 +166,11 @@ func TestCloneDeepCopySlower(t *testing.T) {
 func TestCloneOfCloneThroughPlatform(t *testing.T) {
 	p := smallPlatform(Options{SkipNameCheck: true})
 	rec, _ := p.Boot(udpServerConfig("udp-0"), nil)
-	res1, err := p.Clone(rec.ID, rec.ID, 1, nil)
+	res1, err := fork(p, rec.ID, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := p.Clone(res1.Children[0], res1.Children[0], 1, nil)
+	res2, err := fork(p, res1.Children[0], 1, nil)
 	if err != nil {
 		t.Fatalf("clone of clone: %v", err)
 	}
@@ -172,11 +184,11 @@ func TestSecondCloneCheaperWithCache(t *testing.T) {
 	// xencloned's parent-info caching.
 	p := smallPlatform(Options{SkipNameCheck: true})
 	rec, _ := p.Boot(udpServerConfig("udp-0"), nil)
-	r1, err := p.Clone(rec.ID, rec.ID, 1, nil)
+	r1, err := fork(p, rec.ID, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := p.Clone(rec.ID, rec.ID, 1, nil)
+	r2, err := fork(p, rec.ID, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,8 +199,8 @@ func TestSecondCloneCheaperWithCache(t *testing.T) {
 	// Without the cache both cost the same.
 	q := smallPlatform(Options{SkipNameCheck: true, Cloned: cloned.Options{DisableCache: true}})
 	qrec, _ := q.Boot(udpServerConfig("udp-0"), nil)
-	q1, _ := q.Clone(qrec.ID, qrec.ID, 1, nil)
-	q2, _ := q.Clone(qrec.ID, qrec.ID, 1, nil)
+	q1, _ := fork(q, qrec.ID, 1, nil)
+	q2, _ := fork(q, qrec.ID, 1, nil)
 	diff := q1.SecondStage - q2.SecondStage
 	if diff < 0 {
 		diff = -diff
@@ -201,7 +213,7 @@ func TestSecondCloneCheaperWithCache(t *testing.T) {
 func TestSkipDevicesOption(t *testing.T) {
 	p := smallPlatform(Options{SkipNameCheck: true, Cloned: cloned.Options{SkipDevices: true}})
 	rec, _ := p.Boot(udpServerConfig("udp-0"), nil)
-	res, err := p.Clone(rec.ID, rec.ID, 1, nil)
+	res, err := fork(p, rec.ID, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +233,7 @@ func TestSkipNetworkDevicesOption(t *testing.T) {
 	cfg := udpServerConfig("redis-0")
 	cfg.NinePFS = []toolstack.NinePConfig{{Export: "/export", Tag: "rootfs"}}
 	rec, _ := p.Boot(cfg, nil)
-	res, err := p.Clone(rec.ID, rec.ID, 1, nil)
+	res, err := fork(p, rec.ID, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +253,7 @@ func TestSkipNetworkDevicesOption(t *testing.T) {
 func TestLeaveChildrenPaused(t *testing.T) {
 	p := smallPlatform(Options{SkipNameCheck: true, Cloned: cloned.Options{LeaveChildrenPaused: true}})
 	rec, _ := p.Boot(udpServerConfig("udp-0"), nil)
-	res, err := p.Clone(rec.ID, rec.ID, 1, nil)
+	res, err := fork(p, rec.ID, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +278,7 @@ func TestCloneGrowthWithInstances(t *testing.T) {
 	var first, last time.Duration
 	const n = 60
 	for i := 0; i < n; i++ {
-		res, err := p.Clone(rec.ID, rec.ID, 1, nil)
+		res, err := fork(p, rec.ID, 1, nil)
 		if err != nil {
 			t.Fatalf("clone %d: %v", i, err)
 		}
@@ -295,7 +307,7 @@ func TestMemoryReport(t *testing.T) {
 	if after.Dom0UsedBytes <= before.Dom0UsedBytes {
 		t.Fatal("boot did not consume Dom0 memory")
 	}
-	res, _ := p.Clone(rec.ID, rec.ID, 1, nil)
+	res, _ := fork(p, rec.ID, 1, nil)
 	_ = res
 	withClone := p.Memory()
 	bootCost := before.HypFreeBytes - after.HypFreeBytes

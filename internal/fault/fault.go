@@ -128,7 +128,7 @@ func CachePoints() []string {
 }
 
 // FirstStagePoints lists the fault points inside the CLONEOP hypercall:
-// a failure there surfaces as a CloneOpClone error before any notification
+// a failure there surfaces as a Clone error before any notification
 // reaches xencloned, and the hypervisor unwinds the partial child itself.
 func FirstStagePoints() []string {
 	return []string{PointHVCloneOne, PointHVNotifyPush}

@@ -192,7 +192,7 @@ func (s *Session) setupClone() error {
 	s.cloneVM = ck
 	// Instrument: force COW for the code pages where breakpoints go.
 	codePages := []mem.PFN{0, 1, 2, 3}
-	if err := s.p.HV.CloneOpCOW(ck.Dom, codePages, nil); err != nil {
+	if err := s.p.HV.CloneCOW(obs.OpCtx{}, ck.Dom, codePages); err != nil {
 		return err
 	}
 	tgt, err := NewSyscallTarget(ck, s.cfg.Supported)
@@ -310,7 +310,7 @@ func (s *Session) iterateClone(input []byte, meter *vclock.Meter) (*ExecResult, 
 		return nil, err
 	}
 	resetStart := meter.Elapsed()
-	restored, err := s.p.HV.CloneOpReset(s.cloneVM.Dom, meter)
+	restored, err := s.p.HV.CloneReset(obs.Ctx(meter), s.cloneVM.Dom)
 	if err != nil {
 		return nil, err
 	}

@@ -76,12 +76,11 @@ func (h *Hypervisor) SetCloningEnabled(on bool) {
 	h.cloningEnabled = on
 }
 
-// CloneRequest is one parent's CLONEOP in a multi-parent scheduling round.
-// Caller is the domain invoking the hypercall (the parent itself, or Dom0
-// on its behalf); Target is the parent to clone N times. Ctx carries the
-// request's meter, active span and fault scope; a context without a meter
-// falls back to the legacy Meter field, and a request with neither gets a
-// throwaway meter.
+// CloneRequest is one parent's CLONEOP in a scheduling round. Caller is the
+// domain invoking the hypercall (the parent itself, or Dom0 on its behalf);
+// Target is the parent to clone N times. Ctx carries the request's meter,
+// active span and fault scope; a context without a meter gets a throwaway
+// one.
 type CloneRequest struct {
 	Caller   DomID
 	Target   DomID
@@ -92,33 +91,16 @@ type CloneRequest struct {
 	// first stage returns (see mem.CloneLazy and WaitStreamed).
 	Mode mem.CloneMode
 	Ctx  obs.OpCtx
-	// Meter is the legacy way to attach the request's virtual time,
-	// honored only when Ctx has no meter; new code sets Ctx.
-	Meter *vclock.Meter
-}
-
-// ctx resolves the request's effective context: Ctx, backfilled with the
-// legacy Meter field, backfilled with a throwaway meter.
-func (r CloneRequest) ctx() obs.OpCtx {
-	c := r.Ctx
-	if c.Meter() == nil {
-		c = c.WithMeter(r.Meter)
-	}
-	return c.EnsureMeter(nil)
 }
 
 // CloneResult is the outcome of one clone request — the same shape for the
-// single-request Clone and each entry of a CloneOpCloneBatch round.
+// single-request Clone and each entry of a CloneBatch round.
 type CloneResult struct {
 	Children []DomID
 	Stats    *CloneOpStats
 	Done     <-chan struct{}
 	Err      error
 }
-
-// CloneBatchResult is the former name of CloneResult, kept as an alias so
-// batch-path callers migrate incrementally.
-type CloneBatchResult = CloneResult
 
 // Clone is the clone subcommand of the CLONEOP hypercall: it runs the
 // first stage of cloning for the calling domain (or, when invoked from
@@ -133,22 +115,14 @@ type CloneBatchResult = CloneResult
 // pages tagged KindIORing (network rings are copied; the console ring page
 // is a distinct kind and always fresh).
 //
-// It is a scheduling round of one: see CloneOpCloneBatch for the
+// It is a scheduling round of one: see CloneBatch for the
 // admission/build/merge structure and the determinism argument.
 func (h *Hypervisor) Clone(req CloneRequest) CloneResult {
-	return h.CloneOpCloneBatch([]CloneRequest{req})[0]
+	return h.CloneBatch(obs.OpCtx{}, []CloneRequest{req})[0]
 }
 
-// CloneOpClone is the legacy positional form of Clone, kept so existing
-// callers and tests migrate incrementally; new code builds a CloneRequest
-// with an obs.OpCtx and reads the CloneResult.
-func (h *Hypervisor) CloneOpClone(caller DomID, target DomID, n int, copyRing bool, meter *vclock.Meter) ([]DomID, *CloneOpStats, <-chan struct{}, error) {
-	r := h.Clone(CloneRequest{Caller: caller, Target: target, N: n, CopyRing: copyRing, Meter: meter})
-	return r.Children, r.Stats, r.Done, r.Err
-}
-
-// CloneOpCloneBatch admits CLONEOPs from several independent parents into
-// one scheduling round. The round has three phases:
+// CloneBatch admits CLONEOPs from several independent parents into one
+// scheduling round. The round has three phases:
 //
 //  1. Admission, strictly in request order: each request charges its
 //     hypercall, validates cloning policy and budget, pauses its parent,
@@ -167,22 +141,18 @@ func (h *Hypervisor) CloneOpClone(caller DomID, target DomID, n int, copyRing bo
 // virtual-time output of any single request is byte-identical to running
 // it alone (the golden-series figures are insensitive to batching), while
 // the wall-clock cost of the round is one pool-wide fan-out.
-func (h *Hypervisor) CloneOpCloneBatch(reqs []CloneRequest) []CloneResult {
-	return h.CloneBatchCtx(obs.OpCtx{}, reqs)
-}
-
-// CloneBatchCtx is CloneOpCloneBatch with a round-level context: rctx
-// carries the round's span scope (cloned.CloneRound passes its own), under
-// which multi-request rounds open a batch-admit span covering the affinity
-// planning. Admission itself — charges, policy checks, parent pauses, ID
-// reservation, fault gates — runs strictly in request order regardless of
-// the plan, so everything a request's meter or the fault matrix observes
-// stays a pure function of the request slice; the plan only permutes the
-// order the build pool dequeues children, which phase 3 re-serializes
-// anyway. Rounds of one request skip planning entirely (no span, no
-// metric), keeping the single-parent pipeline and its golden trace
-// untouched.
-func (h *Hypervisor) CloneBatchCtx(rctx obs.OpCtx, reqs []CloneRequest) []CloneResult {
+//
+// rctx is the round-level context: it carries the round's span scope
+// (cloned.CloneRound passes its own), under which multi-request rounds open
+// a batch-admit span covering the affinity planning. Admission itself —
+// charges, policy checks, parent pauses, ID reservation, fault gates — runs
+// strictly in request order regardless of the plan, so everything a
+// request's meter or the fault matrix observes stays a pure function of the
+// request slice; the plan only permutes the order the build pool dequeues
+// children, which phase 3 re-serializes anyway. Rounds of one request skip
+// planning entirely (no span, no metric), keeping the single-parent
+// pipeline and its golden trace untouched.
+func (h *Hypervisor) CloneBatch(rctx obs.OpCtx, reqs []CloneRequest) []CloneResult {
 	adms := make([]cloneAdmission, len(reqs))
 	jobs := 0
 	for i := range reqs {
@@ -330,10 +300,10 @@ type cloneAdmission struct {
 
 // admitClone runs the admission phase for one request: hypercall charge,
 // policy and budget validation, parent pause, child ID reservation and the
-// fault gate, in exactly the order the sequential CloneOpClone performed
-// them.
+// fault gate, in exactly the order a sequential one-child-at-a-time loop
+// would perform them.
 func (h *Hypervisor) admitClone(a *cloneAdmission) {
-	ctx := a.req.ctx()
+	ctx := a.req.Ctx.EnsureMeter(nil)
 	// The request's root span opens before any charge so every phase nests
 	// under it; span bookkeeping itself charges nothing, keeping the golden
 	// virtual-time series identical with tracing on or off.
@@ -427,7 +397,7 @@ func (h *Hypervisor) finishClone(a *cloneAdmission) CloneResult {
 		r := a.results[i]
 		if retErr != nil {
 			if r.err == nil {
-				h.DestroyDomain(r.child.ID, nil)
+				h.DomainDestroy(obs.OpCtx{}, r.child.ID)
 			}
 			continue
 		}
@@ -467,7 +437,7 @@ func (h *Hypervisor) finishClone(a *cloneAdmission) CloneResult {
 		if err != nil {
 			// The child was fully created but can never complete:
 			// tear it down and refund the unused budget.
-			h.DestroyDomain(r.child.ID, nil)
+			h.DomainDestroy(obs.OpCtx{}, r.child.ID)
 			retErr = err
 			usedIDs = i + 1
 			continue
@@ -679,12 +649,6 @@ func (h *Hypervisor) PendingNotifications() int {
 	return h.notify.len()
 }
 
-// CloneOpCompletion is the legacy positional form of CloneCompletion, kept
-// so existing callers and tests migrate incrementally.
-func (h *Hypervisor) CloneOpCompletion(child DomID, resumeChild bool, meter *vclock.Meter) error {
-	return h.CloneCompletion(obs.Ctx(meter), child, resumeChild)
-}
-
 // CloneCompletion is the clone_completion subcommand: xencloned reports
 // that all userspace operations for child are done (§5.1). Completion
 // events arrive asynchronously and out of order across guests.
@@ -713,12 +677,6 @@ func (h *Hypervisor) CloneCompletion(ctx obs.OpCtx, child DomID, resumeChild boo
 	}
 	close(wait)
 	return nil
-}
-
-// CloneOpAbort is the legacy positional form of CloneAbort, kept so
-// existing callers and tests migrate incrementally.
-func (h *Hypervisor) CloneOpAbort(child DomID, meter *vclock.Meter) error {
-	return h.CloneAbort(obs.Ctx(meter), child)
 }
 
 // CloneAbort is the clone_abort subcommand: xencloned reports that the
@@ -753,7 +711,7 @@ func (h *Hypervisor) CloneAbort(ctx obs.OpCtx, child DomID) error {
 	}
 
 	// Refund the parent's clone budget before tearing the child down
-	// (DestroyDomain unlinks the family edge).
+	// (DomainDestroy unlinks the family edge).
 	var destroyErr error
 	if d, err := h.Domain(child); err == nil {
 		if parentID, has := d.Parent(); has {
@@ -763,7 +721,7 @@ func (h *Hypervisor) CloneAbort(ctx obs.OpCtx, child DomID) error {
 				p.mu.Unlock()
 			}
 		}
-		destroyErr = h.DestroyDomain(child, meter)
+		destroyErr = h.DomainDestroy(ctx, child)
 	}
 	// The parent must unblock no matter how the teardown went.
 	close(wait)
@@ -778,12 +736,6 @@ func (h *Hypervisor) CloneOutcome(child DomID) (CloneOutcome, bool) {
 	defer h.mu.Unlock()
 	o, ok := h.outcomes[child]
 	return o, ok
-}
-
-// CloneOpCOW is the legacy positional form of CloneCOW, kept so existing
-// callers and tests migrate incrementally.
-func (h *Hypervisor) CloneOpCOW(id DomID, pfns []mem.PFN, meter *vclock.Meter) error {
-	return h.CloneCOW(obs.Ctx(meter), id, pfns)
 }
 
 // CloneCOW is the clone_cow subcommand added for KFX fuzzing (§7.2): it
@@ -833,12 +785,6 @@ func (h *Hypervisor) WaitStreamed(ctx obs.OpCtx, id DomID) error {
 		}
 	}
 	return werr
-}
-
-// CloneOpReset is the legacy positional form of CloneReset, kept so
-// existing callers and tests migrate incrementally.
-func (h *Hypervisor) CloneOpReset(child DomID, meter *vclock.Meter) (int, error) {
-	return h.CloneReset(obs.Ctx(meter), child)
 }
 
 // CloneReset is the clone_reset subcommand (§7.2): it restores the clone's

@@ -5,8 +5,16 @@ import (
 	"testing"
 
 	"nephele/internal/mem"
+	"nephele/internal/obs"
 	"nephele/internal/vclock"
 )
+
+// cloneN issues one CLONEOP for n children (copying the I/O ring, as every
+// caller in the tree does) and unpacks the result.
+func cloneN(h *Hypervisor, caller, target DomID, n int, meter *vclock.Meter) ([]DomID, *CloneOpStats, <-chan struct{}, error) {
+	r := h.Clone(CloneRequest{Caller: caller, Target: target, N: n, CopyRing: true, Ctx: obs.Ctx(meter)})
+	return r.Children, r.Stats, r.Done, r.Err
+}
 
 // cloneReady creates a hypervisor with cloning enabled and a parent domain
 // configured for maxClones.
@@ -14,7 +22,7 @@ func cloneReady(t *testing.T, pages, maxClones int) (*Hypervisor, *Domain) {
 	t.Helper()
 	h := newHV(t)
 	h.SetCloningEnabled(true)
-	p, err := h.CreateDomain(pages, 1, nil)
+	p, err := h.DomainCreate(obs.OpCtx{}, pages, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,9 +34,9 @@ func cloneReady(t *testing.T, pages, maxClones int) (*Hypervisor, *Domain) {
 
 func TestCloneDisabledGlobally(t *testing.T) {
 	h := newHV(t)
-	p, _ := h.CreateDomain(16, 1, nil)
+	p, _ := h.DomainCreate(obs.OpCtx{}, 16, 1)
 	h.DomctlSetCloning(p.ID, true, 4)
-	if _, _, _, err := h.CloneOpClone(p.ID, p.ID, 1, true, nil); !errors.Is(err, ErrCloningDisabled) {
+	if _, _, _, err := cloneN(h, p.ID, p.ID, 1, nil); !errors.Is(err, ErrCloningDisabled) {
 		t.Fatalf("clone with global disable: %v", err)
 	}
 }
@@ -36,30 +44,30 @@ func TestCloneDisabledGlobally(t *testing.T) {
 func TestCloneDisabledPerDomain(t *testing.T) {
 	h := newHV(t)
 	h.SetCloningEnabled(true)
-	p, _ := h.CreateDomain(16, 1, nil)
-	if _, _, _, err := h.CloneOpClone(p.ID, p.ID, 1, true, nil); !errors.Is(err, ErrCloningDisabled) {
+	p, _ := h.DomainCreate(obs.OpCtx{}, 16, 1)
+	if _, _, _, err := cloneN(h, p.ID, p.ID, 1, nil); !errors.Is(err, ErrCloningDisabled) {
 		t.Fatalf("clone without domctl enable: %v", err)
 	}
 }
 
 func TestCloneLimit(t *testing.T) {
 	h, p := cloneReady(t, 16, 2)
-	kids, _, _, err := h.CloneOpClone(p.ID, p.ID, 2, true, nil)
+	kids, _, _, err := cloneN(h, p.ID, p.ID, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range kids {
-		h.CloneOpCompletion(k, true, nil)
+		h.CloneCompletion(obs.OpCtx{}, k, true)
 	}
-	if _, _, _, err := h.CloneOpClone(p.ID, p.ID, 1, true, nil); !errors.Is(err, ErrCloneLimit) {
+	if _, _, _, err := cloneN(h, p.ID, p.ID, 1, nil); !errors.Is(err, ErrCloneLimit) {
 		t.Fatalf("clone beyond limit: %v", err)
 	}
 }
 
 func TestCloneByThirdPartyRefused(t *testing.T) {
 	h, p := cloneReady(t, 16, 2)
-	other, _ := h.CreateDomain(16, 1, nil)
-	if _, _, _, err := h.CloneOpClone(other.ID, p.ID, 1, true, nil); err == nil {
+	other, _ := h.DomainCreate(obs.OpCtx{}, 16, 1)
+	if _, _, _, err := cloneN(h, other.ID, p.ID, 1, nil); err == nil {
 		t.Fatal("third-party clone allowed")
 	}
 }
@@ -67,22 +75,22 @@ func TestCloneByThirdPartyRefused(t *testing.T) {
 func TestCloneFromDom0(t *testing.T) {
 	// Dom0 may clone any configured domain (the VM-fuzzing path, §5.1).
 	h, p := cloneReady(t, 16, 2)
-	kids, _, _, err := h.CloneOpClone(mem.DomID0, p.ID, 1, true, nil)
+	kids, _, _, err := cloneN(h, mem.DomID0, p.ID, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.CloneOpCompletion(kids[0], true, nil)
+	h.CloneCompletion(obs.OpCtx{}, kids[0], true)
 }
 
 func TestCloneVCPURAXSemantics(t *testing.T) {
 	h, p := cloneReady(t, 16, 2)
 	pv, _ := p.VCPU(0)
 	pv.Regs.RIP = 0x1234
-	kids, _, _, err := h.CloneOpClone(p.ID, p.ID, 1, true, nil)
+	kids, _, _, err := cloneN(h, p.ID, p.ID, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.CloneOpCompletion(kids[0], true, nil)
+	h.CloneCompletion(obs.OpCtx{}, kids[0], true)
 	c, _ := h.Domain(kids[0])
 	cv, _ := c.VCPU(0)
 	if cv.Regs.RAX != 1 {
@@ -99,11 +107,11 @@ func TestCloneVCPURAXSemantics(t *testing.T) {
 func TestCloneMemorySharing(t *testing.T) {
 	h, p := cloneReady(t, 64, 2)
 	p.Space().Write(0, 0, []byte("family data"), nil)
-	kids, st, _, err := h.CloneOpClone(p.ID, p.ID, 1, true, nil)
+	kids, st, _, err := cloneN(h, p.ID, p.ID, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.CloneOpCompletion(kids[0], true, nil)
+	h.CloneCompletion(obs.OpCtx{}, kids[0], true)
 	if st.Memory.SharedPages == 0 {
 		t.Fatal("no pages shared")
 	}
@@ -123,7 +131,7 @@ func TestCloneMemorySharing(t *testing.T) {
 
 func TestCloneWaitsForCompletion(t *testing.T) {
 	h, p := cloneReady(t, 16, 1)
-	kids, _, done, err := h.CloneOpClone(p.ID, p.ID, 1, true, nil)
+	kids, _, done, err := cloneN(h, p.ID, p.ID, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +152,7 @@ func TestCloneWaitsForCompletion(t *testing.T) {
 	if !p.Paused() {
 		t.Fatal("parent not paused during second stage")
 	}
-	if err := h.CloneOpCompletion(note.Child, true, nil); err != nil {
+	if err := h.CloneCompletion(obs.OpCtx{}, note.Child, true); err != nil {
 		t.Fatal(err)
 	}
 	<-done
@@ -162,12 +170,12 @@ func TestCloneWaitsForCompletion(t *testing.T) {
 
 func TestCloneCompletionCanLeaveChildPaused(t *testing.T) {
 	h, p := cloneReady(t, 16, 1)
-	kids, _, _, err := h.CloneOpClone(p.ID, p.ID, 1, true, nil)
+	kids, _, _, err := cloneN(h, p.ID, p.ID, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h.PopNotifications()
-	if err := h.CloneOpCompletion(kids[0], false, nil); err != nil {
+	if err := h.CloneCompletion(obs.OpCtx{}, kids[0], false); err != nil {
 		t.Fatal(err)
 	}
 	c, _ := h.Domain(kids[0])
@@ -178,7 +186,7 @@ func TestCloneCompletionCanLeaveChildPaused(t *testing.T) {
 
 func TestCloneNotificationContents(t *testing.T) {
 	h, p := cloneReady(t, 16, 1)
-	kids, _, _, _ := h.CloneOpClone(p.ID, p.ID, 1, true, nil)
+	kids, _, _, _ := cloneN(h, p.ID, p.ID, 1, nil)
 	notes := h.PopNotifications()
 	if len(notes) != 1 {
 		t.Fatalf("notifications = %d", len(notes))
@@ -194,7 +202,7 @@ func TestCloneNotificationContents(t *testing.T) {
 	if n.ChildSIFrame == psi {
 		t.Fatal("child start_info frame equals parent's (must be private)")
 	}
-	h.CloneOpCompletion(kids[0], true, nil)
+	h.CloneCompletion(obs.OpCtx{}, kids[0], true)
 }
 
 func TestNotificationRingBackpressure(t *testing.T) {
@@ -202,11 +210,11 @@ func TestNotificationRingBackpressure(t *testing.T) {
 	cfg.NotifyRingSlots = 1
 	h := New(cfg)
 	h.SetCloningEnabled(true)
-	p, _ := h.CreateDomain(16, 1, nil)
+	p, _ := h.DomainCreate(obs.OpCtx{}, 16, 1)
 	h.DomctlSetCloning(p.ID, true, 10)
 	// First clone fills the only slot; a second clone (without draining)
 	// must fail with ErrRingFull — the backpressure of §5.
-	if _, _, _, err := h.CloneOpClone(p.ID, p.ID, 2, true, nil); !errors.Is(err, ErrRingFull) {
+	if _, _, _, err := cloneN(h, p.ID, p.ID, 2, nil); !errors.Is(err, ErrRingFull) {
 		t.Fatalf("clone with full ring: %v, want ErrRingFull", err)
 	}
 }
@@ -215,7 +223,7 @@ func TestCloneFirstStageTimeAt4MB(t *testing.T) {
 	// §6.1: the first stage takes about 1 ms for a 4 MB guest.
 	h, p := cloneReady(t, 1024, 1)
 	meter := vclock.NewMeter(nil)
-	_, st, _, err := h.CloneOpClone(p.ID, p.ID, 1, true, meter)
+	_, st, _, err := cloneN(h, p.ID, p.ID, 1, meter)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,12 +235,12 @@ func TestCloneFirstStageTimeAt4MB(t *testing.T) {
 
 func TestCloneOpCOWBreaksSharing(t *testing.T) {
 	h, p := cloneReady(t, 16, 1)
-	kids, _, _, _ := h.CloneOpClone(p.ID, p.ID, 1, true, nil)
+	kids, _, _, _ := cloneN(h, p.ID, p.ID, 1, nil)
 	h.PopNotifications()
-	h.CloneOpCompletion(kids[0], true, nil)
+	h.CloneCompletion(obs.OpCtx{}, kids[0], true)
 	c, _ := h.Domain(kids[0])
 	before, _ := c.Space().MFNOf(3)
-	if err := h.CloneOpCOW(kids[0], []mem.PFN{3}, nil); err != nil {
+	if err := h.CloneCOW(obs.OpCtx{}, kids[0], []mem.PFN{3}); err != nil {
 		t.Fatal(err)
 	}
 	after, _ := c.Space().MFNOf(3)
@@ -244,9 +252,9 @@ func TestCloneOpCOWBreaksSharing(t *testing.T) {
 func TestCloneOpReset(t *testing.T) {
 	h, p := cloneReady(t, 16, 1)
 	p.Space().Write(2, 0, []byte("parent"), nil)
-	kids, _, _, _ := h.CloneOpClone(p.ID, p.ID, 1, true, nil)
+	kids, _, _, _ := cloneN(h, p.ID, p.ID, 1, nil)
 	h.PopNotifications()
-	h.CloneOpCompletion(kids[0], true, nil)
+	h.CloneCompletion(obs.OpCtx{}, kids[0], true)
 	c, _ := h.Domain(kids[0])
 
 	// Dirty three pages in the child.
@@ -254,7 +262,7 @@ func TestCloneOpReset(t *testing.T) {
 		c.Space().Write(pfn, 0, []byte("dirty"), nil)
 	}
 	meter := vclock.NewMeter(nil)
-	restored, err := h.CloneOpReset(kids[0], meter)
+	restored, err := h.CloneReset(obs.Ctx(meter), kids[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +279,7 @@ func TestCloneOpReset(t *testing.T) {
 		t.Fatal("reset pages not charged")
 	}
 	// Reset is idempotent.
-	restored, err = h.CloneOpReset(kids[0], nil)
+	restored, err = h.CloneReset(obs.OpCtx{}, kids[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,14 +292,14 @@ func TestCloneOpResetAfterParentFault(t *testing.T) {
 	// If the parent faulted a page after cloning, reset must re-share
 	// the parent's *current* frame.
 	h, p := cloneReady(t, 16, 1)
-	kids, _, _, _ := h.CloneOpClone(p.ID, p.ID, 1, true, nil)
+	kids, _, _, _ := cloneN(h, p.ID, p.ID, 1, nil)
 	h.PopNotifications()
-	h.CloneOpCompletion(kids[0], true, nil)
+	h.CloneCompletion(obs.OpCtx{}, kids[0], true)
 	c, _ := h.Domain(kids[0])
 
 	p.Space().Write(4, 0, []byte("new parent state"), nil)
 	c.Space().Write(4, 0, []byte("child dirt"), nil)
-	if _, err := h.CloneOpReset(kids[0], nil); err != nil {
+	if _, err := h.CloneReset(obs.OpCtx{}, kids[0]); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 16)
@@ -309,7 +317,7 @@ func TestCloneOpResetAfterParentFault(t *testing.T) {
 
 func TestCloneOpResetNonCloneFails(t *testing.T) {
 	h, p := cloneReady(t, 16, 1)
-	if _, err := h.CloneOpReset(p.ID, nil); err == nil {
+	if _, err := h.CloneReset(obs.OpCtx{}, p.ID); err == nil {
 		t.Fatal("reset of a non-clone succeeded")
 	}
 }
@@ -317,13 +325,13 @@ func TestCloneOpResetNonCloneFails(t *testing.T) {
 func TestDestroyCloneReleasesSharedMemory(t *testing.T) {
 	h, p := cloneReady(t, 64, 2)
 	free0 := h.Memory.FreeFrames()
-	kids, _, _, _ := h.CloneOpClone(p.ID, p.ID, 2, true, nil)
+	kids, _, _, _ := cloneN(h, p.ID, p.ID, 2, nil)
 	h.PopNotifications()
 	for _, k := range kids {
-		h.CloneOpCompletion(k, true, nil)
+		h.CloneCompletion(obs.OpCtx{}, k, true)
 	}
 	for _, k := range kids {
-		if err := h.DestroyDomain(k, nil); err != nil {
+		if err := h.DomainDestroy(obs.OpCtx{}, k); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -10,7 +10,6 @@ import (
 	"nephele/internal/gnttab"
 	"nephele/internal/mem"
 	"nephele/internal/obs"
-	"nephele/internal/vclock"
 )
 
 // Config sizes a simulated machine.
@@ -173,13 +172,6 @@ func (h *Hypervisor) SetEventHandler(id DomID, handler evtchn.Handler) error {
 	return nil
 }
 
-// CreateDomain is the legacy meter-threading form of DomainCreate, kept so
-// existing callers and tests migrate incrementally; new code builds an
-// obs.OpCtx instead.
-func (h *Hypervisor) CreateDomain(pages, vcpus int, meter *vclock.Meter) (*Domain, error) {
-	return h.DomainCreate(obs.Ctx(meter), pages, vcpus)
-}
-
 // DomainCreate allocates a fresh DomU with the given number of guest pages
 // and vCPUs: the hypervisor part of what the toolstack does on `xl create`.
 // The Xen-special pages (start_info, console ring, Xenstore ring) are
@@ -234,12 +226,6 @@ func (h *Hypervisor) DomainCreate(ctx obs.OpCtx, pages, vcpus int) (*Domain, err
 	h.Events.AddDomain(id, nil)
 	h.Grants.AddDomain(id)
 	return d, nil
-}
-
-// DestroyDomain is the legacy meter-threading form of DomainDestroy, kept
-// so existing callers and tests migrate incrementally.
-func (h *Hypervisor) DestroyDomain(id DomID, meter *vclock.Meter) error {
-	return h.DomainDestroy(obs.Ctx(meter), id)
 }
 
 // DomainDestroy tears a domain down and returns its memory.

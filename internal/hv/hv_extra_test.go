@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"nephele/internal/mem"
+	"nephele/internal/obs"
 	"nephele/internal/vclock"
 )
 
@@ -22,8 +23,8 @@ func TestDefaultConfig(t *testing.T) {
 
 func TestDomainsListing(t *testing.T) {
 	h := newHV(t)
-	d1, _ := h.CreateDomain(16, 1, nil)
-	d2, _ := h.CreateDomain(16, 1, nil)
+	d1, _ := h.DomainCreate(obs.OpCtx{}, 16, 1)
+	d2, _ := h.DomainCreate(obs.OpCtx{}, 16, 1)
 	ids := h.Domains()
 	want := map[DomID]bool{mem.DomID0: true, d1.ID: true, d2.ID: true}
 	if len(ids) != 3 {
@@ -39,12 +40,12 @@ func TestDomainsListing(t *testing.T) {
 func TestPendingNotifications(t *testing.T) {
 	h := newHV(t)
 	h.SetCloningEnabled(true)
-	p, _ := h.CreateDomain(16, 1, nil)
+	p, _ := h.DomainCreate(obs.OpCtx{}, 16, 1)
 	h.DomctlSetCloning(p.ID, true, 4)
 	if h.PendingNotifications() != 0 {
 		t.Fatal("notifications pending before any clone")
 	}
-	kids, _, _, err := h.CloneOpClone(p.ID, p.ID, 2, true, nil)
+	kids, _, _, err := cloneN(h, p.ID, p.ID, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,30 +57,30 @@ func TestPendingNotifications(t *testing.T) {
 		t.Fatal("pop did not drain")
 	}
 	for _, k := range kids {
-		h.CloneOpCompletion(k, true, nil)
+		h.CloneCompletion(obs.OpCtx{}, k, true)
 	}
 }
 
 func TestCloneOpCOWErrors(t *testing.T) {
 	h := newHV(t)
-	if err := h.CloneOpCOW(DomID(77), []mem.PFN{0}, nil); err == nil {
+	if err := h.CloneCOW(obs.OpCtx{}, DomID(77), []mem.PFN{0}); err == nil {
 		t.Fatal("clone_cow on unknown domain succeeded")
 	}
-	d, _ := h.CreateDomain(16, 1, nil)
-	if err := h.CloneOpCOW(d.ID, []mem.PFN{999}, nil); err == nil {
+	d, _ := h.DomainCreate(obs.OpCtx{}, 16, 1)
+	if err := h.CloneCOW(obs.OpCtx{}, d.ID, []mem.PFN{999}); err == nil {
 		t.Fatal("clone_cow on bad pfn succeeded")
 	}
 }
 
 func TestCloneOpCompletionUnknownChild(t *testing.T) {
 	h := newHV(t)
-	if err := h.CloneOpCompletion(DomID(123), true, nil); err == nil {
+	if err := h.CloneCompletion(obs.OpCtx{}, DomID(123), true); err == nil {
 		t.Fatal("completion for unknown child succeeded")
 	}
 }
 
 func TestConcurrentCloneOpsSerializePerParent(t *testing.T) {
-	// Multiple goroutines racing CloneOpClone + completion on the same
+	// Multiple goroutines racing Clone + completion on the same
 	// parent must stay consistent (the ring and family lists are
 	// shared).
 	cfg := testConfig()
@@ -87,7 +88,7 @@ func TestConcurrentCloneOpsSerializePerParent(t *testing.T) {
 	cfg.NotifyRingSlots = 64
 	h := New(cfg)
 	h.SetCloningEnabled(true)
-	p, _ := h.CreateDomain(64, 1, nil)
+	p, _ := h.DomainCreate(obs.OpCtx{}, 64, 1)
 	h.DomctlSetCloning(p.ID, true, 64)
 
 	var wg sync.WaitGroup
@@ -97,7 +98,7 @@ func TestConcurrentCloneOpsSerializePerParent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
-				kids, _, done, err := h.CloneOpClone(p.ID, p.ID, 1, true, vclock.NewMeter(nil))
+				kids, _, done, err := cloneN(h, p.ID, p.ID, 1, vclock.NewMeter(nil))
 				if err != nil {
 					errs <- err
 					return
@@ -106,7 +107,7 @@ func TestConcurrentCloneOpsSerializePerParent(t *testing.T) {
 				// goroutine may complete any child, like a shared
 				// daemon).
 				for _, n := range h.PopNotifications() {
-					h.CloneOpCompletion(n.Child, true, nil)
+					h.CloneCompletion(obs.OpCtx{}, n.Child, true)
 				}
 				_ = kids
 				<-done
@@ -128,7 +129,7 @@ func TestConcurrentCloneOpsSerializePerParent(t *testing.T) {
 
 func TestSetEventHandler(t *testing.T) {
 	h := newHV(t)
-	d, _ := h.CreateDomain(16, 1, nil)
+	d, _ := h.DomainCreate(obs.OpCtx{}, 16, 1)
 	fired := make(chan evtchn.Port, 1)
 	if err := h.SetEventHandler(d.ID, func(p evtchn.Port) { fired <- p }); err != nil {
 		t.Fatal(err)

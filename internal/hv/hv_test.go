@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nephele/internal/mem"
+	"nephele/internal/obs"
 	"nephele/internal/vclock"
 )
 
@@ -37,7 +38,7 @@ func TestCreateDestroyDomain(t *testing.T) {
 	h := newHV(t)
 	free0 := h.Memory.FreeFrames()
 	meter := vclock.NewMeter(nil)
-	d, err := h.CreateDomain(1024, 1, meter)
+	d, err := h.DomainCreate(obs.Ctx(meter), 1024, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestCreateDestroyDomain(t *testing.T) {
 	if meter.Elapsed() < meter.Costs().DomainCreate {
 		t.Fatal("DomainCreate not charged")
 	}
-	if err := h.DestroyDomain(d.ID, nil); err != nil {
+	if err := h.DomainDestroy(obs.OpCtx{}, d.ID); err != nil {
 		t.Fatal(err)
 	}
 	if got := h.Memory.FreeFrames(); got != free0 {
@@ -70,14 +71,14 @@ func TestCreateDestroyDomain(t *testing.T) {
 
 func TestDestroyDom0Refused(t *testing.T) {
 	h := newHV(t)
-	if err := h.DestroyDomain(mem.DomID0, nil); err == nil {
+	if err := h.DomainDestroy(obs.OpCtx{}, mem.DomID0); err == nil {
 		t.Fatal("destroying Dom0 succeeded")
 	}
 }
 
 func TestCreateDomainOOM(t *testing.T) {
 	h := New(Config{MemoryBytes: 1 << 20, PerDomainOverheadFrames: 1}) // 256 frames
-	if _, err := h.CreateDomain(10000, 1, nil); !errors.Is(err, mem.ErrOutOfMemory) {
+	if _, err := h.DomainCreate(obs.OpCtx{}, 10000, 1); !errors.Is(err, mem.ErrOutOfMemory) {
 		t.Fatalf("oversized create: %v, want ErrOutOfMemory", err)
 	}
 	// Nothing leaked.
@@ -88,7 +89,7 @@ func TestCreateDomainOOM(t *testing.T) {
 
 func TestPauseUnpause(t *testing.T) {
 	h := newHV(t)
-	d, _ := h.CreateDomain(16, 1, nil)
+	d, _ := h.DomainCreate(obs.OpCtx{}, 16, 1)
 	if err := h.Pause(d.ID); err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestPauseUnpause(t *testing.T) {
 
 func TestAwaitRunnableBlocksUntilUnpause(t *testing.T) {
 	h := newHV(t)
-	d, _ := h.CreateDomain(16, 1, nil)
+	d, _ := h.DomainCreate(obs.OpCtx{}, 16, 1)
 	h.Pause(d.ID)
 	released := make(chan struct{})
 	go func() {
@@ -128,7 +129,7 @@ func TestAwaitRunnableBlocksUntilUnpause(t *testing.T) {
 
 func TestVCPUAccess(t *testing.T) {
 	h := newHV(t)
-	d, _ := h.CreateDomain(16, 2, nil)
+	d, _ := h.DomainCreate(obs.OpCtx{}, 16, 2)
 	if d.VCPUCount() != 2 {
 		t.Fatalf("VCPUCount = %d", d.VCPUCount())
 	}
@@ -147,11 +148,11 @@ func TestVCPUAccess(t *testing.T) {
 func TestFamilyTracking(t *testing.T) {
 	h := newHV(t)
 	h.SetCloningEnabled(true)
-	p, _ := h.CreateDomain(16, 1, nil)
+	p, _ := h.DomainCreate(obs.OpCtx{}, 16, 1)
 	h.DomctlSetCloning(p.ID, true, 10)
-	q, _ := h.CreateDomain(16, 1, nil) // unrelated domain
+	q, _ := h.DomainCreate(obs.OpCtx{}, 16, 1) // unrelated domain
 
-	kids, _, _, err := h.CloneOpClone(p.ID, p.ID, 2, true, nil)
+	kids, _, _, err := cloneN(h, p.ID, p.ID, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestFamilyTracking(t *testing.T) {
 		t.Fatalf("clones = %d", len(kids))
 	}
 	for _, k := range kids {
-		h.CloneOpCompletion(k, true, nil)
+		h.CloneCompletion(obs.OpCtx{}, k, true)
 	}
 	if !h.SameFamily(p.ID, kids[0]) || !h.SameFamily(kids[0], kids[1]) {
 		t.Fatal("family relation missing")
@@ -176,11 +177,11 @@ func TestFamilyTracking(t *testing.T) {
 	// Grandchild via cloning a clone.
 	c, _ := h.Domain(kids[0])
 	h.DomctlSetCloning(c.ID, true, 5)
-	gkids, _, _, err := h.CloneOpClone(c.ID, c.ID, 1, true, nil)
+	gkids, _, _, err := cloneN(h, c.ID, c.ID, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.CloneOpCompletion(gkids[0], true, nil)
+	h.CloneCompletion(obs.OpCtx{}, gkids[0], true)
 	if !h.SameFamily(gkids[0], kids[1]) {
 		t.Fatal("cousins not in the same family")
 	}

@@ -6,13 +6,7 @@ import (
 	"nephele/internal/fault"
 	"nephele/internal/mem"
 	"nephele/internal/obs"
-	"nephele/internal/vclock"
 )
-
-// RestoreCached is the meter-threading form of RestoreCachedOp.
-func (x *XL) RestoreCached(store *ImageStore, img *Image, name string, meter *vclock.Meter) (*Record, bool, error) {
-	return x.RestoreCachedOp(obs.Ctx(meter), store, img, name)
-}
 
 // RestoreCachedOp restores an image through the content-addressed cache.
 // The image is hashed (span "image-hash"); on a hit the child is created

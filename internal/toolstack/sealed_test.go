@@ -12,6 +12,7 @@ import (
 
 	"nephele/internal/hv"
 	"nephele/internal/mem"
+	"nephele/internal/obs"
 )
 
 // imageBytes is every byte an image stores, in its serialized form.
@@ -124,7 +125,7 @@ func TestRestoredChildrenIsolated(t *testing.T) {
 	}
 	kids["cold"] = cold.ID
 	for _, name := range []string{"miss", "hit-a", "hit-b"} {
-		rec, served, err := r.xl.RestoreCached(store, img, "iso-"+name, nil)
+		rec, served, err := r.xl.RestoreCachedOp(obs.OpCtx{}, store, img, "iso-"+name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +154,7 @@ func TestRestoredChildrenIsolated(t *testing.T) {
 				t.Fatalf("writes of the %s child changed its sibling %s", writer, sib)
 			}
 		}
-		fresh, served, err := r.xl.RestoreCached(store, img, fmt.Sprintf("iso-fresh-%d", i), nil)
+		fresh, served, err := r.xl.RestoreCachedOp(obs.OpCtx{}, store, img, fmt.Sprintf("iso-fresh-%d", i))
 		if err != nil || !served {
 			t.Fatalf("restore after the %s child's writes: served %v, err %v", writer, served, err)
 		}
@@ -167,7 +168,7 @@ func TestRestoredChildrenIsolated(t *testing.T) {
 
 	// And the other way round: the parent's writes reach no child.
 	scribble(t, spaceOf(t, r, pid), 0x77)
-	last, _, err := r.xl.RestoreCached(store, img, "iso-last", nil)
+	last, _, err := r.xl.RestoreCachedOp(obs.OpCtx{}, store, img, "iso-last")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +210,7 @@ func TestShortStoredPageRestores(t *testing.T) {
 	}
 	store := NewImageStore(r.hv.Memory, 0)
 	for _, path := range []string{"miss", "hit"} {
-		rec, served, err := r.xl.RestoreCached(store, img, "short-"+path, nil)
+		rec, served, err := r.xl.RestoreCachedOp(obs.OpCtx{}, store, img, "short-"+path)
 		if err != nil {
 			t.Fatalf("RestoreCached (%s): %v", path, err)
 		}
@@ -476,7 +477,7 @@ func TestSaveRestoreRaceGuestWriter(t *testing.T) {
 		if i%2 == 0 {
 			rec, err = r.xl.Restore(img, fmt.Sprintf("race-%d", i), nil)
 		} else {
-			rec, _, err = r.xl.RestoreCached(store, img, fmt.Sprintf("race-%d", i), nil)
+			rec, _, err = r.xl.RestoreCachedOp(obs.OpCtx{}, store, img, fmt.Sprintf("race-%d", i))
 		}
 		if err != nil {
 			t.Fatal(err)
