@@ -35,7 +35,11 @@ import (
 var traceSink *obs.Trace
 
 func main() {
-	figFlag := flag.String("fig", "all", "figure to regenerate: 4..11, 'mp' (multi-parent throughput), 'lazy' (lazy-clone latency), 'cluster' (cross-host scale-out) or 'all'")
+	// order is the sequence `-fig all` runs; the -fig help text and the
+	// unknown-figure error both list it.
+	order := []string{"4", "5", "6", "7", "8", "9", "10", "11", "mp", "lazy", "sandbox", "cluster"}
+	figureNames := strings.Join(order, ", ") + " or all"
+	figFlag := flag.String("fig", "all", "figure to regenerate: "+figureNames)
 	quick := flag.Bool("quick", false, "reduced scale for a fast smoke run")
 	csvDir := flag.String("csv", "", "also write one CSV per series into this directory (for plotting)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected figures to this file")
@@ -77,7 +81,6 @@ func main() {
 		"sandbox": runSandbox,
 		"cluster": runFigCluster,
 	}
-	order := []string{"4", "5", "6", "7", "8", "9", "10", "11", "mp", "lazy", "sandbox", "cluster"}
 
 	var selected []string
 	if *figFlag == "all" {
@@ -85,7 +88,7 @@ func main() {
 	} else if _, ok := runners[*figFlag]; ok {
 		selected = []string{*figFlag}
 	} else {
-		fmt.Fprintf(os.Stderr, "unknown figure %q (want 4..11, mp, lazy, sandbox, cluster or all)\n", *figFlag)
+		fmt.Fprintf(os.Stderr, "unknown figure %q (want %s)\n", *figFlag, figureNames)
 		os.Exit(2)
 	}
 

@@ -1,15 +1,14 @@
 // Command nephele-lint is a multichecker for the clone pipeline's
-// concurrency, determinism, and lifecycle invariants. It runs nine
+// concurrency, determinism, and lifecycle invariants. It runs eight
 // analyzers (DESIGN.md §11, §16) over the module from source:
 //
 //	lockorder   — shard-lock acquisitions must be single or ascending
 //	determinism — no wall clock / unseeded rand / map iteration in
 //	              virtual-time packages
-//	pairedops   — Share/Alloc/AddSharer paired with release on every
-//	              error path (single-function walk)
 //	seqlock     — no plain access to fields accessed via sync/atomic
-//	refleak     — acquire/release pairing on every error path, with
-//	              releases tracked through same-package helper calls
+//	refleak     — Share/Alloc/AddSharer paired with a release on every
+//	              error path, releases tracked through same-package
+//	              helper calls
 //	spanend     — every started span is ended on every path
 //	opctx       — operations thread the in-scope OpCtx instead of
 //	              minting fresh meters/traces mid-operation
@@ -54,7 +53,6 @@ import (
 	"nephele/internal/analysis/hotalloc"
 	"nephele/internal/analysis/lockorder"
 	"nephele/internal/analysis/opctx"
-	"nephele/internal/analysis/pairedops"
 	"nephele/internal/analysis/refleak"
 	"nephele/internal/analysis/seqlock"
 	"nephele/internal/analysis/spanend"
@@ -63,7 +61,6 @@ import (
 var all = []*analysis.Analyzer{
 	lockorder.Analyzer,
 	determinism.Analyzer,
-	pairedops.Analyzer,
 	seqlock.Analyzer,
 	refleak.Analyzer,
 	spanend.Analyzer,

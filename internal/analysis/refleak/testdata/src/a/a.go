@@ -1,5 +1,7 @@
 // Package a is the refleak fixture: acquire/release pairing across error
 // paths, with discharges flowing through helpers, closures, and defers.
+// clone.go holds the clone pipeline's own shapes (second acquire failing,
+// conditional deferred unwind, consuming Remap).
 package a
 
 // Memory mimics the frame pool's acquire/release surface.
@@ -8,6 +10,8 @@ type Memory struct{}
 func (m *Memory) AllocN(n int) error     { return nil }
 func (m *Memory) ShareN(n int) error     { return nil }
 func (m *Memory) AddSharerN(n int) error { return nil }
+func (m *Memory) AddSharer(n int) error  { return nil }
+func (m *Memory) DropShared(n int) error { return nil }
 func (m *Memory) ReleaseN(n int)         {}
 func (m *Memory) CopyFrameN(n int) error { return nil }
 func (m *Memory) releaseOne(n int)       {}
@@ -192,15 +196,29 @@ func misnamedTeardown(m *Memory, c *Conn) error {
 	return nil
 }
 
-// remapped transfers the reference into a durable mapping.
+// remapped transfers the reference into a durable mapping: past a
+// successful Remap nothing is outstanding.
 func remapped(m *Memory, s *Space) error {
 	if err := m.ShareN(1); err != nil {
 		return err
 	}
 	if err := s.Remap(1); err != nil {
+		m.ReleaseN(1)
+		return err
+	}
+	if err := work(); err != nil {
 		return err
 	}
 	return nil
+}
+
+// remapTail forwards the consume's own error: a non-nil result is a
+// failed Remap, which consumed nothing.
+func remapTail(m *Memory, s *Space) error {
+	if err := m.ShareN(1); err != nil {
+		return err
+	}
+	return s.Remap(1) // want `error return with unreleased ShareN`
 }
 
 // loopLeak acquires per iteration and escapes mid-iteration.

@@ -11,7 +11,6 @@ import (
 	"nephele/internal/analysis/hotalloc"
 	"nephele/internal/analysis/lockorder"
 	"nephele/internal/analysis/opctx"
-	"nephele/internal/analysis/pairedops"
 	"nephele/internal/analysis/refleak"
 	"nephele/internal/analysis/seqlock"
 	"nephele/internal/analysis/spanend"
@@ -37,7 +36,6 @@ func TestTreeIsClean(t *testing.T) {
 	analyzers := []*analysis.Analyzer{
 		lockorder.Analyzer,
 		determinism.Analyzer,
-		pairedops.Analyzer,
 		seqlock.Analyzer,
 		refleak.Analyzer,
 		spanend.Analyzer,

@@ -3,12 +3,11 @@
 // fresh simulated platform, runs the paper's exact workload through the
 // real mechanisms, and returns the figure's series as (x, y) points plus a
 // summary of the headline numbers. The cmd/nephele-bench binary prints
-// them; bench_test.go wraps them as testing.B benchmarks.
+// them.
 package bench
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"nephele/internal/vclock"
@@ -89,7 +88,7 @@ func (f *Figure) SeriesByName(name string) (Series, bool) {
 // ms converts virtual time to milliseconds.
 func ms(d vclock.Duration) float64 { return d.Seconds() * 1e3 }
 
-// interpolateStats computes mean and spread of a float slice.
+// meanMinMax computes mean and spread of a float slice.
 func meanMinMax(xs []float64) (mean, min, max float64) {
 	if len(xs) == 0 {
 		return 0, 0, 0
@@ -105,15 +104,4 @@ func meanMinMax(xs []float64) (mean, min, max float64) {
 		}
 	}
 	return mean / float64(len(xs)), min, max
-}
-
-// sortedKeys returns the sorted keys of an int-keyed map (deterministic
-// iteration for reports).
-func sortedKeys(m map[int]float64) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }

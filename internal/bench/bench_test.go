@@ -287,7 +287,4 @@ func TestFigureHelpers(t *testing.T) {
 	if m, mn, mx := meanMinMax(nil); m != 0 || mn != 0 || mx != 0 {
 		t.Fatal("meanMinMax(nil) not zero")
 	}
-	if got := sortedKeys(map[int]float64{3: 0, 1: 0, 2: 0}); got[0] != 1 || got[2] != 3 {
-		t.Fatalf("sortedKeys = %v", got)
-	}
 }

@@ -69,14 +69,13 @@ func TestLazyCloneConservation(t *testing.T) {
 
 // TestGoldenFigLazy pins the figure's virtual-time series. Every quantity
 // is derived from meters no asynchronous Xenstore traffic touches (the
-// first stage is hypervisor-only and the streamer joins deterministically),
-// so the golden tolerates only rendering-resolution drift.
+// first stage is hypervisor-only and the streamer joins deterministically).
 func TestGoldenFigLazy(t *testing.T) {
 	fig, err := FigLazy(FigLazyConfig{GuestMB: 16, HotPercents: []int{1, 10, 50, 100}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGoldenNumeric(t, "golden-figlazy.txt", fig.String(), 0.002)
+	checkGolden(t, "golden-figlazy.txt", fig.String())
 }
 
 // TestLazyTraceShape pins the lazy span taxonomy: a traced lazy clone

@@ -4,8 +4,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"testing"
 )
 
@@ -41,54 +39,7 @@ func TestGoldenFig4Series(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Fig. 4 boots race their asynchronous Xenstore traffic (udev,
-	// backend watches) against the boot meter, so the StorePerNode
-	// surcharge jitters by ~1 µs run to run — on the seed code as well.
-	// Compare numerically at the rendering resolution instead of
-	// byte-for-byte; any real pipeline change shifts points by far more.
-	checkGoldenNumeric(t, "golden-fig4.txt", fig.String(), 0.002)
-}
-
-// checkGoldenNumeric compares a rendered figure against its golden file
-// line by line, allowing numeric fields to differ by up to tol (in the
-// rendered unit, milliseconds). Non-numeric lines must match exactly.
-func checkGoldenNumeric(t *testing.T, name, got string, tol float64) {
-	t.Helper()
-	path := filepath.Join("testdata", name)
-	if *updateGolden {
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	wantRaw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update to create): %v", err)
-	}
-	gotLines := strings.Split(strings.TrimRight(got, "\n"), "\n")
-	wantLines := strings.Split(strings.TrimRight(string(wantRaw), "\n"), "\n")
-	if len(gotLines) != len(wantLines) {
-		t.Fatalf("series shape diverged from %s: %d lines, want %d\ngot:\n%s", path, len(gotLines), len(wantLines), got)
-	}
-	for i := range wantLines {
-		gf, wf := strings.Fields(gotLines[i]), strings.Fields(wantLines[i])
-		if len(gf) != len(wf) {
-			t.Fatalf("%s line %d diverged: %q, want %q", path, i+1, gotLines[i], wantLines[i])
-		}
-		for j := range wf {
-			gv, gerr := strconv.ParseFloat(gf[j], 64)
-			wv, werr := strconv.ParseFloat(wf[j], 64)
-			if gerr == nil && werr == nil {
-				if d := gv - wv; d > tol || d < -tol {
-					t.Errorf("%s line %d: value %v, want %v (tolerance %v)", path, i+1, gv, wv, tol)
-				}
-				continue
-			}
-			if gf[j] != wf[j] {
-				t.Errorf("%s line %d: field %q, want %q", path, i+1, gf[j], wf[j])
-			}
-		}
-	}
+	checkGolden(t, "golden-fig4.txt", fig.String())
 }
 
 func TestGoldenFig5Series(t *testing.T) {

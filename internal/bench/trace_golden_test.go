@@ -13,15 +13,14 @@ import (
 // Fig. 4 xs_clone curve: names, nesting, counts and virtual timestamps.
 // Span emission is deterministic under virtual time (spans never charge
 // the meter; parallel sections are absorbed in admission order), so the
-// rendered tree is stable run to run up to the same ~1 µs Xenstore
-// surcharge jitter the series golden tolerates. Regenerate with -update
+// rendered tree is byte-identical run to run. Regenerate with -update
 // only when a PR deliberately changes the pipeline's phase structure.
 func TestGoldenFig4Trace(t *testing.T) {
 	tr := obs.NewTrace()
 	if _, err := Fig4(Fig4Config{Instances: 4, SampleEvery: 2, Trace: tr}); err != nil {
 		t.Fatal(err)
 	}
-	checkGoldenNumeric(t, "golden-fig4-trace.txt", tr.Render(), 2.0)
+	checkGolden(t, "golden-fig4-trace.txt", tr.Render())
 }
 
 // TestFig4TraceShape asserts the structural invariants the Chrome-trace

@@ -8,9 +8,8 @@ import (
 
 // WallStats is the host-side cost of executing a simulated run: real
 // elapsed time and heap allocation volume. The figures themselves report
-// virtual time; WallStats is what producing them costs, which is the
-// quantity the clone fast-path work optimizes and BENCH_baseline.json
-// tracks.
+// virtual time; WallStats is what producing them costs, printed beside
+// each figure. The gated ledger of host cost is benchmark/.
 type WallStats struct {
 	Elapsed time.Duration
 	Allocs  uint64 // heap objects allocated while f ran

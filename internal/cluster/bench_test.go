@@ -13,7 +13,8 @@ import (
 // transfer ships the full image and materializes by the copying restore;
 // xfer=warm keeps the cache primed, so each transfer is headers-only and
 // the child COW-adopts resident frames. The cold/warm ratio is the
-// chunk-dedup payoff the benchdiff -xfer-min gate protects.
+// chunk-dedup payoff; TestRemoteCloneDedupWarm pins its ordering on the
+// virtual clock.
 func BenchmarkRemoteClone(b *testing.B) {
 	run := func(b *testing.B, warm bool) {
 		c := testCluster(2)

@@ -9,7 +9,7 @@ import (
 // feeds, so the hot path pays atomic adds instead of name lookups. The
 // registry itself is shared with the rest of the platform (xencloned's
 // failure counters live in it too), making it the single source of truth
-// benchdiff and the fault-matrix tests read.
+// benchmark/ and the fault-matrix tests read.
 type hvMetrics struct {
 	reg *obs.Registry
 

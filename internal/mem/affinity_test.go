@@ -222,6 +222,22 @@ func TestPackOrder(t *testing.T) {
 	}
 }
 
+// TestAffinityMakespan is the affinity scheduler's headline on the virtual
+// clock, on schedRig's inputs (bench_test.go): 64 parents on a 32-shard
+// pool, one round drained by 8 modeled workers, finishes at least 1.5x
+// sooner wave-packed than in request order.
+func TestAffinityMakespan(t *testing.T) {
+	const parents, shards, workers = 64, 32, 8
+	_, masks, durs := schedRig(t, parents, shards)
+	packed, _ := PackOrder(masks, workers)
+	fixed := SimulateRound(requestOrder(parents), masks, durs, workers)
+	affinity := SimulateRound(packed, masks, durs, workers)
+	t.Logf("makespan fixed %d / affinity %d virtual ns = %.2fx", fixed, affinity, float64(fixed)/float64(affinity))
+	if float64(fixed) < 1.5*float64(affinity) {
+		t.Errorf("affinity makespan %d ns is not 1.5x under fixed order's %d ns", affinity, fixed)
+	}
+}
+
 // TestSimulateRound pins the pool model against hand-checked schedules:
 // one worker serializes everything, disjoint jobs scale with the worker
 // count, and jobs sharing a shard serialize no matter how wide the pool is.

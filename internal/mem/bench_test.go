@@ -238,15 +238,11 @@ func BenchmarkMultiParentClone(b *testing.B) {
 	// occupancy masks, so jobs in flight together never share a shard lock.
 	// The shards dimension re-strides the same pool before measuring.
 	//
-	// The ns/op these variants report is the MODELED round makespan from
-	// SimulateRound: per-job virtual clone durations from the deterministic
-	// cost meters, drained by GOMAXPROCS virtual cores, with conflicting
-	// jobs serialized on their shared shards. -cpu 2,8 therefore sweeps the
-	// modeled core count, and the fixed-vs-affinity ratio is reproducible on
-	// any host — a single-core CI runner cannot exhibit real lock
-	// parallelism, but the simulator's virtual clocks can. The measured
-	// wall-clock cost of actually executing the round (which also validates
-	// the schedule against the real pool) is reported as wall-ns/op.
+	// ns/op is the wall-clock cost of executing the round against the real
+	// pool (which also validates the schedule). makespan-virt-ns is the
+	// modeled round makespan from SimulateRound at the same worker count —
+	// a single-core host cannot exhibit real lock parallelism, the virtual
+	// clocks can; TestAffinityMakespan pins its fixed/affinity ratio.
 	for _, cfg := range []struct {
 		parents, shards int
 		sched           string
@@ -258,47 +254,10 @@ func BenchmarkMultiParentClone(b *testing.B) {
 		if testing.Short() && cfg.parents > 16 {
 			continue
 		}
-		// One path segment (hyphens, not slashes) so CI's wall-clock bench
-		// step can match plain parents=N sub-benchmarks without picking up
-		// these modeled variants, whose ns/op depends on GOMAXPROCS.
 		name := fmt.Sprintf("parents=%d-shards=%d-sched=%s", cfg.parents, cfg.shards, cfg.sched)
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
-			m := New(12 << 30)
-			if err := m.Restride(cfg.shards); err != nil {
-				b.Fatal(err)
-			}
-			childDom := func(p int) DomID { return DomID(10000 + p) }
-			spaces := make([]*Space, cfg.parents)
-			for i := range spaces {
-				parent, err := NewSpace(m, DomID(1+i), pages, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				warm, _, err := parent.Clone(DomID(20000+i), false, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer warm.Release()
-				spaces[i] = parent
-			}
-			// Request masks exactly as hv.shardMask builds them: parent
-			// occupancy plus the child's home shard. The probe clone
-			// records each job's deterministic virtual duration.
-			masks := make([]uint32, cfg.parents)
-			durs := make([]vclock.Duration, cfg.parents)
-			for i, s := range spaces {
-				masks[i] = s.ShardOccupancy() | 1<<m.HomeShard(childDom(i))
-				meter := vclock.NewMeter(nil)
-				probe, _, err := s.Clone(childDom(i), false, meter)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := probe.Release(); err != nil {
-					b.Fatal(err)
-				}
-				durs[i] = meter.Elapsed()
-			}
+			spaces, masks, durs := schedRig(b, cfg.parents, cfg.shards)
 			workers := runtime.GOMAXPROCS(0)
 			if workers > cfg.parents {
 				workers = cfg.parents
@@ -307,9 +266,7 @@ func BenchmarkMultiParentClone(b *testing.B) {
 			if cfg.sched == "affinity" {
 				order, _ = PackOrder(masks, workers)
 			} else {
-				for i := range spaces {
-					order = append(order, i)
-				}
+				order = requestOrder(len(spaces))
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -325,7 +282,7 @@ func BenchmarkMultiParentClone(b *testing.B) {
 								return
 							}
 							p := order[k]
-							child, _, err := spaces[p].Clone(childDom(p), false, nil)
+							child, _, err := spaces[p].Clone(schedChildDom(p), false, nil)
 							if err != nil {
 								b.Error(err)
 								return
@@ -339,8 +296,59 @@ func BenchmarkMultiParentClone(b *testing.B) {
 				wg.Wait()
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "wall-ns/op")
-			b.ReportMetric(float64(SimulateRound(order, masks, durs, workers)), "ns/op")
+			b.ReportMetric(float64(SimulateRound(order, masks, durs, workers)), "makespan-virt-ns")
 		})
 	}
+}
+
+func schedChildDom(p int) DomID { return DomID(10000 + p) }
+
+func requestOrder(n int) []int {
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	return order
+}
+
+// schedRig builds the scheduled round's inputs on a 12 GiB pool re-strided
+// to shards: parents warm-cloned 64 MB parents, and per parent the request
+// mask exactly as hv.shardMask builds it (parent occupancy plus the
+// child's home shard) and the deterministic virtual duration of one probe
+// clone.
+func schedRig(tb testing.TB, parents, shards int) ([]*Space, []uint32, []vclock.Duration) {
+	tb.Helper()
+	const pages = 64 << 20 / PageSize
+	m := New(12 << 30)
+	if err := m.Restride(shards); err != nil {
+		tb.Fatal(err)
+	}
+	spaces := make([]*Space, parents)
+	masks := make([]uint32, parents)
+	durs := make([]vclock.Duration, parents)
+	for i := range spaces {
+		parent, err := NewSpace(m, DomID(1+i), pages, nil)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		warm, _, err := parent.Clone(DomID(20000+i), false, nil)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		tb.Cleanup(func() { warm.Release() })
+		spaces[i] = parent
+	}
+	for i, s := range spaces {
+		masks[i] = s.ShardOccupancy() | 1<<m.HomeShard(schedChildDom(i))
+		meter := vclock.NewMeter(nil)
+		probe, _, err := s.Clone(schedChildDom(i), false, meter)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := probe.Release(); err != nil {
+			tb.Fatal(err)
+		}
+		durs[i] = meter.Elapsed()
+	}
+	return spaces, masks, durs
 }
