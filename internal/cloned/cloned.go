@@ -103,11 +103,10 @@ type clonedMetrics struct {
 // parentInfo is the cached Xenstore view of a parent domain, read once on
 // its first clone and reused afterwards.
 type parentInfo struct {
-	name     string
-	consoles []int
-	vifs     []int
-	ninePs   []int
-	vbds     []int
+	name string
+	// devs lists the parent's device indices per kind, parallel to the
+	// device-kind table.
+	devs [][]int
 	// snapshots caches parent device subtrees (by root path) for the
 	// deep-copy ablation, so later clones skip re-reading the store.
 	snapshots map[string][]xenstore.Pair
@@ -115,12 +114,11 @@ type parentInfo struct {
 
 // Daemon is the xencloned process.
 type Daemon struct {
-	HV       *hv.Hypervisor
-	Store    *xenstore.Store
-	XL       *toolstack.XL
-	Backends toolstack.Backends
-	Net      toolstack.Switch
-	Opts     Options
+	HV    *hv.Hypervisor
+	Store *xenstore.Store
+	XL    *toolstack.XL
+	Net   toolstack.Switch
+	Opts  Options
 
 	mu    sync.Mutex
 	cache map[hv.DomID]*parentInfo
@@ -144,7 +142,6 @@ func New(hyp *hv.Hypervisor, store *xenstore.Store, xl *toolstack.XL, net toolst
 		HV:          hyp,
 		Store:       store,
 		XL:          xl,
-		Backends:    xl.Backends,
 		Net:         net,
 		Opts:        opts,
 		cache:       make(map[hv.DomID]*parentInfo),
@@ -459,57 +456,22 @@ func (d *Daemon) serveOne(n hv.CloneNotification, ctx obs.OpCtx) error {
 }
 
 // rollback undoes whatever part of the second stage completed for a failed
-// child, in reverse creation order: device backends first (vbd, 9pfs, vif
-// with switch detach, console), then the toolstack record, then the
-// child's whole Xenstore subtree. Every step tolerates the state it undoes
-// being absent, so rollback is safe no matter where the second stage
-// failed, and running it twice is harmless. The hypervisor-side teardown
-// (domain, COW references, clone budget) is NOT done here — that is
-// CloneAbort's job, invoked only when the failure is terminal.
+// child, in reverse creation order: device backends first (the table's
+// shared teardown), then the toolstack record, then the child's whole
+// Xenstore subtree. Every step tolerates the state it undoes being absent,
+// so rollback is safe no matter where the second stage failed, and running
+// it twice is harmless. The hypervisor-side teardown (domain, COW
+// references, clone budget) is NOT done here — that is CloneAbort's job,
+// invoked only when the failure is terminal.
 func (d *Daemon) rollback(n hv.CloneNotification, ctx obs.OpCtx) {
 	meter := ctx.Meter()
 	_, span := ctx.StartSpan("rollback")
 	defer span.End()
 	c := uint32(n.Child)
-	// The parent inventory bounds what could have been cloned. If it is
-	// unreadable the failure happened before any device work, so the
-	// device sweep is moot.
-	info, infoErr := d.parentInfo(n.Parent, meter)
-	if infoErr == nil {
-		if d.Backends.Vbd != nil {
-			for _, idx := range info.vbds {
-				d.Backends.Vbd.Remove(c, idx)
-			}
-		}
-		if d.Backends.NineP != nil {
-			for range info.ninePs {
-				d.Backends.NineP.Remove(c)
-			}
-		}
-		for _, idx := range info.vifs {
-			if v, err := d.Backends.Net.Vif(c, idx); err == nil {
-				if d.Net != nil {
-					d.Net.Detach(v)
-				}
-				d.Backends.Net.RemoveVif(c, idx, meter)
-				// Consume the udev remove event the backend emitted.
-				d.Backends.Udev.TryRecv()
-			}
-		}
-		for range info.consoles {
-			d.Backends.Console.Remove(c)
-		}
-	}
+	kinds := d.XL.Devices
+	kinds.Teardown(c, d.Net, meter)
 	d.XL.ReleaseClone(n.Child)
-	// Deleting the child subtree erases its base entries and any
-	// partially-cloned frontend device entries; the backend halves live
-	// under Dom0's subtree and must be removed per device kind. A child
-	// that never got that far yields NotFound, which is the desired
-	// state anyway.
-	_ = d.Store.Remove(fmt.Sprintf("/local/domain/%d", n.Child), meter)
-	for _, kind := range []string{"vbd", "9pfs", "vif", "console"} {
-		_ = d.Store.Remove(devices.BackendDir(c, kind), meter)
-	}
+	kinds.RemoveEntries(d.Store, c, meter)
 }
 
 // pinVCPUs assigns the clone's vCPUs to physical cores round robin.
@@ -554,9 +516,10 @@ func (d *Daemon) parentInfo(parent hv.DomID, meter *vclock.Meter) (*parentInfo, 
 	if err != nil {
 		return nil, err
 	}
-	info := &parentInfo{name: name}
-	for _, kind := range []string{"console", "vif", "9pfs", "vbd"} {
-		dir := devices.FrontendDir(uint32(parent), kind)
+	kinds := d.XL.Devices
+	info := &parentInfo{name: name, devs: make([][]int, len(kinds))}
+	for k := range kinds {
+		dir := devices.FrontendDir(uint32(parent), kinds[k].Dir)
 		if !d.Store.Exists(dir, meter) {
 			continue
 		}
@@ -565,19 +528,8 @@ func (d *Daemon) parentInfo(parent hv.DomID, meter *vclock.Meter) (*parentInfo, 
 			return nil, err
 		}
 		for _, s := range names {
-			idx, err := strconv.Atoi(s)
-			if err != nil {
-				continue
-			}
-			switch kind {
-			case "console":
-				info.consoles = append(info.consoles, idx)
-			case "vif":
-				info.vifs = append(info.vifs, idx)
-			case "9pfs":
-				info.ninePs = append(info.ninePs, idx)
-			case "vbd":
-				info.vbds = append(info.vbds, idx)
+			if idx, err := strconv.Atoi(s); err == nil {
+				info.devs[k] = append(info.devs[k], idx)
 			}
 		}
 	}
@@ -644,80 +596,31 @@ func (d *Daemon) snapshot(parent hv.DomID, src string, meter *vclock.Meter) ([]x
 	return pairs, nil
 }
 
-// cloneDevices runs steps 2.1-2.3 for every parent device.
+// cloneDevices runs steps 2.1-2.3 for every parent device, kind by kind in
+// table order: one xs_clone request per directory (frontend, then backend)
+// carries the store entries of all the kind's devices, then the backend
+// creates each pre-connected clone device and finalizes it (for a vif: the
+// udev event and the switch attachment).
 func (d *Daemon) cloneDevices(n hv.CloneNotification, info *parentInfo, meter *vclock.Meter) error {
 	p, c := uint32(n.Parent), uint32(n.Child)
-
-	// Console: Xenstore entries only; the Qemu console process is
-	// notified by the store write and creates the state internally.
-	for range info.consoles {
-		if err := d.cloneStoreDir(n, xenstore.CloneDevConsole,
-			devices.FrontendDir(p, "console"), devices.FrontendDir(c, "console"), meter); err != nil {
+	kinds := d.XL.Devices
+	for k := range kinds {
+		kind := &kinds[k]
+		if len(info.devs[k]) == 0 || kind.Network && d.Opts.SkipNetworkDevices {
+			continue
+		}
+		if err := d.cloneStoreDir(n, kind.CloneOp,
+			devices.FrontendDir(p, kind.Dir), devices.FrontendDir(c, kind.Dir), meter); err != nil {
 			return err
 		}
-		if err := d.cloneStoreDir(n, xenstore.CloneDevConsole,
-			devices.BackendDir(p, "console"), devices.BackendDir(c, "console"), meter); err != nil {
+		if err := d.cloneStoreDir(n, kind.CloneOp,
+			devices.BackendDir(p, kind.Dir), devices.BackendDir(c, kind.Dir), meter); err != nil {
 			return err
 		}
-		if err := d.Backends.Console.Clone(p, c, meter); err != nil {
-			return err
-		}
-	}
-
-	// Network: store entries, backend clone device (pre-connected, ring
-	// copies), then the udev event and the userspace switch attachment.
-	if !d.Opts.SkipNetworkDevices {
-		for _, idx := range info.vifs {
-			if err := d.cloneStoreDir(n, xenstore.CloneDevVif,
-				devices.FrontendDir(p, "vif"), devices.FrontendDir(c, "vif"), meter); err != nil {
+		for _, idx := range info.devs[k] {
+			if err := kind.Clone(p, c, idx, d.Net, meter); err != nil {
 				return err
 			}
-			if err := d.cloneStoreDir(n, xenstore.CloneDevVif,
-				devices.BackendDir(p, "vif"), devices.BackendDir(c, "vif"), meter); err != nil {
-				return err
-			}
-			vif, err := d.Backends.Net.CloneVif(p, c, idx, meter)
-			if err != nil {
-				return err
-			}
-			// Step 2.3: handle the udev event the backend emitted.
-			if ev, ok := d.Backends.Udev.TryRecv(); ok && ev.Action == devices.UdevAdd {
-				if d.Net != nil {
-					d.Net.Attach(vif, meter)
-				}
-			}
-		}
-	}
-
-	// 9pfs: store entries plus the QMP cloning request to the parent's
-	// backend process.
-	for range info.ninePs {
-		if err := d.cloneStoreDir(n, xenstore.CloneDev9pfs,
-			devices.FrontendDir(p, "9pfs"), devices.FrontendDir(c, "9pfs"), meter); err != nil {
-			return err
-		}
-		if err := d.cloneStoreDir(n, xenstore.CloneDev9pfs,
-			devices.BackendDir(p, "9pfs"), devices.BackendDir(c, "9pfs"), meter); err != nil {
-			return err
-		}
-		if err := d.Backends.NineP.Clone(p, c, meter); err != nil {
-			return err
-		}
-	}
-
-	// Block devices (§5.3 extension): store entries plus the backend's
-	// shared-base + copied-overlay clone.
-	for _, idx := range info.vbds {
-		if err := d.cloneStoreDir(n, xenstore.CloneDevVbd,
-			devices.FrontendDir(p, "vbd"), devices.FrontendDir(c, "vbd"), meter); err != nil {
-			return err
-		}
-		if err := d.cloneStoreDir(n, xenstore.CloneDevVbd,
-			devices.BackendDir(p, "vbd"), devices.BackendDir(c, "vbd"), meter); err != nil {
-			return err
-		}
-		if _, err := d.Backends.Vbd.Clone(p, c, idx, meter); err != nil {
-			return err
 		}
 	}
 	return nil

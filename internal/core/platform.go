@@ -154,16 +154,13 @@ func (p *Platform) NewMeter() *vclock.Meter { return vclock.NewMeter(p.Costs) }
 
 // SetFaults threads a fault-injection registry through every component of
 // the clone pipeline — hypervisor first stage, Xenstore, toolstack
-// adoption and all four device backends. Passing nil disarms injection
+// adoption and every device kind's backend. Passing nil disarms injection
 // everywhere.
 func (p *Platform) SetFaults(r *fault.Registry) {
 	p.HV.SetFaults(r)
 	p.Store.SetFaults(r)
 	p.XL.SetFaults(r)
-	p.Backends.Net.SetFaults(r)
-	p.Backends.Console.SetFaults(r)
-	p.Backends.NineP.SetFaults(r)
-	p.Backends.Vbd.SetFaults(r)
+	p.XL.Devices.SetFaults(r)
 }
 
 // Observe attaches a trace sink to the platform: every subsequent CloneOp

@@ -44,9 +44,7 @@ func (c *ConsoleBackend) Create(domid uint32, meter *vclock.Meter) {
 	}
 	c.rings[domid] = ring.New(64, 1)
 	c.logs[domid] = &strings.Builder{}
-	if meter != nil {
-		meter.Charge(meter.Costs().BackendCreate, 1)
-	}
+	meter.Charge(meter.Costs().BackendCreate, 1)
 }
 
 // Clone creates the child console. The ring is deliberately NOT copied:
@@ -65,9 +63,7 @@ func (c *ConsoleBackend) Clone(parent, child uint32, meter *vclock.Meter) error 
 	}
 	c.rings[child] = pr.Fresh()
 	c.logs[child] = &strings.Builder{}
-	if meter != nil {
-		meter.Charge(meter.Costs().CloneDeviceState, 1)
-	}
+	meter.Charge(meter.Costs().CloneDeviceState, 1)
 	return nil
 }
 

@@ -189,11 +189,9 @@ func (v *Vif) Clone(childDom uint32, meter *vclock.Meter) *Vif {
 		state:       StateConnected, // negotiation skipped
 		rxBufCookie: v.rxBufCookie,
 	}
-	if meter != nil {
-		meter.Charge(meter.Costs().CloneDeviceState, 1)
-		// Ring copies: one page copy per backing frame.
-		meter.Charge(meter.Costs().PageCopy, c.tx.Pages()+c.rx.Pages())
-	}
+	meter.Charge(meter.Costs().CloneDeviceState, 1)
+	// Ring copies: one page copy per backing frame.
+	meter.Charge(meter.Costs().PageCopy, c.tx.Pages()+c.rx.Pages())
 	return c
 }
 
@@ -243,17 +241,22 @@ func unmarshalPacket(b []byte) netsim.Packet {
 // udev events.
 type NetBackend struct {
 	mu     sync.Mutex
-	vifs   map[string]*Vif // key: "domid/index"
+	vifs   map[devKey]*Vif
 	udev   *UdevQueue
 	faults *fault.Registry
 }
 
 // NewNetBackend creates the netback driver.
 func NewNetBackend(udev *UdevQueue) *NetBackend {
-	return &NetBackend{vifs: make(map[string]*Vif), udev: udev}
+	return &NetBackend{vifs: make(map[devKey]*Vif), udev: udev}
 }
 
-func vifKey(domid uint32, index int) string { return fmt.Sprintf("%d/%d", domid, index) }
+// devKey identifies one device of an indexed kind (vif, vbd) in its
+// backend's map.
+type devKey struct {
+	domid uint32
+	index int
+}
 
 // SetFaults installs a fault-injection registry on the clone path (tests).
 func (nb *NetBackend) SetFaults(r *fault.Registry) {
@@ -267,14 +270,10 @@ func (nb *NetBackend) SetFaults(r *fault.Registry) {
 func (nb *NetBackend) CreateVif(domid uint32, index int, ip netsim.IP, meter *vclock.Meter) *Vif {
 	v := NewVif(domid, index, ip)
 	nb.mu.Lock()
-	nb.vifs[vifKey(domid, index)] = v
+	nb.vifs[devKey{domid, index}] = v
 	nb.mu.Unlock()
-	if meter != nil {
-		meter.Charge(meter.Costs().BackendCreate, 1)
-	}
-	if nb.udev != nil {
-		nb.udev.Emit(UdevEvent{Action: UdevAdd, Kind: "vif", DomID: domid, Index: index}, meter)
-	}
+	meter.Charge(meter.Costs().BackendCreate, 1)
+	nb.udev.Emit(UdevEvent{Action: UdevAdd, Kind: "vif", DomID: domid, Index: index}, meter)
 	return v
 }
 
@@ -283,7 +282,7 @@ func (nb *NetBackend) CreateVif(domid uint32, index int, ip netsim.IP, meter *vc
 func (nb *NetBackend) CloneVif(parent, child uint32, index int, meter *vclock.Meter) (*Vif, error) {
 	nb.mu.Lock()
 	faults := nb.faults
-	pv, ok := nb.vifs[vifKey(parent, index)]
+	pv, ok := nb.vifs[devKey{parent, index}]
 	nb.mu.Unlock()
 	if err := faults.Check(fault.PointDevVifClone); err != nil {
 		return nil, err
@@ -293,11 +292,9 @@ func (nb *NetBackend) CloneVif(parent, child uint32, index int, meter *vclock.Me
 	}
 	cv := pv.Clone(child, meter)
 	nb.mu.Lock()
-	nb.vifs[vifKey(child, index)] = cv
+	nb.vifs[devKey{child, index}] = cv
 	nb.mu.Unlock()
-	if nb.udev != nil {
-		nb.udev.Emit(UdevEvent{Action: UdevAdd, Kind: "vif", DomID: child, Index: index}, meter)
-	}
+	nb.udev.Emit(UdevEvent{Action: UdevAdd, Kind: "vif", DomID: child, Index: index}, meter)
 	return cv, nil
 }
 
@@ -305,7 +302,7 @@ func (nb *NetBackend) CloneVif(parent, child uint32, index int, meter *vclock.Me
 func (nb *NetBackend) Vif(domid uint32, index int) (*Vif, error) {
 	nb.mu.Lock()
 	defer nb.mu.Unlock()
-	v, ok := nb.vifs[vifKey(domid, index)]
+	v, ok := nb.vifs[devKey{domid, index}]
 	if !ok {
 		return nil, fmt.Errorf("%w: vif %d/%d", ErrNoDevice, domid, index)
 	}
@@ -315,16 +312,40 @@ func (nb *NetBackend) Vif(domid uint32, index int) (*Vif, error) {
 // RemoveVif tears a device down, emitting the udev remove event.
 func (nb *NetBackend) RemoveVif(domid uint32, index int, meter *vclock.Meter) {
 	nb.mu.Lock()
-	v, ok := nb.vifs[vifKey(domid, index)]
-	delete(nb.vifs, vifKey(domid, index))
+	v, ok := nb.vifs[devKey{domid, index}]
+	delete(nb.vifs, devKey{domid, index})
 	nb.mu.Unlock()
 	if !ok {
 		return
 	}
 	v.Close()
-	if nb.udev != nil {
-		nb.udev.Emit(UdevEvent{Action: UdevRemove, Kind: "vif", DomID: domid, Index: index}, meter)
+	nb.udev.Emit(UdevEvent{Action: UdevRemove, Kind: "vif", DomID: domid, Index: index}, meter)
+}
+
+// plug is the userspace finalization of a new vif (step 2.3): whoever
+// asked for the device consumes the udev add event the backend emitted and
+// plugs the vif into the switch.
+func (nb *NetBackend) plug(v *Vif, sw Switch, meter *vclock.Meter) {
+	if ev, ok := nb.udev.TryRecv(); ok && ev.Action == UdevAdd && sw != nil {
+		sw.Attach(v, meter)
 	}
+}
+
+// unplug undoes plug and the device behind it: switch detach, RemoveVif
+// and its udev remove event. It reports false when there is no such vif.
+func (nb *NetBackend) unplug(domid uint32, index int, sw Switch, meter *vclock.Meter) bool {
+	nb.mu.Lock()
+	v := nb.vifs[devKey{domid, index}]
+	nb.mu.Unlock()
+	if v == nil {
+		return false
+	}
+	if sw != nil {
+		sw.Detach(v)
+	}
+	nb.RemoveVif(domid, index, meter)
+	nb.udev.TryRecv()
+	return true
 }
 
 // Count reports the number of live vifs.

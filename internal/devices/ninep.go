@@ -147,9 +147,7 @@ func NewNinePProcess(fs *HostFS, export string, domid uint32, meter *vclock.Mete
 		tables:  map[uint32]map[Fid]*fidEntry{domid: {}},
 		nextFid: map[uint32]Fid{domid: 1},
 	}
-	if meter != nil {
-		meter.Charge(meter.Costs().BackendCreate, 1)
-	}
+	meter.Charge(meter.Costs().BackendCreate, 1)
 	return p
 }
 
@@ -312,10 +310,8 @@ func (p *NinePProcess) HandleQMPClone(req QMPCloneRequest, meter *vclock.Meter) 
 	}
 	p.tables[req.Child] = ct
 	p.nextFid[req.Child] = p.nextFid[req.Parent]
-	if meter != nil {
-		meter.Charge(meter.Costs().QMPRoundTrip, 1)
-		meter.Charge(meter.Costs().NinePFidClone, len(pt))
-	}
+	meter.Charge(meter.Costs().QMPRoundTrip, 1)
+	meter.Charge(meter.Costs().NinePFidClone, len(pt))
 	return nil
 }
 
@@ -403,8 +399,8 @@ func (b *NinePBackend) ProcessCount() int {
 	return len(seen)
 }
 
-// Remove drops a domain from its process.
-func (b *NinePBackend) Remove(domid uint32) {
+// Remove drops a domain from its process, reporting whether one served it.
+func (b *NinePBackend) Remove(domid uint32) bool {
 	b.mu.Lock()
 	p, ok := b.processes[domid]
 	delete(b.processes, domid)
@@ -412,4 +408,5 @@ func (b *NinePBackend) Remove(domid uint32) {
 	if ok {
 		p.DropDomain(domid)
 	}
+	return ok
 }

@@ -217,7 +217,7 @@ func (v *Vbd) WriteSector(sector uint64, data []byte, meter *vclock.Meter) error
 	if sector >= v.Sectors() {
 		return fmt.Errorf("%w: %d of %d", ErrBadSector, sector, v.Sectors())
 	}
-	if v.lookupLocked(sector) == nil && meter != nil {
+	if v.lookupLocked(sector) == nil {
 		meter.Charge(meter.Costs().PageCopy, 1)
 	}
 	v.dirty[sector] = append([]byte(nil), data...)
@@ -268,7 +268,7 @@ type VbdBackend struct {
 	store  *BaseStore
 	base   []uint64 // chunk hash per BaseChunkSectors-sized stretch
 	size   int      // base image bytes (whole sectors); immutable
-	vbds   map[string]*Vbd
+	vbds   map[devKey]*Vbd
 	faults *fault.Registry
 }
 
@@ -285,7 +285,7 @@ func NewVbdBackendShared(base []byte, store *BaseStore) *VbdBackend {
 	if rem := len(base) % SectorSize; rem != 0 {
 		base = append(base, make([]byte, SectorSize-rem)...)
 	}
-	b := &VbdBackend{store: store, size: len(base), vbds: make(map[string]*Vbd)}
+	b := &VbdBackend{store: store, size: len(base), vbds: make(map[devKey]*Vbd)}
 	const chunkBytes = BaseChunkSectors * SectorSize
 	for off := 0; off < len(base); off += chunkBytes {
 		end := off + chunkBytes
@@ -326,11 +326,9 @@ func (b *VbdBackend) Create(domid uint32, index int, meter *vclock.Meter) *Vbd {
 		state:   StateConnected,
 	}
 	b.mu.Lock()
-	b.vbds[vifKey(domid, index)] = v
+	b.vbds[devKey{domid, index}] = v
 	b.mu.Unlock()
-	if meter != nil {
-		meter.Charge(meter.Costs().BackendCreate, 1)
-	}
+	meter.Charge(meter.Costs().BackendCreate, 1)
 	return v
 }
 
@@ -343,7 +341,7 @@ func (b *VbdBackend) Create(domid uint32, index int, meter *vclock.Meter) *Vbd {
 func (b *VbdBackend) Clone(parent, child uint32, index int, meter *vclock.Meter) (*Vbd, error) {
 	b.mu.Lock()
 	faults := b.faults
-	pv, ok := b.vbds[vifKey(parent, index)]
+	pv, ok := b.vbds[devKey{parent, index}]
 	b.mu.Unlock()
 	if err := faults.Check(fault.PointDevVbdClone); err != nil {
 		return nil, err
@@ -368,11 +366,9 @@ func (b *VbdBackend) Clone(parent, child uint32, index int, meter *vclock.Meter)
 		state:   StateConnected,
 	}
 	b.mu.Lock()
-	b.vbds[vifKey(child, index)] = cv
+	b.vbds[devKey{child, index}] = cv
 	b.mu.Unlock()
-	if meter != nil {
-		meter.Charge(meter.Costs().CloneDeviceState, 1)
-	}
+	meter.Charge(meter.Costs().CloneDeviceState, 1)
 	return cv, nil
 }
 
@@ -380,22 +376,23 @@ func (b *VbdBackend) Clone(parent, child uint32, index int, meter *vclock.Meter)
 func (b *VbdBackend) Vbd(domid uint32, index int) (*Vbd, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	v, ok := b.vbds[vifKey(domid, index)]
+	v, ok := b.vbds[devKey{domid, index}]
 	if !ok {
 		return nil, fmt.Errorf("%w: %d/%d", ErrNoVbd, domid, index)
 	}
 	return v, nil
 }
 
-// Remove tears a device down.
-func (b *VbdBackend) Remove(domid uint32, index int) {
+// Remove tears a device down, reporting whether it existed.
+func (b *VbdBackend) Remove(domid uint32, index int) bool {
 	b.mu.Lock()
-	v, ok := b.vbds[vifKey(domid, index)]
-	delete(b.vbds, vifKey(domid, index))
+	v, ok := b.vbds[devKey{domid, index}]
+	delete(b.vbds, devKey{domid, index})
 	b.mu.Unlock()
 	if ok {
 		v.Close()
 	}
+	return ok
 }
 
 // Count reports live devices.

@@ -2,8 +2,10 @@
 // frontend drivers living in guests and backend drivers living in the host
 // domain, discovering each other through Xenstore, exchanging data over
 // shared rings, and — the Nephele extension — cloning without repeating
-// the Xenbus negotiation (§5.2.1). Console, network (vif) and 9pfs devices
-// are supported, each with its own clone policy.
+// the Xenbus negotiation (§5.2.1). Which device kinds exist — console,
+// network (vif), 9pfs, block (vbd) — and what create, clone and remove
+// mean for each is the device-kind table in kinds.go; the toolstack and
+// xencloned walk it and name no kind themselves.
 package devices
 
 import (
@@ -130,9 +132,7 @@ func WriteDevicePair(store *xenstore.Store, domid uint32, kind string, index int
 			return err
 		}
 	}
-	if meter != nil {
-		meter.Charge(meter.Costs().DeviceNegotiate, 1)
-	}
+	meter.Charge(meter.Costs().DeviceNegotiate, 1)
 	return nil
 }
 
@@ -167,8 +167,10 @@ type UdevEvent struct {
 	Index  int
 }
 
-// UdevQueue is the Dom0 event queue between kernel backends and
-// xencloned.
+// UdevQueue is the Dom0 event queue between kernel backends and whoever
+// finalizes their devices in userspace (xl on boot, xencloned on clone). A
+// nil queue is a host without udev: Emit drops the event uncharged and
+// TryRecv finds none.
 type UdevQueue struct {
 	ch chan UdevEvent
 }
@@ -180,17 +182,18 @@ func NewUdevQueue() *UdevQueue {
 
 // Emit publishes an event, charging the udev generation cost.
 func (q *UdevQueue) Emit(ev UdevEvent, meter *vclock.Meter) {
-	if meter != nil {
-		meter.Charge(meter.Costs().UdevEvent, 1)
+	if q == nil {
+		return
 	}
+	meter.Charge(meter.Costs().UdevEvent, 1)
 	q.ch <- ev
 }
 
-// Events exposes the receive side.
-func (q *UdevQueue) Events() <-chan UdevEvent { return q.ch }
-
 // TryRecv returns the next event without blocking.
 func (q *UdevQueue) TryRecv() (UdevEvent, bool) {
+	if q == nil {
+		return UdevEvent{}, false
+	}
 	select {
 	case ev := <-q.ch:
 		return ev, true

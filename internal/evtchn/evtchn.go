@@ -355,9 +355,7 @@ func (s *Subsystem) RaiseVIRQ(v VIRQ, meter *vclock.Meter) {
 		deliver = append(deliver, s.raiseLocked(dom, port))
 	}
 	s.mu.Unlock()
-	if meter != nil {
-		meter.Charge(meter.Costs().VIRQDeliver, len(deliver))
-	}
+	meter.Charge(meter.Costs().VIRQDeliver, len(deliver))
 	for _, d := range deliver {
 		if d != nil {
 			d()
@@ -484,9 +482,7 @@ func (s *Subsystem) CloneDomain(parent, child mem.DomID, meter *vclock.Meter) (C
 			st.Cloned++
 		}
 	}
-	if meter != nil {
-		meter.Charge(meter.Costs().EvtchnClone, st.Cloned)
-	}
+	meter.Charge(meter.Costs().EvtchnClone, st.Cloned)
 	return st, nil
 }
 

@@ -97,9 +97,7 @@ func (t *SyscallTarget) Execute(input []byte, cov *Coverage, instrumented bool, 
 		if cov != nil && cov.Record(pc, to) {
 			res.NewEdges++
 		}
-		if meter != nil {
-			meter.Add(edgeCost)
-		}
+		meter.Add(edgeCost)
 		pc = to
 	}
 	for i := 0; i+1 < len(input) && res.Syscalls < maxSyscallsPerInput; i += 2 {
@@ -108,15 +106,11 @@ func (t *SyscallTarget) Execute(input []byte, cov *Coverage, instrumented bool, 
 		if t.GetppidOnly {
 			sys = SysGetppid
 		}
-		if meter != nil {
-			meter.Add(costSyscallRun)
-		}
+		meter.Add(costSyscallRun)
 		res.Syscalls++
 		step(0x2000 + uint32(sys)*16)
 		if !t.supported[sys] {
-			if meter != nil {
-				meter.Add(costUnsupported)
-			}
+			meter.Add(costUnsupported)
 			step(0xE000) // ENOSYS path
 			continue
 		}

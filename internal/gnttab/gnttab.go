@@ -279,9 +279,7 @@ func (s *Subsystem) CloneDomain(parent, child mem.DomID, xlate func(mem.MFN) mem
 		ct.entries[i] = entry{active: true, grantee: pe.grantee, frame: frame, flags: pe.flags}
 		st.Cloned++
 	}
-	if meter != nil {
-		meter.Charge(meter.Costs().GrantEntryClone, st.Cloned)
-	}
+	meter.Charge(meter.Costs().GrantEntryClone, st.Cloned)
 	return st, nil
 }
 

@@ -87,9 +87,7 @@ func Boot(p *core.Platform, rec *toolstack.Record, flavor Flavor, meter *vclock.
 		rxWake:   make(chan struct{}, 1),
 		idcPages: make(map[mem.PFN]int),
 	}
-	if meter != nil {
-		meter.Charge(meter.Costs().GuestBootKernel, 1)
-	}
+	meter.Charge(meter.Costs().GuestBootKernel, 1)
 
 	// Heap spans everything below the I/O ring region and the three
 	// Xen-special pages.
@@ -117,9 +115,7 @@ func Boot(p *core.Platform, rec *toolstack.Record, flavor Flavor, meter *vclock.
 			k.pulseRX()
 			k.pumpTCP()
 		})
-		if meter != nil {
-			meter.Charge(meter.Costs().GuestNetReady, 1)
-		}
+		meter.Charge(meter.Costs().GuestNetReady, 1)
 	}
 	heapPages := pages - 3 - ringPages
 	if heapPages < 1 {
@@ -133,7 +129,7 @@ func Boot(p *core.Platform, rec *toolstack.Record, flavor Flavor, meter *vclock.
 
 	// Mini-OS UDP-server behaviour: notify the host the moment the app
 	// is ready (the Fig. 4 readiness datagram).
-	if k.vif != nil && meter != nil {
+	if k.vif != nil {
 		meter.Charge(meter.Costs().GuestUDPNotify, 1)
 	}
 	k.Printk(fmt.Sprintf("%s: kernel up, dom %d\n", flavor, rec.ID))

@@ -543,10 +543,8 @@ func (h *Hypervisor) cloneOne(parent *Domain, id DomID, copyRing bool, mode mem.
 	pspace := parent.space
 	parent.mu.Unlock()
 
-	if meter != nil {
-		meter.Charge(meter.Costs().DomainCreate, 1)
-		meter.Charge(meter.Costs().VCPUClone, st.VCPUs)
-	}
+	meter.Charge(meter.Costs().DomainCreate, 1)
+	meter.Charge(meter.Costs().VCPUClone, st.VCPUs)
 	vspan.End()
 
 	// Memory: COW-share regular pages, duplicate/rewrite private ones,
@@ -628,9 +626,7 @@ func (h *Hypervisor) pushNotification(ctx obs.OpCtx, parent, child *Domain) (cha
 	}
 	wait := make(chan struct{})
 	h.completionWaits[child.ID] = wait
-	if meter != nil {
-		meter.Charge(meter.Costs().CloneRingPush, 1)
-	}
+	meter.Charge(meter.Costs().CloneRingPush, 1)
 	return wait, nil
 }
 
@@ -656,9 +652,7 @@ func (h *Hypervisor) CloneCompletion(ctx obs.OpCtx, child DomID, resumeChild boo
 	meter := ctx.Meter()
 	_, span := ctx.StartSpan("clone-completion")
 	defer span.End()
-	if meter != nil {
-		meter.Charge(meter.Costs().Hypercall, 1)
-	}
+	meter.Charge(meter.Costs().Hypercall, 1)
 	h.met.completions.Inc()
 	h.mu.Lock()
 	wait := h.completionWaits[child]
@@ -690,9 +684,7 @@ func (h *Hypervisor) CloneAbort(ctx obs.OpCtx, child DomID) error {
 	meter := ctx.Meter()
 	_, span := ctx.StartSpan("clone-abort")
 	defer span.End()
-	if meter != nil {
-		meter.Charge(meter.Costs().Hypercall, 1)
-	}
+	meter.Charge(meter.Costs().Hypercall, 1)
 	h.met.aborts.Inc()
 	h.mu.Lock()
 	wait := h.completionWaits[child]
@@ -746,9 +738,7 @@ func (h *Hypervisor) CloneCOW(ctx obs.OpCtx, id DomID, pfns []mem.PFN) error {
 	meter := ctx.Meter()
 	_, span := ctx.StartSpan("clone-cow")
 	defer span.End()
-	if meter != nil {
-		meter.Charge(meter.Costs().Hypercall, 1)
-	}
+	meter.Charge(meter.Costs().Hypercall, 1)
 	d, err := h.Domain(id)
 	if err != nil {
 		return err
@@ -776,13 +766,10 @@ func (h *Hypervisor) WaitStreamed(ctx obs.OpCtx, id DomID) error {
 	}
 	sm, sub, werr := d.Space().WaitLazy()
 	if sm != nil {
-		if meter := ctx.Meter(); meter != nil {
-			offset := meter.Elapsed()
-			meter.Add(sm.Elapsed())
-			ctx.Trace().Absorb(sub, ctx.SpanID(), offset)
-		} else {
-			ctx.Trace().Absorb(sub, ctx.SpanID(), 0)
-		}
+		meter := ctx.Meter()
+		offset := meter.Elapsed()
+		meter.Add(sm.Elapsed())
+		ctx.Trace().Absorb(sub, ctx.SpanID(), offset)
 	}
 	return werr
 }
@@ -797,9 +784,7 @@ func (h *Hypervisor) CloneReset(ctx obs.OpCtx, child DomID) (int, error) {
 	meter := ctx.Meter()
 	_, span := ctx.StartSpan("clone-reset")
 	defer span.End()
-	if meter != nil {
-		meter.Charge(meter.Costs().Hypercall, 1)
-	}
+	meter.Charge(meter.Costs().Hypercall, 1)
 	d, err := h.Domain(child)
 	if err != nil {
 		return 0, err
@@ -830,7 +815,7 @@ func resetSpace(child, parent *mem.Space, machine *mem.Memory, meter *vclock.Met
 	// into the reset meter — the reset could not proceed before it.
 	if sm, _, err := child.WaitLazy(); err != nil {
 		return 0, err
-	} else if sm != nil && meter != nil {
+	} else if sm != nil {
 		meter.Add(sm.Elapsed())
 	}
 	restored := 0
@@ -900,9 +885,7 @@ func resetSpace(child, parent *mem.Space, machine *mem.Memory, meter *vclock.Met
 		// before a failure, which the old early returns skipped.
 		parent.MarkAllCOW()
 	}
-	if meter != nil {
-		meter.Charge(meter.Costs().CloneResetPage, restored)
-	}
+	meter.Charge(meter.Costs().CloneResetPage, restored)
 	// A non-nil firstErr means this iteration's AddSharer/Share either
 	// failed (nothing acquired) or its reference was dropped by the Remap
 	// failure path above; earlier iterations' references were consumed by

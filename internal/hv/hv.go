@@ -187,9 +187,7 @@ func (h *Hypervisor) DomainCreate(ctx obs.OpCtx, pages, vcpus int) (*Domain, err
 	h.domains[id] = d
 	h.mu.Unlock()
 
-	if meter != nil {
-		meter.Charge(meter.Costs().DomainCreate, 1)
-	}
+	meter.Charge(meter.Costs().DomainCreate, 1)
 	space, err := mem.NewSpace(h.Memory, id, pages, meter)
 	if err != nil {
 		h.mu.Lock()
@@ -282,9 +280,7 @@ func (h *Hypervisor) DomainDestroy(ctx obs.OpCtx, id DomID) error {
 	}
 	h.mu.Unlock()
 
-	if meter != nil {
-		meter.Charge(meter.Costs().DomainDestroy, 1)
-	}
+	meter.Charge(meter.Costs().DomainDestroy, 1)
 	return nil
 }
 

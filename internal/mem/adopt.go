@@ -65,9 +65,7 @@ func (s *Space) AdoptShared(ctx obs.OpCtx, srcDom DomID, start PFN, src []MFN) e
 	// The displaced frames were validated as this space's own private
 	// memory; releasing them dispatches to Free.
 	err := s.mem.ReleaseN(s.dom, old)
-	if meter != nil {
-		meter.Charge(meter.Costs().PTEntryClone, len(src))
-		meter.Charge(meter.Costs().P2MEntryClone, len(src))
-	}
+	meter.Charge(meter.Costs().PTEntryClone, len(src))
+	meter.Charge(meter.Costs().P2MEntryClone, len(src))
 	return err
 }

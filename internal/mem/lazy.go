@@ -189,9 +189,7 @@ func (m *Memory) adoptPledged(dom DomID, ptes []pte, meter *vclock.Meter) error 
 			}
 		}
 		m.endAccount()
-		if meter != nil {
-			meter.Charge(meter.Costs().PageShare, converted)
-		}
+		meter.Charge(meter.Costs().PageShare, converted)
 	}
 	return nil
 }
@@ -238,9 +236,7 @@ func (m *Memory) resolveCOW(dom DomID, mfn MFN, meter *vclock.Meter) (MFN, error
 			// before the frame was ever converted. Un-protecting in place
 			// costs what the eager family's last-sharer transfer would.
 			sh.mu.Unlock()
-			if meter != nil {
-				meter.Charge(meter.Costs().PageUnshare, 1)
-			}
+			meter.Charge(meter.Costs().PageUnshare, 1)
 			return mfn, nil
 		}
 		// Deferred conversion: transfer to dom_cow with the owner as the
@@ -254,9 +250,7 @@ func (m *Memory) resolveCOW(dom DomID, mfn MFN, meter *vclock.Meter) (MFN, error
 		sh.shared.Add(1)
 		m.endAccount()
 		sh.mu.Unlock()
-		if meter != nil {
-			meter.Charge(meter.Costs().PageShare, 1)
-		}
+		meter.Charge(meter.Costs().PageShare, 1)
 	}
 }
 

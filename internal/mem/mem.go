@@ -830,9 +830,7 @@ func (m *Memory) Alloc(dom DomID, meter *vclock.Meter) (MFN, error) {
 	if err != nil {
 		return 0, err
 	}
-	if meter != nil {
-		meter.Charge(meter.Costs().PageAlloc, 1)
-	}
+	meter.Charge(meter.Costs().PageAlloc, 1)
 	return mfn, nil
 }
 
@@ -898,9 +896,7 @@ func (m *Memory) AllocN(dom DomID, n int, meter *vclock.Meter) ([]MFN, error) {
 			return nil, fmt.Errorf("%w: want %d frames, %d free", ErrOutOfMemory, n, m.FreeFrames())
 		}
 	}
-	if meter != nil {
-		meter.Charge(meter.Costs().PageAlloc, n)
-	}
+	meter.Charge(meter.Costs().PageAlloc, n)
 	return out, nil
 }
 
@@ -1010,9 +1006,7 @@ func (m *Memory) Share(dom DomID, mfn MFN, refs int, meter *vclock.Meter) error 
 	m.beginAccount()
 	sh.shared.Add(1)
 	m.endAccount()
-	if meter != nil {
-		meter.Charge(meter.Costs().PageShare, 1)
-	}
+	meter.Charge(meter.Costs().PageShare, 1)
 	return nil
 }
 
@@ -1098,9 +1092,7 @@ func (m *Memory) shareRuns(dom DomID, c runCursor, refs int, meter *vclock.Meter
 			}
 		}
 		m.endAccount()
-		if meter != nil {
-			meter.Charge(meter.Costs().PageShare, transfers)
-		}
+		meter.Charge(meter.Costs().PageShare, transfers)
 	}
 	return nil
 }
@@ -1212,9 +1204,7 @@ func (m *Memory) CopyOnWrite(dom DomID, mfn MFN, meter *vclock.Meter) (MFN, erro
 	if f.refcount == 1 && f.pledges == 0 {
 		m.transferLastSharerLocked(sh, f, dom)
 		sh.mu.Unlock()
-		if meter != nil {
-			meter.Charge(meter.Costs().PageUnshare, 1)
-		}
+		meter.Charge(meter.Costs().PageUnshare, 1)
 		return mfn, nil
 	}
 	sh.mu.Unlock()
@@ -1227,9 +1217,7 @@ func (m *Memory) CopyOnWrite(dom DomID, mfn MFN, meter *vclock.Meter) (MFN, erro
 	if err != nil {
 		return 0, err
 	}
-	if meter != nil {
-		meter.Charge(meter.Costs().PageAlloc, 1)
-	}
+	meter.Charge(meter.Costs().PageAlloc, 1)
 	for {
 		lay := m.lay.Load()
 		mask := uint32(1<<lay.shardIdx(mfn)) | 1<<lay.shardIdx(newMFN)
@@ -1252,9 +1240,7 @@ func (m *Memory) CopyOnWrite(dom DomID, mfn MFN, meter *vclock.Meter) (MFN, erro
 			m.transferLastSharerLocked(&lay.shards[lay.shardIdx(mfn)], f, dom)
 			m.unlockMask(lay, mask)
 			m.releaseOne(dom, newMFN)
-			if meter != nil {
-				meter.Charge(meter.Costs().PageUnshare, 1)
-			}
+			meter.Charge(meter.Costs().PageUnshare, 1)
 			return mfn, nil
 		}
 		nf, _ := lay.frameAt(newMFN)
@@ -1264,9 +1250,7 @@ func (m *Memory) CopyOnWrite(dom DomID, mfn MFN, meter *vclock.Meter) (MFN, erro
 		}
 		f.refcount--
 		m.unlockMask(lay, mask)
-		if meter != nil {
-			meter.Charge(meter.Costs().PageUnshare, 1)
-		}
+		meter.Charge(meter.Costs().PageUnshare, 1)
 		return newMFN, nil
 	}
 }
@@ -1546,9 +1530,7 @@ func (m *Memory) copyRuns(dst []MFN, s runCursor, meter *vclock.Meter) error {
 		if err != nil {
 			return err
 		}
-		if meter != nil && len(dst) > 0 {
-			meter.Charge(meter.Costs().PageCopy, len(dst))
-		}
+		meter.Charge(meter.Costs().PageCopy, len(dst))
 		return nil
 	}
 }

@@ -751,10 +751,8 @@ func (s *Space) CloneOpMode(ctx obs.OpCtx, childDom DomID, copyRing bool, mode C
 		return nil, st, err
 	}
 	st.MetaFrames = len(child.ptFrames) + len(child.p2mFrames)
-	if meter != nil {
-		meter.Charge(meter.Costs().PTEntryClone, st.PTEntries)
-		meter.Charge(meter.Costs().P2MEntryClone, st.P2MEntries)
-	}
+	meter.Charge(meter.Costs().PTEntryClone, st.PTEntries)
+	meter.Charge(meter.Costs().P2MEntryClone, st.P2MEntries)
 	if st.Deferred > 0 {
 		child.startStream(ctx, st.Deferred)
 	}

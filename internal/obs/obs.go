@@ -138,11 +138,7 @@ func (c OpCtx) StartSpan(name string) (OpCtx, Span) {
 // returned *Trace is nil when the parent context records no spans; passing
 // a nil sub-trace to Absorb is a no-op, so callers need not branch.
 func (c OpCtx) Detach() (OpCtx, *Trace) {
-	var costs *vclock.CostModel
-	if c.meter != nil {
-		costs = c.meter.Costs()
-	}
-	d := OpCtx{meter: vclock.NewMeter(costs), faults: c.faults}
+	d := OpCtx{meter: vclock.NewMeter(c.meter.Costs()), faults: c.faults}
 	if c.trace == nil {
 		return d, nil
 	}

@@ -83,10 +83,7 @@ type Span struct {
 }
 
 func (t *Trace) start(name string, parent int32, m *vclock.Meter) Span {
-	var v vclock.Duration
-	if m != nil {
-		v = m.Elapsed()
-	}
+	v := m.Elapsed()
 	t.mu.Lock()
 	id := int32(len(t.recs) + 1)
 	t.recs = append(t.recs, SpanRecord{ID: id, Parent: parent, Name: name, StartV: v, EndV: -1})
@@ -101,10 +98,7 @@ func (s Span) End() {
 	if s.t == nil {
 		return
 	}
-	var v vclock.Duration
-	if s.m != nil {
-		v = s.m.Elapsed()
-	}
+	v := s.m.Elapsed()
 	wall := time.Since(s.wall) //nephele:nondeterministic-ok — wall time is recorded for profiling only, never used for ordering
 	s.t.mu.Lock()
 	rec := &s.t.recs[s.id-1]

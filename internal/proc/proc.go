@@ -80,9 +80,7 @@ func (m *Machine) Spawn(pages int, meter *vclock.Meter) (*Process, error) {
 	if err != nil {
 		return nil, err
 	}
-	if meter != nil {
-		meter.Charge(meter.Costs().ProcExecBase, 1)
-	}
+	meter.Charge(meter.Costs().ProcExecBase, 1)
 	p := &Process{
 		PID:     pid,
 		machine: m,
@@ -168,12 +166,10 @@ func (p *Process) Fork(meter *vclock.Meter) (*Process, error) {
 	if err != nil {
 		return nil, err
 	}
-	if meter != nil {
-		meter.Charge(meter.Costs().ProcForkBase, 1)
-		meter.Charge(meter.Costs().ProcPTEntryCopy, st.PTEntries)
-		if first {
-			meter.Charge(meter.Costs().ProcMarkCOWEntry, st.PTEntries)
-		}
+	meter.Charge(meter.Costs().ProcForkBase, 1)
+	meter.Charge(meter.Costs().ProcPTEntryCopy, st.PTEntries)
+	if first {
+		meter.Charge(meter.Costs().ProcMarkCOWEntry, st.PTEntries)
 	}
 	child := &Process{
 		PID:     pid,

@@ -275,9 +275,7 @@ func (st *ImageStore) Insert(img *Image, meter *vclock.Meter) error {
 						rollback()
 						return fmt.Errorf("toolstack: image cache insert: %w", err)
 					}
-					if meter != nil {
-						meter.Charge(meter.Costs().PageCopy, 1)
-					}
+					meter.Charge(meter.Costs().PageCopy, 1)
 				}
 				ch = &imageChunk{hash: h, mfns: mfns}
 				fresh = append(fresh, ch)

@@ -175,9 +175,7 @@ func (x *XL) Save(id hv.DomID, meter *vclock.Meter) (*Image, error) {
 		x.lastSave[id] = img
 	}
 	x.mu.Unlock()
-	if meter != nil {
-		meter.Charge(meter.Costs().ImagePageSave, n)
-	}
+	meter.Charge(meter.Costs().ImagePageSave, n)
 	return img, nil
 }
 
@@ -228,9 +226,7 @@ func (x *XL) Restore(img *Image, name string, meter *vclock.Meter) (*Record, err
 		}
 	}
 	// The entire allocated memory is charged, used or not (§6.1).
-	if meter != nil {
-		meter.Charge(meter.Costs().ImagePageRestore, img.npages)
-	}
+	meter.Charge(meter.Costs().ImagePageRestore, img.npages)
 	return rec, nil
 }
 

@@ -27,20 +27,14 @@ var (
 	ErrNoDomain  = errors.New("toolstack: no such domain")
 )
 
-// VifConfig configures one paravirtualized network interface.
-type VifConfig struct {
-	IP netsim.IP
-}
-
-// NinePConfig configures one 9pfs mount.
-type NinePConfig struct {
-	Export string // Dom0 directory exported to the guest
-	Tag    string // mount tag visible in the guest
-}
-
-// VbdConfig configures one block device over a shared base image
-// registered with the platform's vbd backend.
-type VbdConfig struct{}
+// The per-device configuration types and the switch interface belong to
+// the device-kind table.
+type (
+	VifConfig   = devices.VifConfig
+	NinePConfig = devices.NinePConfig
+	VbdConfig   = devices.VbdConfig
+	Switch      = devices.Switch
+)
 
 // DomainConfig is the xl configuration file of one guest.
 type DomainConfig struct {
@@ -68,14 +62,10 @@ func (c DomainConfig) Pages() int {
 	return mb * 256 // 256 frames per MiB
 }
 
-// Switch abstracts where clone/guest vifs are plugged: a Linux bridge, a
-// bond or an OVS group.
-type Switch interface {
-	// Attach plugs a vif in and wires its egress, charging the
-	// userspace-operation cost.
-	Attach(v *devices.Vif, meter *vclock.Meter)
-	// Detach unplugs a vif.
-	Detach(v *devices.Vif)
+// deviceConfig is the device half of the configuration, as the device-kind
+// table reads it.
+func (c DomainConfig) deviceConfig() devices.Config {
+	return devices.Config{NoConsole: c.NoConsole, Vifs: c.Vifs, NinePFS: c.NinePFS, Vbds: c.Vbds}
 }
 
 // BridgeSwitch attaches vifs to a learning bridge (the vanilla Xen
@@ -88,9 +78,7 @@ type BridgeSwitch struct {
 func (s *BridgeSwitch) Attach(v *devices.Vif, meter *vclock.Meter) {
 	s.Bridge.Attach(v)
 	v.SetEgress(func(p netsim.Packet) { s.Bridge.Forward(v, p) })
-	if meter != nil {
-		meter.Charge(meter.Costs().SwitchAttach, 1)
-	}
+	meter.Charge(meter.Costs().SwitchAttach, 1)
 }
 
 // Detach implements Switch.
@@ -107,9 +95,7 @@ type BondSwitch struct {
 func (s *BondSwitch) Attach(v *devices.Vif, meter *vclock.Meter) {
 	s.Bond.Enslave(v)
 	v.SetEgress(func(p netsim.Packet) { s.Uplink.Deliver(p) })
-	if meter != nil {
-		meter.Charge(meter.Costs().SwitchAttach, 1)
-	}
+	meter.Charge(meter.Costs().SwitchAttach, 1)
 }
 
 // Detach implements Switch.
@@ -125,9 +111,7 @@ type OVSSwitch struct {
 func (s *OVSSwitch) Attach(v *devices.Vif, meter *vclock.Meter) {
 	s.Group.AddBucket(v)
 	v.SetEgress(func(p netsim.Packet) { s.Uplink.Deliver(p) })
-	if meter != nil {
-		meter.Charge(meter.Costs().SwitchAttach, 1)
-	}
+	meter.Charge(meter.Costs().SwitchAttach, 1)
 }
 
 // Detach implements Switch.
@@ -158,6 +142,9 @@ type XL struct {
 	HV       *hv.Hypervisor
 	Store    *xenstore.Store
 	Backends Backends
+	// Devices is the device-kind table over Backends, built once here;
+	// xencloned and the platform's fault wiring walk the same table.
+	Devices devices.Table
 	// Net selects where vifs are attached.
 	Net Switch
 	// SkipNameCheck disables the vanilla uniqueness scan whose cost is
@@ -181,6 +168,7 @@ func New(hyp *hv.Hypervisor, store *xenstore.Store, be Backends, net Switch) *XL
 		HV:       hyp,
 		Store:    store,
 		Backends: be,
+		Devices:  devices.NewTable(be.Console, be.Net, be.NineP, be.Vbd),
 		Net:      net,
 		byName:   make(map[string]hv.DomID),
 		byID:     make(map[hv.DomID]*Record),
@@ -238,15 +226,11 @@ func (x *XL) Record(id hv.DomID) (*Record, error) {
 // Xenbus negotiation, backend creation and the userspace device
 // finalization. Guest kernel boot time is charged by the guest runtime.
 func (x *XL) Create(cfg DomainConfig, meter *vclock.Meter) (*Record, error) {
-	if meter != nil {
-		meter.Charge(meter.Costs().ToolstackBoot, 1)
-	}
+	meter.Charge(meter.Costs().ToolstackBoot, 1)
 	x.mu.Lock()
 	if !x.SkipNameCheck {
 		// Vanilla xl iterates all running VM names.
-		if meter != nil {
-			meter.Charge(meter.Costs().NameCheckPerVM, len(x.byName))
-		}
+		meter.Charge(meter.Costs().NameCheckPerVM, len(x.byName))
 	}
 	if _, taken := x.byName[cfg.Name]; taken {
 		x.mu.Unlock()
@@ -259,15 +243,19 @@ func (x *XL) Create(cfg DomainConfig, meter *vclock.Meter) (*Record, error) {
 		return nil, err
 	}
 	if cfg.MaxClones > 0 {
-		if err := x.HV.DomctlSetCloning(dom.ID, true, cfg.MaxClones); err != nil {
-			return nil, err
-		}
+		err = x.HV.DomctlSetCloning(dom.ID, true, cfg.MaxClones)
 	}
-	if err := x.introduce(dom.ID, cfg.Name, meter); err != nil {
-		x.HV.DomainDestroy(obs.OpCtx{}, dom.ID)
-		return nil, err
+	if err == nil {
+		err = x.introduce(dom.ID, cfg.Name, meter)
 	}
-	if err := x.createDevices(dom.ID, cfg, meter); err != nil {
+	if err == nil {
+		err = x.createDevices(dom.ID, cfg, meter)
+	}
+	if err != nil {
+		// Nothing is registered yet, so there is no record or name to
+		// drop: unwind the devices and entries built so far, uncharged.
+		x.Devices.Teardown(uint32(dom.ID), x.Net, nil)
+		x.Devices.RemoveEntries(x.Store, uint32(dom.ID), nil)
 		x.HV.DomainDestroy(obs.OpCtx{}, dom.ID)
 		return nil, err
 	}
@@ -290,9 +278,7 @@ func max1(n int) int {
 
 // introduce registers a new domain with xenstored.
 func (x *XL) introduce(id hv.DomID, name string, meter *vclock.Meter) error {
-	if meter != nil {
-		meter.Charge(meter.Costs().Introduce, 1)
-	}
+	meter.Charge(meter.Costs().Introduce, 1)
 	base := fmt.Sprintf("/local/domain/%d", id)
 	// A fixed order: the first write creates the domain's directory, and
 	// every later request's StorePerNode charge counts it.
@@ -308,81 +294,24 @@ func (x *XL) introduce(id hv.DomID, name string, meter *vclock.Meter) error {
 	return nil
 }
 
-// createDevices registers every configured device and finishes its setup.
+// createDevices registers every configured device and finishes its setup,
+// kind by kind in table order.
 func (x *XL) createDevices(id hv.DomID, cfg DomainConfig, meter *vclock.Meter) error {
-	domid := uint32(id)
-	if !cfg.NoConsole {
-		if err := devices.WriteDevicePair(x.Store, domid, "console", 0, nil, meter); err != nil {
+	dc := cfg.deviceConfig()
+	for k := range x.Devices {
+		if err := x.Devices[k].Create(x.Store, dc, uint32(id), x.Net, meter); err != nil {
 			return err
 		}
-		x.Backends.Console.Create(domid, meter)
-	}
-	for i, vc := range cfg.Vifs {
-		extra := []devices.Entry{
-			{Key: "mac", Value: netsim.MACForDomain(domid).String()},
-			{Key: "ip", Value: vc.IP.String()},
-		}
-		if err := devices.WriteDevicePair(x.Store, domid, "vif", i, extra, meter); err != nil {
-			return err
-		}
-		vif := x.Backends.Net.CreateVif(domid, i, vc.IP, meter)
-		// On boot, xl itself consumes the udev event and performs the
-		// userspace finalization.
-		if _, ok := x.Backends.Udev.TryRecv(); ok && x.Net != nil {
-			x.Net.Attach(vif, meter)
-		}
-	}
-	for i, np := range cfg.NinePFS {
-		extra := []devices.Entry{{Key: "tag", Value: np.Tag}, {Key: "export", Value: np.Export}}
-		if err := devices.WriteDevicePair(x.Store, domid, "9pfs", i, extra, meter); err != nil {
-			return err
-		}
-		// xl launches one backend process per guest that uses 9pfs.
-		x.Backends.NineP.Launch(domid, np.Export, meter)
-	}
-	for i := range cfg.Vbds {
-		if x.Backends.Vbd == nil {
-			return fmt.Errorf("toolstack: vbd configured but no vbd backend registered")
-		}
-		if err := devices.WriteDevicePair(x.Store, domid, "vbd", i, nil, meter); err != nil {
-			return err
-		}
-		x.Backends.Vbd.Create(domid, i, meter)
 	}
 	return nil
 }
 
 // Destroy tears a domain down and releases its devices and names.
 func (x *XL) Destroy(id hv.DomID, meter *vclock.Meter) error {
-	x.mu.Lock()
-	rec, ok := x.byID[id]
-	if !ok {
-		x.mu.Unlock()
+	if !x.ReleaseClone(id) {
 		return fmt.Errorf("%w: %d", ErrNoDomain, id)
 	}
-	delete(x.byID, id)
-	delete(x.byName, rec.Config.Name)
-	delete(x.lastSave, id)
-	x.dom0Mem -= Dom0MemPerInstanceBytes
-	x.mu.Unlock()
-
-	domid := uint32(id)
-	for i := range rec.Config.Vifs {
-		if v, err := x.Backends.Net.Vif(domid, i); err == nil && x.Net != nil {
-			x.Net.Detach(v)
-		}
-		x.Backends.Net.RemoveVif(domid, i, meter)
-		x.Backends.Udev.TryRecv() // consume the remove event
-	}
-	if !rec.Config.NoConsole {
-		x.Backends.Console.Remove(domid)
-	}
-	for range rec.Config.NinePFS {
-		x.Backends.NineP.Remove(domid)
-	}
-	for i := range rec.Config.Vbds {
-		x.Backends.Vbd.Remove(domid, i)
-	}
+	x.Devices.Teardown(uint32(id), x.Net, meter)
 	x.Store.Remove(fmt.Sprintf("/local/domain/%d", id), meter)
 	return x.HV.DomainDestroy(obs.Ctx(meter), id)
 }
@@ -409,11 +338,11 @@ func (x *XL) AdoptClone(parent, child hv.DomID) (*Record, error) {
 	return rec, nil
 }
 
-// ReleaseClone undoes an AdoptClone during rollback: the record and its
-// name are dropped without touching devices or the hypervisor (the caller
-// owns that part of the teardown). It reports whether the child was
-// registered; releasing an unknown child is a no-op, so a rollback may run
-// no matter how far adoption got.
+// ReleaseClone drops a domain's record and name without touching devices
+// or the hypervisor (the caller owns that part of the teardown): the first
+// step of Destroy, and the undo of AdoptClone during rollback. It reports
+// whether the domain was registered; releasing an unknown one is a no-op,
+// so a rollback may run no matter how far adoption got.
 func (x *XL) ReleaseClone(child hv.DomID) bool {
 	x.mu.Lock()
 	defer x.mu.Unlock()

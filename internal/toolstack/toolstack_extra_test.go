@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nephele/internal/devices"
+	"nephele/internal/fault"
 	"nephele/internal/netsim"
 	"nephele/internal/vclock"
 )
@@ -19,8 +20,7 @@ func TestVbdConfiguredWithoutBackendFails(t *testing.T) {
 }
 
 func TestVbdCreateAndDestroy(t *testing.T) {
-	r := newRig(t)
-	r.xl.Backends.Vbd = devices.NewVbdBackend(make([]byte, 8*devices.SectorSize))
+	r := newRigVbd(t, devices.NewVbdBackend(make([]byte, 8*devices.SectorSize)))
 	cfg := baseConfig("disk-vm")
 	cfg.Vbds = []VbdConfig{{}}
 	rec, err := r.xl.Create(cfg, nil)
@@ -145,5 +145,72 @@ func TestLookupErrors(t *testing.T) {
 	}
 	if _, err := r.xl.Save(1234, nil); !errors.Is(err, ErrNoDomain) {
 		t.Fatalf("Save ghost: %v", err)
+	}
+}
+
+// TestCreateFailureLeavesNothingBehind fails a console + vif + 9pfs boot at
+// every Xenstore write it issues and checks that each failed xl create
+// unwinds what it built: store nodes, netback vifs, consoles, bond slaves,
+// machine frames and the registry read as before the call, and the same
+// name then boots. A resident guest is booted first so the directories
+// every guest shares (/local/domain/0/backend/<kind>) already exist.
+func TestCreateFailureLeavesNothingBehind(t *testing.T) {
+	r := newRig(t)
+	reg := fault.NewRegistry()
+	r.store.SetFaults(reg)
+	cfg := baseConfig("victim")
+	cfg.NinePFS = []NinePConfig{{Export: "/export/python", Tag: "python"}}
+	resident := cfg
+	resident.Name = "resident"
+	writes := r.store.Stats().Writes
+	rec, err := r.xl.Create(resident, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writes = r.store.Stats().Writes - writes
+	if writes < 60 {
+		t.Fatalf("a console + vif + 9pfs boot issued %d writes; the fault sweep would not reach its devices", writes)
+	}
+
+	nodes, vifs, slaves := r.store.NodeCount(), r.xl.Backends.Net.Count(), r.bond.Slaves()
+	frames, doms, count := r.hv.Memory.FreeFrames(), r.hv.DomainCount(), r.xl.Count()
+	for n := 1; n <= writes; n++ {
+		reg.Inject(fault.PointXSWrite, fault.FailNth(n), fault.Fatal)
+		_, err := r.xl.Create(cfg, nil)
+		reg.Clear(fault.PointXSWrite)
+		if !fault.IsFault(err) {
+			t.Fatalf("write %d of %d armed: Create err = %v, want the injected fault", n, writes, err)
+		}
+		if got := r.store.NodeCount(); got != nodes {
+			t.Fatalf("write %d: %d store nodes left behind", n, got-nodes)
+		}
+		if got := r.xl.Backends.Net.Count(); got != vifs {
+			t.Fatalf("write %d: %d vifs left behind", n, got-vifs)
+		}
+		if got := r.bond.Slaves(); got != slaves {
+			t.Fatalf("write %d: %d bond slaves left behind", n, got-slaves)
+		}
+		// Domain IDs are handed out in order: the failed boots took the n
+		// after the resident's.
+		for id := uint32(rec.ID) + 1; id <= uint32(rec.ID)+uint32(n); id++ {
+			if r.xl.Backends.Console.Has(id) {
+				t.Fatalf("write %d: console of domain %d left behind", n, id)
+			}
+			if _, err := r.xl.Backends.NineP.Process(id); err == nil {
+				t.Fatalf("write %d: 9pfs process of domain %d left behind", n, id)
+			}
+		}
+		if got := r.hv.Memory.FreeFrames(); got != frames {
+			t.Fatalf("write %d: %d frames left behind", n, frames-got)
+		}
+		if got := r.hv.DomainCount(); got != doms {
+			t.Fatalf("write %d: %d domains, want %d", n, got, doms)
+		}
+		if got := r.xl.Count(); got != count {
+			t.Fatalf("write %d: %d registered domains, want %d", n, got, count)
+		}
+	}
+	if _, err := r.xl.Create(cfg, nil); err != nil {
+		t.Fatalf("boot under the same name after the failed ones: %v", err)
 	}
 }

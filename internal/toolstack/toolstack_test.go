@@ -21,7 +21,10 @@ type rig struct {
 	bond  *netsim.Bond
 }
 
-func newRig(t *testing.T) *rig {
+func newRig(t *testing.T) *rig { return newRigVbd(t, nil) }
+
+// newRigVbd is newRig with a vbd backend registered (nil registers none).
+func newRigVbd(t *testing.T, vbd *devices.VbdBackend) *rig {
 	t.Helper()
 	hyp := hv.New(hv.Config{
 		MemoryBytes:             512 << 20,
@@ -35,6 +38,7 @@ func newRig(t *testing.T) *rig {
 		Net:     devices.NewNetBackend(udev),
 		Console: devices.NewConsoleBackend(),
 		NineP:   devices.NewNinePBackend(fs),
+		Vbd:     vbd,
 		Udev:    udev,
 	}
 	host := netsim.NewHost(netsim.MAC{0xde, 0xad}, netsim.IP{10, 0, 0, 1})

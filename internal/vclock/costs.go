@@ -136,6 +136,10 @@ func DefaultCosts() *CostModel {
 // Meter accumulates virtual time charged by mechanism calls. A Meter is
 // owned by one logical operation (a boot, a clone, a fuzzing iteration) and
 // is not safe for concurrent use; concurrent operations each use their own.
+//
+// A nil *Meter is the disabled meter: Charge and Add do nothing, Elapsed
+// reads zero and Costs returns the shared default table, so code that
+// charges or reads time never tests its meter for nil.
 type Meter struct {
 	costs   *CostModel
 	elapsed Duration
@@ -150,13 +154,24 @@ func NewMeter(costs *CostModel) *Meter {
 	return &Meter{costs: costs}
 }
 
+// nilCosts is the table a nil meter's Costs returns; nothing writes to it.
+var nilCosts = DefaultCosts()
+
 // Costs exposes the cost table the meter charges against.
-func (m *Meter) Costs() *CostModel { return m.costs }
+func (m *Meter) Costs() *CostModel {
+	if m == nil {
+		return nilCosts
+	}
+	return m.costs
+}
 
 // Charge adds n units of the given unit cost.
 func (m *Meter) Charge(unit Duration, n int) {
 	if n < 0 {
 		panic("vclock: negative charge count")
+	}
+	if m == nil {
+		return
 	}
 	m.elapsed += unit * Duration(n)
 }
@@ -166,11 +181,19 @@ func (m *Meter) Add(d Duration) {
 	if d < 0 {
 		panic("vclock: negative charge")
 	}
+	if m == nil {
+		return
+	}
 	m.elapsed += d
 }
 
 // Elapsed reports the virtual time accumulated so far.
-func (m *Meter) Elapsed() Duration { return m.elapsed }
+func (m *Meter) Elapsed() Duration {
+	if m == nil {
+		return 0
+	}
+	return m.elapsed
+}
 
 // Reset zeroes the accumulated time, keeping the cost table.
 func (m *Meter) Reset() { m.elapsed = 0 }

@@ -88,6 +88,28 @@ func TestMeterNilCostsUsesDefault(t *testing.T) {
 	}
 }
 
+func TestMeterNilReceiverIsDisabled(t *testing.T) {
+	var m *Meter
+	m.Charge(time.Microsecond, 3)
+	m.Add(time.Millisecond)
+	if m.Elapsed() != 0 {
+		t.Fatalf("nil meter reads %v elapsed", m.Elapsed())
+	}
+	costs := m.Costs()
+	if again := m.Costs(); again != costs {
+		t.Fatal("nil meter's Costs is not one shared table")
+	}
+	if got, want := *costs, *DefaultCosts(); got != want {
+		t.Fatal("nil meter's Costs differs from DefaultCosts")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		m.Charge(m.Costs().PageCopy, 1)
+		m.Add(m.Costs().Hypercall)
+	}); n != 0 {
+		t.Fatalf("nil meter path allocates %v times per call", n)
+	}
+}
+
 func TestMeterNegativeChargePanics(t *testing.T) {
 	m := NewMeter(nil)
 	defer func() {

@@ -186,18 +186,14 @@ func (s *Store) chargeRequest(meter *vclock.Meter, isWrite bool) {
 	if isWrite {
 		s.stats.Writes++
 	}
-	if meter != nil {
-		meter.Charge(meter.Costs().StoreRequest, 1)
-		meter.Charge(meter.Costs().StorePerNode, s.nodes)
-	}
+	meter.Charge(meter.Costs().StoreRequest, 1)
+	meter.Charge(meter.Costs().StorePerNode, s.nodes)
 	if isWrite && !s.logDisabled && s.rotateEvery > 0 {
 		s.logLines++
 		if s.logLines >= s.rotateEvery {
 			s.logLines = 0
 			s.stats.LogRotations++
-			if meter != nil {
-				meter.Charge(meter.Costs().StoreLogRot, 1)
-			}
+			meter.Charge(meter.Costs().StoreLogRot, 1)
 		}
 	}
 }
