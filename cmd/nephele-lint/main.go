@@ -6,7 +6,7 @@
 //	determinism — no wall clock / unseeded rand / map iteration in
 //	              virtual-time packages
 //	seqlock     — no plain access to fields accessed via sync/atomic
-//	refleak     — Share/Alloc/AddSharer paired with a release on every
+//	refleak     — ShareN/AllocN/AddSharerN paired with a release on every
 //	              error path, releases tracked through same-package
 //	              helper calls
 //	spanend     — every started span is ended on every path

@@ -1,8 +1,8 @@
 // Package refleak verifies that frame-reference acquisitions (ShareN,
-// AddSharerN, AllocN and friends on a Memory or Space) are discharged on
-// every error-return path, where a discharge may happen *through a helper
-// call* — the shape the original hv.resetSpace leak had, and one an
-// intraprocedural walk can only see when the release is spelled inline.
+// AddSharerN, AllocN and their page-table forms on a Memory or Space) are
+// discharged on every error-return path, where a discharge may happen
+// *through a helper call* — a shape an intraprocedural walk can only see
+// when the release is spelled inline.
 //
 // The clone pipeline's failure protocol (DESIGN.md §8) requires that a
 // clone which dies part-way leaves the parent exactly as it was. -race and
@@ -24,11 +24,7 @@
 //     statement) by `if err != nil` clears the obligation on the failure
 //     branch — a failed acquire acquired nothing;
 //   - after falling through an `err != nil` guard, `err` is known nil, so
-//     a trailing `return err` is a success path, not an error path;
-//   - `err := s.Remap(...)` consumes the outstanding references (the
-//     installed mapping owns them) only where `err` is nil: on the failure
-//     branch they are outstanding again, and `return s.Remap(...)` consumes
-//     nothing, its non-nil result being exactly the failed consume.
+//     a trailing `return err` is a success path, not an error path.
 //
 // Obligations survive loop back edges, so an error return in iteration
 // i+1 sees iteration i's acquisitions. Ownership transfer on success
@@ -62,29 +58,20 @@ var Analyzer = &analysis.Analyzer{
 // The acquire/release vocabulary. CopyFrameN is on the release side:
 // breaking a COW share drops the sharer reference.
 var acquireNames = map[string]bool{
-	"Alloc": true, "AllocN": true,
-	"Share": true, "ShareN": true, "sharePTEs": true,
-	"AddSharer": true, "AddSharerN": true, "addSharerPTEs": true,
-	"allocOne": true,
+	"AllocN": true,
+	"ShareN": true, "sharePTEs": true,
+	"AddSharerN": true, "addSharerPTEs": true,
 }
 
 var releaseNames = map[string]bool{
-	"Free": true, "FreeN": true,
-	"Release": true, "ReleaseN": true, "release": true, "releaseOne": true, "releasePTEs": true,
-	"DropShared": true, "CopyFrameN": true,
+	"Release": true, "ReleaseN": true, "release": true, "releasePTEs": true,
+	"CopyFrameN": true,
 }
 
 // releaseAnyRecv are discharges honored on any receiver: destroying the
 // half-built domain releases everything it accumulated.
 var releaseAnyRecv = map[string]bool{
 	"DomainDestroy": true,
-}
-
-// consumeNames transfer the outstanding reference into a durable mapping.
-// A failed consume leaves the reference outstanding, so a consume's
-// discharge is contingent on its own error variable (state.revive).
-var consumeNames = map[string]bool{
-	"Remap": true,
 }
 
 const (
@@ -166,11 +153,6 @@ func isReleaseOp(pass *analysis.Pass, call *ast.CallExpr) bool {
 	return releaseAnyRecv[name] || (releaseNames[name] && isPoolRecv(recv))
 }
 
-func isConsumeOp(pass *analysis.Pass, call *ast.CallExpr) bool {
-	recv, name, ok := recvTypeName(pass, call)
-	return ok && consumeNames[name] && isPoolRecv(recv)
-}
-
 // checker carries one function's analysis context.
 type checker struct {
 	pass      *analysis.Pass
@@ -193,10 +175,6 @@ type state struct {
 	// assoc[e] is the set of sites whose own success is still contingent
 	// on error variable e: the failure branch of `e != nil` clears them.
 	assoc [maxErrVars]uint64
-	// revive[e] is the set of sites a consume discharged on condition
-	// that its error variable e is nil: the failure branch of `e != nil`
-	// reopens them.
-	revive [maxErrVars]uint64
 	// nilErr marks error variables known nil on this path (fell through
 	// their `!= nil` guard), making a trailing `return err` a success.
 	nilErr uint64
@@ -211,10 +189,6 @@ func mergeInto(dst *state, src state) bool {
 	for i := range dst.assoc {
 		if dst.assoc[i]|src.assoc[i] != dst.assoc[i] {
 			dst.assoc[i] |= src.assoc[i]
-			changed = true
-		}
-		if dst.revive[i]|src.revive[i] != dst.revive[i] {
-			dst.revive[i] |= src.revive[i]
 			changed = true
 		}
 	}
@@ -367,18 +341,6 @@ func (c *checker) containsDischarge(n ast.Node) bool {
 	return found
 }
 
-// containsConsume reports whether any call under n, outside function
-// literals, is a consume.
-func (c *checker) containsConsume(n ast.Node) bool {
-	found := false
-	inspectSkippingFuncLits(n, func(x ast.Node) {
-		if call, ok := x.(*ast.CallExpr); ok && isConsumeOp(c.pass, call) {
-			found = true
-		}
-	})
-	return found
-}
-
 // errVarBit returns the bit for an error variable, registering it on
 // first sight; ok is false past the tracking cap.
 func (c *checker) errVarBit(v *types.Var) (uint64, bool) {
@@ -408,15 +370,9 @@ func (c *checker) varOf(id *ast.Ident) *types.Var {
 // transfer applies one CFG node to the state.
 func (c *checker) transfer(n ast.Node, st state) state {
 	// Discharges anywhere in the node (including return expressions —
-	// `return fail(err)`) clear every obligation. A consume clears them
-	// too, except in a return statement, whose non-nil result is the
-	// consume's own failure; transferAssign makes the clearing contingent
-	// on the error variable the statement assigns, if any.
-	var consumed uint64
+	// `return fail(err)`) clear every obligation.
 	if c.containsDischarge(n) {
 		st.open = 0
-	} else if _, isRet := n.(*ast.ReturnStmt); !isRet && c.containsConsume(n) {
-		consumed, st.open = st.open, 0
 	}
 	// Acquire sites open obligations; their statement's error variables
 	// become contingency guards.
@@ -432,15 +388,14 @@ func (c *checker) transfer(n ast.Node, st state) state {
 		st.open |= 1 << uint(idx)
 	})
 	if as, ok := n.(*ast.AssignStmt); ok {
-		st = c.transferAssign(as, consumed, st)
+		st = c.transferAssign(as, st)
 	}
 	return st
 }
 
-// transferAssign wires acquire sites, and the sites a consume in the
-// statement discharged, to the error variables the statement assigns, and
-// kills stale nil-ness/associations on reassignment.
-func (c *checker) transferAssign(as *ast.AssignStmt, consumed uint64, st state) state {
+// transferAssign wires acquire sites to the error variables the statement
+// assigns, and kills stale nil-ness/associations on reassignment.
+func (c *checker) transferAssign(as *ast.AssignStmt, st state) state {
 	var acquired uint64
 	inspectSkippingFuncLits(as, func(x ast.Node) {
 		if call, ok := x.(*ast.CallExpr); ok {
@@ -462,7 +417,6 @@ func (c *checker) transferAssign(as *ast.AssignStmt, consumed uint64, st state) 
 		st.nilErr &^= bit // freshly assigned: nil-ness unknown
 		i := c.errIdx[v]
 		st.assoc[i] = acquired
-		st.revive[i] = consumed
 	}
 	return st
 }
@@ -496,14 +450,12 @@ func (c *checker) branch(cond ast.Expr, st state) (tru, fls state) {
 	if be.Op == token.EQL {
 		nonNil, isNil = &fls, &tru
 	}
-	// Failure branch: the contingent acquisitions never happened, the
-	// contingent consumes consumed nothing.
-	nonNil.open = nonNil.open&^st.assoc[i] | st.revive[i]
-	// Success branch: the error variable is known nil, and neither is
-	// contingent any longer.
+	// Failure branch: the contingent acquisitions never happened.
+	nonNil.open &^= st.assoc[i]
+	// Success branch: the error variable is known nil, and nothing is
+	// contingent on it any longer.
 	isNil.nilErr |= bit
-	nonNil.assoc[i], nonNil.revive[i] = 0, 0
-	isNil.assoc[i], isNil.revive[i] = 0, 0
+	nonNil.assoc[i], isNil.assoc[i] = 0, 0
 	return
 }
 

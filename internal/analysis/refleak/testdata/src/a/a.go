@@ -1,7 +1,7 @@
 // Package a is the refleak fixture: acquire/release pairing across error
 // paths, with discharges flowing through helpers, closures, and defers.
 // clone.go holds the clone pipeline's own shapes (second acquire failing,
-// conditional deferred unwind, consuming Remap).
+// conditional deferred unwind).
 package a
 
 // Memory mimics the frame pool's acquire/release surface.
@@ -10,16 +10,9 @@ type Memory struct{}
 func (m *Memory) AllocN(n int) error     { return nil }
 func (m *Memory) ShareN(n int) error     { return nil }
 func (m *Memory) AddSharerN(n int) error { return nil }
-func (m *Memory) AddSharer(n int) error  { return nil }
-func (m *Memory) DropShared(n int) error { return nil }
 func (m *Memory) ReleaseN(n int)         {}
 func (m *Memory) CopyFrameN(n int) error { return nil }
-func (m *Memory) releaseOne(n int)       {}
-
-// Space mimics the address-space surface.
-type Space struct{}
-
-func (s *Space) Remap(n int) error { return nil }
+func (m *Memory) releasePTEs(n int)      {}
 
 // Conn carries the any-receiver teardown, beside a method whose name is
 // not in the analyzer's table.
@@ -84,7 +77,7 @@ func inlineRelease(m *Memory) error {
 func rollback(m *Memory) { m.ReleaseN(1) }
 
 // undo reaches a release one hop deeper.
-func undo(m *Memory) { m.releaseOne(0) }
+func undo(m *Memory) { m.releasePTEs(0) }
 
 // unwind reaches a release only transitively, through undo.
 func unwind(m *Memory) { undo(m) }
@@ -194,31 +187,6 @@ func misnamedTeardown(m *Memory, c *Conn) error {
 	}
 	m.ReleaseN(1)
 	return nil
-}
-
-// remapped transfers the reference into a durable mapping: past a
-// successful Remap nothing is outstanding.
-func remapped(m *Memory, s *Space) error {
-	if err := m.ShareN(1); err != nil {
-		return err
-	}
-	if err := s.Remap(1); err != nil {
-		m.ReleaseN(1)
-		return err
-	}
-	if err := work(); err != nil {
-		return err
-	}
-	return nil
-}
-
-// remapTail forwards the consume's own error: a non-nil result is a
-// failed Remap, which consumed nothing.
-func remapTail(m *Memory, s *Space) error {
-	if err := m.ShareN(1); err != nil {
-		return err
-	}
-	return s.Remap(1) // want `error return with unreleased ShareN`
 }
 
 // loopLeak acquires per iteration and escapes mid-iteration.

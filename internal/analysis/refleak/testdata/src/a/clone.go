@@ -41,7 +41,7 @@ func CloneDeferred(m *Memory) (err error) {
 }
 
 // CloneClosure funnels error exits through a rollback closure, the
-// Space.Clone fail() pattern.
+// Space.CloneOpMode fail() pattern.
 func CloneClosure(m *Memory) error {
 	err := m.AllocN(4)
 	if err != nil {
@@ -53,30 +53,6 @@ func CloneClosure(m *Memory) error {
 	}
 	if err := m.ShareN(2); err != nil {
 		return fail(err)
-	}
-	return nil
-}
-
-// CloneConsume drops the sharer reference when the consuming Remap fails.
-func CloneConsume(m *Memory, s *Space) error {
-	if err := m.AddSharer(5); err != nil {
-		return err
-	}
-	if err := s.Remap(5); err != nil {
-		_ = m.DropShared(5)
-		return err
-	}
-	return nil
-}
-
-// CloneConsumeLeak forgets that a failed Remap leaves the sharer
-// reference outstanding.
-func CloneConsumeLeak(m *Memory, s *Space) error {
-	if err := m.AddSharer(5); err != nil {
-		return err
-	}
-	if err := s.Remap(5); err != nil {
-		return err // want `unreleased AddSharer`
 	}
 	return nil
 }

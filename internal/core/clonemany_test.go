@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"nephele/internal/hv"
 	"nephele/internal/netsim"
 	"nephele/internal/obs"
 	"nephele/internal/toolstack"
@@ -183,5 +184,33 @@ func TestCloneOpPlacedSpecWithoutRouter(t *testing.T) {
 		if d, _ := p.HV.Domain(id); d.Paused() {
 			t.Fatalf("parent %d left paused", id)
 		}
+	}
+}
+
+// TestCloneOpRejectsNonPositiveCount: a spec asking for zero or fewer
+// children is refused by the hypervisor's admission (hv.ErrBadCloneCount)
+// with nothing moved — the parent keeps running, no domain appears — and the
+// parent forks normally afterwards.
+func TestCloneOpRejectsNonPositiveCount(t *testing.T) {
+	p := smallPlatform(Options{SkipNameCheck: true})
+	parent := bootParents(t, p, 1)[0]
+	for _, count := range []int{-1, 0} {
+		domains := p.HV.DomainCount()
+		res, err := p.CloneOp(obs.OpCtx{}, CloneSpec{Caller: parent, Parent: parent, Count: count})
+		if !errors.Is(err, hv.ErrBadCloneCount) || len(res) != 0 {
+			t.Fatalf("Count=%d: results %v, err %v; want none and ErrBadCloneCount", count, res, err)
+		}
+		d, err := p.HV.Domain(parent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Paused() || p.HV.DomainCount() != domains {
+			t.Fatalf("Count=%d: refused clone left the parent paused (%t) or %d domains, want %d",
+				count, d.Paused(), p.HV.DomainCount(), domains)
+		}
+	}
+	res, err := fork(p, parent, 1, nil)
+	if err != nil || len(res.Children) != 1 || res.Children[0] != parent+1 {
+		t.Fatalf("fork after refused clones: %+v, %v; want the next domain ID %d", res, err, parent+1)
 	}
 }

@@ -2,6 +2,7 @@ package hv
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"nephele/internal/fault"
@@ -221,4 +222,59 @@ func TestCloneBatchFaultGatePerRequest(t *testing.T) {
 		h.CloneCompletion(obs.OpCtx{}, k, true)
 	}
 	<-done
+}
+
+// TestCloneBatchRejectsNonPositiveCount: the child count is a guest-supplied
+// hypercall argument. A request for zero or fewer children fails with
+// ErrBadCloneCount before any state moves — its parent is not paused, its
+// clone budget and the domain numbering stay where they were — and the good
+// request beside it gets exactly what it gets alone.
+func TestCloneBatchRejectsNonPositiveCount(t *testing.T) {
+	const pages, n = 64, 2
+	hs, solos := batchReady(t, 2, pages, 4)
+	soloMeter := vclock.NewMeter(nil)
+	soloKids, soloStats, soloDone, err := cloneN(hs, solos[1].ID, solos[1].ID, n, soloMeter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range soloKids {
+		hs.CloneCompletion(obs.OpCtx{}, k, true)
+	}
+	<-soloDone
+
+	for _, bad := range []int{-1, 0} {
+		h, parents := batchReady(t, 2, pages, 4)
+		meter := vclock.NewMeter(nil)
+		results := h.CloneBatch(obs.OpCtx{}, []CloneRequest{
+			{Caller: parents[0].ID, Target: parents[0].ID, N: bad, CopyRing: true},
+			{Caller: parents[1].ID, Target: parents[1].ID, N: n, CopyRing: true, Ctx: obs.Ctx(meter)},
+		})
+		if r := results[0]; !errors.Is(r.Err, ErrBadCloneCount) || len(r.Children) != 0 || r.Done != nil {
+			t.Fatalf("N=%d: result %+v, want ErrBadCloneCount and nothing else", bad, r)
+		}
+		if parents[0].Paused() {
+			t.Errorf("N=%d: refused request left its parent paused", bad)
+		}
+		parents[0].mu.Lock()
+		made := parents[0].clone.made
+		parents[0].mu.Unlock()
+		if made != 0 {
+			t.Errorf("N=%d: refused request moved the clone budget to %d", bad, made)
+		}
+		good := results[1]
+		if good.Err != nil {
+			t.Fatalf("N=%d: good neighbour failed: %v", bad, good.Err)
+		}
+		if !reflect.DeepEqual(good.Children, soloKids) {
+			t.Errorf("N=%d: neighbour's children %v, alone %v (domain numbering moved)", bad, good.Children, soloKids)
+		}
+		if meter.Elapsed() != soloMeter.Elapsed() || good.Stats.FirstStage != soloStats.FirstStage {
+			t.Errorf("N=%d: neighbour charged %v (first stage %v), alone %v (%v)",
+				bad, meter.Elapsed(), good.Stats.FirstStage, soloMeter.Elapsed(), soloStats.FirstStage)
+		}
+		completeAll(t, h, results)
+		if parents[0].Paused() || parents[1].Paused() {
+			t.Errorf("N=%d: a parent is still paused after the round completed", bad)
+		}
+	}
 }

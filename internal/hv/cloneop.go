@@ -84,7 +84,7 @@ func (h *Hypervisor) SetCloningEnabled(on bool) {
 type CloneRequest struct {
 	Caller   DomID
 	Target   DomID
-	N        int
+	N        int // children to create; fewer than one is ErrBadCloneCount
 	CopyRing bool
 	// Mode selects eager (the zero value) or lazy child population; lazy
 	// children stream their regular pages in the background after the
@@ -312,6 +312,12 @@ func (h *Hypervisor) admitClone(a *cloneAdmission) {
 	a.meter = meter
 	meter.Charge(meter.Costs().Hypercall, 1)
 
+	// The child count is a guest-supplied hypercall argument: refuse a
+	// request for no children, or fewer, before any state moves.
+	if a.req.N < 1 {
+		a.err = fmt.Errorf("%w: %d", ErrBadCloneCount, a.req.N)
+		return
+	}
 	h.mu.Lock()
 	enabled := h.cloningEnabled
 	h.mu.Unlock()
@@ -509,9 +515,7 @@ func (h *Hypervisor) cloneOne(parent *Domain, id DomID, copyRing bool, mode mem.
 			}
 		}
 		h.mu.Lock()
-		for _, mfn := range h.overhead[id] {
-			h.Memory.Free(id, mfn)
-		}
+		h.Memory.ReleaseN(id, h.overhead[id])
 		delete(h.overhead, id)
 		delete(h.domains, id)
 		h.mu.Unlock()
@@ -797,100 +801,9 @@ func (h *Hypervisor) CloneReset(ctx obs.OpCtx, child DomID) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	restored, err := resetSpace(d.Space(), p.Space(), h.Memory, meter)
+	restored, err := d.Space().ResetOp(ctx, p.Space())
+	meter.Charge(meter.Costs().CloneResetPage, restored)
 	h.met.resetCalls.Inc()
 	h.met.resetPages.Add(int64(restored))
 	return restored, err
-}
-
-// resetSpace re-points every privately-dirtied regular page of child back
-// at the parent's frame (re-sharing it) and frees the private copy. The
-// working set is the child's recorded COW-fault list, so reset cost is
-// proportional to dirtied pages, as on real Xen where the dirty log drives
-// the restore.
-func resetSpace(child, parent *mem.Space, machine *mem.Memory, meter *vclock.Meter) (int, error) {
-	// A lazily cloned child may still have its streamer installing pages:
-	// drain it first so the dirty walk and the re-sharing below run
-	// against a settled page table. The streamer's virtual time folds
-	// into the reset meter — the reset could not proceed before it.
-	if sm, _, err := child.WaitLazy(); err != nil {
-		return 0, err
-	} else if sm != nil {
-		meter.Add(sm.Elapsed())
-	}
-	restored := 0
-	reShared := false
-	var firstErr error
-	for _, pfn := range child.TakeDirty() {
-		k, err := child.Kind(pfn)
-		if err != nil || k != mem.KindRegular {
-			continue
-		}
-		cm, err := child.MFNOf(pfn)
-		if err != nil {
-			continue
-		}
-		owner, err := machine.Owner(cm)
-		if err != nil {
-			continue
-		}
-		if owner != child.Dom() {
-			continue // still shared; clean
-		}
-		// Dirty page: drop the private copy and re-attach to the
-		// parent's current frame for that pfn, re-sharing it if the
-		// parent holds it privately (e.g. the parent faulted too).
-		pm, err := parent.MFNOf(pfn)
-		if err != nil {
-			firstErr = err
-			break
-		}
-		powner, err := machine.Owner(pm)
-		if err != nil {
-			firstErr = err
-			break
-		}
-		switch powner {
-		case mem.DomIDCOW:
-			if err := machine.AddSharer(pm, 1); err != nil {
-				firstErr = err
-			}
-		case parent.Dom():
-			if err := machine.Share(parent.Dom(), pm, 2, meter); err != nil {
-				firstErr = err
-			} else {
-				reShared = true
-			}
-		default:
-			firstErr = fmt.Errorf("hv: clone_reset: parent pfn %d frame owned by %d", pfn, powner)
-		}
-		if firstErr != nil {
-			break
-		}
-		if err := child.Remap(pfn, pm, true); err != nil {
-			// The child will never consume the sharer reference taken
-			// above: drop it so a failed reset does not leak a
-			// reference on the parent's frame. The frame stays with
-			// dom_cow (the parent as sole sharer) and MarkAllCOW below
-			// keeps the parent write-protected on it.
-			_ = machine.DropShared(pm)
-			firstErr = err
-			break
-		}
-		restored++
-	}
-	if reShared {
-		// Frames newly moved to dom_cow must be COW-protected in the
-		// parent as well — including the ones re-shared by iterations
-		// before a failure, which the old early returns skipped.
-		parent.MarkAllCOW()
-	}
-	meter.Charge(meter.Costs().CloneResetPage, restored)
-	// A non-nil firstErr means this iteration's AddSharer/Share either
-	// failed (nothing acquired) or its reference was dropped by the Remap
-	// failure path above; earlier iterations' references were consumed by
-	// their successful Remaps. refleak cannot see the firstErr-implies-
-	// unwound correlation across the branch join.
-	//nephele:refleak-ok balanced via the firstErr invariant documented above
-	return restored, firstErr
 }

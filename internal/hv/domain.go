@@ -22,6 +22,7 @@ var (
 	ErrNoSuchDomain    = errors.New("hv: no such domain")
 	ErrCloningDisabled = errors.New("hv: cloning disabled")
 	ErrCloneLimit      = errors.New("hv: clone limit exceeded")
+	ErrBadCloneCount   = errors.New("hv: clone of fewer than one child")
 	ErrNotPaused       = errors.New("hv: domain not paused")
 	ErrRingFull        = errors.New("hv: clone notification ring full")
 	ErrBadVCPU         = errors.New("hv: bad vcpu")

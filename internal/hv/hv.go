@@ -260,9 +260,7 @@ func (h *Hypervisor) DomainDestroy(ctx obs.OpCtx, id DomID) error {
 	h.Grants.RemoveDomain(id)
 
 	h.mu.Lock()
-	for _, mfn := range h.overhead[id] {
-		h.Memory.Free(id, mfn)
-	}
+	h.Memory.ReleaseN(id, h.overhead[id])
 	delete(h.overhead, id)
 	delete(h.domains, id)
 	// Unlink from the family tree.

@@ -63,7 +63,7 @@ func (s *Space) AdoptShared(ctx obs.OpCtx, srcDom DomID, start PFN, src []MFN) e
 		p.writable = true
 	}
 	// The displaced frames were validated as this space's own private
-	// memory; releasing them dispatches to Free.
+	// memory, so releasing them frees them.
 	err := s.mem.ReleaseN(s.dom, old)
 	meter.Charge(meter.Costs().PTEntryClone, len(src))
 	meter.Charge(meter.Costs().P2MEntryClone, len(src))

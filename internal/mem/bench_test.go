@@ -33,7 +33,7 @@ func BenchmarkSpaceClone(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				if _, _, err := parent.Clone(2, false, nil); err != nil {
+				if _, _, err := parent.CloneOp(obs.OpCtx{}, 2, false); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -45,14 +45,14 @@ func BenchmarkSpaceClone(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			warm, _, err := parent.Clone(2, false, nil)
+			warm, _, err := parent.CloneOp(obs.OpCtx{}, 2, false)
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer warm.Release()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				child, _, err := parent.Clone(3, false, nil)
+				child, _, err := parent.CloneOp(obs.OpCtx{}, 3, false)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -72,7 +72,7 @@ func BenchmarkSpaceClone(b *testing.B) {
 // are MFN-contiguous and every run is one page long.
 func fragmentSpace(tb testing.TB, parent *Space, scratchDom DomID) {
 	tb.Helper()
-	warm, _, err := parent.Clone(scratchDom, false, nil)
+	warm, _, err := parent.CloneOp(obs.OpCtx{}, scratchDom, false)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func BenchmarkSpaceChurn(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				child, _, err := parent.Clone(3, false, nil)
+				child, _, err := parent.CloneOp(obs.OpCtx{}, 3, false)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -202,7 +202,7 @@ func BenchmarkMultiParentClone(b *testing.B) {
 				}
 				// Warm clone: every regular page moves to dom_cow so the
 				// timed rounds all take the sharer-bump fast path.
-				warm, _, err := parent.Clone(DomID(600*nsh+(1+parents+i)%nsh), false, nil)
+				warm, _, err := parent.CloneOp(obs.OpCtx{}, DomID(600*nsh+(1+parents+i)%nsh), false)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -216,7 +216,7 @@ func BenchmarkMultiParentClone(b *testing.B) {
 					wg.Add(1)
 					go func(p int) {
 						defer wg.Done()
-						child, _, err := spaces[p].Clone(childDom(p), false, nil)
+						child, _, err := spaces[p].CloneOp(obs.OpCtx{}, childDom(p), false)
 						if err != nil {
 							b.Error(err)
 							return
@@ -282,7 +282,7 @@ func BenchmarkMultiParentClone(b *testing.B) {
 								return
 							}
 							p := order[k]
-							child, _, err := spaces[p].Clone(schedChildDom(p), false, nil)
+							child, _, err := spaces[p].CloneOp(obs.OpCtx{}, schedChildDom(p), false)
 							if err != nil {
 								b.Error(err)
 								return
@@ -331,7 +331,7 @@ func schedRig(tb testing.TB, parents, shards int) ([]*Space, []uint32, []vclock.
 		if err != nil {
 			tb.Fatal(err)
 		}
-		warm, _, err := parent.Clone(DomID(20000+i), false, nil)
+		warm, _, err := parent.CloneOp(obs.OpCtx{}, DomID(20000+i), false)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -341,7 +341,7 @@ func schedRig(tb testing.TB, parents, shards int) ([]*Space, []uint32, []vclock.
 	for i, s := range spaces {
 		masks[i] = s.ShardOccupancy() | 1<<m.HomeShard(schedChildDom(i))
 		meter := vclock.NewMeter(nil)
-		probe, _, err := s.Clone(schedChildDom(i), false, meter)
+		probe, _, err := s.CloneOp(obs.Ctx(meter), schedChildDom(i), false)
 		if err != nil {
 			tb.Fatal(err)
 		}

@@ -136,12 +136,12 @@ func TestRestrideAcrossChunkEdges(t *testing.T) {
 		for i, mfn := range owned {
 			switch {
 			case i%5 == 0:
-				if err := m.Free(7, mfn); err != nil {
+				if err := m.ReleaseN(7, []MFN{mfn}); err != nil {
 					t.Fatal(err)
 				}
 				continue
 			case i%7 == 0:
-				if err := m.Share(7, mfn, 3, nil); err != nil {
+				if err := m.ShareN(7, []MFN{mfn}, 3, nil); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -1,7 +1,6 @@
 package mem
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -192,66 +191,6 @@ func (m *Memory) adoptPledged(dom DomID, ptes []pte, meter *vclock.Meter) error 
 		meter.Charge(meter.Costs().PageShare, converted)
 	}
 	return nil
-}
-
-// resolveCOW resolves a write fault by dom on the frame behind a COW-marked
-// pte. Beyond CopyOnWrite it understands the two states lazy cloning adds
-// (DESIGN.md §13): a dom-owned frame with outstanding pledges is converted
-// to dom_cow first (the deferred PageShare) and then copied away, and a
-// dom-owned frame whose pledges were all cancelled is simply un-protected
-// in place (the PageUnshare the eager last-sharer transfer would have
-// charged). Returns the MFN the domain should map afterwards.
-func (m *Memory) resolveCOW(dom DomID, mfn MFN, meter *vclock.Meter) (MFN, error) {
-	for {
-		newMFN, err := m.CopyOnWrite(dom, mfn, meter)
-		if err == nil {
-			return newMFN, nil
-		}
-		if !errors.Is(err, ErrNotShared) {
-			// Allocation failures and bad MFNs are not lazy states; only
-			// an owner mismatch can mean a pledged or stale frame.
-			return 0, err
-		}
-		lay, sh, errSh := m.lockShard(mfn)
-		if errSh != nil {
-			return 0, err
-		}
-		f, errF := lay.frameAt(mfn)
-		if errF != nil {
-			sh.mu.Unlock()
-			return 0, err
-		}
-		if f.owner == DomIDCOW {
-			// Raced with a concurrent conversion (a streamer adopting a
-			// pledge on this frame): the frame is shared now, retry.
-			sh.mu.Unlock()
-			continue
-		}
-		if f.owner != dom {
-			sh.mu.Unlock()
-			return 0, err
-		}
-		if f.pledges == 0 {
-			// Stale protection: every lazy child cancelled its pledge
-			// before the frame was ever converted. Un-protecting in place
-			// costs what the eager family's last-sharer transfer would.
-			sh.mu.Unlock()
-			meter.Charge(meter.Costs().PageUnshare, 1)
-			return mfn, nil
-		}
-		// Deferred conversion: transfer to dom_cow with the owner as the
-		// single sharer, then loop — CopyOnWrite now sees a shared frame
-		// with outstanding pledges and copies away, leaving a zombie that
-		// preserves the pledged clone-time contents.
-		sh.dropUsageLocked(dom, 1)
-		f.owner = DomIDCOW
-		sh.usedByDom[DomIDCOW]++
-		m.beginAccount()
-		sh.shared.Add(1)
-		m.endAccount()
-		sh.mu.Unlock()
-		meter.Charge(meter.Costs().PageShare, 1)
-	}
 }
 
 // lazyState is the per-child bookkeeping of one lazy clone: the streamer

@@ -398,12 +398,11 @@ const (
 // in between, so a table fragmented into one-page runs costs no memory.
 //
 // Escape analysis is not field-sensitive, so what the cursor's methods do
-// decides whether callers' input slices — CopyFrame's and AddSharer's
-// one-element lists — can stay on their stacks: nothing reached through the
-// receiver is stored in the heap or returned. That is why the run is
-// integers rather than a *shard (operations that mutate a shard's free list
-// index the layout lockRuns returned) and the bad frame is a number rather
-// than an error.
+// decides whether a caller's short input list can stay on its stack: nothing
+// reached through the receiver is stored in the heap or returned. That is
+// why the run is integers rather than a *shard (operations that mutate a
+// shard's free list index the layout lockRuns returned) and the bad frame is
+// a number rather than an error.
 type runCursor struct {
 	lay  *layout
 	mfns []MFN
@@ -824,46 +823,6 @@ func (sh *shard) resetFrameLocked(f *frame, mfn MFN) {
 	sh.recycled.push(mfn)
 }
 
-// Alloc allocates one frame for dom, charging the meter.
-func (m *Memory) Alloc(dom DomID, meter *vclock.Meter) (MFN, error) {
-	mfn, err := m.allocOne(dom)
-	if err != nil {
-		return 0, err
-	}
-	meter.Charge(meter.Costs().PageAlloc, 1)
-	return mfn, nil
-}
-
-// allocOne takes one frame from the first shard that has one, starting at
-// dom's home shard. Shards are locked one at a time, never nested; a
-// re-stride mid-scan restarts the scan against the new layout (any frame
-// already taken stays taken — MFNs survive re-strides).
-func (m *Memory) allocOne(dom DomID) (MFN, error) {
-	var out []MFN
-	for {
-		lay := m.lay.Load()
-		home := lay.homeShard(dom)
-		stale := false
-		for k := 0; k < len(lay.shards); k++ {
-			sh := &lay.shards[(home+k)%len(lay.shards)]
-			sh.mu.Lock()
-			if m.lay.Load() != lay {
-				sh.mu.Unlock()
-				stale = true
-				break
-			}
-			took := lay.takeLocked(m, sh, dom, 1, &out)
-			sh.mu.Unlock()
-			if took == 1 {
-				return out[0], nil
-			}
-		}
-		if !stale {
-			return 0, ErrOutOfMemory
-		}
-	}
-}
-
 // AllocN allocates n frames for dom, locking each shard it draws from once
 // and charging the meter once for the whole run. On failure nothing stays
 // allocated: frames taken from earlier shards are returned before the
@@ -900,52 +859,6 @@ func (m *Memory) AllocN(dom DomID, n int, meter *vclock.Meter) ([]MFN, error) {
 	return out, nil
 }
 
-// Free releases a frame owned by dom. Frames owned by dom_cow must be
-// released by dropping sharer references (DropShared) instead.
-func (m *Memory) Free(dom DomID, mfn MFN) error {
-	lay, sh, err := m.lockShard(mfn)
-	if err != nil {
-		return err
-	}
-	defer sh.mu.Unlock()
-	f, err := lay.frameAt(mfn)
-	if err != nil {
-		return err
-	}
-	if f.owner != dom {
-		return fmt.Errorf("%w: frame %d owned by %d, freed by %d", ErrNotOwner, mfn, f.owner, dom)
-	}
-	if f.owner == DomIDCOW {
-		return fmt.Errorf("%w: frame %d", ErrStillShared, mfn)
-	}
-	if f.pledges > 0 {
-		// Lazy children still hold claims on the clone-time contents: the
-		// frame outlives its owner as a dom_cow zombie until the last
-		// pledge is adopted or cancelled.
-		sh.zombifyLocked(m, f, dom)
-		return nil
-	}
-	sh.dropUsageLocked(f.owner, 1)
-	sh.resetFrameLocked(f, mfn)
-	m.beginAccount()
-	sh.free.Add(1)
-	m.endAccount()
-	return nil
-}
-
-// zombifyLocked turns a dom-owned frame with outstanding pledges into a
-// dom_cow zombie (refcount 0): the contents stay readable for lazy children
-// but no live domain owns the frame. sh must be locked.
-func (sh *shard) zombifyLocked(m *Memory, f *frame, dom DomID) {
-	sh.dropUsageLocked(dom, 1)
-	f.owner = DomIDCOW
-	f.refcount = 0
-	sh.usedByDom[DomIDCOW]++
-	m.beginAccount()
-	sh.shared.Add(1)
-	m.endAccount()
-}
-
 // Owner reports the owner of a frame.
 func (m *Memory) Owner(mfn MFN) (DomID, error) {
 	lay, sh, err := m.lockShard(mfn)
@@ -974,75 +887,45 @@ func (m *Memory) Refcount(mfn MFN) (int, error) {
 	return int(f.refcount), nil
 }
 
-// Share transfers ownership of a frame from its current owner to dom_cow
-// and sets its reference count to refs sharers (parent plus children). This
-// is the page-sharing mechanism Nephele extends from Snowflock (§5.2):
-// subsequent writers fault and receive private copies.
-func (m *Memory) Share(dom DomID, mfn MFN, refs int, meter *vclock.Meter) error {
-	if refs < 1 {
-		return fmt.Errorf("mem: share with %d refs", refs)
-	}
-	lay, sh, err := m.lockShard(mfn)
-	if err != nil {
-		return err
-	}
-	defer sh.mu.Unlock()
-	f, err := lay.frameAt(mfn)
-	if err != nil {
-		return err
-	}
-	if f.owner == DomIDCOW {
-		// Already shared: the new family members just add references.
-		f.refcount += int32(refs - 1)
-		return nil
-	}
-	if f.owner != dom {
-		return fmt.Errorf("%w: frame %d owned by %d, shared by %d", ErrNotOwner, mfn, f.owner, dom)
-	}
-	sh.dropUsageLocked(f.owner, 1)
-	f.owner = DomIDCOW
-	f.refcount = int32(refs)
-	sh.usedByDom[DomIDCOW]++
-	m.beginAccount()
-	sh.shared.Add(1)
-	m.endAccount()
-	meter.Charge(meter.Costs().PageShare, 1)
-	return nil
-}
-
 // ShareN shares a run of frames with refs sharers each, locking the shards
-// the run touches (ascending) and charging the meter once for the run. Per
-// frame it behaves exactly like Share: frames already owned by dom_cow gain
-// refs-1 references at no virtual cost, frames owned by dom are transferred
-// to dom_cow and charged one PageShare. Validation runs before any
-// mutation, so a failed call leaves the pool untouched.
+// the run touches (ascending) and charging the meter once for the run. This
+// is the page-sharing mechanism Nephele extends from Snowflock (§5.2):
+// frames owned by dom are transferred to dom_cow with refs sharers (the
+// owner plus the new family members) and charged one PageShare each, frames
+// dom_cow already owns gain refs-1 references at no virtual cost, and
+// subsequent writers fault and receive private copies. Validation runs
+// before any mutation, so a failed call leaves the pool untouched.
 //
 //nephele:noalloc
 func (m *Memory) ShareN(dom DomID, mfns []MFN, refs int, meter *vclock.Meter) error {
-	return m.shareRuns(dom, runCursor{mfns: mfns}, refs, meter)
+	_, err := m.shareRuns(dom, runCursor{mfns: mfns}, refs, meter)
+	return err
 }
 
 // sharePTEs is ShareN over the frames referenced by a run of page-table
 // entries: the cursor reads the MFNs off the entries, so the clone hot path
 // builds neither an MFN list nor a list of runs for extents it only shares.
+// It also reports how many frames it transferred, which is what a caller
+// that must write-protect the previous owner's mappings needs to know.
 //
 //nephele:noalloc
-func (m *Memory) sharePTEs(dom DomID, ptes []pte, refs int, meter *vclock.Meter) error {
+func (m *Memory) sharePTEs(dom DomID, ptes []pte, refs int, meter *vclock.Meter) (int, error) {
 	return m.shareRuns(dom, runCursor{ptes: ptes}, refs, meter)
 }
 
 // shareRuns is ShareN's body over either input form: one locked walk
-// validates every frame, a second one mutates.
+// validates every frame, a second one mutates. It returns the number of
+// frames transferred to dom_cow.
 //
 //nephele:noalloc
-func (m *Memory) shareRuns(dom DomID, c runCursor, refs int, meter *vclock.Meter) error {
+func (m *Memory) shareRuns(dom DomID, c runCursor, refs int, meter *vclock.Meter) (int, error) {
 	lay, mask, err := m.lockRuns(&c)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer m.unlockMask(lay, mask)
 	if refs < 1 {
-		return fmt.Errorf("mem: share with %d refs", refs) //nephele:hotalloc-ok — caller bug, never on the warm path
+		return 0, fmt.Errorf("mem: share with %d refs", refs) //nephele:hotalloc-ok — caller bug, never on the warm path
 	}
 	transfers := 0
 	for c.next() {
@@ -1050,17 +933,17 @@ func (m *Memory) shareRuns(dom DomID, c runCursor, refs int, meter *vclock.Meter
 		for j := range fr {
 			f := &fr[j]
 			if !f.inUse {
-				return frameErr(ErrDoubleFree, c.mfn(j))
+				return 0, frameErr(ErrDoubleFree, c.mfn(j))
 			}
 			if f.owner != DomIDCOW {
 				if f.owner != dom {
-					return fmt.Errorf("%w: frame %d owned by %d, shared by %d", ErrNotOwner, c.mfn(j), f.owner, dom) //nephele:hotalloc-ok — validation failure, the call aborts
+					return 0, fmt.Errorf("%w: frame %d owned by %d, shared by %d", ErrNotOwner, c.mfn(j), f.owner, dom) //nephele:hotalloc-ok — validation failure, the call aborts
 				}
 				transfers++
 			}
 		}
 		if short {
-			return frameErr(ErrDoubleFree, c.mfn(len(fr)))
+			return 0, frameErr(ErrDoubleFree, c.mfn(len(fr)))
 		}
 	}
 	var perShard [MaxShards]int
@@ -1094,13 +977,7 @@ func (m *Memory) shareRuns(dom DomID, c runCursor, refs int, meter *vclock.Meter
 		m.endAccount()
 		meter.Charge(meter.Costs().PageShare, transfers)
 	}
-	return nil
-}
-
-// AddSharer increments the reference count of an already-shared frame
-// (used when a clone becomes the parent of further clones).
-func (m *Memory) AddSharer(mfn MFN, n int) error {
-	return m.AddSharerN([]MFN{mfn}, n)
+	return transfers, nil
 }
 
 // AddSharerN increments the reference count of a run of already-shared
@@ -1181,136 +1058,109 @@ func (c *runCursor) unbump(n, runs, j int) {
 	}
 }
 
-// CopyOnWrite resolves a write fault by dom on a shared frame. If the frame
-// still has other sharers, a fresh private frame is allocated, the contents
-// copied, and the sharer count dropped. If dom is the last sharer
-// (refcount 1), ownership is transferred from dom_cow directly to the
-// faulting domain — which may differ from the original owner (§5.2) — with
-// no copy. Returns the MFN the domain should map afterwards.
-func (m *Memory) CopyOnWrite(dom DomID, mfn MFN, meter *vclock.Meter) (MFN, error) {
-	lay, sh, err := m.lockShard(mfn)
-	if err != nil {
-		return 0, err
+// resolveCOW resolves a write fault by dom on the frame behind a COW-marked
+// pte and returns the MFN the domain maps afterwards. It is the one
+// write-fault resolver, and it classifies the frame under the lock each time
+// it looks at it (DESIGN.md §10, "Frame states and transitions"):
+//
+//   - owned by dom with pledges: lazy children still claim the clone-time
+//     contents, so the frame is converted to dom_cow with dom as its single
+//     sharer (the deferred PageShare) and then copied away like any shared
+//     frame, which leaves a zombie holding the pledged contents;
+//   - owned by dom without pledges: every lazy child cancelled its claim
+//     before the frame was ever converted, so the stale protection is lifted
+//     in place for the PageUnshare the eager family's last-sharer transfer
+//     would have cost;
+//   - shared, dom the last sharer and no pledges: ownership moves from
+//     dom_cow to the faulting domain — which may differ from the original
+//     owner (§5.2) — with no copy, one PageUnshare;
+//   - shared otherwise: a private frame is allocated (PageAlloc), the
+//     contents copied and dom's sharer reference dropped (PageUnshare);
+//   - anything else is ErrNotShared.
+//
+// Shards are never nested outside lockMask, so the private frame is allocated
+// between two looks: the second one locks source and destination together and
+// classifies again, which is all the handling a sharer that dropped out or a
+// streamer that converted the frame in between needs.
+func (m *Memory) resolveCOW(dom DomID, mfn MFN, meter *vclock.Meter) (MFN, error) {
+	if int(mfn) >= m.total {
+		return 0, frameErr(ErrBadFrame, mfn)
 	}
-	f, err := lay.frameAt(mfn)
-	if err != nil {
-		sh.mu.Unlock()
-		return 0, err
-	}
-	if owner := f.owner; owner != DomIDCOW {
-		sh.mu.Unlock()
-		return 0, fmt.Errorf("%w: frame %d owned by %d", ErrNotShared, mfn, owner)
-	}
-	if f.refcount == 1 && f.pledges == 0 {
-		m.transferLastSharerLocked(sh, f, dom)
-		sh.mu.Unlock()
-		meter.Charge(meter.Costs().PageUnshare, 1)
-		return mfn, nil
-	}
-	sh.mu.Unlock()
-
-	// Other sharers exist: allocate the private copy first (shards are
-	// locked one at a time, so the allocation may come from any shard
-	// without nesting under the source lock), then relock source and
-	// destination in ascending shard order for the copy.
-	newMFN, err := m.allocOne(dom)
-	if err != nil {
-		return 0, err
-	}
-	meter.Charge(meter.Costs().PageAlloc, 1)
+	var spare []MFN // the frame a copy-away fills, once one is known to be needed
 	for {
-		lay := m.lay.Load()
-		mask := uint32(1<<lay.shardIdx(mfn)) | 1<<lay.shardIdx(newMFN)
-		if !m.lockLayout(lay, mask) {
-			continue
+		// The first look is a single-shard acquisition (lockShard, which the
+		// multi-shard lock metrics leave out); the second takes source and
+		// destination together.
+		var lay *layout
+		var mask uint32
+		if spare == nil {
+			lay, _, _ = m.lockShard(mfn) // mfn is in range: cannot fail
+			mask = 1 << lay.shardIdx(mfn)
+		} else {
+			lay = m.lay.Load()
+			mask = 1<<lay.shardIdx(mfn) | 1<<lay.shardIdx(spare[0])
+			if !m.lockLayout(lay, mask) {
+				continue
+			}
 		}
-		f, err = lay.frameAt(mfn)
-		if err == nil && f.owner != DomIDCOW {
+		sh := &lay.shards[lay.shardIdx(mfn)]
+		f, err := lay.frameAt(mfn)
+		if err == nil && f.owner != DomIDCOW && f.owner != dom {
 			err = fmt.Errorf("%w: frame %d owned by %d", ErrNotShared, mfn, f.owner)
 		}
 		if err != nil {
 			m.unlockMask(lay, mask)
-			m.releaseOne(dom, newMFN)
+			m.ReleaseN(dom, spare)
 			return 0, err
 		}
-		if f.refcount == 1 && f.pledges == 0 {
-			// Raced with the other sharers dropping out between the unlock
-			// and the relock: transfer ownership as the last sharer and
-			// return the speculative frame.
-			m.transferLastSharerLocked(&lay.shards[lay.shardIdx(mfn)], f, dom)
+		if f.owner == dom && f.pledges > 0 {
+			m.reownLocked(sh, f, DomIDCOW)
+			meter.Charge(meter.Costs().PageShare, 1)
+		}
+		if f.pledges == 0 && (f.owner == dom || f.refcount == 1) {
+			if f.owner == DomIDCOW {
+				m.reownLocked(sh, f, dom)
+			}
 			m.unlockMask(lay, mask)
-			m.releaseOne(dom, newMFN)
+			if spare != nil {
+				m.ReleaseN(dom, spare)
+			}
 			meter.Charge(meter.Costs().PageUnshare, 1)
 			return mfn, nil
 		}
-		nf, _ := lay.frameAt(newMFN)
+		if spare == nil {
+			m.unlockMask(lay, mask)
+			if spare, err = m.AllocN(dom, 1, meter); err != nil {
+				return 0, err
+			}
+			continue
+		}
 		if f.data != nil {
+			nf := lay.frame(spare[0])
 			nf.data = make([]byte, PageSize)
 			copy(nf.data, f.data)
 		}
 		f.refcount--
 		m.unlockMask(lay, mask)
 		meter.Charge(meter.Costs().PageUnshare, 1)
-		return newMFN, nil
+		return spare[0], nil
 	}
 }
 
-// transferLastSharerLocked moves a dom_cow frame whose last sharer is dom
-// back to exclusive ownership; sh (the frame's shard) must be locked.
-func (m *Memory) transferLastSharerLocked(sh *shard, f *frame, dom DomID) {
-	sh.dropUsageLocked(DomIDCOW, 1)
-	f.owner = dom
-	sh.usedByDom[dom]++
+// reownLocked moves frame f of sh between a domain and dom_cow, whichever way
+// to says, with the usage and shared accounting; the sharer count is the
+// caller's business. sh must be locked.
+func (m *Memory) reownLocked(sh *shard, f *frame, to DomID) {
+	sh.dropUsageLocked(f.owner, 1)
+	f.owner = to
+	sh.usedByDom[to]++
+	delta := int64(1)
+	if to != DomIDCOW {
+		delta = -1
+	}
 	m.beginAccount()
-	sh.shared.Add(-1)
+	sh.shared.Add(delta)
 	m.endAccount()
-}
-
-// releaseOne frees a frame owned by dom, ignoring errors (speculative
-// allocation unwind).
-func (m *Memory) releaseOne(dom DomID, mfn MFN) {
-	lay, sh, err := m.lockShard(mfn)
-	if err != nil {
-		return
-	}
-	defer sh.mu.Unlock()
-	f, err := lay.frameAt(mfn)
-	if err != nil || f.owner != dom {
-		return
-	}
-	sh.dropUsageLocked(dom, 1)
-	sh.resetFrameLocked(f, mfn)
-	m.beginAccount()
-	sh.free.Add(1)
-	m.endAccount()
-}
-
-// DropShared releases one sharer reference on a shared frame without
-// copying (domain teardown). When the last reference drops, the frame is
-// freed.
-func (m *Memory) DropShared(mfn MFN) error {
-	lay, sh, err := m.lockShard(mfn)
-	if err != nil {
-		return err
-	}
-	defer sh.mu.Unlock()
-	f, err := lay.frameAt(mfn)
-	if err != nil {
-		return err
-	}
-	if f.owner != DomIDCOW {
-		return fmt.Errorf("%w: frame %d owned by %d", ErrNotShared, mfn, f.owner)
-	}
-	f.refcount--
-	if f.refcount == 0 && f.pledges == 0 {
-		sh.dropUsageLocked(DomIDCOW, 1)
-		sh.resetFrameLocked(f, mfn)
-		m.beginAccount()
-		sh.shared.Add(-1)
-		sh.free.Add(1)
-		m.endAccount()
-	}
-	return nil
 }
 
 // ReleaseN releases a run of frames on behalf of dom, locking the shards
@@ -1480,12 +1330,6 @@ func (m *Memory) WritePage(mfn MFN, page []byte) error {
 	}
 	f.data, f.sealed = page, true
 	return nil
-}
-
-// CopyFrame copies the full contents of src into dst, charging one page
-// copy.
-func (m *Memory) CopyFrame(dst, src MFN, meter *vclock.Meter) error {
-	return m.CopyFrameN([]MFN{dst}, []MFN{src}, meter)
 }
 
 // CopyFrameN copies src[i] into dst[i] for every i, locking the shards both

@@ -12,13 +12,19 @@ func newTestMem(frames int) *Memory {
 	return New(uint64(frames) * PageSize)
 }
 
+// alloc1 allocates one frame for dom through the batched allocator.
+func alloc1(t testing.TB, m *Memory, dom DomID) MFN {
+	t.Helper()
+	mfns, err := m.AllocN(dom, 1, nil)
+	if err != nil {
+		t.Fatalf("AllocN(%d, 1): %v", dom, err)
+	}
+	return mfns[0]
+}
+
 func TestAllocFree(t *testing.T) {
 	m := newTestMem(8)
-	meter := vclock.NewMeter(nil)
-	mfn, err := m.Alloc(1, meter)
-	if err != nil {
-		t.Fatalf("Alloc: %v", err)
-	}
+	mfn := alloc1(t, m, 1)
 	if got := m.FreeFrames(); got != 7 {
 		t.Fatalf("FreeFrames = %d, want 7", got)
 	}
@@ -28,8 +34,8 @@ func TestAllocFree(t *testing.T) {
 	if owner, _ := m.Owner(mfn); owner != 1 {
 		t.Fatalf("Owner = %d, want 1", owner)
 	}
-	if err := m.Free(1, mfn); err != nil {
-		t.Fatalf("Free: %v", err)
+	if err := m.ReleaseN(1, []MFN{mfn}); err != nil {
+		t.Fatalf("ReleaseN: %v", err)
 	}
 	if got := m.FreeFrames(); got != 8 {
 		t.Fatalf("after Free FreeFrames = %d, want 8", got)
@@ -51,33 +57,38 @@ func TestAllocExhaustion(t *testing.T) {
 	if _, err := m.AllocN(1, 2, nil); err != nil {
 		t.Fatalf("AllocN exact capacity: %v", err)
 	}
-	if _, err := m.Alloc(1, nil); !errors.Is(err, ErrOutOfMemory) {
-		t.Fatalf("Alloc when full: err = %v, want ErrOutOfMemory", err)
+	if _, err := m.AllocN(1, 1, nil); !errors.Is(err, ErrOutOfMemory) {
+		t.Fatalf("AllocN when full: err = %v, want ErrOutOfMemory", err)
 	}
 }
 
 func TestFreeWrongOwner(t *testing.T) {
+	// A release on behalf of a domain that does not own the frame skips it
+	// by contract (domain teardown walks tables that may name such frames).
 	m := newTestMem(2)
-	mfn, _ := m.Alloc(1, nil)
-	if err := m.Free(2, mfn); !errors.Is(err, ErrNotOwner) {
-		t.Fatalf("Free by non-owner: err = %v, want ErrNotOwner", err)
+	mfn := alloc1(t, m, 1)
+	if err := m.ReleaseN(2, []MFN{mfn}); err != nil {
+		t.Fatalf("ReleaseN by non-owner: %v", err)
+	}
+	if owner, _ := m.Owner(mfn); owner != 1 || m.FreeFrames() != 1 {
+		t.Fatalf("release by non-owner moved the frame: owner %d, %d free", owner, m.FreeFrames())
 	}
 }
 
 func TestDoubleFree(t *testing.T) {
 	m := newTestMem(2)
-	mfn, _ := m.Alloc(1, nil)
-	if err := m.Free(1, mfn); err != nil {
+	mfn := alloc1(t, m, 1)
+	if err := m.ReleaseN(1, []MFN{mfn}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Free(1, mfn); !errors.Is(err, ErrDoubleFree) {
+	if err := m.ReleaseN(1, []MFN{mfn}); !errors.Is(err, ErrDoubleFree) {
 		t.Fatalf("double free: err = %v, want ErrDoubleFree", err)
 	}
 }
 
 func TestReadZeroPage(t *testing.T) {
 	m := newTestMem(1)
-	mfn, _ := m.Alloc(1, nil)
+	mfn := alloc1(t, m, 1)
 	buf := []byte{1, 2, 3}
 	if err := m.Read(mfn, 100, buf); err != nil {
 		t.Fatal(err)
@@ -91,7 +102,7 @@ func TestReadZeroPage(t *testing.T) {
 
 func TestReadWriteRoundTrip(t *testing.T) {
 	m := newTestMem(1)
-	mfn, _ := m.Alloc(1, nil)
+	mfn := alloc1(t, m, 1)
 	want := []byte("nephele")
 	if err := m.Write(mfn, 42, want); err != nil {
 		t.Fatal(err)
@@ -107,7 +118,7 @@ func TestReadWriteRoundTrip(t *testing.T) {
 
 func TestAccessCrossingPageBoundary(t *testing.T) {
 	m := newTestMem(1)
-	mfn, _ := m.Alloc(1, nil)
+	mfn := alloc1(t, m, 1)
 	buf := make([]byte, 8)
 	if err := m.Write(mfn, PageSize-4, buf); !errors.Is(err, ErrBadOffset) {
 		t.Fatalf("cross-boundary write: err = %v, want ErrBadOffset", err)
@@ -119,8 +130,8 @@ func TestAccessCrossingPageBoundary(t *testing.T) {
 
 func TestShareTransfersOwnershipToDomCOW(t *testing.T) {
 	m := newTestMem(2)
-	mfn, _ := m.Alloc(1, nil)
-	if err := m.Share(1, mfn, 2, nil); err != nil {
+	mfn := alloc1(t, m, 1)
+	if err := m.ShareN(1, []MFN{mfn}, 2, nil); err != nil {
 		t.Fatal(err)
 	}
 	if owner, _ := m.Owner(mfn); owner != DomIDCOW {
@@ -139,27 +150,27 @@ func TestShareTransfersOwnershipToDomCOW(t *testing.T) {
 
 func TestShareByNonOwnerFails(t *testing.T) {
 	m := newTestMem(1)
-	mfn, _ := m.Alloc(1, nil)
-	if err := m.Share(9, mfn, 2, nil); !errors.Is(err, ErrNotOwner) {
+	mfn := alloc1(t, m, 1)
+	if err := m.ShareN(9, []MFN{mfn}, 2, nil); !errors.Is(err, ErrNotOwner) {
 		t.Fatalf("Share by non-owner: err = %v, want ErrNotOwner", err)
 	}
 }
 
 func TestCopyOnWriteWithSharersCopies(t *testing.T) {
 	m := newTestMem(4)
-	mfn, _ := m.Alloc(1, nil)
+	mfn := alloc1(t, m, 1)
 	if err := m.Write(mfn, 0, []byte("parent data")); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Share(1, mfn, 2, nil); err != nil {
+	if err := m.ShareN(1, []MFN{mfn}, 2, nil); err != nil {
 		t.Fatal(err)
 	}
-	newMFN, err := m.CopyOnWrite(2, mfn, nil)
+	newMFN, err := m.resolveCOW(2, mfn, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if newMFN == mfn {
-		t.Fatal("CopyOnWrite with 2 sharers returned the shared frame")
+		t.Fatal("fault with 2 sharers returned the shared frame")
 	}
 	// Contents must have been copied.
 	got := make([]byte, 11)
@@ -182,15 +193,15 @@ func TestCopyOnWriteLastSharerTransfersOwnership(t *testing.T) {
 	// ownership from dom_cow to the faulting domain, which may differ
 	// from the original owner.
 	m := newTestMem(4)
-	mfn, _ := m.Alloc(1, nil)
+	mfn := alloc1(t, m, 1)
 	m.Write(mfn, 0, []byte("x"))
-	if err := m.Share(1, mfn, 2, nil); err != nil {
+	if err := m.ShareN(1, []MFN{mfn}, 2, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.CopyOnWrite(1, mfn, nil); err != nil { // parent faults, copies
+	if _, err := m.resolveCOW(1, mfn, nil); err != nil { // parent faults, copies
 		t.Fatal(err)
 	}
-	got, err := m.CopyOnWrite(2, mfn, nil) // child is last sharer
+	got, err := m.resolveCOW(2, mfn, nil) // child is last sharer
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,24 +217,76 @@ func TestCopyOnWriteLastSharerTransfersOwnership(t *testing.T) {
 }
 
 func TestCopyOnWriteUnsharedFrameFails(t *testing.T) {
+	// A frame some other domain owns outright is neither shared nor the
+	// faulting domain's to un-protect.
 	m := newTestMem(1)
-	mfn, _ := m.Alloc(1, nil)
-	if _, err := m.CopyOnWrite(1, mfn, nil); !errors.Is(err, ErrNotShared) {
-		t.Fatalf("CopyOnWrite on private frame: err = %v, want ErrNotShared", err)
+	mfn := alloc1(t, m, 1)
+	if _, err := m.resolveCOW(2, mfn, nil); !errors.Is(err, ErrNotShared) {
+		t.Fatalf("fault on a foreign private frame: err = %v, want ErrNotShared", err)
+	}
+	if owner, _ := m.Owner(mfn); owner != 1 || m.FreeFrames() != 0 {
+		t.Fatalf("failed fault moved the frame: owner %d, %d free", owner, m.FreeFrames())
+	}
+}
+
+// TestResolveCOWOwnedFrame covers the two states lazy cloning adds to the
+// write-fault resolver: a frame the faulting domain still owns, with and
+// without outstanding pledges.
+func TestResolveCOWOwnedFrame(t *testing.T) {
+	m := newTestMem(4)
+	mfn := alloc1(t, m, 1)
+	m.Write(mfn, 0, []byte("clone-time"))
+	ptes := ptesOf([]MFN{mfn})
+	if err := m.pledgePTEs(ptes); err != nil {
+		t.Fatal(err)
+	}
+
+	// Pledged: converted (one PageShare), then copied away (PageAlloc +
+	// PageUnshare); the original survives as a zombie for the lazy child.
+	meter := vclock.NewMeter(nil)
+	got, err := m.resolveCOW(1, mfn, meter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := meter.Costs()
+	if want := c.PageShare + c.PageAlloc + c.PageUnshare; got == mfn || meter.Elapsed() != want {
+		t.Fatalf("pledged fault: mfn %d (source %d), charged %v, want a copy for %v", got, mfn, meter.Elapsed(), want)
+	}
+	owner, _ := m.Owner(mfn)
+	if rc, _ := m.Refcount(mfn); owner != DomIDCOW || rc != 0 || m.SharedFrames() != 1 {
+		t.Fatalf("source after pledged fault: owner %d refcount %d, %d shared; want a dom_cow zombie", owner, rc, m.SharedFrames())
+	}
+	buf := make([]byte, 10)
+	m.Read(got, 0, buf)
+	if string(buf) != "clone-time" {
+		t.Fatalf("private copy reads %q", buf)
+	}
+	if err := m.cancelPledged(ptes); err != nil || m.FreeFrames() != 3 {
+		t.Fatalf("cancelling the last pledge: err %v, %d free, want the zombie freed", err, m.FreeFrames())
+	}
+
+	// Not pledged (any more): the stale protection is lifted in place.
+	meter = vclock.NewMeter(nil)
+	same, err := m.resolveCOW(1, got, meter)
+	if err != nil || same != got || meter.Elapsed() != c.PageUnshare {
+		t.Fatalf("unpledged fault: mfn %d err %v charged %v, want %d in place for one PageUnshare", same, err, meter.Elapsed(), got)
+	}
+	if owner, _ := m.Owner(got); owner != 1 || m.UsedBy(1) != 1 || m.FreeFrames() != 3 {
+		t.Fatalf("unpledged fault moved the frame: owner %d", owner)
 	}
 }
 
 func TestDropSharedFreesAtZero(t *testing.T) {
 	m := newTestMem(1)
-	mfn, _ := m.Alloc(1, nil)
-	m.Share(1, mfn, 2, nil)
-	if err := m.DropShared(mfn); err != nil {
+	mfn := alloc1(t, m, 1)
+	m.ShareN(1, []MFN{mfn}, 2, nil)
+	if err := m.ReleaseN(2, []MFN{mfn}); err != nil {
 		t.Fatal(err)
 	}
 	if m.FreeFrames() != 0 {
 		t.Fatal("frame freed too early")
 	}
-	if err := m.DropShared(mfn); err != nil {
+	if err := m.ReleaseN(2, []MFN{mfn}); err != nil {
 		t.Fatal(err)
 	}
 	if m.FreeFrames() != 1 {
@@ -233,24 +296,22 @@ func TestDropSharedFreesAtZero(t *testing.T) {
 
 func TestAddSharer(t *testing.T) {
 	m := newTestMem(1)
-	mfn, _ := m.Alloc(1, nil)
-	m.Share(1, mfn, 2, nil)
-	if err := m.AddSharer(mfn, 3); err != nil {
+	mfn := alloc1(t, m, 1)
+	m.ShareN(1, []MFN{mfn}, 2, nil)
+	if err := m.AddSharerN([]MFN{mfn}, 3); err != nil {
 		t.Fatal(err)
 	}
 	if rc, _ := m.Refcount(mfn); rc != 5 {
 		t.Fatalf("refcount = %d, want 5", rc)
 	}
-	mfn2, _ := m.Alloc(1, nil)
-	_ = mfn2
 }
 
 func TestShareAlreadySharedAddsRefs(t *testing.T) {
 	m := newTestMem(1)
-	mfn, _ := m.Alloc(1, nil)
-	m.Share(1, mfn, 2, nil)
+	mfn := alloc1(t, m, 1)
+	m.ShareN(1, []MFN{mfn}, 2, nil)
 	// Cloning a clone re-shares the same frame: refs-1 new sharers.
-	if err := m.Share(2, mfn, 2, nil); err != nil {
+	if err := m.ShareN(2, []MFN{mfn}, 2, nil); err != nil {
 		t.Fatal(err)
 	}
 	if rc, _ := m.Refcount(mfn); rc != 3 {
@@ -260,11 +321,10 @@ func TestShareAlreadySharedAddsRefs(t *testing.T) {
 
 func TestCopyFrame(t *testing.T) {
 	m := newTestMem(2)
-	a, _ := m.Alloc(1, nil)
-	b, _ := m.Alloc(1, nil)
+	a, b := alloc1(t, m, 1), alloc1(t, m, 1)
 	m.Write(a, 8, []byte("copy me"))
 	meter := vclock.NewMeter(nil)
-	if err := m.CopyFrame(b, a, meter); err != nil {
+	if err := m.CopyFrameN([]MFN{b}, []MFN{a}, meter); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, 7)
@@ -287,14 +347,14 @@ func TestAccountingInvariantProperty(t *testing.T) {
 		for _, op := range ops {
 			switch op % 4 {
 			case 0:
-				if mfn, err := m.Alloc(1, nil); err == nil {
-					owned = append(owned, mfn)
+				if mfns, err := m.AllocN(1, 1, nil); err == nil {
+					owned = append(owned, mfns[0])
 				}
 			case 1:
 				if len(owned) > 0 {
 					mfn := owned[len(owned)-1]
 					owned = owned[:len(owned)-1]
-					if err := m.Free(1, mfn); err != nil {
+					if err := m.ReleaseN(1, []MFN{mfn}); err != nil {
 						return false
 					}
 				}
@@ -302,7 +362,7 @@ func TestAccountingInvariantProperty(t *testing.T) {
 				if len(owned) > 0 {
 					mfn := owned[len(owned)-1]
 					owned = owned[:len(owned)-1]
-					if err := m.Share(1, mfn, 2, nil); err != nil {
+					if err := m.ShareN(1, []MFN{mfn}, 2, nil); err != nil {
 						return false
 					}
 					shared = append(shared, mfn)
@@ -310,7 +370,7 @@ func TestAccountingInvariantProperty(t *testing.T) {
 			case 3:
 				if len(shared) > 0 {
 					mfn := shared[len(shared)-1]
-					if newMFN, err := m.CopyOnWrite(2, mfn, nil); err == nil {
+					if newMFN, err := m.resolveCOW(2, mfn, nil); err == nil {
 						if newMFN == mfn {
 							shared = shared[:len(shared)-1]
 						}

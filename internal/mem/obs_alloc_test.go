@@ -19,14 +19,14 @@ func TestCloneDisabledSinkZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, _, err := parent.Clone(2, false, nil)
+	warm, _, err := parent.CloneOp(obs.OpCtx{}, 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer warm.Release()
 
 	legacy := testing.AllocsPerRun(100, func() {
-		child, _, err := parent.Clone(3, false, nil)
+		child, _, err := parent.CloneOp(obs.OpCtx{}, 3, false)
 		if err != nil {
 			t.Fatal(err)
 		}

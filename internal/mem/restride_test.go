@@ -85,7 +85,7 @@ func populatePool(t *testing.T, seed int64) (*Memory, []*Space, []DomID) {
 		t.Fatal(err)
 	}
 	for i := 0; i < len(a); i += 3 {
-		if err := m.Free(50, a[i]); err != nil {
+		if err := m.ReleaseN(50, a[i:i+1]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -94,7 +94,7 @@ func populatePool(t *testing.T, seed int64) (*Memory, []*Space, []DomID) {
 		t.Fatal(err)
 	}
 	for _, mfn := range b[:50] {
-		if err := m.Share(51, mfn, 1+rng.Intn(4), nil); err != nil {
+		if err := m.ShareN(51, []MFN{mfn}, 1+rng.Intn(4), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -113,11 +113,11 @@ func populatePool(t *testing.T, seed int64) (*Memory, []*Space, []DomID) {
 			t.Fatal(err)
 		}
 	}
-	child, _, err := parent.Clone(2, false, nil)
+	child, _, err := parent.CloneOp(obs.OpCtx{}, 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	grand, _, err := child.Clone(3, false, nil)
+	grand, _, err := child.CloneOp(obs.OpCtx{}, 3, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestRestridePreservesState(t *testing.T) {
 		released := false
 		for mfn := MFN(0); int(mfn) < m.TotalFrames(); mfn++ {
 			if owner, err := m.Owner(mfn); err == nil && owner == DomIDCOW {
-				if err := m.DropShared(mfn); err != nil {
+				if err := m.ReleaseN(50, []MFN{mfn}); err != nil { // drops one sharer reference
 					t.Fatal(err)
 				}
 				released = true
@@ -269,7 +269,7 @@ func TestRestrideEquivalenceVsTwin(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		child, _, err := parent.Clone(2, false, meter)
+		child, _, err := parent.CloneOp(obs.Ctx(meter), 2, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -397,7 +397,7 @@ func TestRestrideUnderFire(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				child, _, err := parents[p].Clone(DomID(100+10*p+i%5), false, nil)
+				child, _, err := parents[p].CloneOp(obs.OpCtx{}, DomID(100+10*p+i%5), false)
 				if err != nil {
 					t.Error(err)
 					return

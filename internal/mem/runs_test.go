@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"nephele/internal/obs"
 	"nephele/internal/vclock"
 )
 
@@ -193,7 +194,7 @@ func TestBatchedOpsAllocFree(t *testing.T) {
 	}
 	ptes := ptesOf(mfns)
 	meter := vclock.NewMeter(nil)
-	if err := m.sharePTEs(1, ptes, 1, meter); err != nil {
+	if _, err := m.sharePTEs(1, ptes, 1, meter); err != nil {
 		t.Fatal(err)
 	}
 	must := func(err error) {
@@ -205,7 +206,10 @@ func TestBatchedOpsAllocFree(t *testing.T) {
 		name string
 		op   func()
 	}{
-		{"sharePTEs", func() { must(m.sharePTEs(1, ptes, 2, meter)) }},
+		{"sharePTEs", func() {
+			_, err := m.sharePTEs(1, ptes, 2, meter)
+			must(err)
+		}},
 		{"addSharerPTEs+releasePTEs", func() {
 			must(m.addSharerPTEs(ptes, 1))
 			must(m.releasePTEs(2, ptes))
@@ -223,13 +227,13 @@ func TestBatchedOpsAllocFree(t *testing.T) {
 			must(m.AddSharerN(mfns, 1))
 			must(m.ReleaseN(2, mfns))
 		}},
-		// The one-frame wrappers build their lists on the stack; the cursor
-		// must not make them escape.
-		{"AddSharer+DropShared", func() {
-			must(m.AddSharer(mfns[0], 1))
-			must(m.DropShared(mfns[0]))
+		// A one-frame list is built on the caller's stack; the cursor must
+		// not make it escape.
+		{"AddSharerN+ReleaseN/one", func() {
+			must(m.AddSharerN([]MFN{mfns[0]}, 1))
+			must(m.ReleaseN(2, []MFN{mfns[0]}))
 		}},
-		{"CopyFrame", func() { must(m.CopyFrame(10, 11, meter)) }},
+		{"CopyFrameN/one", func() { must(m.CopyFrameN([]MFN{10}, []MFN{11}, meter)) }},
 	} {
 		if got := testing.AllocsPerRun(50, tc.op); got != 0 {
 			t.Errorf("%s allocates %.0f times per call over %d one-page runs, want 0", tc.name, got, len(mfns))
@@ -268,11 +272,12 @@ func TestFragmentedLayoutEquivalence(t *testing.T) {
 	b := build(interleave)
 
 	release := func(tw twin) error { return tw.m.ReleaseN(2, tw.mfns) }
+	errOf := func(_ int, err error) error { return err }
 	steps := []struct {
 		name string
 		op   func(tw twin) error
 	}{
-		{"share", func(tw twin) error { return tw.m.sharePTEs(1, ptesOf(tw.mfns), 2, tw.meter) }},
+		{"share", func(tw twin) error { return errOf(tw.m.sharePTEs(1, ptesOf(tw.mfns), 2, tw.meter)) }},
 		{"addSharer", func(tw twin) error { return tw.m.addSharerPTEs(ptesOf(tw.mfns), 1) }},
 		{"ShareN again", func(tw twin) error { return tw.m.ShareN(1, tw.mfns, 3, tw.meter) }},
 		{"pledge", func(tw twin) error { return tw.m.pledgePTEs(ptesOf(tw.mfns)) }},
@@ -353,10 +358,11 @@ func TestFragmentedErrorPaths(t *testing.T) {
 	spare := full[stride-99] // dom 1's, between two good frames, never shared or pledged
 	outOfRange := MFN(m.TotalFrames() + 7)
 	pastWatermark := partial[0] + 500
-	foreign, err := m.Alloc(9, nil)
+	foreigns, err := m.AllocN(9, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	foreign := foreigns[0]
 	// with returns mfns with extra inserted before index at.
 	with := func(mfns []MFN, at int, extra MFN) []MFN {
 		out := append([]MFN(nil), mfns[:at]...)
@@ -387,7 +393,10 @@ func TestFragmentedErrorPaths(t *testing.T) {
 	} {
 		in := with(good, 90, tc.extra)
 		untouched("ShareN/"+tc.name, tc.want, func() error { return m.ShareN(1, in, 2, nil) })
-		untouched("sharePTEs/"+tc.name, tc.want, func() error { return m.sharePTEs(1, ptesOf(in), 2, nil) })
+		untouched("sharePTEs/"+tc.name, tc.want, func() error {
+			_, err := m.sharePTEs(1, ptesOf(in), 2, nil)
+			return err
+		})
 	}
 	in := with(good, 90, outOfRange)
 	untouched("AddSharerN/out of range", ErrBadFrame, func() error { return m.AddSharerN(in, 1) })
@@ -476,7 +485,7 @@ func TestFragmentedReleaseVsRestride(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				child, _, err := parents[p].Clone(DomID(100+10*p+i%5), false, nil)
+				child, _, err := parents[p].CloneOp(obs.OpCtx{}, DomID(100+10*p+i%5), false)
 				if err != nil {
 					t.Error(err)
 					return

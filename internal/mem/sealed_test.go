@@ -5,6 +5,8 @@ import (
 	"errors"
 	"sync"
 	"testing"
+
+	"nephele/internal/obs"
 )
 
 // samePage reports whether a and b are the very same backing array.
@@ -92,7 +94,7 @@ func TestSnapshotIsolatedFromWrites(t *testing.T) {
 	}
 	mfn2, _ := s.MFNOf(2)
 	mfn3, _ := s.MFNOf(3)
-	if err := m.CopyFrame(mfn2, mfn3, nil); err != nil {
+	if err := m.CopyFrameN([]MFN{mfn2}, []MFN{mfn3}, nil); err != nil {
 		t.Fatal(err)
 	}
 	for pfn := 0; pfn < 4; pfn++ {
@@ -109,7 +111,7 @@ func TestSnapshotIsolatedFromWrites(t *testing.T) {
 		t.Fatal("8-byte write after a snapshot lost the rest of the page or the write")
 	}
 	if got := readPage(t, s, 2); !bytes.Equal(got, fullPage(0xA3)) {
-		t.Fatal("CopyFrame into a sealed frame is lost")
+		t.Fatal("CopyFrameN into a sealed frame is lost")
 	}
 }
 
@@ -177,7 +179,7 @@ func TestSealedPagesAcrossCOW(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	child, _, err := parent.Clone(2, false, nil)
+	child, _, err := parent.CloneOp(obs.OpCtx{}, 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"sync"
 	"testing"
+
+	"nephele/internal/obs"
 )
 
 // shardedPool builds a pool whose layout the boundary tests rely on:
@@ -128,7 +130,7 @@ func TestShardBoundaryValidationAtomic(t *testing.T) {
 	// Run crossing one edge; poison a frame past the edge.
 	mfns := run(stride-50, 100)
 	bad := MFN(stride + 40)
-	if err := m.Free(1, bad); err != nil {
+	if err := m.ReleaseN(1, []MFN{bad}); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.ShareN(1, mfns, 1, nil); !errors.Is(err, ErrDoubleFree) {
@@ -199,7 +201,7 @@ func TestSnapshotDuringConcurrentClones(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				child, _, err := spaces[p].Clone(DomID(10+parents*i+p), false, nil)
+				child, _, err := spaces[p].CloneOp(obs.OpCtx{}, DomID(10+parents*i+p), false)
 				if err != nil {
 					t.Error(err)
 					return

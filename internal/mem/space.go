@@ -131,10 +131,10 @@ type Space struct {
 	// unmapped counts resolved demand (unmapped) faults on lazy entries.
 	unmapped int
 	// dirty records the pfns privatized by COW faults since the last
-	// TakeDirty, so clone_reset restores exactly the dirtied set instead
-	// of scanning the whole space. dirtySet deduplicates it: a pfn that
-	// faults repeatedly between resets (TouchCOW after a Remap) appears
-	// once in the work list.
+	// ResetOp, so clone_reset restores exactly the dirtied set instead of
+	// scanning the whole space. dirtySet deduplicates it: a pfn that faults
+	// again between resets (the space was cloned in between, which
+	// write-protects it anew) appears once in the work list.
 	dirty    []PFN
 	dirtySet map[PFN]struct{}
 
@@ -201,14 +201,6 @@ func (s *Space) Dom() DomID { return s.dom }
 // Pages returns the number of guest pages in the space.
 func (s *Space) Pages() int {
 	return s.npages
-}
-
-// MetadataFrames returns how many private page-table plus p2m frames back
-// this space.
-func (s *Space) MetadataFrames() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.ptFrames) + len(s.p2mFrames)
 }
 
 // Faults returns the number of COW write faults resolved so far.
@@ -419,7 +411,7 @@ func (s *Space) breakCOWLocked(pfn PFN, p *pte, meter *vclock.Meter) error {
 	return nil
 }
 
-// markDirtyLocked records a privatized pfn for the next TakeDirty,
+// markDirtyLocked records a privatized pfn for the next ResetOp,
 // deduplicating repeat faults on the same page.
 func (s *Space) markDirtyLocked(pfn PFN) {
 	if s.dirtySet == nil {
@@ -432,22 +424,6 @@ func (s *Space) markDirtyLocked(pfn PFN) {
 	s.dirty = append(s.dirty, pfn)
 }
 
-// PrivatePFNs returns the pfns whose kind is not KindRegular.
-func (s *Space) PrivatePFNs() []PFN {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.retired {
-		return nil
-	}
-	var out []PFN
-	for i := range s.ptes {
-		if s.ptes[i].present && s.ptes[i].kind != KindRegular {
-			out = append(out, PFN(i))
-		}
-	}
-	return out
-}
-
 // CloneStats reports the work performed by one clone operation.
 type CloneStats struct {
 	SharedPages   int // regular pages marked COW / re-shared
@@ -458,12 +434,6 @@ type CloneStats struct {
 	MetaFrames    int // page-table + p2m frames allocated for the child
 	Extents       int // same-state runs the clone walk batched over
 	Deferred      int // lazy entries left unmaterialized (CloneLazy only)
-}
-
-// Clone is the legacy meter-threading form of CloneOp, kept so existing
-// callers and tests migrate incrementally; new code builds an obs.OpCtx.
-func (s *Space) Clone(childDom DomID, copyRing bool, meter *vclock.Meter) (*Space, CloneStats, error) {
-	return s.CloneOp(obs.Ctx(meter), childDom, copyRing)
 }
 
 // CloneOp produces a child address space for childDom following the paper's
@@ -506,7 +476,7 @@ func (s *Space) CloneOpMode(ctx obs.OpCtx, childDom DomID, copyRing bool, mode C
 	// bit-identical to the parent's — so only extents that received fresh
 	// private frames need their mappings patched. fixups records those; a
 	// fixup with nil mfns clears a stale COW bit the child must not
-	// inherit (a read-only entry Remapped with cow set).
+	// inherit (a protected entry since made read-only or re-tagged).
 	type fixup struct {
 		lo, hi int
 		mfns   []MFN
@@ -592,10 +562,8 @@ func (s *Space) CloneOpMode(ctx obs.OpCtx, childDom DomID, copyRing bool, mode C
 		case KindIDC:
 			// Genuinely shared, never COW: both sides keep writing
 			// to the same frame (§5.2.2). sharePTEs adds a reference
-			// to frames dom_cow already owns and transfers the rest,
-			// the same dispatch the per-page path made through Owner +
-			// AddSharer/Share.
-			if err := s.mem.sharePTEs(s.dom, ext, 2, meter); err != nil {
+			// to frames dom_cow already owns and transfers the rest.
+			if _, err := s.mem.sharePTEs(s.dom, ext, 2, meter); err != nil {
 				return fail(err)
 			}
 			st.SharedPages += n
@@ -641,7 +609,7 @@ func (s *Space) CloneOpMode(ctx obs.OpCtx, childDom DomID, copyRing bool, mode C
 				// since a pledged frame converts only when first
 				// materialized or eagerly re-shared (one PageShare
 				// per frame either way).
-				if err := s.mem.sharePTEs(s.dom, ext, 2, meter); err != nil {
+				if _, err := s.mem.sharePTEs(s.dom, ext, 2, meter); err != nil {
 					return fail(err)
 				}
 				if p.writable {
@@ -759,54 +727,90 @@ func (s *Space) CloneOpMode(ctx obs.OpCtx, childDom DomID, copyRing bool, mode C
 	return child, st, nil
 }
 
-// MarkAllCOW re-protects every currently-shared regular page in this space
-// (used by clone_reset bookkeeping in the fuzzing harness after restoring
-// dirty pages).
-func (s *Space) MarkAllCOW() {
+// ResetOp is the memory side of clone_reset (§7.2): every page this space
+// privatized by a COW fault since its last reset is re-attached to the frame
+// parent maps at the same pfn, so a fuzzing iteration starts from the
+// parent's memory image. It returns the number of pages restored; the work
+// is proportional to the recorded dirty set, as on real Xen where the dirty
+// log drives the restore.
+//
+// A lazily cloned space may still have its streamer installing pages: it is
+// drained first, and its virtual time folds into ctx's meter — the reset
+// could not proceed before it. Then both spaces are locked, the parent's mu
+// before the child's: the order a clone already implies, since CloneOpMode
+// builds the child while holding the parent's.
+//
+// Every recorded page is validated before anything is mutated, so a failed
+// reset leaves the pool, both page tables and the dirty record as they were
+// and can simply be retried. A recorded page that is no longer this space's
+// own private memory (it was re-shared by a clone of this space since) has
+// nothing to restore and is skipped. Per restored page the frame transitions
+// are the batched ones (DESIGN.md §10, "Frame states and transitions"): the
+// reference on the parent's frame comes by ShareN's dispatch — a sharer bump
+// where dom_cow already owns it, a transfer and one PageShare where the
+// parent still does, and exactly those parent entries become write-protected
+// — and the private frame goes by ReleaseN's.
+func (s *Space) ResetOp(ctx obs.OpCtx, parent *Space) (int, error) {
+	meter := ctx.Meter()
+	if sm, _, err := s.WaitLazy(); err != nil {
+		return 0, err
+	} else if sm != nil {
+		meter.Add(sm.Elapsed())
+	}
+	parent.mu.Lock()
+	defer parent.mu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.retired {
-		return
+		return 0, ErrSpaceRetired
 	}
-	for i := range s.ptes {
-		p := &s.ptes[i]
-		if p.present && !p.lazy && p.kind == KindRegular && p.writable {
-			if owner, err := s.mem.Owner(p.mfn); err == nil && owner == DomIDCOW {
-				p.cow = true
-			}
+	for _, pfn := range s.dirty {
+		if !s.privatizedLocked(pfn) {
+			continue
+		}
+		pp, err := parent.pteLocked(pfn)
+		if err != nil {
+			return 0, err
+		}
+		owner, err := s.mem.Owner(pp.mfn)
+		if err != nil {
+			return 0, err
+		}
+		if owner != DomIDCOW && owner != parent.dom {
+			return 0, fmt.Errorf("%w: reset pfn %d: parent's frame %d owned by %d", ErrNotOwner, pfn, pp.mfn, owner)
 		}
 	}
-}
-
-// TakeDirty returns the pfns privatized by COW faults since the previous
-// call and clears the record (the clone_reset working set).
-func (s *Space) TakeDirty() []PFN {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := s.dirty
-	s.dirty = nil
-	s.dirtySet = nil
-	return out
-}
-
-// Remap frees the private frame currently backing pfn and installs mfn in
-// its place, optionally COW-protected. Used by clone_reset to re-attach a
-// fuzzing clone's dirtied pages to the parent's frames.
-func (s *Space) Remap(pfn PFN, mfn MFN, cow bool) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p, err := s.pteLocked(pfn)
-	if err != nil {
-		return err
-	}
-	if owner, err := s.mem.Owner(p.mfn); err == nil && owner == s.dom {
-		if err := s.mem.Free(s.dom, p.mfn); err != nil {
-			return err
+	restored := 0
+	for _, pfn := range s.dirty {
+		if !s.privatizedLocked(pfn) {
+			continue
 		}
+		cp, pp := &s.ptes[pfn], &parent.ptes[pfn]
+		transferred, err := s.mem.sharePTEs(parent.dom, parent.ptes[pfn:pfn+1], 2, meter)
+		if err != nil {
+			return restored, err
+		}
+		if transferred > 0 && pp.writable {
+			pp.cow = true
+		}
+		s.mem.releasePTEs(s.dom, s.ptes[pfn:pfn+1])
+		cp.mfn, cp.cow = pp.mfn, true
+		restored++
 	}
-	p.mfn = mfn
-	p.cow = cow
-	return nil
+	s.dirty = s.dirty[:0]
+	clear(s.dirtySet)
+	return restored, nil
+}
+
+// privatizedLocked reports whether a recorded dirty pfn is still backed by a
+// regular frame the space itself owns. s.mu must be held.
+func (s *Space) privatizedLocked(pfn PFN) bool {
+	p := &s.ptes[pfn]
+	if !p.present || p.kind != KindRegular {
+		return false
+	}
+	owner, err := s.mem.Owner(p.mfn)
+	return err == nil && owner == s.dom
 }
 
 // Release frees every frame of the space: owned frames are freed, shared
@@ -851,11 +855,10 @@ func (s *Space) release() error {
 	}
 	// Batched passes over everything the space holds: shared frames drop
 	// a reference, owned frames are freed, frames owned by another domain
-	// are left alone — the same per-frame dispatch the old per-page
-	// Owner/DropShared/Free sequence made. The guest pages go straight off
-	// the page table run by run (no intermediate list of any kind); the
-	// metadata frames follow. Setting retired retires every entry, so the
-	// per-pte present bits need no touching.
+	// are left alone. The guest pages go straight off the page table run by
+	// run (no intermediate list of any kind); the metadata frames follow.
+	// Setting retired retires every entry, so the per-pte present bits need
+	// no touching.
 	if err := s.mem.releasePTEs(s.dom, s.ptes); firstErr == nil {
 		firstErr = err
 	}
@@ -906,9 +909,9 @@ func (s *Space) snapshotMFNs() ([]MFN, error) {
 // starting at Start. A zero run (Pages == nil) covers frames that have
 // never been written and read as zeroes; a data run carries one page image
 // per pfn. Alias >= 0 marks a run whose pfns map the very frames of an
-// earlier run (family-shared mappings installed by Remap): its contents are
-// the pages of the run starting at pfn Alias, so the capture stores them
-// once.
+// earlier run (pages adopted from one deduplicated cache frame): its
+// contents are the pages of the run starting at pfn Alias, so the capture
+// stores them once.
 type SnapshotRun struct {
 	Start PFN
 	Count int

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"nephele/internal/obs"
 	"nephele/internal/vclock"
 )
 
@@ -87,7 +88,7 @@ func TestCloneSharesRegularPages(t *testing.T) {
 	s := newTestSpace(t, m, 1, 8)
 	s.Write(0, 0, []byte("shared content"), nil)
 
-	child, st, err := s.Clone(2, true, vclock.NewMeter(nil))
+	child, st, err := s.CloneOp(obs.Ctx(vclock.NewMeter(nil)), 2, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestCloneCOWIsolation(t *testing.T) {
 	m := newTestMem(256)
 	s := newTestSpace(t, m, 1, 4)
 	s.Write(0, 0, []byte("original"), nil)
-	child, _, err := s.Clone(2, true, nil)
+	child, _, err := s.CloneOp(obs.OpCtx{}, 2, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestCloneReadOnlyPagesNeverFault(t *testing.T) {
 	s := newTestSpace(t, m, 1, 2)
 	s.Write(0, 0, []byte("text section"), nil)
 	s.SetWritable(0, false)
-	child, _, err := s.Clone(2, true, nil)
+	child, _, err := s.CloneOp(obs.OpCtx{}, 2, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func TestClonePrivateKinds(t *testing.T) {
 	s.Write(1, 0, []byte("conslog"), nil)
 	s.Write(2, 0, []byte("ringdat"), nil)
 
-	child, st, err := s.Clone(2, true, nil)
+	child, st, err := s.CloneOp(obs.OpCtx{}, 2, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func TestCloneFreshRingPolicy(t *testing.T) {
 	s := newTestSpace(t, m, 1, 4)
 	s.SetKind(0, KindIORing)
 	s.Write(0, 0, []byte("ring"), nil)
-	child, st, err := s.Clone(2, false, nil)
+	child, st, err := s.CloneOp(obs.OpCtx{}, 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,12 +228,12 @@ func TestCloneFreshRingPolicy(t *testing.T) {
 func TestCloneOfCloneAddsSharer(t *testing.T) {
 	m := newTestMem(512)
 	s := newTestSpace(t, m, 1, 2)
-	c1, _, err := s.Clone(2, true, nil)
+	c1, _, err := s.CloneOp(obs.OpCtx{}, 2, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Clone the clone: the shared frame gains one more reference.
-	_, _, err = c1.Clone(3, true, nil)
+	_, _, err = c1.CloneOp(obs.OpCtx{}, 3, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +246,7 @@ func TestCloneOfCloneAddsSharer(t *testing.T) {
 func TestTouchCOW(t *testing.T) {
 	m := newTestMem(256)
 	s := newTestSpace(t, m, 1, 2)
-	child, _, err := s.Clone(2, true, nil)
+	child, _, err := s.CloneOp(obs.OpCtx{}, 2, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +274,7 @@ func TestReleaseReturnsAllMemory(t *testing.T) {
 	m := newTestMem(512)
 	free0 := m.FreeFrames()
 	s := newTestSpace(t, m, 1, 8)
-	child, _, err := s.Clone(2, true, nil)
+	child, _, err := s.CloneOp(obs.OpCtx{}, 2, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +301,7 @@ func TestCloneChargesPageTableWork(t *testing.T) {
 	m := newTestMem(4096)
 	s := newTestSpace(t, m, 1, 1024) // 4 MiB guest
 	meter := vclock.NewMeter(nil)
-	_, st, err := s.Clone(2, true, meter)
+	_, st, err := s.CloneOp(obs.Ctx(meter), 2, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,45 +314,12 @@ func TestCloneChargesPageTableWork(t *testing.T) {
 	}
 }
 
-func TestPrivatePFNs(t *testing.T) {
-	m := newTestMem(64)
-	s := newTestSpace(t, m, 1, 4)
-	s.SetKind(1, KindStartInfo)
-	s.SetKind(3, KindIORing)
-	got := s.PrivatePFNs()
-	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Fatalf("PrivatePFNs = %v, want [1 3]", got)
-	}
-}
-
 func TestPageKindString(t *testing.T) {
 	kinds := []PageKind{KindRegular, KindPageTable, KindStartInfo, KindConsole, KindXenstore, KindIORing, KindP2M, PageKind(99)}
 	for _, k := range kinds {
 		if k.String() == "" {
 			t.Errorf("empty String() for kind %d", uint8(k))
 		}
-	}
-}
-
-func TestMarkAllCOW(t *testing.T) {
-	m := newTestMem(256)
-	s := newTestSpace(t, m, 1, 4)
-	child, _, err := s.Clone(2, true, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fault one page in the child, then re-protect.
-	child.Write(0, 0, []byte("dirty"), nil)
-	if cow, _ := child.IsCOW(0); cow {
-		t.Fatal("page still COW after write")
-	}
-	child.MarkAllCOW()
-	// Page 0 is now privately owned, so it must NOT be re-marked.
-	if cow, _ := child.IsCOW(0); cow {
-		t.Fatal("privately-owned page re-marked COW")
-	}
-	if cow, _ := child.IsCOW(1); !cow {
-		t.Fatal("still-shared page lost COW protection")
 	}
 }
 
@@ -369,7 +337,7 @@ func TestClonePartialFailureLeaksNothing(t *testing.T) {
 	}
 	freeBefore := m.FreeFrames()
 	sharedBefore := m.SharedFrames()
-	if _, _, err := s.Clone(2, true, nil); err == nil {
+	if _, _, err := s.CloneOp(obs.OpCtx{}, 2, true); err == nil {
 		t.Fatal("clone succeeded despite memory pressure")
 	}
 	if got := m.FreeFrames(); got != freeBefore {

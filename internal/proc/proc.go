@@ -14,6 +14,7 @@ import (
 
 	"nephele/internal/gmem"
 	"nephele/internal/mem"
+	"nephele/internal/obs"
 	"nephele/internal/vclock"
 )
 
@@ -160,9 +161,9 @@ func (p *Process) Fork(meter *vclock.Meter) (*Process, error) {
 	p.machine.mu.Unlock()
 
 	// Real COW cloning through the shared memory substrate, but charged
-	// with Linux costs (no ownership-transfer fee): pass a nil meter and
-	// account explicitly from the returned stats.
-	cspace, st, err := p.space.Clone(mem.DomID(pid), true, nil)
+	// with Linux costs (no ownership-transfer fee): pass a meterless
+	// context and account explicitly from the returned stats.
+	cspace, st, err := p.space.CloneOp(obs.OpCtx{}, mem.DomID(pid), true)
 	if err != nil {
 		return nil, err
 	}

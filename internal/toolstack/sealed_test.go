@@ -238,8 +238,8 @@ func TestShortStoredPageRestores(t *testing.T) {
 }
 
 // TestHashInheritanceMatchesFreshHash: over 200 seeded rounds of guest
-// writes that extend and merge data runs, split them (a page remapped to a
-// never-written frame), rewrite pages and scrub them to zeroes, an image
+// writes that extend and merge data runs, split them (a page made a
+// never-written frame again), rewrite pages and scrub them to zeroes, an image
 // that takes hashes over from its predecessor has exactly the run hashes,
 // run infos and key of the same runs hashed from scratch. One round in four
 // goes unhashed, so inheritance also reaches over skipped images.
@@ -253,6 +253,10 @@ func TestHashInheritanceMatchesFreshHash(t *testing.T) {
 	n := sp.Pages() - 3
 	rng := rand.New(rand.NewSource(14))
 	inherited := 0
+	unwritten, err := r.hv.Memory.AllocN(sp.Dom(), 1, nil) // copying it makes a page unwritten again
+	if err != nil {
+		t.Fatal(err)
+	}
 	for round := 0; round < 200; round++ {
 		for k := rng.Intn(6); k > 0; k-- {
 			pfn := mem.PFN(rng.Intn(64)) // a small window, so runs meet
@@ -265,8 +269,8 @@ func TestHashInheritanceMatchesFreshHash(t *testing.T) {
 				err = sp.Write(pfn, 0, make([]byte, mem.PageSize), nil) // scrubbed to a nil slot
 			case 3:
 				var mfn mem.MFN
-				if mfn, err = r.hv.Memory.Alloc(sp.Dom(), nil); err == nil {
-					err = sp.Remap(pfn, mfn, false) // reads as zeroes again: splits a run
+				if mfn, err = sp.MFNOf(pfn); err == nil {
+					err = r.hv.Memory.CopyFrameN([]mem.MFN{mfn}, unwritten, nil) // reads as zeroes again: splits a run
 				}
 			case 4:
 				err = sp.Write(mem.PFN(64+rng.Intn(n-64)), 0, []byte{byte(round + 1)}, nil)
