@@ -40,13 +40,13 @@ func (s *Space) AdoptShared(ctx obs.OpCtx, srcDom DomID, start PFN, src []MFN) e
 		return fmt.Errorf("%w: pfns %d..%d of %d", ErrBadPFN, start, end, len(s.ptes))
 	}
 	for i := int(start); i < end; i++ {
-		p := &s.ptes[i]
-		if !p.present {
+		p := s.ptes[i]
+		if !p.present() {
 			return fmt.Errorf("%w: pfn %d not present", ErrBadPFN, i)
 		}
-		if p.kind != KindRegular || p.lazy || p.cow {
+		if p.kind() != KindRegular || p.lazy() || p.cow() {
 			return fmt.Errorf("mem: adopt pfn %d: not a private regular page (kind %s, lazy %t, cow %t)",
-				i, p.kind, p.lazy, p.cow)
+				i, p.kind(), p.lazy(), p.cow())
 		}
 	}
 	// Take the space's references on the source frames first: if this
@@ -57,10 +57,8 @@ func (s *Space) AdoptShared(ctx obs.OpCtx, srcDom DomID, start PFN, src []MFN) e
 	old := make([]MFN, len(src))
 	for i, mfn := range src {
 		p := &s.ptes[int(start)+i]
-		old[i] = p.mfn
-		p.mfn = mfn
-		p.cow = true
-		p.writable = true
+		old[i] = p.mfn()
+		*p = p.withMFN(mfn) | pteCOW | pteWritable
 	}
 	// The displaced frames were validated as this space's own private
 	// memory, so releasing them frees them.

@@ -32,18 +32,18 @@ func (s *Space) ShardOccupancy() uint32 {
 		}
 	}
 	for lo := 0; lo < len(s.ptes); {
-		if !s.ptes[lo].present {
+		if !s.ptes[lo].present() {
 			lo++
 			continue
 		}
-		start := s.ptes[lo].mfn
+		start := s.ptes[lo].mfn()
 		if int(start) >= lay.total {
 			lo++
 			continue
 		}
 		end := start + 1
 		hi := lo + 1
-		for hi < len(s.ptes) && s.ptes[hi].present && s.ptes[hi].mfn == end && int(end) < lay.total {
+		for hi < len(s.ptes) && s.ptes[hi]&(pteMFNMask|ptePresent) == pte(end)|ptePresent && int(end) < lay.total {
 			hi++
 			end++
 		}

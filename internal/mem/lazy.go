@@ -312,7 +312,7 @@ func (s *Space) streamLoop(ls *lazyState) {
 			s.mu.Unlock()
 			return
 		}
-		for cursor < len(s.ptes) && !s.ptes[cursor].lazy {
+		for cursor < len(s.ptes) && !s.ptes[cursor].lazy() {
 			cursor++
 		}
 		if cursor >= len(s.ptes) {
@@ -322,7 +322,7 @@ func (s *Space) streamLoop(ls *lazyState) {
 			continue
 		}
 		hi := cursor
-		for hi < len(s.ptes) && s.ptes[hi].lazy && hi-cursor < streamChunk {
+		for hi < len(s.ptes) && s.ptes[hi].lazy() && hi-cursor < streamChunk {
 			hi++
 		}
 		if err := ls.faults.Check(fault.PointMemStreamExtent); err != nil {
@@ -344,8 +344,7 @@ func (s *Space) streamLoop(ls *lazyState) {
 		ls.meter.Charge(ls.meter.Costs().PTEntryClone, n)
 		ls.meter.Charge(ls.meter.Costs().P2MEntryClone, n)
 		for i := range ext {
-			ext[i].lazy = false
-			ext[i].cow = ext[i].writable
+			ext[i] = ext[i].materialized()
 		}
 		ls.remaining -= n
 		ls.streamedPages += n
@@ -386,8 +385,7 @@ func (s *Space) demandFaultLocked(ctx obs.OpCtx, pfn PFN, p *pte) error {
 	}
 	meter.Charge(meter.Costs().PTEntryClone, 1)
 	meter.Charge(meter.Costs().P2MEntryClone, 1)
-	p.lazy = false
-	p.cow = p.writable
+	*p = p.materialized()
 	ls.remaining--
 	ls.demandPages++
 	s.unmapped++

@@ -83,18 +83,23 @@ var (
 // "zombie" (refcount 0, pledges > 0) until the last pledge is adopted or
 // cancelled.
 //
-// sealed means the data slice is also held by a snapshot, an image or
+// sealed means the data page is also held by a snapshot, an image or
 // another frame, so it is never written in place again: SnapshotFrames and
 // WritePage set it, and every path that stores into data replaces a sealed
-// slice with a private one first (DESIGN.md §10.1). The bit sits in the
+// page with a private one first (DESIGN.md §10.1). The bit sits in the
 // padding after inUse.
+//
+// data points at a whole page, never at less: the frame is 16 bytes of state
+// and one pointer (DESIGN.md §10, "Table layouts"), and the exported surface
+// converts at its edge — f.data[:] out, (*[PageSize]byte)(page) in — so the
+// slices callers see are backed by the very arrays the frames hold.
 type frame struct {
 	owner    DomID
 	refcount int32
 	pledges  int32
 	inUse    bool
 	sealed   bool
-	data     []byte
+	data     *[PageSize]byte
 }
 
 // Shard sizing. The pool is split into contiguous MFN-range shards (a
@@ -457,7 +462,7 @@ func (c *runCursor) at(i int) MFN {
 	if c.ptes == nil {
 		return c.mfns[i]
 	}
-	return c.ptes[i].mfn
+	return c.ptes[i].mfn()
 }
 
 // rewind restarts the walk from the first input entry.
@@ -475,8 +480,8 @@ func (c *runCursor) next() bool {
 		var start MFN
 		if c.ptes == nil {
 			start = c.mfns[c.i]
-		} else if p := &c.ptes[c.i]; p.present || c.mode != runSkipAbsent {
-			start = p.mfn
+		} else if p := c.ptes[c.i]; p.present() || c.mode != runSkipAbsent {
+			start = p.mfn()
 		} else {
 			c.i++
 			continue
@@ -514,18 +519,23 @@ func (c *runCursor) next() bool {
 				}
 			}
 		} else {
+			// One masked compare per entry: the MFN field must be the next
+			// frame number and, where absent entries are skipped, the present
+			// bit set. end stays below the pool size, so it fits the field.
 			in := c.ptes[:stop]
-			all := c.mode != runSkipAbsent
-			for i < len(in) && in[i].mfn == end && (all || in[i].present) {
-				i, end = i+1, end+1
-				for ; i+4 <= len(in); i, end = i+4, end+4 {
-					q := in[i : i+4 : i+4]
-					if (q[0].mfn^end)|(q[1].mfn^(end+1))|(q[2].mfn^(end+2))|(q[3].mfn^(end+3)) != 0 ||
-						!(all || q[0].present && q[1].present && q[2].present && q[3].present) {
+			mask, want := pteMFNMask, pte(end)
+			if c.mode == runSkipAbsent {
+				mask, want = mask|ptePresent, want|ptePresent
+			}
+			for i < len(in) && in[i]&mask == want {
+				i, want = i+1, want+1
+				for ; i+4 <= len(in); i, want = i+4, want+4 {
+					if q := in[i : i+4 : i+4]; (q[0]&mask^want)|(q[1]&mask^(want+1))|(q[2]&mask^(want+2))|(q[3]&mask^(want+3)) != 0 {
 						break
 					}
 				}
 			}
+			end = MFN(want & pteMFNMask)
 		}
 		c.i = i
 		a := int(start & lay.cmask)
@@ -1137,8 +1147,8 @@ func (m *Memory) resolveCOW(dom DomID, mfn MFN, meter *vclock.Meter) (MFN, error
 		}
 		if f.data != nil {
 			nf := lay.frame(spare[0])
-			nf.data = make([]byte, PageSize)
-			copy(nf.data, f.data)
+			nf.data = new([PageSize]byte)
+			*nf.data = *f.data
 		}
 		f.refcount--
 		m.unlockMask(lay, mask)
@@ -1299,10 +1309,9 @@ func (m *Memory) Write(mfn MFN, off int, buf []byte) error {
 	}
 	if f.data == nil || f.sealed {
 		old := f.data
-		f.data = make([]byte, PageSize)
-		f.sealed = false
-		if len(buf) < PageSize {
-			copy(f.data, old)
+		f.data, f.sealed = new([PageSize]byte), false
+		if old != nil && len(buf) < PageSize {
+			*f.data = *old
 		}
 	}
 	copy(f.data[off:], buf)
@@ -1310,9 +1319,9 @@ func (m *Memory) Write(mfn MFN, off int, buf []byte) error {
 }
 
 // WritePage makes page the whole contents of mfn without copying it: the
-// frame keeps the slice itself, sealed, so the caller (an image, a cache
-// chunk) and any number of frames may hold the same page as long as none
-// of them writes through it again. A page shorter than PageSize cannot
+// frame keeps the slice's backing array, sealed, so the caller (an image, a
+// cache chunk) and any number of frames may hold the same page as long as
+// none of them writes through it again. A page shorter than PageSize cannot
 // stand for a frame and is stored as the copying prefix write
 // Write(mfn, 0, page) instead; a longer one is refused.
 func (m *Memory) WritePage(mfn MFN, page []byte) error {
@@ -1328,7 +1337,7 @@ func (m *Memory) WritePage(mfn MFN, page []byte) error {
 	if err != nil {
 		return err
 	}
-	f.data, f.sealed = page, true
+	f.data, f.sealed = (*[PageSize]byte)(page), true
 	return nil
 }
 
@@ -1393,9 +1402,9 @@ func (lay *layout) copyFrameLocked(dst, src MFN) error {
 		fd.data, fd.sealed = nil, false
 	} else {
 		if fd.data == nil || fd.sealed {
-			fd.data, fd.sealed = make([]byte, PageSize), false
+			fd.data, fd.sealed = new([PageSize]byte), false
 		}
-		copy(fd.data, fs.data)
+		*fd.data = *fs.data
 	}
 	return nil
 }
@@ -1405,8 +1414,8 @@ func (lay *layout) copyFrameLocked(dst, src MFN) error {
 // (they read as zeroes). Nothing is copied: each slot is the frame's own
 // page, sealed on the way out, so the result is immutable — a later write
 // to the frame goes to a private copy — and two captures of an unwritten
-// frame return the very same slice. Callers must not write through the
-// returned pages. The shards the run touches are locked once, in
+// frame return the very same backing array. Callers must not write through
+// the returned pages. The shards the run touches are locked once, in
 // ascending order, so the capture is one coherent pass even while other
 // shards keep allocating — and a concurrent ReleaseN on the same shards
 // orders strictly before or after the whole snapshot.
@@ -1423,7 +1432,7 @@ func (m *Memory) SnapshotFrames(mfns []MFN) ([][]byte, error) {
 		}
 		if f.data != nil {
 			f.sealed = true
-			out[i] = f.data
+			out[i] = f.data[:]
 		}
 	}
 	return out, nil

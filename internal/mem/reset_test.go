@@ -44,8 +44,8 @@ func TestResetOpFailedKeepsDirtyList(t *testing.T) {
 		}
 	}
 	foreign := alloc1(t, m, thirdDom)
-	healthy := parent.ptes[20].mfn
-	parent.ptes[20].mfn = foreign
+	healthy := parent.ptes[20].mfn()
+	parent.ptes[20] = parent.ptes[20].withMFN(foreign)
 
 	type image struct {
 		free, shared            int
@@ -59,8 +59,8 @@ func TestResetOpFailedKeepsDirtyList(t *testing.T) {
 			free: m.FreeFrames(), shared: m.SharedFrames(),
 			parent: m.UsedBy(parentDom), child: m.UsedBy(childDom), third: m.UsedBy(thirdDom),
 			cow:     m.UsedBy(DomIDCOW),
-			child10: child.ptes[10].mfn, child20: child.ptes[20].mfn,
-			parentCOW10: parent.ptes[10].cow, childCOW10: child.ptes[10].cow,
+			child10: child.ptes[10].mfn(), child20: child.ptes[20].mfn(),
+			parentCOW10: parent.ptes[10].cow(), childCOW10: child.ptes[10].cow(),
 		}
 	}
 	before := capture()
@@ -79,7 +79,7 @@ func TestResetOpFailedKeepsDirtyList(t *testing.T) {
 		t.Fatalf("failed reset restored pfn 10: child reads %q", got)
 	}
 
-	parent.ptes[20].mfn = healthy
+	parent.ptes[20] = parent.ptes[20].withMFN(healthy)
 	restored, err = child.ResetOp(obs.OpCtx{}, parent)
 	if err != nil || restored != 2 {
 		t.Fatalf("healed retry: restored %d, err %v; want 2, nil", restored, err)

@@ -14,7 +14,7 @@ import (
 func ptesOf(mfns []MFN) []pte {
 	ptes := make([]pte, len(mfns))
 	for i, mfn := range mfns {
-		ptes[i] = pte{mfn: mfn, present: true, writable: true, kind: KindRegular}
+		ptes[i] = makePTE(mfn, ptePresent|pteWritable, KindRegular)
 	}
 	return ptes
 }
@@ -132,7 +132,7 @@ func TestRunCursorSplits(t *testing.T) {
 
 	// Entries that are not present break a run in skip-absent mode only.
 	ptes := ptesOf(run(0, 7))
-	ptes[3].present = false
+	ptes[3] &^= ptePresent
 	if got, _ := walk(small, runCursor{ptes: ptes, mode: runSkipAbsent}); !reflect.DeepEqual(got, []span{{0, 3}, {4, 7}}) {
 		t.Errorf("skip-absent runs %v", got)
 	}

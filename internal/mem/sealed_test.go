@@ -164,6 +164,61 @@ func TestWritePageInstallsByReference(t *testing.T) {
 	}
 }
 
+// TestSealedPageIdentityAtPoolBoundary: the pool holds a page as an array
+// pointer and hands it out as a slice, and the conversions either way keep
+// the backing array. Two captures of an unwritten-since frame return the
+// same page; a page installed by WritePage — here one carved out of the
+// middle of a larger buffer, as an image's pages are — comes back from a
+// capture as itself, exactly one page long; and a write after either goes to
+// a private copy, leaving the held page and its neighbours as they were.
+func TestSealedPageIdentityAtPoolBoundary(t *testing.T) {
+	m := newTestMem(16)
+	mfns, err := m.AllocN(1, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	capture := func() [][]byte {
+		t.Helper()
+		pages, err := m.SnapshotFrames(mfns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pages
+	}
+	if err := m.Write(mfns[0], 0, fullPage(0x11)); err != nil {
+		t.Fatal(err)
+	}
+	buf := bytes.Repeat([]byte{0x22}, 3*PageSize)
+	p := buf[PageSize : 2*PageSize]
+	if err := m.WritePage(mfns[1], p); err != nil {
+		t.Fatal(err)
+	}
+	first, second := capture(), capture()
+	if !samePage(first[0], second[0]) {
+		t.Fatal("two captures of an unwritten frame returned different pages")
+	}
+	if !samePage(first[1], p) || !samePage(second[1], p) {
+		t.Fatal("a capture of a frame holding an installed page did not return that page")
+	}
+	if len(first[1]) != PageSize || cap(first[1]) != PageSize {
+		t.Fatalf("captured page has len %d cap %d, want one page", len(first[1]), cap(first[1]))
+	}
+	for _, mfn := range mfns {
+		if err := m.Write(mfn, 8, []byte("8 bytes!")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(first[0], fullPage(0x11)) {
+		t.Fatal("a write after a capture reached the captured page")
+	}
+	if !bytes.Equal(buf, bytes.Repeat([]byte{0x22}, 3*PageSize)) {
+		t.Fatal("a write after WritePage reached the installed page or the buffer around it")
+	}
+	if third := capture(); samePage(third[0], first[0]) || samePage(third[1], p) {
+		t.Fatal("a written frame still holds the page an earlier capture or the installer has")
+	}
+}
+
 // TestSealedPagesAcrossCOW: a snapshot of a parent whose frames are then
 // family-shared stays put through the child's COW copies, the parent's
 // last-sharer transfer, and a reuse of the freed frame.

@@ -68,25 +68,90 @@ func (k PageKind) String() string {
 	}
 }
 
-// pte is the per-page mapping state of an address space.
+// pte is the per-page mapping state of an address space, one 64-bit word like
+// the x86-64 entry it models (DESIGN.md §10, "Table layouts"): the machine
+// frame number in the low 52 bits, the four state flags above it and the
+// PageKind in the top byte. New takes a byte count, so a pool holds fewer than
+// 2^52 frames and every MFN an entry can name fits the field.
 //
 // A lazy entry is the unmapped state of lazy cloning (DESIGN.md §13): the
 // child holds a pledge on the parent's frame instead of a sharer reference,
-// and mfn names that source frame so demand faults and the streamer know
+// and the MFN names that source frame so demand faults and the streamer know
 // what to materialize from. lazy entries are present (reads resolve them
 // transparently) but never carry cow until materialized.
-type pte struct {
-	mfn      MFN
-	present  bool
-	writable bool
-	cow      bool // write-protected because the frame is family-shared
-	lazy     bool // unmaterialized lazy-clone entry; mfn is the pledged source frame
-	kind     PageKind
+type pte uint64
+
+const (
+	pteMFNBits     = 52
+	pteMFNMask pte = 1<<pteMFNBits - 1
+
+	pteKindShift     = pteMFNBits + 4
+	pteKindMask  pte = 0xFF << pteKindShift
+)
+
+// The four flags sit between the MFN and the kind.
+const (
+	ptePresent  pte = 1 << (pteMFNBits + iota)
+	pteWritable     // the guest may store through the mapping
+	pteCOW          // write-protected because the frame is family-shared
+	pteLazy         // unmaterialized lazy-clone entry; the MFN is the pledged source frame
+
+	// pteExtentMask selects what two neighbouring present entries must agree
+	// on to be cloned as one extent: kind, writable and cow.
+	pteExtentMask = ptePresent | pteWritable | pteCOW | pteKindMask
+)
+
+// makePTE packs an entry from its fields; flags is any union of the four flag
+// bits.
+//
+//nephele:noalloc
+func makePTE(mfn MFN, flags pte, kind PageKind) pte {
+	return pte(mfn)&pteMFNMask | flags | pte(kind)<<pteKindShift
+}
+
+//nephele:noalloc
+func (p pte) mfn() MFN { return MFN(p & pteMFNMask) }
+
+//nephele:noalloc
+func (p pte) kind() PageKind { return PageKind(p >> pteKindShift) }
+
+//nephele:noalloc
+func (p pte) present() bool { return p&ptePresent != 0 }
+
+//nephele:noalloc
+func (p pte) writable() bool { return p&pteWritable != 0 }
+
+//nephele:noalloc
+func (p pte) cow() bool { return p&pteCOW != 0 }
+
+//nephele:noalloc
+func (p pte) lazy() bool { return p&pteLazy != 0 }
+
+// withMFN and withKind return the entry with that one field replaced. Flags
+// are set and cleared with |= and &^= on the word itself, so every update of
+// an entry is one store.
+//
+//nephele:noalloc
+func (p pte) withMFN(mfn MFN) pte { return p&^pteMFNMask | pte(mfn)&pteMFNMask }
+
+//nephele:noalloc
+func (p pte) withKind(kind PageKind) pte { return p&^pteKindMask | pte(kind)<<pteKindShift }
+
+// materialized returns what a lazy entry becomes once its frame is mapped: no
+// longer lazy, and COW exactly when writable.
+//
+//nephele:noalloc
+func (p pte) materialized() pte {
+	p &^= pteLazy | pteCOW
+	if p.writable() {
+		p |= pteCOW
+	}
+	return p
 }
 
 // ptePool recycles page-table slices from released spaces into newly built
 // ones. A released clone's table is the single biggest piece of garbage on
-// the clone path (256 KiB for a 64 MB guest), and collecting it steals the
+// the clone path (128 KiB for a 64 MB guest), and collecting it steals the
 // very cores the sharded pool frees up; recycling keeps steady-state clone
 // churn — the fuzzing and FaaS patterns, where children live briefly —
 // allocation-free. Slices from the pool hold stale entries, so every
@@ -182,7 +247,7 @@ func NewSpace(m *Memory, dom DomID, pages int, meter *vclock.Meter) (*Space, err
 		return nil, err
 	}
 	for i, mfn := range mfns {
-		s.ptes[i] = pte{mfn: mfn, present: true, writable: true, kind: KindRegular}
+		s.ptes[i] = makePTE(mfn, ptePresent|pteWritable, KindRegular)
 	}
 	if s.ptFrames, err = m.AllocN(dom, PTFrameCount(pages), meter); err != nil {
 		s.release()
@@ -218,7 +283,7 @@ func (s *Space) SetKind(pfn PFN, kind PageKind) error {
 	if err != nil {
 		return err
 	}
-	p.kind = kind
+	*p = p.withKind(kind)
 	return nil
 }
 
@@ -230,7 +295,7 @@ func (s *Space) Kind(pfn PFN) (PageKind, error) {
 	if err != nil {
 		return 0, err
 	}
-	return p.kind, nil
+	return p.kind(), nil
 }
 
 // SetWritable changes a page's writability (text pages are mapped
@@ -242,7 +307,11 @@ func (s *Space) SetWritable(pfn PFN, w bool) error {
 	if err != nil {
 		return err
 	}
-	p.writable = w
+	if w {
+		*p |= pteWritable
+	} else {
+		*p &^= pteWritable
+	}
 	return nil
 }
 
@@ -254,7 +323,7 @@ func (s *Space) MFNOf(pfn PFN) (MFN, error) {
 	if err != nil {
 		return 0, err
 	}
-	return p.mfn, nil
+	return p.mfn(), nil
 }
 
 // IsCOW reports whether the page is currently write-protected for sharing.
@@ -265,7 +334,7 @@ func (s *Space) IsCOW(pfn PFN) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return p.cow, nil
+	return p.cow(), nil
 }
 
 func (s *Space) pteLocked(pfn PFN) (*pte, error) {
@@ -276,7 +345,7 @@ func (s *Space) pteLocked(pfn PFN) (*pte, error) {
 		return nil, fmt.Errorf("%w: pfn %d of %d", ErrBadPFN, pfn, len(s.ptes))
 	}
 	p := &s.ptes[pfn]
-	if !p.present {
+	if !p.present() {
 		return nil, fmt.Errorf("%w: pfn %d not present", ErrBadPFN, pfn)
 	}
 	return p, nil
@@ -301,13 +370,13 @@ func (s *Space) ReadOp(ctx obs.OpCtx, pfn PFN, off int, buf []byte) error {
 		s.mu.Unlock()
 		return err
 	}
-	if p.lazy {
+	if p.lazy() {
 		if err := s.demandFaultLocked(ctx, pfn, p); err != nil {
 			s.mu.Unlock()
 			return err
 		}
 	}
-	mfn := p.mfn
+	mfn := p.mfn()
 	s.mu.Unlock()
 	return s.mem.Read(mfn, off, buf)
 }
@@ -353,19 +422,19 @@ func (s *Space) writableMFN(ctx obs.OpCtx, pfn PFN) (MFN, error) {
 	if err != nil {
 		return 0, err
 	}
-	if p.lazy {
+	if p.lazy() {
 		if err := s.demandFaultLocked(ctx, pfn, p); err != nil {
 			return 0, err
 		}
 	}
-	if p.cow {
+	if p.cow() {
 		if err := s.breakCOWLocked(pfn, p, ctx.Meter()); err != nil {
 			return 0, err
 		}
-	} else if !p.writable {
+	} else if !p.writable() {
 		return 0, fmt.Errorf("%w: pfn %d", ErrReadOnly, pfn)
 	}
-	return p.mfn, nil
+	return p.mfn(), nil
 }
 
 // TouchCOW forces the fault path for a page without writing data, exactly
@@ -382,12 +451,12 @@ func (s *Space) TouchCOW(pfn PFN, meter *vclock.Meter) error {
 	if err != nil {
 		return err
 	}
-	if p.lazy {
+	if p.lazy() {
 		if err := s.demandFaultLocked(obs.Ctx(meter), pfn, p); err != nil {
 			return err
 		}
 	}
-	if !p.cow {
+	if !p.cow() {
 		return nil
 	}
 	return s.breakCOWLocked(pfn, p, meter)
@@ -396,13 +465,11 @@ func (s *Space) TouchCOW(pfn PFN, meter *vclock.Meter) error {
 // breakCOWLocked privatizes a COW-marked page: the write-fault dispatch all
 // write paths share. s.mu must be held.
 func (s *Space) breakCOWLocked(pfn PFN, p *pte, meter *vclock.Meter) error {
-	newMFN, err := s.mem.resolveCOW(s.dom, p.mfn, meter)
+	newMFN, err := s.mem.resolveCOW(s.dom, p.mfn(), meter)
 	if err != nil {
 		return err
 	}
-	p.mfn = newMFN
-	p.cow = false
-	p.writable = true
+	*p = p.withMFN(newMFN)&^pteCOW | pteWritable
 	s.faults++
 	if mm := s.mem.metrics.Load(); mm != nil {
 		mm.cowFaults.Inc()
@@ -507,9 +574,9 @@ func (s *Space) CloneOpMode(ctx obs.OpCtx, childDom DomID, copyRing bool, mode C
 			if li < len(lazyRuns) && lazyRuns[li].lo <= i {
 				continue
 			}
-			p := &s.ptes[i]
-			if p.present && (p.kind == KindIDC || p.kind == KindRegular) {
-				undo = append(undo, p.mfn)
+			p := s.ptes[i]
+			if p.present() && (p.kind() == KindIDC || p.kind() == KindRegular) {
+				undo = append(undo, p.mfn())
 			}
 		}
 		for _, fx := range fixups {
@@ -532,33 +599,29 @@ func (s *Space) CloneOpMode(ctx obs.OpCtx, childDom DomID, copyRing bool, mode C
 	var wctx obs.OpCtx
 	wctx, wspan = ctx.StartSpan("extent-walk")
 	for lo := 0; lo < len(s.ptes); {
-		p := &s.ptes[lo]
-		if !p.present {
+		p := s.ptes[lo]
+		if !p.present() {
 			lo++
 			continue
 		}
 		hi := lo + 1
-		for hi < len(s.ptes) {
-			q := &s.ptes[hi]
-			if !q.present || q.kind != p.kind || q.writable != p.writable || q.cow != p.cow {
-				break
-			}
+		for hi < len(s.ptes) && (s.ptes[hi]^p)&pteExtentMask == 0 {
 			hi++
 		}
-		n := hi - lo
+		n, kind := hi-lo, p.kind()
 		ext := s.ptes[lo:hi]
 
 		// One span per extent, named for the clone policy it went through:
 		// family sharing, lazy deferral, or private duplication.
 		name := "private-copy"
-		if p.kind == KindIDC || p.kind == KindRegular {
+		if kind == KindIDC || kind == KindRegular {
 			name = "cow-share"
-			if p.kind == KindRegular && mode == CloneLazy {
+			if kind == KindRegular && mode == CloneLazy {
 				name = "lazy-pledge"
 			}
 		}
 		_, bspan = wctx.StartSpan(name)
-		switch p.kind {
+		switch kind {
 		case KindIDC:
 			// Genuinely shared, never COW: both sides keep writing
 			// to the same frame (§5.2.2). sharePTEs adds a reference
@@ -577,9 +640,9 @@ func (s *Space) CloneOpMode(ctx obs.OpCtx, childDom DomID, copyRing bool, mode C
 				if err := s.mem.pledgePTEs(ext); err != nil {
 					return fail(err)
 				}
-				if p.writable && !p.cow {
+				if p.writable() && !p.cow() {
 					for i := range ext {
-						ext[i].cow = true
+						ext[i] |= pteCOW
 					}
 				}
 				s.everPledged = true
@@ -595,7 +658,7 @@ func (s *Space) CloneOpMode(ctx obs.OpCtx, childDom DomID, copyRing bool, mode C
 			// Share between parent and child. Writable pages are
 			// marked COW on both ends; read-only pages (text) are
 			// shared with no fault cost ever.
-			if p.cow && !s.everPledged {
+			if p.cow() && !s.everPledged {
 				// Already family-shared from an earlier clone: the
 				// whole extent is one batched sharer bump. This is
 				// the 2nd..Nth-clone fast path.
@@ -612,9 +675,9 @@ func (s *Space) CloneOpMode(ctx obs.OpCtx, childDom DomID, copyRing bool, mode C
 				if _, err := s.mem.sharePTEs(s.dom, ext, 2, meter); err != nil {
 					return fail(err)
 				}
-				if p.writable {
+				if p.writable() {
 					for i := range ext {
-						ext[i].cow = true
+						ext[i] |= pteCOW
 					}
 				}
 			}
@@ -662,7 +725,7 @@ func (s *Space) CloneOpMode(ctx obs.OpCtx, childDom DomID, copyRing bool, mode C
 		st.Extents++
 		// Only regular writable pages are COW in the child; any other
 		// extent carrying a (stale) COW bit must not pass it on.
-		if p.cow && !(p.kind == KindRegular && p.writable) {
+		if p.cow() && !(kind == KindRegular && p.writable()) {
 			fixups = append(fixups, fixup{lo: lo, hi: hi})
 		}
 		done = hi
@@ -684,12 +747,12 @@ func (s *Space) CloneOpMode(ctx obs.OpCtx, childDom DomID, copyRing bool, mode C
 	for _, fx := range fixups {
 		if fx.mfns == nil {
 			for i := fx.lo; i < fx.hi; i++ {
-				child.ptes[i].cow = false
+				child.ptes[i] &^= pteCOW
 			}
 			continue
 		}
 		for i, mfn := range fx.mfns {
-			child.ptes[fx.lo+i].mfn = mfn
+			child.ptes[fx.lo+i] = child.ptes[fx.lo+i].withMFN(mfn)
 		}
 	}
 	for _, lr := range lazyRuns {
@@ -697,8 +760,7 @@ func (s *Space) CloneOpMode(ctx obs.OpCtx, childDom DomID, copyRing bool, mode C
 		// the pledged source frame, and the COW bit (set on the parent
 		// side above) stays clear until materialization decides it.
 		for i := lr.lo; i < lr.hi; i++ {
-			child.ptes[i].lazy = true
-			child.ptes[i].cow = false
+			child.ptes[i] = child.ptes[i]&^pteCOW | pteLazy
 		}
 	}
 	child.lazyPTEs = len(lazyRuns) > 0
@@ -772,12 +834,12 @@ func (s *Space) ResetOp(ctx obs.OpCtx, parent *Space) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		owner, err := s.mem.Owner(pp.mfn)
+		owner, err := s.mem.Owner(pp.mfn())
 		if err != nil {
 			return 0, err
 		}
 		if owner != DomIDCOW && owner != parent.dom {
-			return 0, fmt.Errorf("%w: reset pfn %d: parent's frame %d owned by %d", ErrNotOwner, pfn, pp.mfn, owner)
+			return 0, fmt.Errorf("%w: reset pfn %d: parent's frame %d owned by %d", ErrNotOwner, pfn, pp.mfn(), owner)
 		}
 	}
 	restored := 0
@@ -790,11 +852,11 @@ func (s *Space) ResetOp(ctx obs.OpCtx, parent *Space) (int, error) {
 		if err != nil {
 			return restored, err
 		}
-		if transferred > 0 && pp.writable {
-			pp.cow = true
+		if transferred > 0 && pp.writable() {
+			*pp |= pteCOW
 		}
 		s.mem.releasePTEs(s.dom, s.ptes[pfn:pfn+1])
-		cp.mfn, cp.cow = pp.mfn, true
+		*cp = cp.withMFN(pp.mfn()) | pteCOW
 		restored++
 	}
 	s.dirty = s.dirty[:0]
@@ -805,11 +867,11 @@ func (s *Space) ResetOp(ctx obs.OpCtx, parent *Space) (int, error) {
 // privatizedLocked reports whether a recorded dirty pfn is still backed by a
 // regular frame the space itself owns. s.mu must be held.
 func (s *Space) privatizedLocked(pfn PFN) bool {
-	p := &s.ptes[pfn]
-	if !p.present || p.kind != KindRegular {
+	p := s.ptes[pfn]
+	if !p.present() || p.kind() != KindRegular {
 		return false
 	}
-	owner, err := s.mem.Owner(p.mfn)
+	owner, err := s.mem.Owner(p.mfn())
 	return err == nil && owner == s.dom
 }
 
@@ -836,19 +898,19 @@ func (s *Space) release() error {
 		// holds pledges there, not sharer references, and releasePTEs
 		// must not drop references it never took.
 		for lo := 0; lo < len(s.ptes); {
-			if !s.ptes[lo].lazy {
+			if !s.ptes[lo].lazy() {
 				lo++
 				continue
 			}
 			hi := lo + 1
-			for hi < len(s.ptes) && s.ptes[hi].lazy {
+			for hi < len(s.ptes) && s.ptes[hi].lazy() {
 				hi++
 			}
 			if err := s.mem.cancelPledged(s.ptes[lo:hi]); firstErr == nil {
 				firstErr = err
 			}
 			for i := lo; i < hi; i++ {
-				s.ptes[i].present = false
+				s.ptes[i] &^= ptePresent
 			}
 			lo = hi
 		}
@@ -897,10 +959,10 @@ func (s *Space) snapshotMFNs() ([]MFN, error) {
 	}
 	mfns := make([]MFN, len(s.ptes))
 	for i := range s.ptes {
-		if !s.ptes[i].present {
+		if !s.ptes[i].present() {
 			return nil, fmt.Errorf("%w: pfn %d not present", ErrBadPFN, i)
 		}
-		mfns[i] = s.ptes[i].mfn
+		mfns[i] = s.ptes[i].mfn()
 	}
 	return mfns, nil
 }
