@@ -6,8 +6,7 @@
 //     make Registry.Inject ambiguous;
 //   - enumerated — each Point* constant appears in at least one *Points
 //     list function, so matrix tests that iterate the lists cannot
-//     silently skip a point (the exact drift PointMemRestride had before
-//     this analyzer);
+//     silently skip a point;
 //   - named at check sites — passing a raw string literal to
 //     Registry.Check bypasses the registry's vocabulary and cannot be
 //     covered by any list.

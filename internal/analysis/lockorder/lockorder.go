@@ -5,7 +5,7 @@
 // rule that keeps its per-shard mutexes deadlock-free: a goroutine never
 // holds two shard locks unless it acquired them in ascending shard-index
 // order, and the only code allowed to do that is the designated
-// lock-order helper (Memory.lockMask) that the segment-split operations
+// lock-order helper (Memory.lockMask) that the batched frame operations
 // funnel through. This analyzer enforces the rule structurally:
 //
 //   - A "shard lock" is a sync.Mutex/RWMutex field of a struct type that
@@ -20,13 +20,6 @@
 //   - Functions whose doc comment carries //nephele:lockorder-helper are
 //     trusted ascending-order helpers and skipped; individual sites can be
 //     waived with //nephele:lockorder-ok.
-//   - A mutex field whose doc comment carries //nephele:lockorder-prelock
-//     (the re-stride writer lock, Memory.restrideMu) orders strictly
-//     BEFORE every shard lock: acquiring it while a shard lock may be held
-//     inverts that order against a concurrent re-strider — which takes the
-//     prelock and then the full shard mask — and is reported. Taking shard
-//     locks under the prelock is the sanctioned direction and stays
-//     allowed.
 package lockorder
 
 import (
@@ -49,16 +42,12 @@ var Analyzer = &analysis.Analyzer{
 // ascending-order lock helper.
 const HelperMarker = "nephele:lockorder-helper"
 
-// PrelockMarker is the field doc-comment token that designates a mutex
-// ordered strictly before every shard lock in the pool-wide lock order.
-const PrelockMarker = "nephele:lockorder-prelock"
-
 func run(pass *analysis.Pass) error {
 	pooled := pooledTypes(pass.Pkg)
 	if len(pooled) == 0 {
 		return nil
 	}
-	c := &checker{pass: pass, pooled: pooled, prelocks: prelockFields(pass)}
+	c := &checker{pass: pass, pooled: pooled}
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -137,42 +126,6 @@ func isMutex(t types.Type) bool {
 	return s == "sync.Mutex" || s == "sync.RWMutex"
 }
 
-// prelockFields collects the struct mutex fields whose doc comment carries
-// the //nephele:lockorder-prelock directive. The raw comment list is
-// checked because CommentGroup.Text strips directive-style lines.
-func prelockFields(pass *analysis.Pass) map[types.Object]bool {
-	pre := make(map[types.Object]bool)
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			st, ok := n.(*ast.StructType)
-			if !ok {
-				return true
-			}
-			for _, field := range st.Fields.List {
-				if field.Doc == nil {
-					continue
-				}
-				marked := false
-				for _, cmt := range field.Doc.List {
-					if strings.Contains(cmt.Text, PrelockMarker) {
-						marked = true
-					}
-				}
-				if !marked {
-					continue
-				}
-				for _, name := range field.Names {
-					if obj := pass.TypesInfo.Defs[name]; obj != nil && isMutex(obj.Type()) {
-						pre[obj] = true
-					}
-				}
-			}
-			return true
-		})
-	}
-	return pre
-}
-
 // state is the abstract per-path lock count.
 type state struct {
 	held       int
@@ -180,27 +133,8 @@ type state struct {
 }
 
 type checker struct {
-	pass     *analysis.Pass
-	pooled   map[*types.Named]bool
-	prelocks map[types.Object]bool
-}
-
-// prelockAcquire reports whether call locks (not unlocks) a mutex field
-// marked //nephele:lockorder-prelock.
-func (c *checker) prelockAcquire(call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || (sel.Sel.Name != "Lock" && sel.Sel.Name != "RLock") {
-		return false
-	}
-	mutexSel, ok := sel.X.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	selInfo, ok := c.pass.TypesInfo.Selections[mutexSel]
-	if !ok {
-		return false
-	}
-	return c.prelocks[selInfo.Obj()]
+	pass   *analysis.Pass
+	pooled map[*types.Named]bool
 }
 
 // shardLockCall classifies call as Lock/RLock (+1) or Unlock/RUnlock (-1)
@@ -407,10 +341,6 @@ func (c *checker) scanExpr(n ast.Node, st *state) {
 					c.pass.Reportf(n.Pos(), "shard lock acquired while another shard lock is held; multi-shard operations must go through an ascending //nephele:lockorder-helper (e.g. Memory.lockMask)")
 				}
 				st.held++
-			case 0:
-				if c.prelockAcquire(n) && st.held > 0 {
-					c.pass.Reportf(n.Pos(), "re-stride prelock acquired while a shard lock is held; the //nephele:lockorder-prelock mutex orders strictly before every shard lock (a concurrent re-strider holds it and then takes the full shard mask)")
-				}
 			case -1:
 				if st.held > 0 {
 					st.held--

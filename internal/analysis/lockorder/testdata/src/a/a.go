@@ -74,45 +74,6 @@ func (p *pool) waived(i, j int) {
 	p.cells[i].mu.Unlock()
 }
 
-// repool carries a re-stride-style prelock next to its shard pool: the
-// prelock orders strictly before every cell lock.
-type repool struct {
-	// rebuildMu serializes geometry rebuilds.
-	//
-	//nephele:lockorder-prelock
-	rebuildMu sync.Mutex
-	cells     []cell
-}
-
-// prelockGood takes the prelock first and shard locks under it — the
-// sanctioned direction, exactly what a re-strider does.
-func (p *repool) prelockGood(i int) {
-	p.rebuildMu.Lock()
-	p.cells[i].mu.Lock()
-	p.cells[i].n++
-	p.cells[i].mu.Unlock()
-	p.rebuildMu.Unlock()
-}
-
-// prelockBad inverts the order: a concurrent re-strider holding the
-// prelock would be taking the full shard mask, so this deadlocks.
-func (p *repool) prelockBad(i int) {
-	p.cells[i].mu.Lock()
-	p.rebuildMu.Lock() // want `re-stride prelock acquired while a shard lock is held`
-	p.rebuildMu.Unlock()
-	p.cells[i].mu.Unlock()
-}
-
-// prelockSequentialGood releases the shard lock before the prelock, which
-// never nests.
-func (p *repool) prelockSequentialGood(i int) {
-	p.cells[i].mu.Lock()
-	p.cells[i].n++
-	p.cells[i].mu.Unlock()
-	p.rebuildMu.Lock()
-	p.rebuildMu.Unlock()
-}
-
 // server is a singleton (never pooled in a slice): nesting two distinct
 // servers' locks is outside this analyzer's scope.
 type server struct {

@@ -33,11 +33,11 @@ func DefaultMultiParent() MultiParentConfig {
 // MultiParent measures end-to-end multi-parent round throughput: for each
 // parent count P it boots P independent guests on one machine, then runs
 // scheduling rounds in which every parent forks ClonesEach children in a
-// single core.CloneMany call (batched first stage, one ServeAll), and the
-// children are destroyed between rounds. The figure reports wall-clock
-// clones/sec per parent count, plus the virtual first-stage latency per
-// parent — flat across P, since batching charges each parent's meter
-// exactly as a solo clone would.
+// single CloneOp call with one spec per parent (one batched first stage,
+// one Serve), and the children are destroyed between rounds. The figure
+// reports wall-clock clones/sec per parent count, plus the virtual
+// first-stage latency per parent — flat across P, since batching charges
+// each parent's meter exactly as a solo clone would.
 func MultiParent(cfg MultiParentConfig) (*Figure, error) {
 	if len(cfg.Parents) == 0 {
 		cfg = DefaultMultiParent()
@@ -111,7 +111,7 @@ func MultiParent(cfg MultiParentConfig) (*Figure, error) {
 		virt.Points = append(virt.Points, Point{X: x, Y: firstStage / float64(parents*cfg.Rounds)})
 		fig.Summary = append(fig.Summary, fmt.Sprintf(
 			"%d parents: %d clones in %v wall (%.0f clones/sec), first stage %.3f ms virtual each",
-			parents, clones, wall.Elapsed.Round(time.Millisecond),
+			parents, clones, wall.Elapsed.Round(time.Microsecond),
 			float64(clones)/wall.Elapsed.Seconds(), firstStage/float64(parents*cfg.Rounds)))
 	}
 	fig.Series = []Series{rate, virt}

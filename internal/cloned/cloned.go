@@ -311,7 +311,7 @@ func (d *Daemon) Serve(ctx obs.OpCtx) (int, error) {
 // stage charges the request's own context, so batching never leaks charges
 // between parents.
 func (d *Daemon) CloneRound(ctx obs.OpCtx, reqs []hv.CloneRequest) ([]hv.CloneResult, int, error) {
-	results := d.HV.CloneBatch(ctx, reqs)
+	results := d.HV.CloneBatch(reqs)
 	served, err := d.Serve(ctx)
 	for _, r := range results {
 		if r.Done != nil {

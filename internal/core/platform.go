@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"nephele/internal/cloned"
 	"nephele/internal/devices"
@@ -222,26 +221,6 @@ type CloneResult struct {
 	// first-stage admission (always nil from a single-spec CloneOp, which
 	// returns the error directly).
 	Err error
-}
-
-// RestrideOp rebuilds the machine pool's shard layout at a new
-// power-of-two shard count — the operator knob for matching lock
-// granularity to fleet width (few shards for single-tenant determinism,
-// many for wide multi-parent clone rounds). The operation records a
-// restride span and feeds the wall-clock rebuild latency into the
-// platform registry as mem.restride.us — wall time, not virtual time: a
-// re-stride moves host-side metadata only and charges nothing to any
-// guest's virtual clock, so the golden series are insensitive to it. The
-// wall-clock read lives here in the platform layer, outside the packages
-// the determinism analyzer guards.
-func (p *Platform) RestrideOp(ctx obs.OpCtx, n int) error {
-	ctx = ctx.EnsureMeter(p.Costs)
-	ctx, span := ctx.StartSpan("restride")
-	defer span.End()
-	start := time.Now()
-	err := p.HV.Memory.RestrideOp(ctx, n)
-	p.Metrics().Histogram("mem.restride.us").Observe(time.Since(start).Microseconds())
-	return err
 }
 
 // WaitStreamed blocks until a lazily cloned child's background streamer

@@ -87,11 +87,6 @@ const (
 	// entry materialized and finalizes the child.
 	PointMemLazyFinalize = "mem/lazy-finalize"
 
-	// PointMemRestride fires inside Memory.RestrideOp after the pool is
-	// quiesced but before the new layout is published; an armed point
-	// aborts the re-stride and the old layout stays in place.
-	PointMemRestride = "mem/restride"
-
 	// Snapshot image cache (the content-addressed restore fast path;
 	// these fire outside the clone pipeline).
 
@@ -161,15 +156,6 @@ func PipelinePoints() []string {
 // pipeline's rollback protocol.
 func LazyPoints() []string {
 	return []string{PointMemStreamExtent, PointMemUnmappedFault, PointMemLazyFinalize}
-}
-
-// MaintenancePoints lists the fault points of background pool
-// maintenance. They fire outside any clone operation — re-striding runs
-// on a quiesced pool — so a failure aborts the maintenance pass and
-// leaves the previous layout in place, with no child or pipeline state to
-// unwind.
-func MaintenancePoints() []string {
-	return []string{PointMemRestride}
 }
 
 // ClusterPoints lists the fault points of the cross-host remote-clone

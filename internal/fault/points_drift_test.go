@@ -40,7 +40,6 @@ func TestPointListsCoverTree(t *testing.T) {
 		"SecondStagePoints": fault.SecondStagePoints(),
 		"PipelinePoints":    fault.PipelinePoints(),
 		"LazyPoints":        fault.LazyPoints(),
-		"MaintenancePoints": fault.MaintenancePoints(),
 		"ClusterPoints":     fault.ClusterPoints(),
 	}
 	enumerated := make(map[string]bool)

@@ -78,7 +78,7 @@ func TestCloneBatchVirtualTimeMatchesSolo(t *testing.T) {
 		meters[i] = vclock.NewMeter(nil)
 		reqs[i] = CloneRequest{Caller: p.ID, Target: p.ID, N: n, CopyRing: true, Ctx: obs.Ctx(meters[i])}
 	}
-	results := hb.CloneBatch(obs.OpCtx{}, reqs)
+	results := hb.CloneBatch(reqs)
 	for i, r := range results {
 		if r.Err != nil {
 			t.Fatalf("request %d: %v", i, r.Err)
@@ -106,7 +106,7 @@ func TestCloneBatchMultiParent(t *testing.T) {
 		{Caller: parents[1].ID, Target: parents[1].ID, N: 1, CopyRing: true},
 		{Caller: parents[2].ID, Target: parents[2].ID, N: 2, CopyRing: true},
 	}
-	results := h.CloneBatch(obs.OpCtx{}, reqs)
+	results := h.CloneBatch(reqs)
 	if len(results) != len(reqs) {
 		t.Fatalf("got %d results for %d requests", len(results), len(reqs))
 	}
@@ -163,7 +163,7 @@ func TestCloneBatchAdmissionFailureIsolated(t *testing.T) {
 		{Caller: outsider.ID, Target: outsider.ID, N: 1, CopyRing: true},
 		{Caller: parents[1].ID, Target: parents[1].ID, N: 1, CopyRing: true},
 	}
-	results := h.CloneBatch(obs.OpCtx{}, reqs)
+	results := h.CloneBatch(reqs)
 	if !errors.Is(results[1].Err, ErrCloningDisabled) {
 		t.Fatalf("outsider request error = %v, want ErrCloningDisabled", results[1].Err)
 	}
@@ -196,7 +196,7 @@ func TestCloneBatchFaultGatePerRequest(t *testing.T) {
 		{Caller: parents[0].ID, Target: parents[0].ID, N: 2, CopyRing: true},
 		{Caller: parents[1].ID, Target: parents[1].ID, N: 2, CopyRing: true},
 	}
-	results := h.CloneBatch(obs.OpCtx{}, reqs)
+	results := h.CloneBatch(reqs)
 	if results[0].Err != nil {
 		t.Fatalf("request 0: %v", results[0].Err)
 	}
@@ -245,7 +245,7 @@ func TestCloneBatchRejectsNonPositiveCount(t *testing.T) {
 	for _, bad := range []int{-1, 0} {
 		h, parents := batchReady(t, 2, pages, 4)
 		meter := vclock.NewMeter(nil)
-		results := h.CloneBatch(obs.OpCtx{}, []CloneRequest{
+		results := h.CloneBatch([]CloneRequest{
 			{Caller: parents[0].ID, Target: parents[0].ID, N: bad, CopyRing: true},
 			{Caller: parents[1].ID, Target: parents[1].ID, N: n, CopyRing: true, Ctx: obs.Ctx(meter)},
 		})
@@ -275,6 +275,94 @@ func TestCloneBatchRejectsNonPositiveCount(t *testing.T) {
 		completeAll(t, h, results)
 		if parents[0].Paused() || parents[1].Paused() {
 			t.Errorf("N=%d: a parent is still paused after the round completed", bad)
+		}
+	}
+}
+
+// TestCloneBatchRoundDeterminism: a round is a pure function of its request
+// slice. Two identically-configured hypervisors given the same six-parent
+// round must produce identical child IDs and identical per-request virtual
+// times, whatever order the build pool happened to run the children in.
+func TestCloneBatchRoundDeterminism(t *testing.T) {
+	run := func() ([]DomID, []vclock.Duration) {
+		h, parents := batchReady(t, 6, 64, 4)
+		reqs := make([]CloneRequest, len(parents))
+		meters := make([]*vclock.Meter, len(parents))
+		for i, p := range parents {
+			meters[i] = vclock.NewMeter(nil)
+			reqs[i] = CloneRequest{Caller: p.ID, Target: p.ID, N: 2, CopyRing: true, Ctx: obs.Ctx(meters[i])}
+		}
+		results := h.CloneBatch(reqs)
+		var ids []DomID
+		var times []vclock.Duration
+		for i, r := range results {
+			if r.Err != nil {
+				t.Fatalf("request %d: %v", i, r.Err)
+			}
+			ids = append(ids, r.Children...)
+			times = append(times, meters[i].Elapsed())
+		}
+		completeAll(t, h, results)
+		return ids, times
+	}
+	ids1, times1 := run()
+	ids2, times2 := run()
+	if !reflect.DeepEqual(ids1, ids2) {
+		t.Fatalf("child IDs diverged: %v vs %v", ids1, ids2)
+	}
+	if !reflect.DeepEqual(times1, times2) {
+		t.Fatalf("virtual times diverged: %v vs %v", times1, times2)
+	}
+}
+
+// TestCloneBatchRoundMatchesSolo: a round of four requests returns the same
+// per-request results — children's virtual time, shared pages — as four
+// solo clones of the same parents, one after the other.
+func TestCloneBatchRoundMatchesSolo(t *testing.T) {
+	type outcome struct {
+		children []DomID
+		elapsed  vclock.Duration
+		shared   int
+	}
+	run := func(batched bool) []outcome {
+		h, parents := batchReady(t, 4, 64, 4)
+		var out []outcome
+		if batched {
+			reqs := make([]CloneRequest, len(parents))
+			meters := make([]*vclock.Meter, len(parents))
+			for i, p := range parents {
+				meters[i] = vclock.NewMeter(nil)
+				reqs[i] = CloneRequest{Caller: p.ID, Target: p.ID, N: 2, CopyRing: true, Ctx: obs.Ctx(meters[i])}
+			}
+			results := h.CloneBatch(reqs)
+			completeAll(t, h, results)
+			for i, r := range results {
+				if r.Err != nil {
+					t.Fatalf("request %d: %v", i, r.Err)
+				}
+				out = append(out, outcome{r.Children, meters[i].Elapsed(), r.Stats.Memory.SharedPages})
+			}
+		} else {
+			for _, p := range parents {
+				meter := vclock.NewMeter(nil)
+				r := h.Clone(CloneRequest{Caller: p.ID, Target: p.ID, N: 2, CopyRing: true, Ctx: obs.Ctx(meter)})
+				if r.Err != nil {
+					t.Fatal(r.Err)
+				}
+				completeAll(t, h, []CloneResult{r})
+				out = append(out, outcome{r.Children, meter.Elapsed(), r.Stats.Memory.SharedPages})
+			}
+		}
+		return out
+	}
+	batched := run(true)
+	solo := run(false)
+	for i := range solo {
+		if batched[i].elapsed != solo[i].elapsed {
+			t.Errorf("request %d: batched virtual time %v, solo %v", i, batched[i].elapsed, solo[i].elapsed)
+		}
+		if batched[i].shared != solo[i].shared {
+			t.Errorf("request %d: batched SharedPages %d, solo %d", i, batched[i].shared, solo[i].shared)
 		}
 	}
 }

@@ -118,7 +118,7 @@ type CloneResult struct {
 // It is a scheduling round of one: see CloneBatch for the
 // admission/build/merge structure and the determinism argument.
 func (h *Hypervisor) Clone(req CloneRequest) CloneResult {
-	return h.CloneBatch(obs.OpCtx{}, []CloneRequest{req})[0]
+	return h.CloneBatch([]CloneRequest{req})[0]
 }
 
 // CloneBatch admits CLONEOPs from several independent parents into one
@@ -141,18 +141,7 @@ func (h *Hypervisor) Clone(req CloneRequest) CloneResult {
 // virtual-time output of any single request is byte-identical to running
 // it alone (the golden-series figures are insensitive to batching), while
 // the wall-clock cost of the round is one pool-wide fan-out.
-//
-// rctx is the round-level context: it carries the round's span scope
-// (cloned.CloneRound passes its own), under which multi-request rounds open
-// a batch-admit span covering the affinity planning. Admission itself —
-// charges, policy checks, parent pauses, ID reservation, fault gates — runs
-// strictly in request order regardless of the plan, so everything a
-// request's meter or the fault matrix observes stays a pure function of the
-// request slice; the plan only permutes the order the build pool dequeues
-// children, which phase 3 re-serializes anyway. Rounds of one request skip
-// planning entirely (no span, no metric), keeping the single-parent
-// pipeline and its golden trace untouched.
-func (h *Hypervisor) CloneBatch(rctx obs.OpCtx, reqs []CloneRequest) []CloneResult {
+func (h *Hypervisor) CloneBatch(reqs []CloneRequest) []CloneResult {
 	adms := make([]cloneAdmission, len(reqs))
 	jobs := 0
 	for i := range reqs {
@@ -163,57 +152,19 @@ func (h *Hypervisor) CloneBatch(rctx obs.OpCtx, reqs []CloneRequest) []CloneResu
 		}
 	}
 
-	// One bounded worker pool across every admitted request's children.
-	// Multi-request rounds order the job list by shard affinity: requests
-	// whose shard sets are disjoint are packed into the same wave and their
-	// children interleaved, so neighbouring jobs in the queue — the ones
-	// the pool runs concurrently — contend on disjoint shard locks.
+	// One bounded worker pool across every admitted request's children,
+	// queued in request order.
 	type job struct {
 		a *cloneAdmission
 		i int
 	}
 	list := make([]job, 0, jobs)
-	if len(reqs) > 1 {
-		_, span := rctx.StartSpan("batch-admit")
-		admitted := make([]int, 0, len(adms))
-		masks := make([]uint32, 0, len(adms))
-		for ai := range adms {
-			if adms[ai].err != nil {
-				continue
-			}
-			admitted = append(admitted, ai)
-			masks = append(masks, h.shardMask(&adms[ai]))
+	for ai := range adms {
+		if adms[ai].err != nil {
+			continue
 		}
-		// PlanWaves feeds the conflicts metric — a pool-width-independent
-		// measure of how well the batch packs — while PackOrder derives the
-		// actual dequeue order for this machine's pool width at the child-
-		// job level: children of one request share its mask, so packing
-		// interleaves different requests' children and neighbouring jobs in
-		// the queue contend on disjoint shard locks.
-		_, conflicts := mem.PlanWaves(masks)
-		h.met.shardConflicts.Add(int64(conflicts))
-		flat := make([]job, 0, jobs)
-		jobMasks := make([]uint32, 0, jobs)
-		for wi, ai := range admitted {
-			a := &adms[ai]
-			for i := 0; i < a.attempt; i++ {
-				flat = append(flat, job{a: a, i: i})
-				jobMasks = append(jobMasks, masks[wi])
-			}
-		}
-		order, _ := mem.PackOrder(jobMasks, runtime.GOMAXPROCS(0))
-		for _, k := range order {
-			list = append(list, flat[k])
-		}
-		span.End()
-	} else {
-		for ai := range adms {
-			if adms[ai].err != nil {
-				continue
-			}
-			for i := 0; i < adms[ai].attempt; i++ {
-				list = append(list, job{a: &adms[ai], i: i})
-			}
+		for i := 0; i < adms[ai].attempt; i++ {
+			list = append(list, job{a: &adms[ai], i: i})
 		}
 	}
 	buildOne := func(j job) {
@@ -257,19 +208,6 @@ func (h *Hypervisor) CloneBatch(rctx obs.OpCtx, reqs []CloneRequest) []CloneResu
 		out[i] = h.finishClone(&adms[i])
 	}
 	return out
-}
-
-// shardMask predicts the set of shard locks one admitted request's build
-// jobs will take: the shards the parent's frames occupy (the sharer-bump
-// pass walks all of them) plus the home shards of the reserved child IDs
-// (where each child's page-table, p2m and overhead frames are allocated).
-// The mask is advisory — scheduling input, never a correctness input.
-func (h *Hypervisor) shardMask(a *cloneAdmission) uint32 {
-	mask := a.parent.Space().ShardOccupancy()
-	for _, id := range a.ids {
-		mask |= 1 << h.Memory.HomeShard(id)
-	}
-	return mask
 }
 
 // cloneResult is one child's build outcome, carrying its private meter and

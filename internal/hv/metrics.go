@@ -27,11 +27,6 @@ type hvMetrics struct {
 	resetCalls    *obs.Counter // hv.clone.resets: clone_reset subcommands
 	resetPages    *obs.Counter // hv.clone.reset_pages: pages restored by clone_reset
 
-	// shardConflicts counts batch requests the affinity planner deferred to
-	// a later wave because their shard sets overlapped an earlier same-wave
-	// request. Zero means every round packed perfectly.
-	shardConflicts *obs.Counter // hv.batch.shard_conflicts
-
 	firstStageUS *obs.Histogram // hv.clone.first_stage_us: per-request first-stage virtual time
 	extents      *obs.Histogram // hv.clone.extents: extents walked per child clone
 }
@@ -39,23 +34,22 @@ type hvMetrics struct {
 func newHVMetrics() *hvMetrics {
 	reg := obs.NewRegistry()
 	return &hvMetrics{
-		reg:            reg,
-		cloneRequests:  reg.Counter("hv.clone.requests"),
-		cloneFailures:  reg.Counter("hv.clone.request_failures"),
-		cloneChildren:  reg.Counter("hv.clone.children"),
-		sharedPages:    reg.Counter("hv.clone.shared_pages"),
-		privateCopies:  reg.Counter("hv.clone.private_copies"),
-		privateFresh:   reg.Counter("hv.clone.private_fresh"),
-		grantsCloned:   reg.Counter("hv.clone.grants"),
-		evtchnCloned:   reg.Counter("hv.clone.evtchn"),
-		completions:    reg.Counter("hv.clone.completions"),
-		aborts:         reg.Counter("hv.clone.aborts"),
-		cowPages:       reg.Counter("hv.clone.cow_pages"),
-		resetCalls:     reg.Counter("hv.clone.resets"),
-		resetPages:     reg.Counter("hv.clone.reset_pages"),
-		shardConflicts: reg.Counter("hv.batch.shard_conflicts"),
-		firstStageUS:   reg.Histogram("hv.clone.first_stage_us"),
-		extents:        reg.Histogram("hv.clone.extents"),
+		reg:           reg,
+		cloneRequests: reg.Counter("hv.clone.requests"),
+		cloneFailures: reg.Counter("hv.clone.request_failures"),
+		cloneChildren: reg.Counter("hv.clone.children"),
+		sharedPages:   reg.Counter("hv.clone.shared_pages"),
+		privateCopies: reg.Counter("hv.clone.private_copies"),
+		privateFresh:  reg.Counter("hv.clone.private_fresh"),
+		grantsCloned:  reg.Counter("hv.clone.grants"),
+		evtchnCloned:  reg.Counter("hv.clone.evtchn"),
+		completions:   reg.Counter("hv.clone.completions"),
+		aborts:        reg.Counter("hv.clone.aborts"),
+		cowPages:      reg.Counter("hv.clone.cow_pages"),
+		resetCalls:    reg.Counter("hv.clone.resets"),
+		resetPages:    reg.Counter("hv.clone.reset_pages"),
+		firstStageUS:  reg.Histogram("hv.clone.first_stage_us"),
+		extents:       reg.Histogram("hv.clone.extents"),
 	}
 }
 

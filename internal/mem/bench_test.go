@@ -2,9 +2,7 @@ package mem
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"nephele/internal/obs"
@@ -230,125 +228,4 @@ func BenchmarkMultiParentClone(b *testing.B) {
 			}
 		})
 	}
-
-	// Scheduled variants: one round is a job list (one clone+release per
-	// parent) drained by a GOMAXPROCS-sized worker pool, mirroring the hv
-	// batch build pool. "fixed" drains in request order; "affinity" drains
-	// the same jobs wave-packed by PlanWaves over the parents' shard
-	// occupancy masks, so jobs in flight together never share a shard lock.
-	// The shards dimension re-strides the same pool before measuring.
-	//
-	// ns/op is the wall-clock cost of executing the round against the real
-	// pool (which also validates the schedule). makespan-virt-ns is the
-	// modeled round makespan from SimulateRound at the same worker count —
-	// a single-core host cannot exhibit real lock parallelism, the virtual
-	// clocks can; TestAffinityMakespan pins its fixed/affinity ratio.
-	for _, cfg := range []struct {
-		parents, shards int
-		sched           string
-	}{
-		{16, 16, "fixed"}, {16, 16, "affinity"},
-		{64, 16, "fixed"}, {64, 16, "affinity"},
-		{64, 32, "fixed"}, {64, 32, "affinity"},
-	} {
-		if testing.Short() && cfg.parents > 16 {
-			continue
-		}
-		name := fmt.Sprintf("parents=%d-shards=%d-sched=%s", cfg.parents, cfg.shards, cfg.sched)
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			spaces, masks, durs := schedRig(b, cfg.parents, cfg.shards)
-			workers := runtime.GOMAXPROCS(0)
-			if workers > cfg.parents {
-				workers = cfg.parents
-			}
-			var order []int
-			if cfg.sched == "affinity" {
-				order, _ = PackOrder(masks, workers)
-			} else {
-				order = requestOrder(len(spaces))
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var next atomic.Int64
-				var wg sync.WaitGroup
-				for w := 0; w < workers; w++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						for {
-							k := int(next.Add(1)) - 1
-							if k >= len(order) {
-								return
-							}
-							p := order[k]
-							child, _, err := spaces[p].CloneOp(obs.OpCtx{}, schedChildDom(p), false)
-							if err != nil {
-								b.Error(err)
-								return
-							}
-							if err := child.Release(); err != nil {
-								b.Error(err)
-							}
-						}
-					}()
-				}
-				wg.Wait()
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(SimulateRound(order, masks, durs, workers)), "makespan-virt-ns")
-		})
-	}
-}
-
-func schedChildDom(p int) DomID { return DomID(10000 + p) }
-
-func requestOrder(n int) []int {
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	return order
-}
-
-// schedRig builds the scheduled round's inputs on a 12 GiB pool re-strided
-// to shards: parents warm-cloned 64 MB parents, and per parent the request
-// mask exactly as hv.shardMask builds it (parent occupancy plus the
-// child's home shard) and the deterministic virtual duration of one probe
-// clone.
-func schedRig(tb testing.TB, parents, shards int) ([]*Space, []uint32, []vclock.Duration) {
-	tb.Helper()
-	const pages = 64 << 20 / PageSize
-	m := New(12 << 30)
-	if err := m.Restride(shards); err != nil {
-		tb.Fatal(err)
-	}
-	spaces := make([]*Space, parents)
-	masks := make([]uint32, parents)
-	durs := make([]vclock.Duration, parents)
-	for i := range spaces {
-		parent, err := NewSpace(m, DomID(1+i), pages, nil)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		warm, _, err := parent.CloneOp(obs.OpCtx{}, DomID(20000+i), false)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		tb.Cleanup(func() { warm.Release() })
-		spaces[i] = parent
-	}
-	for i, s := range spaces {
-		masks[i] = s.ShardOccupancy() | 1<<m.HomeShard(schedChildDom(i))
-		meter := vclock.NewMeter(nil)
-		probe, _, err := s.CloneOp(obs.Ctx(meter), schedChildDom(i), false)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		if err := probe.Release(); err != nil {
-			tb.Fatal(err)
-		}
-		durs[i] = meter.Elapsed()
-	}
-	return spaces, masks, durs
 }

@@ -52,11 +52,11 @@ const streamChunk = 128
 //nephele:noalloc
 func (m *Memory) pledgePTEs(ptes []pte) error {
 	c := runCursor{ptes: ptes}
-	lay, mask, err := m.lockRuns(&c)
+	mask, err := m.lockRuns(&c)
 	if err != nil {
 		return err
 	}
-	defer m.unlockMask(lay, mask)
+	defer m.unlockMask(mask)
 	for c.next() {
 		fr, short := c.frames()
 		for j := range fr {
@@ -86,10 +86,11 @@ func (m *Memory) pledgePTEs(ptes []pte) error {
 //nephele:noalloc
 func (m *Memory) cancelPledged(ptes []pte) error {
 	c := runCursor{ptes: ptes, mode: runSkipBad}
-	lay, mask, _ := m.lockRuns(&c) // the skipping modes never fail here
-	defer m.unlockMask(lay, mask)
+	mask, _ := m.lockRuns(&c) // the skipping modes never fail here
+	defer m.unlockMask(mask)
+	lay := m.lay
 	var firstErr error
-	var freed [MaxShards]int
+	var freed [maxShards]int
 	for c.next() {
 		sh := &lay.shards[c.si]
 		fr, short := c.frames()
@@ -140,11 +141,12 @@ func (m *Memory) cancelPledged(ptes []pte) error {
 //nephele:noalloc
 func (m *Memory) adoptPledged(dom DomID, ptes []pte, meter *vclock.Meter) error {
 	c := runCursor{ptes: ptes}
-	lay, mask, err := m.lockRuns(&c)
+	mask, err := m.lockRuns(&c)
 	if err != nil {
 		return err
 	}
-	defer m.unlockMask(lay, mask)
+	defer m.unlockMask(mask)
+	lay := m.lay
 	for c.next() {
 		fr, short := c.frames()
 		for j := range fr {
@@ -161,7 +163,7 @@ func (m *Memory) adoptPledged(dom DomID, ptes []pte, meter *vclock.Meter) error 
 		}
 	}
 	converted := 0
-	var perShard [MaxShards]int
+	var perShard [maxShards]int
 	for c.rewind(); c.next(); {
 		sh := &lay.shards[c.si]
 		fr, _ := c.frames()

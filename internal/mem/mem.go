@@ -68,7 +68,6 @@ var (
 	ErrSpaceRetired  = errors.New("mem: address space was released")
 	ErrStreamPending = errors.New("mem: space still has unstreamed lazy pages")
 	ErrNotPledged    = errors.New("mem: frame carries no pledge")
-	ErrBadStride     = errors.New("mem: shard count must be a power of two within limits")
 )
 
 // frame is one machine page. Data is allocated lazily: nil means the frame
@@ -105,14 +104,11 @@ type frame struct {
 // Shard sizing. The pool is split into contiguous MFN-range shards (a
 // power-of-two count); pools too small to give every shard
 // minFramesPerShard collapse to fewer shards so tiny test pools stay
-// single-lock and fully deterministic. New picks at most defaultMaxShards
-// on its own; Restride can go up to MaxShards.
+// single-lock and fully deterministic.
 const (
-	// MaxShards is the hard upper bound on the shard count (power of two):
-	// shard lock masks are uint32 bitmaps.
-	MaxShards = 32
-	// defaultMaxShards caps the shard count New chooses automatically.
-	defaultMaxShards = 16
+	// maxShards caps the shard count New picks (a power of two; shard lock
+	// masks are uint32 bitmaps, so it must stay below 32).
+	maxShards = 16
 	// minFramesPerShard keeps shards from becoming so small that a single
 	// guest straddles many of them (4096 frames = 16 MiB).
 	minFramesPerShard = 4096
@@ -162,7 +158,7 @@ const frameChunkShift = 12
 
 // growLocked extends sh's part of the table, which covers its first
 // sh.watermark frames, to cover its first n (n <= sh.size); sh must be
-// locked or not yet published.
+// locked.
 func (lay *layout) growLocked(sh *shard, n int) {
 	base := int(sh.lo >> lay.cshift)
 	chunk := 1 << lay.cshift
@@ -215,17 +211,13 @@ func (s *mfnStack) pop() MFN {
 	return s.chunks[s.n>>mfnStackShift][s.n&(mfnStackChunk-1)]
 }
 
-// layout is one generation of the pool's shard geometry: the stride, the
-// shard slice, and everything derived from them. Operations pin the current
-// layout with one atomic load, derive their segments against it, and
-// validate the pin after locking (see Memory); Restride builds a fresh
-// layout under full quiescence and publishes it with one pointer store, so
-// a layout's geometry is immutable for its whole lifetime.
+// layout is the pool's shard geometry: the stride, the shard slice, and
+// everything derived from them. New computes it once and nothing changes it
+// afterwards, so the geometry is read without any lock.
 type layout struct {
-	total  int  // pool size in frames (same for every generation)
+	total  int  // pool size in frames
 	stride int  // frames per shard range (power of two)
 	shift  uint // log2(stride): MFN → shard index is one shift
-	epoch  uint64
 	shards []shard
 
 	// The frame table (see frameChunkShift). The outer slice is fixed; each
@@ -248,37 +240,18 @@ type layout struct {
 // frames, dom_cow frames) are per-shard atomics aggregated under a
 // seqlock-style read path so aggregate reads stay one coherent pass.
 //
-// The shard geometry itself is dynamic (Restride, DESIGN.md §14): the
-// current geometry lives in an atomically published layout, every
-// operation pins it with one atomic load and re-validates the pin after
-// taking its shard locks, and the re-stride writer swaps in a rebuilt
-// layout only while holding every shard lock of the old one. An operation
-// that loses that race observes the swap on its post-lock validation,
-// drops its locks and re-derives against the new layout — frame state is
-// keyed by MFN, which no re-stride ever changes, so the retry is invisible
-// to callers.
-//
 // Frame metadata is materialized lazily: frames above a shard's allocation
 // watermark have never existed, so creating a multi-GiB pool costs nothing
 // until frames are handed out. Allocation is deterministic given the
 // operation sequence: a domain allocates from its home shard (a
-// stride-stable multiplicative hash of its ID) first — recycled frames
+// multiplicative hash of its ID) first — recycled frames
 // LIFO, then the lowest never-allocated MFN of the range — and overflows
 // to the next shards in ascending wrap-around order.
 type Memory struct {
 	total int // pool size in frames
 
-	// lay is the current shard geometry. Loaded once per operation
-	// (pinned), re-validated after the operation's shard locks are taken.
-	lay atomic.Pointer[layout]
-
-	// restrideMu serializes re-stride writers. In the pool-wide lock order
-	// it comes strictly before every shard lock: Restride acquires it and
-	// then the full shard mask, and no code path acquires it while holding
-	// a shard lock (enforced by nephele-lint's lockorder analyzer).
-	//
-	//nephele:lockorder-prelock
-	restrideMu sync.Mutex
+	// lay is the shard geometry, set once by New.
+	lay *layout
 
 	// accSeq is bumped (to odd, then back to even is NOT guaranteed with
 	// concurrent writers — readers use plain equality) around every
@@ -294,14 +267,14 @@ type Memory struct {
 // count: stride is ceil(total/nsh) rounded up to a power of two so mapping
 // an MFN to its shard is a single shift, and tail shards past the pool end
 // cover a short or empty range.
-func newLayout(total, nsh int, epoch uint64) *layout {
+func newLayout(total, nsh int) *layout {
 	per := (total + nsh - 1) / nsh
 	if per < 1 {
 		per = 1
 	}
 	shift := uint(bits.Len(uint(per - 1))) // ceil(log2(per))
 	stride := 1 << shift
-	lay := &layout{total: total, stride: stride, shift: shift, epoch: epoch, shards: make([]shard, nsh)}
+	lay := &layout{total: total, stride: stride, shift: shift, shards: make([]shard, nsh)}
 	lay.cshift = min(frameChunkShift, shift)
 	lay.cmask = 1<<lay.cshift - 1
 	lay.chunks = make([][]frame, (total+int(lay.cmask))>>lay.cshift)
@@ -329,23 +302,17 @@ func newLayout(total, nsh int, epoch uint64) *layout {
 func New(totalBytes uint64) *Memory {
 	total := int(totalBytes / PageSize)
 	nsh := 1
-	for nsh < defaultMaxShards && total/(nsh*2) >= minFramesPerShard {
+	for nsh < maxShards && total/(nsh*2) >= minFramesPerShard {
 		nsh *= 2
 	}
-	m := &Memory{total: total}
-	m.lay.Store(newLayout(total, nsh, 0))
-	return m
+	return &Memory{total: total, lay: newLayout(total, nsh)}
 }
 
 // Shards reports the number of MFN-range shards the pool is split into.
-func (m *Memory) Shards() int { return len(m.lay.Load().shards) }
+func (m *Memory) Shards() int { return len(m.lay.shards) }
 
-// Stride reports the current frames-per-shard stride (a power of two).
-func (m *Memory) Stride() int { return m.lay.Load().stride }
-
-// LayoutEpoch reports the pool's re-stride generation: 0 at New, +1 per
-// completed Restride. A failed or no-op Restride leaves it unchanged.
-func (m *Memory) LayoutEpoch() uint64 { return m.lay.Load().epoch }
+// Stride reports the frames-per-shard stride (a power of two).
+func (m *Memory) Stride() int { return m.lay.stride }
 
 // shardIdx maps an in-range MFN to its shard index.
 func (lay *layout) shardIdx(mfn MFN) int { return int(mfn >> lay.shift) }
@@ -359,7 +326,7 @@ func (lay *layout) shardChecked(mfn MFN) (*shard, error) {
 }
 
 // frameAt returns the frame metadata for mfn. The shard covering mfn must
-// be locked by the caller under a validated pin of this layout.
+// be locked by the caller.
 func (lay *layout) frameAt(mfn MFN) (*frame, error) {
 	if int(mfn) >= lay.total {
 		return nil, fmt.Errorf("%w: %d", ErrBadFrame, mfn)
@@ -406,8 +373,8 @@ const (
 // decides whether a caller's short input list can stay on its stack: nothing
 // reached through the receiver is stored in the heap or returned. That is
 // why the run is integers rather than a *shard (operations that mutate a
-// shard's free list index the layout lockRuns returned) and the bad frame is
-// a number rather than an error.
+// shard's free list index the layout's shard slice) and the bad frame is a
+// number rather than an error.
 type runCursor struct {
 	lay  *layout
 	mfns []MFN
@@ -545,28 +512,23 @@ func (c *runCursor) next() bool {
 	return false
 }
 
-// lockRuns pins the current layout, binds c to it, walks the input once
-// without locks (only lay's immutable geometry is read) for the set of
-// shards its runs touch and locks those, retrying when a Restride wins the
-// race between the pin and the acquisition. A strict cursor over an
-// out-of-range MFN fails here, before any lock is taken; the skipping modes
-// report theirs from the locked walk. On success c is rewound and the
-// caller owns the locks: unlockMask(lay, mask).
+// lockRuns binds c to the pool's layout, walks the input once without locks
+// (only the immutable geometry is read) for the set of shards its runs touch
+// and locks those. A strict cursor over an out-of-range MFN fails here,
+// before any lock is taken; the skipping modes report theirs from the locked
+// walk. On success c is rewound and the caller owns the locks:
+// unlockMask(mask).
 //
 //nephele:noalloc
-func (m *Memory) lockRuns(c *runCursor) (*layout, uint32, error) {
-	for {
-		lay := m.lay.Load()
-		c.lay = lay
-		mask := c.mask()
-		if c.anyBad && c.mode == runStrict {
-			return nil, 0, c.badFrame()
-		}
-		c.rewind()
-		if m.lockLayout(lay, mask) {
-			return lay, mask, nil
-		}
+func (m *Memory) lockRuns(c *runCursor) (uint32, error) {
+	c.lay = m.lay
+	mask := c.mask()
+	if c.anyBad && c.mode == runStrict {
+		return 0, c.badFrame()
 	}
+	c.rewind()
+	m.lockMask(mask)
+	return mask, nil
 }
 
 // mask rewinds c, walks the whole input and returns the set of shards its
@@ -581,16 +543,15 @@ func (c *runCursor) mask() uint32 {
 	return mask
 }
 
-// lockMask locks lay's shards in mask in ascending index order — the single
+// lockMask locks the shards in mask in ascending index order — the single
 // pool-wide lock order that rules out lock-order inversion between
 // Snapshot, ReleaseN and every other multi-shard operation. It is the one
 // designated multi-shard acquisition point: everything else must lock one
 // shard at a time or funnel through it (enforced by nephele-lint).
 //
-// acquisition order is ascending by construction.
-//
-//nephele:lockorder-helper — set bits are walked low to high, so
-func (m *Memory) lockMask(lay *layout, mask uint32) {
+//nephele:lockorder-helper — set bits are walked low to high, so acquisition order is ascending by construction.
+func (m *Memory) lockMask(mask uint32) {
+	lay := m.lay
 	if mm := m.metrics.Load(); mm != nil {
 		start := time.Now() //nephele:nondeterministic-ok — lock-wait wall time is a diagnostic metric, never used for ordering
 		for w := mask; w != 0; w &= w - 1 {
@@ -605,58 +566,25 @@ func (m *Memory) lockMask(lay *layout, mask uint32) {
 	}
 }
 
-func (m *Memory) unlockMask(lay *layout, mask uint32) {
+func (m *Memory) unlockMask(mask uint32) {
+	lay := m.lay
 	for w := mask; w != 0; w &= w - 1 {
 		lay.shards[bits.TrailingZeros32(w)].mu.Unlock()
 	}
 }
 
-// lockLayout locks mask's shards in lay and confirms lay is still the
-// pool's published layout. On failure — a Restride won the race between
-// the caller's pin and its lock acquisition — the locks are dropped and
-// the caller must re-pin and re-derive its segments. Restride swaps the
-// layout only while holding every old shard lock, so a true return
-// guarantees the locked shards are current for as long as they stay held.
-//
-//nephele:lockorder-helper — delegates to lockMask, ascending by construction.
-func (m *Memory) lockLayout(lay *layout, mask uint32) bool {
-	m.lockMask(lay, mask)
-	if m.lay.Load() == lay {
-		return true
+// lockShard locks the single shard covering mfn.
+func (m *Memory) lockShard(mfn MFN) (*shard, error) {
+	sh, err := m.lay.shardChecked(mfn)
+	if err != nil {
+		return nil, err
 	}
-	m.unlockMask(lay, mask)
-	return false
+	sh.mu.Lock()
+	return sh, nil
 }
 
-// lockShard pins the current layout and locks the single shard covering
-// mfn, retrying when a concurrent Restride swapped the layout between the
-// pin and the acquisition.
-//
-//nephele:lockorder-helper — single-shard acquisition, nothing to order.
-func (m *Memory) lockShard(mfn MFN) (*layout, *shard, error) {
-	for {
-		lay := m.lay.Load()
-		sh, err := lay.shardChecked(mfn)
-		if err != nil {
-			return nil, nil, err
-		}
-		sh.mu.Lock()
-		if m.lay.Load() == lay {
-			return lay, sh, nil
-		}
-		sh.mu.Unlock()
-	}
-}
-
-// allMask covers every shard. Defined for any count up to MaxShards = 32:
-// a 32-shard layout shifts the one past the word and the wraparound yields
-// all-ones.
-func (lay *layout) allMask() uint32 {
-	if len(lay.shards) >= 32 {
-		return ^uint32(0)
-	}
-	return uint32(1)<<len(lay.shards) - 1
-}
+// allMask covers every shard.
+func (lay *layout) allMask() uint32 { return uint32(1)<<len(lay.shards) - 1 }
 
 // beginAccount / endAccount bracket mutations of the per-shard atomic
 // counters so aggregate readers retry instead of summing mid-update.
@@ -667,33 +595,24 @@ func (m *Memory) endAccount()   { m.accSeq.Add(1) }
 
 // sumCounters aggregates one per-shard atomic across all shards under the
 // seqlock read path, falling back to locking every shard if writers never
-// leave a quiescent window. The layout pin participates in the seqlock
-// check: a sum taken over a superseded layout is discarded and retried,
-// since the new generation's counters are the live ones.
+// leave a quiescent window.
 func (m *Memory) sumCounters(read func(*shard) int64) int {
+	lay := m.lay
+	sum := func() (s int64) {
+		for i := range lay.shards {
+			s += read(&lay.shards[i])
+		}
+		return s
+	}
 	for tries := 0; tries < 64; tries++ {
-		lay := m.lay.Load()
 		s1 := m.accSeq.Load()
-		var sum int64
-		for i := range lay.shards {
-			sum += read(&lay.shards[i])
-		}
-		if m.accSeq.Load() == s1 && m.lay.Load() == lay {
-			return int(sum)
+		if s := sum(); m.accSeq.Load() == s1 {
+			return int(s)
 		}
 	}
-	for {
-		lay := m.lay.Load()
-		if !m.lockLayout(lay, lay.allMask()) {
-			continue
-		}
-		var sum int64
-		for i := range lay.shards {
-			sum += read(&lay.shards[i])
-		}
-		m.unlockMask(lay, lay.allMask())
-		return int(sum)
-	}
+	m.lockMask(lay.allMask())
+	defer m.unlockMask(lay.allMask())
+	return int(sum())
 }
 
 // TotalFrames reports the machine memory size in frames.
@@ -714,25 +633,14 @@ func (m *Memory) SharedFrames() int {
 // lock; a frame's accounting lives wholly in its shard, so the sum is a
 // consistent point-in-time value per shard.
 func (m *Memory) UsedBy(dom DomID) int {
-	for {
-		lay := m.lay.Load()
-		used := 0
-		stale := false
-		for i := range lay.shards {
-			sh := &lay.shards[i]
-			sh.mu.Lock()
-			if m.lay.Load() != lay {
-				sh.mu.Unlock()
-				stale = true
-				break
-			}
-			used += sh.usedByDom[dom]
-			sh.mu.Unlock()
-		}
-		if !stale {
-			return used
-		}
+	used := 0
+	for i := range m.lay.shards {
+		sh := &m.lay.shards[i]
+		sh.mu.Lock()
+		used += sh.usedByDom[dom]
+		sh.mu.Unlock()
 	}
+	return used
 }
 
 // homeShardMul is the 64-bit golden-ratio multiplier (2^64 / φ) of
@@ -746,20 +654,10 @@ const homeShardMul = 0x9E3779B97F4A7C15
 // domains across shards is what keeps concurrent clones of different
 // parents off each other's locks.
 //
-// The mapping takes the top log2(nshards) bits of the mixed ID, which
-// makes it stride-stable: doubling the shard count refines every domain's
-// home (old home == new home >> 1, a sub-range of the old MFN range)
-// instead of re-dealing it, so a re-stride keeps domains next to the
-// frames they already allocated.
+// The mapping takes the top log2(nshards) bits of the mixed ID.
 func (lay *layout) homeShard(dom DomID) int {
 	return int((uint64(dom) * homeShardMul) >> (64 - uint(bits.Len(uint(len(lay.shards)-1)))))
 }
-
-// HomeShard reports the shard index dom's allocations currently start
-// from. The value is advisory — it describes the published layout at the
-// time of the call — and is what the batch-clone scheduler uses to predict
-// where a child's metadata frames will land.
-func (m *Memory) HomeShard(dom DomID) int { return m.lay.Load().homeShard(dom) }
 
 // initFrameLocked hands frame mfn out to dom; its shard must be locked and
 // the table must already cover it.
@@ -842,28 +740,17 @@ func (m *Memory) AllocN(dom DomID, n int, meter *vclock.Meter) ([]MFN, error) {
 		return nil, nil
 	}
 	out := make([]MFN, 0, n)
-	for {
-		lay := m.lay.Load()
-		home := lay.homeShard(dom)
-		stale := false
-		for k := 0; k < len(lay.shards) && len(out) < n; k++ {
-			sh := &lay.shards[(home+k)%len(lay.shards)]
-			sh.mu.Lock()
-			if m.lay.Load() != lay {
-				sh.mu.Unlock()
-				stale = true
-				break
-			}
-			lay.takeLocked(m, sh, dom, n-len(out), &out)
-			sh.mu.Unlock()
-		}
-		if len(out) >= n {
-			break
-		}
-		if !stale {
-			m.ReleaseN(dom, out)
-			return nil, fmt.Errorf("%w: want %d frames, %d free", ErrOutOfMemory, n, m.FreeFrames())
-		}
+	lay := m.lay
+	home := lay.homeShard(dom)
+	for k := 0; k < len(lay.shards) && len(out) < n; k++ {
+		sh := &lay.shards[(home+k)%len(lay.shards)]
+		sh.mu.Lock()
+		lay.takeLocked(m, sh, dom, n-len(out), &out)
+		sh.mu.Unlock()
+	}
+	if len(out) < n {
+		m.ReleaseN(dom, out)
+		return nil, fmt.Errorf("%w: want %d frames, %d free", ErrOutOfMemory, n, m.FreeFrames())
 	}
 	meter.Charge(meter.Costs().PageAlloc, n)
 	return out, nil
@@ -871,12 +758,12 @@ func (m *Memory) AllocN(dom DomID, n int, meter *vclock.Meter) ([]MFN, error) {
 
 // Owner reports the owner of a frame.
 func (m *Memory) Owner(mfn MFN) (DomID, error) {
-	lay, sh, err := m.lockShard(mfn)
+	sh, err := m.lockShard(mfn)
 	if err != nil {
 		return DomIDInvalid, err
 	}
 	defer sh.mu.Unlock()
-	f, err := lay.frameAt(mfn)
+	f, err := m.lay.frameAt(mfn)
 	if err != nil {
 		return DomIDInvalid, err
 	}
@@ -885,12 +772,12 @@ func (m *Memory) Owner(mfn MFN) (DomID, error) {
 
 // Refcount reports the sharer count of a frame.
 func (m *Memory) Refcount(mfn MFN) (int, error) {
-	lay, sh, err := m.lockShard(mfn)
+	sh, err := m.lockShard(mfn)
 	if err != nil {
 		return 0, err
 	}
 	defer sh.mu.Unlock()
-	f, err := lay.frameAt(mfn)
+	f, err := m.lay.frameAt(mfn)
 	if err != nil {
 		return 0, err
 	}
@@ -929,11 +816,11 @@ func (m *Memory) sharePTEs(dom DomID, ptes []pte, refs int, meter *vclock.Meter)
 //
 //nephele:noalloc
 func (m *Memory) shareRuns(dom DomID, c runCursor, refs int, meter *vclock.Meter) (int, error) {
-	lay, mask, err := m.lockRuns(&c)
+	mask, err := m.lockRuns(&c)
 	if err != nil {
 		return 0, err
 	}
-	defer m.unlockMask(lay, mask)
+	defer m.unlockMask(mask)
 	if refs < 1 {
 		return 0, fmt.Errorf("mem: share with %d refs", refs) //nephele:hotalloc-ok — caller bug, never on the warm path
 	}
@@ -956,7 +843,7 @@ func (m *Memory) shareRuns(dom DomID, c runCursor, refs int, meter *vclock.Meter
 			return 0, frameErr(ErrDoubleFree, c.mfn(len(fr)))
 		}
 	}
-	var perShard [MaxShards]int
+	var perShard [maxShards]int
 	for c.rewind(); c.next(); {
 		fr, _ := c.frames()
 		t := 0
@@ -975,6 +862,7 @@ func (m *Memory) shareRuns(dom DomID, c runCursor, refs int, meter *vclock.Meter
 	if transfers > 0 {
 		// Every transferred frame was validated as owned by dom, so the
 		// per-owner accounting moves per shard instead of per frame.
+		lay := m.lay
 		m.beginAccount()
 		for si := range lay.shards {
 			if n := perShard[si]; n > 0 {
@@ -1017,11 +905,11 @@ func (m *Memory) addSharerPTEs(ptes []pte, n int) error {
 //
 //nephele:noalloc
 func (m *Memory) addSharerRuns(c runCursor, n int) error {
-	lay, mask, err := m.lockRuns(&c)
+	mask, err := m.lockRuns(&c)
 	if err != nil {
 		return err
 	}
-	defer m.unlockMask(lay, mask)
+	defer m.unlockMask(mask)
 	runs := 0 // whole runs bumped so far
 	for ; c.next(); runs++ {
 		fr, short := c.frames()
@@ -1096,30 +984,26 @@ func (m *Memory) resolveCOW(dom DomID, mfn MFN, meter *vclock.Meter) (MFN, error
 	if int(mfn) >= m.total {
 		return 0, frameErr(ErrBadFrame, mfn)
 	}
+	lay := m.lay
+	sh := &lay.shards[lay.shardIdx(mfn)]
 	var spare []MFN // the frame a copy-away fills, once one is known to be needed
 	for {
 		// The first look is a single-shard acquisition (lockShard, which the
 		// multi-shard lock metrics leave out); the second takes source and
 		// destination together.
-		var lay *layout
-		var mask uint32
+		mask := uint32(1) << lay.shardIdx(mfn)
 		if spare == nil {
-			lay, _, _ = m.lockShard(mfn) // mfn is in range: cannot fail
-			mask = 1 << lay.shardIdx(mfn)
+			m.lockShard(mfn) // mfn is in range: cannot fail
 		} else {
-			lay = m.lay.Load()
-			mask = 1<<lay.shardIdx(mfn) | 1<<lay.shardIdx(spare[0])
-			if !m.lockLayout(lay, mask) {
-				continue
-			}
+			mask |= 1 << lay.shardIdx(spare[0])
+			m.lockMask(mask)
 		}
-		sh := &lay.shards[lay.shardIdx(mfn)]
 		f, err := lay.frameAt(mfn)
 		if err == nil && f.owner != DomIDCOW && f.owner != dom {
 			err = fmt.Errorf("%w: frame %d owned by %d", ErrNotShared, mfn, f.owner)
 		}
 		if err != nil {
-			m.unlockMask(lay, mask)
+			m.unlockMask(mask)
 			m.ReleaseN(dom, spare)
 			return 0, err
 		}
@@ -1131,7 +1015,7 @@ func (m *Memory) resolveCOW(dom DomID, mfn MFN, meter *vclock.Meter) (MFN, error
 			if f.owner == DomIDCOW {
 				m.reownLocked(sh, f, dom)
 			}
-			m.unlockMask(lay, mask)
+			m.unlockMask(mask)
 			if spare != nil {
 				m.ReleaseN(dom, spare)
 			}
@@ -1139,7 +1023,7 @@ func (m *Memory) resolveCOW(dom DomID, mfn MFN, meter *vclock.Meter) (MFN, error
 			return mfn, nil
 		}
 		if spare == nil {
-			m.unlockMask(lay, mask)
+			m.unlockMask(mask)
 			if spare, err = m.AllocN(dom, 1, meter); err != nil {
 				return 0, err
 			}
@@ -1151,7 +1035,7 @@ func (m *Memory) resolveCOW(dom DomID, mfn MFN, meter *vclock.Meter) (MFN, error
 			*nf.data = *f.data
 		}
 		f.refcount--
-		m.unlockMask(lay, mask)
+		m.unlockMask(mask)
 		meter.Charge(meter.Costs().PageUnshare, 1)
 		return spare[0], nil
 	}
@@ -1201,10 +1085,11 @@ func (m *Memory) releasePTEs(dom DomID, ptes []pte) error {
 //
 //nephele:noalloc
 func (m *Memory) releaseRuns(dom DomID, c runCursor) error {
-	lay, mask, _ := m.lockRuns(&c) // the skipping modes never fail here
-	defer m.unlockMask(lay, mask)
+	mask, _ := m.lockRuns(&c) // the skipping modes never fail here
+	defer m.unlockMask(mask)
+	lay := m.lay
 	var firstErr error
-	var ownFreed, cowFreed, zombied [MaxShards]int
+	var ownFreed, cowFreed, zombied [maxShards]int
 	for c.next() {
 		sh := &lay.shards[c.si]
 		fr, short := c.frames()
@@ -1268,12 +1153,12 @@ func (m *Memory) releaseRuns(dom DomID, c runCursor) error {
 // Read copies the contents at (mfn, off) into buf. Reading a never-written
 // frame yields zeroes.
 func (m *Memory) Read(mfn MFN, off int, buf []byte) error {
-	lay, sh, err := m.lockShard(mfn)
+	sh, err := m.lockShard(mfn)
 	if err != nil {
 		return err
 	}
 	defer sh.mu.Unlock()
-	f, err := lay.frameAt(mfn)
+	f, err := m.lay.frameAt(mfn)
 	if err != nil {
 		return err
 	}
@@ -1295,12 +1180,12 @@ func (m *Memory) Read(mfn MFN, off int, buf []byte) error {
 // replaced by a private copy first, so holders of the old slice never see
 // the write.
 func (m *Memory) Write(mfn MFN, off int, buf []byte) error {
-	lay, sh, err := m.lockShard(mfn)
+	sh, err := m.lockShard(mfn)
 	if err != nil {
 		return err
 	}
 	defer sh.mu.Unlock()
-	f, err := lay.frameAt(mfn)
+	f, err := m.lay.frameAt(mfn)
 	if err != nil {
 		return err
 	}
@@ -1328,12 +1213,12 @@ func (m *Memory) WritePage(mfn MFN, page []byte) error {
 	if len(page) != PageSize {
 		return m.Write(mfn, 0, page)
 	}
-	lay, sh, err := m.lockShard(mfn)
+	sh, err := m.lockShard(mfn)
 	if err != nil {
 		return err
 	}
 	defer sh.mu.Unlock()
-	f, err := lay.frameAt(mfn)
+	f, err := m.lay.frameAt(mfn)
 	if err != nil {
 		return err
 	}
@@ -1361,31 +1246,20 @@ func (m *Memory) copyRuns(dst []MFN, s runCursor, meter *vclock.Meter) error {
 	if n := len(s.mfns) + len(s.ptes); len(dst) != n {
 		return fmt.Errorf("mem: CopyFrameN with %d dst, %d src frames", len(dst), n)
 	}
-	for {
-		lay := m.lay.Load()
-		// An out-of-range MFN only drops out of the lock mask;
-		// copyFrameLocked reports it.
-		d := runCursor{lay: lay, mfns: dst, mode: runSkipBad}
-		s.lay = lay
-		mask := d.mask() | s.mask()
-		if !m.lockLayout(lay, mask) {
-			continue
-		}
-		err := func() error {
-			defer m.unlockMask(lay, mask)
-			for i := range dst {
-				if err := lay.copyFrameLocked(dst[i], s.at(i)); err != nil {
-					return err
-				}
-			}
-			return nil
-		}()
-		if err != nil {
+	// An out-of-range MFN only drops out of the lock mask; copyFrameLocked
+	// reports it.
+	d := runCursor{lay: m.lay, mfns: dst, mode: runSkipBad}
+	s.lay = m.lay
+	mask := d.mask() | s.mask()
+	m.lockMask(mask)
+	defer m.unlockMask(mask)
+	for i := range dst {
+		if err := m.lay.copyFrameLocked(dst[i], s.at(i)); err != nil {
 			return err
 		}
-		meter.Charge(meter.Costs().PageCopy, len(dst))
-		return nil
 	}
+	meter.Charge(meter.Costs().PageCopy, len(dst))
+	return nil
 }
 
 // copyFrameLocked copies src into dst; the shards of both must be locked.
@@ -1422,11 +1296,11 @@ func (lay *layout) copyFrameLocked(dst, src MFN) error {
 func (m *Memory) SnapshotFrames(mfns []MFN) ([][]byte, error) {
 	// An out-of-range MFN only drops out of the lock mask; frameAt reports it.
 	c := runCursor{mfns: mfns, mode: runSkipBad}
-	lay, mask, _ := m.lockRuns(&c)
-	defer m.unlockMask(lay, mask)
+	mask, _ := m.lockRuns(&c)
+	defer m.unlockMask(mask)
 	out := make([][]byte, len(mfns))
 	for i, mfn := range mfns {
-		f, err := lay.frameAt(mfn)
+		f, err := m.lay.frameAt(mfn)
 		if err != nil {
 			return nil, err
 		}

@@ -14,7 +14,6 @@ type memMetrics struct {
 	lockAcquisitions *obs.Counter // mem.shard_lock_acquisitions: shard locks taken by multi-shard operations
 	streamExtents    *obs.Counter // mem.stream.extents: chunks materialized by lazy-clone streamers
 	unmappedFaults   *obs.Counter // mem.fault.unmapped: demand faults on lazy entries
-	restrides        *obs.Counter // mem.restride.count: completed shard re-strides
 }
 
 // SetMetrics attaches a registry to the pool's opt-in hot-path
@@ -31,6 +30,5 @@ func (m *Memory) SetMetrics(r *obs.Registry) {
 		lockAcquisitions: r.Counter("mem.shard_lock_acquisitions"),
 		streamExtents:    r.Counter("mem.stream.extents"),
 		unmappedFaults:   r.Counter("mem.fault.unmapped"),
-		restrides:        r.Counter("mem.restride.count"),
 	})
 }

@@ -51,7 +51,7 @@ type poolImage struct {
 
 func imageOf(m *Memory, doms ...DomID) poolImage {
 	img := poolImage{Frames: map[MFN]frameImage{}, Free: m.FreeFrames(), Shared: m.SharedFrames(), Used: map[DomID]int{}}
-	lay := m.lay.Load()
+	lay := m.lay
 	for ci, ch := range lay.chunks {
 		for j, f := range ch {
 			img.Frames[MFN(ci)<<lay.cshift+MFN(j)] = frameImage{f.owner, f.refcount, f.pledges, f.inUse}
@@ -69,10 +69,10 @@ func imageOf(m *Memory, doms ...DomID) poolImage {
 // and the three modes differ only in what they do with entries that name no
 // frame.
 func TestRunCursorSplits(t *testing.T) {
-	small := newLayout(20, 4, 0) // stride 8: shards [0,8) [8,16) [16,20) and an empty one
+	small := newLayout(20, 4) // stride 8: shards [0,8) [8,16) [16,20) and an empty one
 	// Stride 16384: a shard of four chunks, then a tail shard [16384,16484)
 	// shorter than one chunk.
-	chunked := newLayout(4*frameChunk+100, 2, 0)
+	chunked := newLayout(4*frameChunk+100, 2)
 	type span struct{ lo, hi MFN }
 	walk := func(lay *layout, c runCursor) ([]span, error) {
 		c.lay = lay
@@ -258,9 +258,9 @@ func TestFragmentedLayoutEquivalence(t *testing.T) {
 		left  []MFN // frames dom 1 keeps owning until they are zombies, over a chunk edge
 	}
 	build := func(order func([]MFN) []MFN) twin {
-		m := New(2 * stride * PageSize)
-		if err := m.Restride(2); err != nil || m.Stride() != stride {
-			t.Fatalf("Restride(2): %v, stride %d", err, m.Stride())
+		m := newSharded(2*stride*PageSize, 2)
+		if m.Stride() != stride {
+			t.Fatalf("stride %d, test assumes %d", m.Stride(), stride)
 		}
 		if _, err := m.AllocN(1, m.TotalFrames(), nil); err != nil {
 			t.Fatal(err)
@@ -457,12 +457,12 @@ func TestFragmentedErrorPaths(t *testing.T) {
 	}
 }
 
-// TestFragmentedReleaseVsRestride is the -race stress for the streamed
-// walks' layout pin: children of a parent whose table is all one-page runs
-// are cloned and released — thousands of runs per unlocked mask walk, so
-// the window a Restride can land in is wide — while the shard count keeps
-// changing. A walk that mixed two layouts would lose or double frames.
-func TestFragmentedReleaseVsRestride(t *testing.T) {
+// TestFragmentedCloneReleaseStress is the -race stress for the streamed
+// walks: children of two parents whose tables are all one-page runs are
+// cloned and released concurrently — thousands of runs per unlocked mask
+// walk and per locked pass, over shards both families share. A walk that
+// lost or doubled a frame shows in the final accounting.
+func TestFragmentedCloneReleaseStress(t *testing.T) {
 	m := New(1 << 30)
 	pages := 8 << 20 / PageSize
 	iters := 40
@@ -497,17 +497,6 @@ func TestFragmentedReleaseVsRestride(t *testing.T) {
 			}
 		}(p)
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		counts := []int{2, 32, 8, 1, 16, 4}
-		for i := 0; i < iters*2; i++ {
-			if err := m.Restride(counts[i%len(counts)]); err != nil {
-				t.Errorf("Restride: %v", err)
-				return
-			}
-		}
-	}()
 	wg.Wait()
 
 	for _, p := range parents {

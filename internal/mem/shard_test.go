@@ -20,6 +20,131 @@ func shardedPool(t *testing.T) *Memory {
 	return m
 }
 
+// newSharded builds a pool of totalBytes split into nsh shards, for the tests
+// that need a geometry New does not pick for that size.
+func newSharded(totalBytes uint64, nsh int) *Memory {
+	total := int(totalBytes / PageSize)
+	return &Memory{total: total, lay: newLayout(total, nsh)}
+}
+
+// TestPoolGeometry pins what New computes for the pool sizes the tree uses,
+// and the first frames the 12 GiB hv.DefaultConfig machine hands its first
+// domains: the geometry decides every MFN the pool gives out, so a change to
+// the shard-count rule or the home-shard hash has to be made here too.
+func TestPoolGeometry(t *testing.T) {
+	for _, tc := range []struct {
+		bytes          uint64
+		shards, stride int
+	}{
+		{4 << 20, 1, 1024},
+		{1 << 30, 16, 16384},
+		{2 << 30, 16, 32768},
+		{12 << 30, 16, 262144}, // 12 ranges hold frames, the last 4 are empty
+	} {
+		if m := New(tc.bytes); m.Shards() != tc.shards || m.Stride() != tc.stride {
+			t.Errorf("New(%d MB): %d shards of %d frames, want %d of %d",
+				tc.bytes>>20, m.Shards(), m.Stride(), tc.shards, tc.stride)
+		}
+	}
+	m := New(12 << 30)
+	// Home shards 9, 3 and 13; 13 is an empty tail range, so domain 3 wraps
+	// around to shard 0.
+	for dom, want := range map[DomID]MFN{1: 9 * 262144, 2: 3 * 262144, 3: 0} {
+		got, err := m.AllocN(dom, 2, nil)
+		if err != nil || got[0] != want || got[1] != want+1 {
+			t.Errorf("AllocN(%d, 2) = %v, %v; want the run at %d", dom, got, err, want)
+		}
+	}
+}
+
+// TestHomeShardDistribution: sequential DomIDs — exactly what hv.nextDom
+// hands out to the children of one round — must spread across shards instead
+// of marching over neighbours in lockstep like a dom % nshards mapping would.
+// With 64 sequential IDs over 16 shards a perfectly uniform deal is 4 per
+// shard; the multiplicative hash is required to stay within 3x of uniform
+// on every shard and to hit at least half the shards.
+func TestHomeShardDistribution(t *testing.T) {
+	lay := shardedPool(t).lay
+	nsh := len(lay.shards)
+	for _, base := range []DomID{1, 100, 7000} {
+		counts := make([]int, nsh)
+		hit := 0
+		const doms = 64
+		for i := 0; i < doms; i++ {
+			h := lay.homeShard(base + DomID(i))
+			if h < 0 || h >= nsh {
+				t.Fatalf("homeShard(%d) = %d out of range", base+DomID(i), h)
+			}
+			if counts[h] == 0 {
+				hit++
+			}
+			counts[h]++
+		}
+		if hit < nsh/2 {
+			t.Errorf("base %d: %d sequential domains hit only %d of %d shards: %v",
+				base, doms, hit, nsh, counts)
+		}
+		for sh, c := range counts {
+			if c > 3*doms/nsh {
+				t.Errorf("base %d: shard %d got %d of %d domains (uniform %d)",
+					base, sh, c, doms, doms/nsh)
+			}
+		}
+	}
+}
+
+// poolState is everything a pool exposes about its frames through the
+// public API: the aggregate counters, every domain's usage, and each
+// in-use frame's owner, refcount and a content probe.
+type poolState struct {
+	Free   int
+	Shared int
+	UsedBy map[DomID]int
+	Frames map[MFN]frameState
+}
+
+type frameState struct {
+	Owner    DomID
+	Refcount int
+	Probe    [8]byte
+}
+
+// capturePoolState reads the pool's full observable state. doms is the set
+// of domain IDs whose usage to record (discovered owners are added).
+func capturePoolState(t *testing.T, m *Memory, doms []DomID) poolState {
+	t.Helper()
+	st := poolState{
+		Free:   m.FreeFrames(),
+		Shared: m.SharedFrames(),
+		UsedBy: make(map[DomID]int),
+		Frames: make(map[MFN]frameState),
+	}
+	seen := map[DomID]bool{}
+	for mfn := MFN(0); int(mfn) < m.TotalFrames(); mfn++ {
+		owner, err := m.Owner(mfn)
+		if err != nil {
+			continue // free frame
+		}
+		rc, err := m.Refcount(mfn)
+		if err != nil {
+			t.Fatalf("Refcount(%d): %v", mfn, err)
+		}
+		fs := frameState{Owner: owner, Refcount: rc}
+		if err := m.Read(mfn, 0, fs.Probe[:]); err != nil {
+			t.Fatalf("Read(%d): %v", mfn, err)
+		}
+		st.Frames[mfn] = fs
+		seen[owner] = true
+	}
+	for _, d := range doms {
+		seen[d] = true
+	}
+	for d := range seen {
+		st.UsedBy[d] = m.UsedBy(d)
+	}
+	return st
+}
+
 // run returns the contiguous MFNs [start, start+n).
 func run(start, n int) []MFN {
 	mfns := make([]MFN, n)
