@@ -5,7 +5,8 @@
 // golden-series tests: virtual time must be a deterministic function of
 // the operation sequence, never of wall-clock, scheduling or map layout.
 // Inside the metered packages (internal/hv, internal/mem, internal/vclock,
-// internal/cloned, internal/obs by default) this analyzer reports:
+// internal/cloned, internal/obs and internal/netsim, whose Link.Plan prices
+// every cross-host transfer, by default) this analyzer reports:
 //
 //   - time.Now / time.Since / time.Until — wall clock in a metered path;
 //   - math/rand package-level functions (rand.Int, rand.Intn, rand.Seed,
@@ -46,6 +47,7 @@ var Targets = []string{
 	"nephele/internal/vclock",
 	"nephele/internal/cloned",
 	"nephele/internal/obs",
+	"nephele/internal/netsim",
 }
 
 // bannedFuncs maps package path -> function name -> short reason.

@@ -2,7 +2,9 @@ package analysis_test
 
 import (
 	"errors"
+	"fmt"
 	"go/build"
+	"sync"
 	"testing"
 
 	"nephele/internal/analysis"
@@ -25,13 +27,9 @@ func TestTreeIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-tree lint type-checks the module; skipped with -short")
 	}
-	loader, err := analysis.NewLoader(".")
+	mod, err := loadModule()
 	if err != nil {
-		t.Fatalf("loader: %v", err)
-	}
-	dirs, err := analysis.PackageDirs(loader.ModuleDir)
-	if err != nil {
-		t.Fatalf("walk: %v", err)
+		t.Fatal(err)
 	}
 	analyzers := []*analysis.Analyzer{
 		lockorder.Analyzer,
@@ -44,18 +42,10 @@ func TestTreeIsClean(t *testing.T) {
 		hotalloc.Analyzer,
 	}
 	var facts []analysis.Fact
-	for _, dir := range dirs {
-		pkg, err := loader.LoadDir(dir)
-		if err != nil {
-			var noGo *build.NoGoError
-			if errors.As(err, &noGo) {
-				continue
-			}
-			t.Fatalf("load %s: %v", dir, err)
-		}
+	for _, pkg := range mod.pkgs {
 		res, err := analysis.RunAll(pkg, analyzers)
 		if err != nil {
-			t.Fatalf("run %s: %v", dir, err)
+			t.Fatalf("run %s: %v", pkg.Dir, err)
 		}
 		for _, d := range res.Findings {
 			t.Errorf("%s", d)
@@ -63,10 +53,40 @@ func TestTreeIsClean(t *testing.T) {
 		facts = append(facts, res.Facts...)
 	}
 	tf := faultcover.Collect(facts)
-	if err := tf.AddTestRefs(loader.ModuleDir); err != nil {
+	if err := tf.AddTestRefs(mod.loader.ModuleDir); err != nil {
 		t.Fatalf("test refs: %v", err)
 	}
 	for _, v := range tf.Verify() {
 		t.Errorf("fault registry: %s", v)
 	}
 }
+
+// module is the whole module, type-checked once for the tree-wide tests.
+type module struct {
+	loader *analysis.Loader
+	pkgs   []*analysis.Package
+}
+
+var loadModule = sync.OnceValues(func() (*module, error) {
+	loader, err := analysis.NewLoader(".")
+	if err != nil {
+		return nil, fmt.Errorf("loader: %w", err)
+	}
+	dirs, err := analysis.PackageDirs(loader.ModuleDir)
+	if err != nil {
+		return nil, fmt.Errorf("walk: %w", err)
+	}
+	mod := &module{loader: loader}
+	for _, dir := range dirs {
+		pkg, err := loader.LoadDir(dir)
+		if err != nil {
+			var noGo *build.NoGoError
+			if errors.As(err, &noGo) {
+				continue
+			}
+			return nil, fmt.Errorf("load %s: %w", dir, err)
+		}
+		mod.pkgs = append(mod.pkgs, pkg)
+	}
+	return mod, nil
+})

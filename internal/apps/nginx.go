@@ -67,9 +67,6 @@ type Worker struct {
 // Served reports requests handled by this worker.
 func (w *Worker) Served() int { return w.served }
 
-// Busy reports the worker's accumulated core time.
-func (w *Worker) Busy() vclock.Duration { return w.meter.Elapsed() }
-
 // Nginx is the server: a set of workers and a deployment mode.
 type Nginx struct {
 	Deployment Deployment
@@ -89,9 +86,6 @@ func NewNginx(dep Deployment, workers int, costs *vclock.CostModel) *Nginx {
 	}
 	return n
 }
-
-// Workers reports the worker count.
-func (n *Nginx) Workers() int { return len(n.workers) }
 
 // SetJitterSeed varies the pseudo-jitter (one seed per wrk repetition).
 func (n *Nginx) SetJitterSeed(s uint32) { n.jitterSeed = s }

@@ -9,7 +9,6 @@
 package apps
 
 import (
-	"errors"
 	"fmt"
 
 	"nephele/internal/gmem"
@@ -36,9 +35,6 @@ type RedisHost interface {
 	// Faults reports COW faults taken by this host.
 	Faults() int
 }
-
-// ErrNotOpen reports use of an unstarted Redis.
-var ErrNotOpen = errors.New("apps: redis not started")
 
 // Redis is the key-value store.
 type Redis struct {

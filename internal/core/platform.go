@@ -70,7 +70,6 @@ type Platform struct {
 	Store    *xenstore.Store
 	XL       *toolstack.XL
 	Cloned   *cloned.Daemon
-	Clock    *vclock.Clock
 	Costs    *vclock.CostModel
 	HostFS   *devices.HostFS
 	Host     *netsim.Host
@@ -137,7 +136,6 @@ func NewPlatform(opts Options) *Platform {
 		Store:    store,
 		XL:       xl,
 		Cloned:   daemon,
-		Clock:    &vclock.Clock{},
 		Costs:    vclock.DefaultCosts(),
 		HostFS:   hostFS,
 		Host:     host,

@@ -25,7 +25,6 @@ import (
 var (
 	ErrBadFid    = errors.New("devices: bad fid")
 	ErrNoFile    = errors.New("devices: no such file")
-	ErrIsDir     = errors.New("devices: is a directory")
 	ErrNoProcess = errors.New("devices: no backend process for domain")
 )
 

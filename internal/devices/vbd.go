@@ -35,15 +35,6 @@ var (
 	ErrNoVbd     = errors.New("devices: no such vbd")
 )
 
-// VbdRequestOp distinguishes ring request types.
-type VbdRequestOp uint8
-
-const (
-	VbdRead VbdRequestOp = iota
-	VbdWrite
-	VbdFlush
-)
-
 // BaseStore interns read-only base-image chunks by content hash, shared
 // by every backend built over it. Identical chunks — empty regions,
 // repeated filesystem blocks, the same distro image reused by another

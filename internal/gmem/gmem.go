@@ -25,7 +25,6 @@ const NilAddr GAddr = 0
 // Errors.
 var (
 	ErrHeapFull = errors.New("gmem: heap exhausted")
-	ErrBadAddr  = errors.New("gmem: bad guest address")
 	ErrBadSize  = errors.New("gmem: bad allocation size")
 	ErrNotOwned = errors.New("gmem: address not from this heap")
 )
@@ -132,9 +131,6 @@ func (h *Heap) LiveBytes() int { return h.allocated }
 
 // Used reports how much of the heap range has ever been bumped.
 func (h *Heap) Used() GAddr { return h.brk - h.start }
-
-// Limit reports the heap's end address.
-func (h *Heap) Limit() GAddr { return h.limit }
 
 // Clone duplicates the allocator metadata for a forked child. The chunk
 // contents themselves are in guest pages and travel via COW sharing.

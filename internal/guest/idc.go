@@ -23,7 +23,6 @@ import (
 var (
 	ErrPipeClosed  = errors.New("guest: pipe closed")
 	ErrPipeTimeout = errors.New("guest: pipe read timed out")
-	ErrNotParent   = errors.New("guest: IDC endpoint must be created before forking, by the parent")
 )
 
 // IDCRegion is a run of guest pages shared (un-COWed) with all clones.

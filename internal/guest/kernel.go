@@ -11,7 +11,6 @@ import (
 	"nephele/internal/gmem"
 	"nephele/internal/hv"
 	"nephele/internal/mem"
-	"nephele/internal/netsim"
 	"nephele/internal/obs"
 	"nephele/internal/toolstack"
 	"nephele/internal/vclock"
@@ -38,7 +37,6 @@ func (f Flavor) String() string {
 // Errors.
 var (
 	ErrNoVif      = errors.New("guest: kernel has no network device")
-	ErrNo9P       = errors.New("guest: kernel has no 9pfs mount")
 	ErrKernelDead = errors.New("guest: kernel stopped")
 )
 
@@ -63,11 +61,6 @@ type Kernel struct {
 	idcPages map[mem.PFN]int
 
 	maps []*gmem.HashMap // page-backed maps to rebind on fork
-
-	// tcpSt is the lazily-created connection table (guest/tcp.go);
-	// pendingPkts holds non-TCP packets the TCP demux handed back.
-	tcpSt       *tcpState
-	pendingPkts []netsim.Packet
 }
 
 // Boot starts a kernel inside a freshly booted domain, charging the guest
@@ -108,13 +101,9 @@ func Boot(p *core.Platform, rec *toolstack.Record, flavor Flavor, meter *vclock.
 			return nil, err
 		}
 		k.vif = vif
-		// The RX upcall wakes datagram receivers and runs the TCP
-		// demux inline, like a netfront interrupt handler driving the
-		// stack.
-		vif.SetRXNotify(func() {
-			k.pulseRX()
-			k.pumpTCP()
-		})
+		// The RX upcall wakes a receiver blocked in Recv, like a
+		// netfront interrupt handler.
+		vif.SetRXNotify(k.pulseRX)
 		meter.Charge(meter.Costs().GuestNetReady, 1)
 	}
 	heapPages := pages - 3 - ringPages
@@ -321,10 +310,7 @@ func (k *Kernel) adoptChild(child hv.DomID) (*Kernel, error) {
 	k.mu.Unlock()
 	if vif, err := k.P.GuestVif(child, 0); err == nil {
 		ck.vif = vif
-		vif.SetRXNotify(func() {
-			ck.pulseRX()
-			ck.pumpTCP()
-		})
+		vif.SetRXNotify(ck.pulseRX)
 	}
 	if err := k.P.HV.SetEventHandler(child, ck.handleEvent); err != nil {
 		return nil, err

@@ -213,6 +213,54 @@ func TestForkChildNetworkIdentity(t *testing.T) {
 	}
 }
 
+// TestHTTPRequestsSpreadAcrossClones is the NGINX data path of §7.1 and
+// examples/nginx: every clone keeps the parent's address, and the bond's
+// layer3+4 hash hands each connection's request to exactly one of them,
+// payload intact.
+func TestHTTPRequestsSpreadAcrossClones(t *testing.T) {
+	p, k := testEnv(t, guestCfg("http-lb"))
+	res, err := k.Fork(3, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	workers := append([]*Kernel{k}, res.Children...)
+	const req = "GET / HTTP/1.1\r\n\r\n"
+	served := make([]int, len(workers))
+	for c := 0; c < 32; c++ {
+		p.Bond.Deliver(netsim.Packet{
+			SrcIP: p.Host.IPAddr(), DstIP: netsim.IP{10, 0, 0, 2},
+			SrcPort: uint16(40000 + c), DstPort: 80,
+			Proto: netsim.ProtoTCP, Payload: []byte(req),
+		})
+		got := 0
+		for i, w := range workers {
+			for {
+				pkt, ok := w.TryRecv()
+				if !ok {
+					break
+				}
+				if string(pkt.Payload) != req {
+					t.Fatalf("request %d: worker %d received %q", c, i, pkt.Payload)
+				}
+				served[i]++
+				got++
+			}
+		}
+		if got != 1 {
+			t.Fatalf("request %d reached %d workers, want 1", c, got)
+		}
+	}
+	busy := 0
+	for _, n := range served {
+		if n > 0 {
+			busy++
+		}
+	}
+	if busy < 3 {
+		t.Fatalf("requests reached only %d of %d workers: %v", busy, len(workers), served)
+	}
+}
+
 func TestForkMapSnapshot(t *testing.T) {
 	// The Redis property: a forked child iterates the database as it was
 	// at fork time, while the parent keeps mutating.

@@ -7,7 +7,8 @@ import (
 	"nephele/internal/netsim"
 )
 
-// Network client: a thin UDP/TCP-ish layer over the kernel's netfront.
+// Network client: datagram send and receive over the kernel's netfront.
+// Received packets of any protocol are handed up unparsed.
 
 // UDPSend transmits a datagram from the guest.
 func (k *Kernel) UDPSend(dst netsim.IP, srcPort, dstPort uint16, payload []byte) error {
@@ -24,21 +25,11 @@ func (k *Kernel) UDPSend(dst netsim.IP, srcPort, dstPort uint16, payload []byte)
 	})
 }
 
-// TryRecv returns the next queued ingress packet, if any. Packets the TCP
-// demux set aside (non-TCP traffic drained while pumping) are returned
-// first.
+// TryRecv returns the next queued ingress packet, if any.
 func (k *Kernel) TryRecv() (netsim.Packet, bool) {
 	if k.vif == nil {
 		return netsim.Packet{}, false
 	}
-	k.mu.Lock()
-	if len(k.pendingPkts) > 0 {
-		p := k.pendingPkts[0]
-		k.pendingPkts = k.pendingPkts[1:]
-		k.mu.Unlock()
-		return p, true
-	}
-	k.mu.Unlock()
 	return k.vif.GuestReceive()
 }
 

@@ -23,7 +23,6 @@ var (
 	ErrCloningDisabled = errors.New("hv: cloning disabled")
 	ErrCloneLimit      = errors.New("hv: clone limit exceeded")
 	ErrBadCloneCount   = errors.New("hv: clone of fewer than one child")
-	ErrNotPaused       = errors.New("hv: domain not paused")
 	ErrRingFull        = errors.New("hv: clone notification ring full")
 	ErrBadVCPU         = errors.New("hv: bad vcpu")
 	ErrNoPendingClone  = errors.New("hv: no pending clone completion")

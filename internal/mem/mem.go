@@ -51,9 +51,6 @@ type MFN uint64
 // PFN is a guest-physical (pseudo-physical) frame number.
 type PFN uint64
 
-// InvalidMFN marks an unmapped p2m slot.
-const InvalidMFN = MFN(^uint64(0))
-
 // Errors returned by the memory subsystem.
 var (
 	ErrOutOfMemory   = errors.New("mem: out of machine memory")
@@ -64,7 +61,6 @@ var (
 	ErrReadOnly      = errors.New("mem: write to read-only mapping without fault handling")
 	ErrBadOffset     = errors.New("mem: access crosses page boundary")
 	ErrDoubleFree    = errors.New("mem: frame already free")
-	ErrStillShared   = errors.New("mem: frame still has sharers")
 	ErrSpaceRetired  = errors.New("mem: address space was released")
 	ErrStreamPending = errors.New("mem: space still has unstreamed lazy pages")
 	ErrNotPledged    = errors.New("mem: frame carries no pledge")

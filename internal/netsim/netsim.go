@@ -54,7 +54,6 @@ type Endpoint interface {
 // Errors.
 var (
 	ErrNoSlaves = errors.New("netsim: no slaves attached")
-	ErrNoRoute  = errors.New("netsim: no endpoint for destination")
 )
 
 // Bridge is a learning L2 switch: it floods unknown destinations and

@@ -4,54 +4,13 @@
 // Instead, every mechanism call performs its real state change and charges
 // the work it actually did (pages copied, page-table entries written,
 // Xenstore requests served, ...) against a Meter, using the unit costs of a
-// CostModel. Experiment drivers read the accumulated durations and, for the
-// timeline experiments, advance a shared Clock. This keeps every benchmark
-// deterministic while letting the paper's curves emerge from mechanism
-// counts rather than from hard-coded numbers.
+// CostModel. Experiment drivers read the accumulated durations, and a
+// Vector orders operations across the hosts of a cluster. This keeps every
+// benchmark deterministic while letting the paper's curves emerge from
+// mechanism counts rather than from hard-coded numbers.
 package vclock
 
-import (
-	"fmt"
-	"sync"
-	"time"
-)
+import "time"
 
 // Duration is virtual time, with the same resolution as time.Duration.
 type Duration = time.Duration
-
-// Clock is a monotonic virtual clock shared by the components of one
-// simulated machine. The zero value is a clock at time zero, ready to use.
-type Clock struct {
-	mu  sync.Mutex
-	now Duration
-}
-
-// Now returns the current virtual time.
-func (c *Clock) Now() Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-// Advance moves the clock forward by d and returns the new time.
-// Advancing by a negative duration panics: virtual time is monotonic.
-func (c *Clock) Advance(d Duration) Duration {
-	if d < 0 {
-		panic(fmt.Sprintf("vclock: negative advance %v", d))
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now += d
-	return c.now
-}
-
-// AdvanceTo moves the clock forward to t if t is in the future, and returns
-// the current time either way.
-func (c *Clock) AdvanceTo(t Duration) Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t > c.now {
-		c.now = t
-	}
-	return c.now
-}

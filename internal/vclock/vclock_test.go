@@ -2,68 +2,8 @@ package vclock
 
 import (
 	"testing"
-	"testing/quick"
 	"time"
 )
-
-func TestClockZeroValue(t *testing.T) {
-	var c Clock
-	if got := c.Now(); got != 0 {
-		t.Fatalf("zero clock Now() = %v, want 0", got)
-	}
-}
-
-func TestClockAdvance(t *testing.T) {
-	var c Clock
-	if got := c.Advance(5 * time.Millisecond); got != 5*time.Millisecond {
-		t.Fatalf("Advance returned %v, want 5ms", got)
-	}
-	c.Advance(time.Millisecond)
-	if got := c.Now(); got != 6*time.Millisecond {
-		t.Fatalf("Now() = %v, want 6ms", got)
-	}
-}
-
-func TestClockAdvanceNegativePanics(t *testing.T) {
-	var c Clock
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Advance(-1) did not panic")
-		}
-	}()
-	c.Advance(-1)
-}
-
-func TestClockAdvanceTo(t *testing.T) {
-	var c Clock
-	c.Advance(10 * time.Millisecond)
-	if got := c.AdvanceTo(5 * time.Millisecond); got != 10*time.Millisecond {
-		t.Fatalf("AdvanceTo(past) = %v, want clock unchanged at 10ms", got)
-	}
-	if got := c.AdvanceTo(20 * time.Millisecond); got != 20*time.Millisecond {
-		t.Fatalf("AdvanceTo(future) = %v, want 20ms", got)
-	}
-}
-
-func TestClockAdvanceMonotonicProperty(t *testing.T) {
-	// Any sequence of non-negative advances keeps the clock equal to
-	// their running sum.
-	f := func(steps []uint16) bool {
-		var c Clock
-		var sum Duration
-		for _, s := range steps {
-			d := Duration(s) * time.Microsecond
-			sum += d
-			if c.Advance(d) != sum {
-				return false
-			}
-		}
-		return c.Now() == sum
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestMeterCharges(t *testing.T) {
 	m := NewMeter(nil)
@@ -176,24 +116,5 @@ func TestDefaultCostsAllPositive(t *testing.T) {
 		if d <= 0 {
 			t.Errorf("cost %s = %v, want > 0", name, d)
 		}
-	}
-}
-
-func TestClockConcurrentAdvance(t *testing.T) {
-	var c Clock
-	done := make(chan struct{})
-	for i := 0; i < 8; i++ {
-		go func() {
-			for j := 0; j < 1000; j++ {
-				c.Advance(time.Nanosecond)
-			}
-			done <- struct{}{}
-		}()
-	}
-	for i := 0; i < 8; i++ {
-		<-done
-	}
-	if got := c.Now(); got != 8000*time.Nanosecond {
-		t.Fatalf("concurrent advances lost updates: Now() = %v, want 8µs", got)
 	}
 }

@@ -17,7 +17,8 @@ import (
 // The whole point of xs_clone is request economy: a deep copy from the
 // client issues one write per node, whereas xs_clone is one request no
 // matter how many nodes the device directory holds. The paper's Fig. 4
-// ablates exactly this (clone vs "clone + XS deep copy").
+// ablates exactly this (clone vs "clone + XS deep copy"); xencloned runs the
+// deep copy as Snapshot + RewriteForClone + one Write per node.
 func (s *Store) Clone(parentDom, childDom uint32, op CloneOp, parentPath, childPath string, meter *vclock.Meter) error {
 	if err := s.faultCheck(fault.PointXSClone); err != nil {
 		return err
@@ -36,37 +37,6 @@ func (s *Store) Clone(parentDom, childDom uint32, op CloneOp, parentPath, childP
 	}
 	rw := rewriter{parent: parentDom, child: childDom, op: op}
 	s.cloneSubtree(src, childPath, &rw)
-	s.fireWatchesLocked(childPath)
-	return nil
-}
-
-// DeepCopy is the client-side alternative to Clone used by the ablation:
-// it walks the parent directory with Directory/Read requests and issues
-// one Write request per node, exactly how the entries would be created on
-// regular instantiation. Domain-ID rewriting still happens (the clone
-// would not function otherwise); only the request economy differs.
-func (s *Store) DeepCopy(parentDom, childDom uint32, op CloneOp, parentPath, childPath string, meter *vclock.Meter) error {
-	type pending struct{ src, dst string }
-	queue := []pending{{parentPath, childPath}}
-	rw := rewriter{parent: parentDom, child: childDom, op: op}
-	for len(queue) > 0 {
-		p := queue[0]
-		queue = queue[1:]
-		val, err := s.Read(p.src, meter)
-		if err != nil {
-			return err
-		}
-		if err := s.Write(p.dst, rw.value(lastElem(p.src), val), meter); err != nil {
-			return err
-		}
-		names, err := s.Directory(p.src, meter)
-		if err != nil {
-			return err
-		}
-		for _, name := range names {
-			queue = append(queue, pending{p.src + "/" + name, p.dst + "/" + rw.key(name)})
-		}
-	}
 	return nil
 }
 

@@ -95,53 +95,60 @@ func TestCloneIsOneRequest(t *testing.T) {
 	}
 }
 
-func TestDeepCopyIssuesManyRequests(t *testing.T) {
-	// The ablation of Fig. 4: deep copy costs one read+write+directory
-	// set per node; xs_clone costs one request total.
-	s := New(0)
-	populateVif(s)
-	before := s.Stats().Requests
-	err := s.DeepCopy(3, 7, CloneDevVif, "/local/domain/0/backend/vif/3", "/local/domain/0/backend/vif/7dc", nil)
+// deepCopy is the client-side deep copy the Fig. 4 ablation runs in
+// xencloned: one Snapshot of the parent directory, then one Write per node
+// with the xs_clone heuristics applied by RewriteForClone.
+func deepCopy(s *Store, parentDom, childDom uint32, op CloneOp, src, dst string) error {
+	pairs, err := s.Snapshot(src, nil)
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
-	deep := s.Stats().Requests - before
-	if deep < 10 {
-		t.Fatalf("deep copy issued only %d requests", deep)
+	for _, pr := range pairs {
+		rel, val := RewriteForClone(parentDom, childDom, op, pr.Path, pr.Value)
+		path := dst
+		if rel != "" {
+			path += "/" + rel
+		}
+		if err := s.Write(path, val, nil); err != nil {
+			return err
+		}
 	}
-	// Same result contents.
-	got, err := s.Read("/local/domain/0/backend/vif/7dc/0/frontend-id", nil)
-	if err != nil {
-		t.Fatal(err)
+	return nil
+}
+
+// subtree returns the nodes under root keyed by their path relative to it.
+func subtree(s *Store, root string) map[string]string {
+	m := map[string]string{}
+	s.Walk(root, func(p, v string) { m[p[len(root):]] = v })
+	return m
+}
+
+// sameTree fails t unless the subtrees at a and b hold the same nodes.
+func sameTree(t *testing.T, s *Store, a, b string) {
+	t.Helper()
+	ta, tb := subtree(s, a), subtree(s, b)
+	if len(ta) != len(tb) {
+		t.Fatalf("trees differ in size: %d vs %d", len(ta), len(tb))
 	}
-	if got != "7" {
-		t.Fatalf("deep copy frontend-id = %q, want 7", got)
+	for k, v := range ta {
+		if tb[k] != v {
+			t.Fatalf("trees differ at %q: %q vs %q", k, v, tb[k])
+		}
 	}
 }
 
 func TestDeepCopyAndCloneProduceSameTree(t *testing.T) {
+	// The frontend directory: its backend path value embeds the parent ID.
 	s := New(0)
 	populateVif(s)
-	if err := s.Clone(3, 7, CloneDevVif, "/local/domain/0/backend/vif/3", "/clone", nil); err != nil {
+	src := "/local/domain/3/device/vif"
+	if err := s.Clone(3, 7, CloneDevVif, src, "/clone", nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.DeepCopy(3, 7, CloneDevVif, "/local/domain/0/backend/vif/3", "/deep", nil); err != nil {
+	if err := deepCopy(s, 3, 7, CloneDevVif, src, "/deep"); err != nil {
 		t.Fatal(err)
 	}
-	collect := func(root string) map[string]string {
-		m := map[string]string{}
-		s.Walk(root, func(p, v string) { m[p[len(root):]] = v })
-		return m
-	}
-	a, b := collect("/clone"), collect("/deep")
-	if len(a) != len(b) {
-		t.Fatalf("trees differ in size: %d vs %d", len(a), len(b))
-	}
-	for k, v := range a {
-		if b[k] != v {
-			t.Fatalf("trees differ at %q: %q vs %q", k, v, b[k])
-		}
-	}
+	sameTree(t, s, "/clone", "/deep")
 }
 
 func TestCloneAndDeepCopyEquivalentProperty(t *testing.T) {
@@ -168,12 +175,10 @@ func TestCloneAndDeepCopyEquivalentProperty(t *testing.T) {
 		if s.Clone(3, 7, CloneDevVif, "/local/domain/3/device/vif", "/c1", nil) != nil {
 			return false
 		}
-		if s.DeepCopy(3, 7, CloneDevVif, "/local/domain/3/device/vif", "/c2", nil) != nil {
+		if deepCopy(s, 3, 7, CloneDevVif, "/local/domain/3/device/vif", "/c2") != nil {
 			return false
 		}
-		a, b := map[string]string{}, map[string]string{}
-		s.Walk("/c1", func(p, v string) { a[p[3:]] = v })
-		s.Walk("/c2", func(p, v string) { b[p[3:]] = v })
+		a, b := subtree(s, "/c1"), subtree(s, "/c2")
 		if len(a) != len(b) {
 			return false
 		}
@@ -190,39 +195,18 @@ func TestCloneAndDeepCopyEquivalentProperty(t *testing.T) {
 }
 
 func TestSnapshotRewriteMatchesServerClone(t *testing.T) {
-	// The daemon's cached deep copy (Snapshot + RewriteForClone + Write)
-	// must equal the server-side xs_clone result.
+	// The backend directory: its key is the parent ID and its frontend-id
+	// and state values are rewritten.
 	s := New(0)
 	populateVif(s)
 	src := "/local/domain/0/backend/vif/3"
 	if err := s.Clone(3, 7, CloneDevVif, src, "/srv", nil); err != nil {
 		t.Fatal(err)
 	}
-	pairs, err := s.Snapshot(src, nil)
-	if err != nil {
+	if err := deepCopy(s, 3, 7, CloneDevVif, src, "/cli"); err != nil {
 		t.Fatal(err)
 	}
-	for _, pr := range pairs {
-		rel, val := RewriteForClone(3, 7, CloneDevVif, pr.Path, pr.Value)
-		path := "/cli"
-		if rel != "" {
-			path += "/" + rel
-		}
-		if err := s.Write(path, val, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	a, b := map[string]string{}, map[string]string{}
-	s.Walk("/srv", func(p, v string) { a[p[4:]] = v })
-	s.Walk("/cli", func(p, v string) { b[p[4:]] = v })
-	if len(a) != len(b) {
-		t.Fatalf("trees differ in size: %d vs %d", len(a), len(b))
-	}
-	for k, v := range a {
-		if b[k] != v {
-			t.Fatalf("trees differ at %q: %q vs %q", k, v, b[k])
-		}
-	}
+	sameTree(t, s, "/srv", "/cli")
 }
 
 func TestSnapshotMissingRoot(t *testing.T) {
@@ -244,18 +228,5 @@ func TestCloneOpString(t *testing.T) {
 		if op.String() == "" {
 			t.Errorf("CloneOp(%d) empty string", int(op))
 		}
-	}
-}
-
-func TestCloneFiresWatch(t *testing.T) {
-	s := New(0)
-	populateVif(s)
-	ch := make(chan WatchEvent, 1)
-	s.Watch("/local/domain/0/backend/vif/7", "tok", ch)
-	s.Clone(3, 7, CloneDevVif, "/local/domain/0/backend/vif/3", "/local/domain/0/backend/vif/7", nil)
-	select {
-	case <-ch:
-	default:
-		t.Fatal("xs_clone did not fire backend watch")
 	}
 }

@@ -1,10 +1,10 @@
 // Package xenstore simulates the Xenstore daemon: a hierarchical key-value
-// store used as the device registry of the virtualization platform, with
-// watches that notify backend drivers of new device entries, a request
-// access log whose rotation produces the latency spikes visible in the
-// paper's Fig. 4, and the new xs_clone request (§5.2.1) that clones a whole
-// device directory server-side, rewriting only the keys and values that
-// embed domain IDs.
+// store used as the device registry of the virtualization platform, with a
+// request access log whose rotation produces the latency spikes visible in
+// the paper's Fig. 4, and the new xs_clone request (§5.2.1) that clones a
+// whole device directory server-side, rewriting only the keys and values
+// that embed domain IDs. The toolstack drives device backends directly, so
+// the store has no watches; nor does it model transactions or permissions.
 //
 // Request accounting matters: the paper's boot-vs-clone gap is largely the
 // number of Xenstore requests each path issues. Every public operation
@@ -28,7 +28,6 @@ import (
 var (
 	ErrNotFound = errors.New("xenstore: node not found")
 	ErrBadPath  = errors.New("xenstore: bad path")
-	ErrBadTxn   = errors.New("xenstore: bad transaction")
 )
 
 // CloneOp selects the xs_clone heuristic (paper Fig. 3).
@@ -72,20 +71,6 @@ type node struct {
 	children map[string]*node
 }
 
-// WatchEvent reports a changed path to a subscriber.
-type WatchEvent struct {
-	// Path that changed.
-	Path string
-	// Token the watch was registered with.
-	Token string
-}
-
-type watch struct {
-	prefix string
-	token  string
-	ch     chan<- WatchEvent
-}
-
 // Stats counts the traffic served by the store.
 type Stats struct {
 	Requests     int // total requests served
@@ -96,12 +81,9 @@ type Stats struct {
 
 // Store is the Xenstore daemon state.
 type Store struct {
-	mu      sync.Mutex
-	root    *node
-	nodes   int
-	watches []watch
-	txnSeq  int
-	txns    map[int][]func(*Store) // buffered writes per transaction
+	mu    sync.Mutex
+	root  *node
+	nodes int
 
 	// Access logging: every logged request appends one line; when the
 	// log exceeds rotateEvery lines it is rotated, stalling the store —
@@ -123,7 +105,6 @@ func New(rotateEvery int) *Store {
 	return &Store{
 		root:        &node{},
 		rotateEvery: rotateEvery,
-		txns:        make(map[int][]func(*Store)),
 	}
 }
 
@@ -222,7 +203,7 @@ func (s *Store) lookup(path string) (*node, error) {
 }
 
 // writeLocked creates intermediate nodes as needed (mkdir -p semantics,
-// like xenstored) and fires watches.
+// like xenstored).
 func (s *Store) writeLocked(path, value string) error {
 	elems, err := pathElems(path)
 	if err != nil {
@@ -243,20 +224,7 @@ func (s *Store) writeLocked(path, value string) error {
 		n = c
 	}
 	n.value = value
-	s.fireWatchesLocked(path)
 	return nil
-}
-
-func (s *Store) fireWatchesLocked(path string) {
-	for _, w := range s.watches {
-		if strings.HasPrefix(path, w.prefix) {
-			select {
-			case w.ch <- WatchEvent{Path: path, Token: w.token}:
-			default:
-				// Subscriber is slow; Xenstore drops, so do we.
-			}
-		}
-	}
 }
 
 // Write stores value at path, one request. An injected fault fails the
@@ -326,7 +294,6 @@ func (s *Store) Remove(path string, meter *vclock.Meter) error {
 	}
 	s.nodes -= countNodes(child)
 	delete(parent.children, name)
-	s.fireWatchesLocked(path)
 	return nil
 }
 
@@ -345,71 +312,6 @@ func (s *Store) Exists(path string, meter *vclock.Meter) bool {
 	s.chargeRequest(meter, false)
 	elems, err := pathElems(path)
 	return err == nil && s.find(elems) != nil
-}
-
-// Watch subscribes ch to changes under prefix. Events carry token.
-func (s *Store) Watch(prefix, token string, ch chan<- WatchEvent) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.watches = append(s.watches, watch{prefix: prefix, token: token, ch: ch})
-}
-
-// Unwatch removes subscriptions matching (prefix, token).
-func (s *Store) Unwatch(prefix, token string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := s.watches[:0]
-	for _, w := range s.watches {
-		if w.prefix != prefix || w.token != token {
-			out = append(out, w)
-		}
-	}
-	s.watches = out
-}
-
-// TxnStart opens a transaction. The simulated store provides atomicity by
-// buffering writes and applying them on commit; reads inside a transaction
-// see the pre-transaction state plus buffered writes are not modelled
-// (devices do not rely on it).
-func (s *Store) TxnStart() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.txnSeq++
-	s.txns[s.txnSeq] = nil
-	return s.txnSeq
-}
-
-// TxnWrite buffers a write inside transaction t.
-func (s *Store) TxnWrite(t int, path, value string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.txns[t]; !ok {
-		return fmt.Errorf("%w: %d", ErrBadTxn, t)
-	}
-	s.txns[t] = append(s.txns[t], func(st *Store) {
-		st.chargeRequest(nil, true)
-		_ = st.writeLocked(path, value)
-	})
-	return nil
-}
-
-// TxnCommit applies the buffered writes atomically; abort discards.
-func (s *Store) TxnCommit(t int, abort bool, meter *vclock.Meter) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ops, ok := s.txns[t]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrBadTxn, t)
-	}
-	delete(s.txns, t)
-	if abort {
-		return nil
-	}
-	s.chargeRequest(meter, true)
-	for _, op := range ops {
-		op(s)
-	}
-	return nil
 }
 
 // WalkFunc visits path/value pairs during Walk.

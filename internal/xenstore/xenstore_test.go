@@ -118,101 +118,6 @@ func TestLeavesAndPathWalk(t *testing.T) {
 	}
 }
 
-func TestWatchFiresOnPrefix(t *testing.T) {
-	s := New(0)
-	ch := make(chan WatchEvent, 4)
-	s.Watch("/backend/vif", "tok", ch)
-	s.Write("/backend/vif/3/0/state", "1", nil)
-	select {
-	case ev := <-ch:
-		if ev.Path != "/backend/vif/3/0/state" || ev.Token != "tok" {
-			t.Fatalf("event = %+v", ev)
-		}
-	default:
-		t.Fatal("watch did not fire")
-	}
-	// Non-matching path does not fire.
-	s.Write("/backend/console/3/0", "x", nil)
-	select {
-	case ev := <-ch:
-		t.Fatalf("unexpected event %+v", ev)
-	default:
-	}
-}
-
-func TestWatchFiresOnRemove(t *testing.T) {
-	s := New(0)
-	s.Write("/a/b", "1", nil)
-	ch := make(chan WatchEvent, 1)
-	s.Watch("/a", "tok", ch)
-	s.Remove("/a/b", nil)
-	select {
-	case <-ch:
-	default:
-		t.Fatal("watch did not fire on remove")
-	}
-}
-
-func TestUnwatch(t *testing.T) {
-	s := New(0)
-	ch := make(chan WatchEvent, 1)
-	s.Watch("/x", "tok", ch)
-	s.Unwatch("/x", "tok")
-	s.Write("/x/y", "1", nil)
-	select {
-	case <-ch:
-		t.Fatal("unwatched subscription fired")
-	default:
-	}
-}
-
-func TestSlowWatcherDoesNotBlockStore(t *testing.T) {
-	s := New(0)
-	ch := make(chan WatchEvent) // unbuffered, nobody reading
-	s.Watch("/x", "tok", ch)
-	done := make(chan struct{})
-	go func() {
-		s.Write("/x/y", "1", nil)
-		close(done)
-	}()
-	<-done // must not deadlock
-}
-
-func TestTransactions(t *testing.T) {
-	s := New(0)
-	txn := s.TxnStart()
-	if err := s.TxnWrite(txn, "/t/a", "1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.TxnWrite(txn, "/t/b", "2"); err != nil {
-		t.Fatal(err)
-	}
-	// Nothing visible before commit.
-	if s.Exists("/t/a", nil) {
-		t.Fatal("transactional write visible before commit")
-	}
-	if err := s.TxnCommit(txn, false, nil); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := s.Read("/t/a", nil); v != "1" {
-		t.Fatal("committed write missing")
-	}
-	// Abort path.
-	txn2 := s.TxnStart()
-	s.TxnWrite(txn2, "/t/c", "3")
-	s.TxnCommit(txn2, true, nil)
-	if s.Exists("/t/c", nil) {
-		t.Fatal("aborted write visible")
-	}
-	// Bad transaction IDs.
-	if err := s.TxnWrite(999, "/x", "y"); !errors.Is(err, ErrBadTxn) {
-		t.Fatalf("TxnWrite bad txn: %v", err)
-	}
-	if err := s.TxnCommit(999, false, nil); !errors.Is(err, ErrBadTxn) {
-		t.Fatalf("TxnCommit bad txn: %v", err)
-	}
-}
-
 func TestRequestAccounting(t *testing.T) {
 	s := New(0)
 	meter := vclock.NewMeter(nil)
