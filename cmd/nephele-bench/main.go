@@ -9,9 +9,9 @@
 //	nephele-bench -fig 6 -cpuprofile cpu.prof -memprofile mem.prof
 //	nephele-bench -fig 4 -trace out.json  # Chrome-trace of the clone spans
 //
-// Each figure prints its virtual-time series followed by the host-side
-// cost of regenerating it (wall-clock, allocations), so simulator
-// performance is visible beside the numbers it simulates.
+// Each figure prints its virtual-time series followed by a footer with the
+// host-side cost of regenerating it (wall-clock, allocations), so
+// simulator performance is visible beside the numbers it simulates.
 package main
 
 import (
@@ -27,18 +27,14 @@ import (
 
 	"nephele/internal/bench"
 	"nephele/internal/obs"
-	"nephele/internal/vclock"
 )
 
-// traceSink, when non-nil, collects the clone-pipeline span tree of the
-// figures that support tracing (currently fig 4's xs_clone curve).
-var traceSink *obs.Trace
-
 func main() {
-	// order is the sequence `-fig all` runs; the -fig help text and the
-	// unknown-figure error both list it.
-	order := []string{"4", "5", "6", "7", "8", "9", "10", "11", "mp", "lazy", "sandbox", "cluster"}
-	figureNames := strings.Join(order, ", ") + " or all"
+	names := make([]string, len(bench.Figures))
+	for i, def := range bench.Figures {
+		names[i] = def.Name
+	}
+	figureNames := strings.Join(names, ", ") + " or all"
 	figFlag := flag.String("fig", "all", "figure to regenerate: "+figureNames)
 	quick := flag.Bool("quick", false, "reduced scale for a fast smoke run")
 	csvDir := flag.String("csv", "", "also write one CSV per series into this directory (for plotting)")
@@ -47,6 +43,9 @@ func main() {
 	traceFile := flag.String("trace", "", "record clone-pipeline spans (figs 4 and lazy) and write Chrome-trace JSON to this file")
 	flag.Parse()
 
+	// traceSink, when non-nil, collects the clone-pipeline span trees of
+	// the figures that record them (fig 4's xs_clone curve and lazy).
+	var traceSink *obs.Trace
 	if *traceFile != "" {
 		traceSink = obs.NewTrace()
 	}
@@ -67,50 +66,39 @@ func main() {
 		}()
 	}
 
-	runners := map[string]func(bool) (*bench.Figure, error){
-		"4":       runFig4,
-		"5":       runFig5,
-		"6":       runFig6,
-		"7":       runFig7,
-		"8":       runFig8,
-		"9":       runFig9,
-		"10":      runFig10,
-		"11":      runFig11,
-		"mp":      runMultiParent,
-		"lazy":    runFigLazy,
-		"sandbox": runSandbox,
-		"cluster": runFigCluster,
+	selected := bench.Figures
+	if *figFlag != "all" {
+		selected = nil
+		for _, def := range bench.Figures {
+			if def.Name == *figFlag {
+				selected = []bench.Def{def}
+			}
+		}
+		if selected == nil {
+			fmt.Fprintf(os.Stderr, "unknown figure %q (want %s)\n", *figFlag, figureNames)
+			os.Exit(2)
+		}
 	}
 
-	var selected []string
-	if *figFlag == "all" {
-		selected = order
-	} else if _, ok := runners[*figFlag]; ok {
-		selected = []string{*figFlag}
-	} else {
-		fmt.Fprintf(os.Stderr, "unknown figure %q (want %s)\n", *figFlag, figureNames)
-		os.Exit(2)
-	}
-
-	for _, id := range selected {
+	for _, def := range selected {
 		var fig *bench.Figure
-		wall, err := bench.MeasureWall(func() error {
+		cost, err := hostCost(func() error {
 			var err error
-			fig, err = runners[id](*quick)
+			fig, err = def.Run(*quick, traceSink)
 			return err
 		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "fig%s failed: %v\n", id, err)
+			fmt.Fprintf(os.Stderr, "fig%s failed: %v\n", def.Name, err)
 			os.Exit(1)
 		}
 		fmt.Print(fig.String())
 		if *csvDir != "" {
 			if err := writeCSVs(*csvDir, fig); err != nil {
-				fmt.Fprintf(os.Stderr, "fig%s csv: %v\n", id, err)
+				fmt.Fprintf(os.Stderr, "fig%s csv: %v\n", def.Name, err)
 				os.Exit(1)
 			}
 		}
-		fmt.Printf("(regenerated in %s)\n\n", wall)
+		fmt.Printf("(regenerated in %s)\n\n", cost)
 	}
 
 	if *traceFile != "" {
@@ -193,90 +181,18 @@ func writeCSVs(dir string, fig *bench.Figure) error {
 	return nil
 }
 
-func runFig4(quick bool) (*bench.Figure, error) {
-	cfg := bench.DefaultFig4()
-	if quick {
-		cfg.Instances, cfg.SampleEvery = 100, 25
-	}
-	cfg.Trace = traceSink
-	return bench.Fig4(cfg)
+// hostCost runs f and reports what it cost the host: wall-clock time and
+// heap allocation volume. The allocation numbers are runtime.MemStats
+// deltas, so anything allocating concurrently is attributed too, which is
+// acceptable for one figure at a time. The gated ledger of host cost is
+// benchmark/.
+func hostCost(f func() error) (string, error) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	err := f()
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	return fmt.Sprintf("%v wall, %d allocs, %.1f MB allocated", elapsed.Round(time.Millisecond),
+		after.Mallocs-before.Mallocs, float64(after.TotalAlloc-before.TotalAlloc)/(1<<20)), err
 }
-
-func runFig5(quick bool) (*bench.Figure, error) {
-	cfg := bench.DefaultFig5()
-	if quick {
-		cfg.HypMemoryBytes, cfg.Dom0MemoryBytes, cfg.SampleEvery = 2<<30, 1<<30, 200
-	}
-	return bench.Fig5(cfg)
-}
-
-func runFig6(quick bool) (*bench.Figure, error) {
-	cfg := bench.DefaultFig6()
-	if quick {
-		cfg.SizesMB = []int{1, 4, 16, 64, 256, 1024}
-	}
-	return bench.Fig6(cfg)
-}
-
-func runMultiParent(quick bool) (*bench.Figure, error) {
-	cfg := bench.DefaultMultiParent()
-	if quick {
-		cfg.Parents, cfg.Rounds = []int{1, 4}, 5
-	}
-	return bench.MultiParent(cfg)
-}
-
-func runFigLazy(quick bool) (*bench.Figure, error) {
-	cfg := bench.DefaultFigLazy()
-	if quick {
-		cfg.GuestMB, cfg.HotPercents = 16, []int{1, 10, 100}
-	}
-	cfg.Trace = traceSink
-	return bench.FigLazy(cfg)
-}
-
-func runFigCluster(quick bool) (*bench.Figure, error) {
-	cfg := bench.DefaultFigCluster()
-	if quick {
-		cfg.Hosts = []int{2, 4}
-		cfg.GuestMB = 16
-	}
-	return bench.FigCluster(cfg)
-}
-
-func runSandbox(quick bool) (*bench.Figure, error) {
-	cfg := bench.DefaultSandbox()
-	if quick {
-		cfg.FleetSizes = []int{4, 16}
-		cfg.MemoryMB, cfg.DirtyPages = 16, 1024
-	}
-	return bench.Sandbox(cfg)
-}
-
-func runFig7(quick bool) (*bench.Figure, error) {
-	cfg := bench.DefaultFig7()
-	if quick {
-		cfg.Repetitions, cfg.RequestsPerRun = 5, 20000
-	}
-	return bench.Fig7(cfg)
-}
-
-func runFig8(quick bool) (*bench.Figure, error) {
-	cfg := bench.DefaultFig8()
-	if quick {
-		cfg.KeyCounts = []int{0, 1, 10, 100, 1000, 10000, 100000}
-	}
-	return bench.Fig8(cfg)
-}
-
-func runFig9(quick bool) (*bench.Figure, error) {
-	cfg := bench.DefaultFig9()
-	if quick {
-		cfg.Duration = 60 * vclock.Duration(time.Second)
-	}
-	return bench.Fig9(cfg)
-}
-
-func runFig10(bool) (*bench.Figure, error) { return bench.Fig10(bench.FaaSConfig{}) }
-
-func runFig11(bool) (*bench.Figure, error) { return bench.Fig11(bench.FaaSConfig{}) }

@@ -1,17 +1,45 @@
 // Package bench contains the experiment drivers that regenerate every
-// figure of the paper's evaluation (Figs. 4-11). Each driver builds a
-// fresh simulated platform, runs the paper's exact workload through the
-// real mechanisms, and returns the figure's series as (x, y) points plus a
-// summary of the headline numbers. The cmd/nephele-bench binary prints
-// them.
+// figure of the paper's evaluation (Figs. 4-11) plus the lazy, sandbox,
+// cluster and multi-parent figures. Each driver builds a fresh simulated
+// platform, runs the paper's exact workload through the real mechanisms,
+// and returns the figure's series as (x, y) points plus a summary of the
+// headline numbers. The cmd/nephele-bench binary prints them; the golden
+// tests pin every figure's quick form.
 package bench
 
 import (
 	"fmt"
 	"strings"
 
+	"nephele/internal/obs"
 	"nephele/internal/vclock"
 )
+
+// Def is one figure: its `nephele-bench -fig` name and its driver. Run
+// regenerates the figure at paper scale, or at the reduced scale the
+// golden files pin when quick is set; each driver states both scales
+// inline. A nil tr means no tracing; only Fig. 4's clone curve and the
+// lazy figure record spans into it.
+type Def struct {
+	Name string
+	Run  func(quick bool, tr *obs.Trace) (*Figure, error)
+}
+
+// Figures is every figure, in `nephele-bench -fig all` order.
+var Figures = []Def{
+	{"4", fig4},
+	{"5", fig5},
+	{"6", fig6},
+	{"7", fig7},
+	{"8", fig8},
+	{"9", fig9},
+	{"10", fig10},
+	{"11", fig11},
+	{"mp", figMultiParent},
+	{"lazy", figLazy},
+	{"sandbox", figSandbox},
+	{"cluster", figCluster},
+}
 
 // Point is one figure sample.
 type Point struct {
@@ -41,7 +69,9 @@ func (s Series) First() Point {
 	return s.Points[0]
 }
 
-// Figure is the regenerated data of one paper figure.
+// Figure is the regenerated data of one paper figure. It holds virtual
+// numbers only: what regenerating it costs the host is the CLI footer's
+// and benchmark/'s to report.
 type Figure struct {
 	ID     string // "fig4" ... "fig11"
 	Title  string

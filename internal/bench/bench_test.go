@@ -3,19 +3,26 @@ package bench
 import (
 	"strings"
 	"testing"
-	"time"
-
-	"nephele/internal/vclock"
 )
 
-// The drivers run with reduced scale here; the full paper-scale runs live
-// in the repository-root benchmarks and cmd/nephele-bench.
+// The shape tests read the same quick figures the golden files pin
+// (quickFigure); paper scale is `nephele-bench -fig all`.
+
+// yAt returns the series' y value at x, failing the test when no point
+// sits there, so an assertion keeps its meaning at any sweep.
+func yAt(t *testing.T, s Series, x float64) float64 {
+	t.Helper()
+	for _, p := range s.Points {
+		if p.X == x {
+			return p.Y
+		}
+	}
+	t.Fatalf("series %q has no point at x=%g", s.Name, x)
+	return 0
+}
 
 func TestFig4ShapesAndCalibration(t *testing.T) {
-	fig, err := Fig4(Fig4Config{Instances: 60, SampleEvery: 15})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := quickFigure(t, "4")
 	boot, _ := fig.SeriesByName("boot")
 	restore, _ := fig.SeriesByName("restore")
 	deep, _ := fig.SeriesByName("clone + XS deep copy")
@@ -55,16 +62,9 @@ func TestFig4ShapesAndCalibration(t *testing.T) {
 }
 
 func TestFig5DensityShape(t *testing.T) {
-	// A small 1 GiB machine keeps the test quick; the density ratio is
+	// The quick machine is smaller than the paper's; the density ratio is
 	// scale-free.
-	fig, err := Fig5(Fig5Config{
-		HypMemoryBytes:  1 << 30,
-		Dom0MemoryBytes: 1 << 30,
-		SampleEvery:     25,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := quickFigure(t, "5")
 	bootHyp, _ := fig.SeriesByName("Booting Hyp free")
 	cloneHyp, _ := fig.SeriesByName("Cloning Hyp free")
 	if bootHyp.Last().Y >= bootHyp.First().Y {
@@ -81,10 +81,7 @@ func TestFig5DensityShape(t *testing.T) {
 }
 
 func TestFig6GapShrinks(t *testing.T) {
-	fig, err := Fig6(Fig6Config{SizesMB: []int{1, 64, 1024}, Repetitions: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := quickFigure(t, "6")
 	fork2, _ := fig.SeriesByName("process 2nd fork")
 	clone2, _ := fig.SeriesByName("Unikraft 2nd clone")
 	fork1, _ := fig.SeriesByName("process 1st fork")
@@ -111,19 +108,19 @@ func TestFig6GapShrinks(t *testing.T) {
 	if user.First().Y != user.Last().Y {
 		t.Fatalf("userspace ops vary: %.2f vs %.2f", user.First().Y, user.Last().Y)
 	}
-	// Clone duration is flat below Xen's 4 MB minimum (1 MB point equals
-	// the 4 MB cost — both run a 4 MB domain); checked against the next
-	// size up being larger.
-	if clone2.Points[1].Y <= clone2.Points[0].Y {
+	// Clone duration is flat below Xen's 4 MB minimum (the 1 MB point
+	// equals the 4 MB cost — both run a 4 MB domain) and grows past it.
+	if yAt(t, clone2, 1) != yAt(t, clone2, 4) {
+		t.Fatalf("clone duration not flat below the 4 MB minimum: %.3f vs %.3f ms",
+			yAt(t, clone2, 1), yAt(t, clone2, 4))
+	}
+	if yAt(t, clone2, 16) <= yAt(t, clone2, 4) {
 		t.Fatal("clone duration did not grow past the 4 MB minimum")
 	}
 }
 
 func TestFig7LinearScaling(t *testing.T) {
-	fig, err := Fig7(Fig7Config{MaxWorkers: 4, Repetitions: 5, RequestsPerRun: 20000, ConnsPerWorker: 400})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := quickFigure(t, "7")
 	proc, _ := fig.SeriesByName("nginx processes")
 	clone, _ := fig.SeriesByName("nginx clones")
 	for i := 0; i < len(clone.Points); i++ {
@@ -141,10 +138,7 @@ func TestFig7LinearScaling(t *testing.T) {
 }
 
 func TestFig8SaveDominatesAtScale(t *testing.T) {
-	fig, err := Fig8(Fig8Config{KeyCounts: []int{0, 1000, 50000}, ValueSize: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := quickFigure(t, "8")
 	vmSave, _ := fig.SeriesByName("VM process save")
 	ukSave, _ := fig.SeriesByName("Unikraft save")
 	ukClone, _ := fig.SeriesByName("Unikraft clone")
@@ -175,16 +169,8 @@ func TestFig8SaveDominatesAtScale(t *testing.T) {
 }
 
 func TestFig9ThroughputOrdering(t *testing.T) {
-	cfg := DefaultFig9()
-	cfg.Duration = 20 * vclock.Duration(time.Second)
-	fig, err := Fig9(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := quickFigure(t, "9")
 	get := func(name string) float64 {
-		for _, line := range fig.Summary {
-			_ = line
-		}
 		s, ok := fig.SeriesByName(name)
 		if !ok || len(s.Points) == 0 {
 			t.Fatalf("missing series %q", name)
@@ -217,10 +203,7 @@ func seriesYs(s Series) []float64 {
 }
 
 func TestFig10MemoryShapes(t *testing.T) {
-	fig, err := Fig10(FaaSConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := quickFigure(t, "10")
 	cont, _ := fig.SeriesByName("containers")
 	uni, _ := fig.SeriesByName("unikernels")
 	if cont.First().Y < 80 || cont.First().Y > 100 {
@@ -235,10 +218,7 @@ func TestFig10MemoryShapes(t *testing.T) {
 }
 
 func TestFig11ReactionShapes(t *testing.T) {
-	fig, err := Fig11(FaaSConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := quickFigure(t, "11")
 	var contReady, uniReady string
 	for _, s := range fig.Summary {
 		if strings.HasPrefix(s, "container instances ready") {

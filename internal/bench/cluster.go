@@ -10,25 +10,8 @@ import (
 	"nephele/internal/vclock"
 )
 
-// FigClusterConfig tunes the cross-host scale-out experiment
-// (`nephele-bench -fig cluster`): fan one parent out to every other host
-// of an n-host cluster, cold caches versus dedup-warm caches.
-type FigClusterConfig struct {
-	// Hosts is the cluster sizes to sweep.
-	Hosts []int
-	// LinkWidth is the bonded slave count of every inter-host link.
-	LinkWidth int
-	// GuestMB is the parent guest's memory size.
-	GuestMB int
-}
-
-// DefaultFigCluster returns the headline configuration.
-func DefaultFigCluster() FigClusterConfig {
-	// 64 MB guests keep the per-page work (wire time, copying restore)
-	// dominant over the fixed create cost every materialized child pays,
-	// so the dedup-warm line separates cleanly from the cold one.
-	return FigClusterConfig{Hosts: []int{2, 4, 8, 16}, LinkWidth: 2, GuestMB: 64}
-}
+// clusterLinkWidth is the bonded slave count of every inter-host link.
+const clusterLinkWidth = 2
 
 // clusterFanOut builds an n-host cluster, boots one parent on host 0 and
 // remote-clones it to every other host twice: once against cold receiver
@@ -36,10 +19,10 @@ func DefaultFigCluster() FigClusterConfig {
 // data chunk is already resident on every receiver, so only headers move
 // and children materialize by COW-adopting cache frames). It returns the
 // two fan-out latencies and the cold pass's wire pages.
-func clusterFanOut(hosts, width, guestMB int) (cold, warm vclock.Duration, wirePages int64, err error) {
+func clusterFanOut(hosts, guestMB int) (cold, warm vclock.Duration, wirePages int64, err error) {
 	c := cluster.New(cluster.Options{
 		Hosts:     hosts,
-		LinkWidth: width,
+		LinkWidth: clusterLinkWidth,
 		Platform:  core.Options{SkipNameCheck: true},
 	})
 	h0 := c.Host(0)
@@ -80,27 +63,25 @@ func clusterFanOut(hosts, width, guestMB int) (cold, warm vclock.Duration, wireP
 	return cold, warm, wirePages, nil
 }
 
-// FigCluster regenerates the cross-host scale-out figure: total
-// virtual time to fan one running parent out to n-1 peer hosts, for cold
-// receiver caches versus dedup-warm ones. The parent never pauses (the
-// snapshot reads the running domain), so the whole figure is clone-over-
-// migrate; the warm line isolates the interconnect's share, because a
-// warm receiver moves chunk headers only and materializes children by
-// COW-adopting its cache frames.
-func FigCluster(cfg FigClusterConfig) (*Figure, error) {
-	if len(cfg.Hosts) == 0 {
-		cfg.Hosts = DefaultFigCluster().Hosts
+// figCluster regenerates the cross-host scale-out figure (`nephele-bench
+// -fig cluster`): total virtual time to fan one running parent out to n-1
+// peer hosts of an n-host cluster, for cold receiver caches versus
+// dedup-warm ones. The parent never pauses (the snapshot reads the running
+// domain), so the whole figure is clone-over-migrate; the warm line
+// isolates the interconnect's share, because a warm receiver moves chunk
+// headers only and materializes children by COW-adopting its cache
+// frames.
+func figCluster(quick bool, _ *obs.Trace) (*Figure, error) {
+	// 64 MB guests keep the per-page work (wire time, copying restore)
+	// dominant over the fixed create cost every materialized child pays,
+	// so the dedup-warm line separates cleanly from the cold one.
+	hostCounts, guestMB := []int{2, 4, 8, 16}, 64
+	if quick {
+		hostCounts, guestMB = []int{2, 4}, 16
 	}
-	if cfg.LinkWidth <= 0 {
-		cfg.LinkWidth = DefaultFigCluster().LinkWidth
-	}
-	if cfg.GuestMB <= 0 {
-		cfg.GuestMB = DefaultFigCluster().GuestMB
-	}
-
 	fig := &Figure{
 		ID:     "figcluster",
-		Title:  fmt.Sprintf("Cross-host clone scale-out, %d MB guest, %d-wide bonded links", cfg.GuestMB, cfg.LinkWidth),
+		Title:  fmt.Sprintf("Cross-host clone scale-out, %d MB guest, %d-wide bonded links", guestMB, clusterLinkWidth),
 		XLabel: "cluster hosts",
 		YLabel: "fan-out latency (ms, virtual)",
 	}
@@ -109,11 +90,8 @@ func FigCluster(cfg FigClusterConfig) (*Figure, error) {
 	warmS.Name = "dedup-warm receiver caches"
 	var lastCold, lastWarm vclock.Duration
 	var lastWire int64
-	for _, hosts := range cfg.Hosts {
-		if hosts < 2 {
-			return nil, fmt.Errorf("figcluster: cannot fan out on %d hosts", hosts)
-		}
-		cold, warm, wire, err := clusterFanOut(hosts, cfg.LinkWidth, cfg.GuestMB)
+	for _, hosts := range hostCounts {
+		cold, warm, wire, err := clusterFanOut(hosts, guestMB)
 		if err != nil {
 			return nil, err
 		}
@@ -123,7 +101,7 @@ func FigCluster(cfg FigClusterConfig) (*Figure, error) {
 	}
 	fig.Series = []Series{coldS, warmS}
 
-	n := cfg.Hosts[len(cfg.Hosts)-1]
+	n := hostCounts[len(hostCounts)-1]
 	fig.Summary = append(fig.Summary,
 		fmt.Sprintf("%d hosts: cold fan-out %.3f ms vs dedup-warm %.3f ms (%.1fx)",
 			n, ms(lastCold), ms(lastWarm), float64(lastCold)/float64(lastWarm)),

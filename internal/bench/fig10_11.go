@@ -8,37 +8,9 @@ import (
 	"nephele/internal/faas"
 	"nephele/internal/guest"
 	"nephele/internal/hv"
+	"nephele/internal/obs"
 	"nephele/internal/vclock"
 )
-
-// FaaSConfig tunes the Function-as-a-Service experiments (§7.3, Figs. 10
-// and 11).
-type FaaSConfig struct {
-	// Duration is the virtual observation window.
-	Duration vclock.Duration
-	// Tick is the sampling period.
-	Tick vclock.Duration
-	// BaseRPS and StepRPS shape the offered load ramp, stepping every
-	// StepEvery of virtual time.
-	BaseRPS   float64
-	StepRPS   float64
-	StepEvery vclock.Duration
-	// ServicesMemBytes is the fixed memory of the shared services.
-	ServicesMemBytes uint64
-}
-
-// DefaultFaaS returns the paper's observation windows (Fig. 10 runs ~220 s,
-// Fig. 11 ~150 s) with a load ramp that triggers the 10-RPS autoscaler.
-func DefaultFaaS() FaaSConfig {
-	return FaaSConfig{
-		Duration:         220 * vclock.Duration(time.Second),
-		Tick:             1 * vclock.Duration(time.Second),
-		BaseRPS:          15,
-		StepRPS:          15,
-		StepEvery:        30 * vclock.Duration(time.Second),
-		ServicesMemBytes: 21 << 20,
-	}
-}
 
 // faasUnikernelRuntime builds the unikernel backend over a REAL platform:
 // a warm Python-function parent is booted once, and every scale-up forks
@@ -71,13 +43,17 @@ func faasUnikernelRuntime() (*faas.UnikernelRuntime, error) {
 	}), nil
 }
 
-// runFaaS executes one gateway session per runtime and returns both
-// reports.
-func runFaaS(cfg FaaSConfig) (cont, uni *faas.RunReport, err error) {
-	load := faas.StepLoad(cfg.BaseRPS, cfg.StepRPS, cfg.StepEvery)
+// runFaaS executes one gateway session per runtime over duration of
+// virtual time, sampled every second, under an offered load that starts at
+// baseRPS and steps up by stepRPS every 30 s, and returns both reports.
+// The shared services hold a fixed 21 MB.
+func runFaaS(duration vclock.Duration, baseRPS, stepRPS float64) (cont, uni *faas.RunReport, err error) {
+	const servicesMem = 21 << 20
+	tick := vclock.Duration(time.Second)
+	load := faas.StepLoad(baseRPS, stepRPS, 30*tick)
 
-	cg := faas.NewGateway(faas.DefaultAutoscaler(), faas.NewContainerRuntime(nil), cfg.ServicesMemBytes)
-	cont, err = cg.Run(cfg.Duration, cfg.Tick, load)
+	cg := faas.NewGateway(faas.DefaultAutoscaler(), faas.NewContainerRuntime(nil), servicesMem)
+	cont, err = cg.Run(duration, tick, load)
 	if err != nil {
 		return nil, nil, fmt.Errorf("faas containers: %w", err)
 	}
@@ -85,21 +61,20 @@ func runFaaS(cfg FaaSConfig) (cont, uni *faas.RunReport, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	ug := faas.NewGateway(faas.DefaultAutoscaler(), rt, cfg.ServicesMemBytes)
-	uni, err = ug.Run(cfg.Duration, cfg.Tick, load)
+	ug := faas.NewGateway(faas.DefaultAutoscaler(), rt, servicesMem)
+	uni, err = ug.Run(duration, tick, load)
 	if err != nil {
 		return nil, nil, fmt.Errorf("faas unikernels: %w", err)
 	}
 	return cont, uni, nil
 }
 
-// Fig10 regenerates Figure 10: memory consumption of OpenFaaS with
-// containers versus unikernels over time, with instance-readiness markers.
-func Fig10(cfg FaaSConfig) (*Figure, error) {
-	if cfg.Duration == 0 {
-		cfg = DefaultFaaS()
-	}
-	cont, uni, err := runFaaS(cfg)
+// fig10 regenerates Figure 10 (§7.3): memory consumption of OpenFaaS with
+// containers versus unikernels over the paper's ~220 s window, with
+// instance-readiness markers. The load ramp triggers the 10-RPS
+// autoscaler; the figure has one scale.
+func fig10(bool, *obs.Trace) (*Figure, error) {
+	cont, uni, err := runFaaS(220*vclock.Duration(time.Second), 15, 15)
 	if err != nil {
 		return nil, err
 	}
@@ -136,13 +111,13 @@ func Fig10(cfg FaaSConfig) (*Figure, error) {
 	lastUni := fig.Series[1].Last().Y
 	contN := float64(len(cont.ReadyTimes))
 	uniN := float64(len(uni.ReadyTimes))
-	contPer := (lastCont - firstCont) / maxf(contN-1, 1)
-	uniPer := (lastUni - firstUni) / maxf(uniN-1, 1)
+	contPer := (lastCont - firstCont) / max(contN-1, 1)
+	uniPer := (lastUni - firstUni) / max(uniN-1, 1)
 	lead := 0.0
 	for i := 1; i < len(cont.ReadyTimes) && i < len(uni.ReadyTimes); i++ {
 		lead += (cont.ReadyTimes[i] - uni.ReadyTimes[i]).Seconds()
 	}
-	if n := minint(len(cont.ReadyTimes), len(uni.ReadyTimes)) - 1; n > 0 {
+	if n := min(len(cont.ReadyTimes), len(uni.ReadyTimes)) - 1; n > 0 {
 		lead /= float64(n)
 	}
 	fig.Summary = append(fig.Summary,
@@ -153,17 +128,13 @@ func Fig10(cfg FaaSConfig) (*Figure, error) {
 	return fig, nil
 }
 
-// Fig11 regenerates Figure 11: served throughput versus time at increasing
-// demand, with the times each new instance becomes ready.
-func Fig11(cfg FaaSConfig) (*Figure, error) {
-	if cfg.Duration == 0 {
-		cfg = DefaultFaaS()
-		cfg.Duration = 150 * vclock.Duration(time.Second)
-		// Fig. 11 ramps harder: the native stack's 600 req/s per
-		// container vs lwip's 300 req/s per unikernel.
-		cfg.BaseRPS, cfg.StepRPS = 200, 300
-	}
-	cont, uni, err := runFaaS(cfg)
+// fig11 regenerates Figure 11 (§7.3): served throughput versus time at
+// increasing demand over the paper's ~150 s window, with the times each
+// new instance becomes ready. It ramps harder than Fig. 10: the native
+// stack's 600 req/s per container vs lwip's 300 req/s per unikernel. The
+// figure has one scale.
+func fig11(bool, *obs.Trace) (*Figure, error) {
+	cont, uni, err := runFaaS(150*vclock.Duration(time.Second), 200, 300)
 	if err != nil {
 		return nil, err
 	}
@@ -203,18 +174,4 @@ func Fig11(cfg FaaSConfig) (*Figure, error) {
 			cont.ServedReqs/cont.TotalReqs*100, uni.ServedReqs/uni.TotalReqs*100),
 	)
 	return fig, nil
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minint(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

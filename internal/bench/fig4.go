@@ -11,23 +11,6 @@ import (
 	"nephele/internal/toolstack"
 )
 
-// Fig4Config tunes the instantiation-time experiment (§6.1, Fig. 4).
-type Fig4Config struct {
-	// Instances per curve (the paper runs 1000).
-	Instances int
-	// SampleEvery thins the reported points (raw data still drives the
-	// platform).
-	SampleEvery int
-	// Trace, when non-nil, is attached to the clone (xs_clone) curve's
-	// platform: every fork() records its two-stage span tree into it.
-	// Spans never charge the virtual clock, so the curve's numbers are
-	// identical with and without a trace.
-	Trace *obs.Trace
-}
-
-// DefaultFig4 returns the paper's configuration.
-func DefaultFig4() Fig4Config { return Fig4Config{Instances: 1000, SampleEvery: 20} }
-
 // miniOSUDP is the Fig. 4 guest: a Mini-OS UDP server, 4 MB of memory, a
 // single vif.
 func miniOSUDP(name string) toolstack.DomainConfig {
@@ -51,15 +34,15 @@ func fig4Platform(deep bool) *core.Platform {
 	})
 }
 
-// Fig4 regenerates Figure 4: instantiation times for booting, restoring,
-// cloning with the Xenstore deep copy, and cloning with xs_clone, across
-// cfg.Instances iteratively created instances.
-func Fig4(cfg Fig4Config) (*Figure, error) {
-	if cfg.Instances <= 0 {
-		cfg.Instances = 1000
-	}
-	if cfg.SampleEvery <= 0 {
-		cfg.SampleEvery = 1
+// fig4 regenerates Figure 4 (§6.1): instantiation times for booting,
+// restoring, cloning with the Xenstore deep copy, and cloning with
+// xs_clone, across iteratively created instances. tr, when non-nil,
+// records every xs_clone fork()'s two-stage span tree; spans never charge
+// the virtual clock, so the curve is identical with and without it.
+func fig4(quick bool, tr *obs.Trace) (*Figure, error) {
+	n, every := 1000, 20 // the paper's 1000 instances
+	if quick {
+		n, every = 100, 25
 	}
 	fig := &Figure{
 		ID:     "fig4",
@@ -68,15 +51,11 @@ func Fig4(cfg Fig4Config) (*Figure, error) {
 		YLabel: "milliseconds",
 	}
 
-	sample := func(i int) bool {
-		return i == 0 || (i+1)%cfg.SampleEvery == 0 || i == cfg.Instances-1
-	}
-
 	// --- boot ---
 	bootP := fig4Platform(false)
 	var boot Series
 	boot.Name = "boot"
-	for i := 0; i < cfg.Instances; i++ {
+	for i := 0; i < n; i++ {
 		meter := bootP.NewMeter()
 		rec, err := bootP.Boot(miniOSUDP(fmt.Sprintf("udp-%d", i)), meter)
 		if err != nil {
@@ -85,7 +64,7 @@ func Fig4(cfg Fig4Config) (*Figure, error) {
 		if _, err := guest.Boot(bootP, rec, guest.FlavorMiniOS, meter); err != nil {
 			return nil, err
 		}
-		if sample(i) {
+		if sampled(i, n, every) {
 			boot.Points = append(boot.Points, Point{X: float64(i + 1), Y: ms(meter.Elapsed())})
 		}
 	}
@@ -94,7 +73,7 @@ func Fig4(cfg Fig4Config) (*Figure, error) {
 	restP := fig4Platform(false)
 	var restore Series
 	restore.Name = "restore"
-	for i := 0; i < cfg.Instances; i++ {
+	for i := 0; i < n; i++ {
 		// Create a fresh instance, save it, destroy the original and
 		// measure the restore (launch -> UDP ready).
 		rec, err := restP.Boot(miniOSUDP(fmt.Sprintf("save-%d", i)), nil)
@@ -119,23 +98,17 @@ func Fig4(cfg Fig4Config) (*Figure, error) {
 		if _, err := guest.Boot(restP, rrec, guest.FlavorMiniOS, meter); err != nil {
 			return nil, err
 		}
-		if sample(i) {
+		if sampled(i, n, every) {
 			restore.Points = append(restore.Points, Point{X: float64(i + 1), Y: ms(meter.Elapsed())})
 		}
 	}
 
-	// --- clone + XS deep copy (ablation) ---
-	deep, err := fig4CloneCurve(fig4Platform(true), "clone + XS deep copy", cfg, sample)
+	// --- clone + XS deep copy (ablation), then clone (xs_clone) ---
+	deep, err := fig4CloneCurve("clone + XS deep copy", true, nil, n, every)
 	if err != nil {
 		return nil, err
 	}
-
-	// --- clone (xs_clone) ---
-	cloneP := fig4Platform(false)
-	if cfg.Trace != nil {
-		cloneP.Observe(cfg.Trace)
-	}
-	clone, err := fig4CloneCurve(cloneP, "clone", cfg, sample)
+	clone, err := fig4CloneCurve("clone", false, tr, n, every)
 	if err != nil {
 		return nil, err
 	}
@@ -152,9 +125,19 @@ func Fig4(cfg Fig4Config) (*Figure, error) {
 	return fig, nil
 }
 
-// fig4CloneCurve boots one parent that clones itself cfg.Instances times;
-// each fork() call is measured from hypercall entry to child readiness.
-func fig4CloneCurve(p *core.Platform, name string, cfg Fig4Config, sample func(int) bool) (Series, error) {
+// sampled reports whether instance i of n is a reported point: the first,
+// every every-th and the last. Unreported instances still drive the
+// platform.
+func sampled(i, n, every int) bool { return i == 0 || (i+1)%every == 0 || i == n-1 }
+
+// fig4CloneCurve boots one parent on a fresh Fig. 4 platform (with the
+// Xenstore deep copy if deep) that clones itself n times; each fork() call
+// is measured from hypercall entry to child readiness.
+func fig4CloneCurve(name string, deep bool, tr *obs.Trace, n, every int) (Series, error) {
+	p := fig4Platform(deep)
+	if tr != nil {
+		p.Observe(tr)
+	}
 	var s Series
 	s.Name = name
 	rec, err := p.Boot(miniOSUDP("udp-parent"), nil)
@@ -165,18 +148,16 @@ func fig4CloneCurve(p *core.Platform, name string, cfg Fig4Config, sample func(i
 	if err != nil {
 		return s, err
 	}
-	for i := 0; i < cfg.Instances; i++ {
+	for i := 0; i < n; i++ {
 		meter := p.NewMeter()
-		res, err := k.Fork(1, nil, meter)
-		if err != nil {
+		if _, err := k.Fork(1, nil, meter); err != nil {
 			return s, fmt.Errorf("fig4 %s clone %d: %w", name, i, err)
 		}
 		// The child signals readiness with the UDP notification, like
 		// its parent did on boot (each clone gets a unique UDP port so
 		// the bond's layer3+4 hash maps it to its own slave).
 		meter.Charge(meter.Costs().GuestUDPNotify, 1)
-		_ = res
-		if sample(i) {
+		if sampled(i, n, every) {
 			s.Points = append(s.Points, Point{X: float64(i + 1), Y: ms(meter.Elapsed())})
 		}
 	}

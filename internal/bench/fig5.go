@@ -8,37 +8,16 @@ import (
 	"nephele/internal/guest"
 	"nephele/internal/hv"
 	"nephele/internal/mem"
+	"nephele/internal/obs"
 )
-
-// Fig5Config tunes the memory-density experiment (§6.2, Fig. 5).
-type Fig5Config struct {
-	// HypMemoryBytes is the guest-allocatable memory (the paper splits
-	// 16 GB into 4 GB Dom0 + 12 GB hypervisor).
-	HypMemoryBytes uint64
-	// Dom0MemoryBytes is the host-domain budget.
-	Dom0MemoryBytes uint64
-	// MaxInstances caps the run (0 = until out of memory).
-	MaxInstances int
-	// SampleEvery thins the reported points.
-	SampleEvery int
-}
-
-// DefaultFig5 returns the paper's 16 GB machine.
-func DefaultFig5() Fig5Config {
-	return Fig5Config{
-		HypMemoryBytes:  12 << 30,
-		Dom0MemoryBytes: 4 << 30,
-		SampleEvery:     100,
-	}
-}
 
 // fig5Platform sizes the per-domain tables small so thousands of domains
 // fit in the simulator's own memory (the guest-visible behaviour is
 // unchanged: the Fig. 4 guests use a handful of ports and grants).
-func fig5Platform(cfg Fig5Config) *core.Platform {
+func fig5Platform(hypBytes uint64) *core.Platform {
 	return core.NewPlatform(core.Options{
 		HV: hv.Config{
-			MemoryBytes:             cfg.HypMemoryBytes,
+			MemoryBytes:             hypBytes,
 			MaxEventPorts:           32,
 			GrantEntries:            32,
 			NotifyRingSlots:         128,
@@ -48,14 +27,14 @@ func fig5Platform(cfg Fig5Config) *core.Platform {
 	})
 }
 
-// Fig5 regenerates Figure 5: free memory (hypervisor and Dom0) versus the
-// number of instances, for booting separate VMs and for cloning one VM.
-func Fig5(cfg Fig5Config) (*Figure, error) {
-	if cfg.HypMemoryBytes == 0 {
-		cfg = DefaultFig5()
-	}
-	if cfg.SampleEvery <= 0 {
-		cfg.SampleEvery = 1
+// fig5 regenerates Figure 5 (§6.2): free memory (hypervisor and Dom0)
+// versus the number of instances, for booting separate VMs and for cloning
+// one VM, each until the hypervisor runs out of memory.
+func fig5(quick bool, _ *obs.Trace) (*Figure, error) {
+	// The paper's 16 GB machine: 12 GB hypervisor pool, 4 GB Dom0.
+	hypBytes, dom0Bytes, every := uint64(12<<30), uint64(4<<30), 100
+	if quick {
+		hypBytes, dom0Bytes, every = 2<<30, 1<<30, 200
 	}
 	fig := &Figure{
 		ID:     "fig5",
@@ -66,15 +45,12 @@ func Fig5(cfg Fig5Config) (*Figure, error) {
 	gb := func(b uint64) float64 { return float64(b) / (1 << 30) }
 
 	// --- booting ---
-	bootP := fig5Platform(cfg)
+	bootP := fig5Platform(hypBytes)
 	var bootHyp, bootDom0 Series
 	bootHyp.Name = "Booting Hyp free"
 	bootDom0.Name = "Booting Dom0 free"
 	booted := 0
 	for {
-		if cfg.MaxInstances > 0 && booted >= cfg.MaxInstances {
-			break
-		}
 		rec, err := bootP.Boot(miniOSUDP(fmt.Sprintf("b-%d", booted)), nil)
 		if err != nil {
 			if errors.Is(err, mem.ErrOutOfMemory) {
@@ -86,15 +62,15 @@ func Fig5(cfg Fig5Config) (*Figure, error) {
 			return nil, err
 		}
 		booted++
-		if booted%cfg.SampleEvery == 0 || booted == 1 {
+		if booted%every == 0 || booted == 1 {
 			m := bootP.Memory()
 			bootHyp.Points = append(bootHyp.Points, Point{X: float64(booted), Y: gb(m.HypFreeBytes)})
-			bootDom0.Points = append(bootDom0.Points, Point{X: float64(booted), Y: gb(cfg.Dom0MemoryBytes - m.Dom0UsedBytes)})
+			bootDom0.Points = append(bootDom0.Points, Point{X: float64(booted), Y: gb(dom0Bytes - m.Dom0UsedBytes)})
 		}
 	}
 
 	// --- cloning ---
-	cloneP := fig5Platform(cfg)
+	cloneP := fig5Platform(hypBytes)
 	var cloneHyp, cloneDom0 Series
 	cloneHyp.Name = "Cloning Hyp free"
 	cloneDom0.Name = "Cloning Dom0 free"
@@ -108,9 +84,6 @@ func Fig5(cfg Fig5Config) (*Figure, error) {
 	}
 	cloned := 1 // the parent counts as an instance
 	for {
-		if cfg.MaxInstances > 0 && cloned >= cfg.MaxInstances {
-			break
-		}
 		if _, err := k.Fork(1, nil, nil); err != nil {
 			if errors.Is(err, mem.ErrOutOfMemory) {
 				break
@@ -118,17 +91,17 @@ func Fig5(cfg Fig5Config) (*Figure, error) {
 			return nil, fmt.Errorf("fig5 clone %d: %w", cloned, err)
 		}
 		cloned++
-		if cloned%cfg.SampleEvery == 0 || cloned == 2 {
+		if cloned%every == 0 || cloned == 2 {
 			m := cloneP.Memory()
 			cloneHyp.Points = append(cloneHyp.Points, Point{X: float64(cloned), Y: gb(m.HypFreeBytes)})
-			cloneDom0.Points = append(cloneDom0.Points, Point{X: float64(cloned), Y: gb(cfg.Dom0MemoryBytes - m.Dom0UsedBytes)})
+			cloneDom0.Points = append(cloneDom0.Points, Point{X: float64(cloned), Y: gb(dom0Bytes - m.Dom0UsedBytes)})
 		}
 	}
 
 	fig.Series = []Series{bootDom0, bootHyp, cloneDom0, cloneHyp}
 
-	perBootMB := float64(cfg.HypMemoryBytes) / (1 << 20) / float64(booted)
-	perCloneMB := float64(cfg.HypMemoryBytes) / (1 << 20) / float64(cloned)
+	perBootMB := float64(hypBytes) / (1 << 20) / float64(booted)
+	perCloneMB := float64(hypBytes) / (1 << 20) / float64(cloned)
 	saved := (float64(cloned-booted) * perBootMB) / 1024
 	fig.Summary = append(fig.Summary,
 		fmt.Sprintf("booted instances: %d (paper: 2800)", booted),

@@ -7,42 +7,24 @@ import (
 	"nephele/internal/core"
 	"nephele/internal/guest"
 	"nephele/internal/hv"
+	"nephele/internal/obs"
 	"nephele/internal/proc"
 	"nephele/internal/toolstack"
 	"nephele/internal/vclock"
 )
 
-// Fig6Config tunes the fork/clone-duration-vs-memory experiment (§6.2,
-// Fig. 6).
-type Fig6Config struct {
-	// SizesMB is the allocation-size sweep (the paper uses 1..4096 MB in
-	// powers of two).
-	SizesMB []int
-	// Repetitions averages each point (the paper uses 10; the simulated
-	// platform is deterministic, so 1 is exact).
-	Repetitions int
-}
-
-// DefaultFig6 returns the paper's sweep.
-func DefaultFig6() Fig6Config {
-	return Fig6Config{
-		SizesMB:     []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096},
-		Repetitions: 1,
-	}
-}
-
-// Fig6 regenerates Figure 6: first and second fork/clone duration versus
-// the resident memory size, for a Linux process and a Unikraft VM, plus
-// the constant Dom0 userspace-operations line. The application allocates a
-// resident chunk and then serves fork/clone requests; for the cloning
-// numbers the I/O devices are skipped and only the mandatory second-stage
-// operations run, exactly like the paper.
-func Fig6(cfg Fig6Config) (*Figure, error) {
-	if len(cfg.SizesMB) == 0 {
-		cfg = DefaultFig6()
-	}
-	if cfg.Repetitions <= 0 {
-		cfg.Repetitions = 1
+// fig6 regenerates Figure 6 (§6.2): first and second fork/clone duration
+// versus the resident memory size, for a Linux process and a Unikraft VM,
+// plus the constant Dom0 userspace-operations line. The application
+// allocates a resident chunk and then serves fork/clone requests; for the
+// cloning numbers the I/O devices are skipped and only the mandatory
+// second-stage operations run, exactly like the paper. The paper averages
+// 10 repetitions per point; the simulated platform is deterministic, so
+// one is exact.
+func fig6(quick bool, _ *obs.Trace) (*Figure, error) {
+	sizesMB := []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096}
+	if quick {
+		sizesMB = []int{1, 4, 16, 64, 256, 1024}
 	}
 	fig := &Figure{
 		ID:     "fig6",
@@ -50,50 +32,26 @@ func Fig6(cfg Fig6Config) (*Figure, error) {
 		XLabel: "memory allocation size (MB)",
 		YLabel: "milliseconds",
 	}
-	series := map[string]*Series{
-		"process 1st fork":     {Name: "process 1st fork"},
-		"process 2nd fork":     {Name: "process 2nd fork"},
-		"Unikraft 1st clone":   {Name: "Unikraft 1st clone"},
-		"Unikraft 2nd clone":   {Name: "Unikraft 2nd clone"},
-		"userspace operations": {Name: "userspace operations"},
+	names := []string{"process 1st fork", "process 2nd fork", "Unikraft 1st clone", "Unikraft 2nd clone", "userspace operations"}
+	fig.Series = make([]Series, len(names))
+	for i, name := range names {
+		fig.Series[i].Name = name
 	}
-
-	for _, sizeMB := range cfg.SizesMB {
-		var fork1, fork2, clone1, clone2, user []float64
-		for rep := 0; rep < cfg.Repetitions; rep++ {
-			f1, f2, err := fig6Process(sizeMB)
-			if err != nil {
-				return nil, fmt.Errorf("fig6 process %dMB: %w", sizeMB, err)
-			}
-			c1, c2, us, err := fig6Unikraft(sizeMB)
-			if err != nil {
-				return nil, fmt.Errorf("fig6 unikraft %dMB: %w", sizeMB, err)
-			}
-			fork1 = append(fork1, ms(f1))
-			fork2 = append(fork2, ms(f2))
-			clone1 = append(clone1, ms(c1))
-			clone2 = append(clone2, ms(c2))
-			user = append(user, ms(us))
+	for _, sizeMB := range sizesMB {
+		f1, f2, err := fig6Process(sizeMB)
+		if err != nil {
+			return nil, fmt.Errorf("fig6 process %dMB: %w", sizeMB, err)
 		}
-		x := float64(sizeMB)
-		add := func(name string, vals []float64) {
-			mean, _, _ := meanMinMax(vals)
-			s := series[name]
-			s.Points = append(s.Points, Point{X: x, Y: mean})
+		c1, c2, us, err := fig6Unikraft(sizeMB)
+		if err != nil {
+			return nil, fmt.Errorf("fig6 unikraft %dMB: %w", sizeMB, err)
 		}
-		add("process 1st fork", fork1)
-		add("process 2nd fork", fork2)
-		add("Unikraft 1st clone", clone1)
-		add("Unikraft 2nd clone", clone2)
-		add("userspace operations", user)
+		for i, d := range []vclock.Duration{f1, f2, c1, c2, us} {
+			fig.Series[i].Points = append(fig.Series[i].Points, Point{X: float64(sizeMB), Y: ms(d)})
+		}
 	}
 
-	for _, name := range []string{"process 1st fork", "process 2nd fork", "Unikraft 1st clone", "Unikraft 2nd clone", "userspace operations"} {
-		fig.Series = append(fig.Series, *series[name])
-	}
-
-	pf2 := series["process 2nd fork"]
-	uc2 := series["Unikraft 2nd clone"]
+	pf2, uc2 := fig.Series[1], fig.Series[3]
 	firstGap := (uc2.First().Y - pf2.First().Y) / pf2.First().Y * 100
 	lastGap := (uc2.Last().Y - pf2.Last().Y) / pf2.Last().Y * 100
 	fig.Summary = append(fig.Summary,
@@ -104,7 +62,7 @@ func Fig6(cfg Fig6Config) (*Figure, error) {
 		fmt.Sprintf("fork-vs-clone gap: %.0f%% at small sizes -> %.0f%% at %gMB (paper: 5757%% -> 21%%)",
 			firstGap, lastGap, uc2.Last().X),
 		fmt.Sprintf("userspace operations: %.1f ms, constant across sizes (paper: 3 ms first / 1.9 ms later)",
-			series["userspace operations"].Last().Y),
+			fig.Series[4].Last().Y),
 	)
 	return fig, nil
 }

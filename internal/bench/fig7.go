@@ -7,39 +7,23 @@ import (
 	"nephele/internal/core"
 	"nephele/internal/guest"
 	"nephele/internal/hv"
+	"nephele/internal/obs"
 	"nephele/internal/vclock"
 )
 
-// Fig7Config tunes the NGINX throughput experiment (§7.1, Fig. 7).
-type Fig7Config struct {
-	// MaxWorkers sweeps 1..MaxWorkers (the paper's machine has 4 cores).
-	MaxWorkers int
-	// Repetitions per point (the paper repeats the 5 s wrk session 30
-	// times).
-	Repetitions int
-	// RequestsPerRun sizes one wrk session.
-	RequestsPerRun int
-	// ConnsPerWorker matches wrk's 400 open connections per worker.
-	ConnsPerWorker int
-}
-
-// DefaultFig7 returns the paper's configuration.
-func DefaultFig7() Fig7Config {
-	return Fig7Config{MaxWorkers: 4, Repetitions: 30, RequestsPerRun: 60000, ConnsPerWorker: 400}
-}
-
-// Fig7 regenerates Figure 7: NGINX HTTP request throughput for workers
-// running as Linux processes (socket sharding) versus Unikraft clones
-// (bond-aggregated identical interfaces). For the clone deployment the
-// workers are real forked guests: a parent NGINX unikernel forks
-// (workers-1) clones, and the run only proceeds if the platform reports
-// them ready.
-func Fig7(cfg Fig7Config) (*Figure, error) {
-	if cfg.MaxWorkers <= 0 {
-		cfg = DefaultFig7()
-	}
-	if cfg.Repetitions <= 0 {
-		cfg.Repetitions = 1
+// fig7 regenerates Figure 7 (§7.1): NGINX HTTP request throughput for
+// workers running as Linux processes (socket sharding) versus Unikraft
+// clones (bond-aggregated identical interfaces), 1 to 4 workers (the
+// paper's machine has 4 cores) under wrk's 400 open connections per
+// worker. For the clone deployment the workers are real forked guests: a
+// parent NGINX unikernel forks (workers-1) clones, and the run only
+// proceeds if the platform reports them ready.
+func fig7(quick bool, _ *obs.Trace) (*Figure, error) {
+	const maxWorkers, connsPerWorker = 4, 400
+	// The paper repeats the 5 s wrk session 30 times.
+	reps, requests := 30, 60000
+	if quick {
+		reps, requests = 5, 20000
 	}
 	fig := &Figure{
 		ID:     "fig7",
@@ -53,17 +37,17 @@ func Fig7(cfg Fig7Config) (*Figure, error) {
 	procMin.Name, procMax.Name = "nginx processes (min)", "nginx processes (max)"
 	cloneMin.Name, cloneMax.Name = "nginx clones (min)", "nginx clones (max)"
 
-	for workers := 1; workers <= cfg.MaxWorkers; workers++ {
+	for workers := 1; workers <= maxWorkers; workers++ {
 		// Deploy the clone workers for real: parent + (workers-1)
 		// forks on a platform with a bond.
 		if err := deployCloneWorkers(workers); err != nil {
 			return nil, fmt.Errorf("fig7 deploy %d clones: %w", workers, err)
 		}
 		var procRates, cloneRates []float64
-		for rep := 0; rep < cfg.Repetitions; rep++ {
+		for rep := 0; rep < reps; rep++ {
 			np := apps.NewNginx(apps.DeployProcesses, workers, costs)
 			np.SetJitterSeed(uint32(rep))
-			pres, err := np.Run(cfg.RequestsPerRun, cfg.ConnsPerWorker*workers)
+			pres, err := np.Run(requests, connsPerWorker*workers)
 			if err != nil {
 				return nil, err
 			}
@@ -71,7 +55,7 @@ func Fig7(cfg Fig7Config) (*Figure, error) {
 
 			nc := apps.NewNginx(apps.DeployClones, workers, costs)
 			nc.SetJitterSeed(uint32(rep))
-			cres, err := nc.Run(cfg.RequestsPerRun, cfg.ConnsPerWorker*workers)
+			cres, err := nc.Run(requests, connsPerWorker*workers)
 			if err != nil {
 				return nil, err
 			}
@@ -93,9 +77,9 @@ func Fig7(cfg Fig7Config) (*Figure, error) {
 	procSpread := (procMax.Last().Y - procMin.Last().Y) / proc.Last().Y
 	cloneSpread := (cloneMax.Last().Y - cloneMin.Last().Y) / clone.Last().Y
 	fig.Summary = append(fig.Summary,
-		fmt.Sprintf("clones scale %.2fx from 1 to %d workers (paper: linear growth)", scale, cfg.MaxWorkers),
+		fmt.Sprintf("clones scale %.2fx from 1 to %d workers (paper: linear growth)", scale, maxWorkers),
 		fmt.Sprintf("clones vs processes at %d workers: %.0f vs %.0f req/s (paper: clones higher)",
-			cfg.MaxWorkers, clone.Last().Y, proc.Last().Y),
+			maxWorkers, clone.Last().Y, proc.Last().Y),
 		fmt.Sprintf("throughput spread: processes %.1f%%, clones %.1f%% (paper: clones less variable)",
 			procSpread*100, cloneSpread*100),
 	)

@@ -9,40 +9,23 @@ import (
 	"nephele/internal/devices"
 	"nephele/internal/guest"
 	"nephele/internal/hv"
+	"nephele/internal/obs"
 	"nephele/internal/proc"
 	"nephele/internal/toolstack"
 	"nephele/internal/vclock"
 )
 
-// Fig8Config tunes the Redis database-saving experiment (§7.1, Fig. 8).
-type Fig8Config struct {
-	// KeyCounts sweeps the number of database updates between the first
-	// and second save (the paper uses 0, 1, 10, ..., 1M).
-	KeyCounts []int
-	// ValueSize is the mass-insertion value length in bytes.
-	ValueSize int
-}
-
-// DefaultFig8 returns the paper's sweep.
-func DefaultFig8() Fig8Config {
-	return Fig8Config{
-		KeyCounts: []int{0, 1, 10, 100, 1000, 10000, 100000, 1000000},
-		ValueSize: 64,
-	}
-}
-
-// Fig8 regenerates Figure 8: second fork()/clone() duration and database
-// saving time versus the number of database updates, for Redis running as
-// a process in a Linux VM and as a Unikraft unikernel, both saving to a
-// ramdisk-backed 9pfs share. The Unikraft clone values include the
-// userspace operations (toolstack introduction + 9pfs cloning); network
-// devices are skipped because the Redis clones do not need them.
-func Fig8(cfg Fig8Config) (*Figure, error) {
-	if len(cfg.KeyCounts) == 0 {
-		cfg = DefaultFig8()
-	}
-	if cfg.ValueSize <= 0 {
-		cfg.ValueSize = 64
+// fig8 regenerates Figure 8 (§7.1): second fork()/clone() duration and
+// database saving time versus the number of database updates between the
+// first and second save, for Redis running as a process in a Linux VM and
+// as a Unikraft unikernel, both saving to a ramdisk-backed 9pfs share. The
+// Unikraft clone values include the userspace operations (toolstack
+// introduction + 9pfs cloning); network devices are skipped because the
+// Redis clones do not need them.
+func fig8(quick bool, _ *obs.Trace) (*Figure, error) {
+	keyCounts := []int{0, 1, 10, 100, 1000, 10000, 100000, 1000000}
+	if quick {
+		keyCounts = []int{0, 1, 10, 100, 1000, 10000, 100000}
 	}
 	fig := &Figure{
 		ID:     "fig8",
@@ -57,20 +40,20 @@ func Fig8(cfg Fig8Config) (*Figure, error) {
 	ukSave.Name = "Unikraft save"
 	userOps.Name = "userspace operations"
 
-	for _, keys := range cfg.KeyCounts {
+	for _, keys := range keyCounts {
 		x := float64(keys)
 		if x == 0 {
 			x = 0.5 // log-axis placeholder, like the paper's 0 tick
 		}
 
-		pf, ps, err := fig8Process(keys, cfg.ValueSize)
+		pf, ps, err := fig8Process(keys)
 		if err != nil {
 			return nil, fmt.Errorf("fig8 process %d keys: %w", keys, err)
 		}
 		vmFork.Points = append(vmFork.Points, Point{X: x, Y: ms(pf)})
 		vmSave.Points = append(vmSave.Points, Point{X: x, Y: ms(ps)})
 
-		uc, us, uo, err := fig8Unikraft(keys, cfg.ValueSize)
+		uc, us, uo, err := fig8Unikraft(keys)
 		if err != nil {
 			return nil, fmt.Errorf("fig8 unikraft %d keys: %w", keys, err)
 		}
@@ -82,24 +65,27 @@ func Fig8(cfg Fig8Config) (*Figure, error) {
 
 	fig.Summary = append(fig.Summary,
 		fmt.Sprintf("at %d keys: fork %.2f ms vs clone %.2f ms; save %.1f ms vs %.1f ms",
-			cfg.KeyCounts[len(cfg.KeyCounts)-1], vmFork.Last().Y, ukClone.Last().Y, vmSave.Last().Y, ukSave.Last().Y),
+			keyCounts[len(keyCounts)-1], vmFork.Last().Y, ukClone.Last().Y, vmSave.Last().Y, ukSave.Last().Y),
 		fmt.Sprintf("I/O-cloning userspace cost: %.1f ms, constant (paper: amortized at larger updates)", userOps.Last().Y),
 		fmt.Sprintf("save-time ratio clone/fork at max keys: %.2f (paper: comparable)", ukSave.Last().Y/vmSave.Last().Y),
 	)
 	return fig, nil
 }
 
+// fig8ValueSize is the mass-insertion value length in bytes.
+const fig8ValueSize = 64
+
 // fig8SpawnPages sizes the Redis address space for the key count.
-func fig8SpawnPages(keys, valueSize int) int {
-	bytes := keys*(32+valueSize+32) + (8 << 20) // entries + buckets/slack
+func fig8SpawnPages(keys int) int {
+	bytes := keys*(32+fig8ValueSize+32) + (8 << 20) // entries + buckets/slack
 	return bytes / 4096
 }
 
 // fig8Process measures the second fork and save of Redis running as a
 // process inside an Alpine Linux VM, saving to a 9pfs share.
-func fig8Process(keys, valueSize int) (fork, save vclock.Duration, err error) {
-	machine := proc.NewMachine(uint64(fig8SpawnPages(keys, valueSize))*4096*4 + (256 << 20))
-	pr, err := machine.Spawn(fig8SpawnPages(keys, valueSize), nil)
+func fig8Process(keys int) (fork, save vclock.Duration, err error) {
+	machine := proc.NewMachine(uint64(fig8SpawnPages(keys))*4096*4 + (256 << 20))
+	pr, err := machine.Spawn(fig8SpawnPages(keys), nil)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -114,7 +100,7 @@ func fig8Process(keys, valueSize int) (fork, save vclock.Duration, err error) {
 	if _, err := r.BGSave("dump0.rdb", vclock.NewMeter(nil)); err != nil {
 		return 0, 0, err
 	}
-	if err := r.MassInsert(keys, valueSize, nil); err != nil {
+	if err := r.MassInsert(keys, fig8ValueSize, nil); err != nil {
 		return 0, 0, err
 	}
 	res, err := r.BGSave("dump1.rdb", vclock.NewMeter(nil))
@@ -126,8 +112,8 @@ func fig8Process(keys, valueSize int) (fork, save vclock.Duration, err error) {
 
 // fig8Unikraft measures the second clone and save of Redis as a Unikraft
 // unikernel with a 9pfs root, network-device cloning skipped.
-func fig8Unikraft(keys, valueSize int) (clone, save, userspace vclock.Duration, err error) {
-	memMB := fig8SpawnPages(keys, valueSize)*4096/(1<<20) + 32
+func fig8Unikraft(keys int) (clone, save, userspace vclock.Duration, err error) {
+	memMB := fig8SpawnPages(keys)*4096/(1<<20) + 32
 	p := core.NewPlatform(core.Options{
 		HV: hv.Config{
 			MemoryBytes:             uint64(memMB*4+512) << 20,
@@ -160,7 +146,7 @@ func fig8Unikraft(keys, valueSize int) (clone, save, userspace vclock.Duration, 
 	if _, err := r.BGSave("dump0.rdb", p.NewMeter()); err != nil {
 		return 0, 0, 0, err
 	}
-	if err := r.MassInsert(keys, valueSize, nil); err != nil {
+	if err := r.MassInsert(keys, fig8ValueSize, nil); err != nil {
 		return 0, 0, 0, err
 	}
 	res, err := r.BGSave("dump1.rdb", p.NewMeter())
@@ -183,13 +169,4 @@ func fig8Unikraft(keys, valueSize int) (clone, save, userspace vclock.Duration, 
 }
 
 // bucketCount picks a hash size for the key count.
-func bucketCount(keys int) int {
-	b := keys / 4
-	if b < 64 {
-		b = 64
-	}
-	if b > 1<<20 {
-		b = 1 << 20
-	}
-	return b
-}
+func bucketCount(keys int) int { return min(max(keys/4, 64), 1<<20) }

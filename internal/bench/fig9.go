@@ -2,29 +2,15 @@ package bench
 
 import (
 	"fmt"
+	"time"
 
 	"nephele/internal/fuzz"
+	"nephele/internal/obs"
 	"nephele/internal/vclock"
 )
 
-// Fig9Config tunes the fuzzing-throughput experiment (§7.2, Fig. 9).
-type Fig9Config struct {
-	// Duration is the virtual campaign length (the paper runs 300 s).
-	Duration vclock.Duration
-	// Window is the sampling window for the executions/second series.
-	Window vclock.Duration
-	// Seed fixes the campaign.
-	Seed uint32
-}
-
-// DefaultFig9 returns the paper's 300-second session with 10 s windows.
-func DefaultFig9() Fig9Config {
-	return Fig9Config{
-		Duration: 300 * vclock.Duration(1000*1000*1000),
-		Window:   10 * vclock.Duration(1000*1000*1000),
-		Seed:     1,
-	}
-}
+// fig9Window is the sampling window of the executions/second series.
+const fig9Window = 10 * vclock.Duration(time.Second)
 
 // fig9Series names one run configuration.
 type fig9Series struct {
@@ -33,12 +19,14 @@ type fig9Series struct {
 	getppid bool
 }
 
-// Fig9 regenerates Figure 9: fuzzing throughput over time for Unikraft
-// with and without cloning (plus their getppid baselines), the native
-// Linux process under AFL, and the Linux kernel module under KFX+AFL.
-func Fig9(cfg Fig9Config) (*Figure, error) {
-	if cfg.Duration == 0 {
-		cfg = DefaultFig9()
+// fig9 regenerates Figure 9 (§7.2): fuzzing throughput over time for
+// Unikraft with and without cloning (plus their getppid baselines), the
+// native Linux process under AFL, and the Linux kernel module under
+// KFX+AFL, each a seed-1 campaign of the paper's 300 s of virtual time.
+func fig9(quick bool, _ *obs.Trace) (*Figure, error) {
+	duration := 300 * vclock.Duration(time.Second)
+	if quick {
+		duration = 60 * vclock.Duration(time.Second)
 	}
 	fig := &Figure{
 		ID:     "fig9",
@@ -58,11 +46,11 @@ func Fig9(cfg Fig9Config) (*Figure, error) {
 	avg := map[string]float64{}
 	var stats = map[string]fuzz.Stats{}
 	for _, run := range runs {
-		s, err := fuzz.NewSession(fuzz.Config{Mode: run.mode, GetppidOnly: run.getppid, Seed: cfg.Seed})
+		s, err := fuzz.NewSession(fuzz.Config{Mode: run.mode, GetppidOnly: run.getppid, Seed: 1})
 		if err != nil {
 			return nil, fmt.Errorf("fig9 %s: %w", run.name, err)
 		}
-		series, rate, err := fig9Run(s, cfg)
+		series, rate, err := fig9Run(s, duration)
 		s.Close()
 		if err != nil {
 			return nil, fmt.Errorf("fig9 %s: %w", run.name, err)
@@ -94,14 +82,14 @@ func Fig9(cfg Fig9Config) (*Figure, error) {
 	return fig, nil
 }
 
-// fig9Run drives one session for cfg.Duration of virtual time, sampling
-// executions/second every window.
-func fig9Run(s *fuzz.Session, cfg Fig9Config) (Series, float64, error) {
+// fig9Run drives one session for duration of virtual time, sampling
+// executions/second every fig9Window.
+func fig9Run(s *fuzz.Session, duration vclock.Duration) (Series, float64, error) {
 	var series Series
 	meter := vclock.NewMeter(nil)
 	var iters, windowIters int
-	windowEnd := cfg.Window
-	for meter.Elapsed() < cfg.Duration {
+	windowEnd := fig9Window
+	for meter.Elapsed() < duration {
 		if _, err := s.Iterate(meter); err != nil {
 			return series, 0, err
 		}
@@ -110,10 +98,10 @@ func fig9Run(s *fuzz.Session, cfg Fig9Config) (Series, float64, error) {
 		for meter.Elapsed() >= windowEnd {
 			series.Points = append(series.Points, Point{
 				X: windowEnd.Seconds(),
-				Y: float64(windowIters) / cfg.Window.Seconds(),
+				Y: float64(windowIters) / fig9Window.Seconds(),
 			})
 			windowIters = 0
-			windowEnd += cfg.Window
+			windowEnd += fig9Window
 		}
 	}
 	return series, float64(iters) / meter.Elapsed().Seconds(), nil

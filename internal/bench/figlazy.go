@@ -10,30 +10,6 @@ import (
 	"nephele/internal/vclock"
 )
 
-// FigLazyConfig tunes the lazy-clone latency experiment (`nephele-bench
-// -fig lazy`): eager versus demand-paged CLONEOP on the Fig. 4 guest
-// shape scaled up to GuestMB of memory.
-type FigLazyConfig struct {
-	// GuestMB is the guest memory size. The Fig. 4 UDP server is 4 MB; the
-	// default scales the same shape to 256 MB, where the per-page stamping
-	// volume that lazy mode defers dominates the CLONEOP hypercall's fixed
-	// ~1.7 ms (domain creation, rings, metadata copies) by enough that both
-	// the bare CLONEOP and the 10% hot-set ready time clear the 3x gate.
-	GuestMB int
-	// HotPercents sweeps the hot-set size: the fraction of guest pages the
-	// child demand-faults before it counts as ready to serve.
-	HotPercents []int
-	// Trace, when non-nil, is attached to the lazy run's platform and its
-	// streamer join, recording the lazy span taxonomy (space-clone-lazy,
-	// stream-extent) into it.
-	Trace *obs.Trace
-}
-
-// DefaultFigLazy returns the headline configuration.
-func DefaultFigLazy() FigLazyConfig {
-	return FigLazyConfig{GuestMB: 256, HotPercents: []int{1, 5, 10, 25, 50, 100}}
-}
-
 // figLazyClone boots one Fig. 4-shape parent of mb megabytes, clones it
 // once in the requested mode and reports the CLONEOP (first stage)
 // latency. For a lazy clone it then joins the background streamer,
@@ -77,55 +53,53 @@ func figLazyClone(mb int, mode mem.CloneMode, tr *obs.Trace) (first, stream vclo
 	return first, stream, deferred, pages, nil
 }
 
-// FigLazy regenerates the lazy-clone figure: CLONEOP latency for an eager
-// and a lazy clone of the same guest, plus the lazy child's time-to-ready
-// across hot-set sizes (CLONEOP + demand-faulting the hot set). Per-page
+// figLazy regenerates the lazy-clone figure (`nephele-bench -fig lazy`):
+// CLONEOP latency for an eager and a lazy clone of the Fig. 4 guest shape
+// scaled up in memory, plus the lazy child's time-to-ready across hot-set
+// sizes (CLONEOP + demand-faulting that fraction of guest pages). Per-page
 // demand cost equals the streamer's total divided by the deferred page
 // count — demand faults and the streamer charge the identical adoption
 // work, so the curve is exact, and at a 100% hot set it meets the eager
 // line: lazy CLONEOP + full population is virtually indistinguishable
 // from an eager CLONEOP (the conservation law the differential harness in
-// internal/mem/lazytest proves seed by seed).
-func FigLazy(cfg FigLazyConfig) (*Figure, error) {
-	if cfg.GuestMB <= 0 {
-		cfg.GuestMB = DefaultFigLazy().GuestMB
+// internal/mem/lazytest proves seed by seed). tr, when non-nil, records
+// the lazy clone's span taxonomy (space-clone-lazy, stream-extent).
+func figLazy(quick bool, tr *obs.Trace) (*Figure, error) {
+	// At 256 MB the per-page stamping volume that lazy mode defers
+	// dominates the CLONEOP hypercall's fixed ~1.7 ms (domain creation,
+	// rings, metadata copies) by enough that both the bare CLONEOP and the
+	// 10% hot-set ready time clear the 3x gate.
+	guestMB, hotPercents := 256, []int{1, 5, 10, 25, 50, 100}
+	if quick {
+		guestMB, hotPercents = 16, []int{1, 10, 100}
 	}
-	if len(cfg.HotPercents) == 0 {
-		cfg.HotPercents = DefaultFigLazy().HotPercents
-	}
-	eagerFirst, _, _, pages, err := figLazyClone(cfg.GuestMB, mem.CloneEager, nil)
+	eagerFirst, _, _, pages, err := figLazyClone(guestMB, mem.CloneEager, nil)
 	if err != nil {
 		return nil, err
 	}
-	lazyFirst, stream, deferred, _, err := figLazyClone(cfg.GuestMB, mem.CloneLazy, cfg.Trace)
+	lazyFirst, stream, deferred, _, err := figLazyClone(guestMB, mem.CloneLazy, tr)
 	if err != nil {
 		return nil, err
 	}
 	if deferred == 0 {
-		return nil, fmt.Errorf("figlazy: lazy clone of a %d MB guest deferred no pages", cfg.GuestMB)
+		return nil, fmt.Errorf("figlazy: lazy clone of a %d MB guest deferred no pages", guestMB)
 	}
 
 	fig := &Figure{
 		ID:     "figlazy",
-		Title:  fmt.Sprintf("Lazy clone: CLONEOP latency and time-to-ready, %d MB guest", cfg.GuestMB),
+		Title:  fmt.Sprintf("Lazy clone: CLONEOP latency and time-to-ready, %d MB guest", guestMB),
 		XLabel: "hot-set size (% of guest pages)",
 		YLabel: "milliseconds",
 	}
 	demandFor := func(pct int) vclock.Duration {
-		hot := pages * pct / 100
-		if hot < 1 {
-			hot = 1
-		}
-		if hot > deferred {
-			hot = deferred
-		}
+		hot := min(max(pages*pct/100, 1), deferred)
 		return vclock.Duration(int64(stream) * int64(hot) / int64(deferred))
 	}
 	var eager, lazy, ready Series
 	eager.Name = "eager CLONEOP"
 	lazy.Name = "lazy CLONEOP"
 	ready.Name = "lazy CLONEOP + hot-set demand"
-	for _, pct := range cfg.HotPercents {
+	for _, pct := range hotPercents {
 		x := float64(pct)
 		eager.Points = append(eager.Points, Point{X: x, Y: ms(eagerFirst)})
 		lazy.Points = append(lazy.Points, Point{X: x, Y: ms(lazyFirst)})

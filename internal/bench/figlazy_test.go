@@ -12,12 +12,12 @@ import (
 )
 
 // TestLazyCloneSpeedup gates the headline claim: on the Fig. 4 workload
-// at the default figure scale (256 MB guest), a lazy CLONEOP is at least
-// 3x faster than an eager one, and stays at least 3x ahead even after
-// the child demand-faults a 10% hot set. Virtual time makes both numbers
-// exact, so the gate is a hard floor, not a flaky wall-clock ratio.
+// at paper scale (256 MB guest), a lazy CLONEOP is at least 3x faster
+// than an eager one, and stays at least 3x ahead even after the child
+// demand-faults a 10% hot set. Virtual time makes both numbers exact, so
+// the gate is a hard floor, not a flaky wall-clock ratio.
 func TestLazyCloneSpeedup(t *testing.T) {
-	fig, err := FigLazy(FigLazyConfig{GuestMB: DefaultFigLazy().GuestMB, HotPercents: []int{10}})
+	fig, err := figLazy(false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,17 +33,15 @@ func TestLazyCloneSpeedup(t *testing.T) {
 	if !ok {
 		t.Fatal("no ready series")
 	}
-	if s := eager.First().Y / lazy.First().Y; s < 3.0 {
-		t.Errorf("lazy CLONEOP speedup %.2fx, want >= 3x (eager %.3f ms, lazy %.3f ms)",
-			s, eager.First().Y, lazy.First().Y)
+	e, l, r := yAt(t, eager, 10), yAt(t, lazy, 10), yAt(t, ready, 10)
+	if s := e / l; s < 3.0 {
+		t.Errorf("lazy CLONEOP speedup %.2fx, want >= 3x (eager %.3f ms, lazy %.3f ms)", s, e, l)
 	}
-	if s := eager.First().Y / ready.First().Y; s < 3.0 {
-		t.Errorf("10%% hot-set ready speedup %.2fx, want >= 3x (eager %.3f ms, ready %.3f ms)",
-			s, eager.First().Y, ready.First().Y)
+	if s := e / r; s < 3.0 {
+		t.Errorf("10%% hot-set ready speedup %.2fx, want >= 3x (eager %.3f ms, ready %.3f ms)", s, e, r)
 	}
-	if ready.First().Y <= lazy.First().Y {
-		t.Errorf("ready (%.3f ms) must cost more than the bare CLONEOP (%.3f ms)",
-			ready.First().Y, lazy.First().Y)
+	if r <= l {
+		t.Errorf("ready (%.3f ms) must cost more than the bare CLONEOP (%.3f ms)", r, l)
 	}
 }
 
@@ -52,39 +50,26 @@ func TestLazyCloneSpeedup(t *testing.T) {
 // fully populated lazy child has charged precisely what its eager sibling
 // charged at clone time.
 func TestLazyCloneConservation(t *testing.T) {
-	fig, err := FigLazy(FigLazyConfig{GuestMB: 16, HotPercents: []int{100}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := quickFigure(t, "lazy")
 	eager, _ := fig.SeriesByName("eager CLONEOP")
 	ready, _ := fig.SeriesByName("lazy CLONEOP + hot-set demand")
 	// The per-page demand cost is the stream total split across the
 	// deferred pages; rebuilding the sum loses at most the division
 	// remainder, under a nanosecond per page.
-	if d := eager.First().Y - ready.First().Y; d < -0.001 || d > 0.001 {
-		t.Errorf("100%% hot-set ready %.6f ms, want eager %.6f ms (conservation)",
-			ready.First().Y, eager.First().Y)
+	e, r := yAt(t, eager, 100), yAt(t, ready, 100)
+	if d := e - r; d < -0.001 || d > 0.001 {
+		t.Errorf("100%% hot-set ready %.6f ms, want eager %.6f ms (conservation)", r, e)
 	}
-}
-
-// TestGoldenFigLazy pins the figure's virtual-time series. Every quantity
-// is derived from meters no asynchronous Xenstore traffic touches (the
-// first stage is hypervisor-only and the streamer joins deterministically).
-func TestGoldenFigLazy(t *testing.T) {
-	fig, err := FigLazy(FigLazyConfig{GuestMB: 16, HotPercents: []int{1, 10, 50, 100}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "golden-figlazy.txt", fig.String())
 }
 
 // TestLazyTraceShape pins the lazy span taxonomy: a traced lazy clone
 // records space-clone-lazy in place of space-clone, the joined streamer
-// contributes stream-extent spans, and a post-stream figure run has no
-// demand-fault spans (the hot-set curve is analytic, not faulted).
+// contributes stream-extent spans, and a clone whose stream is joined
+// before any access records no demand-fault spans (the figure's hot-set
+// curve is analytic, not faulted).
 func TestLazyTraceShape(t *testing.T) {
 	tr := obs.NewTrace()
-	if _, err := FigLazy(FigLazyConfig{GuestMB: 8, HotPercents: []int{10}, Trace: tr}); err != nil {
+	if _, _, _, _, err := figLazyClone(8, mem.CloneLazy, tr); err != nil {
 		t.Fatal(err)
 	}
 	spans := tr.Spans()

@@ -4,10 +4,45 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden figure series from the current simulation")
+
+// quickFigs holds each figure's quick form, computed once per test binary
+// and shared by the golden test and the shape tests.
+var quickFigs struct {
+	sync.Mutex
+	byName map[string]*Figure
+}
+
+// quickFigure returns the quick form of the Figures entry called name.
+// Callers must not modify it.
+func quickFigure(t *testing.T, name string) *Figure {
+	t.Helper()
+	quickFigs.Lock()
+	defer quickFigs.Unlock()
+	if fig, ok := quickFigs.byName[name]; ok {
+		return fig
+	}
+	for _, def := range Figures {
+		if def.Name != name {
+			continue
+		}
+		fig, err := def.Run(true, nil)
+		if err != nil {
+			t.Fatalf("figure %s: %v", name, err)
+		}
+		if quickFigs.byName == nil {
+			quickFigs.byName = make(map[string]*Figure)
+		}
+		quickFigs.byName[name] = fig
+		return fig
+	}
+	t.Fatalf("no figure %q in Figures", name)
+	return nil
+}
 
 // The golden-series tests pin the virtual-time output of the paper figures.
 // Performance work on the clone hot path (extent batching, parallel
@@ -34,26 +69,14 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
-func TestGoldenFig4Series(t *testing.T) {
-	fig, err := Fig4(Fig4Config{Instances: 60, SampleEvery: 15})
-	if err != nil {
-		t.Fatal(err)
+// TestGoldenFigures pins every figure of the table at its quick scale, one
+// testdata/golden-<name>.txt per entry, so a figure added to Figures
+// without a golden file fails here. Concatenated in table order, the files
+// are `nephele-bench -fig all -quick` without its host-cost footers.
+func TestGoldenFigures(t *testing.T) {
+	for _, def := range Figures {
+		t.Run(def.Name, func(t *testing.T) {
+			checkGolden(t, "golden-"+def.Name+".txt", quickFigure(t, def.Name).String())
+		})
 	}
-	checkGolden(t, "golden-fig4.txt", fig.String())
-}
-
-func TestGoldenFig5Series(t *testing.T) {
-	fig, err := Fig5(Fig5Config{HypMemoryBytes: 1 << 30, Dom0MemoryBytes: 1 << 30, SampleEvery: 25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "golden-fig5.txt", fig.String())
-}
-
-func TestGoldenFig6Series(t *testing.T) {
-	fig, err := Fig6(Fig6Config{SizesMB: []int{1, 4, 64, 1024}, Repetitions: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "golden-fig6.txt", fig.String())
 }

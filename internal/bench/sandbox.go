@@ -3,7 +3,7 @@ package bench
 import (
 	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 
 	"nephele/internal/core"
 	"nephele/internal/mem"
@@ -13,37 +13,16 @@ import (
 	"nephele/internal/vclock"
 )
 
-// SandboxConfig tunes the sandbox-fleet experiment: short-lived per-task
-// VMs spawned from a content-addressed snapshot cache (the E2B/Firecracker
-// serverless-sandbox pattern layered over Nephele's sharing machinery).
-type SandboxConfig struct {
-	// FleetSizes are the sandbox counts swept on the X axis.
-	FleetSizes []int
-	// MemoryMB sizes each sandbox (the 4 MiB minimum by default).
-	MemoryMB int
-	// DirtyPages is how many memory pages the template dirties before
-	// being snapshotted.
-	DirtyPages int
-	// DirtySectors is how many disk sectors each sandbox writes before
-	// its dirty blocks are committed back out.
-	DirtySectors int
-}
+// sandboxDirtySectors is how many disk sectors each sandbox writes before
+// its dirty blocks are committed back out.
+const sandboxDirtySectors = 16
 
-// DefaultSandbox returns the standard sweep.
-func DefaultSandbox() SandboxConfig {
-	return SandboxConfig{
-		FleetSizes:   []int{4, 8, 16, 32, 64},
-		MemoryMB:     64,
-		DirtyPages:   4096,
-		DirtySectors: 16,
-	}
-}
-
-// sandboxTemplate boots and dirties the template guest, then snapshots it.
-func sandboxTemplate(p *core.Platform, cfg SandboxConfig) (*toolstack.Image, error) {
+// sandboxTemplate boots a memoryMB template guest, dirties its first
+// dirtyPages pages, then snapshots it.
+func sandboxTemplate(p *core.Platform, memoryMB, dirtyPages int) (*toolstack.Image, error) {
 	dcfg := toolstack.DomainConfig{
 		Name:      "sandbox-template",
-		MemoryMB:  cfg.MemoryMB,
+		MemoryMB:  memoryMB,
 		VCPUs:     1,
 		MaxClones: 1 << 20,
 		Vifs:      []toolstack.VifConfig{{IP: netsim.IP{10, 0, 0, 2}}},
@@ -59,7 +38,7 @@ func sandboxTemplate(p *core.Platform, cfg SandboxConfig) (*toolstack.Image, err
 	}
 	sp := dom.Space()
 	payload := bytes.Repeat([]byte{0x5a}, mem.PageSize)
-	for i := 0; i < cfg.DirtyPages; i++ {
+	for i := 0; i < dirtyPages; i++ {
 		pfn := mem.PFN(i)
 		if int(pfn) >= dcfg.Pages()-3 {
 			break
@@ -88,17 +67,18 @@ func percentile(sorted []vclock.Duration, q float64) vclock.Duration {
 	return sorted[i]
 }
 
-// Sandbox runs the fleet experiment: for each fleet size, one cold restore
-// populates the cache and the rest of the fleet restores warm, each
-// sandbox writing a few disk sectors and committing its dirty blocks
-// before being destroyed. Reported are the cold restore latency, the warm
-// p50/p99, and the frames the cache handed out by COW instead of copying.
-func Sandbox(cfg SandboxConfig) (*Figure, error) {
-	if len(cfg.FleetSizes) == 0 {
-		cfg = DefaultSandbox()
-	}
-	if cfg.MemoryMB <= 0 {
-		cfg.MemoryMB = 4
+// figSandbox regenerates the sandbox-fleet figure: short-lived per-task
+// VMs spawned from a content-addressed snapshot cache (the
+// E2B/Firecracker serverless-sandbox pattern layered over Nephele's
+// sharing machinery). For each fleet size, one cold restore populates the
+// cache and the rest of the fleet restores warm, each sandbox writing a
+// few disk sectors and committing its dirty blocks before being
+// destroyed. Reported are the cold restore latency, the warm p50/p99, and
+// the frames the cache handed out by COW instead of copying.
+func figSandbox(quick bool, _ *obs.Trace) (*Figure, error) {
+	fleets, memoryMB, dirtyPages := []int{4, 8, 16, 32, 64}, 64, 4096
+	if quick {
+		fleets, memoryMB, dirtyPages = []int{4, 16}, 16, 1024
 	}
 	fig := &Figure{
 		ID:     "sandbox",
@@ -112,12 +92,9 @@ func Sandbox(cfg SandboxConfig) (*Figure, error) {
 	p99.Name = "warm-restore-p99-ms"
 	shared.Name = "adopted-frames-x1000"
 
-	for _, fleet := range cfg.FleetSizes {
-		if fleet < 2 {
-			return nil, fmt.Errorf("sandbox: fleet of %d (need >= 2 for a warm point)", fleet)
-		}
+	for _, fleet := range fleets {
 		p := core.NewPlatform(core.Options{SkipNameCheck: true})
-		img, err := sandboxTemplate(p, cfg)
+		img, err := sandboxTemplate(p, memoryMB, dirtyPages)
 		if err != nil {
 			return nil, fmt.Errorf("sandbox template: %w", err)
 		}
@@ -150,19 +127,19 @@ func Sandbox(cfg SandboxConfig) (*Figure, error) {
 			if err != nil {
 				return nil, err
 			}
-			for s := 0; s < cfg.DirtySectors; s++ {
+			for s := 0; s < sandboxDirtySectors; s++ {
 				if err := vbd.WriteSector(uint64(s), sector, nil); err != nil {
 					return nil, err
 				}
 			}
-			if secs, _ := vbd.Modified(); len(secs) != cfg.DirtySectors {
-				return nil, fmt.Errorf("sandbox: committed %d sectors, want %d", len(secs), cfg.DirtySectors)
+			if secs, _ := vbd.Modified(); len(secs) != sandboxDirtySectors {
+				return nil, fmt.Errorf("sandbox: committed %d sectors, want %d", len(secs), sandboxDirtySectors)
 			}
 			if err := p.Destroy(rec.ID, nil); err != nil {
 				return nil, err
 			}
 		}
-		sort.Slice(warm, func(i, j int) bool { return warm[i] < warm[j] })
+		slices.Sort(warm)
 		x := float64(fleet)
 		cold.Points = append(cold.Points, Point{X: x, Y: ms(coldLat)})
 		p50.Points = append(p50.Points, Point{X: x, Y: ms(percentile(warm, 0.50))})
@@ -170,7 +147,7 @@ func Sandbox(cfg SandboxConfig) (*Figure, error) {
 		st := store.Stats()
 		shared.Points = append(shared.Points, Point{X: x, Y: float64(st.AdoptedFrames) / 1000})
 
-		if fleet == cfg.FleetSizes[len(cfg.FleetSizes)-1] {
+		if fleet == fleets[len(fleets)-1] {
 			speedup := 0.0
 			if w := percentile(warm, 0.50); w > 0 {
 				speedup = float64(coldLat) / float64(w)

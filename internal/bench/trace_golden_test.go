@@ -9,15 +9,16 @@ import (
 	"nephele/internal/obs"
 )
 
-// TestGoldenFig4Trace pins the span tree the clone pipeline emits for the
-// Fig. 4 xs_clone curve: names, nesting, counts and virtual timestamps.
+// TestGoldenFig4Trace pins the span tree the clone pipeline emits for four
+// instances of the Fig. 4 xs_clone curve: names, nesting, counts and
+// virtual timestamps.
 // Span emission is deterministic under virtual time (spans never charge
 // the meter; parallel sections are absorbed in admission order), so the
 // rendered tree is byte-identical run to run. Regenerate with -update
 // only when a PR deliberately changes the pipeline's phase structure.
 func TestGoldenFig4Trace(t *testing.T) {
 	tr := obs.NewTrace()
-	if _, err := Fig4(Fig4Config{Instances: 4, SampleEvery: 2, Trace: tr}); err != nil {
+	if _, err := fig4CloneCurve("clone", false, tr, 4, 2); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "golden-fig4-trace.txt", tr.Render())
@@ -31,7 +32,7 @@ func TestGoldenFig4Trace(t *testing.T) {
 func TestFig4TraceShape(t *testing.T) {
 	tr := obs.NewTrace()
 	const instances = 3
-	if _, err := Fig4(Fig4Config{Instances: instances, SampleEvery: 1, Trace: tr}); err != nil {
+	if _, err := fig4CloneCurve("clone", false, tr, instances, 1); err != nil {
 		t.Fatal(err)
 	}
 
