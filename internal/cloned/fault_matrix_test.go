@@ -19,7 +19,8 @@ import (
 
 // faultRig is a rig with every device type (including a vbd backend, which
 // the base rig omits) and a fault registry threaded through the whole
-// pipeline, so any fault point of the matrix can actually fire.
+// pipeline, so any fault point of the matrix can actually fire. The rig's
+// memory pool is audited when the test ends.
 type faultRig struct {
 	hv     *hv.Hypervisor
 	store  *xenstore.Store
@@ -64,6 +65,11 @@ func newFaultRig(t testing.TB, opts Options) *faultRig {
 	be.Console.SetFaults(reg)
 	be.NineP.SetFaults(reg)
 	be.Vbd.SetFaults(reg)
+	t.Cleanup(func() {
+		if err := hyp.Memory.Audit(); err != nil {
+			t.Error(err)
+		}
+	})
 
 	return &faultRig{hv: hyp, store: store, xl: xl, d: d, bond: bond, faults: reg}
 }

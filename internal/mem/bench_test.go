@@ -64,60 +64,6 @@ func BenchmarkSpaceClone(b *testing.B) {
 	}
 }
 
-// fragmentSpace COW-faults every other page of parent against a throwaway
-// clone, leaving its table the worst case for the batched frame operations:
-// alternate entries moved to fresh frames, so no two neighbouring entries
-// are MFN-contiguous and every run is one page long.
-func fragmentSpace(tb testing.TB, parent *Space, scratchDom DomID) {
-	tb.Helper()
-	warm, _, err := parent.CloneOp(obs.OpCtx{}, scratchDom, false)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	for pfn := 0; pfn < parent.Pages(); pfn += 2 {
-		if err := parent.TouchCOW(PFN(pfn), nil); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	if err := warm.Release(); err != nil {
-		tb.Fatal(err)
-	}
-}
-
-// BenchmarkSpaceChurn measures one clone plus the child's release of a
-// 64 MB space — the fork-and-teardown cycle of the fuzzing and FaaS
-// patterns — over a contiguous table and over one fragmentSpace left in
-// one-page runs, which is what a parent that kept running after earlier
-// clones looks like. allocs/op is the gated number: both layouts must
-// stay at the handful of allocations the child's Space itself costs.
-func BenchmarkSpaceChurn(b *testing.B) {
-	const mb = 64
-	pages := mb << 20 / PageSize
-	for _, layout := range []string{"contiguous", "fragmented"} {
-		b.Run(layout, func(b *testing.B) {
-			b.ReportAllocs()
-			m := New(uint64(4*mb) << 20)
-			parent, err := NewSpace(m, 1, pages, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if layout == "fragmented" {
-				fragmentSpace(b, parent, 2)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				child, _, err := parent.CloneOp(obs.OpCtx{}, 3, false)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := child.Release(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkLazyClone measures the host-side cost of a lazy clone plus the
 // demand-faulting of a hot set, at 1%, 10% and 100% of a 64 MB guest's
 // pages. The hot-set reads race the background streamer exactly as a real

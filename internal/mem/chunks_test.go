@@ -55,15 +55,14 @@ func TestFrameTableGrowsInPlace(t *testing.T) {
 	if sh.size != 65536 {
 		t.Fatalf("shard of %d frames, test assumes 65536", sh.size)
 	}
-	out := make([]MFN, 0, 265)
+	out := make([]MFN, 265)
 	at := map[int]*frame{} // chunk index → its first frame, when first seen
 	chunks := lay.chunks[sh.lo>>lay.cshift:][:sh.size>>lay.cshift]
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for sh.watermark < sh.size {
 		sh.mu.Lock()
-		out = out[:0]
-		lay.takeLocked(m, sh, 1, 265, &out)
+		lay.takeLocked(m, sh, 1, out)
 		sh.mu.Unlock()
 		for k := 1; k < len(chunks) && chunks[k] != nil; k++ {
 			if at[k] == nil {

@@ -299,4 +299,5 @@ func TestLazyCloneRollbackCancelsPledges(t *testing.T) {
 	if got := m.FreeFrames(); got != total {
 		t.Fatalf("free frames = %d, want %d: failed lazy clone leaked pledges", got, total)
 	}
+	audit(t, m)
 }

@@ -17,7 +17,9 @@
 //     (clone + streamer + workload) equals the eager total, because every
 //     deferred charge lands exactly once at materialization,
 //   - identical frame accounting, and full recovery of the free list
-//     after teardown (no pledge or zombie leak).
+//     after teardown (no pledge or zombie leak),
+//   - a clean mem.Memory.Audit of both pools after the stream and after
+//     teardown.
 //
 // Every lazy bug class is expressible as a failing scenario: a lost extent
 // leaves Remaining != 0 or a snapshot hole; a double-streamed extent
@@ -251,6 +253,9 @@ func (s *side) release(total int) error {
 	if got := s.m.FreeFrames(); got != total {
 		return fmt.Errorf("%v teardown: %d frames free, want %d (leak)", s.mode, got, total)
 	}
+	if err := s.m.Audit(); err != nil {
+		return fmt.Errorf("%v teardown: %w", s.mode, err)
+	}
 	return nil
 }
 
@@ -408,6 +413,11 @@ func (sc *Scenario) check(eager, lazy *side, streamV vclock.Duration) error {
 	// Frame accounting: both pools hold the same number of live frames.
 	if ef, lf := eager.m.FreeFrames(), lazy.m.FreeFrames(); ef != lf {
 		return fmt.Errorf("free frames diverged: eager %d, lazy %d", ef, lf)
+	}
+	for _, s := range []*side{eager, lazy} {
+		if err := s.m.Audit(); err != nil {
+			return fmt.Errorf("%v: %w", s.mode, err)
+		}
 	}
 	return nil
 }

@@ -11,6 +11,14 @@ import (
 	"nephele/internal/vclock"
 )
 
+// audit fails t on every frame invariant of m that does not hold.
+func audit(t *testing.T, m *mem.Memory) {
+	t.Helper()
+	if err := m.Audit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestLazyStressConcurrent is the race stress: several lazy clones of ONE
 // parent, each paired with an eager twin cloned back-to-back, while a
 // parent writer mutates pages and every pair runs its own demand workload
@@ -22,8 +30,8 @@ import (
 // detector for the whole lazy machinery.
 func TestLazyStressConcurrent(t *testing.T) {
 	const (
-		pages = 192
-		pairs = 4
+		pages  = 192
+		pairs  = 4
 		writes = 200
 	)
 	meta := mem.PTFrameCount(pages) + mem.P2MFrameCount(pages)
@@ -160,6 +168,7 @@ func TestLazyStressConcurrent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	audit(t, m)
 
 	// Teardown recovers the whole pool: no pledge, zombie or streamer
 	// reference leaks under concurrency either.
@@ -177,6 +186,7 @@ func TestLazyStressConcurrent(t *testing.T) {
 	if got := m.FreeFrames(); got != total {
 		t.Fatalf("free frames = %d, want %d", got, total)
 	}
+	audit(t, m)
 }
 
 // TestLazyReleaseMidStream is the regression for the Release/streamer gap:
@@ -212,6 +222,7 @@ func TestLazyReleaseMidStream(t *testing.T) {
 		if got := m.FreeFrames(); got != total {
 			t.Fatalf("iter %d: free frames = %d, want %d (mid-stream release leaked)", iter, got, total)
 		}
+		audit(t, m)
 	}
 }
 
@@ -258,4 +269,5 @@ func TestLazyCancelStreamFreezesProgress(t *testing.T) {
 	if got := m.FreeFrames(); got != total {
 		t.Fatalf("free frames = %d, want %d", got, total)
 	}
+	audit(t, m)
 }

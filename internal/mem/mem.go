@@ -67,9 +67,12 @@ var (
 )
 
 // frame is one machine page. Data is allocated lazily: nil means the frame
-// reads as zeroes and has never been written, which keeps host memory usage
-// proportional to pages actually touched even when thousands of simulated
-// domains exist.
+// reads as zeroes (nothing was written to it since it was handed out, or it
+// last took a copy of such a frame), so host memory follows the frames that
+// hold data rather than the thousands of simulated domains. A page a frame
+// lets go of goes back to pagePool unless it is sealed, and the next frame
+// that needs a page takes it from there: the host holds the pages of live
+// frames plus what the pool keeps until the collector drains it.
 //
 // pledges counts lazy-clone children that hold an unmaterialized claim on
 // the frame's clone-time contents (DESIGN.md §13). A pledged frame's
@@ -666,19 +669,20 @@ func (lay *layout) initFrameLocked(mfn MFN, dom DomID) {
 	f.data = nil
 }
 
-// takeLocked allocates up to want frames from sh, a shard of lay, for dom,
-// appending them to out and returning how many it took: recycled frames
+// takeLocked allocates up to len(out) frames from sh, a shard of lay, for
+// dom, storing them in out and returning how many it took: recycled frames
 // first (most recent first), then a contiguous watermark run — the same
 // order the single-pool allocator made within one range. sh must be locked.
-func (lay *layout) takeLocked(m *Memory, sh *shard, dom DomID, want int, out *[]MFN) int {
+// It only stores into out, so a caller's one-frame array stays on its stack.
+func (lay *layout) takeLocked(m *Memory, sh *shard, dom DomID, out []MFN) int {
 	took := 0
-	for took < want && sh.recycled.n > 0 {
+	for took < len(out) && sh.recycled.n > 0 {
 		mfn := sh.recycled.pop()
 		lay.initFrameLocked(mfn, dom)
-		*out = append(*out, mfn)
+		out[took] = mfn
 		took++
 	}
-	if rest := want - took; rest > 0 {
+	if rest := len(out) - took; rest > 0 {
 		run := sh.size - sh.watermark
 		if run > rest {
 			run = rest
@@ -688,7 +692,7 @@ func (lay *layout) takeLocked(m *Memory, sh *shard, dom DomID, want int, out *[]
 			for i := 0; i < run; i++ {
 				mfn := sh.lo + MFN(sh.watermark+i)
 				lay.initFrameLocked(mfn, dom)
-				*out = append(*out, mfn)
+				out[took+i] = mfn
 			}
 			sh.watermark += run
 			took += run
@@ -719,8 +723,7 @@ func (sh *shard) dropUsageLocked(dom DomID, n int) {
 // batches that). sh must be locked.
 func (sh *shard) resetFrameLocked(f *frame, mfn MFN) {
 	f.inUse = false
-	f.sealed = false
-	f.data = nil
+	putPage(f)
 	f.refcount = 0
 	f.pledges = 0
 	f.owner = DomIDInvalid
@@ -735,21 +738,31 @@ func (m *Memory) AllocN(dom DomID, n int, meter *vclock.Meter) ([]MFN, error) {
 	if n <= 0 {
 		return nil, nil
 	}
-	out := make([]MFN, 0, n)
+	out := make([]MFN, n)
+	if err := m.allocInto(dom, out, meter); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// allocInto is AllocN into the caller's slice, filling all of it. Nothing it
+// calls keeps out, so the write-fault path's one-frame array costs no heap.
+func (m *Memory) allocInto(dom DomID, out []MFN, meter *vclock.Meter) error {
 	lay := m.lay
 	home := lay.homeShard(dom)
-	for k := 0; k < len(lay.shards) && len(out) < n; k++ {
+	got := 0
+	for k := 0; k < len(lay.shards) && got < len(out); k++ {
 		sh := &lay.shards[(home+k)%len(lay.shards)]
 		sh.mu.Lock()
-		lay.takeLocked(m, sh, dom, n-len(out), &out)
+		got += lay.takeLocked(m, sh, dom, out[got:])
 		sh.mu.Unlock()
 	}
-	if len(out) < n {
-		m.ReleaseN(dom, out)
-		return nil, fmt.Errorf("%w: want %d frames, %d free", ErrOutOfMemory, n, m.FreeFrames())
+	if got < len(out) {
+		m.ReleaseN(dom, out[:got])
+		return fmt.Errorf("%w: want %d frames, %d free", ErrOutOfMemory, len(out), m.FreeFrames())
 	}
-	meter.Charge(meter.Costs().PageAlloc, n)
-	return out, nil
+	meter.Charge(meter.Costs().PageAlloc, len(out))
+	return nil
 }
 
 // Owner reports the owner of a frame.
@@ -982,7 +995,8 @@ func (m *Memory) resolveCOW(dom DomID, mfn MFN, meter *vclock.Meter) (MFN, error
 	}
 	lay := m.lay
 	sh := &lay.shards[lay.shardIdx(mfn)]
-	var spare []MFN // the frame a copy-away fills, once one is known to be needed
+	var one [1]MFN
+	var spare []MFN // one[:], the frame a copy-away fills, once one is known to be needed
 	for {
 		// The first look is a single-shard acquisition (lockShard, which the
 		// multi-shard lock metrics leave out); the second takes source and
@@ -1020,14 +1034,15 @@ func (m *Memory) resolveCOW(dom DomID, mfn MFN, meter *vclock.Meter) (MFN, error
 		}
 		if spare == nil {
 			m.unlockMask(mask)
-			if spare, err = m.AllocN(dom, 1, meter); err != nil {
+			if err := m.allocInto(dom, one[:], meter); err != nil {
 				return 0, err
 			}
+			spare = one[:]
 			continue
 		}
 		if f.data != nil {
 			nf := lay.frame(spare[0])
-			nf.data = new([PageSize]byte)
+			nf.data = getPage(false)
 			*nf.data = *f.data
 		}
 		f.refcount--
@@ -1174,7 +1189,7 @@ func (m *Memory) Read(mfn MFN, off int, buf []byte) error {
 // Write stores buf at (mfn, off). Write does not check ownership or
 // sharing; address spaces enforce COW before calling it. A sealed page is
 // replaced by a private copy first, so holders of the old slice never see
-// the write.
+// the write; the old page itself is theirs and never recycled.
 func (m *Memory) Write(mfn MFN, off int, buf []byte) error {
 	sh, err := m.lockShard(mfn)
 	if err != nil {
@@ -1189,9 +1204,11 @@ func (m *Memory) Write(mfn MFN, off int, buf []byte) error {
 		return ErrBadOffset
 	}
 	if f.data == nil || f.sealed {
-		old := f.data
-		f.data, f.sealed = new([PageSize]byte), false
-		if old != nil && len(buf) < PageSize {
+		// Only a partial write to a frame with no page leaves bytes of the
+		// new page that neither the old page nor buf overwrites.
+		old, partial := f.data, len(buf) < PageSize
+		f.data, f.sealed = getPage(old == nil && partial), false
+		if old != nil && partial {
 			*f.data = *old
 		}
 	}
@@ -1218,6 +1235,7 @@ func (m *Memory) WritePage(mfn MFN, page []byte) error {
 	if err != nil {
 		return err
 	}
+	putPage(f)
 	f.data, f.sealed = (*[PageSize]byte)(page), true
 	return nil
 }
@@ -1268,14 +1286,15 @@ func (lay *layout) copyFrameLocked(dst, src MFN) error {
 	if err != nil {
 		return err
 	}
-	if fs.data == nil {
-		fd.data, fd.sealed = nil, false
-	} else {
-		if fd.data == nil || fd.sealed {
-			fd.data, fd.sealed = new([PageSize]byte), false
-		}
-		*fd.data = *fs.data
+	page := fs.data // read first: dst may be src
+	if page == nil {
+		putPage(fd)
+		return nil
 	}
+	if fd.data == nil || fd.sealed {
+		fd.data, fd.sealed = getPage(false), false
+	}
+	*fd.data = *page
 	return nil
 }
 

@@ -12,6 +12,14 @@ func newTestMem(frames int) *Memory {
 	return New(uint64(frames) * PageSize)
 }
 
+// audit fails t on every frame invariant of m that does not hold.
+func audit(t testing.TB, m *Memory) {
+	t.Helper()
+	if err := m.Audit(); err != nil {
+		t.Error(err)
+	}
+}
+
 // alloc1 allocates one frame for dom through the batched allocator.
 func alloc1(t testing.TB, m *Memory, dom DomID) MFN {
 	t.Helper()

@@ -92,6 +92,7 @@ func TestResetOpFailedKeepsDirtyList(t *testing.T) {
 	if restored, err = child.ResetOp(obs.OpCtx{}, parent); err != nil || restored != 0 {
 		t.Fatalf("reset of a clean child: restored %d, err %v", restored, err)
 	}
+	audit(t, m)
 }
 
 // TestResetOpDifferential drives random child writes, parent writes, COW
@@ -100,8 +101,8 @@ func TestResetOpFailedKeepsDirtyList(t *testing.T) {
 // privatized read what the parent reads at that moment, nothing else in
 // either space ever changes under it, restored is the number of privatized
 // pages, the meter moves by one PageShare per restored page whose frame the
-// parent had taken private again, and the pool's accounting invariant holds
-// throughout.
+// parent had taken private again, and the pool's accounting invariant and
+// Audit hold throughout.
 func TestResetOpDifferential(t *testing.T) {
 	for _, mode := range []CloneMode{CloneEager, CloneLazy} {
 		for seed := int64(1); seed <= 12; seed++ {
@@ -154,6 +155,9 @@ func resetDifferential(t *testing.T, mode CloneMode, seed int64) {
 		if used+m.FreeFrames() != m.TotalFrames() || m.SharedFrames() != m.UsedBy(DomIDCOW) {
 			t.Fatalf("%s: accounting broke: used %d + free %d != total %d, or shared %d != dom_cow's %d",
 				when, used, m.FreeFrames(), m.TotalFrames(), m.SharedFrames(), m.UsedBy(DomIDCOW))
+		}
+		if err := m.Audit(); err != nil {
+			t.Fatalf("%s: %v", when, err)
 		}
 	}
 	for step := 0; step < 400; step++ {

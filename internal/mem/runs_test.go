@@ -19,6 +19,26 @@ func ptesOf(mfns []MFN) []pte {
 	return ptes
 }
 
+// fragmentSpace COW-faults every other page of parent against a throwaway
+// clone, leaving its table the worst case for the batched frame operations:
+// alternate entries moved to fresh frames, so no two neighbouring entries
+// are MFN-contiguous and every run is one page long.
+func fragmentSpace(tb testing.TB, parent *Space, scratchDom DomID) {
+	tb.Helper()
+	warm, _, err := parent.CloneOp(obs.OpCtx{}, scratchDom, false)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for pfn := 0; pfn < parent.Pages(); pfn += 2 {
+		if err := parent.TouchCOW(PFN(pfn), nil); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := warm.Release(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
 // interleave reorders a frame list evens first, odds second: the same set
 // of frames, but neighbouring entries are never MFN-contiguous, so the
 // batched operations see one-page runs throughout.

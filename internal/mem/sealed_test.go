@@ -69,6 +69,7 @@ func TestSnapshotSharesUntouchedPages(t *testing.T) {
 			t.Fatalf("pfn %d: unchanged page captured into a new array", pfn)
 		}
 	}
+	audit(t, m)
 }
 
 // TestSnapshotIsolatedFromWrites: whole-page writes, 8-byte writes and
@@ -113,6 +114,7 @@ func TestSnapshotIsolatedFromWrites(t *testing.T) {
 	if got := readPage(t, s, 2); !bytes.Equal(got, fullPage(0xA3)) {
 		t.Fatal("CopyFrameN into a sealed frame is lost")
 	}
+	audit(t, m)
 }
 
 // TestWritePageInstallsByReference: a whole page is held, not copied; the
@@ -162,6 +164,7 @@ func TestWritePageInstallsByReference(t *testing.T) {
 	if err := s.WritePage(3, make([]byte, PageSize+1), nil); !errors.Is(err, ErrBadOffset) {
 		t.Fatalf("oversized page: %v, want ErrBadOffset", err)
 	}
+	audit(t, m)
 }
 
 // TestSealedPageIdentityAtPoolBoundary: the pool holds a page as an array
@@ -217,6 +220,7 @@ func TestSealedPageIdentityAtPoolBoundary(t *testing.T) {
 	if third := capture(); samePage(third[0], first[0]) || samePage(third[1], p) {
 		t.Fatal("a written frame still holds the page an earlier capture or the installer has")
 	}
+	audit(t, m)
 }
 
 // TestSealedPagesAcrossCOW: a snapshot of a parent whose frames are then
@@ -270,6 +274,7 @@ func TestSealedPagesAcrossCOW(t *testing.T) {
 			t.Fatalf("pfn %d: snapshot bytes moved after frame reuse", pfn)
 		}
 	}
+	audit(t, m)
 }
 
 // TestSnapshotRacesGuestWriter (-race): a guest writing its pages while
@@ -317,4 +322,103 @@ func TestSnapshotRacesGuestWriter(t *testing.T) {
 		}
 	}
 	wg.Wait()
+	audit(t, m)
+}
+
+// TestRecycledPageIsCleared: pages full of 0xFF that freed frames gave back
+// to the page pool come out of it for partial writes to fresh frames, and
+// everything around the written bytes must read as zeroes, as a
+// never-written frame's bytes do.
+func TestRecycledPageIsCleared(t *testing.T) {
+	const n = 64
+	m := newTestMem(4 * n)
+	mfns, err := m.AllocN(1, n, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mfn := range mfns {
+		if err := m.Write(mfn, 0, fullPage(0xFF)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.ReleaseN(1, mfns); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := m.AllocN(2, n, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, PageSize)
+	copy(want[100:], "8 bytes!")
+	for _, mfn := range fresh {
+		if err := m.Write(mfn, 100, []byte("8 bytes!")); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, PageSize)
+		if err := m.Read(mfn, 0, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("frame %d: a partial write to a fresh frame kept bytes of a freed page", mfn)
+		}
+	}
+	audit(t, m)
+}
+
+// TestSealedPagesNeverRecycled: a snapshot of a child's private pages
+// stays as captured after the child's reset frees the frames that held
+// them and a sibling runs 1000 COW-fault and clone_reset cycles, whose
+// private copies come from the page pool and go back to it. A sealed page
+// never enters the pool.
+func TestSealedPagesNeverRecycled(t *testing.T) {
+	const pages, dirty = 16, 8
+	m := newTestMem(1024)
+	parent := newTestSpace(t, m, 1, pages)
+	for pfn := PFN(0); pfn < pages; pfn++ {
+		if err := parent.Write(pfn, 0, fullPage(byte(0x10+pfn)), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held, _, err := parent.CloneOp(obs.OpCtx{}, 2, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Release()
+	sibling, _, err := parent.CloneOp(obs.OpCtx{}, 3, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sibling.Release()
+	for pfn := PFN(0); pfn < dirty; pfn++ {
+		if err := held.Write(pfn, 0, fullPage(byte(0xA0+pfn)), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, err := held.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]byte, len(snap))
+	for i, page := range snap {
+		want[i] = bytes.Clone(page)
+	}
+	if n, err := held.ResetOp(obs.OpCtx{}, parent); err != nil || n != dirty {
+		t.Fatalf("reset of the snapshotted child: restored %d, err %v", n, err)
+	}
+	for i := 0; i < 1000; i++ {
+		for pfn := PFN(0); pfn < dirty; pfn++ {
+			if err := sibling.Write(pfn, (i%500)*8, []byte{byte(i), 1, 2, 3, 4, 5, 6, 7}, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := sibling.ResetOp(obs.OpCtx{}, parent); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for pfn := range snap {
+		if !bytes.Equal(snap[pfn], want[pfn]) {
+			t.Fatalf("pfn %d: a snapshot page changed under a sibling's faults and resets", pfn)
+		}
+	}
+	audit(t, m)
 }

@@ -175,6 +175,36 @@ func putPTEs(s []pte) {
 	ptePool.Put(&s)
 }
 
+// pagePool recycles the data pages of freed frames into the next frames a
+// write or a copy fills. A COW fault's private copy is garbage one
+// clone_reset later, and on the fuzzing pattern allocating and collecting
+// those pages was over half of the host's work. Only unsealed pages enter
+// it: an unsealed page is held by its frame alone, a sealed one may also be
+// in a snapshot, an image or another frame (DESIGN.md §10.1). Pages from the
+// pool hold stale bytes, so getPage clears one only when asked, and a caller
+// that overwrites the whole page does not ask.
+var pagePool sync.Pool
+
+func getPage(zero bool) *[PageSize]byte {
+	if v := pagePool.Get(); v != nil {
+		p := v.(*[PageSize]byte)
+		if zero {
+			*p = [PageSize]byte{}
+		}
+		return p
+	}
+	return new([PageSize]byte)
+}
+
+// putPage detaches f's page, recycling it unless it is sealed. f's shard
+// must be locked.
+func putPage(f *frame) {
+	if f.data != nil && !f.sealed {
+		pagePool.Put(f.data)
+	}
+	f.data, f.sealed = nil, false
+}
+
 // Space is one domain's guest-physical address space under direct paging:
 // a p2m map from PFNs to machine frames plus per-page access state. It also
 // accounts for the page-table frames and p2m frames that make the mapping

@@ -495,3 +495,45 @@ func TestSaveRestoreRaceGuestWriter(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestSavedImageSurvivesSiblingResets: an image keeps its stream and its
+// key after the domain it was saved from is destroyed, which frees the
+// frames that held its pages, and a sibling's clone then runs 1000 COW-fault
+// and clone_reset cycles whose private copies come from the page pool and
+// go back to it. A sealed page never enters the pool.
+func TestSavedImageSurvivesSiblingResets(t *testing.T) {
+	r := newRig(t)
+	id, _ := dirtiedParent(t, r, "saved")
+	img, err := r.xl.Save(id, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, key := imageBytes(t, img), img.CacheKey()
+	if err := r.xl.Destroy(id, nil); err != nil {
+		t.Fatal(err)
+	}
+	sibID, sp := dirtiedParent(t, r, "sibling")
+	child, _, err := sp.CloneOp(obs.OpCtx{}, mem.DomID(sibID)+100, false) // an ID hv has not handed out
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		for _, pfn := range []mem.PFN{4, 5, 40} {
+			if err := child.Write(pfn, (i%500)*8, []byte{byte(i), 1, 2, 3, 4, 5, 6, 7}, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := child.ResetOp(obs.OpCtx{}, sp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := child.Release(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(imageBytes(t, img), stream) {
+		t.Fatal("the image's stream changed under a sibling's faults and resets")
+	}
+	if fresh := (&Image{Config: img.Config, npages: img.npages, runs: img.runs}); fresh.CacheKey() != key {
+		t.Fatalf("the image hashes to %#x afresh, %#x when saved", fresh.CacheKey(), key)
+	}
+}

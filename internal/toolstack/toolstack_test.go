@@ -24,6 +24,7 @@ type rig struct {
 func newRig(t *testing.T) *rig { return newRigVbd(t, nil) }
 
 // newRigVbd is newRig with a vbd backend registered (nil registers none).
+// The rig's memory pool is audited when the test ends.
 func newRigVbd(t *testing.T, vbd *devices.VbdBackend) *rig {
 	t.Helper()
 	hyp := hv.New(hv.Config{
@@ -44,6 +45,11 @@ func newRigVbd(t *testing.T, vbd *devices.VbdBackend) *rig {
 	host := netsim.NewHost(netsim.MAC{0xde, 0xad}, netsim.IP{10, 0, 0, 1})
 	bond := netsim.NewBond("bond0")
 	xl := New(hyp, store, be, &BondSwitch{Bond: bond, Uplink: host})
+	t.Cleanup(func() {
+		if err := hyp.Memory.Audit(); err != nil {
+			t.Error(err)
+		}
+	})
 	return &rig{hv: hyp, store: store, xl: xl, host: host, bond: bond}
 }
 
