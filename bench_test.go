@@ -14,7 +14,6 @@ import (
 	"nephele/internal/core"
 	"nephele/internal/devices"
 	"nephele/internal/guest"
-	"nephele/internal/hv"
 	"nephele/internal/mem"
 	"nephele/internal/netsim"
 	"nephele/internal/obs"
@@ -39,8 +38,8 @@ func benchGuest(name string) toolstack.DomainConfig {
 // one warm clone (the second, past the xencloned cache warmup).
 func cloneOnce(b *testing.B, opts core.Options) vclock.Duration {
 	b.Helper()
-	if opts.HV.MemoryBytes == 0 {
-		opts.HV = hv.Config{MemoryBytes: 1 << 30, PerDomainOverheadFrames: 90}
+	if opts.MemoryBytes == 0 {
+		opts.MemoryBytes = 1 << 30
 	}
 	opts.SkipNameCheck = true
 	p := core.NewPlatform(opts)
@@ -78,7 +77,7 @@ func BenchmarkAblationXsCloneVsDeepCopy(b *testing.B) {
 func BenchmarkAblationXenclonedCache(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p := core.NewPlatform(core.Options{
-			HV:            hv.Config{MemoryBytes: 1 << 30, PerDomainOverheadFrames: 90},
+			MemoryBytes:   1 << 30,
 			SkipNameCheck: true,
 		})
 		rec, err := p.Boot(benchGuest("cache-parent"), nil)
@@ -202,7 +201,7 @@ func BenchmarkAblationNameCheck(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		boot200 := func(skip bool) vclock.Duration {
 			p := core.NewPlatform(core.Options{
-				HV:            hv.Config{MemoryBytes: 2 << 30, MaxEventPorts: 32, GrantEntries: 32, PerDomainOverheadFrames: 16},
+				MemoryBytes:   2 << 30,
 				SkipNameCheck: skip,
 			})
 			var last vclock.Duration
@@ -226,7 +225,7 @@ func BenchmarkAblationNameCheck(b *testing.B) {
 // (§6.1 reports ~1 ms).
 func BenchmarkCloneOp(b *testing.B) {
 	p := core.NewPlatform(core.Options{
-		HV:            hv.Config{MemoryBytes: 8 << 30, MaxEventPorts: 32, GrantEntries: 32, PerDomainOverheadFrames: 16},
+		MemoryBytes:   8 << 30,
 		SkipNameCheck: true,
 	})
 	rec, err := p.Boot(benchGuest("raw-parent"), nil)
@@ -258,7 +257,7 @@ func BenchmarkCloneOp(b *testing.B) {
 // unikernel (10k keys).
 func BenchmarkRedisBGSave(b *testing.B) {
 	p := core.NewPlatform(core.Options{
-		HV:            hv.Config{MemoryBytes: 8 << 30, MaxEventPorts: 64, GrantEntries: 64, PerDomainOverheadFrames: 90},
+		MemoryBytes:   8 << 30,
 		SkipNameCheck: true,
 		Cloned:        cloned.Options{SkipNetworkDevices: true},
 	})
@@ -299,7 +298,7 @@ func BenchmarkRedisBGSave(b *testing.B) {
 func cachedRestoreRig(b testing.TB, memoryMB int) (*core.Platform, *toolstack.Image) {
 	b.Helper()
 	p := core.NewPlatform(core.Options{
-		HV:            hv.Config{MemoryBytes: 2 << 30, PerDomainOverheadFrames: 16},
+		MemoryBytes:   2 << 30,
 		SkipNameCheck: true,
 	})
 	cfg := toolstack.DomainConfig{

@@ -18,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -109,7 +110,13 @@ func execute(p *core.Platform, kernels map[string]*guest.Kernel, args []string) 
 
 	case "list":
 		fmt.Printf("%-6s %-24s %-8s %s\n", "domid", "name", "mem", "family")
-		for name, k := range kernels {
+		names := make([]string, 0, len(kernels))
+		for name := range kernels {
+			names = append(names, name)
+		}
+		sort.Slice(names, func(i, j int) bool { return kernels[names[i]].Dom < kernels[names[j]].Dom })
+		for _, name := range names {
+			k := kernels[name]
 			rec, err := p.XL.Record(k.Dom)
 			if err != nil {
 				continue

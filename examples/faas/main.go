@@ -23,7 +23,7 @@ func main() {
 	load := faas.StepLoad(15, 15, sec(30))
 
 	// --- container baseline ---
-	cg := faas.NewGateway(faas.DefaultAutoscaler(), faas.NewContainerRuntime(nil), 21<<20)
+	cg := faas.NewGateway(faas.NewContainerRuntime(nil), 21<<20)
 	contRep, err := cg.Run(sec(180), sec(1), load)
 	if err != nil {
 		log.Fatal(err)
@@ -52,7 +52,7 @@ func main() {
 		}
 		return res.Clone.Total, nil
 	})
-	ug := faas.NewGateway(faas.DefaultAutoscaler(), runtime, 21<<20)
+	ug := faas.NewGateway(runtime, 21<<20)
 	uniRep, err := ug.Run(sec(180), sec(1), load)
 	if err != nil {
 		log.Fatal(err)

@@ -151,6 +151,111 @@ func TestExportsHaveProgramReferences(t *testing.T) {
 	}
 }
 
+// TestOptionsHaveProgramSetters is the drift check against test-only
+// configuration: every field of an exported struct in internal/ named
+// Options, Config or *Config must be set by a non-test file of the module,
+// as a composite-literal key (a positional literal sets every field) or as
+// an assignment target, or be listed in testOnlyOptions with the reason it
+// stays. A program may read a field only tests set; the reference check
+// above passes it, and every such knob doubles the configurations the tests
+// must cover.
+func TestOptionsHaveProgramSetters(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the module; skipped with -short")
+	}
+	mod, err := loadModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	set := make(map[types.Object]bool)
+	for _, pkg := range mod.pkgs {
+		target := func(x ast.Expr) {
+			if sel, ok := ast.Unparen(x).(*ast.SelectorExpr); ok {
+				if s := pkg.Info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+					set[origin(s.Obj())] = true
+				}
+			}
+		}
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					st, ok := pkg.Info.TypeOf(n).Underlying().(*types.Struct)
+					if !ok {
+						return true
+					}
+					for i, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							set[origin(pkg.Info.Uses[kv.Key.(*ast.Ident)])] = true
+						} else {
+							set[st.Field(i)] = true
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						target(lhs)
+					}
+				case *ast.IncDecStmt:
+					target(n.X)
+				}
+				return true
+			})
+		}
+	}
+
+	prefix := mod.loader.ModulePath + "/internal/"
+	var fresh, stale []string
+	unset := make(map[string]bool)
+	for _, pkg := range mod.pkgs {
+		if !strings.HasPrefix(pkg.Path+"/", prefix) {
+			continue
+		}
+		rel := strings.TrimPrefix(pkg.Path, prefix)
+		scope := pkg.Types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || tn.IsAlias() || !(name == "Options" || strings.HasSuffix(name, "Config")) {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() && !set[f] {
+					unset[rel+"."+name+"."+f.Name()] = true
+				}
+			}
+		}
+	}
+	for name := range unset {
+		if _, ok := testOnlyOptions[name]; !ok {
+			fresh = append(fresh, name)
+		}
+	}
+	for name := range testOnlyOptions {
+		if !unset[name] {
+			stale = append(stale, name)
+		}
+	}
+	sort.Strings(fresh)
+	sort.Strings(stale)
+	for _, name := range fresh {
+		t.Errorf("internal/%s is configuration no non-test file sets: give it a program setter, delete it with the behaviour behind it, or list it in testOnlyOptions with a reason", name)
+	}
+	for _, name := range stale {
+		t.Errorf("testOnlyOptions lists internal/%s, which is gone or now has a non-test setter: drop the entry", name)
+	}
+}
+
+// testOnlyOptions is the allowlist of configuration fields only tests set,
+// keyed "<package under internal/>.<struct>.<field>", each with the reason
+// it stays.
+var testOnlyOptions = map[string]string{
+	"core.Options.Switch": "§5.2.1 bond-vs-OVS alternative; its fate is decided with the switch ablation",
+}
+
 // origin maps an instantiated generic function or field to its declaration.
 func origin(obj types.Object) types.Object {
 	switch o := obj.(type) {
@@ -264,6 +369,7 @@ var testOnlyExports = map[string]string{
 	"guest.Kernel.Faults":             inspector,
 	"guest.Kernel.GuestIP":            inspector,
 	"guest.Kernel.Map":                inspector,
+	"hv.Domain.VCPU":                  inspector,
 	"netsim.Bond.Name":                inspector,
 	"netsim.Bridge.Name":              inspector,
 	"netsim.Fabric.Hosts":             inspector,
@@ -285,23 +391,21 @@ var testOnlyExports = map[string]string{
 	"vclock.Vector.At":                inspector,
 	"vclock.Vector.Hosts":             inspector,
 
-	"apps.Redis.Del":                  model,
-	"apps.Redis.Get":                  model,
-	"cloned.Daemon.InvalidateCache":   model,
-	"devices.HostFS.Remove":           model,
-	"devices.Vbd.ReadSector":          model,
-	"guest.Kernel.NewMap":             model,
-	"guest.Kernel.Stop":               model,
-	"guest.Kernel.UDPSend":            model,
-	"guest.NineFile.Read":             model,
-	"mem.Memory.AddSharerN":           model,
-	"mem.Memory.CopyFrameN":           model,
-	"netsim.OVSGroup.SetSelector":     model,
-	"obs.Gauge.Add":                   model,
-	"obs.OpCtx.WithMeter":             model,
-	"ring.Ring.Reset":                 model,
-	"toolstack.ImageStore.Drop":       model,
-	"xenstore.Store.DisableAccessLog": model,
+	"apps.Redis.Del":              model,
+	"apps.Redis.Get":              model,
+	"devices.HostFS.Remove":       model,
+	"devices.Vbd.ReadSector":      model,
+	"guest.Kernel.NewMap":         model,
+	"guest.Kernel.Stop":           model,
+	"guest.Kernel.UDPSend":        model,
+	"guest.NineFile.Read":         model,
+	"mem.Memory.AddSharerN":       model,
+	"mem.Memory.CopyFrameN":       model,
+	"netsim.OVSGroup.SetSelector": model,
+	"obs.Gauge.Add":               model,
+	"obs.OpCtx.WithMeter":         model,
+	"ring.Ring.Reset":             model,
+	"toolstack.ImageStore.Drop":   model,
 
 	"core.SwitchBond": enum,
 	"fuzz.SysNanoslp": enum,

@@ -9,7 +9,6 @@ import (
 	"nephele/internal/core"
 	"nephele/internal/devices"
 	"nephele/internal/guest"
-	"nephele/internal/hv"
 	"nephele/internal/netsim"
 	"nephele/internal/proc"
 	"nephele/internal/toolstack"
@@ -21,10 +20,9 @@ import (
 func redisGuestEnv(t *testing.T) (*core.Platform, *KernelHost) {
 	t.Helper()
 	p := core.NewPlatform(core.Options{
-		HV:                  hv.Config{MemoryBytes: 2 << 30, PerDomainOverheadFrames: 16},
-		SkipNameCheck:       true,
-		StoreLogRotateEvery: -1,
-		Cloned:              cloned.Options{SkipNetworkDevices: true},
+		MemoryBytes:   2 << 30,
+		SkipNameCheck: true,
+		Cloned:        cloned.Options{SkipNetworkDevices: true},
 	})
 	rec, err := p.Boot(toolstack.DomainConfig{
 		Name:      "redis-0",

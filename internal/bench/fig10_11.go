@@ -7,7 +7,6 @@ import (
 	"nephele/internal/core"
 	"nephele/internal/faas"
 	"nephele/internal/guest"
-	"nephele/internal/hv"
 	"nephele/internal/obs"
 	"nephele/internal/vclock"
 )
@@ -18,7 +17,7 @@ import (
 // Fig. 10/11 come from the measured clone times.
 func faasUnikernelRuntime() (*faas.UnikernelRuntime, error) {
 	p := core.NewPlatform(core.Options{
-		HV:            hv.Config{MemoryBytes: 2 << 30, PerDomainOverheadFrames: 90},
+		MemoryBytes:   2 << 30,
 		SkipNameCheck: true,
 	})
 	// The Python runtime is shared between all instances via the 9pfs
@@ -52,7 +51,7 @@ func runFaaS(duration vclock.Duration, baseRPS, stepRPS float64) (cont, uni *faa
 	tick := vclock.Duration(time.Second)
 	load := faas.StepLoad(baseRPS, stepRPS, 30*tick)
 
-	cg := faas.NewGateway(faas.DefaultAutoscaler(), faas.NewContainerRuntime(nil), servicesMem)
+	cg := faas.NewGateway(faas.NewContainerRuntime(nil), servicesMem)
 	cont, err = cg.Run(duration, tick, load)
 	if err != nil {
 		return nil, nil, fmt.Errorf("faas containers: %w", err)
@@ -61,7 +60,7 @@ func runFaaS(duration vclock.Duration, baseRPS, stepRPS float64) (cont, uni *faa
 	if err != nil {
 		return nil, nil, err
 	}
-	ug := faas.NewGateway(faas.DefaultAutoscaler(), rt, servicesMem)
+	ug := faas.NewGateway(rt, servicesMem)
 	uni, err = ug.Run(duration, tick, load)
 	if err != nil {
 		return nil, nil, fmt.Errorf("faas unikernels: %w", err)

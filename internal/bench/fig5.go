@@ -6,23 +6,14 @@ import (
 
 	"nephele/internal/core"
 	"nephele/internal/guest"
-	"nephele/internal/hv"
 	"nephele/internal/mem"
 	"nephele/internal/obs"
 )
 
-// fig5Platform sizes the per-domain tables small so thousands of domains
-// fit in the simulator's own memory (the guest-visible behaviour is
-// unchanged: the Fig. 4 guests use a handful of ports and grants).
+// fig5Platform builds a machine with hypBytes of hypervisor memory.
 func fig5Platform(hypBytes uint64) *core.Platform {
 	return core.NewPlatform(core.Options{
-		HV: hv.Config{
-			MemoryBytes:             hypBytes,
-			MaxEventPorts:           32,
-			GrantEntries:            32,
-			NotifyRingSlots:         128,
-			PerDomainOverheadFrames: 90,
-		},
+		MemoryBytes:   hypBytes,
 		SkipNameCheck: true,
 	})
 }

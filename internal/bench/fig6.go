@@ -6,7 +6,6 @@ import (
 	"nephele/internal/cloned"
 	"nephele/internal/core"
 	"nephele/internal/guest"
-	"nephele/internal/hv"
 	"nephele/internal/obs"
 	"nephele/internal/proc"
 	"nephele/internal/toolstack"
@@ -96,13 +95,8 @@ func fig6Process(sizeMB int) (first, second vclock.Duration, err error) {
 // Dom0 userspace-operation time of the second clone.
 func fig6Unikraft(sizeMB int) (first, second, userspace vclock.Duration, err error) {
 	p := core.NewPlatform(core.Options{
-		HV: hv.Config{
-			// Three clones' worth of the largest size.
-			MemoryBytes:             uint64(3*sizeMB+512) << 20,
-			MaxEventPorts:           64,
-			GrantEntries:            64,
-			PerDomainOverheadFrames: 90,
-		},
+		// Three clones' worth of the largest size.
+		MemoryBytes:   uint64(3*sizeMB+512) << 20,
 		SkipNameCheck: true,
 		Cloned:        cloned.Options{SkipDevices: true},
 	})

@@ -6,7 +6,6 @@ import (
 	"nephele/internal/apps"
 	"nephele/internal/core"
 	"nephele/internal/guest"
-	"nephele/internal/hv"
 	"nephele/internal/obs"
 	"nephele/internal/vclock"
 )
@@ -90,7 +89,7 @@ func fig7(quick bool, _ *obs.Trace) (*Figure, error) {
 // verifying the bond aggregates all worker vifs.
 func deployCloneWorkers(workers int) error {
 	p := core.NewPlatform(core.Options{
-		HV:            hv.Config{MemoryBytes: 1 << 30, PerDomainOverheadFrames: 90},
+		MemoryBytes:   1 << 30,
 		SkipNameCheck: true,
 	})
 	rec, err := p.Boot(miniOSUDP("nginx-parent"), nil)

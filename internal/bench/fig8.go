@@ -8,7 +8,6 @@ import (
 	"nephele/internal/core"
 	"nephele/internal/devices"
 	"nephele/internal/guest"
-	"nephele/internal/hv"
 	"nephele/internal/obs"
 	"nephele/internal/proc"
 	"nephele/internal/toolstack"
@@ -115,12 +114,7 @@ func fig8Process(keys int) (fork, save vclock.Duration, err error) {
 func fig8Unikraft(keys int) (clone, save, userspace vclock.Duration, err error) {
 	memMB := fig8SpawnPages(keys)*4096/(1<<20) + 32
 	p := core.NewPlatform(core.Options{
-		HV: hv.Config{
-			MemoryBytes:             uint64(memMB*4+512) << 20,
-			MaxEventPorts:           64,
-			GrantEntries:            64,
-			PerDomainOverheadFrames: 90,
-		},
+		MemoryBytes:   uint64(memMB*4+512) << 20,
 		SkipNameCheck: true,
 		Cloned:        cloned.Options{SkipNetworkDevices: true},
 	})

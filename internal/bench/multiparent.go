@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"nephele/internal/core"
-	"nephele/internal/hv"
 	"nephele/internal/netsim"
 	"nephele/internal/obs"
 	"nephele/internal/toolstack"
@@ -35,7 +34,7 @@ func figMultiParent(quick bool, _ *obs.Trace) (*Figure, error) {
 
 	for _, parents := range parentCounts {
 		p := core.NewPlatform(core.Options{
-			HV:            hv.Config{MemoryBytes: 2 << 30, PerDomainOverheadFrames: 90},
+			MemoryBytes:   2 << 30,
 			SkipNameCheck: true,
 		})
 		specs := make([]core.CloneSpec, parents)

@@ -30,9 +30,6 @@ type Options struct {
 	// UseDeepCopy replaces xs_clone with the client-side deep copy (one
 	// request per node) — the "clone + XS deep copy" series of Fig. 4.
 	UseDeepCopy bool
-	// DisableCache turns off the parent-info caching that makes second
-	// and later clones cheaper (3 ms -> 1.9 ms, §6.2).
-	DisableCache bool
 	// SkipDevices limits the second stage to the mandatory operations
 	// (toolstack introduction), the configuration used by the Fig. 6
 	// memory-scaling experiment.
@@ -40,38 +37,11 @@ type Options struct {
 	// SkipNetworkDevices skips vif cloning only (the Redis experiment
 	// clones no network devices, §7.1).
 	SkipNetworkDevices bool
-	// LeaveChildrenPaused keeps clones paused after completion (the
-	// configuration knob of §5).
-	LeaveChildrenPaused bool
-	// PinCloneVCPUs pins each clone's vCPUs to successive physical
-	// cores, round robin — the §9 mitigation for missing SMP support
-	// ("lack of SMP support can be mitigated by running clones on
-	// different CPUs") and the per-core NGINX worker setup of §7.1.
-	PinCloneVCPUs bool
-	// HostCores is the physical core count used for pinning (the
-	// paper's machine has 4).
-	HostCores int
-	// MaxRetries bounds the retry attempts after a transient
-	// second-stage failure; 0 selects DefaultMaxRetries, a negative
-	// value disables retries.
-	MaxRetries int
 }
 
-// DefaultMaxRetries is the retry budget for transient second-stage faults
-// when Options.MaxRetries is zero.
-const DefaultMaxRetries = 3
-
-// retryBudget resolves the effective retry count.
-func (o Options) retryBudget() int {
-	switch {
-	case o.MaxRetries < 0:
-		return 0
-	case o.MaxRetries == 0:
-		return DefaultMaxRetries
-	default:
-		return o.MaxRetries
-	}
-}
+// maxRetries bounds the retry attempts after a transient second-stage
+// failure.
+const maxRetries = 3
 
 // FailureStats counts the daemon's failure handling activity. It is a
 // point-in-time read of the daemon's registry counters (the hypervisor's
@@ -126,11 +96,6 @@ type Daemon struct {
 	// child, so experiment drivers can compose total clone latency.
 	secondStage map[hv.DomID]vclock.Duration
 	served      int
-	pinNext     int // next physical core for PinCloneVCPUs
-	// pinReserved pre-assigns pin bases per child in notification order,
-	// so parallel batch serving pins the same cores a sequential sweep
-	// would have.
-	pinReserved map[hv.DomID]int
 	met         clonedMetrics
 }
 
@@ -185,13 +150,6 @@ func (d *Daemon) SecondStageDuration(child hv.DomID) (vclock.Duration, bool) {
 	return t, ok
 }
 
-// InvalidateCache drops the cached parent info (tests and teardown).
-func (d *Daemon) InvalidateCache(parent hv.DomID) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	delete(d.cache, parent)
-}
-
 // Serve drains the notification ring and runs the second stage for every
 // pending clone. The context carries the meter the round charges onto, the
 // trace its second-stage spans land in, and the fault scope of the round.
@@ -216,9 +174,6 @@ func (d *Daemon) Serve(ctx obs.OpCtx) (int, error) {
 	notes := d.HV.PopNotifications()
 	if len(notes) == 0 {
 		return 0, nil
-	}
-	if d.Opts.PinCloneVCPUs {
-		d.reservePins(notes)
 	}
 
 	// Group by parent, preserving arrival order within and across groups.
@@ -321,28 +276,6 @@ func (d *Daemon) CloneRound(ctx obs.OpCtx, reqs []hv.CloneRequest) ([]hv.CloneRe
 	return results, served, err
 }
 
-// reservePins pre-assigns pin bases for every child in notification order,
-// so the round-robin core assignment does not depend on which worker
-// serves which parent group first.
-func (d *Daemon) reservePins(notes []hv.CloneNotification) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.pinReserved == nil {
-		d.pinReserved = make(map[hv.DomID]int)
-	}
-	for _, n := range notes {
-		if _, ok := d.pinReserved[n.Child]; ok {
-			continue
-		}
-		dom, err := d.HV.Domain(n.Child)
-		if err != nil {
-			continue
-		}
-		d.pinReserved[n.Child] = d.pinNext
-		d.pinNext += dom.VCPUCount()
-	}
-}
-
 // serveOneIsolated runs the second stage for one notification with the
 // daemon's failure protocol around it: on any failure the partial clone is
 // rolled back; transient faults are retried with exponential backoff up to
@@ -350,15 +283,7 @@ func (d *Daemon) reservePins(notes []hv.CloneNotification) {
 // clone through CLONEOP so the parent resumes with the child reported
 // failed.
 func (d *Daemon) serveOneIsolated(n hv.CloneNotification, ctx obs.OpCtx) error {
-	defer func() {
-		// The child reached a terminal state either way; its pin
-		// reservation (if any) is spent.
-		d.mu.Lock()
-		delete(d.pinReserved, n.Child)
-		d.mu.Unlock()
-	}()
 	meter := ctx.Meter()
-	budget := d.Opts.retryBudget()
 	for attempt := 0; ; attempt++ {
 		err := d.serveOne(n, ctx)
 		if err == nil {
@@ -366,7 +291,7 @@ func (d *Daemon) serveOneIsolated(n hv.CloneNotification, ctx obs.OpCtx) error {
 		}
 		d.rollback(n, ctx)
 		d.met.rollbacks.Inc()
-		if fault.IsTransient(err) && attempt < budget {
+		if fault.IsTransient(err) && attempt < maxRetries {
 			d.met.retries.Inc()
 			// Exponential backoff: base, 2x base, 4x base, ...
 			meter.Charge(meter.Costs().CloneRetryBase, 1<<attempt)
@@ -421,15 +346,6 @@ func (d *Daemon) serveOne(n hv.CloneNotification, ctx obs.OpCtx) error {
 		return err
 	}
 
-	if d.Opts.PinCloneVCPUs {
-		_, fspan := ctx.StartSpan("finalize")
-		err := d.pinVCPUs(n.Child)
-		fspan.End()
-		if err != nil {
-			return err
-		}
-	}
-
 	if !d.Opts.SkipDevices {
 		_, dspan := ctx.StartSpan("device-clone")
 		err := d.cloneDevices(n, info, meter)
@@ -439,10 +355,10 @@ func (d *Daemon) serveOne(n hv.CloneNotification, ctx obs.OpCtx) error {
 		}
 	}
 
-	// Step 2.4: report completion; the hypervisor resumes the parent,
-	// and the child unless configured to stay paused. CloneCompletion
-	// records its own span on the passed context.
-	if err := d.HV.CloneCompletion(ctx, n.Child, !d.Opts.LeaveChildrenPaused); err != nil {
+	// Step 2.4: report completion; the hypervisor resumes the parent and
+	// the child. CloneCompletion records its own span on the passed
+	// context.
+	if err := d.HV.CloneCompletion(ctx, n.Child); err != nil {
 		return err
 	}
 
@@ -474,44 +390,15 @@ func (d *Daemon) rollback(n hv.CloneNotification, ctx obs.OpCtx) {
 	kinds.RemoveEntries(d.Store, c, meter)
 }
 
-// pinVCPUs assigns the clone's vCPUs to physical cores round robin.
-func (d *Daemon) pinVCPUs(child hv.DomID) error {
-	cores := d.Opts.HostCores
-	if cores <= 0 {
-		cores = 4
-	}
-	dom, err := d.HV.Domain(child)
-	if err != nil {
-		return err
-	}
-	d.mu.Lock()
-	base, reserved := d.pinReserved[child]
-	if !reserved {
-		base = d.pinNext
-		d.pinNext += dom.VCPUCount()
-	}
-	d.mu.Unlock()
-	for i := 0; i < dom.VCPUCount(); i++ {
-		v, err := dom.VCPU(i)
-		if err != nil {
-			return err
-		}
-		v.Affinity = (base + i) % cores
-	}
-	return nil
-}
-
 // parentInfo reads (or recalls) the parent's device inventory. The first
 // clone pays the Xenstore reads; later clones hit the cache (§6.2).
 func (d *Daemon) parentInfo(parent hv.DomID, meter *vclock.Meter) (*parentInfo, error) {
-	if !d.Opts.DisableCache {
-		d.mu.Lock()
-		if info, ok := d.cache[parent]; ok {
-			d.mu.Unlock()
-			return info, nil
-		}
+	d.mu.Lock()
+	if info, ok := d.cache[parent]; ok {
 		d.mu.Unlock()
+		return info, nil
 	}
+	d.mu.Unlock()
 	name, err := d.Store.Read(fmt.Sprintf("/local/domain/%d/name", parent), meter)
 	if err != nil {
 		return nil, err
@@ -533,11 +420,9 @@ func (d *Daemon) parentInfo(parent hv.DomID, meter *vclock.Meter) (*parentInfo, 
 			}
 		}
 	}
-	if !d.Opts.DisableCache {
-		d.mu.Lock()
-		d.cache[parent] = info
-		d.mu.Unlock()
-	}
+	d.mu.Lock()
+	d.cache[parent] = info
+	d.mu.Unlock()
 	return info, nil
 }
 
@@ -569,30 +454,26 @@ func (d *Daemon) cloneStoreDir(n hv.CloneNotification, op xenstore.CloneOp, src,
 // snapshot returns the cached subtree of a parent device directory,
 // reading it from the store on the first use.
 func (d *Daemon) snapshot(parent hv.DomID, src string, meter *vclock.Meter) ([]xenstore.Pair, error) {
-	if !d.Opts.DisableCache {
-		d.mu.Lock()
-		if info, ok := d.cache[parent]; ok && info.snapshots != nil {
-			if pairs, ok := info.snapshots[src]; ok {
-				d.mu.Unlock()
-				return pairs, nil
-			}
+	d.mu.Lock()
+	if info, ok := d.cache[parent]; ok && info.snapshots != nil {
+		if pairs, ok := info.snapshots[src]; ok {
+			d.mu.Unlock()
+			return pairs, nil
 		}
-		d.mu.Unlock()
 	}
+	d.mu.Unlock()
 	pairs, err := d.Store.Snapshot(src, meter)
 	if err != nil {
 		return nil, err
 	}
-	if !d.Opts.DisableCache {
-		d.mu.Lock()
-		if info, ok := d.cache[parent]; ok {
-			if info.snapshots == nil {
-				info.snapshots = make(map[string][]xenstore.Pair)
-			}
-			info.snapshots[src] = pairs
+	d.mu.Lock()
+	if info, ok := d.cache[parent]; ok {
+		if info.snapshots == nil {
+			info.snapshots = make(map[string][]xenstore.Pair)
 		}
-		d.mu.Unlock()
+		info.snapshots[src] = pairs
 	}
+	d.mu.Unlock()
 	return pairs, nil
 }
 

@@ -26,13 +26,7 @@ type rig struct {
 
 func newRig(t *testing.T, opts Options) *rig {
 	t.Helper()
-	hyp := hv.New(hv.Config{
-		MemoryBytes:             512 << 20,
-		MaxEventPorts:           64,
-		GrantEntries:            64,
-		NotifyRingSlots:         64,
-		PerDomainOverheadFrames: 8,
-	})
+	hyp := hv.New(512 << 20)
 	store := xenstore.New(0)
 	udev := devices.NewUdevQueue()
 	fs := devices.NewHostFS()
@@ -54,8 +48,13 @@ func newRig(t *testing.T, opts Options) *rig {
 
 func (r *rig) bootParent(t *testing.T) *toolstack.Record {
 	t.Helper()
+	return r.bootNamed(t, "parent")
+}
+
+func (r *rig) bootNamed(t *testing.T, name string) *toolstack.Record {
+	t.Helper()
 	rec, err := r.xl.Create(toolstack.DomainConfig{
-		Name:      "parent",
+		Name:      name,
 		MemoryMB:  4,
 		VCPUs:     1,
 		MaxClones: 64,
@@ -174,29 +173,13 @@ func TestCacheMakesLaterClonesCheaper(t *testing.T) {
 	if d2 >= d1 {
 		t.Fatalf("warm second stage (%v) not below cold (%v)", d2, d1)
 	}
-	// Invalidate and observe the cold cost again.
-	r.d.InvalidateCache(rec.ID)
+	// The cache is per parent: another parent's first clone is cold.
+	other := r.bootNamed(t, "other")
 	m3 := vclock.NewMeter(nil)
-	c3 := r.cloneOne(t, rec.ID, m3)
+	c3 := r.cloneOne(t, other.ID, m3)
 	d3, _ := r.d.SecondStageDuration(c3)
 	if d3 <= d2 {
-		t.Fatalf("post-invalidate second stage (%v) not above warm (%v)", d3, d2)
-	}
-}
-
-func TestDisableCacheOption(t *testing.T) {
-	r := newRig(t, Options{DisableCache: true})
-	rec := r.bootParent(t)
-	c1 := r.cloneOne(t, rec.ID, vclock.NewMeter(nil))
-	c2 := r.cloneOne(t, rec.ID, vclock.NewMeter(nil))
-	d1, _ := r.d.SecondStageDuration(c1)
-	d2, _ := r.d.SecondStageDuration(c2)
-	diff := d1 - d2
-	if diff < 0 {
-		diff = -diff
-	}
-	if diff > d1/20 {
-		t.Fatalf("cache-less stages differ: %v vs %v", d1, d2)
+		t.Fatalf("other parent's first second stage (%v) not above warm (%v)", d3, d2)
 	}
 }
 
@@ -240,20 +223,6 @@ func TestSkipDevicesOption(t *testing.T) {
 	// The mandatory part still ran: toolstack adoption + introduction.
 	if _, err := r.xl.Record(child); err != nil {
 		t.Fatal("child not adopted")
-	}
-}
-
-func TestLeaveChildrenPausedOption(t *testing.T) {
-	r := newRig(t, Options{LeaveChildrenPaused: true})
-	rec := r.bootParent(t)
-	child := r.cloneOne(t, rec.ID, vclock.NewMeter(nil))
-	cd, _ := r.hv.Domain(child)
-	if !cd.Paused() {
-		t.Fatal("child resumed despite LeaveChildrenPaused")
-	}
-	pd, _ := r.hv.Domain(rec.ID)
-	if pd.Paused() {
-		t.Fatal("parent left paused")
 	}
 }
 

@@ -32,13 +32,7 @@ type faultRig struct {
 
 func newFaultRig(t testing.TB, opts Options) *faultRig {
 	t.Helper()
-	hyp := hv.New(hv.Config{
-		MemoryBytes:             512 << 20,
-		MaxEventPorts:           64,
-		GrantEntries:            64,
-		NotifyRingSlots:         64,
-		PerDomainOverheadFrames: 8,
-	})
+	hyp := hv.New(512 << 20)
 	store := xenstore.New(0)
 	udev := devices.NewUdevQueue()
 	fs := devices.NewHostFS()
@@ -335,12 +329,13 @@ func TestFaultMatrixTransientRecovers(t *testing.T) {
 }
 
 // TestFaultMatrixTransientExhausted injects an unhealing transient fault:
-// the retry budget is consumed, then the clone is aborted exactly like a
-// fatal one, leaving the machine spotless.
+// the retry budget is consumed, with exponential backoff between attempts,
+// then the clone is aborted exactly like a fatal one, leaving the machine
+// spotless.
 func TestFaultMatrixTransientExhausted(t *testing.T) {
 	for _, point := range fault.SecondStagePoints() {
 		t.Run(point, func(t *testing.T) {
-			r := newFaultRig(t, Options{MaxRetries: 2})
+			r := newFaultRig(t, Options{})
 			rec := r.bootParent(t)
 			pre := r.snapshot(t)
 
@@ -349,7 +344,11 @@ func TestFaultMatrixTransientExhausted(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			served, serveErr := r.d.Serve(obs.Ctx(vclock.NewMeter(nil)))
+			// A cost table that prices the backoff alone: the meter then
+			// reads exactly what the retries were charged.
+			base := vclock.DefaultCosts().CloneRetryBase
+			meter := vclock.NewMeter(&vclock.CostModel{CloneRetryBase: base})
+			served, serveErr := r.d.Serve(obs.Ctx(meter))
 			if served != 0 || serveErr == nil {
 				t.Fatalf("served = %d, err = %v; want 0 and an error", served, serveErr)
 			}
@@ -358,9 +357,12 @@ func TestFaultMatrixTransientExhausted(t *testing.T) {
 			assertSame(t, pre, r.snapshot(t))
 			r.assertChildGone(t, kids[0])
 			st := r.d.FailureStats()
-			// 1 initial attempt + 2 retries, each rolled back, then 1 abort.
-			if st.Retries != 2 || st.Rollbacks != 3 || st.Failures != 1 || st.Aborts != 1 {
-				t.Fatalf("stats = %+v, want 2 retries, 3 rollbacks, 1 failure, 1 abort", st)
+			// 1 initial attempt + 3 retries, each rolled back, then 1 abort.
+			if st.Retries != 3 || st.Rollbacks != 4 || st.Failures != 1 || st.Aborts != 1 {
+				t.Fatalf("stats = %+v, want 3 retries, 4 rollbacks, 1 failure, 1 abort", st)
+			}
+			if want := base * (1 + 2 + 4); meter.Elapsed() != want {
+				t.Fatalf("backoff charged %v, want %v (base x (1+2+4))", meter.Elapsed(), want)
 			}
 		})
 	}

@@ -34,9 +34,6 @@ type Options struct {
 	// LinkWidth is the bonded slave count of every inter-host link
 	// (default 2, minimum 1).
 	LinkWidth int
-	// CacheMB bounds each host's snapshot cache resident set
-	// (0 = unbounded).
-	CacheMB int
 	// Platform configures every host's platform identically.
 	Platform core.Options
 }
@@ -107,7 +104,7 @@ func New(opts Options) *Cluster {
 		h := &Host{
 			Index: i,
 			P:     p,
-			Store: p.NewImageStore(opts.CacheMB),
+			Store: p.NewImageStore(0),
 			VC:    vclock.NewVector(n),
 		}
 		p.SetCloneRouter(&hostRouter{c: c, src: i})

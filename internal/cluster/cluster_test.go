@@ -8,7 +8,6 @@ import (
 
 	"nephele/internal/core"
 	"nephele/internal/fault"
-	"nephele/internal/hv"
 	"nephele/internal/mem"
 	"nephele/internal/netsim"
 	"nephele/internal/obs"
@@ -21,12 +20,8 @@ func testCluster(hosts int) *Cluster {
 		Hosts:     hosts,
 		LinkWidth: 2,
 		Platform: core.Options{
-			HV: hv.Config{
-				MemoryBytes:             1 << 30,
-				PerDomainOverheadFrames: 90,
-			},
-			StoreLogRotateEvery: -1,
-			SkipNameCheck:       true,
+			MemoryBytes:   1 << 30,
+			SkipNameCheck: true,
 		},
 	})
 }

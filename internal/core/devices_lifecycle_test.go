@@ -23,7 +23,7 @@ type kindFixture struct {
 var kindFixtures = map[string]kindFixture{
 	"console": {
 		cloneFault: fault.PointDevConsoleClone,
-		configure:  func(cfg *toolstack.DomainConfig) { cfg.NoConsole = false },
+		configure:  func(*toolstack.DomainConfig) {}, // every guest has one
 		owns:       func(p *Platform, id DomID) bool { return p.Backends.Console.Has(uint32(id)) },
 	},
 	"vif": {
@@ -81,7 +81,7 @@ func TestDeviceKindLifecycle(t *testing.T) {
 				if !ok {
 					t.Fatalf("device kind %q has no fixture in kindFixtures", kind.Dir)
 				}
-				cfg := toolstack.DomainConfig{Name: "parent-" + kind.Dir, MemoryMB: 4, VCPUs: 1, MaxClones: 8, NoConsole: true}
+				cfg := toolstack.DomainConfig{Name: "parent-" + kind.Dir, MemoryMB: 4, VCPUs: 1, MaxClones: 8}
 				fx.configure(&cfg)
 				rec, err := p.Boot(cfg, nil)
 				if err != nil {

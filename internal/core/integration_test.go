@@ -5,54 +5,12 @@ import (
 	"sync"
 	"testing"
 
-	"nephele/internal/cloned"
 	"nephele/internal/devices"
-	"nephele/internal/hv"
 	"nephele/internal/toolstack"
 )
 
-func TestClonePinsVCPUsRoundRobin(t *testing.T) {
-	p := smallPlatform(Options{
-		SkipNameCheck: true,
-		Cloned:        cloned.Options{PinCloneVCPUs: true, HostCores: 4},
-	})
-	rec, _ := p.Boot(udpServerConfig("pinned"), nil)
-	res, err := fork(p, rec.ID, 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[int]bool{}
-	for _, child := range res.Children {
-		dom, _ := p.HV.Domain(child)
-		v, err := dom.VCPU(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v.Affinity < 0 || v.Affinity >= 4 {
-			t.Fatalf("clone %d affinity = %d", child, v.Affinity)
-		}
-		seen[v.Affinity] = true
-	}
-	if len(seen) != 3 {
-		t.Fatalf("clones share cores: %v (want 3 distinct)", seen)
-	}
-	// Without the option, clones inherit the parent's affinity (-1).
-	q := smallPlatform(Options{SkipNameCheck: true})
-	qrec, _ := q.Boot(udpServerConfig("unpinned"), nil)
-	qres, _ := fork(q, qrec.ID, 1, nil)
-	dom, _ := q.HV.Domain(qres.Children[0])
-	v, _ := dom.VCPU(0)
-	if v.Affinity != -1 {
-		t.Fatalf("unpinned clone affinity = %d", v.Affinity)
-	}
-}
-
 func TestVbdThroughFullClonePath(t *testing.T) {
-	base := make([]byte, 16*devices.SectorSize)
-	for i := range base {
-		base[i] = 'B'
-	}
-	p := smallPlatform(Options{SkipNameCheck: true, VbdBaseImage: base})
+	p := smallPlatform(Options{SkipNameCheck: true})
 	cfg := udpServerConfig("disky")
 	cfg.Vbds = []toolstack.VbdConfig{{}}
 	rec, err := p.Boot(cfg, nil)
@@ -108,7 +66,7 @@ func TestDeepFamilyTree(t *testing.T) {
 	// Three generations, multiple children each; all family-related and
 	// all functional.
 	p := NewPlatform(Options{
-		HV:            hv.Config{MemoryBytes: 2 << 30, MaxEventPorts: 32, GrantEntries: 32, PerDomainOverheadFrames: 16},
+		MemoryBytes:   2 << 30,
 		SkipNameCheck: true,
 	})
 	root, _ := p.Boot(udpServerConfig("gen0"), nil)
@@ -157,7 +115,7 @@ func TestConcurrentClonesOfDistinctParents(t *testing.T) {
 	// the same machine have independent families. The platform Clone is
 	// synchronous per call, so concurrency is across goroutines.
 	p := NewPlatform(Options{
-		HV:            hv.Config{MemoryBytes: 2 << 30, MaxEventPorts: 32, GrantEntries: 32, PerDomainOverheadFrames: 16},
+		MemoryBytes:   2 << 30,
 		SkipNameCheck: true,
 	})
 	const parents = 4
@@ -208,10 +166,16 @@ func TestOVSSwitchPlatform(t *testing.T) {
 }
 
 func TestStoreLogRotationSpikeVisibleInCloneSeries(t *testing.T) {
-	// With an aggressive rotation period, some clone operations absorb
-	// the rotation stall — the Fig. 4 spikes.
-	p := smallPlatform(Options{SkipNameCheck: true, StoreLogRotateEvery: 200})
+	// With the store a few writes short of its rotation period, one of
+	// the next clone operations absorbs the rotation stall — the Fig. 4
+	// spikes.
+	p := smallPlatform(Options{SkipNameCheck: true})
 	rec, _ := p.Boot(udpServerConfig("spiky"), nil)
+	for p.Store.Stats().Writes%storeLogRotateEvery < storeLogRotateEvery-5 {
+		if err := p.Store.Write("/spam", "x", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
 	var durations []float64
 	for i := 0; i < 40; i++ {
 		res, err := fork(p, rec.ID, 1, nil)

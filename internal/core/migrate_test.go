@@ -6,7 +6,6 @@ import (
 
 	"nephele/internal/cluster"
 	"nephele/internal/core"
-	"nephele/internal/hv"
 	"nephele/internal/mem"
 	"nephele/internal/netsim"
 	"nephele/internal/obs"
@@ -23,9 +22,8 @@ func twoHosts() (*cluster.Cluster, *core.Platform, *core.Platform) {
 	c := cluster.New(cluster.Options{
 		Hosts: 2,
 		Platform: core.Options{
-			HV:                  hv.Config{MemoryBytes: 1 << 30, PerDomainOverheadFrames: 90},
-			StoreLogRotateEvery: -1,
-			SkipNameCheck:       true,
+			MemoryBytes:   1 << 30,
+			SkipNameCheck: true,
 		},
 	})
 	return c, c.Host(0).P, c.Host(1).P

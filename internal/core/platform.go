@@ -42,27 +42,30 @@ const (
 
 // Options configure a Platform.
 type Options struct {
-	// HV sizes the hypervisor; zero value uses hv.DefaultConfig.
-	HV hv.Config
+	// MemoryBytes is the hypervisor's guest-allocatable memory; 0 uses
+	// the paper's 12 GiB.
+	MemoryBytes uint64
 	// Switch selects the network aggregation for guest vifs.
 	Switch SwitchKind
-	// StoreLogRotateEvery controls the Xenstore access-log rotation
-	// period in write requests; 0 uses the realistic default.
-	StoreLogRotateEvery int
 	// Cloned tunes the xencloned daemon (ablations).
 	Cloned cloned.Options
 	// SkipNameCheck disables xl's name-uniqueness scan (the paper does
 	// this for fair boot baselines).
 	SkipNameCheck bool
-	// VbdBaseImage is the shared read-only base disk image served by the
-	// vbd backend (the §5.3 device-type extension); nil creates an empty
-	// 1 MiB image.
-	VbdBaseImage []byte
 }
 
-// storeLogRotateDefault approximates oxenstored's log rotation period in
-// logged write requests; it produces the two Fig. 4 spikes per ~60k writes.
-const storeLogRotateDefault = 60000
+const (
+	// defaultMemoryBytes is the hypervisor pool of the paper's
+	// microbenchmark machine: 12 GiB of its 16 GB.
+	defaultMemoryBytes = 12 << 30
+	// storeLogRotateEvery approximates oxenstored's log rotation period in
+	// logged write requests; it produces the two Fig. 4 spikes per ~60k
+	// writes.
+	storeLogRotateEvery = 60000
+	// vbdBaseImageBytes sizes the shared read-only base disk image the vbd
+	// backend serves (the §5.3 device-type extension).
+	vbdBaseImageBytes = 1 << 20
+)
 
 // Platform is one simulated physical machine running the Nephele stack.
 type Platform struct {
@@ -89,27 +92,19 @@ type Platform struct {
 
 // NewPlatform builds a machine.
 func NewPlatform(opts Options) *Platform {
-	cfg := opts.HV
-	if cfg.MemoryBytes == 0 {
-		cfg = hv.DefaultConfig()
+	memoryBytes := opts.MemoryBytes
+	if memoryBytes == 0 {
+		memoryBytes = defaultMemoryBytes
 	}
-	hyp := hv.New(cfg)
-	rot := opts.StoreLogRotateEvery
-	if rot == 0 {
-		rot = storeLogRotateDefault
-	}
-	store := xenstore.New(rot)
+	hyp := hv.New(memoryBytes)
+	store := xenstore.New(storeLogRotateEvery)
 	udev := devices.NewUdevQueue()
 	hostFS := devices.NewHostFS()
-	baseImage := opts.VbdBaseImage
-	if baseImage == nil {
-		baseImage = make([]byte, 1<<20)
-	}
 	be := toolstack.Backends{
 		Net:     devices.NewNetBackend(udev),
 		Console: devices.NewConsoleBackend(),
 		NineP:   devices.NewNinePBackend(hostFS),
-		Vbd:     devices.NewVbdBackend(baseImage),
+		Vbd:     devices.NewVbdBackend(make([]byte, vbdBaseImageBytes)),
 		Udev:    udev,
 	}
 	host := netsim.NewHost(netsim.MAC{0x02, 0x00, 0x00, 0x00, 0x00, 0x01}, netsim.IP{10, 0, 0, 1})

@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"nephele/internal/cloned"
-	"nephele/internal/hv"
+	"nephele/internal/mem"
 	"nephele/internal/netsim"
 	"nephele/internal/obs"
 	"nephele/internal/toolstack"
@@ -13,14 +13,8 @@ import (
 )
 
 func smallPlatform(opts Options) *Platform {
-	if opts.HV.MemoryBytes == 0 {
-		opts.HV = hv.Config{
-			MemoryBytes:             1 << 30,
-			PerDomainOverheadFrames: 90,
-		}
-	}
-	if opts.StoreLogRotateEvery == 0 {
-		opts.StoreLogRotateEvery = -1 // effectively never in small tests
+	if opts.MemoryBytes == 0 {
+		opts.MemoryBytes = 1 << 30
 	}
 	return NewPlatform(opts)
 }
@@ -195,19 +189,6 @@ func TestSecondCloneCheaperWithCache(t *testing.T) {
 	if r2.SecondStage >= r1.SecondStage {
 		t.Fatalf("second clone second stage (%v) not cheaper than first (%v)", r2.SecondStage, r1.SecondStage)
 	}
-
-	// Without the cache both cost the same.
-	q := smallPlatform(Options{SkipNameCheck: true, Cloned: cloned.Options{DisableCache: true}})
-	qrec, _ := q.Boot(udpServerConfig("udp-0"), nil)
-	q1, _ := fork(q, qrec.ID, 1, nil)
-	q2, _ := fork(q, qrec.ID, 1, nil)
-	diff := q1.SecondStage - q2.SecondStage
-	if diff < 0 {
-		diff = -diff
-	}
-	if diff > q1.SecondStage/20 {
-		t.Fatalf("cache-less clones differ: %v vs %v", q1.SecondStage, q2.SecondStage)
-	}
 }
 
 func TestSkipDevicesOption(t *testing.T) {
@@ -250,28 +231,11 @@ func TestSkipNetworkDevicesOption(t *testing.T) {
 	}
 }
 
-func TestLeaveChildrenPaused(t *testing.T) {
-	p := smallPlatform(Options{SkipNameCheck: true, Cloned: cloned.Options{LeaveChildrenPaused: true}})
-	rec, _ := p.Boot(udpServerConfig("udp-0"), nil)
-	res, err := fork(p, rec.ID, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cd, _ := p.HV.Domain(res.Children[0])
-	if !cd.Paused() {
-		t.Fatal("child running despite LeaveChildrenPaused")
-	}
-	pd, _ := p.HV.Domain(rec.ID)
-	if pd.Paused() {
-		t.Fatal("parent still paused")
-	}
-}
-
 func TestCloneGrowthWithInstances(t *testing.T) {
 	// Fig. 4's slope: clone latency grows mildly with the number of
 	// instances (store size), much slower than boot latency grows.
 	p := NewPlatform(Options{
-		HV:            hv.Config{MemoryBytes: 4 << 30, PerDomainOverheadFrames: 90},
+		MemoryBytes:   4 << 30,
 		SkipNameCheck: true,
 	})
 	rec, _ := p.Boot(udpServerConfig("udp-0"), nil)
@@ -317,6 +281,29 @@ func TestMemoryReport(t *testing.T) {
 	}
 	if withClone.SharedFrames == 0 {
 		t.Fatal("no shared frames after clone")
+	}
+}
+
+// TestPlatformDomainOverhead pins the hypervisor's per-domain bookkeeping
+// at 90 frames, on the default machine and on one with a memory size.
+func TestPlatformDomainOverhead(t *testing.T) {
+	for _, opts := range []Options{{}, {MemoryBytes: 1 << 30}} {
+		p := NewPlatform(opts)
+		want := opts.MemoryBytes
+		if want == 0 {
+			want = 12 << 30
+		}
+		if got := p.Memory().HypTotalBytes; got != want {
+			t.Errorf("MemoryBytes %d: hypervisor pool = %d bytes, want %d", opts.MemoryBytes, got, want)
+		}
+		free := p.HV.Memory.FreeFrames()
+		if _, err := p.HV.DomainCreate(obs.OpCtx{}, 1024, 1); err != nil {
+			t.Fatal(err)
+		}
+		space := 1024 + mem.PTFrameCount(1024) + mem.P2MFrameCount(1024)
+		if got := free - p.HV.Memory.FreeFrames() - space; got != 90 {
+			t.Errorf("MemoryBytes %d: domain overhead = %d frames, want 90", opts.MemoryBytes, got)
+		}
 	}
 }
 

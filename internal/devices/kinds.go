@@ -37,10 +37,9 @@ type VbdConfig struct{}
 // Config is the device half of a guest configuration: what the table's
 // boot path is asked to create.
 type Config struct {
-	NoConsole bool
-	Vifs      []VifConfig
-	NinePFS   []NinePConfig
-	Vbds      []VbdConfig
+	Vifs    []VifConfig
+	NinePFS []NinePConfig
+	Vbds    []VbdConfig
 }
 
 // Kind is one row of the device-kind table: everything the toolstack and
@@ -87,12 +86,8 @@ func NewTable(console *ConsoleBackend, net *NetBackend, ninep *NinePBackend, vbd
 	return Table{{
 		Dir: "console", CloneOp: xenstore.CloneDevConsole,
 		present: console != nil, setFaults: console.SetFaults,
-		wanted: func(cfg Config) int {
-			if cfg.NoConsole {
-				return 0
-			}
-			return 1
-		},
+		// Every guest has a console.
+		wanted: func(Config) int { return 1 },
 		create: func(_ Config, domid uint32, _ int, _ Switch, meter *vclock.Meter) { console.Create(domid, meter) },
 		Clone: func(parent, child uint32, _ int, _ Switch, meter *vclock.Meter) error {
 			return console.Clone(parent, child, meter)

@@ -140,29 +140,17 @@ func (r *UnikernelRuntime) Launch(now vclock.Duration) (*Instance, error) {
 	}, nil
 }
 
-// AutoscalerConfig mirrors the OpenFaaS configuration of §7.3.
-type AutoscalerConfig struct {
-	// QueryInterval is how often load is evaluated (default 30 s).
-	QueryInterval vclock.Duration
-	// ThresholdRPS is the per-instance load that triggers scaling
-	// (default 10 RPS in the paper's RPS mode).
-	ThresholdRPS float64
-	// StepInstances is how many instances are added per trigger (the
-	// paper configures 1).
-	StepInstances int
-	// MaxInstances bounds the fleet.
-	MaxInstances int
-}
-
-// DefaultAutoscaler returns the paper's configuration.
-func DefaultAutoscaler() AutoscalerConfig {
-	return AutoscalerConfig{
-		QueryInterval: 30 * vclock.Duration(1000*1000*1000),
-		ThresholdRPS:  10,
-		StepInstances: 1,
-		MaxInstances:  64,
-	}
-}
+// The autoscaler is OpenFaaS configured as in §7.3: every query interval it
+// adds one instance when the per-instance load exceeds the threshold.
+const (
+	// queryInterval is how often load is evaluated.
+	queryInterval = 30 * vclock.Duration(1000*1000*1000)
+	// thresholdRPS is the per-instance load that triggers scaling (the
+	// paper's RPS mode).
+	thresholdRPS = 10
+	// maxInstances bounds the fleet.
+	maxInstances = 64
+)
 
 // Sample is one timeline point of a gateway run.
 type Sample struct {
@@ -189,7 +177,6 @@ var ErrNoRuntime = errors.New("faas: no runtime configured")
 
 // Gateway is the FaaS front door plus autoscaler.
 type Gateway struct {
-	cfg     AutoscalerConfig
 	runtime Runtime
 	// servicesMem is the fixed memory of the shared services (Xen
 	// toolchain / Kubernetes / OpenFaaS daemons).
@@ -199,8 +186,8 @@ type Gateway struct {
 }
 
 // NewGateway creates a gateway over a runtime.
-func NewGateway(cfg AutoscalerConfig, rt Runtime, servicesMem uint64) *Gateway {
-	return &Gateway{cfg: cfg, runtime: rt, servicesMem: servicesMem}
+func NewGateway(rt Runtime, servicesMem uint64) *Gateway {
+	return &Gateway{runtime: rt, servicesMem: servicesMem}
 }
 
 // LoadFunc gives the offered load (requests/second) at virtual time t.
@@ -216,8 +203,8 @@ func StepLoad(base, step float64, every vclock.Duration) LoadFunc {
 
 // Run simulates the gateway for total virtual time, sampling every tick.
 // The first instance is launched at t=0 (the deployment); the autoscaler
-// evaluates load every QueryInterval and launches StepInstances replicas
-// whenever offered-load / ready-instances exceeds ThresholdRPS.
+// evaluates load every queryInterval and launches one replica whenever
+// offered-load / ready-instances exceeds thresholdRPS.
 func (g *Gateway) Run(total, tick vclock.Duration, load LoadFunc) (*RunReport, error) {
 	if g.runtime == nil {
 		return nil, ErrNoRuntime
@@ -233,7 +220,7 @@ func (g *Gateway) Run(total, tick vclock.Duration, load LoadFunc) (*RunReport, e
 	}
 	g.instances = append(g.instances, first)
 
-	nextQuery := g.cfg.QueryInterval
+	nextQuery := queryInterval
 	for t := vclock.Duration(0); t <= total; t += tick {
 		offered := load(t)
 
@@ -266,16 +253,14 @@ func (g *Gateway) Run(total, tick vclock.Duration, load LoadFunc) (*RunReport, e
 		rep.ServedReqs += served * tick.Seconds()
 
 		if t >= nextQuery {
-			nextQuery += g.cfg.QueryInterval
-			if ready > 0 && offered/float64(ready) > g.cfg.ThresholdRPS &&
-				len(g.instances) < g.cfg.MaxInstances {
-				for i := 0; i < g.cfg.StepInstances; i++ {
-					in, err := g.runtime.Launch(t)
-					if err != nil {
-						return nil, err
-					}
-					g.instances = append(g.instances, in)
+			nextQuery += queryInterval
+			if ready > 0 && offered/float64(ready) > thresholdRPS &&
+				len(g.instances) < maxInstances {
+				in, err := g.runtime.Launch(t)
+				if err != nil {
+					return nil, err
 				}
+				g.instances = append(g.instances, in)
 			}
 		}
 	}

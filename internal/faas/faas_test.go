@@ -76,8 +76,7 @@ func TestUnikernelRuntimeFootprints(t *testing.T) {
 }
 
 func TestGatewayScalesOnLoad(t *testing.T) {
-	cfg := DefaultAutoscaler()
-	g := NewGateway(cfg, NewUnikernelRuntime(nil, nil), 21<<20)
+	g := NewGateway(NewUnikernelRuntime(nil, nil), 21<<20)
 	// Offered load rises to 35 RPS: with a 10 RPS threshold the fleet
 	// should grow beyond one instance.
 	rep, err := g.Run(sec(150), sec(1), StepLoad(5, 10, sec(30)))
@@ -102,7 +101,7 @@ func TestGatewayScalesOnLoad(t *testing.T) {
 
 func TestGatewayContainersUseMoreMemory(t *testing.T) {
 	run := func(rt Runtime) *RunReport {
-		g := NewGateway(DefaultAutoscaler(), rt, 21<<20)
+		g := NewGateway(rt, 21<<20)
 		rep, err := g.Run(sec(200), sec(1), StepLoad(5, 10, sec(30)))
 		if err != nil {
 			t.Fatal(err)
@@ -122,7 +121,7 @@ func TestGatewayClonesReactFaster(t *testing.T) {
 	// Fig. 11: the second/third instances are ready much earlier with
 	// clones (3/14/25 s) than with containers (33/42/56 s).
 	run := func(rt Runtime) []vclock.Duration {
-		g := NewGateway(DefaultAutoscaler(), rt, 21<<20)
+		g := NewGateway(rt, 21<<20)
 		rep, err := g.Run(sec(200), sec(1), StepLoad(15, 15, sec(30)))
 		if err != nil {
 			t.Fatal(err)
@@ -143,7 +142,7 @@ func TestGatewayClonesReactFaster(t *testing.T) {
 
 func TestGatewayServedThroughputTracksLoadWithClones(t *testing.T) {
 	run := func(rt Runtime) float64 {
-		g := NewGateway(DefaultAutoscaler(), rt, 21<<20)
+		g := NewGateway(rt, 21<<20)
 		rep, err := g.Run(sec(150), sec(1), StepLoad(20, 20, sec(30)))
 		if err != nil {
 			t.Fatal(err)
@@ -158,25 +157,24 @@ func TestGatewayServedThroughputTracksLoadWithClones(t *testing.T) {
 }
 
 func TestGatewayErrors(t *testing.T) {
-	g := NewGateway(DefaultAutoscaler(), nil, 0)
+	g := NewGateway(nil, 0)
 	if _, err := g.Run(sec(10), sec(1), StepLoad(1, 0, sec(30))); err != ErrNoRuntime {
 		t.Fatalf("run without runtime: %v", err)
 	}
-	g2 := NewGateway(DefaultAutoscaler(), NewContainerRuntime(nil), 0)
+	g2 := NewGateway(NewContainerRuntime(nil), 0)
 	if _, err := g2.Run(0, 0, StepLoad(1, 0, sec(30))); err == nil {
 		t.Fatal("bad geometry accepted")
 	}
 }
 
 func TestGatewayMaxInstances(t *testing.T) {
-	cfg := DefaultAutoscaler()
-	cfg.MaxInstances = 2
-	g := NewGateway(cfg, NewUnikernelRuntime(nil, nil), 0)
-	if _, err := g.Run(sec(300), sec(1), StepLoad(100, 100, sec(30))); err != nil {
+	// A load no fleet can absorb adds one instance per query until the cap.
+	g := NewGateway(NewUnikernelRuntime(nil, nil), 0)
+	if _, err := g.Run(2*maxInstances*queryInterval, sec(1), StepLoad(1e6, 0, sec(30))); err != nil {
 		t.Fatal(err)
 	}
-	if g.Instances() != 2 {
-		t.Fatalf("instances = %d, want capped at 2", g.Instances())
+	if g.Instances() != maxInstances {
+		t.Fatalf("instances = %d, want capped at %d", g.Instances(), maxInstances)
 	}
 }
 

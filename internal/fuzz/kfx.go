@@ -72,10 +72,6 @@ type Config struct {
 	Mode Mode
 	// GetppidOnly runs the fully-supported-syscall baseline series.
 	GetppidOnly bool
-	// Supported lists the implemented syscalls of the target tree (the
-	// paper's tree had partial support, a source of throughput
-	// variation).
-	Supported []int
 	// Seed makes the run reproducible.
 	Seed uint32
 }
@@ -111,16 +107,14 @@ type Session struct {
 	resetSum vclock.Duration
 }
 
-// defaultSupported mirrors a partially-supported syscall table.
-func defaultSupported() []int {
+// supportedSyscalls lists the implemented syscalls of the target tree: the
+// paper's tree had partial support, a source of throughput variation.
+func supportedSyscalls() []int {
 	return []int{SysGetppid, SysWrite, SysRead, SysGetpid}
 }
 
 // NewSession prepares a campaign on a fresh platform.
 func NewSession(cfg Config) (*Session, error) {
-	if cfg.Supported == nil {
-		cfg.Supported = defaultSupported()
-	}
 	s := &Session{
 		cfg:    cfg,
 		mut:    NewMutator(cfg.Seed),
@@ -159,7 +153,7 @@ func NewSession(cfg Config) (*Session, error) {
 			return nil, err
 		}
 		s.process = pr
-		tgt, err := NewSyscallTarget(pr, cfg.Supported)
+		tgt, err := NewSyscallTarget(pr, supportedSyscalls())
 		if err != nil {
 			return nil, err
 		}
@@ -195,7 +189,7 @@ func (s *Session) setupClone() error {
 	if err := s.p.HV.CloneCOW(obs.OpCtx{}, ck.Dom, codePages); err != nil {
 		return err
 	}
-	tgt, err := NewSyscallTarget(ck, s.cfg.Supported)
+	tgt, err := NewSyscallTarget(ck, supportedSyscalls())
 	if err != nil {
 		return err
 	}
@@ -332,7 +326,7 @@ func (s *Session) iterateBoot(input []byte, meter *vclock.Meter) (*ExecResult, e
 	if err != nil {
 		return nil, err
 	}
-	tgt, err := NewSyscallTarget(k, s.cfg.Supported)
+	tgt, err := NewSyscallTarget(k, supportedSyscalls())
 	if err != nil {
 		return nil, err
 	}

@@ -16,9 +16,8 @@ import (
 func testEnv(t *testing.T, cfg toolstack.DomainConfig) (*core.Platform, *Kernel) {
 	t.Helper()
 	p := core.NewPlatform(core.Options{
-		HV:                  hv.Config{MemoryBytes: 2 << 30, PerDomainOverheadFrames: 16},
-		SkipNameCheck:       true,
-		StoreLogRotateEvery: -1,
+		MemoryBytes:   2 << 30,
+		SkipNameCheck: true,
 	})
 	p.HostFS.WriteFile("export/hello.txt", []byte("hello 9p world"))
 	rec, err := p.Boot(cfg, nil)

@@ -39,7 +39,7 @@ func completeAll(t *testing.T, h *Hypervisor, results []CloneResult) {
 			continue
 		}
 		for _, k := range r.Children {
-			if err := h.CloneCompletion(obs.OpCtx{}, k, true); err != nil {
+			if err := h.CloneCompletion(obs.OpCtx{}, k); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -66,7 +66,7 @@ func TestCloneBatchVirtualTimeMatchesSolo(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range kids {
-		hs.CloneCompletion(obs.OpCtx{}, k, true)
+		hs.CloneCompletion(obs.OpCtx{}, k)
 	}
 	<-done
 
@@ -219,7 +219,7 @@ func TestCloneBatchFaultGatePerRequest(t *testing.T) {
 		t.Fatalf("post-fault clone: %v", err)
 	}
 	for _, k := range kids {
-		h.CloneCompletion(obs.OpCtx{}, k, true)
+		h.CloneCompletion(obs.OpCtx{}, k)
 	}
 	<-done
 }
@@ -238,7 +238,7 @@ func TestCloneBatchRejectsNonPositiveCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range soloKids {
-		hs.CloneCompletion(obs.OpCtx{}, k, true)
+		hs.CloneCompletion(obs.OpCtx{}, k)
 	}
 	<-soloDone
 

@@ -467,7 +467,7 @@ func (h *Hypervisor) cloneOne(parent *Domain, id DomID, copyRing bool, mode mem.
 	_, vspan := ctx.StartSpan("vcpu-copy")
 	parent.mu.Lock()
 	child = newDomain(id, len(parent.vcpus))
-	// vCPU state: affinity and user registers are replicated; RAX
+	// vCPU state: user registers are replicated; RAX
 	// differs — 0 for the parent, 1 for any child, like fork() (§5.2).
 	for i, pv := range parent.vcpus {
 		cv := child.vcpus[i]
@@ -512,7 +512,7 @@ func (h *Hypervisor) cloneOne(parent *Domain, id DomID, copyRing bool, mode mem.
 	child.space = cspace
 	child.mu.Unlock()
 
-	ov, err := h.Memory.AllocN(id, h.cfg.PerDomainOverheadFrames, meter)
+	ov, err := h.Memory.AllocN(id, perDomainOverheadFrames, meter)
 	if err != nil {
 		cspace.Release()
 		return nil, nil, err
@@ -588,9 +588,10 @@ func (h *Hypervisor) PendingNotifications() int {
 }
 
 // CloneCompletion is the clone_completion subcommand: xencloned reports
-// that all userspace operations for child are done (§5.1). Completion
-// events arrive asynchronously and out of order across guests.
-func (h *Hypervisor) CloneCompletion(ctx obs.OpCtx, child DomID, resumeChild bool) error {
+// that all userspace operations for child are done (§5.1), and the child
+// resumes. Completion events arrive asynchronously and out of order across
+// guests.
+func (h *Hypervisor) CloneCompletion(ctx obs.OpCtx, child DomID) error {
 	meter := ctx.Meter()
 	_, span := ctx.StartSpan("clone-completion")
 	defer span.End()
@@ -606,10 +607,8 @@ func (h *Hypervisor) CloneCompletion(ctx obs.OpCtx, child DomID, resumeChild boo
 	if wait == nil {
 		return fmt.Errorf("%w: domain %d", ErrNoPendingClone, child)
 	}
-	if resumeChild {
-		if d, err := h.Domain(child); err == nil {
-			d.unpause()
-		}
+	if d, err := h.Domain(child); err == nil {
+		d.unpause()
 	}
 	close(wait)
 	return nil

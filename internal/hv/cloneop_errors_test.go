@@ -56,7 +56,7 @@ func TestCloneOpResetOrphanedClone(t *testing.T) {
 	h, p := cloneReadyHV(t, 4)
 	child := cloneChild(t, h, p)
 	h.PopNotifications()
-	if err := h.CloneCompletion(obs.OpCtx{}, child, true); err != nil {
+	if err := h.CloneCompletion(obs.OpCtx{}, child); err != nil {
 		t.Fatal(err)
 	}
 	// Destroying the parent orphans the clone; reset has no memory image
@@ -139,7 +139,7 @@ func TestCloneOpAbortIsTerminal(t *testing.T) {
 		t.Fatalf("double abort err = %v, want ErrNoPendingClone", err)
 	}
 	// Completion after abort is equally stale.
-	if err := h.CloneCompletion(obs.OpCtx{}, child, true); !errors.Is(err, ErrNoPendingClone) {
+	if err := h.CloneCompletion(obs.OpCtx{}, child); !errors.Is(err, ErrNoPendingClone) {
 		t.Fatalf("completion after abort err = %v, want ErrNoPendingClone", err)
 	}
 }
@@ -149,7 +149,7 @@ func TestCloneOpAbortAfterCompletionIsRejected(t *testing.T) {
 	child := cloneChild(t, h, p)
 	h.PopNotifications()
 
-	if err := h.CloneCompletion(obs.OpCtx{}, child, true); err != nil {
+	if err := h.CloneCompletion(obs.OpCtx{}, child); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.CloneAbort(obs.OpCtx{}, child); !errors.Is(err, ErrNoPendingClone) {
@@ -182,7 +182,7 @@ func TestCloneOpAbortRefundsCloneBudget(t *testing.T) {
 		t.Fatalf("clone after abort failed: %v", err)
 	}
 	h.PopNotifications()
-	if err := h.CloneCompletion(obs.OpCtx{}, kids[0], true); err != nil {
+	if err := h.CloneCompletion(obs.OpCtx{}, kids[0]); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -22,7 +22,7 @@ func lazyClone(t *testing.T, h *Hypervisor, p *Domain) *Domain {
 	if res.Stats.Memory.Deferred == 0 {
 		t.Fatal("lazy clone deferred nothing")
 	}
-	if err := h.CloneCompletion(obs.OpCtx{}, res.Children[0], true); err != nil {
+	if err := h.CloneCompletion(obs.OpCtx{}, res.Children[0]); err != nil {
 		t.Fatalf("completion: %v", err)
 	}
 	d, err := h.Domain(res.Children[0])

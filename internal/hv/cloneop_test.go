@@ -57,7 +57,7 @@ func TestCloneLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range kids {
-		h.CloneCompletion(obs.OpCtx{}, k, true)
+		h.CloneCompletion(obs.OpCtx{}, k)
 	}
 	if _, _, _, err := cloneN(h, p.ID, p.ID, 1, nil); !errors.Is(err, ErrCloneLimit) {
 		t.Fatalf("clone beyond limit: %v", err)
@@ -79,7 +79,7 @@ func TestCloneFromDom0(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.CloneCompletion(obs.OpCtx{}, kids[0], true)
+	h.CloneCompletion(obs.OpCtx{}, kids[0])
 }
 
 func TestCloneVCPURAXSemantics(t *testing.T) {
@@ -90,7 +90,7 @@ func TestCloneVCPURAXSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.CloneCompletion(obs.OpCtx{}, kids[0], true)
+	h.CloneCompletion(obs.OpCtx{}, kids[0])
 	c, _ := h.Domain(kids[0])
 	cv, _ := c.VCPU(0)
 	if cv.Regs.RAX != 1 {
@@ -111,7 +111,7 @@ func TestCloneMemorySharing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.CloneCompletion(obs.OpCtx{}, kids[0], true)
+	h.CloneCompletion(obs.OpCtx{}, kids[0])
 	if st.Memory.SharedPages == 0 {
 		t.Fatal("no pages shared")
 	}
@@ -152,7 +152,7 @@ func TestCloneWaitsForCompletion(t *testing.T) {
 	if !p.Paused() {
 		t.Fatal("parent not paused during second stage")
 	}
-	if err := h.CloneCompletion(obs.OpCtx{}, note.Child, true); err != nil {
+	if err := h.CloneCompletion(obs.OpCtx{}, note.Child); err != nil {
 		t.Fatal(err)
 	}
 	<-done
@@ -165,22 +165,6 @@ func TestCloneWaitsForCompletion(t *testing.T) {
 	c, _ := h.Domain(note.Child)
 	if c.Paused() {
 		t.Fatal("child not resumed by completion")
-	}
-}
-
-func TestCloneCompletionCanLeaveChildPaused(t *testing.T) {
-	h, p := cloneReady(t, 16, 1)
-	kids, _, _, err := cloneN(h, p.ID, p.ID, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.PopNotifications()
-	if err := h.CloneCompletion(obs.OpCtx{}, kids[0], false); err != nil {
-		t.Fatal(err)
-	}
-	c, _ := h.Domain(kids[0])
-	if !c.Paused() {
-		t.Fatal("child resumed despite resumeChild=false")
 	}
 }
 
@@ -202,19 +186,15 @@ func TestCloneNotificationContents(t *testing.T) {
 	if n.ChildSIFrame == psi {
 		t.Fatal("child start_info frame equals parent's (must be private)")
 	}
-	h.CloneCompletion(obs.OpCtx{}, kids[0], true)
+	h.CloneCompletion(obs.OpCtx{}, kids[0])
 }
 
 func TestNotificationRingBackpressure(t *testing.T) {
-	cfg := testConfig()
-	cfg.NotifyRingSlots = 1
-	h := New(cfg)
-	h.SetCloningEnabled(true)
-	p, _ := h.DomainCreate(obs.OpCtx{}, 16, 1)
-	h.DomctlSetCloning(p.ID, true, 10)
-	// First clone fills the only slot; a second clone (without draining)
-	// must fail with ErrRingFull — the backpressure of §5.
-	if _, _, _, err := cloneN(h, p.ID, p.ID, 2, nil); !errors.Is(err, ErrRingFull) {
+	h, p := cloneReady(t, 16, notifyRingSlots+1)
+	// The first notifyRingSlots children fill the ring; the next one
+	// (without draining) must fail with ErrRingFull — the backpressure of
+	// §5.
+	if _, _, _, err := cloneN(h, p.ID, p.ID, notifyRingSlots+1, nil); !errors.Is(err, ErrRingFull) {
 		t.Fatalf("clone with full ring: %v, want ErrRingFull", err)
 	}
 }
@@ -237,7 +217,7 @@ func TestCloneOpCOWBreaksSharing(t *testing.T) {
 	h, p := cloneReady(t, 16, 1)
 	kids, _, _, _ := cloneN(h, p.ID, p.ID, 1, nil)
 	h.PopNotifications()
-	h.CloneCompletion(obs.OpCtx{}, kids[0], true)
+	h.CloneCompletion(obs.OpCtx{}, kids[0])
 	c, _ := h.Domain(kids[0])
 	before, _ := c.Space().MFNOf(3)
 	if err := h.CloneCOW(obs.OpCtx{}, kids[0], []mem.PFN{3}); err != nil {
@@ -254,7 +234,7 @@ func TestCloneOpReset(t *testing.T) {
 	p.Space().Write(2, 0, []byte("parent"), nil)
 	kids, _, _, _ := cloneN(h, p.ID, p.ID, 1, nil)
 	h.PopNotifications()
-	h.CloneCompletion(obs.OpCtx{}, kids[0], true)
+	h.CloneCompletion(obs.OpCtx{}, kids[0])
 	c, _ := h.Domain(kids[0])
 
 	// Dirty three pages in the child.
@@ -294,7 +274,7 @@ func TestCloneOpResetAfterParentFault(t *testing.T) {
 	h, p := cloneReady(t, 16, 1)
 	kids, _, _, _ := cloneN(h, p.ID, p.ID, 1, nil)
 	h.PopNotifications()
-	h.CloneCompletion(obs.OpCtx{}, kids[0], true)
+	h.CloneCompletion(obs.OpCtx{}, kids[0])
 	c, _ := h.Domain(kids[0])
 
 	p.Space().Write(4, 0, []byte("new parent state"), nil)
@@ -328,7 +308,7 @@ func TestDestroyCloneReleasesSharedMemory(t *testing.T) {
 	kids, _, _, _ := cloneN(h, p.ID, p.ID, 2, nil)
 	h.PopNotifications()
 	for _, k := range kids {
-		h.CloneCompletion(obs.OpCtx{}, k, true)
+		h.CloneCompletion(obs.OpCtx{}, k)
 	}
 	for _, k := range kids {
 		if err := h.DomainDestroy(obs.OpCtx{}, k); err != nil {

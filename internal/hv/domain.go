@@ -38,10 +38,9 @@ type Registers struct {
 
 // VCPU is one virtual CPU.
 type VCPU struct {
-	ID       int
-	Regs     Registers
-	Affinity int // pinned physical core, -1 = any
-	Online   bool
+	ID     int
+	Regs   Registers
+	Online bool
 }
 
 // cloneConfig is the per-domain cloning policy set through domctl (§5.1):
@@ -85,7 +84,7 @@ type Domain struct {
 func newDomain(id DomID, vcpus int) *Domain {
 	d := &Domain{ID: id}
 	for i := 0; i < vcpus; i++ {
-		d.vcpus = append(d.vcpus, &VCPU{ID: i, Affinity: -1, Online: i == 0})
+		d.vcpus = append(d.vcpus, &VCPU{ID: i, Online: i == 0})
 	}
 	return d
 }
@@ -95,13 +94,6 @@ func (d *Domain) Space() *mem.Space {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.space
-}
-
-// VCPUCount returns the number of vCPUs.
-func (d *Domain) VCPUCount() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.vcpus)
 }
 
 // VCPU returns vCPU i.

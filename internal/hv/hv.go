@@ -12,40 +12,23 @@ import (
 	"nephele/internal/obs"
 )
 
-// Config sizes a simulated machine.
-type Config struct {
-	// MemoryBytes is the machine memory managed by the hypervisor (the
-	// pool guest domains allocate from; Dom0 memory is accounted by the
-	// host side).
-	MemoryBytes uint64
-	// MaxEventPorts bounds each domain's event channel table.
-	MaxEventPorts int
-	// GrantEntries bounds each domain's grant table.
-	GrantEntries int
-	// NotifyRingSlots sizes the clone-notification ring registered by
+// The machine's fixed sizing. Event-channel and grant tables grow with use
+// up to their limit, so the limits cost nothing until a guest reaches them.
+const (
+	// maxEventPorts bounds each domain's event channel table.
+	maxEventPorts = 1024
+	// grantEntries bounds each domain's grant table.
+	grantEntries = 512
+	// notifyRingSlots sizes the clone-notification ring registered by
 	// xencloned; a full ring back-pressures first-stage cloning (§5).
-	NotifyRingSlots int
-	// PerDomainOverheadFrames models the hypervisor's fixed bookkeeping
+	notifyRingSlots = 128
+	// perDomainOverheadFrames models the hypervisor's fixed bookkeeping
 	// allocation for any domain (struct domain, shadow, grant frames).
-	PerDomainOverheadFrames int
-}
-
-// DefaultConfig returns the machine used throughout the paper's
-// microbenchmarks: 12 GiB of guest-allocatable memory.
-func DefaultConfig() Config {
-	return Config{
-		MemoryBytes:             12 << 30,
-		MaxEventPorts:           1024,
-		GrantEntries:            512,
-		NotifyRingSlots:         128,
-		PerDomainOverheadFrames: 90,
-	}
-}
+	perDomainOverheadFrames = 90
+)
 
 // Hypervisor is the simulated Xen instance.
 type Hypervisor struct {
-	cfg Config
-
 	Memory *mem.Memory
 	Events *evtchn.Subsystem
 	Grants *gnttab.Subsystem
@@ -76,28 +59,20 @@ type Hypervisor struct {
 	outcomes        map[DomID]CloneOutcome
 }
 
-// New creates a hypervisor with Dom0 pre-registered (ID 0), mirroring the
-// automatic instantiation of the host domain at boot.
-func New(cfg Config) *Hypervisor {
-	if cfg.MaxEventPorts == 0 {
-		cfg.MaxEventPorts = 1024
-	}
-	if cfg.GrantEntries == 0 {
-		cfg.GrantEntries = 512
-	}
-	if cfg.NotifyRingSlots == 0 {
-		cfg.NotifyRingSlots = 128
-	}
+// New creates a hypervisor managing memoryBytes of machine memory (the
+// pool guest domains allocate from; Dom0 memory is accounted by the host
+// side), with Dom0 pre-registered (ID 0), mirroring the automatic
+// instantiation of the host domain at boot.
+func New(memoryBytes uint64) *Hypervisor {
 	h := &Hypervisor{
-		cfg:             cfg,
-		Memory:          mem.New(cfg.MemoryBytes),
-		Events:          evtchn.New(cfg.MaxEventPorts),
-		Grants:          gnttab.New(cfg.GrantEntries),
+		Memory:          mem.New(memoryBytes),
+		Events:          evtchn.New(maxEventPorts),
+		Grants:          gnttab.New(grantEntries),
 		domains:         make(map[DomID]*Domain),
 		met:             newHVMetrics(),
 		nextDom:         1,
 		overhead:        make(map[DomID][]mem.MFN),
-		notify:          newNotifyRing(cfg.NotifyRingSlots),
+		notify:          newNotifyRing(notifyRingSlots),
 		completionWaits: make(map[DomID]chan struct{}),
 		outcomes:        make(map[DomID]CloneOutcome),
 	}
@@ -195,7 +170,7 @@ func (h *Hypervisor) DomainCreate(ctx obs.OpCtx, pages, vcpus int) (*Domain, err
 		h.mu.Unlock()
 		return nil, err
 	}
-	ov, err := h.Memory.AllocN(id, h.cfg.PerDomainOverheadFrames, meter)
+	ov, err := h.Memory.AllocN(id, perDomainOverheadFrames, meter)
 	if err != nil {
 		space.Release()
 		h.mu.Lock()

@@ -10,14 +10,21 @@ import (
 	"nephele/internal/vclock"
 )
 
+// TestDefaultConfig checks the machine's fixed sizing: all of memoryBytes
+// is free at boot, and every domain costs its pages, page tables and p2m
+// plus the per-domain overhead frames.
 func TestDefaultConfig(t *testing.T) {
-	cfg := DefaultConfig()
-	if cfg.MemoryBytes != 12<<30 {
-		t.Fatalf("MemoryBytes = %d, want 12 GiB (the paper's split)", cfg.MemoryBytes)
+	h := New(12 << 30)
+	if h.FreeBytes() != 12<<30 {
+		t.Fatalf("FreeBytes = %d, want 12 GiB (the paper's split)", h.FreeBytes())
 	}
-	h := New(cfg)
-	if h.FreeBytes() != cfg.MemoryBytes {
-		t.Fatalf("FreeBytes = %d", h.FreeBytes())
+	free := h.Memory.FreeFrames()
+	if _, err := h.DomainCreate(obs.OpCtx{}, 1024, 1); err != nil {
+		t.Fatal(err)
+	}
+	space := 1024 + mem.PTFrameCount(1024) + mem.P2MFrameCount(1024)
+	if got := free - h.Memory.FreeFrames() - space; got != perDomainOverheadFrames {
+		t.Fatalf("domain overhead = %d frames, want %d", got, perDomainOverheadFrames)
 	}
 }
 
@@ -57,7 +64,7 @@ func TestPendingNotifications(t *testing.T) {
 		t.Fatal("pop did not drain")
 	}
 	for _, k := range kids {
-		h.CloneCompletion(obs.OpCtx{}, k, true)
+		h.CloneCompletion(obs.OpCtx{}, k)
 	}
 }
 
@@ -74,7 +81,7 @@ func TestCloneOpCOWErrors(t *testing.T) {
 
 func TestCloneOpCompletionUnknownChild(t *testing.T) {
 	h := newHV(t)
-	if err := h.CloneCompletion(obs.OpCtx{}, DomID(123), true); err == nil {
+	if err := h.CloneCompletion(obs.OpCtx{}, DomID(123)); err == nil {
 		t.Fatal("completion for unknown child succeeded")
 	}
 }
@@ -83,10 +90,7 @@ func TestConcurrentCloneOpsSerializePerParent(t *testing.T) {
 	// Multiple goroutines racing Clone + completion on the same
 	// parent must stay consistent (the ring and family lists are
 	// shared).
-	cfg := testConfig()
-	cfg.MemoryBytes = 1 << 30
-	cfg.NotifyRingSlots = 64
-	h := New(cfg)
+	h := New(1 << 30)
 	h.SetCloningEnabled(true)
 	p, _ := h.DomainCreate(obs.OpCtx{}, 64, 1)
 	h.DomctlSetCloning(p.ID, true, 64)
@@ -107,7 +111,7 @@ func TestConcurrentCloneOpsSerializePerParent(t *testing.T) {
 				// goroutine may complete any child, like a shared
 				// daemon).
 				for _, n := range h.PopNotifications() {
-					h.CloneCompletion(obs.OpCtx{}, n.Child, true)
+					h.CloneCompletion(obs.OpCtx{}, n.Child)
 				}
 				_ = kids
 				<-done

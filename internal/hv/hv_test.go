@@ -9,19 +9,12 @@ import (
 	"nephele/internal/vclock"
 )
 
-func testConfig() Config {
-	return Config{
-		MemoryBytes:             256 << 20, // 256 MiB
-		MaxEventPorts:           64,
-		GrantEntries:            64,
-		NotifyRingSlots:         16,
-		PerDomainOverheadFrames: 4,
-	}
-}
+// testMemory is the machine size of most tests: 256 MiB.
+const testMemory = 256 << 20
 
 func newHV(t *testing.T) *Hypervisor {
 	t.Helper()
-	return New(testConfig())
+	return New(testMemory)
 }
 
 func TestNewHasDom0(t *testing.T) {
@@ -77,7 +70,7 @@ func TestDestroyDom0Refused(t *testing.T) {
 }
 
 func TestCreateDomainOOM(t *testing.T) {
-	h := New(Config{MemoryBytes: 1 << 20, PerDomainOverheadFrames: 1}) // 256 frames
+	h := New(1 << 20) // 256 frames
 	if _, err := h.DomainCreate(obs.OpCtx{}, 10000, 1); !errors.Is(err, mem.ErrOutOfMemory) {
 		t.Fatalf("oversized create: %v, want ErrOutOfMemory", err)
 	}
@@ -130,8 +123,8 @@ func TestAwaitRunnableBlocksUntilUnpause(t *testing.T) {
 func TestVCPUAccess(t *testing.T) {
 	h := newHV(t)
 	d, _ := h.DomainCreate(obs.OpCtx{}, 16, 2)
-	if d.VCPUCount() != 2 {
-		t.Fatalf("VCPUCount = %d", d.VCPUCount())
+	if _, err := d.VCPU(2); !errors.Is(err, ErrBadVCPU) {
+		t.Fatalf("VCPU(2) of a 2-vCPU domain: %v", err)
 	}
 	if _, err := d.VCPU(5); !errors.Is(err, ErrBadVCPU) {
 		t.Fatalf("VCPU(5): %v", err)
@@ -160,7 +153,7 @@ func TestFamilyTracking(t *testing.T) {
 		t.Fatalf("clones = %d", len(kids))
 	}
 	for _, k := range kids {
-		h.CloneCompletion(obs.OpCtx{}, k, true)
+		h.CloneCompletion(obs.OpCtx{}, k)
 	}
 	if !h.SameFamily(p.ID, kids[0]) || !h.SameFamily(kids[0], kids[1]) {
 		t.Fatal("family relation missing")
@@ -181,7 +174,7 @@ func TestFamilyTracking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.CloneCompletion(obs.OpCtx{}, gkids[0], true)
+	h.CloneCompletion(obs.OpCtx{}, gkids[0])
 	if !h.SameFamily(gkids[0], kids[1]) {
 		t.Fatal("cousins not in the same family")
 	}

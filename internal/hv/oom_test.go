@@ -10,11 +10,9 @@ import (
 func TestCloneOOMUnwindsCleanly(t *testing.T) {
 	// Machine with room for the parent but not a full clone's private
 	// allocations.
-	cfg := testConfig()
-	cfg.MemoryBytes = 6 << 20 // 1536 frames
-	h := New(cfg)
+	h := New(6 << 20) // 1536 frames
 	h.SetCloningEnabled(true)
-	p, err := h.DomainCreate(obs.OpCtx{}, 1024, 1) // ~1040 frames used
+	p, err := h.DomainCreate(obs.OpCtx{}, 1024, 1) // ~1130 frames used
 	if err != nil {
 		t.Fatal(err)
 	}

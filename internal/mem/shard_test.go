@@ -28,7 +28,7 @@ func newSharded(totalBytes uint64, nsh int) *Memory {
 }
 
 // TestPoolGeometry pins what New computes for the pool sizes the tree uses,
-// and the first frames the 12 GiB hv.DefaultConfig machine hands its first
+// and the first frames the default 12 GiB platform machine hands its first
 // domains: the geometry decides every MFN the pool gives out, so a change to
 // the shard-count rule or the home-shard hash has to be made here too.
 func TestPoolGeometry(t *testing.T) {

@@ -101,7 +101,10 @@ func (x *XL) RestoreCachedOp(ctx obs.OpCtx, store *ImageStore, img *Image, name 
 			// An alias run repeats earlier frames; in the cached child it
 			// COW-shares the very chunks backing the source runs, walking
 			// each covered source run once.
-			if err := x.placeAlias(img, ci, r, place); err != nil {
+			err := img.forEachAliasSource(r, func(off, src, base, n int) error {
+				return place(r.start+mem.PFN(off), ci.runs[src].chunk.mfns[base:base+n], img.runs[src].pages[base:base+n])
+			})
+			if err != nil {
 				return fail(err)
 			}
 		case r.pages != nil:
@@ -114,34 +117,6 @@ func (x *XL) RestoreCachedOp(ctx obs.OpCtx, store *ImageStore, img *Image, name 
 	}
 	store.noteAdopted(adopted)
 	return rec, true, nil
-}
-
-// placeAlias resolves one alias run against the cached image: data source
-// runs contribute their chunk frames at the aliased location, zero source
-// portions need nothing.
-func (x *XL) placeAlias(img *Image, ci *cachedImage, r *imageRun,
-	place func(pfn mem.PFN, mfns []mem.MFN, pages [][]byte) error) error {
-	for off := 0; off < r.count; {
-		src := r.alias + mem.PFN(off)
-		i := img.runIndexOf(src)
-		if i < 0 {
-			off++
-			continue
-		}
-		sr := &img.runs[i]
-		n := int(sr.start) + sr.count - int(src)
-		if rest := r.count - off; n > rest {
-			n = rest
-		}
-		if !sr.isAlias && sr.pages != nil {
-			base := int(src - sr.start)
-			if err := place(r.start+mem.PFN(off), ci.runs[i].chunk.mfns[base:base+n], sr.pages[base:base+n]); err != nil {
-				return err
-			}
-		}
-		off += n
-	}
-	return nil
 }
 
 // faultCheckRestore evaluates the cached-restore fault point under the

@@ -101,31 +101,28 @@ func (img *Image) pageAt(pfn mem.PFN) []byte {
 	return r.pages[pfn-r.start]
 }
 
-// forEachAliasPage invokes fn for every stored (non-zero) page of the
-// alias run r, resolving each source run it covers once instead of once
-// per page. off is the page's offset within r; aliases always point into
-// fresh runs, so a nested alias contributes zeroes.
-func (img *Image) forEachAliasPage(r *imageRun, fn func(off int, data []byte) error) error {
+// forEachAliasSource walks the alias run r source run by source run,
+// resolving each covered run once instead of once per page: fn receives
+// the offset within r, the index of a data run it repeats, the first
+// repeated page of that run and the stretch length n. Zero source
+// portions are skipped, and so are nested aliases: aliases always point
+// into fresh runs, so a nested one contributes zeroes.
+func (img *Image) forEachAliasSource(r *imageRun, fn func(off, src, base, n int) error) error {
 	for off := 0; off < r.count; {
-		src := r.alias + mem.PFN(off)
-		i := img.runIndexOf(src)
+		pfn := r.alias + mem.PFN(off)
+		i := img.runIndexOf(pfn)
 		if i < 0 {
 			off++
 			continue
 		}
 		sr := &img.runs[i]
-		n := int(sr.start) + sr.count - int(src)
+		n := int(sr.start) + sr.count - int(pfn)
 		if rest := r.count - off; n > rest {
 			n = rest
 		}
 		if !sr.isAlias && sr.pages != nil {
-			base := int(src - sr.start)
-			for j := 0; j < n; j++ {
-				if data := sr.pages[base+j]; data != nil {
-					if err := fn(off+j, data); err != nil {
-						return err
-					}
-				}
+			if err := fn(off, i, int(pfn-sr.start), n); err != nil {
+				return err
 			}
 		}
 		off += n
@@ -206,8 +203,15 @@ func (x *XL) Restore(img *Image, name string, meter *vclock.Meter) (*Record, err
 	for ri := range img.runs {
 		r := &img.runs[ri]
 		if r.isAlias {
-			err := img.forEachAliasPage(r, func(off int, data []byte) error {
-				return space.WritePage(r.start+mem.PFN(off), data, nil)
+			err := img.forEachAliasSource(r, func(off, src, base, n int) error {
+				for j, data := range img.runs[src].pages[base : base+n] {
+					if data != nil {
+						if err := space.WritePage(r.start+mem.PFN(off+j), data, nil); err != nil {
+							return err
+						}
+					}
+				}
+				return nil
 			})
 			if err != nil {
 				x.Destroy(rec.ID, nil)

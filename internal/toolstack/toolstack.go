@@ -47,9 +47,6 @@ type DomainConfig struct {
 	Vifs      []VifConfig
 	NinePFS   []NinePConfig
 	Vbds      []VbdConfig
-	// NoConsole suppresses the console device (all paper guests have
-	// one, so the zero value includes it).
-	NoConsole bool
 }
 
 // Pages returns the guest memory size in frames, honouring the 4 MiB
@@ -65,7 +62,7 @@ func (c DomainConfig) Pages() int {
 // deviceConfig is the device half of the configuration, as the device-kind
 // table reads it.
 func (c DomainConfig) deviceConfig() devices.Config {
-	return devices.Config{NoConsole: c.NoConsole, Vifs: c.Vifs, NinePFS: c.NinePFS, Vbds: c.Vbds}
+	return devices.Config{Vifs: c.Vifs, NinePFS: c.NinePFS, Vbds: c.Vbds}
 }
 
 // BridgeSwitch attaches vifs to a learning bridge (the vanilla Xen

@@ -89,19 +89,6 @@ func TestSwitchDetachOnDestroy(t *testing.T) {
 	}
 }
 
-func TestNoConsoleConfig(t *testing.T) {
-	r := newRig(t)
-	cfg := baseConfig("headless")
-	cfg.NoConsole = true
-	rec, err := r.xl.Create(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.xl.Backends.Console.Has(uint32(rec.ID)) {
-		t.Fatal("console created despite NoConsole")
-	}
-}
-
 func TestZeroVCPUsDefaultsToOne(t *testing.T) {
 	r := newRig(t)
 	cfg := baseConfig("novcpu")
@@ -111,8 +98,11 @@ func TestZeroVCPUsDefaultsToOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	dom, _ := r.hv.Domain(rec.ID)
-	if dom.VCPUCount() != 1 {
-		t.Fatalf("VCPUCount = %d, want 1", dom.VCPUCount())
+	if _, err := dom.VCPU(0); err != nil {
+		t.Fatalf("VCPU(0): %v", err)
+	}
+	if _, err := dom.VCPU(1); err == nil {
+		t.Fatal("domain has a second vCPU, want exactly one")
 	}
 }
 

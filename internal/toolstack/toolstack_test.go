@@ -27,10 +27,7 @@ func newRig(t *testing.T) *rig { return newRigVbd(t, nil) }
 // The rig's memory pool is audited when the test ends.
 func newRigVbd(t *testing.T, vbd *devices.VbdBackend) *rig {
 	t.Helper()
-	hyp := hv.New(hv.Config{
-		MemoryBytes:             512 << 20,
-		PerDomainOverheadFrames: 8,
-	})
+	hyp := hv.New(512 << 20)
 	store := xenstore.New(0)
 	udev := devices.NewUdevQueue()
 	fs := devices.NewHostFS()

@@ -90,7 +90,6 @@ type Store struct {
 	// the spikes of Fig. 4. Disabled when rotateEvery is 0.
 	logLines    int
 	rotateEvery int
-	logDisabled bool
 
 	// faults is the optional fault-injection registry consulted by the
 	// write and xs_clone request handlers; nil never fires.
@@ -106,14 +105,6 @@ func New(rotateEvery int) *Store {
 		root:        &node{},
 		rotateEvery: rotateEvery,
 	}
-}
-
-// DisableAccessLog turns request logging off (the paper checks that doing
-// so does not change the trends).
-func (s *Store) DisableAccessLog() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.logDisabled = true
 }
 
 // SetFaults installs a fault-injection registry on the write and xs_clone
@@ -169,7 +160,7 @@ func (s *Store) chargeRequest(meter *vclock.Meter, isWrite bool) {
 	}
 	meter.Charge(meter.Costs().StoreRequest, 1)
 	meter.Charge(meter.Costs().StorePerNode, s.nodes)
-	if isWrite && !s.logDisabled && s.rotateEvery > 0 {
+	if isWrite && s.rotateEvery > 0 {
 		s.logLines++
 		if s.logLines >= s.rotateEvery {
 			s.logLines = 0
