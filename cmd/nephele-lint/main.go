@@ -1,11 +1,10 @@
 // Command nephele-lint is a multichecker for the clone pipeline's
-// concurrency, determinism, and lifecycle invariants. It runs eight
+// concurrency, determinism, and lifecycle invariants. It runs seven
 // analyzers (DESIGN.md §11, §16) over the module from source:
 //
-//	lockorder   — shard-lock acquisitions must be single or ascending
+//	lockorder   — a pooled lock is never taken while a sibling is held
 //	determinism — no wall clock / unseeded rand / map iteration in
 //	              virtual-time packages
-//	seqlock     — no plain access to fields accessed via sync/atomic
 //	refleak     — ShareN/AllocN/AddSharerN paired with a release on every
 //	              error path, releases tracked through same-package
 //	              helper calls
@@ -23,7 +22,7 @@
 // Usage:
 //
 //	go run ./cmd/nephele-lint ./...
-//	go run ./cmd/nephele-lint -only lockorder,seqlock ./internal/mem
+//	go run ./cmd/nephele-lint -only refleak,hotalloc ./internal/mem
 //	go run ./cmd/nephele-lint -json ./...
 //
 // Findings print as `path:line:col: analyzer: message` with paths
@@ -54,14 +53,12 @@ import (
 	"nephele/internal/analysis/lockorder"
 	"nephele/internal/analysis/opctx"
 	"nephele/internal/analysis/refleak"
-	"nephele/internal/analysis/seqlock"
 	"nephele/internal/analysis/spanend"
 )
 
 var all = []*analysis.Analyzer{
 	lockorder.Analyzer,
 	determinism.Analyzer,
-	seqlock.Analyzer,
 	refleak.Analyzer,
 	spanend.Analyzer,
 	opctx.Analyzer,

@@ -320,8 +320,6 @@ var testOnlyExports = map[string]string{
 	"hv.Hypervisor.Domains":              audit,
 	"hv.Hypervisor.PendingNotifications": audit,
 	"mem.Memory.Refcount":                audit,
-	"mem.Memory.Shards":                  audit,
-	"mem.Memory.Stride":                  audit,
 	"mem.Memory.UsedBy":                  audit,
 	"mem.Space.Dom":                      audit,
 	"mem.Space.IsCOW":                    audit,

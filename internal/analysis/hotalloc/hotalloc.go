@@ -1,7 +1,7 @@
 // Package hotalloc guards the zero-allocation warm paths. The disabled
 // observability contract (DESIGN.md §12, pinned by the 0-allocs sink
 // tests) promises that a clone with metrics and tracing off allocates
-// nothing in OpCtx plumbing; the sharded memory pool makes the same
+// nothing in OpCtx plumbing; the machine memory pool makes the same
 // promise for its fast paths. Those contracts are enforced today by
 // testing.AllocsPerRun, which only sees the exact code path the test
 // drives — a new branch that allocates slips through until a benchmark
@@ -63,7 +63,7 @@ func run(pass *analysis.Pass) error {
 
 // marked reports whether the declaration's doc comment carries the
 // noalloc directive. CommentGroup.Text strips //-directives, so the raw
-// list is scanned, mirroring the lockorder marker handling.
+// list is scanned.
 func marked(fd *ast.FuncDecl) bool {
 	if fd.Doc == nil {
 		return false

@@ -1,31 +1,25 @@
-// Package lockorder flags shard-lock acquisitions that could nest outside
-// the pool-wide ascending lock order.
+// Package lockorder flags acquisitions of pooled locks that could nest.
 //
-// The sharded Memory pool (internal/mem, DESIGN.md §10) has exactly one
-// rule that keeps its per-shard mutexes deadlock-free: a goroutine never
-// holds two shard locks unless it acquired them in ascending shard-index
-// order, and the only code allowed to do that is the designated
-// lock-order helper (Memory.lockMask) that the batched frame operations
-// funnel through. This analyzer enforces the rule structurally:
+// A "pooled lock" is a sync.Mutex/RWMutex field of a struct type that is
+// pooled — used as the element type of a slice — in the package under
+// analysis: today guest.Kernel (a kernel's forked children) and
+// core.Platform (the benchmark harness's hosts). Siblings of one pool have
+// no lock order between them, so two goroutines that each hold one and
+// wait for the other deadlock. The rule is that a goroutine never holds
+// two pooled locks at once:
 //
-//   - A "shard lock" is a sync.Mutex/RWMutex field of a struct type that
-//     is pooled — used as the element type of a slice — in the package
-//     under analysis. Singleton mutexes (one per object graph, like
-//     Domain.mu) are out of scope: only pooled locks can deadlock on
-//     sibling ordering.
-//   - Within a function, acquiring a shard lock while another may still be
-//     held is reported, as is acquiring one inside a loop body that does
-//     not release it in the same iteration (the next iteration would
-//     nest).
-//   - Functions whose doc comment carries //nephele:lockorder-helper are
-//     trusted ascending-order helpers and skipped; individual sites can be
-//     waived with //nephele:lockorder-ok.
+//   - Singleton mutexes (one per object graph, like Domain.mu or the
+//     machine memory pool's) are out of scope: only pooled locks can
+//     deadlock on sibling ordering.
+//   - Within a function, acquiring a pooled lock while another may still
+//     be held is reported, as is acquiring one inside a loop body that does
+//     not release it in the same iteration (the next iteration would nest).
+//   - Individual sites can be waived with //nephele:lockorder-ok.
 package lockorder
 
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"nephele/internal/analysis"
 )
@@ -33,14 +27,10 @@ import (
 // Analyzer is the lockorder pass.
 var Analyzer = &analysis.Analyzer{
 	Name:     "lockorder",
-	Doc:      "flags shard-lock acquisitions not proven ascending (nested or loop-carried locks on pooled mutexes outside //nephele:lockorder-helper functions)",
+	Doc:      "flags pooled-lock acquisitions that could nest (a second pooled mutex taken, or one taken in a loop, while another is held)",
 	Suppress: "nephele:lockorder-ok",
 	Run:      run,
 }
-
-// HelperMarker is the doc-comment token that designates a trusted
-// ascending-order lock helper.
-const HelperMarker = "nephele:lockorder-helper"
 
 func run(pass *analysis.Pass) error {
 	pooled := pooledTypes(pass.Pkg)
@@ -50,24 +40,9 @@ func run(pass *analysis.Pass) error {
 	c := &checker{pass: pass, pooled: pooled}
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
+				c.walkStmts(fn.Body.List, state{})
 			}
-			// Check the raw comment list: CommentGroup.Text strips
-			// directive-style //nephele:... lines.
-			isHelper := false
-			if fn.Doc != nil {
-				for _, cmt := range fn.Doc.List {
-					if strings.Contains(cmt.Text, HelperMarker) {
-						isHelper = true
-					}
-				}
-			}
-			if isHelper {
-				continue
-			}
-			c.walkStmts(fn.Body.List, state{})
 		}
 	}
 	return nil
@@ -75,7 +50,7 @@ func run(pass *analysis.Pass) error {
 
 // pooledTypes returns the named struct types that (a) contain a
 // sync.Mutex/RWMutex field and (b) appear as the element type of a slice
-// in a package-level type or variable — i.e. the shard-style lock pools.
+// in a package-level type or variable — i.e. the lock pools.
 func pooledTypes(pkg *types.Package) map[*types.Named]bool {
 	pooled := make(map[*types.Named]bool)
 	var visitSlice func(t types.Type)
@@ -137,9 +112,9 @@ type checker struct {
 	pooled map[*types.Named]bool
 }
 
-// shardLockCall classifies call as Lock/RLock (+1) or Unlock/RUnlock (-1)
+// pooledLockCall classifies call as Lock/RLock (+1) or Unlock/RUnlock (-1)
 // on a pooled mutex; 0 for anything else.
-func (c *checker) shardLockCall(call *ast.CallExpr) int {
+func (c *checker) pooledLockCall(call *ast.CallExpr) int {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return 0
@@ -246,20 +221,19 @@ func (c *checker) walkStmt(s ast.Stmt, st state) state {
 }
 
 // walkLoopBody checks a loop body: a net-positive lock delta means the
-// next iteration (or a sibling shard in the same iteration) would acquire
-// a second shard lock while one is held.
+// next iteration would acquire a second pooled lock while one is held.
 func (c *checker) walkLoopBody(body *ast.BlockStmt, st state) {
 	exit := c.walkStmts(body.List, st)
 	if !exit.terminated && exit.held > st.held {
 		pos := body.Pos()
 		ast.Inspect(body, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok && c.shardLockCall(call) > 0 {
+			if call, ok := n.(*ast.CallExpr); ok && c.pooledLockCall(call) > 0 {
 				pos = call.Pos()
 				return false
 			}
 			return true
 		})
-		c.pass.Reportf(pos, "shard lock acquired in a loop without an unlock in the same iteration; the next iteration would hold two shard locks outside the ascending lock order")
+		c.pass.Reportf(pos, "pooled lock acquired in a loop without an unlock in the same iteration; the next iteration would hold two pooled locks")
 	}
 }
 
@@ -335,10 +309,10 @@ func (c *checker) scanExpr(n ast.Node, st *state) {
 			c.walkStmts(n.Body.List, state{})
 			return false
 		case *ast.CallExpr:
-			switch c.shardLockCall(n) {
+			switch c.pooledLockCall(n) {
 			case 1:
 				if st.held > 0 {
-					c.pass.Reportf(n.Pos(), "shard lock acquired while another shard lock is held; multi-shard operations must go through an ascending //nephele:lockorder-helper (e.g. Memory.lockMask)")
+					c.pass.Reportf(n.Pos(), "pooled lock acquired while another pooled lock is held; siblings of one pool have no lock order")
 				}
 				st.held++
 			case -1:

@@ -1,6 +1,5 @@
 // Package a seeds lockorder violations: cell is pooled (a slice element
-// with a mutex), so its locks are shard locks and must never nest outside
-// a designated helper.
+// with a mutex), so its locks are pooled locks and must never nest.
 package a
 
 import "sync"
@@ -14,10 +13,10 @@ type pool struct {
 	cells []cell
 }
 
-// nestedBad holds one shard lock while taking a second.
+// nestedBad holds one pooled lock while taking a second.
 func (p *pool) nestedBad(i, j int) {
 	p.cells[i].mu.Lock()
-	p.cells[j].mu.Lock() // want `shard lock acquired while another shard lock is held`
+	p.cells[j].mu.Lock() // want `pooled lock acquired while another pooled lock is held`
 	p.cells[j].n++
 	p.cells[j].mu.Unlock()
 	p.cells[i].mu.Unlock()
@@ -31,7 +30,7 @@ func (p *pool) loopBad() {
 	}
 }
 
-// sequentialGood locks one shard at a time.
+// sequentialGood locks one cell at a time.
 func (p *pool) sequentialGood(i, j int) {
 	p.cells[i].mu.Lock()
 	p.cells[i].n++
@@ -47,15 +46,6 @@ func (p *pool) loopGood() {
 		p.cells[i].mu.Lock()
 		p.cells[i].n++
 		p.cells[i].mu.Unlock()
-	}
-}
-
-// lockAll is the designated ascending-order helper.
-//
-//nephele:lockorder-helper — ascending by construction.
-func (p *pool) lockAll() {
-	for i := range p.cells {
-		p.cells[i].mu.Lock()
 	}
 }
 

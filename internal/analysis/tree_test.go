@@ -14,7 +14,6 @@ import (
 	"nephele/internal/analysis/lockorder"
 	"nephele/internal/analysis/opctx"
 	"nephele/internal/analysis/refleak"
-	"nephele/internal/analysis/seqlock"
 	"nephele/internal/analysis/spanend"
 )
 
@@ -34,7 +33,6 @@ func TestTreeIsClean(t *testing.T) {
 	analyzers := []*analysis.Analyzer{
 		lockorder.Analyzer,
 		determinism.Analyzer,
-		seqlock.Analyzer,
 		refleak.Analyzer,
 		spanend.Analyzer,
 		opctx.Analyzer,

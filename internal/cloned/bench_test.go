@@ -13,9 +13,9 @@ import (
 
 // BenchmarkServeAll measures the daemon's second stage — Xenstore writes,
 // device backend clones, unpause — for one CLONEOP batch of n children.
-// The first stage runs outside the timer, so this isolates what Serve's
-// worker pool actually overlaps. Virtual-time output is pinned by the
-// golden-series and fault-matrix tests.
+// The first stage runs outside the timer, so this isolates Serve.
+// Virtual-time output is pinned by the golden-series and fault-matrix
+// tests.
 func BenchmarkServeAll(b *testing.B) {
 	for _, n := range []int{1, 4, 16, 64} {
 		if testing.Short() && n > 16 {
@@ -57,8 +57,7 @@ func BenchmarkServeAll(b *testing.B) {
 		})
 	}
 
-	// A batch from a single parent serves sequentially (ordering); mixed
-	// batches from several parents are what the worker pool overlaps.
+	// A mixed batch from several parents, served in arrival order.
 	b.Run("parents=4-children=4each", func(b *testing.B) {
 		b.ReportAllocs()
 		r := newFaultRig(b, Options{})

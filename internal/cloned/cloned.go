@@ -11,7 +11,6 @@ package cloned
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"strconv"
 	"sync"
 
@@ -151,122 +150,49 @@ func (d *Daemon) SecondStageDuration(child hv.DomID) (vclock.Duration, bool) {
 }
 
 // Serve drains the notification ring and runs the second stage for every
-// pending clone. The context carries the meter the round charges onto, the
-// trace its second-stage spans land in, and the fault scope of the round.
-// It returns the number of clones completed, which is accurate even when
-// some notifications failed: clones are isolated from each other, so one
-// failed child is rolled back and aborted while the rest of the batch
-// completes normally. The returned error joins the per-child failures.
-// Callers that want the asynchronous flavour run it from a VIRQ_CLONED
-// handler.
-//
-// Children of different parents are independent and are served on a
-// bounded worker pool; children of the same parent keep their notification
-// order, which the failure protocol (nth-child fault semantics) and the
-// parent-info cache warm-up rely on. A batch from a single parent — every
-// paper experiment — is therefore served exactly like the sequential
-// daemon, on the caller's context directly; multi-parent batches serve
-// each group on a detached context whose meter and sub-trace merge back in
-// group order.
+// pending clone, in arrival order on the caller's context: the context
+// carries the meter the round charges onto, the trace its second-stage
+// spans land in, and the fault scope of the round. Arrival order keeps each
+// parent's children in notification order, which the failure protocol
+// (nth-child fault semantics) and the parent-info cache warm-up rely on. It
+// returns the number of clones completed, which is accurate even when some
+// notifications failed: clones are isolated from each other, so one failed
+// child is rolled back and aborted while the rest of the batch completes
+// normally. The returned error joins the per-child failures. Callers that
+// want the asynchronous flavour run it from a VIRQ_CLONED handler.
 func (d *Daemon) Serve(ctx obs.OpCtx) (int, error) {
 	ctx = ctx.EnsureMeter(nil)
-	meter := ctx.Meter()
-	notes := d.HV.PopNotifications()
-	if len(notes) == 0 {
-		return 0, nil
-	}
-
-	// Group by parent, preserving arrival order within and across groups.
-	type group struct {
-		notes []hv.CloneNotification
-		idx   []int // original positions, for stable error ordering
-	}
-	var order []hv.DomID
-	groups := make(map[hv.DomID]*group)
-	for i, n := range notes {
-		g := groups[n.Parent]
-		if g == nil {
-			g = &group{}
-			groups[n.Parent] = g
-			order = append(order, n.Parent)
-		}
-		g.notes = append(g.notes, n)
-		g.idx = append(g.idx, i)
-	}
-
-	errSlots := make([]error, len(notes))
-	serveGroup := func(g *group, gctx obs.OpCtx) int {
-		served := 0
-		for k, n := range g.notes {
-			if err := d.serveOneIsolated(n, gctx); err != nil {
-				errSlots[g.idx[k]] = fmt.Errorf("cloned: second stage for %d: %w", n.Child, err)
-				continue
-			}
-			served++
-		}
-		return served
-	}
-
 	served := 0
-	if len(order) == 1 {
-		served = serveGroup(groups[order[0]], ctx)
-		return served, errors.Join(errSlots...)
+	var errs []error
+	for _, n := range d.HV.PopNotifications() {
+		if err := d.serveOneIsolated(n, ctx); err != nil {
+			errs = append(errs, fmt.Errorf("cloned: second stage for %d: %w", n.Child, err))
+			continue
+		}
+		served++
 	}
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(order) {
-		workers = len(order)
-	}
-	// Each group serves on a detached context (private meter, private
-	// sub-trace); both merge back in group order below, so virtual time and
-	// span order never depend on worker scheduling.
-	meters := make([]*vclock.Meter, len(order))
-	subs := make([]*obs.Trace, len(order))
-	counts := make([]int, len(order))
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for gi := range work {
-				gctx, sub := ctx.Detach()
-				counts[gi] = serveGroup(groups[order[gi]], gctx)
-				meters[gi], subs[gi] = gctx.Meter(), sub
-			}
-		}()
-	}
-	for gi := range order {
-		work <- gi
-	}
-	close(work)
-	wg.Wait()
-	trace := ctx.Trace()
-	for gi := range order {
-		offset := meter.Elapsed()
-		meter.Add(meters[gi].Elapsed())
-		trace.Absorb(subs[gi], ctx.SpanID(), offset)
-		served += counts[gi]
-	}
-	return served, errors.Join(errSlots...)
+	return served, errors.Join(errs...)
 }
 
-// CloneRound drives one multi-parent scheduling round end to end: the
-// batched first stage (hv.CloneBatch) admits every request, a single Serve
-// drains the notification ring for all the round's children at once — its
-// per-parent worker pool is exactly the "Serve feeding from multi-parent
-// rounds" shape — and the round completes when every admitted parent's
-// Done channel closes (all parents resumed).
+// CloneRound drives one multi-parent scheduling round end to end: each
+// request's first stage runs in order (hv.Clone), a single Serve drains the
+// notification ring for all the round's children at once — the ring holds
+// each request's children contiguously, in request order — and the round
+// completes when every admitted parent's Done channel closes (all parents
+// resumed).
 //
 // The returned slice is positionally parallel to reqs; each entry carries
 // that request's children, stats and first-stage error. served counts the
 // second stages completed across the whole round, and the error joins the
 // second-stage failures (first-stage failures stay in their entry's Err).
 // The context's meter receives the Serve charges; each request's first
-// stage charges the request's own context, so batching never leaks charges
+// stage charges the request's own context, so a round never leaks charges
 // between parents.
 func (d *Daemon) CloneRound(ctx obs.OpCtx, reqs []hv.CloneRequest) ([]hv.CloneResult, int, error) {
-	results := d.HV.CloneBatch(reqs)
+	results := make([]hv.CloneResult, len(reqs))
+	for i, req := range reqs {
+		results[i] = d.HV.Clone(req)
+	}
 	served, err := d.Serve(ctx)
 	for _, r := range results {
 		if r.Done != nil {

@@ -15,8 +15,8 @@ import (
 
 // TestStressMultiParentCloneOpServeAll drives concurrent CLONEOPs from
 // several distinct parents while a daemon goroutine drains mixed batches
-// with Serve — the configuration where the parallel first stage and the
-// per-parent-group second-stage pool actually overlap. Run under -race
+// with Serve, so concurrent callers of hv.Clone race each other and the
+// daemon on the one memory pool and the notification ring. Run under -race
 // (the CI configuration), it checks that every child of every parent
 // completes, per-parent notification order holds (children of one parent
 // are served in creation order), and the final machine state accounts for

@@ -128,11 +128,11 @@ func (p *Platform) cloneRouter() CloneRouter {
 //     children.
 //
 //   - Several specs run as one multi-parent scheduling round: the first
-//     stage admits every spec in order into one bounded worker pool and a
-//     single Serve drains all the children's second stages together
-//     (span clone-round, one clone-request lane per parent). Results are
-//     positionally parallel to the specs; an entry whose spec failed
-//     admission has only Err set.
+//     stage runs every spec in order and a single Serve drains all the
+//     children's second stages together (span clone-round, one
+//     clone-request lane per parent). Results are positionally parallel to
+//     the specs; an entry whose spec failed its first stage has only Err
+//     set.
 //
 //   - A spec carrying a Placement is executed by the attached CloneRouter,
 //     which returns one result per destination host group.

@@ -157,7 +157,7 @@ func (p *Platform) SetFaults(r *fault.Registry) {
 
 // Observe attaches a trace sink to the platform: every subsequent CloneOp
 // whose context carries no trace of its own records its span tree into t,
-// and the pool's opt-in hot-path instrumentation (shard lock wait, COW
+// and the pool's opt-in hot-path instrumentation (pool lock wait, COW
 // faults) feeds the platform metrics registry. Passing nil detaches the
 // sink and restores the uninstrumented fast paths. Spans never charge the
 // virtual clock, so observed and unobserved runs produce identical

@@ -30,6 +30,16 @@ func batchReady(t *testing.T, parents, pages, maxClones int) (*Hypervisor, []*Do
 	return h, doms
 }
 
+// cloneBatch runs a multi-parent round's first stages, one request after the
+// other, as cloned.CloneRound does.
+func cloneBatch(h *Hypervisor, reqs []CloneRequest) []CloneResult {
+	out := make([]CloneResult, len(reqs))
+	for i, req := range reqs {
+		out[i] = h.Clone(req)
+	}
+	return out
+}
+
 // completeAll acknowledges the second stage for every child of every
 // successful result and waits for the Done channels (parents resumed).
 func completeAll(t *testing.T, h *Hypervisor, results []CloneResult) {
@@ -78,7 +88,7 @@ func TestCloneBatchVirtualTimeMatchesSolo(t *testing.T) {
 		meters[i] = vclock.NewMeter(nil)
 		reqs[i] = CloneRequest{Caller: p.ID, Target: p.ID, N: n, CopyRing: true, Ctx: obs.Ctx(meters[i])}
 	}
-	results := hb.CloneBatch(reqs)
+	results := cloneBatch(hb, reqs)
 	for i, r := range results {
 		if r.Err != nil {
 			t.Fatalf("request %d: %v", i, r.Err)
@@ -97,7 +107,7 @@ func TestCloneBatchVirtualTimeMatchesSolo(t *testing.T) {
 }
 
 // TestCloneBatchMultiParent checks the structure of a three-parent round:
-// child IDs are reserved in admission order, every parent stays paused
+// child IDs are reserved in request order, every parent stays paused
 // until its own children complete, and the family links are correct.
 func TestCloneBatchMultiParent(t *testing.T) {
 	h, parents := batchReady(t, 3, 32, 4)
@@ -106,12 +116,12 @@ func TestCloneBatchMultiParent(t *testing.T) {
 		{Caller: parents[1].ID, Target: parents[1].ID, N: 1, CopyRing: true},
 		{Caller: parents[2].ID, Target: parents[2].ID, N: 2, CopyRing: true},
 	}
-	results := h.CloneBatch(reqs)
+	results := cloneBatch(h, reqs)
 	if len(results) != len(reqs) {
 		t.Fatalf("got %d results for %d requests", len(results), len(reqs))
 	}
 
-	// IDs are assigned contiguously in admission order.
+	// IDs are assigned contiguously in request order.
 	next := parents[2].ID + 1
 	for i, r := range results {
 		if r.Err != nil {
@@ -122,7 +132,7 @@ func TestCloneBatchMultiParent(t *testing.T) {
 		}
 		for _, k := range r.Children {
 			if k != next {
-				t.Errorf("request %d child = %d, want %d (admission-order IDs)", i, k, next)
+				t.Errorf("request %d child = %d, want %d (request-order IDs)", i, k, next)
 			}
 			next++
 			c, err := h.Domain(k)
@@ -163,7 +173,7 @@ func TestCloneBatchAdmissionFailureIsolated(t *testing.T) {
 		{Caller: outsider.ID, Target: outsider.ID, N: 1, CopyRing: true},
 		{Caller: parents[1].ID, Target: parents[1].ID, N: 1, CopyRing: true},
 	}
-	results := h.CloneBatch(reqs)
+	results := cloneBatch(h, reqs)
 	if !errors.Is(results[1].Err, ErrCloningDisabled) {
 		t.Fatalf("outsider request error = %v, want ErrCloningDisabled", results[1].Err)
 	}
@@ -181,8 +191,8 @@ func TestCloneBatchAdmissionFailureIsolated(t *testing.T) {
 	completeAll(t, h, results)
 }
 
-// TestCloneBatchFaultGatePerRequest: the fault gate is consulted in
-// admission order across the round, so an nth-hit fault lands on a
+// TestCloneBatchFaultGatePerRequest: the fault gate is consulted per child
+// in request order across the round, so an nth-hit fault lands on a
 // deterministic request; that request fails and refunds its budget while
 // the others complete untouched.
 func TestCloneBatchFaultGatePerRequest(t *testing.T) {
@@ -196,7 +206,7 @@ func TestCloneBatchFaultGatePerRequest(t *testing.T) {
 		{Caller: parents[0].ID, Target: parents[0].ID, N: 2, CopyRing: true},
 		{Caller: parents[1].ID, Target: parents[1].ID, N: 2, CopyRing: true},
 	}
-	results := h.CloneBatch(reqs)
+	results := cloneBatch(h, reqs)
 	if results[0].Err != nil {
 		t.Fatalf("request 0: %v", results[0].Err)
 	}
@@ -245,7 +255,7 @@ func TestCloneBatchRejectsNonPositiveCount(t *testing.T) {
 	for _, bad := range []int{-1, 0} {
 		h, parents := batchReady(t, 2, pages, 4)
 		meter := vclock.NewMeter(nil)
-		results := h.CloneBatch([]CloneRequest{
+		results := cloneBatch(h, []CloneRequest{
 			{Caller: parents[0].ID, Target: parents[0].ID, N: bad, CopyRing: true},
 			{Caller: parents[1].ID, Target: parents[1].ID, N: n, CopyRing: true, Ctx: obs.Ctx(meter)},
 		})
@@ -282,7 +292,7 @@ func TestCloneBatchRejectsNonPositiveCount(t *testing.T) {
 // TestCloneBatchRoundDeterminism: a round is a pure function of its request
 // slice. Two identically-configured hypervisors given the same six-parent
 // round must produce identical child IDs and identical per-request virtual
-// times, whatever order the build pool happened to run the children in.
+// times.
 func TestCloneBatchRoundDeterminism(t *testing.T) {
 	run := func() ([]DomID, []vclock.Duration) {
 		h, parents := batchReady(t, 6, 64, 4)
@@ -292,7 +302,7 @@ func TestCloneBatchRoundDeterminism(t *testing.T) {
 			meters[i] = vclock.NewMeter(nil)
 			reqs[i] = CloneRequest{Caller: p.ID, Target: p.ID, N: 2, CopyRing: true, Ctx: obs.Ctx(meters[i])}
 		}
-		results := h.CloneBatch(reqs)
+		results := cloneBatch(h, reqs)
 		var ids []DomID
 		var times []vclock.Duration
 		for i, r := range results {
@@ -334,7 +344,7 @@ func TestCloneBatchRoundMatchesSolo(t *testing.T) {
 				meters[i] = vclock.NewMeter(nil)
 				reqs[i] = CloneRequest{Caller: p.ID, Target: p.ID, N: 2, CopyRing: true, Ctx: obs.Ctx(meters[i])}
 			}
-			results := h.CloneBatch(reqs)
+			results := cloneBatch(h, reqs)
 			completeAll(t, h, results)
 			for i, r := range results {
 				if r.Err != nil {

@@ -2,8 +2,6 @@ package hv
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"nephele/internal/evtchn"
 	"nephele/internal/fault"
@@ -76,11 +74,10 @@ func (h *Hypervisor) SetCloningEnabled(on bool) {
 	h.cloningEnabled = on
 }
 
-// CloneRequest is one parent's CLONEOP in a scheduling round. Caller is the
-// domain invoking the hypercall (the parent itself, or Dom0 on its behalf);
-// Target is the parent to clone N times. Ctx carries the request's meter,
-// active span and fault scope; a context without a meter gets a throwaway
-// one.
+// CloneRequest is one parent's CLONEOP. Caller is the domain invoking the
+// hypercall (the parent itself, or Dom0 on its behalf); Target is the parent
+// to clone N times. Ctx carries the request's meter, active span and fault
+// scope; a context without a meter gets a throwaway one.
 type CloneRequest struct {
 	Caller   DomID
 	Target   DomID
@@ -93,8 +90,7 @@ type CloneRequest struct {
 	Ctx  obs.OpCtx
 }
 
-// CloneResult is the outcome of one clone request — the same shape for the
-// single-request Clone and each entry of a CloneBatch round.
+// CloneResult is the outcome of one clone request.
 type CloneResult struct {
 	Children []DomID
 	Stats    *CloneOpStats
@@ -115,308 +111,106 @@ type CloneResult struct {
 // pages tagged KindIORing (network rings are copied; the console ring page
 // is a distinct kind and always fresh).
 //
-// It is a scheduling round of one: see CloneBatch for the
-// admission/build/merge structure and the determinism argument.
+// The request runs on the caller's goroutine and charges its own context.
+// It is admitted first (hypercall charge, policy and budget, parent pause,
+// child ID reservation); then each child in order passes the fault gate, is
+// built and has its notification pushed. The first failure stops the loop:
+// the children built before it stay (their second stage proceeds), the
+// unused IDs and budget are refunded and the parent resumes.
 func (h *Hypervisor) Clone(req CloneRequest) CloneResult {
-	return h.CloneBatch([]CloneRequest{req})[0]
-}
-
-// CloneBatch admits CLONEOPs from several independent parents into one
-// scheduling round. The round has three phases:
-//
-//  1. Admission, strictly in request order: each request charges its
-//     hypercall, validates cloning policy and budget, pauses its parent,
-//     reserves its child ID range and consults the fault gate — so domain
-//     numbering and fault hit counts are deterministic functions of the
-//     request order, never of build timing.
-//  2. Build: the children of every admitted request go through ONE bounded
-//     worker pool (GOMAXPROCS wide), each built against a private meter.
-//     Independent parents' children interleave freely here; with the
-//     sharded frame pool their memory operations lock disjoint shards.
-//  3. Merge, per request in admission order: each request's child meters,
-//     stats, family links and notifications merge in child order onto that
-//     request's own meter, exactly as the sequential loop would.
-//
-// Each request's meter only ever receives that request's charges, so the
-// virtual-time output of any single request is byte-identical to running
-// it alone (the golden-series figures are insensitive to batching), while
-// the wall-clock cost of the round is one pool-wide fan-out.
-func (h *Hypervisor) CloneBatch(reqs []CloneRequest) []CloneResult {
-	adms := make([]cloneAdmission, len(reqs))
-	jobs := 0
-	for i := range reqs {
-		adms[i].req = reqs[i]
-		h.admitClone(&adms[i])
-		if adms[i].err == nil {
-			jobs += adms[i].attempt
-		}
-	}
-
-	// One bounded worker pool across every admitted request's children,
-	// queued in request order.
-	type job struct {
-		a *cloneAdmission
-		i int
-	}
-	list := make([]job, 0, jobs)
-	for ai := range adms {
-		if adms[ai].err != nil {
-			continue
-		}
-		for i := 0; i < adms[ai].attempt; i++ {
-			list = append(list, job{a: &adms[ai], i: i})
-		}
-	}
-	buildOne := func(j job) {
-		// Each child builds against a private meter and, when tracing, a
-		// private sub-trace; both merge in child order during the finish
-		// phase, so neither virtual time nor span order depends on build
-		// scheduling.
-		cctx, sub := j.a.ctx.Detach()
-		child, st, err := h.cloneOne(j.a.parent, j.a.ids[j.i], j.a.req.CopyRing, j.a.req.Mode, cctx)
-		j.a.results[j.i] = cloneResult{child: child, st: st, meter: cctx.Meter(), sub: sub, err: err}
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(list) {
-		workers = len(list)
-	}
-	if workers <= 1 {
-		for _, j := range list {
-			buildOne(j)
-		}
-	} else {
-		var wg sync.WaitGroup
-		work := make(chan job)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for j := range work {
-					buildOne(j)
-				}
-			}()
-		}
-		for _, j := range list {
-			work <- j
-		}
-		close(work)
-		wg.Wait()
-	}
-
-	out := make([]CloneResult, len(reqs))
-	for i := range adms {
-		out[i] = h.finishClone(&adms[i])
-	}
-	return out
-}
-
-// cloneResult is one child's build outcome, carrying its private meter and
-// sub-trace until the in-order merge.
-type cloneResult struct {
-	child *Domain
-	st    *CloneOpStats
-	meter *vclock.Meter
-	sub   *obs.Trace
-	err   error
-}
-
-// cloneAdmission is one request's validated, ID-reserved seat in a
-// scheduling round.
-type cloneAdmission struct {
-	req     CloneRequest
-	ctx     obs.OpCtx // resolved context; its span is the request's root span
-	span    obs.Span  // the open clone-request span (zero when untraced)
-	meter   *vclock.Meter
-	parent  *Domain
-	start   vclock.Duration
-	ids     []DomID
-	attempt int // children to build (N, cut short by the fault gate)
-	gateErr error
-	err     error // admission failure; nothing to build or unwind
-	results []cloneResult
-}
-
-// admitClone runs the admission phase for one request: hypercall charge,
-// policy and budget validation, parent pause, child ID reservation and the
-// fault gate, in exactly the order a sequential one-child-at-a-time loop
-// would perform them.
-func (h *Hypervisor) admitClone(a *cloneAdmission) {
-	ctx := a.req.Ctx.EnsureMeter(nil)
 	// The request's root span opens before any charge so every phase nests
 	// under it; span bookkeeping itself charges nothing, keeping the golden
-	// virtual-time series identical with tracing on or off.
-	a.ctx, a.span = ctx.StartSpan("clone-request")
-	meter := a.ctx.Meter()
-	a.meter = meter
+	// virtual-time series identical with tracing on or off. It covers the
+	// first stage only; the parent-paused wait for the second stage is the
+	// platform layer's span.
+	ctx, span := req.Ctx.EnsureMeter(nil).StartSpan("clone-request")
+	defer span.End()
+	meter := ctx.Meter()
 	meter.Charge(meter.Costs().Hypercall, 1)
-
-	// The child count is a guest-supplied hypercall argument: refuse a
-	// request for no children, or fewer, before any state moves.
-	if a.req.N < 1 {
-		a.err = fmt.Errorf("%w: %d", ErrBadCloneCount, a.req.N)
-		return
-	}
-	h.mu.Lock()
-	enabled := h.cloningEnabled
-	h.mu.Unlock()
-	if !enabled {
-		a.err = fmt.Errorf("%w (global)", ErrCloningDisabled)
-		return
-	}
-	if a.req.Caller != mem.DomID0 && a.req.Caller != a.req.Target {
-		a.err = fmt.Errorf("hv: domain %d may not clone %d", a.req.Caller, a.req.Target)
-		return
-	}
-	parent, err := h.Domain(a.req.Target)
+	parent, err := h.admitClone(req)
 	if err != nil {
-		a.err = err
-		return
+		h.met.cloneFailures.Inc()
+		return CloneResult{Err: err}
 	}
-	n := a.req.N
-	parent.mu.Lock()
-	if !parent.clone.enabled || parent.clone.maxClones == 0 {
-		parent.mu.Unlock()
-		a.err = fmt.Errorf("%w: domain %d", ErrCloningDisabled, a.req.Target)
-		return
-	}
-	if parent.clone.made+n > parent.clone.maxClones {
-		parent.mu.Unlock()
-		a.err = fmt.Errorf("%w: %d made, %d requested, max %d",
-			ErrCloneLimit, parent.clone.made, n, parent.clone.maxClones)
-		return
-	}
-	parent.clone.made += n
-	parent.mu.Unlock()
-	a.parent = parent
+	n := req.N
 
 	// The parent is paused until the completion of the second stage so
 	// its state stays consistent for all its clones (§5).
 	parent.pause()
-	a.start = meter.Elapsed()
+	start := meter.Elapsed()
 
-	// Reserve the child IDs up front so concurrent construction cannot
-	// reorder domain numbering.
-	a.ids = make([]DomID, n)
+	// Reserve the child IDs up front so a concurrent caller cannot
+	// interleave its children with this request's.
 	h.mu.Lock()
-	for i := range a.ids {
-		a.ids[i] = h.nextDom
-		h.nextDom++
-	}
+	first := h.nextDom
+	h.nextDom += DomID(n)
 	h.mu.Unlock()
 
-	// Fault-injection gate, consulted in child order before any parallel
-	// work so per-point hit counts fire against the same child index as
-	// the sequential loop. An OpCtx fault scope overrides the component
-	// registry for this request only.
-	faults := a.ctx.Faults(h.Faults())
-	a.attempt = n
-	for i := 0; i < n; i++ {
-		if err := faults.Check(fault.PointHVCloneOne); err != nil {
-			a.attempt, a.gateErr = i, err
-			break
-		}
-	}
-	a.results = make([]cloneResult, a.attempt)
-}
-
-// finishClone runs the merge phase for one request: meters, stats, the
-// family links and the notification ring all observe the sequential child
-// ordering. The first failure wins (like the sequential loop stopping
-// there); speculative successes past it are torn down with no virtual-time
-// charge, since a sequential run would never have built them.
-func (h *Hypervisor) finishClone(a *cloneAdmission) CloneResult {
-	if a.err != nil {
-		a.span.End()
-		h.met.cloneFailures.Inc()
-		return CloneResult{Err: a.err}
-	}
-	meter, parent, n := a.meter, a.parent, a.req.N
-	trace := a.ctx.Trace()
+	// An OpCtx fault scope overrides the component registry for this
+	// request only.
+	faults := ctx.Faults(h.Faults())
 	stats := &CloneOpStats{}
 	children := make([]DomID, 0, n)
-	var waits []chan struct{}
-	var retErr error
-	usedIDs := a.attempt // IDs a sequential run would have consumed
-	for i := 0; i < a.attempt; i++ {
-		r := a.results[i]
-		if retErr != nil {
-			if r.err == nil {
-				h.DomainDestroy(obs.OpCtx{}, r.child.ID)
-			}
-			continue
+	waits := make([]chan struct{}, 0, n)
+	used := 0 // IDs consumed: a child that fails past the gate keeps its ID
+	for i := 0; i < n; i++ {
+		if err = faults.Check(fault.PointHVCloneOne); err != nil {
+			break
 		}
-		// Merge the child's private meter and sub-trace at the same offset:
-		// the spans land exactly where the sequential loop would have put
-		// them on the virtual timeline. Speculative successes past the first
-		// failure merge neither (a sequential run never built them).
-		offset := meter.Elapsed()
-		meter.Add(r.meter.Elapsed())
-		trace.Absorb(r.sub, a.ctx.SpanID(), offset)
-		if r.err != nil {
-			retErr = r.err
-			usedIDs = i + 1
-			continue
+		used++
+		var child *Domain
+		var st *CloneOpStats
+		if child, st, err = h.cloneOne(parent, first+DomID(i), req.CopyRing, req.Mode, ctx); err != nil {
+			break
 		}
 		parent.mu.Lock()
-		parent.children = append(parent.children, r.child.ID)
+		parent.children = append(parent.children, child.ID)
 		parent.mu.Unlock()
-		stats.Memory.SharedPages += r.st.Memory.SharedPages
-		stats.Memory.PrivateCopies += r.st.Memory.PrivateCopies
-		stats.Memory.PrivateFresh += r.st.Memory.PrivateFresh
-		stats.Memory.PTEntries += r.st.Memory.PTEntries
-		stats.Memory.P2MEntries += r.st.Memory.P2MEntries
-		stats.Memory.MetaFrames += r.st.Memory.MetaFrames
-		stats.Memory.Extents += r.st.Memory.Extents
-		stats.Memory.Deferred += r.st.Memory.Deferred
-		stats.Events.Cloned += r.st.Events.Cloned
-		stats.Events.IDCBound += r.st.Events.IDCBound
-		stats.Grants += r.st.Grants
-		stats.VCPUs += r.st.VCPUs
-		h.met.extents.Observe(int64(r.st.Memory.Extents))
+		stats.Memory.SharedPages += st.Memory.SharedPages
+		stats.Memory.PrivateCopies += st.Memory.PrivateCopies
+		stats.Memory.PrivateFresh += st.Memory.PrivateFresh
+		stats.Memory.PTEntries += st.Memory.PTEntries
+		stats.Memory.P2MEntries += st.Memory.P2MEntries
+		stats.Memory.MetaFrames += st.Memory.MetaFrames
+		stats.Memory.Extents += st.Memory.Extents
+		stats.Memory.Deferred += st.Memory.Deferred
+		stats.Events.Cloned += st.Events.Cloned
+		stats.Events.IDCBound += st.Events.IDCBound
+		stats.Grants += st.Grants
+		stats.VCPUs += st.VCPUs
+		h.met.extents.Observe(int64(st.Memory.Extents))
 
 		// Queue the notification for xencloned and raise VIRQ_CLONED.
-		nctx, nspan := a.ctx.StartSpan("notify-push")
-		wait, err := h.pushNotification(nctx, parent, r.child)
+		nctx, nspan := ctx.StartSpan("notify-push")
+		var wait chan struct{}
+		wait, err = h.pushNotification(nctx, parent, child)
 		nspan.End()
 		if err != nil {
 			// The child was fully created but can never complete:
 			// tear it down and refund the unused budget.
-			h.DomainDestroy(obs.OpCtx{}, r.child.ID)
-			retErr = err
-			usedIDs = i + 1
-			continue
+			h.DomainDestroy(obs.OpCtx{}, child.ID)
+			break
 		}
-		children = append(children, r.child.ID)
+		children = append(children, child.ID)
 		waits = append(waits, wait)
 	}
-	if retErr == nil && a.gateErr != nil {
-		// Every child before the fault-gate failure succeeded; the gate
-		// itself is the first failure, exactly where the sequential loop
-		// would have stopped.
-		retErr = a.gateErr
-	}
-	if retErr != nil {
-		// Return unused reserved IDs when no concurrent caller took more
-		// in the meantime, so failure paths consume the same ID range as
-		// a sequential run.
+	if err != nil {
+		// Return the unused IDs unless a concurrent caller reserved more in
+		// the meantime.
 		h.mu.Lock()
-		if h.nextDom == a.ids[n-1]+1 {
-			h.nextDom = a.ids[0] + DomID(usedIDs)
+		if h.nextDom == first+DomID(n) {
+			h.nextDom = first + DomID(used)
 		}
 		h.mu.Unlock()
 		parent.mu.Lock()
 		parent.clone.made -= n - len(children)
 		parent.mu.Unlock()
 		parent.unpause()
-		a.span.End()
 		h.met.cloneFailures.Inc()
-		return CloneResult{Children: children, Stats: stats, Err: retErr}
+		return CloneResult{Children: children, Stats: stats, Err: err}
 	}
-	stats.FirstStage = meter.Lap(a.start)
+	stats.FirstStage = meter.Lap(start)
 	h.Events.RaiseVIRQ(evtchn.VIRQCloned, meter)
-	// The request span covers the first stage only; the parent-paused wait
-	// for the second stage is the platform layer's span.
-	a.span.End()
 	h.met.recordClone(stats, len(children))
 
 	done := make(chan struct{})
@@ -428,6 +222,42 @@ func (h *Hypervisor) finishClone(a *cloneAdmission) CloneResult {
 		close(done)
 	}()
 	return CloneResult{Children: children, Stats: stats, Done: done}
+}
+
+// admitClone validates one request — child count, cloning policy, caller
+// and budget — and takes the request's children out of the parent's
+// budget. It returns the parent, or why the request was refused with no
+// state moved.
+func (h *Hypervisor) admitClone(req CloneRequest) (*Domain, error) {
+	// The child count is a guest-supplied hypercall argument: refuse a
+	// request for no children, or fewer, before any state moves.
+	if req.N < 1 {
+		return nil, fmt.Errorf("%w: %d", ErrBadCloneCount, req.N)
+	}
+	h.mu.Lock()
+	enabled := h.cloningEnabled
+	h.mu.Unlock()
+	if !enabled {
+		return nil, fmt.Errorf("%w (global)", ErrCloningDisabled)
+	}
+	if req.Caller != mem.DomID0 && req.Caller != req.Target {
+		return nil, fmt.Errorf("hv: domain %d may not clone %d", req.Caller, req.Target)
+	}
+	parent, err := h.Domain(req.Target)
+	if err != nil {
+		return nil, err
+	}
+	parent.mu.Lock()
+	defer parent.mu.Unlock()
+	if !parent.clone.enabled || parent.clone.maxClones == 0 {
+		return nil, fmt.Errorf("%w: domain %d", ErrCloningDisabled, req.Target)
+	}
+	if parent.clone.made+req.N > parent.clone.maxClones {
+		return nil, fmt.Errorf("%w: %d made, %d requested, max %d",
+			ErrCloneLimit, parent.clone.made, req.N, parent.clone.maxClones)
+	}
+	parent.clone.made += req.N
+	return parent, nil
 }
 
 // cloneOne performs the hypervisor first stage for a single child with a

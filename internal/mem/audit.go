@@ -6,8 +6,8 @@ import (
 )
 
 // Audit checks the frame-level invariants of the pool (DESIGN.md §10, "Frame
-// states and transitions", and §10.1) over every shard's materialized frames,
-// with every shard locked. It returns nil, or an error naming each violated
+// states and transitions", and §10.1) over every materialized frame, with
+// the pool locked. It returns nil, or an error naming each violated
 // invariant with its first offender and how many times it was violated:
 //
 //   - page-aliasing: no unsealed page is held by two frames, and no page is
@@ -16,81 +16,77 @@ import (
 //   - free-frame: a free frame holds no page, no refcount and no pledges;
 //   - frame-state: an owned frame has one reference, and a dom_cow frame with
 //     none is a zombie, which only its pledges keep alive;
-//   - shard-accounting: per shard, the free and shared counters, the recycle
-//     stack and the per-domain usage equal what the frames say.
+//   - accounting: the free and shared counters, the recycle stack and the
+//     per-domain usage equal what the frames say.
 //
 // Audit is a read-only inspector for tests and test harnesses; it allocates
-// and locks every shard, so no operation path calls it.
+// and holds the pool lock throughout, so no operation path calls it.
 func (m *Memory) Audit() error {
-	lay := m.lay
-	m.lockMask(lay.allMask())
-	defer m.unlockMask(lay.allMask())
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	var log auditLog
 	type holder struct {
 		mfn    MFN
 		sealed bool
 	}
 	pages := make(map[*[PageSize]byte]holder)
-	for si := range lay.shards {
-		sh := &lay.shards[si]
-		inUse, shared := 0, 0
-		used := make(map[DomID]int)
-		var owners []DomID // the keys of used, in the order the walk met them
-		for i := 0; i < sh.watermark; i++ {
-			mfn := sh.lo + MFN(i)
-			f := lay.frame(mfn)
-			if !f.inUse {
-				if f.data != nil || f.refcount != 0 || f.pledges != 0 {
-					log.add("free-frame", "frame %d holds a page %t, refcount %d, pledges %d", mfn, f.data != nil, f.refcount, f.pledges)
-				}
-				continue
+	inUse, shared := 0, 0
+	used := make(map[DomID]int)
+	var owners []DomID // the keys of used, in the order the walk met them
+	for i := 0; i < m.watermark; i++ {
+		mfn := MFN(i)
+		f := m.frame(mfn)
+		if !f.inUse {
+			if f.data != nil || f.refcount != 0 || f.pledges != 0 {
+				log.add("free-frame", "frame %d holds a page %t, refcount %d, pledges %d", mfn, f.data != nil, f.refcount, f.pledges)
 			}
-			inUse++
-			if used[f.owner] == 0 {
-				owners = append(owners, f.owner)
+			continue
+		}
+		inUse++
+		if used[f.owner] == 0 {
+			owners = append(owners, f.owner)
+		}
+		used[f.owner]++
+		switch {
+		case f.owner == DomIDCOW:
+			shared++
+			if f.refcount < 0 || f.refcount == 0 && f.pledges <= 0 {
+				log.add("frame-state", "dom_cow frame %d has refcount %d, pledges %d", mfn, f.refcount, f.pledges)
 			}
-			used[f.owner]++
-			switch {
-			case f.owner == DomIDCOW:
-				shared++
-				if f.refcount < 0 || f.refcount == 0 && f.pledges <= 0 {
-					log.add("frame-state", "dom_cow frame %d has refcount %d, pledges %d", mfn, f.refcount, f.pledges)
-				}
-			case f.refcount != 1 || f.pledges < 0:
-				log.add("frame-state", "frame %d owned by %d has refcount %d, pledges %d", mfn, f.owner, f.refcount, f.pledges)
-			}
-			if f.data == nil {
-				continue
-			}
-			if h, dup := pages[f.data]; !dup {
-				pages[f.data] = holder{mfn, f.sealed}
-			} else if !h.sealed || !f.sealed {
-				log.add("page-aliasing", "frames %d (sealed %t) and %d (sealed %t) hold one page", h.mfn, h.sealed, mfn, f.sealed)
-			}
+		case f.refcount != 1 || f.pledges < 0:
+			log.add("frame-state", "frame %d owned by %d has refcount %d, pledges %d", mfn, f.owner, f.refcount, f.pledges)
 		}
-		if got, want := sh.free.Load(), int64(sh.size-inUse); got != want {
-			log.add("shard-accounting", "shard %d counts %d free frames, its frames say %d", si, got, want)
+		if f.data == nil {
+			continue
 		}
-		if got := sh.shared.Load(); got != int64(shared) {
-			log.add("shard-accounting", "shard %d counts %d shared frames, its frames say %d", si, got, shared)
+		if h, dup := pages[f.data]; !dup {
+			pages[f.data] = holder{mfn, f.sealed}
+		} else if !h.sealed || !f.sealed {
+			log.add("page-aliasing", "frames %d (sealed %t) and %d (sealed %t) hold one page", h.mfn, h.sealed, mfn, f.sealed)
 		}
-		if got, want := sh.recycled.n, sh.watermark-inUse; got != want {
-			log.add("shard-accounting", "shard %d stacks %d recycled frames, its frames say %d", si, got, want)
+	}
+	if want := m.total - inUse; m.free != want {
+		log.add("accounting", "pool counts %d free frames, its frames say %d", m.free, want)
+	}
+	if m.shared != shared {
+		log.add("accounting", "pool counts %d shared frames, its frames say %d", m.shared, shared)
+	}
+	if got, want := m.recycled.n, m.watermark-inUse; got != want {
+		log.add("accounting", "pool stacks %d recycled frames, its frames say %d", got, want)
+	}
+	for j := 0; j < m.recycled.n; j++ {
+		mfn := m.recycled.chunks[j>>mfnStackShift][j&(mfnStackChunk-1)]
+		if int(mfn) >= m.watermark || m.frame(mfn).inUse {
+			log.add("accounting", "pool stacks frame %d, which it cannot hand out", mfn)
 		}
-		for j := 0; j < sh.recycled.n; j++ {
-			mfn := sh.recycled.chunks[j>>mfnStackShift][j&(mfnStackChunk-1)]
-			if mfn < sh.lo || mfn >= sh.lo+MFN(sh.watermark) || lay.frame(mfn).inUse {
-				log.add("shard-accounting", "shard %d stacks frame %d, which it cannot hand out", si, mfn)
-			}
+	}
+	for _, d := range owners {
+		if got := m.usedByDom[d]; got != used[d] {
+			log.add("accounting", "pool charges domain %d with %d frames, its frames say %d", d, got, used[d])
 		}
-		for _, d := range owners {
-			if got := sh.usedByDom[d]; got != used[d] {
-				log.add("shard-accounting", "shard %d charges domain %d with %d frames, its frames say %d", si, d, got, used[d])
-			}
-		}
-		if len(sh.usedByDom) != len(owners) {
-			log.add("shard-accounting", "shard %d charges %d domains, its frames name %d", si, len(sh.usedByDom), len(owners))
-		}
+	}
+	if len(m.usedByDom) != len(owners) {
+		log.add("accounting", "pool charges %d domains, its frames name %d", len(m.usedByDom), len(owners))
 	}
 	return log.err()
 }

@@ -32,9 +32,9 @@ func TestAuditNamesEachViolation(t *testing.T) {
 		}
 		return m, parent
 	}
-	frameOf := func(m *Memory, s *Space, pfn PFN) *frame { return m.lay.frame(s.ptes[pfn].mfn()) }
-	owned := func(m *Memory, s *Space) *frame { return m.lay.frame(s.ptFrames[0]) }
-	freed := func(m *Memory) *frame { return m.lay.frame(m.lay.shards[0].recycled.chunks[0][0]) }
+	frameOf := func(m *Memory, s *Space, pfn PFN) *frame { return m.frame(s.ptes[pfn].mfn()) }
+	owned := func(m *Memory, s *Space) *frame { return m.frame(s.ptFrames[0]) }
+	freed := func(m *Memory) *frame { return m.frame(m.recycled.chunks[0][0]) }
 
 	for _, c := range []struct {
 		name, want string
@@ -42,7 +42,7 @@ func TestAuditNamesEachViolation(t *testing.T) {
 	}{
 		{"unsealed page in two frames", "page-aliasing", func(m *Memory, s *Space) {
 			page := new([PageSize]byte)
-			owned(m, s).data, m.lay.frame(s.ptFrames[1]).data = page, page
+			owned(m, s).data, m.frame(s.ptFrames[1]).data = page, page
 		}},
 		{"page sealed in one frame only", "page-aliasing", func(m *Memory, s *Space) {
 			frameOf(m, s, 1).data = frameOf(m, s, 0).data
@@ -60,20 +60,20 @@ func TestAuditNamesEachViolation(t *testing.T) {
 		{"owned frame with two references", "frame-state", func(m *Memory, s *Space) {
 			owned(m, s).refcount = 2
 		}},
-		{"free counter", "shard-accounting", func(m *Memory, s *Space) {
-			m.lay.shards[0].free.Add(1)
+		{"free counter", "accounting", func(m *Memory, s *Space) {
+			m.free++
 		}},
-		{"shared counter", "shard-accounting", func(m *Memory, s *Space) {
-			m.lay.shards[0].shared.Add(-1)
+		{"shared counter", "accounting", func(m *Memory, s *Space) {
+			m.shared--
 		}},
-		{"usage of a domain", "shard-accounting", func(m *Memory, s *Space) {
-			m.lay.shards[0].usedByDom[1]++
+		{"usage of a domain", "accounting", func(m *Memory, s *Space) {
+			m.usedByDom[1]++
 		}},
-		{"usage of a domain with no frames", "shard-accounting", func(m *Memory, s *Space) {
-			m.lay.shards[0].usedByDom[77] = 1
+		{"usage of a domain with no frames", "accounting", func(m *Memory, s *Space) {
+			m.usedByDom[77] = 1
 		}},
-		{"recycle stack", "shard-accounting", func(m *Memory, s *Space) {
-			m.lay.shards[0].recycled.push(s.ptFrames[0])
+		{"recycle stack", "accounting", func(m *Memory, s *Space) {
+			m.recycled.push(s.ptFrames[0])
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -86,7 +86,7 @@ func TestAuditNamesEachViolation(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), c.want+":") {
 				t.Fatalf("Audit = %v, want a %s violation", err, c.want)
 			}
-			for _, other := range []string{"page-aliasing", "free-frame", "frame-state", "shard-accounting"} {
+			for _, other := range []string{"page-aliasing", "free-frame", "frame-state", "accounting"} {
 				if other != c.want && strings.Contains(err.Error(), other+":") {
 					t.Fatalf("Audit also names %s: %v", other, err)
 				}

@@ -2,7 +2,6 @@ package mem
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"nephele/internal/obs"
@@ -108,69 +107,6 @@ func BenchmarkLazyClone(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-			}
-		})
-	}
-}
-
-// BenchmarkMultiParentClone measures clone throughput when several
-// independent parents clone concurrently against one machine pool — the
-// FaaS/NGINX autoscaling scenario (§7). Each iteration is one round: every
-// parent clones one child (the already-COW fast path) and releases it, all
-// rounds racing on the shared pool. With the single-mutex pool every
-// parent serializes on Memory.mu; the sharded pool gives each parent's
-// frame range its own lock, so ns/op should stay flat as parents grow.
-//
-// The pool is host-sized (12 GiB; frame metadata is lazy, so the unused
-// range costs nothing) — that is what makes the shard stride large enough
-// for a 64 MB guest to sit inside one shard, exactly as on a real host.
-// Parent domain IDs map to distinct home shards and child IDs to shards
-// disjoint from every parent's, mirroring how sequential hv domain IDs
-// spread across the pool.
-func BenchmarkMultiParentClone(b *testing.B) {
-	const mb = 64
-	pages := mb << 20 / PageSize
-	for _, parents := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("parents=%d", parents), func(b *testing.B) {
-			b.ReportAllocs()
-			m := New(12 << 30)
-			nsh := m.Shards()
-			childDom := func(p int) DomID {
-				return DomID(700*nsh + (1+parents+p)%nsh)
-			}
-			spaces := make([]*Space, parents)
-			for i := range spaces {
-				parent, err := NewSpace(m, DomID(1+i), pages, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				// Warm clone: every regular page moves to dom_cow so the
-				// timed rounds all take the sharer-bump fast path.
-				warm, _, err := parent.CloneOp(obs.OpCtx{}, DomID(600*nsh+(1+parents+i)%nsh), false)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer warm.Release()
-				spaces[i] = parent
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var wg sync.WaitGroup
-				for p := range spaces {
-					wg.Add(1)
-					go func(p int) {
-						defer wg.Done()
-						child, _, err := spaces[p].CloneOp(obs.OpCtx{}, childDom(p), false)
-						if err != nil {
-							b.Error(err)
-							return
-						}
-						if err := child.Release(); err != nil {
-							b.Error(err)
-						}
-					}(p)
-				}
-				wg.Wait()
 			}
 		})
 	}

@@ -9,77 +9,64 @@ import (
 	"unsafe"
 )
 
-// frameChunk is the frame table's chunk size in a pool whose shards are at
-// least that large.
+// frameChunk is the frame table's chunk size.
 const frameChunk = 1 << frameChunkShift
 
-// checkChunks asserts the frame table's one invariant on every shard — the
-// table covers exactly the chunks the watermark
-// reaches into, and every one of them but the shard's first is whole — and
-// the shard struct's cache-line padding.
+// checkChunks asserts the frame table's one invariant — the table covers
+// exactly the chunks the watermark reaches into, and every one of them but
+// the first is whole.
 func checkChunks(t *testing.T, m *Memory) {
 	t.Helper()
-	if sz := unsafe.Sizeof(shard{}); sz%128 != 0 {
-		t.Fatalf("shard is %d bytes, want a multiple of 128", sz)
-	}
-	lay := m.lay
-	chunk := 1 << lay.cshift
-	for si := range lay.shards {
-		sh := &lay.shards[si]
-		base := int(sh.lo >> lay.cshift)
-		for k := 0; k*chunk < sh.size; k++ {
-			got, want := len(lay.chunks[base+k]), 0
-			switch {
-			case k*chunk >= sh.watermark:
-			case k == 0 && sh.watermark < chunk:
-				want = sh.watermark
-			default:
-				want = min(chunk, sh.size-k*chunk)
-			}
-			if got != want {
-				t.Fatalf("shard %d (watermark %d) chunk %d has %d frames, want %d", si, sh.watermark, k, got, want)
-			}
+	for k := 0; k*frameChunk < m.total; k++ {
+		got, want := len(m.chunks[k]), 0
+		switch {
+		case k*frameChunk >= m.watermark:
+		case k == 0 && m.watermark < frameChunk:
+			want = m.watermark
+		default:
+			want = min(frameChunk, m.total-k*frameChunk)
+		}
+		if got != want {
+			t.Fatalf("watermark %d: chunk %d has %d frames, want %d", m.watermark, k, got, want)
 		}
 	}
 }
 
-// TestFrameTableGrowsInPlace grows one shard from nothing to 64 Ki frames
+// TestFrameTableGrowsInPlace grows a 64 Ki-frame pool from nothing to full
 // in clone-sized steps (265 frames: what one child of the Fig. 4 guest
 // takes) and requires the allocator to have been asked for at most 1.1
 // times the final table — an append-grown slice asks for 6.5 times — with no
 // chunk after the first ever reallocated.
 func TestFrameTableGrowsInPlace(t *testing.T) {
-	m := New(16 * 65536 * PageSize)
-	lay := m.lay
-	sh := &lay.shards[0]
-	if sh.size != 65536 {
-		t.Fatalf("shard of %d frames, test assumes 65536", sh.size)
-	}
+	m := New(65536 * PageSize)
 	out := make([]MFN, 265)
 	at := map[int]*frame{} // chunk index → its first frame, when first seen
-	chunks := lay.chunks[sh.lo>>lay.cshift:][:sh.size>>lay.cshift]
+	chunks := m.chunks
+	if len(chunks) != 16 {
+		t.Fatalf("%d chunks, test assumes 16", len(chunks))
+	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	for sh.watermark < sh.size {
-		sh.mu.Lock()
-		lay.takeLocked(m, sh, 1, out)
-		sh.mu.Unlock()
+	for m.watermark < m.total {
+		if err := m.allocInto(1, out[:min(len(out), m.total-m.watermark)], nil); err != nil {
+			t.Fatal(err)
+		}
 		for k := 1; k < len(chunks) && chunks[k] != nil; k++ {
 			if at[k] == nil {
 				at[k] = &chunks[k][0]
 			} else if at[k] != &chunks[k][0] {
-				t.Fatalf("chunk %d moved while the table grew to %d frames", k, sh.watermark)
+				t.Fatalf("chunk %d moved while the table grew to %d frames", k, m.watermark)
 			}
 		}
 	}
 	runtime.ReadMemStats(&after)
 	checkChunks(t, m)
-	final := uint64(sh.size) * uint64(unsafe.Sizeof(frame{}))
+	final := uint64(m.total) * uint64(unsafe.Sizeof(frame{}))
 	if got := after.TotalAlloc - before.TotalAlloc; got > final*11/10 {
 		t.Fatalf("growing the table to %d bytes allocated %d (%.2fx), want <= 1.1x", final, got, float64(got)/float64(final))
 	}
-	for idx := 0; idx < sh.size; idx++ {
-		if f := lay.frame(sh.lo + MFN(idx)); !f.inUse || f.owner != 1 || f.refcount != 1 {
+	for idx := 0; idx < m.total; idx++ {
+		if f := m.frame(MFN(idx)); !f.inUse || f.owner != 1 || f.refcount != 1 {
 			t.Fatalf("frame %d after growth: %+v", idx, *f)
 		}
 	}
@@ -116,15 +103,15 @@ func TestFreeStackChunks(t *testing.T) {
 	}
 }
 
-// TestChunkHolesUnderConcurrentAlloc builds a two-shard pool whose shards
-// hold several chunks of frames with holes in every one — freed, shared and
-// written frames side by side — and lets another domain keep allocating into
-// the holes and releasing again, across chunk and shard edges, while the
+// TestChunkHolesUnderConcurrentAlloc builds a pool of eight chunks, five of
+// them holding frames with holes in every one — freed, shared and written
+// frames side by side — and lets another domain keep allocating into the
+// holes and releasing again, across chunk edges, while the
 // frames that stay are read back. Every owner, sharer count and content byte
 // must survive, the chunk invariant must hold, and once the other domain is
 // gone the pool state is what it was. Run with -race.
 func TestChunkHolesUnderConcurrentAlloc(t *testing.T) {
-	m := newSharded(8*frameChunk*PageSize, 2) // 2 shards of 4 chunks
+	m := New(8 * frameChunk * PageSize)
 	owned, err := m.AllocN(7, 5*frameChunk+500, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -161,8 +148,7 @@ func TestChunkHolesUnderConcurrentAlloc(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
-			// More than the holes of dom 9's home shard: the run spills over
-			// the shard edge and past the watermark.
+			// More than the holes: the run spills past the watermark.
 			mfns, err := m.AllocN(9, 2*frameChunk, nil)
 			if err != nil {
 				t.Error(err)

@@ -37,7 +37,7 @@ func (m CloneMode) String() string {
 }
 
 // streamChunk is the number of consecutive lazy pages the streamer
-// materializes per shard-locked batch. It bounds how long a demand fault can
+// materializes per locked batch. It bounds how long a demand fault can
 // wait behind the streamer while keeping the per-chunk locking overhead
 // amortized.
 const streamChunk = 128
@@ -51,22 +51,22 @@ const streamChunk = 128
 //
 //nephele:noalloc
 func (m *Memory) pledgePTEs(ptes []pte) error {
-	c := runCursor{ptes: ptes}
-	mask, err := m.lockRuns(&c)
-	if err != nil {
-		return err
-	}
-	defer m.unlockMask(mask)
+	c := runCursor{m: m, ptes: ptes}
+	m.lockBatch()
+	defer m.mu.Unlock()
 	for c.next() {
 		fr, short := c.frames()
 		for j := range fr {
 			if !fr[j].inUse {
-				return frameErr(ErrDoubleFree, c.mfn(j))
+				return c.fail(frameErr(ErrDoubleFree, c.mfn(j)))
 			}
 		}
 		if short {
-			return frameErr(ErrDoubleFree, c.mfn(len(fr)))
+			return c.fail(frameErr(ErrDoubleFree, c.mfn(len(fr))))
 		}
+	}
+	if err := c.badFrame(); err != nil {
+		return err
 	}
 	for c.rewind(); c.next(); {
 		fr, _ := c.frames()
@@ -85,14 +85,12 @@ func (m *Memory) pledgePTEs(ptes []pte) error {
 //
 //nephele:noalloc
 func (m *Memory) cancelPledged(ptes []pte) error {
-	c := runCursor{ptes: ptes, mode: runSkipBad}
-	mask, _ := m.lockRuns(&c) // the skipping modes never fail here
-	defer m.unlockMask(mask)
-	lay := m.lay
+	c := runCursor{m: m, ptes: ptes, mode: runSkipBad}
+	m.lockBatch()
+	defer m.mu.Unlock()
 	var firstErr error
-	var freed [maxShards]int
+	freed := 0
 	for c.next() {
-		sh := &lay.shards[c.si]
 		fr, short := c.frames()
 		for j := range fr {
 			f := &fr[j]
@@ -104,24 +102,17 @@ func (m *Memory) cancelPledged(ptes []pte) error {
 			}
 			f.pledges--
 			if f.pledges == 0 && f.owner == DomIDCOW && f.refcount == 0 {
-				freed[c.si]++
-				sh.resetFrameLocked(f, c.mfn(j))
+				freed++
+				m.resetFrameLocked(f, c.mfn(j))
 			}
 		}
 		if short && firstErr == nil {
 			firstErr = frameErr(ErrNotPledged, c.mfn(len(fr)))
 		}
 	}
-	m.beginAccount()
-	for si := range lay.shards {
-		if n := freed[si]; n > 0 {
-			sh := &lay.shards[si]
-			sh.dropUsageLocked(DomIDCOW, n)
-			sh.shared.Add(-int64(n))
-			sh.free.Add(int64(n))
-		}
-	}
-	m.endAccount()
+	m.dropUsageLocked(DomIDCOW, freed)
+	m.shared -= freed
+	m.free += freed
 	if c.anyBad {
 		return c.badFrame()
 	}
@@ -140,42 +131,38 @@ func (m *Memory) cancelPledged(ptes []pte) error {
 //
 //nephele:noalloc
 func (m *Memory) adoptPledged(dom DomID, ptes []pte, meter *vclock.Meter) error {
-	c := runCursor{ptes: ptes}
-	mask, err := m.lockRuns(&c)
-	if err != nil {
-		return err
-	}
-	defer m.unlockMask(mask)
-	lay := m.lay
+	c := runCursor{m: m, ptes: ptes}
+	m.lockBatch()
+	defer m.mu.Unlock()
 	for c.next() {
 		fr, short := c.frames()
 		for j := range fr {
 			f := &fr[j]
 			if !f.inUse {
-				return frameErr(ErrDoubleFree, c.mfn(j))
+				return c.fail(frameErr(ErrDoubleFree, c.mfn(j)))
 			}
 			if f.pledges == 0 {
-				return frameErr(ErrNotPledged, c.mfn(j))
+				return c.fail(frameErr(ErrNotPledged, c.mfn(j)))
 			}
 		}
 		if short {
-			return frameErr(ErrDoubleFree, c.mfn(len(fr)))
+			return c.fail(frameErr(ErrDoubleFree, c.mfn(len(fr))))
 		}
 	}
+	if err := c.badFrame(); err != nil {
+		return err
+	}
 	converted := 0
-	var perShard [maxShards]int
 	for c.rewind(); c.next(); {
-		sh := &lay.shards[c.si]
 		fr, _ := c.frames()
 		for j := range fr {
 			f := &fr[j]
 			if f.owner != DomIDCOW {
 				// The previous owner keeps its mapping and becomes the
 				// first sharer; the adopter's reference is added below.
-				sh.dropUsageLocked(f.owner, 1)
+				m.dropUsageLocked(f.owner, 1)
 				f.owner = DomIDCOW
-				sh.usedByDom[DomIDCOW]++
-				perShard[c.si]++
+				m.usedByDom[DomIDCOW]++
 				converted++
 			}
 			f.refcount++
@@ -183,13 +170,7 @@ func (m *Memory) adoptPledged(dom DomID, ptes []pte, meter *vclock.Meter) error 
 		}
 	}
 	if converted > 0 {
-		m.beginAccount()
-		for si := range lay.shards {
-			if n := perShard[si]; n > 0 {
-				lay.shards[si].shared.Add(int64(n))
-			}
-		}
-		m.endAccount()
+		m.shared += converted
 		meter.Charge(meter.Costs().PageShare, converted)
 	}
 	return nil
@@ -197,10 +178,9 @@ func (m *Memory) adoptPledged(dom DomID, ptes []pte, meter *vclock.Meter) error 
 
 // lazyState is the per-child bookkeeping of one lazy clone: the streamer
 // goroutine's lifecycle channels, its detached meter and sub-trace (absorbed
-// into the clone operation's trace by WaitLazy callers, the same
-// Detach/Absorb discipline as the clone build pool), and the materialization
-// counters. The counters and err are guarded by the owning Space's mu;
-// wantFault is the only cross-goroutine signal read without it.
+// into the clone operation's trace by WaitLazy callers), and the
+// materialization counters. The counters and err are guarded by the owning
+// Space's mu; wantFault is the only cross-goroutine signal read without it.
 type lazyState struct {
 	cancel     chan struct{}
 	cancelOnce sync.Once
@@ -279,7 +259,7 @@ func (s *Space) startStream(ctx obs.OpCtx, remaining int) {
 
 // streamLoop walks the child's lazy extents in ascending pfn order — the
 // deterministic order the clone walk recorded them in — materializing up to
-// streamChunk pages per shard-locked batch. Between batches it yields to
+// streamChunk pages per locked batch. Between batches it yields to
 // demand faults (wantFault) and to cancellation. Pages consumed by demand
 // faults in the meantime are simply skipped: remaining counts both paths.
 // The loop never reads the wall clock, so the determinism analyzer needs no
@@ -415,9 +395,8 @@ func (s *Space) demandHint() *lazyState {
 
 // WaitLazy blocks until the background streamer has materialized every lazy
 // page (or failed, or was cancelled) and hands back its detached meter and
-// sub-trace exactly once for the caller to merge — the same Absorb
-// discipline as the clone build pool. Subsequent calls return only the
-// recorded error. Eager spaces return all nil immediately.
+// sub-trace exactly once for the caller to merge. Subsequent calls return
+// only the recorded error. Eager spaces return all nil immediately.
 func (s *Space) WaitLazy() (*vclock.Meter, *obs.Trace, error) {
 	ls := s.lazy
 	if ls == nil {

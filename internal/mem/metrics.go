@@ -10,14 +10,14 @@ import (
 // metrics pays nothing.
 type memMetrics struct {
 	cowFaults        *obs.Counter // mem.cow_faults: resolved COW write faults
-	lockWaitNS       *obs.Counter // mem.shard_lock_wait_ns: wall time spent acquiring multi-shard locks
-	lockAcquisitions *obs.Counter // mem.shard_lock_acquisitions: shard locks taken by multi-shard operations
+	lockWaitNS       *obs.Counter // mem.shard_lock_wait_ns: wall time batched operations spent acquiring the pool lock
+	lockAcquisitions *obs.Counter // mem.shard_lock_acquisitions: pool-lock acquisitions by batched operations
 	streamExtents    *obs.Counter // mem.stream.extents: chunks materialized by lazy-clone streamers
 	unmappedFaults   *obs.Counter // mem.fault.unmapped: demand faults on lazy entries
 }
 
 // SetMetrics attaches a registry to the pool's opt-in hot-path
-// instrumentation (shard lock wait, COW faults); nil detaches it and
+// instrumentation (pool lock wait, COW faults); nil detaches it and
 // restores the uninstrumented fast path.
 func (m *Memory) SetMetrics(r *obs.Registry) {
 	if r == nil {

@@ -8,88 +8,30 @@ import (
 	"nephele/internal/obs"
 )
 
-// shardedPool builds a pool whose layout the boundary tests rely on:
-// 65536 frames in 16 shards of 4096 (stride 4096).
-func shardedPool(t *testing.T) *Memory {
-	t.Helper()
-	m := New(65536 * PageSize)
-	if m.Shards() != 16 || m.Stride() != 4096 {
-		t.Fatalf("pool layout changed: %d shards, stride %d (test assumes 16×4096)",
-			m.Shards(), m.Stride())
-	}
-	return m
-}
-
-// newSharded builds a pool of totalBytes split into nsh shards, for the tests
-// that need a geometry New does not pick for that size.
-func newSharded(totalBytes uint64, nsh int) *Memory {
-	total := int(totalBytes / PageSize)
-	return &Memory{total: total, lay: newLayout(total, nsh)}
-}
-
-// TestPoolGeometry pins what New computes for the pool sizes the tree uses,
-// and the first frames the default 12 GiB platform machine hands its first
-// domains: the geometry decides every MFN the pool gives out, so a change to
-// the shard-count rule or the home-shard hash has to be made here too.
+// TestPoolGeometry pins the frame table a 12 GiB pool, the default platform
+// machine, starts with, and the first frames it hands its first domains:
+// allocation order decides every MFN the pool gives out, so a change to it
+// has to be made here too.
 func TestPoolGeometry(t *testing.T) {
-	for _, tc := range []struct {
-		bytes          uint64
-		shards, stride int
-	}{
-		{4 << 20, 1, 1024},
-		{1 << 30, 16, 16384},
-		{2 << 30, 16, 32768},
-		{12 << 30, 16, 262144}, // 12 ranges hold frames, the last 4 are empty
-	} {
-		if m := New(tc.bytes); m.Shards() != tc.shards || m.Stride() != tc.stride {
-			t.Errorf("New(%d MB): %d shards of %d frames, want %d of %d",
-				tc.bytes>>20, m.Shards(), m.Stride(), tc.shards, tc.stride)
-		}
-	}
 	m := New(12 << 30)
-	// Home shards 9, 3 and 13; 13 is an empty tail range, so domain 3 wraps
-	// around to shard 0.
-	for dom, want := range map[DomID]MFN{1: 9 * 262144, 2: 3 * 262144, 3: 0} {
-		got, err := m.AllocN(dom, 2, nil)
-		if err != nil || got[0] != want || got[1] != want+1 {
-			t.Errorf("AllocN(%d, 2) = %v, %v; want the run at %d", dom, got, err, want)
+	if got, want := len(m.chunks), 12<<30/PageSize/frameChunk; m.TotalFrames() != 12<<30/PageSize || got != want {
+		t.Fatalf("%d frames in %d chunks, want %d in %d", m.TotalFrames(), got, 12<<30/PageSize, want)
+	}
+	for _, tc := range []struct {
+		dom  DomID
+		want MFN
+	}{{1, 0}, {2, 2}, {3, 4}} {
+		got, err := m.AllocN(tc.dom, 2, nil)
+		if err != nil || got[0] != tc.want || got[1] != tc.want+1 {
+			t.Errorf("AllocN(%d, 2) = %v, %v; want the run at %d", tc.dom, got, err, tc.want)
 		}
 	}
-}
-
-// TestHomeShardDistribution: sequential DomIDs — exactly what hv.nextDom
-// hands out to the children of one round — must spread across shards instead
-// of marching over neighbours in lockstep like a dom % nshards mapping would.
-// With 64 sequential IDs over 16 shards a perfectly uniform deal is 4 per
-// shard; the multiplicative hash is required to stay within 3x of uniform
-// on every shard and to hit at least half the shards.
-func TestHomeShardDistribution(t *testing.T) {
-	lay := shardedPool(t).lay
-	nsh := len(lay.shards)
-	for _, base := range []DomID{1, 100, 7000} {
-		counts := make([]int, nsh)
-		hit := 0
-		const doms = 64
-		for i := 0; i < doms; i++ {
-			h := lay.homeShard(base + DomID(i))
-			if h < 0 || h >= nsh {
-				t.Fatalf("homeShard(%d) = %d out of range", base+DomID(i), h)
-			}
-			if counts[h] == 0 {
-				hit++
-			}
-			counts[h]++
-		}
-		if hit < nsh/2 {
-			t.Errorf("base %d: %d sequential domains hit only %d of %d shards: %v",
-				base, doms, hit, nsh, counts)
-		}
-		for sh, c := range counts {
-			if c > 3*doms/nsh {
-				t.Errorf("base %d: shard %d got %d of %d domains (uniform %d)",
-					base, sh, c, doms, doms/nsh)
-			}
-		}
+	// A freed run is handed out again most recent frame first.
+	if err := m.ReleaseN(2, []MFN{2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := m.AllocN(4, 3, nil); err != nil || got[0] != 3 || got[1] != 2 || got[2] != 6 {
+		t.Errorf("AllocN(4, 3) after freeing 2 and 3 = %v, %v; want [3 2 6]", got, err)
 	}
 }
 
@@ -155,11 +97,12 @@ func run(start, n int) []MFN {
 }
 
 // TestShardBoundaryRuns drives the batched ops over runs that straddle 0,
-// 1 and 2 shard edges and checks ownership, refcounts and the aggregated
-// counters after every step. The pool is fully allocated to one domain so
-// any MFN range is a valid run.
+// 1 and 2 edges of the frame table's 4096-frame chunks, which sit where the
+// edges of a 16-way sharded 64 Ki-frame pool would, and checks ownership,
+// refcounts and the counters after every step. The pool is fully allocated
+// to one domain so any MFN range is a valid run.
 func TestShardBoundaryRuns(t *testing.T) {
-	const stride = 4096
+	const stride = frameChunk
 	cases := []struct {
 		name  string
 		start int
@@ -177,7 +120,7 @@ func TestShardBoundaryRuns(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			m := shardedPool(t)
+			m := New(65536 * PageSize)
 			total := m.TotalFrames()
 			if _, err := m.AllocN(1, total, nil); err != nil {
 				t.Fatal(err)
@@ -185,9 +128,9 @@ func TestShardBoundaryRuns(t *testing.T) {
 			mfns := run(tc.start, tc.n)
 
 			// The run must actually cross the edges the case claims.
-			firstSh := int(mfns[0]) / m.Stride()
-			lastSh := int(mfns[len(mfns)-1]) / m.Stride()
-			if got := lastSh - firstSh; got != tc.edges {
+			firstCh := int(mfns[0]) / stride
+			lastCh := int(mfns[len(mfns)-1]) / stride
+			if got := lastCh - firstCh; got != tc.edges {
 				t.Fatalf("run crosses %d edges, case expects %d", got, tc.edges)
 			}
 
@@ -200,11 +143,11 @@ func TestShardBoundaryRuns(t *testing.T) {
 			if got := m.UsedBy(1); got != total-tc.n {
 				t.Fatalf("UsedBy(1) = %d, want %d", got, total-tc.n)
 			}
-			// Probe ownership at the run ends and at every shard edge the
+			// Probe ownership at the run ends and at every chunk edge the
 			// run crosses.
 			probes := []MFN{mfns[0], mfns[len(mfns)-1]}
-			for sh := firstSh + 1; sh <= lastSh; sh++ {
-				probes = append(probes, MFN(sh*stride-1), MFN(sh*stride))
+			for ch := firstCh + 1; ch <= lastCh; ch++ {
+				probes = append(probes, MFN(ch*stride-1), MFN(ch*stride))
 			}
 			for _, p := range probes {
 				if owner, _ := m.Owner(p); owner != DomIDCOW {
@@ -239,16 +182,19 @@ func TestShardBoundaryRuns(t *testing.T) {
 			if got := m.UsedBy(DomIDCOW); got != 0 {
 				t.Fatalf("UsedBy(dom_cow) = %d after all sharers released", got)
 			}
+			if err := m.Audit(); err != nil {
+				t.Fatal(err)
+			}
 		})
 	}
 }
 
-// TestShardBoundaryValidationAtomic: a failure in the run's LAST shard
-// must leave frames in the earlier shards untouched — ShareN validates
-// every shard before mutating any, AddSharerN rolls its fused pass back.
+// TestShardBoundaryValidationAtomic: a failure in the run's LAST chunk
+// must leave frames in the earlier chunk untouched — ShareN validates the
+// whole run before mutating any of it, AddSharerN rolls its fused pass back.
 func TestShardBoundaryValidationAtomic(t *testing.T) {
-	const stride = 4096
-	m := shardedPool(t)
+	const stride = frameChunk
+	m := New(65536 * PageSize)
 	if _, err := m.AllocN(1, m.TotalFrames(), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -265,11 +211,11 @@ func TestShardBoundaryValidationAtomic(t *testing.T) {
 		t.Fatalf("failed ShareN left %d shared frames", got)
 	}
 	if owner, _ := m.Owner(mfns[0]); owner != 1 {
-		t.Fatalf("failed ShareN mutated first shard: owner %d", owner)
+		t.Fatalf("failed ShareN mutated the first chunk: owner %d", owner)
 	}
 
 	// Share everything but the poisoned frame, then AddSharerN over the
-	// full run: the fused pass bumps the first shard before discovering
+	// full run: the fused pass bumps the first chunk before discovering
 	// the bad frame, and must undo those bumps exactly.
 	good := make([]MFN, 0, len(mfns)-1)
 	for _, f := range mfns {
@@ -293,8 +239,8 @@ func TestShardBoundaryValidationAtomic(t *testing.T) {
 // TestSnapshotDuringConcurrentClones is the lock-order regression test for
 // Snapshot vs. ReleaseN: four parents clone and release on the shared pool
 // while a fifth space snapshots and the aggregate counters are read, all
-// under -race. Shard locks are only ever taken in ascending order, so this
-// must neither deadlock nor trip the race detector.
+// under -race. A space's lock is taken before the pool's, never after, so
+// this must neither deadlock nor trip the race detector.
 func TestSnapshotDuringConcurrentClones(t *testing.T) {
 	m := New(1 << 30)
 	const parents = 4

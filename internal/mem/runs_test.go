@@ -71,36 +71,34 @@ type poolImage struct {
 
 func imageOf(m *Memory, doms ...DomID) poolImage {
 	img := poolImage{Frames: map[MFN]frameImage{}, Free: m.FreeFrames(), Shared: m.SharedFrames(), Used: map[DomID]int{}}
-	lay := m.lay
-	for ci, ch := range lay.chunks {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for ci, ch := range m.chunks {
 		for j, f := range ch {
-			img.Frames[MFN(ci)<<lay.cshift+MFN(j)] = frameImage{f.owner, f.refcount, f.pledges, f.inUse}
+			img.Frames[MFN(ci)<<frameChunkShift+MFN(j)] = frameImage{f.owner, f.refcount, f.pledges, f.inUse}
 		}
 	}
 	for _, d := range append(doms, DomIDCOW) {
-		img.Used[d] = m.UsedBy(d)
+		img.Used[d] = m.usedByDom[d]
 	}
 	return img
 }
 
 // TestRunCursorSplits pins the one splitter every batched operation walks
-// its input with: runs break at MFN discontinuities, at shard edges (a
-// short tail shard included) and at the edges of the frame table's chunks,
-// and the three modes differ only in what they do with entries that name no
-// frame.
+// its input with: runs break at MFN discontinuities, at the edges of the
+// frame table's chunks and at the pool's end, and the three modes differ
+// only in what they do with entries that name no frame. The cases named
+// after shards check the edges that split runs where the shard edges of a
+// sharded pool would: the chunk edges and the short tail chunk.
 func TestRunCursorSplits(t *testing.T) {
-	small := newLayout(20, 4) // stride 8: shards [0,8) [8,16) [16,20) and an empty one
-	// Stride 16384: a shard of four chunks, then a tail shard [16384,16484)
-	// shorter than one chunk.
-	chunked := newLayout(4*frameChunk+100, 2)
+	small := New(20 * PageSize) // one chunk of 20 frames
+	// Four whole chunks, then a tail chunk [16384,16484) of 100 frames.
+	chunked := New((4*frameChunk + 100) * PageSize)
 	type span struct{ lo, hi MFN }
-	walk := func(lay *layout, c runCursor) ([]span, error) {
-		c.lay = lay
+	walk := func(m *Memory, c runCursor) ([]span, error) {
+		c.m = m
 		var got, again []span
 		for c.next() {
-			if want := lay.shardIdx(c.mfn(0)); c.si != want {
-				t.Fatalf("run at %d reported shard %d", c.mfn(0), c.si)
-			}
 			got = append(got, span{c.mfn(0), c.mfn(c.b - c.a)})
 		}
 		// A rewound cursor repeats the walk.
@@ -115,7 +113,7 @@ func TestRunCursorSplits(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name string
-		lay  *layout
+		m    *Memory
 		in   []MFN
 		mode runMode
 		want []span
@@ -123,10 +121,10 @@ func TestRunCursorSplits(t *testing.T) {
 	}{
 		{"empty", small, nil, runStrict, nil, false},
 		{"one run", small, run(1, 6), runStrict, []span{{1, 7}}, false},
-		{"shard edges", small, run(5, 14), runStrict, []span{{5, 8}, {8, 16}, {16, 19}}, false},
-		{"tail shard", small, run(14, 6), runStrict, []span{{14, 16}, {16, 20}}, false},
+		{"shard edges", chunked, run(frameChunk-3, frameChunk+6), runStrict, []span{{4093, 4096}, {4096, 8192}, {8192, 8195}}, false},
+		{"tail shard", small, run(14, 6), runStrict, []span{{14, 20}}, false},
 		{"every other", small, []MFN{2, 4, 6, 8, 10}, runStrict, []span{{2, 3}, {4, 5}, {6, 7}, {8, 9}, {10, 11}}, false},
-		{"long run between gaps", small, []MFN{0, 2, 3, 4, 5, 6, 7, 8, 9, 11}, runStrict, []span{{0, 1}, {2, 8}, {8, 10}, {11, 12}}, false},
+		{"long run between gaps", small, []MFN{0, 2, 3, 4, 5, 6, 7, 8, 9, 11}, runStrict, []span{{0, 1}, {2, 10}, {11, 12}}, false},
 		{"descending", small, []MFN{3, 2, 1}, runStrict, []span{{3, 4}, {2, 3}, {1, 2}}, false},
 		{"strict stops at a bad frame", small, []MFN{1, 2, 20, 3}, runStrict, []span{{1, 3}}, true},
 		{"skip-bad walks on", small, []MFN{1, 2, 20, 3, 99}, runSkipBad, []span{{1, 3}, {3, 4}}, true},
@@ -139,7 +137,7 @@ func TestRunCursorSplits(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, form := range []runCursor{{mfns: tc.in, mode: tc.mode}, {ptes: ptesOf(tc.in), mode: tc.mode}} {
-				got, err := walk(tc.lay, form)
+				got, err := walk(tc.m, form)
 				if !reflect.DeepEqual(got, tc.want) {
 					t.Errorf("runs %v, want %v", got, tc.want)
 				}
@@ -163,8 +161,7 @@ func TestRunCursorSplits(t *testing.T) {
 	// frames() against a table that covers the first chunk partly, the
 	// second not at all: a run inside the grown part is whole, one that
 	// leaves it comes back short, one beyond it empty and short.
-	sh := &chunked.shards[0]
-	chunked.growLocked(sh, 100)
+	chunked.growLocked(100)
 	for _, tc := range []struct {
 		in    []MFN
 		n     int
@@ -175,7 +172,7 @@ func TestRunCursorSplits(t *testing.T) {
 		{run(100, 5), 0, true},
 		{run(frameChunk, 5), 0, true},
 	} {
-		c := runCursor{lay: chunked, mfns: tc.in}
+		c := runCursor{m: chunked, mfns: tc.in}
 		if !c.next() {
 			t.Fatalf("no run over %d..", tc.in[0])
 		}
@@ -185,11 +182,11 @@ func TestRunCursorSplits(t *testing.T) {
 		}
 	}
 	// Growing past the first chunk makes it whole before the second exists.
-	chunked.growLocked(sh, frameChunk+1)
+	chunked.growLocked(frameChunk + 1)
 	if ch := chunked.chunks; len(ch[0]) != frameChunk || len(ch[1]) != frameChunk || ch[2] != nil {
 		t.Fatalf("table grown to %d frames has chunks of %d, %d and %d", frameChunk+1, len(ch[0]), len(ch[1]), len(ch[2]))
 	}
-	c := runCursor{lay: chunked, mfns: run(frameChunk-2, 4)}
+	c := runCursor{m: chunked, mfns: run(frameChunk-2, 4)}
 	for want := 2; c.next(); want = 2 {
 		if fr, short := c.frames(); len(fr) != want || short {
 			t.Errorf("run [%d,%d): %d frames, short %v", c.a, c.b, len(fr), short)
@@ -199,17 +196,16 @@ func TestRunCursorSplits(t *testing.T) {
 
 // TestBatchedOpsAllocFree pins the point of streaming the runs: over the
 // worst-case input — every other MFN, so every run is one page, across a
-// shard edge — no batched operation allocates. Each closure leaves the
+// chunk edge — no batched operation allocates. Each closure leaves the
 // frames shared with at least one reference, so it can run any number of
 // times.
 func TestBatchedOpsAllocFree(t *testing.T) {
-	const stride = 4096
-	m := shardedPool(t)
+	m := New(65536 * PageSize)
 	if _, err := m.AllocN(1, m.TotalFrames(), nil); err != nil {
 		t.Fatal(err)
 	}
 	var mfns []MFN
-	for f := stride - 200; f < stride+200; f += 2 {
+	for f := frameChunk - 200; f < frameChunk+200; f += 2 {
 		mfns = append(mfns, MFN(f))
 	}
 	ptes := ptesOf(mfns)
@@ -265,23 +261,19 @@ func TestBatchedOpsAllocFree(t *testing.T) {
 // same frames twice — listed in ascending order on one pool, interleaved
 // into one-page runs on a twin — and requires identical frame metadata,
 // counters, usage and virtual time after every step: how the input splits
-// into runs must not show in any result. The pool has four frame-table
-// chunks per shard, so the contiguous lists split at chunk edges as well as
-// at the shard edge.
+// into runs must not show in any result. The contiguous lists split at the
+// frame table's chunk edges.
 func TestFragmentedLayoutEquivalence(t *testing.T) {
 	const stride = 4 * frameChunk
 	type twin struct {
 		m     *Memory
 		meter *vclock.Meter
-		mfns  []MFN // the family's shared frames, over the shard edge
+		mfns  []MFN // the family's shared frames, over a chunk edge
 		kept  []MFN // frames dom 1 keeps owning until a lazy child adopts them, over a chunk edge
 		left  []MFN // frames dom 1 keeps owning until they are zombies, over a chunk edge
 	}
 	build := func(order func([]MFN) []MFN) twin {
-		m := newSharded(2*stride*PageSize, 2)
-		if m.Stride() != stride {
-			t.Fatalf("stride %d, test assumes %d", m.Stride(), stride)
-		}
+		m := New(2 * stride * PageSize)
 		if _, err := m.AllocN(1, m.TotalFrames(), nil); err != nil {
 			t.Fatal(err)
 		}
@@ -359,16 +351,16 @@ func TestFragmentedLayoutEquivalence(t *testing.T) {
 // AddSharerN undoes every bump it made, and the releasing operations skip
 // the bad frame, process the rest and report the first error.
 func TestFragmentedErrorPaths(t *testing.T) {
-	const stride = 4096
-	m := shardedPool(t)
-	// Dom 1 fills its home shard and takes 100 frames of the next one, whose
+	const stride = frameChunk
+	m := New(65536 * PageSize)
+	// Dom 1 fills the first chunk and takes 100 frames of the next one, whose
 	// remaining frames stay above the watermark: never allocated.
 	owned, err := m.AllocN(1, stride+100, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	full, partial := owned[:stride], owned[stride:]
-	var good []MFN // 100 one-page runs, half in each of the two shards
+	var good []MFN // 100 one-page runs, half in each of the two chunks
 	for i := 0; i < 100; i += 2 {
 		good = append(good, full[stride-100+i])
 	}
@@ -400,7 +392,7 @@ func TestFragmentedErrorPaths(t *testing.T) {
 		}
 	}
 
-	// The bad entry sits late in the list, past the shard edge, so the runs
+	// The bad entry sits late in the list, past the chunk edge, so the runs
 	// before it have been walked (and, for AddSharerN, bumped) when it is met.
 	for _, tc := range []struct {
 		name  string
@@ -426,7 +418,7 @@ func TestFragmentedErrorPaths(t *testing.T) {
 	untouched("pledgePTEs/past watermark", ErrDoubleFree, func() error { return m.pledgePTEs(ptesOf(in)) })
 
 	// Once the good frames are shared, AddSharerN's fused pass has bumped 90
-	// runs in two shards when it meets the bad one, and must undo them all.
+	// runs in two chunks when it meets the bad one, and must undo them all.
 	if err := m.ShareN(1, good, 1, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -479,9 +471,9 @@ func TestFragmentedErrorPaths(t *testing.T) {
 
 // TestFragmentedCloneReleaseStress is the -race stress for the streamed
 // walks: children of two parents whose tables are all one-page runs are
-// cloned and released concurrently — thousands of runs per unlocked mask
-// walk and per locked pass, over shards both families share. A walk that
-// lost or doubled a frame shows in the final accounting.
+// cloned and released concurrently — thousands of runs per locked pass,
+// over chunks both families share. A walk that lost or doubled a frame
+// shows in the final accounting.
 func TestFragmentedCloneReleaseStress(t *testing.T) {
 	m := New(1 << 30)
 	pages := 8 << 20 / PageSize

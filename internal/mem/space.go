@@ -151,8 +151,8 @@ func (p pte) materialized() pte {
 
 // ptePool recycles page-table slices from released spaces into newly built
 // ones. A released clone's table is the single biggest piece of garbage on
-// the clone path (128 KiB for a 64 MB guest), and collecting it steals the
-// very cores the sharded pool frees up; recycling keeps steady-state clone
+// the clone path (128 KiB for a 64 MB guest), and collecting it costs the
+// host more than building it; recycling keeps steady-state clone
 // churn — the fuzzing and FaaS patterns, where children live briefly —
 // allocation-free. Slices from the pool hold stale entries, so every
 // consumer fully overwrites the prefix it slices off.
@@ -196,8 +196,8 @@ func getPage(zero bool) *[PageSize]byte {
 	return new([PageSize]byte)
 }
 
-// putPage detaches f's page, recycling it unless it is sealed. f's shard
-// must be locked.
+// putPage detaches f's page, recycling it unless it is sealed. The pool
+// lock must be held.
 func putPage(f *frame) {
 	if f.data != nil && !f.sealed {
 		pagePool.Put(f.data)
@@ -968,10 +968,10 @@ func (s *Space) release() error {
 
 // Snapshot returns the contents of every guest page, one slot per pfn, with
 // nil for pages whose backing frame has never been written (they read as
-// zeroes). The whole capture locks each touched pool shard once (in the
-// pool-wide ascending order) instead of a page-sized Read per pfn, and the
-// pages are the frames' own, sealed (Memory.SnapshotFrames): read-only to
-// the caller, untouched by later guest writes.
+// zeroes). The whole capture takes the pool lock once instead of a
+// page-sized Read per pfn, and the pages are the frames' own, sealed
+// (Memory.SnapshotFrames): read-only to the caller, untouched by later
+// guest writes.
 func (s *Space) Snapshot() ([][]byte, error) {
 	mfns, err := s.snapshotMFNs()
 	if err != nil {
@@ -1018,8 +1018,8 @@ type SnapshotRun struct {
 // never-written pages collapse into zero runs with no per-page storage,
 // consecutive pfns backed by frames already captured earlier collapse into
 // alias runs, and only genuinely distinct written pages carry data. The
-// underlying frame capture is the same single coherent shard-ordered pass
-// as Snapshot.
+// underlying frame capture is the same single coherent locked pass as
+// Snapshot.
 func (s *Space) SnapshotRuns() ([]SnapshotRun, error) {
 	mfns, err := s.snapshotMFNs()
 	if err != nil {

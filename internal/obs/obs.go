@@ -11,11 +11,11 @@
 //     a no-op — the clone hot path allocates exactly as much as it did
 //     before the layer existed.
 //  2. Span emission is deterministic under virtual time. Spans carry
-//     virtual timestamps read from the operation's meter, and parallel
-//     sections (the clone build pool, multi-parent second-stage groups)
-//     record onto detached sub-traces that are absorbed into the parent
-//     trace in admission order — mirroring the meter-merge discipline — so
-//     golden tests can pin span names, counts and virtual timestamps.
+//     virtual timestamps read from the operation's meter, and the one
+//     background section (a lazy clone's streamer) records onto a detached
+//     sub-trace that is absorbed into the waiter's trace at a fixed point —
+//     mirroring the meter merge — so golden tests can pin span names,
+//     counts and virtual timestamps.
 //     Wall-clock readings are recorded alongside but never order anything.
 package obs
 
@@ -131,10 +131,10 @@ func (c OpCtx) StartSpan(name string) (OpCtx, Span) {
 	return c, s
 }
 
-// Detach returns a context for a parallel section: a fresh meter charging
-// against the same cost table (the private-meter discipline of the clone
-// build pool) and, when tracing, a private sub-trace whose spans the
-// caller later merges with Trace.Absorb in deterministic order. The
+// Detach returns a context for a background section: a fresh meter
+// charging against the same cost table and, when tracing, a private
+// sub-trace whose spans the caller later merges with Trace.Absorb at a
+// deterministic point. The
 // returned *Trace is nil when the parent context records no spans; passing
 // a nil sub-trace to Absorb is a no-op, so callers need not branch.
 func (c OpCtx) Detach() (OpCtx, *Trace) {
