@@ -48,6 +48,7 @@ var Targets = []string{
 	"nephele/internal/cloned",
 	"nephele/internal/obs",
 	"nephele/internal/netsim",
+	"nephele/internal/fnv1a",
 }
 
 // bannedFuncs maps package path -> function name -> short reason.

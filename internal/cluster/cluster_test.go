@@ -428,3 +428,12 @@ func TestPlacementPolicies(t *testing.T) {
 		eq(Spread{}.Place(5, 0, stats), []int{2, 1, 2, 1, 2}, "spread-replay")
 	}
 }
+
+// TestHeaderHashPinned pins one pageless run's chunk identity by value: it
+// picks the run's bond slave, so it is a virtual-time input.
+func TestHeaderHashPinned(t *testing.T) {
+	ri := toolstack.RunInfo{Start: 46, Count: 975, Kind: toolstack.RunZero}
+	if got := headerHash(ri); got != 0x910d97d992503055 {
+		t.Fatalf("headerHash = %#x, want 0x910d97d992503055", got)
+	}
+}

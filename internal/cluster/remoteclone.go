@@ -6,6 +6,7 @@ import (
 
 	"nephele/internal/core"
 	"nephele/internal/fault"
+	"nephele/internal/fnv1a"
 	"nephele/internal/mem"
 	"nephele/internal/netsim"
 	"nephele/internal/obs"
@@ -253,16 +254,7 @@ func chunksOf(img *toolstack.Image) []netsim.Chunk {
 // headerHash derives a deterministic chunk identity for a pageless run
 // from its geometry (FNV-1a over start, count, kind).
 func headerHash(ri toolstack.RunInfo) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, v := range [3]uint64{uint64(ri.Start), uint64(ri.Count), uint64(ri.Kind)} {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xff
-			h *= prime64
-		}
-	}
-	return h
+	h := fnv1a.Uint64(fnv1a.Offset, uint64(ri.Start))
+	h = fnv1a.Uint64(h, uint64(ri.Count))
+	return fnv1a.Uint64(h, uint64(ri.Kind))
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"nephele/internal/fault"
+	"nephele/internal/fnv1a"
 	"nephele/internal/vclock"
 )
 
@@ -54,10 +55,7 @@ func NewBaseStore() *BaseStore {
 // hash; an identical chunk already present is reused. Hash collisions are
 // resolved by deterministic linear probing on the verified bytes.
 func (st *BaseStore) intern(chunk []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range chunk {
-		h = (h ^ uint64(c)) * 1099511628211
-	}
+	h := fnv1a.Bytes(fnv1a.Offset, chunk)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	for {
@@ -279,13 +277,13 @@ func NewVbdBackendShared(base []byte, store *BaseStore) *VbdBackend {
 	b := &VbdBackend{store: store, size: len(base), vbds: make(map[devKey]*Vbd)}
 	const chunkBytes = BaseChunkSectors * SectorSize
 	for off := 0; off < len(base); off += chunkBytes {
-		end := off + chunkBytes
-		chunk := make([]byte, chunkBytes) // final partial chunk zero-padded
-		if end > len(base) {
-			end = len(base)
+		chunk := base[off:min(off+chunkBytes, len(base))]
+		if len(chunk) < chunkBytes { // final partial chunk, zero-padded
+			padded := make([]byte, chunkBytes)
+			copy(padded, chunk)
+			chunk = padded
 		}
-		copy(chunk, base[off:end])
-		b.base = append(b.base, store.intern(chunk))
+		b.base = append(b.base, store.intern(chunk)) // intern copies on first insert
 	}
 	return b
 }

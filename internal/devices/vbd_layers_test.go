@@ -223,3 +223,12 @@ func TestVbdBaseStorePartialChunk(t *testing.T) {
 		t.Fatalf("tail sector = %q", got[:2])
 	}
 }
+
+// TestBaseStoreZeroChunkPinned pins the intern hash of an all-zero chunk by
+// value, the chunk every sparse base image is mostly made of.
+func TestBaseStoreZeroChunkPinned(t *testing.T) {
+	h := NewBaseStore().intern(make([]byte, BaseChunkSectors*SectorSize))
+	if h != 0xeb05052ea5b62325 {
+		t.Fatalf("intern = %#x, want 0xeb05052ea5b62325", h)
+	}
+}

@@ -22,6 +22,9 @@ var ErrBadHost = errors.New("netsim: host index outside the fabric")
 // slave-hash input) plus the pages it ships. Deduplicated chunks travel as
 // a header only (Pages 0 on the wire side).
 type Chunk struct {
+	// Hash picks the bond slave that carries the chunk (Hash % width), so
+	// it is a virtual-time input: a different hash function moves every
+	// cluster transfer time.
 	Hash  uint64
 	Pages int
 }

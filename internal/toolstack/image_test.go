@@ -2,6 +2,7 @@ package toolstack
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"nephele/internal/mem"
@@ -79,10 +80,10 @@ func TestImagePageAtAliasResolution(t *testing.T) {
 	img := &Image{
 		npages: 12,
 		runs: []imageRun{
-			{start: 0, count: 4},                          // zero run
+			{start: 0, count: 4},                             // zero run
 			{start: 4, count: 2, pages: [][]byte{data, nil}}, // data run
-			{start: 6, count: 2, alias: 4, isAlias: true}, // repeats pfns 4..5
-			{start: 8, count: 4},                          // zero run
+			{start: 6, count: 2, alias: 4, isAlias: true},    // repeats pfns 4..5
+			{start: 8, count: 4},                             // zero run
 		},
 	}
 	if got := img.pageAt(3); got != nil {
@@ -99,5 +100,44 @@ func TestImagePageAtAliasResolution(t *testing.T) {
 	}
 	if got := img.pageAt(11); got != nil {
 		t.Fatalf("pageAt(11) = %v, want nil", got)
+	}
+}
+
+// TestContentHashesPinned pins the content hashes of one fixed saved image
+// by value. They are ImageStore keys, serialized-image checks and, through
+// the cluster's transfer plan, bond-slave choices (virtual time), so a
+// change to how they are computed must leave every one of them unchanged.
+func TestContentHashesPinned(t *testing.T) {
+	r := newRig(t)
+	rec, err := r.xl.Create(baseConfig("pinned"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dom, _ := r.hv.Domain(rec.ID)
+	sp := dom.Space()
+	dense := make([]byte, mem.PageSize)
+	for i := range dense {
+		dense[i] = byte(i*7 + 1)
+	}
+	sp.Write(2, 0, []byte("alpha"), nil)
+	sp.Write(100, 50, []byte("beta"), nil)
+	sp.Write(101, mem.PageSize-3, []byte("end"), nil)
+	sp.Write(200, 0, dense, nil)
+	img, err := r.xl.Save(rec.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []uint64
+	for _, ri := range img.RunInfos() {
+		if ri.Kind == RunData {
+			got = append(got, ri.Hash)
+		}
+	}
+	if key := img.CacheKey(); key != 0xbfa4fb34a8ee486d {
+		t.Errorf("CacheKey = %#x, want 0xbfa4fb34a8ee486d", key)
+	}
+	want := []uint64{0x9c46e5e07e35ad79, 0xcfed36bf7ecf0b6c, 0x7b2b0062741d7645}
+	if fmt.Sprintf("%#x", got) != fmt.Sprintf("%#x", want) {
+		t.Errorf("data-run hashes = %#x, want %#x", got, want)
 	}
 }

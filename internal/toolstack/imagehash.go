@@ -3,46 +3,23 @@ package toolstack
 import (
 	"encoding/json"
 
+	"nephele/internal/fnv1a"
 	"nephele/internal/mem"
 )
-
-// The image cache keys chunks and images with FNV-1a 64. The hash is
-// computed by hand (not hash/maphash, whose seed changes per process) so
-// keys are stable across runs and across hosts — a serialized image
-// reloaded tomorrow must hit the same cache entry it populated today.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-func fnvBytes(h uint64, b []byte) uint64 {
-	for _, c := range b {
-		h = (h ^ uint64(c)) * fnvPrime64
-	}
-	return h
-}
-
-func fnvUint(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = (h ^ (v & 0xff)) * fnvPrime64
-		v >>= 8
-	}
-	return h
-}
 
 // hashRun content-hashes one data run: page count plus, per slot, a
 // present marker and the page bytes. A nil slot (a page reading as zeroes)
 // hashes as absent, so the same contents hash identically whether the
 // zero page was scrubbed at save time or never stored.
 func hashRun(pages [][]byte) uint64 {
-	h := fnvUint(fnvOffset64, uint64(len(pages)))
+	h := fnv1a.Uint64(fnv1a.Offset, uint64(len(pages)))
 	for _, data := range pages {
 		if data == nil {
-			h = fnvUint(h, 0)
+			h = fnv1a.Uint64(h, 0)
 			continue
 		}
-		h = fnvUint(h, 1)
-		h = fnvBytes(h, data)
+		h = fnv1a.Uint64(h, 1)
+		h = fnv1a.Bytes(h, data)
 	}
 	return h
 }
@@ -67,25 +44,25 @@ func (img *Image) ensureHashed() {
 		cfg := img.Config
 		cfg.Name = ""
 		cfgJSON, err := json.Marshal(cfg)
-		h := uint64(fnvOffset64)
+		h := fnv1a.Offset
 		if err == nil {
-			h = fnvBytes(h, cfgJSON)
+			h = fnv1a.Bytes(h, cfgJSON)
 		}
-		h = fnvUint(h, uint64(img.npages))
+		h = fnv1a.Uint64(h, uint64(img.npages))
 		for i := range img.runs {
 			r := &img.runs[i]
 			ri := &infos[i]
 			ri.Start, ri.Count = r.start, r.count
-			h = fnvUint(h, uint64(r.start))
-			h = fnvUint(h, uint64(r.count))
+			h = fnv1a.Uint64(h, uint64(r.start))
+			h = fnv1a.Uint64(h, uint64(r.count))
 			switch {
 			case r.isAlias:
 				ri.Kind = RunAlias
-				h = fnvUint(h, 1)
-				h = fnvUint(h, uint64(r.alias))
+				h = fnv1a.Uint64(h, 1)
+				h = fnv1a.Uint64(h, uint64(r.alias))
 			case r.pages == nil:
 				ri.Kind = RunZero
-				h = fnvUint(h, 2)
+				h = fnv1a.Uint64(h, 2)
 			default:
 				ri.Kind = RunData
 				for _, data := range r.pages {
@@ -97,8 +74,8 @@ func (img *Image) ensureHashed() {
 				if ri.Hash, same = prev.sameRunHash(r); !same {
 					ri.Hash = hashRun(r.pages)
 				}
-				h = fnvUint(h, 3)
-				h = fnvUint(h, ri.Hash)
+				h = fnv1a.Uint64(h, 3)
+				h = fnv1a.Uint64(h, ri.Hash)
 			}
 		}
 		img.infos, img.key = infos, h
@@ -174,7 +151,7 @@ const (
 
 // RunInfo describes one image extent without exposing its page storage:
 // the geometry, the kind, how many page slots a data run stores, and the
-// data run's content hash (the cross-host dedup identity — the same FNV
+// data run's content hash (the cross-host dedup identity — the same FNV-1a
 // key the receiver's ImageStore chunks under).
 type RunInfo struct {
 	Start       mem.PFN

@@ -242,7 +242,7 @@ func (st *ImageStore) Insert(img *Image, meter *vclock.Meter) error {
 		return nil
 	}
 
-	ci := &cachedImage{key: key, npages: img.npages}
+	ci := &cachedImage{key: key, npages: img.npages, runs: make([]cachedRun, 0, len(img.runs))}
 	var fresh []*imageChunk // built by this call, uncommitted
 	rollback := func() {
 		for _, ch := range fresh {
