@@ -254,8 +254,8 @@ func (d *Daemon) serveOne(n hv.CloneNotification, ctx obs.OpCtx) error {
 		_, ispan := ctx.StartSpan("xenstore-intro")
 		defer ispan.End()
 		meter.Charge(meter.Costs().Introduce, 1)
-		base := fmt.Sprintf("/local/domain/%d", n.Child)
-		childName := fmt.Sprintf("%s-clone-%d", info.name, n.Child)
+		base := devices.DomainPath(uint32(n.Child))
+		childName := info.name + "-clone-" + strconv.FormatUint(uint64(n.Child), 10)
 		writes := [...]struct{ key, val string }{
 			{base + "/name", childName},
 			{base + "/domid", strconv.FormatUint(uint64(n.Child), 10)},
@@ -325,7 +325,7 @@ func (d *Daemon) parentInfo(parent hv.DomID, meter *vclock.Meter) (*parentInfo, 
 		return info, nil
 	}
 	d.mu.Unlock()
-	name, err := d.Store.Read(fmt.Sprintf("/local/domain/%d/name", parent), meter)
+	name, err := d.Store.Read(devices.DomainPath(uint32(parent))+"/name", meter)
 	if err != nil {
 		return nil, err
 	}

@@ -197,7 +197,7 @@ func (t Table) Teardown(domid uint32, sw Switch, meter *vclock.Meter) {
 // already. It is how a failed boot and a failed clone unwind; XL.Destroy
 // removes the domain's subtree only.
 func (t Table) RemoveEntries(store *xenstore.Store, domid uint32, meter *vclock.Meter) {
-	_ = store.Remove(fmt.Sprintf("/local/domain/%d", domid), meter)
+	_ = store.Remove(DomainPath(domid), meter)
 	for k := len(t) - 1; k >= 0; k-- {
 		_ = store.Remove(BackendDir(domid, t[k].Dir), meter)
 	}

@@ -57,26 +57,31 @@ var (
 	ErrNoDevice     = errors.New("devices: no such device")
 )
 
+// DomainPath returns a domain's Xenstore directory, /local/domain/<domid>.
+func DomainPath(domid uint32) string {
+	return "/local/domain/" + strconv.FormatUint(uint64(domid), 10)
+}
+
 // FrontendPath returns the conventional Xenstore path of a frontend
 // device directory.
 func FrontendPath(domid uint32, kind string, index int) string {
-	return fmt.Sprintf("/local/domain/%d/device/%s/%d", domid, kind, index)
+	return "/local/domain/" + strconv.FormatUint(uint64(domid), 10) + "/device/" + kind + "/" + strconv.Itoa(index)
 }
 
 // BackendPath returns the conventional Xenstore path of a backend device
 // directory (backends live under Dom0).
 func BackendPath(domid uint32, kind string, index int) string {
-	return fmt.Sprintf("/local/domain/0/backend/%s/%d/%d", kind, domid, index)
+	return "/local/domain/0/backend/" + kind + "/" + strconv.FormatUint(uint64(domid), 10) + "/" + strconv.Itoa(index)
 }
 
 // FrontendDir is the per-guest device subtree used by xs_clone.
 func FrontendDir(domid uint32, kind string) string {
-	return fmt.Sprintf("/local/domain/%d/device/%s", domid, kind)
+	return "/local/domain/" + strconv.FormatUint(uint64(domid), 10) + "/device/" + kind
 }
 
 // BackendDir is the per-guest backend subtree used by xs_clone.
 func BackendDir(domid uint32, kind string) string {
-	return fmt.Sprintf("/local/domain/0/backend/%s/%d", kind, domid)
+	return "/local/domain/0/backend/" + kind + "/" + strconv.FormatUint(uint64(domid), 10)
 }
 
 // Entry is one Xenstore key/value pair of a device directory.

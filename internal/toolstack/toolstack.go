@@ -276,7 +276,7 @@ func max1(n int) int {
 // introduce registers a new domain with xenstored.
 func (x *XL) introduce(id hv.DomID, name string, meter *vclock.Meter) error {
 	meter.Charge(meter.Costs().Introduce, 1)
-	base := fmt.Sprintf("/local/domain/%d", id)
+	base := devices.DomainPath(uint32(id))
 	// A fixed order: the first write creates the domain's directory, and
 	// every later request's StorePerNode charge counts it.
 	for _, w := range []devices.Entry{
@@ -309,7 +309,7 @@ func (x *XL) Destroy(id hv.DomID, meter *vclock.Meter) error {
 		return fmt.Errorf("%w: %d", ErrNoDomain, id)
 	}
 	x.Devices.Teardown(uint32(id), x.Net, meter)
-	x.Store.Remove(fmt.Sprintf("/local/domain/%d", id), meter)
+	x.Store.Remove(devices.DomainPath(uint32(id)), meter)
 	return x.HV.DomainDestroy(obs.Ctx(meter), id)
 }
 

@@ -1,6 +1,7 @@
 package xenstore
 
 import (
+	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -11,14 +12,19 @@ import (
 
 // Clone implements the xs_clone request (paper Fig. 2 and 3): it copies
 // the directory at parentPath to childPath in one server-side request,
-// rewriting keys and values that reference the parent domain ID to
-// reference the child, with per-device-type heuristics selected by op.
+// rewriting the values that reference the parent domain ID to reference the
+// child, with per-device-type heuristics selected by op. Keys are copied as
+// they are: the only key that embeds a domain ID is the directory's own,
+// and the caller names it in childPath. The destination is created mkdir -p
+// style and merged into where it exists; it may not equal, contain or lie
+// under the source (ErrBadPath).
 //
 // The whole point of xs_clone is request economy: a deep copy from the
 // client issues one write per node, whereas xs_clone is one request no
 // matter how many nodes the device directory holds. The paper's Fig. 4
 // ablates exactly this (clone vs "clone + XS deep copy"); xencloned runs the
-// deep copy as Snapshot + RewriteForClone + one Write per node.
+// deep copy as Snapshot + RewriteForClone + one Write per node, and Clone
+// leaves the same tree and node count behind.
 func (s *Store) Clone(parentDom, childDom uint32, op CloneOp, parentPath, childPath string, meter *vclock.Meter) error {
 	if err := s.faultCheck(fault.PointXSClone); err != nil {
 		return err
@@ -28,16 +34,43 @@ func (s *Store) Clone(parentDom, childDom uint32, op CloneOp, parentPath, childP
 	s.chargeRequest(meter, true)
 	s.stats.CloneReqs++
 
-	src, err := s.lookup(parentPath)
+	srcElems, err := pathElems(parentPath)
 	if err != nil {
 		return err
 	}
-	if _, err := pathElems(childPath); err != nil {
+	src := s.find(srcElems)
+	if src == nil {
+		return fmt.Errorf("%w: %s", ErrNotFound, parentPath)
+	}
+	dstElems, err := pathElems(childPath)
+	if err != nil {
 		return err
 	}
-	rw := rewriter{parent: parentDom, child: childDom, op: op}
-	s.cloneSubtree(src, childPath, &rw)
+	if within(srcElems, dstElems) || within(dstElems, srcElems) {
+		return fmt.Errorf("%w: clone of %s onto overlapping %s", ErrBadPath, parentPath, childPath)
+	}
+	dst := s.mkdirLocked(dstElems)
+	dst.value = src.value
+	rw := newRewriter(parentDom, childDom, op)
+	s.copyLocked(dst, src, &rw)
 	return nil
+}
+
+// within reports whether the pathElems string a names the same node as b
+// or one below it.
+func within(a, b string) bool {
+	return b == "" || a == b || len(a) > len(b) && a[len(b)] == '/' && a[:len(b)] == b
+}
+
+// copyLocked copies src's descendants into dst node by node, creating the
+// missing ones and overwriting the values of the rest; runs under the store
+// lock and counts as part of the single xs_clone request.
+func (s *Store) copyLocked(dst, src *node, rw *rewriter) {
+	for name, sc := range src.children {
+		dc := s.childLocked(dst, name, len(src.children))
+		dc.value = rw.value(name, sc.value)
+		s.copyLocked(dc, sc, rw)
+	}
 }
 
 // Pair is one (path, value) node of a snapshot; paths are relative to the
@@ -78,52 +111,34 @@ func (s *Store) Snapshot(root string, meter *vclock.Meter) ([]Pair, error) {
 	return out, nil
 }
 
-// RewriteForClone applies the xs_clone key/value heuristics to one node of
-// a parent snapshot, returning the child's relative path and value. It is
-// exported so xencloned's deep-copy ablation produces the same tree as
-// xs_clone while issuing one Write per node.
+// RewriteForClone applies the xs_clone value heuristics to one node of a
+// parent snapshot, returning the child's relative path — relPath itself,
+// as xs_clone copies keys unchanged — and value. It is exported so
+// xencloned's deep-copy ablation produces the same tree as xs_clone while
+// issuing one Write per node.
 func RewriteForClone(parentDom, childDom uint32, op CloneOp, relPath, value string) (string, string) {
-	rw := rewriter{parent: parentDom, child: childDom, op: op}
 	if relPath == "" {
 		return "", value
 	}
-	parts := strings.Split(relPath, "/")
-	for i, p := range parts {
-		parts[i] = rw.key(p)
-	}
-	out := strings.Join(parts, "/")
-	return out, rw.value(parts[len(parts)-1], value)
+	rw := newRewriter(parentDom, childDom, op)
+	return relPath, rw.value(relPath[strings.LastIndexByte(relPath, '/')+1:], value)
 }
 
-func lastElem(path string) string {
-	i := strings.LastIndexByte(path, '/')
-	return path[i+1:]
-}
-
-// cloneSubtree copies src into dstPath applying the rewriter; runs under
-// the store lock and counts as part of the single xs_clone request.
-func (s *Store) cloneSubtree(src *node, dstPath string, rw *rewriter) {
-	_ = s.writeLocked(dstPath, rw.value(lastElem(dstPath), src.value))
-	for name, child := range src.children {
-		s.cloneSubtree(child, dstPath+"/"+rw.key(name), rw)
-	}
-}
-
-// rewriter adapts keys and values that embed domain IDs. Backend and
-// frontend device entries are identified by keys referencing the owning
-// guest ID; those (and values referencing them) must be rewritten to the
-// new clone ID (§5.2.1).
+// rewriter adapts the values that embed domain IDs. Backend and frontend
+// device entries reference the owning guest ID in their peer paths and
+// frontend-id/backend-id fields; those must be rewritten to the new clone
+// ID (§5.2.1). Both IDs are formatted once per request.
 type rewriter struct {
-	parent, child uint32
+	parent, child string
 	op            CloneOp
 }
 
-// key rewrites a path element equal to the parent domain ID.
-func (rw *rewriter) key(name string) string {
-	if name == strconv.FormatUint(uint64(rw.parent), 10) {
-		return strconv.FormatUint(uint64(rw.child), 10)
+func newRewriter(parentDom, childDom uint32, op CloneOp) rewriter {
+	return rewriter{
+		parent: strconv.FormatUint(uint64(parentDom), 10),
+		child:  strconv.FormatUint(uint64(childDom), 10),
+		op:     op,
 	}
-	return name
 }
 
 // value rewrites node values depending on the heuristic. The device
@@ -136,8 +151,8 @@ func (rw *rewriter) value(key, val string) string {
 	}
 	switch key {
 	case "frontend-id", "backend-id":
-		if val == strconv.FormatUint(uint64(rw.parent), 10) {
-			return strconv.FormatUint(uint64(rw.child), 10)
+		if val == rw.parent {
+			return rw.child
 		}
 		return val
 	case "state":
@@ -149,15 +164,19 @@ func (rw *rewriter) value(key, val string) string {
 	return val
 }
 
-// rewritePathValue rewrites /..../<parentID>/... path elements.
+// rewritePathValue rewrites the domain ID in a peer device path: the
+// first element equal to the parent's ID, which in /local/domain/<id>/...
+// and /local/domain/0/backend/<kind>/<id>/... is the owner's. Later equal
+// elements, such as a device index, are kept.
 func (rw *rewriter) rewritePathValue(val string) string {
-	parts := strings.Split(val, "/")
-	pid := strconv.FormatUint(uint64(rw.parent), 10)
-	cid := strconv.FormatUint(uint64(rw.child), 10)
-	for i, p := range parts {
-		if p == pid {
-			parts[i] = cid
+	for rest, at := val, 0; ; {
+		elem, tail, more := strings.Cut(rest, "/")
+		if elem == rw.parent {
+			return val[:at] + rw.child + val[at+len(elem):]
 		}
+		if !more {
+			return val
+		}
+		rest, at = tail, at+len(elem)+1
 	}
-	return strings.Join(parts, "/")
 }

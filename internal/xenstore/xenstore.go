@@ -193,29 +193,30 @@ func (s *Store) lookup(path string) (*node, error) {
 	return n, nil
 }
 
-// writeLocked creates intermediate nodes as needed (mkdir -p semantics,
-// like xenstored).
-func (s *Store) writeLocked(path, value string) error {
-	elems, err := pathElems(path)
-	if err != nil {
-		return err
-	}
+// mkdirLocked returns the node a pathElems string names, creating it and
+// any missing ancestors (mkdir -p semantics, like xenstored).
+func (s *Store) mkdirLocked(elems string) *node {
 	n := s.root
 	for elem := ""; elems != ""; {
 		elem, elems, _ = strings.Cut(elems, "/")
-		c := n.children[elem]
-		if c == nil {
-			c = &node{}
-			if n.children == nil {
-				n.children = make(map[string]*node)
-			}
-			n.children[elem] = c
-			s.nodes++
-		}
-		n = c
+		n = s.childLocked(n, elem, 0)
 	}
-	n.value = value
-	return nil
+	return n
+}
+
+// childLocked returns n's child called name, creating it if absent. A new
+// child map is made with room for hint entries.
+func (s *Store) childLocked(n *node, name string, hint int) *node {
+	c := n.children[name]
+	if c == nil {
+		c = &node{}
+		if n.children == nil {
+			n.children = make(map[string]*node, hint)
+		}
+		n.children[name] = c
+		s.nodes++
+	}
+	return c
 }
 
 // Write stores value at path, one request. An injected fault fails the
@@ -227,7 +228,12 @@ func (s *Store) Write(path, value string, meter *vclock.Meter) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.chargeRequest(meter, true)
-	return s.writeLocked(path, value)
+	elems, err := pathElems(path)
+	if err != nil {
+		return err
+	}
+	s.mkdirLocked(elems).value = value
+	return nil
 }
 
 // Read returns the value at path, one request.
