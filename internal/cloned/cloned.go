@@ -151,15 +151,19 @@ func (d *Daemon) SecondStageDuration(child hv.DomID) (vclock.Duration, bool) {
 
 // Serve drains the notification ring and runs the second stage for every
 // pending clone, in arrival order on the caller's context: the context
-// carries the meter the round charges onto, the trace its second-stage
-// spans land in, and the fault scope of the round. Arrival order keeps each
+// carries the meter the batch charges onto, the trace its second-stage
+// spans land in, and the fault scope of the batch. Arrival order keeps each
 // parent's children in notification order, which the failure protocol
 // (nth-child fault semantics) and the parent-info cache warm-up rely on. It
 // returns the number of clones completed, which is accurate even when some
 // notifications failed: clones are isolated from each other, so one failed
 // child is rolled back and aborted while the rest of the batch completes
-// normally. The returned error joins the per-child failures. Callers that
-// want the asynchronous flavour run it from a VIRQ_CLONED handler.
+// normally. The returned error joins the per-child failures.
+//
+// Each child's completion or abort releases its reference on the request's
+// completion record, so the goroutine running Serve is the one that
+// resumes a parent whose last child it reports. Callers that want the
+// asynchronous flavour run it from a VIRQ_CLONED handler.
 func (d *Daemon) Serve(ctx obs.OpCtx) (int, error) {
 	ctx = ctx.EnsureMeter(nil)
 	served := 0
@@ -172,34 +176,6 @@ func (d *Daemon) Serve(ctx obs.OpCtx) (int, error) {
 		served++
 	}
 	return served, errors.Join(errs...)
-}
-
-// CloneRound drives one multi-parent scheduling round end to end: each
-// request's first stage runs in order (hv.Clone), a single Serve drains the
-// notification ring for all the round's children at once — the ring holds
-// each request's children contiguously, in request order — and the round
-// completes when every admitted parent's Done channel closes (all parents
-// resumed).
-//
-// The returned slice is positionally parallel to reqs; each entry carries
-// that request's children, stats and first-stage error. served counts the
-// second stages completed across the whole round, and the error joins the
-// second-stage failures (first-stage failures stay in their entry's Err).
-// The context's meter receives the Serve charges; each request's first
-// stage charges the request's own context, so a round never leaks charges
-// between parents.
-func (d *Daemon) CloneRound(ctx obs.OpCtx, reqs []hv.CloneRequest) ([]hv.CloneResult, int, error) {
-	results := make([]hv.CloneResult, len(reqs))
-	for i, req := range reqs {
-		results[i] = d.HV.Clone(req)
-	}
-	served, err := d.Serve(ctx)
-	for _, r := range results {
-		if r.Done != nil {
-			<-r.Done
-		}
-	}
-	return results, served, err
 }
 
 // serveOneIsolated runs the second stage for one notification with the

@@ -16,11 +16,10 @@ import (
 // TestStressMultiParentCloneOpServeAll drives concurrent CLONEOPs from
 // several distinct parents while a daemon goroutine drains mixed batches
 // with Serve, so concurrent callers of hv.Clone race each other and the
-// daemon on the one memory pool and the notification ring. Run under -race
-// (the CI configuration), it checks that every child of every parent
-// completes, per-parent notification order holds (children of one parent
-// are served in creation order), and the final machine state accounts for
-// every clone.
+// daemon on the one memory pool, the ring and the completion records the
+// daemon's reports release. Run under -race (as CI does), it checks that
+// every child of every parent completes, every parent resumes, and the
+// final machine state accounts for every clone.
 func TestStressMultiParentCloneOpServeAll(t *testing.T) {
 	const (
 		parents   = 4

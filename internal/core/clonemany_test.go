@@ -32,112 +32,62 @@ func bootParents(t *testing.T, p *Platform, n int) []DomID {
 	return ids
 }
 
-// TestCloneManyMultiParent runs one multi-parent scheduling round through
-// the whole two-stage pipeline: four independent parents each fork two
-// children in a single round, and every child comes out fully adopted.
-func TestCloneManyMultiParent(t *testing.T) {
-	p := smallPlatform(Options{SkipNameCheck: true})
-	parents := bootParents(t, p, 4)
+// state is what a refused clone must leave as it found: domains, free
+// frames and Xenstore nodes.
+func state(p *Platform) [3]int {
+	return [3]int{p.HV.DomainCount(), p.HV.Memory.FreeFrames(), p.Store.NodeCount()}
+}
 
-	specs := make([]CloneSpec, len(parents))
-	for i, id := range parents {
-		specs[i] = CloneSpec{Caller: id, Parent: id, Count: 2}
-	}
-	results, err := p.CloneOp(obs.OpCtx{}, specs...)
+// TestCloneManyVirtualTimeMatchesClone: parents forking one CloneOp after
+// the other each report the FirstStage a solo CloneOp reports — what fig mp
+// plots — and every child comes out adopted and running, every parent
+// resumed.
+func TestCloneManyVirtualTimeMatchesClone(t *testing.T) {
+	solo := smallPlatform(Options{SkipNameCheck: true})
+	soloRes, err := fork(solo, bootParents(t, solo, 1)[0], 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != len(specs) {
-		t.Fatalf("results = %d, want %d", len(results), len(specs))
-	}
-	for i, res := range results {
-		if res.Err != nil {
-			t.Fatalf("request %d: %v", i, res.Err)
+	p := smallPlatform(Options{SkipNameCheck: true})
+	for _, id := range bootParents(t, p, 2) {
+		res, err := fork(p, id, 2, nil)
+		if err != nil || len(res.Children) != 2 {
+			t.Fatalf("parent %d: %+v, %v", id, res, err)
 		}
-		if len(res.Children) != 2 || len(res.Failed) != 0 {
-			t.Fatalf("request %d: %d children, %d failed", i, len(res.Children), len(res.Failed))
-		}
-		if res.FirstStage <= 0 || res.SecondStage <= 0 || res.Total <= 0 || res.Total < res.FirstStage {
-			t.Fatalf("request %d timings: first=%v second=%v total=%v",
-				i, res.FirstStage, res.SecondStage, res.Total)
+		if res.FirstStage != soloRes.FirstStage {
+			t.Errorf("parent %d FirstStage = %v, solo CloneOp = %v", id, res.FirstStage, soloRes.FirstStage)
 		}
 		for _, k := range res.Children {
-			if !p.HV.SameFamily(parents[i], k) {
-				t.Fatalf("child %d not in family of %d", k, parents[i])
-			}
-			if _, err := p.XL.Record(k); err != nil {
-				t.Fatalf("child %d not adopted by toolstack: %v", k, err)
-			}
 			cd, err := p.HV.Domain(k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cd.Paused() {
-				t.Fatalf("child %d paused after completed round", k)
+			if _, rerr := p.XL.Record(k); err != nil || rerr != nil || cd.Paused() || !p.HV.SameFamily(id, k) {
+				t.Fatalf("child %d of %d not adopted and running: %v, %v", k, id, err, rerr)
 			}
 		}
-		pd, _ := p.HV.Domain(parents[i])
-		if pd.Paused() {
-			t.Fatalf("parent %d still paused after round", parents[i])
+		if pd, _ := p.HV.Domain(id); pd.Paused() {
+			t.Fatalf("parent %d still paused", id)
 		}
 	}
 }
 
-// TestCloneManyVirtualTimeMatchesClone: a parent's first-stage virtual
-// time inside a multi-parent round equals what a one-spec CloneOp alone
-// reports — the golden-series determinism argument at the platform level.
-func TestCloneManyVirtualTimeMatchesClone(t *testing.T) {
-	boot := func() (*Platform, []DomID) {
-		p := smallPlatform(Options{SkipNameCheck: true})
-		return p, bootParents(t, p, 2)
-	}
-
-	solo, soloParents := boot()
-	soloRes, err := fork(solo, soloParents[0], 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	batch, batchParents := boot()
-	results, err := batch.CloneOp(obs.OpCtx{},
-		CloneSpec{Caller: batchParents[0], Parent: batchParents[0], Count: 2},
-		CloneSpec{Caller: batchParents[1], Parent: batchParents[1], Count: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range results {
-		if res.FirstStage != soloRes.FirstStage {
-			t.Errorf("request %d FirstStage = %v, solo CloneOp = %v", i, res.FirstStage, soloRes.FirstStage)
-		}
-	}
-}
-
-// TestCloneManyPartialAdmission: a request targeting a domain that cannot
-// clone fails alone; its neighbours' rounds complete.
+// TestCloneManyPartialAdmission: a spec whose parent may not clone is
+// refused with nothing moved, and the parents beside it fork normally.
 func TestCloneManyPartialAdmission(t *testing.T) {
 	p := smallPlatform(Options{SkipNameCheck: true})
 	parents := bootParents(t, p, 2)
-	cfg := toolstack.DomainConfig{Name: "noclone", MemoryMB: 4, VCPUs: 1}
-	rec, err := p.Boot(cfg, nil)
+	rec, err := p.Boot(toolstack.DomainConfig{Name: "noclone", MemoryMB: 4, VCPUs: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := p.CloneOp(obs.OpCtx{},
-		CloneSpec{Caller: parents[0], Parent: parents[0], Count: 1},
-		CloneSpec{Caller: rec.ID, Parent: rec.ID, Count: 1},
-		CloneSpec{Caller: parents[1], Parent: parents[1], Count: 1})
-	if err == nil {
-		t.Fatal("round with failed admission reported no error")
+	before := state(p)
+	if res, err := fork(p, rec.ID, 1, nil); !errors.Is(err, hv.ErrCloningDisabled) || res != nil {
+		t.Fatalf("no-clone spec: %+v, %v; want ErrCloningDisabled", res, err)
 	}
-	if results[1].Err == nil {
-		t.Fatal("no-clone request succeeded")
+	if got := state(p); got != before {
+		t.Fatalf("refused spec moved domains/frames/nodes %v → %v", before, got)
 	}
-	for _, i := range []int{0, 2} {
-		if results[i].Err != nil {
-			t.Fatalf("request %d: %v", i, results[i].Err)
-		}
-		if len(results[i].Children) != 1 {
-			t.Fatalf("request %d children = %d", i, len(results[i].Children))
+	for _, id := range parents {
+		if res, err := fork(p, id, 1, nil); err != nil || len(res.Children) != 1 {
+			t.Fatalf("parent %d: %+v, %v", id, res, err)
 		}
 	}
 }
@@ -154,36 +104,21 @@ func (elsewhere) Place(n, _ int, _ []HostStats) []int {
 	return out
 }
 
-// TestCloneOpPlacedSpecWithoutRouter: a round holding a placed spec on a
-// platform with no cluster router fails as a whole before anything runs —
-// the placement-free spec ahead of it must not have cloned.
+// TestCloneOpPlacedSpecWithoutRouter: a placed spec on a platform with no
+// cluster router fails with ErrNoRouter before anything runs.
 func TestCloneOpPlacedSpecWithoutRouter(t *testing.T) {
 	p := smallPlatform(Options{SkipNameCheck: true})
-	parents := bootParents(t, p, 2)
-	domains, free, nodes := p.HV.DomainCount(), p.HV.Memory.FreeFrames(), p.Store.NodeCount()
-
-	results, err := p.CloneOp(obs.OpCtx{},
-		CloneSpec{Caller: parents[0], Parent: parents[0], Count: 2},
-		CloneSpec{Caller: parents[1], Parent: parents[1], Count: 1, Placement: elsewhere{}})
-	if !errors.Is(err, ErrNoRouter) {
-		t.Fatalf("err = %v, want ErrNoRouter", err)
+	parent := bootParents(t, p, 1)[0]
+	before := state(p)
+	results, err := p.CloneOp(obs.OpCtx{}, CloneSpec{Caller: parent, Parent: parent, Count: 2, Placement: elsewhere{}})
+	if !errors.Is(err, ErrNoRouter) || len(results) != 0 {
+		t.Fatalf("results %v, err %v; want none and ErrNoRouter", results, err)
 	}
-	if len(results) != 0 {
-		t.Fatalf("unroutable round returned %d results", len(results))
+	if got := state(p); got != before {
+		t.Fatalf("unroutable spec moved domains/frames/nodes %v → %v", before, got)
 	}
-	if got := p.HV.DomainCount(); got != domains {
-		t.Fatalf("domains = %d, want %d", got, domains)
-	}
-	if got := p.HV.Memory.FreeFrames(); got != free {
-		t.Fatalf("free frames = %d, want %d", got, free)
-	}
-	if got := p.Store.NodeCount(); got != nodes {
-		t.Fatalf("xenstore nodes = %d, want %d", got, nodes)
-	}
-	for _, id := range parents {
-		if d, _ := p.HV.Domain(id); d.Paused() {
-			t.Fatalf("parent %d left paused", id)
-		}
+	if d, _ := p.HV.Domain(parent); d.Paused() {
+		t.Fatal("parent left paused")
 	}
 }
 

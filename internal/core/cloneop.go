@@ -93,11 +93,6 @@ type CloneSpec struct {
 	// Placement, when non-nil, routes children across the cluster through
 	// the attached CloneRouter; nil keeps them on this platform.
 	Placement Placement
-	// Ctx optionally carries a per-spec operation context. In a
-	// multi-spec round each spec charges its own meter (one is created
-	// when absent), preserving per-parent virtual-time isolation; the
-	// round's shared second-stage work charges the CloneOp ctx.
-	Ctx obs.OpCtx
 }
 
 // SetCloneRouter attaches the cluster router placed clone specs are
@@ -114,90 +109,51 @@ func (p *Platform) cloneRouter() CloneRouter {
 	return p.router
 }
 
-// CloneOp is the clone entry point: one OpCtx-first surface for
-// a single parent, a multi-parent scheduling round, and the cluster
-// remote-clone path.
+// CloneOp is the clone entry point: one OpCtx-first surface for a local
+// fork and the cluster remote-clone path. Several parents fork with one
+// CloneOp each, one after the other.
 //
-//   - One spec without a placement runs the complete two-stage pipeline on
+//   - A spec without a placement runs the complete two-stage pipeline on
 //     this platform. The recorded span tree is
 //
 //     clone-op → clone-request (first stage) + parent-paused → second-stage
 //
-//     with parent-paused covering the daemon's work and the completion
-//     wait — exactly the interval the parent is frozen waiting for its
-//     children.
-//
-//   - Several specs run as one multi-parent scheduling round: the first
-//     stage runs every spec in order and a single Serve drains all the
-//     children's second stages together (span clone-round, one
-//     clone-request lane per parent). Results are positionally parallel to
-//     the specs; an entry whose spec failed its first stage has only Err
-//     set.
+//     with parent-paused covering the daemon's work — exactly the interval
+//     the parent is frozen waiting for its children.
 //
 //   - A spec carrying a Placement is executed by the attached CloneRouter,
-//     which returns one result per destination host group.
+//     which returns one result per destination host group; with no router
+//     attached it returns ErrNoRouter having created nothing.
 //
 // ctx carries the operation's meter, optional trace sink and fault scope;
 // a ctx without a trace inherits the sink attached with Observe. Spans
 // never charge the virtual clock, so observed and unobserved runs produce
 // identical virtual-time results.
-func (p *Platform) CloneOp(ctx obs.OpCtx, specs ...CloneSpec) ([]*CloneResult, error) {
-	if len(specs) == 0 {
-		return nil, errors.New("core: CloneOp with no specs")
-	}
+func (p *Platform) CloneOp(ctx obs.OpCtx, spec CloneSpec) ([]*CloneResult, error) {
 	ctx = ctx.EnsureMeter(p.Costs)
 	if ctx.Trace() == nil {
 		if t := p.trace.Load(); t != nil {
 			ctx = ctx.WithTrace(t)
 		}
 	}
-	placed := false
-	for i := range specs {
-		if specs[i].Placement != nil {
-			placed = true
-			break
+	if spec.Placement != nil {
+		router := p.cloneRouter()
+		if router == nil {
+			return nil, ErrNoRouter
 		}
+		return router.RouteClone(ctx, spec)
 	}
-	if !placed {
-		if len(specs) == 1 {
-			res, err := p.cloneOne(ctx, specs[0])
-			if res == nil {
-				return nil, err
-			}
-			return []*CloneResult{res}, err
-		}
-		return p.cloneRound(ctx, specs)
+	res, err := p.cloneOne(ctx, spec)
+	if res == nil {
+		return nil, err
 	}
-	// Placed specs route through the cluster; placement-free neighbours
-	// still run locally, in spec order. The router is resolved before any
-	// spec runs, so a round that cannot be routed creates nothing.
-	router := p.cloneRouter()
-	if router == nil {
-		return nil, ErrNoRouter
-	}
-	var out []*CloneResult
-	var errs []error
-	for i := range specs {
-		if specs[i].Placement == nil {
-			res, err := p.cloneOne(ctx, specs[i])
-			if res != nil {
-				out = append(out, res)
-			}
-			if err != nil {
-				errs = append(errs, err)
-			}
-			continue
-		}
-		rs, err := router.RouteClone(ctx, specs[i])
-		out = append(out, rs...)
-		if err != nil {
-			errs = append(errs, err)
-		}
-	}
-	return out, errors.Join(errs...)
+	return []*CloneResult{res}, err
 }
 
-// cloneOne runs one spec's two-stage pipeline on this platform.
+// cloneOne runs one spec's two-stage pipeline on this platform: the first
+// stage, then the daemon's Serve on the same goroutine. The last child
+// Serve reports resumes the parent, so Done is closed by the time Serve
+// returns.
 func (p *Platform) cloneOne(ctx obs.OpCtx, spec CloneSpec) (*CloneResult, error) {
 	meter := ctx.Meter()
 	ctx, span := ctx.StartSpan("clone-op")
@@ -208,14 +164,13 @@ func (p *Platform) cloneOne(ctx obs.OpCtx, spec CloneSpec) (*CloneResult, error)
 		span.End()
 		return nil, r.Err
 	}
-	kids, stats, done := r.Children, r.Stats, r.Done
+	kids, stats := r.Children, r.Stats
 	secondStart := meter.Elapsed()
 	pctx, pspan := ctx.StartSpan("parent-paused")
 	_, serveErr := p.Cloned.Serve(pctx)
-	// The parent resumes even when some second stages failed: failed
-	// children are aborted, which also releases their completion waits,
-	// so this wait cannot deadlock.
-	<-done
+	// Failed children are aborted, which releases their references too, so
+	// the parent has resumed either way.
+	<-r.Done
 	pspan.End()
 	span.End()
 	res := &CloneResult{
@@ -242,52 +197,4 @@ func (p *Platform) settle(res *CloneResult, kids []DomID) {
 		}
 		res.Children = append(res.Children, k)
 	}
-}
-
-// cloneRound runs several specs as one multi-parent scheduling round.
-// Each spec charges its own context's meter (one is created when absent),
-// so any single parent's virtual-time output is identical to cloning it
-// alone; the round ctx's meter receives only the shared second-stage
-// charges, which every returned CloneResult reports as its SecondStage.
-func (p *Platform) cloneRound(ctx obs.OpCtx, specs []CloneSpec) ([]*CloneResult, error) {
-	meter := ctx.Meter()
-	ctx, span := ctx.StartSpan("clone-round")
-	defer span.End()
-	reqs := make([]hv.CloneRequest, len(specs))
-	for i := range specs {
-		sctx := specs[i].Ctx.EnsureMeter(p.Costs)
-		if sctx.Trace() == nil {
-			if t := ctx.Trace(); t != nil {
-				sctx = sctx.WithTrace(t)
-			}
-		}
-		reqs[i] = hv.CloneRequest{Caller: specs[i].Caller, Target: specs[i].Parent,
-			N: specs[i].Count, CopyRing: true, Mode: specs[i].Mode, Ctx: sctx}
-	}
-	starts := make([]vclock.Duration, len(reqs))
-	for i := range reqs {
-		starts[i] = reqs[i].Ctx.Meter().Elapsed()
-	}
-	secondStart := meter.Elapsed()
-	batch, _, serveErr := p.Cloned.CloneRound(ctx, reqs)
-	second := meter.Elapsed() - secondStart
-
-	errs := []error{serveErr}
-	out := make([]*CloneResult, len(specs))
-	for i, b := range batch {
-		if b.Err != nil {
-			out[i] = &CloneResult{Err: b.Err}
-			errs = append(errs, fmt.Errorf("core: clone of %d: %w", specs[i].Parent, b.Err))
-			continue
-		}
-		res := &CloneResult{
-			OpResult:    OpResult{Total: reqs[i].Ctx.Meter().Elapsed() - starts[i] + second},
-			FirstStage:  b.Stats.FirstStage,
-			SecondStage: second,
-			Stats:       b.Stats,
-		}
-		p.settle(res, b.Children)
-		out[i] = res
-	}
-	return out, errors.Join(errs...)
 }

@@ -210,10 +210,6 @@ type CloneResult struct {
 	// Stats is the hypervisor-side work breakdown (nil for children
 	// materialized by a remote clone's restore path).
 	Stats *hv.CloneOpStats
-	// Err is set on entries of a multi-spec round whose spec failed
-	// first-stage admission (always nil from a single-spec CloneOp, which
-	// returns the error directly).
-	Err error
 }
 
 // WaitStreamed blocks until a lazily cloned child's background streamer

@@ -30,8 +30,8 @@ func batchReady(t *testing.T, parents, pages, maxClones int) (*Hypervisor, []*Do
 	return h, doms
 }
 
-// cloneBatch runs a multi-parent round's first stages, one request after the
-// other, as cloned.CloneRound does.
+// cloneBatch runs several parents' first stages, one request after the
+// other, before any second stage.
 func cloneBatch(h *Hypervisor, reqs []CloneRequest) []CloneResult {
 	out := make([]CloneResult, len(reqs))
 	for i, req := range reqs {
@@ -53,18 +53,25 @@ func completeAll(t *testing.T, h *Hypervisor, results []CloneResult) {
 				t.Fatal(err)
 			}
 		}
-	}
-	for _, r := range results {
-		if r.Done != nil {
-			<-r.Done
-		}
+		<-r.Done
 	}
 }
 
-// TestCloneBatchVirtualTimeMatchesSolo is the determinism claim of the
-// multi-parent round: a request's virtual-time output in a batch with
-// other parents is byte-identical to running it alone, because each
-// request only ever charges its own meter.
+// meteredRequests builds one n-child request per parent, each charging its
+// own meter.
+func meteredRequests(parents []*Domain, n int) ([]CloneRequest, []*vclock.Meter) {
+	reqs := make([]CloneRequest, len(parents))
+	meters := make([]*vclock.Meter, len(parents))
+	for i, p := range parents {
+		meters[i] = vclock.NewMeter(nil)
+		reqs[i] = CloneRequest{Caller: p.ID, Target: p.ID, N: n, CopyRing: true, Ctx: obs.Ctx(meters[i])}
+	}
+	return reqs, meters
+}
+
+// TestCloneBatchVirtualTimeMatchesSolo: a request's virtual-time output
+// beside other parents' requests is byte-identical to running it alone,
+// because each request only ever charges its own meter.
 func TestCloneBatchVirtualTimeMatchesSolo(t *testing.T) {
 	const pages, n = 64, 2
 
@@ -82,12 +89,7 @@ func TestCloneBatchVirtualTimeMatchesSolo(t *testing.T) {
 
 	// Batched run: three identical parents in one round.
 	hb, parents := batchReady(t, 3, pages, 4)
-	reqs := make([]CloneRequest, len(parents))
-	meters := make([]*vclock.Meter, len(parents))
-	for i, p := range parents {
-		meters[i] = vclock.NewMeter(nil)
-		reqs[i] = CloneRequest{Caller: p.ID, Target: p.ID, N: n, CopyRing: true, Ctx: obs.Ctx(meters[i])}
-	}
+	reqs, meters := meteredRequests(parents, n)
 	results := cloneBatch(hb, reqs)
 	for i, r := range results {
 		if r.Err != nil {
@@ -296,12 +298,7 @@ func TestCloneBatchRejectsNonPositiveCount(t *testing.T) {
 func TestCloneBatchRoundDeterminism(t *testing.T) {
 	run := func() ([]DomID, []vclock.Duration) {
 		h, parents := batchReady(t, 6, 64, 4)
-		reqs := make([]CloneRequest, len(parents))
-		meters := make([]*vclock.Meter, len(parents))
-		for i, p := range parents {
-			meters[i] = vclock.NewMeter(nil)
-			reqs[i] = CloneRequest{Caller: p.ID, Target: p.ID, N: 2, CopyRing: true, Ctx: obs.Ctx(meters[i])}
-		}
+		reqs, meters := meteredRequests(parents, 2)
 		results := cloneBatch(h, reqs)
 		var ids []DomID
 		var times []vclock.Duration
@@ -325,54 +322,38 @@ func TestCloneBatchRoundDeterminism(t *testing.T) {
 	}
 }
 
-// TestCloneBatchRoundMatchesSolo: a round of four requests returns the same
-// per-request results — children's virtual time, shared pages — as four
-// solo clones of the same parents, one after the other.
+// TestCloneBatchRoundMatchesSolo: four requests whose first stages all run
+// before any second stage return the same per-request results — virtual
+// time, shared pages — as four clones of the same parents each completed
+// before the next one starts.
 func TestCloneBatchRoundMatchesSolo(t *testing.T) {
 	type outcome struct {
-		children []DomID
-		elapsed  vclock.Duration
-		shared   int
+		elapsed vclock.Duration
+		shared  int
 	}
 	run := func(batched bool) []outcome {
 		h, parents := batchReady(t, 4, 64, 4)
-		var out []outcome
+		reqs, meters := meteredRequests(parents, 2)
+		var results []CloneResult
+		for _, req := range reqs {
+			results = append(results, h.Clone(req))
+			if !batched {
+				completeAll(t, h, results[len(results)-1:])
+			}
+		}
 		if batched {
-			reqs := make([]CloneRequest, len(parents))
-			meters := make([]*vclock.Meter, len(parents))
-			for i, p := range parents {
-				meters[i] = vclock.NewMeter(nil)
-				reqs[i] = CloneRequest{Caller: p.ID, Target: p.ID, N: 2, CopyRing: true, Ctx: obs.Ctx(meters[i])}
-			}
-			results := cloneBatch(h, reqs)
 			completeAll(t, h, results)
-			for i, r := range results {
-				if r.Err != nil {
-					t.Fatalf("request %d: %v", i, r.Err)
-				}
-				out = append(out, outcome{r.Children, meters[i].Elapsed(), r.Stats.Memory.SharedPages})
+		}
+		out := make([]outcome, len(results))
+		for i, r := range results {
+			if r.Err != nil {
+				t.Fatalf("request %d: %v", i, r.Err)
 			}
-		} else {
-			for _, p := range parents {
-				meter := vclock.NewMeter(nil)
-				r := h.Clone(CloneRequest{Caller: p.ID, Target: p.ID, N: 2, CopyRing: true, Ctx: obs.Ctx(meter)})
-				if r.Err != nil {
-					t.Fatal(r.Err)
-				}
-				completeAll(t, h, []CloneResult{r})
-				out = append(out, outcome{r.Children, meter.Elapsed(), r.Stats.Memory.SharedPages})
-			}
+			out[i] = outcome{meters[i].Elapsed(), r.Stats.Memory.SharedPages}
 		}
 		return out
 	}
-	batched := run(true)
-	solo := run(false)
-	for i := range solo {
-		if batched[i].elapsed != solo[i].elapsed {
-			t.Errorf("request %d: batched virtual time %v, solo %v", i, batched[i].elapsed, solo[i].elapsed)
-		}
-		if batched[i].shared != solo[i].shared {
-			t.Errorf("request %d: batched SharedPages %d, solo %d", i, batched[i].shared, solo[i].shared)
-		}
+	if batched, solo := run(true), run(false); !reflect.DeepEqual(batched, solo) {
+		t.Errorf("batched requests %v, solo %v", batched, solo)
 	}
 }

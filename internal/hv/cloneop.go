@@ -98,6 +98,34 @@ type CloneResult struct {
 	Err      error
 }
 
+// cloneRecord is one request's completion record. refs counts the
+// children whose second stage is still outstanding plus one reference the
+// request holds until Clone returns, so an asynchronous Serve that
+// completes the early children cannot resume the parent mid-request.
+// CloneCompletion and CloneAbort each release one reference. refs and
+// parent are guarded by the hypervisor lock.
+type cloneRecord struct {
+	parent *Domain
+	refs   int
+	done   chan struct{}
+}
+
+// release drops one reference on rec. The last one resumes the parent,
+// unless a failed request already did, and closes done.
+func (h *Hypervisor) release(rec *cloneRecord) {
+	h.mu.Lock()
+	rec.refs--
+	last, parent := rec.refs == 0, rec.parent
+	h.mu.Unlock()
+	if !last {
+		return
+	}
+	if parent != nil {
+		parent.unpause()
+	}
+	close(rec.done)
+}
+
 // Clone is the clone subcommand of the CLONEOP hypercall: it runs the
 // first stage of cloning for the calling domain (or, when invoked from
 // Dom0, for an explicitly named domain — e.g. for VM fuzzing), creating
@@ -105,7 +133,10 @@ type CloneResult struct {
 // hypercall fills in. The parent is paused until xencloned completes the
 // second stage for every child; the result's Done channel is closed once
 // all completions arrived and the parent has been resumed, so callers can
-// block on it for fork()-like synchronous semantics.
+// block on it for fork()-like synchronous semantics. The request's
+// completion record (cloneRecord) does the counting: whichever goroutine
+// reports the last child — or Clone itself, when an asynchronous Serve
+// finished every child before it returned — resumes the parent.
 //
 // req.CopyRing selects the I/O-ring clone policy for the address-space
 // pages tagged KindIORing (network rings are copied; the console ring page
@@ -116,7 +147,8 @@ type CloneResult struct {
 // child ID reservation); then each child in order passes the fault gate, is
 // built and has its notification pushed. The first failure stops the loop:
 // the children built before it stay (their second stage proceeds), the
-// unused IDs and budget are refunded and the parent resumes.
+// unused IDs and budget are refunded and the parent resumes at once; the
+// later reports of those children resume nothing.
 func (h *Hypervisor) Clone(req CloneRequest) CloneResult {
 	// The request's root span opens before any charge so every phase nests
 	// under it; span bookkeeping itself charges nothing, keeping the golden
@@ -151,7 +183,7 @@ func (h *Hypervisor) Clone(req CloneRequest) CloneResult {
 	faults := ctx.Faults(h.Faults())
 	stats := &CloneOpStats{}
 	children := make([]DomID, 0, n)
-	waits := make([]chan struct{}, 0, n)
+	rec := &cloneRecord{parent: parent, refs: 1, done: make(chan struct{})}
 	used := 0 // IDs consumed: a child that fails past the gate keeps its ID
 	for i := 0; i < n; i++ {
 		if err = faults.Check(fault.PointHVCloneOne); err != nil {
@@ -182,8 +214,7 @@ func (h *Hypervisor) Clone(req CloneRequest) CloneResult {
 
 		// Queue the notification for xencloned and raise VIRQ_CLONED.
 		nctx, nspan := ctx.StartSpan("notify-push")
-		var wait chan struct{}
-		wait, err = h.pushNotification(nctx, parent, child)
+		err = h.pushNotification(nctx, parent, child, rec)
 		nspan.End()
 		if err != nil {
 			// The child was fully created but can never complete:
@@ -192,7 +223,6 @@ func (h *Hypervisor) Clone(req CloneRequest) CloneResult {
 			break
 		}
 		children = append(children, child.ID)
-		waits = append(waits, wait)
 	}
 	if err != nil {
 		// Return the unused IDs unless a concurrent caller reserved more in
@@ -201,11 +231,15 @@ func (h *Hypervisor) Clone(req CloneRequest) CloneResult {
 		if h.nextDom == first+DomID(n) {
 			h.nextDom = first + DomID(used)
 		}
+		// The parent resumes now; the built children's reports must not
+		// resume it again.
+		rec.parent = nil
 		h.mu.Unlock()
 		parent.mu.Lock()
 		parent.clone.made -= n - len(children)
 		parent.mu.Unlock()
 		parent.unpause()
+		h.release(rec)
 		h.met.cloneFailures.Inc()
 		return CloneResult{Children: children, Stats: stats, Err: err}
 	}
@@ -213,15 +247,8 @@ func (h *Hypervisor) Clone(req CloneRequest) CloneResult {
 	h.Events.RaiseVIRQ(evtchn.VIRQCloned, meter)
 	h.met.recordClone(stats, len(children))
 
-	done := make(chan struct{})
-	go func() {
-		for _, w := range waits {
-			<-w
-		}
-		parent.unpause()
-		close(done)
-	}()
-	return CloneResult{Children: children, Stats: stats, Done: done}
+	h.release(rec)
+	return CloneResult{Children: children, Stats: stats, Done: rec.done}
 }
 
 // admitClone validates one request — child count, cloning policy, caller
@@ -377,12 +404,13 @@ func (h *Hypervisor) cloneOne(parent *Domain, id DomID, copyRing bool, mode mem.
 	return child, st, nil
 }
 
-// pushNotification appends a clone notification, returning the channel the
-// first stage waits on. A full ring back-pressures cloning by failing.
-func (h *Hypervisor) pushNotification(ctx obs.OpCtx, parent, child *Domain) (chan struct{}, error) {
+// pushNotification appends a clone notification and takes a reference on
+// the request's completion record for the child. A full ring
+// back-pressures cloning by failing.
+func (h *Hypervisor) pushNotification(ctx obs.OpCtx, parent, child *Domain, rec *cloneRecord) error {
 	meter := ctx.Meter()
 	if err := ctx.Faults(h.Faults()).Check(fault.PointHVNotifyPush); err != nil {
-		return nil, err
+		return err
 	}
 	parentSI, _ := parent.Space().MFNOf(parent.StartInfoPFN)
 	childSI, _ := child.Space().MFNOf(child.StartInfoPFN)
@@ -394,12 +422,12 @@ func (h *Hypervisor) pushNotification(ctx obs.OpCtx, parent, child *Domain) (cha
 		ParentSIFrame: parentSI,
 		ChildSIFrame:  childSI,
 	}); err != nil {
-		return nil, err
+		return err
 	}
-	wait := make(chan struct{})
-	h.completionWaits[child.ID] = wait
+	rec.refs++
+	h.pending[child.ID] = rec
 	meter.Charge(meter.Costs().CloneRingPush, 1)
-	return wait, nil
+	return nil
 }
 
 // PopNotifications drains the clone-notification ring; xencloned calls
@@ -428,19 +456,19 @@ func (h *Hypervisor) CloneCompletion(ctx obs.OpCtx, child DomID) error {
 	meter.Charge(meter.Costs().Hypercall, 1)
 	h.met.completions.Inc()
 	h.mu.Lock()
-	wait := h.completionWaits[child]
-	delete(h.completionWaits, child)
-	if wait != nil {
+	rec := h.pending[child]
+	delete(h.pending, child)
+	if rec != nil {
 		h.outcomes[child] = OutcomeCompleted
 	}
 	h.mu.Unlock()
-	if wait == nil {
+	if rec == nil {
 		return fmt.Errorf("%w: domain %d", ErrNoPendingClone, child)
 	}
 	if d, err := h.Domain(child); err == nil {
 		d.unpause()
 	}
-	close(wait)
+	h.release(rec)
 	return nil
 }
 
@@ -448,9 +476,9 @@ func (h *Hypervisor) CloneCompletion(ctx obs.OpCtx, child DomID) error {
 // second stage for child failed irrecoverably. The hypervisor destroys the
 // half-clone (releasing its COW references, overhead frames, event
 // channels and grant entries), unlinks it from the family tree, refunds
-// the parent's clone budget, records the child as aborted and closes the
-// parent's completion wait so the parent resumes instead of deadlocking on
-// a child that will never complete.
+// the parent's clone budget, records the child as aborted and releases
+// the child's reference on the request's completion record, so the parent
+// resumes instead of deadlocking on a child that will never complete.
 func (h *Hypervisor) CloneAbort(ctx obs.OpCtx, child DomID) error {
 	meter := ctx.Meter()
 	_, span := ctx.StartSpan("clone-abort")
@@ -458,9 +486,9 @@ func (h *Hypervisor) CloneAbort(ctx obs.OpCtx, child DomID) error {
 	meter.Charge(meter.Costs().Hypercall, 1)
 	h.met.aborts.Inc()
 	h.mu.Lock()
-	wait := h.completionWaits[child]
-	delete(h.completionWaits, child)
-	if wait != nil {
+	rec := h.pending[child]
+	delete(h.pending, child)
+	if rec != nil {
 		h.outcomes[child] = OutcomeAborted
 	}
 	// Drop any still-queued notification for the child: an abort may
@@ -469,7 +497,7 @@ func (h *Hypervisor) CloneAbort(ctx obs.OpCtx, child DomID) error {
 	// O(1) instead of a scan of every queued clone.
 	h.notify.drop(child)
 	h.mu.Unlock()
-	if wait == nil {
+	if rec == nil {
 		return fmt.Errorf("%w: domain %d", ErrNoPendingClone, child)
 	}
 
@@ -487,13 +515,14 @@ func (h *Hypervisor) CloneAbort(ctx obs.OpCtx, child DomID) error {
 		destroyErr = h.DomainDestroy(ctx, child)
 	}
 	// The parent must unblock no matter how the teardown went.
-	close(wait)
+	h.release(rec)
 	return destroyErr
 }
 
 // CloneOutcome reports the recorded terminal state of a child that went
-// through the clone pipeline; ok is false for domains that never did (or
-// whose second stage is still pending).
+// through the clone pipeline; ok is false for domains that never did,
+// whose second stage is still pending, or that completed and were since
+// destroyed. An aborted child keeps its entry after the abort destroyed it.
 func (h *Hypervisor) CloneOutcome(child DomID) (CloneOutcome, bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -9,24 +9,8 @@ import (
 	"nephele/internal/vclock"
 )
 
-// cloneReadyHV returns a hypervisor with cloning enabled and a parent
-// domain allowed maxClones clones.
-func cloneReadyHV(t *testing.T, maxClones int) (*Hypervisor, *Domain) {
-	t.Helper()
-	h := newHV(t)
-	h.SetCloningEnabled(true)
-	p, err := h.DomainCreate(obs.OpCtx{}, 16, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.DomctlSetCloning(p.ID, true, maxClones); err != nil {
-		t.Fatal(err)
-	}
-	return h, p
-}
-
 // cloneChild makes one clone and returns its ID (second stage not run; the
-// child stays paused with a pending completion wait).
+// child stays paused with a pending completion).
 func cloneChild(t *testing.T, h *Hypervisor, p *Domain) DomID {
 	t.Helper()
 	kids, _, _, err := cloneN(h, p.ID, p.ID, 1, nil)
@@ -37,14 +21,14 @@ func cloneChild(t *testing.T, h *Hypervisor, p *Domain) DomID {
 }
 
 func TestCloneOpResetUnknownChild(t *testing.T) {
-	h, _ := cloneReadyHV(t, 4)
+	h, _ := cloneReady(t, 16, 4)
 	if _, err := h.CloneReset(obs.OpCtx{}, DomID(999)); err == nil {
 		t.Fatal("CloneReset accepted an unknown domain")
 	}
 }
 
 func TestCloneOpResetNonCloneDomain(t *testing.T) {
-	h, p := cloneReadyHV(t, 4)
+	h, p := cloneReady(t, 16, 4)
 	// The parent itself has no parent: resetting it must be rejected, not
 	// treated as a no-op (it would silently skip the restore).
 	if _, err := h.CloneReset(obs.OpCtx{}, p.ID); err == nil {
@@ -53,7 +37,7 @@ func TestCloneOpResetNonCloneDomain(t *testing.T) {
 }
 
 func TestCloneOpResetOrphanedClone(t *testing.T) {
-	h, p := cloneReadyHV(t, 4)
+	h, p := cloneReady(t, 16, 4)
 	child := cloneChild(t, h, p)
 	h.PopNotifications()
 	if err := h.CloneCompletion(obs.OpCtx{}, child); err != nil {
@@ -70,14 +54,14 @@ func TestCloneOpResetOrphanedClone(t *testing.T) {
 }
 
 func TestCloneOpCOWUnknownDomain(t *testing.T) {
-	h, _ := cloneReadyHV(t, 4)
+	h, _ := cloneReady(t, 16, 4)
 	if err := h.CloneCOW(obs.OpCtx{}, DomID(999), []mem.PFN{0}); err == nil {
 		t.Fatal("CloneCOW accepted an unknown domain")
 	}
 }
 
 func TestCloneOpCOWExhaustedMemory(t *testing.T) {
-	h, p := cloneReadyHV(t, 4)
+	h, p := cloneReady(t, 16, 4)
 	child := cloneChild(t, h, p)
 	h.PopNotifications()
 
@@ -112,7 +96,7 @@ func TestCloneOpCOWExhaustedMemory(t *testing.T) {
 }
 
 func TestCloneOpAbortUnknownChild(t *testing.T) {
-	h, _ := cloneReadyHV(t, 4)
+	h, _ := cloneReady(t, 16, 4)
 	err := h.CloneAbort(obs.OpCtx{}, DomID(999))
 	if !errors.Is(err, ErrNoPendingClone) {
 		t.Fatalf("err = %v, want ErrNoPendingClone", err)
@@ -120,7 +104,7 @@ func TestCloneOpAbortUnknownChild(t *testing.T) {
 }
 
 func TestCloneOpAbortIsTerminal(t *testing.T) {
-	h, p := cloneReadyHV(t, 4)
+	h, p := cloneReady(t, 16, 4)
 	child := cloneChild(t, h, p)
 	h.PopNotifications()
 
@@ -145,7 +129,7 @@ func TestCloneOpAbortIsTerminal(t *testing.T) {
 }
 
 func TestCloneOpAbortAfterCompletionIsRejected(t *testing.T) {
-	h, p := cloneReadyHV(t, 4)
+	h, p := cloneReady(t, 16, 4)
 	child := cloneChild(t, h, p)
 	h.PopNotifications()
 
@@ -165,7 +149,7 @@ func TestCloneOpAbortAfterCompletionIsRejected(t *testing.T) {
 }
 
 func TestCloneOpAbortRefundsCloneBudget(t *testing.T) {
-	h, p := cloneReadyHV(t, 1) // budget for exactly one live clone
+	h, p := cloneReady(t, 16, 1) // budget for exactly one live clone
 	child := cloneChild(t, h, p)
 	h.PopNotifications()
 
@@ -188,7 +172,7 @@ func TestCloneOpAbortRefundsCloneBudget(t *testing.T) {
 }
 
 func TestCloneOpAbortDropsQueuedNotification(t *testing.T) {
-	h, p := cloneReadyHV(t, 4)
+	h, p := cloneReady(t, 16, 4)
 	child := cloneChild(t, h, p)
 
 	if h.PendingNotifications() != 1 {

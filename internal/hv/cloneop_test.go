@@ -19,17 +19,8 @@ func cloneN(h *Hypervisor, caller, target DomID, n int, meter *vclock.Meter) ([]
 // cloneReady creates a hypervisor with cloning enabled and a parent domain
 // configured for maxClones.
 func cloneReady(t *testing.T, pages, maxClones int) (*Hypervisor, *Domain) {
-	t.Helper()
-	h := newHV(t)
-	h.SetCloningEnabled(true)
-	p, err := h.DomainCreate(obs.OpCtx{}, pages, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.DomctlSetCloning(p.ID, true, maxClones); err != nil {
-		t.Fatal(err)
-	}
-	return h, p
+	h, doms := batchReady(t, 1, pages, maxClones)
+	return h, doms[0]
 }
 
 func TestCloneDisabledGlobally(t *testing.T) {
@@ -135,19 +126,11 @@ func TestCloneWaitsForCompletion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Blocking on done must not succeed before completion; drain the
-	// notification like xencloned would.
-	var note CloneNotification
-	for {
-		if notes := h.PopNotifications(); len(notes) == 1 {
-			note = notes[0]
-			break
-		}
-	}
-	select {
-	case <-done:
+	// Done must not close before completion; drain the notification like
+	// xencloned would.
+	note := h.PopNotifications()[0]
+	if isClosed(done) {
 		t.Fatal("done channel closed before clone_completion")
-	default:
 	}
 	if !p.Paused() {
 		t.Fatal("parent not paused during second stage")

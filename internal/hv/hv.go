@@ -50,13 +50,13 @@ type Hypervisor struct {
 	faults *fault.Registry
 
 	// Clone notifications: a bounded indexed ring plus the VIRQ that
-	// wakes xencloned. completionWaits maps a child domain to the channel
-	// its first-stage clone blocks on until xencloned reports completion.
-	// outcomes records the terminal state of every child that went
-	// through the two-stage pipeline (completed or aborted).
-	notify          *notifyRing
-	completionWaits map[DomID]chan struct{}
-	outcomes        map[DomID]CloneOutcome
+	// wakes xencloned. pending maps a child domain whose second stage is
+	// outstanding to its request's completion record. outcomes records the
+	// terminal state of every child that went through the two-stage
+	// pipeline: aborted, or completed and not yet destroyed.
+	notify   *notifyRing
+	pending  map[DomID]*cloneRecord
+	outcomes map[DomID]CloneOutcome
 }
 
 // New creates a hypervisor managing memoryBytes of machine memory (the
@@ -65,16 +65,16 @@ type Hypervisor struct {
 // instantiation of the host domain at boot.
 func New(memoryBytes uint64) *Hypervisor {
 	h := &Hypervisor{
-		Memory:          mem.New(memoryBytes),
-		Events:          evtchn.New(maxEventPorts),
-		Grants:          gnttab.New(grantEntries),
-		domains:         make(map[DomID]*Domain),
-		met:             newHVMetrics(),
-		nextDom:         1,
-		overhead:        make(map[DomID][]mem.MFN),
-		notify:          newNotifyRing(notifyRingSlots),
-		completionWaits: make(map[DomID]chan struct{}),
-		outcomes:        make(map[DomID]CloneOutcome),
+		Memory:   mem.New(memoryBytes),
+		Events:   evtchn.New(maxEventPorts),
+		Grants:   gnttab.New(grantEntries),
+		domains:  make(map[DomID]*Domain),
+		met:      newHVMetrics(),
+		nextDom:  1,
+		overhead: make(map[DomID][]mem.MFN),
+		notify:   newNotifyRing(notifyRingSlots),
+		pending:  make(map[DomID]*cloneRecord),
+		outcomes: make(map[DomID]CloneOutcome),
 	}
 	dom0 := newDomain(mem.DomID0, 1)
 	h.domains[mem.DomID0] = dom0
@@ -238,6 +238,11 @@ func (h *Hypervisor) DomainDestroy(ctx obs.OpCtx, id DomID) error {
 	h.Memory.ReleaseN(id, h.overhead[id])
 	delete(h.overhead, id)
 	delete(h.domains, id)
+	// A completed child's outcome goes with it; an aborted child's stays,
+	// since CloneAbort destroys the child before its caller reads it.
+	if h.outcomes[id] == OutcomeCompleted {
+		delete(h.outcomes, id)
+	}
 	// Unlink from the family tree.
 	if hasParent {
 		if p := h.domains[parent]; p != nil {
