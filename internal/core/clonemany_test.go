@@ -38,10 +38,39 @@ func state(p *Platform) [3]int {
 	return [3]int{p.HV.DomainCount(), p.HV.Memory.FreeFrames(), p.Store.NodeCount()}
 }
 
+// TestCloneManyMultiParent: four independent parents each fork two
+// children with their own CloneOp, one after the other, through the whole
+// two-stage pipeline; every child comes out adopted and running and every
+// parent resumed.
+func TestCloneManyMultiParent(t *testing.T) {
+	p := smallPlatform(Options{SkipNameCheck: true})
+	for _, id := range bootParents(t, p, 4) {
+		res, err := fork(p, id, 2, nil)
+		if err != nil {
+			t.Fatalf("parent %d: %v", id, err)
+		}
+		if len(res.Children) != 2 || len(res.Failed) != 0 {
+			t.Fatalf("parent %d: %d children, %d failed", id, len(res.Children), len(res.Failed))
+		}
+		if res.FirstStage <= 0 || res.SecondStage <= 0 || res.Total <= 0 || res.Total < res.FirstStage {
+			t.Fatalf("parent %d timings: first=%v second=%v total=%v",
+				id, res.FirstStage, res.SecondStage, res.Total)
+		}
+		for _, k := range res.Children {
+			cd, err := p.HV.Domain(k)
+			if _, rerr := p.XL.Record(k); err != nil || rerr != nil || cd.Paused() || !p.HV.SameFamily(id, k) {
+				t.Fatalf("child %d of %d not adopted and running: %v, %v", k, id, err, rerr)
+			}
+		}
+		if pd, _ := p.HV.Domain(id); pd.Paused() {
+			t.Fatalf("parent %d still paused", id)
+		}
+	}
+}
+
 // TestCloneManyVirtualTimeMatchesClone: parents forking one CloneOp after
 // the other each report the FirstStage a solo CloneOp reports — what fig mp
-// plots — and every child comes out adopted and running, every parent
-// resumed.
+// plots.
 func TestCloneManyVirtualTimeMatchesClone(t *testing.T) {
 	solo := smallPlatform(Options{SkipNameCheck: true})
 	soloRes, err := fork(solo, bootParents(t, solo, 1)[0], 2, nil)
@@ -56,15 +85,6 @@ func TestCloneManyVirtualTimeMatchesClone(t *testing.T) {
 		}
 		if res.FirstStage != soloRes.FirstStage {
 			t.Errorf("parent %d FirstStage = %v, solo CloneOp = %v", id, res.FirstStage, soloRes.FirstStage)
-		}
-		for _, k := range res.Children {
-			cd, err := p.HV.Domain(k)
-			if _, rerr := p.XL.Record(k); err != nil || rerr != nil || cd.Paused() || !p.HV.SameFamily(id, k) {
-				t.Fatalf("child %d of %d not adopted and running: %v, %v", k, id, err, rerr)
-			}
-		}
-		if pd, _ := p.HV.Domain(id); pd.Paused() {
-			t.Fatalf("parent %d still paused", id)
 		}
 	}
 }
