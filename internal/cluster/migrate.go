@@ -59,7 +59,7 @@ func (c *Cluster) Migrate(ctx obs.OpCtx, src int, id core.DomID, dst int, name s
 	if name == "" {
 		name = img.Config.Name
 	}
-	res, err := c.remoteClone(ctx, from, to, img, 1, name)
+	res, err := c.remoteClone(ctx, from, to, img, chunksOf(img), 1, name)
 	if err != nil {
 		from.P.HV.Unpause(id)
 		return nil, err

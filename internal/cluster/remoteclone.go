@@ -96,11 +96,15 @@ func (c *Cluster) routeClone(ctx obs.OpCtx, src int, spec core.CloneSpec) ([]*co
 		}
 	}
 
+	var chunks []netsim.Chunk // the same for every destination
 	for dst := 0; dst < len(c.hosts); dst++ {
 		if dst == src || counts[dst] == 0 {
 			continue
 		}
-		res, rerr := c.remoteClone(ctx, srcHost, c.hosts[dst], img, counts[dst], "")
+		if chunks == nil {
+			chunks = chunksOf(img)
+		}
+		res, rerr := c.remoteClone(ctx, srcHost, c.hosts[dst], img, chunks, counts[dst], "")
 		if res != nil {
 			out = append(out, res)
 		}
@@ -137,11 +141,11 @@ func (c *Cluster) hostStats(img *toolstack.Image) []core.HostStats {
 	return stats
 }
 
-// remoteClone ships img from src to dst over the fabric and materializes
-// n children there, under cluster-unique derived names — or, for the one
-// child of a migration, under the given name. The transfer is planned
-// chunk-by-chunk against the receiver's cache (dedup'd chunks travel as a
-// header only), charged as
+// remoteClone ships img, whose transfer chunks are chunks (chunksOf), from
+// src to dst over the fabric and materializes n children there, under
+// cluster-unique derived names — or, for the one child of a migration,
+// under the given name. The transfer is planned chunk-by-chunk against the
+// receiver's cache (dedup'd chunks travel as a header only), charged as
 // XferSetup + XferChunk×chunks + XferPage×(busiest bonded slave), and
 // committed only after the cluster/xfer fault point passes — an aborted
 // transfer leaves no child, no link-counter movement, no store change and
@@ -149,7 +153,7 @@ func (c *Cluster) hostStats(img *toolstack.Image) []core.HostStats {
 // the receiver's cached-restore path: the first child of a cold receiver
 // populates its cache, every later child COW-shares it. Children always
 // materialize fully populated: lazy fill is a local-clone concern.
-func (c *Cluster) remoteClone(ctx obs.OpCtx, src, dst *Host, img *toolstack.Image, n int, name string) (*core.CloneResult, error) {
+func (c *Cluster) remoteClone(ctx obs.OpCtx, src, dst *Host, img *toolstack.Image, chunks []netsim.Chunk, n int, name string) (*core.CloneResult, error) {
 	meter := ctx.Meter()
 	start := meter.Elapsed()
 
@@ -161,7 +165,7 @@ func (c *Cluster) remoteClone(ctx obs.OpCtx, src, dst *Host, img *toolstack.Imag
 	plan, err := func() (netsim.TransferPlan, error) {
 		xctx, xspan := ctx.StartSpan("xfer")
 		defer xspan.End()
-		plan := link.Plan(chunksOf(img), func(ch netsim.Chunk) bool {
+		plan := link.Plan(chunks, func(ch netsim.Chunk) bool {
 			return dst.Store.HasChunk(ch.Hash)
 		})
 		m := xctx.Meter()

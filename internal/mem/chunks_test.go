@@ -48,7 +48,7 @@ func TestFrameTableGrowsInPlace(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for m.watermark < m.total {
-		if err := m.allocInto(1, out[:min(len(out), m.total-m.watermark)], nil); err != nil {
+		if err := allocInto(m, 1, out[:min(len(out), m.total-m.watermark)], nil); err != nil {
 			t.Fatal(err)
 		}
 		for k := 1; k < len(chunks) && chunks[k] != nil; k++ {

@@ -482,7 +482,7 @@ func (m *Memory) AllocN(dom DomID, n int, meter *vclock.Meter) ([]MFN, error) {
 		return nil, nil
 	}
 	out := make([]MFN, n)
-	if err := m.allocInto(dom, out, meter); err != nil {
+	if err := allocInto(m, dom, out, meter); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -491,8 +491,10 @@ func (m *Memory) AllocN(dom DomID, n int, meter *vclock.Meter) ([]MFN, error) {
 // allocInto is AllocN into the caller's slice, filling all of it: recycled
 // frames first (most recent first), then a contiguous run from the
 // watermark. It only stores into out, so the write-fault path's one-frame
-// array costs no heap.
-func (m *Memory) allocInto(dom DomID, out []MFN, meter *vclock.Meter) error {
+// array costs no heap. out holds frame numbers, or page-table entries that
+// the caller completes with their flags: NewSpace allocates straight into
+// its table.
+func allocInto[T MFN | pte](m *Memory, dom DomID, out []T, meter *vclock.Meter) error {
 	m.mu.Lock()
 	if m.free < len(out) {
 		free := m.free
@@ -503,7 +505,7 @@ func (m *Memory) allocInto(dom DomID, out []MFN, meter *vclock.Meter) error {
 	for took < len(out) && m.recycled.n > 0 {
 		mfn := m.recycled.pop()
 		m.initFrameLocked(mfn, dom)
-		out[took] = mfn
+		out[took] = T(mfn)
 		took++
 	}
 	if run := len(out) - took; run > 0 {
@@ -511,7 +513,7 @@ func (m *Memory) allocInto(dom DomID, out []MFN, meter *vclock.Meter) error {
 		for i := range out[took:] {
 			mfn := MFN(m.watermark + i)
 			m.initFrameLocked(mfn, dom)
-			out[took+i] = mfn
+			out[took+i] = T(mfn)
 		}
 		m.watermark += run
 	}
@@ -769,7 +771,7 @@ func (m *Memory) resolveCOW(dom DomID, mfn MFN, meter *vclock.Meter) (MFN, error
 		}
 		if spare == nil {
 			m.mu.Unlock()
-			if err := m.allocInto(dom, one[:], meter); err != nil {
+			if err := allocInto(m, dom, one[:], meter); err != nil {
 				return 0, err
 			}
 			spare = one[:]

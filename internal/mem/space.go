@@ -272,13 +272,14 @@ func P2MFrameCount(n int) int {
 // memory at boot), plus the page-table and p2m frames.
 func NewSpace(m *Memory, dom DomID, pages int, meter *vclock.Meter) (*Space, error) {
 	s := &Space{mem: m, dom: dom, npages: pages, ptes: getPTEs(pages)}
-	mfns, err := m.AllocN(dom, pages, meter)
-	if err != nil {
+	if err := allocInto(m, dom, s.ptes, meter); err != nil {
+		putPTEs(s.ptes)
 		return nil, err
 	}
-	for i, mfn := range mfns {
-		s.ptes[i] = makePTE(mfn, ptePresent|pteWritable, KindRegular)
+	for i, p := range s.ptes {
+		s.ptes[i] = makePTE(p.mfn(), ptePresent|pteWritable, KindRegular)
 	}
+	var err error
 	if s.ptFrames, err = m.AllocN(dom, PTFrameCount(pages), meter); err != nil {
 		s.release()
 		return nil, err
@@ -1018,52 +1019,132 @@ type SnapshotRun struct {
 // never-written pages collapse into zero runs with no per-page storage,
 // consecutive pfns backed by frames already captured earlier collapse into
 // alias runs, and only genuinely distinct written pages carry data. The
-// underlying frame capture is the same single coherent locked pass as
-// Snapshot.
+// capture is one coherent pass under the space lock and then the pool lock,
+// and its pages are the frames' own, sealed, as Snapshot's are.
+//
+// It allocates per capture, never per pfn or per run: a counting walk sizes
+// the run list and the one page array every data run slices, and an
+// emitting walk fills them. Only frames dom_cow owns are indexed by frame
+// number, because only they can back two pfns of one space: AdoptShared
+// shares through dom_cow, and every other path maps a frame once. A frame
+// anyone else owns therefore never repeats an earlier one.
 func (s *Space) SnapshotRuns() ([]SnapshotRun, error) {
-	mfns, err := s.snapshotMFNs()
-	if err != nil {
-		return nil, err
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.retired {
+		return nil, ErrSpaceRetired
 	}
-	pages, err := s.mem.SnapshotFrames(mfns)
-	if err != nil {
-		return nil, err
+	m := s.mem
+	m.lockBatch()
+	defer m.mu.Unlock()
+	shared := 0
+	for i, p := range s.ptes {
+		if !p.present() {
+			return nil, fmt.Errorf("%w: pfn %d not present", ErrBadPFN, i)
+		}
+		f, err := m.frameAt(p.mfn())
+		if err != nil {
+			return nil, err
+		}
+		if f.owner == DomIDCOW {
+			shared++
+		}
 	}
-	firstAt := make(map[MFN]PFN, len(mfns))
-	var runs []SnapshotRun
-	for lo := 0; lo < len(mfns); {
-		if seen, dup := firstAt[mfns[lo]]; dup {
-			// Alias run: successive pfns whose frames repeat an earlier
-			// contiguous capture.
-			hi := lo + 1
-			for hi < len(mfns) {
-				prev, dup := firstAt[mfns[hi]]
-				if !dup || prev != seen+PFN(hi-lo) {
+	c := runCapture{m: m, ptes: s.ptes}
+	if shared > 1 {
+		c.firstAt = make(map[MFN]PFN, shared)
+	}
+	c.walk()
+	c.runs, c.pages = make([]SnapshotRun, 0, c.nruns), make([][]byte, 0, c.ndata)
+	c.walk()
+	return c.runs, nil
+}
+
+// runCapture is one SnapshotRuns pass over a table whose frames are all in
+// use; the pool lock must be held. Until runs is made a walk only counts the
+// runs and data pages it would emit; after, it emits them.
+type runCapture struct {
+	m    *Memory
+	ptes []pte
+	// firstAt maps each dom_cow frame to the first pfn backed by it; nil
+	// when no frame can repeat. The counting walk fills it.
+	firstAt map[MFN]PFN
+
+	nruns, ndata int
+	runs         []SnapshotRun
+	pages        [][]byte
+}
+
+// earlier reports the first pfn backed by pfn i's frame when that pfn lies
+// before i, recording i as the first one when the frame is new.
+func (c *runCapture) earlier(i int) (PFN, bool) {
+	if c.firstAt == nil {
+		return 0, false
+	}
+	mfn := c.ptes[i].mfn()
+	if c.m.frame(mfn).owner != DomIDCOW {
+		return 0, false
+	}
+	first, ok := c.firstAt[mfn]
+	if !ok {
+		c.firstAt[mfn] = PFN(i)
+		return 0, false
+	}
+	return first, first < PFN(i)
+}
+
+// written reports whether pfn i's frame holds a page.
+func (c *runCapture) written(i int) bool { return c.m.frame(c.ptes[i].mfn()).data != nil }
+
+// walk splits the table into runs: an alias run extends while each pfn
+// repeats the frame one pfn after its predecessor's first pfn, a fresh run
+// while the zero/data class holds and no frame repeats.
+func (c *runCapture) walk() {
+	n := len(c.ptes)
+	for lo := 0; lo < n; {
+		run, hi := SnapshotRun{Start: PFN(lo)}, lo+1
+		if seen, dup := c.earlier(lo); dup {
+			for hi < n {
+				if prev, dup := c.earlier(hi); !dup || prev != seen+PFN(hi-lo) {
 					break
 				}
 				hi++
 			}
-			runs = append(runs, SnapshotRun{Start: PFN(lo), Count: hi - lo, Alias: seen, IsAlias: true})
-			lo = hi
-			continue
-		}
-		// Fresh frames: extend while the zero/data class holds and no frame
-		// repeats an earlier one.
-		zero := pages[lo] == nil
-		hi := lo
-		for hi < len(mfns) && (pages[hi] == nil) == zero {
-			if _, dup := firstAt[mfns[hi]]; dup {
-				break
+			run.Alias, run.IsAlias = seen, true
+		} else {
+			data := c.written(lo)
+			for hi < n && c.written(hi) == data {
+				if _, dup := c.earlier(hi); dup {
+					break
+				}
+				hi++
 			}
-			firstAt[mfns[hi]] = PFN(hi)
-			hi++
+			if data {
+				run.Pages = c.capture(lo, hi)
+			}
 		}
-		run := SnapshotRun{Start: PFN(lo), Count: hi - lo}
-		if !zero {
-			run.Pages = pages[lo:hi]
+		run.Count = hi - lo
+		if c.runs == nil {
+			c.nruns++
+		} else {
+			c.runs = append(c.runs, run)
 		}
-		runs = append(runs, run)
 		lo = hi
 	}
-	return runs, nil
+}
+
+// capture counts the pages of the data run [lo, hi), or seals its frames and
+// returns their pages as the next stretch of the page array.
+func (c *runCapture) capture(lo, hi int) [][]byte {
+	if c.runs == nil {
+		c.ndata += hi - lo
+		return nil
+	}
+	base := len(c.pages)
+	for _, p := range c.ptes[lo:hi] {
+		f := c.m.frame(p.mfn())
+		f.sealed = true
+		c.pages = append(c.pages, f.data[:])
+	}
+	return c.pages[base:len(c.pages):len(c.pages)]
 }

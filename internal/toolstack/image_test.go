@@ -42,7 +42,7 @@ func TestImageExtentEncoding(t *testing.T) {
 	}
 	stored := 0
 	for _, run := range img.runs {
-		for _, p := range run.pages {
+		for _, p := range run.Pages {
 			if p != nil {
 				stored++
 			}
@@ -79,11 +79,11 @@ func TestImagePageAtAliasResolution(t *testing.T) {
 	data := []byte{1, 2, 3}
 	img := &Image{
 		npages: 12,
-		runs: []imageRun{
-			{start: 0, count: 4},                             // zero run
-			{start: 4, count: 2, pages: [][]byte{data, nil}}, // data run
-			{start: 6, count: 2, alias: 4, isAlias: true},    // repeats pfns 4..5
-			{start: 8, count: 4},                             // zero run
+		runs: []mem.SnapshotRun{
+			{Start: 0, Count: 4},                             // zero run
+			{Start: 4, Count: 2, Pages: [][]byte{data, nil}}, // data run
+			{Start: 6, Count: 2, Alias: 4, IsAlias: true},    // repeats pfns 4..5
+			{Start: 8, Count: 4},                             // zero run
 		},
 	}
 	if got := img.pageAt(3); got != nil {

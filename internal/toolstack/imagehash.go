@@ -52,27 +52,27 @@ func (img *Image) ensureHashed() {
 		for i := range img.runs {
 			r := &img.runs[i]
 			ri := &infos[i]
-			ri.Start, ri.Count = r.start, r.count
-			h = fnv1a.Uint64(h, uint64(r.start))
-			h = fnv1a.Uint64(h, uint64(r.count))
+			ri.Start, ri.Count = r.Start, r.Count
+			h = fnv1a.Uint64(h, uint64(r.Start))
+			h = fnv1a.Uint64(h, uint64(r.Count))
 			switch {
-			case r.isAlias:
+			case r.IsAlias:
 				ri.Kind = RunAlias
 				h = fnv1a.Uint64(h, 1)
-				h = fnv1a.Uint64(h, uint64(r.alias))
-			case r.pages == nil:
+				h = fnv1a.Uint64(h, uint64(r.Alias))
+			case r.Pages == nil:
 				ri.Kind = RunZero
 				h = fnv1a.Uint64(h, 2)
 			default:
 				ri.Kind = RunData
-				for _, data := range r.pages {
+				for _, data := range r.Pages {
 					if data != nil {
 						ri.StoredPages++
 					}
 				}
 				var same bool
 				if ri.Hash, same = prev.sameRunHash(r); !same {
-					ri.Hash = hashRun(r.pages)
+					ri.Hash = hashRun(r.Pages)
 				}
 				h = fnv1a.Uint64(h, 3)
 				h = fnv1a.Uint64(h, ri.Hash)
@@ -92,20 +92,20 @@ func (img *Image) ensureHashed() {
 // (sealed frames privatise before a write, DESIGN.md §10.1), so the same
 // array is the same bytes and the hash may be taken over unread. old must
 // be hashed or nil.
-func (old *Image) sameRunHash(r *imageRun) (uint64, bool) {
+func (old *Image) sameRunHash(r *mem.SnapshotRun) (uint64, bool) {
 	if old == nil {
 		return 0, false
 	}
-	i := old.runIndexOf(r.start)
+	i := old.runIndexOf(r.Start)
 	if i < 0 {
 		return 0, false
 	}
 	o := &old.runs[i]
-	if o.start != r.start || o.count != r.count || o.isAlias || o.pages == nil {
+	if o.Start != r.Start || o.Count != r.Count || o.IsAlias || o.Pages == nil {
 		return 0, false
 	}
-	for j, p := range r.pages {
-		q := o.pages[j]
+	for j, p := range r.Pages {
+		q := o.Pages[j]
 		if (p == nil) != (q == nil) || len(p) != len(q) || (len(p) > 0 && &p[0] != &q[0]) {
 			return 0, false
 		}

@@ -55,21 +55,21 @@ func (img *Image) WriteTo(w io.Writer) (int64, error) {
 	for i := range img.runs {
 		r := &img.runs[i]
 		switch {
-		case r.isAlias:
+		case r.IsAlias:
 			cw.u8(runKindAlias)
-			cw.u64(uint64(r.start))
-			cw.u32(uint32(r.count))
-			cw.u64(uint64(r.alias))
-		case r.pages == nil:
+			cw.u64(uint64(r.Start))
+			cw.u32(uint32(r.Count))
+			cw.u64(uint64(r.Alias))
+		case r.Pages == nil:
 			cw.u8(runKindZero)
-			cw.u64(uint64(r.start))
-			cw.u32(uint32(r.count))
+			cw.u64(uint64(r.Start))
+			cw.u32(uint32(r.Count))
 		default:
 			cw.u8(runKindData)
-			cw.u64(uint64(r.start))
-			cw.u32(uint32(r.count))
+			cw.u64(uint64(r.Start))
+			cw.u32(uint32(r.Count))
 			cw.u64(img.infos[i].Hash)
-			for _, data := range r.pages {
+			for _, data := range r.Pages {
 				if data == nil {
 					cw.u8(0)
 					continue
@@ -125,18 +125,18 @@ func ReadImage(r io.Reader) (*Image, error) {
 			return nil, fmt.Errorf("%w: run %d..%d out of order or range", ErrBadImage, start, int(start)+count)
 		}
 		next = start + mem.PFN(count)
-		run := imageRun{start: start, count: count}
+		run := mem.SnapshotRun{Start: start, Count: count}
 		switch kind {
 		case runKindZero:
 		case runKindAlias:
-			run.alias = mem.PFN(cr.u64())
-			run.isAlias = true
-			if cr.err == nil && run.alias >= start {
-				return nil, fmt.Errorf("%w: alias run %d points forward to %d", ErrBadImage, start, run.alias)
+			run.Alias = mem.PFN(cr.u64())
+			run.IsAlias = true
+			if cr.err == nil && run.Alias >= start {
+				return nil, fmt.Errorf("%w: alias run %d points forward to %d", ErrBadImage, start, run.Alias)
 			}
 		case runKindData:
 			want := cr.u64()
-			run.pages = make([][]byte, count)
+			run.Pages = make([][]byte, count)
 			for j := 0; j < count && cr.err == nil; j++ {
 				if cr.u8() == 0 {
 					continue
@@ -147,9 +147,9 @@ func ReadImage(r io.Reader) (*Image, error) {
 				}
 				data := make([]byte, n)
 				cr.bytes(data)
-				run.pages[j] = data
+				run.Pages[j] = data
 			}
-			if cr.err == nil && hashRun(run.pages) != want {
+			if cr.err == nil && hashRun(run.Pages) != want {
 				return nil, fmt.Errorf("%w: data run at %d fails its content hash", ErrBadImage, start)
 			}
 		default:

@@ -50,24 +50,18 @@ type storeGauges struct {
 }
 
 // imageChunk is one resident data run, shared by every cached image whose
-// contents hash to it.
+// contents hash to it. The chunks one Insert makes sit in one slab, and
+// their frames are slices of the one list it allocated.
 type imageChunk struct {
 	hash uint64
 	mfns []mem.MFN
-	refs int // cached images referencing this chunk
-}
-
-// cachedRun parallels one image run: chunk is nil for zero and alias runs.
-type cachedRun struct {
-	start mem.PFN
-	count int
-	chunk *imageChunk
+	refs int // cached image runs referencing this chunk
 }
 
 // cachedImage is the cache's view of one inserted image.
 type cachedImage struct {
 	key     uint64
-	runs    []cachedRun
+	chunks  []*imageChunk // parallel to the image's runs: nil for zero and alias runs
 	npages  int
 	lastUse uint64
 }
@@ -231,6 +225,11 @@ func (st *ImageStore) noteInsertFailure() {
 // fault point, which fires after the new chunks are built but before they
 // are committed — everything allocated by this call is released and the
 // store is exactly as before.
+//
+// It allocates per insert, not per run: the fresh chunks are counted
+// first, then made in one slab, their frames taken with one AllocN (in run
+// order, so the MFNs are what one call per run would hand out) and
+// transferred with one ShareN.
 func (st *ImageStore) Insert(img *Image, meter *vclock.Meter) error {
 	img.ensureHashed()
 	key := img.key
@@ -242,73 +241,80 @@ func (st *ImageStore) Insert(img *Image, meter *vclock.Meter) error {
 		return nil
 	}
 
-	ci := &cachedImage{key: key, npages: img.npages, runs: make([]cachedRun, 0, len(img.runs))}
-	var fresh []*imageChunk // built by this call, uncommitted
-	rollback := func() {
-		for _, ch := range fresh {
-			st.mem.ReleaseN(st.dom, ch.mfns)
+	ci := &cachedImage{key: key, npages: img.npages, chunks: make([]*imageChunk, len(img.runs))}
+	missing := 0 // data runs with no resident chunk, a bound on the fresh ones
+	for i := range img.runs {
+		if isDataRun(&img.runs[i]) && st.chunks[img.infos[i].Hash] == nil {
+			missing++
 		}
 	}
-	freshAt := make(map[uint64]*imageChunk)
-	pages := 0
+	// Fresh chunks enter st.chunks at once, so a later run of this image
+	// with the same contents finds its chunk there; rollback takes them out.
+	fresh := make([]imageChunk, 0, missing)
+	frames := 0
 	for i := range img.runs {
 		r := &img.runs[i]
-		cr := cachedRun{start: r.start, count: r.count}
-		if !r.isAlias && r.pages != nil {
-			h := img.infos[i].Hash
-			ch := st.chunks[h]
-			if ch == nil {
-				ch = freshAt[h]
-			}
-			if ch == nil {
-				mfns, err := st.mem.AllocN(st.dom, r.count, meter)
-				if err != nil {
-					rollback()
-					return fmt.Errorf("toolstack: image cache insert: %w", err)
-				}
-				for j, data := range r.pages {
-					if data == nil {
-						continue // the frame already reads as zeroes
-					}
-					if err := st.mem.WritePage(mfns[j], data); err != nil {
-						st.mem.ReleaseN(st.dom, mfns)
-						rollback()
-						return fmt.Errorf("toolstack: image cache insert: %w", err)
-					}
-					meter.Charge(meter.Costs().PageCopy, 1)
-				}
-				ch = &imageChunk{hash: h, mfns: mfns}
-				fresh = append(fresh, ch)
-				freshAt[h] = ch
-				pages += r.count
-			}
-			cr.chunk = ch
+		if !isDataRun(r) {
+			continue
 		}
-		ci.runs = append(ci.runs, cr)
+		h := img.infos[i].Hash
+		ch := st.chunks[h]
+		if ch == nil {
+			fresh = append(fresh, imageChunk{hash: h})
+			ch = &fresh[len(fresh)-1]
+			st.chunks[h] = ch
+			frames += r.Count
+		}
+		ci.chunks[i] = ch
 	}
-
-	if err := st.faults.Check(fault.PointCacheInsert); err != nil {
-		rollback()
+	var mfns []mem.MFN
+	rollback := func(err error) error {
+		st.mem.ReleaseN(st.dom, mfns)
+		for k := range fresh {
+			delete(st.chunks, fresh[k].hash)
+		}
 		return err
 	}
-	// Commit: transfer the fresh chunks to dom_cow (the cache keeps one
+	mfns, err := st.mem.AllocN(st.dom, frames, meter)
+	if err != nil {
+		return rollback(fmt.Errorf("toolstack: image cache insert: %w", err))
+	}
+	stored, off := 0, 0
+	for i := range img.runs {
+		ch := ci.chunks[i]
+		if ch == nil || ch.mfns != nil {
+			continue // not a data run, or its chunk has its frames
+		}
+		r := &img.runs[i]
+		ch.mfns = mfns[off : off+r.Count : off+r.Count]
+		off += r.Count
+		for j, data := range r.Pages {
+			if data == nil {
+				continue // the frame already reads as zeroes
+			}
+			if err := st.mem.WritePage(ch.mfns[j], data); err != nil {
+				return rollback(fmt.Errorf("toolstack: image cache insert: %w", err))
+			}
+			stored++
+		}
+	}
+	meter.Charge(meter.Costs().PageCopy, stored)
+
+	if err := st.faults.Check(fault.PointCacheInsert); err != nil {
+		return rollback(err)
+	}
+	// Commit: transfer the fresh frames to dom_cow (the cache keeps one
 	// reference each), then publish. ShareN validates before mutating, so
 	// a failure here still rolls back to the pre-insert state.
-	for _, ch := range fresh {
-		if err := st.mem.ShareN(st.dom, ch.mfns, 1, meter); err != nil {
-			rollback()
-			return fmt.Errorf("toolstack: image cache insert: %w", err)
+	if err := st.mem.ShareN(st.dom, mfns, 1, meter); err != nil {
+		return rollback(fmt.Errorf("toolstack: image cache insert: %w", err))
+	}
+	for _, ch := range ci.chunks {
+		if ch != nil {
+			ch.refs++
 		}
 	}
-	for _, ch := range fresh {
-		st.chunks[ch.hash] = ch
-	}
-	for _, cr := range ci.runs {
-		if cr.chunk != nil {
-			cr.chunk.refs++
-		}
-	}
-	st.resident += pages
+	st.resident += frames
 	st.order++
 	ci.lastUse = st.order
 	st.images[key] = ci
@@ -319,29 +325,22 @@ func (st *ImageStore) Insert(img *Image, meter *vclock.Meter) error {
 }
 
 // evictLocked drops least-recently-used images (never keep) until the
-// resident bound holds again.
+// resident bound holds again. The victim is the oldest lastUse, the lowest
+// key on ties, so the choice does not depend on map order.
 func (st *ImageStore) evictLocked(keep uint64) {
 	if st.maxPages <= 0 {
 		return
 	}
 	for st.resident > st.maxPages && len(st.images) > 1 {
 		var victim *cachedImage
-		// Deterministic LRU selection: oldest lastUse, lowest key on ties.
-		keys := make([]uint64, 0, len(st.images))
-		for k := range st.images {
-			if k != keep {
-				keys = append(keys, k)
-			}
-		}
-		if len(keys) == 0 {
-			return
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		for _, k := range keys {
-			ci := st.images[k]
-			if victim == nil || ci.lastUse < victim.lastUse {
+		for k, ci := range st.images {
+			if k != keep && (victim == nil || ci.lastUse < victim.lastUse ||
+				ci.lastUse == victim.lastUse && k < victim.key) {
 				victim = ci
 			}
+		}
+		if victim == nil {
+			return
 		}
 		st.dropLocked(victim)
 		st.evictions++
@@ -351,15 +350,15 @@ func (st *ImageStore) evictLocked(keep uint64) {
 // dropLocked removes one cached image, releasing the cache's reference on
 // every chunk no other image still uses.
 func (st *ImageStore) dropLocked(ci *cachedImage) {
-	for _, cr := range ci.runs {
-		if cr.chunk == nil {
+	for _, ch := range ci.chunks {
+		if ch == nil {
 			continue
 		}
-		cr.chunk.refs--
-		if cr.chunk.refs == 0 {
-			st.mem.ReleaseN(st.dom, cr.chunk.mfns)
-			st.resident -= len(cr.chunk.mfns)
-			delete(st.chunks, cr.chunk.hash)
+		ch.refs--
+		if ch.refs == 0 {
+			st.mem.ReleaseN(st.dom, ch.mfns)
+			st.resident -= len(ch.mfns)
+			delete(st.chunks, ch.hash)
 		}
 	}
 	delete(st.images, ci.key)

@@ -26,17 +26,17 @@ func seededImage(name string, seed byte) *Image {
 	return &Image{
 		Config: cfg,
 		npages: npages,
-		runs: []imageRun{
-			{start: 0, count: 8}, // zero
-			{start: 8, count: 4, pages: [][]byte{page(seed), nil, page(seed + 1), page(seed + 2)}},
-			{start: 12, count: 20}, // zero
-			{start: 32, count: 2, pages: [][]byte{page(seed + 3), page(seed + 4)}},
+		runs: []mem.SnapshotRun{
+			{Start: 0, Count: 8}, // zero
+			{Start: 8, Count: 4, Pages: [][]byte{page(seed), nil, page(seed + 1), page(seed + 2)}},
+			{Start: 12, Count: 20}, // zero
+			{Start: 32, Count: 2, Pages: [][]byte{page(seed + 3), page(seed + 4)}},
 			// Alias covering the tail of the zero run at 12 is illegal (an
 			// alias must point backward at save granularity); this one spans
 			// the data run at 8 and runs into the zero run at 12.
-			{start: 40, count: 6, alias: 8, isAlias: true},
-			{start: 46, count: npages - 46 - 3}, // zero to the special pages
-			{start: mem.PFN(top), count: 3, pages: [][]byte{page(seed + 5), page(seed + 6), page(seed + 7)}},
+			{Start: 40, Count: 6, Alias: 8, IsAlias: true},
+			{Start: 46, Count: npages - 46 - 3}, // zero to the special pages
+			{Start: mem.PFN(top), Count: 3, Pages: [][]byte{page(seed + 5), page(seed + 6), page(seed + 7)}},
 		},
 	}
 }
@@ -224,7 +224,7 @@ func TestImageStoreChunkDedupAcrossImages(t *testing.T) {
 	b := seededImage("b", 0x40)
 	// Perturb only b's last data run (the special-pages run).
 	last := &b.runs[len(b.runs)-1]
-	last.pages[0] = bytes.Repeat([]byte{0xEE}, mem.PageSize)
+	last.Pages[0] = bytes.Repeat([]byte{0xEE}, mem.PageSize)
 
 	if err := store.Insert(a, nil); err != nil {
 		t.Fatal(err)
@@ -293,7 +293,7 @@ func TestImageStoreDropKeepsSharedChunks(t *testing.T) {
 	store := NewImageStore(r.hv.Memory, 0)
 	a := seededImage("a", 0x40)
 	b := seededImage("b", 0x40)
-	b.runs[len(b.runs)-1].pages[0] = bytes.Repeat([]byte{0xEE}, mem.PageSize)
+	b.runs[len(b.runs)-1].Pages[0] = bytes.Repeat([]byte{0xEE}, mem.PageSize)
 	if err := store.Insert(a, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -456,17 +456,17 @@ func TestRestoreCachedDestroyReleasesSharedFrames(t *testing.T) {
 // TestImagePageAtBinarySearch pins the sorted-run invariants pageAt's
 // binary search depends on, over a many-run image.
 func TestImagePageAtBinarySearch(t *testing.T) {
-	var runs []imageRun
+	var runs []mem.SnapshotRun
 	for i := 0; i < 64; i++ {
 		start := mem.PFN(i * 16)
 		if i%2 == 0 {
-			runs = append(runs, imageRun{start: start, count: 16})
+			runs = append(runs, mem.SnapshotRun{Start: start, Count: 16})
 		} else {
 			pages := make([][]byte, 16)
 			for j := range pages {
 				pages[j] = []byte{byte(i), byte(j)}
 			}
-			runs = append(runs, imageRun{start: start, count: 16, pages: pages})
+			runs = append(runs, mem.SnapshotRun{Start: start, Count: 16, Pages: pages})
 		}
 	}
 	img := &Image{npages: 1024, runs: runs}
@@ -484,5 +484,78 @@ func TestImagePageAtBinarySearch(t *testing.T) {
 	}
 	if img.runIndexOf(2000) != -1 {
 		t.Fatal("runIndexOf past the end")
+	}
+}
+
+// TestCacheInsertOutOfFramesRollsBack: an Insert that needs more fresh
+// frames than the pool has free returns ErrOutOfMemory and leaves the pool
+// and the store as they were: the same free frames, the same Stats, no
+// chunk of the refused image resident, and a clean audit. The chunks an
+// earlier image made resident stay, and the same Insert succeeds once
+// frames are free again.
+func TestCacheInsertOutOfFramesRollsBack(t *testing.T) {
+	m := mem.New(64 * mem.PageSize)
+	store := NewImageStore(m, 0)
+	a := seededImage("a", 0x40)
+	if err := store.Insert(a, nil); err != nil {
+		t.Fatal(err)
+	}
+	// b shares a's first two data runs and needs 3 fresh frames for its
+	// last; c shares nothing and stores one 4-page run twice, which must
+	// become one chunk.
+	b := seededImage("b", 0x40)
+	b.runs[len(b.runs)-1].Pages[0] = bytes.Repeat([]byte{0xEE}, mem.PageSize)
+	run := func() [][]byte {
+		return [][]byte{bytes.Repeat([]byte{0xC0}, mem.PageSize), nil, {0xC1}, bytes.Repeat([]byte{0xC2}, mem.PageSize)}
+	}
+	c := &Image{Config: baseConfig("c"), npages: 1024, runs: []mem.SnapshotRun{
+		{Start: 0, Count: 4, Pages: run()}, {Start: 4, Count: 4}, {Start: 8, Count: 4, Pages: run()}, {Start: 12, Count: 1012},
+	}}
+	filler, err := m.AllocN(9, m.FreeFrames()-2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, img := range []*Image{b, c} {
+		before, free := store.Stats(), m.FreeFrames()
+		if err := store.Insert(img, nil); !errors.Is(err, mem.ErrOutOfMemory) {
+			t.Fatalf("insert into %d free frames: err %v, want ErrOutOfMemory", free, err)
+		}
+		if got := store.Stats(); got != before {
+			t.Fatalf("stats after refused insert: %+v, want %+v", got, before)
+		}
+		if got := m.FreeFrames(); got != free {
+			t.Fatalf("free frames after refused insert: %d, want %d", got, free)
+		}
+		if err := m.Audit(); err != nil {
+			t.Fatal(err)
+		}
+		if store.Contains(img) {
+			t.Fatal("refused image is resident")
+		}
+		for i, ri := range img.RunInfos() {
+			shared := i < 4 && img == b
+			if ri.Kind == RunData && store.HasChunk(ri.Hash) != shared {
+				t.Fatalf("run %d: chunk resident %t after refused insert, want %t", i, !shared, shared)
+			}
+		}
+	}
+	if err := m.ReleaseN(9, filler); err != nil {
+		t.Fatal(err)
+	}
+	for _, img := range []*Image{a, b, c} {
+		if err := store.Insert(img, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// a's 9 frames in 3 chunks, b's fresh 3 and c's one chunk of 4.
+	if st := store.Stats(); st.Images != 3 || st.Chunks != 5 || st.ResidentPages != 16 {
+		t.Fatalf("after freeing frames: %+v, want 3 images, 5 chunks, 16 pages", st)
+	}
+	store.Flush()
+	if err := m.Audit(); err != nil {
+		t.Fatal(err)
+	}
+	if free := m.FreeFrames(); free != m.TotalFrames() {
+		t.Fatalf("%d of %d frames free after flush", free, m.TotalFrames())
 	}
 }

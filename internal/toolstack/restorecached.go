@@ -97,18 +97,18 @@ func (x *XL) RestoreCachedOp(ctx obs.OpCtx, store *ImageStore, img *Image, name 
 	for ri := range img.runs {
 		r := &img.runs[ri]
 		switch {
-		case r.isAlias:
+		case r.IsAlias:
 			// An alias run repeats earlier frames; in the cached child it
 			// COW-shares the very chunks backing the source runs, walking
 			// each covered source run once.
 			err := img.forEachAliasSource(r, func(off, src, base, n int) error {
-				return place(r.start+mem.PFN(off), ci.runs[src].chunk.mfns[base:base+n], img.runs[src].pages[base:base+n])
+				return place(r.Start+mem.PFN(off), ci.chunks[src].mfns[base:base+n], img.runs[src].Pages[base:base+n])
 			})
 			if err != nil {
 				return fail(err)
 			}
-		case r.pages != nil:
-			if err := place(r.start, ci.runs[ri].chunk.mfns, r.pages); err != nil {
+		case r.Pages != nil:
+			if err := place(r.Start, ci.chunks[ri].mfns, r.Pages); err != nil {
 				return fail(err)
 			}
 		default:

@@ -24,8 +24,11 @@ import (
 // why restore is consistently slower than boot in Fig. 4.
 type Image struct {
 	Config DomainConfig
-	npages int        // full allocated page count (the on-wire size)
-	runs   []imageRun // sorted by start, non-overlapping
+	npages int // full allocated page count (the on-wire size)
+	// runs are the captured extents (mem.Space.SnapshotRuns), sorted by
+	// start and non-overlapping, with all-zero written pages scrubbed to
+	// nil slots.
+	runs []mem.SnapshotRun
 
 	// hashOnce lazily computes the content-addressed identity: infos (one
 	// entry per run, a data run's FNV-1a content hash included) plus the
@@ -42,18 +45,6 @@ type Image struct {
 	hashed atomic.Bool
 }
 
-// imageRun is one extent of the image: count consecutive pfns from start.
-// A zero run has nil pages; a data run carries one slot per pfn (all-zero
-// written pages are scrubbed to nil slots); an alias run repeats the
-// contents of the run covering pfn alias.
-type imageRun struct {
-	start   mem.PFN
-	count   int
-	pages   [][]byte
-	alias   mem.PFN // valid iff isAlias
-	isAlias bool
-}
-
 // Pages reports the number of frames in the image: the full allocated VM
 // memory, however compactly the extents encode it.
 func (img *Image) Pages() int { return img.npages }
@@ -61,14 +52,17 @@ func (img *Image) Pages() int { return img.npages }
 // Runs reports the number of extents encoding the image.
 func (img *Image) Runs() int { return len(img.runs) }
 
+// isDataRun reports whether r stores pages: neither a zero nor an alias run.
+func isDataRun(r *mem.SnapshotRun) bool { return !r.IsAlias && r.Pages != nil }
+
 // runIndexOf binary-searches the sorted runs for the one covering pfn,
 // returning -1 when no run does.
 func (img *Image) runIndexOf(pfn mem.PFN) int {
 	i := sort.Search(len(img.runs), func(k int) bool {
 		r := &img.runs[k]
-		return r.start+mem.PFN(r.count) > pfn
+		return r.Start+mem.PFN(r.Count) > pfn
 	})
-	if i == len(img.runs) || pfn < img.runs[i].start {
+	if i == len(img.runs) || pfn < img.runs[i].Start {
 		return -1
 	}
 	return i
@@ -83,22 +77,22 @@ func (img *Image) pageAt(pfn mem.PFN) []byte {
 		return nil
 	}
 	r := &img.runs[i]
-	if r.isAlias {
-		src := r.alias + (pfn - r.start)
+	if r.IsAlias {
+		src := r.Alias + (pfn - r.Start)
 		j := img.runIndexOf(src)
 		if j < 0 {
 			return nil
 		}
 		sr := &img.runs[j]
-		if sr.isAlias || sr.pages == nil {
+		if sr.IsAlias || sr.Pages == nil {
 			return nil
 		}
-		return sr.pages[src-sr.start]
+		return sr.Pages[src-sr.Start]
 	}
-	if r.pages == nil {
+	if r.Pages == nil {
 		return nil
 	}
-	return r.pages[pfn-r.start]
+	return r.Pages[pfn-r.Start]
 }
 
 // forEachAliasSource walks the alias run r source run by source run,
@@ -107,21 +101,21 @@ func (img *Image) pageAt(pfn mem.PFN) []byte {
 // repeated page of that run and the stretch length n. Zero source
 // portions are skipped, and so are nested aliases: aliases always point
 // into fresh runs, so a nested one contributes zeroes.
-func (img *Image) forEachAliasSource(r *imageRun, fn func(off, src, base, n int) error) error {
-	for off := 0; off < r.count; {
-		pfn := r.alias + mem.PFN(off)
+func (img *Image) forEachAliasSource(r *mem.SnapshotRun, fn func(off, src, base, n int) error) error {
+	for off := 0; off < r.Count; {
+		pfn := r.Alias + mem.PFN(off)
 		i := img.runIndexOf(pfn)
 		if i < 0 {
 			off++
 			continue
 		}
 		sr := &img.runs[i]
-		n := int(sr.start) + sr.count - int(pfn)
-		if rest := r.count - off; n > rest {
+		n := int(sr.Start) + sr.Count - int(pfn)
+		if rest := r.Count - off; n > rest {
 			n = rest
 		}
-		if !sr.isAlias && sr.pages != nil {
-			if err := fn(off, i, int(pfn-sr.start), n); err != nil {
+		if isDataRun(sr) {
+			if err := fn(off, i, int(pfn-sr.Start), n); err != nil {
 				return err
 			}
 		}
@@ -153,17 +147,14 @@ func (x *XL) Save(id hv.DomID, meter *vclock.Meter) (*Image, error) {
 	if err != nil {
 		return nil, fmt.Errorf("toolstack: save domain %d: %w", id, err)
 	}
-	iruns := make([]imageRun, len(runs))
-	for i, r := range runs {
-		iruns[i] = imageRun{start: r.Start, count: r.Count, pages: r.Pages,
-			alias: r.Alias, isAlias: r.IsAlias}
-		for j, data := range iruns[i].pages {
-			if data != nil && allZero(data) {
-				iruns[i].pages[j] = nil
+	for _, r := range runs {
+		for j, data := range r.Pages {
+			if allZero(data) {
+				r.Pages[j] = nil
 			}
 		}
 	}
-	img := &Image{Config: rec.Config, npages: n, runs: iruns}
+	img := &Image{Config: rec.Config, npages: n, runs: runs}
 	// Remember the image as the domain's latest, and let it inherit run
 	// hashes from the nearest hashed one before it. Destroy forgets it.
 	x.mu.Lock()
@@ -202,11 +193,11 @@ func (x *XL) Restore(img *Image, name string, meter *vclock.Meter) (*Record, err
 	// full run-table lookup per page.
 	for ri := range img.runs {
 		r := &img.runs[ri]
-		if r.isAlias {
+		if r.IsAlias {
 			err := img.forEachAliasSource(r, func(off, src, base, n int) error {
-				for j, data := range img.runs[src].pages[base : base+n] {
+				for j, data := range img.runs[src].Pages[base : base+n] {
 					if data != nil {
-						if err := space.WritePage(r.start+mem.PFN(off+j), data, nil); err != nil {
+						if err := space.WritePage(r.Start+mem.PFN(off+j), data, nil); err != nil {
 							return err
 						}
 					}
@@ -215,17 +206,17 @@ func (x *XL) Restore(img *Image, name string, meter *vclock.Meter) (*Record, err
 			})
 			if err != nil {
 				x.Destroy(rec.ID, nil)
-				return nil, fmt.Errorf("toolstack: restore alias run at %d: %w", r.start, err)
+				return nil, fmt.Errorf("toolstack: restore alias run at %d: %w", r.Start, err)
 			}
 			continue
 		}
-		for j, data := range r.pages {
+		for j, data := range r.Pages {
 			if data == nil {
 				continue
 			}
-			if err := space.WritePage(r.start+mem.PFN(j), data, nil); err != nil {
+			if err := space.WritePage(r.Start+mem.PFN(j), data, nil); err != nil {
 				x.Destroy(rec.ID, nil)
-				return nil, fmt.Errorf("toolstack: restore pfn %d: %w", r.start+mem.PFN(j), err)
+				return nil, fmt.Errorf("toolstack: restore pfn %d: %w", r.Start+mem.PFN(j), err)
 			}
 		}
 	}

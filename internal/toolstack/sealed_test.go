@@ -184,11 +184,11 @@ func TestShortStoredPageRestores(t *testing.T) {
 	cfg := baseConfig("short")
 	n := cfg.Pages()
 	full := bytes.Repeat([]byte{0x3C}, mem.PageSize)
-	built := &Image{Config: cfg, npages: n, runs: []imageRun{
-		{start: 0, count: 8},
-		{start: 8, count: 3, pages: [][]byte{[]byte("short regular page"), full, {}}},
-		{start: 11, count: n - 11 - 3},
-		{start: mem.PFN(n - 3), count: 3, pages: [][]byte{full, []byte("short special page"), nil}},
+	built := &Image{Config: cfg, npages: n, runs: []mem.SnapshotRun{
+		{Start: 0, Count: 8},
+		{Start: 8, Count: 3, Pages: [][]byte{[]byte("short regular page"), full, {}}},
+		{Start: 11, Count: n - 11 - 3},
+		{Start: mem.PFN(n - 3), Count: 3, Pages: [][]byte{full, []byte("short special page"), nil}},
 	}}
 	img, err := ReadImage(bytes.NewReader(imageBytes(t, built)))
 	if err != nil {
@@ -230,7 +230,7 @@ func TestShortStoredPageRestores(t *testing.T) {
 	}
 
 	// A stored page longer than a frame stays refused at the door.
-	built.runs[1].pages[1] = make([]byte, mem.PageSize+1)
+	built.runs[1].Pages[1] = make([]byte, mem.PageSize+1)
 	long := &Image{Config: cfg, npages: n, runs: built.runs}
 	if _, err := ReadImage(bytes.NewReader(imageBytes(t, long))); !errors.Is(err, ErrBadImage) {
 		t.Fatalf("oversized stored page: %v, want ErrBadImage", err)
@@ -295,9 +295,9 @@ func TestHashInheritanceMatchesFreshHash(t *testing.T) {
 			t.Fatalf("round %d: run infos with inheritance differ from a fresh hash", round)
 		}
 		for i := range img.runs {
-			if run := &img.runs[i]; !run.isAlias && run.pages != nil {
-				if got, want := img.infos[i].Hash, hashRun(run.pages); got != want {
-					t.Fatalf("round %d: run at %d hash %#x, hashRun %#x", round, run.start, got, want)
+			if run := &img.runs[i]; !run.IsAlias && run.Pages != nil {
+				if got, want := img.infos[i].Hash, hashRun(run.Pages); got != want {
+					t.Fatalf("round %d: run at %d hash %#x, hashRun %#x", round, run.Start, got, want)
 				}
 				if _, same := prev.sameRunHash(run); same {
 					inherited++
@@ -379,7 +379,7 @@ func TestResaveHashesOnlyChangedRuns(t *testing.T) {
 	if got, want := infos[data[0]].Hash, second.infos[data[0]].Hash; got != want {
 		t.Fatal("the untouched run was hashed again instead of taking its stored hash over")
 	}
-	if got, want := infos[data[1]].Hash, hashRun(third.runs[data[1]].pages); got != want {
+	if got, want := infos[data[1]].Hash, hashRun(third.runs[data[1]].Pages); got != want {
 		t.Fatal("the written run took a stale hash over")
 	}
 }
