@@ -283,7 +283,6 @@ var testOnlyExports = map[string]string{
 	"fault.IsFatal":                harness,
 	"fault.IsFault":                harness,
 	"fault.LazyPoints":             harness,
-	"fault.NewRegistry":            harness,
 	"fault.PipelinePoints":         harness,
 	"fault.PointOf":                harness,
 	"fault.Registry.Clear":         harness,

@@ -11,8 +11,7 @@
 // has an OpCtx parameter — declared function or function literal — and
 // inside every closure nested within one. The approved patterns
 // remain available: ctx.WithMeter/WithTrace/WithFaults/EnsureMeter derive
-// from the in-scope context, and ctx.Detach() is the sanctioned way to
-// hand a sub-context to a goroutine with a deterministic merge point.
+// from the in-scope context.
 // Meter-first functions (the layers below the platform surface) take a
 // *vclock.Meter, not an OpCtx, so the rule does not fire on their
 // obs.Ctx(meter) adaptation calls.
@@ -202,7 +201,7 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
 	case in(ObsPkgs, path) && fn.Name() == "Ctx":
 		pass.Reportf(call.Pos(), "obs.Ctx mints a fresh OpCtx inside an operation that already holds one; thread the in-scope ctx (WithMeter/WithFaults derive from it)")
 	case in(ObsPkgs, path) && fn.Name() == "NewTrace":
-		pass.Reportf(call.Pos(), "obs.NewTrace inside an operation forks the trace; use ctx.Detach() for a sub-trace with a deterministic Absorb merge point")
+		pass.Reportf(call.Pos(), "obs.NewTrace inside an operation forks the trace; record onto the in-scope ctx's trace")
 	case in(MeterPkgs, path) && fn.Name() == "NewMeter":
 		pass.Reportf(call.Pos(), "vclock.NewMeter inside an operation forks virtual time from zero and never merges back; use the ctx meter (EnsureMeter for optional metering)")
 	}

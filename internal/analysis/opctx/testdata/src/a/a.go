@@ -13,7 +13,6 @@ func op(ctx obs.OpCtx) {
 	_ = obs.NewTrace()        // want `obs\.NewTrace inside an operation forks the trace`
 	_ = vclock.NewMeter(nil)  // want `vclock\.NewMeter inside an operation forks virtual time`
 	_ = obs.OpCtx{}           // want `bare OpCtx literal inside an operation`
-	_, _ = ctx.Detach()       // sanctioned sub-context
 	_ = ctx.WithMeter(nil)    // sanctioned derivation
 }
 

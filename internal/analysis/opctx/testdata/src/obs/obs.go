@@ -22,6 +22,3 @@ func Ctx(m *vclock.Meter) OpCtx { return OpCtx{meter: m} }
 
 // WithMeter derives a context with a replacement meter.
 func (c OpCtx) WithMeter(m *vclock.Meter) OpCtx { c.meter = m; return c }
-
-// Detach mimics obs.OpCtx.Detach.
-func (c OpCtx) Detach() (OpCtx, *Trace) { t := NewTrace(); c.trace = t; return c, t }

@@ -12,8 +12,8 @@ import (
 
 // figLazyClone boots one Fig. 4-shape parent of mb megabytes, clones it
 // once in the requested mode and reports the CLONEOP (first stage)
-// latency. For a lazy clone it then joins the background streamer,
-// returning the deferred page count and the total virtual time the stream
+// latency. For a lazy clone it then drains the child (WaitStreamed),
+// returning the deferred page count and the total virtual time the drain
 // charged — the work a hot-set access pays per page on the demand path.
 func figLazyClone(mb int, mode mem.CloneMode, tr *obs.Trace) (first, stream vclock.Duration, deferred, pages int, err error) {
 	p := core.NewPlatform(core.Options{SkipNameCheck: true})
@@ -57,8 +57,8 @@ func figLazyClone(mb int, mode mem.CloneMode, tr *obs.Trace) (first, stream vclo
 // CLONEOP latency for an eager and a lazy clone of the Fig. 4 guest shape
 // scaled up in memory, plus the lazy child's time-to-ready across hot-set
 // sizes (CLONEOP + demand-faulting that fraction of guest pages). Per-page
-// demand cost equals the streamer's total divided by the deferred page
-// count — demand faults and the streamer charge the identical adoption
+// demand cost equals the drain's total divided by the deferred page
+// count — demand faults and the drain charge the identical adoption
 // work, so the curve is exact, and at a 100% hot set it meets the eager
 // line: lazy CLONEOP + full population is virtually indistinguishable
 // from an eager CLONEOP (the conservation law the differential harness in

@@ -63,10 +63,10 @@ func TestLazyCloneConservation(t *testing.T) {
 }
 
 // TestLazyTraceShape pins the lazy span taxonomy: a traced lazy clone
-// records space-clone-lazy in place of space-clone, the joined streamer
-// contributes stream-extent spans, and a clone whose stream is joined
-// before any access records no demand-fault spans (the figure's hot-set
-// curve is analytic, not faulted).
+// records space-clone-lazy in place of space-clone, the waiter's drain
+// contributes stream-extent spans, and a clone drained before any access
+// records no demand-fault spans (the figure's hot-set curve is analytic,
+// not faulted).
 func TestLazyTraceShape(t *testing.T) {
 	tr := obs.NewTrace()
 	if _, _, _, _, err := figLazyClone(8, mem.CloneLazy, tr); err != nil {
@@ -86,7 +86,7 @@ func TestLazyTraceShape(t *testing.T) {
 		t.Errorf("space-clone recorded %d times in a lazy run, want 0", count["space-clone"])
 	}
 	if count["stream-extent"] == 0 {
-		t.Error("no stream-extent spans: streamer trace not absorbed")
+		t.Error("no stream-extent spans: the drain recorded nothing on the waiter's trace")
 	}
 	if count["demand-fault"] != 0 {
 		t.Errorf("demand-fault recorded %d times in a no-fault run, want 0", count["demand-fault"])
@@ -100,10 +100,11 @@ func TestLazyTraceShape(t *testing.T) {
 	}
 }
 
-// TestLazyDemandFaultSpan covers the taxonomy's third member: when the
-// streamer is dead (killed here by a fatal stream-extent injection before
-// it adopts anything), a hot-set access materializes its page through the
-// demand path and records a demand-fault span.
+// TestLazyDemandFaultSpan covers the taxonomy's third member: a hot-set
+// access to a page no drain has reached materializes it through the demand
+// path and records a demand-fault span. The drain that follows dies at its
+// first chunk (a fatal stream-extent injection) and WaitStreamed reports
+// it.
 func TestLazyDemandFaultSpan(t *testing.T) {
 	p := core.NewPlatform(core.Options{SkipNameCheck: true})
 	reg := fault.NewRegistry()

@@ -11,8 +11,8 @@ import (
 )
 
 // cloneLazy runs a full two-stage lazy clone on the rig: first stage with
-// Mode CloneLazy, then the daemon's second stage. The child is live (and
-// its streamer possibly still running) when this returns.
+// Mode CloneLazy, then the daemon's second stage. The child is live, with
+// its deferred pages undrained, when this returns.
 func (r *faultRig) cloneLazy(t *testing.T) (hv.DomID, <-chan struct{}, error) {
 	t.Helper()
 	rec, err := r.xl.Record(1)
@@ -59,7 +59,7 @@ func eagerBaseline(t *testing.T) *worldState {
 }
 
 // TestLazyClonePipeline is the happy path: a lazy clone runs both stages,
-// the streamer completes, every deferred page is accounted for, and after
+// WaitStreamed drains it, every deferred page is accounted for, and after
 // a full toolstack destroy the machine state is identical to what the same
 // pipeline leaves behind in eager mode.
 func TestLazyClonePipeline(t *testing.T) {
@@ -88,7 +88,7 @@ func TestLazyClonePipeline(t *testing.T) {
 		t.Fatalf("WaitStreamed: %v", err)
 	}
 	if m.Elapsed() == 0 {
-		t.Fatal("WaitStreamed merged no streamer time")
+		t.Fatal("WaitStreamed charged no stream time")
 	}
 	d, err := r.hv.Domain(kid)
 	if err != nil {
@@ -113,7 +113,7 @@ func TestLazyClonePipeline(t *testing.T) {
 // materialization point — first chunk, mid-walk chunk, and finalize — on a
 // child whose two-stage clone already succeeded. The failure must surface
 // through WaitStreamed naming the injected point, and destroying the
-// degraded child (streamer dead, pledges outstanding) must land on the
+// degraded child (stream stopped, pledges outstanding) must land on the
 // same machine state an eager clone's destroy leaves: no frames, store
 // nodes or backend state beyond the mode-independent baseline.
 func TestLazyFaultMatrixMidStream(t *testing.T) {
@@ -177,10 +177,10 @@ func TestLazyFaultMatrixMidStream(t *testing.T) {
 }
 
 // TestLazyAbortWithRunningStreamer injects a fatal second-stage fault into
-// a LAZY clone: the daemon's rollback aborts a child whose background
-// streamer may still be mid-walk. The abort path must cancel and drain the
-// streamer before tearing the space down (the Release/streamer ordering
-// regression), leaving the machine exactly at the pre-clone snapshot.
+// a LAZY clone: the daemon's rollback aborts a child none of whose
+// deferred pages has been drained. Tearing the space down must cancel
+// every outstanding pledge, leaving the machine exactly at the pre-clone
+// snapshot.
 func TestLazyAbortWithRunningStreamer(t *testing.T) {
 	for _, point := range []string{fault.PointDevVifClone, fault.PointXSClone, fault.PointToolstackAdopt} {
 		t.Run(point, func(t *testing.T) {

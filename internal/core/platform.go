@@ -212,9 +212,9 @@ type CloneResult struct {
 	Stats *hv.CloneOpStats
 }
 
-// WaitStreamed blocks until a lazily cloned child's background streamer
-// has materialized every deferred page, merging the streamer's virtual
-// time and spans onto ctx. Eager children return immediately.
+// WaitStreamed materializes every page a lazily cloned child still
+// defers, charging ctx's meter and recording the stream's spans on its
+// trace. Eager children return immediately.
 func (p *Platform) WaitStreamed(ctx obs.OpCtx, id DomID) error {
 	return p.HV.WaitStreamed(ctx.EnsureMeter(p.Costs), id)
 }

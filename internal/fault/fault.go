@@ -74,16 +74,16 @@ const (
 	// PointDevVbdClone fires in the block backend's clone path.
 	PointDevVbdClone = "device/vbd/clone"
 
-	// Lazy clone (the background streamer and demand-fault paths; these
-	// fire after CLONEOP returns, so they are not pipeline points).
+	// Lazy clone (the drain and demand-fault paths; these fire after
+	// CLONEOP returns, so they are not pipeline points).
 
-	// PointMemStreamExtent fires before the streamer materializes a chunk
-	// of lazy entries.
+	// PointMemStreamExtent fires before a drain materializes a chunk of
+	// lazy entries.
 	PointMemStreamExtent = "mem/stream-extent"
 	// PointMemUnmappedFault fires when a demand access materializes a
 	// lazy entry.
 	PointMemUnmappedFault = "mem/unmapped-fault"
-	// PointMemLazyFinalize fires when the streamer observes the last lazy
+	// PointMemLazyFinalize fires when a drain observes the last lazy
 	// entry materialized and finalizes the child.
 	PointMemLazyFinalize = "mem/lazy-finalize"
 
@@ -149,11 +149,10 @@ func PipelinePoints() []string {
 }
 
 // LazyPoints lists the fault points of lazy-clone materialization. They
-// fire after the CLONEOP hypercall has returned — in the background
-// streamer or a demand fault — so they are kept out of PipelinePoints: a
-// failure here leaves a live child with unstreamed pages, handled by
-// cancelling the stream and destroying the child rather than by the
-// pipeline's rollback protocol.
+// fire after the CLONEOP hypercall has returned — in a drain or a demand
+// fault — so they are kept out of PipelinePoints: a failure here leaves a
+// live child with unstreamed pages, handled by destroying the child rather
+// than by the pipeline's rollback protocol.
 func LazyPoints() []string {
 	return []string{PointMemStreamExtent, PointMemUnmappedFault, PointMemLazyFinalize}
 }

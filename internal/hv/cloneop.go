@@ -84,8 +84,8 @@ type CloneRequest struct {
 	N        int // children to create; fewer than one is ErrBadCloneCount
 	CopyRing bool
 	// Mode selects eager (the zero value) or lazy child population; lazy
-	// children stream their regular pages in the background after the
-	// first stage returns (see mem.CloneLazy and WaitStreamed).
+	// children defer their regular pages past the first stage, to demand
+	// faults and to WaitStreamed (see mem.CloneLazy).
 	Mode mem.CloneMode
 	Ctx  obs.OpCtx
 }
@@ -348,9 +348,10 @@ func (h *Hypervisor) cloneOne(parent *Domain, id DomID, copyRing bool, mode mem.
 
 	// Memory: COW-share regular pages, duplicate/rewrite private ones,
 	// rebuild page table and p2m (§5.2). Lazy mode stamps only the hot
-	// extents now and leaves the rest to a background streamer; the
-	// streamer outlives this span, so it carries the fault registry
-	// explicitly (its context would otherwise lose the component scope).
+	// extents now and defers the rest; the drain runs later on its
+	// waiter's context, so the stream carries this fault registry
+	// explicitly (the waiter's context would otherwise lose the component
+	// scope).
 	spanName := "space-clone"
 	if mode == mem.CloneLazy {
 		spanName = "space-clone-lazy"
@@ -552,26 +553,17 @@ func (h *Hypervisor) CloneCOW(ctx obs.OpCtx, id DomID, pfns []mem.PFN) error {
 	return nil
 }
 
-// WaitStreamed blocks until the background streamer of a lazily cloned
-// child has materialized every deferred page, then merges the streamer's
-// virtual time and sub-trace onto ctx with the Detach/Absorb pattern: the
-// streamer's spans land at the caller's current virtual offset, as if the
-// deferred work had run inline here. The merge happens at most once; a
-// second wait only re-reports the stream's terminal error. Eagerly cloned
-// domains (no streamer) return immediately with a nil error.
+// WaitStreamed materializes every page a lazily cloned child still defers
+// (mem.Space.Drain): the deferred work runs here, charged to ctx's meter
+// with one stream-extent span per chunk on its trace. A second wait has
+// nothing left to do and only re-reports the stream's terminal error.
+// Eagerly cloned domains return immediately with a nil error.
 func (h *Hypervisor) WaitStreamed(ctx obs.OpCtx, id DomID) error {
 	d, err := h.Domain(id)
 	if err != nil {
 		return err
 	}
-	sm, sub, werr := d.Space().WaitLazy()
-	if sm != nil {
-		meter := ctx.Meter()
-		offset := meter.Elapsed()
-		meter.Add(sm.Elapsed())
-		ctx.Trace().Absorb(sub, ctx.SpanID(), offset)
-	}
-	return werr
+	return d.Space().Drain(ctx)
 }
 
 // CloneReset is the clone_reset subcommand (§7.2): it restores the clone's

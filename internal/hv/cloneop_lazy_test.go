@@ -9,7 +9,8 @@ import (
 )
 
 // lazyClone runs a lazy first stage plus completion on the rig and returns
-// the child domain. The background streamer is live when this returns.
+// the child domain. Its deferred pages are all still undrained when this
+// returns.
 func lazyClone(t *testing.T, h *Hypervisor, p *Domain) *Domain {
 	t.Helper()
 	res := h.Clone(CloneRequest{
@@ -32,16 +33,12 @@ func lazyClone(t *testing.T, h *Hypervisor, p *Domain) *Domain {
 	return d
 }
 
-// TestCloneResetDrainsStreamer is the regression for the reset/streamer
-// ordering gap: clone_reset on a lazily cloned child whose streamer is
-// still mid-walk must drain the stream before walking the dirty list, or
-// the re-sharing races the streamer's adoptions over the same page table
-// (caught under -race) and resets against a half-populated space. After
-// the reset the stream must be complete and a later WaitStreamed must have
-// nothing left to merge — the reset already folded the streamer's time in.
+// TestCloneResetDrainsStreamer pins the reset/stream ordering: clone_reset
+// on a lazily cloned child that nobody has drained yet must drain the
+// stream, on the reset's own meter, before walking the dirty list, or it
+// resets against a half-populated space. After the reset the stream must
+// be complete and a later WaitStreamed must have nothing left to charge.
 func TestCloneResetDrainsStreamer(t *testing.T) {
-	// A large space keeps the streamer mid-walk with near certainty when
-	// the reset lands right behind the clone.
 	h, p := cloneReady(t, 32768, 4)
 	if err := p.Space().Write(100, 0, []byte("parent"), nil); err != nil {
 		t.Fatal(err)
@@ -51,6 +48,9 @@ func TestCloneResetDrainsStreamer(t *testing.T) {
 	// Dirty one page through the demand path so the reset has work to do.
 	if err := c.Space().WriteOp(obs.Ctx(vclock.NewMeter(nil)), 100, 0, []byte("child")); err != nil {
 		t.Fatal(err)
+	}
+	if ss := c.Space().StreamStats(); ss.DemandPages != 1 || ss.StreamedPages != 0 {
+		t.Fatalf("stats %+v before the reset, want one demand page and nothing streamed", ss)
 	}
 	rm := vclock.NewMeter(nil)
 	restored, err := h.CloneReset(obs.Ctx(rm), c.ID)
@@ -63,13 +63,13 @@ func TestCloneResetDrainsStreamer(t *testing.T) {
 	if ss := c.Space().StreamStats(); ss.Remaining != 0 {
 		t.Fatalf("reset returned with %d pages unstreamed", ss.Remaining)
 	}
-	// The reset consumed the streamer's meter; a later wait merges nothing.
+	// The reset drained the stream; a later wait charges nothing.
 	wm := vclock.NewMeter(nil)
 	if err := h.WaitStreamed(obs.Ctx(wm), c.ID); err != nil {
 		t.Fatalf("WaitStreamed after reset: %v", err)
 	}
 	if wm.Elapsed() != 0 {
-		t.Fatalf("WaitStreamed merged %v after the reset already drained the stream", wm.Elapsed())
+		t.Fatalf("WaitStreamed charged %v after the reset already drained the stream", wm.Elapsed())
 	}
 	// The restored page reads the parent's bytes again.
 	buf := make([]byte, 6)
@@ -81,24 +81,28 @@ func TestCloneResetDrainsStreamer(t *testing.T) {
 	}
 }
 
-// TestWaitStreamedMergesOnce pins the at-most-once merge contract at the
-// hypercall surface: the first wait folds the full streamer time onto the
-// caller's meter, the second returns with the meter untouched.
+// TestWaitStreamedMergesOnce pins the at-most-once contract at the
+// hypercall surface: the first wait charges the whole stream to the
+// caller's meter, including what a meterless access charged before it,
+// and the second returns with the meter untouched.
 func TestWaitStreamedMergesOnce(t *testing.T) {
 	h, p := cloneReady(t, 4096, 4)
 	c := lazyClone(t, h, p)
+	if err := c.Space().Read(7, 0, make([]byte, 8)); err != nil {
+		t.Fatal(err)
+	}
 	m1 := vclock.NewMeter(nil)
 	if err := h.WaitStreamed(obs.Ctx(m1), c.ID); err != nil {
 		t.Fatal(err)
 	}
 	if m1.Elapsed() == 0 {
-		t.Fatal("first WaitStreamed merged no streamer time")
+		t.Fatal("first WaitStreamed charged no stream time")
 	}
 	m2 := vclock.NewMeter(nil)
 	if err := h.WaitStreamed(obs.Ctx(m2), c.ID); err != nil {
 		t.Fatal(err)
 	}
 	if m2.Elapsed() != 0 {
-		t.Fatalf("second WaitStreamed merged %v, want 0", m2.Elapsed())
+		t.Fatalf("second WaitStreamed charged %v, want 0", m2.Elapsed())
 	}
 }

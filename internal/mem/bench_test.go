@@ -65,9 +65,9 @@ func BenchmarkSpaceClone(b *testing.B) {
 
 // BenchmarkLazyClone measures the host-side cost of a lazy clone plus the
 // demand-faulting of a hot set, at 1%, 10% and 100% of a 64 MB guest's
-// pages. The hot-set reads race the background streamer exactly as a real
-// child would; the timed section ends when the hot set is materialized,
-// and the remaining stream drains untimed. Compare against
+// pages. The hot-set reads demand-fault exactly as a real child's would;
+// the timed section ends when the hot set is materialized, and the rest of
+// the stream drains untimed. Compare against
 // BenchmarkSpaceClone/first=64MB, which is the eager cost the 100% sweep
 // should approach.
 func BenchmarkLazyClone(b *testing.B) {
@@ -97,7 +97,7 @@ func BenchmarkLazyClone(b *testing.B) {
 					}
 				}
 				b.StopTimer()
-				if _, _, err := child.WaitLazy(); err != nil {
+				if err := child.Drain(obs.OpCtx{}); err != nil {
 					b.Fatal(err)
 				}
 				if err := child.Release(); err != nil {

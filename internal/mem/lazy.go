@@ -2,9 +2,6 @@ package mem
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"nephele/internal/fault"
 	"nephele/internal/obs"
@@ -20,8 +17,8 @@ const (
 	CloneEager CloneMode = iota
 	// CloneLazy stamps only the hot extents (metadata frames, start_info,
 	// rings, IDC regions) at clone time and leaves regular pages in the
-	// unmapped-lazy pte state, to be materialized by demand faults and a
-	// background streamer. See DESIGN.md §13.
+	// unmapped-lazy pte state, to be materialized by demand faults and by
+	// Space.Drain. See DESIGN.md §13.
 	CloneLazy
 )
 
@@ -36,9 +33,9 @@ func (m CloneMode) String() string {
 	}
 }
 
-// streamChunk is the number of consecutive lazy pages the streamer
-// materializes per locked batch. It bounds how long a demand fault can
-// wait behind the streamer while keeping the per-chunk locking overhead
+// streamChunk is the number of consecutive lazy pages Drain materializes
+// per locked batch. It bounds how long a concurrent access to the space
+// waits behind a drain while keeping the per-chunk locking overhead
 // amortized.
 const streamChunk = 128
 
@@ -176,39 +173,34 @@ func (m *Memory) adoptPledged(dom DomID, ptes []pte, meter *vclock.Meter) error 
 	return nil
 }
 
-// lazyState is the per-child bookkeeping of one lazy clone: the streamer
-// goroutine's lifecycle channels, its detached meter and sub-trace (absorbed
-// into the clone operation's trace by WaitLazy callers), and the
-// materialization counters. The counters and err are guarded by the owning
-// Space's mu; wantFault is the only cross-goroutine signal read without it.
+// lazyState is the per-child bookkeeping of one lazy clone: the fault
+// registry of the clone operation, the private meter meterless accesses
+// charge, the drain cursor and the materialization counters. Every field is
+// guarded by the owning Space's mu.
 type lazyState struct {
-	cancel     chan struct{}
-	cancelOnce sync.Once
-	done       chan struct{}
-
+	// meter takes the materialization charges of accesses that carry no
+	// meter; the next Drain moves its time onto the drainer's meter.
 	meter  *vclock.Meter
-	sub    *obs.Trace
-	ctx    obs.OpCtx
 	faults *fault.Registry
 
-	// wantFault is incremented around demand accesses so the streamer
-	// yields between chunks instead of making faulting vCPUs wait behind
-	// bulk work.
-	wantFault atomic.Int32
-
+	// next is the lowest pfn that may still be lazy: materialization is
+	// one-way, so the drain never looks below it again.
+	next            int
 	remaining       int
 	streamedPages   int
 	streamedExtents int
 	demandPages     int
-	merged          bool
-	err             error
+	// stopped marks a stream that drains no further: it finalized, failed
+	// (err) or was cancelled.
+	stopped bool
+	err     error
 }
 
 // StreamStats reports the progress of a lazy clone's materialization.
 type StreamStats struct {
 	Remaining       int // lazy entries not yet materialized
-	StreamedPages   int // pages materialized by the background streamer
-	StreamedExtents int // chunks the streamer processed
+	StreamedPages   int // pages materialized by Drain
+	StreamedExtents int // chunks Drain processed
 	DemandPages     int // pages materialized by demand faults
 }
 
@@ -237,112 +229,102 @@ func (s *Space) UnmappedFaults() int {
 	return s.unmapped
 }
 
-// startStream launches the background streamer for a freshly built lazy
-// child. It detaches a private meter and sub-trace from ctx so the streamer
-// charges deterministically off the fault-side meters; WaitLazy hands both
-// back for the caller to merge.
-func (s *Space) startStream(ctx obs.OpCtx, remaining int) {
-	dctx, sub := ctx.Detach()
-	ls := &lazyState{
-		cancel:    make(chan struct{}),
-		done:      make(chan struct{}),
-		meter:     dctx.Meter(),
-		sub:       sub,
-		ctx:       dctx,
-		faults:    ctx.Faults(nil),
+// startStream installs the stream state of a freshly built lazy child: the
+// clone's fault registry, which travels with the stream because the drain
+// runs later on its waiter's context, and a private meter on the clone's
+// cost table for meterless accesses, which the next Drain merges.
+func (s *Space) startStream(costs *vclock.CostModel, faults *fault.Registry, remaining int) {
+	s.lazy = &lazyState{
+		meter:     vclock.NewMeter(costs),
+		faults:    faults,
 		remaining: remaining,
 	}
-	s.lazy = ls
-	s.lazyOn.Store(true)
-	go s.streamLoop(ls)
 }
 
-// streamLoop walks the child's lazy extents in ascending pfn order — the
-// deterministic order the clone walk recorded them in — materializing up to
-// streamChunk pages per locked batch. Between batches it yields to
-// demand faults (wantFault) and to cancellation. Pages consumed by demand
-// faults in the meantime are simply skipped: remaining counts both paths.
-// The loop never reads the wall clock, so the determinism analyzer needs no
-// waiver for it.
-func (s *Space) streamLoop(ls *lazyState) {
-	defer close(ls.done)
-	cursor := 0
-	for {
-		select {
-		case <-ls.cancel:
-			return
-		default:
-		}
-		for ls.wantFault.Load() > 0 {
-			select {
-			case <-ls.cancel:
-				return
-			default:
-				runtime.Gosched()
-			}
-		}
-		s.mu.Lock()
-		if s.retired {
-			s.mu.Unlock()
-			return
-		}
-		if ls.remaining == 0 {
-			if err := ls.faults.Check(fault.PointMemLazyFinalize); err != nil && ls.err == nil {
-				ls.err = err
-			}
-			s.lazyOn.Store(false)
-			s.mu.Unlock()
-			return
-		}
-		for cursor < len(s.ptes) && !s.ptes[cursor].lazy() {
-			cursor++
-		}
-		if cursor >= len(s.ptes) {
-			// Demand faults consumed everything past the cursor; the next
-			// iteration observes remaining == 0 and finalizes.
-			s.mu.Unlock()
-			continue
-		}
-		hi := cursor
-		for hi < len(s.ptes) && s.ptes[hi].lazy() && hi-cursor < streamChunk {
-			hi++
-		}
-		if err := ls.faults.Check(fault.PointMemStreamExtent); err != nil {
-			ls.err = err
-			s.lazyOn.Store(false)
-			s.mu.Unlock()
-			return
-		}
-		_, span := ls.ctx.StartSpan("stream-extent")
-		ext := s.ptes[cursor:hi]
-		if err := s.mem.adoptPledged(s.dom, ext, ls.meter); err != nil {
-			span.End()
-			ls.err = err
-			s.lazyOn.Store(false)
-			s.mu.Unlock()
-			return
-		}
-		n := hi - cursor
-		ls.meter.Charge(ls.meter.Costs().PTEntryClone, n)
-		ls.meter.Charge(ls.meter.Costs().P2MEntryClone, n)
-		for i := range ext {
-			ext[i] = ext[i].materialized()
-		}
-		ls.remaining -= n
-		ls.streamedPages += n
-		ls.streamedExtents++
-		span.End()
-		if mm := s.mem.metrics.Load(); mm != nil {
-			mm.streamExtents.Inc()
-		}
-		cursor = hi
-		s.mu.Unlock()
+// Drain materializes every lazy entry still deferred, on ctx's meter and
+// trace: first the time meterless accesses charged since the last drain
+// moves onto ctx's meter, then the walk goes in ascending pfn order — the
+// order the clone walk recorded the entries in — up to streamChunk pages
+// per locked batch, one stream-extent span each. Pages demand faults took
+// in the meantime are skipped. Once nothing remains the stream finalizes.
+// A failure stops the stream for good: it is recorded and returned again
+// by every later call, as is ErrStreamPending for a cancelled or released
+// stream with pages left. Eager spaces return nil at once.
+func (s *Space) Drain(ctx obs.OpCtx) error {
+	ls := s.lazy
+	if ls == nil {
+		return nil
 	}
+	s.mu.Lock()
+	ctx.Meter().Add(ls.meter.Elapsed())
+	ls.meter.Reset()
+	s.mu.Unlock()
+	for {
+		s.mu.Lock()
+		done, err := s.drainChunkLocked(ctx, ls)
+		s.mu.Unlock()
+		if done {
+			return err
+		}
+	}
+}
+
+// drainChunkLocked runs one step of Drain: it materializes the next chunk
+// of lazy entries, or finalizes the stream, or reports why the stream is
+// over. s.mu must be held.
+func (s *Space) drainChunkLocked(ctx obs.OpCtx, ls *lazyState) (done bool, err error) {
+	if ls.stopped || s.retired {
+		if ls.err == nil && ls.remaining > 0 {
+			return true, ErrStreamPending
+		}
+		return true, ls.err
+	}
+	if ls.remaining == 0 {
+		ls.stopped = true
+		ls.err = ls.faults.Check(fault.PointMemLazyFinalize)
+		return true, ls.err
+	}
+	// remaining > 0 and every lazy entry sits at or past next, so the
+	// scan finds one.
+	lo := ls.next
+	for !s.ptes[lo].lazy() {
+		lo++
+	}
+	hi := lo
+	for hi < len(s.ptes) && s.ptes[hi].lazy() && hi-lo < streamChunk {
+		hi++
+	}
+	ls.next = hi
+	if err := ls.faults.Check(fault.PointMemStreamExtent); err != nil {
+		ls.stopped, ls.err = true, err
+		return true, err
+	}
+	_, span := ctx.StartSpan("stream-extent")
+	defer span.End()
+	meter := ctx.Meter()
+	ext := s.ptes[lo:hi]
+	if err := s.mem.adoptPledged(s.dom, ext, meter); err != nil {
+		ls.stopped, ls.err = true, err
+		return true, err
+	}
+	n := hi - lo
+	meter.Charge(meter.Costs().PTEntryClone, n)
+	meter.Charge(meter.Costs().P2MEntryClone, n)
+	for i := range ext {
+		ext[i] = ext[i].materialized()
+	}
+	ls.remaining -= n
+	ls.streamedPages += n
+	ls.streamedExtents++
+	if mm := s.mem.metrics; mm != nil {
+		mm.streamExtents.Inc()
+	}
+	return false, nil
 }
 
 // demandFaultLocked materializes one lazy page on behalf of an access that
 // hit it: the pledge is adopted (converting the source frame to dom_cow if
-// the streamer has not reached it) and the deferred page-table and p2m
+// no drain has reached it) and the deferred page-table and p2m
 // entries are charged, so a fully materialized lazy child has charged
 // exactly what its eager sibling did at clone time. s.mu must be held.
 func (s *Space) demandFaultLocked(ctx obs.OpCtx, pfn PFN, p *pte) error {
@@ -357,9 +339,9 @@ func (s *Space) demandFaultLocked(ctx obs.OpCtx, pfn PFN, p *pte) error {
 	}
 	meter := fctx.Meter()
 	if meter == nil {
-		// Legacy meterless accesses charge the streamer's meter instead,
-		// so the page's materialization cost is never dropped; both
-		// charge under s.mu.
+		// Meterless accesses charge the stream's private meter instead,
+		// which the next Drain moves onto its caller, so the page's
+		// materialization cost is never dropped.
 		meter = ls.meter
 	}
 	if err := s.mem.adoptPledged(s.dom, s.ptes[pfn:pfn+1], meter); err != nil {
@@ -371,60 +353,23 @@ func (s *Space) demandFaultLocked(ctx obs.OpCtx, pfn PFN, p *pte) error {
 	ls.remaining--
 	ls.demandPages++
 	s.unmapped++
-	if mm := s.mem.metrics.Load(); mm != nil {
+	if mm := s.mem.metrics; mm != nil {
 		mm.unmappedFaults.Inc()
 	}
 	return nil
 }
 
-// demandHint marks a demand access in flight so the streamer yields at its
-// next chunk boundary. The returned release must be called when the access
-// completes; both are nil/no-op for eager spaces, whose hot paths pay one
-// atomic load.
-func (s *Space) demandHint() *lazyState {
-	if !s.lazyOn.Load() {
-		return nil
-	}
-	ls := s.lazy
-	if ls == nil {
-		return nil
-	}
-	ls.wantFault.Add(1)
-	return ls
-}
-
-// WaitLazy blocks until the background streamer has materialized every lazy
-// page (or failed, or was cancelled) and hands back its detached meter and
-// sub-trace exactly once for the caller to merge. Subsequent calls return
-// only the recorded error. Eager spaces return all nil immediately.
-func (s *Space) WaitLazy() (*vclock.Meter, *obs.Trace, error) {
-	ls := s.lazy
-	if ls == nil {
-		return nil, nil, nil
-	}
-	<-ls.done
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	err := ls.err
-	if err == nil && ls.remaining > 0 {
-		err = ErrStreamPending
-	}
-	if ls.merged {
-		return nil, nil, err
-	}
-	ls.merged = true
-	return ls.meter, ls.sub, err
-}
-
-// CancelStream stops the background streamer, if one is running, and waits
-// for it to exit. Pages already materialized stay; the rest keep their
-// pledges until the space is released. Safe to call multiple times and on
-// eager spaces.
+// CancelStream stops the stream: a later Drain materializes nothing more
+// and returns ErrStreamPending while pages remain. Pages already
+// materialized stay, demand faults still materialize the rest on access,
+// and the unmaterialized ones keep their pledges until the space is
+// released. Safe to call multiple times and on eager spaces.
 func (s *Space) CancelStream() {
 	ls := s.lazy
 	if ls == nil {
 		return
 	}
-	ls.cancelOnce.Do(func() { close(ls.cancel) })
-	<-ls.done
+	s.mu.Lock()
+	ls.stopped = true
+	s.mu.Unlock()
 }

@@ -16,16 +16,43 @@ import (
 
 // runSeed runs one seed's differential check, shrinking the workload to a
 // minimal failing prefix on failure so the report pinpoints the scenario.
+// A second run of the same seed must charge each lazy meter exactly what
+// the first did: which meter pays for a page is fixed by the input.
 func runSeed(t *testing.T, seed int64) {
 	t.Helper()
 	sc := NewScenario(seed)
-	err := sc.Run(len(sc.ops))
-	if err == nil {
-		return
+	first, err := sc.run(len(sc.ops))
+	if err != nil {
+		n := sc.Shrink()
+		t.Fatalf("seed %d (pages=%d, ops=%d, second=%v): %v\n  minimal failing prefix: %d ops (%v)",
+			seed, sc.Pages, len(sc.ops), sc.SecondClone, err, n, sc.Run(n))
 	}
-	n := sc.Shrink()
-	t.Fatalf("seed %d (pages=%d, ops=%d, second=%v): %v\n  minimal failing prefix: %d ops (%v)",
-		seed, sc.Pages, len(sc.ops), sc.SecondClone, err, n, sc.Run(n))
+	again, err := sc.run(len(sc.ops))
+	if err != nil {
+		t.Fatalf("seed %d, second run: %v", seed, err)
+	}
+	if first != again {
+		t.Fatalf("seed %d: lazy meters differ between runs: %+v, then %+v", seed, first, again)
+	}
+}
+
+// envSeeds parses NEPHELE_LAZY_SEEDS, the pinned seed list CI replays; it
+// returns nil when the variable is unset.
+func envSeeds(t *testing.T) []int64 {
+	t.Helper()
+	env := os.Getenv("NEPHELE_LAZY_SEEDS")
+	if env == "" {
+		return nil
+	}
+	var seeds []int64
+	for _, f := range strings.Split(env, ",") {
+		seed, err := strconv.ParseInt(strings.TrimSpace(f), 10, 64)
+		if err != nil {
+			t.Fatalf("bad seed %q: %v", f, err)
+		}
+		seeds = append(seeds, seed)
+	}
+	return seeds
 }
 
 // TestLazyDifferential is the headline harness: many seeded randomized
@@ -46,15 +73,11 @@ func TestLazyDifferential(t *testing.T) {
 // the CI matrix entry point, and the way a failing seed from any run is
 // pinned as a regression.
 func TestLazySeedMatrix(t *testing.T) {
-	env := os.Getenv("NEPHELE_LAZY_SEEDS")
-	if env == "" {
+	seeds := envSeeds(t)
+	if seeds == nil {
 		t.Skip("NEPHELE_LAZY_SEEDS not set")
 	}
-	for _, f := range strings.Split(env, ",") {
-		seed, err := strconv.ParseInt(strings.TrimSpace(f), 10, 64)
-		if err != nil {
-			t.Fatalf("bad seed %q: %v", f, err)
-		}
+	for _, seed := range seeds {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			runSeed(t, seed)
 		})
@@ -62,9 +85,9 @@ func TestLazySeedMatrix(t *testing.T) {
 }
 
 // TestLazyGoldenNoWorkload pins the strongest determinism claim: with no
-// workload at all there is no fault/streamer race, so the lazy clone's
-// virtual time plus the streamer's equals the eager clone's EXACTLY, seed
-// by seed — the golden-series equivalence of DESIGN.md §13.
+// workload at all the drain materializes every deferred page, so the
+// stream meter is EXACTLY the eager CLONEOP minus the lazy one, seed by
+// seed — the golden-series equivalence of DESIGN.md §13.
 func TestLazyGoldenNoWorkload(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		sc := NewScenario(seed)
@@ -76,17 +99,15 @@ func TestLazyGoldenNoWorkload(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		sm, _, err := lazy.child.WaitLazy()
-		if err != nil {
-			t.Fatalf("seed %d: WaitLazy: %v", seed, err)
+		if err := lazy.drain(); err != nil {
+			t.Fatalf("seed %d: Drain: %v", seed, err)
 		}
-		var streamV vclock.Duration
-		if sm != nil {
-			streamV = sm.Elapsed()
+		if got, want := lazy.streamM.Elapsed(), eager.cloneM.Elapsed()-lazy.cloneM.Elapsed(); got != want {
+			t.Fatalf("seed %d: stream %d != eager %d - lazy %d",
+				seed, got, eager.cloneM.Elapsed(), lazy.cloneM.Elapsed())
 		}
-		if eager.cloneM.Elapsed() != lazy.cloneM.Elapsed()+streamV {
-			t.Fatalf("seed %d: eager %d != lazy %d + stream %d",
-				seed, eager.cloneM.Elapsed(), lazy.cloneM.Elapsed(), streamV)
+		if ss := lazy.child.StreamStats(); ss.StreamedPages != lazy.st.Deferred || ss.DemandPages != 0 {
+			t.Fatalf("seed %d: stats %+v after a drain with no workload, deferred %d", seed, ss, lazy.st.Deferred)
 		}
 		if lazy.cloneM.Elapsed() >= eager.cloneM.Elapsed() && lazy.st.Deferred > 0 {
 			t.Fatalf("seed %d: lazy CLONEOP (%d) not cheaper than eager (%d) with %d deferred",
@@ -102,7 +123,7 @@ func TestLazyGoldenNoWorkload(t *testing.T) {
 	}
 }
 
-// TestLazyGoldenSeriesPostStream asserts that once the stream completes a
+// TestLazyGoldenSeriesPostStream asserts that once the drain completes a
 // no-demand-fault workload produces the IDENTICAL per-op virtual-time
 // series on both sides: materialization leaves no trace in later costs.
 func TestLazyGoldenSeriesPostStream(t *testing.T) {
@@ -115,8 +136,8 @@ func TestLazyGoldenSeriesPostStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := lazy.child.WaitLazy(); err != nil {
-		t.Fatalf("WaitLazy: %v", err)
+	if err := lazy.drain(); err != nil {
+		t.Fatalf("Drain: %v", err)
 	}
 	series := func(s *side) []vclock.Duration {
 		out := make([]vclock.Duration, 0, sc.Pages)
@@ -137,41 +158,34 @@ func TestLazyGoldenSeriesPostStream(t *testing.T) {
 	}
 }
 
-// TestLazyLostExtentFails documents the lost-extent bug class: a streamer
-// that dies mid-walk (injected here) must surface through WaitLazy, leave
+// TestLazyLostExtentFails documents the lost-extent bug class: a drain
+// that dies mid-walk (injected here) must surface its error, leave
 // Remaining non-zero, and block further cloning of the child with
 // ErrStreamPending — the failure the differential harness would report as
 // a snapshot hole.
 func TestLazyLostExtentFails(t *testing.T) {
 	sc := NewScenario(3)
-	reg := fault.NewRegistry()
-	reg.Inject(fault.PointMemStreamExtent, fault.FailOnce(), fault.Fatal)
-
-	s := &side{
-		mode:   mem.CloneLazy,
-		m:      mem.New(uint64(sc.frames()) * mem.PageSize),
-		buildM: vclock.NewMeter(nil),
-		cloneM: vclock.NewMeter(nil),
-	}
-	var err error
-	s.parent, err = mem.NewSpace(s.m, parentDom, sc.Pages, s.buildM)
+	s, err := sc.build(mem.CloneLazy)
 	if err != nil {
 		t.Fatal(err)
-	}
-	ctx := obs.Ctx(s.cloneM).WithFaults(reg)
-	s.child, s.st, err = s.parent.CloneOpMode(ctx, childDom, true, mem.CloneLazy)
-	if err != nil {
-		t.Fatalf("clone: %v", err)
 	}
 	if s.st.Deferred == 0 {
 		t.Fatal("nothing deferred")
 	}
-	_, _, werr := s.child.WaitLazy()
-	if !fault.IsFault(werr) {
-		t.Fatalf("WaitLazy = %v, want injected fault", werr)
+	if _, _, cerr := s.child.CloneOp(obs.Ctx(vclock.NewMeter(nil)), secondDom, true); !errors.Is(cerr, mem.ErrStreamPending) {
+		t.Fatalf("clone of an undrained child = %v, want ErrStreamPending", cerr)
 	}
-	if ss := s.child.StreamStats(); ss.Remaining == 0 {
-		t.Fatal("injected stream failure but no pages remaining")
+	s.faults.Inject(fault.PointMemStreamExtent, fault.FailOnce(), fault.Fatal)
+	if werr := s.drain(); !fault.IsFault(werr) {
+		t.Fatalf("Drain = %v, want injected fault", werr)
+	}
+	// The failure is terminal: disarmed, a second drain re-reports it.
+	s.faults.Clear(fault.PointMemStreamExtent)
+	if werr := s.drain(); !fault.IsFault(werr) {
+		t.Fatalf("second Drain = %v, want the recorded fault", werr)
+	}
+	if ss := s.child.StreamStats(); ss.Remaining != s.st.Deferred {
+		t.Fatalf("stats %+v after a first-chunk failure, want all %d pages remaining", ss, s.st.Deferred)
 	}
 	if _, _, cerr := s.child.CloneOp(obs.Ctx(vclock.NewMeter(nil)), secondDom, true); !errors.Is(cerr, mem.ErrStreamPending) {
 		t.Fatalf("clone of half-streamed child = %v, want ErrStreamPending", cerr)
@@ -193,74 +207,37 @@ func TestLazyDemandFaultInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	reg := fault.NewRegistry()
-	lazy := &side{
-		mode:   mem.CloneLazy,
-		m:      mem.New(uint64(sc.frames()) * mem.PageSize),
-		buildM: vclock.NewMeter(nil),
-		cloneM: vclock.NewMeter(nil),
-		workM:  vclock.NewMeter(nil),
-	}
-	lazy.parent, err = mem.NewSpace(lazy.m, parentDom, sc.Pages, lazy.buildM)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, ps := range sc.specs {
-		pfn := mem.PFN(i)
-		if err := lazy.parent.Write(pfn, ps.off, ps.token, lazy.buildM); err != nil {
-			t.Fatal(err)
-		}
-		if ps.kind != mem.KindRegular {
-			if err := lazy.parent.SetKind(pfn, ps.kind); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if ps.readOnly {
-			if err := lazy.parent.SetWritable(pfn, false); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	ctx := obs.Ctx(lazy.cloneM).WithFaults(reg)
-	lazy.child, lazy.st, err = lazy.parent.CloneOpMode(ctx, childDom, true, mem.CloneLazy)
+	lazy, err := sc.build(mem.CloneLazy)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Find a deferred page and fault on it with the point armed.
-	var target mem.PFN
-	found := false
+	target := -1
 	for i, ps := range sc.specs {
 		if ps.kind == mem.KindRegular && !ps.readOnly {
-			target, found = mem.PFN(i), true
+			target = i
 			break
 		}
 	}
-	if !found {
+	if target < 0 {
 		t.Skip("scenario has no writable regular page")
 	}
-	reg.Inject(fault.PointMemUnmappedFault, fault.FailAlways(), fault.Transient)
+	lazy.faults.Inject(fault.PointMemUnmappedFault, fault.FailAlways(), fault.Transient)
 	buf := make([]byte, 8)
-	rerr := lazy.child.ReadOp(obs.Ctx(lazy.workM), target, 0, buf)
-	if !fault.IsFault(rerr) {
-		// The streamer may have materialized the page before the read;
-		// that is a legal race, but then the fault point must never have
-		// fired for this access path.
-		if rerr != nil {
-			t.Fatalf("read = %v, want injected fault or success-after-stream", rerr)
-		}
+	if rerr := lazy.child.ReadOp(obs.Ctx(lazy.workM), mem.PFN(target), 0, buf); !fault.IsFault(rerr) {
+		t.Fatalf("read = %v, want injected fault", rerr)
 	}
-	reg.Clear(fault.PointMemUnmappedFault)
-	if err := lazy.child.ReadOp(obs.Ctx(lazy.workM), target, 0, buf); err != nil {
+	lazy.faults.Clear(fault.PointMemUnmappedFault)
+	if err := lazy.child.ReadOp(obs.Ctx(lazy.workM), mem.PFN(target), 0, buf); err != nil {
 		t.Fatalf("read after disarm: %v", err)
 	}
-
-	if _, _, err := lazy.child.WaitLazy(); err != nil {
-		t.Fatalf("WaitLazy: %v", err)
+	if ss := lazy.child.StreamStats(); ss.DemandPages != 1 {
+		t.Fatalf("stats %+v, want the retried read's one demand page", ss)
 	}
-	if _, _, err := eager.child.WaitLazy(); err != nil {
-		t.Fatalf("eager WaitLazy: %v", err)
+
+	if err := lazy.drain(); err != nil {
+		t.Fatalf("Drain: %v", err)
 	}
 	if err := snapshotsEqual("child", eager.child, lazy.child); err != nil {
 		t.Fatal(err)

@@ -1,21 +1,24 @@
 // Package lazytest is the differential test harness proving that lazy
-// cloning (demand-paged children populated by a background streamer) is
+// cloning (demand-paged children, drained by their waiter) is
 // observationally equivalent to eager cloning.
 //
 // Each scenario is derived from a seed: a randomized parent layout (page
 // kinds, read-only text, seeded contents) and a randomized workload (child
 // and parent reads, writes and COW touches). The harness builds the SAME
 // parent twice in two independent memory pools, clones one eagerly and one
-// lazily, applies the identical workload to both sides, forces the
-// streamer to completion and then asserts equivalence:
+// lazily, applies the identical workload to both sides, drains the lazy
+// child and then asserts equivalence:
 //
 //   - byte-identical child and parent snapshots,
 //   - identical per-op results (data read, errors returned),
 //   - consistent CloneStats (deferred + stamped = eagerly stamped),
 //   - identical COW-fault counts,
 //   - exact virtual-time parity: the total across every meter involved
-//     (clone + streamer + workload) equals the eager total, because every
+//     (clone + stream + workload) equals the eager total, because every
 //     deferred charge lands exactly once at materialization,
+//   - one demand fault per distinct deferred page the workload touched
+//     before the drain, so the split between the workload and stream
+//     meters is fixed by the input,
 //   - identical frame accounting, and full recovery of the free list
 //     after teardown (no pledge or zombie leak),
 //   - a clean mem.Memory.Audit of both pools after the stream and after
@@ -24,8 +27,8 @@
 // Every lazy bug class is expressible as a failing scenario: a lost extent
 // leaves Remaining != 0 or a snapshot hole; a double-streamed extent
 // double-charges the meter and breaks virtual-time parity (and corrupts
-// the refcount, breaking the teardown check); a fault/streamer race that
-// drops or duplicates a materialization breaks the fault accounting; a
+// the refcount, breaking the teardown check); a drain that drops or
+// duplicates a materialization breaks the fault accounting; a
 // rollback that forgets pledges leaks zombie frames and fails the
 // free-list check.
 package lazytest
@@ -35,6 +38,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"nephele/internal/fault"
 	"nephele/internal/mem"
 	"nephele/internal/obs"
 	"nephele/internal/vclock"
@@ -98,7 +102,7 @@ type Scenario struct {
 	Seed  int64
 	Pages int
 	// SecondClone additionally clones both parents eagerly after the
-	// stream completes, exercising the everPledged share path against the
+	// drain completes, exercising the everPledged share path against the
 	// ordinary 2nd-clone sharer-bump fast path.
 	SecondClone bool
 
@@ -165,27 +169,32 @@ func (sc *Scenario) frames() int {
 	return sc.Pages*6 + 3*meta + 128
 }
 
-// side is one half of a differential run: its own pool, parent, child and
-// the meters whose sum participates in the parity check.
+// side is one half of a differential run: its own pool, parent, child,
+// the meters whose sum participates in the parity check, and the fault
+// registry the clone's context carries (empty unless a test arms it).
 type side struct {
-	mode   mem.CloneMode
-	m      *mem.Memory
-	parent *mem.Space
-	child  *mem.Space
-	st     mem.CloneStats
-	buildM *vclock.Meter
-	cloneM *vclock.Meter
-	workM  *vclock.Meter
+	mode    mem.CloneMode
+	m       *mem.Memory
+	parent  *mem.Space
+	child   *mem.Space
+	st      mem.CloneStats
+	faults  *fault.Registry
+	buildM  *vclock.Meter
+	cloneM  *vclock.Meter
+	workM   *vclock.Meter
+	streamM *vclock.Meter
 }
 
 // build constructs the parent from the layout and clones it in mode.
 func (sc *Scenario) build(mode mem.CloneMode) (*side, error) {
 	s := &side{
-		mode:   mode,
-		m:      mem.New(uint64(sc.frames()) * mem.PageSize),
-		buildM: vclock.NewMeter(nil),
-		cloneM: vclock.NewMeter(nil),
-		workM:  vclock.NewMeter(nil),
+		mode:    mode,
+		m:       mem.New(uint64(sc.frames()) * mem.PageSize),
+		faults:  fault.NewRegistry(),
+		buildM:  vclock.NewMeter(nil),
+		cloneM:  vclock.NewMeter(nil),
+		workM:   vclock.NewMeter(nil),
+		streamM: vclock.NewMeter(nil),
 	}
 	var err error
 	s.parent, err = mem.NewSpace(s.m, parentDom, sc.Pages, s.buildM)
@@ -208,7 +217,7 @@ func (sc *Scenario) build(mode mem.CloneMode) (*side, error) {
 			}
 		}
 	}
-	s.child, s.st, err = s.parent.CloneOpMode(obs.Ctx(s.cloneM), childDom, true, mode)
+	s.child, s.st, err = s.parent.CloneOpMode(obs.Ctx(s.cloneM).WithFaults(s.faults), childDom, true, mode)
 	if err != nil {
 		return nil, fmt.Errorf("%v clone: %w", mode, err)
 	}
@@ -222,8 +231,10 @@ func (s *side) apply(op wop) ([]byte, error) {
 	case opChildWrite:
 		return nil, s.child.WriteOp(obs.Ctx(s.workM), op.pfn, op.off, op.data)
 	case opChildRead:
+		// Meterless, as a guest's plain loads are: a demand fault here
+		// charges the stream's private meter, which the drain takes over.
 		buf := make([]byte, 16)
-		err := s.child.ReadOp(obs.Ctx(s.workM), op.pfn, op.off, buf)
+		err := s.child.Read(op.pfn, op.off, buf)
 		return buf, err
 	case opChildTouch:
 		return nil, s.child.TouchCOW(op.pfn, s.workM)
@@ -238,9 +249,14 @@ func (s *side) apply(op wop) ([]byte, error) {
 	}
 }
 
+// drain materializes the side's deferred pages on its stream meter.
+func (s *side) drain() error {
+	return s.child.Drain(obs.Ctx(s.streamM))
+}
+
 // release tears the side down (child first, then parent) and verifies the
 // pool's free list recovered completely — the no-leak postcondition that
-// fails if a pledge, zombie or streamer reference survives teardown.
+// fails if a pledge or zombie reference survives teardown.
 func (s *side) release(total int) error {
 	if s.child != nil {
 		if err := s.child.Release(); err != nil {
@@ -286,28 +302,68 @@ func snapshotsEqual(what string, a, b *mem.Space) error {
 	return nil
 }
 
+// lazySplit is what one lazy run charged to each of its meters.
+type lazySplit struct {
+	clone, work, stream vclock.Duration
+}
+
 // Run executes the scenario's full differential check with the first nops
 // workload ops (pass len(sc.ops) for all) and returns the first violated
 // invariant.
 func (sc *Scenario) Run(nops int) error {
+	_, err := sc.run(nops)
+	return err
+}
+
+// run is Run, also returning the lazy side's per-meter split.
+func (sc *Scenario) run(nops int) (lazySplit, error) {
+	var split lazySplit
 	eager, err := sc.build(mem.CloneEager)
 	if err != nil {
-		return err
+		return split, err
 	}
 	lazy, err := sc.build(mem.CloneLazy)
 	if err != nil {
-		return err
+		return split, err
 	}
 
 	// The two parents were built by identical operations: their virtual
 	// time must agree exactly before any mode-dependent work happens.
 	if eager.buildM.Elapsed() != lazy.buildM.Elapsed() {
-		return fmt.Errorf("parent build time diverged: %d vs %d",
+		return split, fmt.Errorf("parent build time diverged: %d vs %d",
 			eager.buildM.Elapsed(), lazy.buildM.Elapsed())
 	}
 
-	// Identical workloads, racing the lazy side's streamer.
-	for i, op := range sc.ops[:nops] {
+	// Identical workloads; on the lazy side every first touch of a
+	// deferred page demand-faults.
+	if err := applyOps(eager, lazy, sc.ops[:nops]); err != nil {
+		return split, err
+	}
+	if err := lazy.drain(); err != nil {
+		return split, fmt.Errorf("Drain: %w", err)
+	}
+	if err := sc.check(eager, lazy, sc.ops[:nops]); err != nil {
+		return split, err
+	}
+	split = lazySplit{lazy.cloneM.Elapsed(), lazy.workM.Elapsed(), lazy.streamM.Elapsed()}
+
+	if sc.SecondClone {
+		if err := sc.secondClone(eager, lazy); err != nil {
+			return split, err
+		}
+	}
+
+	total := sc.frames()
+	if err := lazy.release(total); err != nil {
+		return split, err
+	}
+	return split, eager.release(total)
+}
+
+// applyOps runs ops on both sides in order, failing on the first op whose
+// error or read data differs between them.
+func applyOps(eager, lazy *side, ops []wop) error {
+	for i, op := range ops {
 		ed, ee := eager.apply(op)
 		ld, le := lazy.apply(op)
 		if !sameErr(ee, le) {
@@ -317,36 +373,26 @@ func (sc *Scenario) Run(nops int) error {
 			return fmt.Errorf("op %d %v pfn %d: read diverged: %x vs %x", i, op.kind, op.pfn, ed, ld)
 		}
 	}
-
-	// Force the streamer to completion and fold its meter into the check.
-	sm, _, err := lazy.child.WaitLazy()
-	if err != nil {
-		return fmt.Errorf("WaitLazy: %w", err)
-	}
-	var streamV vclock.Duration
-	if sm != nil {
-		streamV = sm.Elapsed()
-	}
-
-	if err := sc.check(eager, lazy, streamV); err != nil {
-		return err
-	}
-
-	if sc.SecondClone {
-		if err := sc.secondClone(eager, lazy); err != nil {
-			return err
-		}
-	}
-
-	total := sc.frames()
-	if err := lazy.release(total); err != nil {
-		return err
-	}
-	return eager.release(total)
+	return nil
 }
 
-// check asserts every post-stream equivalence invariant.
-func (sc *Scenario) check(eager, lazy *side, streamV vclock.Duration) error {
+// demandTouched counts the distinct deferred pages (every regular page
+// of the layout) that child accesses among ops touch: each is one demand
+// fault, whatever the access did afterwards.
+func (sc *Scenario) demandTouched(ops []wop) int {
+	seen := make(map[mem.PFN]bool)
+	for _, op := range ops {
+		child := op.kind == opChildWrite || op.kind == opChildRead || op.kind == opChildTouch
+		if child && sc.specs[op.pfn].kind == mem.KindRegular {
+			seen[op.pfn] = true
+		}
+	}
+	return len(seen)
+}
+
+// check asserts every post-drain equivalence invariant, ops being the
+// workload that ran before the drain.
+func (sc *Scenario) check(eager, lazy *side, ops []wop) error {
 	// Clone-stats relations: what lazy deferred plus what it stamped is
 	// exactly what eager stamped.
 	est, lst := eager.st, lazy.st
@@ -375,6 +421,9 @@ func (sc *Scenario) check(eager, lazy *side, streamV vclock.Duration) error {
 	if ss.StreamedPages+ss.DemandPages != lst.Deferred {
 		return fmt.Errorf("streamed %d + demand %d != deferred %d", ss.StreamedPages, ss.DemandPages, lst.Deferred)
 	}
+	if want := sc.demandTouched(ops); ss.DemandPages != want {
+		return fmt.Errorf("DemandPages %d, want %d distinct deferred pages touched", ss.DemandPages, want)
+	}
 	if got := lazy.child.UnmappedFaults(); got != ss.DemandPages {
 		return fmt.Errorf("UnmappedFaults %d != DemandPages %d", got, ss.DemandPages)
 	}
@@ -400,20 +449,20 @@ func (sc *Scenario) check(eager, lazy *side, streamV vclock.Duration) error {
 	}
 
 	// Exact virtual-time parity: every deferred charge lands exactly once,
-	// so the family-wide total is mode-independent. Which meter received a
-	// materialization charge depends on the fault/streamer race; the sum
-	// does not.
-	eagerTotal := eager.cloneM.Elapsed() + eager.workM.Elapsed()
-	lazyTotal := lazy.cloneM.Elapsed() + streamV + lazy.workM.Elapsed()
-	if eagerTotal != lazyTotal {
-		return fmt.Errorf("virtual-time parity broken: eager %d, lazy %d (clone %d + stream %d + work %d)",
-			eagerTotal, lazyTotal, lazy.cloneM.Elapsed(), streamV, lazy.workM.Elapsed())
+	// so the family-wide total is mode-independent.
+	if err := metersAddUp(eager, lazy); err != nil {
+		return err
 	}
 
 	// Frame accounting: both pools hold the same number of live frames.
 	if ef, lf := eager.m.FreeFrames(), lazy.m.FreeFrames(); ef != lf {
 		return fmt.Errorf("free frames diverged: eager %d, lazy %d", ef, lf)
 	}
+	return audited(eager, lazy)
+}
+
+// audited runs Memory.Audit on both sides' pools.
+func audited(eager, lazy *side) error {
 	for _, s := range []*side{eager, lazy} {
 		if err := s.m.Audit(); err != nil {
 			return fmt.Errorf("%v: %w", s.mode, err)
@@ -422,7 +471,19 @@ func (sc *Scenario) check(eager, lazy *side, streamV vclock.Duration) error {
 	return nil
 }
 
-// secondClone clones both parents eagerly after the stream completed: the
+// metersAddUp asserts the lazy side's clone, workload and stream meters
+// sum exactly to the eager side's clone and workload meters.
+func metersAddUp(eager, lazy *side) error {
+	eagerTotal := eager.cloneM.Elapsed() + eager.workM.Elapsed()
+	lazyTotal := lazy.cloneM.Elapsed() + lazy.streamM.Elapsed() + lazy.workM.Elapsed()
+	if eagerTotal != lazyTotal {
+		return fmt.Errorf("virtual-time parity broken: eager %d, lazy %d (clone %d + stream %d + work %d)",
+			eagerTotal, lazyTotal, lazy.cloneM.Elapsed(), lazy.streamM.Elapsed(), lazy.workM.Elapsed())
+	}
+	return nil
+}
+
+// secondClone clones both parents eagerly after the drain completed: the
 // lazy side's parent takes the transfer-aware share path (everPledged),
 // the eager side's the sharer-bump fast path, and both must agree.
 func (sc *Scenario) secondClone(eager, lazy *side) error {

@@ -1,11 +1,13 @@
 package lazytest
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 
+	"nephele/internal/fault"
 	"nephele/internal/mem"
 	"nephele/internal/obs"
 	"nephele/internal/vclock"
@@ -22,12 +24,13 @@ func audit(t *testing.T, m *mem.Memory) {
 // TestLazyStressConcurrent is the race stress: several lazy clones of ONE
 // parent, each paired with an eager twin cloned back-to-back, while a
 // parent writer mutates pages and every pair runs its own demand workload
-// concurrently with all the streamers. COW semantics make each pair's
-// outcome independent of the writer's timing — a parent write after the
-// pair's clone copies away and the family frame keeps the clone-time
+// concurrently, all through the one shared pool. COW semantics make each
+// pair's outcome independent of the writer's timing — a parent write after
+// the pair's clone copies away and the family frame keeps the clone-time
 // contents — so the pairwise snapshot equality holds under any
-// interleaving. Run under -race this is the fault/streamer/writer race
-// detector for the whole lazy machinery.
+// interleaving. Run under -race this checks that the Space and Memory
+// locks serve concurrent callers; the orderings of accesses against the
+// drain are covered deterministically by TestLazyOrderings.
 func TestLazyStressConcurrent(t *testing.T) {
 	const (
 		pages  = 192
@@ -78,8 +81,8 @@ func TestLazyStressConcurrent(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make(chan error, pairs+1)
 
-	// Parent writer: races every streamer through resolveCOW's deferred
-	// conversion path.
+	// Parent writer: races every pair's demand faults through
+	// resolveCOW's deferred conversion path.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -98,7 +101,7 @@ func TestLazyStressConcurrent(t *testing.T) {
 	}()
 
 	// Per-pair workers: identical demand workloads on both twins, racing
-	// the lazy twin's streamer.
+	// the parent writer and each other.
 	for i := range ps {
 		wg.Add(1)
 		go func(i int, p pair) {
@@ -153,10 +156,10 @@ func TestLazyStressConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Drain every streamer and check pairwise equivalence.
+	// Drain every lazy twin and check pairwise equivalence.
 	for i, p := range ps {
-		if _, _, err := p.lazy.WaitLazy(); err != nil {
-			t.Fatalf("pair %d WaitLazy: %v", i, err)
+		if err := p.lazy.Drain(obs.OpCtx{}); err != nil {
+			t.Fatalf("pair %d Drain: %v", i, err)
 		}
 		if ss := p.lazy.StreamStats(); ss.Remaining != 0 {
 			t.Fatalf("pair %d: %d pages remaining", i, ss.Remaining)
@@ -170,8 +173,8 @@ func TestLazyStressConcurrent(t *testing.T) {
 	}
 	audit(t, m)
 
-	// Teardown recovers the whole pool: no pledge, zombie or streamer
-	// reference leaks under concurrency either.
+	// Teardown recovers the whole pool: no pledge or zombie reference
+	// leaks under concurrency either.
 	for _, p := range ps {
 		if err := p.eager.Release(); err != nil {
 			t.Fatal(err)
@@ -189,47 +192,68 @@ func TestLazyStressConcurrent(t *testing.T) {
 	audit(t, m)
 }
 
-// TestLazyReleaseMidStream is the regression for the Release/streamer gap:
-// releasing a lazy child whose streamer is still running must cancel and
-// drain the streamer BEFORE dropping references, or the streamer adopts
-// pledges on a retired table. Without the drain this test races (caught by
-// -race) and leaks zombies (caught by the free-list check).
+// TestLazyReleaseMidStream is the regression for releasing a lazy child
+// whose drain stopped part-way: the drain fails at its third chunk, so the
+// child holds materialized sharer references and unmaterialized pledges
+// side by side, and its release must drop the one and cancel the other or
+// the parent's frames zombify (caught by the free-list check). A child
+// released before any drain is the same case with nothing materialized.
+// Either way a drain after the release materializes nothing.
 func TestLazyReleaseMidStream(t *testing.T) {
 	const pages = 4096
 	meta := mem.PTFrameCount(pages) + mem.P2MFrameCount(pages)
 	total := pages + 2*meta + 64
-	for iter := 0; iter < 8; iter++ {
+	for _, failAt := range []int{0, 3} { // 0: released undrained
 		m := mem.New(uint64(total) * mem.PageSize)
 		parent, err := mem.NewSpace(m, parentDom, pages, vclock.NewMeter(nil))
 		if err != nil {
 			t.Fatal(err)
 		}
-		child, st, err := parent.CloneOpMode(obs.Ctx(vclock.NewMeter(nil)), childDom, true, mem.CloneLazy)
+		reg := fault.NewRegistry()
+		ctx := obs.Ctx(vclock.NewMeter(nil)).WithFaults(reg)
+		child, st, err := parent.CloneOpMode(ctx, childDom, true, mem.CloneLazy)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st.Deferred != pages {
 			t.Fatalf("deferred %d, want %d", st.Deferred, pages)
 		}
-		// Release immediately: the streamer is mid-walk with near
-		// certainty at this page count.
+		want := mem.StreamStats{Remaining: pages}
+		wantErr := mem.ErrStreamPending
+		if failAt > 0 {
+			reg.Inject(fault.PointMemStreamExtent, fault.FailNth(failAt), fault.Fatal)
+			werr := child.Drain(obs.Ctx(vclock.NewMeter(nil)))
+			if !fault.IsFault(werr) {
+				t.Fatalf("Drain = %v, want the injected fault at chunk %d", werr, failAt)
+			}
+			wantErr = werr
+			n := (failAt - 1) * 128
+			want = mem.StreamStats{Remaining: pages - n, StreamedPages: n, StreamedExtents: failAt - 1}
+		}
+		if ss := child.StreamStats(); ss != want {
+			t.Fatalf("fail at %d: stats %+v, want %+v", failAt, ss, want)
+		}
+		audit(t, m)
 		if err := child.Release(); err != nil {
-			t.Fatalf("iter %d: child release mid-stream: %v", iter, err)
+			t.Fatalf("fail at %d: child release mid-stream: %v", failAt, err)
+		}
+		if err := child.Drain(obs.Ctx(vclock.NewMeter(nil))); !errors.Is(err, wantErr) {
+			t.Fatalf("fail at %d: Drain after release = %v, want %v", failAt, err, wantErr)
 		}
 		if err := parent.Release(); err != nil {
-			t.Fatalf("iter %d: parent release: %v", iter, err)
+			t.Fatalf("fail at %d: parent release: %v", failAt, err)
 		}
 		if got := m.FreeFrames(); got != total {
-			t.Fatalf("iter %d: free frames = %d, want %d (mid-stream release leaked)", iter, got, total)
+			t.Fatalf("fail at %d: free frames = %d, want %d (mid-stream release leaked)", failAt, got, total)
 		}
 		audit(t, m)
 	}
 }
 
-// TestLazyCancelStreamFreezesProgress pins CancelStream semantics: pages
-// already materialized stay mapped and readable, unstreamed ones keep
-// their pledges until release, and a cancelled child still tears down
-// cleanly.
+// TestLazyCancelStreamFreezesProgress pins CancelStream semantics: nothing
+// is materialized but what an access demand-faults, the stream refuses to
+// drain (ErrStreamPending), unstreamed pages keep their pledges until
+// release, and a cancelled child still tears down cleanly.
 func TestLazyCancelStreamFreezesProgress(t *testing.T) {
 	const pages = 2048
 	meta := mem.PTFrameCount(pages) + mem.P2MFrameCount(pages)
@@ -247,18 +271,23 @@ func TestLazyCancelStreamFreezesProgress(t *testing.T) {
 		t.Fatal(err)
 	}
 	child.CancelStream()
-	ss := child.StreamStats()
-	if ss.StreamedPages+ss.DemandPages+ss.Remaining != pages {
-		t.Fatalf("stats do not partition the space: %+v", ss)
-	}
-	// Demand faults still work after cancellation; pfn 0 may or may not
-	// have been streamed already, both must read the clone-time bytes.
+	// Demand faults still work after cancellation.
 	buf := make([]byte, 10)
 	if err := child.ReadOp(obs.Ctx(vclock.NewMeter(nil)), 0, 0, buf); err != nil {
 		t.Fatalf("read after cancel: %v", err)
 	}
 	if string(buf) != "clone-time" {
 		t.Fatalf("read %q after cancel", buf)
+	}
+	want := mem.StreamStats{Remaining: pages - 1, DemandPages: 1}
+	if ss := child.StreamStats(); ss != want {
+		t.Fatalf("stats %+v after cancel and one read, want %+v", ss, want)
+	}
+	if err := child.Drain(obs.Ctx(vclock.NewMeter(nil))); !errors.Is(err, mem.ErrStreamPending) {
+		t.Fatalf("Drain of a cancelled stream = %v, want ErrStreamPending", err)
+	}
+	if ss := child.StreamStats(); ss != want {
+		t.Fatalf("stats %+v after draining a cancelled stream, want %+v", ss, want)
 	}
 	if err := child.Release(); err != nil {
 		t.Fatal(err)

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"nephele/internal/vclock"
@@ -191,7 +190,7 @@ type Memory struct {
 
 	// metrics is the opt-in hot-path instrumentation (SetMetrics); nil —
 	// the default — keeps lockBatch and the COW fault path uninstrumented.
-	metrics atomic.Pointer[memMetrics]
+	metrics *memMetrics
 }
 
 // New creates a machine memory pool of totalBytes (rounded down to whole
@@ -405,7 +404,7 @@ func (c *runCursor) next() bool {
 // lockBatch takes the pool lock for a batched operation: it is the one
 // acquisition the mem.shard_lock_* metrics count.
 func (m *Memory) lockBatch() {
-	if mm := m.metrics.Load(); mm != nil {
+	if mm := m.metrics; mm != nil {
 		start := time.Now() //nephele:nondeterministic-ok — lock-wait wall time is a diagnostic metric, never used for ordering
 		m.mu.Lock()
 		mm.lockWaitNS.Add(int64(time.Since(start))) //nephele:nondeterministic-ok — lock-wait wall time is a diagnostic metric, never used for ordering
@@ -730,7 +729,7 @@ func (c *runCursor) unbump(n, runs, j int) {
 //
 // The private frame is allocated between two looks, with the lock released:
 // the second look classifies again, which is all the handling a sharer that
-// dropped out or a streamer that converted the frame in between needs.
+// dropped out or a drain that converted the frame in between needs.
 func (m *Memory) resolveCOW(dom DomID, mfn MFN, meter *vclock.Meter) (MFN, error) {
 	if int(mfn) >= m.total {
 		return 0, frameErr(ErrBadFrame, mfn)

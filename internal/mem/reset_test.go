@@ -201,10 +201,10 @@ func resetDifferential(t *testing.T, mode CloneMode, seed int64) {
 			}
 			childPriv = map[PFN]bool{}
 			meter := vclock.NewMeter(nil)
-			// Drain the streamer outside the measured reset: its deferred
+			// Drain the stream outside the measured reset: its deferred
 			// clone charges are not the reset's.
-			if _, _, err := child.WaitLazy(); err != nil {
-				t.Fatalf("%s: streamer: %v", when, err)
+			if err := child.Drain(obs.OpCtx{}); err != nil {
+				t.Fatalf("%s: drain: %v", when, err)
 			}
 			restored, err := child.ResetOp(obs.Ctx(meter), parent)
 			if err != nil || restored != wantRestored {

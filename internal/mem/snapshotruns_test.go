@@ -294,7 +294,7 @@ func TestSnapshotRunsMatchesReference(t *testing.T) {
 				r.write(parent, rng.Intn(pages), rng.Intn(3), byte(rng.Intn(256)))
 			}
 			r.check()
-			if _, _, err := child.WaitLazy(); err != nil {
+			if err := child.Drain(obs.OpCtx{}); err != nil {
 				r.tb.Fatal(err)
 			}
 			r.clone(child, CloneLazy)

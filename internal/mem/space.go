@@ -3,7 +3,6 @@ package mem
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"nephele/internal/obs"
 	"nephele/internal/vclock"
@@ -76,8 +75,8 @@ func (k PageKind) String() string {
 //
 // A lazy entry is the unmapped state of lazy cloning (DESIGN.md §13): the
 // child holds a pledge on the parent's frame instead of a sharer reference,
-// and the MFN names that source frame so demand faults and the streamer know
-// what to materialize from. lazy entries are present (reads resolve them
+// and the MFN names that source frame so demand faults and Drain know what to
+// materialize from. lazy entries are present (reads resolve them
 // transparently) but never carry cow until materialized.
 type pte uint64
 
@@ -233,15 +232,13 @@ type Space struct {
 	dirty    []PFN
 	dirtySet map[PFN]struct{}
 
-	// lazy is the streamer state of a lazily cloned child (nil otherwise);
-	// it is set before the space is published and never replaced. lazyOn
-	// is the hot-path gate the access paths load to decide whether to
-	// signal the streamer; lazyPTEs records that the table held lazy
-	// entries so release knows to cancel outstanding pledges; everPledged
-	// marks a parent whose frames may carry pledges, routing later eager
-	// clones through the transfer-aware share path.
+	// lazy is the stream state of a lazily cloned child (nil otherwise);
+	// it is set before the space is published and never replaced.
+	// lazyPTEs records that the table held lazy entries so release knows
+	// to cancel outstanding pledges; everPledged marks a parent whose
+	// frames may carry pledges, routing later eager clones through the
+	// transfer-aware share path.
 	lazy        *lazyState
-	lazyOn      atomic.Bool
 	lazyPTEs    bool
 	everPledged bool
 }
@@ -384,7 +381,8 @@ func (s *Space) pteLocked(pfn PFN) (*pte, error) {
 
 // Read copies data from guest page pfn at off, materializing a lazy entry
 // first. A meterless read on a lazy page charges the materialization to the
-// streamer's meter; use ReadOp to charge the faulting operation instead.
+// stream's private meter, which the next Drain hands to its caller; use
+// ReadOp to charge the faulting operation instead.
 func (s *Space) Read(pfn PFN, off int, buf []byte) error {
 	return s.ReadOp(obs.OpCtx{}, pfn, off, buf)
 }
@@ -392,9 +390,6 @@ func (s *Space) Read(pfn PFN, off int, buf []byte) error {
 // ReadOp is Read with an operation context: a demand fault on a lazy entry
 // opens a demand-fault span and charges the context's meter.
 func (s *Space) ReadOp(ctx obs.OpCtx, pfn PFN, off int, buf []byte) error {
-	if ls := s.demandHint(); ls != nil {
-		defer ls.wantFault.Add(-1)
-	}
 	s.mu.Lock()
 	p, err := s.pteLocked(pfn)
 	if err != nil {
@@ -444,9 +439,6 @@ func (s *Space) WritePage(pfn PFN, page []byte, meter *vclock.Meter) error {
 // writableMFN resolves pfn to a frame the space may store into: a lazy
 // entry is materialized, a COW mapping broken, a read-only one refused.
 func (s *Space) writableMFN(ctx obs.OpCtx, pfn PFN) (MFN, error) {
-	if ls := s.demandHint(); ls != nil {
-		defer ls.wantFault.Add(-1)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	p, err := s.pteLocked(pfn)
@@ -473,9 +465,6 @@ func (s *Space) writableMFN(ctx obs.OpCtx, pfn PFN) (MFN, error) {
 // pages (§7.2). On a lazy entry it materializes the page first (the
 // unmapped-fault path), then breaks the COW protection as usual.
 func (s *Space) TouchCOW(pfn PFN, meter *vclock.Meter) error {
-	if ls := s.demandHint(); ls != nil {
-		defer ls.wantFault.Add(-1)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	p, err := s.pteLocked(pfn)
@@ -502,7 +491,7 @@ func (s *Space) breakCOWLocked(pfn PFN, p *pte, meter *vclock.Meter) error {
 	}
 	*p = p.withMFN(newMFN)&^pteCOW | pteWritable
 	s.faults++
-	if mm := s.mem.metrics.Load(); mm != nil {
+	if mm := s.mem.metrics; mm != nil {
 		mm.cowFaults.Inc()
 	}
 	s.markDirtyLocked(pfn)
@@ -548,13 +537,15 @@ func (s *Space) CloneOp(ctx obs.OpCtx, childDom DomID, copyRing bool) (*Space, C
 
 // CloneOpMode is CloneOp with an explicit clone mode. Under CloneLazy the
 // regular extents are not shared at clone time: the parent's frames are
-// pledged (no ownership transfer, no charge), the child's entries enter the
-// lazy state, and a background streamer — plus the demand-fault paths in
-// Read/Write/TouchCOW — materializes them afterwards, charging the deferred
+// pledged (no ownership transfer, no charge) and the child's entries enter
+// the lazy state. They are materialized afterwards only by the demand-fault
+// paths in Read/Write/TouchCOW, on the faulting operation's meter, and by
+// Drain, on its caller's, each charging the deferred
 // PageShare/PTEntryClone/P2MEntryClone exactly once per page. Private kinds,
 // IDC regions and the metadata frames are always cloned eagerly (they are
 // the hot set a child needs to run at all). A space whose own lazy entries
-// are not yet fully materialized cannot be cloned (ErrStreamPending).
+// are not yet fully materialized cannot be cloned (ErrStreamPending): a
+// fresh lazy child must be drained first.
 func (s *Space) CloneOpMode(ctx obs.OpCtx, childDom DomID, copyRing bool, mode CloneMode) (*Space, CloneStats, error) {
 	meter := ctx.Meter()
 	s.mu.Lock()
@@ -815,7 +806,7 @@ func (s *Space) CloneOpMode(ctx obs.OpCtx, childDom DomID, copyRing bool, mode C
 	meter.Charge(meter.Costs().PTEntryClone, st.PTEntries)
 	meter.Charge(meter.Costs().P2MEntryClone, st.P2MEntries)
 	if st.Deferred > 0 {
-		child.startStream(ctx, st.Deferred)
+		child.startStream(meter.Costs(), ctx.Faults(nil), st.Deferred)
 	}
 	return child, st, nil
 }
@@ -827,9 +818,9 @@ func (s *Space) CloneOpMode(ctx obs.OpCtx, childDom DomID, copyRing bool, mode C
 // is proportional to the recorded dirty set, as on real Xen where the dirty
 // log drives the restore.
 //
-// A lazily cloned space may still have its streamer installing pages: it is
-// drained first, and its virtual time folds into ctx's meter — the reset
-// could not proceed before it. Then both spaces are locked, the parent's mu
+// A lazily cloned space may still defer pages: it is drained first, on
+// ctx's meter and trace — the reset could not proceed before it. Then both
+// spaces are locked, the parent's mu
 // before the child's: the order a clone already implies, since CloneOpMode
 // builds the child while holding the parent's.
 //
@@ -844,12 +835,10 @@ func (s *Space) CloneOpMode(ctx obs.OpCtx, childDom DomID, copyRing bool, mode C
 // parent still does, and exactly those parent entries become write-protected
 // — and the private frame goes by ReleaseN's.
 func (s *Space) ResetOp(ctx obs.OpCtx, parent *Space) (int, error) {
-	meter := ctx.Meter()
-	if sm, _, err := s.WaitLazy(); err != nil {
+	if err := s.Drain(ctx); err != nil {
 		return 0, err
-	} else if sm != nil {
-		meter.Add(sm.Elapsed())
 	}
+	meter := ctx.Meter()
 	parent.mu.Lock()
 	defer parent.mu.Unlock()
 	s.mu.Lock()
@@ -907,12 +896,9 @@ func (s *Space) privatizedLocked(pfn PFN) bool {
 }
 
 // Release frees every frame of the space: owned frames are freed, shared
-// frames drop one reference. An in-flight streamer is cancelled and drained
-// first — dropping sharer references while the streamer still adopts
-// pledges would corrupt the family's refcounts (and leak the unstreamed
-// pledges).
+// frames drop one reference, and unmaterialized lazy entries cancel their
+// pledges. A later Drain of the space materializes nothing.
 func (s *Space) Release() error {
-	s.CancelStream()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.release()

@@ -11,11 +11,11 @@
 //     a no-op — the clone hot path allocates exactly as much as it did
 //     before the layer existed.
 //  2. Span emission is deterministic under virtual time. Spans carry
-//     virtual timestamps read from the operation's meter, and the one
-//     background section (a lazy clone's streamer) records onto a detached
-//     sub-trace that is absorbed into the waiter's trace at a fixed point —
-//     mirroring the meter merge — so golden tests can pin span names,
-//     counts and virtual timestamps.
+//     virtual timestamps read from the operation's meter, and every span is
+//     recorded by the operation whose meter it reads — a lazy clone's
+//     deferred pages are drained on the waiter's context, not in the
+//     background — so golden tests can pin span names, counts and virtual
+//     timestamps.
 //     Wall-clock readings are recorded alongside but never order anything.
 package obs
 
@@ -86,12 +86,6 @@ func (c OpCtx) WithTrace(t *Trace) OpCtx {
 	return c
 }
 
-// SpanID returns the active span's ID within the attached trace (0 when
-// none is active).
-//
-//nephele:noalloc
-func (c OpCtx) SpanID() int32 { return c.span }
-
 // WithFaults returns a copy of the context whose fault scope is r. The
 // scope overrides component fault registries wherever the pipeline
 // consults Faults.
@@ -129,20 +123,4 @@ func (c OpCtx) StartSpan(name string) (OpCtx, Span) {
 	s := c.trace.start(name, c.span, c.meter)
 	c.span = s.id
 	return c, s
-}
-
-// Detach returns a context for a background section: a fresh meter
-// charging against the same cost table and, when tracing, a private
-// sub-trace whose spans the caller later merges with Trace.Absorb at a
-// deterministic point. The
-// returned *Trace is nil when the parent context records no spans; passing
-// a nil sub-trace to Absorb is a no-op, so callers need not branch.
-func (c OpCtx) Detach() (OpCtx, *Trace) {
-	d := OpCtx{meter: vclock.NewMeter(c.meter.Costs()), faults: c.faults}
-	if c.trace == nil {
-		return d, nil
-	}
-	sub := NewTrace()
-	d.trace = sub
-	return d, sub
 }

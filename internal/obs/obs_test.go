@@ -66,53 +66,6 @@ func TestSpanNesting(t *testing.T) {
 	}
 }
 
-func TestAbsorbRenumbersAndShifts(t *testing.T) {
-	tr := NewTrace()
-	m := vclock.NewMeter(nil)
-	ctx := Ctx(m).WithTrace(tr)
-	ctx, root := ctx.StartSpan("request")
-
-	// Two detached children built on private meters, merged in order with
-	// the meter-merge offsets.
-	subs := make([]*Trace, 2)
-	meters := make([]*vclock.Meter, 2)
-	for i := range subs {
-		cctx, sub := ctx.Detach()
-		cctx, sp := cctx.StartSpan("build")
-		cctx.Meter().Add(7 * time.Microsecond)
-		_, inner := cctx.StartSpan("inner")
-		inner.End()
-		sp.End()
-		subs[i], meters[i] = sub, cctx.Meter()
-	}
-	for i := range subs {
-		offset := m.Elapsed()
-		m.Add(meters[i].Elapsed())
-		tr.Absorb(subs[i], ctx.SpanID(), offset)
-	}
-	root.End()
-
-	recs := tr.Spans()
-	if len(recs) != 5 {
-		t.Fatalf("got %d spans, want 5", len(recs))
-	}
-	// request, build#0, inner#0, build#1, inner#1
-	if recs[1].Parent != recs[0].ID || recs[3].Parent != recs[0].ID {
-		t.Errorf("absorbed top-level spans not re-parented: %+v", recs)
-	}
-	if recs[2].Parent != recs[1].ID || recs[4].Parent != recs[3].ID {
-		t.Errorf("absorbed nested spans lost their local parent: %+v", recs)
-	}
-	if recs[1].StartV != 0 || recs[3].StartV != 7*time.Microsecond {
-		t.Errorf("absorb offsets wrong: build starts %v and %v, want 0 and 7µs", recs[1].StartV, recs[3].StartV)
-	}
-	for i, r := range recs {
-		if r.ID != int32(i+1) {
-			t.Errorf("span %d has ID %d, want %d", i, r.ID, i+1)
-		}
-	}
-}
-
 func TestRenderAndChrome(t *testing.T) {
 	tr := NewTrace()
 	m := vclock.NewMeter(nil)
@@ -208,21 +161,9 @@ func TestFaultScopeOverridesFallback(t *testing.T) {
 	}
 }
 
-func TestEnsureMeterAndDetach(t *testing.T) {
+func TestEnsureMeter(t *testing.T) {
 	ctx := Ctx(nil).EnsureMeter(nil)
 	if ctx.Meter() == nil {
 		t.Fatal("EnsureMeter left a nil meter")
-	}
-	costs := ctx.Meter().Costs()
-	d, sub := ctx.Detach()
-	if sub != nil {
-		t.Errorf("Detach of an untraced ctx returned a sub-trace")
-	}
-	if d.Meter() == ctx.Meter() || d.Meter().Costs() != costs {
-		t.Errorf("Detach meter not fresh or wrong cost table")
-	}
-	ctx = ctx.WithTrace(NewTrace())
-	if _, sub := ctx.Detach(); sub == nil {
-		t.Errorf("Detach of a traced ctx returned no sub-trace")
 	}
 }

@@ -14,8 +14,7 @@ import (
 
 // SpanRecord is one completed (or still-open) span of a trace. IDs are
 // positional: span i of a trace has ID i+1, and a span's parent always has
-// a smaller ID (parents start before their children), which is what lets
-// Absorb renumber a sub-trace with a single offset.
+// a smaller ID (parents start before their children).
 type SpanRecord struct {
 	ID     int32
 	Parent int32 // 0 = top level
@@ -41,9 +40,7 @@ func (r SpanRecord) DurV() vclock.Duration {
 
 // Trace is an append-only collection of spans for one observed run. It is
 // safe for concurrent use, but determinism of the record order is the
-// caller's contract: direct StartSpan calls must happen on sequential code
-// paths, and parallel sections record onto Detach sub-traces merged back
-// with Absorb in a deterministic order.
+// caller's contract: StartSpan calls must happen on sequential code paths.
 type Trace struct {
 	mu   sync.Mutex
 	recs []SpanRecord
@@ -110,53 +107,6 @@ func (s Span) End() {
 		// The metrics branch only runs with a registry attached — a
 		// profiling configuration, not the meter-only warm path.
 		reg.Histogram("span." + name + ".us").Observe(int64(dur / vclock.Duration(time.Microsecond))) //nephele:hotalloc-ok name concat is on the registry-attached profiling branch only
-	}
-}
-
-// Absorb merges a Detach sub-trace into t: sub's spans are renumbered past
-// t's existing records, top-level spans are re-parented under parent, and
-// every virtual timestamp is shifted by offset — the parent meter's
-// elapsed time at the merge point, exactly the shift Meter.Add performs on
-// the numbers. Called once per sub-trace, in the same deterministic order
-// the meters merge; a nil t or sub is a no-op. The sub-trace is drained
-// and must not be used afterwards.
-func (t *Trace) Absorb(sub *Trace, parent int32, offset vclock.Duration) {
-	if t == nil || sub == nil {
-		return
-	}
-	sub.mu.Lock()
-	recs := sub.recs
-	sub.recs = nil
-	sub.mu.Unlock()
-	if len(recs) == 0 {
-		return
-	}
-	t.mu.Lock()
-	base := int32(len(t.recs))
-	for _, r := range recs {
-		r.ID += base
-		if r.Parent > 0 {
-			r.Parent += base
-		} else {
-			r.Parent = parent
-		}
-		r.StartV += offset
-		if r.EndV >= 0 {
-			r.EndV += offset
-		}
-		t.recs = append(t.recs, r)
-	}
-	reg := t.metrics
-	t.mu.Unlock()
-	if reg != nil {
-		// Sub-traces carry no registry of their own; absorbed spans feed
-		// the per-phase histograms here, at the same deterministic merge
-		// point their timestamps shift.
-		for _, r := range recs {
-			if r.EndV >= 0 {
-				reg.Histogram("span." + r.Name + ".us").Observe(int64(r.DurV() / vclock.Duration(time.Microsecond)))
-			}
-		}
 	}
 }
 

@@ -15,8 +15,7 @@ import (
 // The merge rule mirrors the meter-merge discipline of the clone pipeline.
 // When host B materializes a child cloned from host A, B first absorbs A's
 // snapshot componentwise (max — B now causally follows everything A had
-// seen when it shipped the extents, exactly like Trace.Absorb folding a
-// detached sub-trace at its offset), then ticks its own component by the
+// seen when it shipped the extents), then ticks its own component by the
 // virtual time the transfer and materialization charged (meter.Add of the
 // sequential child's elapsed time). Two hosts that never exchanged clones
 // stay Concurrent.
