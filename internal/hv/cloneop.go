@@ -166,17 +166,22 @@ func (h *Hypervisor) Clone(req CloneRequest) CloneResult {
 	}
 	n := req.N
 
+	// Reserve the child IDs up front so a concurrent caller cannot
+	// interleave its children with this request's. A request whose IDs
+	// would reach the reserved range fails as a whole.
+	first, err := h.reserveDomIDs(n)
+	if err != nil {
+		parent.mu.Lock()
+		parent.clone.made -= n
+		parent.mu.Unlock()
+		h.met.cloneFailures.Inc()
+		return CloneResult{Err: err}
+	}
+
 	// The parent is paused until the completion of the second stage so
 	// its state stays consistent for all its clones (§5).
 	parent.pause()
 	start := meter.Elapsed()
-
-	// Reserve the child IDs up front so a concurrent caller cannot
-	// interleave its children with this request's.
-	h.mu.Lock()
-	first := h.nextDom
-	h.nextDom += DomID(n)
-	h.mu.Unlock()
 
 	// An OpCtx fault scope overrides the component registry for this
 	// request only.

@@ -26,6 +26,7 @@ var (
 	ErrRingFull        = errors.New("hv: clone notification ring full")
 	ErrBadVCPU         = errors.New("hv: bad vcpu")
 	ErrNoPendingClone  = errors.New("hv: no pending clone completion")
+	ErrNoDomainIDs     = errors.New("hv: domain IDs exhausted")
 )
 
 // Registers is the user-visible register state of one vCPU. Only the

@@ -25,6 +25,10 @@ const (
 	// perDomainOverheadFrames models the hypervisor's fixed bookkeeping
 	// allocation for any domain (struct domain, shadow, grant frames).
 	perDomainOverheadFrames = 90
+	// domIDFirstReserved is Xen's DOMID_FIRST_RESERVED: the IDs from it
+	// up name pseudo-domains (mem.DomIDChild, mem.DomIDCOW, ...), never a
+	// domain of this hypervisor.
+	domIDFirstReserved DomID = 0x7FF0
 )
 
 // Hypervisor is the simulated Xen instance.
@@ -147,6 +151,19 @@ func (h *Hypervisor) SetEventHandler(id DomID, handler evtchn.Handler) error {
 	return nil
 }
 
+// reserveDomIDs takes n consecutive domain IDs and returns the first, or
+// takes none when the last would reach Xen's reserved range.
+func (h *Hypervisor) reserveDomIDs(n int) (DomID, error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	first := h.nextDom
+	if uint64(first)+uint64(n) > uint64(domIDFirstReserved) {
+		return 0, fmt.Errorf("%w: %d requested, next is %#x", ErrNoDomainIDs, n, first)
+	}
+	h.nextDom += DomID(n)
+	return first, nil
+}
+
 // DomainCreate allocates a fresh DomU with the given number of guest pages
 // and vCPUs: the hypervisor part of what the toolstack does on `xl create`.
 // The Xen-special pages (start_info, console ring, Xenstore ring) are
@@ -155,10 +172,12 @@ func (h *Hypervisor) DomainCreate(ctx obs.OpCtx, pages, vcpus int) (*Domain, err
 	meter := ctx.Meter()
 	_, span := ctx.StartSpan("domain-create")
 	defer span.End()
-	h.mu.Lock()
-	id := h.nextDom
-	h.nextDom++
+	id, err := h.reserveDomIDs(1)
+	if err != nil {
+		return nil, err
+	}
 	d := newDomain(id, vcpus)
+	h.mu.Lock()
 	h.domains[id] = d
 	h.mu.Unlock()
 

@@ -2,7 +2,6 @@ package xenstore
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -62,13 +61,19 @@ func within(a, b string) bool {
 	return b == "" || a == b || len(a) > len(b) && a[len(b)] == '/' && a[:len(b)] == b
 }
 
-// copyLocked copies src's descendants into dst node by node, creating the
-// missing ones and overwriting the values of the rest; runs under the store
-// lock and counts as part of the single xs_clone request.
+// copyLocked copies src's descendants into dst node by node, in src's
+// order, creating the missing ones and overwriting the values of the rest;
+// runs under the store lock and counts as part of the single xs_clone
+// request. A dst with no children gets its kids array at src's size once,
+// and src's names come sorted, so each new child is appended.
 func (s *Store) copyLocked(dst, src *node, rw *rewriter) {
-	for name, sc := range src.children {
-		dc := s.childLocked(dst, name, len(src.children))
-		dc.value = rw.value(name, sc.value)
+	if len(dst.kids) == 0 && cap(dst.kids) < len(src.kids) {
+		dst.kids = make([]int32, 0, len(src.kids))
+	}
+	for _, i := range src.kids {
+		sc := s.at(i)
+		dc := s.childLocked(dst, sc.name)
+		dc.value = rw.value(sc.name, sc.value)
 		s.copyLocked(dc, sc, rw)
 	}
 }
@@ -94,17 +99,13 @@ func (s *Store) Snapshot(root string, meter *vclock.Meter) ([]Pair, error) {
 	var rec func(n *node, rel string)
 	rec = func(n *node, rel string) {
 		out = append(out, Pair{Path: rel, Value: n.value})
-		names := make([]string, 0, len(n.children))
-		for name := range n.children {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			child := name
+		for _, i := range n.kids {
+			c := s.at(i)
+			child := c.name
 			if rel != "" {
-				child = rel + "/" + name
+				child = rel + "/" + c.name
 			}
-			rec(n.children[name], child)
+			rec(c, child)
 		}
 	}
 	rec(n, "")

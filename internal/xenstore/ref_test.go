@@ -1,0 +1,358 @@
+package xenstore
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// refStore is the reference model for the node table: the store as a tree
+// of heap nodes whose children sit in a map, and which sorts names where it
+// lists them. It serves the same requests with the same path checks, errors
+// and node count, without request accounting.
+type refStore struct {
+	root  *refNode
+	nodes int
+}
+
+type refNode struct {
+	value    string
+	children map[string]*refNode
+}
+
+func newRefStore() *refStore { return &refStore{root: &refNode{}} }
+
+func (s *refStore) find(elems string) *refNode {
+	n := s.root
+	for elem := ""; elems != "" && n != nil; {
+		elem, elems, _ = strings.Cut(elems, "/")
+		n = n.children[elem]
+	}
+	return n
+}
+
+func (s *refStore) lookup(path string) (*refNode, error) {
+	elems, err := pathElems(path)
+	if err != nil {
+		return nil, err
+	}
+	n := s.find(elems)
+	if n == nil {
+		return nil, fmt.Errorf("%w: %s", ErrNotFound, path)
+	}
+	return n, nil
+}
+
+func (s *refStore) mkdir(elems string) *refNode {
+	n := s.root
+	for elem := ""; elems != ""; {
+		elem, elems, _ = strings.Cut(elems, "/")
+		n = s.child(n, elem)
+	}
+	return n
+}
+
+func (s *refStore) child(n *refNode, name string) *refNode {
+	c := n.children[name]
+	if c == nil {
+		c = &refNode{}
+		if n.children == nil {
+			n.children = map[string]*refNode{}
+		}
+		n.children[name] = c
+		s.nodes++
+	}
+	return c
+}
+
+func (s *refStore) Write(path, value string) error {
+	elems, err := pathElems(path)
+	if err != nil {
+		return err
+	}
+	s.mkdir(elems).value = value
+	return nil
+}
+
+func (s *refStore) Read(path string) (string, error) {
+	n, err := s.lookup(path)
+	if err != nil {
+		return "", err
+	}
+	return n.value, nil
+}
+
+func (s *refStore) Directory(path string) ([]string, error) {
+	n, err := s.lookup(path)
+	if err != nil {
+		return nil, err
+	}
+	return sortedNames(n), nil
+}
+
+func sortedNames(n *refNode) []string {
+	out := make([]string, 0, len(n.children))
+	for name := range n.children {
+		out = append(out, name)
+	}
+	sort.Strings(out)
+	return out
+}
+
+func (s *refStore) Remove(path string) error {
+	elems, err := pathElems(path)
+	if err != nil {
+		return err
+	}
+	if elems == "" {
+		return fmt.Errorf("%w: cannot remove root", ErrBadPath)
+	}
+	dir, name := "", elems
+	if cut := strings.LastIndexByte(elems, '/'); cut >= 0 {
+		dir, name = elems[:cut], elems[cut+1:]
+	}
+	var child *refNode
+	parent := s.find(dir)
+	if parent != nil {
+		child = parent.children[name]
+	}
+	if child == nil {
+		return fmt.Errorf("%w: %s", ErrNotFound, path)
+	}
+	s.nodes -= refCount(child)
+	delete(parent.children, name)
+	return nil
+}
+
+func refCount(n *refNode) int {
+	total := 1
+	for _, c := range n.children {
+		total += refCount(c)
+	}
+	return total
+}
+
+func (s *refStore) Exists(path string) bool {
+	elems, err := pathElems(path)
+	return err == nil && s.find(elems) != nil
+}
+
+func (s *refStore) Clone(parentDom, childDom uint32, op CloneOp, parentPath, childPath string) error {
+	srcElems, err := pathElems(parentPath)
+	if err != nil {
+		return err
+	}
+	src := s.find(srcElems)
+	if src == nil {
+		return fmt.Errorf("%w: %s", ErrNotFound, parentPath)
+	}
+	dstElems, err := pathElems(childPath)
+	if err != nil {
+		return err
+	}
+	if within(srcElems, dstElems) || within(dstElems, srcElems) {
+		return fmt.Errorf("%w: clone of %s onto overlapping %s", ErrBadPath, parentPath, childPath)
+	}
+	dst := s.mkdir(dstElems)
+	dst.value = src.value
+	rw := newRewriter(parentDom, childDom, op)
+	s.copy(dst, src, &rw)
+	return nil
+}
+
+func (s *refStore) copy(dst, src *refNode, rw *rewriter) {
+	for name, sc := range src.children {
+		dc := s.child(dst, name)
+		dc.value = rw.value(name, sc.value)
+		s.copy(dc, sc, rw)
+	}
+}
+
+func (s *refStore) Snapshot(root string) ([]Pair, error) {
+	n, err := s.lookup(root)
+	if err != nil {
+		return nil, err
+	}
+	var out []Pair
+	var rec func(n *refNode, rel string)
+	rec = func(n *refNode, rel string) {
+		out = append(out, Pair{Path: rel, Value: n.value})
+		for _, name := range sortedNames(n) {
+			child := name
+			if rel != "" {
+				child = rel + "/" + name
+			}
+			rec(n.children[name], child)
+		}
+	}
+	rec(n, "")
+	return out, nil
+}
+
+// Walk returns every node under the root as "path=value", in sorted order.
+func (s *refStore) Walk() []string {
+	var out []string
+	var rec func(n *refNode, path string)
+	rec = func(n *refNode, path string) {
+		out = append(out, path+"="+n.value)
+		for _, name := range sortedNames(n) {
+			child := path + "/" + name
+			if path == "/" {
+				child = "/" + name
+			}
+			rec(n.children[name], child)
+		}
+	}
+	rec(s.root, "/")
+	return out
+}
+
+// walkAll returns every node of s as "path=value", in Walk order.
+func walkAll(s *Store) []string {
+	var out []string
+	s.Walk("/", func(p, v string) { out = append(out, p+"="+v) })
+	return out
+}
+
+// Paths the op fuzzer draws from: short names, so removes hit what writes
+// made and clones land on and under each other, plus the malformed ones.
+var (
+	opElems    = [...]string{"a", "b", "c", "1", "2"}
+	opBadPaths = [...]string{"", "/", "a", "/a/", "/a//b"}
+)
+
+// opPath returns a path of one to three elements, or one of opBadPaths.
+func (in *fuzzInput) opPath() string {
+	b := in.next()
+	if b%16 == 15 {
+		return opBadPaths[in.next()%len(opBadPaths)]
+	}
+	p := ""
+	for d := b%3 + 1; d > 0; d-- {
+		p += "/" + opElems[in.next()%len(opElems)]
+	}
+	return p
+}
+
+// sameErr reports whether a and b are both nil, or match the same one of
+// the store's errors.
+func sameErr(a, b error) bool {
+	if (a == nil) != (b == nil) {
+		return false
+	}
+	for _, e := range []error{ErrNotFound, ErrBadPath} {
+		if errors.Is(a, e) != errors.Is(b, e) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkStoreOps decodes data into a sequence of requests, runs each on a
+// Store and on the reference model, and fails t at the first request whose
+// result, error, node count or whole-tree walk differs.
+func checkStoreOps(t *testing.T, data []byte) {
+	t.Helper()
+	in := fuzzInput(data)
+	s, ref := New(0), newRefStore()
+	for step := 0; len(in) > 0 && step < 256; step++ {
+		var desc string
+		var err, want error
+		switch in.next() % 7 {
+		case 0:
+			p, v := in.opPath(), fuzzVals[in.next()%len(fuzzVals)]
+			desc = fmt.Sprintf("Write(%q, %q)", p, v)
+			err, want = s.Write(p, v, nil), ref.Write(p, v)
+		case 1:
+			p := in.opPath()
+			desc = fmt.Sprintf("Read(%q)", p)
+			var got, exp string
+			got, err = s.Read(p, nil)
+			exp, want = ref.Read(p)
+			if got != exp {
+				t.Fatalf("step %d: %s = %q, reference %q", step, desc, got, exp)
+			}
+		case 2:
+			p := in.opPath()
+			desc = fmt.Sprintf("Remove(%q)", p)
+			err, want = s.Remove(p, nil), ref.Remove(p)
+		case 3:
+			parent, child := uint32(in.next()%3+1), uint32(in.next()%3+1)
+			op := CloneOp(in.next() % 5)
+			src, dst := in.opPath(), in.opPath()
+			desc = fmt.Sprintf("Clone(%d, %d, %v, %q, %q)", parent, child, op, src, dst)
+			err, want = s.Clone(parent, child, op, src, dst, nil), ref.Clone(parent, child, op, src, dst)
+		case 4:
+			p := in.opPath()
+			desc = fmt.Sprintf("Directory(%q)", p)
+			var got, exp []string
+			got, err = s.Directory(p, nil)
+			exp, want = ref.Directory(p)
+			if !slices.Equal(got, exp) {
+				t.Fatalf("step %d: %s = %q, reference %q", step, desc, got, exp)
+			}
+		case 5:
+			p := in.opPath()
+			desc = fmt.Sprintf("Exists(%q)", p)
+			if got, exp := s.Exists(p, nil), ref.Exists(p); got != exp {
+				t.Fatalf("step %d: %s = %v, reference %v", step, desc, got, exp)
+			}
+		case 6:
+			p := in.opPath()
+			desc = fmt.Sprintf("Snapshot(%q)", p)
+			var got, exp []Pair
+			got, err = s.Snapshot(p, nil)
+			exp, want = ref.Snapshot(p)
+			if !slices.Equal(got, exp) {
+				t.Fatalf("step %d: %s = %v, reference %v", step, desc, got, exp)
+			}
+		}
+		if !sameErr(err, want) {
+			t.Fatalf("step %d: %s: %v, reference %v", step, desc, err, want)
+		}
+		if got, exp := s.NodeCount(), ref.nodes; got != exp {
+			t.Fatalf("step %d: after %s NodeCount = %d, reference %d", step, desc, got, exp)
+		}
+		if got, exp := walkAll(s), ref.Walk(); !slices.Equal(got, exp) {
+			t.Fatalf("step %d: after %s the tree is\n%q\nreference\n%q", step, desc, got, exp)
+		}
+	}
+}
+
+// FuzzStoreOps checks the node table against the reference model over
+// sequences of Write, Read, Remove, Clone, Directory, Exists and Snapshot
+// on a small path alphabet, so subtrees are removed and made again and the
+// table hands freed indices out again.
+func FuzzStoreOps(f *testing.F) {
+	// Write /a/b/c, remove /a, write /a/b/c and /a/c again.
+	f.Add([]byte{0, 2, 0, 1, 2, 1, 2, 0, 0, 0, 2, 0, 1, 2, 3, 0, 1, 0, 2, 0})
+	// Write /a/1 and /a/2/b, clone /a onto /b/c with CloneDevVif, remove
+	// /b, clone it again, list /b/c.
+	f.Add([]byte{0, 1, 0, 3, 4, 0, 2, 0, 4, 1, 4,
+		3, 0, 2, 2, 0, 0, 1, 1, 2,
+		2, 0, 1,
+		3, 0, 2, 2, 0, 0, 1, 1, 2,
+		4, 1, 1, 2})
+	// A malformed path on every request: Write "", Read "/", Remove "/",
+	// Directory "/a/", Exists "a", Snapshot "/a//b", then Write /a and
+	// clone it onto "/a/".
+	f.Add([]byte{0, 15, 0, 1, 1, 15, 1, 2, 15, 1, 4, 15, 3, 5, 15, 2, 6, 15, 4,
+		0, 0, 0, 1, 3, 0, 1, 2, 0, 0, 15, 3})
+	f.Fuzz(checkStoreOps)
+}
+
+// TestStoreMatchesReference runs checkStoreOps over fixed-seed random
+// sequences, so the comparison covers more than the fuzz corpus without
+// the fuzzer.
+func TestStoreMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200; i++ {
+		data := make([]byte, 64+rng.Intn(512))
+		rng.Read(data)
+		checkStoreOps(t, data)
+	}
+}

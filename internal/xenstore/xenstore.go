@@ -16,7 +16,8 @@ package xenstore
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 	"strings"
 	"sync"
 
@@ -63,12 +64,44 @@ func (op CloneOp) String() string {
 	}
 }
 
-// node is one entry of the tree. children is nil until the first child is
-// added: most nodes are leaves, and reading, ranging over or deleting from a
-// nil map does what an empty one does.
+// node is one entry of the store's node table. kids lists the indices of
+// its children sorted by name, so a lookup binary-searches it and a listing
+// reads it in order. A leaf's kids is empty; a freed node keeps its kids
+// array for the next node that takes its index.
 type node struct {
-	value    string
-	children map[string]*node
+	name, value string
+	kids        []int32
+}
+
+// The node table grows in chunks that never move, so a *node stays valid
+// while the table grows under it: 16, 32, 64 and 128 nodes, then chunks of
+// 256. Node i sits in the chunk picked by the top bit of i+firstChunk while
+// that is below fixedChunk, and by its high bits above.
+const (
+	firstChunkShift = 4
+	firstChunk      = 1 << firstChunkShift
+	fixedChunkShift = 8
+	fixedChunk      = 1 << fixedChunkShift
+	// smallChunks is the number of chunks before the first fixed one.
+	smallChunks = fixedChunkShift - firstChunkShift
+)
+
+// locate returns the chunk holding node i and its offset in that chunk.
+func locate(i int32) (chunk, off int) {
+	j := uint32(i) + firstChunk
+	if j < fixedChunk {
+		top := bits.Len32(j) - 1
+		return top - firstChunkShift, int(j - 1<<top)
+	}
+	return int(j>>fixedChunkShift) - 1 + smallChunks, int(j & (fixedChunk - 1))
+}
+
+// chunkLen returns the number of nodes chunk c holds.
+func chunkLen(c int) int {
+	if c < smallChunks {
+		return firstChunk << c
+	}
+	return fixedChunk
 }
 
 // Stats counts the traffic served by the store.
@@ -81,9 +114,11 @@ type Stats struct {
 
 // Store is the Xenstore daemon state.
 type Store struct {
-	mu    sync.Mutex
-	root  *node
-	nodes int
+	mu     sync.Mutex
+	chunks [][]node // the node table; node 0 is the root
+	used   int32    // table slots handed out, freed ones included
+	free   []int32  // freed indices, reused last freed first
+	nodes  int      // live nodes, the root not counted
 
 	// Access logging: every logged request appends one line; when the
 	// log exceeds rotateEvery lines it is rotated, stalling the store —
@@ -101,10 +136,67 @@ type Store struct {
 // New creates an empty store with access-log rotation every rotateEvery
 // logged requests (0 disables logging).
 func New(rotateEvery int) *Store {
-	return &Store{
-		root:        &node{},
-		rotateEvery: rotateEvery,
+	s := &Store{rotateEvery: rotateEvery}
+	s.allocLocked("")
+	return s
+}
+
+// at returns node i of the table.
+func (s *Store) at(i int32) *node {
+	c, off := locate(i)
+	return &s.chunks[c][off]
+}
+
+// allocLocked takes a table slot for a node called name, a freed one if
+// there is one, and returns its index.
+func (s *Store) allocLocked(name string) int32 {
+	var i int32
+	if k := len(s.free) - 1; k >= 0 {
+		i = s.free[k]
+		s.free = s.free[:k]
+	} else {
+		i = s.used
+		s.used++
+		if c, _ := locate(i); c == len(s.chunks) {
+			s.chunks = append(s.chunks, make([]node, chunkLen(c)))
+		}
 	}
+	s.at(i).name = name
+	return i
+}
+
+// freeLocked returns node i and its descendants to the free list and
+// reports how many it freed. Children go first, last to first, so the
+// list hands the indices back in the order a sorted rewrite of the same
+// subtree asks for them, each with the kids array it had.
+func (s *Store) freeLocked(i int32) int {
+	n := s.at(i)
+	freed := 1
+	for k := len(n.kids) - 1; k >= 0; k-- {
+		freed += s.freeLocked(n.kids[k])
+	}
+	n.name, n.value, n.kids = "", "", n.kids[:0]
+	s.free = append(s.free, i)
+	return freed
+}
+
+// search returns where name sits, or would sit, among n's kids and
+// whether it is there. It stops at the first probe that finds name: most
+// lookups are hits, and each probe costs a string compare.
+func (s *Store) search(n *node, name string) (int, bool) {
+	lo, hi := 0, len(n.kids)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		switch c := strings.Compare(s.at(n.kids[m]).name, name); {
+		case c < 0:
+			lo = m + 1
+		case c > 0:
+			hi = m
+		default:
+			return m, true
+		}
+	}
+	return lo, false
 }
 
 // SetFaults installs a fault-injection registry on the write and xs_clone
@@ -172,10 +264,14 @@ func (s *Store) chargeRequest(meter *vclock.Meter, isWrite bool) {
 
 // find returns the node a pathElems string names, nil if there is none.
 func (s *Store) find(elems string) *node {
-	n := s.root
-	for elem := ""; elems != "" && n != nil; {
+	n := s.at(0)
+	for elem := ""; elems != ""; {
 		elem, elems, _ = strings.Cut(elems, "/")
-		n = n.children[elem]
+		k, ok := s.search(n, elem)
+		if !ok {
+			return nil
+		}
+		n = s.at(n.kids[k])
 	}
 	return n
 }
@@ -196,27 +292,23 @@ func (s *Store) lookup(path string) (*node, error) {
 // mkdirLocked returns the node a pathElems string names, creating it and
 // any missing ancestors (mkdir -p semantics, like xenstored).
 func (s *Store) mkdirLocked(elems string) *node {
-	n := s.root
+	n := s.at(0)
 	for elem := ""; elems != ""; {
 		elem, elems, _ = strings.Cut(elems, "/")
-		n = s.childLocked(n, elem, 0)
+		n = s.childLocked(n, elem)
 	}
 	return n
 }
 
-// childLocked returns n's child called name, creating it if absent. A new
-// child map is made with room for hint entries.
-func (s *Store) childLocked(n *node, name string, hint int) *node {
-	c := n.children[name]
-	if c == nil {
-		c = &node{}
-		if n.children == nil {
-			n.children = make(map[string]*node, hint)
-		}
-		n.children[name] = c
+// childLocked returns n's child called name, creating it if absent. n stays
+// valid: the table's chunks never move.
+func (s *Store) childLocked(n *node, name string) *node {
+	k, ok := s.search(n, name)
+	if !ok {
+		n.kids = slices.Insert(n.kids, k, s.allocLocked(name))
 		s.nodes++
 	}
-	return c
+	return s.at(n.kids[k])
 }
 
 // Write stores value at path, one request. An injected fault fails the
@@ -257,11 +349,10 @@ func (s *Store) Directory(path string, meter *vclock.Meter) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]string, 0, len(n.children))
-	for name := range n.children {
-		out = append(out, name)
+	out := make([]string, len(n.kids))
+	for k, i := range n.kids {
+		out[k] = s.at(i).name
 	}
-	sort.Strings(out)
 	return out, nil
 }
 
@@ -281,25 +372,17 @@ func (s *Store) Remove(path string, meter *vclock.Meter) error {
 	if cut := strings.LastIndexByte(elems, '/'); cut >= 0 {
 		dir, name = elems[:cut], elems[cut+1:]
 	}
-	var child *node
+	k, ok := 0, false
 	parent := s.find(dir)
 	if parent != nil {
-		child = parent.children[name]
+		k, ok = s.search(parent, name)
 	}
-	if child == nil {
+	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, path)
 	}
-	s.nodes -= countNodes(child)
-	delete(parent.children, name)
+	s.nodes -= s.freeLocked(parent.kids[k])
+	parent.kids = slices.Delete(parent.kids, k, k+1)
 	return nil
-}
-
-func countNodes(n *node) int {
-	total := 1
-	for _, c := range n.children {
-		total += countNodes(c)
-	}
-	return total
 }
 
 // Exists reports whether path is present (one request).
@@ -323,25 +406,21 @@ func (s *Store) Walk(path string, fn WalkFunc) error {
 	if err != nil {
 		return err
 	}
-	walk(n, strings.TrimRight(path, "/"), fn)
+	s.walk(n, strings.TrimRight(path, "/"), fn)
 	return nil
 }
 
-func walk(n *node, path string, fn WalkFunc) {
+func (s *Store) walk(n *node, path string, fn WalkFunc) {
 	if path == "" {
 		path = "/"
 	}
 	fn(path, n.value)
-	names := make([]string, 0, len(n.children))
-	for name := range n.children {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		child := path + "/" + name
+	for _, i := range n.kids {
+		c := s.at(i)
+		child := path + "/" + c.name
 		if path == "/" {
-			child = "/" + name
+			child = "/" + c.name
 		}
-		walk(n.children[name], child, fn)
+		s.walk(c, child, fn)
 	}
 }

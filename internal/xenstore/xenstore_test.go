@@ -83,8 +83,8 @@ func TestBadPaths(t *testing.T) {
 	}
 }
 
-// TestLeavesAndPathWalk: a leaf has no child map and behaves like an empty
-// directory, and walking a path to a node builds nothing on the heap.
+// TestLeavesAndPathWalk: a leaf has an empty kids list and behaves like an
+// empty directory, and walking a path to a node builds nothing on the heap.
 func TestLeavesAndPathWalk(t *testing.T) {
 	s := New(0)
 	const leaf = "/local/domain/3/device/vif/0/state"
