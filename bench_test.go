@@ -158,43 +158,6 @@ func BenchmarkAblation9pfsBackend(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSwitch compares bond versus OVS-group clone-interface
-// aggregation under the Fig. 7 flow workload.
-func BenchmarkAblationSwitch(b *testing.B) {
-	mkSinks := func(n int) []*countEndpoint {
-		out := make([]*countEndpoint, n)
-		for i := range out {
-			out[i] = &countEndpoint{mac: netsim.MACForDomain(uint32(i + 1))}
-		}
-		return out
-	}
-	const flows = 4096
-	for i := 0; i < b.N; i++ {
-		bond := netsim.NewBond("bond0")
-		for _, s := range mkSinks(4) {
-			bond.Enslave(s)
-		}
-		group := netsim.NewOVSGroup("g0")
-		for _, s := range mkSinks(4) {
-			group.AddBucket(s)
-		}
-		for f := 0; f < flows; f++ {
-			pkt := netsim.Packet{SrcPort: uint16(f), DstPort: 80}
-			bond.Deliver(pkt)
-			group.Deliver(pkt)
-		}
-	}
-	b.ReportMetric(float64(flows), "flows")
-}
-
-type countEndpoint struct {
-	mac netsim.MAC
-	n   int
-}
-
-func (c *countEndpoint) HWAddr() netsim.MAC      { return c.mac }
-func (c *countEndpoint) Deliver(p netsim.Packet) { c.n++ }
-
 // BenchmarkAblationNameCheck quantifies vanilla xl's name-uniqueness scan
 // (the LightVM superlinear effect the paper disables for fairness).
 func BenchmarkAblationNameCheck(b *testing.B) {

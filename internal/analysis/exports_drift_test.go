@@ -252,9 +252,7 @@ func TestOptionsHaveProgramSetters(t *testing.T) {
 // testOnlyOptions is the allowlist of configuration fields only tests set,
 // keyed "<package under internal/>.<struct>.<field>", each with the reason
 // it stays.
-var testOnlyOptions = map[string]string{
-	"core.Options.Switch": "§5.2.1 bond-vs-OVS alternative; its fate is decided with the switch ablation",
-}
+var testOnlyOptions = map[string]string{}
 
 // origin maps an instantiated generic function or field to its declaration.
 func origin(obj types.Object) types.Object {
@@ -324,8 +322,6 @@ var testOnlyExports = map[string]string{
 	"mem.Space.IsCOW":                    audit,
 	"mem.Space.Kind":                     audit,
 	"netsim.Bond.SlaveFor":               audit,
-	"netsim.Bridge.Ports":                audit,
-	"netsim.OVSGroup.Buckets":            audit,
 	"toolstack.ImageStore.Contains":      audit,
 	"toolstack.XL.Lookup":                audit,
 
@@ -347,9 +343,6 @@ var testOnlyExports = map[string]string{
 	"guest.SocketPair.Recv":      paper,
 	"guest.SocketPair.Send":      paper,
 
-	"toolstack.Image.WriteTo": imageIO,
-	"toolstack.ReadImage":     imageIO,
-
 	"analysis/callgraph.Graph.DeclOf": inspector,
 	"analysis/callgraph.Graph.NodeOf": inspector,
 	"apps.Redis.Dirty":                inspector,
@@ -368,14 +361,12 @@ var testOnlyExports = map[string]string{
 	"guest.Kernel.Map":                inspector,
 	"hv.Domain.VCPU":                  inspector,
 	"netsim.Bond.Name":                inspector,
-	"netsim.Bridge.Name":              inspector,
 	"netsim.Fabric.Hosts":             inspector,
 	"netsim.Fabric.Width":             inspector,
 	"netsim.Host.Notify":              inspector,
 	"netsim.Host.Received":            inspector,
 	"netsim.Link.Ends":                inspector,
 	"netsim.Link.Width":               inspector,
-	"netsim.OVSGroup.Name":            inspector,
 	"obs.Trace.Render":                inspector,
 	"proc.Machine.Process":            inspector,
 	"proc.Machine.ProcessCount":       inspector,
@@ -388,23 +379,21 @@ var testOnlyExports = map[string]string{
 	"vclock.Vector.At":                inspector,
 	"vclock.Vector.Hosts":             inspector,
 
-	"apps.Redis.Del":              model,
-	"apps.Redis.Get":              model,
-	"devices.HostFS.Remove":       model,
-	"devices.Vbd.ReadSector":      model,
-	"guest.Kernel.NewMap":         model,
-	"guest.Kernel.Stop":           model,
-	"guest.Kernel.UDPSend":        model,
-	"guest.NineFile.Read":         model,
-	"mem.Memory.AddSharerN":       model,
-	"mem.Memory.CopyFrameN":       model,
-	"netsim.OVSGroup.SetSelector": model,
-	"obs.Gauge.Add":               model,
-	"obs.OpCtx.WithMeter":         model,
-	"ring.Ring.Reset":             model,
-	"toolstack.ImageStore.Drop":   model,
+	"apps.Redis.Del":            model,
+	"apps.Redis.Get":            model,
+	"devices.HostFS.Remove":     model,
+	"devices.Vbd.ReadSector":    model,
+	"guest.Kernel.NewMap":       model,
+	"guest.Kernel.Stop":         model,
+	"guest.Kernel.UDPSend":      model,
+	"guest.NineFile.Read":       model,
+	"mem.Memory.AddSharerN":     model,
+	"mem.Memory.CopyFrameN":     model,
+	"obs.Gauge.Add":             model,
+	"obs.OpCtx.WithMeter":       model,
+	"ring.Ring.Reset":           model,
+	"toolstack.ImageStore.Drop": model,
 
-	"core.SwitchBond": enum,
 	"fuzz.SysNanoslp": enum,
 }
 
@@ -414,7 +403,6 @@ const (
 	audit     = "read-only inspector kept for the invariant audit: frames, devices, endpoints, images"
 	xenABI    = "Xen ABI whose state the clone path copies"
 	paper     = "paper primitive: the IDC pipes and socket pairs of §4.3"
-	imageIO   = "on-disk image stream, kept until its untrusted-input check is decided"
 	inspector = "read-only inspector its package's tests assert through"
 	model     = "operation of a modelled component that only its tests drive"
 	enum      = "enumeration member, reached by value rather than by name"

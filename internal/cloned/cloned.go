@@ -86,7 +86,7 @@ type Daemon struct {
 	HV    *hv.Hypervisor
 	Store *xenstore.Store
 	XL    *toolstack.XL
-	Net   toolstack.Switch
+	Net   *devices.Switch
 	Opts  Options
 
 	mu    sync.Mutex
@@ -100,7 +100,7 @@ type Daemon struct {
 
 // New creates the daemon and enables cloning globally (xencloned is
 // responsible for that, §5.1).
-func New(hyp *hv.Hypervisor, store *xenstore.Store, xl *toolstack.XL, net toolstack.Switch, opts Options) *Daemon {
+func New(hyp *hv.Hypervisor, store *xenstore.Store, xl *toolstack.XL, net *devices.Switch, opts Options) *Daemon {
 	reg := hyp.Metrics()
 	d := &Daemon{
 		HV:          hyp,

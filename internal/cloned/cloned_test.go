@@ -39,7 +39,7 @@ func newRig(t *testing.T, opts Options) *rig {
 	}
 	bond := netsim.NewBond("bond0")
 	host := netsim.NewHost(netsim.MAC{0xaa}, netsim.IP{10, 0, 0, 1})
-	sw := &toolstack.BondSwitch{Bond: bond, Uplink: host}
+	sw := &devices.Switch{Bond: bond, Uplink: host}
 	xl := toolstack.New(hyp, store, be, sw)
 	xl.SkipNameCheck = true
 	d := New(hyp, store, xl, sw, opts)

@@ -151,20 +151,6 @@ func TestConcurrentClonesOfDistinctParents(t *testing.T) {
 	}
 }
 
-func TestOVSSwitchPlatform(t *testing.T) {
-	p := smallPlatform(Options{SkipNameCheck: true, Switch: SwitchOVS})
-	rec, _ := p.Boot(udpServerConfig("ovs-guest"), nil)
-	if _, err := fork(p, rec.ID, 2, nil); err != nil {
-		t.Fatal(err)
-	}
-	if p.OVS.Buckets() != 3 {
-		t.Fatalf("OVS buckets = %d, want 3", p.OVS.Buckets())
-	}
-	if p.Bond.Slaves() != 0 {
-		t.Fatal("bond used despite OVS switch")
-	}
-}
-
 func TestStoreLogRotationSpikeVisibleInCloneSeries(t *testing.T) {
 	// With the store a few writes short of its rotation period, one of
 	// the next clone operations absorbs the rotation stall — the Fig. 4

@@ -26,27 +26,11 @@ import (
 // DomID re-exports the domain identifier type.
 type DomID = hv.DomID
 
-// SwitchKind selects the clone-interface aggregation (§5.2.1).
-type SwitchKind int
-
-const (
-	// SwitchBond aggregates clone vifs with a Linux bond in balance-xor
-	// mode and the layer3+4 hash policy (the paper's default).
-	SwitchBond SwitchKind = iota
-	// SwitchOVS uses an Open vSwitch select group.
-	SwitchOVS
-	// SwitchBridge uses a plain learning bridge (boot baseline
-	// topology; clones with duplicate MACs do not need it).
-	SwitchBridge
-)
-
 // Options configure a Platform.
 type Options struct {
 	// MemoryBytes is the hypervisor's guest-allocatable memory; 0 uses
 	// the paper's 12 GiB.
 	MemoryBytes uint64
-	// Switch selects the network aggregation for guest vifs.
-	Switch SwitchKind
 	// Cloned tunes the xencloned daemon (ablations).
 	Cloned cloned.Options
 	// SkipNameCheck disables xl's name-uniqueness scan (the paper does
@@ -77,8 +61,6 @@ type Platform struct {
 	HostFS   *devices.HostFS
 	Host     *netsim.Host
 	Bond     *netsim.Bond
-	OVS      *netsim.OVSGroup
-	Bridge   *netsim.Bridge
 	Backends toolstack.Backends
 
 	mu sync.Mutex
@@ -109,18 +91,7 @@ func NewPlatform(opts Options) *Platform {
 	}
 	host := netsim.NewHost(netsim.MAC{0x02, 0x00, 0x00, 0x00, 0x00, 0x01}, netsim.IP{10, 0, 0, 1})
 	bond := netsim.NewBond("bond0")
-	ovs := netsim.NewOVSGroup("group0")
-	bridge := netsim.NewBridge("xenbr0")
-
-	var sw toolstack.Switch
-	switch opts.Switch {
-	case SwitchOVS:
-		sw = &toolstack.OVSSwitch{Group: ovs, Uplink: host}
-	case SwitchBridge:
-		sw = &toolstack.BridgeSwitch{Bridge: bridge}
-	default:
-		sw = &toolstack.BondSwitch{Bond: bond, Uplink: host}
-	}
+	sw := &devices.Switch{Bond: bond, Uplink: host}
 
 	xl := toolstack.New(hyp, store, be, sw)
 	xl.SkipNameCheck = opts.SkipNameCheck
@@ -135,8 +106,6 @@ func NewPlatform(opts Options) *Platform {
 		HostFS:   hostFS,
 		Host:     host,
 		Bond:     bond,
-		OVS:      ovs,
-		Bridge:   bridge,
 		Backends: be,
 	}
 }

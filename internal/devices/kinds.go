@@ -9,15 +9,24 @@ import (
 	"nephele/internal/xenstore"
 )
 
-// Switch abstracts where guest and clone vifs are plugged: a Linux bridge,
-// a bond or an OVS group.
-type Switch interface {
-	// Attach plugs a vif in and wires its egress, charging the
-	// userspace-operation cost.
-	Attach(v *Vif, meter *vclock.Meter)
-	// Detach unplugs a vif.
-	Detach(v *Vif)
+// Switch is where guest and clone vifs are plugged: a bond whose uplink is
+// the host endpoint (the clone topology of §5.2.1: identical MAC+IP
+// slaves, balance-xor selection). A nil *Switch plugs nothing.
+type Switch struct {
+	Bond   *netsim.Bond
+	Uplink netsim.Endpoint
 }
+
+// Attach enslaves v and wires its egress to the uplink, charging the
+// userspace-operation cost.
+func (s *Switch) Attach(v *Vif, meter *vclock.Meter) {
+	s.Bond.Enslave(v)
+	v.SetEgress(func(p netsim.Packet) { s.Uplink.Deliver(p) })
+	meter.Charge(meter.Costs().SwitchAttach, 1)
+}
+
+// Detach releases v from the bond.
+func (s *Switch) Detach(v *Vif) { s.Bond.Release(v) }
 
 // VifConfig configures one paravirtualized network interface.
 type VifConfig struct {
@@ -56,7 +65,7 @@ type Kind struct {
 	// Clone is the backend half of cloning one device (the caller has
 	// cloned the kind's Xenstore directories): the child's device comes up
 	// connected, without negotiation, and finalized.
-	Clone func(parent, child uint32, index int, sw Switch, meter *vclock.Meter) error
+	Clone func(parent, child uint32, index int, sw *Switch, meter *vclock.Meter) error
 
 	// present is false when the platform registered no backend of the
 	// kind: configuring such a device fails, and no guest can own one.
@@ -70,8 +79,8 @@ type Kind struct {
 	// device, userspace finalization included. A kind with one device per
 	// guest ignores index, except that remove owns nothing past 0; remove
 	// reports whether the device existed.
-	create    func(cfg Config, domid uint32, index int, sw Switch, meter *vclock.Meter)
-	remove    func(domid uint32, index int, sw Switch, meter *vclock.Meter) bool
+	create    func(cfg Config, domid uint32, index int, sw *Switch, meter *vclock.Meter)
+	remove    func(domid uint32, index int, sw *Switch, meter *vclock.Meter) bool
 	setFaults func(r *fault.Registry)
 }
 
@@ -88,11 +97,11 @@ func NewTable(console *ConsoleBackend, net *NetBackend, ninep *NinePBackend, vbd
 		present: console != nil, setFaults: console.SetFaults,
 		// Every guest has a console.
 		wanted: func(Config) int { return 1 },
-		create: func(_ Config, domid uint32, _ int, _ Switch, meter *vclock.Meter) { console.Create(domid, meter) },
-		Clone: func(parent, child uint32, _ int, _ Switch, meter *vclock.Meter) error {
+		create: func(_ Config, domid uint32, _ int, _ *Switch, meter *vclock.Meter) { console.Create(domid, meter) },
+		Clone: func(parent, child uint32, _ int, _ *Switch, meter *vclock.Meter) error {
 			return console.Clone(parent, child, meter)
 		},
-		remove: func(domid uint32, index int, _ Switch, _ *vclock.Meter) bool {
+		remove: func(domid uint32, index int, _ *Switch, _ *vclock.Meter) bool {
 			if index > 0 || !console.Has(domid) {
 				return false
 			}
@@ -111,10 +120,10 @@ func NewTable(console *ConsoleBackend, net *NetBackend, ninep *NinePBackend, vbd
 				{Key: "ip", Value: cfg.Vifs[index].IP.String()},
 			}
 		},
-		create: func(cfg Config, domid uint32, index int, sw Switch, meter *vclock.Meter) {
+		create: func(cfg Config, domid uint32, index int, sw *Switch, meter *vclock.Meter) {
 			net.plug(net.CreateVif(domid, index, cfg.Vifs[index].IP, meter), sw, meter)
 		},
-		Clone: func(parent, child uint32, index int, sw Switch, meter *vclock.Meter) error {
+		Clone: func(parent, child uint32, index int, sw *Switch, meter *vclock.Meter) error {
 			v, err := net.CloneVif(parent, child, index, meter)
 			if err == nil {
 				net.plug(v, sw, meter)
@@ -133,34 +142,34 @@ func NewTable(console *ConsoleBackend, net *NetBackend, ninep *NinePBackend, vbd
 			np := cfg.NinePFS[index]
 			return []Entry{{Key: "tag", Value: np.Tag}, {Key: "export", Value: np.Export}}
 		},
-		create: func(cfg Config, domid uint32, index int, _ Switch, meter *vclock.Meter) {
+		create: func(cfg Config, domid uint32, index int, _ *Switch, meter *vclock.Meter) {
 			ninep.Launch(domid, cfg.NinePFS[index].Export, meter)
 		},
-		Clone: func(parent, child uint32, _ int, _ Switch, meter *vclock.Meter) error {
+		Clone: func(parent, child uint32, _ int, _ *Switch, meter *vclock.Meter) error {
 			return ninep.Clone(parent, child, meter)
 		},
-		remove: func(domid uint32, index int, _ Switch, _ *vclock.Meter) bool {
+		remove: func(domid uint32, index int, _ *Switch, _ *vclock.Meter) bool {
 			return index == 0 && ninep.Remove(domid)
 		},
 	}, {
 		Dir: "vbd", CloneOp: xenstore.CloneDevVbd,
 		present: vbd != nil, setFaults: vbd.SetFaults,
 		wanted: func(cfg Config) int { return len(cfg.Vbds) },
-		create: func(_ Config, domid uint32, index int, _ Switch, meter *vclock.Meter) {
+		create: func(_ Config, domid uint32, index int, _ *Switch, meter *vclock.Meter) {
 			vbd.Create(domid, index, meter)
 		},
-		Clone: func(parent, child uint32, index int, _ Switch, meter *vclock.Meter) error {
+		Clone: func(parent, child uint32, index int, _ *Switch, meter *vclock.Meter) error {
 			_, err := vbd.Clone(parent, child, index, meter)
 			return err
 		},
-		remove: func(domid uint32, index int, _ Switch, _ *vclock.Meter) bool { return vbd.Remove(domid, index) },
+		remove: func(domid uint32, index int, _ *Switch, _ *vclock.Meter) bool { return vbd.Remove(domid, index) },
 	}}
 }
 
 // Create is the boot path of the kind: for every device of it cfg asks
 // for, the Xenstore entries with the full Xenbus negotiation, then the
 // backend state and its finalization.
-func (k *Kind) Create(store *xenstore.Store, cfg Config, domid uint32, sw Switch, meter *vclock.Meter) error {
+func (k *Kind) Create(store *xenstore.Store, cfg Config, domid uint32, sw *Switch, meter *vclock.Meter) error {
 	for i, n := 0, k.wanted(cfg); i < n; i++ {
 		if !k.present {
 			return fmt.Errorf("devices: %s configured but no %s backend registered", k.Dir, k.Dir)
@@ -184,7 +193,7 @@ func (k *Kind) Create(store *xenstore.Store, cfg Config, domid uint32, sw Switch
 // exists: a destroy, a half-built boot and a half-cloned child all unwind
 // through it, and running it twice is harmless. Xenstore entries are the
 // caller's to remove.
-func (t Table) Teardown(domid uint32, sw Switch, meter *vclock.Meter) {
+func (t Table) Teardown(domid uint32, sw *Switch, meter *vclock.Meter) {
 	for k := len(t) - 1; k >= 0; k-- {
 		for i := 0; t[k].present && t[k].remove(domid, i, sw, meter); i++ {
 		}

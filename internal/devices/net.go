@@ -22,8 +22,7 @@ const (
 
 // Vif is one paravirtualized network device: the pair of a frontend
 // (guest) and a backend (Dom0 kernel) sharing TX and RX rings. The backend
-// side implements netsim.Endpoint so it can be attached to a bridge, bond
-// or OVS group.
+// side implements netsim.Endpoint so it can be enslaved into the bond.
 type Vif struct {
 	mu sync.Mutex
 
@@ -325,7 +324,7 @@ func (nb *NetBackend) RemoveVif(domid uint32, index int, meter *vclock.Meter) {
 // plug is the userspace finalization of a new vif (step 2.3): whoever
 // asked for the device consumes the udev add event the backend emitted and
 // plugs the vif into the switch.
-func (nb *NetBackend) plug(v *Vif, sw Switch, meter *vclock.Meter) {
+func (nb *NetBackend) plug(v *Vif, sw *Switch, meter *vclock.Meter) {
 	if ev, ok := nb.udev.TryRecv(); ok && ev.Action == UdevAdd && sw != nil {
 		sw.Attach(v, meter)
 	}
@@ -333,7 +332,7 @@ func (nb *NetBackend) plug(v *Vif, sw Switch, meter *vclock.Meter) {
 
 // unplug undoes plug and the device behind it: switch detach, RemoveVif
 // and its udev remove event. It reports false when there is no such vif.
-func (nb *NetBackend) unplug(domid uint32, index int, sw Switch, meter *vclock.Meter) bool {
+func (nb *NetBackend) unplug(domid uint32, index int, sw *Switch, meter *vclock.Meter) bool {
 	nb.mu.Lock()
 	v := nb.vifs[devKey{domid, index}]
 	nb.mu.Unlock()

@@ -1,7 +1,7 @@
 // Package fnv1a is the one FNV-1a 64 implementation behind every content
-// hash in the tree: image cache keys, the run checks of a serialized image,
-// vbd base-chunk dedup and the cluster's chunk identities, which pick bond
-// slaves and so are virtual-time inputs. Its output is bit-identical to
+// hash in the tree: image cache keys, vbd base-chunk dedup and the
+// cluster's chunk identities, which pick bond slaves and so are
+// virtual-time inputs. Its output is bit-identical to
 // hash/fnv's New64a. It is hand-written, not hash/maphash (whose seed
 // changes per process), so a key is the same across runs and hosts, and it
 // is cheap on the mostly-zero pages that saved images are made of.

@@ -932,12 +932,11 @@ func (m *Memory) Write(mfn MFN, off int, buf []byte) error {
 // WritePage makes page the whole contents of mfn without copying it: the
 // frame keeps the slice's backing array, sealed, so the caller (an image, a
 // cache chunk) and any number of frames may hold the same page as long as
-// none of them writes through it again. A page shorter than PageSize cannot
-// stand for a frame and is stored as the copying prefix write
-// Write(mfn, 0, page) instead; a longer one is refused.
+// none of them writes through it again. A page of any other length than
+// PageSize cannot stand for a frame and is refused with ErrBadOffset.
 func (m *Memory) WritePage(mfn MFN, page []byte) error {
 	if len(page) != PageSize {
-		return m.Write(mfn, 0, page)
+		return fmt.Errorf("%w: page of %d bytes", ErrBadOffset, len(page))
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()

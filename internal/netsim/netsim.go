@@ -1,10 +1,9 @@
 // Package netsim simulates the Dom0 networking substrate: Ethernet-ish
-// frames, a learning bridge, the Linux bonding driver in balance-xor mode
-// with the layer3+4 transmit hash policy, and Open vSwitch select groups.
-// Nephele uses these switches to aggregate clone interfaces that carry
-// identical MAC and IP addresses (§5.2.1): incoming flows are spread over
-// the slaves by hashing address/port tuples, so no per-clone rewriting of
-// guest network state is ever needed.
+// frames and the Linux bonding driver in balance-xor mode with the
+// layer3+4 transmit hash policy. Nephele enslaves clone interfaces that
+// carry identical MAC and IP addresses into the bond (§5.2.1): incoming
+// flows are spread over the slaves by hashing address/port tuples, so no
+// per-clone rewriting of guest network state is ever needed.
 package netsim
 
 import (
@@ -55,80 +54,6 @@ type Endpoint interface {
 var (
 	ErrNoSlaves = errors.New("netsim: no slaves attached")
 )
-
-// Bridge is a learning L2 switch: it floods unknown destinations and
-// learns source MACs. It is what vanilla Xen setups attach vifs to.
-type Bridge struct {
-	mu    sync.Mutex
-	name  string
-	ports []Endpoint
-	fdb   map[MAC]Endpoint
-}
-
-// NewBridge creates an empty bridge.
-func NewBridge(name string) *Bridge {
-	return &Bridge{name: name, fdb: make(map[MAC]Endpoint)}
-}
-
-// Name returns the bridge name.
-func (b *Bridge) Name() string { return b.name }
-
-// Attach plugs an endpoint into the bridge.
-func (b *Bridge) Attach(e Endpoint) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.ports = append(b.ports, e)
-	b.fdb[e.HWAddr()] = e
-}
-
-// Detach removes an endpoint.
-func (b *Bridge) Detach(e Endpoint) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for i, p := range b.ports {
-		if p == e {
-			b.ports = append(b.ports[:i], b.ports[i+1:]...)
-			break
-		}
-	}
-	delete(b.fdb, e.HWAddr())
-}
-
-// Ports reports the number of attached endpoints.
-func (b *Bridge) Ports() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.ports)
-}
-
-// Forward switches a packet: known unicast goes to the learned port,
-// anything else floods (except back to the source).
-func (b *Bridge) Forward(from Endpoint, p Packet) {
-	b.mu.Lock()
-	if from != nil {
-		b.fdb[p.SrcMAC] = from
-	}
-	dst, known := b.fdb[p.DstMAC]
-	var flood []Endpoint
-	if !known {
-		flood = make([]Endpoint, 0, len(b.ports))
-		for _, port := range b.ports {
-			if port != from {
-				flood = append(flood, port)
-			}
-		}
-	}
-	b.mu.Unlock()
-	if known {
-		if dst != from {
-			dst.Deliver(p)
-		}
-		return
-	}
-	for _, port := range flood {
-		port.Deliver(p)
-	}
-}
 
 // FlowHash implements the bonding driver's layer3+4 transmit hash: a
 // stateless hash of the IP addresses and ports, so one flow always maps to
@@ -229,91 +154,6 @@ func (b *Bond) HWAddr() MAC {
 		return MAC{}
 	}
 	return b.slaves[0].HWAddr()
-}
-
-// Selector chooses an OVS group bucket for a packet; the vanilla selector
-// hashes like the bond, and tests exercise custom stateful selectors —
-// the extensibility §5.2.1 credits OVS groups with.
-type Selector func(p Packet, buckets int) int
-
-// OVSGroup is an Open vSwitch select group: a set of buckets (clone
-// interfaces) plus a pluggable selection function that may keep per-flow
-// state.
-type OVSGroup struct {
-	mu      sync.Mutex
-	name    string
-	buckets []Endpoint
-	sel     Selector
-}
-
-// NewOVSGroup creates a group with the vanilla hash selector.
-func NewOVSGroup(name string) *OVSGroup {
-	return &OVSGroup{
-		name: name,
-		sel:  func(p Packet, n int) int { return int(FlowHash(p) % uint32(n)) },
-	}
-}
-
-// Name returns the group name.
-func (g *OVSGroup) Name() string { return g.name }
-
-// SetSelector installs a custom bucket selector.
-func (g *OVSGroup) SetSelector(s Selector) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.sel = s
-}
-
-// AddBucket appends a clone interface.
-func (g *OVSGroup) AddBucket(e Endpoint) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.buckets = append(g.buckets, e)
-}
-
-// RemoveBucket removes a clone interface.
-func (g *OVSGroup) RemoveBucket(e Endpoint) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for i, b := range g.buckets {
-		if b == e {
-			g.buckets = append(g.buckets[:i], g.buckets[i+1:]...)
-			return
-		}
-	}
-}
-
-// Buckets reports the bucket count.
-func (g *OVSGroup) Buckets() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.buckets)
-}
-
-// Deliver forwards an ingress packet to the selected bucket.
-func (g *OVSGroup) Deliver(p Packet) {
-	g.mu.Lock()
-	if len(g.buckets) == 0 {
-		g.mu.Unlock()
-		return
-	}
-	idx := g.sel(p, len(g.buckets))
-	if idx < 0 || idx >= len(g.buckets) {
-		idx = 0
-	}
-	bucket := g.buckets[idx]
-	g.mu.Unlock()
-	bucket.Deliver(p)
-}
-
-// HWAddr returns the group identity (first bucket's MAC).
-func (g *OVSGroup) HWAddr() MAC {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if len(g.buckets) == 0 {
-		return MAC{}
-	}
-	return g.buckets[0].HWAddr()
 }
 
 // Host is a simple host endpoint collecting received packets (the

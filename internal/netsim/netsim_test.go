@@ -27,39 +27,6 @@ func (s *sink) count() int {
 	return len(s.got)
 }
 
-func TestBridgeFloodsUnknownThenLearns(t *testing.T) {
-	b := NewBridge("xenbr0")
-	a, c, d := newSink(1), newSink(2), newSink(3)
-	b.Attach(a)
-	b.Attach(c)
-	b.Attach(d)
-	if b.Ports() != 3 {
-		t.Fatalf("Ports = %d", b.Ports())
-	}
-	// Unknown destination floods everywhere except the ingress port.
-	b.Forward(a, Packet{SrcMAC: a.mac, DstMAC: MAC{9, 9, 9, 9, 9, 9}})
-	if a.count() != 0 || c.count() != 1 || d.count() != 1 {
-		t.Fatalf("flood counts = %d/%d/%d", a.count(), c.count(), d.count())
-	}
-	// Known destination is unicast.
-	b.Forward(c, Packet{SrcMAC: c.mac, DstMAC: a.mac})
-	if a.count() != 1 || d.count() != 1 {
-		t.Fatalf("unicast counts = %d/%d", a.count(), d.count())
-	}
-}
-
-func TestBridgeDetach(t *testing.T) {
-	b := NewBridge("xenbr0")
-	a, c := newSink(1), newSink(2)
-	b.Attach(a)
-	b.Attach(c)
-	b.Detach(c)
-	b.Forward(nil, Packet{DstMAC: c.mac})
-	if c.count() != 0 {
-		t.Fatal("detached port received traffic")
-	}
-}
-
 func TestFlowHashStableAndSpreads(t *testing.T) {
 	p := Packet{SrcIP: IP{10, 0, 0, 1}, DstIP: IP{10, 0, 0, 2}, SrcPort: 1234, DstPort: 80}
 	if FlowHash(p) != FlowHash(p) {
@@ -163,71 +130,6 @@ func TestUniqueFlowTuplesAvoidCollisions(t *testing.T) {
 	if len(assigned) != 4 {
 		t.Fatalf("could not find collision-free ports for 4 slaves: %v", assigned)
 	}
-}
-
-func TestOVSGroupVanillaHashes(t *testing.T) {
-	g := NewOVSGroup("group1")
-	s1, s2 := newSink(1), newSink(2)
-	g.AddBucket(s1)
-	g.AddBucket(s2)
-	if g.Buckets() != 2 {
-		t.Fatalf("Buckets = %d", g.Buckets())
-	}
-	p := Packet{SrcPort: 1111}
-	for i := 0; i < 6; i++ {
-		g.Deliver(p)
-	}
-	if s1.count()+s2.count() != 6 {
-		t.Fatal("packets lost")
-	}
-	if s1.count() != 0 && s2.count() != 0 {
-		t.Fatal("one flow split across buckets")
-	}
-}
-
-func TestOVSGroupCustomStatefulSelector(t *testing.T) {
-	// §5.2.1: OVS can be extended with selection criteria that keep
-	// per-flow state — here, least-loaded assignment remembered per
-	// source port.
-	g := NewOVSGroup("group1")
-	s1, s2 := newSink(1), newSink(2)
-	g.AddBucket(s1)
-	g.AddBucket(s2)
-	flows := map[uint16]int{}
-	load := make([]int, 2)
-	g.SetSelector(func(p Packet, n int) int {
-		if idx, ok := flows[p.SrcPort]; ok {
-			return idx
-		}
-		best := 0
-		for i := 1; i < n; i++ {
-			if load[i] < load[best] {
-				best = i
-			}
-		}
-		flows[p.SrcPort] = best
-		load[best]++
-		return best
-	})
-	for port := uint16(0); port < 10; port++ {
-		g.Deliver(Packet{SrcPort: port})
-	}
-	if s1.count() != 5 || s2.count() != 5 {
-		t.Fatalf("stateful selector balance = %d/%d, want 5/5", s1.count(), s2.count())
-	}
-}
-
-func TestOVSGroupOutOfRangeSelectorClamped(t *testing.T) {
-	g := NewOVSGroup("g")
-	s1 := newSink(1)
-	g.AddBucket(s1)
-	g.SetSelector(func(Packet, int) int { return 99 })
-	g.Deliver(Packet{})
-	if s1.count() != 1 {
-		t.Fatal("out-of-range selector dropped packet")
-	}
-	g.RemoveBucket(s1)
-	g.Deliver(Packet{}) // empty group: drop, no panic
 }
 
 func TestHostEndpoint(t *testing.T) {

@@ -104,9 +104,9 @@ func TestImagePageAtAliasResolution(t *testing.T) {
 }
 
 // TestContentHashesPinned pins the content hashes of one fixed saved image
-// by value. They are ImageStore keys, serialized-image checks and, through
-// the cluster's transfer plan, bond-slave choices (virtual time), so a
-// change to how they are computed must leave every one of them unchanged.
+// by value. They are ImageStore keys and, through the cluster's transfer
+// plan, bond-slave choices (virtual time), so a change to how they are
+// computed must leave every one of them unchanged.
 func TestContentHashesPinned(t *testing.T) {
 	r := newRig(t)
 	rec, err := r.xl.Create(baseConfig("pinned"), nil)

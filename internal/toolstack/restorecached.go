@@ -68,11 +68,12 @@ func (x *XL) RestoreCachedOp(ctx obs.OpCtx, store *ImageStore, img *Image, name 
 		limit -= 3
 	}
 	adopted := 0
-	// place adopts one stretch of cache frames at pfn, clipping at limit
-	// and falling back to a per-page install above it. pages parallels
-	// mfns and provides the fallback pages.
-	place := func(pfn mem.PFN, mfns []mem.MFN, pages [][]byte) error {
-		cut := len(mfns)
+	// Each stretch adopts the cache frames backing its source run (for an
+	// alias stretch, the very chunks behind the run it repeats), clipped
+	// at limit; the pages above limit are installed by reference.
+	err = img.placeRuns(func(pfn mem.PFN, src, base, n int) error {
+		mfns, pages := ci.chunks[src].mfns[base:base+n], img.runs[src].Pages[base:base+n]
+		cut := n
 		if int(pfn)+cut > limit {
 			cut = limit - int(pfn)
 			if cut < 0 {
@@ -85,7 +86,7 @@ func (x *XL) RestoreCachedOp(ctx obs.OpCtx, store *ImageStore, img *Image, name 
 			}
 			adopted += cut
 		}
-		for j := cut; j < len(mfns); j++ {
+		for j := cut; j < n; j++ {
 			if data := pages[j]; data != nil {
 				if err := space.WritePage(pfn+mem.PFN(j), data, meter); err != nil {
 					return err
@@ -93,27 +94,9 @@ func (x *XL) RestoreCachedOp(ctx obs.OpCtx, store *ImageStore, img *Image, name 
 			}
 		}
 		return nil
-	}
-	for ri := range img.runs {
-		r := &img.runs[ri]
-		switch {
-		case r.IsAlias:
-			// An alias run repeats earlier frames; in the cached child it
-			// COW-shares the very chunks backing the source runs, walking
-			// each covered source run once.
-			err := img.forEachAliasSource(r, func(off, src, base, n int) error {
-				return place(r.Start+mem.PFN(off), ci.chunks[src].mfns[base:base+n], img.runs[src].Pages[base:base+n])
-			})
-			if err != nil {
-				return fail(err)
-			}
-		case r.Pages != nil:
-			if err := place(r.Start, ci.chunks[ri].mfns, r.Pages); err != nil {
-				return fail(err)
-			}
-		default:
-			// Zero run: the fresh domain's pages already read as zeroes.
-		}
+	})
+	if err != nil {
+		return fail(err)
 	}
 	store.noteAdopted(adopted)
 	return rec, true, nil

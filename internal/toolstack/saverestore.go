@@ -95,31 +95,43 @@ func (img *Image) pageAt(pfn mem.PFN) []byte {
 	return r.Pages[pfn-r.Start]
 }
 
-// forEachAliasSource walks the alias run r source run by source run,
-// resolving each covered run once instead of once per page: fn receives
-// the offset within r, the index of a data run it repeats, the first
-// repeated page of that run and the stretch length n. Zero source
-// portions are skipped, and so are nested aliases: aliases always point
-// into fresh runs, so a nested one contributes zeroes.
-func (img *Image) forEachAliasSource(r *mem.SnapshotRun, fn func(off, src, base, n int) error) error {
-	for off := 0; off < r.Count; {
-		pfn := r.Alias + mem.PFN(off)
-		i := img.runIndexOf(pfn)
-		if i < 0 {
-			off++
-			continue
-		}
-		sr := &img.runs[i]
-		n := int(sr.Start) + sr.Count - int(pfn)
-		if rest := r.Count - off; n > rest {
-			n = rest
-		}
-		if isDataRun(sr) {
-			if err := fn(off, i, int(pfn-sr.Start), n); err != nil {
+// placeRuns is the run walk both restore paths share. Zero runs are
+// skipped (a fresh domain's pages already read as zeroes), and a data run
+// is handed to place whole. An alias run is handed over source run by
+// source run, each covered run resolved once instead of once per page;
+// zero source portions are skipped, and so are nested aliases: aliases
+// always point into fresh runs, so a nested one contributes zeroes. place
+// receives the first destination pfn, the index of the data run the pages
+// come from, the offset of the first page within it and the page count.
+// The walk stops at place's first error.
+func (img *Image) placeRuns(place func(pfn mem.PFN, src, base, n int) error) error {
+	for ri := range img.runs {
+		r := &img.runs[ri]
+		if isDataRun(r) {
+			if err := place(r.Start, ri, 0, r.Count); err != nil {
 				return err
 			}
+			continue
 		}
-		off += n
+		for off := 0; r.IsAlias && off < r.Count; {
+			pfn := r.Alias + mem.PFN(off)
+			i := img.runIndexOf(pfn)
+			if i < 0 {
+				off++
+				continue
+			}
+			sr := &img.runs[i]
+			n := int(sr.Start) + sr.Count - int(pfn)
+			if rest := r.Count - off; n > rest {
+				n = rest
+			}
+			if isDataRun(sr) {
+				if err := place(r.Start+mem.PFN(off), i, int(pfn-sr.Start), n); err != nil {
+					return err
+				}
+			}
+			off += n
+		}
 	}
 	return nil
 }
@@ -187,38 +199,20 @@ func (x *XL) Restore(img *Image, name string, meter *vclock.Meter) (*Record, err
 		x.Destroy(rec.ID, nil)
 		return nil, fmt.Errorf("toolstack: image has %d pages, domain %d", img.npages, space.Pages())
 	}
-	// Walk the image run by run: zero runs are skipped (a fresh domain's
-	// pages already read as zeroes), data runs stream their stored pages,
-	// and alias runs resolve each covered source run once instead of a
-	// full run-table lookup per page.
-	for ri := range img.runs {
-		r := &img.runs[ri]
-		if r.IsAlias {
-			err := img.forEachAliasSource(r, func(off, src, base, n int) error {
-				for j, data := range img.runs[src].Pages[base : base+n] {
-					if data != nil {
-						if err := space.WritePage(r.Start+mem.PFN(off+j), data, nil); err != nil {
-							return err
-						}
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				x.Destroy(rec.ID, nil)
-				return nil, fmt.Errorf("toolstack: restore alias run at %d: %w", r.Start, err)
-			}
-			continue
-		}
-		for j, data := range r.Pages {
+	err = img.placeRuns(func(pfn mem.PFN, src, base, n int) error {
+		for j, data := range img.runs[src].Pages[base : base+n] {
 			if data == nil {
 				continue
 			}
-			if err := space.WritePage(r.Start+mem.PFN(j), data, nil); err != nil {
-				x.Destroy(rec.ID, nil)
-				return nil, fmt.Errorf("toolstack: restore pfn %d: %w", r.Start+mem.PFN(j), err)
+			if err := space.WritePage(pfn+mem.PFN(j), data, nil); err != nil {
+				return fmt.Errorf("toolstack: restore pfn %d: %w", pfn+mem.PFN(j), err)
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		x.Destroy(rec.ID, nil)
+		return nil, err
 	}
 	// The entire allocated memory is charged, used or not (§6.1).
 	meter.Charge(meter.Costs().ImagePageRestore, img.npages)

@@ -2,6 +2,7 @@ package toolstack
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -15,14 +16,30 @@ import (
 	"nephele/internal/obs"
 )
 
-// imageBytes is every byte an image stores, in its serialized form.
-func imageBytes(t *testing.T, img *Image) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if _, err := img.WriteTo(&buf); err != nil {
-		t.Fatal(err)
+// imageBytes copies every run's geometry and every byte an image stores
+// into a fresh slice. It must copy: a slice that referenced the stored
+// pages would change along with them, so a before/after comparison could
+// never see a write that reached the image.
+func imageBytes(img *Image) []byte {
+	out := binary.LittleEndian.AppendUint64(nil, uint64(img.npages))
+	for _, r := range img.runs {
+		out = binary.LittleEndian.AppendUint64(out, uint64(r.Start))
+		out = binary.LittleEndian.AppendUint64(out, uint64(r.Count))
+		switch {
+		case r.IsAlias:
+			out = append(out, 'a')
+			out = binary.LittleEndian.AppendUint64(out, uint64(r.Alias))
+		case r.Pages == nil:
+			out = append(out, 'z')
+		default:
+			out = append(out, 'd')
+			for _, data := range r.Pages {
+				out = binary.LittleEndian.AppendUint32(out, uint32(len(data)))
+				out = append(out, data...)
+			}
+		}
 	}
-	return buf.Bytes()
+	return out
 }
 
 func spaceOf(t *testing.T, r *rig, id hv.DomID) *mem.Space {
@@ -85,9 +102,9 @@ func TestSaveIsolatedFromParentWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := imageBytes(t, img)
+	before := imageBytes(img)
 	scribble(t, sp, 0xEE)
-	if !bytes.Equal(imageBytes(t, img), before) {
+	if !bytes.Equal(imageBytes(img), before) {
 		t.Fatal("parent writes after Save changed the image")
 	}
 	after, err := r.xl.Save(id, nil)
@@ -97,7 +114,7 @@ func TestSaveIsolatedFromParentWrites(t *testing.T) {
 	if after.CacheKey() == img.CacheKey() {
 		t.Fatal("a save after writes has the key of the save before them")
 	}
-	if !bytes.Equal(imageBytes(t, img), before) {
+	if !bytes.Equal(imageBytes(img), before) {
 		t.Fatal("a later Save changed the earlier image")
 	}
 }
@@ -115,7 +132,7 @@ func TestRestoredChildrenIsolated(t *testing.T) {
 	}
 	store := NewImageStore(r.hv.Memory, 0)
 	n := img.Pages()
-	before := imageBytes(t, img)
+	before := imageBytes(img)
 	parentWant := domainBytes(t, r, pid, n)
 
 	kids := make(map[string]hv.DomID)
@@ -143,7 +160,7 @@ func TestRestoredChildrenIsolated(t *testing.T) {
 	for i, writer := range []string{"cold", "miss", "hit-a", "hit-b"} {
 		scribble(t, spaceOf(t, r, kids[writer]), byte(0xD0+i))
 		delete(unwritten, writer)
-		if !bytes.Equal(imageBytes(t, img), before) {
+		if !bytes.Equal(imageBytes(img), before) {
 			t.Fatalf("writes of the %s child changed the image", writer)
 		}
 		if !bytes.Equal(domainBytes(t, r, pid, n), parentWant) {
@@ -177,63 +194,68 @@ func TestRestoredChildrenIsolated(t *testing.T) {
 	}
 }
 
-// TestShortStoredPageRestores: the stream admits stored pages shorter than
-// a frame (a prefix, the rest zeroes). Such a page cannot be installed by
-// reference; every restore path must store it by copy as before, not fail.
-func TestShortStoredPageRestores(t *testing.T) {
-	cfg := baseConfig("short")
+// TestStoredPageOfWrongLengthRefused: a page can be installed by reference
+// only if it is exactly one frame long, and SnapshotRuns never captures any
+// other. A hand-built image with a shorter or a longer stored page, among
+// the regular or the special pages, is refused by the cold restore, the
+// cached-miss restore and ImageStore.Insert with an error wrapping
+// mem.ErrBadOffset, and each leaves the domains, the free frames and the
+// store's stats as they were (a cached restore counts its miss).
+func TestStoredPageOfWrongLengthRefused(t *testing.T) {
+	cfg := baseConfig("bad-page")
 	n := cfg.Pages()
 	full := bytes.Repeat([]byte{0x3C}, mem.PageSize)
-	built := &Image{Config: cfg, npages: n, runs: []mem.SnapshotRun{
-		{Start: 0, Count: 8},
-		{Start: 8, Count: 3, Pages: [][]byte{[]byte("short regular page"), full, {}}},
-		{Start: 11, Count: n - 11 - 3},
-		{Start: mem.PFN(n - 3), Count: 3, Pages: [][]byte{full, []byte("short special page"), nil}},
-	}}
-	img, err := ReadImage(bytes.NewReader(imageBytes(t, built)))
-	if err != nil {
-		t.Fatalf("stream with short pages refused: %v", err)
-	}
-	want := make([]byte, n*mem.PageSize)
-	copy(want[8*mem.PageSize:], "short regular page")
-	copy(want[9*mem.PageSize:], full)
-	copy(want[(n-3)*mem.PageSize:], full)
-	copy(want[(n-2)*mem.PageSize:], "short special page")
+	for _, tc := range []struct {
+		name string
+		pfn  int // 8..10 are regular pages, n-3..n-1 special ones
+		page []byte
+	}{
+		{"short regular", 8, []byte("short regular page")},
+		{"short special", n - 2, []byte("short special page")},
+		{"long regular", 9, make([]byte, mem.PageSize+1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			img := &Image{Config: cfg, npages: n, runs: []mem.SnapshotRun{
+				{Start: 0, Count: 8},
+				{Start: 8, Count: 3, Pages: [][]byte{full, full, nil}},
+				{Start: 11, Count: n - 11 - 3},
+				{Start: mem.PFN(n - 3), Count: 3, Pages: [][]byte{full, full, nil}},
+			}}
+			i := img.runIndexOf(mem.PFN(tc.pfn))
+			img.runs[i].Pages[tc.pfn-int(img.runs[i].Start)] = tc.page
 
-	r := newRig(t)
-	cold, err := r.xl.Restore(img, "short-cold", nil)
-	if err != nil {
-		t.Fatalf("Restore: %v", err)
-	}
-	if !bytes.Equal(domainBytes(t, r, cold.ID, n), want) {
-		t.Fatal("cold restore of short pages differs")
-	}
-	store := NewImageStore(r.hv.Memory, 0)
-	for _, path := range []string{"miss", "hit"} {
-		rec, served, err := r.xl.RestoreCachedOp(obs.OpCtx{}, store, img, "short-"+path)
-		if err != nil {
-			t.Fatalf("RestoreCached (%s): %v", path, err)
-		}
-		if served != (path == "hit") {
-			t.Fatalf("%s: served from cache = %v", path, served)
-		}
-		if !bytes.Equal(domainBytes(t, r, rec.ID, n), want) {
-			t.Fatalf("cached-%s restore of short pages differs", path)
-		}
-	}
-	if s := store.Stats(); s.InsertFailures != 0 || s.Inserts != 1 {
-		t.Fatalf("miss did not populate the cache: %+v", s)
-	}
-	other := NewImageStore(r.hv.Memory, 0)
-	if err := other.Insert(img, nil); err != nil {
-		t.Fatalf("Insert: %v", err)
-	}
+			r := newRig(t)
+			store := NewImageStore(r.hv.Memory, 0)
+			doms, free, stats := r.hv.DomainCount(), r.hv.Memory.FreeFrames(), store.Stats()
+			unchanged := func(path string, misses int64) {
+				t.Helper()
+				if got := r.hv.DomainCount(); got != doms {
+					t.Fatalf("%s: %d domains, want %d", path, got, doms)
+				}
+				if got := r.hv.Memory.FreeFrames(); got != free {
+					t.Fatalf("%s: %d free frames, want %d", path, got, free)
+				}
+				want := stats
+				want.Misses += misses
+				if got := store.Stats(); got != want {
+					t.Fatalf("%s: stats %+v, want %+v", path, got, want)
+				}
+			}
 
-	// A stored page longer than a frame stays refused at the door.
-	built.runs[1].Pages[1] = make([]byte, mem.PageSize+1)
-	long := &Image{Config: cfg, npages: n, runs: built.runs}
-	if _, err := ReadImage(bytes.NewReader(imageBytes(t, long))); !errors.Is(err, ErrBadImage) {
-		t.Fatalf("oversized stored page: %v, want ErrBadImage", err)
+			if _, err := r.xl.Restore(img, "bad-cold", nil); !errors.Is(err, mem.ErrBadOffset) {
+				t.Fatalf("cold restore: %v, want ErrBadOffset", err)
+			}
+			unchanged("cold restore", 0)
+			if _, _, err := r.xl.RestoreCachedOp(obs.OpCtx{}, store, img, "bad-miss"); !errors.Is(err, mem.ErrBadOffset) {
+				t.Fatalf("cached-miss restore: %v, want ErrBadOffset", err)
+			}
+			unchanged("cached-miss restore", 1)
+			stats = store.Stats()
+			if err := store.Insert(img, nil); !errors.Is(err, mem.ErrBadOffset) {
+				t.Fatalf("Insert: %v, want ErrBadOffset", err)
+			}
+			unchanged("Insert", 0)
+		})
 	}
 }
 
@@ -496,7 +518,7 @@ func TestSaveRestoreRaceGuestWriter(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSavedImageSurvivesSiblingResets: an image keeps its stream and its
+// TestSavedImageSurvivesSiblingResets: an image keeps its bytes and its
 // key after the domain it was saved from is destroyed, which frees the
 // frames that held its pages, and a sibling's clone then runs 1000 COW-fault
 // and clone_reset cycles whose private copies come from the page pool and
@@ -508,7 +530,7 @@ func TestSavedImageSurvivesSiblingResets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream, key := imageBytes(t, img), img.CacheKey()
+	stored, key := imageBytes(img), img.CacheKey()
 	if err := r.xl.Destroy(id, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -530,8 +552,8 @@ func TestSavedImageSurvivesSiblingResets(t *testing.T) {
 	if err := child.Release(); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(imageBytes(t, img), stream) {
-		t.Fatal("the image's stream changed under a sibling's faults and resets")
+	if !bytes.Equal(imageBytes(img), stored) {
+		t.Fatal("the image's bytes changed under a sibling's faults and resets")
 	}
 	if fresh := (&Image{Config: img.Config, npages: img.npages, runs: img.runs}); fresh.CacheKey() != key {
 		t.Fatalf("the image hashes to %#x afresh, %#x when saved", fresh.CacheKey(), key)

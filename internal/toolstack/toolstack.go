@@ -15,7 +15,6 @@ import (
 	"nephele/internal/devices"
 	"nephele/internal/fault"
 	"nephele/internal/hv"
-	"nephele/internal/netsim"
 	"nephele/internal/obs"
 	"nephele/internal/vclock"
 	"nephele/internal/xenstore"
@@ -27,13 +26,11 @@ var (
 	ErrNoDomain  = errors.New("toolstack: no such domain")
 )
 
-// The per-device configuration types and the switch interface belong to
-// the device-kind table.
+// The per-device configuration types belong to the device-kind table.
 type (
 	VifConfig   = devices.VifConfig
 	NinePConfig = devices.NinePConfig
 	VbdConfig   = devices.VbdConfig
-	Switch      = devices.Switch
 )
 
 // DomainConfig is the xl configuration file of one guest.
@@ -65,55 +62,6 @@ func (c DomainConfig) deviceConfig() devices.Config {
 	return devices.Config{Vifs: c.Vifs, NinePFS: c.NinePFS, Vbds: c.Vbds}
 }
 
-// BridgeSwitch attaches vifs to a learning bridge (the vanilla Xen
-// topology for the boot baseline).
-type BridgeSwitch struct {
-	Bridge *netsim.Bridge
-}
-
-// Attach implements Switch.
-func (s *BridgeSwitch) Attach(v *devices.Vif, meter *vclock.Meter) {
-	s.Bridge.Attach(v)
-	v.SetEgress(func(p netsim.Packet) { s.Bridge.Forward(v, p) })
-	meter.Charge(meter.Costs().SwitchAttach, 1)
-}
-
-// Detach implements Switch.
-func (s *BridgeSwitch) Detach(v *devices.Vif) { s.Bridge.Detach(v) }
-
-// BondSwitch enslaves vifs into a bond whose uplink is the host endpoint
-// (the clone topology: identical MAC+IP slaves, balance-xor selection).
-type BondSwitch struct {
-	Bond   *netsim.Bond
-	Uplink netsim.Endpoint
-}
-
-// Attach implements Switch.
-func (s *BondSwitch) Attach(v *devices.Vif, meter *vclock.Meter) {
-	s.Bond.Enslave(v)
-	v.SetEgress(func(p netsim.Packet) { s.Uplink.Deliver(p) })
-	meter.Charge(meter.Costs().SwitchAttach, 1)
-}
-
-// Detach implements Switch.
-func (s *BondSwitch) Detach(v *devices.Vif) { s.Bond.Release(v) }
-
-// OVSSwitch adds vifs as buckets of an OVS select group.
-type OVSSwitch struct {
-	Group  *netsim.OVSGroup
-	Uplink netsim.Endpoint
-}
-
-// Attach implements Switch.
-func (s *OVSSwitch) Attach(v *devices.Vif, meter *vclock.Meter) {
-	s.Group.AddBucket(v)
-	v.SetEgress(func(p netsim.Packet) { s.Uplink.Deliver(p) })
-	meter.Charge(meter.Costs().SwitchAttach, 1)
-}
-
-// Detach implements Switch.
-func (s *OVSSwitch) Detach(v *devices.Vif) { s.Group.RemoveBucket(v) }
-
 // Backends bundles the Dom0 backend drivers the toolstack talks to.
 type Backends struct {
 	Net     *devices.NetBackend
@@ -142,8 +90,8 @@ type XL struct {
 	// Devices is the device-kind table over Backends, built once here;
 	// xencloned and the platform's fault wiring walk the same table.
 	Devices devices.Table
-	// Net selects where vifs are attached.
-	Net Switch
+	// Net is the switch vifs are plugged into; nil plugs them nowhere.
+	Net *devices.Switch
 	// SkipNameCheck disables the vanilla uniqueness scan whose cost is
 	// superlinear in the number of instances (§6.1; the paper disables
 	// it for the baseline since generated names are unique).
@@ -160,7 +108,7 @@ type XL struct {
 }
 
 // New creates a toolstack over the given platform components.
-func New(hyp *hv.Hypervisor, store *xenstore.Store, be Backends, net Switch) *XL {
+func New(hyp *hv.Hypervisor, store *xenstore.Store, be Backends, net *devices.Switch) *XL {
 	return &XL{
 		HV:       hyp,
 		Store:    store,

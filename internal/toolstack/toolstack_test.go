@@ -41,7 +41,7 @@ func newRigVbd(t *testing.T, vbd *devices.VbdBackend) *rig {
 	}
 	host := netsim.NewHost(netsim.MAC{0xde, 0xad}, netsim.IP{10, 0, 0, 1})
 	bond := netsim.NewBond("bond0")
-	xl := New(hyp, store, be, &BondSwitch{Bond: bond, Uplink: host})
+	xl := New(hyp, store, be, &devices.Switch{Bond: bond, Uplink: host})
 	t.Cleanup(func() {
 		if err := hyp.Memory.Audit(); err != nil {
 			t.Error(err)
@@ -239,42 +239,5 @@ func TestAdoptClone(t *testing.T) {
 	}
 	if _, err := r.xl.AdoptClone(hv.DomID(999), hv.DomID(501)); !errors.Is(err, ErrNoDomain) {
 		t.Fatalf("adopt from unknown parent: %v", err)
-	}
-}
-
-func TestBridgeSwitchTopology(t *testing.T) {
-	r := newRig(t)
-	bridge := netsim.NewBridge("xenbr0")
-	r.xl.Net = &BridgeSwitch{Bridge: bridge}
-	rec, err := r.xl.Create(baseConfig("br"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bridge.Ports() != 1 {
-		t.Fatalf("bridge ports = %d", bridge.Ports())
-	}
-	// Guest TX goes through the bridge.
-	vif, _ := r.xl.Backends.Net.Vif(uint32(rec.ID), 0)
-	host := netsim.NewHost(netsim.MAC{0xaa}, netsim.IP{10, 0, 0, 1})
-	bridge.Attach(host)
-	err = vif.GuestSend(netsim.Packet{DstMAC: host.HWAddr(), Payload: []byte("ping")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := host.Received(); len(got) != 1 || string(got[0].Payload) != "ping" {
-		t.Fatalf("host received %v", got)
-	}
-}
-
-func TestOVSSwitchTopology(t *testing.T) {
-	r := newRig(t)
-	group := netsim.NewOVSGroup("g0")
-	host := netsim.NewHost(netsim.MAC{0xaa}, netsim.IP{10, 0, 0, 1})
-	r.xl.Net = &OVSSwitch{Group: group, Uplink: host}
-	if _, err := r.xl.Create(baseConfig("ovs"), nil); err != nil {
-		t.Fatal(err)
-	}
-	if group.Buckets() != 1 {
-		t.Fatalf("buckets = %d", group.Buckets())
 	}
 }

@@ -43,7 +43,7 @@ type CostModel struct {
 	BackendCreate    Duration // backend driver internal state for one device
 	CloneDeviceState Duration // backend clone-device state (negotiation skipped)
 	UdevEvent        Duration // generating + handling one udev event
-	SwitchAttach     Duration // enslaving a vif into a bridge/bond/OVS group
+	SwitchAttach     Duration // enslaving a vif into the bond
 	QMPRoundTrip     Duration // one QMP request to a device-model process
 	NinePFidClone    Duration // duplicating one 9pfs fid table entry
 	ImagePageSave    Duration // writing one page to a saved image (ramdisk)
