@@ -1,5 +1,5 @@
 // Command nephele-lint is a multichecker for the clone pipeline's
-// concurrency, determinism, and lifecycle invariants. It runs seven
+// concurrency, determinism, and lifecycle invariants. It runs six
 // analyzers (DESIGN.md §11, §16) over the module from source:
 //
 //	lockorder   — a pooled lock is never taken while a sibling is held
@@ -11,32 +11,27 @@
 //	spanend     — every started span is ended on every path
 //	opctx       — operations thread the in-scope OpCtx instead of
 //	              minting fresh meters/traces mid-operation
-//	faultcover  — fault-point literals are unique, registered in the
-//	              *Points lists, and consulted via named constants
 //	hotalloc    — no heap allocations in //nephele:noalloc functions
 //
-// When the run covers the whole module, the faultcover facts are also
-// checked tree-wide: every point listed, consulted by non-test code, and
-// referenced by at least one test.
+// The fault-point registry is not checked here: internal/fault's drift
+// test (TestPointListsCoverTree) does that inside go test.
 //
 // Usage:
 //
 //	go run ./cmd/nephele-lint ./...
-//	go run ./cmd/nephele-lint -only refleak,hotalloc ./internal/mem
-//	go run ./cmd/nephele-lint -json ./...
+//	go run ./cmd/nephele-lint -v ./internal/mem
 //
 // Findings print as `path:line:col: analyzer: message` with paths
 // relative to the module root — the shape .github/nephele-lint-problem-
 // matcher.json turns into GitHub annotations — sorted by position across
-// the whole run so output is diff-stable. -json emits the same findings
-// as a JSON array instead. Exit status is 1 if any finding survives the
+// the whole run so output is diff-stable. A waiver that silences nothing
+// is a finding too. Exit status is 1 if any finding survives the
 // //nephele:*-ok escape hatches, 0 otherwise. -v also prints a
 // per-package summary of waived findings so annotation drift is visible
 // in CI logs.
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -48,7 +43,6 @@ import (
 
 	"nephele/internal/analysis"
 	"nephele/internal/analysis/determinism"
-	"nephele/internal/analysis/faultcover"
 	"nephele/internal/analysis/hotalloc"
 	"nephele/internal/analysis/lockorder"
 	"nephele/internal/analysis/opctx"
@@ -62,54 +56,19 @@ var all = []*analysis.Analyzer{
 	refleak.Analyzer,
 	spanend.Analyzer,
 	opctx.Analyzer,
-	faultcover.Analyzer,
 	hotalloc.Analyzer,
-}
-
-// jsonFinding is one finding in -json output.
-type jsonFinding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
 }
 
 func main() {
 	verbose := flag.Bool("v", false, "also report suppressed findings")
-	only := flag.String("only", "", "comma-separated subset of analyzers to run")
-	asJSON := flag.Bool("json", false, "emit findings as a JSON array")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: nephele-lint [-v] [-json] [-only a,b] [packages]\n\nAnalyzers:\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: nephele-lint [-v] [packages]\n\nAnalyzers:\n")
 		for _, a := range all {
 			fmt.Fprintf(flag.CommandLine.Output(), "  %-12s %s\n", a.Name, a.Doc)
 		}
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-
-	analyzers := all
-	if *only != "" {
-		byName := make(map[string]*analysis.Analyzer)
-		for _, a := range all {
-			byName[a.Name] = a
-		}
-		analyzers = nil
-		for _, name := range strings.Split(*only, ",") {
-			a, ok := byName[strings.TrimSpace(name)]
-			if !ok {
-				fmt.Fprintf(os.Stderr, "nephele-lint: unknown analyzer %q\n", name)
-				os.Exit(2)
-			}
-			analyzers = append(analyzers, a)
-		}
-	}
-	runsFaultcover := false
-	for _, a := range analyzers {
-		if a == faultcover.Analyzer {
-			runsFaultcover = true
-		}
-	}
 
 	patterns := flag.Args()
 	if len(patterns) == 0 {
@@ -158,8 +117,6 @@ func main() {
 
 	exit := 0
 	var findings []analysis.Diagnostic
-	var facts []analysis.Fact
-	faultDirAnalyzed := false
 	for _, dir := range dirs {
 		pkg, err := loader.LoadDir(dir)
 		if err != nil {
@@ -171,41 +128,17 @@ func main() {
 			exit = 2
 			continue
 		}
-		res, err := analysis.RunAll(pkg, analyzers)
+		found, suppressed, err := analysis.Run(pkg, all)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "nephele-lint:", err)
 			exit = 2
 			continue
 		}
-		findings = append(findings, res.Findings...)
-		facts = append(facts, res.Facts...)
-		for _, fp := range faultcover.FaultPkgs {
-			if pkg.Path == fp {
-				faultDirAnalyzed = true
-			}
-		}
-		if *verbose && len(res.Suppressed) > 0 {
-			fmt.Fprintf(os.Stderr, "# %s: %d finding(s) waived by annotation\n", pkg.Path, len(res.Suppressed))
-			for _, d := range res.Suppressed {
+		findings = append(findings, found...)
+		if *verbose && len(suppressed) > 0 {
+			fmt.Fprintf(os.Stderr, "# %s: %d finding(s) waived by annotation\n", pkg.Path, len(suppressed))
+			for _, d := range suppressed {
 				fmt.Fprintf(os.Stderr, "#   %s\n", d)
-			}
-		}
-	}
-
-	// Tree-wide fault-registry verification: only meaningful when the run
-	// included the fault package itself, so a single-package invocation
-	// does not fail on invisible points.
-	if runsFaultcover && faultDirAnalyzed {
-		tf := faultcover.Collect(facts)
-		if err := tf.AddTestRefs(loader.ModuleDir); err != nil {
-			fmt.Fprintln(os.Stderr, "nephele-lint:", err)
-			exit = 2
-		} else {
-			for _, v := range tf.Verify() {
-				findings = append(findings, analysis.Diagnostic{
-					Analyzer: faultcover.Analyzer.Name,
-					Message:  "registry: " + v,
-				})
 			}
 		}
 	}
@@ -230,28 +163,9 @@ func main() {
 	if len(findings) > 0 && exit == 0 {
 		exit = 1
 	}
-	if *asJSON {
-		out := make([]jsonFinding, 0, len(findings))
-		for _, d := range findings {
-			out = append(out, jsonFinding{
-				File:     relPath(d.Pos.Filename),
-				Line:     d.Pos.Line,
-				Col:      d.Pos.Column,
-				Analyzer: d.Analyzer,
-				Message:  d.Message,
-			})
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, "nephele-lint:", err)
-			exit = 2
-		}
-	} else {
-		for _, d := range findings {
-			d.Pos.Filename = relPath(d.Pos.Filename)
-			fmt.Println(d)
-		}
+	for _, d := range findings {
+		d.Pos.Filename = relPath(d.Pos.Filename)
+		fmt.Println(d)
 	}
 	os.Exit(exit)
 }

@@ -25,9 +25,10 @@ type Analyzer struct {
 	// Doc is the one-paragraph description shown by nephele-lint -help.
 	Doc string
 	// Suppress is the escape-hatch comment token (e.g.
-	// "nephele:lockorder-ok"): a diagnostic whose line, or the line
-	// immediately above it, carries a comment containing the token is
-	// dropped. Empty means no escape hatch.
+	// "nephele:lockorder-ok"): a diagnostic is dropped when its line, or
+	// the line immediately above it, carries a line comment beginning
+	// with "//" and the token. A waiver that drops nothing is itself a
+	// finding. Empty means no escape hatch.
 	Suppress string
 	// Run inspects the package and reports findings via pass.Reportf.
 	Run func(pass *Pass) error
@@ -42,7 +43,6 @@ type Pass struct {
 	TypesInfo *types.Info
 
 	diags []Diagnostic
-	facts []Fact
 }
 
 // Diagnostic is one finding.
@@ -50,27 +50,10 @@ type Diagnostic struct {
 	Analyzer string
 	Pos      token.Position
 	Message  string
-	// Suppressed marks findings silenced by the analyzer's escape-hatch
-	// comment; Run returns them separately so tools can count them.
-	Suppressed bool
 }
 
 func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s: %s", d.Pos, d.Analyzer, d.Message)
-}
-
-// Fact is one cross-package observation exported by an analyzer: a
-// key/value pair anchored at a position, accumulated by the multichecker
-// across a whole tree run so module-wide invariants (the fault-point lists
-// covering every literal in the tree, for instance) can be verified after
-// every package has been analyzed. Facts are never suppressed: they are
-// observations, not findings.
-type Fact struct {
-	Analyzer string
-	Package  string
-	Pos      token.Position
-	Key      string
-	Value    string
 }
 
 // Reportf records a finding at pos.
@@ -82,39 +65,12 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// ExportFact records a cross-package observation at pos. The pass's
-// package path is stamped on by Run.
-func (p *Pass) ExportFact(pos token.Pos, key, value string) {
-	p.facts = append(p.facts, Fact{
-		Analyzer: p.Analyzer.Name,
-		Pos:      p.Fset.Position(pos),
-		Key:      key,
-		Value:    value,
-	})
-}
-
-// Result is one package's analysis output: surviving findings, waived
-// findings, and the exported cross-package facts.
-type Result struct {
-	Findings   []Diagnostic
-	Suppressed []Diagnostic
-	Facts      []Fact
-}
-
 // Run applies the analyzers to pkg and returns the surviving diagnostics
 // and the ones silenced by escape-hatch comments, both sorted by position.
+// Every waiver of a run analyzer that silenced nothing is reported as a
+// finding of that analyzer, at the waiver.
 func Run(pkg *Package, analyzers []*Analyzer) (findings, suppressed []Diagnostic, err error) {
-	res, err := RunAll(pkg, analyzers)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res.Findings, res.Suppressed, nil
-}
-
-// RunAll is Run returning the full Result, facts included.
-func RunAll(pkg *Package, analyzers []*Analyzer) (*Result, error) {
-	sup := newSuppressions(pkg)
-	res := &Result{}
+	waivers := collectWaivers(pkg, analyzers)
 	for _, a := range analyzers {
 		pass := &Pass{
 			Analyzer:  a,
@@ -124,19 +80,23 @@ func RunAll(pkg *Package, analyzers []*Analyzer) (*Result, error) {
 			TypesInfo: pkg.Info,
 		}
 		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("%s: %s: %w", pkg.Path, a.Name, err)
+			return nil, nil, fmt.Errorf("%s: %s: %w", pkg.Path, a.Name, err)
 		}
 		for _, d := range pass.diags {
-			if a.Suppress != "" && sup.matches(d.Pos, a.Suppress) {
-				d.Suppressed = true
-				res.Suppressed = append(res.Suppressed, d)
-				continue
+			if waivers.silence(d.Pos, a) {
+				suppressed = append(suppressed, d)
+			} else {
+				findings = append(findings, d)
 			}
-			res.Findings = append(res.Findings, d)
 		}
-		for _, f := range pass.facts {
-			f.Package = pkg.Path
-			res.Facts = append(res.Facts, f)
+	}
+	for _, w := range waivers.all {
+		if !w.used {
+			findings = append(findings, Diagnostic{
+				Analyzer: w.a.Name,
+				Pos:      w.pos,
+				Message:  fmt.Sprintf("waiver //%s silences no finding on its line or the next", w.a.Suppress),
+			})
 		}
 	}
 	byPos := func(s []Diagnostic) func(i, j int) bool {
@@ -151,46 +111,60 @@ func RunAll(pkg *Package, analyzers []*Analyzer) (*Result, error) {
 			return s[i].Message < s[j].Message
 		}
 	}
-	sort.Slice(res.Findings, byPos(res.Findings))
-	sort.Slice(res.Suppressed, byPos(res.Suppressed))
-	return res, nil
+	sort.Slice(findings, byPos(findings))
+	sort.Slice(suppressed, byPos(suppressed))
+	return findings, suppressed, nil
 }
 
-// suppressions indexes every comment line of a package so escape-hatch
+// waiver is a line comment beginning with an analyzer's Suppress token.
+type waiver struct {
+	a    *Analyzer
+	pos  token.Position
+	used bool // it silenced a diagnostic
+}
+
+// waivers indexes a package's waivers by file and line so escape-hatch
 // lookups are O(1) per diagnostic.
-type suppressions struct {
-	// byLine maps file -> line -> concatenated comment text on that line.
-	byLine map[string]map[int]string
+type waivers struct {
+	all    []*waiver
+	byLine map[string]map[int][]*waiver
 }
 
-func newSuppressions(pkg *Package) *suppressions {
-	s := &suppressions{byLine: make(map[string]map[int]string)}
+func collectWaivers(pkg *Package, analyzers []*Analyzer) *waivers {
+	ws := &waivers{byLine: make(map[string]map[int][]*waiver)}
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				pos := pkg.Fset.Position(c.Pos())
-				m := s.byLine[pos.Filename]
-				if m == nil {
-					m = make(map[int]string)
-					s.byLine[pos.Filename] = m
+				for _, a := range analyzers {
+					if a.Suppress == "" || !strings.HasPrefix(c.Text, "//"+a.Suppress) {
+						continue
+					}
+					w := &waiver{a: a, pos: pkg.Fset.Position(c.Pos())}
+					m := ws.byLine[w.pos.Filename]
+					if m == nil {
+						m = make(map[int][]*waiver)
+						ws.byLine[w.pos.Filename] = m
+					}
+					m[w.pos.Line] = append(m[w.pos.Line], w)
+					ws.all = append(ws.all, w)
 				}
-				// A multi-line /* */ comment registers on its start
-				// line only; escape hatches are expected to be //
-				// line comments anyway.
-				m[pos.Line] += " " + c.Text
 			}
 		}
 	}
-	return s
+	return ws
 }
 
-// matches reports whether the diagnostic position is covered by a comment
-// containing token on the same line or the line immediately above.
-func (s *suppressions) matches(pos token.Position, token string) bool {
-	m := s.byLine[pos.Filename]
-	if m == nil {
-		return false
+// silence reports whether a waiver of a sits on the diagnostic's line or
+// the line immediately above it, and marks every such waiver used.
+func (ws *waivers) silence(pos token.Position, a *Analyzer) bool {
+	found := false
+	for _, line := range []int{pos.Line, pos.Line - 1} {
+		for _, w := range ws.byLine[pos.Filename][line] {
+			if w.a == a {
+				w.used = true
+				found = true
+			}
+		}
 	}
-	return strings.Contains(m[pos.Line], token) ||
-		strings.Contains(m[pos.Line-1], token)
+	return found
 }

@@ -31,7 +31,8 @@ type expectation struct {
 // as test errors any diagnostic without a matching want comment on its
 // line and any want comment left unmatched. Escape-hatch-suppressed
 // diagnostics count as absent, so fixtures exercise the suppression path
-// simply by annotating a violation and omitting the want.
+// simply by annotating a violation and omitting the want; a waiver that
+// silences nothing is a diagnostic no want matches, so it fails the test.
 func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 	t.Helper()
 	loader, err := analysis.NewLoader(dir)
@@ -51,7 +52,7 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 				if m == nil {
 					continue
 				}
-				pat, err := unquote(m[1])
+				pat, err := strconv.Unquote(m[1])
 				if err != nil {
 					t.Fatalf("%s: bad want literal %s: %v", pkg.Fset.Position(c.Pos()), m[1], err)
 				}
@@ -89,11 +90,4 @@ func match(wants []*expectation, pos token.Position, msg string) *expectation {
 		}
 	}
 	return nil
-}
-
-func unquote(lit string) (string, error) {
-	if lit[0] == '`' {
-		return lit[1 : len(lit)-1], nil
-	}
-	return strconv.Unquote(lit)
 }

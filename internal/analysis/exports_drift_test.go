@@ -270,8 +270,6 @@ func origin(obj types.Object) types.Object {
 // fields as "<Type>.<name>"), each with the reason it stays.
 var testOnlyExports = map[string]string{
 	"analysis/analysistest.Run":    harness,
-	"analysis/faultcover.FaultDir": harness,
-	"analysis/faultcover.ScanTree": harness,
 	"cluster.Cluster.SetFaults":    harness,
 	"fault.CachePoints":            harness,
 	"fault.ClusterPoints":          harness,
@@ -343,41 +341,39 @@ var testOnlyExports = map[string]string{
 	"guest.SocketPair.Recv":      paper,
 	"guest.SocketPair.Send":      paper,
 
-	"analysis/callgraph.Graph.DeclOf": inspector,
-	"analysis/callgraph.Graph.NodeOf": inspector,
-	"apps.Redis.Dirty":                inspector,
-	"apps.RedisHost.Faults":           inspector,
-	"apps.Worker.Served":              inspector,
-	"bench.Figure.SeriesByName":       inspector,
-	"devices.HostFS.List":             inspector,
-	"devices.HostFS.Size":             inspector,
-	"faas.Gateway.Instances":          inspector,
-	"gmem.Heap.LiveBytes":             inspector,
-	"gmem.Heap.Used":                  inspector,
-	"gmem.SpaceIO.Pages":              inspector,
-	"guest.Kernel.ConsoleLog":         inspector,
-	"guest.Kernel.Faults":             inspector,
-	"guest.Kernel.GuestIP":            inspector,
-	"guest.Kernel.Map":                inspector,
-	"hv.Domain.VCPU":                  inspector,
-	"netsim.Bond.Name":                inspector,
-	"netsim.Fabric.Hosts":             inspector,
-	"netsim.Fabric.Width":             inspector,
-	"netsim.Host.Notify":              inspector,
-	"netsim.Host.Received":            inspector,
-	"netsim.Link.Ends":                inspector,
-	"netsim.Link.Width":               inspector,
-	"obs.Trace.Render":                inspector,
-	"proc.Machine.Process":            inspector,
-	"proc.Machine.ProcessCount":       inspector,
-	"proc.Process.Children":           inspector,
-	"proc.Process.Faults":             inspector,
-	"proc.Process.Pages":              inspector,
-	"ring.Ring.Capacity":              inspector,
-	"ring.Ring.PeekAll":               inspector,
-	"vclock.Compare":                  inspector,
-	"vclock.Vector.At":                inspector,
-	"vclock.Vector.Hosts":             inspector,
+	"apps.Redis.Dirty":          inspector,
+	"apps.RedisHost.Faults":     inspector,
+	"apps.Worker.Served":        inspector,
+	"bench.Figure.SeriesByName": inspector,
+	"devices.HostFS.List":       inspector,
+	"devices.HostFS.Size":       inspector,
+	"faas.Gateway.Instances":    inspector,
+	"gmem.Heap.LiveBytes":       inspector,
+	"gmem.Heap.Used":            inspector,
+	"gmem.SpaceIO.Pages":        inspector,
+	"guest.Kernel.ConsoleLog":   inspector,
+	"guest.Kernel.Faults":       inspector,
+	"guest.Kernel.GuestIP":      inspector,
+	"guest.Kernel.Map":          inspector,
+	"hv.Domain.VCPU":            inspector,
+	"netsim.Bond.Name":          inspector,
+	"netsim.Fabric.Hosts":       inspector,
+	"netsim.Fabric.Width":       inspector,
+	"netsim.Host.Notify":        inspector,
+	"netsim.Host.Received":      inspector,
+	"netsim.Link.Ends":          inspector,
+	"netsim.Link.Width":         inspector,
+	"obs.Trace.Render":          inspector,
+	"proc.Machine.Process":      inspector,
+	"proc.Machine.ProcessCount": inspector,
+	"proc.Process.Children":     inspector,
+	"proc.Process.Faults":       inspector,
+	"proc.Process.Pages":        inspector,
+	"ring.Ring.Capacity":        inspector,
+	"ring.Ring.PeekAll":         inspector,
+	"vclock.Compare":            inspector,
+	"vclock.Vector.At":          inspector,
+	"vclock.Vector.Hosts":       inspector,
 
 	"apps.Redis.Del":            model,
 	"apps.Redis.Get":            model,

@@ -1,4 +1,4 @@
-package callgraph
+package refleak
 
 import (
 	"go/ast"
@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-func check(t *testing.T, src string) (*types.Package, *types.Info, []*ast.File) {
+func typecheck(t *testing.T, src string) (*types.Info, []*ast.File) {
 	t.Helper()
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, "p.go", src, 0)
@@ -21,14 +21,13 @@ func check(t *testing.T, src string) (*types.Package, *types.Info, []*ast.File) 
 		Uses: make(map[*ast.Ident]types.Object),
 	}
 	conf := types.Config{Importer: importer.Default()}
-	pkg, err := conf.Check("p", fset, []*ast.File{f}, info)
-	if err != nil {
+	if _, err := conf.Check("p", fset, []*ast.File{f}, info); err != nil {
 		t.Fatalf("typecheck: %v", err)
 	}
-	return pkg, info, []*ast.File{f}
+	return info, []*ast.File{f}
 }
 
-const src = `package p
+const callSrc = `package p
 
 type T struct{}
 
@@ -41,22 +40,21 @@ func viaValue(g func())     { g() }
 func external()             { _ = len("x") }
 `
 
-func names(ns []*Node) []string {
+func nodeNames(ns []*callNode) []string {
 	var out []string
 	for _, n := range ns {
-		out = append(out, n.Func.Name())
+		out = append(out, n.fn.Name())
 	}
 	return out
 }
 
 func TestDirectEdges(t *testing.T) {
-	pkg, info, files := check(t, src)
-	g := New(pkg, info, files)
+	g := newCallGraph(typecheck(t, callSrc))
 
-	find := func(name string) *Node {
+	find := func(name string) *callNode {
 		t.Helper()
-		for _, n := range g.Nodes {
-			if n.Func.Name() == name {
+		for _, n := range g.nodes {
+			if n.fn.Name() == name {
 				return n
 			}
 		}
@@ -64,25 +62,24 @@ func TestDirectEdges(t *testing.T) {
 		return nil
 	}
 
-	if got := names(find("top").Callees); len(got) != 1 || got[0] != "Acquire" {
+	if got := nodeNames(find("top").callees); len(got) != 1 || got[0] != "Acquire" {
 		t.Fatalf("top callees = %v, want [Acquire]", got)
 	}
-	if got := names(find("Acquire").Callees); len(got) != 1 || got[0] != "helper" {
+	if got := nodeNames(find("Acquire").callees); len(got) != 1 || got[0] != "helper" {
 		t.Fatalf("Acquire callees = %v, want [helper]", got)
 	}
-	if got := names(find("helper").Callees); len(got) != 1 || got[0] != "Release" {
+	if got := nodeNames(find("helper").callees); len(got) != 1 || got[0] != "Release" {
 		t.Fatalf("helper callees = %v, want [Release]", got)
 	}
 }
 
 func TestClosureCallsAttributeToDeclaringFunc(t *testing.T) {
-	pkg, info, files := check(t, src)
-	g := New(pkg, info, files)
-	for _, n := range g.Nodes {
-		if n.Func.Name() != "viaClosure" {
+	g := newCallGraph(typecheck(t, callSrc))
+	for _, n := range g.nodes {
+		if n.fn.Name() != "viaClosure" {
 			continue
 		}
-		got := names(n.Callees)
+		got := nodeNames(n.callees)
 		if len(got) != 1 || got[0] != "helper" {
 			t.Fatalf("viaClosure callees = %v, want [helper]", got)
 		}
@@ -92,46 +89,31 @@ func TestClosureCallsAttributeToDeclaringFunc(t *testing.T) {
 }
 
 func TestFunctionValueCallHasNoEdge(t *testing.T) {
-	pkg, info, files := check(t, src)
-	g := New(pkg, info, files)
-	for _, n := range g.Nodes {
-		if n.Func.Name() == "viaValue" && len(n.Callees) != 0 {
-			t.Fatalf("viaValue callees = %v, want none", names(n.Callees))
-		}
-	}
-}
-
-func TestNodeOfAndDeclOf(t *testing.T) {
-	pkg, info, files := check(t, src)
-	g := New(pkg, info, files)
-	for _, n := range g.Nodes {
-		if g.NodeOf(n.Func) != n {
-			t.Fatalf("NodeOf(%s) mismatch", n.Func.Name())
-		}
-		if g.DeclOf(n.Func) != n.Decl {
-			t.Fatalf("DeclOf(%s) mismatch", n.Func.Name())
+	g := newCallGraph(typecheck(t, callSrc))
+	for _, n := range g.nodes {
+		if n.fn.Name() == "viaValue" && len(n.callees) != 0 {
+			t.Fatalf("viaValue callees = %v, want none", nodeNames(n.callees))
 		}
 	}
 }
 
 func TestFixpointConverges(t *testing.T) {
-	pkg, info, files := check(t, src)
-	g := New(pkg, info, files)
+	g := newCallGraph(typecheck(t, callSrc))
 	// Propagate a "reaches Release" bit backwards along call edges; the
 	// fixpoint must mark helper, Acquire, top and viaClosure.
-	reaches := make(map[*Node]bool)
-	for _, n := range g.Nodes {
-		if n.Func.Name() == "Release" {
+	reaches := make(map[*callNode]bool)
+	for _, n := range g.nodes {
+		if n.fn.Name() == "Release" {
 			reaches[n] = true
 		}
 	}
 	rounds := 0
-	g.Fixpoint(func(n *Node) bool {
+	g.fixpoint(func(n *callNode) bool {
 		rounds++
 		if reaches[n] {
 			return false
 		}
-		for _, c := range n.Callees {
+		for _, c := range n.callees {
 			if reaches[c] {
 				reaches[n] = true
 				return true
@@ -140,9 +122,9 @@ func TestFixpointConverges(t *testing.T) {
 		return false
 	})
 	want := map[string]bool{"Release": true, "helper": true, "Acquire": true, "top": true, "viaClosure": true}
-	for _, n := range g.Nodes {
-		if reaches[n] != want[n.Func.Name()] {
-			t.Fatalf("reaches[%s] = %v, want %v", n.Func.Name(), reaches[n], want[n.Func.Name()])
+	for _, n := range g.nodes {
+		if reaches[n] != want[n.fn.Name()] {
+			t.Fatalf("reaches[%s] = %v, want %v", n.fn.Name(), reaches[n], want[n.fn.Name()])
 		}
 	}
 	if rounds == 0 {

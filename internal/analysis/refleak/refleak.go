@@ -10,7 +10,7 @@
 // schedule actually runs; this analyzer rejects the shape at CI time.
 //
 // The pass runs on the shared CFG (internal/analysis/cfg) with a
-// package-level call-graph summary (internal/analysis/callgraph): a
+// package-level call-graph summary (callgraph.go): a
 // function's summary says whether it transitively reaches a release
 // operation, and any call to such a helper — directly, deferred, or in a
 // return expression — discharges the caller's outstanding acquisitions,
@@ -43,7 +43,6 @@ import (
 	"sort"
 
 	"nephele/internal/analysis"
-	"nephele/internal/analysis/callgraph"
 	"nephele/internal/analysis/cfg"
 )
 
@@ -80,35 +79,35 @@ const (
 )
 
 func run(pass *analysis.Pass) error {
-	g := callgraph.New(pass.Pkg, pass.TypesInfo, pass.Files)
+	g := newCallGraph(pass.TypesInfo, pass.Files)
 	releasers := summarize(pass, g)
-	for _, n := range g.Nodes {
-		checkFunc(pass, n.Decl, releasers)
+	for _, n := range g.nodes {
+		checkFunc(pass, n.decl, releasers)
 	}
 	return nil
 }
 
 // summarize computes, for every function in the package, whether it
 // transitively reaches a release operation.
-func summarize(pass *analysis.Pass, g *callgraph.Graph) map[*types.Func]bool {
+func summarize(pass *analysis.Pass, g *callGraph) map[*types.Func]bool {
 	rel := make(map[*types.Func]bool)
-	for _, n := range g.Nodes {
+	for _, n := range g.nodes {
 		direct := false
-		ast.Inspect(n.Decl.Body, func(x ast.Node) bool {
+		ast.Inspect(n.decl.Body, func(x ast.Node) bool {
 			if call, ok := x.(*ast.CallExpr); ok && isReleaseOp(pass, call) {
 				direct = true
 			}
 			return !direct
 		})
-		rel[n.Func] = direct
+		rel[n.fn] = direct
 	}
-	g.Fixpoint(func(n *callgraph.Node) bool {
-		if rel[n.Func] {
+	g.fixpoint(func(n *callNode) bool {
+		if rel[n.fn] {
 			return false
 		}
-		for _, c := range n.Callees {
-			if rel[c.Func] {
-				rel[n.Func] = true
+		for _, c := range n.callees {
+			if rel[c.fn] {
+				rel[n.fn] = true
 				return true
 			}
 		}
@@ -307,7 +306,7 @@ func (c *checker) isDischarge(call *ast.CallExpr) bool {
 			return true
 		}
 	}
-	if fn := callgraph.StaticCallee(c.pass.TypesInfo, call); fn != nil && c.releasers[fn] {
+	if fn := staticCallee(c.pass.TypesInfo, call); fn != nil && c.releasers[fn] {
 		return true
 	}
 	return false

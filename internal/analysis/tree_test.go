@@ -9,7 +9,6 @@ import (
 
 	"nephele/internal/analysis"
 	"nephele/internal/analysis/determinism"
-	"nephele/internal/analysis/faultcover"
 	"nephele/internal/analysis/hotalloc"
 	"nephele/internal/analysis/lockorder"
 	"nephele/internal/analysis/opctx"
@@ -18,10 +17,8 @@ import (
 )
 
 // TestTreeIsClean runs every analyzer over the whole module and fails on
-// any unwaived finding, so `go test ./...` enforces the same invariants CI
-// checks via cmd/nephele-lint. The faultcover facts collected along the
-// way feed the tree-wide registry verification (every point listed, used,
-// and test-covered).
+// any unwaived finding or unused waiver, so `go test ./...` enforces the
+// same invariants CI checks via cmd/nephele-lint.
 func TestTreeIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-tree lint type-checks the module; skipped with -short")
@@ -36,26 +33,16 @@ func TestTreeIsClean(t *testing.T) {
 		refleak.Analyzer,
 		spanend.Analyzer,
 		opctx.Analyzer,
-		faultcover.Analyzer,
 		hotalloc.Analyzer,
 	}
-	var facts []analysis.Fact
 	for _, pkg := range mod.pkgs {
-		res, err := analysis.RunAll(pkg, analyzers)
+		findings, _, err := analysis.Run(pkg, analyzers)
 		if err != nil {
 			t.Fatalf("run %s: %v", pkg.Dir, err)
 		}
-		for _, d := range res.Findings {
+		for _, d := range findings {
 			t.Errorf("%s", d)
 		}
-		facts = append(facts, res.Facts...)
-	}
-	tf := faultcover.Collect(facts)
-	if err := tf.AddTestRefs(mod.loader.ModuleDir); err != nil {
-		t.Fatalf("test refs: %v", err)
-	}
-	for _, v := range tf.Verify() {
-		t.Errorf("fault registry: %s", v)
 	}
 }
 
