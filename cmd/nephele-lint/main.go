@@ -1,20 +1,18 @@
 // Command nephele-lint is a multichecker for the clone pipeline's
-// concurrency, determinism, and lifecycle invariants. It runs six
+// concurrency, determinism, context and allocation invariants. It runs four
 // analyzers (DESIGN.md §11, §16) over the module from source:
 //
 //	lockorder   — a pooled lock is never taken while a sibling is held
 //	determinism — no wall clock / unseeded rand / map iteration in
 //	              virtual-time packages
-//	refleak     — ShareN/AllocN/AddSharerN paired with a release on every
-//	              error path, releases tracked through same-package
-//	              helper calls
-//	spanend     — every started span is ended on every path
 //	opctx       — operations thread the in-scope OpCtx instead of
 //	              minting fresh meters/traces mid-operation
 //	hotalloc    — no heap allocations in //nephele:noalloc functions
 //
 // The fault-point registry is not checked here: internal/fault's drift
-// test (TestPointListsCoverTree) does that inside go test.
+// test (TestPointListsCoverTree) does that inside go test. Neither are
+// error-path frame balance and span closure: internal/core's TestOOMSweep
+// fails every frame allocation of each operation in turn and checks both.
 //
 // Usage:
 //
@@ -46,15 +44,11 @@ import (
 	"nephele/internal/analysis/hotalloc"
 	"nephele/internal/analysis/lockorder"
 	"nephele/internal/analysis/opctx"
-	"nephele/internal/analysis/refleak"
-	"nephele/internal/analysis/spanend"
 )
 
 var all = []*analysis.Analyzer{
 	lockorder.Analyzer,
 	determinism.Analyzer,
-	refleak.Analyzer,
-	spanend.Analyzer,
 	opctx.Analyzer,
 	hotalloc.Analyzer,
 }

@@ -12,8 +12,6 @@ import (
 	"nephele/internal/analysis/hotalloc"
 	"nephele/internal/analysis/lockorder"
 	"nephele/internal/analysis/opctx"
-	"nephele/internal/analysis/refleak"
-	"nephele/internal/analysis/spanend"
 )
 
 // TestTreeIsClean runs every analyzer over the whole module and fails on
@@ -30,8 +28,6 @@ func TestTreeIsClean(t *testing.T) {
 	analyzers := []*analysis.Analyzer{
 		lockorder.Analyzer,
 		determinism.Analyzer,
-		refleak.Analyzer,
-		spanend.Analyzer,
 		opctx.Analyzer,
 		hotalloc.Analyzer,
 	}

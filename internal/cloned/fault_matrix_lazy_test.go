@@ -6,7 +6,6 @@ import (
 	"nephele/internal/fault"
 	"nephele/internal/hv"
 	"nephele/internal/mem"
-	"nephele/internal/obs"
 	"nephele/internal/vclock"
 )
 
@@ -26,12 +25,12 @@ func (r *faultRig) cloneLazy(t *testing.T) (hv.DomID, <-chan struct{}, error) {
 		N:        1,
 		CopyRing: true,
 		Mode:     mem.CloneLazy,
-		Ctx:      obs.Ctx(vclock.NewMeter(nil)),
+		Ctx:      r.ctx(nil),
 	})
 	if res.Err != nil {
 		t.Fatalf("lazy first stage: %v", res.Err)
 	}
-	_, serveErr := r.d.Serve(obs.Ctx(vclock.NewMeter(nil)))
+	_, serveErr := r.d.Serve(r.ctx(nil))
 	return res.Children[0], res.Done, serveErr
 }
 
@@ -48,7 +47,7 @@ func eagerBaseline(t *testing.T) *worldState {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.d.Serve(obs.Ctx(vclock.NewMeter(nil))); err != nil {
+	if _, err := r.d.Serve(r.ctx(nil)); err != nil {
 		t.Fatal(err)
 	}
 	waitDone(t, done)
@@ -69,7 +68,7 @@ func TestLazyClonePipeline(t *testing.T) {
 
 	res := r.hv.Clone(hv.CloneRequest{
 		Caller: rec.ID, Target: rec.ID, N: 1, CopyRing: true,
-		Mode: mem.CloneLazy, Ctx: obs.Ctx(vclock.NewMeter(nil)),
+		Mode: mem.CloneLazy, Ctx: r.ctx(nil),
 	})
 	if res.Err != nil {
 		t.Fatalf("lazy first stage: %v", res.Err)
@@ -77,14 +76,14 @@ func TestLazyClonePipeline(t *testing.T) {
 	if res.Stats.Memory.Deferred == 0 {
 		t.Fatal("lazy clone deferred nothing")
 	}
-	if _, err := r.d.Serve(obs.Ctx(vclock.NewMeter(nil))); err != nil {
+	if _, err := r.d.Serve(r.ctx(nil)); err != nil {
 		t.Fatalf("second stage: %v", err)
 	}
 	waitDone(t, res.Done)
 
 	kid := res.Children[0]
 	m := vclock.NewMeter(nil)
-	if err := r.hv.WaitStreamed(obs.Ctx(m), kid); err != nil {
+	if err := r.hv.WaitStreamed(r.ctx(m), kid); err != nil {
 		t.Fatalf("WaitStreamed: %v", err)
 	}
 	if m.Elapsed() == 0 {
@@ -139,7 +138,7 @@ func TestLazyFaultMatrixMidStream(t *testing.T) {
 			}
 			waitDone(t, done)
 
-			werr := r.hv.WaitStreamed(obs.Ctx(vclock.NewMeter(nil)), kid)
+			werr := r.hv.WaitStreamed(r.ctx(nil), kid)
 			if !fault.IsFatal(werr) {
 				t.Fatalf("WaitStreamed = %v, want injected fatal fault", werr)
 			}
@@ -169,7 +168,7 @@ func TestLazyFaultMatrixMidStream(t *testing.T) {
 				t.Fatalf("clone after recovery: %v", serveErr2)
 			}
 			waitDone(t, done2)
-			if err := r.hv.WaitStreamed(obs.Ctx(vclock.NewMeter(nil)), kid2); err != nil {
+			if err := r.hv.WaitStreamed(r.ctx(nil), kid2); err != nil {
 				t.Fatalf("stream after recovery: %v", err)
 			}
 		})
@@ -209,7 +208,7 @@ func TestLazyAbortWithRunningStreamer(t *testing.T) {
 				t.Fatalf("clone after abort: %v", serveErr2)
 			}
 			waitDone(t, done2)
-			if err := r.hv.WaitStreamed(obs.Ctx(vclock.NewMeter(nil)), kid2); err != nil {
+			if err := r.hv.WaitStreamed(r.ctx(nil), kid2); err != nil {
 				t.Fatalf("stream after abort: %v", err)
 			}
 		})

@@ -19,8 +19,11 @@ import (
 
 // faultRig is a rig with every device type (including a vbd backend, which
 // the base rig omits) and a fault registry threaded through the whole
-// pipeline, so any fault point of the matrix can actually fire. The rig's
-// memory pool is audited when the test ends.
+// pipeline, so any fault point of the matrix can actually fire. Every
+// context a test builds with ctx records into one trace. When the test
+// ends no span may be open, the memory pool is audited, and once every
+// domain is destroyed the whole pool must be free: Audit alone cannot see
+// a leaked sharer reference.
 type faultRig struct {
 	hv     *hv.Hypervisor
 	store  *xenstore.Store
@@ -28,6 +31,7 @@ type faultRig struct {
 	d      *Daemon
 	bond   *netsim.Bond
 	faults *fault.Registry
+	trace  *obs.Trace
 }
 
 func newFaultRig(t testing.TB, opts Options) *faultRig {
@@ -59,13 +63,40 @@ func newFaultRig(t testing.TB, opts Options) *faultRig {
 	be.Console.SetFaults(reg)
 	be.NineP.SetFaults(reg)
 	be.Vbd.SetFaults(reg)
+	r := &faultRig{hv: hyp, store: store, xl: xl, d: d, bond: bond, faults: reg, trace: obs.NewTrace()}
 	t.Cleanup(func() {
+		for _, s := range r.trace.Spans() {
+			if s.EndV < 0 {
+				t.Errorf("span %q left open", s.Name)
+			}
+		}
 		if err := hyp.Memory.Audit(); err != nil {
 			t.Error(err)
 		}
+		doms := hyp.Domains()
+		sort.Slice(doms, func(i, j int) bool { return doms[i] > doms[j] })
+		for _, id := range doms {
+			if id == 0 {
+				continue
+			}
+			if err := xl.Destroy(id, nil); err != nil {
+				t.Error(err)
+			}
+		}
+		if free, total := hyp.Memory.FreeFrames(), hyp.Memory.TotalFrames(); free != total {
+			t.Errorf("%d of %d frames free after destroying every domain", free, total)
+		}
 	})
+	return r
+}
 
-	return &faultRig{hv: hyp, store: store, xl: xl, d: d, bond: bond, faults: reg}
+// ctx is a fresh operation context on m (a new meter when nil) that
+// records into the rig's trace.
+func (r *faultRig) ctx(m *vclock.Meter) obs.OpCtx {
+	if m == nil {
+		m = vclock.NewMeter(nil)
+	}
+	return obs.Ctx(m).WithTrace(r.trace)
 }
 
 // bootParent boots a guest with one device of every kind, so each device
@@ -230,7 +261,7 @@ func TestFaultMatrixFatal(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			served, serveErr := r.d.Serve(obs.Ctx(vclock.NewMeter(nil)))
+			served, serveErr := r.d.Serve(r.ctx(nil))
 			if served != 0 {
 				t.Fatalf("served = %d, want 0", served)
 			}
@@ -262,7 +293,7 @@ func TestFaultMatrixFatal(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n, err := r.d.Serve(obs.Ctx(vclock.NewMeter(nil))); err != nil || n != 1 {
+			if n, err := r.d.Serve(r.ctx(nil)); err != nil || n != 1 {
 				t.Fatalf("post-fault clone: served %d, err %v", n, err)
 			}
 			waitDone(t, done2)
@@ -287,7 +318,7 @@ func TestFaultMatrixTransientRecovers(t *testing.T) {
 				t.Fatal(err)
 			}
 			meter := vclock.NewMeter(nil)
-			served, serveErr := r.d.Serve(obs.Ctx(meter))
+			served, serveErr := r.d.Serve(r.ctx(meter))
 			if serveErr != nil {
 				t.Fatalf("transient fault not retried away: %v", serveErr)
 			}
@@ -348,7 +379,7 @@ func TestFaultMatrixTransientExhausted(t *testing.T) {
 			// reads exactly what the retries were charged.
 			base := vclock.DefaultCosts().CloneRetryBase
 			meter := vclock.NewMeter(&vclock.CostModel{CloneRetryBase: base})
-			served, serveErr := r.d.Serve(obs.Ctx(meter))
+			served, serveErr := r.d.Serve(r.ctx(meter))
 			if served != 0 || serveErr == nil {
 				t.Fatalf("served = %d, err = %v; want 0 and an error", served, serveErr)
 			}
@@ -378,7 +409,7 @@ func TestTransientRetriesChargeBackoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := clean.d.Serve(obs.Ctx(cleanMeter)); err != nil {
+	if _, err := clean.d.Serve(clean.ctx(cleanMeter)); err != nil {
 		t.Fatal(err)
 	}
 	waitDone(t, done)
@@ -394,7 +425,7 @@ func TestTransientRetriesChargeBackoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := faulty.d.Serve(obs.Ctx(fMeter)); err != nil {
+	if _, err := faulty.d.Serve(faulty.ctx(fMeter)); err != nil {
 		t.Fatal(err)
 	}
 	waitDone(t, fdone)
@@ -448,7 +479,7 @@ func TestFaultMatrixFirstStage(t *testing.T) {
 			if err != nil {
 				t.Fatalf("post-fault clone failed: %v", err)
 			}
-			if n, err := r.d.Serve(obs.Ctx(vclock.NewMeter(nil))); err != nil || n != 1 {
+			if n, err := r.d.Serve(r.ctx(nil)); err != nil || n != 1 {
 				t.Fatalf("post-fault second stage: served %d, err %v", n, err)
 			}
 			waitDone(t, done)
@@ -480,7 +511,7 @@ func TestAcceptanceOneOfFourChildrenFails(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			served, serveErr := r.d.Serve(obs.Ctx(vclock.NewMeter(nil)))
+			served, serveErr := r.d.Serve(r.ctx(nil))
 			if served != 3 {
 				t.Fatalf("served = %d, want 3", served)
 			}
@@ -545,7 +576,7 @@ func TestServeAllCountsAcrossMixedBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	served, serveErr := r.d.Serve(obs.Ctx(vclock.NewMeter(nil)))
+	served, serveErr := r.d.Serve(r.ctx(nil))
 	if served != 3 {
 		t.Fatalf("served = %d, want 3", served)
 	}
@@ -586,12 +617,12 @@ func TestRollbackIsIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, serveErr := r.d.Serve(obs.Ctx(vclock.NewMeter(nil))); serveErr == nil {
+	if _, serveErr := r.d.Serve(r.ctx(nil)); serveErr == nil {
 		t.Fatal("expected a failure")
 	}
 	waitDone(t, done)
 
 	// Serve already rolled back; a second explicit pass changes nothing.
-	r.d.rollback(hv.CloneNotification{Parent: rec.ID, Child: kids[0]}, obs.Ctx(vclock.NewMeter(nil)))
+	r.d.rollback(hv.CloneNotification{Parent: rec.ID, Child: kids[0]}, r.ctx(nil))
 	assertSame(t, pre, r.snapshot(t))
 }

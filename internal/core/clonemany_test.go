@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"nephele/internal/fault"
 	"nephele/internal/hv"
 	"nephele/internal/netsim"
 	"nephele/internal/obs"
@@ -167,5 +168,37 @@ func TestCloneOpRejectsNonPositiveCount(t *testing.T) {
 	res, err := fork(p, parent, 1, nil)
 	if err != nil || len(res.Children) != 1 || res.Children[0] != parent+1 {
 		t.Fatalf("fork after refused clones: %+v, %v; want the next domain ID %d", res, err, parent+1)
+	}
+}
+
+// TestCloneOpPartialFirstStage: a first stage that fails at its second
+// child returns the first one with the error, served and running, and the
+// parent resumed; destroying that child gives every frame back.
+func TestCloneOpPartialFirstStage(t *testing.T) {
+	p := smallPlatform(Options{SkipNameCheck: true})
+	parent := bootParents(t, p, 1)[0]
+	reg := fault.NewRegistry()
+	reg.Inject(fault.PointHVCloneOne, fault.FailNth(2), fault.Fatal)
+	p.SetFaults(reg)
+	free := p.HV.Memory.FreeFrames()
+	res, err := fork(p, parent, 2, nil)
+	if pt, _ := fault.PointOf(err); pt != fault.PointHVCloneOne {
+		t.Fatalf("err = %v, want the injected %s fault", err, fault.PointHVCloneOne)
+	}
+	if res == nil || len(res.Children) != 1 || len(res.Failed) != 0 {
+		t.Fatalf("result %+v, want one child", res)
+	}
+	child := res.Children[0]
+	if d, err := p.HV.Domain(child); err != nil || d.Paused() {
+		t.Fatalf("child %d not running: %v", child, err)
+	}
+	if d, _ := p.HV.Domain(parent); d.Paused() {
+		t.Fatal("parent left paused")
+	}
+	if err := p.Destroy(child, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.HV.Memory.FreeFrames(); got != free {
+		t.Fatalf("%d free frames after destroying the child, want %d", got, free)
 	}
 }

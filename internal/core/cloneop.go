@@ -111,7 +111,9 @@ func (p *Platform) cloneRouter() CloneRouter {
 
 // CloneOp is the clone entry point: one OpCtx-first surface for a local
 // fork and the cluster remote-clone path. Several parents fork with one
-// CloneOp each, one after the other.
+// CloneOp each, one after the other. A first-stage failure part-way
+// through returns the children built before it, already served, together
+// with the error.
 //
 //   - A spec without a placement runs the complete two-stage pipeline on
 //     this platform. The recorded span tree is
@@ -160,7 +162,7 @@ func (p *Platform) cloneOne(ctx obs.OpCtx, spec CloneSpec) (*CloneResult, error)
 	start := meter.Elapsed()
 	r := p.HV.Clone(hv.CloneRequest{Caller: spec.Caller, Target: spec.Parent,
 		N: spec.Count, CopyRing: true, Mode: spec.Mode, Ctx: ctx})
-	if r.Err != nil {
+	if r.Err != nil && len(r.Children) == 0 {
 		span.End()
 		return nil, r.Err
 	}
@@ -169,8 +171,11 @@ func (p *Platform) cloneOne(ctx obs.OpCtx, spec CloneSpec) (*CloneResult, error)
 	pctx, pspan := ctx.StartSpan("parent-paused")
 	_, serveErr := p.Cloned.Serve(pctx)
 	// Failed children are aborted, which releases their references too, so
-	// the parent has resumed either way.
-	<-r.Done
+	// the parent has resumed either way. A first stage that stopped part-way
+	// resumed it already and has no Done to wait on.
+	if r.Err == nil {
+		<-r.Done
+	}
 	pspan.End()
 	span.End()
 	res := &CloneResult{
@@ -180,6 +185,10 @@ func (p *Platform) cloneOne(ctx obs.OpCtx, spec CloneSpec) (*CloneResult, error)
 		Stats:       stats,
 	}
 	p.settle(res, kids)
+	if r.Err != nil {
+		return res, fmt.Errorf("core: clone of %d: first stage stopped after %d of %d children: %w",
+			spec.Parent, len(kids), spec.Count, errors.Join(r.Err, serveErr))
+	}
 	if serveErr != nil {
 		return res, fmt.Errorf("core: clone of %d: %d of %d children failed: %w",
 			spec.Parent, len(res.Failed), len(kids), serveErr)

@@ -19,6 +19,10 @@ import (
 //   - accounting: the free and shared counters, the recycle stack and the
 //     per-domain usage equal what the frames say.
 //
+// Audit cannot see a leaked reference: a sharer reference or an owned frame
+// nobody will give back is a consistent state. Tests catch those by
+// destroying every domain and requiring FreeFrames() == TotalFrames().
+//
 // Audit is a read-only inspector for tests and test harnesses; it allocates
 // and holds the pool lock throughout, so no operation path calls it.
 func (m *Memory) Audit() error {
