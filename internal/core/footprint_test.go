@@ -14,13 +14,14 @@ import (
 // TestCloneHostFootprint guards the simulator's own residue per clone: the
 // Fig. 4 guest (4 MB Mini-OS, one vif) binds no event channel and grants
 // nothing its children inherit, and their rings are empty, so what a child
-// retains of the Go heap is about 25 KiB: its page table (1024 entries of
-// 8 bytes, 8 KiB), the metadata of the 363 frames it does not share (24 bytes
-// each, made a chunk at a time: 9 KiB), its Xenstore nodes (5.5 KiB), and
-// 2.5 KiB of MFN lists and domain, device and toolstack records. The two
-// tables are mem's (DESIGN.md §10, "Table layouts"); at 16 and 40 bytes an
-// entry the same child was 39 KiB, so a table that quietly returns to its
-// old width, or to capacity size, shows here.
+// retains of the Go heap is about 19 KiB: its page table (1024 entries of
+// 8 bytes, 8 KiB), the metadata of the 363 frames it does not share (16
+// bytes each, with no pointer, made a chunk at a time: 6 KiB), its Xenstore
+// nodes (5.5 KiB), and 2.5 KiB of MFN lists and domain, device and
+// toolstack records. The two tables are mem's (DESIGN.md §10, "Table
+// layouts"); with a page pointer in each frame the same child was 22 KiB,
+// and at 16 and 40 bytes an entry 39 KiB, so a table that quietly returns to
+// an old width, or to capacity size, shows here.
 func TestCloneHostFootprint(t *testing.T) {
 	const children = 512
 	p := core.NewPlatform(core.Options{SkipNameCheck: true})
@@ -51,8 +52,8 @@ func TestCloneHostFootprint(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / children
 	t.Logf("%d clones retain %d bytes of Go heap each", children, per)
-	if per > 30<<10 {
-		t.Fatalf("a clone of the Fig. 4 guest retains %d bytes of Go heap, want <= 30 KiB", per)
+	if per > 23<<10 {
+		t.Fatalf("a clone of the Fig. 4 guest retains %d bytes of Go heap, want <= 23 KiB", per)
 	}
 	runtime.KeepAlive(p)
 }

@@ -13,6 +13,9 @@ import (
 //   - page-aliasing: no unsealed page is held by two frames, and no page is
 //     sealed in one frame and unsealed in another — the page pool relies on
 //     an unsealed page having its frame as its only holder;
+//   - page-slot: every frame names a slot of the table or none, no two
+//     frames name one slot, and a page sits only in a slot a frame names (a
+//     free frame's page is a free-frame violation);
 //   - free-frame: a free frame holds no page, no refcount and no pledges;
 //   - frame-state: an owned frame has one reference, and a dom_cow frame with
 //     none is a zombie, which only its pledges keep alive;
@@ -34,15 +37,26 @@ func (m *Memory) Audit() error {
 		sealed bool
 	}
 	pages := make(map[*[PageSize]byte]holder)
+	namedBy := make([]MFN, m.pages.n+1) // slot -> 1 + the frame naming it
 	inUse, shared := 0, 0
 	used := make(map[DomID]int)
 	var owners []DomID // the keys of used, in the order the walk met them
 	for i := 0; i < m.watermark; i++ {
 		mfn := MFN(i)
 		f := m.frame(mfn)
-		if !f.inUse {
-			if f.data != nil || f.refcount != 0 || f.pledges != 0 {
-				log.add("free-frame", "frame %d holds a page %t, refcount %d, pledges %d", mfn, f.data != nil, f.refcount, f.pledges)
+		var page *[PageSize]byte // f's page, left nil where its slot is broken
+		switch s := f.slot(); {
+		case s > m.pages.n:
+			log.add("page-slot", "frame %d names slot %d of %d", mfn, s, m.pages.n)
+		case s != 0 && namedBy[s] != 0:
+			log.add("page-slot", "frames %d and %d name slot %d", namedBy[s]-1, mfn, s)
+		case s != 0:
+			namedBy[s] = mfn + 1
+			page = *m.pages.ref(s)
+		}
+		if !f.inUse() {
+			if page != nil || f.sealed() || f.refcount != 0 || f.pledges != 0 {
+				log.add("free-frame", "frame %d holds a page %t (sealed %t), refcount %d, pledges %d", mfn, page != nil, f.sealed(), f.refcount, f.pledges)
 			}
 			continue
 		}
@@ -60,13 +74,18 @@ func (m *Memory) Audit() error {
 		case f.refcount != 1 || f.pledges < 0:
 			log.add("frame-state", "frame %d owned by %d has refcount %d, pledges %d", mfn, f.owner, f.refcount, f.pledges)
 		}
-		if f.data == nil {
+		if page == nil {
 			continue
 		}
-		if h, dup := pages[f.data]; !dup {
-			pages[f.data] = holder{mfn, f.sealed}
-		} else if !h.sealed || !f.sealed {
-			log.add("page-aliasing", "frames %d (sealed %t) and %d (sealed %t) hold one page", h.mfn, h.sealed, mfn, f.sealed)
+		if h, dup := pages[page]; !dup {
+			pages[page] = holder{mfn, f.sealed()}
+		} else if !h.sealed || !f.sealed() {
+			log.add("page-aliasing", "frames %d (sealed %t) and %d (sealed %t) hold one page", h.mfn, h.sealed, mfn, f.sealed())
+		}
+	}
+	for s := uint32(1); s <= m.pages.n; s++ {
+		if namedBy[s] == 0 && *m.pages.ref(s) != nil {
+			log.add("page-slot", "slot %d holds a page no frame names", s)
 		}
 	}
 	if want := m.total - inUse; m.free != want {
@@ -80,7 +99,7 @@ func (m *Memory) Audit() error {
 	}
 	for j := 0; j < m.recycled.n; j++ {
 		mfn := m.recycled.chunks[j>>mfnStackShift][j&(mfnStackChunk-1)]
-		if int(mfn) >= m.watermark || m.frame(mfn).inUse {
+		if int(mfn) >= m.watermark || m.frame(mfn).inUse() {
 			log.add("accounting", "pool stacks frame %d, which it cannot hand out", mfn)
 		}
 	}

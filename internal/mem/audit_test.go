@@ -42,14 +42,29 @@ func TestAuditNamesEachViolation(t *testing.T) {
 	}{
 		{"unsealed page in two frames", "page-aliasing", func(m *Memory, s *Space) {
 			page := new([PageSize]byte)
-			owned(m, s).data, m.frame(s.ptFrames[1]).data = page, page
+			m.setPage(owned(m, s), page, false)
+			m.setPage(m.frame(s.ptFrames[1]), page, false)
 		}},
 		{"page sealed in one frame only", "page-aliasing", func(m *Memory, s *Space) {
-			frameOf(m, s, 1).data = frameOf(m, s, 0).data
-			frameOf(m, s, 1).sealed = false
+			m.setPage(frameOf(m, s, 1), m.pageOf(frameOf(m, s, 0)), false)
+		}},
+		{"two frames naming one slot", "page-slot", func(m *Memory, s *Space) {
+			f := owned(m, s)
+			f.word = f.word&^frameSlotMask | frameOf(m, s, 0).slot()
+		}},
+		{"frame naming a slot past the table", "page-slot", func(m *Memory, s *Space) {
+			f := owned(m, s)
+			f.word = f.word&^frameSlotMask | (m.pages.n + 1)
+		}},
+		{"page in a slot no frame names", "page-slot", func(m *Memory, s *Space) {
+			var stray frame
+			m.setPage(&stray, new([PageSize]byte), false)
 		}},
 		{"free frame holding a page", "free-frame", func(m *Memory, s *Space) {
-			freed(m).data = new([PageSize]byte)
+			m.setPage(freed(m), new([PageSize]byte), false)
+		}},
+		{"free frame still sealed", "free-frame", func(m *Memory, s *Space) {
+			freed(m).seal()
 		}},
 		{"free frame holding a pledge", "free-frame", func(m *Memory, s *Space) {
 			freed(m).pledges = 1
@@ -86,7 +101,7 @@ func TestAuditNamesEachViolation(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), c.want+":") {
 				t.Fatalf("Audit = %v, want a %s violation", err, c.want)
 			}
-			for _, other := range []string{"page-aliasing", "free-frame", "frame-state", "accounting"} {
+			for _, other := range []string{"page-aliasing", "page-slot", "free-frame", "frame-state", "accounting"} {
 				if other != c.want && strings.Contains(err.Error(), other+":") {
 					t.Fatalf("Audit also names %s: %v", other, err)
 				}

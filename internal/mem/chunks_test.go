@@ -66,7 +66,7 @@ func TestFrameTableGrowsInPlace(t *testing.T) {
 		t.Fatalf("growing the table to %d bytes allocated %d (%.2fx), want <= 1.1x", final, got, float64(got)/float64(final))
 	}
 	for idx := 0; idx < m.total; idx++ {
-		if f := m.frame(MFN(idx)); !f.inUse || f.owner != 1 || f.refcount != 1 {
+		if f := m.frame(MFN(idx)); !f.inUse() || f.owner != 1 || f.refcount != 1 {
 			t.Fatalf("frame %d after growth: %+v", idx, *f)
 		}
 	}
@@ -173,4 +173,122 @@ func TestChunkHolesUnderConcurrentAlloc(t *testing.T) {
 		t.Fatalf("pool state changed: free %d/%d shared %d/%d used %v/%v",
 			before.Free, after.Free, before.Shared, after.Shared, before.UsedBy, after.UsedBy)
 	}
+}
+
+// TestCOWCopyGrowsFirstChunk makes a write fault's private copy the
+// allocation that grows, and so moves, the frame table's first chunk: the
+// fault must update the source frame where the table holds it afterwards.
+// Frames are conserved and the pool audits clean, for a copy away from a
+// shared frame and from a pledged one.
+func TestCOWCopyGrowsFirstChunk(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		faulter  DomID
+		refcount int // the source's, after the fault
+	}{
+		{"shared", 2, 1},
+		{"pledged", 1, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := newTestMem(64)
+			mfns, err := m.AllocN(1, 2, nil) // the first chunk is exactly two frames
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := mfns[0]
+			if err := m.Write(src, 0, []byte("clone-time")); err != nil {
+				t.Fatal(err)
+			}
+			release := func() error { return m.ReleaseN(1, []MFN{src}) }
+			if c.faulter == 1 {
+				err = m.pledgePTEs(ptesOf([]MFN{src}))
+				release = func() error { return m.cancelPledged(ptesOf([]MFN{src})) }
+			} else {
+				err = m.ShareN(1, []MFN{src}, 2, nil)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := &m.chunks[0][0]
+			got, err := m.resolveCOW(c.faulter, src, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if &m.chunks[0][0] == before {
+				t.Fatal("the copy did not move the first chunk")
+			}
+			if rc, _ := m.Refcount(src); got == src || rc != c.refcount {
+				t.Fatalf("fault gave frame %d (source %d), source refcount %d; want a copy and %d", got, src, rc, c.refcount)
+			}
+			buf := make([]byte, 10)
+			if err := m.Read(got, 0, buf); err != nil || string(buf) != "clone-time" {
+				t.Fatalf("private copy reads %q, %v", buf, err)
+			}
+			audit(t, m)
+			if err := release(); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.ReleaseN(1, mfns[1:]); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.ReleaseN(c.faulter, []MFN{got}); err != nil {
+				t.Fatal(err)
+			}
+			if m.FreeFrames() != m.TotalFrames() {
+				t.Fatalf("%d of %d frames free after releasing everything", m.FreeFrames(), m.TotalFrames())
+			}
+			audit(t, m)
+		})
+	}
+}
+
+// TestSlotTableGrowsInPlace: a pool that stores no page has no slot table;
+// writing pages gives each written frame one slot, which it keeps through
+// being freed and handed out again, and once the first chunk is whole no
+// chunk of slots moves.
+func TestSlotTableGrowsInPlace(t *testing.T) {
+	const n = 2*pageChunkMask + 9 // into the third chunk of slots
+	m := newTestMem(n)
+	mfns, err := m.AllocN(1, n, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.pages.n != 0 || m.pages.chunks != nil {
+		t.Fatalf("no page stored, yet %d slots in %d chunks", m.pages.n, len(m.pages.chunks))
+	}
+	at := map[int]**[PageSize]byte{}
+	for i, mfn := range mfns {
+		if err := m.Write(mfn, 0, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+		for k := range m.pages.chunks {
+			if k == 0 && len(m.pages.chunks[0]) < 1<<pageChunkShift {
+				continue
+			}
+			if at[k] == nil {
+				at[k] = &m.pages.chunks[k][0]
+			} else if at[k] != &m.pages.chunks[k][0] {
+				t.Fatalf("slot chunk %d moved at slot %d", k, m.pages.n)
+			}
+		}
+	}
+	if m.pages.n != n || cap(m.pages.chunks[0]) != 1<<pageChunkShift {
+		t.Fatalf("%d written frames hold %d slots, first chunk %d wide", n, m.pages.n, cap(m.pages.chunks[0]))
+	}
+	if err := m.ReleaseN(1, mfns); err != nil {
+		t.Fatal(err)
+	}
+	again, err := m.AllocN(2, n, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mfn := range again {
+		if err := m.Write(mfn, 0, []byte{1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m.pages.n != n {
+		t.Fatalf("rewriting freed frames grew the table to %d slots, want %d", m.pages.n, n)
+	}
+	audit(t, m)
 }

@@ -1,20 +1,51 @@
 package mem
 
 import (
+	"reflect"
 	"testing"
 	"unsafe"
 )
 
 // TestTableLayouts pins the size of the two per-page tables to what they
 // model (DESIGN.md §10, "Table layouts"): an entry is one 64-bit word, a
-// frame 16 bytes of state and one pointer. A field that widens either shows
-// here, not in the benchmark's host_live_mb.
+// frame 16 bytes of state with no pointer in it, so the collector never
+// scans the frame table. A field that widens either, or a page pointer
+// moved back into the frame, shows here, not in the benchmark's
+// host_live_mb.
 func TestTableLayouts(t *testing.T) {
 	if got := unsafe.Sizeof(pte(0)); got != 8 {
 		t.Errorf("a pte is %d bytes, want 8", got)
 	}
-	if got, want := unsafe.Sizeof(frame{}), 16+unsafe.Sizeof(uintptr(0)); got != want {
-		t.Errorf("a frame is %d bytes, want %d", got, want)
+	if got := unsafe.Sizeof(frame{}); got != 16 {
+		t.Errorf("a frame is %d bytes, want 16", got)
+	}
+	ft := reflect.TypeOf(frame{})
+	for i := 0; i < ft.NumField(); i++ {
+		switch f := ft.Field(i); f.Type.Kind() {
+		case reflect.Uint32, reflect.Int32:
+		default:
+			t.Errorf("frame field %s is a %s, want a 32-bit integer", f.Name, f.Type)
+		}
+	}
+}
+
+// TestFrameWordPacksSlotAndFlags: the in-use and sealed bits lie above the
+// slot index, and setting or clearing either leaves the index alone, at the
+// edges of the index field too.
+func TestFrameWordPacksSlotAndFlags(t *testing.T) {
+	if frameInUse&frameSlotMask != 0 || frameSealed&frameSlotMask != 0 || frameInUse == frameSealed {
+		t.Fatal("a flag overlaps the slot index or the other flag")
+	}
+	for _, slot := range []uint32{0, 1, 12345, frameSlotMask} {
+		for _, flags := range []uint32{0, frameInUse, frameSealed, frameInUse | frameSealed} {
+			f := frame{word: slot | flags}
+			if f.slot() != slot || f.inUse() != (flags&frameInUse != 0) || f.sealed() != (flags&frameSealed != 0) {
+				t.Fatalf("word %#x reads slot %d, inUse %t, sealed %t", f.word, f.slot(), f.inUse(), f.sealed())
+			}
+			if f.seal(); f.slot() != slot || !f.sealed() || f.inUse() != (flags&frameInUse != 0) {
+				t.Fatalf("seal on %#x gave %#x", slot|flags, f.word)
+			}
+		}
 	}
 }
 

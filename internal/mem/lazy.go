@@ -54,7 +54,7 @@ func (m *Memory) pledgePTEs(ptes []pte) error {
 	for c.next() {
 		fr, short := c.frames()
 		for j := range fr {
-			if !fr[j].inUse {
+			if !fr[j].inUse() {
 				return c.fail(frameErr(ErrDoubleFree, c.mfn(j)))
 			}
 		}
@@ -91,7 +91,7 @@ func (m *Memory) cancelPledged(ptes []pte) error {
 		fr, short := c.frames()
 		for j := range fr {
 			f := &fr[j]
-			if !f.inUse || f.pledges == 0 {
+			if !f.inUse() || f.pledges == 0 {
 				if firstErr == nil {
 					firstErr = frameErr(ErrNotPledged, c.mfn(j))
 				}
@@ -135,7 +135,7 @@ func (m *Memory) adoptPledged(dom DomID, ptes []pte, meter *vclock.Meter) error 
 		fr, short := c.frames()
 		for j := range fr {
 			f := &fr[j]
-			if !f.inUse {
+			if !f.inUse() {
 				return c.fail(frameErr(ErrDoubleFree, c.mfn(j)))
 			}
 			if f.pledges == 0 {

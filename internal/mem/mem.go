@@ -64,13 +64,20 @@ var (
 	ErrNotPledged    = errors.New("mem: frame carries no pledge")
 )
 
-// frame is one machine page. Data is allocated lazily: nil means the frame
-// reads as zeroes (nothing was written to it since it was handed out, or it
-// last took a copy of such a frame), so host memory follows the frames that
-// hold data rather than the thousands of simulated domains. A page a frame
-// lets go of goes back to pagePool unless it is sealed, and the next frame
-// that needs a page takes it from there: the host holds the pages of live
-// frames plus what the pool keeps until the collector drains it.
+// frame is one machine page's state: 16 bytes and no pointer, so the frame
+// table, the largest thing the host keeps per simulated page, is nothing the
+// collector scans (DESIGN.md §10, "Table layouts").
+//
+// The page's contents live in the pool's slot table (pageSlots), which the
+// frame names by a 30-bit index in word; slot 0 means the frame reads as
+// zeroes (nothing was written to it since it was handed out, or it last took
+// a copy of such a frame), so host memory follows the frames that hold data
+// rather than the thousands of simulated domains. A frame takes a slot the
+// first time it stores a page and keeps it for life: freeing the frame only
+// empties the slot. A page a frame lets go of goes back to pagePool unless it
+// is sealed, and the next frame that needs a page takes it from there: the
+// host holds the pages of live frames plus what the pool keeps until the
+// collector drains it.
 //
 // pledges counts lazy-clone children that hold an unmaterialized claim on
 // the frame's clone-time contents (DESIGN.md §13). A pledged frame's
@@ -79,23 +86,148 @@ var (
 // "zombie" (refcount 0, pledges > 0) until the last pledge is adopted or
 // cancelled.
 //
-// sealed means the data page is also held by a snapshot, an image or
-// another frame, so it is never written in place again: SnapshotFrames and
-// WritePage set it, and every path that stores into data replaces a sealed
-// page with a private one first (DESIGN.md §10.1). The bit sits in the
-// padding after inUse.
+// word packs the slot index with two bits above it: inUse, and sealed,
+// which means the page is also held by a snapshot, an image or another
+// frame, so it is never written in place again: SnapshotFrames and
+// WritePage set it, and every path that stores a page replaces a sealed one
+// with a private one first (DESIGN.md §10.1).
 //
-// data points at a whole page, never at less: the frame is 16 bytes of state
-// and one pointer (DESIGN.md §10, "Table layouts"), and the exported surface
-// converts at its edge — f.data[:] out, (*[PageSize]byte)(page) in — so the
-// slices callers see are backed by the very arrays the frames hold.
+// Pages are always whole: the exported surface converts at its edge —
+// page[:] out, (*[PageSize]byte)(page) in — so the slices callers see are
+// backed by the very arrays the slots hold.
 type frame struct {
 	owner    DomID
 	refcount int32
 	pledges  int32
-	inUse    bool
-	sealed   bool
-	data     *[PageSize]byte
+	word     uint32 // slot index | frameSealed | frameInUse
+}
+
+// The bits of frame.word above the slot index. A 30-bit index numbers
+// 4 TiB of written pages.
+const (
+	frameInUse    = 1 << 31
+	frameSealed   = 1 << 30
+	frameSlotMask = frameSealed - 1
+)
+
+// inUse reports whether the frame is handed out (not free).
+func (f *frame) inUse() bool { return f.word&frameInUse != 0 }
+
+// sealed reports whether the frame's page may be held elsewhere too.
+func (f *frame) sealed() bool { return f.word&frameSealed != 0 }
+
+// slot returns the frame's slot index, 0 for none.
+func (f *frame) slot() uint32 { return f.word & frameSlotMask }
+
+// seal marks the frame's page as shared with a holder outside the frame.
+func (f *frame) seal() { f.word |= frameSealed }
+
+// pageChunkShift is log2 of the slot table's chunk size, 4096 pages.
+const (
+	pageChunkShift = 12
+	pageChunkMask  = 1<<pageChunkShift - 1
+)
+
+// pageSlots is the pool's slot table: slot s (1..n) holds the page of the
+// frame that names it, nil when that frame reads as zeroes, at
+// chunks[(s-1)>>pageChunkShift][(s-1)&pageChunkMask]. Like the frame table,
+// every chunk but the first is whole from the moment it exists, and the
+// first grows by doubling, so no slot is copied once its chunk is whole and
+// a pool that never stores a page pays for nothing. Slots are never given
+// back, so n is the number of frames that ever held a page.
+type pageSlots struct {
+	chunks [][]*[PageSize]byte
+	n      uint32
+}
+
+// ref returns the cell of slot s, 1 <= s <= n.
+func (t *pageSlots) ref(s uint32) **[PageSize]byte {
+	i := s - 1
+	return &t.chunks[i>>pageChunkShift][i&pageChunkMask]
+}
+
+// add hands out the next slot, empty.
+func (t *pageSlots) add() uint32 {
+	if t.n == frameSlotMask {
+		panic("mem: slot table full: more than 2^30 frames hold pages")
+	}
+	const chunk = 1 << pageChunkShift
+	i := t.n
+	switch ci := int(i >> pageChunkShift); {
+	case ci == 0:
+		if len(t.chunks) == 0 {
+			t.chunks = append(t.chunks, nil)
+		}
+		first := t.chunks[0]
+		if int(i) == cap(first) {
+			first = make([]*[PageSize]byte, i, min(max(8, 2*cap(first)), chunk))
+			copy(first, t.chunks[0])
+		}
+		t.chunks[0] = first[:i+1]
+	case ci == len(t.chunks):
+		t.chunks = append(t.chunks, make([]*[PageSize]byte, chunk))
+	}
+	t.n++
+	return t.n
+}
+
+// pageOf returns f's page, nil when f reads as zeroes; m.mu must be held.
+func (m *Memory) pageOf(f *frame) *[PageSize]byte {
+	if s := f.slot(); s != 0 {
+		return *m.pages.ref(s)
+	}
+	return nil
+}
+
+// setPage makes p f's page, sealed or not, giving f a slot if it has none.
+// The page it replaces is dropped, not recycled: callers replace only a
+// sealed page or none. m.mu must be held.
+func (m *Memory) setPage(f *frame, p *[PageSize]byte, sealed bool) {
+	if f.slot() == 0 {
+		f.word |= m.pages.add()
+	}
+	*m.pages.ref(f.slot()) = p
+	f.word &^= frameSealed
+	if sealed {
+		f.word |= frameSealed
+	}
+}
+
+// putPage detaches f's page, recycling it unless it is sealed; f keeps its
+// slot. m.mu must be held.
+func (m *Memory) putPage(f *frame) {
+	s := f.slot()
+	if s == 0 {
+		return
+	}
+	if cell := m.pages.ref(s); *cell != nil {
+		if !f.sealed() {
+			pagePool.Put(*cell)
+		}
+		*cell = nil
+	}
+	f.word &^= frameSealed
+}
+
+// pagePool recycles the data pages of freed frames into the next frames a
+// write or a copy fills. A COW fault's private copy is garbage one
+// clone_reset later, and on the fuzzing pattern allocating and collecting
+// those pages was over half of the host's work. Only unsealed pages enter
+// it: an unsealed page is held by its frame alone, a sealed one may also be
+// in a snapshot, an image or another frame (DESIGN.md §10.1). Pages from the
+// pool hold stale bytes, so getPage clears one only when asked, and a caller
+// that overwrites the whole page does not ask.
+var pagePool sync.Pool
+
+func getPage(zero bool) *[PageSize]byte {
+	if v := pagePool.Get(); v != nil {
+		p := v.(*[PageSize]byte)
+		if zero {
+			*p = [PageSize]byte{}
+		}
+		return p
+	}
+	return new([PageSize]byte)
 }
 
 // frameChunkShift is log2 of the frame table's chunk size, 4096 frames: the
@@ -187,6 +319,8 @@ type Memory struct {
 	// chunks is the frame table (see frameChunkShift). The outer slice is
 	// fixed by New; its elements change under mu.
 	chunks [][]frame
+	// pages is the slot table holding the frames' pages (see frame).
+	pages pageSlots
 
 	// metrics is the opt-in hot-path instrumentation (SetMetrics); nil —
 	// the default — keeps lockBatch and the COW fault path uninstrumented.
@@ -211,7 +345,7 @@ func (m *Memory) frameAt(mfn MFN) (*frame, error) {
 		return nil, fmt.Errorf("%w: %d", ErrBadFrame, mfn)
 	}
 	ch := m.chunks[mfn>>frameChunkShift]
-	if off := int(mfn & frameChunkMask); off < len(ch) && ch[off].inUse {
+	if off := int(mfn & frameChunkMask); off < len(ch) && ch[off].inUse() {
 		return &ch[off], nil
 	}
 	return nil, fmt.Errorf("%w: %d", ErrDoubleFree, mfn)
@@ -440,14 +574,13 @@ func (m *Memory) UsedBy(dom DomID) int {
 }
 
 // initFrameLocked hands frame mfn out to dom; m.mu must be held and the
-// table must already cover mfn.
+// table must already cover mfn. A free frame's slot is empty, so the frame
+// reads as zeroes.
 func (m *Memory) initFrameLocked(mfn MFN, dom DomID) {
 	f := m.frame(mfn)
 	f.owner = dom
 	f.refcount = 1
-	f.inUse = true
-	f.sealed = false
-	f.data = nil
+	f.word = f.slot() | frameInUse
 }
 
 // dropUsageLocked decrements dom's usage count; m.mu must be held.
@@ -465,8 +598,8 @@ func (m *Memory) dropUsageLocked(dom DomID, n int) {
 // stack without touching the per-owner usage accounting (the caller batches
 // that). m.mu must be held.
 func (m *Memory) resetFrameLocked(f *frame, mfn MFN) {
-	f.inUse = false
-	putPage(f)
+	m.putPage(f)
+	f.word &^= frameInUse
 	f.refcount = 0
 	f.pledges = 0
 	f.owner = DomIDInvalid
@@ -495,10 +628,21 @@ func (m *Memory) AllocN(dom DomID, n int, meter *vclock.Meter) ([]MFN, error) {
 // its table.
 func allocInto[T MFN | pte](m *Memory, dom DomID, out []T, meter *vclock.Meter) error {
 	m.mu.Lock()
+	err := allocLocked(m, dom, out)
+	m.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	meter.Charge(meter.Costs().PageAlloc, len(out))
+	return nil
+}
+
+// allocLocked is allocInto's body, which charges nothing; m.mu must be
+// held. It may grow the frame table, which can move the first chunk: a
+// *frame the caller took before the call must be looked up again.
+func allocLocked[T MFN | pte](m *Memory, dom DomID, out []T) error {
 	if m.free < len(out) {
-		free := m.free
-		m.mu.Unlock()
-		return fmt.Errorf("%w: want %d frames, %d free", ErrOutOfMemory, len(out), free)
+		return fmt.Errorf("%w: want %d frames, %d free", ErrOutOfMemory, len(out), m.free)
 	}
 	took := 0
 	for took < len(out) && m.recycled.n > 0 {
@@ -518,20 +662,7 @@ func allocInto[T MFN | pte](m *Memory, dom DomID, out []T, meter *vclock.Meter) 
 	}
 	m.usedByDom[dom] += len(out)
 	m.free -= len(out)
-	m.mu.Unlock()
-	meter.Charge(meter.Costs().PageAlloc, len(out))
 	return nil
-}
-
-// Owner reports the owner of a frame.
-func (m *Memory) Owner(mfn MFN) (DomID, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	f, err := m.frameAt(mfn)
-	if err != nil {
-		return DomIDInvalid, err
-	}
-	return f.owner, nil
 }
 
 // Refcount reports the sharer count of a frame.
@@ -578,6 +709,13 @@ func (m *Memory) sharePTEs(dom DomID, ptes []pte, refs int, meter *vclock.Meter)
 func (m *Memory) shareRuns(dom DomID, c runCursor, refs int, meter *vclock.Meter) (int, error) {
 	m.lockBatch()
 	defer m.mu.Unlock()
+	return m.shareRunsLocked(dom, c, refs, meter)
+}
+
+// shareRunsLocked is shareRuns with m.mu already held.
+//
+//nephele:noalloc
+func (m *Memory) shareRunsLocked(dom DomID, c runCursor, refs int, meter *vclock.Meter) (int, error) {
 	if refs < 1 {
 		return 0, fmt.Errorf("mem: share with %d refs", refs) //nephele:hotalloc-ok — caller bug, never on the warm path
 	}
@@ -586,7 +724,7 @@ func (m *Memory) shareRuns(dom DomID, c runCursor, refs int, meter *vclock.Meter
 		fr, short := c.frames()
 		for j := range fr {
 			f := &fr[j]
-			if !f.inUse {
+			if !f.inUse() {
 				return 0, c.fail(frameErr(ErrDoubleFree, c.mfn(j)))
 			}
 			if f.owner != DomIDCOW {
@@ -660,7 +798,7 @@ func (m *Memory) addSharerRuns(c runCursor, n int) error {
 		fr, short := c.frames()
 		for j := range fr {
 			f := &fr[j]
-			if !f.inUse {
+			if !f.inUse() {
 				bad := c.mfn(j)
 				c.unbump(n, runs, j)
 				return c.fail(frameErr(ErrDoubleFree, bad))
@@ -727,65 +865,56 @@ func (c *runCursor) unbump(n, runs, j int) {
 //     contents copied and dom's sharer reference dropped (PageUnshare);
 //   - anything else is ErrNotShared.
 //
-// The private frame is allocated between two looks, with the lock released:
-// the second look classifies again, which is all the handling a sharer that
-// dropped out or a drain that converted the frame in between needs.
+// It looks once: the private frame is allocated under the same hold of the
+// pool lock as the classification and the copy, so nothing can change the
+// frame in between.
 func (m *Memory) resolveCOW(dom DomID, mfn MFN, meter *vclock.Meter) (MFN, error) {
 	if int(mfn) >= m.total {
 		return 0, frameErr(ErrBadFrame, mfn)
 	}
-	var one [1]MFN
-	var spare []MFN // one[:], the frame a copy-away fills, once one is known to be needed
-	for {
-		// The first look takes the plain lock, which the lock metrics leave
-		// out; the second counts as a batched acquisition.
-		if spare == nil {
-			m.mu.Lock()
-		} else {
-			m.lockBatch()
-		}
-		f, err := m.frameAt(mfn)
-		if err == nil && f.owner != DomIDCOW && f.owner != dom {
-			err = fmt.Errorf("%w: frame %d owned by %d", ErrNotShared, mfn, f.owner)
-		}
-		if err != nil {
-			m.mu.Unlock()
-			m.ReleaseN(dom, spare)
-			return 0, err
-		}
-		if f.owner == dom && f.pledges > 0 {
-			m.reownLocked(f, DomIDCOW)
-			meter.Charge(meter.Costs().PageShare, 1)
-		}
-		if f.pledges == 0 && (f.owner == dom || f.refcount == 1) {
-			if f.owner == DomIDCOW {
-				m.reownLocked(f, dom)
-			}
-			m.mu.Unlock()
-			if spare != nil {
-				m.ReleaseN(dom, spare)
-			}
-			meter.Charge(meter.Costs().PageUnshare, 1)
-			return mfn, nil
-		}
-		if spare == nil {
-			m.mu.Unlock()
-			if err := allocInto(m, dom, one[:], meter); err != nil {
-				return 0, err
-			}
-			spare = one[:]
-			continue
-		}
-		if f.data != nil {
-			nf := m.frame(spare[0])
-			nf.data = getPage(false)
-			*nf.data = *f.data
-		}
-		f.refcount--
-		m.mu.Unlock()
-		meter.Charge(meter.Costs().PageUnshare, 1)
-		return spare[0], nil
+	m.lockBatch()
+	f, err := m.frameAt(mfn)
+	if err == nil && f.owner != DomIDCOW && f.owner != dom {
+		err = fmt.Errorf("%w: frame %d owned by %d", ErrNotShared, mfn, f.owner)
 	}
+	if err != nil {
+		m.mu.Unlock()
+		return 0, err
+	}
+	costs := meter.Costs()
+	if f.pledges == 0 && (f.owner == dom || f.refcount == 1) {
+		if f.owner == DomIDCOW {
+			m.reownLocked(f, dom)
+		}
+		m.mu.Unlock()
+		meter.Charge(costs.PageUnshare, 1)
+		return mfn, nil
+	}
+	var one [1]MFN
+	if err := allocLocked(m, dom, one[:]); err != nil {
+		m.mu.Unlock()
+		return 0, err
+	}
+	// The allocation may have grown the frame table's first chunk, which
+	// moves it: look the frame up again.
+	f, nf := m.frame(mfn), m.frame(one[0])
+	pledged := f.owner == dom
+	if pledged {
+		m.reownLocked(f, DomIDCOW)
+	}
+	if page := m.pageOf(f); page != nil {
+		to := getPage(false)
+		*to = *page
+		m.setPage(nf, to, false)
+	}
+	f.refcount--
+	m.mu.Unlock()
+	if pledged {
+		meter.Charge(costs.PageShare, 1)
+	}
+	meter.Charge(costs.PageAlloc, 1)
+	meter.Charge(costs.PageUnshare, 1)
+	return one[0], nil
 }
 
 // reownLocked moves frame f between a domain and dom_cow, whichever way to
@@ -831,13 +960,20 @@ func (m *Memory) releasePTEs(dom DomID, ptes []pte) error {
 func (m *Memory) releaseRuns(dom DomID, c runCursor) error {
 	m.lockBatch()
 	defer m.mu.Unlock()
+	return m.releaseRunsLocked(dom, c)
+}
+
+// releaseRunsLocked is releaseRuns with m.mu already held.
+//
+//nephele:noalloc
+func (m *Memory) releaseRunsLocked(dom DomID, c runCursor) error {
 	var firstErr error
 	var ownFreed, cowFreed, zombied int
 	for c.next() {
 		fr, short := c.frames()
 		for j := range fr {
 			f := &fr[j]
-			if !f.inUse {
+			if !f.inUse() {
 				if firstErr == nil {
 					firstErr = frameErr(ErrDoubleFree, c.mfn(j))
 				}
@@ -892,13 +1028,14 @@ func (m *Memory) Read(mfn MFN, off int, buf []byte) error {
 	if off < 0 || off+len(buf) > PageSize {
 		return ErrBadOffset
 	}
-	if f.data == nil {
+	page := m.pageOf(f)
+	if page == nil {
 		for i := range buf {
 			buf[i] = 0
 		}
 		return nil
 	}
-	copy(buf, f.data[off:])
+	copy(buf, page[off:])
 	return nil
 }
 
@@ -916,16 +1053,18 @@ func (m *Memory) Write(mfn MFN, off int, buf []byte) error {
 	if off < 0 || off+len(buf) > PageSize {
 		return ErrBadOffset
 	}
-	if f.data == nil || f.sealed {
+	page := m.pageOf(f)
+	if page == nil || f.sealed() {
 		// Only a partial write to a frame with no page leaves bytes of the
 		// new page that neither the old page nor buf overwrites.
-		old, partial := f.data, len(buf) < PageSize
-		f.data, f.sealed = getPage(old == nil && partial), false
+		old, partial := page, len(buf) < PageSize
+		page = getPage(old == nil && partial)
 		if old != nil && partial {
-			*f.data = *old
+			*page = *old
 		}
+		m.setPage(f, page, false)
 	}
-	copy(f.data[off:], buf)
+	copy(page[off:], buf)
 	return nil
 }
 
@@ -944,8 +1083,8 @@ func (m *Memory) WritePage(mfn MFN, page []byte) error {
 	if err != nil {
 		return err
 	}
-	putPage(f)
-	f.data, f.sealed = (*[PageSize]byte)(page), true
+	m.putPage(f)
+	m.setPage(f, (*[PageSize]byte)(page), true)
 	return nil
 }
 
@@ -989,15 +1128,17 @@ func (m *Memory) copyFrameLocked(dst, src MFN) error {
 	if err != nil {
 		return err
 	}
-	page := fs.data // read first: dst may be src
+	page := m.pageOf(fs) // read first: dst may be src
 	if page == nil {
-		putPage(fd)
+		m.putPage(fd)
 		return nil
 	}
-	if fd.data == nil || fd.sealed {
-		fd.data, fd.sealed = getPage(false), false
+	to := m.pageOf(fd)
+	if to == nil || fd.sealed() {
+		to = getPage(false)
+		m.setPage(fd, to, false)
 	}
-	*fd.data = *page
+	*to = *page
 	return nil
 }
 
@@ -1019,9 +1160,9 @@ func (m *Memory) SnapshotFrames(mfns []MFN) ([][]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		if f.data != nil {
-			f.sealed = true
-			out[i] = f.data[:]
+		if page := m.pageOf(f); page != nil {
+			f.seal()
+			out[i] = page[:]
 		}
 	}
 	return out, nil

@@ -12,6 +12,17 @@ func newTestMem(frames int) *Memory {
 	return New(uint64(frames) * PageSize)
 }
 
+// ownerOf reports the owner of an in-use frame.
+func ownerOf(m *Memory, mfn MFN) (DomID, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	f, err := m.frameAt(mfn)
+	if err != nil {
+		return DomIDInvalid, err
+	}
+	return f.owner, nil
+}
+
 // audit fails t on every frame invariant of m that does not hold.
 func audit(t testing.TB, m *Memory) {
 	t.Helper()
@@ -39,7 +50,7 @@ func TestAllocFree(t *testing.T) {
 	if got := m.UsedBy(1); got != 1 {
 		t.Fatalf("UsedBy(1) = %d, want 1", got)
 	}
-	if owner, _ := m.Owner(mfn); owner != 1 {
+	if owner, _ := ownerOf(m, mfn); owner != 1 {
 		t.Fatalf("Owner = %d, want 1", owner)
 	}
 	if err := m.ReleaseN(1, []MFN{mfn}); err != nil {
@@ -78,7 +89,7 @@ func TestFreeWrongOwner(t *testing.T) {
 	if err := m.ReleaseN(2, []MFN{mfn}); err != nil {
 		t.Fatalf("ReleaseN by non-owner: %v", err)
 	}
-	if owner, _ := m.Owner(mfn); owner != 1 || m.FreeFrames() != 1 {
+	if owner, _ := ownerOf(m, mfn); owner != 1 || m.FreeFrames() != 1 {
 		t.Fatalf("release by non-owner moved the frame: owner %d, %d free", owner, m.FreeFrames())
 	}
 }
@@ -142,7 +153,7 @@ func TestShareTransfersOwnershipToDomCOW(t *testing.T) {
 	if err := m.ShareN(1, []MFN{mfn}, 2, nil); err != nil {
 		t.Fatal(err)
 	}
-	if owner, _ := m.Owner(mfn); owner != DomIDCOW {
+	if owner, _ := ownerOf(m, mfn); owner != DomIDCOW {
 		t.Fatalf("owner after Share = %d, want dom_cow", owner)
 	}
 	if rc, _ := m.Refcount(mfn); rc != 2 {
@@ -188,7 +199,7 @@ func TestCopyOnWriteWithSharersCopies(t *testing.T) {
 	if string(got) != "parent data" {
 		t.Fatalf("copied frame contents = %q", got)
 	}
-	if owner, _ := m.Owner(newMFN); owner != 2 {
+	if owner, _ := ownerOf(m, newMFN); owner != 2 {
 		t.Fatalf("new frame owner = %d, want 2", owner)
 	}
 	if rc, _ := m.Refcount(mfn); rc != 1 {
@@ -216,7 +227,7 @@ func TestCopyOnWriteLastSharerTransfersOwnership(t *testing.T) {
 	if got != mfn {
 		t.Fatalf("last-sharer fault allocated a copy (%d), want ownership transfer of %d", got, mfn)
 	}
-	if owner, _ := m.Owner(mfn); owner != 2 {
+	if owner, _ := ownerOf(m, mfn); owner != 2 {
 		t.Fatalf("owner after last-sharer fault = %d, want 2 (the faulting domain)", owner)
 	}
 	if m.SharedFrames() != 0 {
@@ -232,7 +243,7 @@ func TestCopyOnWriteUnsharedFrameFails(t *testing.T) {
 	if _, err := m.resolveCOW(2, mfn, nil); !errors.Is(err, ErrNotShared) {
 		t.Fatalf("fault on a foreign private frame: err = %v, want ErrNotShared", err)
 	}
-	if owner, _ := m.Owner(mfn); owner != 1 || m.FreeFrames() != 0 {
+	if owner, _ := ownerOf(m, mfn); owner != 1 || m.FreeFrames() != 0 {
 		t.Fatalf("failed fault moved the frame: owner %d, %d free", owner, m.FreeFrames())
 	}
 }
@@ -260,7 +271,7 @@ func TestResolveCOWOwnedFrame(t *testing.T) {
 	if want := c.PageShare + c.PageAlloc + c.PageUnshare; got == mfn || meter.Elapsed() != want {
 		t.Fatalf("pledged fault: mfn %d (source %d), charged %v, want a copy for %v", got, mfn, meter.Elapsed(), want)
 	}
-	owner, _ := m.Owner(mfn)
+	owner, _ := ownerOf(m, mfn)
 	if rc, _ := m.Refcount(mfn); owner != DomIDCOW || rc != 0 || m.SharedFrames() != 1 {
 		t.Fatalf("source after pledged fault: owner %d refcount %d, %d shared; want a dom_cow zombie", owner, rc, m.SharedFrames())
 	}
@@ -279,7 +290,7 @@ func TestResolveCOWOwnedFrame(t *testing.T) {
 	if err != nil || same != got || meter.Elapsed() != c.PageUnshare {
 		t.Fatalf("unpledged fault: mfn %d err %v charged %v, want %d in place for one PageUnshare", same, err, meter.Elapsed(), got)
 	}
-	if owner, _ := m.Owner(got); owner != 1 || m.UsedBy(1) != 1 || m.FreeFrames() != 3 {
+	if owner, _ := ownerOf(m, got); owner != 1 || m.UsedBy(1) != 1 || m.FreeFrames() != 3 {
 		t.Fatalf("unpledged fault moved the frame: owner %d", owner)
 	}
 }

@@ -63,7 +63,7 @@ func capturePoolState(t *testing.T, m *Memory, doms []DomID) poolState {
 	}
 	seen := map[DomID]bool{}
 	for mfn := MFN(0); int(mfn) < m.TotalFrames(); mfn++ {
-		owner, err := m.Owner(mfn)
+		owner, err := ownerOf(m, mfn)
 		if err != nil {
 			continue // free frame
 		}
@@ -150,7 +150,7 @@ func TestShardBoundaryRuns(t *testing.T) {
 				probes = append(probes, MFN(ch*stride-1), MFN(ch*stride))
 			}
 			for _, p := range probes {
-				if owner, _ := m.Owner(p); owner != DomIDCOW {
+				if owner, _ := ownerOf(m, p); owner != DomIDCOW {
 					t.Fatalf("frame %d owner = %d after ShareN", p, owner)
 				}
 				if rc, _ := m.Refcount(p); rc != 1 {
@@ -210,7 +210,7 @@ func TestShardBoundaryValidationAtomic(t *testing.T) {
 	if got := m.SharedFrames(); got != 0 {
 		t.Fatalf("failed ShareN left %d shared frames", got)
 	}
-	if owner, _ := m.Owner(mfns[0]); owner != 1 {
+	if owner, _ := ownerOf(m, mfns[0]); owner != 1 {
 		t.Fatalf("failed ShareN mutated the first chunk: owner %d", owner)
 	}
 

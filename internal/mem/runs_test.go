@@ -75,7 +75,7 @@ func imageOf(m *Memory, doms ...DomID) poolImage {
 	defer m.mu.Unlock()
 	for ci, ch := range m.chunks {
 		for j, f := range ch {
-			img.Frames[MFN(ci)<<frameChunkShift+MFN(j)] = frameImage{f.owner, f.refcount, f.pledges, f.inUse}
+			img.Frames[MFN(ci)<<frameChunkShift+MFN(j)] = frameImage{f.owner, f.refcount, f.pledges, f.inUse()}
 		}
 	}
 	for _, d := range append(doms, DomIDCOW) {

@@ -174,36 +174,6 @@ func putPTEs(s []pte) {
 	ptePool.Put(&s)
 }
 
-// pagePool recycles the data pages of freed frames into the next frames a
-// write or a copy fills. A COW fault's private copy is garbage one
-// clone_reset later, and on the fuzzing pattern allocating and collecting
-// those pages was over half of the host's work. Only unsealed pages enter
-// it: an unsealed page is held by its frame alone, a sealed one may also be
-// in a snapshot, an image or another frame (DESIGN.md §10.1). Pages from the
-// pool hold stale bytes, so getPage clears one only when asked, and a caller
-// that overwrites the whole page does not ask.
-var pagePool sync.Pool
-
-func getPage(zero bool) *[PageSize]byte {
-	if v := pagePool.Get(); v != nil {
-		p := v.(*[PageSize]byte)
-		if zero {
-			*p = [PageSize]byte{}
-		}
-		return p
-	}
-	return new([PageSize]byte)
-}
-
-// putPage detaches f's page, recycling it unless it is sealed. The pool
-// lock must be held.
-func putPage(f *frame) {
-	if f.data != nil && !f.sealed {
-		pagePool.Put(f.data)
-	}
-	f.data, f.sealed = nil, false
-}
-
 // Space is one domain's guest-physical address space under direct paging:
 // a p2m map from PFNs to machine frames plus per-page access state. It also
 // accounts for the page-table frames and p2m frames that make the mapping
@@ -820,9 +790,9 @@ func (s *Space) CloneOpMode(ctx obs.OpCtx, childDom DomID, copyRing bool, mode C
 //
 // A lazily cloned space may still defer pages: it is drained first, on
 // ctx's meter and trace — the reset could not proceed before it. Then both
-// spaces are locked, the parent's mu
-// before the child's: the order a clone already implies, since CloneOpMode
-// builds the child while holding the parent's.
+// spaces are locked, the parent's mu before the child's (the order a clone
+// already implies, since CloneOpMode builds the child while holding the
+// parent's), and under them the pool once for the whole dirty list.
 //
 // Every recorded page is validated before anything is mutated, so a failed
 // reset leaves the pool, both page tables and the dirty record as they were
@@ -846,6 +816,9 @@ func (s *Space) ResetOp(ctx obs.OpCtx, parent *Space) (int, error) {
 	if s.retired {
 		return 0, ErrSpaceRetired
 	}
+	m := s.mem
+	m.lockBatch()
+	defer m.mu.Unlock()
 	for _, pfn := range s.dirty {
 		if !s.privatizedLocked(pfn) {
 			continue
@@ -854,12 +827,12 @@ func (s *Space) ResetOp(ctx obs.OpCtx, parent *Space) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		owner, err := s.mem.Owner(pp.mfn())
+		f, err := m.frameAt(pp.mfn())
 		if err != nil {
 			return 0, err
 		}
-		if owner != DomIDCOW && owner != parent.dom {
-			return 0, fmt.Errorf("%w: reset pfn %d: parent's frame %d owned by %d", ErrNotOwner, pfn, pp.mfn(), owner)
+		if f.owner != DomIDCOW && f.owner != parent.dom {
+			return 0, fmt.Errorf("%w: reset pfn %d: parent's frame %d owned by %d", ErrNotOwner, pfn, pp.mfn(), f.owner)
 		}
 	}
 	restored := 0
@@ -868,14 +841,14 @@ func (s *Space) ResetOp(ctx obs.OpCtx, parent *Space) (int, error) {
 			continue
 		}
 		cp, pp := &s.ptes[pfn], &parent.ptes[pfn]
-		transferred, err := s.mem.sharePTEs(parent.dom, parent.ptes[pfn:pfn+1], 2, meter)
+		transferred, err := m.shareRunsLocked(parent.dom, runCursor{m: m, ptes: parent.ptes[pfn : pfn+1]}, 2, meter)
 		if err != nil {
 			return restored, err
 		}
 		if transferred > 0 && pp.writable() {
 			*pp |= pteCOW
 		}
-		s.mem.releasePTEs(s.dom, s.ptes[pfn:pfn+1])
+		m.releaseRunsLocked(s.dom, runCursor{m: m, ptes: s.ptes[pfn : pfn+1], mode: runSkipAbsent})
 		*cp = cp.withMFN(pp.mfn()) | pteCOW
 		restored++
 	}
@@ -885,14 +858,14 @@ func (s *Space) ResetOp(ctx obs.OpCtx, parent *Space) (int, error) {
 }
 
 // privatizedLocked reports whether a recorded dirty pfn is still backed by a
-// regular frame the space itself owns. s.mu must be held.
+// regular frame the space itself owns. s.mu and the pool lock must be held.
 func (s *Space) privatizedLocked(pfn PFN) bool {
 	p := s.ptes[pfn]
 	if !p.present() || p.kind() != KindRegular {
 		return false
 	}
-	owner, err := s.mem.Owner(p.mfn())
-	return err == nil && owner == s.dom
+	f, err := s.mem.frameAt(p.mfn())
+	return err == nil && f.owner == s.dom
 }
 
 // Release frees every frame of the space: owned frames are freed, shared
@@ -1080,7 +1053,7 @@ func (c *runCapture) earlier(i int) (PFN, bool) {
 }
 
 // written reports whether pfn i's frame holds a page.
-func (c *runCapture) written(i int) bool { return c.m.frame(c.ptes[i].mfn()).data != nil }
+func (c *runCapture) written(i int) bool { return c.m.pageOf(c.m.frame(c.ptes[i].mfn())) != nil }
 
 // walk splits the table into runs: an alias run extends while each pfn
 // repeats the frame one pfn after its predecessor's first pfn, a fresh run
@@ -1129,8 +1102,8 @@ func (c *runCapture) capture(lo, hi int) [][]byte {
 	base := len(c.pages)
 	for _, p := range c.ptes[lo:hi] {
 		f := c.m.frame(p.mfn())
-		f.sealed = true
-		c.pages = append(c.pages, f.data[:])
+		f.seal()
+		c.pages = append(c.pages, c.m.pageOf(f)[:])
 	}
 	return c.pages[base:len(c.pages):len(c.pages)]
 }

@@ -109,7 +109,7 @@ func TestCloneSharesRegularPages(t *testing.T) {
 	if pm != cm {
 		t.Fatalf("parent mfn %d != child mfn %d", pm, cm)
 	}
-	if owner, _ := m.Owner(pm); owner != DomIDCOW {
+	if owner, _ := ownerOf(m, pm); owner != DomIDCOW {
 		t.Fatalf("shared frame owner = %d, want dom_cow", owner)
 	}
 }
