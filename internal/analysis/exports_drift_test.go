@@ -383,7 +383,6 @@ var testOnlyExports = map[string]string{
 	"guest.Kernel.Stop":         model,
 	"guest.Kernel.UDPSend":      model,
 	"guest.NineFile.Read":       model,
-	"mem.Memory.AddSharerN":     model,
 	"mem.Memory.CopyFrameN":     model,
 	"obs.Gauge.Add":             model,
 	"obs.OpCtx.WithMeter":       model,

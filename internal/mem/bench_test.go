@@ -10,10 +10,14 @@ import (
 
 // BenchmarkSpaceClone measures the host-side cost of cloning an address
 // space at several guest sizes. "first" clones a never-cloned parent, which
-// transfers every regular page to dom_cow; "second" re-clones an
-// already-COW parent, the O(extents) sharer-bump fast path. The virtual
-// durations these operations report are pinned by the golden-series tests;
-// this benchmark tracks what they cost to simulate.
+// transfers every regular page to dom_cow. "second" is one child's lifetime
+// on an already-COW parent: the clone bumps every regular frame's sharer
+// count and the release drops it again, one frame at a time in both walks.
+// "fragmented" is "second" on a parent whose table fragmentSpace broke into
+// one-page MFN runs, the layout a parent that writes while its children
+// live ends up with: the walks must cost the same per frame on both. The
+// virtual durations these operations report are pinned by the golden-series
+// tests; this benchmark tracks what they cost to simulate.
 func BenchmarkSpaceClone(b *testing.B) {
 	for _, mb := range []int{4, 64, 1024} {
 		if testing.Short() && mb > 64 {
@@ -35,31 +39,34 @@ func BenchmarkSpaceClone(b *testing.B) {
 				}
 			}
 		})
-		b.Run(fmt.Sprintf("second=%dMB", mb), func(b *testing.B) {
-			b.ReportAllocs()
-			m := New(uint64(2*mb+64) << 20)
-			parent, err := NewSpace(m, 1, pages, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			warm, _, err := parent.CloneOp(obs.OpCtx{}, 2, false)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer warm.Release()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				child, _, err := parent.CloneOp(obs.OpCtx{}, 3, false)
+		for _, layout := range []string{"second", "fragmented"} {
+			b.Run(fmt.Sprintf("%s=%dMB", layout, mb), func(b *testing.B) {
+				b.ReportAllocs()
+				m := New(uint64(2*mb+64) << 20)
+				parent, err := NewSpace(m, 1, pages, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.StopTimer()
-				if err := child.Release(); err != nil {
+				if layout == "fragmented" {
+					fragmentSpace(b, parent, 4)
+				}
+				warm, _, err := parent.CloneOp(obs.OpCtx{}, 2, false)
+				if err != nil {
 					b.Fatal(err)
 				}
-				b.StartTimer()
-			}
-		})
+				defer warm.Release()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					child, _, err := parent.CloneOp(obs.OpCtx{}, 3, false)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if err := child.Release(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

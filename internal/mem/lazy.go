@@ -43,35 +43,42 @@ const streamChunk = 128
 // run. A pledge freezes the frame's clone-time contents (every write path
 // converts the frame to dom_cow and copies away first) without transferring
 // ownership or charging virtual time — the transfer and its PageShare charge
-// are deferred to whoever materializes the page first. Validation runs
-// before any mutation, so a failed call leaves the pool untouched.
+// are deferred to whoever materializes the page first. A failed call leaves
+// the pool untouched: the walk pledges as it validates, and an entry that
+// fails takes the pledges of every entry before it back.
 //
 //nephele:noalloc
 func (m *Memory) pledgePTEs(ptes []pte) error {
-	c := runCursor{m: m, ptes: ptes}
 	m.lockBatch()
 	defer m.mu.Unlock()
-	for c.next() {
-		fr, short := c.frames()
-		for j := range fr {
-			if !fr[j].inUse() {
-				return c.fail(frameErr(ErrDoubleFree, c.mfn(j)))
-			}
-		}
-		if short {
-			return c.fail(frameErr(ErrDoubleFree, c.mfn(len(fr))))
-		}
+	stop := addPledges(m.chunks, MFN(m.total), ptes)
+	if stop == len(ptes) {
+		return nil
 	}
-	if err := c.badFrame(); err != nil {
-		return err
+	for _, e := range ptes[:stop] {
+		m.frame(e.mfn()).pledges--
 	}
-	for c.rewind(); c.next(); {
-		fr, _ := c.frames()
-		for j := range fr {
-			fr[j].pledges++
+	return stopErr(ptes[stop:], pteMFNMask, m.total, ErrDoubleFree)
+}
+
+// addPledges is pledgePTEs' walk: it adds a pledge to each entry's frame for
+// as long as the entry is in range and its frame in use, and returns the
+// index of the entry it stopped at (len(ptes) if none). It makes no call.
+//
+//nephele:noalloc
+func addPledges(chunks [][]frame, total MFN, ptes []pte) int {
+	for i, e := range ptes {
+		mfn := e.mfn()
+		if mfn >= total {
+			return i
 		}
+		ch, off := chunks[mfn>>frameChunkShift], mfn&frameChunkMask
+		if off >= MFN(len(ch)) || !ch[off].inUse() {
+			return i
+		}
+		ch[off].pledges++
 	}
-	return nil
+	return len(ptes)
 }
 
 // cancelPledged drops one pledge per frame referenced by the run without
@@ -82,38 +89,36 @@ func (m *Memory) pledgePTEs(ptes []pte) error {
 //
 //nephele:noalloc
 func (m *Memory) cancelPledged(ptes []pte) error {
-	c := runCursor{m: m, ptes: ptes, mode: runSkipBad}
 	m.lockBatch()
 	defer m.mu.Unlock()
-	var firstErr error
+	chunks, total := m.chunks, MFN(m.total)
+	bad, failed := -1, -1
 	freed := 0
-	for c.next() {
-		fr, short := c.frames()
-		for j := range fr {
-			f := &fr[j]
-			if !f.inUse() || f.pledges == 0 {
-				if firstErr == nil {
-					firstErr = frameErr(ErrNotPledged, c.mfn(j))
-				}
-				continue
+	for i, e := range ptes {
+		mfn := e.mfn()
+		if mfn >= total {
+			if bad < 0 {
+				bad = i
 			}
-			f.pledges--
-			if f.pledges == 0 && f.owner == DomIDCOW && f.refcount == 0 {
-				freed++
-				m.resetFrameLocked(f, c.mfn(j))
-			}
+			continue
 		}
-		if short && firstErr == nil {
-			firstErr = frameErr(ErrNotPledged, c.mfn(len(fr)))
+		f := inUseFrame(chunks, mfn)
+		if f == nil || f.pledges == 0 {
+			if failed < 0 {
+				failed = i
+			}
+			continue
+		}
+		f.pledges--
+		if f.pledges == 0 && f.owner == DomIDCOW && f.refcount == 0 {
+			freed++
+			m.resetFrameLocked(f, mfn)
 		}
 	}
 	m.dropUsageLocked(DomIDCOW, freed)
 	m.shared -= freed
 	m.free += freed
-	if c.anyBad {
-		return c.badFrame()
-	}
-	return firstErr
+	return skipErr(ptes, pteMFNMask, bad, failed, ErrNotPledged)
 }
 
 // adoptPledged materializes one pledge per frame referenced by the run on
@@ -123,54 +128,78 @@ func (m *Memory) cancelPledged(ptes []pte) error {
 // family-wide conversion cost stays exactly one PageShare per frame
 // regardless of when (or by whom) the frame is first materialized. Frames
 // already owned by dom_cow (including zombies) just gain a reference at no
-// virtual cost, mirroring the eager second-clone fast path. Validation runs
-// before any mutation.
+// virtual cost, mirroring the eager second-clone fast path.
+//
+// Like shareLocked it validates and counts in one walk and converts the
+// frames a domain still owns once every entry has passed, in a pass up to
+// the last entry that named one; an entry that fails takes back what the
+// entries before it did, so a failed call leaves the pool untouched.
 //
 //nephele:noalloc
 func (m *Memory) adoptPledged(dom DomID, ptes []pte, meter *vclock.Meter) error {
-	c := runCursor{m: m, ptes: ptes}
 	m.lockBatch()
 	defer m.mu.Unlock()
-	for c.next() {
-		fr, short := c.frames()
-		for j := range fr {
-			f := &fr[j]
-			if !f.inUse() {
-				return c.fail(frameErr(ErrDoubleFree, c.mfn(j)))
-			}
-			if f.pledges == 0 {
-				return c.fail(frameErr(ErrNotPledged, c.mfn(j)))
-			}
-		}
-		if short {
-			return c.fail(frameErr(ErrDoubleFree, c.mfn(len(fr))))
-		}
-	}
-	if err := c.badFrame(); err != nil {
-		return err
+	stop, hi := adoptRefs(m.chunks, MFN(m.total), ptes)
+	if stop < len(ptes) {
+		return m.adoptFailed(ptes, stop)
 	}
 	converted := 0
-	for c.rewind(); c.next(); {
-		fr, _ := c.frames()
-		for j := range fr {
-			f := &fr[j]
-			if f.owner != DomIDCOW {
-				// The previous owner keeps its mapping and becomes the
-				// first sharer; the adopter's reference is added below.
-				m.dropUsageLocked(f.owner, 1)
-				f.owner = DomIDCOW
-				m.usedByDom[DomIDCOW]++
-				converted++
-			}
-			f.refcount++
-			f.pledges--
+	for _, e := range ptes[:hi] {
+		if f := m.frame(e.mfn()); f.owner != DomIDCOW {
+			// The previous owner keeps its mapping and becomes the first
+			// sharer; the adopter's reference was added above.
+			m.reownLocked(f, DomIDCOW)
+			converted++
 		}
 	}
 	if converted > 0 {
-		m.shared += converted
 		meter.Charge(meter.Costs().PageShare, converted)
 	}
 	return nil
+}
+
+// adoptRefs is adoptPledged's walk: it turns one pledge of each entry's
+// frame into a sharer reference for as long as the entry is in range and
+// its frame in use and pledged. It returns the index of the entry it
+// stopped at (len(ptes) if none) and one past the last entry naming a frame
+// a domain owns (0 if none). It makes no call.
+//
+//nephele:noalloc
+func adoptRefs(chunks [][]frame, total MFN, ptes []pte) (stop, hi int) {
+	for i, e := range ptes {
+		mfn := e.mfn()
+		if mfn >= total {
+			return i, hi
+		}
+		ch, off := chunks[mfn>>frameChunkShift], mfn&frameChunkMask
+		if off >= MFN(len(ch)) || !ch[off].inUse() || ch[off].pledges == 0 {
+			return i, hi
+		}
+		f := &ch[off]
+		if f.owner != DomIDCOW {
+			hi = i + 1
+		}
+		f.refcount++
+		f.pledges--
+	}
+	return len(ptes), hi
+}
+
+// adoptFailed undoes an adopt walk that stopped at entry i — every entry
+// before it turned one pledge of its frame into a reference — and returns
+// why it stopped.
+//
+//nephele:noalloc
+func (m *Memory) adoptFailed(ptes []pte, i int) error {
+	for _, e := range ptes[:i] {
+		f := m.frame(e.mfn())
+		f.refcount--
+		f.pledges++
+	}
+	if _, bad := firstBad(ptes[i:], pteMFNMask, m.total); !bad && inUseFrame(m.chunks, ptes[i].mfn()) != nil {
+		return frameErr(ErrNotPledged, ptes[i].mfn())
+	}
+	return stopErr(ptes[i:], pteMFNMask, m.total, ErrDoubleFree)
 }
 
 // lazyState is the per-child bookkeeping of one lazy clone: the fault

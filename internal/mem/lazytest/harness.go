@@ -102,8 +102,9 @@ type Scenario struct {
 	Seed  int64
 	Pages int
 	// SecondClone additionally clones both parents eagerly after the
-	// drain completes, exercising the everPledged share path against the
-	// ordinary 2nd-clone sharer-bump fast path.
+	// drain completes: the lazily cloned parent's frames went to dom_cow
+	// by materialization, the eager one's at clone time, and the one
+	// share walk must bump both alike.
 	SecondClone bool
 
 	specs []pageSpec
@@ -483,9 +484,10 @@ func metersAddUp(eager, lazy *side) error {
 	return nil
 }
 
-// secondClone clones both parents eagerly after the drain completed: the
-// lazy side's parent takes the transfer-aware share path (everPledged),
-// the eager side's the sharer-bump fast path, and both must agree.
+// secondClone clones both parents eagerly after the drain completed. The
+// lazy side's parent had its frames converted to dom_cow by the stream's
+// adoptions, the eager side's by the first clone's transfers; the second
+// clone must cost and count the same on both.
 func (sc *Scenario) secondClone(eager, lazy *side) error {
 	em, lm := vclock.NewMeter(nil), vclock.NewMeter(nil)
 	ec, est, err := eager.parent.CloneOp(obs.Ctx(em), secondDom, true)

@@ -238,8 +238,8 @@ func getPage(zero bool) *[PageSize]byte {
 // the first grows by doubling up to that size. So a frame, once in the
 // table, is never copied or cleared again, whatever the pool grows to, while
 // a pool that hands out a few hundred frames pays for those and not for
-// 4096. A runCursor run never crosses a chunk edge, which is what lets its
-// frames be one slice.
+// 4096. Finding a frame costs a shift, a mask and the load of its chunk,
+// whatever frame was looked at before it.
 const (
 	frameChunkShift = 12
 	frameChunkMask  = 1<<frameChunkShift - 1
@@ -355,184 +355,91 @@ func (m *Memory) frameAt(mfn MFN) (*frame, error) {
 // of line so their allocation-free bodies box nothing on the error branch.
 func frameErr(kind error, mfn MFN) error { return fmt.Errorf("%w: %d", kind, mfn) }
 
-// runMode selects what a runCursor does with input entries that name no
-// frame.
-type runMode uint8
-
-const (
-	// runStrict ends the walk at the first out-of-range MFN: the
-	// validate-before-mutate operations fail the whole call on it.
-	runStrict runMode = iota
-	// runSkipBad drops out-of-range MFNs and keeps walking (the
-	// skip-and-record rule of ReleaseN and cancelPledged).
-	runSkipBad
-	// runSkipAbsent is runSkipBad that also drops page-table entries that
-	// are not present, without recording anything: a torn-down mapping has
-	// nothing to release.
-	runSkipAbsent
-)
-
-// runCursor streams the maximal contiguous runs of a batched operation's
-// input — a list of MFNs or the frames a run of page-table entries reference
-// (exactly one of mfns and ptes is set) — one run per next call. A run is a
-// frame-index range [a, b) of one chunk of the frame table, so the per-frame
-// loops inside the critical section are plain walks over a slice of frames
-// with no per-frame index math. Nothing is materialized: an operation walks
-// its input once per pass over the frames, rewinding in between, so a table
-// fragmented into one-page runs costs no memory.
-//
-// Escape analysis is not field-sensitive, so what the cursor's methods do
-// decides whether a caller's short input list can stay on its stack: nothing
-// reached through the receiver is stored in the heap or returned. That is
-// why the bad frame is a number rather than an error.
-type runCursor struct {
-	m    *Memory
-	mfns []MFN
-	ptes []pte
-	mode runMode
-
-	// The current run, valid after next returned true.
-	a, b  int // frame-index range within the chunk covering first
-	first MFN // machine frame number of frame a
-
-	i      int  // next input index
-	anyBad bool // the current walk met an out-of-range MFN:
-	bad    MFN  // the first one
+// notOwnerErr is ShareN's error for a frame another domain owns.
+func notOwnerErr(mfn MFN, owner, dom DomID) error {
+	return fmt.Errorf("%w: frame %d owned by %d, shared by %d", ErrNotOwner, mfn, owner, dom)
 }
 
-// badFrame returns the error for the first out-of-range MFN the current
-// walk met, nil when there was none.
-func (c *runCursor) badFrame() error {
-	if !c.anyBad {
-		return nil
+// frameList is the input of a batched operation: a list of frame numbers, or
+// a run of page-table entries whose MFN fields name the frames, so the clone
+// and teardown paths work straight off a page table and build no list. The
+// walks read an entry's frame number through a mask: allMFN for a list,
+// pteMFNMask for page-table entries.
+type frameList interface{ MFN | pte }
+
+// allMFN is the mask that reads a frame number off an MFN list: all of it.
+const allMFN = ^MFN(0)
+
+// The batched operations walk their input one entry at a time: a range
+// check, the frame's cell chunks[mfn>>frameChunkShift][mfn&frameChunkMask],
+// then the per-frame body. Their cost follows the number of entries,
+// whatever the MFNs: a table a parent's writes have scattered over the pool
+// costs what a contiguous one does (DESIGN.md §10, "Frame walks"). A
+// per-entry loop is only as fast as the few values it keeps in registers,
+// and whatever lives across a call is spilled, so each hot loop is a
+// function of its own that makes no call (addRefs, toCOW, addPledges,
+// adoptRefs, dropSharers): a strict walk's loop returns where it stopped and its
+// caller leaves the undo and the error to the helpers below, and the
+// release walk hands shared stretches to dropSharers.
+//
+// Two rules hold for every operation. An out-of-range MFN outranks a
+// per-frame error wherever it sits in the input. And a strict operation
+// (share, pledge, adopt) that fails leaves the pool as it was, however far
+// its walk got.
+
+// inUseFrame returns the frame mfn names if it is in use, nil if it is free
+// or lies above what the table covers (never handed out); mfn must be below
+// the pool size.
+//
+//nephele:noalloc
+func inUseFrame(chunks [][]frame, mfn MFN) *frame {
+	ch := chunks[mfn>>frameChunkShift]
+	if off := mfn & frameChunkMask; off < MFN(len(ch)) && ch[off].inUse() {
+		return &ch[off]
 	}
-	return frameErr(ErrBadFrame, c.bad)
+	return nil
 }
 
-// fail returns the error of a failed validation walk: err, unless the input
-// also names an out-of-range frame, which outranks any per-frame error
-// wherever in the input it sits. It rewalks the input to find out, which
-// only a failing call pays for.
+// firstBad returns the first out-of-range frame number in the input, and
+// whether there is one.
 //
 //nephele:noalloc
-func (c *runCursor) fail(err error) error {
-	for c.rewind(); c.next(); {
-	}
-	if c.anyBad {
-		return c.badFrame()
-	}
-	return err
-}
-
-// frames returns the materialized slice of the current run's frames — a run
-// lies inside one chunk of the frame table — and whether the run extends
-// past what the table covers (those trailing frames have never been
-// allocated, i.e. they are not in use).
-//
-//nephele:noalloc
-func (c *runCursor) frames() ([]frame, bool) {
-	fr := c.m.chunks[c.first>>frameChunkShift]
-	if c.b <= len(fr) {
-		return fr[c.a:c.b], false
-	}
-	if c.a >= len(fr) {
-		return nil, true
-	}
-	return fr[c.a:], true
-}
-
-// mfn returns the machine frame number of the current run's j-th frame.
-//
-//nephele:noalloc
-func (c *runCursor) mfn(j int) MFN { return c.first + MFN(j) }
-
-// at returns the frame number the i-th input entry names.
-//
-//nephele:noalloc
-func (c *runCursor) at(i int) MFN {
-	if c.ptes == nil {
-		return c.mfns[i]
-	}
-	return c.ptes[i].mfn()
-}
-
-// rewind restarts the walk from the first input entry.
-//
-//nephele:noalloc
-func (c *runCursor) rewind() { c.i, c.anyBad = 0, false }
-
-// next advances to the next run and reports whether there was one.
-//
-//nephele:noalloc
-func (c *runCursor) next() bool {
-	total := c.m.total
-	n := len(c.mfns) + len(c.ptes)
-	for c.i < n {
-		var start MFN
-		if c.ptes == nil {
-			start = c.mfns[c.i]
-		} else if p := c.ptes[c.i]; p.present() || c.mode != runSkipAbsent {
-			start = p.mfn()
-		} else {
-			c.i++
-			continue
+func firstBad[T frameList](in []T, mask T, total int) (MFN, bool) {
+	for _, e := range in {
+		if mfn := MFN(e & mask); mfn >= MFN(total) {
+			return mfn, true
 		}
-		c.i++
-		if int(start) >= total {
-			if !c.anyBad {
-				c.anyBad, c.bad = true, start
-			}
-			if c.mode == runStrict {
-				c.i = n
-				return false
-			}
-			continue
-		}
-		// The run ends where the input stops being MFN-contiguous, at the
-		// input's end, or at the edge of the frame-table chunk it started
-		// in — or the pool's — whichever comes first. A run that
-		// continues at all is likely long — an unfragmented table — so
-		// after each single step the loops try four entries at a time;
-		// over a fragmented table the first comparison ends it. Batched
-		// operations spend their splitting time here, which is why each
-		// input form has its own loop with nothing else in it.
-		i, end := c.i, start+1
-		stop := min(n, i+int(min(start|frameChunkMask, MFN(total-1))-start))
-		if c.ptes == nil {
-			in := c.mfns[:stop]
-			for i < len(in) && in[i] == end {
-				i, end = i+1, end+1
-				for ; i+4 <= len(in); i, end = i+4, end+4 {
-					if q := in[i : i+4 : i+4]; (q[0]^end)|(q[1]^(end+1))|(q[2]^(end+2))|(q[3]^(end+3)) != 0 {
-						break
-					}
-				}
-			}
-		} else {
-			// One masked compare per entry: the MFN field must be the next
-			// frame number and, where absent entries are skipped, the present
-			// bit set. end stays below the pool size, so it fits the field.
-			in := c.ptes[:stop]
-			mask, want := pteMFNMask, pte(end)
-			if c.mode == runSkipAbsent {
-				mask, want = mask|ptePresent, want|ptePresent
-			}
-			for i < len(in) && in[i]&mask == want {
-				i, want = i+1, want+1
-				for ; i+4 <= len(in); i, want = i+4, want+4 {
-					if q := in[i : i+4 : i+4]; (q[0]&mask^want)|(q[1]&mask^(want+1))|(q[2]&mask^(want+2))|(q[3]&mask^(want+3)) != 0 {
-						break
-					}
-				}
-			}
-			end = MFN(want & pteMFNMask)
-		}
-		c.i = i
-		a := int(start & frameChunkMask)
-		c.a, c.b, c.first = a, a+int(end-start), start
-		return true
 	}
-	return false
+	return 0, false
+}
+
+// stopErr is the error of a strict walk that stopped at in[0] because its
+// frame failed with kind, or because in[0] is out of range. Every entry
+// before it passed, so an out-of-range entry that outranks the failure can
+// only sit from in[0] on.
+//
+//nephele:noalloc
+func stopErr[T frameList](in []T, mask T, total int, kind error) error {
+	if mfn, bad := firstBad(in, mask, total); bad {
+		return frameErr(ErrBadFrame, mfn)
+	}
+	return frameErr(kind, MFN(in[0]&mask))
+}
+
+// skipErr is the error of a skip-and-record walk, given the index of its
+// first out-of-range entry and of its first entry whose frame failed with
+// kind (-1 for none): the first out-of-range frame, else the first failed
+// one, else nil.
+//
+//nephele:noalloc
+func skipErr[T frameList](in []T, mask T, bad, failed int, kind error) error {
+	switch {
+	case bad >= 0:
+		return frameErr(ErrBadFrame, MFN(in[bad]&mask))
+	case failed >= 0:
+		return frameErr(kind, MFN(in[failed]&mask))
+	}
+	return nil
 }
 
 // lockBatch takes the pool lock for a batched operation: it is the one
@@ -681,81 +588,58 @@ func (m *Memory) Refcount(mfn MFN) (int, error) {
 // Snowflock (§5.2): frames owned by dom are transferred to dom_cow with refs
 // sharers (the owner plus the new family members) and charged one PageShare
 // each, frames dom_cow already owns gain refs-1 references at no virtual
-// cost, and subsequent writers fault and receive private copies. Validation
-// runs before any mutation, so a failed call leaves the pool untouched.
+// cost, and subsequent writers fault and receive private copies. A failed
+// call leaves the pool untouched.
 //
 //nephele:noalloc
 func (m *Memory) ShareN(dom DomID, mfns []MFN, refs int, meter *vclock.Meter) error {
-	_, err := m.shareRuns(dom, runCursor{m: m, mfns: mfns}, refs, meter)
+	m.lockBatch()
+	defer m.mu.Unlock()
+	_, err := shareLocked(m, dom, mfns, allMFN, refs, meter)
 	return err
 }
 
 // sharePTEs is ShareN over the frames referenced by a run of page-table
-// entries: the cursor reads the MFNs off the entries, so the clone hot path
-// builds neither an MFN list nor a list of runs for extents it only shares.
-// It also reports how many frames it transferred, which is what a caller
-// that must write-protect the previous owner's mappings needs to know.
+// entries, so the clone hot path builds no MFN list for extents it only
+// shares. It also reports how many frames it transferred, which is what a
+// caller that must write-protect the previous owner's mappings needs to
+// know.
 //
 //nephele:noalloc
 func (m *Memory) sharePTEs(dom DomID, ptes []pte, refs int, meter *vclock.Meter) (int, error) {
-	return m.shareRuns(dom, runCursor{m: m, ptes: ptes}, refs, meter)
-}
-
-// shareRuns is ShareN's body over either input form: one locked walk
-// validates every frame, a second one mutates. It returns the number of
-// frames transferred to dom_cow.
-//
-//nephele:noalloc
-func (m *Memory) shareRuns(dom DomID, c runCursor, refs int, meter *vclock.Meter) (int, error) {
 	m.lockBatch()
 	defer m.mu.Unlock()
-	return m.shareRunsLocked(dom, c, refs, meter)
+	return shareLocked(m, dom, ptes, pteMFNMask, refs, meter)
 }
 
-// shareRunsLocked is shareRuns with m.mu already held.
+// shareLocked is ShareN's body over either input form; m.mu must be held.
+// It returns the number of frames transferred to dom_cow.
+//
+// One walk validates each entry and adds refs-1 to its frame's sharer
+// count, whether dom_cow or dom owns it. For a dom_cow frame that is the
+// whole change. A frame dom owns holds exactly one reference (Audit's
+// frame-state rule), so it now holds the refs a transfer gives it and only
+// its owner is left to move: once every entry has passed, a second pass
+// over the input up to the last entry that named such a frame hands them
+// to dom_cow. An extent an earlier clone made COW names none, so re-cloning
+// it is the one walk. An entry that fails stops the walk, and shareFailed
+// takes the refs-1 back from every entry before it. The walk moves no
+// owner because a frame it transferred and a dom_cow frame that had one
+// sharer would look alike afterwards, and the undo could not tell them
+// apart.
 //
 //nephele:noalloc
-func (m *Memory) shareRunsLocked(dom DomID, c runCursor, refs int, meter *vclock.Meter) (int, error) {
+func shareLocked[T frameList](m *Memory, dom DomID, in []T, mask T, refs int, meter *vclock.Meter) (int, error) {
 	if refs < 1 {
 		return 0, fmt.Errorf("mem: share with %d refs", refs) //nephele:hotalloc-ok — caller bug, never on the warm path
 	}
-	transfers := 0
-	for c.next() {
-		fr, short := c.frames()
-		for j := range fr {
-			f := &fr[j]
-			if !f.inUse() {
-				return 0, c.fail(frameErr(ErrDoubleFree, c.mfn(j)))
-			}
-			if f.owner != DomIDCOW {
-				if f.owner != dom {
-					return 0, c.fail(fmt.Errorf("%w: frame %d owned by %d, shared by %d", ErrNotOwner, c.mfn(j), f.owner, dom)) //nephele:hotalloc-ok — validation failure, the call aborts
-				}
-				transfers++
-			}
-		}
-		if short {
-			return 0, c.fail(frameErr(ErrDoubleFree, c.mfn(len(fr))))
-		}
+	add := int32(refs - 1)
+	stop, hi := addRefs(m.chunks, MFN(m.total), in, mask, dom, add)
+	if stop < len(in) {
+		return 0, shareFailed(m, dom, in, mask, stop, add)
 	}
-	if err := c.badFrame(); err != nil {
-		return 0, err
-	}
-	for c.rewind(); c.next(); {
-		fr, _ := c.frames()
-		for j := range fr {
-			f := &fr[j]
-			if f.owner == DomIDCOW {
-				f.refcount += int32(refs - 1)
-				continue
-			}
-			f.owner = DomIDCOW
-			f.refcount = int32(refs)
-		}
-	}
+	transfers := toCOW(m.chunks, in[:hi], mask)
 	if transfers > 0 {
-		// Every transferred frame was validated as owned by dom, so the
-		// per-owner accounting moves once instead of per frame.
 		m.dropUsageLocked(dom, transfers)
 		m.usedByDom[DomIDCOW] += transfers //nephele:hotalloc-ok — one int-keyed entry, re-inserted only after the pool's last shared frame went
 		m.shared += transfers
@@ -764,85 +648,70 @@ func (m *Memory) shareRunsLocked(dom DomID, c runCursor, refs int, meter *vclock
 	return transfers, nil
 }
 
-// AddSharerN increments the reference count of a run of already-shared
-// frames by n each. Validation runs before any mutation. This is the
-// 2nd..Nth-clone fast path: re-cloning an already-COW parent is nothing but
-// sharer bumps.
+// addRefs is shareLocked's walk: it adds add to the sharer count of each
+// entry's frame for as long as the entry is in range and its frame in use
+// and owned by dom_cow or dom. It returns the index of the entry it stopped
+// at (len(in) if none) and one past the last entry naming a frame dom owns
+// (0 if none). It makes no call, so the loop keeps its few values in
+// registers.
 //
 //nephele:noalloc
-func (m *Memory) AddSharerN(mfns []MFN, n int) error {
-	return m.addSharerRuns(runCursor{m: m, mfns: mfns}, n)
-}
-
-// addSharerPTEs is AddSharerN over the frames referenced by a run of
-// page-table entries (the 2nd..Nth-clone fast path works straight off the
-// parent's table).
-//
-//nephele:noalloc
-func (m *Memory) addSharerPTEs(ptes []pte, n int) error {
-	return m.addSharerRuns(runCursor{m: m, ptes: ptes}, n)
-}
-
-// addSharerRuns bumps sharer counts in a single fused validate+mutate walk;
-// on a validation failure every bump applied so far is subtracted back, so
-// a failed call still leaves the pool untouched (the increment is its own
-// exact inverse, which is what makes the fusion safe). One pass instead of
-// two matters: this is the entire cost of a 2nd..Nth clone.
-//
-//nephele:noalloc
-func (m *Memory) addSharerRuns(c runCursor, n int) error {
-	m.lockBatch()
-	defer m.mu.Unlock()
-	runs := 0 // whole runs bumped so far
-	for ; c.next(); runs++ {
-		fr, short := c.frames()
-		for j := range fr {
-			f := &fr[j]
-			if !f.inUse() {
-				bad := c.mfn(j)
-				c.unbump(n, runs, j)
-				return c.fail(frameErr(ErrDoubleFree, bad))
+func addRefs[T frameList](chunks [][]frame, total MFN, in []T, mask T, dom DomID, add int32) (stop, hi int) {
+	for i, e := range in {
+		mfn := MFN(e & mask)
+		if mfn >= total {
+			return i, hi
+		}
+		ch, off := chunks[mfn>>frameChunkShift], mfn&frameChunkMask
+		if off >= MFN(len(ch)) || !ch[off].inUse() {
+			return i, hi
+		}
+		f := &ch[off]
+		if f.owner != DomIDCOW {
+			if f.owner != dom {
+				return i, hi
 			}
-			if f.owner != DomIDCOW {
-				bad := c.mfn(j)
-				c.unbump(n, runs, j)
-				return c.fail(fmt.Errorf("%w: frame %d owned by %d", ErrNotShared, bad, f.owner)) //nephele:hotalloc-ok — validation failure, the call aborts
-			}
-			f.refcount += int32(n)
+			hi = i + 1
 		}
-		if short {
-			bad := c.mfn(len(fr))
-			c.unbump(n, runs, len(fr))
-			return c.fail(frameErr(ErrDoubleFree, bad))
-		}
+		f.refcount += add
 	}
-	if err := c.badFrame(); err != nil {
-		// The strict walk stopped at the out-of-range entry, after runs
-		// whole runs: the same walk again reaches exactly those.
-		c.unbump(n, runs, 0)
-		return err
-	}
-	return nil
+	return len(in), hi
 }
 
-// unbump is addSharerRuns' undo: it re-walks the input from the start and
-// subtracts n from every frame of the first runs runs and from the first j
-// frames of the one after them.
+// toCOW hands every frame of the input that dom_cow does not own yet to
+// dom_cow and returns how many it moved; every entry must name a frame in
+// use. It makes no call.
 //
 //nephele:noalloc
-func (c *runCursor) unbump(n, runs, j int) {
-	for c.rewind(); c.next(); runs-- {
-		fr, _ := c.frames()
-		if runs == 0 {
-			fr = fr[:j]
-		}
-		for k := range fr {
-			fr[k].refcount -= int32(n)
-		}
-		if runs == 0 {
-			return
+func toCOW[T frameList](chunks [][]frame, in []T, mask T) int {
+	moved := 0
+	for _, e := range in {
+		mfn := MFN(e & mask)
+		if f := &chunks[mfn>>frameChunkShift][mfn&frameChunkMask]; f.owner != DomIDCOW {
+			f.owner = DomIDCOW
+			moved++
 		}
 	}
+	return moved
+}
+
+// shareFailed undoes a share walk that stopped at entry i and returns why it
+// stopped. Every entry before i added add to its frame's sharer count and
+// changed nothing else, so subtracting add once per entry restores every
+// frame exactly, however often the input names it.
+//
+//nephele:noalloc
+func shareFailed[T frameList](m *Memory, dom DomID, in []T, mask T, i int, add int32) error {
+	for _, e := range in[:i] {
+		m.frame(MFN(e & mask)).refcount -= add
+	}
+	mfn := MFN(in[i] & mask)
+	if _, bad := firstBad(in[i:], mask, m.total); !bad {
+		if f := inUseFrame(m.chunks, mfn); f != nil {
+			return notOwnerErr(mfn, f.owner, dom)
+		}
+	}
+	return stopErr(in[i:], mask, m.total, ErrDoubleFree)
 }
 
 // resolveCOW resolves a write fault by dom on the frame behind a COW-marked
@@ -939,68 +808,75 @@ func (m *Memory) reownLocked(f *frame, to DomID) {
 //
 //nephele:noalloc
 func (m *Memory) ReleaseN(dom DomID, mfns []MFN) error {
-	return m.releaseRuns(dom, runCursor{m: m, mfns: mfns, mode: runSkipBad})
+	m.lockBatch()
+	defer m.mu.Unlock()
+	return releaseLocked(m, dom, mfns, allMFN, 0)
 }
 
 // releasePTEs is ReleaseN over the frames referenced by the present entries
-// of a page table: releasing a whole space builds neither an MFN list nor a
-// list of runs, however fragmented the table. Entries that are not present
-// are skipped without error (an already torn-down mapping has nothing to
-// release).
+// of a page table: releasing a whole space builds no MFN list. Entries that
+// are not present are skipped without error (an already torn-down mapping
+// has nothing to release).
 //
 //nephele:noalloc
 func (m *Memory) releasePTEs(dom DomID, ptes []pte) error {
-	return m.releaseRuns(dom, runCursor{m: m, ptes: ptes, mode: runSkipAbsent})
-}
-
-// releaseRuns applies the domain-teardown rules in one locked walk. An
-// out-of-range MFN outranks a per-frame error in what is returned.
-//
-//nephele:noalloc
-func (m *Memory) releaseRuns(dom DomID, c runCursor) error {
 	m.lockBatch()
 	defer m.mu.Unlock()
-	return m.releaseRunsLocked(dom, c)
+	return releaseLocked(m, dom, ptes, pteMFNMask, ptePresent)
 }
 
-// releaseRunsLocked is releaseRuns with m.mu already held.
+// releaseLocked applies the domain-teardown rules in one walk, skipping the
+// entries that lack a bit of present (0 skips none); m.mu must be held. An
+// out-of-range MFN outranks a per-frame error in what is returned. The
+// common entry of a shared stretch, a dom_cow frame that keeps a sharer,
+// is dropSharers' to walk; the loop here takes the rest one at a time —
+// frames it frees, zombies, bad entries — and hands a shared stretch back.
 //
 //nephele:noalloc
-func (m *Memory) releaseRunsLocked(dom DomID, c runCursor) error {
-	var firstErr error
+func releaseLocked[T frameList](m *Memory, dom DomID, in []T, mask, present T) error {
+	chunks, total := m.chunks, MFN(m.total)
+	bad, failed := -1, -1
 	var ownFreed, cowFreed, zombied int
-	for c.next() {
-		fr, short := c.frames()
-		for j := range fr {
-			f := &fr[j]
-			if !f.inUse() {
-				if firstErr == nil {
-					firstErr = frameErr(ErrDoubleFree, c.mfn(j))
-				}
-				continue
-			}
-			switch f.owner {
-			case DomIDCOW:
-				f.refcount--
-				if f.refcount == 0 && f.pledges == 0 {
-					cowFreed++
-					m.resetFrameLocked(f, c.mfn(j))
-				}
-			case dom:
-				if f.pledges > 0 {
-					// Lazy children still claim the clone-time contents:
-					// keep the frame as a dom_cow zombie.
-					f.owner = DomIDCOW
-					f.refcount = 0
-					zombied++
-				} else {
-					ownFreed++
-					m.resetFrameLocked(f, c.mfn(j))
-				}
-			}
+	for i := dropSharers(chunks, total, in, mask, present, 0); i < len(in); i++ {
+		e := in[i]
+		if e&present != present {
+			continue
 		}
-		if short && firstErr == nil {
-			firstErr = frameErr(ErrDoubleFree, c.mfn(len(fr)))
+		mfn := MFN(e & mask)
+		if mfn >= total {
+			if bad < 0 {
+				bad = i
+			}
+			continue
+		}
+		f := inUseFrame(chunks, mfn)
+		if f == nil {
+			if failed < 0 {
+				failed = i
+			}
+			continue
+		}
+		switch f.owner {
+		case DomIDCOW:
+			f.refcount--
+			if f.refcount == 0 && f.pledges == 0 {
+				cowFreed++
+				m.resetFrameLocked(f, mfn)
+			}
+			// Shared frames come in stretches: the next entries go to the
+			// loop that makes no call.
+			i = dropSharers(chunks, total, in, mask, present, i+1) - 1
+		case dom:
+			if f.pledges > 0 {
+				// Lazy children still claim the clone-time contents:
+				// keep the frame as a dom_cow zombie.
+				f.owner = DomIDCOW
+				f.refcount = 0
+				zombied++
+			} else {
+				ownFreed++
+				m.resetFrameLocked(f, mfn)
+			}
 		}
 	}
 	m.dropUsageLocked(dom, ownFreed+zombied)
@@ -1010,10 +886,33 @@ func (m *Memory) releaseRunsLocked(dom DomID, c runCursor) error {
 	}
 	m.shared += zombied - cowFreed
 	m.free += ownFreed + cowFreed
-	if c.anyBad {
-		return c.badFrame()
+	return skipErr(in, mask, bad, failed, ErrDoubleFree)
+}
+
+// dropSharers drops one sharer reference from the frame of each entry from
+// in[i] on, for as long as the entry is present, names a frame in use that
+// dom_cow owns and that frame keeps a sharer, and returns the index of the
+// first entry it leaves to the caller (len(in) if none). It makes no call,
+// so the loop keeps its few values in registers.
+//
+//nephele:noalloc
+func dropSharers[T frameList](chunks [][]frame, total MFN, in []T, mask, present T, i int) int {
+	for j, e := range in[i:] {
+		mfn := MFN(e & mask)
+		if e&present != present || mfn >= total {
+			return i + j
+		}
+		ch, off := chunks[mfn>>frameChunkShift], mfn&frameChunkMask
+		if off >= MFN(len(ch)) {
+			return i + j
+		}
+		f := &ch[off]
+		if !f.inUse() || f.owner != DomIDCOW || f.refcount < 2 {
+			return i + j
+		}
+		f.refcount--
 	}
-	return firstErr
+	return len(in)
 }
 
 // Read copies the contents at (mfn, off) into buf. Reading a never-written
@@ -1092,25 +991,25 @@ func (m *Memory) WritePage(mfn MFN, page []byte) error {
 // for the run (PageCopy × len). Validation of the slice lengths happens up
 // front; a bad frame mid-run stops the copy there.
 func (m *Memory) CopyFrameN(dst, src []MFN, meter *vclock.Meter) error {
-	return m.copyRuns(dst, runCursor{m: m, mfns: src, mode: runSkipBad}, meter)
+	return copyFrames(m, dst, src, allMFN, meter)
 }
 
 // copyFramePTEs is CopyFrameN with the frames a run of page-table entries
 // references as the sources (the clone path copies a private extent straight
 // off the parent's table).
 func (m *Memory) copyFramePTEs(dst []MFN, src []pte, meter *vclock.Meter) error {
-	return m.copyRuns(dst, runCursor{m: m, ptes: src, mode: runSkipBad}, meter)
+	return copyFrames(m, dst, src, pteMFNMask, meter)
 }
 
-// copyRuns is CopyFrameN's body over either source form.
-func (m *Memory) copyRuns(dst []MFN, s runCursor, meter *vclock.Meter) error {
-	if n := len(s.mfns) + len(s.ptes); len(dst) != n {
-		return fmt.Errorf("mem: CopyFrameN with %d dst, %d src frames", len(dst), n)
+// copyFrames is CopyFrameN's body over either source form.
+func copyFrames[T frameList](m *Memory, dst []MFN, src []T, mask T, meter *vclock.Meter) error {
+	if len(dst) != len(src) {
+		return fmt.Errorf("mem: CopyFrameN with %d dst, %d src frames", len(dst), len(src))
 	}
 	m.lockBatch()
 	defer m.mu.Unlock()
-	for i := range dst {
-		if err := m.copyFrameLocked(dst[i], s.at(i)); err != nil {
+	for i, e := range src {
+		if err := m.copyFrameLocked(dst[i], MFN(e&mask)); err != nil {
 			return err
 		}
 	}

@@ -317,7 +317,8 @@ func TestAddSharer(t *testing.T) {
 	m := newTestMem(1)
 	mfn := alloc1(t, m, 1)
 	m.ShareN(1, []MFN{mfn}, 2, nil)
-	if err := m.AddSharerN([]MFN{mfn}, 3); err != nil {
+	// Sharing a dom_cow frame with refs sharers adds refs-1, whoever asks.
+	if err := m.ShareN(7, []MFN{mfn}, 4, nil); err != nil {
 		t.Fatal(err)
 	}
 	if rc, _ := m.Refcount(mfn); rc != 5 {

@@ -158,12 +158,12 @@ func TestShardBoundaryRuns(t *testing.T) {
 				}
 			}
 
-			if err := m.AddSharerN(mfns, 2); err != nil {
+			if err := m.ShareN(1, mfns, 3, nil); err != nil {
 				t.Fatal(err)
 			}
 			for _, p := range probes {
 				if rc, _ := m.Refcount(p); rc != 3 {
-					t.Fatalf("frame %d refcount = %d after AddSharerN(2)", p, rc)
+					t.Fatalf("frame %d refcount = %d after sharing twice more", p, rc)
 				}
 			}
 
@@ -190,8 +190,8 @@ func TestShardBoundaryRuns(t *testing.T) {
 }
 
 // TestShardBoundaryValidationAtomic: a failure in the run's LAST chunk
-// must leave frames in the earlier chunk untouched — ShareN validates the
-// whole run before mutating any of it, AddSharerN rolls its fused pass back.
+// must leave frames in the earlier chunk untouched — ShareN's walk bumps
+// the frames before the failure and must take every bump back.
 func TestShardBoundaryValidationAtomic(t *testing.T) {
 	const stride = frameChunk
 	m := New(65536 * PageSize)
@@ -214,9 +214,9 @@ func TestShardBoundaryValidationAtomic(t *testing.T) {
 		t.Fatalf("failed ShareN mutated the first chunk: owner %d", owner)
 	}
 
-	// Share everything but the poisoned frame, then AddSharerN over the
-	// full run: the fused pass bumps the first chunk before discovering
-	// the bad frame, and must undo those bumps exactly.
+	// Share everything but the poisoned frame, then share the full run
+	// again: the walk bumps the first chunk before it meets the bad frame,
+	// and must undo those bumps exactly.
 	good := make([]MFN, 0, len(mfns)-1)
 	for _, f := range mfns {
 		if f != bad {
@@ -226,12 +226,12 @@ func TestShardBoundaryValidationAtomic(t *testing.T) {
 	if err := m.ShareN(1, good, 1, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AddSharerN(mfns, 2); err == nil {
-		t.Fatal("AddSharerN over freed frame succeeded")
+	if err := m.ShareN(1, mfns, 3, nil); !errors.Is(err, ErrDoubleFree) {
+		t.Fatalf("ShareN over freed frame: %v", err)
 	}
 	for _, f := range good {
 		if rc, _ := m.Refcount(f); rc != 1 {
-			t.Fatalf("frame %d refcount = %d after rolled-back AddSharerN, want 1", f, rc)
+			t.Fatalf("frame %d refcount = %d after rolled-back ShareN, want 1", f, rc)
 		}
 	}
 }

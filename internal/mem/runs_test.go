@@ -2,6 +2,8 @@ package mem
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -20,7 +22,7 @@ func ptesOf(mfns []MFN) []pte {
 }
 
 // fragmentSpace COW-faults every other page of parent against a throwaway
-// clone, leaving its table the worst case for the batched frame operations:
+// clone, leaving its table as scattered as a table gets:
 // alternate entries moved to fresh frames, so no two neighbouring entries
 // are MFN-contiguous and every run is one page long.
 func fragmentSpace(tb testing.TB, parent *Space, scratchDom DomID) {
@@ -40,8 +42,8 @@ func fragmentSpace(tb testing.TB, parent *Space, scratchDom DomID) {
 }
 
 // interleave reorders a frame list evens first, odds second: the same set
-// of frames, but neighbouring entries are never MFN-contiguous, so the
-// batched operations see one-page runs throughout.
+// of frames, but neighbouring entries are never MFN-contiguous — a list of
+// one-page runs.
 func interleave(mfns []MFN) []MFN {
 	out := make([]MFN, 0, len(mfns))
 	for i := 0; i < len(mfns); i += 2 {
@@ -84,119 +86,75 @@ func imageOf(m *Memory, doms ...DomID) poolImage {
 	return img
 }
 
-// TestRunCursorSplits pins the one splitter every batched operation walks
-// its input with: runs break at MFN discontinuities, at the edges of the
-// frame table's chunks and at the pool's end, and the three modes differ
-// only in what they do with entries that name no frame. The cases named
-// after shards check the edges that split runs where the shard edges of a
-// sharded pool would: the chunk edges and the short tail chunk.
+// TestRunCursorSplits walks the inputs at which a run of consecutive frames
+// breaks — MFN gaps, descending order, the frame table's chunk edges, the
+// short tail chunk, the pool's end, the watermark, an entry that is not
+// present — through every batched operation in turn, and requires each step
+// to match the per-frame reference: the walks take one entry at a time, so
+// where a run would have split must not show.
 func TestRunCursorSplits(t *testing.T) {
-	small := New(20 * PageSize) // one chunk of 20 frames
 	// Four whole chunks, then a tail chunk [16384,16484) of 100 frames.
-	chunked := New((4*frameChunk + 100) * PageSize)
-	type span struct{ lo, hi MFN }
-	walk := func(m *Memory, c runCursor) ([]span, error) {
-		c.m = m
-		var got, again []span
-		for c.next() {
-			got = append(got, span{c.mfn(0), c.mfn(c.b - c.a)})
-		}
-		// A rewound cursor repeats the walk.
-		err := c.badFrame()
-		for c.rewind(); c.next(); {
-			again = append(again, span{c.mfn(0), c.mfn(c.b - c.a)})
-		}
-		if !reflect.DeepEqual(got, again) || (err == nil) != (c.badFrame() == nil) {
-			t.Errorf("second walk %v (%v), first %v (%v)", again, c.badFrame(), got, err)
-		}
-		return got, err
+	const chunked = 4*frameChunk + 100
+	steps := []struct {
+		op   string
+		dom  DomID
+		refs int
+	}{
+		{"sharePTEs", 1, 2}, {"ShareN", 1, 3}, {"pledgePTEs", 0, 0}, {"adoptPledged", 2, 0},
+		{"cancelPledged", 0, 0}, {"pledgePTEs", 0, 0}, {"releasePTEs", 2, 0}, {"ReleaseN", 1, 0},
+		{"cancelPledged", 0, 0}, {"ReleaseN", 2, 0},
 	}
 	for _, tc := range []struct {
-		name string
-		m    *Memory
-		in   []MFN
-		mode runMode
-		want []span
-		bad  bool
+		name         string
+		total, owned int // pool size; dom 1 owns [0, owned), the rest was never handed out
+		in           []MFN
+		absent       int // index of an entry that is not present, -1 for none
 	}{
-		{"empty", small, nil, runStrict, nil, false},
-		{"one run", small, run(1, 6), runStrict, []span{{1, 7}}, false},
-		{"shard edges", chunked, run(frameChunk-3, frameChunk+6), runStrict, []span{{4093, 4096}, {4096, 8192}, {8192, 8195}}, false},
-		{"tail shard", small, run(14, 6), runStrict, []span{{14, 20}}, false},
-		{"every other", small, []MFN{2, 4, 6, 8, 10}, runStrict, []span{{2, 3}, {4, 5}, {6, 7}, {8, 9}, {10, 11}}, false},
-		{"long run between gaps", small, []MFN{0, 2, 3, 4, 5, 6, 7, 8, 9, 11}, runStrict, []span{{0, 1}, {2, 10}, {11, 12}}, false},
-		{"descending", small, []MFN{3, 2, 1}, runStrict, []span{{3, 4}, {2, 3}, {1, 2}}, false},
-		{"strict stops at a bad frame", small, []MFN{1, 2, 20, 3}, runStrict, []span{{1, 3}}, true},
-		{"skip-bad walks on", small, []MFN{1, 2, 20, 3, 99}, runSkipBad, []span{{1, 3}, {3, 4}}, true},
-		{"chunk edge", chunked, run(4090, 12), runStrict, []span{{4090, 4096}, {4096, 4102}}, false},
-		{"last frame of a chunk", chunked, []MFN{4095, 4096}, runStrict, []span{{4095, 4096}, {4096, 4097}}, false},
-		{"whole chunks", chunked, run(4000, 2*frameChunk), runStrict, []span{{4000, 4096}, {4096, 8192}, {8192, 12192}}, false},
-		{"chunk edge is the shard edge", chunked, run(4*frameChunk-3, 6), runStrict, []span{{16381, 16384}, {16384, 16387}}, false},
-		{"tail shard shorter than a chunk", chunked, run(4*frameChunk+90, 10), runStrict, []span{{16474, 16484}}, false},
-		{"past the tail shard", chunked, run(4*frameChunk+98, 3), runSkipBad, []span{{16482, 16484}}, true},
+		{"empty", 20, 20, nil, -1},
+		{"one run", 20, 20, run(1, 6), -1},
+		{"shard edges", chunked, chunked, run(frameChunk-3, frameChunk+6), -1},
+		{"tail shard", 20, 20, run(14, 6), -1},
+		{"every other", 20, 20, []MFN{2, 4, 6, 8, 10}, -1},
+		{"long run between gaps", 20, 20, []MFN{0, 2, 3, 4, 5, 6, 7, 8, 9, 11}, -1},
+		{"descending", 20, 20, []MFN{3, 2, 1}, -1},
+		{"strict stops at a bad frame", 20, 20, []MFN{1, 2, 20, 3}, -1},
+		{"skip-bad walks on", 20, 20, []MFN{1, 2, 20, 3, 99}, -1},
+		{"chunk edge", chunked, chunked, run(4090, 12), -1},
+		{"last frame of a chunk", chunked, chunked, []MFN{4095, 4096}, -1},
+		{"whole chunks", chunked, chunked, run(4000, 2*frameChunk), -1},
+		{"chunk edge is the shard edge", chunked, chunked, run(4*frameChunk-3, 6), -1},
+		{"tail shard shorter than a chunk", chunked, chunked, run(4*frameChunk+90, 10), -1},
+		{"past the tail shard", chunked, chunked, run(4*frameChunk+98, 3), -1},
+		{"absent entry", 20, 20, run(0, 7), 3},
+		{"past the watermark", chunked, 100, run(90, 20), -1},
+		{"chunk the table never reached", chunked, 100, append(run(95, 5), run(frameChunk, 5)...), -1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, form := range []runCursor{{mfns: tc.in, mode: tc.mode}, {ptes: ptesOf(tc.in), mode: tc.mode}} {
-				got, err := walk(tc.m, form)
-				if !reflect.DeepEqual(got, tc.want) {
-					t.Errorf("runs %v, want %v", got, tc.want)
+			m, r := New(uint64(tc.total)*PageSize), newRefPool(tc.total)
+			mfns, err := m.AllocN(1, tc.owned, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.alloc(1, mfns)
+			absent := make([]bool, len(tc.in))
+			if tc.absent >= 0 {
+				absent[tc.absent] = true
+			}
+			for i, st := range steps {
+				if err := runBatchOp(m, r, batchOpNamed(st.op), st.dom, tc.in, absent, st.refs); err != nil {
+					t.Fatalf("step %d: %v", i, err)
 				}
-				if (err != nil) != tc.bad || (err != nil && !errors.Is(err, ErrBadFrame)) {
-					t.Errorf("err = %v, want bad frame: %v", err, tc.bad)
+				if err := r.check(m, 1, 2); err != nil {
+					t.Fatalf("step %d (%s): %v", i, st.op, err)
 				}
 			}
 		})
 	}
-
-	// Entries that are not present break a run in skip-absent mode only.
-	ptes := ptesOf(run(0, 7))
-	ptes[3] &^= ptePresent
-	if got, _ := walk(small, runCursor{ptes: ptes, mode: runSkipAbsent}); !reflect.DeepEqual(got, []span{{0, 3}, {4, 7}}) {
-		t.Errorf("skip-absent runs %v", got)
-	}
-	if got, _ := walk(small, runCursor{ptes: ptes, mode: runSkipBad}); !reflect.DeepEqual(got, []span{{0, 7}}) {
-		t.Errorf("skip-bad runs over an absent entry %v", got)
-	}
-
-	// frames() against a table that covers the first chunk partly, the
-	// second not at all: a run inside the grown part is whole, one that
-	// leaves it comes back short, one beyond it empty and short.
-	chunked.growLocked(100)
-	for _, tc := range []struct {
-		in    []MFN
-		n     int
-		short bool
-	}{
-		{run(10, 90), 90, false},
-		{run(90, 20), 10, true},
-		{run(100, 5), 0, true},
-		{run(frameChunk, 5), 0, true},
-	} {
-		c := runCursor{m: chunked, mfns: tc.in}
-		if !c.next() {
-			t.Fatalf("no run over %d..", tc.in[0])
-		}
-		if fr, short := c.frames(); len(fr) != tc.n || short != tc.short {
-			t.Errorf("frames of [%d,%d) over a 100-frame table: %d frames, short %v; want %d, %v",
-				tc.in[0], int(tc.in[0])+len(tc.in), len(fr), short, tc.n, tc.short)
-		}
-	}
-	// Growing past the first chunk makes it whole before the second exists.
-	chunked.growLocked(frameChunk + 1)
-	if ch := chunked.chunks; len(ch[0]) != frameChunk || len(ch[1]) != frameChunk || ch[2] != nil {
-		t.Fatalf("table grown to %d frames has chunks of %d, %d and %d", frameChunk+1, len(ch[0]), len(ch[1]), len(ch[2]))
-	}
-	c := runCursor{m: chunked, mfns: run(frameChunk-2, 4)}
-	for want := 2; c.next(); want = 2 {
-		if fr, short := c.frames(); len(fr) != want || short {
-			t.Errorf("run [%d,%d): %d frames, short %v", c.a, c.b, len(fr), short)
-		}
-	}
 }
 
-// TestBatchedOpsAllocFree pins the point of streaming the runs: over the
-// worst-case input — every other MFN, so every run is one page, across a
-// chunk edge — no batched operation allocates. Each closure leaves the
+// TestBatchedOpsAllocFree pins that the walks build nothing: over a
+// scattered input — every other MFN, across a chunk edge — no batched
+// operation allocates. Each closure leaves the
 // frames shared with at least one reference, so it can run any number of
 // times.
 func TestBatchedOpsAllocFree(t *testing.T) {
@@ -226,8 +184,9 @@ func TestBatchedOpsAllocFree(t *testing.T) {
 			_, err := m.sharePTEs(1, ptes, 2, meter)
 			must(err)
 		}},
-		{"addSharerPTEs+releasePTEs", func() {
-			must(m.addSharerPTEs(ptes, 1))
+		{"sharePTEs+releasePTEs", func() {
+			_, err := m.sharePTEs(2, ptes, 2, meter)
+			must(err)
 			must(m.releasePTEs(2, ptes))
 		}},
 		{"pledgePTEs+cancelPledged", func() {
@@ -239,30 +198,31 @@ func TestBatchedOpsAllocFree(t *testing.T) {
 			must(m.adoptPledged(2, ptes, meter))
 		}},
 		{"ShareN", func() { must(m.ShareN(1, mfns, 2, meter)) }},
-		{"AddSharerN+ReleaseN", func() {
-			must(m.AddSharerN(mfns, 1))
+		{"ShareN+ReleaseN", func() {
+			must(m.ShareN(2, mfns, 2, meter))
 			must(m.ReleaseN(2, mfns))
 		}},
-		// A one-frame list is built on the caller's stack; the cursor must
+		// A one-frame list is built on the caller's stack; the walks must
 		// not make it escape.
-		{"AddSharerN+ReleaseN/one", func() {
-			must(m.AddSharerN([]MFN{mfns[0]}, 1))
+		{"ShareN+ReleaseN/one", func() {
+			must(m.ShareN(2, []MFN{mfns[0]}, 2, meter))
 			must(m.ReleaseN(2, []MFN{mfns[0]}))
 		}},
 		{"CopyFrameN/one", func() { must(m.CopyFrameN([]MFN{10}, []MFN{11}, meter)) }},
 	} {
 		if got := testing.AllocsPerRun(50, tc.op); got != 0 {
-			t.Errorf("%s allocates %.0f times per call over %d one-page runs, want 0", tc.name, got, len(mfns))
+			t.Errorf("%s allocates %.0f times per call over %d scattered frames, want 0", tc.name, got, len(mfns))
 		}
 	}
 }
 
 // TestFragmentedLayoutEquivalence drives one operation sequence over the
-// same frames twice — listed in ascending order on one pool, interleaved
-// into one-page runs on a twin — and requires identical frame metadata,
-// counters, usage and virtual time after every step: how the input splits
-// into runs must not show in any result. The contiguous lists split at the
-// frame table's chunk edges.
+// same frames three times — listed in ascending order on one pool,
+// interleaved into one-page runs on a twin, in a seeded random order on a
+// third — and requires identical frame metadata, counters, usage and
+// virtual time after every step: the order the input lists its frames in
+// must not show in any result. The contiguous lists cross the frame
+// table's chunk edges.
 func TestFragmentedLayoutEquivalence(t *testing.T) {
 	const stride = 4 * frameChunk
 	type twin struct {
@@ -282,6 +242,12 @@ func TestFragmentedLayoutEquivalence(t *testing.T) {
 	}
 	a := build(func(f []MFN) []MFN { return f })
 	b := build(interleave)
+	rng := rand.New(rand.NewSource(7))
+	c := build(func(f []MFN) []MFN {
+		out := append([]MFN(nil), f...)
+		rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+		return out
+	})
 
 	release := func(tw twin) error { return tw.m.ReleaseN(2, tw.mfns) }
 	errOf := func(_ int, err error) error { return err }
@@ -290,7 +256,7 @@ func TestFragmentedLayoutEquivalence(t *testing.T) {
 		op   func(tw twin) error
 	}{
 		{"share", func(tw twin) error { return errOf(tw.m.sharePTEs(1, ptesOf(tw.mfns), 2, tw.meter)) }},
-		{"addSharer", func(tw twin) error { return tw.m.addSharerPTEs(ptesOf(tw.mfns), 1) }},
+		{"share by a sharer", func(tw twin) error { return errOf(tw.m.sharePTEs(2, ptesOf(tw.mfns), 2, tw.meter)) }},
 		{"ShareN again", func(tw twin) error { return tw.m.ShareN(1, tw.mfns, 3, tw.meter) }},
 		{"pledge", func(tw twin) error { return tw.m.pledgePTEs(ptesOf(tw.mfns)) }},
 		{"pledge twice", func(tw twin) error { return tw.m.pledgePTEs(ptesOf(tw.mfns)) }},
@@ -312,10 +278,10 @@ func TestFragmentedLayoutEquivalence(t *testing.T) {
 		{"cancel the zombies", func(tw twin) error { return tw.m.cancelPledged(ptesOf(tw.left)) }},
 		{"adopter releases", func(tw twin) error { return tw.m.ReleaseN(2, tw.kept) }},
 		{"releasePTEs", func(tw twin) error { return tw.m.releasePTEs(2, ptesOf(tw.mfns)) }},
-		{"AddSharerN", func(tw twin) error { return tw.m.AddSharerN(tw.mfns, 2) }},
+		{"ShareN by a sharer", func(tw twin) error { return tw.m.ShareN(2, tw.mfns, 3, tw.meter) }},
 	}
-	// share 2, addSharer +1, ShareN +2, adopt +1, releasePTEs -1, AddSharerN
-	// +2: seven sharers are left to drop.
+	// share 2, share by a sharer +1, ShareN +2, adopt +1, releasePTEs -1,
+	// ShareN by a sharer +2: seven sharers are left to drop.
 	for i := 1; i <= 7; i++ {
 		steps = append(steps, struct {
 			name string
@@ -326,15 +292,21 @@ func TestFragmentedLayoutEquivalence(t *testing.T) {
 		if err := st.op(a); err != nil {
 			t.Fatalf("%s (contiguous): %v", st.name, err)
 		}
-		if err := st.op(b); err != nil {
-			t.Fatalf("%s (fragmented): %v", st.name, err)
-		}
-		if ia, ib := imageOf(a.m, 1, 2), imageOf(b.m, 1, 2); !reflect.DeepEqual(ia, ib) {
-			t.Fatalf("after %s the pools differ: free %d/%d shared %d/%d used %v/%v",
-				st.name, ia.Free, ib.Free, ia.Shared, ib.Shared, ia.Used, ib.Used)
-		}
-		if a.meter.Elapsed() != b.meter.Elapsed() {
-			t.Fatalf("after %s virtual time differs: %v vs %v", st.name, a.meter.Elapsed(), b.meter.Elapsed())
+		ia := imageOf(a.m, 1, 2)
+		for _, other := range []struct {
+			name string
+			tw   twin
+		}{{"interleaved", b}, {"shuffled", c}} {
+			if err := st.op(other.tw); err != nil {
+				t.Fatalf("%s (%s): %v", st.name, other.name, err)
+			}
+			if ib := imageOf(other.tw.m, 1, 2); !reflect.DeepEqual(ia, ib) {
+				t.Fatalf("after %s the %s pool differs: free %d/%d shared %d/%d used %v/%v",
+					st.name, other.name, ia.Free, ib.Free, ia.Shared, ib.Shared, ia.Used, ib.Used)
+			}
+			if a.meter.Elapsed() != other.tw.meter.Elapsed() {
+				t.Fatalf("after %s virtual time differs: %v vs %v (%s)", st.name, a.meter.Elapsed(), other.tw.meter.Elapsed(), other.name)
+			}
 		}
 	}
 	if shared, free := a.m.SharedFrames(), a.m.FreeFrames(); shared != 0 || free != 600+80+80 {
@@ -347,9 +319,11 @@ func TestFragmentedLayoutEquivalence(t *testing.T) {
 
 // TestFragmentedErrorPaths replays the batched operations' failure
 // contracts on one-page-run input: strict operations reject the whole call
-// and leave the pool untouched wherever in the input the bad frame sits,
-// AddSharerN undoes every bump it made, and the releasing operations skip
-// the bad frame, process the rest and report the first error.
+// and leave the pool untouched (and clean under Audit) wherever in the
+// input the bad frame sits — a share undoes every bump its walk made,
+// whether the frame was dom_cow's, a zombie's or the sharer's own — and the
+// releasing operations skip the bad frame, process the rest and report the
+// first error.
 func TestFragmentedErrorPaths(t *testing.T) {
 	const stride = frameChunk
 	m := New(65536 * PageSize)
@@ -390,10 +364,14 @@ func TestFragmentedErrorPaths(t *testing.T) {
 		if after := imageOf(m, 1, 9); !reflect.DeepEqual(before, after) {
 			t.Errorf("%s: failed call changed the pool", name)
 		}
+		if err := m.Audit(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 
-	// The bad entry sits late in the list, past the chunk edge, so the runs
-	// before it have been walked (and, for AddSharerN, bumped) when it is met.
+	// The bad entry sits late in the list, past the chunk edge, so the
+	// frames before it have been walked (and, for a share, bumped) when it
+	// is met.
 	for _, tc := range []struct {
 		name  string
 		extra MFN
@@ -411,21 +389,51 @@ func TestFragmentedErrorPaths(t *testing.T) {
 		})
 	}
 	in := with(good, 90, outOfRange)
-	untouched("AddSharerN/out of range", ErrBadFrame, func() error { return m.AddSharerN(in, 1) })
 	untouched("pledgePTEs/out of range", ErrBadFrame, func() error { return m.pledgePTEs(ptesOf(in)) })
 	untouched("adoptPledged/out of range", ErrBadFrame, func() error { return m.adoptPledged(2, ptesOf(in), nil) })
 	in = with(good, 90, pastWatermark)
 	untouched("pledgePTEs/past watermark", ErrDoubleFree, func() error { return m.pledgePTEs(ptesOf(in)) })
 
-	// Once the good frames are shared, AddSharerN's fused pass has bumped 90
-	// runs in two chunks when it meets the bad one, and must undo them all.
+	// Once the good frames are dom_cow's with one sharer each, a failed
+	// share has bumped them in two chunks when it meets the bad entry, and
+	// must take each bump back; a frame dom 1 still owns among them must
+	// stay its own. A dom_cow frame with one sharer and an owned frame
+	// look alike once both are bumped, which is why the walk moves no
+	// owner until every entry has passed.
 	if err := m.ShareN(1, good, 1, nil); err != nil {
 		t.Fatal(err)
 	}
-	in = with(good, 90, spare)
-	untouched("AddSharerN/not shared", ErrNotShared, func() error { return m.AddSharerN(in, 1) })
-	in = with(good, 99, pastWatermark)
-	untouched("addSharerPTEs/past watermark", ErrDoubleFree, func() error { return m.addSharerPTEs(ptesOf(in), 3) })
+	// zombie is a dom_cow frame only a pledge keeps: no sharer at all.
+	zombie := full[stride-97]
+	if err := m.pledgePTEs(ptesOf([]MFN{zombie})); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.ReleaseN(1, []MFN{zombie}); err != nil {
+		t.Fatal(err)
+	}
+	mixed := with(with(good, 30, spare), 60, zombie) // a transfer, bumps and a zombie
+	for _, tc := range []struct {
+		name string
+		in   []MFN
+		want error
+	}{
+		{"transfer, bump and zombie, then past watermark", with(mixed, 99, pastWatermark), ErrDoubleFree},
+		{"transfer, bump and zombie, then out of range", append(mixed, outOfRange), ErrBadFrame},
+		{"transfer, bump and zombie, then foreign", with(mixed, 80, foreign), ErrNotOwner},
+		{"each twice, then foreign", []MFN{spare, good[0], zombie, spare, good[0], zombie, foreign}, ErrNotOwner},
+		{"foreign outranked by a later out-of-range", []MFN{spare, zombie, foreign, good[1], outOfRange}, ErrBadFrame},
+	} {
+		for _, refs := range []int{1, 2, 3} {
+			untouched(fmt.Sprintf("ShareN/%s/refs=%d", tc.name, refs), tc.want, func() error { return m.ShareN(1, tc.in, refs, nil) })
+			untouched(fmt.Sprintf("sharePTEs/%s/refs=%d", tc.name, refs), tc.want, func() error {
+				_, err := m.sharePTEs(1, ptesOf(tc.in), refs, nil)
+				return err
+			})
+		}
+	}
+	if err := m.cancelPledged(ptesOf([]MFN{zombie})); err != nil {
+		t.Fatal(err)
+	}
 
 	// Once they are pledged, adopting a list with one unpledged frame fails
 	// whole.
@@ -469,10 +477,10 @@ func TestFragmentedErrorPaths(t *testing.T) {
 	}
 }
 
-// TestFragmentedCloneReleaseStress is the -race stress for the streamed
+// TestFragmentedCloneReleaseStress is the -race stress for the batched
 // walks: children of two parents whose tables are all one-page runs are
-// cloned and released concurrently — thousands of runs per locked pass,
-// over chunks both families share. A walk that lost or doubled a frame
+// cloned and released concurrently — thousands of scattered frames per
+// locked pass, over chunks both families share. A walk that lost or doubled a frame
 // shows in the final accounting.
 func TestFragmentedCloneReleaseStress(t *testing.T) {
 	m := New(1 << 30)

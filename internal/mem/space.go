@@ -205,12 +205,9 @@ type Space struct {
 	// lazy is the stream state of a lazily cloned child (nil otherwise);
 	// it is set before the space is published and never replaced.
 	// lazyPTEs records that the table held lazy entries so release knows
-	// to cancel outstanding pledges; everPledged marks a parent whose
-	// frames may carry pledges, routing later eager clones through the
-	// transfer-aware share path.
-	lazy        *lazyState
-	lazyPTEs    bool
-	everPledged bool
+	// to cancel outstanding pledges.
+	lazy     *lazyState
+	lazyPTEs bool
 }
 
 // PTFrameCount returns the number of page-table frames needed to map n
@@ -582,12 +579,12 @@ func (s *Space) CloneOpMode(ctx obs.OpCtx, childDom DomID, copyRing bool, mode C
 	}
 
 	// Walk the space as run-length extents of identical (kind, writable,
-	// cow) state. Each run costs one Memory lock acquisition and one meter
-	// charge regardless of its length, so the clone hot path is
-	// proportional to the number of extents plus the number of private
-	// pages, not the total page count. The per-page dispatch inside the
-	// batched operations is identical to the sequential one, so virtual
-	// time and CloneStats are unchanged.
+	// cow) state. Each extent costs one Memory lock acquisition, one span
+	// and one meter charge regardless of its length; inside it the batched
+	// operation visits every frame once, so host time still grows with the
+	// page count, at a few nanoseconds a page. The per-page dispatch inside
+	// the batched operations is identical to the sequential one, so
+	// virtual time and CloneStats are unchanged.
 	var wctx obs.OpCtx
 	wctx, wspan = ctx.StartSpan("extent-walk")
 	for lo := 0; lo < len(s.ptes); {
@@ -637,7 +634,6 @@ func (s *Space) CloneOpMode(ctx obs.OpCtx, childDom DomID, copyRing bool, mode C
 						ext[i] |= pteCOW
 					}
 				}
-				s.everPledged = true
 				lazyRuns = append(lazyRuns, fixup{lo: lo, hi: hi})
 				st.Deferred += n
 				st.Extents++
@@ -649,28 +645,18 @@ func (s *Space) CloneOpMode(ctx obs.OpCtx, childDom DomID, copyRing bool, mode C
 			}
 			// Share between parent and child. Writable pages are
 			// marked COW on both ends; read-only pages (text) are
-			// shared with no fault cost ever.
-			if p.cow() && !s.everPledged {
-				// Already family-shared from an earlier clone: the
-				// whole extent is one batched sharer bump. This is
-				// the 2nd..Nth-clone fast path.
-				if err := s.mem.addSharerPTEs(ext, 1); err != nil {
-					return fail(err)
-				}
-			} else {
-				// sharePTEs transfers frames still owned by the
-				// parent and bumps frames dom_cow already owns — the
-				// per-frame dispatch an everPledged parent needs,
-				// since a pledged frame converts only when first
-				// materialized or eagerly re-shared (one PageShare
-				// per frame either way).
-				if _, err := s.mem.sharePTEs(s.dom, ext, 2, meter); err != nil {
-					return fail(err)
-				}
-				if p.writable() {
-					for i := range ext {
-						ext[i] |= pteCOW
-					}
+			// shared with no fault cost ever. sharePTEs transfers the
+			// frames the parent still owns (one PageShare each) and
+			// bumps the ones dom_cow owns, so an extent an earlier
+			// clone made COW is one walk of sharer bumps, and a frame
+			// a lazy child's pledge left with the parent converts here
+			// unless a materialization converted it first.
+			if _, err := s.mem.sharePTEs(s.dom, ext, 2, meter); err != nil {
+				return fail(err)
+			}
+			if p.writable() && !p.cow() {
+				for i := range ext {
+					ext[i] |= pteCOW
 				}
 			}
 			st.SharedPages += n
@@ -841,14 +827,14 @@ func (s *Space) ResetOp(ctx obs.OpCtx, parent *Space) (int, error) {
 			continue
 		}
 		cp, pp := &s.ptes[pfn], &parent.ptes[pfn]
-		transferred, err := m.shareRunsLocked(parent.dom, runCursor{m: m, ptes: parent.ptes[pfn : pfn+1]}, 2, meter)
+		transferred, err := shareLocked(m, parent.dom, parent.ptes[pfn:pfn+1], pteMFNMask, 2, meter)
 		if err != nil {
 			return restored, err
 		}
 		if transferred > 0 && pp.writable() {
 			*pp |= pteCOW
 		}
-		m.releaseRunsLocked(s.dom, runCursor{m: m, ptes: s.ptes[pfn : pfn+1], mode: runSkipAbsent})
+		releaseLocked(m, s.dom, s.ptes[pfn:pfn+1], pteMFNMask, ptePresent)
 		*cp = cp.withMFN(pp.mfn()) | pteCOW
 		restored++
 	}
