@@ -230,19 +230,21 @@ func (d *Daemon) serveOne(n hv.CloneNotification, ctx obs.OpCtx) error {
 		_, ispan := ctx.StartSpan("xenstore-intro")
 		defer ispan.End()
 		meter.Charge(meter.Costs().Introduce, 1)
-		base := devices.DomainPath(uint32(n.Child))
-		childName := info.name + "-clone-" + strconv.FormatUint(uint64(n.Child), 10)
-		writes := [...]struct{ key, val string }{
-			{base + "/name", childName},
-			{base + "/domid", strconv.FormatUint(uint64(n.Child), 10)},
-			{base + "/parent", strconv.FormatUint(uint64(n.Parent), 10)},
+		dir, err := d.Store.Dir(devices.DomainPath(uint32(n.Child)))
+		if err != nil {
+			return err
 		}
-		for _, w := range writes {
-			if err := d.Store.Write(w.key, w.val, meter); err != nil {
+		childName := info.name + "-clone-" + strconv.FormatUint(uint64(n.Child), 10)
+		for _, w := range [...]devices.Entry{
+			{Key: "name", Value: childName},
+			{Key: "domid", Value: strconv.FormatUint(uint64(n.Child), 10)},
+			{Key: "parent", Value: strconv.FormatUint(uint64(n.Parent), 10)},
+		} {
+			if err := dir.Write(w.Key, w.Value, meter); err != nil {
 				return err
 			}
 		}
-		_, err := d.XL.AdoptClone(n.Parent, n.Child)
+		_, err = d.XL.AdoptClone(n.Parent, n.Child)
 		return err
 	}(); err != nil {
 		return err

@@ -2,6 +2,8 @@ package devices
 
 import (
 	"errors"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -245,5 +247,128 @@ func TestNetBackendLookup(t *testing.T) {
 	}
 	if _, err := nb.Vif(3, 1); !errors.Is(err, ErrNoDevice) {
 		t.Fatalf("lookup missing vif: %v", err)
+	}
+}
+
+// pathRequests issues the requests of one device pair the way
+// WriteDevicePair did before it wrote through directory handles: every
+// Write and Read names its full path from the root, in the same order.
+func pathRequests(store *xenstore.Store, domid uint32, kind string, index int, extra []Entry, meter *vclock.Meter) error {
+	fp, bp := FrontendPath(domid, kind, index), BackendPath(domid, kind, index)
+	writes := []Entry{
+		{fp + "/backend", bp}, {fp + "/backend-id", "0"}, {fp + "/state", "1"},
+		{fp + "/handle", strconv.Itoa(index)}, {fp + "/tx-ring-ref", "0"},
+		{fp + "/rx-ring-ref", "0"}, {fp + "/event-channel", "0"},
+		{bp + "/frontend", fp}, {bp + "/frontend-id", strconv.FormatUint(uint64(domid), 10)},
+		{bp + "/state", "1"}, {bp + "/handle", strconv.Itoa(index)}, {bp + "/online", "1"},
+		{bp + "/hotplug-status", "connected"},
+	}
+	for _, e := range extra {
+		writes = append(writes, Entry{fp + "/" + e.Key, e.Value}, Entry{bp + "/" + e.Key, e.Value})
+	}
+	for _, w := range writes {
+		if err := store.Write(w.Key, w.Value, meter); err != nil {
+			return err
+		}
+	}
+	for _, st := range []string{"2", "3", "4"} {
+		if err := store.Write(bp+"/state", st, meter); err != nil {
+			return err
+		}
+		if _, err := store.Read(fp+"/state", meter); err != nil {
+			return err
+		}
+		if err := store.Write(fp+"/state", st, meter); err != nil {
+			return err
+		}
+		if _, err := store.Read(bp+"/state", meter); err != nil {
+			return err
+		}
+	}
+	meter.Charge(meter.Costs().DeviceNegotiate, 1)
+	return nil
+}
+
+// vifEntries are a vif's extra keys, as the device-kind table writes them.
+func vifEntries(domid uint32) []Entry {
+	return []Entry{{Key: "mac", Value: netsim.MACForDomain(domid).String()}, {Key: "ip", Value: "10.0.0.1"}}
+}
+
+// residentStore returns a store holding the base entries and a console and
+// vif pair of guests 1..n, written with full paths, its access log rotating
+// every 100 writes.
+func residentStore(t testing.TB, n int) *xenstore.Store {
+	store := xenstore.New(100)
+	for id := uint32(1); id <= uint32(n); id++ {
+		store.Write(DomainPath(id)+"/name", "guest", nil)
+		for _, err := range []error{
+			pathRequests(store, id, "console", 0, nil, nil),
+			pathRequests(store, id, "vif", 0, vifEntries(id), nil),
+		} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return store
+}
+
+// TestWriteDevicePairMatchesPathRequests: next to 1 000 resident guests,
+// the pairs WriteDevicePair writes through its two directory handles are
+// the requests the full-path list issues on a twin store — the same meter
+// total, Stats and tree — for a new guest's console and vif and for a
+// second vif of a guest that has one.
+func TestWriteDevicePairMatchesPathRequests(t *testing.T) {
+	a, b := residentStore(t, 1000), residentStore(t, 1000)
+	ma, mb := vclock.NewMeter(nil), vclock.NewMeter(nil)
+	for _, d := range []struct {
+		domid uint32
+		kind  string
+		index int
+		extra []Entry
+	}{
+		{1001, "console", 0, nil},
+		{1001, "vif", 0, vifEntries(1001)},
+		{500, "vif", 1, vifEntries(500)},
+	} {
+		if err := WriteDevicePair(a, d.domid, d.kind, d.index, d.extra, ma); err != nil {
+			t.Fatal(err)
+		}
+		if err := pathRequests(b, d.domid, d.kind, d.index, d.extra, mb); err != nil {
+			t.Fatal(err)
+		}
+		if ma.Elapsed() != mb.Elapsed() {
+			t.Fatalf("%s %d of guest %d: meter %v, full-path requests %v", d.kind, d.index, d.domid, ma.Elapsed(), mb.Elapsed())
+		}
+		if a.Stats() != b.Stats() {
+			t.Fatalf("%s %d of guest %d: Stats %+v, full-path requests %+v", d.kind, d.index, d.domid, a.Stats(), b.Stats())
+		}
+	}
+	walk := func(s *xenstore.Store) []string {
+		var out []string
+		s.Walk("/", func(p, v string) { out = append(out, p+"="+v) })
+		return out
+	}
+	if got, want := walk(a), walk(b); !slices.Equal(got, want) {
+		t.Fatalf("trees differ: %d nodes, full-path requests %d", len(got), len(want))
+	}
+
+	// The host cost of one vif pair with its mac and ip next to the
+	// resident guests, each run a new guest's: 16 allocations, for the two
+	// directory paths, the domid formatted three times and the kids arrays
+	// of the directories the pair makes. The full-path requests allocate
+	// 46 times (measured the same way), 30 of them key paths and the
+	// slice listing them. A -race build allocates more in both.
+	if raceEnabled {
+		return
+	}
+	domid, extra := uint32(2000), vifEntries(2000)
+	if allocs := testing.AllocsPerRun(100, func() {
+		domid++
+		if err := WriteDevicePair(a, domid, "vif", 0, extra, nil); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 16 {
+		t.Fatalf("a vif pair allocates %v times, want at most 16", allocs)
 	}
 }

@@ -89,34 +89,54 @@ type Entry struct{ Key, Value string }
 
 // WriteDevicePair creates the frontend and backend Xenstore entries for a
 // new device, the way xl does during boot, and drives the two-sided
-// negotiation to Connected. Each Write is one store request; the
-// negotiation itself costs DeviceNegotiate. The writes go out in a fixed
-// order — the frontend's entries, the backend's, then each extra entry on
-// both ends — because a request's StorePerNode charge depends on how many
-// directories the requests before it created.
+// negotiation to Connected. Each Write and Read is one store request,
+// issued through a handle on each end's directory; the negotiation itself
+// costs DeviceNegotiate. The writes go out in a fixed order — the
+// frontend's entries, the backend's, then each extra entry on both ends —
+// because a request's StorePerNode charge depends on how many directories
+// the requests before it created.
 func WriteDevicePair(store *xenstore.Store, domid uint32, kind string, index int, extra []Entry, meter *vclock.Meter) error {
 	fp := FrontendPath(domid, kind, index)
 	bp := BackendPath(domid, kind, index)
-	writes := []Entry{
-		{fp + "/backend", bp},
-		{fp + "/backend-id", "0"},
-		{fp + "/state", strconv.Itoa(int(StateInitialising))},
-		{fp + "/handle", strconv.Itoa(index)},
-		{fp + "/tx-ring-ref", "0"},
-		{fp + "/rx-ring-ref", "0"},
-		{fp + "/event-channel", "0"},
-		{bp + "/frontend", fp},
-		{bp + "/frontend-id", strconv.FormatUint(uint64(domid), 10)},
-		{bp + "/state", strconv.Itoa(int(StateInitialising))},
-		{bp + "/handle", strconv.Itoa(index)},
-		{bp + "/online", "1"},
-		{bp + "/hotplug-status", "connected"},
+	front, err := store.Dir(fp)
+	if err != nil {
+		return err
+	}
+	back, err := store.Dir(bp)
+	if err != nil {
+		return err
+	}
+	handle, initialising := strconv.Itoa(index), strconv.Itoa(int(StateInitialising))
+	for _, e := range [...]Entry{
+		{"backend", bp},
+		{"backend-id", "0"},
+		{"state", initialising},
+		{"handle", handle},
+		{"tx-ring-ref", "0"},
+		{"rx-ring-ref", "0"},
+		{"event-channel", "0"},
+	} {
+		if err := front.Write(e.Key, e.Value, meter); err != nil {
+			return err
+		}
+	}
+	for _, e := range [...]Entry{
+		{"frontend", fp},
+		{"frontend-id", strconv.FormatUint(uint64(domid), 10)},
+		{"state", initialising},
+		{"handle", handle},
+		{"online", "1"},
+		{"hotplug-status", "connected"},
+	} {
+		if err := back.Write(e.Key, e.Value, meter); err != nil {
+			return err
+		}
 	}
 	for _, e := range extra {
-		writes = append(writes, Entry{fp + "/" + e.Key, e.Value}, Entry{bp + "/" + e.Key, e.Value})
-	}
-	for _, w := range writes {
-		if err := store.Write(w.Key, w.Value, meter); err != nil {
+		if err := front.Write(e.Key, e.Value, meter); err != nil {
+			return err
+		}
+		if err := back.Write(e.Key, e.Value, meter); err != nil {
 			return err
 		}
 	}
@@ -124,16 +144,17 @@ func WriteDevicePair(store *xenstore.Store, domid uint32, kind string, index int
 	// Initialised -> Connected; each transition is a store write the
 	// peer observes with a read of the other end's state.
 	for _, st := range []XenbusState{StateInitWait, StateInitialised, StateConnected} {
-		if err := store.Write(bp+"/state", strconv.Itoa(int(st)), meter); err != nil {
+		state := strconv.Itoa(int(st))
+		if err := back.Write("state", state, meter); err != nil {
 			return err
 		}
-		if _, err := store.Read(fp+"/state", meter); err != nil {
+		if _, err := front.Read("state", meter); err != nil {
 			return err
 		}
-		if err := store.Write(fp+"/state", strconv.Itoa(int(st)), meter); err != nil {
+		if err := front.Write("state", state, meter); err != nil {
 			return err
 		}
-		if _, err := store.Read(bp+"/state", meter); err != nil {
+		if _, err := back.Read("state", meter); err != nil {
 			return err
 		}
 	}

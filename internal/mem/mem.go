@@ -803,8 +803,9 @@ func (m *Memory) reownLocked(f *frame, to DomID) {
 // ReleaseN releases a run of frames on behalf of dom, applying the
 // domain-teardown rules per frame: dom_cow frames drop one sharer reference
 // (freeing on the last), frames owned by dom are freed, and frames owned by
-// anyone else are skipped. Bad frames are recorded and skipped; the first
-// error is returned after the whole run is processed.
+// anyone else are skipped. Bad frames — free ones and dom_cow zombies, which
+// hold no reference to drop — are recorded and skipped; the first error is
+// returned after the whole run is processed.
 //
 //nephele:noalloc
 func (m *Memory) ReleaseN(dom DomID, mfns []MFN) error {
@@ -858,6 +859,14 @@ func releaseLocked[T frameList](m *Memory, dom DomID, in []T, mask, present T) e
 		}
 		switch f.owner {
 		case DomIDCOW:
+			if f.refcount == 0 {
+				// A zombie holds pledges, not references: releasing it
+				// drops a reference nobody holds, refused like a free frame.
+				if failed < 0 {
+					failed = i
+				}
+				continue
+			}
 			f.refcount--
 			if f.refcount == 0 && f.pledges == 0 {
 				cowFreed++

@@ -224,15 +224,18 @@ func max1(n int) int {
 // introduce registers a new domain with xenstored.
 func (x *XL) introduce(id hv.DomID, name string, meter *vclock.Meter) error {
 	meter.Charge(meter.Costs().Introduce, 1)
-	base := devices.DomainPath(uint32(id))
+	dir, err := x.Store.Dir(devices.DomainPath(uint32(id)))
+	if err != nil {
+		return err
+	}
 	// A fixed order: the first write creates the domain's directory, and
 	// every later request's StorePerNode charge counts it.
-	for _, w := range []devices.Entry{
-		{Key: base + "/name", Value: name},
-		{Key: base + "/domid", Value: strconv.FormatUint(uint64(id), 10)},
-		{Key: base + "/memory", Value: "static-max"},
+	for _, w := range [...]devices.Entry{
+		{Key: "name", Value: name},
+		{Key: "domid", Value: strconv.FormatUint(uint64(id), 10)},
+		{Key: "memory", Value: "static-max"},
 	} {
-		if err := x.Store.Write(w.Key, w.Value, meter); err != nil {
+		if err := dir.Write(w.Key, w.Value, meter); err != nil {
 			return err
 		}
 	}

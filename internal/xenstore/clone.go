@@ -37,7 +37,7 @@ func (s *Store) Clone(parentDom, childDom uint32, op CloneOp, parentPath, childP
 	if err != nil {
 		return err
 	}
-	src := s.find(srcElems)
+	src := s.find(s.at(0), srcElems)
 	if src == nil {
 		return fmt.Errorf("%w: %s", ErrNotFound, parentPath)
 	}
@@ -48,7 +48,7 @@ func (s *Store) Clone(parentDom, childDom uint32, op CloneOp, parentPath, childP
 	if within(srcElems, dstElems) || within(dstElems, srcElems) {
 		return fmt.Errorf("%w: clone of %s onto overlapping %s", ErrBadPath, parentPath, childPath)
 	}
-	dst := s.mkdirLocked(dstElems)
+	dst := s.mkdirLocked(s.at(0), dstElems)
 	dst.value = src.value
 	rw := newRewriter(parentDom, childDom, op)
 	s.copyLocked(dst, src, &rw)

@@ -42,9 +42,10 @@ func TestLocateFillsChunksInOrder(t *testing.T) {
 }
 
 // deviceWrites returns the writes that make one device's frontend and
-// backend entries for domain dom, in the order and with the values xl uses
-// on boot (devices.WriteDevicePair): seven frontend keys, six backend keys,
-// and each extra key on both ends.
+// backend entries for domain dom, as full paths, in the order and with the
+// values xl uses on boot (devices.WriteDevicePair, which issues them
+// through a Dir handle on each end): seven frontend keys, six backend
+// keys, and each extra key on both ends.
 func deviceWrites(dom, kind string, extra ...string) [][2]string {
 	fp := "/local/domain/" + dom + "/device/" + kind + "/0"
 	bp := "/local/domain/0/backend/" + kind + "/" + dom + "/0"

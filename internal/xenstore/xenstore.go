@@ -119,6 +119,9 @@ type Store struct {
 	used   int32    // table slots handed out, freed ones included
 	free   []int32  // freed indices, reused last freed first
 	nodes  int      // live nodes, the root not counted
+	// removals counts the Remove requests that freed nodes: a Dir keeps
+	// the node it found only while this has not moved.
+	removals uint64
 
 	// Access logging: every logged request appends one line; when the
 	// log exceeds rotateEvery lines it is rotated, stalling the store —
@@ -262,9 +265,9 @@ func (s *Store) chargeRequest(meter *vclock.Meter, isWrite bool) {
 	}
 }
 
-// find returns the node a pathElems string names, nil if there is none.
-func (s *Store) find(elems string) *node {
-	n := s.at(0)
+// find returns the node a pathElems string names below n, nil if there is
+// none.
+func (s *Store) find(n *node, elems string) *node {
 	for elem := ""; elems != ""; {
 		elem, elems, _ = strings.Cut(elems, "/")
 		k, ok := s.search(n, elem)
@@ -282,17 +285,16 @@ func (s *Store) lookup(path string) (*node, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := s.find(elems)
+	n := s.find(s.at(0), elems)
 	if n == nil {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, path)
 	}
 	return n, nil
 }
 
-// mkdirLocked returns the node a pathElems string names, creating it and
-// any missing ancestors (mkdir -p semantics, like xenstored).
-func (s *Store) mkdirLocked(elems string) *node {
-	n := s.at(0)
+// mkdirLocked returns the node a pathElems string names below n, creating
+// it and any missing ancestors (mkdir -p semantics, like xenstored).
+func (s *Store) mkdirLocked(n *node, elems string) *node {
 	for elem := ""; elems != ""; {
 		elem, elems, _ = strings.Cut(elems, "/")
 		n = s.childLocked(n, elem)
@@ -314,30 +316,117 @@ func (s *Store) childLocked(n *node, name string) *node {
 // Write stores value at path, one request. An injected fault fails the
 // request before it reaches the tree.
 func (s *Store) Write(path, value string, meter *vclock.Meter) error {
+	elems, err := pathElems(path)
+	return s.write(nil, elems, err, value, meter)
+}
+
+// Read returns the value at path, one request.
+func (s *Store) Read(path string, meter *vclock.Meter) (string, error) {
+	elems, err := pathElems(path)
+	return s.read(nil, elems, err, meter)
+}
+
+// Dir is a handle on one directory of the store for a caller that issues
+// several requests under it. Its Write and Read of a key are Store.Write
+// and Store.Read of path/key — the same request, charge, fault point and
+// access log — but walk from the directory's node, not from the root. The
+// handle finds that node on its first request (a write creates it, mkdir
+// -p, as Store.Write would, so every charge sees the node count it always
+// did), and finds it again only after a Remove has freed nodes, since a
+// freed node may since have been handed to another path. A Dir is used by
+// one goroutine at a time.
+type Dir struct {
+	s        *Store
+	elems    string // the directory's path, in pathElems form
+	n        *node  // the directory's node; nil until a request finds it
+	removals uint64 // s.removals when n was found
+}
+
+// Dir checks that path is a well-formed directory path and returns a
+// handle on it. It is not a request and creates nothing.
+func (s *Store) Dir(path string) (Dir, error) {
+	elems, err := pathElems(path)
+	if err != nil {
+		return Dir{}, err
+	}
+	return Dir{s: s, elems: elems}, nil
+}
+
+// Write stores value at key, one path element below the directory: one
+// request, Store.Write of path/key.
+func (d *Dir) Write(key, value string, meter *vclock.Meter) error {
+	return d.s.write(d, key, checkKey(key), value, meter)
+}
+
+// Read returns the value at key, one path element below the directory:
+// one request, Store.Read of path/key.
+func (d *Dir) Read(key string, meter *vclock.Meter) (string, error) {
+	return d.s.read(d, key, checkKey(key), meter)
+}
+
+// checkKey refuses a key that is not exactly one path element.
+func checkKey(key string) error {
+	if key == "" || strings.IndexByte(key, '/') >= 0 {
+		return fmt.Errorf("%w: key %q", ErrBadPath, key)
+	}
+	return nil
+}
+
+// write is the one write request: value goes to the node elems names
+// below d's directory, or below the root for a nil d. bad is the path
+// check's verdict, which fails the request once it is charged.
+func (s *Store) write(d *Dir, elems string, bad error, value string, meter *vclock.Meter) error {
 	if err := s.faultCheck(fault.PointXSWrite); err != nil {
 		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.chargeRequest(meter, true)
-	elems, err := pathElems(path)
-	if err != nil {
-		return err
+	if bad != nil {
+		return bad
 	}
-	s.mkdirLocked(elems).value = value
+	s.mkdirLocked(s.dirLocked(d, true), elems).value = value
 	return nil
 }
 
-// Read returns the value at path, one request.
-func (s *Store) Read(path string, meter *vclock.Meter) (string, error) {
+// read is the one read request, walking as write does.
+func (s *Store) read(d *Dir, elems string, bad error, meter *vclock.Meter) (string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.chargeRequest(meter, false)
-	n, err := s.lookup(path)
-	if err != nil {
-		return "", err
+	if bad != nil {
+		return "", bad
+	}
+	var n *node
+	if dir := s.dirLocked(d, false); dir != nil {
+		n = s.find(dir, elems)
+	}
+	if n == nil {
+		if d != nil && d.elems != "" {
+			elems = d.elems + "/" + elems
+		}
+		return "", fmt.Errorf("%w: /%s", ErrNotFound, elems)
 	}
 	return n.value, nil
+}
+
+// dirLocked returns the node of d's directory, the root for a nil d. When
+// d has no node yet, or a Remove has freed nodes since it found the one it
+// has, it walks from the root: creating the directory and its missing
+// ancestors if create is set, and returning nil where it is absent if not.
+func (s *Store) dirLocked(d *Dir, create bool) *node {
+	if d == nil {
+		return s.at(0)
+	}
+	if d.n == nil || d.removals != s.removals {
+		if create {
+			d.n = s.mkdirLocked(s.at(0), d.elems)
+		} else {
+			d.n = s.find(s.at(0), d.elems)
+		}
+		d.removals = s.removals
+	}
+	return d.n
 }
 
 // Directory lists the child names at path, sorted, one request.
@@ -373,7 +462,7 @@ func (s *Store) Remove(path string, meter *vclock.Meter) error {
 		dir, name = elems[:cut], elems[cut+1:]
 	}
 	k, ok := 0, false
-	parent := s.find(dir)
+	parent := s.find(s.at(0), dir)
 	if parent != nil {
 		k, ok = s.search(parent, name)
 	}
@@ -381,6 +470,7 @@ func (s *Store) Remove(path string, meter *vclock.Meter) error {
 		return fmt.Errorf("%w: %s", ErrNotFound, path)
 	}
 	s.nodes -= s.freeLocked(parent.kids[k])
+	s.removals++
 	parent.kids = slices.Delete(parent.kids, k, k+1)
 	return nil
 }
@@ -391,7 +481,7 @@ func (s *Store) Exists(path string, meter *vclock.Meter) bool {
 	defer s.mu.Unlock()
 	s.chargeRequest(meter, false)
 	elems, err := pathElems(path)
-	return err == nil && s.find(elems) != nil
+	return err == nil && s.find(s.at(0), elems) != nil
 }
 
 // WalkFunc visits path/value pairs during Walk.
