@@ -7,7 +7,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"nephele/internal/apps"
 	"nephele/internal/core"
@@ -55,7 +54,7 @@ func main() {
 	platform.Bond.Deliver(req)
 	workers := append([]*guest.Kernel{master}, res.Children...)
 	for _, w := range workers {
-		if pkt, ok := w.Recv(10 * time.Millisecond); ok {
+		if pkt, ok := w.TryRecv(); ok {
 			resp := apps.HandleHTTP(string(pkt.Payload), "<html>nephele nginx</html>")
 			fmt.Printf("domain %d served the request: %.15q...\n", w.Dom, resp)
 			break

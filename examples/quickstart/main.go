@@ -6,7 +6,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"nephele/internal/core"
 	"nephele/internal/guest"
@@ -56,14 +55,15 @@ func main() {
 
 	// fork(): the guest issues one CLONEOP hypercall; the hypervisor
 	// clones vCPUs/memory/grants/event channels, xencloned clones the
-	// devices, and both domains continue.
+	// devices, and both domains continue: the child's continuation runs
+	// to completion before Fork returns to the parent.
 	forkMeter := platform.NewMeter()
-	childMsg := make(chan string, 1)
+	var childMsg string
 	res, err := kernel.Fork(1, func(child *guest.Kernel) {
 		// The child sees the parent's memory through COW sharing...
 		buf := make([]byte, 17)
 		if err := child.ReadAt(addr, buf); err != nil {
-			childMsg <- "error: " + err.Error()
+			childMsg = "error: " + err.Error()
 			return
 		}
 		// ...writes are isolated...
@@ -71,7 +71,7 @@ func main() {
 		// ...and the inherited pipe reaches the parent.
 		cp := pipe.ForChild(child)
 		cp.Write([]byte("hello from dom " + fmt.Sprint(child.Dom)))
-		childMsg <- string(buf)
+		childMsg = string(buf)
 	}, forkMeter)
 	if err != nil {
 		log.Fatal(err)
@@ -79,10 +79,10 @@ func main() {
 	fmt.Printf("forked child domain %d: total %v (first stage %v, second stage %v)\n",
 		res.Children[0].Dom, res.Clone.Total, res.Clone.FirstStage, res.Clone.SecondStage)
 
-	fmt.Printf("child saw pre-fork state: %q\n", <-childMsg)
+	fmt.Printf("child saw pre-fork state: %q\n", childMsg)
 
 	buf := make([]byte, 64)
-	n, err := pipe.Read(buf, 2*time.Second)
+	n, err := pipe.Read(buf)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,14 +1,22 @@
-// Package determinism forbids wall-clock, unseeded-randomness and
-// map-iteration nondeterminism inside the virtual-time packages.
+// Package determinism forbids wall-clock, host-clock-wait,
+// unseeded-randomness and map-iteration nondeterminism inside the
+// virtual-time packages.
 //
 // The clone pipeline's figures (DESIGN.md §7, §9) are pinned by
 // golden-series tests: virtual time must be a deterministic function of
 // the operation sequence, never of wall-clock, scheduling or map layout.
 // Inside the metered packages (internal/hv, internal/mem, internal/vclock,
-// internal/cloned, internal/obs and internal/netsim, whose Link.Plan prices
-// every cross-host transfer, by default) this analyzer reports:
+// internal/cloned, internal/obs, internal/netsim, whose Link.Plan prices
+// every cross-host transfer, internal/fnv1a, and the layers that drive
+// them: internal/guest, internal/core, internal/cluster,
+// internal/xenstore, internal/faas and internal/gnttab) this analyzer
+// reports:
 //
 //   - time.Now / time.Since / time.Until — wall clock in a metered path;
+//   - time.After / Sleep / NewTimer / NewTicker / Tick / AfterFunc — a
+//     wait on the host clock: a Platform is driven by one goroutine, so
+//     such a wait can only stall it, and a timeout makes the outcome
+//     depend on host speed;
 //   - math/rand package-level functions (rand.Int, rand.Intn, rand.Seed,
 //     ...) — unseeded process-global randomness; methods on an explicitly
 //     seeded *rand.Rand are allowed;
@@ -34,7 +42,7 @@ import (
 // Analyzer is the determinism pass.
 var Analyzer = &analysis.Analyzer{
 	Name:     "determinism",
-	Doc:      "forbids time.Now, unseeded math/rand, map iteration and goroutine-ID logic in virtual-time packages",
+	Doc:      "forbids time.Now, host-clock waits, unseeded math/rand, map iteration and goroutine-ID logic in virtual-time packages",
 	Suppress: "nephele:nondeterministic-ok",
 	Run:      run,
 }
@@ -49,14 +57,26 @@ var Targets = []string{
 	"nephele/internal/obs",
 	"nephele/internal/netsim",
 	"nephele/internal/fnv1a",
+	"nephele/internal/guest",
+	"nephele/internal/core",
+	"nephele/internal/cluster",
+	"nephele/internal/xenstore",
+	"nephele/internal/faas",
+	"nephele/internal/gnttab",
 }
 
 // bannedFuncs maps package path -> function name -> short reason.
 var bannedFuncs = map[string]map[string]string{
 	"time": {
-		"Now":   "wall-clock time",
-		"Since": "wall-clock time",
-		"Until": "wall-clock time",
+		"Now":       "wall-clock time",
+		"Since":     "wall-clock time",
+		"Until":     "wall-clock time",
+		"After":     "a host-clock wait",
+		"Sleep":     "a host-clock wait",
+		"NewTimer":  "a host-clock wait",
+		"NewTicker": "a host-clock wait",
+		"Tick":      "a host-clock wait",
+		"AfterFunc": "a host-clock wait",
 	},
 	"runtime": {
 		"NumGoroutine": "goroutine-count-dependent logic",

@@ -1,6 +1,6 @@
 // Package a seeds determinism violations for the analyzer's test suite:
-// in virtual-time code, wall-clock reads, ambient randomness, and map
-// iteration all make replay diverge.
+// in virtual-time code, wall-clock reads, host-clock waits, ambient
+// randomness, and map iteration all make replay diverge.
 package a
 
 import (
@@ -14,6 +14,16 @@ import (
 func Elapsed() time.Duration {
 	start := time.Now()      // want `time\.Now`
 	return time.Since(start) // want `time\.Since`
+}
+
+// Waits blocks on the host clock in each of the ways time offers.
+func Waits(d time.Duration) {
+	<-time.After(d)                     // want `time\.After`
+	time.Sleep(d)                       // want `time\.Sleep`
+	time.NewTimer(d).Stop()             // want `time\.NewTimer`
+	time.NewTicker(d).Stop()            // want `time\.NewTicker`
+	<-time.Tick(d)                      // want `time\.Tick`
+	time.AfterFunc(d, func() {}).Stop() // want `time\.AfterFunc`
 }
 
 // Jitter draws from the shared, ambiently seeded source.

@@ -359,7 +359,6 @@ var testOnlyExports = map[string]string{
 	"netsim.Bond.Name":          inspector,
 	"netsim.Fabric.Hosts":       inspector,
 	"netsim.Fabric.Width":       inspector,
-	"netsim.Host.Notify":        inspector,
 	"netsim.Host.Received":      inspector,
 	"netsim.Link.Ends":          inspector,
 	"netsim.Link.Width":         inspector,
@@ -380,7 +379,6 @@ var testOnlyExports = map[string]string{
 	"devices.HostFS.Remove":     model,
 	"devices.Vbd.ReadSector":    model,
 	"guest.Kernel.NewMap":       model,
-	"guest.Kernel.Stop":         model,
 	"guest.Kernel.UDPSend":      model,
 	"guest.NineFile.Read":       model,
 	"mem.Memory.CopyFrameN":     model,

@@ -2,10 +2,9 @@
 //
 // A "pooled lock" is a sync.Mutex/RWMutex field of a struct type that is
 // pooled — used as the element type of a slice — in the package under
-// analysis: today guest.Kernel (a kernel's forked children) and
-// core.Platform (the benchmark harness's hosts). Siblings of one pool have
-// no lock order between them, so two goroutines that each hold one and
-// wait for the other deadlock. The rule is that a goroutine never holds
+// analysis: today core.Platform (the benchmark harness's hosts). Siblings
+// of one pool have no lock order between them, so two goroutines that each
+// hold one and wait for the other deadlock. The rule is that a goroutine never holds
 // two pooled locks at once:
 //
 //   - Singleton mutexes (one per object graph, like Domain.mu or the

@@ -24,8 +24,8 @@ func TestXenbusStateString(t *testing.T) {
 }
 
 func TestDevicePaths(t *testing.T) {
-	if got := FrontendPath(3, "vif", 0); got != "/local/domain/3/device/vif/0" {
-		t.Fatalf("FrontendPath = %q", got)
+	if got := devicePath(false, "3", "vif", "0"); got != "/local/domain/3/device/vif/0" {
+		t.Fatalf("frontend path = %q", got)
 	}
 	if got := BackendPath(3, "vif", 0); got != "/local/domain/0/backend/vif/3/0" {
 		t.Fatalf("BackendPath = %q", got)
@@ -74,6 +74,32 @@ func TestUdevQueue(t *testing.T) {
 	}
 	if meter.Elapsed() != meter.Costs().UdevEvent {
 		t.Fatal("udev cost not charged")
+	}
+
+	// With no reader the queue grows past any fixed capacity: Emit never
+	// blocks, and the events come back in emission order.
+	const n = 1100
+	for i := 0; i < n; i++ {
+		q.Emit(UdevEvent{Action: UdevAdd, Kind: "vif", DomID: uint32(i)}, meter)
+	}
+	for i := 0; i < n; i++ {
+		if ev, ok := q.TryRecv(); !ok || ev.DomID != uint32(i) {
+			t.Fatalf("event %d: TryRecv = %+v, %v", i, ev, ok)
+		}
+	}
+	if _, ok := q.TryRecv(); ok {
+		t.Fatal("drained queue returned an event")
+	}
+	if want := (n + 1) * meter.Costs().UdevEvent; meter.Elapsed() != want {
+		t.Fatalf("charged %v, want %v", meter.Elapsed(), want)
+	}
+
+	// A nil queue is a host without udev: nothing queued, nothing charged.
+	var none *UdevQueue
+	nilMeter := vclock.NewMeter(nil)
+	none.Emit(UdevEvent{Action: UdevAdd}, nilMeter)
+	if _, ok := none.TryRecv(); ok || nilMeter.Elapsed() != 0 {
+		t.Fatal("nil queue queued or charged an event")
 	}
 }
 
@@ -146,11 +172,9 @@ func TestVifSendReceive(t *testing.T) {
 	}
 
 	// Ingress.
-	notified := 0
-	v.SetRXNotify(func() { notified++ })
 	v.Deliver(netsim.Packet{SrcPort: 53, DstPort: 5000, Payload: []byte("answer")})
-	if notified != 1 {
-		t.Fatal("RX notify not fired")
+	if v.RXBacklog() != 1 {
+		t.Fatal("delivered packet not queued on the RX ring")
 	}
 	got, ok := v.GuestReceive()
 	if !ok || string(got.Payload) != "answer" {
@@ -254,7 +278,7 @@ func TestNetBackendLookup(t *testing.T) {
 // WriteDevicePair did before it wrote through directory handles: every
 // Write and Read names its full path from the root, in the same order.
 func pathRequests(store *xenstore.Store, domid uint32, kind string, index int, extra []Entry, meter *vclock.Meter) error {
-	fp, bp := FrontendPath(domid, kind, index), BackendPath(domid, kind, index)
+	fp, bp := devicePath(false, formatDomID(domid), kind, strconv.Itoa(index)), BackendPath(domid, kind, index)
 	writes := []Entry{
 		{fp + "/backend", bp}, {fp + "/backend-id", "0"}, {fp + "/state", "1"},
 		{fp + "/handle", strconv.Itoa(index)}, {fp + "/tx-ring-ref", "0"},
@@ -354,9 +378,9 @@ func TestWriteDevicePairMatchesPathRequests(t *testing.T) {
 	}
 
 	// The host cost of one vif pair with its mac and ip next to the
-	// resident guests, each run a new guest's: 16 allocations, for the two
-	// directory paths, the domid formatted three times and the kids arrays
-	// of the directories the pair makes. The full-path requests allocate
+	// resident guests, each run a new guest's: 14 allocations, for the two
+	// directory paths, the domid formatted once and the kids arrays of the
+	// directories the pair makes. The full-path requests allocate
 	// 46 times (measured the same way), 30 of them key paths and the
 	// slice listing them. A -race build allocates more in both.
 	if raceEnabled {
@@ -368,7 +392,7 @@ func TestWriteDevicePairMatchesPathRequests(t *testing.T) {
 		if err := WriteDevicePair(a, domid, "vif", 0, extra, nil); err != nil {
 			t.Fatal(err)
 		}
-	}); allocs > 16 {
-		t.Fatalf("a vif pair allocates %v times, want at most 16", allocs)
+	}); allocs > 14 {
+		t.Fatalf("a vif pair allocates %v times, want at most 14", allocs)
 	}
 }

@@ -39,8 +39,6 @@ type Vif struct {
 	// egress is where the backend forwards guest transmissions (the
 	// switch the vif is plugged into).
 	egress func(p netsim.Packet)
-	// rxNotify wakes the guest when the backend fills the RX ring.
-	rxNotify func()
 
 	// Preallocated RX buffer metadata: the frontend preallocates guest
 	// buffers for every RX slot; the slot Meta values carry allocator
@@ -86,13 +84,6 @@ func (v *Vif) SetEgress(f func(p netsim.Packet)) {
 	v.egress = f
 }
 
-// SetRXNotify installs the guest's RX wakeup (event channel upcall).
-func (v *Vif) SetRXNotify(f func()) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.rxNotify = f
-}
-
 // GuestSend is the frontend transmit path: the guest pushes a packet into
 // the TX ring; the backend pops it and forwards to the switch.
 func (v *Vif) GuestSend(p netsim.Packet) error {
@@ -123,7 +114,7 @@ func (v *Vif) GuestSend(p netsim.Packet) error {
 }
 
 // Deliver implements netsim.Endpoint: the backend pushes an ingress packet
-// into the RX ring and kicks the frontend.
+// into the RX ring, where the frontend's next GuestReceive finds it.
 func (v *Vif) Deliver(p netsim.Packet) {
 	v.mu.Lock()
 	if v.state != StateConnected {
@@ -131,15 +122,10 @@ func (v *Vif) Deliver(p netsim.Packet) {
 		return
 	}
 	rx := v.rx
-	notify := v.rxNotify
 	cookie := v.rxBufCookie
 	v.mu.Unlock()
-	if err := rx.Push(ring.Entry{Payload: marshalPacket(p), Meta: cookie}); err != nil {
-		return // ring full: drop, like real netback under overload
-	}
-	if notify != nil {
-		notify()
-	}
+	// A full ring drops the packet, like real netback under overload.
+	rx.Push(ring.Entry{Payload: marshalPacket(p), Meta: cookie})
 }
 
 // GuestReceive pops one packet from the RX ring.

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"sync"
 
 	"nephele/internal/vclock"
 	"nephele/internal/xenstore"
@@ -59,29 +60,45 @@ var (
 
 // DomainPath returns a domain's Xenstore directory, /local/domain/<domid>.
 func DomainPath(domid uint32) string {
-	return "/local/domain/" + strconv.FormatUint(uint64(domid), 10)
-}
-
-// FrontendPath returns the conventional Xenstore path of a frontend
-// device directory.
-func FrontendPath(domid uint32, kind string, index int) string {
-	return "/local/domain/" + strconv.FormatUint(uint64(domid), 10) + "/device/" + kind + "/" + strconv.Itoa(index)
+	return "/local/domain/" + formatDomID(domid)
 }
 
 // BackendPath returns the conventional Xenstore path of a backend device
 // directory (backends live under Dom0).
 func BackendPath(domid uint32, kind string, index int) string {
-	return "/local/domain/0/backend/" + kind + "/" + strconv.FormatUint(uint64(domid), 10) + "/" + strconv.Itoa(index)
+	return devicePath(true, formatDomID(domid), kind, strconv.Itoa(index))
 }
 
 // FrontendDir is the per-guest device subtree used by xs_clone.
 func FrontendDir(domid uint32, kind string) string {
-	return "/local/domain/" + strconv.FormatUint(uint64(domid), 10) + "/device/" + kind
+	return devicePath(false, formatDomID(domid), kind, "")
 }
 
 // BackendDir is the per-guest backend subtree used by xs_clone.
 func BackendDir(domid uint32, kind string) string {
-	return "/local/domain/0/backend/" + kind + "/" + strconv.FormatUint(uint64(domid), 10)
+	return devicePath(true, formatDomID(domid), kind, "")
+}
+
+// formatDomID formats a domain ID as Xenstore paths and values spell it.
+func formatDomID(domid uint32) string { return strconv.FormatUint(uint64(domid), 10) }
+
+// devicePath builds every device path from a domain ID formatted once, so
+// a caller that needs the ID several times pays for one formatting: the
+// frontend's /local/domain/<id>/device/<kind>/<index>, or the backend's
+// /local/domain/0/backend/<kind>/<id>/<index>. An empty index stops at the
+// per-guest directory of the kind, which xs_clone copies whole. Each case
+// is one concatenation, so one allocation.
+func devicePath(backend bool, id, kind, index string) string {
+	switch {
+	case backend && index == "":
+		return "/local/domain/0/backend/" + kind + "/" + id
+	case backend:
+		return "/local/domain/0/backend/" + kind + "/" + id + "/" + index
+	case index == "":
+		return "/local/domain/" + id + "/device/" + kind
+	default:
+		return "/local/domain/" + id + "/device/" + kind + "/" + index
+	}
 }
 
 // Entry is one Xenstore key/value pair of a device directory.
@@ -96,8 +113,8 @@ type Entry struct{ Key, Value string }
 // because a request's StorePerNode charge depends on how many directories
 // the requests before it created.
 func WriteDevicePair(store *xenstore.Store, domid uint32, kind string, index int, extra []Entry, meter *vclock.Meter) error {
-	fp := FrontendPath(domid, kind, index)
-	bp := BackendPath(domid, kind, index)
+	id, handle := formatDomID(domid), strconv.Itoa(index)
+	fp, bp := devicePath(false, id, kind, handle), devicePath(true, id, kind, handle)
 	front, err := store.Dir(fp)
 	if err != nil {
 		return err
@@ -106,7 +123,7 @@ func WriteDevicePair(store *xenstore.Store, domid uint32, kind string, index int
 	if err != nil {
 		return err
 	}
-	handle, initialising := strconv.Itoa(index), strconv.Itoa(int(StateInitialising))
+	initialising := strconv.Itoa(int(StateInitialising))
 	for _, e := range [...]Entry{
 		{"backend", bp},
 		{"backend-id", "0"},
@@ -122,7 +139,7 @@ func WriteDevicePair(store *xenstore.Store, domid uint32, kind string, index int
 	}
 	for _, e := range [...]Entry{
 		{"frontend", fp},
-		{"frontend-id", strconv.FormatUint(uint64(domid), 10)},
+		{"frontend-id", id},
 		{"state", initialising},
 		{"handle", handle},
 		{"online", "1"},
@@ -194,17 +211,18 @@ type UdevEvent struct {
 }
 
 // UdevQueue is the Dom0 event queue between kernel backends and whoever
-// finalizes their devices in userspace (xl on boot, xencloned on clone). A
-// nil queue is a host without udev: Emit drops the event uncharged and
-// TryRecv finds none.
+// finalizes their devices in userspace (xl on boot, xencloned on clone): a
+// FIFO that grows with what is left unread, so Emit never blocks. A nil
+// queue is a host without udev: Emit drops the event uncharged and TryRecv
+// finds none.
 type UdevQueue struct {
-	ch chan UdevEvent
+	mu     sync.Mutex
+	events []UdevEvent // unread from head on, oldest first
+	head   int
 }
 
-// NewUdevQueue creates a queue with capacity for burst arrivals.
-func NewUdevQueue() *UdevQueue {
-	return &UdevQueue{ch: make(chan UdevEvent, 1024)}
-}
+// NewUdevQueue creates an empty queue.
+func NewUdevQueue() *UdevQueue { return &UdevQueue{} }
 
 // Emit publishes an event, charging the udev generation cost.
 func (q *UdevQueue) Emit(ev UdevEvent, meter *vclock.Meter) {
@@ -212,18 +230,26 @@ func (q *UdevQueue) Emit(ev UdevEvent, meter *vclock.Meter) {
 		return
 	}
 	meter.Charge(meter.Costs().UdevEvent, 1)
-	q.ch <- ev
+	q.mu.Lock()
+	q.events = append(q.events, ev)
+	q.mu.Unlock()
 }
 
-// TryRecv returns the next event without blocking.
+// TryRecv returns the oldest unread event, if any.
 func (q *UdevQueue) TryRecv() (UdevEvent, bool) {
 	if q == nil {
 		return UdevEvent{}, false
 	}
-	select {
-	case ev := <-q.ch:
-		return ev, true
-	default:
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.head == len(q.events) {
 		return UdevEvent{}, false
 	}
+	ev := q.events[q.head]
+	q.head++
+	if q.head == len(q.events) {
+		// Drained: reuse the backing array from its start.
+		q.events, q.head = q.events[:0], 0
+	}
+	return ev, true
 }

@@ -62,10 +62,6 @@ var (
 	ErrPortsFull = errors.New("evtchn: no free ports")
 )
 
-// Handler receives event notifications for one domain. Implementations
-// must not block.
-type Handler func(p Port)
-
 // channel is one endpoint in a domain's port table.
 type channel struct {
 	state      State
@@ -73,7 +69,6 @@ type channel struct {
 	remotePort Port
 	virq       VIRQ
 	pending    bool
-	masked     bool
 }
 
 // domainTable is the per-domain event channel table. channels covers the
@@ -84,7 +79,6 @@ type channel struct {
 type domainTable struct {
 	dom      mem.DomID
 	channels []channel
-	handler  Handler
 }
 
 // slot returns the endpoint of port p, extending the table to it; the
@@ -124,27 +118,14 @@ func New(maxPorts int) *Subsystem {
 	}
 }
 
-// AddDomain registers a domain with an event delivery handler.
-func (s *Subsystem) AddDomain(dom mem.DomID, h Handler) {
+// AddDomain registers a domain with an empty port table.
+func (s *Subsystem) AddDomain(dom mem.DomID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// Port 0 is reserved, like on Xen.
 	s.domains[dom] = &domainTable{
 		dom:      dom,
 		channels: []channel{{state: StateInterdomain}},
-		handler:  h,
-	}
-}
-
-// SetHandler installs or replaces the event delivery handler of an
-// already-registered domain, preserving its port table. Guest kernels call
-// this when they start running inside a domain the hypervisor (or a clone
-// operation) created earlier.
-func (s *Subsystem) SetHandler(dom mem.DomID, h Handler) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if dt := s.domains[dom]; dt != nil {
-		dt.handler = h
 	}
 }
 
@@ -317,31 +298,22 @@ func (s *Subsystem) Close(dom mem.DomID, p Port) error {
 // group.
 func (s *Subsystem) Send(dom mem.DomID, p Port) error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	dt, err := s.tableLocked(dom)
 	if err != nil {
-		s.mu.Unlock()
 		return err
 	}
 	if !s.validPort(p) {
-		s.mu.Unlock()
 		return fmt.Errorf("%w: %d", ErrBadPort, p)
 	}
 	ch := dt.peek(p)
-	var deliver []func()
 	switch ch.state {
 	case StateInterdomain:
-		deliver = append(deliver, s.raiseLocked(ch.remoteDom, ch.remotePort))
+		s.raiseLocked(ch.remoteDom, ch.remotePort)
 	case StateChildWildcard, StateUnbound:
 		// Not connected yet; drop, as Xen does for unbound sends.
 	default:
-		s.mu.Unlock()
 		return fmt.Errorf("%w: port %d is %v", ErrBadState, p, ch.state)
-	}
-	s.mu.Unlock()
-	for _, d := range deliver {
-		if d != nil {
-			d()
-		}
 	}
 	return nil
 }
@@ -350,33 +322,21 @@ func (s *Subsystem) Send(dom mem.DomID, p Port) error {
 // charging delivery cost to the meter.
 func (s *Subsystem) RaiseVIRQ(v VIRQ, meter *vclock.Meter) {
 	s.mu.Lock()
-	var deliver []func()
+	defer s.mu.Unlock()
 	for dom, port := range s.virqs[v] {
-		deliver = append(deliver, s.raiseLocked(dom, port))
+		s.raiseLocked(dom, port)
 	}
-	s.mu.Unlock()
-	meter.Charge(meter.Costs().VIRQDeliver, len(deliver))
-	for _, d := range deliver {
-		if d != nil {
-			d()
-		}
-	}
+	meter.Charge(meter.Costs().VIRQDeliver, len(s.virqs[v]))
 }
 
-// raiseLocked marks the port pending and returns the handler invocation to
-// run outside the lock.
-func (s *Subsystem) raiseLocked(dom mem.DomID, p Port) func() {
+// raiseLocked marks the port pending; the receiving domain sees it on its
+// next Pending check.
+func (s *Subsystem) raiseLocked(dom mem.DomID, p Port) {
 	dt := s.domains[dom]
 	if dt == nil || !s.validPort(p) {
-		return nil
+		return
 	}
-	ch := dt.slot(p)
-	ch.pending = true
-	if ch.masked || dt.handler == nil {
-		return nil
-	}
-	h := dt.handler
-	return func() { h(p) }
+	dt.slot(p).pending = true
 }
 
 // Pending reports and clears the pending bit of a port.
@@ -490,24 +450,18 @@ func (s *Subsystem) CloneDomain(parent, child mem.DomID, meter *vclock.Meter) (C
 // specific child (the hypervisor knows the family). Used by the IDC layer.
 func (s *Subsystem) SendToChild(parent mem.DomID, p Port, child mem.DomID) error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	pt, err := s.tableLocked(parent)
 	if err != nil {
-		s.mu.Unlock()
 		return err
 	}
 	if !s.validPort(p) {
-		s.mu.Unlock()
 		return fmt.Errorf("%w: %d", ErrBadPort, p)
 	}
 	if st := pt.peek(p).state; st != StateChildWildcard {
-		s.mu.Unlock()
 		return fmt.Errorf("%w: port %d is %v, want child-wildcard", ErrBadState, p, st)
 	}
-	d := s.raiseLocked(child, p)
-	s.mu.Unlock()
-	if d != nil {
-		d()
-	}
+	s.raiseLocked(child, p)
 	return nil
 }
 
@@ -515,25 +469,19 @@ func (s *Subsystem) SendToChild(parent mem.DomID, p Port, child mem.DomID) error
 // parent's wildcard endpoint.
 func (s *Subsystem) NotifyParent(child mem.DomID, p Port) error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	ct, err := s.tableLocked(child)
 	if err != nil {
-		s.mu.Unlock()
 		return err
 	}
 	if !s.validPort(p) {
-		s.mu.Unlock()
 		return fmt.Errorf("%w: %d", ErrBadPort, p)
 	}
 	ch := ct.peek(p)
 	if ch.state != StateInterdomain {
-		s.mu.Unlock()
 		return fmt.Errorf("%w: port %d is %v", ErrBadState, p, ch.state)
 	}
-	d := s.raiseLocked(ch.remoteDom, ch.remotePort)
-	s.mu.Unlock()
-	if d != nil {
-		d()
-	}
+	s.raiseLocked(ch.remoteDom, ch.remotePort)
 	return nil
 }
 

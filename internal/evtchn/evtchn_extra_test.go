@@ -5,36 +5,13 @@ import (
 	"testing"
 
 	"nephele/internal/mem"
+	"nephele/internal/vclock"
 )
-
-func TestSetHandlerPreservesPorts(t *testing.T) {
-	s := New(16)
-	s.AddDomain(1, nil)
-	s.AddDomain(2, nil)
-	up, _ := s.AllocUnbound(1, 2)
-	bp, _ := s.BindInterdomain(2, 1, up)
-
-	// Installing a handler later (the guest kernel starting inside an
-	// already-created domain) must keep the existing channels.
-	r := &recorder{}
-	s.SetHandler(1, r.handler())
-	if got := s.State(1, up); got != StateInterdomain {
-		t.Fatalf("state after SetHandler = %v", got)
-	}
-	if err := s.Send(2, bp); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.got(); len(got) != 1 || got[0] != up {
-		t.Fatalf("delivered %v", got)
-	}
-	// SetHandler on an unknown domain is a no-op, not a panic.
-	s.SetHandler(99, r.handler())
-}
 
 func TestPeer(t *testing.T) {
 	s := New(16)
-	s.AddDomain(1, nil)
-	s.AddDomain(2, nil)
+	s.AddDomain(1)
+	s.AddDomain(2)
 	up, _ := s.AllocUnbound(1, 2)
 	bp, _ := s.BindInterdomain(2, 1, up)
 	dom, port, err := s.Peer(2, bp)
@@ -59,8 +36,8 @@ func TestPeer(t *testing.T) {
 
 func TestSendToChildErrors(t *testing.T) {
 	s := New(16)
-	s.AddDomain(1, nil)
-	s.AddDomain(5, nil)
+	s.AddDomain(1)
+	s.AddDomain(5)
 	wp, _ := s.AllocUnbound(1, mem.DomIDChild)
 	// Wrong state: a non-wildcard port.
 	np, _ := s.AllocUnbound(1, 2)
@@ -73,7 +50,7 @@ func TestSendToChildErrors(t *testing.T) {
 	if err := s.SendToChild(42, wp, 5); !errors.Is(err, ErrNoSuchDom) {
 		t.Fatalf("SendToChild unknown dom: %v", err)
 	}
-	// Valid delivery to a child without a handler just sets pending.
+	// Valid delivery to a child sets its pending bit.
 	s.CloneDomain(1, 5, nil)
 	if err := s.SendToChild(1, wp, 5); err != nil {
 		t.Fatal(err)
@@ -85,8 +62,8 @@ func TestSendToChildErrors(t *testing.T) {
 
 func TestNotifyParentErrors(t *testing.T) {
 	s := New(16)
-	s.AddDomain(1, nil)
-	s.AddDomain(5, nil)
+	s.AddDomain(1)
+	s.AddDomain(5)
 	if err := s.NotifyParent(42, 1); !errors.Is(err, ErrNoSuchDom) {
 		t.Fatalf("NotifyParent unknown dom: %v", err)
 	}
@@ -101,21 +78,21 @@ func TestNotifyParentErrors(t *testing.T) {
 
 func TestCloseVIRQUnregisters(t *testing.T) {
 	s := New(16)
-	r := &recorder{}
-	s.AddDomain(1, r.handler())
+	s.AddDomain(1)
 	p, _ := s.BindVIRQ(1, VIRQCloned)
 	if err := s.Close(1, p); err != nil {
 		t.Fatal(err)
 	}
-	s.RaiseVIRQ(VIRQCloned, nil)
-	if len(r.got()) != 0 {
-		t.Fatal("closed VIRQ port still delivered")
+	meter := vclock.NewMeter(nil)
+	s.RaiseVIRQ(VIRQCloned, meter)
+	if s.Pending(1, p) || meter.Elapsed() != 0 {
+		t.Fatal("closed VIRQ port still raised")
 	}
 }
 
 func TestCloseErrors(t *testing.T) {
 	s := New(16)
-	s.AddDomain(1, nil)
+	s.AddDomain(1)
 	if err := s.Close(1, 0); !errors.Is(err, ErrBadPort) {
 		t.Fatalf("close port 0: %v", err)
 	}

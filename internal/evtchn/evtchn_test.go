@@ -2,46 +2,22 @@ package evtchn
 
 import (
 	"errors"
-	"sync"
 	"testing"
 
 	"nephele/internal/mem"
 	"nephele/internal/vclock"
 )
 
-// recorder collects delivered events for one domain.
-type recorder struct {
-	mu    sync.Mutex
-	ports []Port
-}
-
-func (r *recorder) handler() Handler {
-	return func(p Port) {
-		r.mu.Lock()
-		r.ports = append(r.ports, p)
-		r.mu.Unlock()
-	}
-}
-
-func (r *recorder) got() []Port {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Port, len(r.ports))
-	copy(out, r.ports)
-	return out
-}
-
-func newPair(t *testing.T) (*Subsystem, *recorder, *recorder) {
+func newPair(t *testing.T) *Subsystem {
 	t.Helper()
 	s := New(64)
-	ra, rb := &recorder{}, &recorder{}
-	s.AddDomain(1, ra.handler())
-	s.AddDomain(2, rb.handler())
-	return s, ra, rb
+	s.AddDomain(1)
+	s.AddDomain(2)
+	return s
 }
 
 func TestAllocUnboundAndBind(t *testing.T) {
-	s, ra, _ := newPair(t)
+	s := newPair(t)
 	up, err := s.AllocUnbound(1, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -56,12 +32,12 @@ func TestAllocUnboundAndBind(t *testing.T) {
 	if got := s.State(1, up); got != StateInterdomain {
 		t.Fatalf("state after bind = %v", got)
 	}
-	// Send from dom2 lands on dom1's port.
+	// Send from dom2 lands on dom1's port, and only there.
 	if err := s.Send(2, bp); err != nil {
 		t.Fatal(err)
 	}
-	if got := ra.got(); len(got) != 1 || got[0] != up {
-		t.Fatalf("delivered %v, want [%d]", got, up)
+	if s.Pending(2, bp) {
+		t.Fatal("send raised the sender's own port")
 	}
 	if !s.Pending(1, up) {
 		t.Fatal("pending bit not set")
@@ -72,7 +48,7 @@ func TestAllocUnboundAndBind(t *testing.T) {
 }
 
 func TestBindToConnectedPortFails(t *testing.T) {
-	s, _, _ := newPair(t)
+	s := newPair(t)
 	up, _ := s.AllocUnbound(1, 2)
 	if _, err := s.BindInterdomain(2, 1, up); err != nil {
 		t.Fatal(err)
@@ -83,7 +59,7 @@ func TestBindToConnectedPortFails(t *testing.T) {
 }
 
 func TestSendUnboundIsDropped(t *testing.T) {
-	s, _, _ := newPair(t)
+	s := newPair(t)
 	up, _ := s.AllocUnbound(1, 2)
 	if err := s.Send(1, up); err != nil {
 		t.Fatalf("send on unbound should drop, got %v", err)
@@ -91,7 +67,7 @@ func TestSendUnboundIsDropped(t *testing.T) {
 }
 
 func TestSendBadPort(t *testing.T) {
-	s, _, _ := newPair(t)
+	s := newPair(t)
 	if err := s.Send(1, 99); !errors.Is(err, ErrBadPort) {
 		t.Fatalf("send bad port: %v", err)
 	}
@@ -101,18 +77,18 @@ func TestSendBadPort(t *testing.T) {
 }
 
 func TestVIRQ(t *testing.T) {
-	s, ra, rb := newPair(t)
+	s := newPair(t)
 	pa, err := s.BindVIRQ(1, VIRQCloned)
 	if err != nil {
 		t.Fatal(err)
 	}
 	meter := vclock.NewMeter(nil)
 	s.RaiseVIRQ(VIRQCloned, meter)
-	if got := ra.got(); len(got) != 1 || got[0] != pa {
-		t.Fatalf("virq delivered %v, want [%d]", got, pa)
+	if !s.Pending(1, pa) {
+		t.Fatalf("virq did not raise port %d", pa)
 	}
-	if len(rb.got()) != 0 {
-		t.Fatal("virq delivered to unbound domain")
+	if s.PortCount(2) != 0 || s.Pending(2, pa) {
+		t.Fatal("virq raised on unbound domain")
 	}
 	if meter.Elapsed() != meter.Costs().VIRQDeliver {
 		t.Fatalf("charged %v, want one VIRQDeliver", meter.Elapsed())
@@ -120,7 +96,7 @@ func TestVIRQ(t *testing.T) {
 }
 
 func TestClose(t *testing.T) {
-	s, _, _ := newPair(t)
+	s := newPair(t)
 	up, _ := s.AllocUnbound(1, 2)
 	bp, _ := s.BindInterdomain(2, 1, up)
 	if err := s.Close(1, up); err != nil {
@@ -140,8 +116,7 @@ func TestChildWildcardLifecycle(t *testing.T) {
 	// exists; sends are dropped; after CloneDomain the child is bound and
 	// notifications flow both ways.
 	s := New(64)
-	rp, rc := &recorder{}, &recorder{}
-	s.AddDomain(1, rp.handler())
+	s.AddDomain(1)
 	wp, err := s.AllocUnbound(1, mem.DomIDChild)
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +128,7 @@ func TestChildWildcardLifecycle(t *testing.T) {
 		t.Fatalf("send before clone: %v", err)
 	}
 
-	s.AddDomain(5, rc.handler())
+	s.AddDomain(5)
 	st, err := s.CloneDomain(1, 5, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -165,23 +140,23 @@ func TestChildWildcardLifecycle(t *testing.T) {
 	if err := s.SendToChild(1, wp, 5); err != nil {
 		t.Fatal(err)
 	}
-	if got := rc.got(); len(got) != 1 || got[0] != wp {
-		t.Fatalf("child delivered %v, want [%d]", got, wp)
+	if !s.Pending(5, wp) || s.Pending(1, wp) {
+		t.Fatalf("parent->child send did not raise only child port %d", wp)
 	}
 	// Child -> parent: the child's cloned endpoint is a real
 	// interdomain channel back to the parent.
 	if err := s.NotifyParent(5, wp); err != nil {
 		t.Fatal(err)
 	}
-	if got := rp.got(); len(got) != 1 || got[0] != wp {
-		t.Fatalf("parent delivered %v, want [%d]", got, wp)
+	if !s.Pending(1, wp) || s.Pending(5, wp) {
+		t.Fatalf("child->parent notify did not raise only parent port %d", wp)
 	}
 }
 
 func TestCloneDomainReplicatesVIRQAndDeviceChannels(t *testing.T) {
 	s := New(64)
-	s.AddDomain(0, nil) // dom0 backend
-	s.AddDomain(1, nil)
+	s.AddDomain(0) // dom0 backend
+	s.AddDomain(1)
 	// A device channel to dom0 and a VIRQ binding.
 	up, _ := s.AllocUnbound(0, 1)
 	devPort, err := s.BindInterdomain(1, 0, up)
@@ -190,7 +165,7 @@ func TestCloneDomainReplicatesVIRQAndDeviceChannels(t *testing.T) {
 	}
 	virqPort, _ := s.BindVIRQ(1, VIRQ(3))
 
-	s.AddDomain(9, nil)
+	s.AddDomain(9)
 	meter := vclock.NewMeter(nil)
 	st, err := s.CloneDomain(1, 9, meter)
 	if err != nil {
@@ -213,7 +188,7 @@ func TestCloneDomainReplicatesVIRQAndDeviceChannels(t *testing.T) {
 }
 
 func TestRemoveDomainResetsPeers(t *testing.T) {
-	s, _, _ := newPair(t)
+	s := newPair(t)
 	up, _ := s.AllocUnbound(1, 2)
 	bp, _ := s.BindInterdomain(2, 1, up)
 	s.RemoveDomain(2)
@@ -227,7 +202,7 @@ func TestRemoveDomainResetsPeers(t *testing.T) {
 
 func TestPortExhaustion(t *testing.T) {
 	s := New(4) // ports 1..3 usable
-	s.AddDomain(1, nil)
+	s.AddDomain(1)
 	for i := 0; i < 3; i++ {
 		if _, err := s.AllocUnbound(1, 2); err != nil {
 			t.Fatalf("alloc %d: %v", i, err)
@@ -239,7 +214,7 @@ func TestPortExhaustion(t *testing.T) {
 }
 
 func TestPortCount(t *testing.T) {
-	s, _, _ := newPair(t)
+	s := newPair(t)
 	s.AllocUnbound(1, 2)
 	s.BindVIRQ(1, VIRQ(2))
 	if got := s.PortCount(1); got != 2 {
@@ -255,20 +230,5 @@ func TestStateString(t *testing.T) {
 		if st.String() == "" {
 			t.Errorf("State(%d) empty string", st)
 		}
-	}
-}
-
-func TestMaskedPortSuppressesHandler(t *testing.T) {
-	// Covered indirectly: handler nil means no delivery but pending set.
-	s := New(16)
-	s.AddDomain(1, nil)
-	s.AddDomain(2, nil)
-	up, _ := s.AllocUnbound(1, 2)
-	bp, _ := s.BindInterdomain(2, 1, up)
-	if err := s.Send(2, bp); err != nil {
-		t.Fatal(err)
-	}
-	if !s.Pending(1, up) {
-		t.Fatal("pending not set with nil handler")
 	}
 }

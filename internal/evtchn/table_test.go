@@ -162,7 +162,7 @@ func TestPortTableMatchesCapacitySizedReference(t *testing.T) {
 		doms := []mem.DomID{1, 2, 3}
 		s, ref := New(max), newRef(max, doms...)
 		for _, d := range doms {
-			s.AddDomain(d, nil)
+			s.AddDomain(d)
 		}
 		nextDom := mem.DomID(4)
 		anyPort := func() Port { return Port(rng.Intn(max+4) - 1) } // -1 .. max+2
@@ -197,7 +197,7 @@ func TestPortTableMatchesCapacitySizedReference(t *testing.T) {
 				if len(doms) < 6 {
 					child := nextDom
 					nextDom++
-					s.AddDomain(child, nil)
+					s.AddDomain(child)
 					st, err := s.CloneDomain(d, child, nil)
 					if n := ref.clone(d, child); err != nil || st.Cloned != n {
 						t.Fatalf("seed %d step %d: CloneDomain(%d) = %+v, %v; reference cloned %d", seed, step, d, st, err, n)
@@ -253,7 +253,7 @@ func TestPortTableMatchesCapacitySizedReference(t *testing.T) {
 // the child port 900, and the ports between stay free in both.
 func TestCloneDomainKeepsHighPort(t *testing.T) {
 	s := New(1024)
-	s.AddDomain(1, nil)
+	s.AddDomain(1)
 	for p := Port(1); p <= 900; p++ {
 		if got, err := s.AllocUnbound(1, mem.DomIDChild); err != nil || got != p {
 			t.Fatalf("port %d: got %d, %v", p, got, err)
@@ -264,7 +264,7 @@ func TestCloneDomainKeepsHighPort(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s.AddDomain(2, nil)
+	s.AddDomain(2)
 	st, err := s.CloneDomain(1, 2, nil)
 	if err != nil || st.Cloned != 1 || st.IDCBound != 1 {
 		t.Fatalf("CloneDomain = %+v, %v", st, err)
@@ -283,7 +283,7 @@ func TestCloneDomainKeepsHighPort(t *testing.T) {
 		t.Fatalf("child allocates port %d, %v", p, err)
 	}
 	// A notification to a port its target has no slot for is still latched.
-	s.AddDomain(3, nil)
+	s.AddDomain(3)
 	if err := s.SendToChild(1, 900, 3); err != nil {
 		t.Fatal(err)
 	}
@@ -297,9 +297,9 @@ func TestCloneDomainKeepsHighPort(t *testing.T) {
 // (1024 ports were 32 KiB per domain).
 func TestIdleDomainIsSmall(t *testing.T) {
 	s := New(1024)
-	s.AddDomain(1, nil)
+	s.AddDomain(1)
 	cycle := func() {
-		s.AddDomain(2, nil)
+		s.AddDomain(2)
 		if _, err := s.CloneDomain(1, 2, nil); err != nil {
 			t.Fatal(err)
 		}

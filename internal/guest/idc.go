@@ -3,7 +3,6 @@ package guest
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"nephele/internal/evtchn"
 	"nephele/internal/gmem"
@@ -18,11 +17,18 @@ import (
 // with the same wildcard) BEFORE forking; every clone is implicitly
 // granted/bound at clone time, so IPC is already established when fork()
 // returns — the property Kylinx lacks (§8).
+//
+// Nothing here blocks. Fork runs each child's continuation to completion
+// on the caller's goroutine, so a wait could only wait for itself: a read
+// of an empty pipe reports ErrPipeEmpty, a write to a full one stores what
+// fits and reports ErrPipeFull, and a notification is a pending bit the
+// receiver checks (and clears) with Events.Pending.
 
 // Errors.
 var (
-	ErrPipeClosed  = errors.New("guest: pipe closed")
-	ErrPipeTimeout = errors.New("guest: pipe read timed out")
+	ErrPipeClosed = errors.New("guest: pipe closed")
+	ErrPipeEmpty  = errors.New("guest: pipe empty")
+	ErrPipeFull   = errors.New("guest: pipe full")
 )
 
 // IDCRegion is a run of guest pages shared (un-COWed) with all clones.
@@ -65,9 +71,6 @@ func (k *Kernel) IDCAlloc(pages int) (*IDCRegion, error) {
 		}
 		region.Refs = append(region.Refs, ref)
 	}
-	k.mu.Lock()
-	k.idcPages[base] = pages
-	k.mu.Unlock()
 	return region, nil
 }
 
@@ -95,22 +98,6 @@ func (k *Kernel) NotifyChild(ch *IDCChannel, child hv.DomID) error {
 // side).
 func (k *Kernel) NotifyParent(ch *IDCChannel) error {
 	return k.P.HV.Events.NotifyParent(k.Dom, ch.Port)
-}
-
-// AwaitSignal blocks until a notification arrives on the channel's port
-// or the wall-clock timeout expires (timeouts only bound tests).
-func (k *Kernel) AwaitSignal(ch *IDCChannel, timeout time.Duration) bool {
-	if k.P.HV.Events.Pending(k.Dom, ch.Port) {
-		return true
-	}
-	wake := k.wakeChan(ch.Port)
-	select {
-	case <-wake:
-		k.P.HV.Events.Pending(k.Dom, ch.Port) // clear
-		return true
-	case <-time.After(timeout):
-		return k.P.HV.Events.Pending(k.Dom, ch.Port)
-	}
 }
 
 // Pipe is an anonymous pipe built on one IDC page and one IDC event
@@ -193,92 +180,79 @@ func (p *Pipe) storeU32(off int, v uint32) error {
 	return p.k.WriteAt(p.region.Base()+gmem.GAddr(off), b, nil)
 }
 
-// Write copies buf into the pipe, blocking (spinning on notifications)
-// while full. Returns when all bytes are queued.
+// Write queues as much of buf as the ring has room for and kicks the
+// peer. It returns the count queued, with ErrPipeFull when that is short
+// of len(buf); the caller retries the rest after the peer has read.
 func (p *Pipe) Write(buf []byte) (int, error) {
 	if p.closed {
 		return 0, ErrPipeClosed
 	}
-	written := 0
-	for written < len(buf) {
-		head, err := p.loadU32(pipeHeadOff)
-		if err != nil {
-			return written, err
-		}
-		tail, err := p.loadU32(pipeTailOff)
-		if err != nil {
-			return written, err
-		}
-		space := pipeCap - int(tail-head)
-		if space == 0 {
-			if !p.k.AwaitSignal(p.ch, 100*time.Millisecond) {
-				continue
-			}
-			continue
-		}
-		n := len(buf) - written
-		if n > space {
-			n = space
-		}
+	head, tail, err := p.counters()
+	if err != nil {
+		return 0, err
+	}
+	n := min(len(buf), pipeCap-int(tail-head))
+	if n > 0 {
 		for i := 0; i < n; i++ {
 			off := pipeDataOff + int((tail+uint32(i))%uint32(pipeCap))
-			if err := p.k.WriteAt(p.region.Base()+gmem.GAddr(off), buf[written+i:written+i+1], nil); err != nil {
-				return written, err
+			if err := p.k.WriteAt(p.region.Base()+gmem.GAddr(off), buf[i:i+1], nil); err != nil {
+				return 0, err
 			}
 		}
 		if err := p.storeU32(pipeTailOff, tail+uint32(n)); err != nil {
-			return written, err
+			return 0, err
 		}
-		written += n
 		if err := p.notifyPeer(); err != nil {
-			return written, err
+			return n, err
 		}
 	}
-	return written, nil
+	if n < len(buf) {
+		return n, ErrPipeFull
+	}
+	return n, nil
 }
 
-// Read fills buf with up to len(buf) bytes, blocking until at least one
-// byte arrives or timeout passes.
-func (p *Pipe) Read(buf []byte, timeout time.Duration) (int, error) {
+// Read moves up to len(buf) queued bytes into buf and kicks the peer. An
+// empty pipe is ErrPipeEmpty.
+func (p *Pipe) Read(buf []byte) (int, error) {
 	if p.closed {
 		return 0, ErrPipeClosed
 	}
-	deadline := time.Now().Add(timeout)
-	for {
-		head, err := p.loadU32(pipeHeadOff)
-		if err != nil {
-			return 0, err
-		}
-		tail, err := p.loadU32(pipeTailOff)
-		if err != nil {
-			return 0, err
-		}
-		avail := int(tail - head)
-		if avail > 0 {
-			n := len(buf)
-			if n > avail {
-				n = avail
-			}
-			for i := 0; i < n; i++ {
-				off := pipeDataOff + int((head+uint32(i))%uint32(pipeCap))
-				if err := p.k.ReadAt(p.region.Base()+gmem.GAddr(off), buf[i:i+1]); err != nil {
-					return 0, err
-				}
-			}
-			if err := p.storeU32(pipeHeadOff, head+uint32(n)); err != nil {
-				return 0, err
-			}
-			if err := p.notifyPeer(); err != nil {
-				return n, err
-			}
-			return n, nil
-		}
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			return 0, ErrPipeTimeout
-		}
-		p.k.AwaitSignal(p.ch, remain)
+	head, tail, err := p.counters()
+	if err != nil {
+		return 0, err
 	}
+	avail := int(tail - head)
+	if avail == 0 {
+		return 0, ErrPipeEmpty
+	}
+	n := min(len(buf), avail)
+	for i := 0; i < n; i++ {
+		off := pipeDataOff + int((head+uint32(i))%uint32(pipeCap))
+		if err := p.k.ReadAt(p.region.Base()+gmem.GAddr(off), buf[i:i+1]); err != nil {
+			return 0, err
+		}
+	}
+	if err := p.storeU32(pipeHeadOff, head+uint32(n)); err != nil {
+		return 0, err
+	}
+	if err := p.notifyPeer(); err != nil {
+		return n, err
+	}
+	return n, nil
+}
+
+// counters loads the ring's consumer and producer counters. Looking at the
+// ring is what consumes the peer's kick, so it clears the channel's
+// pending bit first, the way a split driver acknowledges an event before
+// it checks its ring.
+func (p *Pipe) counters() (head, tail uint32, err error) {
+	p.k.P.HV.Events.Pending(p.k.Dom, p.ch.Port)
+	if head, err = p.loadU32(pipeHeadOff); err != nil {
+		return 0, 0, err
+	}
+	tail, err = p.loadU32(pipeTailOff)
+	return head, tail, err
 }
 
 // Close marks this end closed.
@@ -319,9 +293,9 @@ func (sp *SocketPair) Send(fromParent bool, buf []byte) (int, error) {
 }
 
 // Recv reads from the appropriate direction for the caller's side.
-func (sp *SocketPair) Recv(asParent bool, buf []byte, timeout time.Duration) (int, error) {
+func (sp *SocketPair) Recv(asParent bool, buf []byte) (int, error) {
 	if asParent {
-		return sp.BtoA.Read(buf, timeout)
+		return sp.BtoA.Read(buf)
 	}
-	return sp.AtoB.Read(buf, timeout)
+	return sp.AtoB.Read(buf)
 }

@@ -1,8 +1,8 @@
 package guest
 
 import (
+	"errors"
 	"testing"
-	"time"
 )
 
 func TestIDCAllocSharedRegion(t *testing.T) {
@@ -59,14 +59,14 @@ func TestIDCChannelNotification(t *testing.T) {
 	if err := k.NotifyChild(ch, ck.Dom); err != nil {
 		t.Fatal(err)
 	}
-	if !ck.AwaitSignal(ch, time.Second) {
+	if !k.P.HV.Events.Pending(ck.Dom, ch.Port) {
 		t.Fatal("child missed parent's signal")
 	}
 	// Child -> parent.
 	if err := ck.NotifyParent(ch); err != nil {
 		t.Fatal(err)
 	}
-	if !k.AwaitSignal(ch, time.Second) {
+	if !k.P.HV.Events.Pending(k.Dom, ch.Port) {
 		t.Fatal("parent missed child's signal")
 	}
 }
@@ -88,7 +88,7 @@ func TestPipeParentToChild(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, len(msg))
-	n, err := cpipe.Read(buf, time.Second)
+	n, err := cpipe.Read(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,27 +103,22 @@ func TestPipeChildToParent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	childDone := make(chan error, 1)
-	res, err := k.Fork(1, nil, nil)
-	if err != nil {
+	var childErr error
+	if _, err := k.Fork(1, func(ck *Kernel) {
+		_, childErr = pipe.ForChild(ck).Write([]byte("result=42"))
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
-	ck := res.Children[0]
-	cpipe := pipe.ForChild(ck)
-	go func() {
-		_, err := cpipe.Write([]byte("result=42"))
-		childDone <- err
-	}()
+	if childErr != nil {
+		t.Fatal(childErr)
+	}
 	buf := make([]byte, 9)
-	n, err := pipe.Read(buf, 2*time.Second)
+	n, err := pipe.Read(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(buf[:n]) != "result=42" {
 		t.Fatalf("parent read %q", buf[:n])
-	}
-	if err := <-childDone; err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -139,27 +134,40 @@ func TestPipeLargeTransferWrapsRing(t *testing.T) {
 	}
 	cpipe := pipe.ForChild(res.Children[0])
 
-	// 10 KiB through a <4 KiB ring requires concurrent drain.
+	// 10 KiB through a <4 KiB ring on one goroutine: each Write stores
+	// what fits beside the bytes still queued (ErrPipeFull when that is
+	// short), and each Read drains up to 1 KiB of them.
 	payload := make([]byte, 10*1024)
 	for i := range payload {
 		payload[i] = byte(i % 251)
 	}
-	writeDone := make(chan error, 1)
-	go func() {
-		_, err := pipe.Write(payload)
-		writeDone <- err
-	}()
 	got := make([]byte, 0, len(payload))
 	buf := make([]byte, 1024)
-	for len(got) < len(payload) {
-		n, err := cpipe.Read(buf, 2*time.Second)
+	full := 0
+	for sent := 0; len(got) < len(payload); {
+		queued, rest := sent-len(got), len(payload)-sent
+		n, err := pipe.Write(payload[sent:])
+		if want := min(rest, pipeCap-queued); n != want {
+			t.Fatalf("write with %d queued stored %d bytes, want %d", queued, n, want)
+		}
+		if short := n < rest; short != errors.Is(err, ErrPipeFull) || (!short && err != nil) {
+			t.Fatalf("write of %d/%d bytes: %v", n, rest, err)
+		}
+		if n < rest {
+			full++
+		}
+		sent += n
+		m, err := cpipe.Read(buf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, buf[:n]...)
+		got = append(got, buf[:m]...)
 	}
-	if err := <-writeDone; err != nil {
-		t.Fatal(err)
+	if _, err := cpipe.Read(buf); !errors.Is(err, ErrPipeEmpty) {
+		t.Fatalf("drained pipe read: %v, want ErrPipeEmpty", err)
+	}
+	if full == 0 {
+		t.Fatal("payload never filled the ring")
 	}
 	for i := range payload {
 		if got[i] != payload[i] {
@@ -174,9 +182,10 @@ func TestPipeReadTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Nothing queued: the read reports it at once instead of waiting.
 	buf := make([]byte, 4)
-	if _, err := pipe.Read(buf, 50*time.Millisecond); err != ErrPipeTimeout {
-		t.Fatalf("read on empty pipe: %v", err)
+	if n, err := pipe.Read(buf); n != 0 || err != ErrPipeEmpty {
+		t.Fatalf("read on empty pipe: %d, %v", n, err)
 	}
 }
 
@@ -187,7 +196,7 @@ func TestPipeClosed(t *testing.T) {
 	if _, err := pipe.Write([]byte("x")); err != ErrPipeClosed {
 		t.Fatalf("write on closed pipe: %v", err)
 	}
-	if _, err := pipe.Read(make([]byte, 1), time.Millisecond); err != ErrPipeClosed {
+	if _, err := pipe.Read(make([]byte, 1)); err != ErrPipeClosed {
 		t.Fatalf("read on closed pipe: %v", err)
 	}
 }
@@ -209,7 +218,7 @@ func TestSocketPairBidirectional(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 4)
-	if _, err := csp.Recv(false, buf, time.Second); err != nil {
+	if _, err := csp.Recv(false, buf); err != nil {
 		t.Fatal(err)
 	}
 	if string(buf) != "ping" {
@@ -219,7 +228,7 @@ func TestSocketPairBidirectional(t *testing.T) {
 	if _, err := csp.Send(false, []byte("pong")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sp.Recv(true, buf, time.Second); err != nil {
+	if _, err := sp.Recv(true, buf); err != nil {
 		t.Fatal(err)
 	}
 	if string(buf) != "pong" {

@@ -3,11 +3,9 @@ package guest
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"nephele/internal/core"
 	"nephele/internal/devices"
-	"nephele/internal/evtchn"
 	"nephele/internal/gmem"
 	"nephele/internal/hv"
 	"nephele/internal/mem"
@@ -34,11 +32,8 @@ func (f Flavor) String() string {
 	return "unikraft"
 }
 
-// Errors.
-var (
-	ErrNoVif      = errors.New("guest: kernel has no network device")
-	ErrKernelDead = errors.New("guest: kernel stopped")
-)
+// ErrNoVif is returned by the network calls of a kernel without a vif.
+var ErrNoVif = errors.New("guest: kernel has no network device")
 
 // Kernel is one running unikernel: the guest-side runtime bound to a
 // domain of the simulated platform.
@@ -50,15 +45,6 @@ type Kernel struct {
 	space *mem.Space
 	heap  *gmem.Heap
 	vif   *devices.Vif
-
-	mu       sync.Mutex
-	portWake map[evtchn.Port]chan struct{}
-	rxWake   chan struct{}
-	stopped  bool
-
-	// idcPages tracks the IDC regions this kernel allocated or
-	// inherited, by base pfn.
-	idcPages map[mem.PFN]int
 
 	maps []*gmem.HashMap // page-backed maps to rebind on fork
 }
@@ -72,13 +58,10 @@ func Boot(p *core.Platform, rec *toolstack.Record, flavor Flavor, meter *vclock.
 		return nil, err
 	}
 	k := &Kernel{
-		P:        p,
-		Dom:      rec.ID,
-		Flavor:   flavor,
-		space:    dom.Space(),
-		portWake: make(map[evtchn.Port]chan struct{}),
-		rxWake:   make(chan struct{}, 1),
-		idcPages: make(map[mem.PFN]int),
+		P:      p,
+		Dom:    rec.ID,
+		Flavor: flavor,
+		space:  dom.Space(),
 	}
 	meter.Charge(meter.Costs().GuestBootKernel, 1)
 
@@ -101,9 +84,6 @@ func Boot(p *core.Platform, rec *toolstack.Record, flavor Flavor, meter *vclock.
 			return nil, err
 		}
 		k.vif = vif
-		// The RX upcall wakes a receiver blocked in Recv, like a
-		// netfront interrupt handler.
-		vif.SetRXNotify(k.pulseRX)
 		meter.Charge(meter.Costs().GuestNetReady, 1)
 	}
 	heapPages := pages - 3 - ringPages
@@ -111,10 +91,6 @@ func Boot(p *core.Platform, rec *toolstack.Record, flavor Flavor, meter *vclock.
 		return nil, fmt.Errorf("guest: domain too small: %d pages", pages)
 	}
 	k.heap = gmem.NewHeap(16, gmem.GAddr(heapPages)*mem.PageSize)
-
-	if err := p.HV.SetEventHandler(rec.ID, k.handleEvent); err != nil {
-		return nil, err
-	}
 
 	// Mini-OS UDP-server behaviour: notify the host the moment the app
 	// is ready (the Fig. 4 readiness datagram).
@@ -131,56 +107,17 @@ func Boot(p *core.Platform, rec *toolstack.Record, flavor Flavor, meter *vclock.
 // only needs accessors plus the heap geometry.
 func Adopt(p *core.Platform, dom *hv.Domain, flavor Flavor) (*Kernel, error) {
 	k := &Kernel{
-		P:        p,
-		Dom:      dom.ID,
-		Flavor:   flavor,
-		space:    dom.Space(),
-		portWake: make(map[evtchn.Port]chan struct{}),
-		rxWake:   make(chan struct{}, 1),
-		idcPages: make(map[mem.PFN]int),
+		P:      p,
+		Dom:    dom.ID,
+		Flavor: flavor,
+		space:  dom.Space(),
 	}
 	heapPages := k.space.Pages() - 3
 	if heapPages < 1 {
 		return nil, fmt.Errorf("guest: domain too small: %d pages", k.space.Pages())
 	}
 	k.heap = gmem.NewHeap(16, gmem.GAddr(heapPages)*mem.PageSize)
-	if err := p.HV.SetEventHandler(dom.ID, k.handleEvent); err != nil {
-		return nil, err
-	}
 	return k, nil
-}
-
-// pulseRX wakes a receiver waiting for network input.
-func (k *Kernel) pulseRX() {
-	select {
-	case k.rxWake <- struct{}{}:
-	default:
-	}
-}
-
-// handleEvent is the kernel's event channel upcall.
-func (k *Kernel) handleEvent(p evtchn.Port) {
-	k.mu.Lock()
-	ch := k.portWake[p]
-	k.mu.Unlock()
-	if ch != nil {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// wakeChan returns (creating if needed) the wake channel of a port.
-func (k *Kernel) wakeChan(p evtchn.Port) chan struct{} {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	ch, ok := k.portWake[p]
-	if !ok {
-		ch = make(chan struct{}, 1)
-		k.portWake[p] = ch
-	}
-	return ch
 }
 
 // Printk writes to the guest console.
@@ -222,18 +159,8 @@ func (k *Kernel) NewMap(buckets int) (*gmem.HashMap, error) {
 	if err != nil {
 		return nil, err
 	}
-	k.mu.Lock()
 	k.maps = append(k.maps, m)
-	k.mu.Unlock()
 	return m, nil
-}
-
-// AwaitRunnable cooperates with hypervisor pause/resume (called at
-// "hypercall boundaries" by long-running guest loops).
-func (k *Kernel) AwaitRunnable() {
-	if d, err := k.P.HV.Domain(k.Dom); err == nil {
-		d.AwaitRunnable()
-	}
 }
 
 // ForkResult reports a completed fork.
@@ -248,19 +175,16 @@ type ForkResult struct {
 // hypercall and waits; the hypervisor and xencloned do everything else.
 //
 // Go cannot snapshot a goroutine stack, so instead of returning twice the
-// API takes the child's continuation: childMain runs in a fresh goroutine
-// for every child, on a kernel whose heap, maps and devices are the forked
-// COW view of this one (see DESIGN.md, substitution table). Passing a nil
-// childMain leaves the children idle (waiting for work), which is what the
-// fuzzing and density experiments want.
+// API takes the child's continuation. Once every child is adopted and
+// running, Fork calls childMain on the caller's goroutine for each child in
+// turn, on a kernel whose heap, maps and devices are the forked COW view of
+// this one, and returns after the last (see DESIGN.md, substitution
+// table). A cooperatively scheduled unikernel promises no interleaving of
+// parent and children, so running each child to completion first is one
+// legal schedule. Passing a nil childMain leaves the children idle
+// (waiting for work), which is what the fuzzing and density experiments
+// want.
 func (k *Kernel) Fork(n int, childMain func(ck *Kernel), meter *vclock.Meter) (*ForkResult, error) {
-	k.mu.Lock()
-	if k.stopped {
-		k.mu.Unlock()
-		return nil, ErrKernelDead
-	}
-	k.mu.Unlock()
-
 	results, err := k.P.CloneOp(obs.Ctx(meter),
 		core.CloneSpec{Caller: k.Dom, Parent: k.Dom, Count: n})
 	if err != nil {
@@ -274,11 +198,10 @@ func (k *Kernel) Fork(n int, childMain func(ck *Kernel), meter *vclock.Meter) (*
 			return out, err
 		}
 		out.Children = append(out.Children, ck)
-		if childMain != nil {
-			go func(c *Kernel) {
-				c.AwaitRunnable()
-				childMain(c)
-			}(ck)
+	}
+	if childMain != nil {
+		for _, ck := range out.Children {
+			childMain(ck)
 		}
 	}
 	return out, nil
@@ -291,29 +214,17 @@ func (k *Kernel) adoptChild(child hv.DomID) (*Kernel, error) {
 		return nil, err
 	}
 	ck := &Kernel{
-		P:        k.P,
-		Dom:      child,
-		Flavor:   k.Flavor,
-		space:    dom.Space(),
-		heap:     k.heap.Clone(),
-		portWake: make(map[evtchn.Port]chan struct{}),
-		rxWake:   make(chan struct{}, 1),
-		idcPages: make(map[mem.PFN]int, len(k.idcPages)),
+		P:      k.P,
+		Dom:    child,
+		Flavor: k.Flavor,
+		space:  dom.Space(),
+		heap:   k.heap.Clone(),
 	}
-	for pfn, n := range k.idcPages {
-		ck.idcPages[pfn] = n
-	}
-	k.mu.Lock()
 	for _, m := range k.maps {
 		ck.maps = append(ck.maps, m.CloneFor(ck))
 	}
-	k.mu.Unlock()
 	if vif, err := k.P.GuestVif(child, 0); err == nil {
 		ck.vif = vif
-		vif.SetRXNotify(ck.pulseRX)
-	}
-	if err := k.P.HV.SetEventHandler(child, ck.handleEvent); err != nil {
-		return nil, err
 	}
 	return ck, nil
 }
@@ -321,17 +232,8 @@ func (k *Kernel) adoptChild(child hv.DomID) (*Kernel, error) {
 // Map returns the i'th registered map of this kernel (fork-rebound on
 // children).
 func (k *Kernel) Map(i int) *gmem.HashMap {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	if i < 0 || i >= len(k.maps) {
 		return nil
 	}
 	return k.maps[i]
-}
-
-// Stop marks the kernel dead (domain teardown is the toolstack's job).
-func (k *Kernel) Stop() {
-	k.mu.Lock()
-	k.stopped = true
-	k.mu.Unlock()
 }

@@ -1,9 +1,9 @@
 package guest
 
 import (
+	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"nephele/internal/core"
 	"nephele/internal/hv"
@@ -93,7 +93,7 @@ func TestKernelHostToGuestThroughBond(t *testing.T) {
 		SrcIP: p.Host.IPAddr(), DstIP: netsim.IP{10, 0, 0, 2},
 		SrcPort: 9999, DstPort: 7000, Payload: []byte("request"),
 	})
-	pkt, ok := k.Recv(time.Second)
+	pkt, ok := k.TryRecv()
 	if !ok || string(pkt.Payload) != "request" {
 		t.Fatalf("guest received %v, %v", pkt, ok)
 	}
@@ -131,15 +131,14 @@ func TestForkSharesHeapCopyOnWrite(t *testing.T) {
 	addr, _ := k.Alloc(32)
 	k.WriteAt(addr, []byte("original"), nil)
 
-	childReady := make(chan *Kernel, 1)
-	res, err := k.Fork(1, func(ck *Kernel) { childReady <- ck }, nil)
+	var ck *Kernel
+	res, err := k.Fork(1, func(c *Kernel) { ck = c }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Children) != 1 {
-		t.Fatalf("children = %d", len(res.Children))
+	if len(res.Children) != 1 || ck != res.Children[0] {
+		t.Fatalf("children = %d, continuation ran on %v", len(res.Children), ck)
 	}
-	ck := <-childReady
 
 	// Child sees the parent's heap data.
 	buf := make([]byte, 8)
@@ -312,33 +311,72 @@ func TestForkMapSnapshot(t *testing.T) {
 
 func TestForkNWorkers(t *testing.T) {
 	_, k := testEnv(t, guestCfg("g0"))
-	started := make(chan hv.DomID, 3)
-	res, err := k.Fork(3, func(ck *Kernel) { started <- ck.Dom }, nil)
+	var started []hv.DomID
+	res, err := k.Fork(3, func(ck *Kernel) { started = append(started, ck.Dom) }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Children) != 3 {
-		t.Fatalf("children = %d", len(res.Children))
+	if len(res.Children) != 3 || len(started) != 3 {
+		t.Fatalf("children = %d, continuations run = %d", len(res.Children), len(started))
 	}
 	seen := map[hv.DomID]bool{}
-	for i := 0; i < 3; i++ {
-		select {
-		case id := <-started:
-			seen[id] = true
-		case <-time.After(2 * time.Second):
-			t.Fatal("worker did not start")
-		}
+	for _, id := range started {
+		seen[id] = true
 	}
 	if len(seen) != 3 {
 		t.Fatal("duplicate worker domains")
 	}
 }
 
-func TestForkStoppedKernel(t *testing.T) {
-	_, k := testEnv(t, guestCfg("g0"))
-	k.Stop()
-	if _, err := k.Fork(1, nil, nil); err != ErrKernelDead {
-		t.Fatalf("fork after stop: %v", err)
+// TestForkRunsContinuationsInline pins Fork's schedule: every child is
+// adopted and running before the first continuation starts, the
+// continuations run one by one in child order on the caller's goroutine,
+// all before Fork returns, and each child's writes stay its own.
+func TestForkRunsContinuationsInline(t *testing.T) {
+	const n = 3
+	p, k := testEnv(t, guestCfg("inline"))
+	addr, err := k.Alloc(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.WriteAt(addr, []byte("parent"), nil)
+
+	var ran []hv.DomID
+	res, err := k.Fork(n, func(ck *Kernel) {
+		d, err := p.HV.Domain(ck.Dom)
+		if err != nil || d.Paused() {
+			t.Errorf("child %d paused (%v) when its continuation ran", ck.Dom, err)
+		}
+		// Siblings that ran before this one wrote their own IDs: none of
+		// those writes may show here.
+		buf := make([]byte, 6)
+		ck.ReadAt(addr, buf)
+		if string(buf) != "parent" {
+			t.Errorf("child %d sees %q, want the pre-fork state", ck.Dom, buf)
+		}
+		ck.WriteAt(addr, []byte(fmt.Sprintf("dom%03d", ck.Dom)), nil)
+		ran = append(ran, ck.Dom)
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ran) != n {
+		t.Fatalf("%d continuations ran before Fork returned, want %d", len(ran), n)
+	}
+	for i, ck := range res.Children {
+		if ran[i] != ck.Dom {
+			t.Fatalf("continuation %d ran on dom %d, want child order %v", i, ran[i], ran)
+		}
+		buf := make([]byte, 6)
+		ck.ReadAt(addr, buf)
+		if want := fmt.Sprintf("dom%03d", ck.Dom); string(buf) != want {
+			t.Fatalf("child %d kept %q, want its own %q", ck.Dom, buf, want)
+		}
+	}
+	buf := make([]byte, 6)
+	k.ReadAt(addr, buf)
+	if string(buf) != "parent" {
+		t.Fatalf("parent sees %q after its children wrote", buf)
 	}
 }
 

@@ -1,8 +1,6 @@
 package guest
 
 import (
-	"time"
-
 	"nephele/internal/devices"
 	"nephele/internal/netsim"
 )
@@ -31,25 +29,6 @@ func (k *Kernel) TryRecv() (netsim.Packet, bool) {
 		return netsim.Packet{}, false
 	}
 	return k.vif.GuestReceive()
-}
-
-// Recv blocks for up to timeout (wall clock; used only to bound tests, the
-// virtual clock is unaffected) and returns the next ingress packet.
-func (k *Kernel) Recv(timeout time.Duration) (netsim.Packet, bool) {
-	if k.vif == nil {
-		return netsim.Packet{}, false
-	}
-	deadline := time.After(timeout)
-	for {
-		if p, ok := k.TryRecv(); ok {
-			return p, true
-		}
-		select {
-		case <-k.rxWake:
-		case <-deadline:
-			return netsim.Packet{}, false
-		}
-	}
 }
 
 // GuestIP returns the kernel's IP address.

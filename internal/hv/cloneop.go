@@ -390,7 +390,7 @@ func (h *Hypervisor) cloneOne(parent *Domain, id DomID, copyRing bool, mode mem.
 	h.mu.Unlock()
 
 	// Event channels and grant table.
-	h.Events.AddDomain(id, nil)
+	h.Events.AddDomain(id)
 	h.Grants.AddDomain(id)
 	_, espan := ctx.StartSpan("event-channels")
 	est, err := h.Events.CloneDomain(parent.ID, id, meter)

@@ -75,10 +75,6 @@ type Domain struct {
 	ConsolePFN   mem.PFN
 	XenstorePFN  mem.PFN
 
-	// pausedCh is closed while the domain runs and recreated when
-	// paused; guests block on it to cooperate with pause/resume.
-	resumeCh chan struct{}
-
 	destroyed bool
 }
 
@@ -134,38 +130,15 @@ func (d *Domain) Paused() bool {
 func (d *Domain) pause() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.paused == 0 {
-		d.resumeCh = make(chan struct{})
-	}
 	d.paused++
 }
 
-// unpause decrements the pause count, waking waiters at zero.
+// unpause decrements the pause count; the domain runs again at zero.
 func (d *Domain) unpause() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.paused == 0 {
-		return
-	}
-	d.paused--
-	if d.paused == 0 && d.resumeCh != nil {
-		close(d.resumeCh)
-		d.resumeCh = nil
-	}
-}
-
-// AwaitRunnable blocks until the domain is not paused. Guest goroutines
-// call this at hypercall boundaries to cooperate with pause/resume.
-func (d *Domain) AwaitRunnable() {
-	for {
-		d.mu.Lock()
-		if d.paused == 0 || d.destroyed {
-			d.mu.Unlock()
-			return
-		}
-		ch := d.resumeCh
-		d.mu.Unlock()
-		<-ch
+	if d.paused > 0 {
+		d.paused--
 	}
 }
 

@@ -82,7 +82,7 @@ func New(memoryBytes uint64) *Hypervisor {
 	}
 	dom0 := newDomain(mem.DomID0, 1)
 	h.domains[mem.DomID0] = dom0
-	h.Events.AddDomain(mem.DomID0, nil)
+	h.Events.AddDomain(mem.DomID0)
 	h.Grants.AddDomain(mem.DomID0)
 	return h
 }
@@ -137,18 +137,6 @@ func (h *Hypervisor) DomainCount() int {
 // FreeBytes reports unallocated hypervisor-managed memory.
 func (h *Hypervisor) FreeBytes() uint64 {
 	return uint64(h.Memory.FreeFrames()) * mem.PageSize
-}
-
-// SetEventHandler installs the event delivery callback for a domain
-// (guests install theirs when their kernel starts), preserving any
-// channels created before the kernel came up.
-func (h *Hypervisor) SetEventHandler(id DomID, handler evtchn.Handler) error {
-	d, err := h.Domain(id)
-	if err != nil {
-		return err
-	}
-	h.Events.SetHandler(d.ID, handler)
-	return nil
 }
 
 // reserveDomIDs takes n consecutive domain IDs and returns the first, or
@@ -215,7 +203,7 @@ func (h *Hypervisor) DomainCreate(ctx obs.OpCtx, pages, vcpus int) (*Domain, err
 		space.SetKind(d.XenstorePFN, mem.KindXenstore)
 	}
 
-	h.Events.AddDomain(id, nil)
+	h.Events.AddDomain(id)
 	h.Grants.AddDomain(id)
 	return d, nil
 }
@@ -236,11 +224,7 @@ func (h *Hypervisor) DomainDestroy(ctx obs.OpCtx, id DomID) error {
 		return nil
 	}
 	d.destroyed = true
-	if d.resumeCh != nil {
-		close(d.resumeCh)
-		d.resumeCh = nil
-		d.paused = 0
-	}
+	d.paused = 0
 	space := d.space
 	parent, hasParent := d.parent, d.hasParent
 	d.mu.Unlock()

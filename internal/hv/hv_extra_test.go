@@ -1,7 +1,6 @@
 package hv
 
 import (
-	"nephele/internal/evtchn"
 	"sync"
 	"testing"
 
@@ -128,37 +127,5 @@ func TestConcurrentCloneOpsSerializePerParent(t *testing.T) {
 	}
 	if p.Paused() {
 		t.Fatal("parent left paused")
-	}
-}
-
-func TestSetEventHandler(t *testing.T) {
-	h := newHV(t)
-	d, _ := h.DomainCreate(obs.OpCtx{}, 16, 1)
-	fired := make(chan evtchn.Port, 1)
-	if err := h.SetEventHandler(d.ID, func(p evtchn.Port) { fired <- p }); err != nil {
-		t.Fatal(err)
-	}
-	// An event arriving afterwards reaches the installed handler.
-	up, err := h.Events.AllocUnbound(d.ID, mem.DomID0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bp, err := h.Events.BindInterdomain(mem.DomID0, d.ID, up)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Events.Send(mem.DomID0, bp); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case p := <-fired:
-		if p != up {
-			t.Fatalf("handler got port %d, want %d", p, up)
-		}
-	default:
-		t.Fatal("handler not invoked")
-	}
-	if err := h.SetEventHandler(DomID(99), nil); err == nil {
-		t.Fatal("SetEventHandler on unknown domain succeeded")
 	}
 }

@@ -99,25 +99,6 @@ func TestPauseUnpause(t *testing.T) {
 	if d.Paused() {
 		t.Fatal("still paused after matching unpauses")
 	}
-	d.AwaitRunnable() // must not block
-}
-
-func TestAwaitRunnableBlocksUntilUnpause(t *testing.T) {
-	h := newHV(t)
-	d, _ := h.DomainCreate(obs.OpCtx{}, 16, 1)
-	h.Pause(d.ID)
-	released := make(chan struct{})
-	go func() {
-		d.AwaitRunnable()
-		close(released)
-	}()
-	select {
-	case <-released:
-		t.Fatal("AwaitRunnable returned while paused")
-	default:
-	}
-	h.Unpause(d.ID)
-	<-released
 }
 
 func TestVCPUAccess(t *testing.T) {

@@ -159,16 +159,15 @@ func (b *Bond) HWAddr() MAC {
 // Host is a simple host endpoint collecting received packets (the
 // benchmark harness's view of the wire).
 type Host struct {
-	mu     sync.Mutex
-	mac    MAC
-	ip     IP
-	rx     []Packet
-	notify chan struct{}
+	mu  sync.Mutex
+	mac MAC
+	ip  IP
+	rx  []Packet
 }
 
 // NewHost creates a host endpoint.
 func NewHost(mac MAC, ip IP) *Host {
-	return &Host{mac: mac, ip: ip, notify: make(chan struct{}, 1)}
+	return &Host{mac: mac, ip: ip}
 }
 
 // HWAddr returns the host MAC.
@@ -182,10 +181,6 @@ func (h *Host) Deliver(p Packet) {
 	h.mu.Lock()
 	h.rx = append(h.rx, p)
 	h.mu.Unlock()
-	select {
-	case h.notify <- struct{}{}:
-	default:
-	}
 }
 
 // Received drains the received packets.
@@ -196,9 +191,6 @@ func (h *Host) Received() []Packet {
 	h.rx = nil
 	return out
 }
-
-// Notify returns a channel pulsed on packet arrival.
-func (h *Host) Notify() <-chan struct{} { return h.notify }
 
 // MACForDomain derives the conventional Xen guest MAC (00:16:3e prefix).
 func MACForDomain(domid uint32) MAC {
