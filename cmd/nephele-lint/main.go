@@ -1,8 +1,7 @@
 // Command nephele-lint is a multichecker for the clone pipeline's
-// concurrency, determinism, context and allocation invariants. It runs four
-// analyzers (DESIGN.md §11, §16) over the module from source:
+// determinism, context and allocation invariants. It runs three analyzers
+// (DESIGN.md §11, §16) over the module from source:
 //
-//	lockorder   — a pooled lock is never taken while a sibling is held
 //	determinism — no wall clock / unseeded rand / map iteration in
 //	              virtual-time packages
 //	opctx       — operations thread the in-scope OpCtx instead of
@@ -13,6 +12,9 @@
 // test (TestPointListsCoverTree) does that inside go test. Neither are
 // error-path frame balance and span closure: internal/core's TestOOMSweep
 // fails every frame allocation of each operation in turn and checks both.
+// Nor is the one-goroutine contract (DESIGN.md §12.2): internal/analysis's
+// TestNoConcurrencyPrimitives parses the tree for goroutines, channels,
+// locks and atomics.
 //
 // Usage:
 //
@@ -42,12 +44,10 @@ import (
 	"nephele/internal/analysis"
 	"nephele/internal/analysis/determinism"
 	"nephele/internal/analysis/hotalloc"
-	"nephele/internal/analysis/lockorder"
 	"nephele/internal/analysis/opctx"
 )
 
 var all = []*analysis.Analyzer{
-	lockorder.Analyzer,
 	determinism.Analyzer,
 	opctx.Analyzer,
 	hotalloc.Analyzer,

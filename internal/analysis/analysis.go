@@ -25,7 +25,7 @@ type Analyzer struct {
 	// Doc is the one-paragraph description shown by nephele-lint -help.
 	Doc string
 	// Suppress is the escape-hatch comment token (e.g.
-	// "nephele:lockorder-ok"): a diagnostic is dropped when its line, or
+	// "nephele:nondeterministic-ok"): a diagnostic is dropped when its line, or
 	// the line immediately above it, carries a line comment beginning
 	// with "//" and the token. A waiver that drops nothing is itself a
 	// finding. Empty means no escape hatch.

@@ -63,6 +63,8 @@ var Targets = []string{
 	"nephele/internal/xenstore",
 	"nephele/internal/faas",
 	"nephele/internal/gnttab",
+	"nephele/internal/toolstack",
+	"nephele/internal/devices",
 }
 
 // bannedFuncs maps package path -> function name -> short reason.

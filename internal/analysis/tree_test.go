@@ -10,7 +10,6 @@ import (
 	"nephele/internal/analysis"
 	"nephele/internal/analysis/determinism"
 	"nephele/internal/analysis/hotalloc"
-	"nephele/internal/analysis/lockorder"
 	"nephele/internal/analysis/opctx"
 )
 
@@ -26,7 +25,6 @@ func TestTreeIsClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	analyzers := []*analysis.Analyzer{
-		lockorder.Analyzer,
 		determinism.Analyzer,
 		opctx.Analyzer,
 		hotalloc.Analyzer,

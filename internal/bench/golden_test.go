@@ -4,7 +4,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 )
 
@@ -12,18 +11,13 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden figure series 
 
 // quickFigs holds each figure's quick form, computed once per test binary
 // and shared by the golden test and the shape tests.
-var quickFigs struct {
-	sync.Mutex
-	byName map[string]*Figure
-}
+var quickFigs = map[string]*Figure{}
 
 // quickFigure returns the quick form of the Figures entry called name.
 // Callers must not modify it.
 func quickFigure(t *testing.T, name string) *Figure {
 	t.Helper()
-	quickFigs.Lock()
-	defer quickFigs.Unlock()
-	if fig, ok := quickFigs.byName[name]; ok {
+	if fig, ok := quickFigs[name]; ok {
 		return fig
 	}
 	for _, def := range Figures {
@@ -34,10 +28,7 @@ func quickFigure(t *testing.T, name string) *Figure {
 		if err != nil {
 			t.Fatalf("figure %s: %v", name, err)
 		}
-		if quickFigs.byName == nil {
-			quickFigs.byName = make(map[string]*Figure)
-		}
-		quickFigs.byName[name] = fig
+		quickFigs[name] = fig
 		return fig
 	}
 	t.Fatalf("no figure %q in Figures", name)

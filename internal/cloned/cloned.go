@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"sync"
 
 	"nephele/internal/devices"
 	"nephele/internal/fault"
@@ -89,7 +88,6 @@ type Daemon struct {
 	Net   *devices.Switch
 	Opts  Options
 
-	mu    sync.Mutex
 	cache map[hv.DomID]*parentInfo
 	// secondStage records the virtual duration of the second stage per
 	// child, so experiment drivers can compose total clone latency.
@@ -124,8 +122,6 @@ func New(hyp *hv.Hypervisor, store *xenstore.Store, xl *toolstack.XL, net *devic
 
 // Served reports how many clone notifications the daemon has processed.
 func (d *Daemon) Served() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return d.served
 }
 
@@ -143,8 +139,6 @@ func (d *Daemon) FailureStats() FailureStats {
 // SecondStageDuration reports the second-stage virtual time spent for a
 // child.
 func (d *Daemon) SecondStageDuration(child hv.DomID) (vclock.Duration, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	t, ok := d.secondStage[child]
 	return t, ok
 }
@@ -161,9 +155,7 @@ func (d *Daemon) SecondStageDuration(child hv.DomID) (vclock.Duration, bool) {
 // normally. The returned error joins the per-child failures.
 //
 // Each child's completion or abort releases its reference on the request's
-// completion record, so the goroutine running Serve is the one that
-// resumes a parent whose last child it reports. Callers that want the
-// asynchronous flavour run it from a VIRQ_CLONED handler.
+// completion record, so Serve resumes a parent whose last child it reports.
 func (d *Daemon) Serve(ctx obs.OpCtx) (int, error) {
 	ctx = ctx.EnsureMeter(nil)
 	served := 0
@@ -267,10 +259,8 @@ func (d *Daemon) serveOne(n hv.CloneNotification, ctx obs.OpCtx) error {
 	}
 
 	dur := meter.Elapsed() - start
-	d.mu.Lock()
 	d.secondStage[n.Child] = dur
 	d.served++
-	d.mu.Unlock()
 	d.met.secondStageUS.Observe(int64(dur / 1000))
 	return nil
 }
@@ -297,12 +287,9 @@ func (d *Daemon) rollback(n hv.CloneNotification, ctx obs.OpCtx) {
 // parentInfo reads (or recalls) the parent's device inventory. The first
 // clone pays the Xenstore reads; later clones hit the cache (§6.2).
 func (d *Daemon) parentInfo(parent hv.DomID, meter *vclock.Meter) (*parentInfo, error) {
-	d.mu.Lock()
 	if info, ok := d.cache[parent]; ok {
-		d.mu.Unlock()
 		return info, nil
 	}
-	d.mu.Unlock()
 	name, err := d.Store.Read(devices.DomainPath(uint32(parent))+"/name", meter)
 	if err != nil {
 		return nil, err
@@ -324,9 +311,7 @@ func (d *Daemon) parentInfo(parent hv.DomID, meter *vclock.Meter) (*parentInfo, 
 			}
 		}
 	}
-	d.mu.Lock()
 	d.cache[parent] = info
-	d.mu.Unlock()
 	return info, nil
 }
 
@@ -358,26 +343,21 @@ func (d *Daemon) cloneStoreDir(n hv.CloneNotification, op xenstore.CloneOp, src,
 // snapshot returns the cached subtree of a parent device directory,
 // reading it from the store on the first use.
 func (d *Daemon) snapshot(parent hv.DomID, src string, meter *vclock.Meter) ([]xenstore.Pair, error) {
-	d.mu.Lock()
 	if info, ok := d.cache[parent]; ok && info.snapshots != nil {
 		if pairs, ok := info.snapshots[src]; ok {
-			d.mu.Unlock()
 			return pairs, nil
 		}
 	}
-	d.mu.Unlock()
 	pairs, err := d.Store.Snapshot(src, meter)
 	if err != nil {
 		return nil, err
 	}
-	d.mu.Lock()
 	if info, ok := d.cache[parent]; ok {
 		if info.snapshots == nil {
 			info.snapshots = make(map[string][]xenstore.Pair)
 		}
 		info.snapshots[src] = pairs
 	}
-	d.mu.Unlock()
 	return pairs, nil
 }
 

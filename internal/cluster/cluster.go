@@ -16,8 +16,6 @@ package cluster
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"nephele/internal/core"
 	"nephele/internal/fault"
@@ -59,9 +57,8 @@ type Cluster struct {
 	fabric  *netsim.Fabric
 	metrics *obs.Registry
 	ctr     counters
-	nameSeq atomic.Int64
+	nameSeq int64
 
-	mu     sync.Mutex
 	faults *fault.Registry
 }
 
@@ -130,25 +127,18 @@ func (c *Cluster) Metrics() *obs.Registry { return c.metrics }
 // points (cluster/xfer, cluster/materialize) plus every member platform's
 // own points. Passing nil disarms everywhere.
 func (c *Cluster) SetFaults(r *fault.Registry) {
-	c.mu.Lock()
 	c.faults = r
-	c.mu.Unlock()
 	for _, h := range c.hosts {
 		h.P.SetFaults(r)
 		h.Store.SetFaults(r)
 	}
 }
 
-func (c *Cluster) faultReg() *fault.Registry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.faults
-}
-
 // childName derives a cluster-unique domain name for a remotely
 // materialized child.
 func (c *Cluster) childName(base string, host int) string {
-	return fmt.Sprintf("%s@h%d.%d", base, host, c.nameSeq.Add(1))
+	c.nameSeq++
+	return fmt.Sprintf("%s@h%d.%d", base, host, c.nameSeq)
 }
 
 // hostRouter adapts one member platform to the cluster: it remembers

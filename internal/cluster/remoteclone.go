@@ -173,7 +173,7 @@ func (c *Cluster) remoteClone(ctx obs.OpCtx, src, dst *Host, img *toolstack.Imag
 		m.Charge(costs.XferSetup, 1)
 		m.Charge(costs.XferChunk, plan.Chunks)
 		m.Charge(costs.XferPage, plan.MaxSlavePages)
-		if err := xctx.Faults(c.faultReg()).Check(fault.PointClusterXfer); err != nil {
+		if err := xctx.Faults(c.faults).Check(fault.PointClusterXfer); err != nil {
 			return plan, fmt.Errorf("cluster: xfer %d->%d: %w", src.Index, dst.Index, err)
 		}
 		link.Commit(plan)
@@ -190,7 +190,7 @@ func (c *Cluster) remoteClone(ctx obs.OpCtx, src, dst *Host, img *toolstack.Imag
 	children, err := func() ([]core.DomID, error) {
 		mctx, mspan := ctx.StartSpan("materialize")
 		defer mspan.End()
-		if err := mctx.Faults(c.faultReg()).Check(fault.PointClusterMaterialize); err != nil {
+		if err := mctx.Faults(c.faults).Check(fault.PointClusterMaterialize); err != nil {
 			return nil, fmt.Errorf("cluster: materialize on host %d: %w", dst.Index, err)
 		}
 		kids := make([]core.DomID, 0, n)

@@ -98,15 +98,7 @@ type CloneSpec struct {
 // SetCloneRouter attaches the cluster router placed clone specs are
 // executed through; nil detaches it.
 func (p *Platform) SetCloneRouter(r CloneRouter) {
-	p.mu.Lock()
 	p.router = r
-	p.mu.Unlock()
-}
-
-func (p *Platform) cloneRouter() CloneRouter {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.router
 }
 
 // CloneOp is the clone entry point: one OpCtx-first surface for a local
@@ -134,16 +126,15 @@ func (p *Platform) cloneRouter() CloneRouter {
 func (p *Platform) CloneOp(ctx obs.OpCtx, spec CloneSpec) ([]*CloneResult, error) {
 	ctx = ctx.EnsureMeter(p.Costs)
 	if ctx.Trace() == nil {
-		if t := p.trace.Load(); t != nil {
-			ctx = ctx.WithTrace(t)
+		if p.trace != nil {
+			ctx = ctx.WithTrace(p.trace)
 		}
 	}
 	if spec.Placement != nil {
-		router := p.cloneRouter()
-		if router == nil {
+		if p.router == nil {
 			return nil, ErrNoRouter
 		}
-		return router.RouteClone(ctx, spec)
+		return p.router.RouteClone(ctx, spec)
 	}
 	res, err := p.cloneOne(ctx, spec)
 	if res == nil {

@@ -2,10 +2,10 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"nephele/internal/devices"
+	"nephele/internal/obs"
 	"nephele/internal/toolstack"
 )
 
@@ -111,9 +111,9 @@ func TestDeepFamilyTree(t *testing.T) {
 }
 
 func TestConcurrentClonesOfDistinctParents(t *testing.T) {
-	// Clones of different parents can proceed concurrently: guests on
-	// the same machine have independent families. The platform Clone is
-	// synchronous per call, so concurrency is across goroutines.
+	// Clones of different parents interleave: guests on the same machine
+	// have independent families, so round-robin forks of four parents
+	// over one pool, ring and store leave each family whole.
 	p := NewPlatform(Options{
 		MemoryBytes:   2 << 30,
 		SkipNameCheck: true,
@@ -127,27 +127,21 @@ func TestConcurrentClonesOfDistinctParents(t *testing.T) {
 		}
 		ids[i] = rec.ID
 	}
-	var wg sync.WaitGroup
-	errs := make(chan error, parents)
-	for _, id := range ids {
-		wg.Add(1)
-		go func(id DomID) {
-			defer wg.Done()
-			for j := 0; j < 5; j++ {
-				if _, err := fork(p, id, 1, nil); err != nil {
-					errs <- fmt.Errorf("clone of %d: %w", id, err)
-					return
-				}
+	tr := obs.NewTrace()
+	p.Observe(tr)
+	for j := 0; j < 5; j++ {
+		for _, id := range ids {
+			if _, err := fork(p, id, 1, nil); err != nil {
+				t.Fatalf("clone %d of %d: %v", j, id, err)
 			}
-		}(id)
+		}
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
+	p.Observe(nil)
 	if got := p.Memory().Instances; got != parents*6 {
 		t.Fatalf("instances = %d, want %d", got, parents*6)
+	}
+	if tr.Len() == 0 {
+		t.Fatal("the observed forks recorded no span")
 	}
 }
 

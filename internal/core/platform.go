@@ -8,8 +8,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"nephele/internal/cloned"
 	"nephele/internal/devices"
@@ -63,13 +61,12 @@ type Platform struct {
 	Bond     *netsim.Bond
 	Backends toolstack.Backends
 
-	mu sync.Mutex
 	// router executes placed clone specs across a cluster (SetCloneRouter).
 	router CloneRouter
 
 	// trace is the sink attached with Observe; CloneOp falls back to it
 	// when its context carries no trace of its own.
-	trace atomic.Pointer[obs.Trace]
+	trace *obs.Trace
 }
 
 // NewPlatform builds a machine.
@@ -126,20 +123,20 @@ func (p *Platform) SetFaults(r *fault.Registry) {
 
 // Observe attaches a trace sink to the platform: every subsequent CloneOp
 // whose context carries no trace of its own records its span tree into t,
-// and the pool's opt-in hot-path instrumentation (pool lock wait, COW
-// faults) feeds the platform metrics registry. Passing nil detaches the
+// and the pool's opt-in hot-path instrumentation (COW faults, lazy-clone
+// drains) feeds the platform metrics registry. Passing nil detaches the
 // sink and restores the uninstrumented fast paths. Spans never charge the
 // virtual clock, so observed and unobserved runs produce identical
 // virtual-time results.
 func (p *Platform) Observe(t *obs.Trace) {
 	if t == nil {
-		p.trace.Store(nil)
+		p.trace = nil
 		p.HV.Memory.SetMetrics(nil)
 		return
 	}
 	t.SetMetrics(p.HV.Metrics())
 	p.HV.Memory.SetMetrics(p.HV.Metrics())
-	p.trace.Store(t)
+	p.trace = t
 }
 
 // Metrics returns the platform's metrics registry — the single registry

@@ -2,7 +2,6 @@ package devices
 
 import (
 	"strings"
-	"sync"
 
 	"nephele/internal/fault"
 	"nephele/internal/ring"
@@ -14,7 +13,6 @@ import (
 // creates per-domain state internally, without any changes to its code
 // base (§5.2.1). Each domain's console output accumulates in its own log.
 type ConsoleBackend struct {
-	mu     sync.Mutex
 	logs   map[uint32]*strings.Builder
 	rings  map[uint32]*ring.Ring
 	faults *fault.Registry
@@ -30,15 +28,11 @@ func NewConsoleBackend() *ConsoleBackend {
 
 // SetFaults installs a fault-injection registry on the clone path (tests).
 func (c *ConsoleBackend) SetFaults(r *fault.Registry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.faults = r
 }
 
 // Create attaches a console for domid with a fresh ring.
 func (c *ConsoleBackend) Create(domid uint32, meter *vclock.Meter) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if _, ok := c.rings[domid]; ok {
 		return
 	}
@@ -52,8 +46,6 @@ func (c *ConsoleBackend) Create(domid uint32, meter *vclock.Meter) {
 // debugging (§4.2). An injected fault fails the clone before any child
 // state is created.
 func (c *ConsoleBackend) Clone(parent, child uint32, meter *vclock.Meter) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if err := c.faults.Check(fault.PointDevConsoleClone); err != nil {
 		return err
 	}
@@ -69,16 +61,12 @@ func (c *ConsoleBackend) Clone(parent, child uint32, meter *vclock.Meter) error 
 
 // Remove drops a domain's console.
 func (c *ConsoleBackend) Remove(domid uint32) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	delete(c.rings, domid)
 	delete(c.logs, domid)
 }
 
 // Has reports whether a console exists for domid.
 func (c *ConsoleBackend) Has(domid uint32) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	_, ok := c.rings[domid]
 	return ok
 }
@@ -86,10 +74,8 @@ func (c *ConsoleBackend) Has(domid uint32) bool {
 // GuestWrite is the frontend path: the guest pushes console bytes through
 // its ring; the backend drains into the domain log.
 func (c *ConsoleBackend) GuestWrite(domid uint32, s string) error {
-	c.mu.Lock()
 	r, ok := c.rings[domid]
 	lg := c.logs[domid]
-	c.mu.Unlock()
 	if !ok {
 		return ErrNoDevice
 	}
@@ -102,17 +88,13 @@ func (c *ConsoleBackend) GuestWrite(domid uint32, s string) error {
 		if err != nil {
 			break
 		}
-		c.mu.Lock()
 		lg.Write(e.Payload)
-		c.mu.Unlock()
 	}
 	return nil
 }
 
 // Log returns the accumulated output of a domain's console.
 func (c *ConsoleBackend) Log(domid uint32) string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	lg, ok := c.logs[domid]
 	if !ok {
 		return ""

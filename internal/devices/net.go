@@ -2,7 +2,6 @@ package devices
 
 import (
 	"fmt"
-	"sync"
 
 	"nephele/internal/fault"
 	"nephele/internal/netsim"
@@ -24,8 +23,6 @@ const (
 // (guest) and a backend (Dom0 kernel) sharing TX and RX rings. The backend
 // side implements netsim.Endpoint so it can be enslaved into the bond.
 type Vif struct {
-	mu sync.Mutex
-
 	DomID uint32
 	Index int
 	MAC   netsim.MAC
@@ -69,8 +66,6 @@ func (v *Vif) prefillRX() {
 
 // State reports the Xenbus state.
 func (v *Vif) State() XenbusState {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	return v.state
 }
 
@@ -79,36 +74,27 @@ func (v *Vif) HWAddr() netsim.MAC { return v.MAC }
 
 // SetEgress plugs the backend into a switch's forwarding function.
 func (v *Vif) SetEgress(f func(p netsim.Packet)) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	v.egress = f
 }
 
 // GuestSend is the frontend transmit path: the guest pushes a packet into
 // the TX ring; the backend pops it and forwards to the switch.
 func (v *Vif) GuestSend(p netsim.Packet) error {
-	v.mu.Lock()
 	if v.state != StateConnected {
-		v.mu.Unlock()
 		return ErrNotConnected
 	}
-	tx := v.tx
-	v.mu.Unlock()
-	if err := tx.Push(ring.Entry{Payload: marshalPacket(p)}); err != nil {
+	if err := v.tx.Push(ring.Entry{Payload: marshalPacket(p)}); err != nil {
 		return err
 	}
 	// Backend service (netback softirq).
-	e, err := tx.Pop()
+	e, err := v.tx.Pop()
 	if err != nil {
 		return err
 	}
 	pkt := unmarshalPacket(e.Payload)
 	pkt.SrcMAC = v.MAC
-	v.mu.Lock()
-	egress := v.egress
-	v.mu.Unlock()
-	if egress != nil {
-		egress(pkt)
+	if v.egress != nil {
+		v.egress(pkt)
 	}
 	return nil
 }
@@ -116,24 +102,16 @@ func (v *Vif) GuestSend(p netsim.Packet) error {
 // Deliver implements netsim.Endpoint: the backend pushes an ingress packet
 // into the RX ring, where the frontend's next GuestReceive finds it.
 func (v *Vif) Deliver(p netsim.Packet) {
-	v.mu.Lock()
 	if v.state != StateConnected {
-		v.mu.Unlock()
 		return
 	}
-	rx := v.rx
-	cookie := v.rxBufCookie
-	v.mu.Unlock()
 	// A full ring drops the packet, like real netback under overload.
-	rx.Push(ring.Entry{Payload: marshalPacket(p), Meta: cookie})
+	v.rx.Push(ring.Entry{Payload: marshalPacket(p), Meta: v.rxBufCookie})
 }
 
 // GuestReceive pops one packet from the RX ring.
 func (v *Vif) GuestReceive() (netsim.Packet, bool) {
-	v.mu.Lock()
-	rx := v.rx
-	v.mu.Unlock()
-	e, err := rx.Pop()
+	e, err := v.rx.Pop()
 	if err != nil {
 		return netsim.Packet{}, false
 	}
@@ -142,8 +120,6 @@ func (v *Vif) GuestReceive() (netsim.Packet, bool) {
 
 // RXBacklog reports queued ingress packets.
 func (v *Vif) RXBacklog() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	return v.rx.Len()
 }
 
@@ -162,8 +138,6 @@ func (v *Vif) PrivatePages() int {
 // negotiation. The Linux netback change for this is 14 lines; here it is
 // this constructor.
 func (v *Vif) Clone(childDom uint32, meter *vclock.Meter) *Vif {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	c := &Vif{
 		DomID:       childDom,
 		Index:       v.Index,
@@ -182,8 +156,6 @@ func (v *Vif) Clone(childDom uint32, meter *vclock.Meter) *Vif {
 
 // Close moves the device to Closed.
 func (v *Vif) Close() {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	v.state = StateClosed
 }
 
@@ -225,7 +197,6 @@ func unmarshalPacket(b []byte) netsim.Packet {
 // and reacts to Xenstore entries by creating device state and emitting
 // udev events.
 type NetBackend struct {
-	mu     sync.Mutex
 	vifs   map[devKey]*Vif
 	udev   *UdevQueue
 	faults *fault.Registry
@@ -245,8 +216,6 @@ type devKey struct {
 
 // SetFaults installs a fault-injection registry on the clone path (tests).
 func (nb *NetBackend) SetFaults(r *fault.Registry) {
-	nb.mu.Lock()
-	defer nb.mu.Unlock()
 	nb.faults = r
 }
 
@@ -254,9 +223,7 @@ func (nb *NetBackend) SetFaults(r *fault.Registry) {
 // event that triggers xl's userspace operations.
 func (nb *NetBackend) CreateVif(domid uint32, index int, ip netsim.IP, meter *vclock.Meter) *Vif {
 	v := NewVif(domid, index, ip)
-	nb.mu.Lock()
 	nb.vifs[devKey{domid, index}] = v
-	nb.mu.Unlock()
 	meter.Charge(meter.Costs().BackendCreate, 1)
 	nb.udev.Emit(UdevEvent{Action: UdevAdd, Kind: "vif", DomID: domid, Index: index}, meter)
 	return v
@@ -265,28 +232,21 @@ func (nb *NetBackend) CreateVif(domid uint32, index int, ip netsim.IP, meter *vc
 // CloneVif is the clone path: reuse the parent device state, skip the
 // negotiation, emit udev for the userspace finalization (§5.2.1).
 func (nb *NetBackend) CloneVif(parent, child uint32, index int, meter *vclock.Meter) (*Vif, error) {
-	nb.mu.Lock()
-	faults := nb.faults
 	pv, ok := nb.vifs[devKey{parent, index}]
-	nb.mu.Unlock()
-	if err := faults.Check(fault.PointDevVifClone); err != nil {
+	if err := nb.faults.Check(fault.PointDevVifClone); err != nil {
 		return nil, err
 	}
 	if !ok {
 		return nil, fmt.Errorf("%w: vif %d/%d", ErrNoDevice, parent, index)
 	}
 	cv := pv.Clone(child, meter)
-	nb.mu.Lock()
 	nb.vifs[devKey{child, index}] = cv
-	nb.mu.Unlock()
 	nb.udev.Emit(UdevEvent{Action: UdevAdd, Kind: "vif", DomID: child, Index: index}, meter)
 	return cv, nil
 }
 
 // Vif looks a device up.
 func (nb *NetBackend) Vif(domid uint32, index int) (*Vif, error) {
-	nb.mu.Lock()
-	defer nb.mu.Unlock()
 	v, ok := nb.vifs[devKey{domid, index}]
 	if !ok {
 		return nil, fmt.Errorf("%w: vif %d/%d", ErrNoDevice, domid, index)
@@ -296,10 +256,8 @@ func (nb *NetBackend) Vif(domid uint32, index int) (*Vif, error) {
 
 // RemoveVif tears a device down, emitting the udev remove event.
 func (nb *NetBackend) RemoveVif(domid uint32, index int, meter *vclock.Meter) {
-	nb.mu.Lock()
 	v, ok := nb.vifs[devKey{domid, index}]
 	delete(nb.vifs, devKey{domid, index})
-	nb.mu.Unlock()
 	if !ok {
 		return
 	}
@@ -319,9 +277,7 @@ func (nb *NetBackend) plug(v *Vif, sw *Switch, meter *vclock.Meter) {
 // unplug undoes plug and the device behind it: switch detach, RemoveVif
 // and its udev remove event. It reports false when there is no such vif.
 func (nb *NetBackend) unplug(domid uint32, index int, sw *Switch, meter *vclock.Meter) bool {
-	nb.mu.Lock()
 	v := nb.vifs[devKey{domid, index}]
-	nb.mu.Unlock()
 	if v == nil {
 		return false
 	}
@@ -335,7 +291,5 @@ func (nb *NetBackend) unplug(domid uint32, index int, sw *Switch, meter *vclock.
 
 // Count reports the number of live vifs.
 func (nb *NetBackend) Count() int {
-	nb.mu.Lock()
-	defer nb.mu.Unlock()
 	return len(nb.vifs)
 }

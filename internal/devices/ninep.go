@@ -6,7 +6,6 @@ import (
 	"path"
 	"sort"
 	"strings"
-	"sync"
 
 	"nephele/internal/fault"
 	"nephele/internal/vclock"
@@ -31,7 +30,6 @@ var (
 // HostFS is the in-memory Dom0 filesystem exported over 9pfs — the
 // paper's ramdisk-backed root filesystem.
 type HostFS struct {
-	mu    sync.Mutex
 	files map[string][]byte // path -> contents; dirs are implicit
 }
 
@@ -42,15 +40,11 @@ func NewHostFS() *HostFS {
 
 // WriteFile stores contents at a cleaned absolute path.
 func (fs *HostFS) WriteFile(p string, data []byte) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	fs.files[path.Clean("/"+p)] = append([]byte(nil), data...)
 }
 
 // ReadFile returns the contents at p.
 func (fs *HostFS) ReadFile(p string) ([]byte, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	data, ok := fs.files[path.Clean("/"+p)]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoFile, p)
@@ -61,8 +55,6 @@ func (fs *HostFS) ReadFile(p string) ([]byte, error) {
 // Len reports a file's current length, or -1 if it does not exist,
 // without copying the contents.
 func (fs *HostFS) Len(p string) int {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	data, ok := fs.files[path.Clean("/"+p)]
 	if !ok {
 		return -1
@@ -73,8 +65,6 @@ func (fs *HostFS) Len(p string) int {
 // AppendFile extends a file in place (the hot path of dump serialization)
 // and returns the new length.
 func (fs *HostFS) AppendFile(p string, data []byte) int {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	key := path.Clean("/" + p)
 	fs.files[key] = append(fs.files[key], data...)
 	return len(fs.files[key])
@@ -82,11 +72,9 @@ func (fs *HostFS) AppendFile(p string, data []byte) int {
 
 // List returns the paths under prefix, sorted.
 func (fs *HostFS) List(prefix string) []string {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	prefix = path.Clean("/" + prefix)
 	var out []string
-	for p := range fs.files {
+	for p := range fs.files { //nephele:nondeterministic-ok — sorted below
 		if strings.HasPrefix(p, prefix) {
 			out = append(out, p)
 		}
@@ -97,8 +85,6 @@ func (fs *HostFS) List(prefix string) []string {
 
 // Remove deletes a file.
 func (fs *HostFS) Remove(p string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	p = path.Clean("/" + p)
 	if _, ok := fs.files[p]; !ok {
 		return fmt.Errorf("%w: %s", ErrNoFile, p)
@@ -131,7 +117,6 @@ type fidEntry struct {
 // QMP. Each domain has its own fid table (cloned from its parent's), but
 // they all share the process and the exported filesystem.
 type NinePProcess struct {
-	mu      sync.Mutex
 	fs      *HostFS
 	export  string // exported root
 	tables  map[uint32]map[Fid]*fidEntry
@@ -152,23 +137,17 @@ func NewNinePProcess(fs *HostFS, export string, domid uint32, meter *vclock.Mete
 
 // Serves reports whether the process serves domid.
 func (p *NinePProcess) Serves(domid uint32) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	_, ok := p.tables[domid]
 	return ok
 }
 
 // Domains reports how many domains the process serves.
 func (p *NinePProcess) Domains() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return len(p.tables)
 }
 
 // FidCount reports open fids for a domain.
 func (p *NinePProcess) FidCount(domid uint32) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return len(p.tables[domid])
 }
 
@@ -189,8 +168,6 @@ func (p *NinePProcess) resolve(guestPath string) string {
 
 // Walk+open: returns a fid for guestPath, creating the file if requested.
 func (p *NinePProcess) Open(domid uint32, guestPath string, create bool) (Fid, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	t, err := p.table(domid)
 	if err != nil {
 		return 0, err
@@ -210,8 +187,6 @@ func (p *NinePProcess) Open(domid uint32, guestPath string, create bool) (Fid, e
 
 // Read reads up to n bytes at the fid's offset.
 func (p *NinePProcess) Read(domid uint32, fid Fid, n int) ([]byte, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	t, err := p.table(domid)
 	if err != nil {
 		return nil, err
@@ -238,8 +213,6 @@ func (p *NinePProcess) Read(domid uint32, fid Fid, n int) ([]byte, error) {
 
 // Write appends buf at the fid's offset (extending the file).
 func (p *NinePProcess) Write(domid uint32, fid Fid, buf []byte) (int, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	t, err := p.table(domid)
 	if err != nil {
 		return 0, err
@@ -272,8 +245,6 @@ func (p *NinePProcess) Write(domid uint32, fid Fid, buf []byte) (int, error) {
 
 // Clunk closes a fid.
 func (p *NinePProcess) Clunk(domid uint32, fid Fid) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	t, err := p.table(domid)
 	if err != nil {
 		return err
@@ -296,14 +267,12 @@ type QMPCloneRequest struct {
 // duplicated from the parent's, entry by entry, preserving offsets — the
 // option Nephele picked over launching a backend process per clone.
 func (p *NinePProcess) HandleQMPClone(req QMPCloneRequest, meter *vclock.Meter) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	pt, err := p.table(req.Parent)
 	if err != nil {
 		return err
 	}
 	ct := make(map[Fid]*fidEntry, len(pt))
-	for fid, e := range pt {
+	for fid, e := range pt { //nephele:nondeterministic-ok — copies into a map; the charge counts entries
 		cp := *e
 		ct[fid] = &cp
 	}
@@ -316,8 +285,6 @@ func (p *NinePProcess) HandleQMPClone(req QMPCloneRequest, meter *vclock.Meter) 
 
 // DropDomain removes a domain's fid table (domain teardown).
 func (p *NinePProcess) DropDomain(domid uint32) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	delete(p.tables, domid)
 	delete(p.nextFid, domid)
 }
@@ -325,7 +292,6 @@ func (p *NinePProcess) DropDomain(domid uint32) {
 // NinePBackend is the Dom0-side registry of 9pfs backend processes: one
 // process per family, launched by xl when the parent boots.
 type NinePBackend struct {
-	mu        sync.Mutex
 	fs        *HostFS
 	processes map[uint32]*NinePProcess // domid -> serving process
 	faults    *fault.Registry
@@ -338,28 +304,21 @@ func NewNinePBackend(fs *HostFS) *NinePBackend {
 
 // SetFaults installs a fault-injection registry on the clone path (tests).
 func (b *NinePBackend) SetFaults(r *fault.Registry) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.faults = r
 }
 
 // Launch starts a backend process for a freshly booted guest.
 func (b *NinePBackend) Launch(domid uint32, export string, meter *vclock.Meter) *NinePProcess {
 	p := NewNinePProcess(b.fs, export, domid, meter)
-	b.mu.Lock()
 	b.processes[domid] = p
-	b.mu.Unlock()
 	return p
 }
 
 // Clone sends the QMP cloning request to the parent's process and
 // registers the child with the same process.
 func (b *NinePBackend) Clone(parent, child uint32, meter *vclock.Meter) error {
-	b.mu.Lock()
-	faults := b.faults
 	p, ok := b.processes[parent]
-	b.mu.Unlock()
-	if err := faults.Check(fault.PointDev9pfsClone); err != nil {
+	if err := b.faults.Check(fault.PointDev9pfsClone); err != nil {
 		return err
 	}
 	if !ok {
@@ -368,16 +327,12 @@ func (b *NinePBackend) Clone(parent, child uint32, meter *vclock.Meter) error {
 	if err := p.HandleQMPClone(QMPCloneRequest{Parent: parent, Child: child}, meter); err != nil {
 		return err
 	}
-	b.mu.Lock()
 	b.processes[child] = p
-	b.mu.Unlock()
 	return nil
 }
 
 // Process returns the backend process serving domid.
 func (b *NinePBackend) Process(domid uint32) (*NinePProcess, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	p, ok := b.processes[domid]
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrNoProcess, domid)
@@ -389,10 +344,8 @@ func (b *NinePBackend) Process(domid uint32) (*NinePProcess, error) {
 // quantity the per-clone-process alternative would blow up (ablation
 // BenchmarkAblation9pfsBackend).
 func (b *NinePBackend) ProcessCount() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	seen := make(map[*NinePProcess]struct{})
-	for _, p := range b.processes {
+	for _, p := range b.processes { //nephele:nondeterministic-ok — counts distinct processes
 		seen[p] = struct{}{}
 	}
 	return len(seen)
@@ -400,10 +353,8 @@ func (b *NinePBackend) ProcessCount() int {
 
 // Remove drops a domain from its process, reporting whether one served it.
 func (b *NinePBackend) Remove(domid uint32) bool {
-	b.mu.Lock()
 	p, ok := b.processes[domid]
 	delete(b.processes, domid)
-	b.mu.Unlock()
 	if ok {
 		p.DropDomain(domid)
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"nephele/internal/fault"
 	"nephele/internal/fnv1a"
@@ -41,7 +40,6 @@ var (
 // repeated filesystem blocks, the same distro image reused by another
 // backend — are stored once.
 type BaseStore struct {
-	mu     sync.Mutex
 	chunks map[uint64][]byte
 	reused int // intern calls answered by an existing chunk
 }
@@ -56,8 +54,6 @@ func NewBaseStore() *BaseStore {
 // resolved by deterministic linear probing on the verified bytes.
 func (st *BaseStore) intern(chunk []byte) uint64 {
 	h := fnv1a.Bytes(fnv1a.Offset, chunk)
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	for {
 		got, ok := st.chunks[h]
 		if !ok {
@@ -74,17 +70,13 @@ func (st *BaseStore) intern(chunk []byte) uint64 {
 
 // chunk returns the stored bytes of a hash (nil if unknown).
 func (st *BaseStore) chunk(h uint64) []byte {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	return st.chunks[h]
 }
 
 // Stats reports the interning effectiveness: distinct chunks resident,
 // bytes they hold, and how many intern calls were deduplicated.
 func (st *BaseStore) Stats() (chunks, bytes, reused int) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for _, c := range st.chunks {
+	for _, c := range st.chunks { //nephele:nondeterministic-ok — sums chunk sizes
 		bytes += len(c)
 	}
 	return len(st.chunks), bytes, st.reused
@@ -100,8 +92,6 @@ type vbdLayer struct {
 // Vbd is one virtual block device instance (one domain's view): a private
 // dirty map over the frozen chain over the shared base.
 type Vbd struct {
-	mu sync.Mutex
-
 	DomID uint32
 	Index int
 
@@ -123,14 +113,12 @@ func (v *Vbd) Sectors() uint64 {
 
 // State reports the Xenbus state.
 func (v *Vbd) State() XenbusState {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	return v.state
 }
 
-// lookupLocked resolves one sector through the COW chain: dirty map, then
+// lookup resolves one sector through the COW chain: dirty map, then
 // frozen layers newest to oldest, then nil (read the base).
-func (v *Vbd) lookupLocked(sector uint64) []byte {
+func (v *Vbd) lookup(sector uint64) []byte {
 	if data, ok := v.dirty[sector]; ok {
 		return data
 	}
@@ -146,14 +134,12 @@ func (v *Vbd) lookupLocked(sector uint64) []byte {
 // has privatized away from the base — its dirty map plus every frozen
 // layer it inherited.
 func (v *Vbd) OverlaySectors() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	seen := make(map[uint64]struct{}, len(v.dirty))
-	for s := range v.dirty {
+	for s := range v.dirty { //nephele:nondeterministic-ok — builds a set; only its size is read
 		seen[s] = struct{}{}
 	}
 	for _, l := range v.frozen {
-		for s := range l.sectors {
+		for s := range l.sectors { //nephele:nondeterministic-ok — builds a set; only its size is read
 			seen[s] = struct{}{}
 		}
 	}
@@ -162,22 +148,16 @@ func (v *Vbd) OverlaySectors() int {
 
 // Layers reports the frozen-chain depth (tests and stats).
 func (v *Vbd) Layers() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	return len(v.frozen)
 }
 
 // Stats reports request counters.
 func (v *Vbd) Stats() (reads, writes int) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	return v.reads, v.writes
 }
 
 // ReadSector returns one sector, resolving the COW chain before the base.
 func (v *Vbd) ReadSector(sector uint64) ([]byte, error) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	if v.state != StateConnected {
 		return nil, ErrNotConnected
 	}
@@ -185,7 +165,7 @@ func (v *Vbd) ReadSector(sector uint64) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %d of %d", ErrBadSector, sector, v.Sectors())
 	}
 	v.reads++
-	if data := v.lookupLocked(sector); data != nil {
+	if data := v.lookup(sector); data != nil {
 		return append([]byte(nil), data...), nil
 	}
 	return v.backend.readBaseSector(sector), nil
@@ -198,15 +178,13 @@ func (v *Vbd) WriteSector(sector uint64, data []byte, meter *vclock.Meter) error
 	if len(data) != SectorSize {
 		return fmt.Errorf("devices: vbd write of %d bytes, want %d", len(data), SectorSize)
 	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	if v.state != StateConnected {
 		return ErrNotConnected
 	}
 	if sector >= v.Sectors() {
 		return fmt.Errorf("%w: %d of %d", ErrBadSector, sector, v.Sectors())
 	}
-	if v.lookupLocked(sector) == nil {
+	if v.lookup(sector) == nil {
 		meter.Charge(meter.Costs().PageCopy, 1)
 	}
 	v.dirty[sector] = append([]byte(nil), data...)
@@ -219,19 +197,17 @@ func (v *Vbd) WriteSector(sector uint64, data []byte, meter *vclock.Meter) error
 // This is the commit path: a sandbox manager reads it to write a
 // sandbox's dirty blocks back out before destroying it.
 func (v *Vbd) Modified() (sectors []uint64, data [][]byte) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	flat := make(map[uint64][]byte)
 	for _, l := range v.frozen {
-		for s, d := range l.sectors {
+		for s, d := range l.sectors { //nephele:nondeterministic-ok — a map per sector; layers apply in slice order
 			flat[s] = d
 		}
 	}
-	for s, d := range v.dirty {
+	for s, d := range v.dirty { //nephele:nondeterministic-ok — a map per sector; the dirty map applies last
 		flat[s] = d
 	}
 	sectors = make([]uint64, 0, len(flat))
-	for s := range flat {
+	for s := range flat { //nephele:nondeterministic-ok — sorted below
 		sectors = append(sectors, s)
 	}
 	sort.Slice(sectors, func(i, j int) bool { return sectors[i] < sectors[j] })
@@ -244,8 +220,6 @@ func (v *Vbd) Modified() (sectors []uint64, data [][]byte) {
 
 // Close moves the device to Closed.
 func (v *Vbd) Close() {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	v.state = StateClosed
 }
 
@@ -253,7 +227,6 @@ func (v *Vbd) Close() {
 // chunks in a BaseStore, possibly shared with other backends) plus
 // per-domain device instances.
 type VbdBackend struct {
-	mu     sync.Mutex
 	store  *BaseStore
 	base   []uint64 // chunk hash per BaseChunkSectors-sized stretch
 	size   int      // base image bytes (whole sectors); immutable
@@ -300,8 +273,6 @@ func (b *VbdBackend) readBaseSector(sector uint64) []byte {
 
 // SetFaults installs a fault-injection registry on the clone path (tests).
 func (b *VbdBackend) SetFaults(r *fault.Registry) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.faults = r
 }
 
@@ -314,9 +285,7 @@ func (b *VbdBackend) Create(domid uint32, index int, meter *vclock.Meter) *Vbd {
 		dirty:   make(map[uint64][]byte),
 		state:   StateConnected,
 	}
-	b.mu.Lock()
 	b.vbds[devKey{domid, index}] = v
-	b.mu.Unlock()
 	meter.Charge(meter.Costs().BackendCreate, 1)
 	return v
 }
@@ -328,24 +297,19 @@ func (b *VbdBackend) Create(domid uint32, index int, meter *vclock.Meter) *Vbd {
 // so the clone is O(1) in the number of dirty sectors: no bytes move,
 // only the device-state clone is charged.
 func (b *VbdBackend) Clone(parent, child uint32, index int, meter *vclock.Meter) (*Vbd, error) {
-	b.mu.Lock()
-	faults := b.faults
 	pv, ok := b.vbds[devKey{parent, index}]
-	b.mu.Unlock()
-	if err := faults.Check(fault.PointDevVbdClone); err != nil {
+	if err := b.faults.Check(fault.PointDevVbdClone); err != nil {
 		return nil, err
 	}
 	if !ok {
 		return nil, fmt.Errorf("%w: %d/%d", ErrNoVbd, parent, index)
 	}
-	pv.mu.Lock()
 	if len(pv.dirty) > 0 {
 		pv.frozen = append(pv.frozen, &vbdLayer{sectors: pv.dirty})
 		pv.dirty = make(map[uint64][]byte)
 	}
 	chain := make([]*vbdLayer, len(pv.frozen))
 	copy(chain, pv.frozen)
-	pv.mu.Unlock()
 	cv := &Vbd{
 		DomID:   child,
 		Index:   index,
@@ -354,17 +318,13 @@ func (b *VbdBackend) Clone(parent, child uint32, index int, meter *vclock.Meter)
 		frozen:  chain,
 		state:   StateConnected,
 	}
-	b.mu.Lock()
 	b.vbds[devKey{child, index}] = cv
-	b.mu.Unlock()
 	meter.Charge(meter.Costs().CloneDeviceState, 1)
 	return cv, nil
 }
 
 // Vbd looks a device up.
 func (b *VbdBackend) Vbd(domid uint32, index int) (*Vbd, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	v, ok := b.vbds[devKey{domid, index}]
 	if !ok {
 		return nil, fmt.Errorf("%w: %d/%d", ErrNoVbd, domid, index)
@@ -374,10 +334,8 @@ func (b *VbdBackend) Vbd(domid uint32, index int) (*Vbd, error) {
 
 // Remove tears a device down, reporting whether it existed.
 func (b *VbdBackend) Remove(domid uint32, index int) bool {
-	b.mu.Lock()
 	v, ok := b.vbds[devKey{domid, index}]
 	delete(b.vbds, devKey{domid, index})
-	b.mu.Unlock()
 	if ok {
 		v.Close()
 	}
@@ -386,7 +344,5 @@ func (b *VbdBackend) Remove(domid uint32, index int) bool {
 
 // Count reports live devices.
 func (b *VbdBackend) Count() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	return len(b.vbds)
 }

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"sync"
 
 	"nephele/internal/vclock"
 	"nephele/internal/xenstore"
@@ -216,7 +215,6 @@ type UdevEvent struct {
 // queue is a host without udev: Emit drops the event uncharged and TryRecv
 // finds none.
 type UdevQueue struct {
-	mu     sync.Mutex
 	events []UdevEvent // unread from head on, oldest first
 	head   int
 }
@@ -230,9 +228,7 @@ func (q *UdevQueue) Emit(ev UdevEvent, meter *vclock.Meter) {
 		return
 	}
 	meter.Charge(meter.Costs().UdevEvent, 1)
-	q.mu.Lock()
 	q.events = append(q.events, ev)
-	q.mu.Unlock()
 }
 
 // TryRecv returns the oldest unread event, if any.
@@ -240,8 +236,6 @@ func (q *UdevQueue) TryRecv() (UdevEvent, bool) {
 	if q == nil {
 		return UdevEvent{}, false
 	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	if q.head == len(q.events) {
 		return UdevEvent{}, false
 	}

@@ -8,7 +8,6 @@ package evtchn
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"nephele/internal/mem"
 	"nephele/internal/vclock"
@@ -101,7 +100,6 @@ func (dt *domainTable) peek(p Port) channel {
 
 // Subsystem is the machine-wide event channel state.
 type Subsystem struct {
-	mu      sync.Mutex
 	maxPort int
 	domains map[mem.DomID]*domainTable
 	virqs   map[VIRQ]map[mem.DomID]Port // virq -> (dom -> port bound)
@@ -120,8 +118,6 @@ func New(maxPorts int) *Subsystem {
 
 // AddDomain registers a domain with an empty port table.
 func (s *Subsystem) AddDomain(dom mem.DomID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	// Port 0 is reserved, like on Xen.
 	s.domains[dom] = &domainTable{
 		dom:      dom,
@@ -131,8 +127,6 @@ func (s *Subsystem) AddDomain(dom mem.DomID) {
 
 // RemoveDomain tears a domain's channels down, resetting any peers.
 func (s *Subsystem) RemoveDomain(dom mem.DomID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	dt := s.domains[dom]
 	if dt == nil {
 		return
@@ -157,9 +151,9 @@ func (s *Subsystem) RemoveDomain(dom mem.DomID) {
 	delete(s.domains, dom)
 }
 
-// allocPortLocked returns the lowest free port: a freed slot of the table
+// allocPort returns the lowest free port: a freed slot of the table
 // if there is one, else the first port past its end.
-func (s *Subsystem) allocPortLocked(dt *domainTable) (Port, error) {
+func (s *Subsystem) allocPort(dt *domainTable) (Port, error) {
 	for p := 1; p < len(dt.channels); p++ {
 		if dt.channels[p].state == StateFree {
 			return Port(p), nil
@@ -174,7 +168,7 @@ func (s *Subsystem) allocPortLocked(dt *domainTable) (Port, error) {
 // validPort reports whether p is a usable port number (port 0 is reserved).
 func (s *Subsystem) validPort(p Port) bool { return int(p) > 0 && int(p) < s.maxPort }
 
-func (s *Subsystem) tableLocked(dom mem.DomID) (*domainTable, error) {
+func (s *Subsystem) tableOf(dom mem.DomID) (*domainTable, error) {
 	dt := s.domains[dom]
 	if dt == nil {
 		return nil, fmt.Errorf("%w: %d", ErrNoSuchDom, dom)
@@ -186,13 +180,11 @@ func (s *Subsystem) tableLocked(dom mem.DomID) (*domainTable, error) {
 // (EVTCHNOP_alloc_unbound). remote may be mem.DomIDChild, producing a
 // wildcard endpoint for future clones.
 func (s *Subsystem) AllocUnbound(dom, remote mem.DomID) (Port, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	dt, err := s.tableLocked(dom)
+	dt, err := s.tableOf(dom)
 	if err != nil {
 		return 0, err
 	}
-	p, err := s.allocPortLocked(dt)
+	p, err := s.allocPort(dt)
 	if err != nil {
 		return 0, err
 	}
@@ -209,13 +201,11 @@ func (s *Subsystem) AllocUnbound(dom, remote mem.DomID) (Port, error) {
 // BindInterdomain binds a local port on dom to an unbound remote port
 // (EVTCHNOP_bind_interdomain).
 func (s *Subsystem) BindInterdomain(dom, remoteDom mem.DomID, remotePort Port) (Port, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	dt, err := s.tableLocked(dom)
+	dt, err := s.tableOf(dom)
 	if err != nil {
 		return 0, err
 	}
-	rt, err := s.tableLocked(remoteDom)
+	rt, err := s.tableOf(remoteDom)
 	if err != nil {
 		return 0, err
 	}
@@ -225,7 +215,7 @@ func (s *Subsystem) BindInterdomain(dom, remoteDom mem.DomID, remotePort Port) (
 	if rch := rt.peek(remotePort); rch.state != StateUnbound || (rch.remoteDom != dom && rch.remoteDom != mem.DomIDInvalid) {
 		return 0, fmt.Errorf("%w: remote port %d is %v", ErrBadState, remotePort, rch.state)
 	}
-	p, err := s.allocPortLocked(dt)
+	p, err := s.allocPort(dt)
 	if err != nil {
 		return 0, err
 	}
@@ -241,13 +231,11 @@ func (s *Subsystem) BindInterdomain(dom, remoteDom mem.DomID, remotePort Port) (
 
 // BindVIRQ binds a virtual interrupt line to a fresh port on dom.
 func (s *Subsystem) BindVIRQ(dom mem.DomID, v VIRQ) (Port, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	dt, err := s.tableLocked(dom)
+	dt, err := s.tableOf(dom)
 	if err != nil {
 		return 0, err
 	}
-	p, err := s.allocPortLocked(dt)
+	p, err := s.allocPort(dt)
 	if err != nil {
 		return 0, err
 	}
@@ -261,9 +249,7 @@ func (s *Subsystem) BindVIRQ(dom mem.DomID, v VIRQ) (Port, error) {
 
 // Close frees a port.
 func (s *Subsystem) Close(dom mem.DomID, p Port) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	dt, err := s.tableLocked(dom)
+	dt, err := s.tableOf(dom)
 	if err != nil {
 		return err
 	}
@@ -297,9 +283,7 @@ func (s *Subsystem) Close(dom mem.DomID, p Port) error {
 // before any clone exists it is a no-op, like signalling an empty process
 // group.
 func (s *Subsystem) Send(dom mem.DomID, p Port) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	dt, err := s.tableLocked(dom)
+	dt, err := s.tableOf(dom)
 	if err != nil {
 		return err
 	}
@@ -309,7 +293,7 @@ func (s *Subsystem) Send(dom mem.DomID, p Port) error {
 	ch := dt.peek(p)
 	switch ch.state {
 	case StateInterdomain:
-		s.raiseLocked(ch.remoteDom, ch.remotePort)
+		s.raise(ch.remoteDom, ch.remotePort)
 	case StateChildWildcard, StateUnbound:
 		// Not connected yet; drop, as Xen does for unbound sends.
 	default:
@@ -321,17 +305,15 @@ func (s *Subsystem) Send(dom mem.DomID, p Port) error {
 // RaiseVIRQ raises a virtual interrupt on every domain bound to it,
 // charging delivery cost to the meter.
 func (s *Subsystem) RaiseVIRQ(v VIRQ, meter *vclock.Meter) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for dom, port := range s.virqs[v] {
-		s.raiseLocked(dom, port)
+		s.raise(dom, port)
 	}
 	meter.Charge(meter.Costs().VIRQDeliver, len(s.virqs[v]))
 }
 
-// raiseLocked marks the port pending; the receiving domain sees it on its
+// raise marks the port pending; the receiving domain sees it on its
 // next Pending check.
-func (s *Subsystem) raiseLocked(dom mem.DomID, p Port) {
+func (s *Subsystem) raise(dom mem.DomID, p Port) {
 	dt := s.domains[dom]
 	if dt == nil || !s.validPort(p) {
 		return
@@ -341,8 +323,6 @@ func (s *Subsystem) raiseLocked(dom mem.DomID, p Port) {
 
 // Pending reports and clears the pending bit of a port.
 func (s *Subsystem) Pending(dom mem.DomID, p Port) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	dt := s.domains[dom]
 	if dt == nil || int(p) <= 0 || int(p) >= len(dt.channels) {
 		return false // no slot, so never raised
@@ -354,8 +334,6 @@ func (s *Subsystem) Pending(dom mem.DomID, p Port) bool {
 
 // State reports the state of a port.
 func (s *Subsystem) State(dom mem.DomID, p Port) State {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	dt := s.domains[dom]
 	if dt == nil || int(p) < 0 {
 		return StateFree
@@ -365,9 +343,7 @@ func (s *Subsystem) State(dom mem.DomID, p Port) State {
 
 // Peer returns the remote end of an interdomain channel.
 func (s *Subsystem) Peer(dom mem.DomID, p Port) (mem.DomID, Port, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	dt, err := s.tableLocked(dom)
+	dt, err := s.tableOf(dom)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -394,14 +370,12 @@ type CloneStats struct {
 // are connected between parent and child: the child is implicitly bound to
 // all the IDC channels of its parent (§5.2.2).
 func (s *Subsystem) CloneDomain(parent, child mem.DomID, meter *vclock.Meter) (CloneStats, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var st CloneStats
-	pt, err := s.tableLocked(parent)
+	pt, err := s.tableOf(parent)
 	if err != nil {
 		return st, err
 	}
-	ct, err := s.tableLocked(child)
+	ct, err := s.tableOf(child)
 	if err != nil {
 		return st, err
 	}
@@ -449,9 +423,7 @@ func (s *Subsystem) CloneDomain(parent, child mem.DomID, meter *vclock.Meter) (C
 // SendToChild delivers a notification from a parent wildcard port to one
 // specific child (the hypervisor knows the family). Used by the IDC layer.
 func (s *Subsystem) SendToChild(parent mem.DomID, p Port, child mem.DomID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	pt, err := s.tableLocked(parent)
+	pt, err := s.tableOf(parent)
 	if err != nil {
 		return err
 	}
@@ -461,16 +433,14 @@ func (s *Subsystem) SendToChild(parent mem.DomID, p Port, child mem.DomID) error
 	if st := pt.peek(p).state; st != StateChildWildcard {
 		return fmt.Errorf("%w: port %d is %v, want child-wildcard", ErrBadState, p, st)
 	}
-	s.raiseLocked(child, p)
+	s.raise(child, p)
 	return nil
 }
 
 // NotifyParent delivers a notification from a cloned child IDC port to the
 // parent's wildcard endpoint.
 func (s *Subsystem) NotifyParent(child mem.DomID, p Port) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ct, err := s.tableLocked(child)
+	ct, err := s.tableOf(child)
 	if err != nil {
 		return err
 	}
@@ -481,15 +451,13 @@ func (s *Subsystem) NotifyParent(child mem.DomID, p Port) error {
 	if ch.state != StateInterdomain {
 		return fmt.Errorf("%w: port %d is %v", ErrBadState, p, ch.state)
 	}
-	s.raiseLocked(ch.remoteDom, ch.remotePort)
+	s.raise(ch.remoteDom, ch.remotePort)
 	return nil
 }
 
 // PortCount returns the number of non-free ports of a domain (for clone
 // accounting and tests).
 func (s *Subsystem) PortCount(dom mem.DomID) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	dt := s.domains[dom]
 	if dt == nil {
 		return 0

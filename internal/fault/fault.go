@@ -16,7 +16,6 @@ package fault
 import (
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // Kind classifies an injected failure.
@@ -227,10 +226,10 @@ type rule struct {
 	hits    int // hits since this rule was armed
 }
 
-// Registry holds the armed fault points and their hit counters. All
-// methods are safe for concurrent use; a nil *Registry never fires.
+// Registry holds the armed fault points and their hit counters. It is
+// driven by the one goroutine that drives its platform; a nil *Registry
+// never fires.
 type Registry struct {
-	mu    sync.Mutex
 	rules map[string]*rule
 	hits  map[string]int // per-point hits, armed or not
 	fired map[string]int // per-point injected failures
@@ -249,8 +248,6 @@ func NewRegistry() *Registry {
 // Inject arms point with a trigger policy and error kind, replacing any
 // previous rule (and its hit counter) for that point.
 func (r *Registry) Inject(point string, tr Trigger, kind Kind) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.rules[point] = &rule{trigger: tr, kind: kind}
 }
 
@@ -259,8 +256,6 @@ func (r *Registry) Clear(point string) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	delete(r.rules, point)
 }
 
@@ -269,8 +264,6 @@ func (r *Registry) Reset() {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.rules = make(map[string]*rule)
 	r.hits = make(map[string]int)
 	r.fired = make(map[string]int)
@@ -282,8 +275,6 @@ func (r *Registry) Check(point string) error {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.hits[point]++
 	rl, ok := r.rules[point]
 	if !ok {
@@ -302,8 +293,6 @@ func (r *Registry) Hits(point string) int {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.hits[point]
 }
 
@@ -312,8 +301,6 @@ func (r *Registry) Fired(point string) int {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.fired[point]
 }
 
@@ -322,8 +309,6 @@ func (r *Registry) TotalFired() int {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	total := 0
 	for _, n := range r.fired {
 		total += n

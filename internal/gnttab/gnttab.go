@@ -9,7 +9,6 @@ package gnttab
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"nephele/internal/mem"
 	"nephele/internal/vclock"
@@ -66,7 +65,6 @@ func (t *table) slot(ref int) *entry {
 
 // Subsystem is the machine-wide grant table state.
 type Subsystem struct {
-	mu      sync.Mutex
 	size    int
 	domains map[mem.DomID]*table
 }
@@ -79,19 +77,15 @@ func New(size int) *Subsystem {
 
 // AddDomain registers a domain.
 func (s *Subsystem) AddDomain(dom mem.DomID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.domains[dom] = &table{}
 }
 
 // RemoveDomain drops a domain's table.
 func (s *Subsystem) RemoveDomain(dom mem.DomID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	delete(s.domains, dom)
 }
 
-func (s *Subsystem) tableLocked(dom mem.DomID) (*table, error) {
+func (s *Subsystem) tableOf(dom mem.DomID) (*table, error) {
 	t := s.domains[dom]
 	if t == nil {
 		return nil, fmt.Errorf("%w: %d", ErrNoSuchDom, dom)
@@ -103,9 +97,7 @@ func (s *Subsystem) tableLocked(dom mem.DomID) (*table, error) {
 // grantee may be mem.DomIDChild together with FlagIDC for pages shared
 // with future clones.
 func (s *Subsystem) Grant(dom mem.DomID, grantee mem.DomID, frame mem.MFN, flags Flags) (Ref, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, err := s.tableLocked(dom)
+	t, err := s.tableOf(dom)
 	if err != nil {
 		return 0, err
 	}
@@ -124,13 +116,11 @@ func (s *Subsystem) Grant(dom mem.DomID, grantee mem.DomID, frame mem.MFN, flags
 
 // End revokes a grant entry (GNTTABOP_end_access). Fails while mapped.
 func (s *Subsystem) End(dom mem.DomID, ref Ref) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, err := s.tableLocked(dom)
+	t, err := s.tableOf(dom)
 	if err != nil {
 		return err
 	}
-	e, err := s.entryLocked(t, ref)
+	e, err := s.entryOf(t, ref)
 	if err != nil {
 		return err
 	}
@@ -141,9 +131,9 @@ func (s *Subsystem) End(dom mem.DomID, ref Ref) error {
 	return nil
 }
 
-// entryLocked returns the active entry of ref: a ref beyond the limit is
+// entryOf returns the active entry of ref: a ref beyond the limit is
 // bad, one below it that is revoked or has no slot yet is inactive.
-func (s *Subsystem) entryLocked(t *table, ref Ref) (*entry, error) {
+func (s *Subsystem) entryOf(t *table, ref Ref) (*entry, error) {
 	if int(ref) < 0 || int(ref) >= s.size {
 		return nil, fmt.Errorf("%w: %d", ErrBadRef, ref)
 	}
@@ -159,13 +149,11 @@ func (s *Subsystem) entryLocked(t *table, ref Ref) (*entry, error) {
 // caller (hypervisor) passes isFamilyChild after consulting the family
 // tree, keeping this package independent of domain management.
 func (s *Subsystem) Map(granter mem.DomID, ref Ref, mapper mem.DomID, isFamilyChild bool) (mem.MFN, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, err := s.tableLocked(granter)
+	t, err := s.tableOf(granter)
 	if err != nil {
 		return 0, false, err
 	}
-	e, err := s.entryLocked(t, ref)
+	e, err := s.entryOf(t, ref)
 	if err != nil {
 		return 0, false, err
 	}
@@ -179,13 +167,11 @@ func (s *Subsystem) Map(granter mem.DomID, ref Ref, mapper mem.DomID, isFamilyCh
 
 // Unmap releases one mapping of (granter, ref).
 func (s *Subsystem) Unmap(granter mem.DomID, ref Ref) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, err := s.tableLocked(granter)
+	t, err := s.tableOf(granter)
 	if err != nil {
 		return err
 	}
-	e, err := s.entryLocked(t, ref)
+	e, err := s.entryOf(t, ref)
 	if err != nil {
 		return err
 	}
@@ -206,9 +192,7 @@ type Entry struct {
 
 // Entries lists the active grants of a domain.
 func (s *Subsystem) Entries(dom mem.DomID) ([]Entry, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, err := s.tableLocked(dom)
+	t, err := s.tableOf(dom)
 	if err != nil {
 		return nil, err
 	}
@@ -248,14 +232,12 @@ type CloneStats struct {
 // frame is family-shared). Entries granting to DOMID_CHILD stay wildcard
 // grants in the child too, so a clone can itself become a parent.
 func (s *Subsystem) CloneDomain(parent, child mem.DomID, xlate func(mem.MFN) mem.MFN, meter *vclock.Meter) (CloneStats, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var st CloneStats
-	pt, err := s.tableLocked(parent)
+	pt, err := s.tableOf(parent)
 	if err != nil {
 		return st, err
 	}
-	ct, err := s.tableLocked(child)
+	ct, err := s.tableOf(child)
 	if err != nil {
 		return st, err
 	}

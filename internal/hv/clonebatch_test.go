@@ -267,9 +267,7 @@ func TestCloneBatchRejectsNonPositiveCount(t *testing.T) {
 		if parents[0].Paused() {
 			t.Errorf("N=%d: refused request left its parent paused", bad)
 		}
-		parents[0].mu.Lock()
 		made := parents[0].clone.made
-		parents[0].mu.Unlock()
 		if made != 0 {
 			t.Errorf("N=%d: refused request moved the clone budget to %d", bad, made)
 		}

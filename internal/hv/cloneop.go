@@ -59,8 +59,6 @@ func (h *Hypervisor) DomctlSetCloning(id DomID, enabled bool, maxClones int) err
 	if err != nil {
 		return err
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.clone.enabled = enabled
 	d.clone.maxClones = maxClones
 	return nil
@@ -69,8 +67,6 @@ func (h *Hypervisor) DomctlSetCloning(id DomID, enabled bool, maxClones int) err
 // SetCloningEnabled toggles cloning globally; xencloned enables it when it
 // starts (§5.1).
 func (h *Hypervisor) SetCloningEnabled(on bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	h.cloningEnabled = on
 }
 
@@ -100,30 +96,26 @@ type CloneResult struct {
 
 // cloneRecord is one request's completion record. refs counts the
 // children whose second stage is still outstanding plus one reference the
-// request holds until Clone returns, so an asynchronous Serve that
-// completes the early children cannot resume the parent mid-request.
-// CloneCompletion and CloneAbort each release one reference. refs and
-// parent are guarded by the hypervisor lock.
+// request holds until Clone returns, so a request that built no child
+// closes Done as well. CloneCompletion and CloneAbort each release one
+// reference.
 type cloneRecord struct {
 	parent *Domain
 	refs   int
-	done   chan struct{}
+	Done   chan struct{} // the request's CloneResult.Done
 }
 
 // release drops one reference on rec. The last one resumes the parent,
-// unless a failed request already did, and closes done.
+// unless a failed request already did, and closes Done.
 func (h *Hypervisor) release(rec *cloneRecord) {
-	h.mu.Lock()
 	rec.refs--
-	last, parent := rec.refs == 0, rec.parent
-	h.mu.Unlock()
-	if !last {
+	if rec.refs > 0 {
 		return
 	}
-	if parent != nil {
-		parent.unpause()
+	if rec.parent != nil {
+		rec.parent.unpause()
 	}
-	close(rec.done)
+	close(rec.Done)
 }
 
 // Clone is the clone subcommand of the CLONEOP hypercall: it runs the
@@ -132,11 +124,11 @@ func (h *Hypervisor) release(rec *cloneRecord) {
 // req.N children whose IDs are returned, mirroring the array the real
 // hypercall fills in. The parent is paused until xencloned completes the
 // second stage for every child; the result's Done channel is closed once
-// all completions arrived and the parent has been resumed, so callers can
-// block on it for fork()-like synchronous semantics. The request's
-// completion record (cloneRecord) does the counting: whichever goroutine
-// reports the last child — or Clone itself, when an asynchronous Serve
-// finished every child before it returned — resumes the parent.
+// all completions arrived and the parent has been resumed. The request's
+// completion record (cloneRecord) does the counting: the report of the
+// last child resumes the parent. Done is kept for benchmark/, which waits
+// on it; every caller in this module drives the second stage itself on
+// the same goroutine before it looks.
 //
 // req.CopyRing selects the I/O-ring clone policy for the address-space
 // pages tagged KindIORing (network rings are copied; the console ring page
@@ -166,14 +158,11 @@ func (h *Hypervisor) Clone(req CloneRequest) CloneResult {
 	}
 	n := req.N
 
-	// Reserve the child IDs up front so a concurrent caller cannot
-	// interleave its children with this request's. A request whose IDs
-	// would reach the reserved range fails as a whole.
+	// Reserve the child IDs up front: a request whose IDs would reach the
+	// reserved range fails as a whole.
 	first, err := h.reserveDomIDs(n)
 	if err != nil {
-		parent.mu.Lock()
 		parent.clone.made -= n
-		parent.mu.Unlock()
 		h.met.cloneFailures.Inc()
 		return CloneResult{Err: err}
 	}
@@ -188,7 +177,7 @@ func (h *Hypervisor) Clone(req CloneRequest) CloneResult {
 	faults := ctx.Faults(h.Faults())
 	stats := &CloneOpStats{}
 	children := make([]DomID, 0, n)
-	rec := &cloneRecord{parent: parent, refs: 1, done: make(chan struct{})}
+	rec := &cloneRecord{parent: parent, refs: 1, Done: make(chan struct{})}
 	used := 0 // IDs consumed: a child that fails past the gate keeps its ID
 	for i := 0; i < n; i++ {
 		if err = faults.Check(fault.PointHVCloneOne); err != nil {
@@ -200,9 +189,7 @@ func (h *Hypervisor) Clone(req CloneRequest) CloneResult {
 		if child, st, err = h.cloneOne(parent, first+DomID(i), req.CopyRing, req.Mode, ctx); err != nil {
 			break
 		}
-		parent.mu.Lock()
 		parent.children = append(parent.children, child.ID)
-		parent.mu.Unlock()
 		stats.Memory.SharedPages += st.Memory.SharedPages
 		stats.Memory.PrivateCopies += st.Memory.PrivateCopies
 		stats.Memory.PrivateFresh += st.Memory.PrivateFresh
@@ -230,19 +217,12 @@ func (h *Hypervisor) Clone(req CloneRequest) CloneResult {
 		children = append(children, child.ID)
 	}
 	if err != nil {
-		// Return the unused IDs unless a concurrent caller reserved more in
-		// the meantime.
-		h.mu.Lock()
-		if h.nextDom == first+DomID(n) {
-			h.nextDom = first + DomID(used)
-		}
+		// Return the unused IDs.
+		h.nextDom = first + DomID(used)
 		// The parent resumes now; the built children's reports must not
 		// resume it again.
 		rec.parent = nil
-		h.mu.Unlock()
-		parent.mu.Lock()
 		parent.clone.made -= n - len(children)
-		parent.mu.Unlock()
 		parent.unpause()
 		h.release(rec)
 		h.met.cloneFailures.Inc()
@@ -253,7 +233,7 @@ func (h *Hypervisor) Clone(req CloneRequest) CloneResult {
 	h.met.recordClone(stats, len(children))
 
 	h.release(rec)
-	return CloneResult{Children: children, Stats: stats, Done: rec.done}
+	return CloneResult{Children: children, Stats: stats, Done: rec.Done}
 }
 
 // admitClone validates one request — child count, cloning policy, caller
@@ -266,10 +246,7 @@ func (h *Hypervisor) admitClone(req CloneRequest) (*Domain, error) {
 	if req.N < 1 {
 		return nil, fmt.Errorf("%w: %d", ErrBadCloneCount, req.N)
 	}
-	h.mu.Lock()
-	enabled := h.cloningEnabled
-	h.mu.Unlock()
-	if !enabled {
+	if !h.cloningEnabled {
 		return nil, fmt.Errorf("%w (global)", ErrCloningDisabled)
 	}
 	if req.Caller != mem.DomID0 && req.Caller != req.Target {
@@ -279,8 +256,6 @@ func (h *Hypervisor) admitClone(req CloneRequest) (*Domain, error) {
 	if err != nil {
 		return nil, err
 	}
-	parent.mu.Lock()
-	defer parent.mu.Unlock()
 	if !parent.clone.enabled || parent.clone.maxClones == 0 {
 		return nil, fmt.Errorf("%w: domain %d", ErrCloningDisabled, req.Target)
 	}
@@ -306,19 +281,12 @@ func (h *Hypervisor) cloneOne(parent *Domain, id DomID, copyRing bool, mode mem.
 			return
 		}
 		// Release whatever the child accumulated.
-		if child != nil {
-			child.mu.Lock()
-			cspace := child.space
-			child.mu.Unlock()
-			if cspace != nil {
-				cspace.Release()
-			}
+		if child != nil && child.space != nil {
+			child.space.Release()
 		}
-		h.mu.Lock()
 		h.Memory.ReleaseN(id, h.overhead[id])
 		delete(h.overhead, id)
 		delete(h.domains, id)
-		h.mu.Unlock()
 		h.Events.RemoveDomain(id)
 		h.Grants.RemoveDomain(id)
 		child = nil
@@ -327,7 +295,6 @@ func (h *Hypervisor) cloneOne(parent *Domain, id DomID, copyRing bool, mode mem.
 	st = &CloneOpStats{}
 
 	_, vspan := ctx.StartSpan("vcpu-copy")
-	parent.mu.Lock()
 	child = newDomain(id, len(parent.vcpus))
 	// vCPU state: user registers are replicated; RAX
 	// differs — 0 for the parent, 1 for any child, like fork() (§5.2).
@@ -345,7 +312,6 @@ func (h *Hypervisor) cloneOne(parent *Domain, id DomID, copyRing bool, mode mem.
 	child.hasParent = true
 	child.clone = cloneConfig{enabled: parent.clone.enabled, maxClones: parent.clone.maxClones}
 	pspace := parent.space
-	parent.mu.Unlock()
 
 	meter.Charge(meter.Costs().DomainCreate, 1)
 	meter.Charge(meter.Costs().VCPUClone, st.VCPUs)
@@ -371,9 +337,7 @@ func (h *Hypervisor) cloneOne(parent *Domain, id DomID, copyRing bool, mode mem.
 		return nil, nil, err
 	}
 	st.Memory = mst
-	child.mu.Lock()
 	child.space = cspace
-	child.mu.Unlock()
 
 	ov, err := h.Memory.AllocN(id, perDomainOverheadFrames, meter)
 	if err != nil {
@@ -384,10 +348,8 @@ func (h *Hypervisor) cloneOne(parent *Domain, id DomID, copyRing bool, mode mem.
 	// Children start paused; xencloned resumes them after stage two.
 	child.pause()
 
-	h.mu.Lock()
 	h.domains[id] = child
 	h.overhead[id] = ov
-	h.mu.Unlock()
 
 	// Event channels and grant table.
 	h.Events.AddDomain(id)
@@ -420,8 +382,6 @@ func (h *Hypervisor) pushNotification(ctx obs.OpCtx, parent, child *Domain, rec 
 	}
 	parentSI, _ := parent.Space().MFNOf(parent.StartInfoPFN)
 	childSI, _ := child.Space().MFNOf(child.StartInfoPFN)
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if err := h.notify.push(CloneNotification{
 		Parent:        parent.ID,
 		Child:         child.ID,
@@ -439,35 +399,28 @@ func (h *Hypervisor) pushNotification(ctx obs.OpCtx, parent, child *Domain, rec 
 // PopNotifications drains the clone-notification ring; xencloned calls
 // this when VIRQ_CLONED fires.
 func (h *Hypervisor) PopNotifications() []CloneNotification {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return h.notify.popAll()
 }
 
 // PendingNotifications reports the ring depth without draining.
 func (h *Hypervisor) PendingNotifications() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return h.notify.len()
 }
 
 // CloneCompletion is the clone_completion subcommand: xencloned reports
 // that all userspace operations for child are done (§5.1), and the child
-// resumes. Completion events arrive asynchronously and out of order across
-// guests.
+// resumes. Completion events arrive out of order across guests.
 func (h *Hypervisor) CloneCompletion(ctx obs.OpCtx, child DomID) error {
 	meter := ctx.Meter()
 	_, span := ctx.StartSpan("clone-completion")
 	defer span.End()
 	meter.Charge(meter.Costs().Hypercall, 1)
 	h.met.completions.Inc()
-	h.mu.Lock()
 	rec := h.pending[child]
 	delete(h.pending, child)
 	if rec != nil {
 		h.outcomes[child] = OutcomeCompleted
 	}
-	h.mu.Unlock()
 	if rec == nil {
 		return fmt.Errorf("%w: domain %d", ErrNoPendingClone, child)
 	}
@@ -491,7 +444,6 @@ func (h *Hypervisor) CloneAbort(ctx obs.OpCtx, child DomID) error {
 	defer span.End()
 	meter.Charge(meter.Costs().Hypercall, 1)
 	h.met.aborts.Inc()
-	h.mu.Lock()
 	rec := h.pending[child]
 	delete(h.pending, child)
 	if rec != nil {
@@ -502,7 +454,6 @@ func (h *Hypervisor) CloneAbort(ctx obs.OpCtx, child DomID) error {
 	// instance or an operator intervention). The indexed ring makes this
 	// O(1) instead of a scan of every queued clone.
 	h.notify.drop(child)
-	h.mu.Unlock()
 	if rec == nil {
 		return fmt.Errorf("%w: domain %d", ErrNoPendingClone, child)
 	}
@@ -513,9 +464,7 @@ func (h *Hypervisor) CloneAbort(ctx obs.OpCtx, child DomID) error {
 	if d, err := h.Domain(child); err == nil {
 		if parentID, has := d.Parent(); has {
 			if p, err := h.Domain(parentID); err == nil {
-				p.mu.Lock()
 				p.clone.made--
-				p.mu.Unlock()
 			}
 		}
 		destroyErr = h.DomainDestroy(ctx, child)
@@ -530,8 +479,6 @@ func (h *Hypervisor) CloneAbort(ctx obs.OpCtx, child DomID) error {
 // whose second stage is still pending, or that completed and were since
 // destroyed. An aborted child keeps its entry after the abort destroyed it.
 func (h *Hypervisor) CloneOutcome(child DomID) (CloneOutcome, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	o, ok := h.outcomes[child]
 	return o, ok
 }

@@ -8,7 +8,6 @@ package hv
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"nephele/internal/mem"
 )
@@ -55,8 +54,6 @@ type cloneConfig struct {
 
 // Domain is the hypervisor-side state of one guest (struct domain).
 type Domain struct {
-	mu sync.Mutex
-
 	ID     DomID
 	vcpus  []*VCPU
 	space  *mem.Space
@@ -88,15 +85,11 @@ func newDomain(id DomID, vcpus int) *Domain {
 
 // Space returns the domain's address space.
 func (d *Domain) Space() *mem.Space {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return d.space
 }
 
 // VCPU returns vCPU i.
 func (d *Domain) VCPU(i int) (*VCPU, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if i < 0 || i >= len(d.vcpus) {
 		return nil, fmt.Errorf("%w: %d", ErrBadVCPU, i)
 	}
@@ -105,15 +98,11 @@ func (d *Domain) VCPU(i int) (*VCPU, error) {
 
 // Parent reports the domain's parent, if it is a clone.
 func (d *Domain) Parent() (DomID, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return d.parent, d.hasParent
 }
 
 // Children returns the domain's direct clones.
 func (d *Domain) Children() []DomID {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	out := make([]DomID, len(d.children))
 	copy(out, d.children)
 	return out
@@ -121,22 +110,16 @@ func (d *Domain) Children() []DomID {
 
 // Paused reports whether the domain is paused.
 func (d *Domain) Paused() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return d.paused > 0
 }
 
 // pause increments the pause count.
 func (d *Domain) pause() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.paused++
 }
 
 // unpause decrements the pause count; the domain runs again at zero.
 func (d *Domain) unpause() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.paused > 0 {
 		d.paused--
 	}

@@ -3,7 +3,6 @@ package hv
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"nephele/internal/evtchn"
 	"nephele/internal/fault"
@@ -37,7 +36,6 @@ type Hypervisor struct {
 	Events *evtchn.Subsystem
 	Grants *gnttab.Subsystem
 
-	mu       sync.Mutex
 	domains  map[DomID]*Domain
 	nextDom  DomID
 	overhead map[DomID][]mem.MFN // per-domain bookkeeping frames
@@ -90,22 +88,16 @@ func New(memoryBytes uint64) *Hypervisor {
 // SetFaults installs a fault-injection registry on the first-stage clone
 // path (tests); a nil registry disables injection.
 func (h *Hypervisor) SetFaults(r *fault.Registry) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	h.faults = r
 }
 
 // Faults returns the installed fault registry (nil when none).
 func (h *Hypervisor) Faults() *fault.Registry {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return h.faults
 }
 
 // Domain looks a domain up.
 func (h *Hypervisor) Domain(id DomID) (*Domain, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	d := h.domains[id]
 	if d == nil {
 		return nil, fmt.Errorf("%w: %d", ErrNoSuchDomain, id)
@@ -117,8 +109,6 @@ func (h *Hypervisor) Domain(id DomID) (*Domain, error) {
 // callers that iterate domains (toolstack listings, fuzzing sweeps) see a
 // deterministic sequence.
 func (h *Hypervisor) Domains() []DomID {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	out := make([]DomID, 0, len(h.domains))
 	for id := range h.domains { //nephele:nondeterministic-ok — sorted below
 		out = append(out, id)
@@ -129,8 +119,6 @@ func (h *Hypervisor) Domains() []DomID {
 
 // DomainCount reports the number of live domains including Dom0.
 func (h *Hypervisor) DomainCount() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return len(h.domains)
 }
 
@@ -142,8 +130,6 @@ func (h *Hypervisor) FreeBytes() uint64 {
 // reserveDomIDs takes n consecutive domain IDs and returns the first, or
 // takes none when the last would reach Xen's reserved range.
 func (h *Hypervisor) reserveDomIDs(n int) (DomID, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	first := h.nextDom
 	if uint64(first)+uint64(n) > uint64(domIDFirstReserved) {
 		return 0, fmt.Errorf("%w: %d requested, next is %#x", ErrNoDomainIDs, n, first)
@@ -165,33 +151,23 @@ func (h *Hypervisor) DomainCreate(ctx obs.OpCtx, pages, vcpus int) (*Domain, err
 		return nil, err
 	}
 	d := newDomain(id, vcpus)
-	h.mu.Lock()
 	h.domains[id] = d
-	h.mu.Unlock()
 
 	meter.Charge(meter.Costs().DomainCreate, 1)
 	space, err := mem.NewSpace(h.Memory, id, pages, meter)
 	if err != nil {
-		h.mu.Lock()
 		delete(h.domains, id)
-		h.mu.Unlock()
 		return nil, err
 	}
 	ov, err := h.Memory.AllocN(id, perDomainOverheadFrames, meter)
 	if err != nil {
 		space.Release()
-		h.mu.Lock()
 		delete(h.domains, id)
-		h.mu.Unlock()
 		return nil, err
 	}
-	h.mu.Lock()
 	h.overhead[id] = ov
-	h.mu.Unlock()
 
-	d.mu.Lock()
 	d.space = space
-	d.mu.Unlock()
 
 	// Reserve the Xen-special pages at the top of the guest space.
 	if pages >= 3 {
@@ -218,26 +194,19 @@ func (h *Hypervisor) DomainDestroy(ctx obs.OpCtx, id DomID) error {
 	if err != nil {
 		return err
 	}
-	d.mu.Lock()
 	if d.destroyed {
-		d.mu.Unlock()
 		return nil
 	}
 	d.destroyed = true
 	d.paused = 0
-	space := d.space
-	parent, hasParent := d.parent, d.hasParent
-	d.mu.Unlock()
-
-	if space != nil {
-		if err := space.Release(); err != nil {
+	if d.space != nil {
+		if err := d.space.Release(); err != nil {
 			return err
 		}
 	}
 	h.Events.RemoveDomain(id)
 	h.Grants.RemoveDomain(id)
 
-	h.mu.Lock()
 	h.Memory.ReleaseN(id, h.overhead[id])
 	delete(h.overhead, id)
 	delete(h.domains, id)
@@ -247,19 +216,16 @@ func (h *Hypervisor) DomainDestroy(ctx obs.OpCtx, id DomID) error {
 		delete(h.outcomes, id)
 	}
 	// Unlink from the family tree.
-	if hasParent {
-		if p := h.domains[parent]; p != nil {
-			p.mu.Lock()
+	if d.hasParent {
+		if p := h.domains[d.parent]; p != nil {
 			for i, c := range p.children {
 				if c == id {
 					p.children = append(p.children[:i], p.children[i+1:]...)
 					break
 				}
 			}
-			p.mu.Unlock()
 		}
 	}
-	h.mu.Unlock()
 
 	meter.Charge(meter.Costs().DomainDestroy, 1)
 	return nil
@@ -297,20 +263,15 @@ func (h *Hypervisor) SameFamily(a, b DomID) bool {
 }
 
 func (h *Hypervisor) familyRoot(id DomID) (DomID, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	d := h.domains[id]
 	if d == nil {
 		return 0, false
 	}
 	for {
-		d.mu.Lock()
-		parent, has := d.parent, d.hasParent
-		d.mu.Unlock()
-		if !has {
+		if !d.hasParent {
 			return d.ID, true
 		}
-		p := h.domains[parent]
+		p := h.domains[d.parent]
 		if p == nil {
 			return d.ID, true
 		}
@@ -320,20 +281,15 @@ func (h *Hypervisor) familyRoot(id DomID) (DomID, bool) {
 
 // IsDescendant reports whether child descends from ancestor.
 func (h *Hypervisor) IsDescendant(child, ancestor DomID) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	d := h.domains[child]
 	for d != nil {
-		d.mu.Lock()
-		parent, has := d.parent, d.hasParent
-		d.mu.Unlock()
-		if !has {
+		if !d.hasParent {
 			return false
 		}
-		if parent == ancestor {
+		if d.parent == ancestor {
 			return true
 		}
-		d = h.domains[parent]
+		d = h.domains[d.parent]
 	}
 	return false
 }

@@ -1,7 +1,7 @@
 package hv
 
 import (
-	"sync"
+	"math/rand"
 	"testing"
 
 	"nephele/internal/mem"
@@ -85,42 +85,47 @@ func TestCloneOpCompletionUnknownChild(t *testing.T) {
 	}
 }
 
+// TestConcurrentCloneOpsSerializePerParent keeps several clone requests of
+// one parent outstanding at once: a seeded schedule interleaves requests
+// with completions of whatever is pending, in any order across requests,
+// like a shared daemon. Every request's completion record must release,
+// the family list hold every child, and the parent run again at the end.
 func TestConcurrentCloneOpsSerializePerParent(t *testing.T) {
-	// Multiple goroutines racing Clone + completion on the same
-	// parent must stay consistent (the ring and family lists are
-	// shared).
 	h := New(1 << 30)
 	h.SetCloningEnabled(true)
 	p, _ := h.DomainCreate(obs.OpCtx{}, 64, 1)
 	h.DomctlSetCloning(p.ID, true, 64)
 
-	var wg sync.WaitGroup
-	errs := make(chan error, 16)
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 4; i++ {
-				kids, _, done, err := cloneN(h, p.ID, p.ID, 1, vclock.NewMeter(nil))
-				if err != nil {
-					errs <- err
-					return
+	rng := rand.New(rand.NewSource(5))
+	var dones []<-chan struct{}
+	for len(dones) < 16 {
+		if rng.Intn(3) == 0 {
+			ns := h.PopNotifications()
+			rng.Shuffle(len(ns), func(i, j int) { ns[i], ns[j] = ns[j], ns[i] })
+			for _, n := range ns {
+				if err := h.CloneCompletion(obs.OpCtx{}, n.Child); err != nil {
+					t.Fatal(err)
 				}
-				// Serve completions for whatever is pending (any
-				// goroutine may complete any child, like a shared
-				// daemon).
-				for _, n := range h.PopNotifications() {
-					h.CloneCompletion(obs.OpCtx{}, n.Child)
-				}
-				_ = kids
-				<-done
 			}
-		}()
+			continue
+		}
+		_, _, done, err := cloneN(h, p.ID, p.ID, 1, vclock.NewMeter(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dones = append(dones, done)
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
+	for _, n := range h.PopNotifications() {
+		if err := h.CloneCompletion(obs.OpCtx{}, n.Child); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, done := range dones {
+		select {
+		case <-done:
+		default:
+			t.Fatalf("request %d: completion record never released", i)
+		}
 	}
 	if got := len(p.Children()); got != 16 {
 		t.Fatalf("children = %d, want 16", got)

@@ -6,7 +6,7 @@ import (
 )
 
 // hvMetrics caches the instrument pointers the first-stage clone path
-// feeds, so the hot path pays atomic adds instead of name lookups. The
+// feeds, so the hot path pays plain adds instead of name lookups. The
 // registry itself is shared with the rest of the platform (xencloned's
 // failure counters live in it too), making it the single source of truth
 // benchmark/ and the fault-matrix tests read.
@@ -68,7 +68,7 @@ func (m *hvMetrics) recordClone(stats *CloneOpStats, children int) {
 
 // Metrics exposes the hypervisor's metrics registry. It always exists;
 // components that want to publish into the same registry (xencloned, the
-// memory pool's opt-in lock metrics) share this one.
+// memory pool's opt-in hot-path metrics) share this one.
 func (h *Hypervisor) Metrics() *obs.Registry { return h.met.reg }
 
 // usOf converts a virtual duration to whole microseconds for histograms.

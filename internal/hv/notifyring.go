@@ -4,8 +4,7 @@ package hv
 // xencloned, with a child-ID index so CloneAbort can drop a queued
 // notification in O(1) instead of scanning the ring. Dropped slots become
 // tombstones that popAll skips, so push/drop/pop are all constant-time per
-// notification. The ring is guarded by the hypervisor mutex, like the
-// slice it replaces.
+// notification.
 type notifyRing struct {
 	entries []notifyEntry
 	index   map[DomID]int // child → slot in entries

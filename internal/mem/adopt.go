@@ -30,8 +30,6 @@ func (s *Space) AdoptShared(ctx obs.OpCtx, srcDom DomID, start PFN, src []MFN) e
 	meter := ctx.Meter()
 	_, span := ctx.StartSpan("adopt-shared")
 	defer span.End()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.retired {
 		return ErrSpaceRetired
 	}

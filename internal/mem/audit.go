@@ -6,8 +6,8 @@ import (
 )
 
 // Audit checks the frame-level invariants of the pool (DESIGN.md §10, "Frame
-// states and transitions", and §10.1) over every materialized frame, with
-// the pool locked. It returns nil, or an error naming each violated
+// states and transitions", and §10.1) over every materialized frame. It
+// returns nil, or an error naming each violated
 // invariant with its first offender and how many times it was violated:
 //
 //   - page-aliasing: no unsealed page is held by two frames, and no page is
@@ -26,11 +26,9 @@ import (
 // nobody will give back is a consistent state. Tests catch those by
 // destroying every domain and requiring FreeFrames() == TotalFrames().
 //
-// Audit is a read-only inspector for tests and test harnesses; it allocates
-// and holds the pool lock throughout, so no operation path calls it.
+// Audit is a read-only inspector for tests and test harnesses; it
+// allocates, so no operation path calls it.
 func (m *Memory) Audit() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	var log auditLog
 	type holder struct {
 		mfn    MFN

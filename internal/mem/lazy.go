@@ -33,10 +33,8 @@ func (m CloneMode) String() string {
 	}
 }
 
-// streamChunk is the number of consecutive lazy pages Drain materializes
-// per locked batch. It bounds how long a concurrent access to the space
-// waits behind a drain while keeping the per-chunk locking overhead
-// amortized.
+// streamChunk is the number of consecutive lazy pages one Drain step
+// materializes, under one stream-extent span and one fault check.
 const streamChunk = 128
 
 // pledgePTEs records one lazy-child claim on every frame referenced by the
@@ -49,8 +47,6 @@ const streamChunk = 128
 //
 //nephele:noalloc
 func (m *Memory) pledgePTEs(ptes []pte) error {
-	m.lockBatch()
-	defer m.mu.Unlock()
 	stop := addPledges(m.chunks, MFN(m.total), ptes)
 	if stop == len(ptes) {
 		return nil
@@ -89,8 +85,6 @@ func addPledges(chunks [][]frame, total MFN, ptes []pte) int {
 //
 //nephele:noalloc
 func (m *Memory) cancelPledged(ptes []pte) error {
-	m.lockBatch()
-	defer m.mu.Unlock()
 	chunks, total := m.chunks, MFN(m.total)
 	bad, failed := -1, -1
 	freed := 0
@@ -112,10 +106,10 @@ func (m *Memory) cancelPledged(ptes []pte) error {
 		f.pledges--
 		if f.pledges == 0 && f.owner == DomIDCOW && f.refcount == 0 {
 			freed++
-			m.resetFrameLocked(f, mfn)
+			m.resetFrame(f, mfn)
 		}
 	}
-	m.dropUsageLocked(DomIDCOW, freed)
+	m.dropUsage(DomIDCOW, freed)
 	m.shared -= freed
 	m.free += freed
 	return skipErr(ptes, pteMFNMask, bad, failed, ErrNotPledged)
@@ -130,15 +124,13 @@ func (m *Memory) cancelPledged(ptes []pte) error {
 // already owned by dom_cow (including zombies) just gain a reference at no
 // virtual cost, mirroring the eager second-clone fast path.
 //
-// Like shareLocked it validates and counts in one walk and converts the
+// Like share it validates and counts in one walk and converts the
 // frames a domain still owns once every entry has passed, in a pass up to
 // the last entry that named one; an entry that fails takes back what the
 // entries before it did, so a failed call leaves the pool untouched.
 //
 //nephele:noalloc
 func (m *Memory) adoptPledged(dom DomID, ptes []pte, meter *vclock.Meter) error {
-	m.lockBatch()
-	defer m.mu.Unlock()
 	stop, hi := adoptRefs(m.chunks, MFN(m.total), ptes)
 	if stop < len(ptes) {
 		return m.adoptFailed(ptes, stop)
@@ -148,7 +140,7 @@ func (m *Memory) adoptPledged(dom DomID, ptes []pte, meter *vclock.Meter) error 
 		if f := m.frame(e.mfn()); f.owner != DomIDCOW {
 			// The previous owner keeps its mapping and becomes the first
 			// sharer; the adopter's reference was added above.
-			m.reownLocked(f, DomIDCOW)
+			m.reown(f, DomIDCOW)
 			converted++
 		}
 	}
@@ -204,8 +196,7 @@ func (m *Memory) adoptFailed(ptes []pte, i int) error {
 
 // lazyState is the per-child bookkeeping of one lazy clone: the fault
 // registry of the clone operation, the private meter meterless accesses
-// charge, the drain cursor and the materialization counters. Every field is
-// guarded by the owning Space's mu.
+// charge, the drain cursor and the materialization counters.
 type lazyState struct {
 	// meter takes the materialization charges of accesses that carry no
 	// meter; the next Drain moves its time onto the drainer's meter.
@@ -236,8 +227,6 @@ type StreamStats struct {
 // StreamStats returns the lazy materialization counters (zero for eager
 // spaces).
 func (s *Space) StreamStats() StreamStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	ls := s.lazy
 	if ls == nil {
 		return StreamStats{}
@@ -253,8 +242,6 @@ func (s *Space) StreamStats() StreamStats {
 // UnmappedFaults returns the number of demand (unmapped) faults resolved so
 // far, the lazy-mode analogue of Faults.
 func (s *Space) UnmappedFaults() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.unmapped
 }
 
@@ -274,7 +261,7 @@ func (s *Space) startStream(costs *vclock.CostModel, faults *fault.Registry, rem
 // trace: first the time meterless accesses charged since the last drain
 // moves onto ctx's meter, then the walk goes in ascending pfn order — the
 // order the clone walk recorded the entries in — up to streamChunk pages
-// per locked batch, one stream-extent span each. Pages demand faults took
+// per step, one stream-extent span each. Pages demand faults took
 // in the meantime are skipped. Once nothing remains the stream finalizes.
 // A failure stops the stream for good: it is recorded and returned again
 // by every later call, as is ErrStreamPending for a cancelled or released
@@ -284,24 +271,20 @@ func (s *Space) Drain(ctx obs.OpCtx) error {
 	if ls == nil {
 		return nil
 	}
-	s.mu.Lock()
 	ctx.Meter().Add(ls.meter.Elapsed())
 	ls.meter.Reset()
-	s.mu.Unlock()
 	for {
-		s.mu.Lock()
-		done, err := s.drainChunkLocked(ctx, ls)
-		s.mu.Unlock()
+		done, err := s.drainChunk(ctx, ls)
 		if done {
 			return err
 		}
 	}
 }
 
-// drainChunkLocked runs one step of Drain: it materializes the next chunk
+// drainChunk runs one step of Drain: it materializes the next chunk
 // of lazy entries, or finalizes the stream, or reports why the stream is
-// over. s.mu must be held.
-func (s *Space) drainChunkLocked(ctx obs.OpCtx, ls *lazyState) (done bool, err error) {
+// over.
+func (s *Space) drainChunk(ctx obs.OpCtx, ls *lazyState) (done bool, err error) {
 	if ls.stopped || s.retired {
 		if ls.err == nil && ls.remaining > 0 {
 			return true, ErrStreamPending
@@ -351,12 +334,12 @@ func (s *Space) drainChunkLocked(ctx obs.OpCtx, ls *lazyState) (done bool, err e
 	return false, nil
 }
 
-// demandFaultLocked materializes one lazy page on behalf of an access that
+// demandFault materializes one lazy page on behalf of an access that
 // hit it: the pledge is adopted (converting the source frame to dom_cow if
 // no drain has reached it) and the deferred page-table and p2m
 // entries are charged, so a fully materialized lazy child has charged
-// exactly what its eager sibling did at clone time. s.mu must be held.
-func (s *Space) demandFaultLocked(ctx obs.OpCtx, pfn PFN, p *pte) error {
+// exactly what its eager sibling did at clone time.
+func (s *Space) demandFault(ctx obs.OpCtx, pfn PFN, p *pte) error {
 	ls := s.lazy
 	if ls == nil {
 		return fmt.Errorf("mem: pfn %d is lazy but space %d has no stream state", pfn, s.dom)
@@ -398,7 +381,5 @@ func (s *Space) CancelStream() {
 	if ls == nil {
 		return
 	}
-	s.mu.Lock()
 	ls.stopped = true
-	s.mu.Unlock()
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"nephele/internal/fault"
@@ -21,16 +20,15 @@ func audit(t *testing.T, m *mem.Memory) {
 	}
 }
 
-// TestLazyStressConcurrent is the race stress: several lazy clones of ONE
-// parent, each paired with an eager twin cloned back-to-back, while a
-// parent writer mutates pages and every pair runs its own demand workload
-// concurrently, all through the one shared pool. COW semantics make each
-// pair's outcome independent of the writer's timing — a parent write after
-// the pair's clone copies away and the family frame keeps the clone-time
-// contents — so the pairwise snapshot equality holds under any
-// interleaving. Run under -race this checks that the Space and Memory
-// locks serve concurrent callers; the orderings of accesses against the
-// drain are covered deterministically by TestLazyOrderings.
+// TestLazyStressConcurrent is the interleaving stress: several lazy clones
+// of ONE parent, each paired with an eager twin cloned back-to-back, while
+// one seeded schedule interleaves parent writes with every pair's own
+// demand workload, all through the one shared pool. COW semantics make each
+// pair's outcome independent of where the parent writes fall — a parent
+// write after the pair's clone copies away and the family frame keeps the
+// clone-time contents — so the pairwise snapshot equality holds under any
+// interleaving. The orderings of accesses against the drain are covered
+// exhaustively by TestLazyOrderings.
 func TestLazyStressConcurrent(t *testing.T) {
 	const (
 		pages  = 192
@@ -51,23 +49,17 @@ func TestLazyStressConcurrent(t *testing.T) {
 		}
 	}
 
-	// cloneMu keeps each eager/lazy pair atomic with respect to parent
-	// writes: within a pair both children must see the same parent state.
-	var cloneMu sync.Mutex
 	type pair struct {
 		eager, lazy *mem.Space
 	}
 	ps := make([]pair, pairs)
 	nextDom := mem.DomID(10)
 	for i := range ps {
-		cloneMu.Lock()
 		e, _, err := parent.CloneOp(obs.Ctx(vclock.NewMeter(nil)), nextDom, true)
 		if err != nil {
-			cloneMu.Unlock()
 			t.Fatalf("pair %d eager clone: %v", i, err)
 		}
 		l, st, err := parent.CloneOpMode(obs.Ctx(vclock.NewMeter(nil)), nextDom+1, true, mem.CloneLazy)
-		cloneMu.Unlock()
 		if err != nil {
 			t.Fatalf("pair %d lazy clone: %v", i, err)
 		}
@@ -78,82 +70,49 @@ func TestLazyStressConcurrent(t *testing.T) {
 		nextDom += 2
 	}
 
-	var wg sync.WaitGroup
-	errs := make(chan error, pairs+1)
-
-	// Parent writer: races every pair's demand faults through
-	// resolveCOW's deferred conversion path.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		r := rand.New(rand.NewSource(1))
-		for i := 0; i < writes; i++ {
-			pfn := mem.PFN(r.Intn(pages))
-			data := randBytes(r, 16)
-			cloneMu.Lock()
-			err := parent.Write(pfn, 64, data, vclock.NewMeter(nil))
-			cloneMu.Unlock()
-			if err != nil {
-				errs <- fmt.Errorf("parent write %d: %w", i, err)
-				return
+	// One schedule: each step is a parent write (through resolveCOW's
+	// deferred conversion path under every pair's pledges) or the same
+	// demand access on both twins of one pair.
+	r := rand.New(rand.NewSource(1))
+	for n, parentWrites := 0, 0; n < writes+300*pairs; n++ {
+		pfn := mem.PFN(r.Intn(pages))
+		if parentWrites < writes && r.Intn(1+300*pairs/writes) == 0 {
+			if err := parent.Write(pfn, 64, randBytes(r, 16), vclock.NewMeter(nil)); err != nil {
+				t.Fatalf("parent write %d: %v", parentWrites, err)
+			}
+			parentWrites++
+			continue
+		}
+		i := r.Intn(pairs)
+		p := ps[i]
+		switch r.Intn(3) {
+		case 0:
+			data := randBytes(r, 12)
+			if err := p.eager.WriteOp(obs.Ctx(vclock.NewMeter(nil)), pfn, 128, data); err != nil {
+				t.Fatalf("pair %d eager write: %v", i, err)
+			}
+			if err := p.lazy.WriteOp(obs.Ctx(vclock.NewMeter(nil)), pfn, 128, data); err != nil {
+				t.Fatalf("pair %d lazy write: %v", i, err)
+			}
+		case 1:
+			eb, lb := make([]byte, 16), make([]byte, 16)
+			if err := p.eager.ReadOp(obs.OpCtx{}, pfn, 0, eb); err != nil {
+				t.Fatalf("pair %d eager read: %v", i, err)
+			}
+			if err := p.lazy.ReadOp(obs.OpCtx{}, pfn, 0, lb); err != nil {
+				t.Fatalf("pair %d lazy read: %v", i, err)
+			}
+			if string(eb) != string(lb) {
+				t.Fatalf("pair %d read diverged at pfn %d", i, pfn)
+			}
+		case 2:
+			if err := p.eager.TouchCOW(pfn, vclock.NewMeter(nil)); err != nil {
+				t.Fatalf("pair %d eager touch: %v", i, err)
+			}
+			if err := p.lazy.TouchCOW(pfn, vclock.NewMeter(nil)); err != nil {
+				t.Fatalf("pair %d lazy touch: %v", i, err)
 			}
 		}
-	}()
-
-	// Per-pair workers: identical demand workloads on both twins, racing
-	// the parent writer and each other.
-	for i := range ps {
-		wg.Add(1)
-		go func(i int, p pair) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(int64(100 + i)))
-			for n := 0; n < 300; n++ {
-				pfn := mem.PFN(r.Intn(pages))
-				switch r.Intn(3) {
-				case 0:
-					data := randBytes(r, 12)
-					if err := p.eager.WriteOp(obs.Ctx(vclock.NewMeter(nil)), pfn, 128, data); err != nil {
-						errs <- fmt.Errorf("pair %d eager write: %w", i, err)
-						return
-					}
-					if err := p.lazy.WriteOp(obs.Ctx(vclock.NewMeter(nil)), pfn, 128, data); err != nil {
-						errs <- fmt.Errorf("pair %d lazy write: %w", i, err)
-						return
-					}
-				case 1:
-					eb, lb := make([]byte, 16), make([]byte, 16)
-					if err := p.eager.ReadOp(obs.OpCtx{}, pfn, 0, eb); err != nil {
-						errs <- fmt.Errorf("pair %d eager read: %w", i, err)
-						return
-					}
-					if err := p.lazy.ReadOp(obs.OpCtx{}, pfn, 0, lb); err != nil {
-						errs <- fmt.Errorf("pair %d lazy read: %w", i, err)
-						return
-					}
-					// Reads race the parent writer only on IDC-free
-					// regular pages already privatized or family-shared
-					// at identical clone time, so twins agree.
-					if string(eb) != string(lb) {
-						errs <- fmt.Errorf("pair %d read diverged at pfn %d", i, pfn)
-						return
-					}
-				case 2:
-					if err := p.eager.TouchCOW(pfn, vclock.NewMeter(nil)); err != nil {
-						errs <- fmt.Errorf("pair %d eager touch: %w", i, err)
-						return
-					}
-					if err := p.lazy.TouchCOW(pfn, vclock.NewMeter(nil)); err != nil {
-						errs <- fmt.Errorf("pair %d lazy touch: %w", i, err)
-						return
-					}
-				}
-			}
-		}(i, ps[i])
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
 	}
 
 	// Drain every lazy twin and check pairwise equivalence.
@@ -174,7 +133,7 @@ func TestLazyStressConcurrent(t *testing.T) {
 	audit(t, m)
 
 	// Teardown recovers the whole pool: no pledge or zombie reference
-	// leaks under concurrency either.
+	// leaks under the interleaving either.
 	for _, p := range ps {
 		if err := p.eager.Release(); err != nil {
 			t.Fatal(err)

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"nephele/internal/vclock"
 )
@@ -171,7 +170,7 @@ func (t *pageSlots) add() uint32 {
 	return t.n
 }
 
-// pageOf returns f's page, nil when f reads as zeroes; m.mu must be held.
+// pageOf returns f's page, nil when f reads as zeroes.
 func (m *Memory) pageOf(f *frame) *[PageSize]byte {
 	if s := f.slot(); s != 0 {
 		return *m.pages.ref(s)
@@ -181,7 +180,7 @@ func (m *Memory) pageOf(f *frame) *[PageSize]byte {
 
 // setPage makes p f's page, sealed or not, giving f a slot if it has none.
 // The page it replaces is dropped, not recycled: callers replace only a
-// sealed page or none. m.mu must be held.
+// sealed page or none.
 func (m *Memory) setPage(f *frame, p *[PageSize]byte, sealed bool) {
 	if f.slot() == 0 {
 		f.word |= m.pages.add()
@@ -194,7 +193,7 @@ func (m *Memory) setPage(f *frame, p *[PageSize]byte, sealed bool) {
 }
 
 // putPage detaches f's page, recycling it unless it is sealed; f keeps its
-// slot. m.mu must be held.
+// slot.
 func (m *Memory) putPage(f *frame) {
 	s := f.slot()
 	if s == 0 {
@@ -245,9 +244,9 @@ const (
 	frameChunkMask  = 1<<frameChunkShift - 1
 )
 
-// growLocked extends the table, which covers the first m.watermark frames,
-// to cover the first n (n <= m.total); m.mu must be held.
-func (m *Memory) growLocked(n int) {
+// grow extends the table, which covers the first m.watermark frames,
+// to cover the first n (n <= m.total).
+func (m *Memory) grow(n int) {
 	const chunk = 1 << frameChunkShift
 	whole := min(chunk, m.total)
 	if first, want := m.chunks[0], min(n, whole); want > len(first) {
@@ -298,9 +297,9 @@ func (s *mfnStack) pop() MFN {
 	return s.chunks[s.n>>mfnStackShift][s.n&(mfnStackChunk-1)]
 }
 
-// Memory is the machine memory pool. All methods are safe for concurrent
-// use by multiple simulated domains: one mutex guards the frame table, the
-// free list and the accounting (DESIGN.md §10).
+// Memory is the machine memory pool, shared by every simulated domain of a
+// platform and driven, like the platform, by one goroutine (DESIGN.md §10,
+// §12.2).
 //
 // Frame metadata is materialized lazily: frames above the allocation
 // watermark have never existed, so creating a multi-GiB pool costs nothing
@@ -310,20 +309,19 @@ func (s *mfnStack) pop() MFN {
 type Memory struct {
 	total int // pool size in frames
 
-	mu        sync.Mutex
 	watermark int      // frames handed out from MFN 0
 	recycled  mfnStack // freed frames, reused LIFO
 	usedByDom map[DomID]int
 	free      int // frames not in use
 	shared    int // frames owned by dom_cow
 	// chunks is the frame table (see frameChunkShift). The outer slice is
-	// fixed by New; its elements change under mu.
+	// fixed by New; its elements grow with the watermark.
 	chunks [][]frame
 	// pages is the slot table holding the frames' pages (see frame).
 	pages pageSlots
 
 	// metrics is the opt-in hot-path instrumentation (SetMetrics); nil —
-	// the default — keeps lockBatch and the COW fault path uninstrumented.
+	// the default — keeps the COW fault path and the drain uninstrumented.
 	metrics *memMetrics
 }
 
@@ -339,7 +337,7 @@ func New(totalBytes uint64) *Memory {
 	}
 }
 
-// frameAt returns the frame metadata for mfn; m.mu must be held.
+// frameAt returns the frame metadata for mfn.
 func (m *Memory) frameAt(mfn MFN) (*frame, error) {
 	if int(mfn) >= m.total {
 		return nil, fmt.Errorf("%w: %d", ErrBadFrame, mfn)
@@ -442,56 +440,37 @@ func skipErr[T frameList](in []T, mask T, bad, failed int, kind error) error {
 	return nil
 }
 
-// lockBatch takes the pool lock for a batched operation: it is the one
-// acquisition the mem.shard_lock_* metrics count.
-func (m *Memory) lockBatch() {
-	if mm := m.metrics; mm != nil {
-		start := time.Now() //nephele:nondeterministic-ok — lock-wait wall time is a diagnostic metric, never used for ordering
-		m.mu.Lock()
-		mm.lockWaitNS.Add(int64(time.Since(start))) //nephele:nondeterministic-ok — lock-wait wall time is a diagnostic metric, never used for ordering
-		mm.lockAcquisitions.Inc()
-		return
-	}
-	m.mu.Lock()
-}
-
 // TotalFrames reports the machine memory size in frames.
 func (m *Memory) TotalFrames() int { return m.total }
 
 // FreeFrames reports the number of unallocated frames.
 func (m *Memory) FreeFrames() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.free
 }
 
 // SharedFrames reports the number of frames owned by dom_cow.
 func (m *Memory) SharedFrames() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.shared
 }
 
 // UsedBy reports the number of frames currently owned by dom. Frames shared
 // through dom_cow are charged to DomIDCOW.
 func (m *Memory) UsedBy(dom DomID) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.usedByDom[dom]
 }
 
-// initFrameLocked hands frame mfn out to dom; m.mu must be held and the
-// table must already cover mfn. A free frame's slot is empty, so the frame
+// initFrame hands frame mfn out to dom; the table must already cover
+// mfn. A free frame's slot is empty, so the frame
 // reads as zeroes.
-func (m *Memory) initFrameLocked(mfn MFN, dom DomID) {
+func (m *Memory) initFrame(mfn MFN, dom DomID) {
 	f := m.frame(mfn)
 	f.owner = dom
 	f.refcount = 1
 	f.word = f.slot() | frameInUse
 }
 
-// dropUsageLocked decrements dom's usage count; m.mu must be held.
-func (m *Memory) dropUsageLocked(dom DomID, n int) {
+// dropUsage decrements dom's usage count.
+func (m *Memory) dropUsage(dom DomID, n int) {
 	if n == 0 {
 		return
 	}
@@ -501,10 +480,10 @@ func (m *Memory) dropUsageLocked(dom DomID, n int) {
 	}
 }
 
-// resetFrameLocked returns frame f, whose number is mfn, to the recycled
+// resetFrame returns frame f, whose number is mfn, to the recycled
 // stack without touching the per-owner usage accounting (the caller batches
-// that). m.mu must be held.
-func (m *Memory) resetFrameLocked(f *frame, mfn MFN) {
+// that).
+func (m *Memory) resetFrame(f *frame, mfn MFN) {
 	m.putPage(f)
 	f.word &^= frameInUse
 	f.refcount = 0
@@ -534,9 +513,7 @@ func (m *Memory) AllocN(dom DomID, n int, meter *vclock.Meter) ([]MFN, error) {
 // the caller completes with their flags: NewSpace allocates straight into
 // its table.
 func allocInto[T MFN | pte](m *Memory, dom DomID, out []T, meter *vclock.Meter) error {
-	m.mu.Lock()
-	err := allocLocked(m, dom, out)
-	m.mu.Unlock()
+	err := allocFrames(m, dom, out)
 	if err != nil {
 		return err
 	}
@@ -544,25 +521,24 @@ func allocInto[T MFN | pte](m *Memory, dom DomID, out []T, meter *vclock.Meter) 
 	return nil
 }
 
-// allocLocked is allocInto's body, which charges nothing; m.mu must be
-// held. It may grow the frame table, which can move the first chunk: a
+// allocFrames is allocInto's body, which charges nothing. It may grow the frame table, which can move the first chunk: a
 // *frame the caller took before the call must be looked up again.
-func allocLocked[T MFN | pte](m *Memory, dom DomID, out []T) error {
+func allocFrames[T MFN | pte](m *Memory, dom DomID, out []T) error {
 	if m.free < len(out) {
 		return fmt.Errorf("%w: want %d frames, %d free", ErrOutOfMemory, len(out), m.free)
 	}
 	took := 0
 	for took < len(out) && m.recycled.n > 0 {
 		mfn := m.recycled.pop()
-		m.initFrameLocked(mfn, dom)
+		m.initFrame(mfn, dom)
 		out[took] = T(mfn)
 		took++
 	}
 	if run := len(out) - took; run > 0 {
-		m.growLocked(m.watermark + run)
+		m.grow(m.watermark + run)
 		for i := range out[took:] {
 			mfn := MFN(m.watermark + i)
-			m.initFrameLocked(mfn, dom)
+			m.initFrame(mfn, dom)
 			out[took+i] = T(mfn)
 		}
 		m.watermark += run
@@ -574,8 +550,6 @@ func allocLocked[T MFN | pte](m *Memory, dom DomID, out []T) error {
 
 // Refcount reports the sharer count of a frame.
 func (m *Memory) Refcount(mfn MFN) (int, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	f, err := m.frameAt(mfn)
 	if err != nil {
 		return 0, err
@@ -593,9 +567,7 @@ func (m *Memory) Refcount(mfn MFN) (int, error) {
 //
 //nephele:noalloc
 func (m *Memory) ShareN(dom DomID, mfns []MFN, refs int, meter *vclock.Meter) error {
-	m.lockBatch()
-	defer m.mu.Unlock()
-	_, err := shareLocked(m, dom, mfns, allMFN, refs, meter)
+	_, err := share(m, dom, mfns, allMFN, refs, meter)
 	return err
 }
 
@@ -607,12 +579,10 @@ func (m *Memory) ShareN(dom DomID, mfns []MFN, refs int, meter *vclock.Meter) er
 //
 //nephele:noalloc
 func (m *Memory) sharePTEs(dom DomID, ptes []pte, refs int, meter *vclock.Meter) (int, error) {
-	m.lockBatch()
-	defer m.mu.Unlock()
-	return shareLocked(m, dom, ptes, pteMFNMask, refs, meter)
+	return share(m, dom, ptes, pteMFNMask, refs, meter)
 }
 
-// shareLocked is ShareN's body over either input form; m.mu must be held.
+// share is ShareN's body over either input form.
 // It returns the number of frames transferred to dom_cow.
 //
 // One walk validates each entry and adds refs-1 to its frame's sharer
@@ -629,7 +599,7 @@ func (m *Memory) sharePTEs(dom DomID, ptes []pte, refs int, meter *vclock.Meter)
 // apart.
 //
 //nephele:noalloc
-func shareLocked[T frameList](m *Memory, dom DomID, in []T, mask T, refs int, meter *vclock.Meter) (int, error) {
+func share[T frameList](m *Memory, dom DomID, in []T, mask T, refs int, meter *vclock.Meter) (int, error) {
 	if refs < 1 {
 		return 0, fmt.Errorf("mem: share with %d refs", refs) //nephele:hotalloc-ok — caller bug, never on the warm path
 	}
@@ -640,7 +610,7 @@ func shareLocked[T frameList](m *Memory, dom DomID, in []T, mask T, refs int, me
 	}
 	transfers := toCOW(m.chunks, in[:hi], mask)
 	if transfers > 0 {
-		m.dropUsageLocked(dom, transfers)
+		m.dropUsage(dom, transfers)
 		m.usedByDom[DomIDCOW] += transfers //nephele:hotalloc-ok — one int-keyed entry, re-inserted only after the pool's last shared frame went
 		m.shared += transfers
 		meter.Charge(meter.Costs().PageShare, transfers)
@@ -648,7 +618,7 @@ func shareLocked[T frameList](m *Memory, dom DomID, in []T, mask T, refs int, me
 	return transfers, nil
 }
 
-// addRefs is shareLocked's walk: it adds add to the sharer count of each
+// addRefs is share's walk: it adds add to the sharer count of each
 // entry's frame for as long as the entry is in range and its frame in use
 // and owned by dom_cow or dom. It returns the index of the entry it stopped
 // at (len(in) if none) and one past the last entry naming a frame dom owns
@@ -716,8 +686,8 @@ func shareFailed[T frameList](m *Memory, dom DomID, in []T, mask T, i int, add i
 
 // resolveCOW resolves a write fault by dom on the frame behind a COW-marked
 // pte and returns the MFN the domain maps afterwards. It is the one
-// write-fault resolver, and it classifies the frame under the lock each time
-// it looks at it (DESIGN.md §10, "Frame states and transitions"):
+// write-fault resolver, and it classifies the frame each time it looks at
+// it (DESIGN.md §10, "Frame states and transitions"):
 //
 //   - owned by dom with pledges: lazy children still claim the clone-time
 //     contents, so the frame is converted to dom_cow with dom as its single
@@ -734,34 +704,29 @@ func shareFailed[T frameList](m *Memory, dom DomID, in []T, mask T, i int, add i
 //     contents copied and dom's sharer reference dropped (PageUnshare);
 //   - anything else is ErrNotShared.
 //
-// It looks once: the private frame is allocated under the same hold of the
-// pool lock as the classification and the copy, so nothing can change the
-// frame in between.
+// It looks once: nothing runs between the classification, the private
+// frame's allocation and the copy.
 func (m *Memory) resolveCOW(dom DomID, mfn MFN, meter *vclock.Meter) (MFN, error) {
 	if int(mfn) >= m.total {
 		return 0, frameErr(ErrBadFrame, mfn)
 	}
-	m.lockBatch()
 	f, err := m.frameAt(mfn)
 	if err == nil && f.owner != DomIDCOW && f.owner != dom {
 		err = fmt.Errorf("%w: frame %d owned by %d", ErrNotShared, mfn, f.owner)
 	}
 	if err != nil {
-		m.mu.Unlock()
 		return 0, err
 	}
 	costs := meter.Costs()
 	if f.pledges == 0 && (f.owner == dom || f.refcount == 1) {
 		if f.owner == DomIDCOW {
-			m.reownLocked(f, dom)
+			m.reown(f, dom)
 		}
-		m.mu.Unlock()
 		meter.Charge(costs.PageUnshare, 1)
 		return mfn, nil
 	}
 	var one [1]MFN
-	if err := allocLocked(m, dom, one[:]); err != nil {
-		m.mu.Unlock()
+	if err := allocFrames(m, dom, one[:]); err != nil {
 		return 0, err
 	}
 	// The allocation may have grown the frame table's first chunk, which
@@ -769,7 +734,7 @@ func (m *Memory) resolveCOW(dom DomID, mfn MFN, meter *vclock.Meter) (MFN, error
 	f, nf := m.frame(mfn), m.frame(one[0])
 	pledged := f.owner == dom
 	if pledged {
-		m.reownLocked(f, DomIDCOW)
+		m.reown(f, DomIDCOW)
 	}
 	if page := m.pageOf(f); page != nil {
 		to := getPage(false)
@@ -777,7 +742,6 @@ func (m *Memory) resolveCOW(dom DomID, mfn MFN, meter *vclock.Meter) (MFN, error
 		m.setPage(nf, to, false)
 	}
 	f.refcount--
-	m.mu.Unlock()
 	if pledged {
 		meter.Charge(costs.PageShare, 1)
 	}
@@ -786,11 +750,11 @@ func (m *Memory) resolveCOW(dom DomID, mfn MFN, meter *vclock.Meter) (MFN, error
 	return one[0], nil
 }
 
-// reownLocked moves frame f between a domain and dom_cow, whichever way to
+// reown moves frame f between a domain and dom_cow, whichever way to
 // says, with the usage and shared accounting; the sharer count is the
-// caller's business. m.mu must be held.
-func (m *Memory) reownLocked(f *frame, to DomID) {
-	m.dropUsageLocked(f.owner, 1)
+// caller's business.
+func (m *Memory) reown(f *frame, to DomID) {
+	m.dropUsage(f.owner, 1)
 	f.owner = to
 	m.usedByDom[to]++
 	if to == DomIDCOW {
@@ -809,9 +773,7 @@ func (m *Memory) reownLocked(f *frame, to DomID) {
 //
 //nephele:noalloc
 func (m *Memory) ReleaseN(dom DomID, mfns []MFN) error {
-	m.lockBatch()
-	defer m.mu.Unlock()
-	return releaseLocked(m, dom, mfns, allMFN, 0)
+	return release(m, dom, mfns, allMFN, 0)
 }
 
 // releasePTEs is ReleaseN over the frames referenced by the present entries
@@ -821,20 +783,18 @@ func (m *Memory) ReleaseN(dom DomID, mfns []MFN) error {
 //
 //nephele:noalloc
 func (m *Memory) releasePTEs(dom DomID, ptes []pte) error {
-	m.lockBatch()
-	defer m.mu.Unlock()
-	return releaseLocked(m, dom, ptes, pteMFNMask, ptePresent)
+	return release(m, dom, ptes, pteMFNMask, ptePresent)
 }
 
-// releaseLocked applies the domain-teardown rules in one walk, skipping the
-// entries that lack a bit of present (0 skips none); m.mu must be held. An
+// release applies the domain-teardown rules in one walk, skipping the
+// entries that lack a bit of present (0 skips none). An
 // out-of-range MFN outranks a per-frame error in what is returned. The
 // common entry of a shared stretch, a dom_cow frame that keeps a sharer,
 // is dropSharers' to walk; the loop here takes the rest one at a time —
 // frames it frees, zombies, bad entries — and hands a shared stretch back.
 //
 //nephele:noalloc
-func releaseLocked[T frameList](m *Memory, dom DomID, in []T, mask, present T) error {
+func release[T frameList](m *Memory, dom DomID, in []T, mask, present T) error {
 	chunks, total := m.chunks, MFN(m.total)
 	bad, failed := -1, -1
 	var ownFreed, cowFreed, zombied int
@@ -870,7 +830,7 @@ func releaseLocked[T frameList](m *Memory, dom DomID, in []T, mask, present T) e
 			f.refcount--
 			if f.refcount == 0 && f.pledges == 0 {
 				cowFreed++
-				m.resetFrameLocked(f, mfn)
+				m.resetFrame(f, mfn)
 			}
 			// Shared frames come in stretches: the next entries go to the
 			// loop that makes no call.
@@ -884,12 +844,12 @@ func releaseLocked[T frameList](m *Memory, dom DomID, in []T, mask, present T) e
 				zombied++
 			} else {
 				ownFreed++
-				m.resetFrameLocked(f, mfn)
+				m.resetFrame(f, mfn)
 			}
 		}
 	}
-	m.dropUsageLocked(dom, ownFreed+zombied)
-	m.dropUsageLocked(DomIDCOW, cowFreed)
+	m.dropUsage(dom, ownFreed+zombied)
+	m.dropUsage(DomIDCOW, cowFreed)
 	if zombied > 0 {
 		m.usedByDom[DomIDCOW] += zombied //nephele:hotalloc-ok — one int-keyed entry, re-inserted only after the pool's last shared frame went
 	}
@@ -927,8 +887,6 @@ func dropSharers[T frameList](chunks [][]frame, total MFN, in []T, mask, present
 // Read copies the contents at (mfn, off) into buf. Reading a never-written
 // frame yields zeroes.
 func (m *Memory) Read(mfn MFN, off int, buf []byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	f, err := m.frameAt(mfn)
 	if err != nil {
 		return err
@@ -952,8 +910,6 @@ func (m *Memory) Read(mfn MFN, off int, buf []byte) error {
 // replaced by a private copy first, so holders of the old slice never see
 // the write; the old page itself is theirs and never recycled.
 func (m *Memory) Write(mfn MFN, off int, buf []byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	f, err := m.frameAt(mfn)
 	if err != nil {
 		return err
@@ -985,8 +941,6 @@ func (m *Memory) WritePage(mfn MFN, page []byte) error {
 	if len(page) != PageSize {
 		return fmt.Errorf("%w: page of %d bytes", ErrBadOffset, len(page))
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	f, err := m.frameAt(mfn)
 	if err != nil {
 		return err
@@ -1015,10 +969,8 @@ func copyFrames[T frameList](m *Memory, dst []MFN, src []T, mask T, meter *vcloc
 	if len(dst) != len(src) {
 		return fmt.Errorf("mem: CopyFrameN with %d dst, %d src frames", len(dst), len(src))
 	}
-	m.lockBatch()
-	defer m.mu.Unlock()
 	for i, e := range src {
-		if err := m.copyFrameLocked(dst[i], MFN(e&mask)); err != nil {
+		if err := m.copyFrame(dst[i], MFN(e&mask)); err != nil {
 			return err
 		}
 	}
@@ -1026,8 +978,8 @@ func copyFrames[T frameList](m *Memory, dst []MFN, src []T, mask T, meter *vcloc
 	return nil
 }
 
-// copyFrameLocked copies src into dst; m.mu must be held.
-func (m *Memory) copyFrameLocked(dst, src MFN) error {
+// copyFrame copies src into dst.
+func (m *Memory) copyFrame(dst, src MFN) error {
 	fs, err := m.frameAt(src)
 	if err != nil {
 		return err
@@ -1056,12 +1008,8 @@ func (m *Memory) copyFrameLocked(dst, src MFN) error {
 // page, sealed on the way out, so the result is immutable — a later write
 // to the frame goes to a private copy — and two captures of an unwritten
 // frame return the very same backing array. Callers must not write through
-// the returned pages. The capture holds the pool lock throughout, so it is
-// one coherent pass: a concurrent ReleaseN orders strictly before or after
-// the whole snapshot.
+// the returned pages.
 func (m *Memory) SnapshotFrames(mfns []MFN) ([][]byte, error) {
-	m.lockBatch()
-	defer m.mu.Unlock()
 	out := make([][]byte, len(mfns))
 	for i, mfn := range mfns {
 		f, err := m.frameAt(mfn)

@@ -14,8 +14,6 @@ func newTestMem(frames int) *Memory {
 
 // ownerOf reports the owner of an in-use frame.
 func ownerOf(m *Memory, mfn MFN) (DomID, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	f, err := m.frameAt(mfn)
 	if err != nil {
 		return DomIDInvalid, err

@@ -9,28 +9,24 @@ import (
 // and skip all instrumentation when it is nil, so a pool without metrics
 // pays nothing.
 type memMetrics struct {
-	cowFaults        *obs.Counter // mem.cow_faults: resolved COW write faults
-	lockWaitNS       *obs.Counter // mem.shard_lock_wait_ns: wall time batched operations spent acquiring the pool lock
-	lockAcquisitions *obs.Counter // mem.shard_lock_acquisitions: pool-lock acquisitions by batched operations
-	streamExtents    *obs.Counter // mem.stream.extents: chunks materialized by lazy-clone drains
-	unmappedFaults   *obs.Counter // mem.fault.unmapped: demand faults on lazy entries
+	cowFaults      *obs.Counter // mem.cow_faults: resolved COW write faults
+	streamExtents  *obs.Counter // mem.stream.extents: chunks materialized by lazy-clone drains
+	unmappedFaults *obs.Counter // mem.fault.unmapped: demand faults on lazy entries
 }
 
 // SetMetrics attaches a registry to the pool's opt-in hot-path
-// instrumentation (pool lock wait, COW faults); nil detaches it and
-// restores the uninstrumented fast path. It must not run concurrently with
-// other calls on the pool; its callers (Platform.Observe, the benchmark's
-// platform setup) run it before any operation starts.
+// instrumentation (COW faults, lazy-clone drains and demand faults); nil
+// detaches it and restores the uninstrumented fast path. Its callers
+// (Platform.Observe, the benchmark's platform setup) run it before any
+// operation starts.
 func (m *Memory) SetMetrics(r *obs.Registry) {
 	if r == nil {
 		m.metrics = nil
 		return
 	}
 	m.metrics = &memMetrics{
-		cowFaults:        r.Counter("mem.cow_faults"),
-		lockWaitNS:       r.Counter("mem.shard_lock_wait_ns"),
-		lockAcquisitions: r.Counter("mem.shard_lock_acquisitions"),
-		streamExtents:    r.Counter("mem.stream.extents"),
-		unmappedFaults:   r.Counter("mem.fault.unmapped"),
+		cowFaults:      r.Counter("mem.cow_faults"),
+		streamExtents:  r.Counter("mem.stream.extents"),
+		unmappedFaults: r.Counter("mem.fault.unmapped"),
 	}
 }

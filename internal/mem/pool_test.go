@@ -2,10 +2,7 @@ package mem
 
 import (
 	"errors"
-	"sync"
 	"testing"
-
-	"nephele/internal/obs"
 )
 
 // TestPoolGeometry pins the frame table a 12 GiB pool, the default platform
@@ -233,93 +230,5 @@ func TestShardBoundaryValidationAtomic(t *testing.T) {
 		if rc, _ := m.Refcount(f); rc != 1 {
 			t.Fatalf("frame %d refcount = %d after rolled-back ShareN, want 1", f, rc)
 		}
-	}
-}
-
-// TestSnapshotDuringConcurrentClones is the lock-order regression test for
-// Snapshot vs. ReleaseN: four parents clone and release on the shared pool
-// while a fifth space snapshots and the aggregate counters are read, all
-// under -race. A space's lock is taken before the pool's, never after, so
-// this must neither deadlock nor trip the race detector.
-func TestSnapshotDuringConcurrentClones(t *testing.T) {
-	m := New(1 << 30)
-	const parents = 4
-	pages := 4 << 20 / PageSize
-
-	victim, err := NewSpace(m, DomID(99), pages, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pattern := []byte("snapshot invariant")
-	victim.Write(3, 0, pattern, nil)
-
-	spaces := make([]*Space, parents)
-	for i := range spaces {
-		sp, err := NewSpace(m, DomID(1+i), pages, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		spaces[i] = sp
-	}
-
-	iters := 30
-	if testing.Short() {
-		iters = 5
-	}
-	var wg sync.WaitGroup
-	for p := range spaces {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				child, _, err := spaces[p].CloneOp(obs.OpCtx{}, DomID(10+parents*i+p), false)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if err := child.Release(); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(p)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < iters; i++ {
-			pgs, err := victim.Snapshot()
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if got := pgs[3][:len(pattern)]; string(got) != string(pattern) {
-				t.Errorf("snapshot page 3 = %q", got)
-				return
-			}
-			runs, err := victim.SnapshotRuns()
-			if err != nil || len(runs) == 0 {
-				t.Errorf("SnapshotRuns: %d runs, err %v", len(runs), err)
-				return
-			}
-		}
-	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < iters*4; i++ {
-			if m.FreeFrames() < 0 || m.SharedFrames() < 0 {
-				t.Error("negative aggregate counter")
-				return
-			}
-			m.UsedBy(DomIDCOW)
-		}
-	}()
-	wg.Wait()
-
-	// Quiescent accounting: every child released, so only the five parent
-	// spaces hold memory.
-	if got := m.SharedFrames(); got < 0 {
-		t.Fatalf("SharedFrames = %d", got)
 	}
 }

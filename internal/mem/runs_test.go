@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
 
 	"nephele/internal/obs"
@@ -73,8 +72,6 @@ type poolImage struct {
 
 func imageOf(m *Memory, doms ...DomID) poolImage {
 	img := poolImage{Frames: map[MFN]frameImage{}, Free: m.FreeFrames(), Shared: m.SharedFrames(), Used: map[DomID]int{}}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	for ci, ch := range m.chunks {
 		for j, f := range ch {
 			img.Frames[MFN(ci)<<frameChunkShift+MFN(j)] = frameImage{f.owner, f.refcount, f.pledges, f.inUse()}
@@ -477,11 +474,12 @@ func TestFragmentedErrorPaths(t *testing.T) {
 	}
 }
 
-// TestFragmentedCloneReleaseStress is the -race stress for the batched
-// walks: children of two parents whose tables are all one-page runs are
-// cloned and released concurrently — thousands of scattered frames per
-// locked pass, over chunks both families share. A walk that lost or doubled a frame
-// shows in the final accounting.
+// TestFragmentedCloneReleaseStress is the stress for the batched walks:
+// children of two parents whose tables are all one-page runs are cloned and
+// released in a seeded interleaving, up to five live per family —
+// thousands of scattered frames per walk, over chunks both families share.
+// A walk that lost or doubled a frame shows in the audit and the final
+// accounting.
 func TestFragmentedCloneReleaseStress(t *testing.T) {
 	m := New(1 << 30)
 	pages := 8 << 20 / PageSize
@@ -499,26 +497,33 @@ func TestFragmentedCloneReleaseStress(t *testing.T) {
 		parents[i] = p
 	}
 
-	var wg sync.WaitGroup
-	for p := range parents {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				child, _, err := parents[p].CloneOp(obs.OpCtx{}, DomID(100+10*p+i%5), false)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if err := child.Release(); err != nil {
-					t.Error(err)
-					return
-				}
+	rng := rand.New(rand.NewSource(3))
+	live := make([][]*Space, len(parents))
+	for i, next := 0, DomID(100); i < 2*iters; i++ {
+		p := rng.Intn(len(parents))
+		if k := len(live[p]); k == 5 || (k > 0 && rng.Intn(2) == 0) {
+			j := rng.Intn(k)
+			if err := live[p][j].Release(); err != nil {
+				t.Fatal(err)
 			}
-		}(p)
+			live[p] = append(live[p][:j], live[p][j+1:]...)
+			continue
+		}
+		child, _, err := parents[p].CloneOp(obs.OpCtx{}, next, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live[p] = append(live[p], child)
+		next++
 	}
-	wg.Wait()
-
+	audit(t, m)
+	for _, kids := range live {
+		for _, c := range kids {
+			if err := c.Release(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	for _, p := range parents {
 		if err := p.Release(); err != nil {
 			t.Fatal(err)

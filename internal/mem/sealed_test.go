@@ -3,7 +3,6 @@ package mem
 import (
 	"bytes"
 	"errors"
-	"sync"
 	"testing"
 
 	"nephele/internal/obs"
@@ -275,51 +274,51 @@ func TestSealedPagesAcrossCOW(t *testing.T) {
 	audit(t, m)
 }
 
-// TestSnapshotRacesGuestWriter (-race): a guest writing its pages while
-// snapshots of the same space are taken and read must not race — a
-// snapshot's pages are never the arrays the writer stores into.
+// TestSnapshotRacesGuestWriter: a guest writing its pages between
+// snapshots of the same space never moves a snapshot taken before — a
+// snapshot's pages are never the arrays the writer stores into — and each
+// snapshot reads what the guest had written when it was taken.
 func TestSnapshotRacesGuestWriter(t *testing.T) {
 	m := newTestMem(512)
 	s := newTestSpace(t, m, 1, 16)
-	for pfn := PFN(0); pfn < 16; pfn++ {
-		if err := s.Write(pfn, 0, fullPage(1), nil); err != nil {
+	want := make([][]byte, 16)
+	for pfn := range want {
+		want[pfn] = fullPage(1)
+		if err := s.Write(PFN(pfn), 0, want[pfn], nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 2000; i++ {
-			pfn := PFN(i % 16)
-			var err error
-			if i%3 == 0 {
-				err = s.Write(pfn, 0, fullPage(byte(i)), nil)
-			} else {
-				err = s.Write(pfn, (i%500)*8, []byte{byte(i), 2, 3, 4, 5, 6, 7, 8}, nil)
+	var snaps, wants [][][]byte
+	for i := 0; i < 2000; i++ {
+		pfn := i % 16
+		if i%3 == 0 {
+			want[pfn] = fullPage(byte(i))
+			if err := s.Write(PFN(pfn), 0, want[pfn], nil); err != nil {
+				t.Fatal(err)
 			}
+		} else {
+			w := []byte{byte(i), 2, 3, 4, 5, 6, 7, 8}
+			want[pfn] = append([]byte(nil), want[pfn]...)
+			copy(want[pfn][(i%500)*8:], w)
+			if err := s.Write(PFN(pfn), (i%500)*8, w, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i%10 == 0 {
+			snap, err := s.Snapshot()
 			if err != nil {
-				t.Error(err)
-				return
+				t.Fatal(err)
 			}
-		}
-	}()
-	for i := 0; i < 200; i++ {
-		snap, err := s.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum := 0
-		for _, page := range snap {
-			for _, c := range page {
-				sum += int(c)
-			}
-		}
-		if sum == 0 {
-			t.Fatal("snapshot of a written space read as zeroes")
+			snaps, wants = append(snaps, snap), append(wants, append([][]byte(nil), want...))
 		}
 	}
-	wg.Wait()
+	for i, snap := range snaps {
+		for pfn, page := range snap {
+			if !bytes.Equal(page, wants[i][pfn]) {
+				t.Fatalf("snapshot %d, pfn %d: bytes moved after later guest writes", i, pfn)
+			}
+		}
+	}
 	audit(t, m)
 }
 

@@ -10,9 +10,7 @@ import (
 
 // referenceSnapshotRuns is SnapshotRuns as first written, kept as the
 // differential oracle: the pfn → mfn list of the whole space, every frame's
-// page, then a map over every pfn's frame. It takes the space lock and the
-// pool lock one after the other rather than nested, which is only sound
-// while nothing else changes the space, as in these tests.
+// page, then a map over every pfn's frame.
 func referenceSnapshotRuns(s *Space) ([]SnapshotRun, error) {
 	mfns, err := s.snapshotMFNs()
 	if err != nil {
@@ -93,10 +91,6 @@ func checkSnapshotRuns(tb testing.TB, s *Space) []SnapshotRun {
 	if d := diffRuns(got, want); d != "" {
 		tb.Fatalf("space %d: %s", s.dom, d)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.mem.mu.Lock()
-	defer s.mem.mu.Unlock()
 	firstAt := make(map[MFN]int, len(s.ptes))
 	for i, p := range s.ptes {
 		first, dup := firstAt[p.mfn()]

@@ -179,7 +179,6 @@ func putPTEs(s []pte) {
 // accounts for the page-table frames and p2m frames that make the mapping
 // itself, since duplicating those dominates clone time.
 type Space struct {
-	mu     sync.Mutex
 	mem    *Memory
 	dom    DomID
 	npages int // immutable page count, valid even after release
@@ -245,11 +244,11 @@ func NewSpace(m *Memory, dom DomID, pages int, meter *vclock.Meter) (*Space, err
 	}
 	var err error
 	if s.ptFrames, err = m.AllocN(dom, PTFrameCount(pages), meter); err != nil {
-		s.release()
+		s.Release()
 		return nil, err
 	}
 	if s.p2mFrames, err = m.AllocN(dom, P2MFrameCount(pages), meter); err != nil {
-		s.release()
+		s.Release()
 		return nil, err
 	}
 	return s, nil
@@ -265,16 +264,12 @@ func (s *Space) Pages() int {
 
 // Faults returns the number of COW write faults resolved so far.
 func (s *Space) Faults() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.faults
 }
 
 // SetKind tags a page so the clone logic treats it as private memory.
 func (s *Space) SetKind(pfn PFN, kind PageKind) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p, err := s.pteLocked(pfn)
+	p, err := s.pteAt(pfn)
 	if err != nil {
 		return err
 	}
@@ -284,9 +279,7 @@ func (s *Space) SetKind(pfn PFN, kind PageKind) error {
 
 // Kind reports a page's classification.
 func (s *Space) Kind(pfn PFN) (PageKind, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p, err := s.pteLocked(pfn)
+	p, err := s.pteAt(pfn)
 	if err != nil {
 		return 0, err
 	}
@@ -296,9 +289,7 @@ func (s *Space) Kind(pfn PFN) (PageKind, error) {
 // SetWritable changes a page's writability (text pages are mapped
 // read-only at guest boot).
 func (s *Space) SetWritable(pfn PFN, w bool) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p, err := s.pteLocked(pfn)
+	p, err := s.pteAt(pfn)
 	if err != nil {
 		return err
 	}
@@ -312,9 +303,7 @@ func (s *Space) SetWritable(pfn PFN, w bool) error {
 
 // MFNOf translates a guest pfn to its machine frame.
 func (s *Space) MFNOf(pfn PFN) (MFN, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p, err := s.pteLocked(pfn)
+	p, err := s.pteAt(pfn)
 	if err != nil {
 		return 0, err
 	}
@@ -323,16 +312,14 @@ func (s *Space) MFNOf(pfn PFN) (MFN, error) {
 
 // IsCOW reports whether the page is currently write-protected for sharing.
 func (s *Space) IsCOW(pfn PFN) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p, err := s.pteLocked(pfn)
+	p, err := s.pteAt(pfn)
 	if err != nil {
 		return false, err
 	}
 	return p.cow(), nil
 }
 
-func (s *Space) pteLocked(pfn PFN) (*pte, error) {
+func (s *Space) pteAt(pfn PFN) (*pte, error) {
 	if s.retired {
 		return nil, ErrSpaceRetired
 	}
@@ -357,20 +344,16 @@ func (s *Space) Read(pfn PFN, off int, buf []byte) error {
 // ReadOp is Read with an operation context: a demand fault on a lazy entry
 // opens a demand-fault span and charges the context's meter.
 func (s *Space) ReadOp(ctx obs.OpCtx, pfn PFN, off int, buf []byte) error {
-	s.mu.Lock()
-	p, err := s.pteLocked(pfn)
+	p, err := s.pteAt(pfn)
 	if err != nil {
-		s.mu.Unlock()
 		return err
 	}
 	if p.lazy() {
-		if err := s.demandFaultLocked(ctx, pfn, p); err != nil {
-			s.mu.Unlock()
+		if err := s.demandFault(ctx, pfn, p); err != nil {
 			return err
 		}
 	}
 	mfn := p.mfn()
-	s.mu.Unlock()
 	return s.mem.Read(mfn, off, buf)
 }
 
@@ -406,19 +389,17 @@ func (s *Space) WritePage(pfn PFN, page []byte, meter *vclock.Meter) error {
 // writableMFN resolves pfn to a frame the space may store into: a lazy
 // entry is materialized, a COW mapping broken, a read-only one refused.
 func (s *Space) writableMFN(ctx obs.OpCtx, pfn PFN) (MFN, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p, err := s.pteLocked(pfn)
+	p, err := s.pteAt(pfn)
 	if err != nil {
 		return 0, err
 	}
 	if p.lazy() {
-		if err := s.demandFaultLocked(ctx, pfn, p); err != nil {
+		if err := s.demandFault(ctx, pfn, p); err != nil {
 			return 0, err
 		}
 	}
 	if p.cow() {
-		if err := s.breakCOWLocked(pfn, p, ctx.Meter()); err != nil {
+		if err := s.breakCOW(pfn, p, ctx.Meter()); err != nil {
 			return 0, err
 		}
 	} else if !p.writable() {
@@ -432,26 +413,24 @@ func (s *Space) writableMFN(ctx obs.OpCtx, pfn PFN) (MFN, error) {
 // pages (§7.2). On a lazy entry it materializes the page first (the
 // unmapped-fault path), then breaks the COW protection as usual.
 func (s *Space) TouchCOW(pfn PFN, meter *vclock.Meter) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p, err := s.pteLocked(pfn)
+	p, err := s.pteAt(pfn)
 	if err != nil {
 		return err
 	}
 	if p.lazy() {
-		if err := s.demandFaultLocked(obs.Ctx(meter), pfn, p); err != nil {
+		if err := s.demandFault(obs.Ctx(meter), pfn, p); err != nil {
 			return err
 		}
 	}
 	if !p.cow() {
 		return nil
 	}
-	return s.breakCOWLocked(pfn, p, meter)
+	return s.breakCOW(pfn, p, meter)
 }
 
-// breakCOWLocked privatizes a COW-marked page: the write-fault dispatch all
-// write paths share. s.mu must be held.
-func (s *Space) breakCOWLocked(pfn PFN, p *pte, meter *vclock.Meter) error {
+// breakCOW privatizes a COW-marked page: the write-fault dispatch all
+// write paths share.
+func (s *Space) breakCOW(pfn PFN, p *pte, meter *vclock.Meter) error {
 	newMFN, err := s.mem.resolveCOW(s.dom, p.mfn(), meter)
 	if err != nil {
 		return err
@@ -461,13 +440,13 @@ func (s *Space) breakCOWLocked(pfn PFN, p *pte, meter *vclock.Meter) error {
 	if mm := s.mem.metrics; mm != nil {
 		mm.cowFaults.Inc()
 	}
-	s.markDirtyLocked(pfn)
+	s.markDirty(pfn)
 	return nil
 }
 
-// markDirtyLocked records a privatized pfn for the next ResetOp,
+// markDirty records a privatized pfn for the next ResetOp,
 // deduplicating repeat faults on the same page.
-func (s *Space) markDirtyLocked(pfn PFN) {
+func (s *Space) markDirty(pfn PFN) {
 	if s.dirtySet == nil {
 		s.dirtySet = make(map[PFN]struct{})
 	}
@@ -515,8 +494,6 @@ func (s *Space) CloneOp(ctx obs.OpCtx, childDom DomID, copyRing bool) (*Space, C
 // fresh lazy child must be drained first.
 func (s *Space) CloneOpMode(ctx obs.OpCtx, childDom DomID, copyRing bool, mode CloneMode) (*Space, CloneStats, error) {
 	meter := ctx.Meter()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var st CloneStats
 	if s.retired {
 		return nil, st, ErrSpaceRetired
@@ -550,7 +527,7 @@ func (s *Space) CloneOpMode(ctx obs.OpCtx, childDom DomID, copyRing bool, mode C
 		wspan.End()
 		// Unwind the half-built child: shared extents are reconstructed
 		// from the parent's entries, private frames from the fixups.
-		// ReleaseN gives them the same dispatch child.release() would
+		// ReleaseN gives them the same dispatch child.Release() would
 		// (drop a sharer reference, free an owned frame). Deferred lazy
 		// runs are excluded — their child references are pledges, and
 		// those are cancelled separately below.
@@ -579,7 +556,7 @@ func (s *Space) CloneOpMode(ctx obs.OpCtx, childDom DomID, copyRing bool, mode C
 	}
 
 	// Walk the space as run-length extents of identical (kind, writable,
-	// cow) state. Each extent costs one Memory lock acquisition, one span
+	// cow) state. Each extent costs one batched Memory operation, one span
 	// and one meter charge regardless of its length; inside it the batched
 	// operation visits every frame once, so host time still grows with the
 	// page count, at a few nanoseconds a page. The per-page dispatch inside
@@ -750,12 +727,12 @@ func (s *Space) CloneOpMode(ctx obs.OpCtx, childDom DomID, copyRing bool, mode C
 	var err error
 	child.ptFrames, err = s.mem.AllocN(childDom, PTFrameCount(len(s.ptes)), meter)
 	if err != nil {
-		child.release()
+		child.Release()
 		return nil, st, err
 	}
 	child.p2mFrames, err = s.mem.AllocN(childDom, P2MFrameCount(len(s.ptes)), meter)
 	if err != nil {
-		child.release()
+		child.Release()
 		return nil, st, err
 	}
 	st.MetaFrames = len(child.ptFrames) + len(child.p2mFrames)
@@ -775,10 +752,7 @@ func (s *Space) CloneOpMode(ctx obs.OpCtx, childDom DomID, copyRing bool, mode C
 // log drives the restore.
 //
 // A lazily cloned space may still defer pages: it is drained first, on
-// ctx's meter and trace — the reset could not proceed before it. Then both
-// spaces are locked, the parent's mu before the child's (the order a clone
-// already implies, since CloneOpMode builds the child while holding the
-// parent's), and under them the pool once for the whole dirty list.
+// ctx's meter and trace — the reset could not proceed before it.
 //
 // Every recorded page is validated before anything is mutated, so a failed
 // reset leaves the pool, both page tables and the dirty record as they were
@@ -795,21 +769,15 @@ func (s *Space) ResetOp(ctx obs.OpCtx, parent *Space) (int, error) {
 		return 0, err
 	}
 	meter := ctx.Meter()
-	parent.mu.Lock()
-	defer parent.mu.Unlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.retired {
 		return 0, ErrSpaceRetired
 	}
 	m := s.mem
-	m.lockBatch()
-	defer m.mu.Unlock()
 	for _, pfn := range s.dirty {
-		if !s.privatizedLocked(pfn) {
+		if !s.privatized(pfn) {
 			continue
 		}
-		pp, err := parent.pteLocked(pfn)
+		pp, err := parent.pteAt(pfn)
 		if err != nil {
 			return 0, err
 		}
@@ -823,18 +791,18 @@ func (s *Space) ResetOp(ctx obs.OpCtx, parent *Space) (int, error) {
 	}
 	restored := 0
 	for _, pfn := range s.dirty {
-		if !s.privatizedLocked(pfn) {
+		if !s.privatized(pfn) {
 			continue
 		}
 		cp, pp := &s.ptes[pfn], &parent.ptes[pfn]
-		transferred, err := shareLocked(m, parent.dom, parent.ptes[pfn:pfn+1], pteMFNMask, 2, meter)
+		transferred, err := share(m, parent.dom, parent.ptes[pfn:pfn+1], pteMFNMask, 2, meter)
 		if err != nil {
 			return restored, err
 		}
 		if transferred > 0 && pp.writable() {
 			*pp |= pteCOW
 		}
-		releaseLocked(m, s.dom, s.ptes[pfn:pfn+1], pteMFNMask, ptePresent)
+		release(m, s.dom, s.ptes[pfn:pfn+1], pteMFNMask, ptePresent)
 		*cp = cp.withMFN(pp.mfn()) | pteCOW
 		restored++
 	}
@@ -843,9 +811,9 @@ func (s *Space) ResetOp(ctx obs.OpCtx, parent *Space) (int, error) {
 	return restored, nil
 }
 
-// privatizedLocked reports whether a recorded dirty pfn is still backed by a
-// regular frame the space itself owns. s.mu and the pool lock must be held.
-func (s *Space) privatizedLocked(pfn PFN) bool {
+// privatized reports whether a recorded dirty pfn is still backed by a
+// regular frame the space itself owns.
+func (s *Space) privatized(pfn PFN) bool {
 	p := s.ptes[pfn]
 	if !p.present() || p.kind() != KindRegular {
 		return false
@@ -858,12 +826,6 @@ func (s *Space) privatizedLocked(pfn PFN) bool {
 // frames drop one reference, and unmaterialized lazy entries cancel their
 // pledges. A later Drain of the space materializes nothing.
 func (s *Space) Release() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.release()
-}
-
-func (s *Space) release() error {
 	if s.retired {
 		return nil
 	}
@@ -914,8 +876,8 @@ func (s *Space) release() error {
 
 // Snapshot returns the contents of every guest page, one slot per pfn, with
 // nil for pages whose backing frame has never been written (they read as
-// zeroes). The whole capture takes the pool lock once instead of a
-// page-sized Read per pfn, and the pages are the frames' own, sealed
+// zeroes). The whole capture is one pool call instead of a page-sized
+// Read per pfn, and the pages are the frames' own, sealed
 // (Memory.SnapshotFrames): read-only to the caller, untouched by later
 // guest writes.
 func (s *Space) Snapshot() ([][]byte, error) {
@@ -928,8 +890,6 @@ func (s *Space) Snapshot() ([][]byte, error) {
 
 // snapshotMFNs captures the current pfn → mfn mapping of the whole space.
 func (s *Space) snapshotMFNs() ([]MFN, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.retired {
 		return nil, ErrSpaceRetired
 	}
@@ -963,9 +923,8 @@ type SnapshotRun struct {
 // SnapshotRuns captures the space as run-length extents: consecutive
 // never-written pages collapse into zero runs with no per-page storage,
 // consecutive pfns backed by frames already captured earlier collapse into
-// alias runs, and only genuinely distinct written pages carry data. The
-// capture is one coherent pass under the space lock and then the pool lock,
-// and its pages are the frames' own, sealed, as Snapshot's are.
+// alias runs, and only genuinely distinct written pages carry data. Its
+// pages are the frames' own, sealed, as Snapshot's are.
 //
 // It allocates per capture, never per pfn or per run: a counting walk sizes
 // the run list and the one page array every data run slices, and an
@@ -974,14 +933,10 @@ type SnapshotRun struct {
 // shares through dom_cow, and every other path maps a frame once. A frame
 // anyone else owns therefore never repeats an earlier one.
 func (s *Space) SnapshotRuns() ([]SnapshotRun, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.retired {
 		return nil, ErrSpaceRetired
 	}
 	m := s.mem
-	m.lockBatch()
-	defer m.mu.Unlock()
 	shared := 0
 	for i, p := range s.ptes {
 		if !p.present() {
@@ -1006,7 +961,7 @@ func (s *Space) SnapshotRuns() ([]SnapshotRun, error) {
 }
 
 // runCapture is one SnapshotRuns pass over a table whose frames are all in
-// use; the pool lock must be held. Until runs is made a walk only counts the
+// use. Until runs is made a walk only counts the
 // runs and data pages it would emit; after, it emits them.
 type runCapture struct {
 	m    *Memory

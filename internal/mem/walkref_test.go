@@ -219,8 +219,6 @@ func (r *refPool) check(m *Memory, doms ...DomID) error {
 // checkFrames compares every frame of the table with the reference; a free
 // frame's owner is whatever it was left with, so only in-use owners count.
 func (r *refPool) checkFrames(m *Memory) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	for ci, ch := range m.chunks {
 		for j := range ch {
 			f, mfn := &ch[j], MFN(ci)<<frameChunkShift+MFN(j)

@@ -3,7 +3,6 @@ package netsim
 import (
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // Inter-host links. A cluster of simulated machines is connected by a
@@ -51,7 +50,6 @@ type Link struct {
 	a, b  int
 	width int
 
-	mu         sync.Mutex
 	transfers  int64
 	pagesSent  int64
 	pagesDedup int64
@@ -95,23 +93,19 @@ func (l *Link) Plan(chunks []Chunk, dedup func(Chunk) bool) TransferPlan {
 // Commit accounts one executed transfer plan in the link's cumulative
 // counters.
 func (l *Link) Commit(plan TransferPlan) {
-	l.mu.Lock()
 	l.transfers++
 	l.pagesSent += int64(plan.Pages)
 	l.pagesDedup += int64(plan.DedupPages)
-	l.mu.Unlock()
 }
 
 // Stats reports the link's cumulative transfer counters.
 func (l *Link) Stats() (transfers, pagesSent, pagesDeduped int64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return l.transfers, l.pagesSent, l.pagesDedup
 }
 
 // Fabric is the cluster interconnect: a full mesh of bonded links between
 // n hosts. Links are symmetric — Link(a, b) and Link(b, a) are the same
-// object — and created eagerly so lookups never allocate or race.
+// object — and created eagerly so lookups never allocate.
 type Fabric struct {
 	hosts int
 	width int

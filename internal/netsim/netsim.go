@@ -9,7 +9,6 @@ package netsim
 import (
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // MAC is a hardware address.
@@ -83,7 +82,6 @@ func FlowHash(p Packet) uint32 {
 // no per-flow state (§5.2.1: "does not keep any state regarding the
 // aggregated interfaces").
 type Bond struct {
-	mu     sync.Mutex
 	name   string
 	slaves []Endpoint
 }
@@ -99,15 +97,11 @@ func (b *Bond) Name() string { return b.name }
 // Enslave appends a slave interface (the udev-driven userspace operation
 // xencloned performs when a clone vif appears).
 func (b *Bond) Enslave(e Endpoint) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.slaves = append(b.slaves, e)
 }
 
 // Release removes a slave.
 func (b *Bond) Release(e Endpoint) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	for i, s := range b.slaves {
 		if s == e {
 			b.slaves = append(b.slaves[:i], b.slaves[i+1:]...)
@@ -118,15 +112,11 @@ func (b *Bond) Release(e Endpoint) {
 
 // Slaves reports the number of enslaved interfaces.
 func (b *Bond) Slaves() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	return len(b.slaves)
 }
 
 // SlaveFor returns the slave index FlowHash selects for p.
 func (b *Bond) SlaveFor(p Packet) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if len(b.slaves) == 0 {
 		return 0, ErrNoSlaves
 	}
@@ -135,21 +125,16 @@ func (b *Bond) SlaveFor(p Packet) (int, error) {
 
 // Deliver forwards an ingress packet to the hashed slave.
 func (b *Bond) Deliver(p Packet) {
-	b.mu.Lock()
 	if len(b.slaves) == 0 {
-		b.mu.Unlock()
 		return
 	}
 	slave := b.slaves[FlowHash(p)%uint32(len(b.slaves))]
-	b.mu.Unlock()
 	slave.Deliver(p)
 }
 
 // HWAddr returns the bond identity: the first slave's MAC (all slaves
 // carry identical addresses by construction).
 func (b *Bond) HWAddr() MAC {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if len(b.slaves) == 0 {
 		return MAC{}
 	}
@@ -159,7 +144,6 @@ func (b *Bond) HWAddr() MAC {
 // Host is a simple host endpoint collecting received packets (the
 // benchmark harness's view of the wire).
 type Host struct {
-	mu  sync.Mutex
 	mac MAC
 	ip  IP
 	rx  []Packet
@@ -178,15 +162,11 @@ func (h *Host) IPAddr() IP { return h.ip }
 
 // Deliver queues a packet.
 func (h *Host) Deliver(p Packet) {
-	h.mu.Lock()
 	h.rx = append(h.rx, p)
-	h.mu.Unlock()
 }
 
 // Received drains the received packets.
 func (h *Host) Received() []Packet {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	out := h.rx
 	h.rx = nil
 	return out

@@ -1,14 +1,12 @@
 package netsim
 
 import (
-	"sync"
 	"testing"
 	"testing/quick"
 )
 
 // sink is a test endpoint counting deliveries.
 type sink struct {
-	mu  sync.Mutex
 	mac MAC
 	got []Packet
 }
@@ -17,13 +15,9 @@ func newSink(last byte) *sink { return &sink{mac: MAC{0, 0x16, 0x3e, 0, 0, last}
 
 func (s *sink) HWAddr() MAC { return s.mac }
 func (s *sink) Deliver(p Packet) {
-	s.mu.Lock()
 	s.got = append(s.got, p)
-	s.mu.Unlock()
 }
 func (s *sink) count() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return len(s.got)
 }
 

@@ -6,19 +6,18 @@ import (
 	"math/bits"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
-// Counter is a monotonically increasing metric. All methods are safe for
-// concurrent use and nil-safe, so hot paths can cache a possibly-nil
-// instrument pointer and call it unconditionally.
-type Counter struct{ v atomic.Int64 }
+// Counter is a monotonically increasing metric. Like every instrument it
+// is driven by the one goroutine that drives its platform, and its methods
+// are nil-safe, so hot paths can cache a possibly-nil instrument pointer
+// and call it unconditionally.
+type Counter struct{ v int64 }
 
 // Add increments the counter by n.
 func (c *Counter) Add(n int64) {
 	if c != nil {
-		c.v.Add(n)
+		c.v += n
 	}
 }
 
@@ -30,23 +29,23 @@ func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	return c.v.Load()
+	return c.v
 }
 
 // Gauge is a metric that can move both ways.
-type Gauge struct{ v atomic.Int64 }
+type Gauge struct{ v int64 }
 
 // Set stores the gauge value.
 func (g *Gauge) Set(n int64) {
 	if g != nil {
-		g.v.Store(n)
+		g.v = n
 	}
 }
 
 // Add moves the gauge by n (negative allowed).
 func (g *Gauge) Add(n int64) {
 	if g != nil {
-		g.v.Add(n)
+		g.v += n
 	}
 }
 
@@ -55,7 +54,7 @@ func (g *Gauge) Value() int64 {
 	if g == nil {
 		return 0
 	}
-	return g.v.Load()
+	return g.v
 }
 
 // histBuckets is the bucket count of a Histogram: bucket i counts samples
@@ -65,11 +64,11 @@ const histBuckets = 65
 
 // Histogram records a distribution of non-negative int64 samples
 // (virtual-time microseconds, extents per clone, ...) in power-of-two
-// buckets. Lock-free and nil-safe like Counter.
+// buckets. Nil-safe like Counter.
 type Histogram struct {
-	count   atomic.Int64
-	sum     atomic.Int64
-	buckets [histBuckets]atomic.Int64
+	count   int64
+	sum     int64
+	buckets [histBuckets]int64
 }
 
 // Observe records one sample; negative samples clamp to zero.
@@ -80,9 +79,9 @@ func (h *Histogram) Observe(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	h.count.Add(1)
-	h.sum.Add(v)
-	h.buckets[bits.Len64(uint64(v))].Add(1)
+	h.count++
+	h.sum += v
+	h.buckets[bits.Len64(uint64(v))]++
 }
 
 // Count reports the number of samples (0 for nil).
@@ -90,7 +89,7 @@ func (h *Histogram) Count() int64 {
 	if h == nil {
 		return 0
 	}
-	return h.count.Load()
+	return h.count
 }
 
 // Sum reports the sum of all samples (0 for nil).
@@ -98,7 +97,7 @@ func (h *Histogram) Sum() int64 {
 	if h == nil {
 		return 0
 	}
-	return h.sum.Load()
+	return h.sum
 }
 
 // Registry is a named collection of metrics. Instruments are created on
@@ -107,7 +106,6 @@ func (h *Histogram) Sum() int64 {
 // disabled registry: lookups return nil instruments whose methods are
 // no-ops.
 type Registry struct {
-	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
@@ -131,8 +129,6 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	c := r.counters[name]
 	if c == nil {
 		c = &Counter{}
@@ -147,8 +143,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	g := r.gauges[name]
 	if g == nil {
 		g = &Gauge{}
@@ -163,8 +157,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	h := r.hists[name]
 	if h == nil {
 		h = &Histogram{}
@@ -204,33 +196,28 @@ func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return s
 	}
-	r.mu.Lock()
-	cnames := append([]string(nil), r.cnames...)
-	gnames := append([]string(nil), r.gnames...)
-	hnames := append([]string(nil), r.hnames...)
-	r.mu.Unlock()
-	if len(cnames) > 0 {
-		s.Counters = make(map[string]int64, len(cnames))
-		for _, n := range cnames {
-			s.Counters[n] = r.Counter(n).Value()
+	if len(r.cnames) > 0 {
+		s.Counters = make(map[string]int64, len(r.cnames))
+		for _, n := range r.cnames {
+			s.Counters[n] = r.counters[n].Value()
 		}
 	}
-	if len(gnames) > 0 {
-		s.Gauges = make(map[string]int64, len(gnames))
-		for _, n := range gnames {
-			s.Gauges[n] = r.Gauge(n).Value()
+	if len(r.gnames) > 0 {
+		s.Gauges = make(map[string]int64, len(r.gnames))
+		for _, n := range r.gnames {
+			s.Gauges[n] = r.gauges[n].Value()
 		}
 	}
-	if len(hnames) > 0 {
-		s.Histograms = make(map[string]HistSnapshot, len(hnames))
-		for _, n := range hnames {
-			h := r.Histogram(n)
+	if len(r.hnames) > 0 {
+		s.Histograms = make(map[string]HistSnapshot, len(r.hnames))
+		for _, n := range r.hnames {
+			h := r.hists[n]
 			hs := HistSnapshot{Count: h.Count(), Sum: h.Sum()}
 			if hs.Count > 0 {
 				hs.Mean = float64(hs.Sum) / float64(hs.Count)
 			}
 			for i := 0; i < histBuckets; i++ {
-				if c := h.buckets[i].Load(); c > 0 {
+				if c := h.buckets[i]; c > 0 {
 					hs.Buckets = append(hs.Buckets, HistBucket{Lt: int64(1) << i, Count: c})
 				}
 			}

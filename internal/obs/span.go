@@ -6,7 +6,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"nephele/internal/vclock"
@@ -38,11 +37,10 @@ func (r SpanRecord) DurV() vclock.Duration {
 	return r.EndV - r.StartV
 }
 
-// Trace is an append-only collection of spans for one observed run. It is
-// safe for concurrent use, but determinism of the record order is the
-// caller's contract: StartSpan calls must happen on sequential code paths.
+// Trace is an append-only collection of spans for one observed run,
+// driven by the one goroutine that drives the observed platform; the
+// record order is the order of its StartSpan calls.
 type Trace struct {
-	mu   sync.Mutex
 	recs []SpanRecord
 	// metrics, when set, receives a "span.<name>.us" histogram observation
 	// for every span that ends.
@@ -55,8 +53,6 @@ func NewTrace() *Trace { return &Trace{} }
 // SetMetrics wires a registry to receive per-span-name virtual-duration
 // histograms ("span.<name>.us") as spans end; nil detaches it.
 func (t *Trace) SetMetrics(r *Registry) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.metrics = r
 }
 
@@ -64,8 +60,6 @@ func (t *Trace) SetMetrics(r *Registry) {
 // Exporters use it to dump the metrics that accumulated alongside the
 // trace without holding a separate reference to the observed platform.
 func (t *Trace) Metrics() *Registry {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.metrics
 }
 
@@ -80,11 +74,8 @@ type Span struct {
 }
 
 func (t *Trace) start(name string, parent int32, m *vclock.Meter) Span {
-	v := m.Elapsed()
-	t.mu.Lock()
 	id := int32(len(t.recs) + 1)
-	t.recs = append(t.recs, SpanRecord{ID: id, Parent: parent, Name: name, StartV: v, EndV: -1})
-	t.mu.Unlock()
+	t.recs = append(t.recs, SpanRecord{ID: id, Parent: parent, Name: name, StartV: m.Elapsed(), EndV: -1})
 	return Span{t: t, id: id, m: m, wall: time.Now()} //nephele:nondeterministic-ok — wall time is recorded for profiling only, never used for ordering
 }
 
@@ -97,23 +88,18 @@ func (s Span) End() {
 	}
 	v := s.m.Elapsed()
 	wall := time.Since(s.wall) //nephele:nondeterministic-ok — wall time is recorded for profiling only, never used for ordering
-	s.t.mu.Lock()
 	rec := &s.t.recs[s.id-1]
 	rec.EndV = v
 	rec.WallNS = int64(wall)
-	reg, name, dur := s.t.metrics, rec.Name, rec.DurV()
-	s.t.mu.Unlock()
-	if reg != nil {
+	if reg := s.t.metrics; reg != nil {
 		// The metrics branch only runs with a registry attached — a
 		// profiling configuration, not the meter-only warm path.
-		reg.Histogram("span." + name + ".us").Observe(int64(dur / vclock.Duration(time.Microsecond))) //nephele:hotalloc-ok name concat is on the registry-attached profiling branch only
+		reg.Histogram("span." + rec.Name + ".us").Observe(int64(rec.DurV() / vclock.Duration(time.Microsecond))) //nephele:hotalloc-ok name concat is on the registry-attached profiling branch only
 	}
 }
 
 // Spans returns a copy of the recorded spans in append order.
 func (t *Trace) Spans() []SpanRecord {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	out := make([]SpanRecord, len(t.recs))
 	copy(out, t.recs)
 	return out
@@ -121,8 +107,6 @@ func (t *Trace) Spans() []SpanRecord {
 
 // Len reports the number of recorded spans.
 func (t *Trace) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return len(t.recs)
 }
 

@@ -10,7 +10,6 @@ package proc
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"nephele/internal/gmem"
 	"nephele/internal/mem"
@@ -32,7 +31,6 @@ var (
 type Machine struct {
 	Mem *mem.Memory
 
-	mu      sync.Mutex
 	procs   map[PID]*Process
 	nextPID PID
 }
@@ -48,8 +46,6 @@ func NewMachine(ramBytes uint64) *Machine {
 
 // ProcessCount reports live processes.
 func (m *Machine) ProcessCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return len(m.procs)
 }
 
@@ -60,7 +56,6 @@ type Process struct {
 	PID     PID
 	machine *Machine
 
-	mu         sync.Mutex
 	space      *mem.Space
 	heap       *gmem.Heap
 	forkedOnce bool
@@ -72,10 +67,8 @@ type Process struct {
 // Spawn creates a fresh process with pages of resident memory (execve of a
 // new program; charged as exec).
 func (m *Machine) Spawn(pages int, meter *vclock.Meter) (*Process, error) {
-	m.mu.Lock()
 	pid := m.nextPID
 	m.nextPID++
-	m.mu.Unlock()
 
 	space, err := mem.NewSpace(m.Mem, mem.DomID(pid), pages, nil)
 	if err != nil {
@@ -88,16 +81,12 @@ func (m *Machine) Spawn(pages int, meter *vclock.Meter) (*Process, error) {
 		space:   space,
 		heap:    gmem.NewHeap(16, gmem.GAddr(pages)*mem.PageSize),
 	}
-	m.mu.Lock()
 	m.procs[pid] = p
-	m.mu.Unlock()
 	return p, nil
 }
 
 // Process looks a process up.
 func (m *Machine) Process(pid PID) (*Process, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	p, ok := m.procs[pid]
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrNoProcess, pid)
@@ -113,8 +102,6 @@ func (p *Process) Faults() int { return p.space.Faults() }
 
 // Alloc implements gmem.MemIO.
 func (p *Process) Alloc(size int) (gmem.GAddr, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.dead {
 		return 0, ErrDead
 	}
@@ -123,8 +110,6 @@ func (p *Process) Alloc(size int) (gmem.GAddr, error) {
 
 // Free implements gmem.MemIO.
 func (p *Process) Free(addr gmem.GAddr) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return p.heap.Free(addr)
 }
 
@@ -145,20 +130,15 @@ var _ gmem.MemIO = (*Process)(nil)
 // dominated by page-table copying; the first fork additionally
 // write-protects every mapping.
 func (p *Process) Fork(meter *vclock.Meter) (*Process, error) {
-	p.mu.Lock()
 	if p.dead {
-		p.mu.Unlock()
 		return nil, ErrDead
 	}
 	first := !p.forkedOnce
 	p.forkedOnce = true
 	heap := p.heap.Clone()
-	p.mu.Unlock()
 
-	p.machine.mu.Lock()
 	pid := p.machine.nextPID
 	p.machine.nextPID++
-	p.machine.mu.Unlock()
 
 	// Real COW cloning through the shared memory substrate, but charged
 	// with Linux costs (no ownership-transfer fee): pass a meterless
@@ -180,34 +160,23 @@ func (p *Process) Fork(meter *vclock.Meter) (*Process, error) {
 		parent:  p.PID,
 		// The child of a forked process has itself never forked.
 	}
-	p.mu.Lock()
 	p.children = append(p.children, pid)
-	p.mu.Unlock()
-	p.machine.mu.Lock()
 	p.machine.procs[pid] = child
-	p.machine.mu.Unlock()
 	return child, nil
 }
 
 // Exit terminates the process and releases its memory.
 func (p *Process) Exit() error {
-	p.mu.Lock()
 	if p.dead {
-		p.mu.Unlock()
 		return nil
 	}
 	p.dead = true
-	p.mu.Unlock()
-	p.machine.mu.Lock()
 	delete(p.machine.procs, p.PID)
-	p.machine.mu.Unlock()
 	return p.space.Release()
 }
 
 // Children lists the live children PIDs.
 func (p *Process) Children() []PID {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	out := make([]PID, len(p.children))
 	copy(out, p.children)
 	return out

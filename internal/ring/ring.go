@@ -10,7 +10,6 @@ package ring
 import (
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // Errors.
@@ -48,7 +47,6 @@ func (e Entry) clone() Entry {
 // a ring that never carried an entry — every ring of an idle clone — is a
 // header.
 type Ring struct {
-	mu       sync.Mutex
 	slots    []Entry // nil until the first Push, then capacity entries
 	capacity uint64
 	prodIdx  uint64
@@ -76,15 +74,11 @@ func (r *Ring) Capacity() int { return int(r.capacity) }
 
 // Len reports the number of produced-but-unconsumed entries.
 func (r *Ring) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return int(r.prodIdx - r.consIdx)
 }
 
 // Push produces one entry.
 func (r *Ring) Push(e Entry) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.prodIdx-r.consIdx >= r.capacity {
 		return ErrFull
 	}
@@ -98,8 +92,6 @@ func (r *Ring) Push(e Entry) error {
 
 // Pop consumes one entry.
 func (r *Ring) Pop() (Entry, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.prodIdx == r.consIdx {
 		return Entry{}, ErrEmpty
 	}
@@ -110,8 +102,6 @@ func (r *Ring) Pop() (Entry, error) {
 
 // PeekAll returns the unconsumed entries without consuming them.
 func (r *Ring) PeekAll() []Entry {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	out := make([]Entry, 0, r.prodIdx-r.consIdx)
 	for i := r.consIdx; i < r.prodIdx; i++ {
 		out = append(out, r.slots[i%r.capacity])
@@ -124,8 +114,6 @@ func (r *Ring) PeekAll() []Entry {
 // the parent's in-flight state (pending TX requests are serviced in both
 // domains; preallocated RX slots keep their allocator metadata).
 func (r *Ring) Clone() *Ring {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	c := &Ring{
 		capacity: r.capacity,
 		prodIdx:  r.prodIdx,
@@ -145,14 +133,10 @@ func (r *Ring) Clone() *Ring {
 // Fresh creates an empty ring with the same geometry (the console clone
 // policy).
 func (r *Ring) Fresh() *Ring {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return &Ring{capacity: r.capacity, pages: r.pages}
 }
 
 // Reset drops all unconsumed entries.
 func (r *Ring) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.prodIdx, r.consIdx = 0, 0
 }

@@ -38,52 +38,49 @@ func hashRun(pages [][]byte) uint64 {
 // runs that changed. The predecessor is let go afterwards: a hashed image
 // is itself what the next save inherits from.
 func (img *Image) ensureHashed() {
-	img.hashOnce.Do(func() {
-		prev := img.prev.Load()
-		infos := make([]RunInfo, len(img.runs))
-		cfg := img.Config
-		cfg.Name = ""
-		cfgJSON, err := json.Marshal(cfg)
-		h := fnv1a.Offset
-		if err == nil {
-			h = fnv1a.Bytes(h, cfgJSON)
-		}
-		h = fnv1a.Uint64(h, uint64(img.npages))
-		for i := range img.runs {
-			r := &img.runs[i]
-			ri := &infos[i]
-			ri.Start, ri.Count = r.Start, r.Count
-			h = fnv1a.Uint64(h, uint64(r.Start))
-			h = fnv1a.Uint64(h, uint64(r.Count))
-			switch {
-			case r.IsAlias:
-				ri.Kind = RunAlias
-				h = fnv1a.Uint64(h, 1)
-				h = fnv1a.Uint64(h, uint64(r.Alias))
-			case r.Pages == nil:
-				ri.Kind = RunZero
-				h = fnv1a.Uint64(h, 2)
-			default:
-				ri.Kind = RunData
-				for _, data := range r.Pages {
-					if data != nil {
-						ri.StoredPages++
-					}
+	if img.hashed {
+		return
+	}
+	infos := make([]RunInfo, len(img.runs))
+	cfg := img.Config
+	cfg.Name = ""
+	cfgJSON, err := json.Marshal(cfg)
+	h := fnv1a.Offset
+	if err == nil {
+		h = fnv1a.Bytes(h, cfgJSON)
+	}
+	h = fnv1a.Uint64(h, uint64(img.npages))
+	for i := range img.runs {
+		r := &img.runs[i]
+		ri := &infos[i]
+		ri.Start, ri.Count = r.Start, r.Count
+		h = fnv1a.Uint64(h, uint64(r.Start))
+		h = fnv1a.Uint64(h, uint64(r.Count))
+		switch {
+		case r.IsAlias:
+			ri.Kind = RunAlias
+			h = fnv1a.Uint64(h, 1)
+			h = fnv1a.Uint64(h, uint64(r.Alias))
+		case r.Pages == nil:
+			ri.Kind = RunZero
+			h = fnv1a.Uint64(h, 2)
+		default:
+			ri.Kind = RunData
+			for _, data := range r.Pages {
+				if data != nil {
+					ri.StoredPages++
 				}
-				var same bool
-				if ri.Hash, same = prev.sameRunHash(r); !same {
-					ri.Hash = hashRun(r.Pages)
-				}
-				h = fnv1a.Uint64(h, 3)
-				h = fnv1a.Uint64(h, ri.Hash)
 			}
+			var same bool
+			if ri.Hash, same = img.prev.sameRunHash(r); !same {
+				ri.Hash = hashRun(r.Pages)
+			}
+			h = fnv1a.Uint64(h, 3)
+			h = fnv1a.Uint64(h, ri.Hash)
 		}
-		img.infos, img.key = infos, h
-		// hashed before prev is cleared: hashedAncestor reads them in the
-		// opposite order and so never finds neither.
-		img.hashed.Store(true)
-		img.prev.Store(nil)
-	})
+	}
+	img.infos, img.key = infos, h
+	img.hashed, img.prev = true, nil
 }
 
 // sameRunHash returns the stored content hash of old's data run that has
@@ -121,11 +118,10 @@ func (img *Image) hashedAncestor() *Image {
 	if img == nil {
 		return nil
 	}
-	prev := img.prev.Load()
-	if img.hashed.Load() {
+	if img.hashed {
 		return img
 	}
-	return prev
+	return img.prev
 }
 
 // CacheKey returns the image's deterministic content-addressed identity:

@@ -3,7 +3,6 @@ package toolstack
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"nephele/internal/fault"
 	"nephele/internal/mem"
@@ -29,7 +28,6 @@ type ImageStore struct {
 	mem *mem.Memory
 	dom mem.DomID
 
-	mu       sync.Mutex
 	chunks   map[uint64]*imageChunk
 	images   map[uint64]*cachedImage
 	order    uint64 // logical clock for LRU
@@ -92,8 +90,6 @@ func NewImageStore(m *mem.Memory, maxResidentMB int) *ImageStore {
 // SetFaults installs a fault-injection registry on the insert and
 // cached-restore paths (tests); nil disables injection.
 func (st *ImageStore) SetFaults(r *fault.Registry) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	st.faults = r
 }
 
@@ -110,15 +106,11 @@ func (st *ImageStore) SetMetrics(r *obs.Registry) {
 		resident:       r.Gauge("imagecache.resident_pages"),
 		images:         r.Gauge("imagecache.images"),
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	st.gauges = g
 }
 
 // Stats snapshots the cache counters.
 func (st *ImageStore) Stats() ImageStoreStats {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	return ImageStoreStats{
 		Hits: st.hits, Misses: st.misses,
 		Inserts: st.inserts, Evictions: st.evictions,
@@ -128,8 +120,8 @@ func (st *ImageStore) Stats() ImageStoreStats {
 	}
 }
 
-// publishLocked pushes the counters into the attached registry.
-func (st *ImageStore) publishLocked() {
+// publish pushes the counters into the attached registry.
+func (st *ImageStore) publish() {
 	g := &st.gauges
 	g.hits.Set(st.hits)
 	g.misses.Set(st.misses)
@@ -144,18 +136,16 @@ func (st *ImageStore) publishLocked() {
 // touch looks the key up, counting a hit or miss and refreshing the LRU
 // position. It returns nil on a miss.
 func (st *ImageStore) touch(key uint64) *cachedImage {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	ci, ok := st.images[key]
 	if !ok {
 		st.misses++
-		st.publishLocked()
+		st.publish()
 		return nil
 	}
 	st.hits++
 	st.order++
 	ci.lastUse = st.order
-	st.publishLocked()
+	st.publish()
 	return ci
 }
 
@@ -163,8 +153,6 @@ func (st *ImageStore) touch(key uint64) *cachedImage {
 // side effects).
 func (st *ImageStore) Contains(img *Image) bool {
 	key := img.CacheKey()
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	_, ok := st.images[key]
 	return ok
 }
@@ -173,8 +161,6 @@ func (st *ImageStore) Contains(img *Image) bool {
 // resident — the receiver-side dedup query of a cross-host transfer (no
 // counter side effects; the transfer accounts its own dedup totals).
 func (st *ImageStore) HasChunk(hash uint64) bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	_, ok := st.chunks[hash]
 	return ok
 }
@@ -184,8 +170,6 @@ func (st *ImageStore) HasChunk(hash uint64) bool {
 // the image were shipped here now.
 func (st *ImageStore) WarmPages(img *Image) int {
 	infos := img.RunInfos()
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	warm := 0
 	for _, ri := range infos {
 		if ri.Kind != RunData {
@@ -200,19 +184,15 @@ func (st *ImageStore) WarmPages(img *Image) int {
 
 // noteAdopted counts frames handed to a child by a cached restore.
 func (st *ImageStore) noteAdopted(n int) {
-	st.mu.Lock()
 	st.adopted += int64(n)
-	st.publishLocked()
-	st.mu.Unlock()
+	st.publish()
 }
 
 // noteInsertFailure counts a cache-population side effect that was rolled
 // back (the restore it rode on still succeeded).
 func (st *ImageStore) noteInsertFailure() {
-	st.mu.Lock()
 	st.insertFailures++
-	st.publishLocked()
-	st.mu.Unlock()
+	st.publish()
 }
 
 // Insert makes the image resident: every data run not already cached gets
@@ -233,8 +213,6 @@ func (st *ImageStore) noteInsertFailure() {
 func (st *ImageStore) Insert(img *Image, meter *vclock.Meter) error {
 	img.ensureHashed()
 	key := img.key
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	if ci, ok := st.images[key]; ok {
 		st.order++
 		ci.lastUse = st.order
@@ -319,21 +297,21 @@ func (st *ImageStore) Insert(img *Image, meter *vclock.Meter) error {
 	ci.lastUse = st.order
 	st.images[key] = ci
 	st.inserts++
-	st.evictLocked(key)
-	st.publishLocked()
+	st.evict(key)
+	st.publish()
 	return nil
 }
 
-// evictLocked drops least-recently-used images (never keep) until the
+// evict drops least-recently-used images (never keep) until the
 // resident bound holds again. The victim is the oldest lastUse, the lowest
 // key on ties, so the choice does not depend on map order.
-func (st *ImageStore) evictLocked(keep uint64) {
+func (st *ImageStore) evict(keep uint64) {
 	if st.maxPages <= 0 {
 		return
 	}
 	for st.resident > st.maxPages && len(st.images) > 1 {
 		var victim *cachedImage
-		for k, ci := range st.images {
+		for k, ci := range st.images { //nephele:nondeterministic-ok — minimum under the total order (lastUse, key)
 			if k != keep && (victim == nil || ci.lastUse < victim.lastUse ||
 				ci.lastUse == victim.lastUse && k < victim.key) {
 				victim = ci
@@ -342,14 +320,14 @@ func (st *ImageStore) evictLocked(keep uint64) {
 		if victim == nil {
 			return
 		}
-		st.dropLocked(victim)
+		st.drop(victim)
 		st.evictions++
 	}
 }
 
-// dropLocked removes one cached image, releasing the cache's reference on
+// drop removes one cached image, releasing the cache's reference on
 // every chunk no other image still uses.
-func (st *ImageStore) dropLocked(ci *cachedImage) {
+func (st *ImageStore) drop(ci *cachedImage) {
 	for _, ch := range ci.chunks {
 		if ch == nil {
 			continue
@@ -368,30 +346,26 @@ func (st *ImageStore) dropLocked(ci *cachedImage) {
 // references. It reports whether the image was resident.
 func (st *ImageStore) Drop(img *Image) bool {
 	key := img.CacheKey()
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	ci, ok := st.images[key]
 	if !ok {
 		return false
 	}
-	st.dropLocked(ci)
+	st.drop(ci)
 	st.evictions++
-	st.publishLocked()
+	st.publish()
 	return true
 }
 
 // Flush evicts everything.
 func (st *ImageStore) Flush() {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	keys := make([]uint64, 0, len(st.images))
-	for k := range st.images {
+	for k := range st.images { //nephele:nondeterministic-ok — sorted below
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	for _, k := range keys {
-		st.dropLocked(st.images[k])
+		st.drop(st.images[k])
 		st.evictions++
 	}
-	st.publishLocked()
+	st.publish()
 }

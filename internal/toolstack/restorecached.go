@@ -48,7 +48,7 @@ func (x *XL) RestoreCachedOp(ctx obs.OpCtx, store *ImageStore, img *Image, name 
 		x.Destroy(rec.ID, nil)
 		return nil, true, err
 	}
-	if err := store.faultCheckRestore(); err != nil {
+	if err := store.faults.Check(fault.PointCacheRestore); err != nil {
 		return fail(err)
 	}
 	dom, err := x.HV.Domain(rec.ID)
@@ -100,13 +100,4 @@ func (x *XL) RestoreCachedOp(ctx obs.OpCtx, store *ImageStore, img *Image, name 
 	}
 	store.noteAdopted(adopted)
 	return rec, true, nil
-}
-
-// faultCheckRestore evaluates the cached-restore fault point under the
-// store's registry.
-func (st *ImageStore) faultCheckRestore() error {
-	st.mu.Lock()
-	r := st.faults
-	st.mu.Unlock()
-	return r.Check(fault.PointCacheRestore)
 }

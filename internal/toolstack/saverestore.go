@@ -3,8 +3,6 @@ package toolstack
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"nephele/internal/hv"
 	"nephele/internal/mem"
@@ -30,19 +28,17 @@ type Image struct {
 	// nil slots.
 	runs []mem.SnapshotRun
 
-	// hashOnce lazily computes the content-addressed identity: infos (one
-	// entry per run, a data run's FNV-1a content hash included) plus the
-	// image-wide cache key. Hashing never mutates runs, so a hashed image
-	// stays safe for concurrent readers.
-	hashOnce sync.Once
-	infos    []RunInfo // parallel to runs
-	key      uint64
+	// infos (one entry per run, a data run's FNV-1a content hash
+	// included) and the image-wide cache key are the content-addressed
+	// identity, computed on first use; hashed is set once they are final.
+	// Hashing never mutates runs. See ensureHashed.
+	infos  []RunInfo // parallel to runs
+	key    uint64
+	hashed bool
 
 	// prev is the nearest hashed earlier image of the same live domain
-	// (set by Save, cleared once this image is hashed itself); hashed
-	// flips when infos and key are final. See ensureHashed.
-	prev   atomic.Pointer[Image]
-	hashed atomic.Bool
+	// (set by Save, cleared once this image is hashed itself).
+	prev *Image
 }
 
 // Pages reports the number of frames in the image: the full allocated VM
@@ -169,12 +165,10 @@ func (x *XL) Save(id hv.DomID, meter *vclock.Meter) (*Image, error) {
 	img := &Image{Config: rec.Config, npages: n, runs: runs}
 	// Remember the image as the domain's latest, and let it inherit run
 	// hashes from the nearest hashed one before it. Destroy forgets it.
-	x.mu.Lock()
 	if _, live := x.byID[id]; live {
-		img.prev.Store(x.lastSave[id].hashedAncestor())
+		img.prev = x.lastSave[id].hashedAncestor()
 		x.lastSave[id] = img
 	}
-	x.mu.Unlock()
 	meter.Charge(meter.Costs().ImagePageSave, n)
 	return img, nil
 }

@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
-	"sync"
 	"testing"
 
 	"nephele/internal/hv"
@@ -308,7 +307,7 @@ func TestHashInheritanceMatchesFreshHash(t *testing.T) {
 		if round%4 == 3 {
 			continue
 		}
-		prev := img.prev.Load()
+		prev := img.prev
 		fresh := &Image{Config: img.Config, npages: img.npages, runs: img.runs}
 		if img.CacheKey() != fresh.CacheKey() {
 			t.Fatalf("round %d: key with inheritance %#x, hashed afresh %#x", round, img.CacheKey(), fresh.CacheKey())
@@ -417,8 +416,6 @@ func TestSaveRetainsOnePreviousImage(t *testing.T) {
 	}
 	sp := spaceOf(t, r, rec.ID)
 	latest := func() *Image {
-		r.xl.mu.Lock()
-		defer r.xl.mu.Unlock()
 		return r.xl.lastSave[rec.ID]
 	}
 	// Never hashed: nothing to inherit from, nothing kept but the latest.
@@ -427,7 +424,7 @@ func TestSaveRetainsOnePreviousImage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if latest() != img || img.prev.Load() != nil {
+		if latest() != img || img.prev != nil {
 			t.Fatalf("save %d: unhashed saves chained", i)
 		}
 	}
@@ -444,20 +441,20 @@ func TestSaveRetainsOnePreviousImage(t *testing.T) {
 		if latest() != img {
 			t.Fatalf("save %d is not the remembered one", i)
 		}
-		if img.prev.Load() != hashed || hashed.prev.Load() != nil {
+		if img.prev != hashed || hashed.prev != nil {
 			t.Fatalf("save %d: reaches something other than the one hashed predecessor", i)
 		}
 	}
 	last := latest()
 	last.CacheKey()
-	if last.prev.Load() != nil {
+	if last.prev != nil {
 		t.Fatal("a hashed image still holds its predecessor")
 	}
 	next, err := r.xl.Save(rec.ID, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if next.prev.Load() != last {
+	if next.prev != last {
 		t.Fatal("a save after a hashed one does not inherit from it")
 	}
 	if err := r.xl.Destroy(rec.ID, nil); err != nil {
@@ -468,39 +465,42 @@ func TestSaveRetainsOnePreviousImage(t *testing.T) {
 	}
 }
 
-// TestSaveRestoreRaceGuestWriter (-race): a guest writing while the same
-// domain is saved, hashed and restored from concurrently.
+// TestSaveRestoreRaceGuestWriter: a guest writing between the saves,
+// hashes and restores of the same domain never moves an image already
+// taken — each keeps its bytes and its key however the writes fall — and
+// every restore from one, plain or cached, succeeds.
 func TestSaveRestoreRaceGuestWriter(t *testing.T) {
 	r := newRig(t)
 	id, sp := dirtiedParent(t, r, "race")
 	n := sp.Pages()
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 3000; i++ {
-			pfn := mem.PFN([]int{4, 5, 6, 7, 9, 40, n - 1}[i%7])
-			var err error
-			if i%5 == 0 {
-				err = sp.Write(pfn, 0, bytes.Repeat([]byte{byte(i) | 1}, mem.PageSize), nil)
-			} else {
-				err = sp.Write(pfn, (i%500)*8, []byte{byte(i), 1, 2, 3, 4, 5, 6, 7}, nil)
-			}
-			if err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
 	store := NewImageStore(r.hv.Memory, 0)
-	for i := 0; i < 40; i++ {
+	type saved struct {
+		img   *Image
+		bytes []byte
+		key   uint64
+	}
+	var imgs []saved
+	for i := 0; i < 3000; i++ {
+		pfn := mem.PFN([]int{4, 5, 6, 7, 9, 40, n - 1}[i%7])
+		var err error
+		if i%5 == 0 {
+			err = sp.Write(pfn, 0, bytes.Repeat([]byte{byte(i) | 1}, mem.PageSize), nil)
+		} else {
+			err = sp.Write(pfn, (i%500)*8, []byte{byte(i), 1, 2, 3, 4, 5, 6, 7}, nil)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%75 != 74 {
+			continue
+		}
 		img, err := r.xl.Save(id, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		img.CacheKey()
+		imgs = append(imgs, saved{img, imageBytes(img), img.CacheKey()})
 		var rec *Record
-		if i%2 == 0 {
+		if len(imgs)%2 == 0 {
 			rec, err = r.xl.Restore(img, fmt.Sprintf("race-%d", i), nil)
 		} else {
 			rec, _, err = r.xl.RestoreCachedOp(obs.OpCtx{}, store, img, fmt.Sprintf("race-%d", i))
@@ -515,7 +515,14 @@ func TestSaveRestoreRaceGuestWriter(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	wg.Wait()
+	for k, sv := range imgs {
+		if !bytes.Equal(imageBytes(sv.img), sv.bytes) {
+			t.Fatalf("image %d: bytes moved under later guest writes", k)
+		}
+		if fresh := (&Image{Config: sv.img.Config, npages: sv.img.npages, runs: sv.img.runs}); fresh.CacheKey() != sv.key {
+			t.Fatalf("image %d hashes to %#x afresh, %#x when saved", k, fresh.CacheKey(), sv.key)
+		}
+	}
 }
 
 // TestSavedImageSurvivesSiblingResets: an image keeps its bytes and its

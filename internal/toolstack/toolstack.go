@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"sync"
 
 	"nephele/internal/devices"
 	"nephele/internal/fault"
@@ -97,7 +96,6 @@ type XL struct {
 	// it for the baseline since generated names are unique).
 	SkipNameCheck bool
 
-	mu      sync.Mutex
 	byName  map[string]hv.DomID
 	byID    map[hv.DomID]*Record
 	dom0Mem uint64 // bytes of Dom0 memory consumed by instance state
@@ -124,29 +122,21 @@ func New(hyp *hv.Hypervisor, store *xenstore.Store, be Backends, net *devices.Sw
 // SetFaults installs a fault-injection registry on the clone-adoption path
 // (tests); a nil registry disables injection.
 func (x *XL) SetFaults(r *fault.Registry) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
 	x.faults = r
 }
 
 // Dom0MemUsed reports the Dom0 memory consumed by per-instance state.
 func (x *XL) Dom0MemUsed() uint64 {
-	x.mu.Lock()
-	defer x.mu.Unlock()
 	return x.dom0Mem
 }
 
 // Count reports the number of toolstack-managed domains.
 func (x *XL) Count() int {
-	x.mu.Lock()
-	defer x.mu.Unlock()
 	return len(x.byID)
 }
 
 // Lookup finds a record by name.
 func (x *XL) Lookup(name string) (*Record, error) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
 	id, ok := x.byName[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoDomain, name)
@@ -156,8 +146,6 @@ func (x *XL) Lookup(name string) (*Record, error) {
 
 // Record returns the record of a domain ID.
 func (x *XL) Record(id hv.DomID) (*Record, error) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
 	r, ok := x.byID[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrNoDomain, id)
@@ -172,16 +160,13 @@ func (x *XL) Record(id hv.DomID) (*Record, error) {
 // finalization. Guest kernel boot time is charged by the guest runtime.
 func (x *XL) Create(cfg DomainConfig, meter *vclock.Meter) (*Record, error) {
 	meter.Charge(meter.Costs().ToolstackBoot, 1)
-	x.mu.Lock()
 	if !x.SkipNameCheck {
 		// Vanilla xl iterates all running VM names.
 		meter.Charge(meter.Costs().NameCheckPerVM, len(x.byName))
 	}
 	if _, taken := x.byName[cfg.Name]; taken {
-		x.mu.Unlock()
 		return nil, fmt.Errorf("%w: %q", ErrNameTaken, cfg.Name)
 	}
-	x.mu.Unlock()
 
 	dom, err := x.HV.DomainCreate(obs.Ctx(meter), cfg.Pages(), max1(cfg.VCPUs))
 	if err != nil {
@@ -206,11 +191,9 @@ func (x *XL) Create(cfg DomainConfig, meter *vclock.Meter) (*Record, error) {
 	}
 
 	rec := &Record{ID: dom.ID, Config: cfg}
-	x.mu.Lock()
 	x.byName[cfg.Name] = dom.ID
 	x.byID[dom.ID] = rec
 	x.dom0Mem += Dom0MemPerInstanceBytes
-	x.mu.Unlock()
 	return rec, nil
 }
 
@@ -268,8 +251,6 @@ func (x *XL) Destroy(id hv.DomID, meter *vclock.Meter) error {
 // registry (xencloned generates the name itself, guaranteeing uniqueness,
 // so no scan happens — §6.1).
 func (x *XL) AdoptClone(parent, child hv.DomID) (*Record, error) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
 	if err := x.faults.Check(fault.PointToolstackAdopt); err != nil {
 		return nil, err
 	}
@@ -292,8 +273,6 @@ func (x *XL) AdoptClone(parent, child hv.DomID) (*Record, error) {
 // whether the domain was registered; releasing an unknown one is a no-op,
 // so a rollback may run no matter how far adoption got.
 func (x *XL) ReleaseClone(child hv.DomID) bool {
-	x.mu.Lock()
-	defer x.mu.Unlock()
 	rec, ok := x.byID[child]
 	if !ok {
 		return false

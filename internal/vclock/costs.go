@@ -135,7 +135,7 @@ func DefaultCosts() *CostModel {
 
 // Meter accumulates virtual time charged by mechanism calls. A Meter is
 // owned by one logical operation (a boot, a clone, a fuzzing iteration) and
-// is not safe for concurrent use; concurrent operations each use their own.
+// is driven, like the platform the operation runs on, by one goroutine.
 //
 // A nil *Meter is the disabled meter: Charge and Add do nothing, Elapsed
 // reads zero and Costs returns the shared default table, so code that

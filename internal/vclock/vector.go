@@ -3,7 +3,6 @@ package vclock
 import (
 	"fmt"
 	"strings"
-	"sync"
 )
 
 // Vector is a per-host vector clock over virtual time: component i is the
@@ -19,10 +18,7 @@ import (
 // virtual time the transfer and materialization charged (meter.Add of the
 // sequential child's elapsed time). Two hosts that never exchanged clones
 // stay Concurrent.
-type Vector struct {
-	mu sync.Mutex
-	ts []Duration
-}
+type Vector struct{ ts []Duration }
 
 // NewVector returns a vector clock over n hosts, all components at zero.
 func NewVector(n int) *Vector {
@@ -34,8 +30,6 @@ func NewVector(n int) *Vector {
 
 // Hosts reports the number of components.
 func (v *Vector) Hosts() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	return len(v.ts)
 }
 
@@ -46,8 +40,6 @@ func (v *Vector) Tick(host int, d Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("vclock: negative vector tick %v", d))
 	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	v.ts[host] += d
 }
 
@@ -56,8 +48,6 @@ func (v *Vector) Tick(host int, d Duration) {
 // the snapshot had seen. Snapshots of a different width panic (the cluster
 // geometry is fixed at construction).
 func (v *Vector) Merge(peer []Duration) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	if len(peer) != len(v.ts) {
 		panic(fmt.Sprintf("vclock: merging a %d-host snapshot into a %d-host vector", len(peer), len(v.ts)))
 	}
@@ -71,8 +61,6 @@ func (v *Vector) Merge(peer []Duration) {
 // Snapshot returns a copy of the components — the value shipped alongside
 // a cross-host transfer for the receiver to Merge.
 func (v *Vector) Snapshot() []Duration {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	out := make([]Duration, len(v.ts))
 	copy(out, v.ts)
 	return out
@@ -80,15 +68,11 @@ func (v *Vector) Snapshot() []Duration {
 
 // At reports one component.
 func (v *Vector) At(host int) Duration {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	return v.ts[host]
 }
 
 // String renders the components for logs.
 func (v *Vector) String() string {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	var b strings.Builder
 	b.WriteByte('[')
 	for i, t := range v.ts {

@@ -1,7 +1,6 @@
 package vclock
 
 import (
-	"sync"
 	"testing"
 	"time"
 )
@@ -97,27 +96,4 @@ func TestVectorPanics(t *testing.T) {
 	expectPanic("negative tick", func() { NewVector(1).Tick(0, -1) })
 	expectPanic("width mismatch merge", func() { NewVector(2).Merge([]Duration{1}) })
 	expectPanic("width mismatch compare", func() { Compare([]Duration{1}, []Duration{1, 2}) })
-}
-
-// TestVectorConcurrent exercises the lock under -race: many goroutines
-// ticking distinct components while others merge and snapshot.
-func TestVectorConcurrent(t *testing.T) {
-	v := NewVector(4)
-	var wg sync.WaitGroup
-	for h := 0; h < 4; h++ {
-		wg.Add(1)
-		go func(h int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				v.Tick(h, time.Microsecond)
-				v.Merge(v.Snapshot())
-			}
-		}(h)
-	}
-	wg.Wait()
-	for h := 0; h < 4; h++ {
-		if v.At(h) != 200*time.Microsecond {
-			t.Fatalf("component %d = %v, want 200µs", h, v.At(h))
-		}
-	}
 }

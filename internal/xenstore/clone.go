@@ -25,11 +25,9 @@ import (
 // deep copy as Snapshot + RewriteForClone + one Write per node, and Clone
 // leaves the same tree and node count behind.
 func (s *Store) Clone(parentDom, childDom uint32, op CloneOp, parentPath, childPath string, meter *vclock.Meter) error {
-	if err := s.faultCheck(fault.PointXSClone); err != nil {
+	if err := s.faults.Check(fault.PointXSClone); err != nil {
 		return err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.chargeRequest(meter, true)
 	s.stats.CloneReqs++
 
@@ -48,10 +46,10 @@ func (s *Store) Clone(parentDom, childDom uint32, op CloneOp, parentPath, childP
 	if within(srcElems, dstElems) || within(dstElems, srcElems) {
 		return fmt.Errorf("%w: clone of %s onto overlapping %s", ErrBadPath, parentPath, childPath)
 	}
-	dst := s.mkdirLocked(s.at(0), dstElems)
+	dst := s.mkdir(s.at(0), dstElems)
 	dst.value = src.value
 	rw := newRewriter(parentDom, childDom, op)
-	s.copyLocked(dst, src, &rw)
+	s.copyTree(dst, src, &rw)
 	return nil
 }
 
@@ -61,20 +59,20 @@ func within(a, b string) bool {
 	return b == "" || a == b || len(a) > len(b) && a[len(b)] == '/' && a[:len(b)] == b
 }
 
-// copyLocked copies src's descendants into dst node by node, in src's
+// copyTree copies src's descendants into dst node by node, in src's
 // order, creating the missing ones and overwriting the values of the rest;
-// runs under the store lock and counts as part of the single xs_clone
-// request. A dst with no children gets its kids array at src's size once,
-// and src's names come sorted, so each new child is appended.
-func (s *Store) copyLocked(dst, src *node, rw *rewriter) {
+// it counts as part of the single xs_clone request. A dst with no
+// children gets its kids array at src's size once, and src's names come
+// sorted, so each new child is appended.
+func (s *Store) copyTree(dst, src *node, rw *rewriter) {
 	if len(dst.kids) == 0 && cap(dst.kids) < len(src.kids) {
 		dst.kids = make([]int32, 0, len(src.kids))
 	}
 	for _, i := range src.kids {
 		sc := s.at(i)
-		dc := s.childLocked(dst, sc.name)
+		dc := s.child(dst, sc.name)
 		dc.value = rw.value(sc.name, sc.value)
-		s.copyLocked(dc, sc, rw)
+		s.copyTree(dc, sc, rw)
 	}
 }
 
@@ -88,8 +86,6 @@ type Pair struct {
 // Snapshot reads a whole subtree in one request (xencloned caches these so
 // repeated deep copies of the same parent do not re-read the store).
 func (s *Store) Snapshot(root string, meter *vclock.Meter) ([]Pair, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.chargeRequest(meter, false)
 	n, err := s.lookup(root)
 	if err != nil {

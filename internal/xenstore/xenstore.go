@@ -19,7 +19,6 @@ import (
 	"math/bits"
 	"slices"
 	"strings"
-	"sync"
 
 	"nephele/internal/fault"
 	"nephele/internal/vclock"
@@ -114,7 +113,6 @@ type Stats struct {
 
 // Store is the Xenstore daemon state.
 type Store struct {
-	mu     sync.Mutex
 	chunks [][]node // the node table; node 0 is the root
 	used   int32    // table slots handed out, freed ones included
 	free   []int32  // freed indices, reused last freed first
@@ -140,7 +138,7 @@ type Store struct {
 // logged requests (0 disables logging).
 func New(rotateEvery int) *Store {
 	s := &Store{rotateEvery: rotateEvery}
-	s.allocLocked("")
+	s.alloc("")
 	return s
 }
 
@@ -150,9 +148,9 @@ func (s *Store) at(i int32) *node {
 	return &s.chunks[c][off]
 }
 
-// allocLocked takes a table slot for a node called name, a freed one if
+// alloc takes a table slot for a node called name, a freed one if
 // there is one, and returns its index.
-func (s *Store) allocLocked(name string) int32 {
+func (s *Store) alloc(name string) int32 {
 	var i int32
 	if k := len(s.free) - 1; k >= 0 {
 		i = s.free[k]
@@ -168,15 +166,15 @@ func (s *Store) allocLocked(name string) int32 {
 	return i
 }
 
-// freeLocked returns node i and its descendants to the free list and
+// freeTree returns node i and its descendants to the free list and
 // reports how many it freed. Children go first, last to first, so the
 // list hands the indices back in the order a sorted rewrite of the same
 // subtree asks for them, each with the kids array it had.
-func (s *Store) freeLocked(i int32) int {
+func (s *Store) freeTree(i int32) int {
 	n := s.at(i)
 	freed := 1
 	for k := len(n.kids) - 1; k >= 0; k-- {
-		freed += s.freeLocked(n.kids[k])
+		freed += s.freeTree(n.kids[k])
 	}
 	n.name, n.value, n.kids = "", "", n.kids[:0]
 	s.free = append(s.free, i)
@@ -205,31 +203,16 @@ func (s *Store) search(n *node, name string) (int, bool) {
 // SetFaults installs a fault-injection registry on the write and xs_clone
 // request paths (tests); a nil registry disables injection.
 func (s *Store) SetFaults(r *fault.Registry) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.faults = r
-}
-
-// faultCheck evaluates a store fault point without holding the lock
-// ordering hostage (the registry has its own lock).
-func (s *Store) faultCheck(point string) error {
-	s.mu.Lock()
-	r := s.faults
-	s.mu.Unlock()
-	return r.Check(point)
 }
 
 // Stats returns a copy of the traffic counters.
 func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.stats
 }
 
 // NodeCount reports the number of nodes in the tree.
 func (s *Store) NodeCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.nodes
 }
 
@@ -292,22 +275,22 @@ func (s *Store) lookup(path string) (*node, error) {
 	return n, nil
 }
 
-// mkdirLocked returns the node a pathElems string names below n, creating
+// mkdir returns the node a pathElems string names below n, creating
 // it and any missing ancestors (mkdir -p semantics, like xenstored).
-func (s *Store) mkdirLocked(n *node, elems string) *node {
+func (s *Store) mkdir(n *node, elems string) *node {
 	for elem := ""; elems != ""; {
 		elem, elems, _ = strings.Cut(elems, "/")
-		n = s.childLocked(n, elem)
+		n = s.child(n, elem)
 	}
 	return n
 }
 
-// childLocked returns n's child called name, creating it if absent. n stays
+// child returns n's child called name, creating it if absent. n stays
 // valid: the table's chunks never move.
-func (s *Store) childLocked(n *node, name string) *node {
+func (s *Store) child(n *node, name string) *node {
 	k, ok := s.search(n, name)
 	if !ok {
-		n.kids = slices.Insert(n.kids, k, s.allocLocked(name))
+		n.kids = slices.Insert(n.kids, k, s.alloc(name))
 		s.nodes++
 	}
 	return s.at(n.kids[k])
@@ -333,8 +316,7 @@ func (s *Store) Read(path string, meter *vclock.Meter) (string, error) {
 // handle finds that node on its first request (a write creates it, mkdir
 // -p, as Store.Write would, so every charge sees the node count it always
 // did), and finds it again only after a Remove has freed nodes, since a
-// freed node may since have been handed to another path. A Dir is used by
-// one goroutine at a time.
+// freed node may since have been handed to another path.
 type Dir struct {
 	s        *Store
 	elems    string // the directory's path, in pathElems form
@@ -376,29 +358,25 @@ func checkKey(key string) error {
 // below d's directory, or below the root for a nil d. bad is the path
 // check's verdict, which fails the request once it is charged.
 func (s *Store) write(d *Dir, elems string, bad error, value string, meter *vclock.Meter) error {
-	if err := s.faultCheck(fault.PointXSWrite); err != nil {
+	if err := s.faults.Check(fault.PointXSWrite); err != nil {
 		return err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.chargeRequest(meter, true)
 	if bad != nil {
 		return bad
 	}
-	s.mkdirLocked(s.dirLocked(d, true), elems).value = value
+	s.mkdir(s.dirNode(d, true), elems).value = value
 	return nil
 }
 
 // read is the one read request, walking as write does.
 func (s *Store) read(d *Dir, elems string, bad error, meter *vclock.Meter) (string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.chargeRequest(meter, false)
 	if bad != nil {
 		return "", bad
 	}
 	var n *node
-	if dir := s.dirLocked(d, false); dir != nil {
+	if dir := s.dirNode(d, false); dir != nil {
 		n = s.find(dir, elems)
 	}
 	if n == nil {
@@ -410,17 +388,17 @@ func (s *Store) read(d *Dir, elems string, bad error, meter *vclock.Meter) (stri
 	return n.value, nil
 }
 
-// dirLocked returns the node of d's directory, the root for a nil d. When
+// dirNode returns the node of d's directory, the root for a nil d. When
 // d has no node yet, or a Remove has freed nodes since it found the one it
 // has, it walks from the root: creating the directory and its missing
 // ancestors if create is set, and returning nil where it is absent if not.
-func (s *Store) dirLocked(d *Dir, create bool) *node {
+func (s *Store) dirNode(d *Dir, create bool) *node {
 	if d == nil {
 		return s.at(0)
 	}
 	if d.n == nil || d.removals != s.removals {
 		if create {
-			d.n = s.mkdirLocked(s.at(0), d.elems)
+			d.n = s.mkdir(s.at(0), d.elems)
 		} else {
 			d.n = s.find(s.at(0), d.elems)
 		}
@@ -431,8 +409,6 @@ func (s *Store) dirLocked(d *Dir, create bool) *node {
 
 // Directory lists the child names at path, sorted, one request.
 func (s *Store) Directory(path string, meter *vclock.Meter) ([]string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.chargeRequest(meter, false)
 	n, err := s.lookup(path)
 	if err != nil {
@@ -447,8 +423,6 @@ func (s *Store) Directory(path string, meter *vclock.Meter) ([]string, error) {
 
 // Remove deletes the subtree at path, one request.
 func (s *Store) Remove(path string, meter *vclock.Meter) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.chargeRequest(meter, true)
 	elems, err := pathElems(path)
 	if err != nil {
@@ -469,7 +443,7 @@ func (s *Store) Remove(path string, meter *vclock.Meter) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, path)
 	}
-	s.nodes -= s.freeLocked(parent.kids[k])
+	s.nodes -= s.freeTree(parent.kids[k])
 	s.removals++
 	parent.kids = slices.Delete(parent.kids, k, k+1)
 	return nil
@@ -477,8 +451,6 @@ func (s *Store) Remove(path string, meter *vclock.Meter) error {
 
 // Exists reports whether path is present (one request).
 func (s *Store) Exists(path string, meter *vclock.Meter) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.chargeRequest(meter, false)
 	elems, err := pathElems(path)
 	return err == nil && s.find(s.at(0), elems) != nil
@@ -490,8 +462,6 @@ type WalkFunc func(path, value string)
 // Walk visits every node under path in sorted order (not counted as a
 // request; used by tests and tooling).
 func (s *Store) Walk(path string, fn WalkFunc) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	n, err := s.lookup(path)
 	if err != nil {
 		return err
