@@ -45,7 +45,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	runtime := faas.NewUnikernelRuntime(vclock.DefaultCosts(), func() (vclock.Duration, error) {
+	runtime := faas.NewUnikernelRuntime(func() (vclock.Duration, error) {
 		res, err := parent.Fork(1, nil, nil)
 		if err != nil {
 			return 0, err

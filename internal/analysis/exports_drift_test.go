@@ -28,13 +28,28 @@ func TestExportsHaveProgramReferences(t *testing.T) {
 	loader, pkgs := mod.loader, mod.pkgs
 
 	// Referenced objects, and the interface methods non-test code calls.
-	// A function's uses inside its own body (recursion) do not count.
+	// A function's uses inside its own body (recursion) do not count, and
+	// neither do the names in a method's receiver: a type that only its own
+	// method declarations mention is unreferenced.
 	body := make(map[types.Object][2]token.Pos)
+	recv := make(map[*ast.Ident]bool)
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			for _, d := range f.Decls {
-				if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				if fd.Body != nil {
 					body[pkg.Info.Defs[fd.Name]] = [2]token.Pos{fd.Body.Pos(), fd.Body.End()}
+				}
+				if fd.Recv != nil {
+					ast.Inspect(fd.Recv, func(n ast.Node) bool {
+						if id, ok := n.(*ast.Ident); ok {
+							recv[id] = true
+						}
+						return true
+					})
 				}
 			}
 		}
@@ -44,7 +59,7 @@ func TestExportsHaveProgramReferences(t *testing.T) {
 	for _, pkg := range pkgs {
 		for id, obj := range pkg.Info.Uses {
 			obj = origin(obj)
-			if r, ok := body[obj]; ok && id.Pos() >= r[0] && id.Pos() < r[1] {
+			if r, ok := body[obj]; ok && id.Pos() >= r[0] && id.Pos() < r[1] || recv[id] {
 				continue
 			}
 			used[obj] = true

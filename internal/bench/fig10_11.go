@@ -33,7 +33,7 @@ func faasUnikernelRuntime() (*faas.UnikernelRuntime, error) {
 	if err != nil {
 		return nil, err
 	}
-	return faas.NewUnikernelRuntime(vclock.DefaultCosts(), func() (vclock.Duration, error) {
+	return faas.NewUnikernelRuntime(func() (vclock.Duration, error) {
 		res, err := k.Fork(1, nil, nil)
 		if err != nil {
 			return 0, err

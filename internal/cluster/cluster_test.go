@@ -72,7 +72,7 @@ func readState(t testing.TB, p *core.Platform, id core.DomID, pfn mem.PFN, n int
 type fixed struct{ at []int }
 
 func (fixed) Name() string { return "fixed" }
-func (f fixed) Place(n, parent int, _ []core.HostStats) []int {
+func (f fixed) Place(n int, _ []int) []int {
 	out := make([]int, n)
 	for i := range out {
 		out[i] = f.at[i%len(f.at)]
@@ -402,12 +402,7 @@ func TestRouteCloneConcurrentStress(t *testing.T) {
 }
 
 func TestPlacementPolicies(t *testing.T) {
-	stats := []core.HostStats{
-		{Host: 0, Domains: 3, FreePages: 100, WarmPages: 0},
-		{Host: 1, Domains: 1, FreePages: 500, WarmPages: 40},
-		{Host: 2, Domains: 0, FreePages: 50, WarmPages: 40},
-		{Host: 3, Domains: 2, FreePages: 900, WarmPages: 0},
-	}
+	domains := []int{3, 1, 0, 2}
 	eq := func(got, want []int, policy string) {
 		t.Helper()
 		if len(got) != len(want) {
@@ -420,23 +415,15 @@ func TestPlacementPolicies(t *testing.T) {
 		}
 	}
 
-	// Pack without a budget keeps everything parent-local.
-	eq(Pack{}.Place(3, 1, stats), []int{1, 1, 1}, "pack-unbounded")
-	// With a 200-page budget the parent (host 1) fits two children, host 0
-	// fits none (100 free), host 2 fits none (50), host 3 takes the rest.
-	eq(Pack{PerChildPages: 200}.Place(4, 1, stats),
-		[]int{1, 1, 3, 3}, "pack-budget")
 	// Spread fills toward equal domain counts: 2 (0 doms), then 1 (tied
 	// at 1 with the updated host 2, lower index wins), and so on.
-	eq(Spread{}.Place(5, 0, stats), []int{2, 1, 2, 1, 2}, "spread")
-	// CacheAffinity prefers warm hosts (1 and 2 at 40 pages), alternating
-	// by load, and only then falls back to cold hosts.
-	eq(CacheAffinity{}.Place(4, 0, stats), []int{2, 1, 2, 1}, "cache-affinity")
+	eq(Spread{}.Place(5, domains), []int{2, 1, 2, 1, 2}, "spread")
 
-	// Policies are deterministic.
+	// Spread is deterministic and leaves its input alone.
 	for i := 0; i < 3; i++ {
-		eq(Spread{}.Place(5, 0, stats), []int{2, 1, 2, 1, 2}, "spread-replay")
+		eq(Spread{}.Place(5, domains), []int{2, 1, 2, 1, 2}, "spread-replay")
 	}
+	eq(domains, []int{3, 1, 0, 2}, "spread-input")
 }
 
 // TestHeaderHashPinned pins one pageless run's chunk identity by value: it

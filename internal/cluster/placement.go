@@ -1,112 +1,22 @@
 package cluster
 
-import "nephele/internal/core"
-
-// Placement policies. All three are deterministic: the same stats yield
-// the same assignment, so routed figures replay bit-identically.
-
-// Pack co-locates children with their parent, spilling to the next host
-// (ascending cluster order) only when a host cannot fit another child.
-// PerChildPages is the page budget one child is assumed to need; zero
-// means hosts never fill, i.e. every child stays parent-local.
-type Pack struct {
-	PerChildPages int
-}
-
-// Name implements core.Placement.
-func (Pack) Name() string { return "pack" }
-
-// Place implements core.Placement.
-func (p Pack) Place(n, parent int, hosts []core.HostStats) []int {
-	free := make([]int, len(hosts))
-	for i, h := range hosts {
-		free[i] = h.FreePages
-	}
-	fits := func(host int) bool {
-		return p.PerChildPages <= 0 || free[host] >= p.PerChildPages
-	}
-	take := func(host int) { free[host] -= p.PerChildPages }
-
-	out := make([]int, 0, n)
-	// Visit the parent first, then every other host ascending.
-	order := make([]int, 0, len(hosts))
-	order = append(order, parent)
-	for i := range hosts {
-		if i != parent {
-			order = append(order, i)
-		}
-	}
-	oi := 0
-	for len(out) < n {
-		host := order[oi]
-		if fits(host) {
-			take(host)
-			out = append(out, host)
-			continue
-		}
-		oi++
-		if oi == len(order) {
-			// Every host is full; overflow back onto the parent rather
-			// than fail — admission control is the platform's job.
-			for len(out) < n {
-				out = append(out, parent)
-			}
-		}
-	}
-	return out
-}
-
 // Spread balances instance counts: each child goes to the host currently
 // running the fewest domains (counting children already assigned in this
-// call), ties broken by lowest cluster index.
+// call), ties broken by lowest cluster index. It is deterministic: the same
+// counts yield the same assignment, so routed figures replay bit-identically.
 type Spread struct{}
 
 // Name implements core.Placement.
 func (Spread) Name() string { return "spread" }
 
 // Place implements core.Placement.
-func (Spread) Place(n, parent int, hosts []core.HostStats) []int {
-	load := make([]int, len(hosts))
-	for i, h := range hosts {
-		load[i] = h.Domains
-	}
+func (Spread) Place(n int, domains []int) []int {
+	load := append([]int(nil), domains...)
 	out := make([]int, 0, n)
 	for len(out) < n {
 		best := 0
 		for i := 1; i < len(load); i++ {
 			if load[i] < load[best] {
-				best = i
-			}
-		}
-		load[best]++
-		out = append(out, best)
-	}
-	return out
-}
-
-// CacheAffinity sends children where the parent's snapshot is already
-// resident: hosts are ranked by WarmPages (descending), ties broken by
-// fewer running domains, then by lowest cluster index. Domain counts are
-// updated as children are assigned, so equally warm hosts share the load.
-type CacheAffinity struct{}
-
-// Name implements core.Placement.
-func (CacheAffinity) Name() string { return "cache-affinity" }
-
-// Place implements core.Placement.
-func (CacheAffinity) Place(n, parent int, hosts []core.HostStats) []int {
-	load := make([]int, len(hosts))
-	for i, h := range hosts {
-		load[i] = h.Domains
-	}
-	out := make([]int, 0, n)
-	for len(out) < n {
-		best := 0
-		for i := 1; i < len(hosts); i++ {
-			switch {
-			case hosts[i].WarmPages > hosts[best].WarmPages:
-				best = i
-			case hosts[i].WarmPages == hosts[best].WarmPages && load[i] < load[best]:
 				best = i
 			}
 		}

@@ -25,7 +25,7 @@ var (
 // Pipeline (span remote-clone):
 //
 //	snapshot    — XL.Save of the running parent (no pause),
-//	placement   — Place over fresh HostStats (pure, no span),
+//	placement   — Place over every host's domain count (pure, no span),
 //	local group — children placed on src are true COW clones via CloneOp,
 //	remote group(s) — per destination host, ascending: plan the transfer
 //	    over the bonded link with chunk dedup against the receiver's
@@ -59,7 +59,7 @@ func (c *Cluster) routeClone(ctx obs.OpCtx, src int, spec core.CloneSpec) ([]*co
 		return nil, err
 	}
 
-	dests := spec.Placement.Place(spec.Count, src, c.hostStats(img))
+	dests := spec.Placement.Place(spec.Count, c.domainCounts())
 	if len(dests) != spec.Count {
 		return nil, fmt.Errorf("%w: %s placed %d children, want %d",
 			ErrBadPlacement, spec.Placement.Name(), len(dests), spec.Count)
@@ -126,19 +126,14 @@ func snapshot(ctx obs.OpCtx, h *Host, id core.DomID) (*toolstack.Image, error) {
 	return img, nil
 }
 
-// hostStats snapshots every host's placement-relevant state, in cluster
-// index order. WarmPages is computed against the image being placed.
-func (c *Cluster) hostStats(img *toolstack.Image) []core.HostStats {
-	stats := make([]core.HostStats, len(c.hosts))
+// domainCounts returns every host's running domain count, in cluster index
+// order: the one input a placement reads.
+func (c *Cluster) domainCounts() []int {
+	domains := make([]int, len(c.hosts))
 	for i, h := range c.hosts {
-		stats[i] = core.HostStats{
-			Host:      i,
-			Domains:   h.P.XL.Count(),
-			FreePages: int(h.P.HV.FreeBytes() / mem.PageSize),
-			WarmPages: h.Store.WarmPages(img),
-		}
+		domains[i] = h.P.XL.Count()
 	}
-	return stats
+	return domains
 }
 
 // remoteClone ships img, whose transfer chunks are chunks (chunksOf), from

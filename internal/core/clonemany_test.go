@@ -117,7 +117,7 @@ func TestCloneManyPartialAdmission(t *testing.T) {
 type elsewhere struct{}
 
 func (elsewhere) Name() string { return "elsewhere" }
-func (elsewhere) Place(n, _ int, _ []HostStats) []int {
+func (elsewhere) Place(n int, _ []int) []int {
 	out := make([]int, n)
 	for i := range out {
 		out[i] = 1

@@ -42,30 +42,16 @@ type OpResult struct {
 	TransferBytes int64
 }
 
-// HostStats describes one cluster host to a placement policy.
-type HostStats struct {
-	// Host is the cluster index.
-	Host int
-	// Domains is the number of instances currently running there.
-	Domains int
-	// FreePages is the host pool's free frame count.
-	FreePages int
-	// WarmPages is how many of the parent image's stored pages the host's
-	// snapshot cache already holds by content — the portion of a transfer
-	// dedup would skip.
-	WarmPages int
-}
-
 // Placement picks destination hosts for the children of one clone spec.
 // Implementations must be deterministic: the same inputs must yield the
 // same assignment.
 type Placement interface {
 	// Name identifies the policy in figures and logs.
 	Name() string
-	// Place returns one cluster host index per child (len n). parent is
-	// the host the parent domain runs on; hosts describes every host in
-	// cluster-index order, the parent's included.
-	Place(n int, parent int, hosts []HostStats) []int
+	// Place returns one cluster host index per child (len n). domains
+	// holds every host's running domain count in cluster-index order, the
+	// parent's host included.
+	Place(n int, domains []int) []int
 }
 
 // CloneRouter executes placed clone specs across a cluster. Implemented

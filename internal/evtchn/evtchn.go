@@ -76,7 +76,6 @@ type channel struct {
 // channel buckets on demand. A port in [len(channels), maxPort) is a free
 // port that simply has no slot yet.
 type domainTable struct {
-	dom      mem.DomID
 	channels []channel
 }
 
@@ -120,7 +119,6 @@ func New(maxPorts int) *Subsystem {
 func (s *Subsystem) AddDomain(dom mem.DomID) {
 	// Port 0 is reserved, like on Xen.
 	s.domains[dom] = &domainTable{
-		dom:      dom,
 		channels: []channel{{state: StateInterdomain}},
 	}
 }

@@ -93,18 +93,14 @@ type CloneFunc func() (latency vclock.Duration, err error)
 
 // UnikernelRuntime launches replicas by cloning a warm parent unikernel.
 type UnikernelRuntime struct {
-	costs *vclock.CostModel
 	clone CloneFunc
 	count int
 }
 
 // NewUnikernelRuntime creates the Nephele backend. clone may be nil, in
 // which case a calibrated constant clone latency is used.
-func NewUnikernelRuntime(costs *vclock.CostModel, clone CloneFunc) *UnikernelRuntime {
-	if costs == nil {
-		costs = vclock.DefaultCosts()
-	}
-	return &UnikernelRuntime{costs: costs, clone: clone}
+func NewUnikernelRuntime(clone CloneFunc) *UnikernelRuntime {
+	return &UnikernelRuntime{clone: clone}
 }
 
 // Name implements Runtime.

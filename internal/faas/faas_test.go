@@ -45,7 +45,7 @@ func TestContainerRuntimeFootprints(t *testing.T) {
 
 func TestUnikernelRuntimeFootprints(t *testing.T) {
 	calls := 0
-	rt := NewUnikernelRuntime(nil, func() (vclock.Duration, error) {
+	rt := NewUnikernelRuntime(func() (vclock.Duration, error) {
 		calls++
 		return 25 * vclock.Duration(1000*1000), nil
 	})
@@ -76,7 +76,7 @@ func TestUnikernelRuntimeFootprints(t *testing.T) {
 }
 
 func TestGatewayScalesOnLoad(t *testing.T) {
-	g := NewGateway(NewUnikernelRuntime(nil, nil), 21<<20)
+	g := NewGateway(NewUnikernelRuntime(nil), 21<<20)
 	// Offered load rises to 35 RPS: with a 10 RPS threshold the fleet
 	// should grow beyond one instance.
 	rep, err := g.Run(sec(150), sec(1), StepLoad(5, 10, sec(30)))
@@ -109,7 +109,7 @@ func TestGatewayContainersUseMoreMemory(t *testing.T) {
 		return rep
 	}
 	cont := run(NewContainerRuntime(nil))
-	uni := run(NewUnikernelRuntime(nil, nil))
+	uni := run(NewUnikernelRuntime(nil))
 	cl := cont.Samples[len(cont.Samples)-1].MemBytes
 	ul := uni.Samples[len(uni.Samples)-1].MemBytes
 	if ul >= cl {
@@ -129,7 +129,7 @@ func TestGatewayClonesReactFaster(t *testing.T) {
 		return rep.ReadyTimes
 	}
 	cont := run(NewContainerRuntime(nil))
-	uni := run(NewUnikernelRuntime(nil, nil))
+	uni := run(NewUnikernelRuntime(nil))
 	if len(cont) < 3 || len(uni) < 3 {
 		t.Fatalf("fleets too small: %d/%d", len(cont), len(uni))
 	}
@@ -150,7 +150,7 @@ func TestGatewayServedThroughputTracksLoadWithClones(t *testing.T) {
 		return rep.ServedReqs / rep.TotalReqs
 	}
 	contRatio := run(NewContainerRuntime(nil))
-	uniRatio := run(NewUnikernelRuntime(nil, nil))
+	uniRatio := run(NewUnikernelRuntime(nil))
 	if uniRatio <= contRatio {
 		t.Fatalf("clone served ratio (%.2f) not above containers (%.2f)", uniRatio, contRatio)
 	}
@@ -169,7 +169,7 @@ func TestGatewayErrors(t *testing.T) {
 
 func TestGatewayMaxInstances(t *testing.T) {
 	// A load no fleet can absorb adds one instance per query until the cap.
-	g := NewGateway(NewUnikernelRuntime(nil, nil), 0)
+	g := NewGateway(NewUnikernelRuntime(nil), 0)
 	if _, err := g.Run(2*maxInstances*queryInterval, sec(1), StepLoad(1e6, 0, sec(30))); err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestRuntimeNames(t *testing.T) {
 	if NewContainerRuntime(nil).Name() != "containers" {
 		t.Fatal("container name")
 	}
-	if NewUnikernelRuntime(nil, nil).Name() != "unikernels" {
+	if NewUnikernelRuntime(nil).Name() != "unikernels" {
 		t.Fatal("unikernel name")
 	}
 }

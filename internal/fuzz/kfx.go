@@ -99,7 +99,6 @@ type Session struct {
 	// Linux state.
 	machine *proc.Machine
 	procTgt *SyscallTarget
-	process *proc.Process
 
 	iter     int
 	closed   bool
@@ -152,7 +151,6 @@ func NewSession(cfg Config) (*Session, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.process = pr
 		tgt, err := NewSyscallTarget(pr, supportedSyscalls())
 		if err != nil {
 			return nil, err

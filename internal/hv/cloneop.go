@@ -404,7 +404,7 @@ func (h *Hypervisor) PopNotifications() []CloneNotification {
 
 // PendingNotifications reports the ring depth without draining.
 func (h *Hypervisor) PendingNotifications() int {
-	return h.notify.len()
+	return len(h.notify)
 }
 
 // CloneCompletion is the clone_completion subcommand: xencloned reports
@@ -451,8 +451,7 @@ func (h *Hypervisor) CloneAbort(ctx obs.OpCtx, child DomID) error {
 	}
 	// Drop any still-queued notification for the child: an abort may
 	// arrive before the daemon drained the ring (e.g. a second daemon
-	// instance or an operator intervention). The indexed ring makes this
-	// O(1) instead of a scan of every queued clone.
+	// instance or an operator intervention).
 	h.notify.drop(child)
 	if rec == nil {
 		return fmt.Errorf("%w: domain %d", ErrNoPendingClone, child)

@@ -51,12 +51,12 @@ type Hypervisor struct {
 	// overrides it per operation.
 	faults *fault.Registry
 
-	// Clone notifications: a bounded indexed ring plus the VIRQ that
+	// Clone notifications: a bounded FIFO ring plus the VIRQ that
 	// wakes xencloned. pending maps a child domain whose second stage is
 	// outstanding to its request's completion record. outcomes records the
 	// terminal state of every child that went through the two-stage
 	// pipeline: aborted, or completed and not yet destroyed.
-	notify   *notifyRing
+	notify   notifyRing
 	pending  map[DomID]*cloneRecord
 	outcomes map[DomID]CloneOutcome
 }
@@ -74,7 +74,6 @@ func New(memoryBytes uint64) *Hypervisor {
 		met:      newHVMetrics(),
 		nextDom:  1,
 		overhead: make(map[DomID][]mem.MFN),
-		notify:   newNotifyRing(notifyRingSlots),
 		pending:  make(map[DomID]*cloneRecord),
 		outcomes: make(map[DomID]CloneOutcome),
 	}

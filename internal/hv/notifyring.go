@@ -1,70 +1,35 @@
 package hv
 
 // notifyRing is the bounded clone-notification ring registered by
-// xencloned, with a child-ID index so CloneAbort can drop a queued
-// notification in O(1) instead of scanning the ring. Dropped slots become
-// tombstones that popAll skips, so push/drop/pop are all constant-time per
-// notification.
-type notifyRing struct {
-	entries []notifyEntry
-	index   map[DomID]int // child → slot in entries
-	live    int           // entries not yet dropped
-	cap     int
-}
-
-type notifyEntry struct {
-	n       CloneNotification
-	dropped bool
-}
-
-func newNotifyRing(capacity int) *notifyRing {
-	return &notifyRing{index: make(map[DomID]int), cap: capacity}
-}
+// xencloned: a FIFO of at most notifyRingSlots notifications.
+type notifyRing []CloneNotification
 
 // push appends a notification; a full ring back-pressures cloning.
 func (r *notifyRing) push(n CloneNotification) error {
-	if r.live >= r.cap {
+	if len(*r) >= notifyRingSlots {
 		return ErrRingFull
 	}
-	r.index[n.Child] = len(r.entries)
-	r.entries = append(r.entries, notifyEntry{n: n})
-	r.live++
+	*r = append(*r, n)
 	return nil
 }
 
-// drop removes the queued notification for child, reporting whether one was
-// present.
-func (r *notifyRing) drop(child DomID) bool {
-	i, ok := r.index[child]
-	if !ok {
-		return false
-	}
-	delete(r.index, child)
-	r.entries[i].dropped = true
-	r.live--
-	if r.live == 0 {
-		r.entries = r.entries[:0]
-	}
-	return true
-}
-
-// popAll drains the ring in push order, skipping tombstones.
-func (r *notifyRing) popAll() []CloneNotification {
-	if r.live == 0 {
-		r.entries = r.entries[:0]
-		return nil
-	}
-	out := make([]CloneNotification, 0, r.live)
-	for i := range r.entries {
-		if !r.entries[i].dropped {
-			out = append(out, r.entries[i].n)
+// drop removes the queued notification for child, if any. xencloned aborts a child only after draining its notification,
+// so on that path the scan of at most notifyRingSlots entries finds none.
+func (r *notifyRing) drop(child DomID) {
+	for i, n := range *r {
+		if n.Child == child {
+			*r = append((*r)[:i], (*r)[i+1:]...)
+			return
 		}
 	}
-	r.entries = r.entries[:0]
-	clear(r.index)
-	r.live = 0
-	return out
 }
 
-// len reports the number of queued (undropped) notifications.
-func (r *notifyRing) len() int { return r.live }
+// popAll drains the ring in push order.
+func (r *notifyRing) popAll() []CloneNotification {
+	if len(*r) == 0 {
+		return nil
+	}
+	out := append([]CloneNotification(nil), *r...)
+	*r = (*r)[:0]
+	return out
+}

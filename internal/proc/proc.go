@@ -60,7 +60,6 @@ type Process struct {
 	heap       *gmem.Heap
 	forkedOnce bool
 	dead       bool
-	parent     PID
 	children   []PID
 }
 
@@ -157,7 +156,6 @@ func (p *Process) Fork(meter *vclock.Meter) (*Process, error) {
 		machine: p.machine,
 		space:   cspace,
 		heap:    heap,
-		parent:  p.PID,
 		// The child of a forked process has itself never forked.
 	}
 	p.children = append(p.children, pid)

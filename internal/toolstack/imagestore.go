@@ -60,7 +60,6 @@ type imageChunk struct {
 type cachedImage struct {
 	key     uint64
 	chunks  []*imageChunk // parallel to the image's runs: nil for zero and alias runs
-	npages  int
 	lastUse uint64
 }
 
@@ -165,23 +164,6 @@ func (st *ImageStore) HasChunk(hash uint64) bool {
 	return ok
 }
 
-// WarmPages reports how many of the image's stored data pages are already
-// resident by content — the portion of a transfer that dedup would skip if
-// the image were shipped here now.
-func (st *ImageStore) WarmPages(img *Image) int {
-	infos := img.RunInfos()
-	warm := 0
-	for _, ri := range infos {
-		if ri.Kind != RunData {
-			continue
-		}
-		if _, ok := st.chunks[ri.Hash]; ok {
-			warm += ri.StoredPages
-		}
-	}
-	return warm
-}
-
 // noteAdopted counts frames handed to a child by a cached restore.
 func (st *ImageStore) noteAdopted(n int) {
 	st.adopted += int64(n)
@@ -219,7 +201,7 @@ func (st *ImageStore) Insert(img *Image, meter *vclock.Meter) error {
 		return nil
 	}
 
-	ci := &cachedImage{key: key, npages: img.npages, chunks: make([]*imageChunk, len(img.runs))}
+	ci := &cachedImage{key: key, chunks: make([]*imageChunk, len(img.runs))}
 	missing := 0 // data runs with no resident chunk, a bound on the fresh ones
 	for i := range img.runs {
 		if isDataRun(&img.runs[i]) && st.chunks[img.infos[i].Hash] == nil {
