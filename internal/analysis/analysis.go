@@ -20,10 +20,8 @@ import (
 
 // Analyzer describes one static check over a single package.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and CLI flags.
+	// Name identifies the analyzer in diagnostics.
 	Name string
-	// Doc is the one-paragraph description shown by nephele-lint -help.
-	Doc string
 	// Suppress is the escape-hatch comment token (e.g.
 	// "nephele:nondeterministic-ok"): a diagnostic is dropped when its line, or
 	// the line immediately above it, carries a line comment beginning
@@ -65,11 +63,12 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Run applies the analyzers to pkg and returns the surviving diagnostics
-// and the ones silenced by escape-hatch comments, both sorted by position.
-// Every waiver of a run analyzer that silenced nothing is reported as a
-// finding of that analyzer, at the waiver.
-func Run(pkg *Package, analyzers []*Analyzer) (findings, suppressed []Diagnostic, err error) {
+// Run applies the analyzers to pkg and returns the diagnostics no
+// escape-hatch comment silenced, sorted by position. Every waiver of a run
+// analyzer that silenced nothing is reported as a finding of that
+// analyzer, at the waiver.
+func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
+	var findings []Diagnostic
 	waivers := collectWaivers(pkg, analyzers)
 	for _, a := range analyzers {
 		pass := &Pass{
@@ -80,12 +79,10 @@ func Run(pkg *Package, analyzers []*Analyzer) (findings, suppressed []Diagnostic
 			TypesInfo: pkg.Info,
 		}
 		if err := a.Run(pass); err != nil {
-			return nil, nil, fmt.Errorf("%s: %s: %w", pkg.Path, a.Name, err)
+			return nil, fmt.Errorf("%s: %s: %w", pkg.Path, a.Name, err)
 		}
 		for _, d := range pass.diags {
-			if waivers.silence(d.Pos, a) {
-				suppressed = append(suppressed, d)
-			} else {
+			if !waivers.silence(d.Pos, a) {
 				findings = append(findings, d)
 			}
 		}
@@ -99,21 +96,17 @@ func Run(pkg *Package, analyzers []*Analyzer) (findings, suppressed []Diagnostic
 			})
 		}
 	}
-	byPos := func(s []Diagnostic) func(i, j int) bool {
-		return func(i, j int) bool {
-			a, b := s[i].Pos, s[j].Pos
-			if a.Filename != b.Filename {
-				return a.Filename < b.Filename
-			}
-			if a.Line != b.Line {
-				return a.Line < b.Line
-			}
-			return s[i].Message < s[j].Message
+	sort.Slice(findings, func(i, j int) bool {
+		a, b := findings[i].Pos, findings[j].Pos
+		if a.Filename != b.Filename {
+			return a.Filename < b.Filename
 		}
-	}
-	sort.Slice(findings, byPos(findings))
-	sort.Slice(suppressed, byPos(suppressed))
-	return findings, suppressed, nil
+		if a.Line != b.Line {
+			return a.Line < b.Line
+		}
+		return findings[i].Message < findings[j].Message
+	})
+	return findings, nil
 }
 
 // waiver is a line comment beginning with an analyzer's Suppress token.

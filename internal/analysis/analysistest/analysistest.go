@@ -66,7 +66,7 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 		}
 	}
 
-	findings, _, err := analysis.Run(pkg, []*analysis.Analyzer{a})
+	findings, err := analysis.Run(pkg, []*analysis.Analyzer{a})
 	if err != nil {
 		t.Fatalf("running %s: %v", a.Name, err)
 	}

@@ -42,7 +42,6 @@ import (
 // Analyzer is the determinism pass.
 var Analyzer = &analysis.Analyzer{
 	Name:     "determinism",
-	Doc:      "forbids time.Now, host-clock waits, unseeded math/rand, map iteration and goroutine-ID logic in virtual-time packages",
 	Suppress: "nephele:nondeterministic-ok",
 	Run:      run,
 }

@@ -284,26 +284,29 @@ func origin(obj types.Object) types.Object {
 // only tests reference, keyed "<package under internal/>.<name>" (methods and
 // fields as "<Type>.<name>"), each with the reason it stays.
 var testOnlyExports = map[string]string{
-	"analysis/analysistest.Run":    harness,
-	"cluster.Cluster.SetFaults":    harness,
-	"fault.CachePoints":            harness,
-	"fault.ClusterPoints":          harness,
-	"fault.FailAlways":             harness,
-	"fault.FailNth":                harness,
-	"fault.FailOnce":               harness,
-	"fault.IsFatal":                harness,
-	"fault.IsFault":                harness,
-	"fault.LazyPoints":             harness,
-	"fault.PipelinePoints":         harness,
-	"fault.PointOf":                harness,
-	"fault.Registry.Clear":         harness,
-	"fault.Registry.Fired":         harness,
-	"fault.Registry.Hits":          harness,
-	"fault.Registry.Inject":        harness,
-	"fault.Registry.Reset":         harness,
-	"fault.Registry.TotalFired":    harness,
-	"mem/lazytest.NewScenario":     harness,
-	"mem/lazytest.Scenario.Shrink": harness,
+	"analysis.PackageDirs":          lint,
+	"analysis/analysistest.Run":     harness,
+	"analysis/determinism.Analyzer": lint,
+	"analysis/hotalloc.Analyzer":    lint,
+	"cluster.Cluster.SetFaults":     harness,
+	"fault.CachePoints":             harness,
+	"fault.ClusterPoints":           harness,
+	"fault.FailAlways":              harness,
+	"fault.FailNth":                 harness,
+	"fault.FailOnce":                harness,
+	"fault.IsFatal":                 harness,
+	"fault.IsFault":                 harness,
+	"fault.LazyPoints":              harness,
+	"fault.PipelinePoints":          harness,
+	"fault.PointOf":                 harness,
+	"fault.Registry.Clear":          harness,
+	"fault.Registry.Fired":          harness,
+	"fault.Registry.Hits":           harness,
+	"fault.Registry.Inject":         harness,
+	"fault.Registry.Reset":          harness,
+	"fault.Registry.TotalFired":     harness,
+	"mem/lazytest.NewScenario":      harness,
+	"mem/lazytest.Scenario.Shrink":  harness,
 
 	"cloned.Daemon.FailureStats":         audit,
 	"cloned.Daemon.Served":               audit,
@@ -408,6 +411,7 @@ var testOnlyExports = map[string]string{
 // Reasons an exported identifier may stay without a non-test reference.
 const (
 	harness   = "fault-injection or test-harness API: fault points, lazytest, analyzer fixtures"
+	lint      = "static check the tree's own tests run: go test is the only runner"
 	audit     = "read-only inspector kept for the invariant audit: frames, devices, endpoints, images"
 	xenABI    = "Xen ABI whose state the clone path copies"
 	paper     = "paper primitive: the IDC pipes and socket pairs of §4.3"

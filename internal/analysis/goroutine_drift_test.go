@@ -21,6 +21,61 @@ import (
 // waits on. sync.Pool is allowed: the page pools hold free pages, not
 // platform state.
 func TestNoConcurrencyPrimitives(t *testing.T) {
+	root, files := programFiles(t)
+	bannedSync := map[string]bool{"Mutex": true, "RWMutex": true, "Once": true, "WaitGroup": true, "Cond": true}
+	fset := token.NewFileSet()
+	for _, file := range files {
+		if strings.HasPrefix(file, "internal/analysis/") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, filepath.Join(root, file), nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		report := func(n ast.Node, what string) {
+			t.Errorf("%s:%d: %s", file, fset.Position(n.Pos()).Line, what)
+		}
+		syncName := ""
+		for _, imp := range f.Imports {
+			switch p, _ := strconv.Unquote(imp.Path.Value); p {
+			case "sync/atomic":
+				report(imp, "imports sync/atomic")
+			case "sync":
+				syncName = "sync"
+				if imp.Name != nil {
+					syncName = imp.Name.Name
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.GoStmt:
+				report(n, "go statement")
+			case *ast.Field:
+				// The Done field's channel type is the allowed one.
+				if len(n.Names) == 1 && n.Names[0].Name == "Done" {
+					return false
+				}
+			case *ast.KeyValueExpr:
+				// So is the channel a composite literal makes for Done.
+				if k, ok := n.Key.(*ast.Ident); ok && k.Name == "Done" {
+					return false
+				}
+			case *ast.ChanType:
+				report(n, "channel type")
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok && syncName != "" && x.Name == syncName && bannedSync[n.Sel.Name] {
+					report(n, "sync."+n.Sel.Name)
+				}
+			}
+			return true
+		})
+	}
+}
+
+// programFiles returns the module root and the module-relative,
+// slash-separated paths of its non-test .go files outside testdata.
+func programFiles(t *testing.T) (root string, files []string) {
 	loader, err := analysis.NewLoader(".")
 	if err != nil {
 		t.Fatal(err)
@@ -29,60 +84,14 @@ func TestNoConcurrencyPrimitives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bannedSync := map[string]bool{"Mutex": true, "RWMutex": true, "Once": true, "WaitGroup": true, "Cond": true}
-	fset := token.NewFileSet()
 	for _, dir := range dirs {
-		if rel, _ := filepath.Rel(loader.ModuleDir, dir); strings.HasPrefix(filepath.ToSlash(rel)+"/", "internal/analysis/") {
-			continue
-		}
-		files, _ := filepath.Glob(filepath.Join(dir, "*.go"))
-		for _, path := range files {
-			if strings.HasSuffix(path, "_test.go") {
-				continue
-			}
-			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-			if err != nil {
-				t.Fatal(err)
-			}
-			report := func(n ast.Node, what string) {
+		paths, _ := filepath.Glob(filepath.Join(dir, "*.go"))
+		for _, path := range paths {
+			if !strings.HasSuffix(path, "_test.go") {
 				rel, _ := filepath.Rel(loader.ModuleDir, path)
-				t.Errorf("%s:%d: %s", filepath.ToSlash(rel), fset.Position(n.Pos()).Line, what)
+				files = append(files, filepath.ToSlash(rel))
 			}
-			syncName := ""
-			for _, imp := range f.Imports {
-				switch p, _ := strconv.Unquote(imp.Path.Value); p {
-				case "sync/atomic":
-					report(imp, "imports sync/atomic")
-				case "sync":
-					syncName = "sync"
-					if imp.Name != nil {
-						syncName = imp.Name.Name
-					}
-				}
-			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.GoStmt:
-					report(n, "go statement")
-				case *ast.Field:
-					// The Done field's channel type is the allowed one.
-					if len(n.Names) == 1 && n.Names[0].Name == "Done" {
-						return false
-					}
-				case *ast.KeyValueExpr:
-					// So is the channel a composite literal makes for Done.
-					if k, ok := n.Key.(*ast.Ident); ok && k.Name == "Done" {
-						return false
-					}
-				case *ast.ChanType:
-					report(n, "channel type")
-				case *ast.SelectorExpr:
-					if x, ok := n.X.(*ast.Ident); ok && syncName != "" && x.Name == syncName && bannedSync[n.Sel.Name] {
-						report(n, "sync."+n.Sel.Name)
-					}
-				}
-				return true
-			})
 		}
 	}
+	return loader.ModuleDir, files
 }

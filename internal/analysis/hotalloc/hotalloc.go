@@ -43,7 +43,6 @@ const Marker = "nephele:noalloc"
 // Analyzer is the warm-path allocation pass.
 var Analyzer = &analysis.Analyzer{
 	Name:     "hotalloc",
-	Doc:      "flags heap allocations (escaping literals, make/new/append, closures, boxing, string concat, map writes) in //nephele:noalloc functions",
 	Suppress: "nephele:hotalloc-ok",
 	Run:      run,
 }

@@ -4,18 +4,18 @@ import (
 	"errors"
 	"fmt"
 	"go/build"
+	"path/filepath"
 	"sync"
 	"testing"
 
 	"nephele/internal/analysis"
 	"nephele/internal/analysis/determinism"
 	"nephele/internal/analysis/hotalloc"
-	"nephele/internal/analysis/opctx"
 )
 
 // TestTreeIsClean runs every analyzer over the whole module and fails on
-// any unwaived finding or unused waiver, so `go test ./...` enforces the
-// same invariants CI checks via cmd/nephele-lint.
+// any unwaived finding or unused waiver. It is the only runner of the
+// analyzers: `go test ./...` is how the tree is linted.
 func TestTreeIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-tree lint type-checks the module; skipped with -short")
@@ -26,15 +26,17 @@ func TestTreeIsClean(t *testing.T) {
 	}
 	analyzers := []*analysis.Analyzer{
 		determinism.Analyzer,
-		opctx.Analyzer,
 		hotalloc.Analyzer,
 	}
 	for _, pkg := range mod.pkgs {
-		findings, _, err := analysis.Run(pkg, analyzers)
+		findings, err := analysis.Run(pkg, analyzers)
 		if err != nil {
 			t.Fatalf("run %s: %v", pkg.Dir, err)
 		}
 		for _, d := range findings {
+			if rel, err := filepath.Rel(mod.loader.ModuleDir, d.Pos.Filename); err == nil {
+				d.Pos.Filename = filepath.ToSlash(rel)
+			}
 			t.Errorf("%s", d)
 		}
 	}

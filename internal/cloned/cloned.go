@@ -145,8 +145,8 @@ func (d *Daemon) SecondStageDuration(child hv.DomID) (vclock.Duration, bool) {
 
 // Serve drains the notification ring and runs the second stage for every
 // pending clone, in arrival order on the caller's context: the context
-// carries the meter the batch charges onto, the trace its second-stage
-// spans land in, and the fault scope of the batch. Arrival order keeps each
+// carries the meter the batch charges onto and the trace its second-stage
+// spans land in. Arrival order keeps each
 // parent's children in notification order, which the failure protocol
 // (nth-child fault semantics) and the parent-info cache warm-up rely on. It
 // returns the number of clones completed, which is accurate even when some

@@ -168,7 +168,7 @@ func (c *Cluster) remoteClone(ctx obs.OpCtx, src, dst *Host, img *toolstack.Imag
 		m.Charge(costs.XferSetup, 1)
 		m.Charge(costs.XferChunk, plan.Chunks)
 		m.Charge(costs.XferPage, plan.MaxSlavePages)
-		if err := xctx.Faults(c.faults).Check(fault.PointClusterXfer); err != nil {
+		if err := c.faults.Check(fault.PointClusterXfer); err != nil {
 			return plan, fmt.Errorf("cluster: xfer %d->%d: %w", src.Index, dst.Index, err)
 		}
 		link.Commit(plan)
@@ -185,7 +185,7 @@ func (c *Cluster) remoteClone(ctx obs.OpCtx, src, dst *Host, img *toolstack.Imag
 	children, err := func() ([]core.DomID, error) {
 		mctx, mspan := ctx.StartSpan("materialize")
 		defer mspan.End()
-		if err := mctx.Faults(c.faults).Check(fault.PointClusterMaterialize); err != nil {
+		if err := c.faults.Check(fault.PointClusterMaterialize); err != nil {
 			return nil, fmt.Errorf("cluster: materialize on host %d: %w", dst.Index, err)
 		}
 		kids := make([]core.DomID, 0, n)
@@ -226,12 +226,12 @@ func (c *Cluster) remoteClone(ctx obs.OpCtx, src, dst *Host, img *toolstack.Imag
 	dst.VC.Tick(dst.Index, meter.Elapsed()-start-sendElapsed)
 	c.ctr.remoteClones.Add(int64(n))
 
-	return &core.CloneResult{OpResult: core.OpResult{
+	return &core.CloneResult{
 		Children:      children,
 		Host:          dst.Index,
 		Total:         meter.Elapsed() - start,
 		TransferBytes: int64(plan.Pages) * mem.PageSize,
-	}}, nil
+	}, nil
 }
 
 // chunksOf maps an image's runs onto transfer chunks: data runs ship

@@ -7,7 +7,6 @@ import (
 	"nephele/internal/hv"
 	"nephele/internal/mem"
 	"nephele/internal/obs"
-	"nephele/internal/vclock"
 )
 
 // CloneMode re-exports the population mode so CloneSpec callers don't
@@ -23,24 +22,6 @@ const (
 // ErrNoRouter is returned by CloneOp for a spec carrying a Placement when
 // no cluster router is attached (SetCloneRouter).
 var ErrNoRouter = errors.New("core: clone spec has a placement but no cluster router is attached")
-
-// OpResult is the common core of every domain-materializing operation —
-// local clones, cross-host remote clones and migrations all embed it, so
-// figures and harnesses report them through one code path.
-type OpResult struct {
-	// Children lists the domains the operation created, as IDs on the
-	// platform they materialized on (a migration has exactly one).
-	Children []DomID
-	// Host is the cluster index of the platform the children landed on
-	// (0 on a standalone machine).
-	Host int
-	// Total is the end-to-end operation latency on the virtual clock.
-	Total vclock.Duration
-	// TransferBytes counts bytes shipped across a host boundary: zero for
-	// a local clone, the wire pages (after dedup) for a remote clone or a
-	// migration.
-	TransferBytes int64
-}
 
 // Placement picks destination hosts for the children of one clone spec.
 // Implementations must be deterministic: the same inputs must yield the
@@ -105,8 +86,8 @@ func (p *Platform) SetCloneRouter(r CloneRouter) {
 //     which returns one result per destination host group; with no router
 //     attached it returns ErrNoRouter having created nothing.
 //
-// ctx carries the operation's meter, optional trace sink and fault scope;
-// a ctx without a trace inherits the sink attached with Observe. Spans
+// ctx carries the operation's meter and optional trace sink; a ctx
+// without a trace inherits the sink attached with Observe. Spans
 // never charge the virtual clock, so observed and unobserved runs produce
 // identical virtual-time results.
 func (p *Platform) CloneOp(ctx obs.OpCtx, spec CloneSpec) ([]*CloneResult, error) {
@@ -156,7 +137,7 @@ func (p *Platform) cloneOne(ctx obs.OpCtx, spec CloneSpec) (*CloneResult, error)
 	pspan.End()
 	span.End()
 	res := &CloneResult{
-		OpResult:    OpResult{Total: meter.Elapsed() - start},
+		Total:       meter.Elapsed() - start,
 		FirstStage:  stats.FirstStage,
 		SecondStage: meter.Elapsed() - secondStart,
 		Stats:       stats,

@@ -63,7 +63,7 @@ func TestMigrateMovesDomainAcrossPlatforms(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(res.Children) != 1 || res.Host != 1 {
-		t.Fatalf("result = %+v, want one child on host 1", res.OpResult)
+		t.Fatalf("result = %+v, want one child on host 1", res)
 	}
 	newRec, err := dst.XL.Record(res.Children[0])
 	if err != nil {

@@ -145,8 +145,6 @@ func (p *Platform) Metrics() *obs.Registry { return p.HV.Metrics() }
 
 // Boot creates a domain with xl (the regular instantiation path). It has
 // no span tree of its own and threads the meter straight to the toolstack.
-//
-//nephele:opctx-ok signature pinned by benchmark/ call sites until the layer-span PR converts XL.Create
 func (p *Platform) Boot(cfg toolstack.DomainConfig, meter *vclock.Meter) (*toolstack.Record, error) {
 	return p.XL.Create(cfg, meter)
 }
@@ -161,10 +159,21 @@ func (p *Platform) NewImageStore(maxResidentMB int) *toolstack.ImageStore {
 }
 
 // CloneResult describes one completed clone operation — a local clone, one
-// host group of a remote clone, or a migration. The embedded OpResult
-// carries the fields they share (children, total latency, transfer bytes).
+// host group of a remote clone, or a migration — so figures and harnesses
+// report all three through one code path.
 type CloneResult struct {
-	OpResult
+	// Children lists the domains the operation created, as IDs on the
+	// platform they materialized on (a migration has exactly one).
+	Children []DomID
+	// Host is the cluster index of the platform the children landed on
+	// (0 on a standalone machine).
+	Host int
+	// Total is the end-to-end operation latency on the virtual clock.
+	Total vclock.Duration
+	// TransferBytes counts bytes shipped across a host boundary: zero for
+	// a local clone, the wire pages (after dedup) for a remote clone or a
+	// migration.
+	TransferBytes int64
 	// Failed lists children whose second stage failed and were rolled
 	// back and aborted (empty on full success).
 	Failed []DomID
@@ -187,8 +196,6 @@ func (p *Platform) WaitStreamed(ctx obs.OpCtx, id DomID) error {
 
 // Destroy tears a domain down through the toolstack. Like Boot it has no
 // span tree of its own and threads the meter straight through.
-//
-//nephele:opctx-ok signature pinned by benchmark/ call sites until the layer-span PR converts XL.Destroy
 func (p *Platform) Destroy(id DomID, meter *vclock.Meter) error {
 	return p.XL.Destroy(id, meter)
 }

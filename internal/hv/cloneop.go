@@ -72,8 +72,8 @@ func (h *Hypervisor) SetCloningEnabled(on bool) {
 
 // CloneRequest is one parent's CLONEOP. Caller is the domain invoking the
 // hypercall (the parent itself, or Dom0 on its behalf); Target is the parent
-// to clone N times. Ctx carries the request's meter, active span and fault
-// scope; a context without a meter gets a throwaway one.
+// to clone N times. Ctx carries the request's meter and active span; a
+// context without a meter gets a throwaway one.
 type CloneRequest struct {
 	Caller   DomID
 	Target   DomID
@@ -172,15 +172,12 @@ func (h *Hypervisor) Clone(req CloneRequest) CloneResult {
 	parent.pause()
 	start := meter.Elapsed()
 
-	// An OpCtx fault scope overrides the component registry for this
-	// request only.
-	faults := ctx.Faults(h.Faults())
 	stats := &CloneOpStats{}
 	children := make([]DomID, 0, n)
 	rec := &cloneRecord{parent: parent, refs: 1, Done: make(chan struct{})}
 	used := 0 // IDs consumed: a child that fails past the gate keeps its ID
 	for i := 0; i < n; i++ {
-		if err = faults.Check(fault.PointHVCloneOne); err != nil {
+		if err = h.faults.Check(fault.PointHVCloneOne); err != nil {
 			break
 		}
 		used++
@@ -319,18 +316,12 @@ func (h *Hypervisor) cloneOne(parent *Domain, id DomID, copyRing bool, mode mem.
 
 	// Memory: COW-share regular pages, duplicate/rewrite private ones,
 	// rebuild page table and p2m (§5.2). Lazy mode stamps only the hot
-	// extents now and defers the rest; the drain runs later on its
-	// waiter's context, so the stream carries this fault registry
-	// explicitly (the waiter's context would otherwise lose the component
-	// scope).
+	// extents now and defers the rest, for demand faults and the drain.
 	spanName := "space-clone"
 	if mode == mem.CloneLazy {
 		spanName = "space-clone-lazy"
 	}
 	sctx, sspan := ctx.StartSpan(spanName)
-	if mode == mem.CloneLazy {
-		sctx = sctx.WithFaults(sctx.Faults(h.Faults()))
-	}
 	cspace, mst, err := pspace.CloneOpMode(sctx, id, copyRing, mode)
 	sspan.End()
 	if err != nil {
@@ -377,7 +368,7 @@ func (h *Hypervisor) cloneOne(parent *Domain, id DomID, copyRing bool, mode mem.
 // back-pressures cloning by failing.
 func (h *Hypervisor) pushNotification(ctx obs.OpCtx, parent, child *Domain, rec *cloneRecord) error {
 	meter := ctx.Meter()
-	if err := ctx.Faults(h.Faults()).Check(fault.PointHVNotifyPush); err != nil {
+	if err := h.faults.Check(fault.PointHVNotifyPush); err != nil {
 		return err
 	}
 	parentSI, _ := parent.Space().MFNOf(parent.StartInfoPFN)

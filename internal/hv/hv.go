@@ -46,9 +46,8 @@ type Hypervisor struct {
 	// registry behind it is shared platform-wide via Metrics().
 	met *hvMetrics
 
-	// faults is the optional fault-injection registry threaded through
-	// the first-stage clone path; nil never fires. An OpCtx fault scope
-	// overrides it per operation.
+	// faults is the optional fault-injection registry of the first-stage
+	// clone path; nil never fires.
 	faults *fault.Registry
 
 	// Clone notifications: a bounded FIFO ring plus the VIRQ that
@@ -85,14 +84,11 @@ func New(memoryBytes uint64) *Hypervisor {
 }
 
 // SetFaults installs a fault-injection registry on the first-stage clone
-// path (tests); a nil registry disables injection.
+// path and on the memory pool's lazy-clone drain and demand faults (tests);
+// a nil registry disables injection.
 func (h *Hypervisor) SetFaults(r *fault.Registry) {
 	h.faults = r
-}
-
-// Faults returns the installed fault registry (nil when none).
-func (h *Hypervisor) Faults() *fault.Registry {
-	return h.faults
+	h.Memory.SetFaults(r)
 }
 
 // Domain looks a domain up.

@@ -194,14 +194,13 @@ func (m *Memory) adoptFailed(ptes []pte, i int) error {
 	return stopErr(ptes[i:], pteMFNMask, m.total, ErrDoubleFree)
 }
 
-// lazyState is the per-child bookkeeping of one lazy clone: the fault
-// registry of the clone operation, the private meter meterless accesses
-// charge, the drain cursor and the materialization counters.
+// lazyState is the per-child bookkeeping of one lazy clone: the private
+// meter meterless accesses charge, the drain cursor and the
+// materialization counters.
 type lazyState struct {
 	// meter takes the materialization charges of accesses that carry no
 	// meter; the next Drain moves its time onto the drainer's meter.
-	meter  *vclock.Meter
-	faults *fault.Registry
+	meter *vclock.Meter
 
 	// next is the lowest pfn that may still be lazy: materialization is
 	// one-way, so the drain never looks below it again.
@@ -245,14 +244,12 @@ func (s *Space) UnmappedFaults() int {
 	return s.unmapped
 }
 
-// startStream installs the stream state of a freshly built lazy child: the
-// clone's fault registry, which travels with the stream because the drain
-// runs later on its waiter's context, and a private meter on the clone's
-// cost table for meterless accesses, which the next Drain merges.
-func (s *Space) startStream(costs *vclock.CostModel, faults *fault.Registry, remaining int) {
+// startStream installs the stream state of a freshly built lazy child: a
+// private meter on the clone's cost table for meterless accesses, which the
+// next Drain merges.
+func (s *Space) startStream(costs *vclock.CostModel, remaining int) {
 	s.lazy = &lazyState{
 		meter:     vclock.NewMeter(costs),
-		faults:    faults,
 		remaining: remaining,
 	}
 }
@@ -293,7 +290,7 @@ func (s *Space) drainChunk(ctx obs.OpCtx, ls *lazyState) (done bool, err error) 
 	}
 	if ls.remaining == 0 {
 		ls.stopped = true
-		ls.err = ls.faults.Check(fault.PointMemLazyFinalize)
+		ls.err = s.mem.faults.Check(fault.PointMemLazyFinalize)
 		return true, ls.err
 	}
 	// remaining > 0 and every lazy entry sits at or past next, so the
@@ -307,7 +304,7 @@ func (s *Space) drainChunk(ctx obs.OpCtx, ls *lazyState) (done bool, err error) 
 		hi++
 	}
 	ls.next = hi
-	if err := ls.faults.Check(fault.PointMemStreamExtent); err != nil {
+	if err := s.mem.faults.Check(fault.PointMemStreamExtent); err != nil {
 		ls.stopped, ls.err = true, err
 		return true, err
 	}
@@ -346,7 +343,7 @@ func (s *Space) demandFault(ctx obs.OpCtx, pfn PFN, p *pte) error {
 	}
 	fctx, span := ctx.StartSpan("demand-fault")
 	defer span.End()
-	if err := ls.faults.Check(fault.PointMemUnmappedFault); err != nil {
+	if err := s.mem.faults.Check(fault.PointMemUnmappedFault); err != nil {
 		return err
 	}
 	meter := fctx.Meter()

@@ -172,7 +172,7 @@ func (sc *Scenario) frames() int {
 
 // side is one half of a differential run: its own pool, parent, child,
 // the meters whose sum participates in the parity check, and the fault
-// registry the clone's context carries (empty unless a test arms it).
+// registry installed on its pool (empty unless a test arms it).
 type side struct {
 	mode    mem.CloneMode
 	m       *mem.Memory
@@ -197,6 +197,7 @@ func (sc *Scenario) build(mode mem.CloneMode) (*side, error) {
 		workM:   vclock.NewMeter(nil),
 		streamM: vclock.NewMeter(nil),
 	}
+	s.m.SetFaults(s.faults)
 	var err error
 	s.parent, err = mem.NewSpace(s.m, parentDom, sc.Pages, s.buildM)
 	if err != nil {
@@ -218,7 +219,7 @@ func (sc *Scenario) build(mode mem.CloneMode) (*side, error) {
 			}
 		}
 	}
-	s.child, s.st, err = s.parent.CloneOpMode(obs.Ctx(s.cloneM).WithFaults(s.faults), childDom, true, mode)
+	s.child, s.st, err = s.parent.CloneOpMode(obs.Ctx(s.cloneM), childDom, true, mode)
 	if err != nil {
 		return nil, fmt.Errorf("%v clone: %w", mode, err)
 	}

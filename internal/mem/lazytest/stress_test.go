@@ -169,8 +169,8 @@ func TestLazyReleaseMidStream(t *testing.T) {
 			t.Fatal(err)
 		}
 		reg := fault.NewRegistry()
-		ctx := obs.Ctx(vclock.NewMeter(nil)).WithFaults(reg)
-		child, st, err := parent.CloneOpMode(ctx, childDom, true, mem.CloneLazy)
+		m.SetFaults(reg)
+		child, st, err := parent.CloneOpMode(obs.Ctx(vclock.NewMeter(nil)), childDom, true, mem.CloneLazy)
 		if err != nil {
 			t.Fatal(err)
 		}

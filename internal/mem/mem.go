@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"sync"
 
+	"nephele/internal/fault"
 	"nephele/internal/vclock"
 )
 
@@ -323,6 +324,9 @@ type Memory struct {
 	// metrics is the opt-in hot-path instrumentation (SetMetrics); nil —
 	// the default — keeps the COW fault path and the drain uninstrumented.
 	metrics *memMetrics
+	// faults is the optional fault-injection registry of the lazy-clone
+	// drain and demand faults (SetFaults); nil never fires.
+	faults *fault.Registry
 }
 
 // New creates a machine memory pool of totalBytes (rounded down to whole
@@ -336,6 +340,10 @@ func New(totalBytes uint64) *Memory {
 		chunks:    make([][]frame, (total+frameChunkMask)>>frameChunkShift),
 	}
 }
+
+// SetFaults installs a fault-injection registry on the lazy-clone drain and
+// demand faults of every space in the pool (tests); nil disables injection.
+func (m *Memory) SetFaults(r *fault.Registry) { m.faults = r }
 
 // frameAt returns the frame metadata for mfn.
 func (m *Memory) frameAt(mfn MFN) (*frame, error) {

@@ -739,7 +739,7 @@ func (s *Space) CloneOpMode(ctx obs.OpCtx, childDom DomID, copyRing bool, mode C
 	meter.Charge(meter.Costs().PTEntryClone, st.PTEntries)
 	meter.Charge(meter.Costs().P2MEntryClone, st.P2MEntries)
 	if st.Deferred > 0 {
-		child.startStream(meter.Costs(), ctx.Faults(nil), st.Deferred)
+		child.startStream(meter.Costs(), st.Deferred)
 	}
 	return child, st, nil
 }

@@ -1,8 +1,7 @@
 // Package obs is the observability layer of the clone pipeline: spans
 // recording virtual (and wall) time per pipeline phase, a registry of
 // counters/gauges/histograms, and the OpCtx value that threads both —
-// together with the operation's vclock.Meter and an optional fault scope —
-// through the hypervisor first stage and the xencloned second stage.
+// together with the operation's vclock.Meter — through the hypervisor first stage and the xencloned second stage.
 //
 // Two invariants shape the design:
 //
@@ -19,26 +18,20 @@
 //     Wall-clock readings are recorded alongside but never order anything.
 package obs
 
-import (
-	"nephele/internal/fault"
-	"nephele/internal/vclock"
-)
+import "nephele/internal/vclock"
 
 // OpCtx carries the per-operation state the clone pipeline used to thread
-// as a bare *vclock.Meter parameter: the meter itself, the active span of
-// an attached trace, and an optional fault-injection scope that overrides
-// the component registries for this operation only. It is passed by value;
-// deriving methods (WithMeter, StartSpan, ...) return a modified copy.
+// as a bare *vclock.Meter parameter: the meter itself and the active span
+// of an attached trace. It is passed by value; deriving methods
+// (WithMeter, StartSpan, ...) return a modified copy.
 //
 // The zero value is a valid disabled context: no meter (callees skip
-// charging, exactly as with a nil meter before), no trace (spans are
-// no-ops) and no fault scope (callees fall back to their component
-// registry).
+// charging, exactly as with a nil meter before) and no trace (spans are
+// no-ops).
 type OpCtx struct {
-	meter  *vclock.Meter
-	trace  *Trace
-	span   int32 // active span ID in trace; 0 = top level
-	faults *fault.Registry
+	meter *vclock.Meter
+	trace *Trace
+	span  int32 // active span ID in trace; 0 = top level
 }
 
 // Ctx wraps a meter into an operation context. A nil meter is allowed and
@@ -84,28 +77,6 @@ func (c OpCtx) WithTrace(t *Trace) OpCtx {
 	c.trace = t
 	c.span = 0
 	return c
-}
-
-// WithFaults returns a copy of the context whose fault scope is r. The
-// scope overrides component fault registries wherever the pipeline
-// consults Faults.
-//
-//nephele:noalloc
-func (c OpCtx) WithFaults(r *fault.Registry) OpCtx {
-	c.faults = r
-	return c
-}
-
-// Faults resolves the fault registry for this operation: the context's
-// scope when one is set, otherwise the component's own registry (which may
-// itself be nil — fault.Registry methods are nil-safe).
-//
-//nephele:noalloc
-func (c OpCtx) Faults(fallback *fault.Registry) *fault.Registry {
-	if c.faults != nil {
-		return c.faults
-	}
-	return fallback
 }
 
 // StartSpan opens a span named name under the context's active span,

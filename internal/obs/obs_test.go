@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"nephele/internal/fault"
 	"nephele/internal/vclock"
 )
 
@@ -22,7 +21,6 @@ func TestDisabledSinkZeroAlloc(t *testing.T) {
 		(*Counter)(nil).Inc()
 		(*Histogram)(nil).Observe(7)
 		(*Registry)(nil).Counter("x").Add(3)
-		_ = ctx.Faults(nil)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled observability path allocates %v per op, want 0", allocs)
@@ -145,19 +143,6 @@ func TestRegistrySnapshotDeterministic(t *testing.T) {
 	}
 	if sum := r.Summary(); !strings.Contains(sum, "a.count") || !strings.Contains(sum, "lat.us") {
 		t.Errorf("Summary missing instruments:\n%s", sum)
-	}
-}
-
-func TestFaultScopeOverridesFallback(t *testing.T) {
-	comp := fault.NewRegistry()
-	scope := fault.NewRegistry()
-	ctx := Ctx(nil)
-	if got := ctx.Faults(comp); got != comp {
-		t.Errorf("no scope: got %p, want component registry %p", got, comp)
-	}
-	ctx = ctx.WithFaults(scope)
-	if got := ctx.Faults(comp); got != scope {
-		t.Errorf("scope set: got %p, want scope %p", got, scope)
 	}
 }
 
