@@ -61,24 +61,44 @@ func TestOpCtxThreading(t *testing.T) {
 	}
 }
 
-// TestOpCtxThreadingFixtures runs the scan over testdata/opctx: it must
-// report exactly the lines marked "// want" and a stale allowlist entry.
-func TestOpCtxThreadingFixtures(t *testing.T) {
+// TestOpCtxMintFixture runs the scan over testdata/opctx/a.go, outside
+// the OpCtx-first directories: it must report exactly rule B's "// want"
+// lines.
+func TestOpCtxMintFixture(t *testing.T) {
+	c := newOpctxCheck(nil)
+	checkOpctxFixture(t, c, "a.go", "")
+	if got := c.stale(); len(got) != 0 {
+		t.Errorf("stale = %q, want none", got)
+	}
+}
+
+// TestOpCtxSignatureFixture runs the scan over testdata/opctx/core.go as
+// package core: it must report exactly the "// want" lines and a stale
+// allowlist entry.
+func TestOpCtxSignatureFixture(t *testing.T) {
 	c := newOpctxCheck(map[string]string{"core.Platform.Boot": "fixture", "core.Platform.Gone": "fixture"})
+	checkOpctxFixture(t, c, "core.go", "core")
+	if got := c.stale(); !slices.Equal(got, []string{"core.Platform.Gone"}) {
+		t.Errorf("stale = %q, want [core.Platform.Gone]", got)
+	}
+}
+
+// checkOpctxFixture scans testdata/opctx/name as package pkg and compares
+// c's findings with the file's "// want" lines, in order.
+func checkOpctxFixture(t *testing.T, c *opctxCheck, name, pkg string) {
+	t.Helper()
+	file := filepath.Join("testdata", "opctx", name)
+	if err := c.file(file, name, pkg); err != nil {
+		t.Fatal(err)
+	}
+	src, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var want []string
-	for _, f := range []struct{ name, pkg string }{{"a.go", ""}, {"core.go", "core"}} {
-		file := filepath.Join("testdata", "opctx", f.name)
-		if err := c.file(file, f.name, f.pkg); err != nil {
-			t.Fatal(err)
-		}
-		src, err := os.ReadFile(file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, line := range strings.Split(string(src), "\n") {
-			if _, w, ok := strings.Cut(line, "// want "); ok {
-				want = append(want, fmt.Sprintf("%s:%d: %s", f.name, i+1, w))
-			}
+	for i, line := range strings.Split(string(src), "\n") {
+		if _, w, ok := strings.Cut(line, "// want "); ok {
+			want = append(want, fmt.Sprintf("%s:%d: %s", name, i+1, w))
 		}
 	}
 	if len(c.found) != len(want) {
@@ -89,9 +109,6 @@ func TestOpCtxThreadingFixtures(t *testing.T) {
 		if !strings.HasPrefix(c.found[i], at) || !strings.Contains(c.found[i], what) {
 			t.Errorf("finding %q, want %s", c.found[i], want[i])
 		}
-	}
-	if got := c.stale(); !slices.Equal(got, []string{"core.Platform.Gone"}) {
-		t.Errorf("stale = %q, want [core.Platform.Gone]", got)
 	}
 }
 
