@@ -51,11 +51,11 @@ func cloneOnce(b *testing.B, opts core.Options) vclock.Duration {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := k.Fork(1, nil, nil); err != nil { // cache warmup
+	if _, err := k.Fork(obs.OpCtx{}, 1, nil); err != nil { // cache warmup
 		b.Fatal(err)
 	}
 	meter := p.NewMeter()
-	if _, err := k.Fork(1, nil, meter); err != nil {
+	if _, err := k.Fork(obs.Ctx(meter), 1, nil); err != nil {
 		b.Fatal(err)
 	}
 	return meter.Elapsed()
@@ -89,12 +89,12 @@ func BenchmarkAblationXenclonedCache(b *testing.B) {
 			b.Fatal(err)
 		}
 		cold := p.NewMeter()
-		r1, err := k.Fork(1, nil, cold)
+		r1, err := k.Fork(obs.Ctx(cold), 1, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
 		warm := p.NewMeter()
-		r2, err := k.Fork(1, nil, warm)
+		r2, err := k.Fork(obs.Ctx(warm), 1, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -114,7 +114,7 @@ func BenchmarkAblationNetRingPolicy(b *testing.B) {
 		parent.Deliver(netsim.Packet{SrcPort: 1, Payload: []byte("inflight")})
 
 		copyMeter := vclock.NewMeter(nil)
-		cv := parent.Clone(7, copyMeter)
+		cv := parent.Clone(obs.Ctx(copyMeter), 7)
 		if _, ok := cv.GuestReceive(); !ok {
 			b.Fatal("copy policy lost the in-flight packet")
 		}
@@ -135,21 +135,21 @@ func BenchmarkAblation9pfsBackend(b *testing.B) {
 		// Shared process: one launch + QMP clone per child.
 		shared := devices.NewNinePBackend(fs)
 		sm := vclock.NewMeter(nil)
-		shared.Launch(1, "/export", sm)
+		shared.Launch(obs.Ctx(sm), 1, "/export")
 		if p, err := shared.Process(1); err == nil {
 			p.Open(1, "/f", false)
 		}
 		for c := uint32(2); c < 2+clones; c++ {
-			if err := shared.Clone(1, c, sm); err != nil {
+			if err := shared.Clone(obs.Ctx(sm), 1, c); err != nil {
 				b.Fatal(err)
 			}
 		}
 		// Per-clone processes: a full backend launch each.
 		perClone := devices.NewNinePBackend(fs)
 		pm := vclock.NewMeter(nil)
-		perClone.Launch(1, "/export", pm)
+		perClone.Launch(obs.Ctx(pm), 1, "/export")
 		for c := uint32(2); c < 2+clones; c++ {
-			perClone.Launch(c, "/export", pm)
+			perClone.Launch(obs.Ctx(pm), c, "/export")
 		}
 		b.ReportMetric(sm.Elapsed().Seconds()*1e3, "shared-ms")
 		b.ReportMetric(pm.Elapsed().Seconds()*1e3, "per-clone-ms")
@@ -202,7 +202,7 @@ func BenchmarkCloneOp(b *testing.B) {
 	b.ResetTimer()
 	var firstStage vclock.Duration
 	for i := 0; i < b.N; i++ {
-		res, err := k.Fork(1, nil, nil)
+		res, err := k.Fork(obs.OpCtx{}, 1, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -240,12 +240,12 @@ func BenchmarkRedisBGSave(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := r.MassInsert(10000, 64, nil); err != nil {
+	if err := r.MassInsert(obs.OpCtx{}, 10000, 64); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := r.BGSave(fmt.Sprintf("dump-%d.rdb", i), p.NewMeter())
+		res, err := r.BGSave(obs.Ctx(p.NewMeter()), fmt.Sprintf("dump-%d.rdb", i))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -25,6 +25,7 @@ import (
 	"nephele/internal/core"
 	"nephele/internal/guest"
 	"nephele/internal/netsim"
+	"nephele/internal/obs"
 	"nephele/internal/toolstack"
 )
 
@@ -93,7 +94,7 @@ func execute(p *core.Platform, kernels map[string]*guest.Kernel, args []string) 
 			}
 		}
 		meter := p.NewMeter()
-		res, err := k.Fork(n, nil, meter)
+		res, err := k.Fork(obs.Ctx(meter), n, nil)
 		if err != nil {
 			return err
 		}

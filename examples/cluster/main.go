@@ -37,7 +37,7 @@ func main() {
 	}
 	dom, _ := h0.P.HV.Domain(rec.ID)
 	for pfn := 0; pfn < 1024; pfn += 2 {
-		if err := dom.Space().Write(mem.PFN(pfn), 0, []byte{0xAB, byte(pfn)}, nil); err != nil {
+		if err := dom.Space().WriteOp(obs.OpCtx{}, mem.PFN(pfn), 0, []byte{0xAB, byte(pfn)}); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -14,6 +14,7 @@ import (
 	"nephele/internal/faas"
 	"nephele/internal/guest"
 	"nephele/internal/netsim"
+	"nephele/internal/obs"
 	"nephele/internal/toolstack"
 	"nephele/internal/vclock"
 )
@@ -46,7 +47,7 @@ func main() {
 		log.Fatal(err)
 	}
 	runtime := faas.NewUnikernelRuntime(func() (vclock.Duration, error) {
-		res, err := parent.Fork(1, nil, nil)
+		res, err := parent.Fork(obs.OpCtx{}, 1, nil)
 		if err != nil {
 			return 0, err
 		}

@@ -33,7 +33,7 @@ func main() {
 		log.Fatal(err)
 	}
 	dom, _ := machineA.HV.Domain(rec.ID)
-	if err := dom.Space().Write(10, 0, []byte("accumulated state"), nil); err != nil {
+	if err := dom.Space().WriteOp(obs.OpCtx{}, 10, 0, []byte("accumulated state")); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("machine A: %s | machine B: %s\n", machineA, machineB)

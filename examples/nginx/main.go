@@ -12,6 +12,7 @@ import (
 	"nephele/internal/core"
 	"nephele/internal/guest"
 	"nephele/internal/netsim"
+	"nephele/internal/obs"
 	"nephele/internal/toolstack"
 	"nephele/internal/vclock"
 )
@@ -37,7 +38,7 @@ func main() {
 		log.Fatal(err)
 	}
 	forkMeter := platform.NewMeter()
-	res, err := master.Fork(3, nil, forkMeter)
+	res, err := master.Fork(obs.Ctx(forkMeter), 3, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"nephele/internal/core"
 	"nephele/internal/guest"
 	"nephele/internal/netsim"
+	"nephele/internal/obs"
 	"nephele/internal/toolstack"
 )
 
@@ -45,7 +46,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := kernel.WriteAt(addr, []byte("state before fork"), nil); err != nil {
+	if err := kernel.WriteAt(obs.OpCtx{}, addr, []byte("state before fork")); err != nil {
 		log.Fatal(err)
 	}
 	pipe, err := kernel.NewPipe()
@@ -59,7 +60,7 @@ func main() {
 	// to completion before Fork returns to the parent.
 	forkMeter := platform.NewMeter()
 	var childMsg string
-	res, err := kernel.Fork(1, func(child *guest.Kernel) {
+	res, err := kernel.Fork(obs.Ctx(forkMeter), 1, func(child *guest.Kernel) {
 		// The child sees the parent's memory through COW sharing...
 		buf := make([]byte, 17)
 		if err := child.ReadAt(addr, buf); err != nil {
@@ -67,12 +68,12 @@ func main() {
 			return
 		}
 		// ...writes are isolated...
-		child.WriteAt(addr, []byte("child's own state"), nil)
+		child.WriteAt(obs.OpCtx{}, addr, []byte("child's own state"))
 		// ...and the inherited pipe reaches the parent.
 		cp := pipe.ForChild(child)
 		cp.Write([]byte("hello from dom " + fmt.Sprint(child.Dom)))
 		childMsg = string(buf)
-	}, forkMeter)
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

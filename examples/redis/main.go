@@ -13,6 +13,7 @@ import (
 	"nephele/internal/cloned"
 	"nephele/internal/core"
 	"nephele/internal/guest"
+	"nephele/internal/obs"
 	"nephele/internal/toolstack"
 )
 
@@ -44,15 +45,15 @@ func main() {
 
 	// Populate: the database lives in guest pages, so fork snapshots
 	// are real copy-on-write snapshots.
-	if err := redis.MassInsert(5000, 64, nil); err != nil {
+	if err := redis.MassInsert(obs.OpCtx{}, 5000, 64); err != nil {
 		log.Fatal(err)
 	}
-	redis.Set("user:0", []byte("alice"), nil)
+	redis.Set(obs.OpCtx{}, "user:0", []byte("alice"))
 	fmt.Printf("populated %d keys\n", redis.Len())
 
 	// Background save: fork + serialize through 9pfs.
 	meter := platform.NewMeter()
-	res, err := redis.BGSave("dump.rdb", meter)
+	res, err := redis.BGSave(obs.Ctx(meter), "dump.rdb")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func main() {
 
 	// The parent mutates immediately after — a second save proves the
 	// first dump stayed consistent.
-	redis.Set("user:0", []byte("mallory"), nil)
+	redis.Set(obs.OpCtx{}, "user:0", []byte("mallory"))
 	dump, err := platform.HostFS.ReadFile("/export/dump.rdb")
 	if err != nil {
 		log.Fatal(err)
@@ -78,7 +79,7 @@ func main() {
 	fmt.Printf("9pfs backend processes serving the family: %d\n",
 		platform.Backends.NineP.ProcessCount())
 
-	res2, err := redis.BGSave("dump2.rdb", platform.NewMeter())
+	res2, err := redis.BGSave(obs.Ctx(platform.NewMeter()), "dump2.rdb")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func main() {
 	space := dom.Space()
 	page := bytes.Repeat([]byte{0x42}, mem.PageSize)
 	for pfn := 0; pfn < 1024; pfn++ {
-		if err := space.Write(mem.PFN(pfn), 0, page, nil); err != nil {
+		if err := space.WriteOp(obs.OpCtx{}, mem.PFN(pfn), 0, page); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -83,7 +83,7 @@ func main() {
 			log.Fatal(err)
 		}
 		for s := uint64(0); s < 8; s++ {
-			if err := vbd.WriteSector(s, sector, nil); err != nil {
+			if err := vbd.WriteSector(obs.OpCtx{}, s, sector); err != nil {
 				log.Fatal(err)
 			}
 		}

@@ -401,7 +401,6 @@ var testOnlyExports = map[string]string{
 	"guest.NineFile.Read":       model,
 	"mem.Memory.CopyFrameN":     model,
 	"obs.Gauge.Add":             model,
-	"obs.OpCtx.WithMeter":       model,
 	"ring.Ring.Reset":           model,
 	"toolstack.ImageStore.Drop": model,
 

@@ -15,24 +15,41 @@ import (
 	"testing"
 )
 
-// meterFirstPinned lists the exported funcs of the OpCtx-first directories
-// that keep a meter-first signature, each with its reason.
+// meterFirstPinned lists the funcs that keep a *vclock.Meter parameter,
+// each with its reason: benchmark/ calls them with a meter or nil, and
+// BENCHMARK.json pins its files. Each converts to an OpCtx once, at its top.
 var meterFirstPinned = map[string]string{
-	"core.Platform.Boot":    "pinned by benchmark/ call sites",
-	"core.Platform.Destroy": "pinned by benchmark/ call sites",
+	"core.Platform.Boot":            "benchmark/workloads.go, env.go",
+	"core.Platform.Destroy":         "benchmark/workloads.go, env.go",
+	"guest.Boot":                    "benchmark/workloads.go, env.go",
+	"fuzz.Session.Iterate":          "benchmark/env.go",
+	"toolstack.XL.Create":           "benchmark/env.go",
+	"toolstack.XL.Destroy":          "benchmark/env.go",
+	"toolstack.XL.Save":             "benchmark/workloads.go, env.go, probes.go",
+	"toolstack.XL.Restore":          "benchmark/env.go",
+	"toolstack.ImageStore.Insert":   "benchmark/workloads.go, probes.go",
+	"mem.Space.Write":               "benchmark/workloads.go, env.go, probes.go",
+	"devices.NetBackend.CreateVif":  "benchmark/probes.go",
+	"devices.NetBackend.CloneVif":   "benchmark/probes.go",
+	"devices.NetBackend.RemoveVif":  "benchmark/probes.go",
+	"devices.ConsoleBackend.Create": "benchmark/probes.go",
+	"devices.ConsoleBackend.Clone":  "benchmark/probes.go",
 }
 
-// opctxFirstDirs are the directories whose exported entry points take an
-// obs.OpCtx, not a bare meter.
-var opctxFirstDirs = map[string]bool{"internal/hv": true, "internal/cloned": true, "internal/core": true}
+// meterDirs are the directories rule A does not scan, each with its reason.
+var meterDirs = map[string]string{
+	"internal/vclock":   "defines the meter",
+	"internal/xenstore": "benchmark/probes.go calls four request methods that share one body with the rest, so the store moves as a whole with benchmark/",
+	"benchmark":         "BENCHMARK.json pins its files; it moves with the pinned funcs above",
+}
 
 // TestOpCtxThreading holds the tree to the OpCtx discipline (DESIGN.md
 // §12), parsing every non-test file outside internal/obs, internal/analysis
 // and testdata, benchmark/ included:
 //
-//   - (A) one name per operation: an exported func or method in
-//     opctxFirstDirs that takes a *vclock.Meter and no obs.OpCtx is a
-//     second name for an operation, unless meterFirstPinned lists it;
+//   - (A) one context type: a func, method, func literal, func type,
+//     func-typed field or interface method with a *vclock.Meter parameter
+//     fails outside meterDirs, unless meterFirstPinned lists the func;
 //   - (B) thread, don't mint: inside a func or func literal with an
 //     obs.OpCtx parameter, closures included, obs.Ctx, obs.NewTrace,
 //     vclock.NewMeter and an obs.OpCtx{} literal start a fresh meter or
@@ -46,7 +63,7 @@ func TestOpCtxThreading(t *testing.T) {
 			continue
 		}
 		pkg := ""
-		if opctxFirstDirs[dir] {
+		if _, ok := meterDirs[dir]; !ok {
 			pkg = path.Base(dir)
 		}
 		if err := c.file(filepath.Join(root, file), file, pkg); err != nil {
@@ -57,13 +74,12 @@ func TestOpCtxThreading(t *testing.T) {
 		t.Error(f)
 	}
 	for _, key := range c.stale() {
-		t.Errorf("meterFirstPinned lists %s, which is gone or no longer meter-first: drop the entry", key)
+		t.Errorf("meterFirstPinned lists %s, which is gone or no longer takes a meter: drop the entry", key)
 	}
 }
 
-// TestOpCtxMintFixture runs the scan over testdata/opctx/a.go, outside
-// the OpCtx-first directories: it must report exactly rule B's "// want"
-// lines.
+// TestOpCtxMintFixture runs the scan over testdata/opctx/a.go with rule A
+// off: it must report exactly rule B's "// want" lines.
 func TestOpCtxMintFixture(t *testing.T) {
 	c := newOpctxCheck(nil)
 	checkOpctxFixture(t, c, "a.go", "")
@@ -72,14 +88,18 @@ func TestOpCtxMintFixture(t *testing.T) {
 	}
 }
 
-// TestOpCtxSignatureFixture runs the scan over testdata/opctx/core.go as
-// package core: it must report exactly the "// want" lines and a stale
-// allowlist entry.
+// TestOpCtxSignatureFixture runs the scan over testdata/opctx/sig.go under
+// two package names: it must report exactly the "// want" lines and a stale
+// allowlist entry either way.
 func TestOpCtxSignatureFixture(t *testing.T) {
-	c := newOpctxCheck(map[string]string{"core.Platform.Boot": "fixture", "core.Platform.Gone": "fixture"})
-	checkOpctxFixture(t, c, "core.go", "core")
-	if got := c.stale(); !slices.Equal(got, []string{"core.Platform.Gone"}) {
-		t.Errorf("stale = %q, want [core.Platform.Gone]", got)
+	for _, pkg := range []string{"core", "toolstack"} {
+		t.Run(pkg, func(t *testing.T) {
+			c := newOpctxCheck(map[string]string{pkg + ".Platform.Boot": "fixture", pkg + ".Platform.Gone": "fixture"})
+			checkOpctxFixture(t, c, "sig.go", pkg)
+			if got := c.stale(); !slices.Equal(got, []string{pkg + ".Platform.Gone"}) {
+				t.Errorf("stale = %q, want [%s.Platform.Gone]", got, pkg)
+			}
+		})
 	}
 }
 
@@ -137,7 +157,7 @@ func (c *opctxCheck) stale() []string {
 }
 
 // file scans the file at filename, reported as name. pkg is the package
-// name rule A checks it under, or "" outside the OpCtx-first directories.
+// name rule A checks it under, or "" to leave rule A off.
 func (c *opctxCheck) file(filename, name, pkg string) error {
 	f, err := parser.ParseFile(c.fset, filename, nil, parser.SkipObjectResolution)
 	if err != nil {
@@ -216,21 +236,31 @@ func (c *opctxCheck) file(filename, name, pkg string) error {
 	}
 	for _, d := range f.Decls {
 		fd, ok := d.(*ast.FuncDecl)
+		if pkg != "" {
+			ast.Inspect(d, func(n ast.Node) bool {
+				ft, ok := n.(*ast.FuncType)
+				if !ok || !takes(ft.Params, vclockName, "Meter", false) {
+					return true
+				}
+				if fd == nil || ft != fd.Type {
+					report(ft, "func type takes a *vclock.Meter; take ctx obs.OpCtx first")
+					return true
+				}
+				key := pkg + "." + recvName(fd) + fd.Name.Name
+				if _, ok := c.pinned[key]; ok {
+					c.used[key] = true
+				} else {
+					report(fd, "%s takes a *vclock.Meter; take ctx obs.OpCtx first", key)
+				}
+				return true
+			})
+		}
 		if !ok {
 			walk(d, false)
 			continue
 		}
-		opctx := takes(fd.Type.Params, obsName, "OpCtx", true)
-		if pkg != "" && fd.Name.IsExported() && !opctx && takes(fd.Type.Params, vclockName, "Meter", false) {
-			key := pkg + "." + recvName(fd) + fd.Name.Name
-			if _, ok := c.pinned[key]; ok {
-				c.used[key] = true
-			} else {
-				report(fd, "meter-first signature: exported %s takes a *vclock.Meter and no obs.OpCtx; entry points here are OpCtx-first", key)
-			}
-		}
 		if fd.Body != nil {
-			walk(fd.Body, opctx)
+			walk(fd.Body, takes(fd.Type.Params, obsName, "OpCtx", true))
 		}
 	}
 	return nil

@@ -10,6 +10,7 @@ import (
 	"nephele/internal/devices"
 	"nephele/internal/guest"
 	"nephele/internal/netsim"
+	"nephele/internal/obs"
 	"nephele/internal/proc"
 	"nephele/internal/toolstack"
 	"nephele/internal/vclock"
@@ -47,7 +48,7 @@ func TestRedisSetGetDel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Set("name", []byte("nephele"), nil)
+	r.Set(obs.OpCtx{}, "name", []byte("nephele"))
 	got, err := r.Get("name")
 	if err != nil || string(got) != "nephele" {
 		t.Fatalf("Get = %q, %v", got, err)
@@ -55,7 +56,7 @@ func TestRedisSetGetDel(t *testing.T) {
 	if r.Len() != 1 || r.Dirty() != 1 {
 		t.Fatalf("Len/Dirty = %d/%d", r.Len(), r.Dirty())
 	}
-	if err := r.Del("name", nil); err != nil {
+	if err := r.Del(obs.OpCtx{}, "name"); err != nil {
 		t.Fatal(err)
 	}
 	if r.Len() != 0 {
@@ -69,10 +70,10 @@ func TestRedisBGSaveOnUnikernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.MassInsert(200, 64, nil); err != nil {
+	if err := r.MassInsert(obs.OpCtx{}, 200, 64); err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.BGSave("dump.rdb", p.NewMeter())
+	res, err := r.BGSave(obs.Ctx(p.NewMeter()), "dump.rdb")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,15 +106,15 @@ func TestRedisSnapshotConsistencyUnderConcurrentWrites(t *testing.T) {
 	// already fixed).
 	p, host := redisGuestEnv(t)
 	r, _ := NewRedis(host, 64)
-	r.MassInsert(50, 16, nil)
+	r.MassInsert(obs.OpCtx{}, 50, 16)
 
 	// Fork for save, then mutate the parent before serializing.
-	child, err := host.ForkForSave(nil)
+	child, err := host.ForkForSave(obs.OpCtx{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		r.Set(fmt.Sprintf("key:%012d", i), []byte("POST-FORK-GARBAGE"), nil)
+		r.Set(obs.OpCtx{}, fmt.Sprintf("key:%012d", i), []byte("POST-FORK-GARBAGE"))
 	}
 	// Serialize from the child view by hand.
 	childDB := r.db.CloneFor(child)
@@ -129,7 +130,7 @@ func TestRedisSnapshotConsistencyUnderConcurrentWrites(t *testing.T) {
 func TestRedisOnProcessBaseline(t *testing.T) {
 	machine := proc.NewMachine(512 << 20)
 	fs := devices.NewHostFS()
-	pr, err := machine.Spawn(4096, nil)
+	pr, err := machine.Spawn(obs.OpCtx{}, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,8 +139,8 @@ func TestRedisOnProcessBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.MassInsert(100, 32, nil)
-	res, err := r.BGSave("dump.rdb", nil)
+	r.MassInsert(obs.OpCtx{}, 100, 32)
+	res, err := r.BGSave(obs.OpCtx{}, "dump.rdb")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,17 +157,17 @@ func TestRedisSecondForkCheaper(t *testing.T) {
 	// the whole space COW.
 	machine := proc.NewMachine(1 << 30)
 	fs := devices.NewHostFS()
-	pr, _ := machine.Spawn(16384, nil) // 64 MiB
+	pr, _ := machine.Spawn(obs.OpCtx{}, 16384) // 64 MiB
 	host := NewProcessHost(pr, fs, "/share")
 	r, _ := NewRedis(host, 128)
-	r.MassInsert(1000, 64, nil)
+	r.MassInsert(obs.OpCtx{}, 1000, 64)
 
 	m1 := vclock.NewMeter(nil)
-	if _, err := r.BGSave("d1.rdb", m1); err != nil {
+	if _, err := r.BGSave(obs.Ctx(m1), "d1.rdb"); err != nil {
 		t.Fatal(err)
 	}
 	m2 := vclock.NewMeter(nil)
-	res2, err := r.BGSave("d2.rdb", m2)
+	res2, err := r.BGSave(obs.Ctx(m2), "d2.rdb")
 	if err != nil {
 		t.Fatal(err)
 	}

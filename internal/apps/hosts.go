@@ -4,8 +4,8 @@ import (
 	"nephele/internal/devices"
 	"nephele/internal/gmem"
 	"nephele/internal/guest"
+	"nephele/internal/obs"
 	"nephele/internal/proc"
-	"nephele/internal/vclock"
 )
 
 // KernelHost adapts a Unikraft guest kernel to RedisHost.
@@ -19,8 +19,8 @@ func NewKernelHost(k *guest.Kernel) *KernelHost { return &KernelHost{Kernel: k} 
 // ForkForSave clones the unikernel once (the I/O cloning skips network
 // devices; the platform must be configured with SkipNetworkDevices for the
 // Fig. 8 setup).
-func (h *KernelHost) ForkForSave(meter *vclock.Meter) (RedisHost, error) {
-	res, err := h.Fork(1, nil, meter)
+func (h *KernelHost) ForkForSave(ctx obs.OpCtx) (RedisHost, error) {
+	res, err := h.Fork(ctx, 1, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -59,8 +59,8 @@ func NewProcessHost(p *proc.Process, fs *devices.HostFS, dir string) *ProcessHos
 }
 
 // ForkForSave forks the process.
-func (h *ProcessHost) ForkForSave(meter *vclock.Meter) (RedisHost, error) {
-	child, err := h.Fork(meter)
+func (h *ProcessHost) ForkForSave(ctx obs.OpCtx) (RedisHost, error) {
+	child, err := h.Fork(ctx)
 	if err != nil {
 		return nil, err
 	}

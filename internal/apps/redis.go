@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"nephele/internal/gmem"
+	"nephele/internal/obs"
 	"nephele/internal/vclock"
 )
 
@@ -29,7 +30,7 @@ type RedisHost interface {
 	// ForkForSave forks the host; the returned child host sees the
 	// database snapshot. The paper's Unikraft variant skips network
 	// device cloning here (§7.1).
-	ForkForSave(meter *vclock.Meter) (RedisHost, error)
+	ForkForSave(ctx obs.OpCtx) (RedisHost, error)
 	// OpenDump opens (creating) the dump file on the host's filesystem.
 	OpenDump(name string) (DumpSink, error)
 	// Faults reports COW faults taken by this host.
@@ -55,8 +56,8 @@ func NewRedis(host RedisHost, buckets int) (*Redis, error) {
 }
 
 // Set stores key -> value.
-func (r *Redis) Set(key string, value []byte, meter *vclock.Meter) error {
-	if err := r.db.Put(key, value, meter); err != nil {
+func (r *Redis) Set(ctx obs.OpCtx, key string, value []byte) error {
+	if err := r.db.Put(ctx, key, value); err != nil {
 		return err
 	}
 	r.dirty++
@@ -69,8 +70,8 @@ func (r *Redis) Get(key string) ([]byte, error) {
 }
 
 // Del removes a key.
-func (r *Redis) Del(key string, meter *vclock.Meter) error {
-	if err := r.db.Delete(key, meter); err != nil {
+func (r *Redis) Del(ctx obs.OpCtx, key string) error {
+	if err := r.db.Delete(ctx, key); err != nil {
 		return err
 	}
 	r.dirty++
@@ -85,13 +86,13 @@ func (r *Redis) Dirty() int { return r.dirty }
 
 // MassInsert populates n keys with the standard synthetic pattern (the
 // redis-benchmark mass-insertion workload of Fig. 8).
-func (r *Redis) MassInsert(n int, valueSize int, meter *vclock.Meter) error {
+func (r *Redis) MassInsert(ctx obs.OpCtx, n int, valueSize int) error {
 	val := make([]byte, valueSize)
 	for i := range val {
 		val[i] = byte('a' + i%26)
 	}
 	for i := 0; i < n; i++ {
-		if err := r.Set(fmt.Sprintf("key:%012d", i), val, meter); err != nil {
+		if err := r.Set(ctx, fmt.Sprintf("key:%012d", i), val); err != nil {
 			return err
 		}
 	}
@@ -117,12 +118,11 @@ const rdbWriteCostPerKey = 1 * vclock.Duration(1000) // 1µs
 // free to keep serving. This is the §7.1 experiment: the save's
 // correctness depends on real snapshot semantics, which the page-backed
 // map provides.
-func (r *Redis) BGSave(dumpName string, meter *vclock.Meter) (*SaveResult, error) {
-	if meter == nil {
-		meter = vclock.NewMeter(nil)
-	}
+func (r *Redis) BGSave(ctx obs.OpCtx, dumpName string) (*SaveResult, error) {
+	ctx = ctx.EnsureMeter(nil)
+	meter := ctx.Meter()
 	forkStart := meter.Elapsed()
-	child, err := r.host.ForkForSave(meter)
+	child, err := r.host.ForkForSave(ctx)
 	if err != nil {
 		return nil, err
 	}

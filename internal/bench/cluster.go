@@ -40,7 +40,7 @@ func clusterFanOut(hosts, guestMB int) (cold, warm vclock.Duration, wirePages in
 	// Dirty a quarter of the guest so the image carries real data runs.
 	pages := guestMB << 20 / mem.PageSize
 	for pfn := 0; pfn < pages; pfn += 4 {
-		if werr := dom.Space().Write(mem.PFN(pfn), 0, []byte{0xA5, byte(pfn)}, nil); werr != nil {
+		if werr := dom.Space().WriteOp(obs.OpCtx{}, mem.PFN(pfn), 0, []byte{0xA5, byte(pfn)}); werr != nil {
 			return 0, 0, 0, werr
 		}
 	}

@@ -34,7 +34,7 @@ func faasUnikernelRuntime() (*faas.UnikernelRuntime, error) {
 		return nil, err
 	}
 	return faas.NewUnikernelRuntime(func() (vclock.Duration, error) {
-		res, err := k.Fork(1, nil, nil)
+		res, err := k.Fork(obs.OpCtx{}, 1, nil)
 		if err != nil {
 			return 0, err
 		}

@@ -150,7 +150,7 @@ func fig4CloneCurve(name string, deep bool, tr *obs.Trace, n, every int) (Series
 	}
 	for i := 0; i < n; i++ {
 		meter := p.NewMeter()
-		if _, err := k.Fork(1, nil, meter); err != nil {
+		if _, err := k.Fork(obs.Ctx(meter), 1, nil); err != nil {
 			return s, fmt.Errorf("fig4 %s clone %d: %w", name, i, err)
 		}
 		// The child signals readiness with the UDP notification, like

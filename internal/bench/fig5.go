@@ -75,7 +75,7 @@ func fig5(quick bool, _ *obs.Trace) (*Figure, error) {
 	}
 	cloned := 1 // the parent counts as an instance
 	for {
-		if _, err := k.Fork(1, nil, nil); err != nil {
+		if _, err := k.Fork(obs.OpCtx{}, 1, nil); err != nil {
 			if errors.Is(err, mem.ErrOutOfMemory) {
 				break
 			}

@@ -70,17 +70,17 @@ func fig6(quick bool, _ *obs.Trace) (*Figure, error) {
 // holding sizeMB resident.
 func fig6Process(sizeMB int) (first, second vclock.Duration, err error) {
 	machine := proc.NewMachine(uint64(sizeMB+64) << 20)
-	p, err := machine.Spawn(sizeMB*256, nil)
+	p, err := machine.Spawn(obs.OpCtx{}, sizeMB*256)
 	if err != nil {
 		return 0, 0, err
 	}
 	m1 := vclock.NewMeter(nil)
-	c1, err := p.Fork(m1)
+	c1, err := p.Fork(obs.Ctx(m1))
 	if err != nil {
 		return 0, 0, err
 	}
 	m2 := vclock.NewMeter(nil)
-	c2, err := p.Fork(m2)
+	c2, err := p.Fork(obs.Ctx(m2))
 	if err != nil {
 		return 0, 0, err
 	}
@@ -120,11 +120,11 @@ func fig6Unikraft(sizeMB int) (first, second, userspace vclock.Duration, err err
 	}
 
 	m1 := p.NewMeter()
-	if _, err := k.Fork(1, nil, m1); err != nil {
+	if _, err := k.Fork(obs.Ctx(m1), 1, nil); err != nil {
 		return 0, 0, 0, err
 	}
 	m2 := p.NewMeter()
-	res2, err := k.Fork(1, nil, m2)
+	res2, err := k.Fork(obs.Ctx(m2), 1, nil)
 	if err != nil {
 		return 0, 0, 0, err
 	}

@@ -101,7 +101,7 @@ func deployCloneWorkers(workers int) error {
 		return err
 	}
 	if workers > 1 {
-		if _, err := k.Fork(workers-1, nil, nil); err != nil {
+		if _, err := k.Fork(obs.OpCtx{}, workers-1, nil); err != nil {
 			return err
 		}
 	}

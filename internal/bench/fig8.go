@@ -84,7 +84,7 @@ func fig8SpawnPages(keys int) int {
 // process inside an Alpine Linux VM, saving to a 9pfs share.
 func fig8Process(keys int) (fork, save vclock.Duration, err error) {
 	machine := proc.NewMachine(uint64(fig8SpawnPages(keys))*4096*4 + (256 << 20))
-	pr, err := machine.Spawn(fig8SpawnPages(keys), nil)
+	pr, err := machine.Spawn(obs.OpCtx{}, fig8SpawnPages(keys))
 	if err != nil {
 		return 0, 0, err
 	}
@@ -96,13 +96,13 @@ func fig8Process(keys int) (fork, save vclock.Duration, err error) {
 	}
 	// First save right after initialization: the first fork marks the
 	// whole space COW, so the paper reports second-fork values.
-	if _, err := r.BGSave("dump0.rdb", vclock.NewMeter(nil)); err != nil {
+	if _, err := r.BGSave(obs.OpCtx{}, "dump0.rdb"); err != nil {
 		return 0, 0, err
 	}
-	if err := r.MassInsert(keys, fig8ValueSize, nil); err != nil {
+	if err := r.MassInsert(obs.OpCtx{}, keys, fig8ValueSize); err != nil {
 		return 0, 0, err
 	}
-	res, err := r.BGSave("dump1.rdb", vclock.NewMeter(nil))
+	res, err := r.BGSave(obs.OpCtx{}, "dump1.rdb")
 	if err != nil {
 		return 0, 0, err
 	}
@@ -137,13 +137,13 @@ func fig8Unikraft(keys int) (clone, save, userspace vclock.Duration, err error) 
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	if _, err := r.BGSave("dump0.rdb", p.NewMeter()); err != nil {
+	if _, err := r.BGSave(obs.Ctx(p.NewMeter()), "dump0.rdb"); err != nil {
 		return 0, 0, 0, err
 	}
-	if err := r.MassInsert(keys, fig8ValueSize, nil); err != nil {
+	if err := r.MassInsert(obs.OpCtx{}, keys, fig8ValueSize); err != nil {
 		return 0, 0, 0, err
 	}
-	res, err := r.BGSave("dump1.rdb", p.NewMeter())
+	res, err := r.BGSave(obs.Ctx(p.NewMeter()), "dump1.rdb")
 	if err != nil {
 		return 0, 0, 0, err
 	}

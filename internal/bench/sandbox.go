@@ -44,7 +44,7 @@ func sandboxTemplate(p *core.Platform, memoryMB, dirtyPages int) (*toolstack.Ima
 			break
 		}
 		payload[0] = byte(i)
-		if err := sp.Write(pfn, 0, payload, nil); err != nil {
+		if err := sp.WriteOp(obs.OpCtx{}, pfn, 0, payload); err != nil {
 			return nil, err
 		}
 	}
@@ -128,7 +128,7 @@ func figSandbox(quick bool, _ *obs.Trace) (*Figure, error) {
 				return nil, err
 			}
 			for s := 0; s < sandboxDirtySectors; s++ {
-				if err := vbd.WriteSector(uint64(s), sector, nil); err != nil {
+				if err := vbd.WriteSector(obs.OpCtx{}, uint64(s), sector); err != nil {
 					return nil, err
 				}
 			}

@@ -161,7 +161,7 @@ func (d *Daemon) Serve(ctx obs.OpCtx) (int, error) {
 	served := 0
 	var errs []error
 	for _, n := range d.HV.PopNotifications() {
-		if err := d.serveOneIsolated(n, ctx); err != nil {
+		if err := d.serveOneIsolated(ctx, n); err != nil {
 			errs = append(errs, fmt.Errorf("cloned: second stage for %d: %w", n.Child, err))
 			continue
 		}
@@ -176,14 +176,14 @@ func (d *Daemon) Serve(ctx obs.OpCtx) (int, error) {
 // the retry budget; a fatal fault (or an exhausted budget) aborts the
 // clone through CLONEOP so the parent resumes with the child reported
 // failed.
-func (d *Daemon) serveOneIsolated(n hv.CloneNotification, ctx obs.OpCtx) error {
+func (d *Daemon) serveOneIsolated(ctx obs.OpCtx, n hv.CloneNotification) error {
 	meter := ctx.Meter()
 	for attempt := 0; ; attempt++ {
-		err := d.serveOne(n, ctx)
+		err := d.serveOne(ctx, n)
 		if err == nil {
 			return nil
 		}
-		d.rollback(n, ctx)
+		d.rollback(ctx, n)
 		d.met.rollbacks.Inc()
 		if fault.IsTransient(err) && attempt < maxRetries {
 			d.met.retries.Inc()
@@ -204,14 +204,14 @@ func (d *Daemon) serveOneIsolated(n hv.CloneNotification, ctx obs.OpCtx) error {
 }
 
 // serveOne runs the full second stage for one clone notification.
-func (d *Daemon) serveOne(n hv.CloneNotification, ctx obs.OpCtx) error {
+func (d *Daemon) serveOne(ctx obs.OpCtx, n hv.CloneNotification) error {
 	meter := ctx.Meter()
 	ctx, span := ctx.StartSpan("second-stage")
 	defer span.End()
 	start := meter.Elapsed()
 	meter.Charge(meter.Costs().XenclonedWake, 1)
 
-	info, err := d.parentInfo(n.Parent, meter)
+	info, err := d.parentInfo(ctx, n.Parent)
 	if err != nil {
 		return err
 	}
@@ -243,8 +243,8 @@ func (d *Daemon) serveOne(n hv.CloneNotification, ctx obs.OpCtx) error {
 	}
 
 	if !d.Opts.SkipDevices {
-		_, dspan := ctx.StartSpan("device-clone")
-		err := d.cloneDevices(n, info, meter)
+		dctx, dspan := ctx.StartSpan("device-clone")
+		err := d.cloneDevices(dctx, n, info)
 		dspan.End()
 		if err != nil {
 			return err
@@ -273,20 +273,20 @@ func (d *Daemon) serveOne(n hv.CloneNotification, ctx obs.OpCtx) error {
 // it twice is harmless. The hypervisor-side teardown (domain, COW
 // references, clone budget) is NOT done here — that is CloneAbort's job,
 // invoked only when the failure is terminal.
-func (d *Daemon) rollback(n hv.CloneNotification, ctx obs.OpCtx) {
-	meter := ctx.Meter()
-	_, span := ctx.StartSpan("rollback")
+func (d *Daemon) rollback(ctx obs.OpCtx, n hv.CloneNotification) {
+	ctx, span := ctx.StartSpan("rollback")
 	defer span.End()
 	c := uint32(n.Child)
 	kinds := d.XL.Devices
-	kinds.Teardown(c, d.Net, meter)
+	kinds.Teardown(ctx, c, d.Net)
 	d.XL.ReleaseClone(n.Child)
-	kinds.RemoveEntries(d.Store, c, meter)
+	kinds.RemoveEntries(ctx, d.Store, c)
 }
 
 // parentInfo reads (or recalls) the parent's device inventory. The first
 // clone pays the Xenstore reads; later clones hit the cache (§6.2).
-func (d *Daemon) parentInfo(parent hv.DomID, meter *vclock.Meter) (*parentInfo, error) {
+func (d *Daemon) parentInfo(ctx obs.OpCtx, parent hv.DomID) (*parentInfo, error) {
+	meter := ctx.Meter()
 	if info, ok := d.cache[parent]; ok {
 		return info, nil
 	}
@@ -319,11 +319,12 @@ func (d *Daemon) parentInfo(parent hv.DomID, meter *vclock.Meter) (*parentInfo, 
 // ablation, a deep copy: xencloned reads (and caches) the parent subtree,
 // then sends one Write request per node — exactly how the entries would be
 // created on regular instantiation (§6.1).
-func (d *Daemon) cloneStoreDir(n hv.CloneNotification, op xenstore.CloneOp, src, dst string, meter *vclock.Meter) error {
+func (d *Daemon) cloneStoreDir(ctx obs.OpCtx, n hv.CloneNotification, op xenstore.CloneOp, src, dst string) error {
+	meter := ctx.Meter()
 	if !d.Opts.UseDeepCopy {
 		return d.Store.Clone(uint32(n.Parent), uint32(n.Child), op, src, dst, meter)
 	}
-	pairs, err := d.snapshot(n.Parent, src, meter)
+	pairs, err := d.snapshot(ctx, n.Parent, src)
 	if err != nil {
 		return err
 	}
@@ -342,7 +343,8 @@ func (d *Daemon) cloneStoreDir(n hv.CloneNotification, op xenstore.CloneOp, src,
 
 // snapshot returns the cached subtree of a parent device directory,
 // reading it from the store on the first use.
-func (d *Daemon) snapshot(parent hv.DomID, src string, meter *vclock.Meter) ([]xenstore.Pair, error) {
+func (d *Daemon) snapshot(ctx obs.OpCtx, parent hv.DomID, src string) ([]xenstore.Pair, error) {
+	meter := ctx.Meter()
 	if info, ok := d.cache[parent]; ok && info.snapshots != nil {
 		if pairs, ok := info.snapshots[src]; ok {
 			return pairs, nil
@@ -366,7 +368,7 @@ func (d *Daemon) snapshot(parent hv.DomID, src string, meter *vclock.Meter) ([]x
 // carries the store entries of all the kind's devices, then the backend
 // creates each pre-connected clone device and finalizes it (for a vif: the
 // udev event and the switch attachment).
-func (d *Daemon) cloneDevices(n hv.CloneNotification, info *parentInfo, meter *vclock.Meter) error {
+func (d *Daemon) cloneDevices(ctx obs.OpCtx, n hv.CloneNotification, info *parentInfo) error {
 	p, c := uint32(n.Parent), uint32(n.Child)
 	kinds := d.XL.Devices
 	for k := range kinds {
@@ -374,16 +376,16 @@ func (d *Daemon) cloneDevices(n hv.CloneNotification, info *parentInfo, meter *v
 		if len(info.devs[k]) == 0 || kind.Network && d.Opts.SkipNetworkDevices {
 			continue
 		}
-		if err := d.cloneStoreDir(n, kind.CloneOp,
-			devices.FrontendDir(p, kind.Dir), devices.FrontendDir(c, kind.Dir), meter); err != nil {
+		if err := d.cloneStoreDir(ctx, n, kind.CloneOp,
+			devices.FrontendDir(p, kind.Dir), devices.FrontendDir(c, kind.Dir)); err != nil {
 			return err
 		}
-		if err := d.cloneStoreDir(n, kind.CloneOp,
-			devices.BackendDir(p, kind.Dir), devices.BackendDir(c, kind.Dir), meter); err != nil {
+		if err := d.cloneStoreDir(ctx, n, kind.CloneOp,
+			devices.BackendDir(p, kind.Dir), devices.BackendDir(c, kind.Dir)); err != nil {
 			return err
 		}
 		for _, idx := range info.devs[k] {
-			if err := kind.Clone(p, c, idx, d.Net, meter); err != nil {
+			if err := kind.Clone(ctx, p, c, idx, d.Net); err != nil {
 				return err
 			}
 		}

@@ -120,7 +120,7 @@ func TestSecondStageFullDeviceCloning(t *testing.T) {
 	if name, _ := r.store.Read(fmt.Sprintf("/local/domain/%d/name", child), nil); name == "" {
 		t.Fatal("child name entry missing")
 	}
-	st, err := devices.DeviceState(r.store, uint32(child), "vif", 0, nil)
+	st, err := devices.DeviceState(obs.OpCtx{}, r.store, uint32(child), "vif", 0)
 	if err != nil {
 		t.Fatalf("child vif entries missing: %v", err)
 	}
@@ -206,7 +206,7 @@ func TestDeepCopyProducesSameTreeMoreRequests(t *testing.T) {
 		r     *rig
 		child hv.DomID
 	}{{fast, fc}, {slow, sc}} {
-		st, err := devices.DeviceState(c.r.store, uint32(c.child), "vif", 0, nil)
+		st, err := devices.DeviceState(obs.OpCtx{}, c.r.store, uint32(c.child), "vif", 0)
 		if err != nil || st != devices.StateConnected {
 			t.Fatalf("child state = %v, %v", st, err)
 		}

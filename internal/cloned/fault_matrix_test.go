@@ -623,6 +623,6 @@ func TestRollbackIsIdempotent(t *testing.T) {
 	waitDone(t, done)
 
 	// Serve already rolled back; a second explicit pass changes nothing.
-	r.d.rollback(hv.CloneNotification{Parent: rec.ID, Child: kids[0]}, r.ctx(nil))
+	r.d.rollback(r.ctx(nil), hv.CloneNotification{Parent: rec.ID, Child: kids[0]})
 	assertSame(t, pre, r.snapshot(t))
 }

@@ -105,7 +105,7 @@ func TestServeCompletionAndAbortFail(t *testing.T) {
 	}
 	waitDone(t, done)
 
-	err = r.d.serveOneIsolated(ns[0], r.ctx(nil))
+	err = r.d.serveOneIsolated(r.ctx(nil), ns[0])
 	if !errors.Is(err, hv.ErrNoPendingClone) || !strings.Contains(err.Error(), "cloned: abort of") {
 		t.Fatalf("error %v, want a failed completion joined with a failed abort", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"nephele/internal/core"
@@ -54,6 +55,24 @@ func bootParent(t testing.TB, h *Host, name string) *toolstack.Record {
 		}
 	}
 	return rec
+}
+
+// spanPaths returns, for every span of trace named name, the names from
+// its top-level ancestor down to it, joined by slashes.
+func spanPaths(trace *obs.Trace, name string) []string {
+	recs := trace.Spans()
+	var out []string
+	for _, r := range recs {
+		if r.Name != name {
+			continue
+		}
+		path := r.Name
+		for p := r.Parent; p > 0; p = recs[p-1].Parent {
+			path = recs[p-1].Name + "/" + path
+		}
+		out = append(out, path)
+	}
+	return out
 }
 
 // readState reads the guest-observable pattern back from one page.
@@ -172,13 +191,16 @@ func TestRemoteCloneShipsStateAcrossHosts(t *testing.T) {
 	}
 }
 
+// TestRemoteCloneDedupWarm clones one parent to the same peer twice: the
+// second transfer is header-only and restores from the receiver's cache,
+// and both traces reach the child's domain-create.
 func TestRemoteCloneDedupWarm(t *testing.T) {
 	c := testCluster(2)
 	h0 := c.Host(0)
 	rec := bootParent(t, h0, "warm")
 
-	meter := h0.P.NewMeter()
-	res1, err := h0.P.CloneOp(obs.Ctx(meter), core.CloneSpec{
+	coldTrace, warmTrace := obs.NewTrace(), obs.NewTrace()
+	res1, err := h0.P.CloneOp(obs.Ctx(h0.P.NewMeter()).WithTrace(coldTrace), core.CloneSpec{
 		Caller: rec.ID, Parent: rec.ID, Count: 1, Placement: fixed{at: []int{1}},
 	})
 	if err != nil {
@@ -186,13 +208,28 @@ func TestRemoteCloneDedupWarm(t *testing.T) {
 	}
 	cold := res1[0].Total
 
-	res2, err := h0.P.CloneOp(obs.Ctx(h0.P.NewMeter()), core.CloneSpec{
+	res2, err := h0.P.CloneOp(obs.Ctx(h0.P.NewMeter()).WithTrace(warmTrace), core.CloneSpec{
 		Caller: rec.ID, Parent: rec.ID, Count: 1, Placement: fixed{at: []int{1}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	warm := res2[0].Total
+
+	// Each child's domain is created inside the operation's trace: the
+	// cold receiver's cache misses and restores under materialize, the warm
+	// one's hits and creates it under restore-cached.
+	for _, c := range []struct {
+		trace *obs.Trace
+		want  string
+	}{
+		{coldTrace, "remote-clone/materialize/domain-create"},
+		{warmTrace, "remote-clone/materialize/restore-cached/domain-create"},
+	} {
+		if got := spanPaths(c.trace, "domain-create"); !slices.Equal(got, []string{c.want}) {
+			t.Errorf("domain-create spans at %q, want [%s]", got, c.want)
+		}
+	}
 
 	// The receiver's cache held every data chunk after the first
 	// transfer, so the second ships headers only and restores by

@@ -25,7 +25,7 @@ func TestVbdThroughFullClonePath(t *testing.T) {
 	for i := range dirty {
 		dirty[i] = 'p'
 	}
-	if err := pv.WriteSector(3, dirty, nil); err != nil {
+	if err := pv.WriteSector(obs.OpCtx{}, 3, dirty); err != nil {
 		t.Fatal(err)
 	}
 
@@ -35,7 +35,7 @@ func TestVbdThroughFullClonePath(t *testing.T) {
 	}
 	child := res.Children[0]
 	// The second stage cloned the vbd: Xenstore entries + backend state.
-	st, err := devices.DeviceState(p.Store, uint32(child), "vbd", 0, nil)
+	st, err := devices.DeviceState(obs.OpCtx{}, p.Store, uint32(child), "vbd", 0)
 	if err != nil || st != devices.StateConnected {
 		t.Fatalf("child vbd state = %v, %v", st, err)
 	}
@@ -48,7 +48,7 @@ func TestVbdThroughFullClonePath(t *testing.T) {
 	if got[0] != 'p' {
 		t.Fatalf("child missed parent's pre-clone write: %q", got[:4])
 	}
-	pv.WriteSector(3, make([]byte, devices.SectorSize), nil)
+	pv.WriteSector(obs.OpCtx{}, 3, make([]byte, devices.SectorSize))
 	got, _ = cv.ReadSector(3)
 	if got[0] != 'p' {
 		t.Fatal("child sees post-clone parent write")

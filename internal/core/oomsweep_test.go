@@ -95,7 +95,7 @@ func TestOOMSweep(t *testing.T) {
 			runs := 0
 			for k := 0; ; runs++ {
 				free, nodes := m.FreeFrames(), p.Store.NodeCount()
-				ballast, err := m.AllocN(ballastDom, free-k, nil)
+				ballast, err := m.AllocN(obs.OpCtx{}, ballastDom, free-k)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"nephele/internal/netsim"
+	"nephele/internal/obs"
 	"nephele/internal/vclock"
 	"nephele/internal/xenstore"
 )
@@ -41,10 +42,10 @@ func TestDevicePaths(t *testing.T) {
 func TestWriteDevicePairNegotiatesToConnected(t *testing.T) {
 	store := xenstore.New(0)
 	meter := vclock.NewMeter(nil)
-	if err := WriteDevicePair(store, 3, "vif", 0, []Entry{{Key: "mac", Value: "00:16:3e:00:00:03"}}, meter); err != nil {
+	if err := WriteDevicePair(obs.Ctx(meter), store, 3, "vif", 0, []Entry{{Key: "mac", Value: "00:16:3e:00:00:03"}}); err != nil {
 		t.Fatal(err)
 	}
-	st, err := DeviceState(store, 3, "vif", 0, nil)
+	st, err := DeviceState(obs.OpCtx{}, store, 3, "vif", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestWriteDevicePairNegotiatesToConnected(t *testing.T) {
 func TestUdevQueue(t *testing.T) {
 	q := NewUdevQueue()
 	meter := vclock.NewMeter(nil)
-	q.Emit(UdevEvent{Action: UdevAdd, Kind: "vif", DomID: 3, Index: 0}, meter)
+	q.Emit(obs.Ctx(meter), UdevEvent{Action: UdevAdd, Kind: "vif", DomID: 3, Index: 0})
 	ev, ok := q.TryRecv()
 	if !ok || ev.DomID != 3 || ev.Action != UdevAdd {
 		t.Fatalf("TryRecv = %+v, %v", ev, ok)
@@ -80,7 +81,7 @@ func TestUdevQueue(t *testing.T) {
 	// blocks, and the events come back in emission order.
 	const n = 1100
 	for i := 0; i < n; i++ {
-		q.Emit(UdevEvent{Action: UdevAdd, Kind: "vif", DomID: uint32(i)}, meter)
+		q.Emit(obs.Ctx(meter), UdevEvent{Action: UdevAdd, Kind: "vif", DomID: uint32(i)})
 	}
 	for i := 0; i < n; i++ {
 		if ev, ok := q.TryRecv(); !ok || ev.DomID != uint32(i) {
@@ -97,7 +98,7 @@ func TestUdevQueue(t *testing.T) {
 	// A nil queue is a host without udev: nothing queued, nothing charged.
 	var none *UdevQueue
 	nilMeter := vclock.NewMeter(nil)
-	none.Emit(UdevEvent{Action: UdevAdd}, nilMeter)
+	none.Emit(obs.Ctx(nilMeter), UdevEvent{Action: UdevAdd})
 	if _, ok := none.TryRecv(); ok || nilMeter.Elapsed() != 0 {
 		t.Fatal("nil queue queued or charged an event")
 	}
@@ -355,7 +356,7 @@ func TestWriteDevicePairMatchesPathRequests(t *testing.T) {
 		{1001, "vif", 0, vifEntries(1001)},
 		{500, "vif", 1, vifEntries(500)},
 	} {
-		if err := WriteDevicePair(a, d.domid, d.kind, d.index, d.extra, ma); err != nil {
+		if err := WriteDevicePair(obs.Ctx(ma), a, d.domid, d.kind, d.index, d.extra); err != nil {
 			t.Fatal(err)
 		}
 		if err := pathRequests(b, d.domid, d.kind, d.index, d.extra, mb); err != nil {
@@ -389,7 +390,7 @@ func TestWriteDevicePairMatchesPathRequests(t *testing.T) {
 	domid, extra := uint32(2000), vifEntries(2000)
 	if allocs := testing.AllocsPerRun(100, func() {
 		domid++
-		if err := WriteDevicePair(a, domid, "vif", 0, extra, nil); err != nil {
+		if err := WriteDevicePair(obs.OpCtx{}, a, domid, "vif", 0, extra); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs > 14 {

@@ -5,7 +5,7 @@ import (
 
 	"nephele/internal/fault"
 	"nephele/internal/netsim"
-	"nephele/internal/vclock"
+	"nephele/internal/obs"
 	"nephele/internal/xenstore"
 )
 
@@ -19,7 +19,8 @@ type Switch struct {
 
 // Attach enslaves v and wires its egress to the uplink, charging the
 // userspace-operation cost.
-func (s *Switch) Attach(v *Vif, meter *vclock.Meter) {
+func (s *Switch) Attach(ctx obs.OpCtx, v *Vif) {
+	meter := ctx.Meter()
 	s.Bond.Enslave(v)
 	v.SetEgress(func(p netsim.Packet) { s.Uplink.Deliver(p) })
 	meter.Charge(meter.Costs().SwitchAttach, 1)
@@ -65,7 +66,7 @@ type Kind struct {
 	// Clone is the backend half of cloning one device (the caller has
 	// cloned the kind's Xenstore directories): the child's device comes up
 	// connected, without negotiation, and finalized.
-	Clone func(parent, child uint32, index int, sw *Switch, meter *vclock.Meter) error
+	Clone func(ctx obs.OpCtx, parent, child uint32, index int, sw *Switch) error
 
 	// present is false when the platform registered no backend of the
 	// kind: configuring such a device fails, and no guest can own one.
@@ -79,8 +80,8 @@ type Kind struct {
 	// device, userspace finalization included. A kind with one device per
 	// guest ignores index, except that remove owns nothing past 0; remove
 	// reports whether the device existed.
-	create    func(cfg Config, domid uint32, index int, sw *Switch, meter *vclock.Meter)
-	remove    func(domid uint32, index int, sw *Switch, meter *vclock.Meter) bool
+	create    func(ctx obs.OpCtx, cfg Config, domid uint32, index int, sw *Switch)
+	remove    func(ctx obs.OpCtx, domid uint32, index int, sw *Switch) bool
 	setFaults func(r *fault.Registry)
 }
 
@@ -97,11 +98,11 @@ func NewTable(console *ConsoleBackend, net *NetBackend, ninep *NinePBackend, vbd
 		present: console != nil, setFaults: console.SetFaults,
 		// Every guest has a console.
 		wanted: func(Config) int { return 1 },
-		create: func(_ Config, domid uint32, _ int, _ *Switch, meter *vclock.Meter) { console.Create(domid, meter) },
-		Clone: func(parent, child uint32, _ int, _ *Switch, meter *vclock.Meter) error {
-			return console.Clone(parent, child, meter)
+		create: func(ctx obs.OpCtx, _ Config, domid uint32, _ int, _ *Switch) { console.Create(domid, ctx.Meter()) },
+		Clone: func(ctx obs.OpCtx, parent, child uint32, _ int, _ *Switch) error {
+			return console.Clone(parent, child, ctx.Meter())
 		},
-		remove: func(domid uint32, index int, _ *Switch, _ *vclock.Meter) bool {
+		remove: func(_ obs.OpCtx, domid uint32, index int, _ *Switch) bool {
 			if index > 0 || !console.Has(domid) {
 				return false
 			}
@@ -120,13 +121,13 @@ func NewTable(console *ConsoleBackend, net *NetBackend, ninep *NinePBackend, vbd
 				{Key: "ip", Value: cfg.Vifs[index].IP.String()},
 			}
 		},
-		create: func(cfg Config, domid uint32, index int, sw *Switch, meter *vclock.Meter) {
-			net.plug(net.CreateVif(domid, index, cfg.Vifs[index].IP, meter), sw, meter)
+		create: func(ctx obs.OpCtx, cfg Config, domid uint32, index int, sw *Switch) {
+			net.plug(ctx, net.CreateVif(domid, index, cfg.Vifs[index].IP, ctx.Meter()), sw)
 		},
-		Clone: func(parent, child uint32, index int, sw *Switch, meter *vclock.Meter) error {
-			v, err := net.CloneVif(parent, child, index, meter)
+		Clone: func(ctx obs.OpCtx, parent, child uint32, index int, sw *Switch) error {
+			v, err := net.CloneVif(parent, child, index, ctx.Meter())
 			if err == nil {
-				net.plug(v, sw, meter)
+				net.plug(ctx, v, sw)
 			}
 			return err
 		},
@@ -142,34 +143,34 @@ func NewTable(console *ConsoleBackend, net *NetBackend, ninep *NinePBackend, vbd
 			np := cfg.NinePFS[index]
 			return []Entry{{Key: "tag", Value: np.Tag}, {Key: "export", Value: np.Export}}
 		},
-		create: func(cfg Config, domid uint32, index int, _ *Switch, meter *vclock.Meter) {
-			ninep.Launch(domid, cfg.NinePFS[index].Export, meter)
+		create: func(ctx obs.OpCtx, cfg Config, domid uint32, index int, _ *Switch) {
+			ninep.Launch(ctx, domid, cfg.NinePFS[index].Export)
 		},
-		Clone: func(parent, child uint32, _ int, _ *Switch, meter *vclock.Meter) error {
-			return ninep.Clone(parent, child, meter)
+		Clone: func(ctx obs.OpCtx, parent, child uint32, _ int, _ *Switch) error {
+			return ninep.Clone(ctx, parent, child)
 		},
-		remove: func(domid uint32, index int, _ *Switch, _ *vclock.Meter) bool {
+		remove: func(_ obs.OpCtx, domid uint32, index int, _ *Switch) bool {
 			return index == 0 && ninep.Remove(domid)
 		},
 	}, {
 		Dir: "vbd", CloneOp: xenstore.CloneDevVbd,
 		present: vbd != nil, setFaults: vbd.SetFaults,
 		wanted: func(cfg Config) int { return len(cfg.Vbds) },
-		create: func(_ Config, domid uint32, index int, _ *Switch, meter *vclock.Meter) {
-			vbd.Create(domid, index, meter)
+		create: func(ctx obs.OpCtx, _ Config, domid uint32, index int, _ *Switch) {
+			vbd.Create(ctx, domid, index)
 		},
-		Clone: func(parent, child uint32, index int, _ *Switch, meter *vclock.Meter) error {
-			_, err := vbd.Clone(parent, child, index, meter)
+		Clone: func(ctx obs.OpCtx, parent, child uint32, index int, _ *Switch) error {
+			_, err := vbd.Clone(ctx, parent, child, index)
 			return err
 		},
-		remove: func(domid uint32, index int, _ *Switch, _ *vclock.Meter) bool { return vbd.Remove(domid, index) },
+		remove: func(_ obs.OpCtx, domid uint32, index int, _ *Switch) bool { return vbd.Remove(domid, index) },
 	}}
 }
 
 // Create is the boot path of the kind: for every device of it cfg asks
 // for, the Xenstore entries with the full Xenbus negotiation, then the
 // backend state and its finalization.
-func (k *Kind) Create(store *xenstore.Store, cfg Config, domid uint32, sw *Switch, meter *vclock.Meter) error {
+func (k *Kind) Create(ctx obs.OpCtx, store *xenstore.Store, cfg Config, domid uint32, sw *Switch) error {
 	for i, n := 0, k.wanted(cfg); i < n; i++ {
 		if !k.present {
 			return fmt.Errorf("devices: %s configured but no %s backend registered", k.Dir, k.Dir)
@@ -178,10 +179,10 @@ func (k *Kind) Create(store *xenstore.Store, cfg Config, domid uint32, sw *Switc
 		if k.entries != nil {
 			extra = k.entries(cfg, domid, i)
 		}
-		if err := WriteDevicePair(store, domid, k.Dir, i, extra, meter); err != nil {
+		if err := WriteDevicePair(ctx, store, domid, k.Dir, i, extra); err != nil {
 			return err
 		}
-		k.create(cfg, domid, i, sw, meter)
+		k.create(ctx, cfg, domid, i, sw)
 	}
 	return nil
 }
@@ -193,9 +194,9 @@ func (k *Kind) Create(store *xenstore.Store, cfg Config, domid uint32, sw *Switc
 // exists: a destroy, a half-built boot and a half-cloned child all unwind
 // through it, and running it twice is harmless. Xenstore entries are the
 // caller's to remove.
-func (t Table) Teardown(domid uint32, sw *Switch, meter *vclock.Meter) {
+func (t Table) Teardown(ctx obs.OpCtx, domid uint32, sw *Switch) {
 	for k := len(t) - 1; k >= 0; k-- {
-		for i := 0; t[k].present && t[k].remove(domid, i, sw, meter); i++ {
+		for i := 0; t[k].present && t[k].remove(ctx, domid, i, sw); i++ {
 		}
 	}
 }
@@ -205,7 +206,8 @@ func (t Table) Teardown(domid uint32, sw *Switch, meter *vclock.Meter) {
 // under each kind, last kind first; absent ones are the desired state
 // already. It is how a failed boot and a failed clone unwind; XL.Destroy
 // removes the domain's subtree only.
-func (t Table) RemoveEntries(store *xenstore.Store, domid uint32, meter *vclock.Meter) {
+func (t Table) RemoveEntries(ctx obs.OpCtx, store *xenstore.Store, domid uint32) {
+	meter := ctx.Meter()
 	_ = store.Remove(DomainPath(domid), meter)
 	for k := len(t) - 1; k >= 0; k-- {
 		_ = store.Remove(BackendDir(domid, t[k].Dir), meter)

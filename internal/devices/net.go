@@ -5,6 +5,7 @@ import (
 
 	"nephele/internal/fault"
 	"nephele/internal/netsim"
+	"nephele/internal/obs"
 	"nephele/internal/ring"
 	"nephele/internal/vclock"
 )
@@ -137,7 +138,8 @@ func (v *Vif) PrivatePages() int {
 // (design goal 1 of §5.2.1) and comes up already Connected, bypassing the
 // negotiation. The Linux netback change for this is 14 lines; here it is
 // this constructor.
-func (v *Vif) Clone(childDom uint32, meter *vclock.Meter) *Vif {
+func (v *Vif) Clone(ctx obs.OpCtx, childDom uint32) *Vif {
+	meter := ctx.Meter()
 	c := &Vif{
 		DomID:       childDom,
 		Index:       v.Index,
@@ -222,16 +224,18 @@ func (nb *NetBackend) SetFaults(r *fault.Registry) {
 // CreateVif is the boot path: create internal state, emit the udev add
 // event that triggers xl's userspace operations.
 func (nb *NetBackend) CreateVif(domid uint32, index int, ip netsim.IP, meter *vclock.Meter) *Vif {
+	ctx := obs.Ctx(meter)
 	v := NewVif(domid, index, ip)
 	nb.vifs[devKey{domid, index}] = v
 	meter.Charge(meter.Costs().BackendCreate, 1)
-	nb.udev.Emit(UdevEvent{Action: UdevAdd, Kind: "vif", DomID: domid, Index: index}, meter)
+	nb.udev.Emit(ctx, UdevEvent{Action: UdevAdd, Kind: "vif", DomID: domid, Index: index})
 	return v
 }
 
 // CloneVif is the clone path: reuse the parent device state, skip the
 // negotiation, emit udev for the userspace finalization (§5.2.1).
 func (nb *NetBackend) CloneVif(parent, child uint32, index int, meter *vclock.Meter) (*Vif, error) {
+	ctx := obs.Ctx(meter)
 	pv, ok := nb.vifs[devKey{parent, index}]
 	if err := nb.faults.Check(fault.PointDevVifClone); err != nil {
 		return nil, err
@@ -239,9 +243,9 @@ func (nb *NetBackend) CloneVif(parent, child uint32, index int, meter *vclock.Me
 	if !ok {
 		return nil, fmt.Errorf("%w: vif %d/%d", ErrNoDevice, parent, index)
 	}
-	cv := pv.Clone(child, meter)
+	cv := pv.Clone(ctx, child)
 	nb.vifs[devKey{child, index}] = cv
-	nb.udev.Emit(UdevEvent{Action: UdevAdd, Kind: "vif", DomID: child, Index: index}, meter)
+	nb.udev.Emit(ctx, UdevEvent{Action: UdevAdd, Kind: "vif", DomID: child, Index: index})
 	return cv, nil
 }
 
@@ -256,27 +260,28 @@ func (nb *NetBackend) Vif(domid uint32, index int) (*Vif, error) {
 
 // RemoveVif tears a device down, emitting the udev remove event.
 func (nb *NetBackend) RemoveVif(domid uint32, index int, meter *vclock.Meter) {
+	ctx := obs.Ctx(meter)
 	v, ok := nb.vifs[devKey{domid, index}]
 	delete(nb.vifs, devKey{domid, index})
 	if !ok {
 		return
 	}
 	v.Close()
-	nb.udev.Emit(UdevEvent{Action: UdevRemove, Kind: "vif", DomID: domid, Index: index}, meter)
+	nb.udev.Emit(ctx, UdevEvent{Action: UdevRemove, Kind: "vif", DomID: domid, Index: index})
 }
 
 // plug is the userspace finalization of a new vif (step 2.3): whoever
 // asked for the device consumes the udev add event the backend emitted and
 // plugs the vif into the switch.
-func (nb *NetBackend) plug(v *Vif, sw *Switch, meter *vclock.Meter) {
+func (nb *NetBackend) plug(ctx obs.OpCtx, v *Vif, sw *Switch) {
 	if ev, ok := nb.udev.TryRecv(); ok && ev.Action == UdevAdd && sw != nil {
-		sw.Attach(v, meter)
+		sw.Attach(ctx, v)
 	}
 }
 
 // unplug undoes plug and the device behind it: switch detach, RemoveVif
 // and its udev remove event. It reports false when there is no such vif.
-func (nb *NetBackend) unplug(domid uint32, index int, sw *Switch, meter *vclock.Meter) bool {
+func (nb *NetBackend) unplug(ctx obs.OpCtx, domid uint32, index int, sw *Switch) bool {
 	v := nb.vifs[devKey{domid, index}]
 	if v == nil {
 		return false
@@ -284,7 +289,7 @@ func (nb *NetBackend) unplug(domid uint32, index int, sw *Switch, meter *vclock.
 	if sw != nil {
 		sw.Detach(v)
 	}
-	nb.RemoveVif(domid, index, meter)
+	nb.RemoveVif(domid, index, ctx.Meter())
 	nb.udev.TryRecv()
 	return true
 }

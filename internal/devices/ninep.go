@@ -8,7 +8,7 @@ import (
 	"strings"
 
 	"nephele/internal/fault"
-	"nephele/internal/vclock"
+	"nephele/internal/obs"
 )
 
 // The 9pfs device: an NFS-like remote filesystem letting multiple guests
@@ -124,7 +124,8 @@ type NinePProcess struct {
 }
 
 // NewNinePProcess launches a backend process exporting root for domid.
-func NewNinePProcess(fs *HostFS, export string, domid uint32, meter *vclock.Meter) *NinePProcess {
+func NewNinePProcess(ctx obs.OpCtx, fs *HostFS, export string, domid uint32) *NinePProcess {
+	meter := ctx.Meter()
 	p := &NinePProcess{
 		fs:      fs,
 		export:  export,
@@ -266,7 +267,8 @@ type QMPCloneRequest struct {
 // HandleQMPClone adopts the child into this process: its fid table is
 // duplicated from the parent's, entry by entry, preserving offsets — the
 // option Nephele picked over launching a backend process per clone.
-func (p *NinePProcess) HandleQMPClone(req QMPCloneRequest, meter *vclock.Meter) error {
+func (p *NinePProcess) HandleQMPClone(ctx obs.OpCtx, req QMPCloneRequest) error {
+	meter := ctx.Meter()
 	pt, err := p.table(req.Parent)
 	if err != nil {
 		return err
@@ -308,15 +310,15 @@ func (b *NinePBackend) SetFaults(r *fault.Registry) {
 }
 
 // Launch starts a backend process for a freshly booted guest.
-func (b *NinePBackend) Launch(domid uint32, export string, meter *vclock.Meter) *NinePProcess {
-	p := NewNinePProcess(b.fs, export, domid, meter)
+func (b *NinePBackend) Launch(ctx obs.OpCtx, domid uint32, export string) *NinePProcess {
+	p := NewNinePProcess(ctx, b.fs, export, domid)
 	b.processes[domid] = p
 	return p
 }
 
 // Clone sends the QMP cloning request to the parent's process and
 // registers the child with the same process.
-func (b *NinePBackend) Clone(parent, child uint32, meter *vclock.Meter) error {
+func (b *NinePBackend) Clone(ctx obs.OpCtx, parent, child uint32) error {
 	p, ok := b.processes[parent]
 	if err := b.faults.Check(fault.PointDev9pfsClone); err != nil {
 		return err
@@ -324,7 +326,7 @@ func (b *NinePBackend) Clone(parent, child uint32, meter *vclock.Meter) error {
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrNoProcess, parent)
 	}
-	if err := p.HandleQMPClone(QMPCloneRequest{Parent: parent, Child: child}, meter); err != nil {
+	if err := p.HandleQMPClone(ctx, QMPCloneRequest{Parent: parent, Child: child}); err != nil {
 		return err
 	}
 	b.processes[child] = p

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"nephele/internal/obs"
 	"nephele/internal/vclock"
 )
 
@@ -38,7 +39,7 @@ func TestHostFSBasics(t *testing.T) {
 func TestNinePOpenReadWriteClunk(t *testing.T) {
 	fs := NewHostFS()
 	fs.WriteFile("export/data.txt", []byte("hello 9p"))
-	p := NewNinePProcess(fs, "/export", 3, vclock.NewMeter(nil))
+	p := NewNinePProcess(obs.Ctx(vclock.NewMeter(nil)), fs, "/export", 3)
 
 	fid, err := p.Open(3, "/data.txt", false)
 	if err != nil {
@@ -74,7 +75,7 @@ func TestNinePOpenReadWriteClunk(t *testing.T) {
 
 func TestNinePOpenCreateAndWrite(t *testing.T) {
 	fs := NewHostFS()
-	p := NewNinePProcess(fs, "/export", 3, nil)
+	p := NewNinePProcess(obs.OpCtx{}, fs, "/export", 3)
 	if _, err := p.Open(3, "/dump.rdb", false); !errors.Is(err, ErrNoFile) {
 		t.Fatalf("open missing without create: %v", err)
 	}
@@ -101,7 +102,7 @@ func TestNinePPathEscapeContained(t *testing.T) {
 	fs := NewHostFS()
 	fs.WriteFile("secret", []byte("host secret"))
 	fs.WriteFile("export/ok", []byte("fine"))
-	p := NewNinePProcess(fs, "/export", 3, nil)
+	p := NewNinePProcess(obs.OpCtx{}, fs, "/export", 3)
 	// Attempts to escape the export root stay inside it.
 	if _, err := p.Open(3, "/../secret", false); err == nil {
 		t.Fatal("path escape reached host file")
@@ -112,13 +113,13 @@ func TestQMPCloneDuplicatesFidTable(t *testing.T) {
 	fs := NewHostFS()
 	fs.WriteFile("export/a", []byte("aaaa"))
 	fs.WriteFile("export/b", []byte("bbbb"))
-	proc := NewNinePProcess(fs, "/export", 3, nil)
+	proc := NewNinePProcess(obs.OpCtx{}, fs, "/export", 3)
 	fa, _ := proc.Open(3, "/a", false)
 	fb, _ := proc.Open(3, "/b", false)
 	proc.Read(3, fa, 2) // advance offset to 2
 
 	meter := vclock.NewMeter(nil)
-	if err := proc.HandleQMPClone(QMPCloneRequest{Parent: 3, Child: 7}, meter); err != nil {
+	if err := proc.HandleQMPClone(obs.Ctx(meter), QMPCloneRequest{Parent: 3, Child: 7}); err != nil {
 		t.Fatal(err)
 	}
 	if !proc.Serves(7) || proc.Domains() != 2 {
@@ -147,8 +148,8 @@ func TestQMPCloneDuplicatesFidTable(t *testing.T) {
 
 func TestQMPCloneUnknownParent(t *testing.T) {
 	fs := NewHostFS()
-	p := NewNinePProcess(fs, "/export", 3, nil)
-	if err := p.HandleQMPClone(QMPCloneRequest{Parent: 99, Child: 7}, nil); !errors.Is(err, ErrNoProcess) {
+	p := NewNinePProcess(obs.OpCtx{}, fs, "/export", 3)
+	if err := p.HandleQMPClone(obs.OpCtx{}, QMPCloneRequest{Parent: 99, Child: 7}); !errors.Is(err, ErrNoProcess) {
 		t.Fatalf("clone from unknown parent: %v", err)
 	}
 }
@@ -157,11 +158,11 @@ func TestNinePBackendSharedProcessPerFamily(t *testing.T) {
 	fs := NewHostFS()
 	fs.WriteFile("export/x", []byte("x"))
 	b := NewNinePBackend(fs)
-	b.Launch(3, "/export", nil)
-	if err := b.Clone(3, 7, nil); err != nil {
+	b.Launch(obs.OpCtx{}, 3, "/export")
+	if err := b.Clone(obs.OpCtx{}, 3, 7); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Clone(7, 9, nil); err != nil { // clone of a clone
+	if err := b.Clone(obs.OpCtx{}, 7, 9); err != nil { // clone of a clone
 		t.Fatal(err)
 	}
 	// One process serves the whole family (the Nephele design; a
@@ -175,7 +176,7 @@ func TestNinePBackendSharedProcessPerFamily(t *testing.T) {
 		t.Fatal("family members use different processes")
 	}
 	// Separate family gets its own process.
-	b.Launch(20, "/export", nil)
+	b.Launch(obs.OpCtx{}, 20, "/export")
 	if got := b.ProcessCount(); got != 2 {
 		t.Fatalf("ProcessCount = %d, want 2", got)
 	}
@@ -191,7 +192,7 @@ func TestNinePBackendSharedProcessPerFamily(t *testing.T) {
 
 func TestNinePBackendCloneUnknownParent(t *testing.T) {
 	b := NewNinePBackend(NewHostFS())
-	if err := b.Clone(1, 2, nil); !errors.Is(err, ErrNoProcess) {
+	if err := b.Clone(obs.OpCtx{}, 1, 2); !errors.Is(err, ErrNoProcess) {
 		t.Fatalf("clone unknown parent: %v", err)
 	}
 }

@@ -7,7 +7,7 @@ import (
 
 	"nephele/internal/fault"
 	"nephele/internal/fnv1a"
-	"nephele/internal/vclock"
+	"nephele/internal/obs"
 )
 
 // The vbd block device demonstrates §5.3's "supporting new device types"
@@ -174,7 +174,8 @@ func (v *Vbd) ReadSector(sector uint64) ([]byte, error) {
 // WriteSector stores one sector into the private dirty map (never touching
 // a frozen layer or the shared base), charging one block-COW page copy the
 // first time this view privatizes a sector.
-func (v *Vbd) WriteSector(sector uint64, data []byte, meter *vclock.Meter) error {
+func (v *Vbd) WriteSector(ctx obs.OpCtx, sector uint64, data []byte) error {
+	meter := ctx.Meter()
 	if len(data) != SectorSize {
 		return fmt.Errorf("devices: vbd write of %d bytes, want %d", len(data), SectorSize)
 	}
@@ -277,7 +278,8 @@ func (b *VbdBackend) SetFaults(r *fault.Registry) {
 }
 
 // Create is the boot path: a fresh device with an empty view.
-func (b *VbdBackend) Create(domid uint32, index int, meter *vclock.Meter) *Vbd {
+func (b *VbdBackend) Create(ctx obs.OpCtx, domid uint32, index int) *Vbd {
+	meter := ctx.Meter()
 	v := &Vbd{
 		DomID:   domid,
 		Index:   index,
@@ -296,7 +298,8 @@ func (b *VbdBackend) Create(domid uint32, index int, meter *vclock.Meter) *Vbd {
 // both sides reference from now on (the parent starts a fresh dirty map),
 // so the clone is O(1) in the number of dirty sectors: no bytes move,
 // only the device-state clone is charged.
-func (b *VbdBackend) Clone(parent, child uint32, index int, meter *vclock.Meter) (*Vbd, error) {
+func (b *VbdBackend) Clone(ctx obs.OpCtx, parent, child uint32, index int) (*Vbd, error) {
+	meter := ctx.Meter()
 	pv, ok := b.vbds[devKey{parent, index}]
 	if err := b.faults.Check(fault.PointDevVbdClone); err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"nephele/internal/obs"
 	"nephele/internal/vclock"
 )
 
@@ -13,14 +14,14 @@ func sectorOf(b byte) []byte { return bytes.Repeat([]byte{b}, SectorSize) }
 // sides share by pointer, not copy them per child.
 func TestVbdCloneSharesFrozenLayers(t *testing.T) {
 	b := newVbdBackend(t)
-	p := b.Create(1, 0, nil)
+	p := b.Create(obs.OpCtx{}, 1, 0)
 	for s := uint64(0); s < 4; s++ {
-		if err := p.WriteSector(s, sectorOf('p'), nil); err != nil {
+		if err := p.WriteSector(obs.OpCtx{}, s, sectorOf('p')); err != nil {
 			t.Fatal(err)
 		}
 	}
 	meter := vclock.NewMeter(nil)
-	c1, err := b.Clone(1, 2, 0, meter)
+	c1, err := b.Clone(obs.Ctx(meter), 1, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +29,7 @@ func TestVbdCloneSharesFrozenLayers(t *testing.T) {
 	if meter.Elapsed() != meter.Costs().CloneDeviceState {
 		t.Fatalf("clone charged %v, want CloneDeviceState only", meter.Elapsed())
 	}
-	c2, err := b.Clone(1, 3, 0, nil)
+	c2, err := b.Clone(obs.OpCtx{}, 1, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,16 +54,16 @@ func TestVbdCloneSharesFrozenLayers(t *testing.T) {
 // Writes after the clone diverge privately; the frozen layer never changes.
 func TestVbdCloneDivergence(t *testing.T) {
 	b := newVbdBackend(t)
-	p := b.Create(1, 0, nil)
-	p.WriteSector(5, sectorOf('p'), nil)
-	c, err := b.Clone(1, 2, 0, nil)
+	p := b.Create(obs.OpCtx{}, 1, 0)
+	p.WriteSector(obs.OpCtx{}, 5, sectorOf('p'))
+	c, err := b.Clone(obs.OpCtx{}, 1, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.WriteSector(5, sectorOf('c'), nil); err != nil {
+	if err := c.WriteSector(obs.OpCtx{}, 5, sectorOf('c')); err != nil {
 		t.Fatal(err)
 	}
-	p.WriteSector(6, sectorOf('q'), nil)
+	p.WriteSector(obs.OpCtx{}, 6, sectorOf('q'))
 
 	pg, _ := p.ReadSector(5)
 	cg, _ := c.ReadSector(5)
@@ -77,7 +78,7 @@ func TestVbdCloneDivergence(t *testing.T) {
 	// Re-dirtying a frozen sector charges a privatization again (the dirty
 	// map is fresh), but an immediate re-write does not.
 	m1 := vclock.NewMeter(nil)
-	c.WriteSector(5, sectorOf('d'), m1)
+	c.WriteSector(obs.Ctx(m1), 5, sectorOf('d'))
 	if m1.Elapsed() != 0 {
 		t.Fatal("re-write of an already-overlaid sector charged")
 	}
@@ -86,14 +87,14 @@ func TestVbdCloneDivergence(t *testing.T) {
 // A grandchild chains layers: clone of a clone stacks a second frozen layer.
 func TestVbdCloneChainDepth(t *testing.T) {
 	b := newVbdBackend(t)
-	p := b.Create(1, 0, nil)
-	p.WriteSector(0, sectorOf('1'), nil)
-	c, err := b.Clone(1, 2, 0, nil)
+	p := b.Create(obs.OpCtx{}, 1, 0)
+	p.WriteSector(obs.OpCtx{}, 0, sectorOf('1'))
+	c, err := b.Clone(obs.OpCtx{}, 1, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.WriteSector(1, sectorOf('2'), nil)
-	g, err := b.Clone(2, 3, 0, nil)
+	c.WriteSector(obs.OpCtx{}, 1, sectorOf('2'))
+	g, err := b.Clone(obs.OpCtx{}, 2, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,8 +107,8 @@ func TestVbdCloneChainDepth(t *testing.T) {
 		t.Fatalf("grandchild chain resolution: %q %q", g0[:2], g1[:2])
 	}
 	// Newest layer wins over older ones.
-	c.WriteSector(0, sectorOf('3'), nil)
-	g2, err := b.Clone(2, 4, 0, nil)
+	c.WriteSector(obs.OpCtx{}, 0, sectorOf('3'))
+	g2, err := b.Clone(obs.OpCtx{}, 2, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestVbdCloneChainDepth(t *testing.T) {
 		t.Fatalf("newest-layer-wins: %q", got[:2])
 	}
 	// Cloning a parent with an empty dirty map adds no layer.
-	g3, err := b.Clone(3, 5, 0, nil)
+	g3, err := b.Clone(obs.OpCtx{}, 3, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,15 +130,15 @@ func TestVbdCloneChainDepth(t *testing.T) {
 // commit path a sandbox manager uses to write dirty blocks back out.
 func TestVbdModifiedFlattensChain(t *testing.T) {
 	b := newVbdBackend(t)
-	p := b.Create(1, 0, nil)
-	p.WriteSector(4, sectorOf('a'), nil)
-	p.WriteSector(2, sectorOf('b'), nil)
-	c, err := b.Clone(1, 2, 0, nil)
+	p := b.Create(obs.OpCtx{}, 1, 0)
+	p.WriteSector(obs.OpCtx{}, 4, sectorOf('a'))
+	p.WriteSector(obs.OpCtx{}, 2, sectorOf('b'))
+	c, err := b.Clone(obs.OpCtx{}, 1, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.WriteSector(2, sectorOf('c'), nil) // shadows the frozen 'b'
-	c.WriteSector(7, sectorOf('d'), nil)
+	c.WriteSector(obs.OpCtx{}, 2, sectorOf('c')) // shadows the frozen 'b'
+	c.WriteSector(obs.OpCtx{}, 7, sectorOf('d'))
 
 	sectors, data := c.Modified()
 	if len(sectors) != 3 {
@@ -189,7 +190,7 @@ func TestVbdBaseStoreDedup(t *testing.T) {
 		t.Fatalf("half-identical image: %d chunks, want 3", chunks3)
 	}
 	// The divergent backend still reads its own bytes.
-	v := b3.Create(9, 0, nil)
+	v := b3.Create(obs.OpCtx{}, 9, 0)
 	got, err := v.ReadSector(0)
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +212,7 @@ func TestVbdBaseStorePartialChunk(t *testing.T) {
 		base[i] = 'x'
 	}
 	b := NewVbdBackendShared(base, NewBaseStore())
-	v := b.Create(1, 0, nil)
+	v := b.Create(obs.OpCtx{}, 1, 0)
 	if v.Sectors() != 3 {
 		t.Fatalf("Sectors = %d", v.Sectors())
 	}

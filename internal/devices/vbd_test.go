@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"nephele/internal/obs"
 	"nephele/internal/vclock"
 )
 
@@ -22,7 +23,7 @@ func newVbdBackend(t *testing.T) *VbdBackend {
 
 func TestVbdReadThroughToBase(t *testing.T) {
 	b := newVbdBackend(t)
-	v := b.Create(3, 0, vclock.NewMeter(nil))
+	v := b.Create(obs.Ctx(vclock.NewMeter(nil)), 3, 0)
 	if v.Sectors() != 8 {
 		t.Fatalf("Sectors = %d", v.Sectors())
 	}
@@ -40,10 +41,10 @@ func TestVbdReadThroughToBase(t *testing.T) {
 
 func TestVbdWriteGoesToOverlay(t *testing.T) {
 	b := newVbdBackend(t)
-	v := b.Create(3, 0, nil)
+	v := b.Create(obs.OpCtx{}, 3, 0)
 	sector := bytes.Repeat([]byte{'z'}, SectorSize)
 	meter := vclock.NewMeter(nil)
-	if err := v.WriteSector(1, sector, meter); err != nil {
+	if err := v.WriteSector(obs.Ctx(meter), 1, sector); err != nil {
 		t.Fatal(err)
 	}
 	if meter.Elapsed() != meter.Costs().PageCopy {
@@ -51,7 +52,7 @@ func TestVbdWriteGoesToOverlay(t *testing.T) {
 	}
 	// Second write to the same sector: no new privatization charge.
 	meter2 := vclock.NewMeter(nil)
-	v.WriteSector(1, sector, meter2)
+	v.WriteSector(obs.Ctx(meter2), 1, sector)
 	if meter2.Elapsed() != 0 {
 		t.Fatal("re-write charged a privatization")
 	}
@@ -63,27 +64,27 @@ func TestVbdWriteGoesToOverlay(t *testing.T) {
 		t.Fatalf("OverlaySectors = %d", v.OverlaySectors())
 	}
 	// The base is untouched: a second device sees the original.
-	w := b.Create(4, 0, nil)
+	w := b.Create(obs.OpCtx{}, 4, 0)
 	got, _ = w.ReadSector(1)
 	if got[0] != 'B' {
 		t.Fatalf("base polluted: %q", got[:4])
 	}
-	if err := v.WriteSector(0, []byte("short"), nil); err == nil {
+	if err := v.WriteSector(obs.OpCtx{}, 0, []byte("short")); err == nil {
 		t.Fatal("short write accepted")
 	}
-	if err := v.WriteSector(99, sector, nil); !errors.Is(err, ErrBadSector) {
+	if err := v.WriteSector(obs.OpCtx{}, 99, sector); !errors.Is(err, ErrBadSector) {
 		t.Fatalf("out-of-range write: %v", err)
 	}
 }
 
 func TestVbdCloneSnapshotSemantics(t *testing.T) {
 	b := newVbdBackend(t)
-	parent := b.Create(3, 0, nil)
+	parent := b.Create(obs.OpCtx{}, 3, 0)
 	dirty := bytes.Repeat([]byte{'p'}, SectorSize)
-	parent.WriteSector(5, dirty, nil)
+	parent.WriteSector(obs.OpCtx{}, 5, dirty)
 
 	meter := vclock.NewMeter(nil)
-	child, err := b.Clone(3, 7, 0, meter)
+	child, err := b.Clone(obs.Ctx(meter), 3, 7, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,8 +100,8 @@ func TestVbdCloneSnapshotSemantics(t *testing.T) {
 		t.Fatalf("child sector 5 = %q", got[:4])
 	}
 	// Divergence after the clone: block-level COW.
-	parent.WriteSector(5, bytes.Repeat([]byte{'P'}, SectorSize), nil)
-	child.WriteSector(6, bytes.Repeat([]byte{'c'}, SectorSize), nil)
+	parent.WriteSector(obs.OpCtx{}, 5, bytes.Repeat([]byte{'P'}, SectorSize))
+	child.WriteSector(obs.OpCtx{}, 6, bytes.Repeat([]byte{'c'}, SectorSize))
 	got, _ = child.ReadSector(5)
 	if got[0] != 'p' {
 		t.Fatal("child sees post-clone parent write")
@@ -119,19 +120,19 @@ func TestVbdCloneSnapshotSemantics(t *testing.T) {
 
 func TestVbdCloneMissingParent(t *testing.T) {
 	b := newVbdBackend(t)
-	if _, err := b.Clone(9, 10, 0, nil); !errors.Is(err, ErrNoVbd) {
+	if _, err := b.Clone(obs.OpCtx{}, 9, 10, 0); !errors.Is(err, ErrNoVbd) {
 		t.Fatalf("clone of missing vbd: %v", err)
 	}
 }
 
 func TestVbdRemoveClosesDevice(t *testing.T) {
 	b := newVbdBackend(t)
-	v := b.Create(3, 0, nil)
+	v := b.Create(obs.OpCtx{}, 3, 0)
 	b.Remove(3, 0)
 	if _, err := v.ReadSector(0); !errors.Is(err, ErrNotConnected) {
 		t.Fatalf("read after remove: %v", err)
 	}
-	if err := v.WriteSector(0, make([]byte, SectorSize), nil); !errors.Is(err, ErrNotConnected) {
+	if err := v.WriteSector(obs.OpCtx{}, 0, make([]byte, SectorSize)); !errors.Is(err, ErrNotConnected) {
 		t.Fatalf("write after remove: %v", err)
 	}
 	if b.Count() != 0 {
@@ -144,7 +145,7 @@ func TestVbdRemoveClosesDevice(t *testing.T) {
 
 func TestVbdBasePadding(t *testing.T) {
 	b := NewVbdBackend([]byte("unaligned"))
-	v := b.Create(1, 0, nil)
+	v := b.Create(obs.OpCtx{}, 1, 0)
 	if v.Sectors() != 1 {
 		t.Fatalf("Sectors = %d, want padded to 1", v.Sectors())
 	}
@@ -159,10 +160,10 @@ func TestVbdBasePadding(t *testing.T) {
 
 func TestVbdStats(t *testing.T) {
 	b := newVbdBackend(t)
-	v := b.Create(3, 0, nil)
+	v := b.Create(obs.OpCtx{}, 3, 0)
 	v.ReadSector(0)
 	v.ReadSector(1)
-	v.WriteSector(0, make([]byte, SectorSize), nil)
+	v.WriteSector(obs.OpCtx{}, 0, make([]byte, SectorSize))
 	r, w := v.Stats()
 	if r != 2 || w != 1 {
 		t.Fatalf("Stats = %d/%d", r, w)

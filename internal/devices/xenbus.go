@@ -13,7 +13,7 @@ import (
 	"fmt"
 	"strconv"
 
-	"nephele/internal/vclock"
+	"nephele/internal/obs"
 	"nephele/internal/xenstore"
 )
 
@@ -111,7 +111,8 @@ type Entry struct{ Key, Value string }
 // frontend's entries, the backend's, then each extra entry on both ends —
 // because a request's StorePerNode charge depends on how many directories
 // the requests before it created.
-func WriteDevicePair(store *xenstore.Store, domid uint32, kind string, index int, extra []Entry, meter *vclock.Meter) error {
+func WriteDevicePair(ctx obs.OpCtx, store *xenstore.Store, domid uint32, kind string, index int, extra []Entry) error {
+	meter := ctx.Meter()
 	id, handle := formatDomID(domid), strconv.Itoa(index)
 	fp, bp := devicePath(false, id, kind, handle), devicePath(true, id, kind, handle)
 	front, err := store.Dir(fp)
@@ -179,7 +180,8 @@ func WriteDevicePair(store *xenstore.Store, domid uint32, kind string, index int
 }
 
 // DeviceState reads the backend state of a device.
-func DeviceState(store *xenstore.Store, domid uint32, kind string, index int, meter *vclock.Meter) (XenbusState, error) {
+func DeviceState(ctx obs.OpCtx, store *xenstore.Store, domid uint32, kind string, index int) (XenbusState, error) {
+	meter := ctx.Meter()
 	v, err := store.Read(BackendPath(domid, kind, index)+"/state", meter)
 	if err != nil {
 		return StateUnknown, err
@@ -223,7 +225,8 @@ type UdevQueue struct {
 func NewUdevQueue() *UdevQueue { return &UdevQueue{} }
 
 // Emit publishes an event, charging the udev generation cost.
-func (q *UdevQueue) Emit(ev UdevEvent, meter *vclock.Meter) {
+func (q *UdevQueue) Emit(ctx obs.OpCtx, ev UdevEvent) {
+	meter := ctx.Meter()
 	if q == nil {
 		return
 	}

@@ -10,7 +10,7 @@ import (
 	"fmt"
 
 	"nephele/internal/mem"
-	"nephele/internal/vclock"
+	"nephele/internal/obs"
 )
 
 // Port identifies an event channel within one domain.
@@ -301,8 +301,9 @@ func (s *Subsystem) Send(dom mem.DomID, p Port) error {
 }
 
 // RaiseVIRQ raises a virtual interrupt on every domain bound to it,
-// charging delivery cost to the meter.
-func (s *Subsystem) RaiseVIRQ(v VIRQ, meter *vclock.Meter) {
+// charging delivery cost to ctx's meter.
+func (s *Subsystem) RaiseVIRQ(ctx obs.OpCtx, v VIRQ) {
+	meter := ctx.Meter()
 	for dom, port := range s.virqs[v] {
 		s.raise(dom, port)
 	}
@@ -367,7 +368,8 @@ type CloneStats struct {
 // reconnects them during device cloning. Channels created with DOMID_CHILD
 // are connected between parent and child: the child is implicitly bound to
 // all the IDC channels of its parent (§5.2.2).
-func (s *Subsystem) CloneDomain(parent, child mem.DomID, meter *vclock.Meter) (CloneStats, error) {
+func (s *Subsystem) CloneDomain(ctx obs.OpCtx, parent, child mem.DomID) (CloneStats, error) {
+	meter := ctx.Meter()
 	var st CloneStats
 	pt, err := s.tableOf(parent)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nephele/internal/mem"
+	"nephele/internal/obs"
 	"nephele/internal/vclock"
 )
 
@@ -51,7 +52,7 @@ func TestSendToChildErrors(t *testing.T) {
 		t.Fatalf("SendToChild unknown dom: %v", err)
 	}
 	// Valid delivery to a child sets its pending bit.
-	s.CloneDomain(1, 5, nil)
+	s.CloneDomain(obs.OpCtx{}, 1, 5)
 	if err := s.SendToChild(1, wp, 5); err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestCloseVIRQUnregisters(t *testing.T) {
 		t.Fatal(err)
 	}
 	meter := vclock.NewMeter(nil)
-	s.RaiseVIRQ(VIRQCloned, meter)
+	s.RaiseVIRQ(obs.Ctx(meter), VIRQCloned)
 	if s.Pending(1, p) || meter.Elapsed() != 0 {
 		t.Fatal("closed VIRQ port still raised")
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nephele/internal/mem"
+	"nephele/internal/obs"
 	"nephele/internal/vclock"
 )
 
@@ -83,7 +84,7 @@ func TestVIRQ(t *testing.T) {
 		t.Fatal(err)
 	}
 	meter := vclock.NewMeter(nil)
-	s.RaiseVIRQ(VIRQCloned, meter)
+	s.RaiseVIRQ(obs.Ctx(meter), VIRQCloned)
 	if !s.Pending(1, pa) {
 		t.Fatalf("virq did not raise port %d", pa)
 	}
@@ -129,7 +130,7 @@ func TestChildWildcardLifecycle(t *testing.T) {
 	}
 
 	s.AddDomain(5)
-	st, err := s.CloneDomain(1, 5, nil)
+	st, err := s.CloneDomain(obs.OpCtx{}, 1, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestCloneDomainReplicatesVIRQAndDeviceChannels(t *testing.T) {
 
 	s.AddDomain(9)
 	meter := vclock.NewMeter(nil)
-	st, err := s.CloneDomain(1, 9, meter)
+	st, err := s.CloneDomain(obs.Ctx(meter), 1, 9)
 	if err != nil {
 		t.Fatal(err)
 	}

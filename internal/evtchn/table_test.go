@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"nephele/internal/mem"
+	"nephele/internal/obs"
 )
 
 // refTables is the capacity-sized reference the use-sized port table must
@@ -198,7 +199,7 @@ func TestPortTableMatchesCapacitySizedReference(t *testing.T) {
 					child := nextDom
 					nextDom++
 					s.AddDomain(child)
-					st, err := s.CloneDomain(d, child, nil)
+					st, err := s.CloneDomain(obs.OpCtx{}, d, child)
 					if n := ref.clone(d, child); err != nil || st.Cloned != n {
 						t.Fatalf("seed %d step %d: CloneDomain(%d) = %+v, %v; reference cloned %d", seed, step, d, st, err, n)
 					}
@@ -265,7 +266,7 @@ func TestCloneDomainKeepsHighPort(t *testing.T) {
 		}
 	}
 	s.AddDomain(2)
-	st, err := s.CloneDomain(1, 2, nil)
+	st, err := s.CloneDomain(obs.OpCtx{}, 1, 2)
 	if err != nil || st.Cloned != 1 || st.IDCBound != 1 {
 		t.Fatalf("CloneDomain = %+v, %v", st, err)
 	}
@@ -300,7 +301,7 @@ func TestIdleDomainIsSmall(t *testing.T) {
 	s.AddDomain(1)
 	cycle := func() {
 		s.AddDomain(2)
-		if _, err := s.CloneDomain(1, 2, nil); err != nil {
+		if _, err := s.CloneDomain(obs.OpCtx{}, 1, 2); err != nil {
 			t.Fatal(err)
 		}
 		s.RemoveDomain(2)

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"nephele/internal/obs"
 	"nephele/internal/vclock"
 )
 
@@ -95,7 +96,7 @@ func TestSyscallTargetOnProcess(t *testing.T) {
 	}
 	defer s.Close()
 	cov := NewCoverage(4096)
-	res, err := s.procTgt.Execute([]byte{0, 0, 1, 5, 2, 9, 63, 0}, cov, false, vclock.NewMeter(nil))
+	res, err := s.procTgt.Execute(obs.Ctx(vclock.NewMeter(nil)), []byte{0, 0, 1, 5, 2, 9, 63, 0}, cov, false)
 	if err != nil {
 		t.Fatal(err)
 	}

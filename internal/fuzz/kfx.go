@@ -147,7 +147,7 @@ func NewSession(cfg Config) (*Session, error) {
 		}
 	case ModeLinuxProcess, ModeLinuxKernelModule:
 		s.machine = proc.NewMachine(1 << 30)
-		pr, err := s.machine.Spawn(1024, nil)
+		pr, err := s.machine.Spawn(obs.OpCtx{}, 1024)
 		if err != nil {
 			return nil, err
 		}
@@ -235,9 +235,8 @@ func (s *Session) Iterate(meter *vclock.Meter) (bool, error) {
 	if s.closed {
 		return false, ErrSessionClosed
 	}
-	if meter == nil {
-		meter = vclock.NewMeter(nil)
-	}
+	ctx := obs.Ctx(meter).EnsureMeter(nil)
+	meter = ctx.Meter()
 	meter.Add(costAFLIteration)
 	base := s.corpus.Pick(s.iter)
 	var input []byte
@@ -252,17 +251,17 @@ func (s *Session) Iterate(meter *vclock.Meter) (bool, error) {
 	var err error
 	switch s.cfg.Mode {
 	case ModeUnikraftClone:
-		res, err = s.iterateClone(input, meter)
+		res, err = s.iterateClone(ctx, input)
 	case ModeUnikraftBoot:
-		res, err = s.iterateBoot(input, meter)
+		res, err = s.iterateBoot(ctx, input)
 	case ModeLinuxProcess:
-		res, err = s.procTgt.Execute(input, s.cov, false, meter)
+		res, err = s.procTgt.Execute(ctx, input, s.cov, false)
 		if err == nil {
 			// Fork-server spawn per input.
 			meter.Charge(meter.Costs().ProcForkBase, 1)
 		}
 	case ModeLinuxKernelModule:
-		res, err = s.procTgt.Execute(input, s.cov, true, meter)
+		res, err = s.procTgt.Execute(ctx, input, s.cov, true)
 		if err == nil {
 			meter.Add(costKernelModuleExtra)
 			// KFX memory reset for the HVM guest: a consistently
@@ -286,23 +285,24 @@ func (s *Session) Iterate(meter *vclock.Meter) (bool, error) {
 
 // iterateClone runs the input on the instrumented clone, then restores the
 // clone's memory with clone_reset.
-func (s *Session) iterateClone(input []byte, meter *vclock.Meter) (*ExecResult, error) {
+func (s *Session) iterateClone(ctx obs.OpCtx, input []byte) (*ExecResult, error) {
+	meter := ctx.Meter()
 	// Any execution dirties the guest's stack and kernel bookkeeping
 	// pages, not just the target's explicit writes; together with the
 	// scratch writes this yields the ~3 dirty pages per iteration the
 	// paper reports for Unikraft.
-	if err := s.cloneVM.WriteAt(s.kernelStateAddr, []byte{byte(s.iter)}, meter); err != nil {
+	if err := s.cloneVM.WriteAt(ctx, s.kernelStateAddr, []byte{byte(s.iter)}); err != nil {
 		return nil, err
 	}
-	if err := s.cloneVM.WriteAt(s.kernelStackAddr, []byte{byte(s.iter >> 8)}, meter); err != nil {
+	if err := s.cloneVM.WriteAt(ctx, s.kernelStackAddr, []byte{byte(s.iter >> 8)}); err != nil {
 		return nil, err
 	}
-	res, err := s.tgtClone.Execute(input, s.cov, true, meter)
+	res, err := s.tgtClone.Execute(ctx, input, s.cov, true)
 	if err != nil {
 		return nil, err
 	}
 	resetStart := meter.Elapsed()
-	restored, err := s.p.HV.CloneReset(obs.Ctx(meter), s.cloneVM.Dom)
+	restored, err := s.p.HV.CloneReset(ctx, s.cloneVM.Dom)
 	if err != nil {
 		return nil, err
 	}
@@ -313,7 +313,8 @@ func (s *Session) iterateClone(input []byte, meter *vclock.Meter) (*ExecResult, 
 
 // iterateBoot boots a fresh VM, runs the input, destroys the VM — the
 // no-cloning baseline averaging ~2 executions/second.
-func (s *Session) iterateBoot(input []byte, meter *vclock.Meter) (*ExecResult, error) {
+func (s *Session) iterateBoot(ctx obs.OpCtx, input []byte) (*ExecResult, error) {
+	meter := ctx.Meter()
 	cfg := s.bootCfg
 	cfg.Name = fmt.Sprintf("fuzz-iter-%d", s.iter)
 	rec, err := s.p.Boot(cfg, meter)
@@ -330,7 +331,7 @@ func (s *Session) iterateBoot(input []byte, meter *vclock.Meter) (*ExecResult, e
 	}
 	tgt.GetppidOnly = s.cfg.GetppidOnly
 	meter.Add(costKFXAttach)
-	res, err := tgt.Execute(input, s.cov, true, meter)
+	res, err := tgt.Execute(ctx, input, s.cov, true)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"nephele/internal/gmem"
+	"nephele/internal/obs"
 	"nephele/internal/vclock"
 )
 
@@ -80,7 +81,8 @@ const maxSyscallsPerInput = 4
 
 // Execute runs one input, recording coverage and charging stepped or
 // native per-edge costs depending on instrumented.
-func (t *SyscallTarget) Execute(input []byte, cov *Coverage, instrumented bool, meter *vclock.Meter) (*ExecResult, error) {
+func (t *SyscallTarget) Execute(ctx obs.OpCtx, input []byte, cov *Coverage, instrumented bool) (*ExecResult, error) {
+	meter := ctx.Meter()
 	res := &ExecResult{}
 	if len(input) < 2*maxSyscallsPerInput {
 		padded := make([]byte, 2*maxSyscallsPerInput)
@@ -119,7 +121,7 @@ func (t *SyscallTarget) Execute(input []byte, cov *Coverage, instrumented bool, 
 			// Dirty a scratch page: this is what makes clone_reset
 			// restore ~3 pages per Unikraft iteration.
 			off := int(arg) % (t.scratchSz - 8)
-			if err := t.mem.WriteAt(t.scratch+gmem.GAddr(off), []byte{arg, arg ^ 0xFF}, meter); err != nil {
+			if err := t.mem.WriteAt(ctx, t.scratch+gmem.GAddr(off), []byte{arg, arg ^ 0xFF}); err != nil {
 				return res, fmt.Errorf("fuzz: target write: %w", err)
 			}
 			res.DirtyOps++

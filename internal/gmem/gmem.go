@@ -11,7 +11,7 @@ import (
 	"fmt"
 
 	"nephele/internal/mem"
-	"nephele/internal/vclock"
+	"nephele/internal/obs"
 )
 
 // GAddr is a guest-virtual byte address (pfn*PageSize + offset). The
@@ -156,7 +156,7 @@ func (h *Heap) Clone() *Heap {
 // concrete implementation is *mem.Space; tests substitute fakes).
 type SpaceIO interface {
 	Read(pfn mem.PFN, off int, buf []byte) error
-	Write(pfn mem.PFN, off int, buf []byte, meter *vclock.Meter) error
+	WriteOp(ctx obs.OpCtx, pfn mem.PFN, off int, buf []byte) error
 	Pages() int
 }
 
@@ -181,7 +181,7 @@ func ReadGuest(s SpaceIO, addr GAddr, buf []byte) error {
 
 // WriteGuest stores buf at addr in the space, spanning pages and taking
 // COW faults as they come.
-func WriteGuest(s SpaceIO, addr GAddr, buf []byte, meter *vclock.Meter) error {
+func WriteGuest(ctx obs.OpCtx, s SpaceIO, addr GAddr, buf []byte) error {
 	off := int(addr % mem.PageSize)
 	pfn := mem.PFN(addr / mem.PageSize)
 	for len(buf) > 0 {
@@ -189,7 +189,7 @@ func WriteGuest(s SpaceIO, addr GAddr, buf []byte, meter *vclock.Meter) error {
 		if n > len(buf) {
 			n = len(buf)
 		}
-		if err := s.Write(pfn, off, buf[:n], meter); err != nil {
+		if err := s.WriteOp(ctx, pfn, off, buf[:n]); err != nil {
 			return err
 		}
 		buf = buf[n:]

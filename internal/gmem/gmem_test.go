@@ -6,7 +6,7 @@ import (
 	"testing/quick"
 
 	"nephele/internal/mem"
-	"nephele/internal/vclock"
+	"nephele/internal/obs"
 )
 
 func TestHeapAllocFree(t *testing.T) {
@@ -160,7 +160,7 @@ func (f *fakeSpace) Read(pfn mem.PFN, off int, buf []byte) error {
 	copy(buf, f.data[int(pfn)*mem.PageSize+off:])
 	return nil
 }
-func (f *fakeSpace) Write(pfn mem.PFN, off int, buf []byte, _ *vclock.Meter) error {
+func (f *fakeSpace) WriteOp(_ obs.OpCtx, pfn mem.PFN, off int, buf []byte) error {
 	copy(f.data[int(pfn)*mem.PageSize+off:], buf)
 	return nil
 }
@@ -173,7 +173,7 @@ func TestGuestAccessorsSpanPages(t *testing.T) {
 		payload[i] = byte(i)
 	}
 	addr := GAddr(mem.PageSize - 50)
-	if err := WriteGuest(fs, addr, payload, nil); err != nil {
+	if err := WriteGuest(obs.OpCtx{}, fs, addr, payload); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, 100)

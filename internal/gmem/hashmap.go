@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 
-	"nephele/internal/vclock"
+	"nephele/internal/obs"
 )
 
 // HashMap is a chained hash table whose buckets, entries, keys and values
@@ -32,7 +32,7 @@ type MemIO interface {
 	Alloc(size int) (GAddr, error)
 	Free(addr GAddr) error
 	ReadAt(addr GAddr, buf []byte) error
-	WriteAt(addr GAddr, buf []byte, meter *vclock.Meter) error
+	WriteAt(ctx obs.OpCtx, addr GAddr, buf []byte) error
 }
 
 // HashMap state: the bucket array is one guest allocation of 8*buckets
@@ -55,7 +55,7 @@ func NewHashMap(k MemIO, buckets int) (*HashMap, error) {
 		return nil, err
 	}
 	zero := make([]byte, 8*buckets)
-	if err := k.WriteAt(table, zero, nil); err != nil {
+	if err := k.WriteAt(obs.OpCtx{}, table, zero); err != nil {
 		return nil, err
 	}
 	return &HashMap{k: k, buckets: buckets, table: table}, nil
@@ -125,8 +125,8 @@ func (m *HashMap) findEntry(key string) (entry, ref GAddr, valLen int, err error
 	return NilAddr, ref, 0, nil
 }
 
-// Put inserts or replaces key -> value, charging COW faults to meter.
-func (m *HashMap) Put(key string, value []byte, meter *vclock.Meter) error {
+// Put inserts or replaces key -> value, charging COW faults to ctx's meter.
+func (m *HashMap) Put(ctx obs.OpCtx, key string, value []byte) error {
 	entry, ref, oldLen, err := m.findEntry(key)
 	if err != nil {
 		return err
@@ -136,13 +136,13 @@ func (m *HashMap) Put(key string, value []byte, meter *vclock.Meter) error {
 			// Overwrite in place; shrink the recorded length.
 			hdr := make([]byte, 4)
 			PutU32(hdr, uint32(len(value)))
-			if err := m.k.WriteAt(entry+12, hdr, meter); err != nil {
+			if err := m.k.WriteAt(ctx, entry+12, hdr); err != nil {
 				return err
 			}
-			return m.k.WriteAt(entry+entryHeader+GAddr(len(key)), value, meter)
+			return m.k.WriteAt(ctx, entry+entryHeader+GAddr(len(key)), value)
 		}
 		// Grows: unlink and reinsert fresh.
-		if err := m.unlink(entry, ref, meter); err != nil {
+		if err := m.unlink(ctx, entry, ref); err != nil {
 			return err
 		}
 		m.count--
@@ -163,11 +163,11 @@ func (m *HashMap) Put(key string, value []byte, meter *vclock.Meter) error {
 	PutU32(buf[12:], uint32(len(value)))
 	copy(buf[entryHeader:], key)
 	copy(buf[entryHeader+len(key):], value)
-	if err := m.k.WriteAt(addr, buf, meter); err != nil {
+	if err := m.k.WriteAt(ctx, addr, buf); err != nil {
 		return err
 	}
 	PutU64(head, uint64(addr))
-	if err := m.k.WriteAt(slot, head, meter); err != nil {
+	if err := m.k.WriteAt(ctx, slot, head); err != nil {
 		return err
 	}
 	m.count++
@@ -191,7 +191,7 @@ func (m *HashMap) Get(key string) ([]byte, error) {
 }
 
 // Delete removes key.
-func (m *HashMap) Delete(key string, meter *vclock.Meter) error {
+func (m *HashMap) Delete(ctx obs.OpCtx, key string) error {
 	entry, ref, _, err := m.findEntry(key)
 	if err != nil {
 		return err
@@ -199,7 +199,7 @@ func (m *HashMap) Delete(key string, meter *vclock.Meter) error {
 	if entry == NilAddr {
 		return fmt.Errorf("%w: %q", ErrKeyNotFound, key)
 	}
-	if err := m.unlink(entry, ref, meter); err != nil {
+	if err := m.unlink(ctx, entry, ref); err != nil {
 		return err
 	}
 	m.count--
@@ -208,12 +208,12 @@ func (m *HashMap) Delete(key string, meter *vclock.Meter) error {
 
 // unlink splices an entry out (ref is either a bucket slot or the previous
 // entry, whose next pointer is at offset 0 either way) and frees it.
-func (m *HashMap) unlink(entry, ref GAddr, meter *vclock.Meter) error {
+func (m *HashMap) unlink(ctx obs.OpCtx, entry, ref GAddr) error {
 	next := make([]byte, 8)
 	if err := m.k.ReadAt(entry, next); err != nil {
 		return err
 	}
-	if err := m.k.WriteAt(ref, next, meter); err != nil {
+	if err := m.k.WriteAt(ctx, ref, next); err != nil {
 		return err
 	}
 	return m.k.Free(entry)

@@ -6,7 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"nephele/internal/vclock"
+	"nephele/internal/obs"
 )
 
 // flatMem is a MemIO over a plain byte slice with a bump heap — the
@@ -30,7 +30,7 @@ func (f *flatMem) ReadAt(addr GAddr, buf []byte) error {
 	copy(buf, f.data[addr:])
 	return nil
 }
-func (f *flatMem) WriteAt(addr GAddr, buf []byte, _ *vclock.Meter) error {
+func (f *flatMem) WriteAt(_ obs.OpCtx, addr GAddr, buf []byte) error {
 	if int(addr)+len(buf) > len(f.data) {
 		return errors.New("flat: out of range")
 	}
@@ -45,7 +45,7 @@ func TestHashMapBasicsOnFlatMem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Put("k", []byte("v"), nil); err != nil {
+	if err := m.Put(obs.OpCtx{}, "k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	got, err := m.Get("k")
@@ -58,10 +58,10 @@ func TestHashMapBasicsOnFlatMem(t *testing.T) {
 	if _, err := m.Get("missing"); !errors.Is(err, ErrKeyNotFound) {
 		t.Fatalf("missing: %v", err)
 	}
-	if err := m.Delete("k", nil); err != nil {
+	if err := m.Delete(obs.OpCtx{}, "k"); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Delete("k", nil); !errors.Is(err, ErrKeyNotFound) {
+	if err := m.Delete(obs.OpCtx{}, "k"); !errors.Is(err, ErrKeyNotFound) {
 		t.Fatalf("double delete: %v", err)
 	}
 	if _, err := NewHashMap(newFlatMem(4096), 0); err == nil {
@@ -71,16 +71,16 @@ func TestHashMapBasicsOnFlatMem(t *testing.T) {
 
 func TestHashMapOverwritePathsOnFlatMem(t *testing.T) {
 	m, _ := NewHashMap(newFlatMem(1<<20), 4)
-	m.Put("key", []byte("initial-long-value"), nil)
+	m.Put(obs.OpCtx{}, "key", []byte("initial-long-value"))
 	// Shrink in place.
-	if err := m.Put("key", []byte("s"), nil); err != nil {
+	if err := m.Put(obs.OpCtx{}, "key", []byte("s")); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := m.Get("key"); string(got) != "s" {
 		t.Fatalf("shrunk = %q", got)
 	}
 	// Grow (realloc).
-	if err := m.Put("key", []byte("much-much-much-longer-replacement"), nil); err != nil {
+	if err := m.Put(obs.OpCtx{}, "key", []byte("much-much-much-longer-replacement")); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := m.Get("key"); string(got) != "much-much-much-longer-replacement" {
@@ -94,7 +94,7 @@ func TestHashMapOverwritePathsOnFlatMem(t *testing.T) {
 func TestHashMapRangeOnFlatMem(t *testing.T) {
 	m, _ := NewHashMap(newFlatMem(1<<20), 4)
 	for i := 0; i < 20; i++ {
-		m.Put(fmt.Sprintf("k%02d", i), []byte{byte(i)}, nil)
+		m.Put(obs.OpCtx{}, fmt.Sprintf("k%02d", i), []byte{byte(i)})
 	}
 	seen := map[string]byte{}
 	if err := m.Range(func(k string, v []byte) bool {
@@ -116,7 +116,7 @@ func TestHashMapRangeOnFlatMem(t *testing.T) {
 func TestHashMapCloneForSharesStorage(t *testing.T) {
 	fm := newFlatMem(1 << 20)
 	m, _ := NewHashMap(fm, 8)
-	m.Put("shared", []byte("value"), nil)
+	m.Put(obs.OpCtx{}, "shared", []byte("value"))
 	// CloneFor over the same storage (true sharing, not COW here)
 	// resolves the same entries.
 	m2 := m.CloneFor(fm)
@@ -136,7 +136,7 @@ func TestHashMapHeapExhaustion(t *testing.T) {
 	}
 	var firstErr error
 	for i := 0; i < 1000 && firstErr == nil; i++ {
-		firstErr = m.Put(fmt.Sprintf("key-%d", i), make([]byte, 64), nil)
+		firstErr = m.Put(obs.OpCtx{}, fmt.Sprintf("key-%d", i), make([]byte, 64))
 	}
 	if !errors.Is(firstErr, ErrHeapFull) {
 		t.Fatalf("exhaustion error = %v", firstErr)
@@ -152,13 +152,13 @@ func TestHashMapDeleteSplicesChainsProperty(t *testing.T) {
 			return false
 		}
 		for i := range present {
-			if m.Put(fmt.Sprintf("key-%d", i), []byte{byte(i)}, nil) != nil {
+			if m.Put(obs.OpCtx{}, fmt.Sprintf("key-%d", i), []byte{byte(i)}) != nil {
 				return false
 			}
 		}
 		for i, keep := range present {
 			if !keep {
-				if m.Delete(fmt.Sprintf("key-%d", i), nil) != nil {
+				if m.Delete(obs.OpCtx{}, fmt.Sprintf("key-%d", i)) != nil {
 					return false
 				}
 			}

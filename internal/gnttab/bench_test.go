@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nephele/internal/mem"
+	"nephele/internal/obs"
 )
 
 // BenchmarkGrantClone measures replicating a parent's grant table into a
@@ -37,7 +38,7 @@ func BenchmarkGrantClone(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s.AddDomain(child)
-				if _, err := s.CloneDomain(parent, child, xlate, nil); err != nil {
+				if _, err := s.CloneDomain(obs.OpCtx{}, parent, child, xlate); err != nil {
 					b.Fatal(err)
 				}
 				b.StopTimer()

@@ -11,7 +11,7 @@ import (
 	"fmt"
 
 	"nephele/internal/mem"
-	"nephele/internal/vclock"
+	"nephele/internal/obs"
 )
 
 // Ref indexes a grant entry within one domain's table.
@@ -231,7 +231,8 @@ type CloneStats struct {
 // frames through xlate (old parent MFN -> child MFN; identity when the
 // frame is family-shared). Entries granting to DOMID_CHILD stay wildcard
 // grants in the child too, so a clone can itself become a parent.
-func (s *Subsystem) CloneDomain(parent, child mem.DomID, xlate func(mem.MFN) mem.MFN, meter *vclock.Meter) (CloneStats, error) {
+func (s *Subsystem) CloneDomain(ctx obs.OpCtx, parent, child mem.DomID, xlate func(mem.MFN) mem.MFN) (CloneStats, error) {
+	meter := ctx.Meter()
 	var st CloneStats
 	pt, err := s.tableOf(parent)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nephele/internal/mem"
+	"nephele/internal/obs"
 	"nephele/internal/vclock"
 )
 
@@ -104,12 +105,12 @@ func TestCloneDomainTranslatesFrames(t *testing.T) {
 	s.Grant(1, 0, 100, 0)                    // device grant to dom0
 	s.Grant(1, mem.DomIDChild, 101, FlagIDC) // IDC page (shared, identity)
 	meter := vclock.NewMeter(nil)
-	st, err := s.CloneDomain(1, 9, func(m mem.MFN) mem.MFN {
+	st, err := s.CloneDomain(obs.Ctx(meter), 1, 9, func(m mem.MFN) mem.MFN {
 		if m == 100 {
 			return 200 // private frame was duplicated
 		}
 		return m
-	}, meter)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

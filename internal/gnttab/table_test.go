@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"nephele/internal/mem"
+	"nephele/internal/obs"
 )
 
 // refTable is the capacity-sized reference the use-sized grant table must be
@@ -110,7 +111,7 @@ func TestGrantTableMatchesCapacitySizedReference(t *testing.T) {
 					child := nextDom
 					nextDom++
 					s.AddDomain(child)
-					st, err := s.CloneDomain(d, child, nil, nil)
+					st, err := s.CloneDomain(obs.OpCtx{}, d, child, nil)
 					refs[child] = make(refTable, size)
 					n := 0
 					for i, e := range refs[d] {
@@ -166,7 +167,7 @@ func TestCloneDomainKeepsHighRef(t *testing.T) {
 		}
 	}
 	s.AddDomain(2)
-	st, err := s.CloneDomain(1, 2, nil, nil)
+	st, err := s.CloneDomain(obs.OpCtx{}, 1, 2, nil)
 	if err != nil || st.Cloned != 1 {
 		t.Fatalf("CloneDomain = %+v, %v", st, err)
 	}
@@ -186,7 +187,7 @@ func TestIdleDomainIsSmall(t *testing.T) {
 	s.AddDomain(1)
 	cycle := func() {
 		s.AddDomain(2)
-		if _, err := s.CloneDomain(1, 2, nil, nil); err != nil {
+		if _, err := s.CloneDomain(obs.OpCtx{}, 1, 2, nil); err != nil {
 			t.Fatal(err)
 		}
 		s.RemoveDomain(2)

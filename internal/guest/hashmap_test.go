@@ -3,9 +3,11 @@ package guest
 import (
 	"errors"
 	"fmt"
-	"nephele/internal/gmem"
 	"testing"
 	"testing/quick"
+
+	"nephele/internal/gmem"
+	"nephele/internal/obs"
 )
 
 func mapEnv(t *testing.T) *Kernel {
@@ -20,7 +22,7 @@ func TestMapPutGet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Put("alpha", []byte("1"), nil); err != nil {
+	if err := m.Put(obs.OpCtx{}, "alpha", []byte("1")); err != nil {
 		t.Fatal(err)
 	}
 	got, err := m.Get("alpha")
@@ -41,8 +43,8 @@ func TestMapPutGet(t *testing.T) {
 func TestMapOverwriteInPlace(t *testing.T) {
 	k := mapEnv(t)
 	m, _ := gmem.NewHashMap(k, 16)
-	m.Put("k", []byte("longer-value"), nil)
-	if err := m.Put("k", []byte("tiny"), nil); err != nil {
+	m.Put(obs.OpCtx{}, "k", []byte("longer-value"))
+	if err := m.Put(obs.OpCtx{}, "k", []byte("tiny")); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := m.Get("k")
@@ -57,8 +59,8 @@ func TestMapOverwriteInPlace(t *testing.T) {
 func TestMapOverwriteGrow(t *testing.T) {
 	k := mapEnv(t)
 	m, _ := gmem.NewHashMap(k, 16)
-	m.Put("k", []byte("small"), nil)
-	if err := m.Put("k", []byte("a-much-longer-replacement-value"), nil); err != nil {
+	m.Put(obs.OpCtx{}, "k", []byte("small"))
+	if err := m.Put(obs.OpCtx{}, "k", []byte("a-much-longer-replacement-value")); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := m.Get("k")
@@ -74,9 +76,9 @@ func TestMapDelete(t *testing.T) {
 	k := mapEnv(t)
 	m, _ := gmem.NewHashMap(k, 4) // few buckets: exercise chain splicing
 	for i := 0; i < 20; i++ {
-		m.Put(fmt.Sprintf("key-%d", i), []byte{byte(i)}, nil)
+		m.Put(obs.OpCtx{}, fmt.Sprintf("key-%d", i), []byte{byte(i)})
 	}
-	if err := m.Delete("key-7", nil); err != nil {
+	if err := m.Delete(obs.OpCtx{}, "key-7"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.Get("key-7"); !errors.Is(err, gmem.ErrKeyNotFound) {
@@ -94,7 +96,7 @@ func TestMapDelete(t *testing.T) {
 			t.Fatalf("key-%d lost after delete: %v", i, err)
 		}
 	}
-	if err := m.Delete("never", nil); !errors.Is(err, gmem.ErrKeyNotFound) {
+	if err := m.Delete(obs.OpCtx{}, "never"); !errors.Is(err, gmem.ErrKeyNotFound) {
 		t.Fatalf("delete missing: %v", err)
 	}
 }
@@ -107,7 +109,7 @@ func TestMapRange(t *testing.T) {
 		key := fmt.Sprintf("k%02d", i)
 		val := fmt.Sprintf("v%02d", i)
 		want[key] = val
-		m.Put(key, []byte(val), nil)
+		m.Put(obs.OpCtx{}, key, []byte(val))
 	}
 	got := map[string]string{}
 	if err := m.Range(func(key string, val []byte) bool {
@@ -136,7 +138,7 @@ func TestMapChainCollisions(t *testing.T) {
 	k := mapEnv(t)
 	m, _ := gmem.NewHashMap(k, 1) // everything collides
 	for i := 0; i < 50; i++ {
-		if err := m.Put(fmt.Sprintf("c%d", i), []byte(fmt.Sprintf("val%d", i)), nil); err != nil {
+		if err := m.Put(obs.OpCtx{}, fmt.Sprintf("c%d", i), []byte(fmt.Sprintf("val%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -163,12 +165,12 @@ func TestMapMatchesGoMapProperty(t *testing.T) {
 			switch op % 3 {
 			case 0, 1:
 				val := fmt.Sprintf("v%d-%d", op, i)
-				if m.Put(key, []byte(val), nil) != nil {
+				if m.Put(obs.OpCtx{}, key, []byte(val)) != nil {
 					return false
 				}
 				ref[key] = val
 			case 2:
-				err := m.Delete(key, nil)
+				err := m.Delete(obs.OpCtx{}, key)
 				if _, ok := ref[key]; ok != (err == nil) {
 					return false
 				}

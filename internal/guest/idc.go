@@ -9,6 +9,7 @@ import (
 	"nephele/internal/gnttab"
 	"nephele/internal/hv"
 	"nephele/internal/mem"
+	"nephele/internal/obs"
 )
 
 // Inter-domain communication (§4.3, §5.2.2): the guest-side API that
@@ -136,7 +137,7 @@ func (k *Kernel) NewPipe() (*Pipe, error) {
 		return nil, err
 	}
 	zero := make([]byte, 8)
-	if err := k.WriteAt(region.Base(), zero, nil); err != nil {
+	if err := k.WriteAt(obs.OpCtx{}, region.Base(), zero); err != nil {
 		return nil, err
 	}
 	return &Pipe{k: k, region: region, ch: ch, isParent: true}, nil
@@ -177,7 +178,7 @@ func (p *Pipe) loadU32(off int) (uint32, error) {
 func (p *Pipe) storeU32(off int, v uint32) error {
 	b := make([]byte, 4)
 	gmem.PutU32(b, v)
-	return p.k.WriteAt(p.region.Base()+gmem.GAddr(off), b, nil)
+	return p.k.WriteAt(obs.OpCtx{}, p.region.Base()+gmem.GAddr(off), b)
 }
 
 // Write queues as much of buf as the ring has room for and kicks the
@@ -195,7 +196,7 @@ func (p *Pipe) Write(buf []byte) (int, error) {
 	if n > 0 {
 		for i := 0; i < n; i++ {
 			off := pipeDataOff + int((tail+uint32(i))%uint32(pipeCap))
-			if err := p.k.WriteAt(p.region.Base()+gmem.GAddr(off), buf[i:i+1], nil); err != nil {
+			if err := p.k.WriteAt(obs.OpCtx{}, p.region.Base()+gmem.GAddr(off), buf[i:i+1]); err != nil {
 				return 0, err
 			}
 		}

@@ -3,6 +3,8 @@ package guest
 import (
 	"errors"
 	"testing"
+
+	"nephele/internal/obs"
 )
 
 func TestIDCAllocSharedRegion(t *testing.T) {
@@ -15,11 +17,11 @@ func TestIDCAllocSharedRegion(t *testing.T) {
 		t.Fatalf("grant refs = %d", len(region.Refs))
 	}
 	// Writes before fork land in the region.
-	if err := k.WriteAt(region.Base(), []byte("pre-fork"), nil); err != nil {
+	if err := k.WriteAt(obs.OpCtx{}, region.Base(), []byte("pre-fork")); err != nil {
 		t.Fatal(err)
 	}
 
-	res, err := k.Fork(1, nil, nil)
+	res, err := k.Fork(obs.OpCtx{}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,13 +33,13 @@ func TestIDCAllocSharedRegion(t *testing.T) {
 	}
 	// True sharing: a post-fork parent write IS visible to the child
 	// (no COW on IDC pages).
-	k.WriteAt(region.Base(), []byte("mutated!"), nil)
+	k.WriteAt(obs.OpCtx{}, region.Base(), []byte("mutated!"))
 	ck.ReadAt(region.Base(), buf)
 	if string(buf) != "mutated!" {
 		t.Fatalf("IDC page was COWed: child sees %q", buf)
 	}
 	// And the reverse.
-	ck.WriteAt(region.Base(), []byte("from-chi"), nil)
+	ck.WriteAt(obs.OpCtx{}, region.Base(), []byte("from-chi"))
 	k.ReadAt(region.Base(), buf)
 	if string(buf) != "from-chi" {
 		t.Fatalf("parent sees %q", buf)
@@ -50,7 +52,7 @@ func TestIDCChannelNotification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := k.Fork(1, nil, nil)
+	res, err := k.Fork(obs.OpCtx{}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +79,7 @@ func TestPipeParentToChild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := k.Fork(1, nil, nil)
+	res, err := k.Fork(obs.OpCtx{}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,9 +106,9 @@ func TestPipeChildToParent(t *testing.T) {
 		t.Fatal(err)
 	}
 	var childErr error
-	if _, err := k.Fork(1, func(ck *Kernel) {
+	if _, err := k.Fork(obs.OpCtx{}, 1, func(ck *Kernel) {
 		_, childErr = pipe.ForChild(ck).Write([]byte("result=42"))
-	}, nil); err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if childErr != nil {
@@ -128,7 +130,7 @@ func TestPipeLargeTransferWrapsRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := k.Fork(1, nil, nil)
+	res, err := k.Fork(obs.OpCtx{}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +209,7 @@ func TestSocketPairBidirectional(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := k.Fork(1, nil, nil)
+	res, err := k.Fork(obs.OpCtx{}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -141,9 +141,9 @@ func (k *Kernel) ReadAt(addr gmem.GAddr, buf []byte) error {
 	return gmem.ReadGuest(k.space, addr, buf)
 }
 
-// WriteAt stores buf at addr, taking COW faults (charged to meter).
-func (k *Kernel) WriteAt(addr gmem.GAddr, buf []byte, meter *vclock.Meter) error {
-	return gmem.WriteGuest(k.space, addr, buf, meter)
+// WriteAt stores buf at addr, taking COW faults (charged to ctx's meter).
+func (k *Kernel) WriteAt(ctx obs.OpCtx, addr gmem.GAddr, buf []byte) error {
+	return gmem.WriteGuest(ctx, k.space, addr, buf)
 }
 
 // Kernel satisfies gmem.MemIO.
@@ -184,8 +184,8 @@ type ForkResult struct {
 // legal schedule. Passing a nil childMain leaves the children idle
 // (waiting for work), which is what the fuzzing and density experiments
 // want.
-func (k *Kernel) Fork(n int, childMain func(ck *Kernel), meter *vclock.Meter) (*ForkResult, error) {
-	results, err := k.P.CloneOp(obs.Ctx(meter),
+func (k *Kernel) Fork(ctx obs.OpCtx, n int, childMain func(ck *Kernel)) (*ForkResult, error) {
+	results, err := k.P.CloneOp(ctx,
 		core.CloneSpec{Caller: k.Dom, Parent: k.Dom, Count: n})
 	if err != nil {
 		return nil, err

@@ -54,7 +54,7 @@ func TestAdoptKernelView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ck.WriteAt(addr, []byte("adopted"), nil); err != nil {
+	if err := ck.WriteAt(obs.OpCtx{}, addr, []byte("adopted")); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 7)
@@ -86,7 +86,7 @@ func TestAwaitRunnableAcrossCloneCompletion(t *testing.T) {
 	// The platform's clone is synchronous: once Fork returns, the pause
 	// window is closed on the parent and on every child.
 	p, k := testEnv(t, guestCfg("runnable"))
-	res, err := k.Fork(2, nil, nil)
+	res, err := k.Fork(obs.OpCtx{}, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"nephele/internal/core"
 	"nephele/internal/hv"
 	"nephele/internal/netsim"
+	"nephele/internal/obs"
 	"nephele/internal/toolstack"
 	"nephele/internal/vclock"
 )
@@ -61,7 +62,7 @@ func TestKernelGuestMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := k.WriteAt(addr, []byte("guest data"), nil); err != nil {
+	if err := k.WriteAt(obs.OpCtx{}, addr, []byte("guest data")); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 10)
@@ -129,10 +130,10 @@ func TestKernelNinePClient(t *testing.T) {
 func TestForkSharesHeapCopyOnWrite(t *testing.T) {
 	_, k := testEnv(t, guestCfg("g0"))
 	addr, _ := k.Alloc(32)
-	k.WriteAt(addr, []byte("original"), nil)
+	k.WriteAt(obs.OpCtx{}, addr, []byte("original"))
 
 	var ck *Kernel
-	res, err := k.Fork(1, func(c *Kernel) { ck = c }, nil)
+	res, err := k.Fork(obs.OpCtx{}, 1, func(c *Kernel) { ck = c })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestForkSharesHeapCopyOnWrite(t *testing.T) {
 		t.Fatalf("child read %q", buf)
 	}
 	// Writes are isolated.
-	ck.WriteAt(addr, []byte("childnew"), nil)
+	ck.WriteAt(obs.OpCtx{}, addr, []byte("childnew"))
 	k.ReadAt(addr, buf)
 	if string(buf) != "original" {
 		t.Fatalf("parent sees child write: %q", buf)
@@ -162,7 +163,7 @@ func TestForkSharesHeapCopyOnWrite(t *testing.T) {
 func TestForkChildConsoleEmpty(t *testing.T) {
 	_, k := testEnv(t, guestCfg("g0"))
 	k.Printk("pre-fork message\n")
-	res, err := k.Fork(1, nil, nil)
+	res, err := k.Fork(obs.OpCtx{}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestForkChildConsoleEmpty(t *testing.T) {
 
 func TestForkChildNetworkIdentity(t *testing.T) {
 	p, k := testEnv(t, guestCfg("g0"))
-	res, err := k.Fork(1, nil, nil)
+	res, err := k.Fork(obs.OpCtx{}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestForkChildNetworkIdentity(t *testing.T) {
 // payload intact.
 func TestHTTPRequestsSpreadAcrossClones(t *testing.T) {
 	p, k := testEnv(t, guestCfg("http-lb"))
-	res, err := k.Fork(3, nil, nil)
+	res, err := k.Fork(obs.OpCtx{}, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,11 +269,11 @@ func TestForkMapSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		if err := m.Put(key(i), []byte(val(i)), nil); err != nil {
+		if err := m.Put(obs.OpCtx{}, key(i), []byte(val(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	res, err := k.Fork(1, nil, nil)
+	res, err := k.Fork(obs.OpCtx{}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,9 +284,9 @@ func TestForkMapSnapshot(t *testing.T) {
 	}
 	// Parent mutates after the fork.
 	for i := 0; i < 50; i++ {
-		m.Put(key(i), []byte("MUTATED-"+val(i)), nil)
+		m.Put(obs.OpCtx{}, key(i), []byte("MUTATED-"+val(i)))
 	}
-	m.Put("new-key", []byte("post-fork"), nil)
+	m.Put(obs.OpCtx{}, "new-key", []byte("post-fork"))
 	// Child sees the snapshot.
 	if cm.Len() != 50 {
 		t.Fatalf("child Len = %d, want 50", cm.Len())
@@ -312,7 +313,7 @@ func TestForkMapSnapshot(t *testing.T) {
 func TestForkNWorkers(t *testing.T) {
 	_, k := testEnv(t, guestCfg("g0"))
 	var started []hv.DomID
-	res, err := k.Fork(3, func(ck *Kernel) { started = append(started, ck.Dom) }, nil)
+	res, err := k.Fork(obs.OpCtx{}, 3, func(ck *Kernel) { started = append(started, ck.Dom) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,10 +340,10 @@ func TestForkRunsContinuationsInline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k.WriteAt(addr, []byte("parent"), nil)
+	k.WriteAt(obs.OpCtx{}, addr, []byte("parent"))
 
 	var ran []hv.DomID
-	res, err := k.Fork(n, func(ck *Kernel) {
+	res, err := k.Fork(obs.OpCtx{}, n, func(ck *Kernel) {
 		d, err := p.HV.Domain(ck.Dom)
 		if err != nil || d.Paused() {
 			t.Errorf("child %d paused (%v) when its continuation ran", ck.Dom, err)
@@ -354,9 +355,9 @@ func TestForkRunsContinuationsInline(t *testing.T) {
 		if string(buf) != "parent" {
 			t.Errorf("child %d sees %q, want the pre-fork state", ck.Dom, buf)
 		}
-		ck.WriteAt(addr, []byte(fmt.Sprintf("dom%03d", ck.Dom)), nil)
+		ck.WriteAt(obs.OpCtx{}, addr, []byte(fmt.Sprintf("dom%03d", ck.Dom)))
 		ran = append(ran, ck.Dom)
-	}, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -183,7 +183,7 @@ func (h *Hypervisor) Clone(req CloneRequest) CloneResult {
 		used++
 		var child *Domain
 		var st *CloneOpStats
-		if child, st, err = h.cloneOne(parent, first+DomID(i), req.CopyRing, req.Mode, ctx); err != nil {
+		if child, st, err = h.cloneOne(ctx, parent, first+DomID(i), req.CopyRing, req.Mode); err != nil {
 			break
 		}
 		parent.children = append(parent.children, child.ID)
@@ -208,7 +208,7 @@ func (h *Hypervisor) Clone(req CloneRequest) CloneResult {
 		if err != nil {
 			// The child was fully created but can never complete:
 			// tear it down and refund the unused budget.
-			h.DomainDestroy(obs.OpCtx{}, child.ID)
+			h.DomainDestroy(ctx.WithMeter(nil), child.ID)
 			break
 		}
 		children = append(children, child.ID)
@@ -226,7 +226,7 @@ func (h *Hypervisor) Clone(req CloneRequest) CloneResult {
 		return CloneResult{Children: children, Stats: stats, Err: err}
 	}
 	stats.FirstStage = meter.Lap(start)
-	h.Events.RaiseVIRQ(evtchn.VIRQCloned, meter)
+	h.Events.RaiseVIRQ(ctx, evtchn.VIRQCloned)
 	h.met.recordClone(stats, len(children))
 
 	h.release(rec)
@@ -269,7 +269,7 @@ func (h *Hypervisor) admitClone(req CloneRequest) (*Domain, error) {
 // unwound: every allocated frame is returned, so a clone that dies of
 // memory pressure leaves the parent exactly as it was. The caller owns the
 // clone budget, the fault-injection gate and the parent.children link.
-func (h *Hypervisor) cloneOne(parent *Domain, id DomID, copyRing bool, mode mem.CloneMode, ctx obs.OpCtx) (child *Domain, st *CloneOpStats, err error) {
+func (h *Hypervisor) cloneOne(ctx obs.OpCtx, parent *Domain, id DomID, copyRing bool, mode mem.CloneMode) (child *Domain, st *CloneOpStats, err error) {
 	meter := ctx.Meter()
 	ctx, cspan := ctx.StartSpan("clone-child")
 	defer cspan.End()
@@ -330,7 +330,7 @@ func (h *Hypervisor) cloneOne(parent *Domain, id DomID, copyRing bool, mode mem.
 	st.Memory = mst
 	child.space = cspace
 
-	ov, err := h.Memory.AllocN(id, perDomainOverheadFrames, meter)
+	ov, err := h.Memory.AllocN(ctx, id, perDomainOverheadFrames)
 	if err != nil {
 		cspace.Release()
 		return nil, nil, err
@@ -346,7 +346,7 @@ func (h *Hypervisor) cloneOne(parent *Domain, id DomID, copyRing bool, mode mem.
 	h.Events.AddDomain(id)
 	h.Grants.AddDomain(id)
 	_, espan := ctx.StartSpan("event-channels")
-	est, err := h.Events.CloneDomain(parent.ID, id, meter)
+	est, err := h.Events.CloneDomain(ctx, parent.ID, id)
 	espan.End()
 	if err != nil {
 		return nil, nil, err
@@ -354,7 +354,7 @@ func (h *Hypervisor) cloneOne(parent *Domain, id DomID, copyRing bool, mode mem.
 	st.Events = est
 	_, gspan := ctx.StartSpan("grant-table")
 	xlate := func(m mem.MFN) mem.MFN { return m } // shared frames keep their MFN
-	gst, err := h.Grants.CloneDomain(parent.ID, id, xlate, meter)
+	gst, err := h.Grants.CloneDomain(ctx, parent.ID, id, xlate)
 	gspan.End()
 	if err != nil {
 		return nil, nil, err
@@ -479,7 +479,7 @@ func (h *Hypervisor) CloneOutcome(child DomID) (CloneOutcome, bool) {
 // frames.
 func (h *Hypervisor) CloneCOW(ctx obs.OpCtx, id DomID, pfns []mem.PFN) error {
 	meter := ctx.Meter()
-	_, span := ctx.StartSpan("clone-cow")
+	ctx, span := ctx.StartSpan("clone-cow")
 	defer span.End()
 	meter.Charge(meter.Costs().Hypercall, 1)
 	d, err := h.Domain(id)
@@ -487,7 +487,7 @@ func (h *Hypervisor) CloneCOW(ctx obs.OpCtx, id DomID, pfns []mem.PFN) error {
 		return err
 	}
 	for _, pfn := range pfns {
-		if err := d.Space().TouchCOW(pfn, meter); err != nil {
+		if err := d.Space().TouchCOW(ctx, pfn); err != nil {
 			return err
 		}
 		h.met.cowPages.Inc()

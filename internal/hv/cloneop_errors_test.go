@@ -84,7 +84,7 @@ func TestCloneOpCOWExhaustedMemory(t *testing.T) {
 	}
 
 	// Exhaust machine memory, then force the COW break.
-	if _, err := h.Memory.AllocN(mem.DomID0, h.Memory.FreeFrames(), nil); err != nil {
+	if _, err := h.Memory.AllocN(obs.OpCtx{}, mem.DomID0, h.Memory.FreeFrames()); err != nil {
 		t.Fatal(err)
 	}
 	if free := h.Memory.FreeFrames(); free != 0 {

@@ -149,12 +149,12 @@ func (h *Hypervisor) DomainCreate(ctx obs.OpCtx, pages, vcpus int) (*Domain, err
 	h.domains[id] = d
 
 	meter.Charge(meter.Costs().DomainCreate, 1)
-	space, err := mem.NewSpace(h.Memory, id, pages, meter)
+	space, err := mem.NewSpace(ctx, h.Memory, id, pages)
 	if err != nil {
 		delete(h.domains, id)
 		return nil, err
 	}
-	ov, err := h.Memory.AllocN(id, perDomainOverheadFrames, meter)
+	ov, err := h.Memory.AllocN(ctx, id, perDomainOverheadFrames)
 	if err != nil {
 		space.Release()
 		delete(h.domains, id)

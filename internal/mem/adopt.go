@@ -49,7 +49,7 @@ func (s *Space) AdoptShared(ctx obs.OpCtx, srcDom DomID, start PFN, src []MFN) e
 	}
 	// Take the space's references on the source frames first: if this
 	// fails nothing has been installed and the space is untouched.
-	if err := s.mem.ShareN(srcDom, src, 2, meter); err != nil {
+	if err := s.mem.ShareN(ctx, srcDom, src, 2); err != nil {
 		return err
 	}
 	old := make([]MFN, len(src))

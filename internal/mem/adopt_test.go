@@ -15,7 +15,7 @@ import (
 func adoptRig(t *testing.T, frames, pages, run int) (*Memory, *Space, []MFN) {
 	t.Helper()
 	m := newTestMem(frames)
-	mfns, err := m.AllocN(DomIDCache, run, nil)
+	mfns, err := m.AllocN(obs.OpCtx{}, DomIDCache, run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,10 +24,10 @@ func adoptRig(t *testing.T, frames, pages, run int) (*Memory, *Space, []MFN) {
 			t.Fatal(err)
 		}
 	}
-	if err := m.ShareN(DomIDCache, mfns, 1, nil); err != nil {
+	if err := m.ShareN(obs.OpCtx{}, DomIDCache, mfns, 1); err != nil {
 		t.Fatal(err)
 	}
-	sp, err := NewSpace(m, 7, pages, nil)
+	sp, err := NewSpace(obs.OpCtx{}, m, 7, pages)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ func TestCloneReleaseAllocs(t *testing.T) {
 	for _, layout := range []string{"contiguous", "fragmented"} {
 		t.Run(layout, func(t *testing.T) {
 			m := New(4 * 64 << 20)
-			parent, err := NewSpace(m, 1, pages, nil)
+			parent, err := NewSpace(obs.OpCtx{}, m, 1, pages)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -29,7 +29,7 @@ func BenchmarkSpaceClone(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				m := New(uint64(2*mb+64) << 20)
-				parent, err := NewSpace(m, 1, pages, nil)
+				parent, err := NewSpace(obs.OpCtx{}, m, 1, pages)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -43,7 +43,7 @@ func BenchmarkSpaceClone(b *testing.B) {
 			b.Run(fmt.Sprintf("%s=%dMB", layout, mb), func(b *testing.B) {
 				b.ReportAllocs()
 				m := New(uint64(2*mb+64) << 20)
-				parent, err := NewSpace(m, 1, pages, nil)
+				parent, err := NewSpace(obs.OpCtx{}, m, 1, pages)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -89,7 +89,7 @@ func BenchmarkLazyClone(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				m := New(uint64(2*mb+64) << 20)
-				parent, err := NewSpace(m, 1, pages, nil)
+				parent, err := NewSpace(obs.OpCtx{}, m, 1, pages)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"testing"
 	"unsafe"
+
+	"nephele/internal/obs"
 )
 
 // frameChunk is the frame table's chunk size.
@@ -47,7 +49,7 @@ func TestFrameTableGrowsInPlace(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for m.watermark < m.total {
-		if err := allocInto(m, 1, out[:min(len(out), m.total-m.watermark)], nil); err != nil {
+		if err := allocInto(obs.OpCtx{}, m, 1, out[:min(len(out), m.total-m.watermark)]); err != nil {
 			t.Fatal(err)
 		}
 		for k := 1; k < len(chunks) && chunks[k] != nil; k++ {
@@ -111,7 +113,7 @@ func TestFreeStackChunks(t *testing.T) {
 // once the other domain is gone the pool state is what it was.
 func TestChunkHolesUnderConcurrentAlloc(t *testing.T) {
 	m := New(8 * frameChunk * PageSize)
-	owned, err := m.AllocN(7, 5*frameChunk+500, nil)
+	owned, err := m.AllocN(obs.OpCtx{}, 7, 5*frameChunk+500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +127,7 @@ func TestChunkHolesUnderConcurrentAlloc(t *testing.T) {
 			}
 			continue
 		case i%7 == 0:
-			if err := m.ShareN(7, []MFN{mfn}, 3, nil); err != nil {
+			if err := m.ShareN(obs.OpCtx{}, 7, []MFN{mfn}, 3); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -144,7 +146,7 @@ func TestChunkHolesUnderConcurrentAlloc(t *testing.T) {
 	}
 	for i := 0; i < rounds; i++ {
 		// More than the holes: the run spills past the watermark.
-		mfns, err := m.AllocN(9, 2*frameChunk, nil)
+		mfns, err := m.AllocN(obs.OpCtx{}, 9, 2*frameChunk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +182,7 @@ func TestCOWCopyGrowsFirstChunk(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			m := newTestMem(64)
-			mfns, err := m.AllocN(1, 2, nil) // the first chunk is exactly two frames
+			mfns, err := m.AllocN(obs.OpCtx{}, 1, 2) // the first chunk is exactly two frames
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -193,13 +195,13 @@ func TestCOWCopyGrowsFirstChunk(t *testing.T) {
 				err = m.pledgePTEs(ptesOf([]MFN{src}))
 				release = func() error { return m.cancelPledged(ptesOf([]MFN{src})) }
 			} else {
-				err = m.ShareN(1, []MFN{src}, 2, nil)
+				err = m.ShareN(obs.OpCtx{}, 1, []MFN{src}, 2)
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
 			before := &m.chunks[0][0]
-			got, err := m.resolveCOW(c.faulter, src, nil)
+			got, err := m.resolveCOW(obs.OpCtx{}, c.faulter, src)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -238,7 +240,7 @@ func TestCOWCopyGrowsFirstChunk(t *testing.T) {
 func TestSlotTableGrowsInPlace(t *testing.T) {
 	const n = 2*pageChunkMask + 9 // into the third chunk of slots
 	m := newTestMem(n)
-	mfns, err := m.AllocN(1, n, nil)
+	mfns, err := m.AllocN(obs.OpCtx{}, 1, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +269,7 @@ func TestSlotTableGrowsInPlace(t *testing.T) {
 	if err := m.ReleaseN(1, mfns); err != nil {
 		t.Fatal(err)
 	}
-	again, err := m.AllocN(2, n, nil)
+	again, err := m.AllocN(obs.OpCtx{}, 2, n)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -130,7 +130,7 @@ func (m *Memory) cancelPledged(ptes []pte) error {
 // entries before it did, so a failed call leaves the pool untouched.
 //
 //nephele:noalloc
-func (m *Memory) adoptPledged(dom DomID, ptes []pte, meter *vclock.Meter) error {
+func (m *Memory) adoptPledged(ctx obs.OpCtx, dom DomID, ptes []pte) error {
 	stop, hi := adoptRefs(m.chunks, MFN(m.total), ptes)
 	if stop < len(ptes) {
 		return m.adoptFailed(ptes, stop)
@@ -145,6 +145,7 @@ func (m *Memory) adoptPledged(dom DomID, ptes []pte, meter *vclock.Meter) error 
 		}
 	}
 	if converted > 0 {
+		meter := ctx.Meter()
 		meter.Charge(meter.Costs().PageShare, converted)
 	}
 	return nil
@@ -310,13 +311,13 @@ func (s *Space) drainChunk(ctx obs.OpCtx, ls *lazyState) (done bool, err error) 
 	}
 	_, span := ctx.StartSpan("stream-extent")
 	defer span.End()
-	meter := ctx.Meter()
 	ext := s.ptes[lo:hi]
-	if err := s.mem.adoptPledged(s.dom, ext, meter); err != nil {
+	if err := s.mem.adoptPledged(ctx, s.dom, ext); err != nil {
 		ls.stopped, ls.err = true, err
 		return true, err
 	}
 	n := hi - lo
+	meter := ctx.Meter()
 	meter.Charge(meter.Costs().PTEntryClone, n)
 	meter.Charge(meter.Costs().P2MEntryClone, n)
 	for i := range ext {
@@ -346,16 +347,16 @@ func (s *Space) demandFault(ctx obs.OpCtx, pfn PFN, p *pte) error {
 	if err := s.mem.faults.Check(fault.PointMemUnmappedFault); err != nil {
 		return err
 	}
-	meter := fctx.Meter()
-	if meter == nil {
+	if fctx.Meter() == nil {
 		// Meterless accesses charge the stream's private meter instead,
 		// which the next Drain moves onto its caller, so the page's
 		// materialization cost is never dropped.
-		meter = ls.meter
+		fctx = fctx.WithMeter(ls.meter)
 	}
-	if err := s.mem.adoptPledged(s.dom, s.ptes[pfn:pfn+1], meter); err != nil {
+	if err := s.mem.adoptPledged(fctx, s.dom, s.ptes[pfn:pfn+1]); err != nil {
 		return err
 	}
+	meter := fctx.Meter()
 	meter.Charge(meter.Costs().PTEntryClone, 1)
 	meter.Charge(meter.Costs().P2MEntryClone, 1)
 	*p = p.materialized()

@@ -102,16 +102,16 @@ func TestLazyGoldenNoWorkload(t *testing.T) {
 		if err := lazy.drain(); err != nil {
 			t.Fatalf("seed %d: Drain: %v", seed, err)
 		}
-		if got, want := lazy.streamM.Elapsed(), eager.cloneM.Elapsed()-lazy.cloneM.Elapsed(); got != want {
+		if got, want := lazy.stream.Meter().Elapsed(), eager.clone.Meter().Elapsed()-lazy.clone.Meter().Elapsed(); got != want {
 			t.Fatalf("seed %d: stream %d != eager %d - lazy %d",
-				seed, got, eager.cloneM.Elapsed(), lazy.cloneM.Elapsed())
+				seed, got, eager.clone.Meter().Elapsed(), lazy.clone.Meter().Elapsed())
 		}
 		if ss := lazy.child.StreamStats(); ss.StreamedPages != lazy.st.Deferred || ss.DemandPages != 0 {
 			t.Fatalf("seed %d: stats %+v after a drain with no workload, deferred %d", seed, ss, lazy.st.Deferred)
 		}
-		if lazy.cloneM.Elapsed() >= eager.cloneM.Elapsed() && lazy.st.Deferred > 0 {
+		if lazy.clone.Meter().Elapsed() >= eager.clone.Meter().Elapsed() && lazy.st.Deferred > 0 {
 			t.Fatalf("seed %d: lazy CLONEOP (%d) not cheaper than eager (%d) with %d deferred",
-				seed, lazy.cloneM.Elapsed(), eager.cloneM.Elapsed(), lazy.st.Deferred)
+				seed, lazy.clone.Meter().Elapsed(), eager.clone.Meter().Elapsed(), lazy.st.Deferred)
 		}
 		total := sc.frames()
 		if err := lazy.release(total); err != nil {
@@ -143,7 +143,7 @@ func TestLazyGoldenSeriesPostStream(t *testing.T) {
 		out := make([]vclock.Duration, 0, sc.Pages)
 		for pfn := 0; pfn < sc.Pages; pfn++ {
 			m := vclock.NewMeter(nil)
-			if err := s.child.TouchCOW(mem.PFN(pfn), m); err != nil {
+			if err := s.child.TouchCOW(obs.Ctx(m), mem.PFN(pfn)); err != nil {
 				t.Fatalf("%v touch pfn %d: %v", s.mode, pfn, err)
 			}
 			out = append(out, m.Elapsed())
@@ -225,11 +225,11 @@ func TestLazyDemandFaultInjection(t *testing.T) {
 	}
 	lazy.faults.Inject(fault.PointMemUnmappedFault, fault.FailAlways(), fault.Transient)
 	buf := make([]byte, 8)
-	if rerr := lazy.child.ReadOp(obs.Ctx(lazy.workM), mem.PFN(target), 0, buf); !fault.IsFault(rerr) {
+	if rerr := lazy.child.ReadOp(lazy.work, mem.PFN(target), 0, buf); !fault.IsFault(rerr) {
 		t.Fatalf("read = %v, want injected fault", rerr)
 	}
 	lazy.faults.Clear(fault.PointMemUnmappedFault)
-	if err := lazy.child.ReadOp(obs.Ctx(lazy.workM), mem.PFN(target), 0, buf); err != nil {
+	if err := lazy.child.ReadOp(lazy.work, mem.PFN(target), 0, buf); err != nil {
 		t.Fatalf("read after disarm: %v", err)
 	}
 	if ss := lazy.child.StreamStats(); ss.DemandPages != 1 {
@@ -262,7 +262,7 @@ func TestLazyCloneRollbackCancelsPledges(t *testing.T) {
 	meta := mem.PTFrameCount(pages) + mem.P2MFrameCount(pages)
 	total := pages + meta + 1
 	m := mem.New(uint64(total) * mem.PageSize)
-	parent, err := mem.NewSpace(m, parentDom, pages, vclock.NewMeter(nil))
+	parent, err := mem.NewSpace(obs.Ctx(vclock.NewMeter(nil)), m, parentDom, pages)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -171,41 +171,42 @@ func (sc *Scenario) frames() int {
 }
 
 // side is one half of a differential run: its own pool, parent, child,
-// the meters whose sum participates in the parity check, and the fault
-// registry installed on its pool (empty unless a test arms it).
+// one operation context per role, whose meters' sum participates in the
+// parity check, and the fault registry installed on its pool (empty unless
+// a test arms it).
 type side struct {
-	mode    mem.CloneMode
-	m       *mem.Memory
-	parent  *mem.Space
-	child   *mem.Space
-	st      mem.CloneStats
-	faults  *fault.Registry
-	buildM  *vclock.Meter
-	cloneM  *vclock.Meter
-	workM   *vclock.Meter
-	streamM *vclock.Meter
+	mode   mem.CloneMode
+	m      *mem.Memory
+	parent *mem.Space
+	child  *mem.Space
+	st     mem.CloneStats
+	faults *fault.Registry
+	build  obs.OpCtx
+	clone  obs.OpCtx
+	work   obs.OpCtx
+	stream obs.OpCtx
 }
 
 // build constructs the parent from the layout and clones it in mode.
 func (sc *Scenario) build(mode mem.CloneMode) (*side, error) {
 	s := &side{
-		mode:    mode,
-		m:       mem.New(uint64(sc.frames()) * mem.PageSize),
-		faults:  fault.NewRegistry(),
-		buildM:  vclock.NewMeter(nil),
-		cloneM:  vclock.NewMeter(nil),
-		workM:   vclock.NewMeter(nil),
-		streamM: vclock.NewMeter(nil),
+		mode:   mode,
+		m:      mem.New(uint64(sc.frames()) * mem.PageSize),
+		faults: fault.NewRegistry(),
+		build:  obs.OpCtx{}.EnsureMeter(nil),
+		clone:  obs.OpCtx{}.EnsureMeter(nil),
+		work:   obs.OpCtx{}.EnsureMeter(nil),
+		stream: obs.OpCtx{}.EnsureMeter(nil),
 	}
 	s.m.SetFaults(s.faults)
 	var err error
-	s.parent, err = mem.NewSpace(s.m, parentDom, sc.Pages, s.buildM)
+	s.parent, err = mem.NewSpace(s.build, s.m, parentDom, sc.Pages)
 	if err != nil {
 		return nil, fmt.Errorf("NewSpace: %w", err)
 	}
 	for i, ps := range sc.specs {
 		pfn := mem.PFN(i)
-		if err := s.parent.Write(pfn, ps.off, ps.token, s.buildM); err != nil {
+		if err := s.parent.WriteOp(s.build, pfn, ps.off, ps.token); err != nil {
 			return nil, fmt.Errorf("seed pfn %d: %w", pfn, err)
 		}
 		if ps.kind != mem.KindRegular {
@@ -219,7 +220,7 @@ func (sc *Scenario) build(mode mem.CloneMode) (*side, error) {
 			}
 		}
 	}
-	s.child, s.st, err = s.parent.CloneOpMode(obs.Ctx(s.cloneM), childDom, true, mode)
+	s.child, s.st, err = s.parent.CloneOpMode(s.clone, childDom, true, mode)
 	if err != nil {
 		return nil, fmt.Errorf("%v clone: %w", mode, err)
 	}
@@ -231,7 +232,7 @@ func (sc *Scenario) build(mode mem.CloneMode) (*side, error) {
 func (s *side) apply(op wop) ([]byte, error) {
 	switch op.kind {
 	case opChildWrite:
-		return nil, s.child.WriteOp(obs.Ctx(s.workM), op.pfn, op.off, op.data)
+		return nil, s.child.WriteOp(s.work, op.pfn, op.off, op.data)
 	case opChildRead:
 		// Meterless, as a guest's plain loads are: a demand fault here
 		// charges the stream's private meter, which the drain takes over.
@@ -239,12 +240,12 @@ func (s *side) apply(op wop) ([]byte, error) {
 		err := s.child.Read(op.pfn, op.off, buf)
 		return buf, err
 	case opChildTouch:
-		return nil, s.child.TouchCOW(op.pfn, s.workM)
+		return nil, s.child.TouchCOW(s.work, op.pfn)
 	case opParentWrite:
-		return nil, s.parent.WriteOp(obs.Ctx(s.workM), op.pfn, op.off, op.data)
+		return nil, s.parent.WriteOp(s.work, op.pfn, op.off, op.data)
 	case opParentRead:
 		buf := make([]byte, 16)
-		err := s.parent.ReadOp(obs.Ctx(s.workM), op.pfn, op.off, buf)
+		err := s.parent.ReadOp(s.work, op.pfn, op.off, buf)
 		return buf, err
 	default:
 		return nil, fmt.Errorf("unknown op %v", op.kind)
@@ -253,7 +254,7 @@ func (s *side) apply(op wop) ([]byte, error) {
 
 // drain materializes the side's deferred pages on its stream meter.
 func (s *side) drain() error {
-	return s.child.Drain(obs.Ctx(s.streamM))
+	return s.child.Drain(s.stream)
 }
 
 // release tears the side down (child first, then parent) and verifies the
@@ -331,9 +332,9 @@ func (sc *Scenario) run(nops int) (lazySplit, error) {
 
 	// The two parents were built by identical operations: their virtual
 	// time must agree exactly before any mode-dependent work happens.
-	if eager.buildM.Elapsed() != lazy.buildM.Elapsed() {
+	if eager.build.Meter().Elapsed() != lazy.build.Meter().Elapsed() {
 		return split, fmt.Errorf("parent build time diverged: %d vs %d",
-			eager.buildM.Elapsed(), lazy.buildM.Elapsed())
+			eager.build.Meter().Elapsed(), lazy.build.Meter().Elapsed())
 	}
 
 	// Identical workloads; on the lazy side every first touch of a
@@ -347,7 +348,7 @@ func (sc *Scenario) run(nops int) (lazySplit, error) {
 	if err := sc.check(eager, lazy, sc.ops[:nops]); err != nil {
 		return split, err
 	}
-	split = lazySplit{lazy.cloneM.Elapsed(), lazy.workM.Elapsed(), lazy.streamM.Elapsed()}
+	split = lazySplit{lazy.clone.Meter().Elapsed(), lazy.work.Meter().Elapsed(), lazy.stream.Meter().Elapsed()}
 
 	if sc.SecondClone {
 		if err := sc.secondClone(eager, lazy); err != nil {
@@ -476,11 +477,11 @@ func audited(eager, lazy *side) error {
 // metersAddUp asserts the lazy side's clone, workload and stream meters
 // sum exactly to the eager side's clone and workload meters.
 func metersAddUp(eager, lazy *side) error {
-	eagerTotal := eager.cloneM.Elapsed() + eager.workM.Elapsed()
-	lazyTotal := lazy.cloneM.Elapsed() + lazy.streamM.Elapsed() + lazy.workM.Elapsed()
+	eagerTotal := eager.clone.Meter().Elapsed() + eager.work.Meter().Elapsed()
+	lazyTotal := lazy.clone.Meter().Elapsed() + lazy.stream.Meter().Elapsed() + lazy.work.Meter().Elapsed()
 	if eagerTotal != lazyTotal {
 		return fmt.Errorf("virtual-time parity broken: eager %d, lazy %d (clone %d + stream %d + work %d)",
-			eagerTotal, lazyTotal, lazy.cloneM.Elapsed(), lazy.streamM.Elapsed(), lazy.workM.Elapsed())
+			eagerTotal, lazyTotal, lazy.clone.Meter().Elapsed(), lazy.stream.Meter().Elapsed(), lazy.work.Meter().Elapsed())
 	}
 	return nil
 }
@@ -490,12 +491,13 @@ func metersAddUp(eager, lazy *side) error {
 // adoptions, the eager side's by the first clone's transfers; the second
 // clone must cost and count the same on both.
 func (sc *Scenario) secondClone(eager, lazy *side) error {
-	em, lm := vclock.NewMeter(nil), vclock.NewMeter(nil)
-	ec, est, err := eager.parent.CloneOp(obs.Ctx(em), secondDom, true)
+	ectx, lctx := obs.OpCtx{}.EnsureMeter(nil), obs.OpCtx{}.EnsureMeter(nil)
+	em, lm := ectx.Meter(), lctx.Meter()
+	ec, est, err := eager.parent.CloneOp(ectx, secondDom, true)
 	if err != nil {
 		return fmt.Errorf("eager second clone: %w", err)
 	}
-	lc, lst, err := lazy.parent.CloneOp(obs.Ctx(lm), secondDom, true)
+	lc, lst, err := lazy.parent.CloneOp(lctx, secondDom, true)
 	if err != nil {
 		return fmt.Errorf("lazy-side second clone: %w", err)
 	}

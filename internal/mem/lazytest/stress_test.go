@@ -38,7 +38,7 @@ func TestLazyStressConcurrent(t *testing.T) {
 	meta := mem.PTFrameCount(pages) + mem.P2MFrameCount(pages)
 	total := pages*(2+3*pairs) + meta*(1+2*pairs) + writes + 256
 	m := mem.New(uint64(total) * mem.PageSize)
-	parent, err := mem.NewSpace(m, parentDom, pages, vclock.NewMeter(nil))
+	parent, err := mem.NewSpace(obs.Ctx(vclock.NewMeter(nil)), m, parentDom, pages)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,10 +106,10 @@ func TestLazyStressConcurrent(t *testing.T) {
 				t.Fatalf("pair %d read diverged at pfn %d", i, pfn)
 			}
 		case 2:
-			if err := p.eager.TouchCOW(pfn, vclock.NewMeter(nil)); err != nil {
+			if err := p.eager.TouchCOW(obs.Ctx(vclock.NewMeter(nil)), pfn); err != nil {
 				t.Fatalf("pair %d eager touch: %v", i, err)
 			}
-			if err := p.lazy.TouchCOW(pfn, vclock.NewMeter(nil)); err != nil {
+			if err := p.lazy.TouchCOW(obs.Ctx(vclock.NewMeter(nil)), pfn); err != nil {
 				t.Fatalf("pair %d lazy touch: %v", i, err)
 			}
 		}
@@ -164,7 +164,7 @@ func TestLazyReleaseMidStream(t *testing.T) {
 	total := pages + 2*meta + 64
 	for _, failAt := range []int{0, 3} { // 0: released undrained
 		m := mem.New(uint64(total) * mem.PageSize)
-		parent, err := mem.NewSpace(m, parentDom, pages, vclock.NewMeter(nil))
+		parent, err := mem.NewSpace(obs.Ctx(vclock.NewMeter(nil)), m, parentDom, pages)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +218,7 @@ func TestLazyCancelStreamFreezesProgress(t *testing.T) {
 	meta := mem.PTFrameCount(pages) + mem.P2MFrameCount(pages)
 	total := pages + 2*meta + 64
 	m := mem.New(uint64(total) * mem.PageSize)
-	parent, err := mem.NewSpace(m, parentDom, pages, vclock.NewMeter(nil))
+	parent, err := mem.NewSpace(obs.Ctx(vclock.NewMeter(nil)), m, parentDom, pages)
 	if err != nil {
 		t.Fatal(err)
 	}

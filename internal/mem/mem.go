@@ -12,7 +12,7 @@ import (
 	"sync"
 
 	"nephele/internal/fault"
-	"nephele/internal/vclock"
+	"nephele/internal/obs"
 )
 
 // PageSize is the machine frame size in bytes.
@@ -500,15 +500,15 @@ func (m *Memory) resetFrame(f *frame, mfn MFN) {
 	m.recycled.push(mfn)
 }
 
-// AllocN allocates n frames for dom and charges the meter once for the
+// AllocN allocates n frames for dom and charges ctx's meter once for the
 // whole run. A pool with fewer than n free frames refuses the call and
 // allocates nothing.
-func (m *Memory) AllocN(dom DomID, n int, meter *vclock.Meter) ([]MFN, error) {
+func (m *Memory) AllocN(ctx obs.OpCtx, dom DomID, n int) ([]MFN, error) {
 	if n <= 0 {
 		return nil, nil
 	}
 	out := make([]MFN, n)
-	if err := allocInto(m, dom, out, meter); err != nil {
+	if err := allocInto(ctx, m, dom, out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -520,11 +520,12 @@ func (m *Memory) AllocN(dom DomID, n int, meter *vclock.Meter) ([]MFN, error) {
 // array costs no heap. out holds frame numbers, or page-table entries that
 // the caller completes with their flags: NewSpace allocates straight into
 // its table.
-func allocInto[T MFN | pte](m *Memory, dom DomID, out []T, meter *vclock.Meter) error {
+func allocInto[T MFN | pte](ctx obs.OpCtx, m *Memory, dom DomID, out []T) error {
 	err := allocFrames(m, dom, out)
 	if err != nil {
 		return err
 	}
+	meter := ctx.Meter()
 	meter.Charge(meter.Costs().PageAlloc, len(out))
 	return nil
 }
@@ -565,7 +566,7 @@ func (m *Memory) Refcount(mfn MFN) (int, error) {
 	return int(f.refcount), nil
 }
 
-// ShareN shares a run of frames with refs sharers each, charging the meter
+// ShareN shares a run of frames with refs sharers each, charging ctx's meter
 // once for the run. This is the page-sharing mechanism Nephele extends from
 // Snowflock (§5.2): frames owned by dom are transferred to dom_cow with refs
 // sharers (the owner plus the new family members) and charged one PageShare
@@ -574,8 +575,8 @@ func (m *Memory) Refcount(mfn MFN) (int, error) {
 // call leaves the pool untouched.
 //
 //nephele:noalloc
-func (m *Memory) ShareN(dom DomID, mfns []MFN, refs int, meter *vclock.Meter) error {
-	_, err := share(m, dom, mfns, allMFN, refs, meter)
+func (m *Memory) ShareN(ctx obs.OpCtx, dom DomID, mfns []MFN, refs int) error {
+	_, err := share(ctx, m, dom, mfns, allMFN, refs)
 	return err
 }
 
@@ -586,8 +587,8 @@ func (m *Memory) ShareN(dom DomID, mfns []MFN, refs int, meter *vclock.Meter) er
 // know.
 //
 //nephele:noalloc
-func (m *Memory) sharePTEs(dom DomID, ptes []pte, refs int, meter *vclock.Meter) (int, error) {
-	return share(m, dom, ptes, pteMFNMask, refs, meter)
+func (m *Memory) sharePTEs(ctx obs.OpCtx, dom DomID, ptes []pte, refs int) (int, error) {
+	return share(ctx, m, dom, ptes, pteMFNMask, refs)
 }
 
 // share is ShareN's body over either input form.
@@ -607,7 +608,7 @@ func (m *Memory) sharePTEs(dom DomID, ptes []pte, refs int, meter *vclock.Meter)
 // apart.
 //
 //nephele:noalloc
-func share[T frameList](m *Memory, dom DomID, in []T, mask T, refs int, meter *vclock.Meter) (int, error) {
+func share[T frameList](ctx obs.OpCtx, m *Memory, dom DomID, in []T, mask T, refs int) (int, error) {
 	if refs < 1 {
 		return 0, fmt.Errorf("mem: share with %d refs", refs) //nephele:hotalloc-ok — caller bug, never on the warm path
 	}
@@ -621,6 +622,7 @@ func share[T frameList](m *Memory, dom DomID, in []T, mask T, refs int, meter *v
 		m.dropUsage(dom, transfers)
 		m.usedByDom[DomIDCOW] += transfers //nephele:hotalloc-ok — one int-keyed entry, re-inserted only after the pool's last shared frame went
 		m.shared += transfers
+		meter := ctx.Meter()
 		meter.Charge(meter.Costs().PageShare, transfers)
 	}
 	return transfers, nil
@@ -714,7 +716,7 @@ func shareFailed[T frameList](m *Memory, dom DomID, in []T, mask T, i int, add i
 //
 // It looks once: nothing runs between the classification, the private
 // frame's allocation and the copy.
-func (m *Memory) resolveCOW(dom DomID, mfn MFN, meter *vclock.Meter) (MFN, error) {
+func (m *Memory) resolveCOW(ctx obs.OpCtx, dom DomID, mfn MFN) (MFN, error) {
 	if int(mfn) >= m.total {
 		return 0, frameErr(ErrBadFrame, mfn)
 	}
@@ -725,6 +727,7 @@ func (m *Memory) resolveCOW(dom DomID, mfn MFN, meter *vclock.Meter) (MFN, error
 	if err != nil {
 		return 0, err
 	}
+	meter := ctx.Meter()
 	costs := meter.Costs()
 	if f.pledges == 0 && (f.owner == dom || f.refcount == 1) {
 		if f.owner == DomIDCOW {
@@ -958,22 +961,22 @@ func (m *Memory) WritePage(mfn MFN, page []byte) error {
 	return nil
 }
 
-// CopyFrameN copies src[i] into dst[i] for every i, charging the meter once
+// CopyFrameN copies src[i] into dst[i] for every i, charging ctx's meter once
 // for the run (PageCopy × len). Validation of the slice lengths happens up
 // front; a bad frame mid-run stops the copy there.
-func (m *Memory) CopyFrameN(dst, src []MFN, meter *vclock.Meter) error {
-	return copyFrames(m, dst, src, allMFN, meter)
+func (m *Memory) CopyFrameN(ctx obs.OpCtx, dst, src []MFN) error {
+	return copyFrames(ctx, m, dst, src, allMFN)
 }
 
 // copyFramePTEs is CopyFrameN with the frames a run of page-table entries
 // references as the sources (the clone path copies a private extent straight
 // off the parent's table).
-func (m *Memory) copyFramePTEs(dst []MFN, src []pte, meter *vclock.Meter) error {
-	return copyFrames(m, dst, src, pteMFNMask, meter)
+func (m *Memory) copyFramePTEs(ctx obs.OpCtx, dst []MFN, src []pte) error {
+	return copyFrames(ctx, m, dst, src, pteMFNMask)
 }
 
 // copyFrames is CopyFrameN's body over either source form.
-func copyFrames[T frameList](m *Memory, dst []MFN, src []T, mask T, meter *vclock.Meter) error {
+func copyFrames[T frameList](ctx obs.OpCtx, m *Memory, dst []MFN, src []T, mask T) error {
 	if len(dst) != len(src) {
 		return fmt.Errorf("mem: CopyFrameN with %d dst, %d src frames", len(dst), len(src))
 	}
@@ -982,6 +985,7 @@ func copyFrames[T frameList](m *Memory, dst []MFN, src []T, mask T, meter *vcloc
 			return err
 		}
 	}
+	meter := ctx.Meter()
 	meter.Charge(meter.Costs().PageCopy, len(dst))
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"nephele/internal/obs"
 	"nephele/internal/vclock"
 )
 
@@ -32,7 +33,7 @@ func audit(t testing.TB, m *Memory) {
 // alloc1 allocates one frame for dom through the batched allocator.
 func alloc1(t testing.TB, m *Memory, dom DomID) MFN {
 	t.Helper()
-	mfns, err := m.AllocN(dom, 1, nil)
+	mfns, err := m.AllocN(obs.OpCtx{}, dom, 1)
 	if err != nil {
 		t.Fatalf("AllocN(%d, 1): %v", dom, err)
 	}
@@ -64,17 +65,17 @@ func TestAllocFree(t *testing.T) {
 
 func TestAllocExhaustion(t *testing.T) {
 	m := newTestMem(2)
-	if _, err := m.AllocN(1, 3, nil); !errors.Is(err, ErrOutOfMemory) {
+	if _, err := m.AllocN(obs.OpCtx{}, 1, 3); !errors.Is(err, ErrOutOfMemory) {
 		t.Fatalf("AllocN beyond capacity: err = %v, want ErrOutOfMemory", err)
 	}
 	// Failed AllocN must not leak frames.
 	if got := m.FreeFrames(); got != 2 {
 		t.Fatalf("FreeFrames after failed AllocN = %d, want 2", got)
 	}
-	if _, err := m.AllocN(1, 2, nil); err != nil {
+	if _, err := m.AllocN(obs.OpCtx{}, 1, 2); err != nil {
 		t.Fatalf("AllocN exact capacity: %v", err)
 	}
-	if _, err := m.AllocN(1, 1, nil); !errors.Is(err, ErrOutOfMemory) {
+	if _, err := m.AllocN(obs.OpCtx{}, 1, 1); !errors.Is(err, ErrOutOfMemory) {
 		t.Fatalf("AllocN when full: err = %v, want ErrOutOfMemory", err)
 	}
 }
@@ -148,7 +149,7 @@ func TestAccessCrossingPageBoundary(t *testing.T) {
 func TestShareTransfersOwnershipToDomCOW(t *testing.T) {
 	m := newTestMem(2)
 	mfn := alloc1(t, m, 1)
-	if err := m.ShareN(1, []MFN{mfn}, 2, nil); err != nil {
+	if err := m.ShareN(obs.OpCtx{}, 1, []MFN{mfn}, 2); err != nil {
 		t.Fatal(err)
 	}
 	if owner, _ := ownerOf(m, mfn); owner != DomIDCOW {
@@ -168,7 +169,7 @@ func TestShareTransfersOwnershipToDomCOW(t *testing.T) {
 func TestShareByNonOwnerFails(t *testing.T) {
 	m := newTestMem(1)
 	mfn := alloc1(t, m, 1)
-	if err := m.ShareN(9, []MFN{mfn}, 2, nil); !errors.Is(err, ErrNotOwner) {
+	if err := m.ShareN(obs.OpCtx{}, 9, []MFN{mfn}, 2); !errors.Is(err, ErrNotOwner) {
 		t.Fatalf("Share by non-owner: err = %v, want ErrNotOwner", err)
 	}
 }
@@ -179,10 +180,10 @@ func TestCopyOnWriteWithSharersCopies(t *testing.T) {
 	if err := m.Write(mfn, 0, []byte("parent data")); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.ShareN(1, []MFN{mfn}, 2, nil); err != nil {
+	if err := m.ShareN(obs.OpCtx{}, 1, []MFN{mfn}, 2); err != nil {
 		t.Fatal(err)
 	}
-	newMFN, err := m.resolveCOW(2, mfn, nil)
+	newMFN, err := m.resolveCOW(obs.OpCtx{}, 2, mfn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,13 +213,13 @@ func TestCopyOnWriteLastSharerTransfersOwnership(t *testing.T) {
 	m := newTestMem(4)
 	mfn := alloc1(t, m, 1)
 	m.Write(mfn, 0, []byte("x"))
-	if err := m.ShareN(1, []MFN{mfn}, 2, nil); err != nil {
+	if err := m.ShareN(obs.OpCtx{}, 1, []MFN{mfn}, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.resolveCOW(1, mfn, nil); err != nil { // parent faults, copies
+	if _, err := m.resolveCOW(obs.OpCtx{}, 1, mfn); err != nil { // parent faults, copies
 		t.Fatal(err)
 	}
-	got, err := m.resolveCOW(2, mfn, nil) // child is last sharer
+	got, err := m.resolveCOW(obs.OpCtx{}, 2, mfn) // child is last sharer
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +239,7 @@ func TestCopyOnWriteUnsharedFrameFails(t *testing.T) {
 	// faulting domain's to un-protect.
 	m := newTestMem(1)
 	mfn := alloc1(t, m, 1)
-	if _, err := m.resolveCOW(2, mfn, nil); !errors.Is(err, ErrNotShared) {
+	if _, err := m.resolveCOW(obs.OpCtx{}, 2, mfn); !errors.Is(err, ErrNotShared) {
 		t.Fatalf("fault on a foreign private frame: err = %v, want ErrNotShared", err)
 	}
 	if owner, _ := ownerOf(m, mfn); owner != 1 || m.FreeFrames() != 0 {
@@ -261,7 +262,7 @@ func TestResolveCOWOwnedFrame(t *testing.T) {
 	// Pledged: converted (one PageShare), then copied away (PageAlloc +
 	// PageUnshare); the original survives as a zombie for the lazy child.
 	meter := vclock.NewMeter(nil)
-	got, err := m.resolveCOW(1, mfn, meter)
+	got, err := m.resolveCOW(obs.Ctx(meter), 1, mfn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +285,7 @@ func TestResolveCOWOwnedFrame(t *testing.T) {
 
 	// Not pledged (any more): the stale protection is lifted in place.
 	meter = vclock.NewMeter(nil)
-	same, err := m.resolveCOW(1, got, meter)
+	same, err := m.resolveCOW(obs.Ctx(meter), 1, got)
 	if err != nil || same != got || meter.Elapsed() != c.PageUnshare {
 		t.Fatalf("unpledged fault: mfn %d err %v charged %v, want %d in place for one PageUnshare", same, err, meter.Elapsed(), got)
 	}
@@ -296,7 +297,7 @@ func TestResolveCOWOwnedFrame(t *testing.T) {
 func TestDropSharedFreesAtZero(t *testing.T) {
 	m := newTestMem(1)
 	mfn := alloc1(t, m, 1)
-	m.ShareN(1, []MFN{mfn}, 2, nil)
+	m.ShareN(obs.OpCtx{}, 1, []MFN{mfn}, 2)
 	if err := m.ReleaseN(2, []MFN{mfn}); err != nil {
 		t.Fatal(err)
 	}
@@ -314,9 +315,9 @@ func TestDropSharedFreesAtZero(t *testing.T) {
 func TestAddSharer(t *testing.T) {
 	m := newTestMem(1)
 	mfn := alloc1(t, m, 1)
-	m.ShareN(1, []MFN{mfn}, 2, nil)
+	m.ShareN(obs.OpCtx{}, 1, []MFN{mfn}, 2)
 	// Sharing a dom_cow frame with refs sharers adds refs-1, whoever asks.
-	if err := m.ShareN(7, []MFN{mfn}, 4, nil); err != nil {
+	if err := m.ShareN(obs.OpCtx{}, 7, []MFN{mfn}, 4); err != nil {
 		t.Fatal(err)
 	}
 	if rc, _ := m.Refcount(mfn); rc != 5 {
@@ -327,9 +328,9 @@ func TestAddSharer(t *testing.T) {
 func TestShareAlreadySharedAddsRefs(t *testing.T) {
 	m := newTestMem(1)
 	mfn := alloc1(t, m, 1)
-	m.ShareN(1, []MFN{mfn}, 2, nil)
+	m.ShareN(obs.OpCtx{}, 1, []MFN{mfn}, 2)
 	// Cloning a clone re-shares the same frame: refs-1 new sharers.
-	if err := m.ShareN(2, []MFN{mfn}, 2, nil); err != nil {
+	if err := m.ShareN(obs.OpCtx{}, 2, []MFN{mfn}, 2); err != nil {
 		t.Fatal(err)
 	}
 	if rc, _ := m.Refcount(mfn); rc != 3 {
@@ -342,7 +343,7 @@ func TestCopyFrame(t *testing.T) {
 	a, b := alloc1(t, m, 1), alloc1(t, m, 1)
 	m.Write(a, 8, []byte("copy me"))
 	meter := vclock.NewMeter(nil)
-	if err := m.CopyFrameN([]MFN{b}, []MFN{a}, meter); err != nil {
+	if err := m.CopyFrameN(obs.Ctx(meter), []MFN{b}, []MFN{a}); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, 7)
@@ -365,7 +366,7 @@ func TestAccountingInvariantProperty(t *testing.T) {
 		for _, op := range ops {
 			switch op % 4 {
 			case 0:
-				if mfns, err := m.AllocN(1, 1, nil); err == nil {
+				if mfns, err := m.AllocN(obs.OpCtx{}, 1, 1); err == nil {
 					owned = append(owned, mfns[0])
 				}
 			case 1:
@@ -380,7 +381,7 @@ func TestAccountingInvariantProperty(t *testing.T) {
 				if len(owned) > 0 {
 					mfn := owned[len(owned)-1]
 					owned = owned[:len(owned)-1]
-					if err := m.ShareN(1, []MFN{mfn}, 2, nil); err != nil {
+					if err := m.ShareN(obs.OpCtx{}, 1, []MFN{mfn}, 2); err != nil {
 						return false
 					}
 					shared = append(shared, mfn)
@@ -388,7 +389,7 @@ func TestAccountingInvariantProperty(t *testing.T) {
 			case 3:
 				if len(shared) > 0 {
 					mfn := shared[len(shared)-1]
-					if newMFN, err := m.resolveCOW(2, mfn, nil); err == nil {
+					if newMFN, err := m.resolveCOW(obs.OpCtx{}, 2, mfn); err == nil {
 						if newMFN == mfn {
 							shared = shared[:len(shared)-1]
 						}

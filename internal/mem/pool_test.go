@@ -3,6 +3,8 @@ package mem
 import (
 	"errors"
 	"testing"
+
+	"nephele/internal/obs"
 )
 
 // TestPoolGeometry pins the frame table a 12 GiB pool, the default platform
@@ -18,7 +20,7 @@ func TestPoolGeometry(t *testing.T) {
 		dom  DomID
 		want MFN
 	}{{1, 0}, {2, 2}, {3, 4}} {
-		got, err := m.AllocN(tc.dom, 2, nil)
+		got, err := m.AllocN(obs.OpCtx{}, tc.dom, 2)
 		if err != nil || got[0] != tc.want || got[1] != tc.want+1 {
 			t.Errorf("AllocN(%d, 2) = %v, %v; want the run at %d", tc.dom, got, err, tc.want)
 		}
@@ -27,7 +29,7 @@ func TestPoolGeometry(t *testing.T) {
 	if err := m.ReleaseN(2, []MFN{2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := m.AllocN(4, 3, nil); err != nil || got[0] != 3 || got[1] != 2 || got[2] != 6 {
+	if got, err := m.AllocN(obs.OpCtx{}, 4, 3); err != nil || got[0] != 3 || got[1] != 2 || got[2] != 6 {
 		t.Errorf("AllocN(4, 3) after freeing 2 and 3 = %v, %v; want [3 2 6]", got, err)
 	}
 }
@@ -119,7 +121,7 @@ func TestShardBoundaryRuns(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			m := New(65536 * PageSize)
 			total := m.TotalFrames()
-			if _, err := m.AllocN(1, total, nil); err != nil {
+			if _, err := m.AllocN(obs.OpCtx{}, 1, total); err != nil {
 				t.Fatal(err)
 			}
 			mfns := run(tc.start, tc.n)
@@ -131,7 +133,7 @@ func TestShardBoundaryRuns(t *testing.T) {
 				t.Fatalf("run crosses %d edges, case expects %d", got, tc.edges)
 			}
 
-			if err := m.ShareN(1, mfns, 1, nil); err != nil {
+			if err := m.ShareN(obs.OpCtx{}, 1, mfns, 1); err != nil {
 				t.Fatal(err)
 			}
 			if got := m.SharedFrames(); got != tc.n {
@@ -155,7 +157,7 @@ func TestShardBoundaryRuns(t *testing.T) {
 				}
 			}
 
-			if err := m.ShareN(1, mfns, 3, nil); err != nil {
+			if err := m.ShareN(obs.OpCtx{}, 1, mfns, 3); err != nil {
 				t.Fatal(err)
 			}
 			for _, p := range probes {
@@ -192,7 +194,7 @@ func TestShardBoundaryRuns(t *testing.T) {
 func TestShardBoundaryValidationAtomic(t *testing.T) {
 	const stride = frameChunk
 	m := New(65536 * PageSize)
-	if _, err := m.AllocN(1, m.TotalFrames(), nil); err != nil {
+	if _, err := m.AllocN(obs.OpCtx{}, 1, m.TotalFrames()); err != nil {
 		t.Fatal(err)
 	}
 	// Run crossing one edge; poison a frame past the edge.
@@ -201,7 +203,7 @@ func TestShardBoundaryValidationAtomic(t *testing.T) {
 	if err := m.ReleaseN(1, []MFN{bad}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.ShareN(1, mfns, 1, nil); !errors.Is(err, ErrDoubleFree) {
+	if err := m.ShareN(obs.OpCtx{}, 1, mfns, 1); !errors.Is(err, ErrDoubleFree) {
 		t.Fatalf("ShareN over freed frame: %v", err)
 	}
 	if got := m.SharedFrames(); got != 0 {
@@ -220,10 +222,10 @@ func TestShardBoundaryValidationAtomic(t *testing.T) {
 			good = append(good, f)
 		}
 	}
-	if err := m.ShareN(1, good, 1, nil); err != nil {
+	if err := m.ShareN(obs.OpCtx{}, 1, good, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.ShareN(1, mfns, 3, nil); !errors.Is(err, ErrDoubleFree) {
+	if err := m.ShareN(obs.OpCtx{}, 1, mfns, 3); !errors.Is(err, ErrDoubleFree) {
 		t.Fatalf("ShareN over freed frame: %v", err)
 	}
 	for _, f := range good {

@@ -174,7 +174,7 @@ func resetDifferential(t *testing.T, mode CloneMode, seed int64) {
 			childPriv[pfn] = pfn != privatePFN
 		case op < 6:
 			when += fmt.Sprintf(" (child touches pfn %d)", pfn)
-			if err := child.TouchCOW(pfn, nil); err != nil {
+			if err := child.TouchCOW(obs.OpCtx{}, pfn); err != nil {
 				t.Fatalf("%s: %v", when, err)
 			}
 			childPriv[pfn] = pfn != privatePFN

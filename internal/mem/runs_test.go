@@ -31,7 +31,7 @@ func fragmentSpace(tb testing.TB, parent *Space, scratchDom DomID) {
 		tb.Fatal(err)
 	}
 	for pfn := 0; pfn < parent.Pages(); pfn += 2 {
-		if err := parent.TouchCOW(PFN(pfn), nil); err != nil {
+		if err := parent.TouchCOW(obs.OpCtx{}, PFN(pfn)); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -128,7 +128,7 @@ func TestRunCursorSplits(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m, r := New(uint64(tc.total)*PageSize), newRefPool(tc.total)
-			mfns, err := m.AllocN(1, tc.owned, nil)
+			mfns, err := m.AllocN(obs.OpCtx{}, 1, tc.owned)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,7 +156,7 @@ func TestRunCursorSplits(t *testing.T) {
 // times.
 func TestBatchedOpsAllocFree(t *testing.T) {
 	m := New(65536 * PageSize)
-	if _, err := m.AllocN(1, m.TotalFrames(), nil); err != nil {
+	if _, err := m.AllocN(obs.OpCtx{}, 1, m.TotalFrames()); err != nil {
 		t.Fatal(err)
 	}
 	var mfns []MFN
@@ -165,7 +165,7 @@ func TestBatchedOpsAllocFree(t *testing.T) {
 	}
 	ptes := ptesOf(mfns)
 	meter := vclock.NewMeter(nil)
-	if _, err := m.sharePTEs(1, ptes, 1, meter); err != nil {
+	if _, err := m.sharePTEs(obs.Ctx(meter), 1, ptes, 1); err != nil {
 		t.Fatal(err)
 	}
 	must := func(err error) {
@@ -178,11 +178,11 @@ func TestBatchedOpsAllocFree(t *testing.T) {
 		op   func()
 	}{
 		{"sharePTEs", func() {
-			_, err := m.sharePTEs(1, ptes, 2, meter)
+			_, err := m.sharePTEs(obs.Ctx(meter), 1, ptes, 2)
 			must(err)
 		}},
 		{"sharePTEs+releasePTEs", func() {
-			_, err := m.sharePTEs(2, ptes, 2, meter)
+			_, err := m.sharePTEs(obs.Ctx(meter), 2, ptes, 2)
 			must(err)
 			must(m.releasePTEs(2, ptes))
 		}},
@@ -192,20 +192,20 @@ func TestBatchedOpsAllocFree(t *testing.T) {
 		}},
 		{"pledgePTEs+adoptPledged", func() {
 			must(m.pledgePTEs(ptes))
-			must(m.adoptPledged(2, ptes, meter))
+			must(m.adoptPledged(obs.Ctx(meter), 2, ptes))
 		}},
-		{"ShareN", func() { must(m.ShareN(1, mfns, 2, meter)) }},
+		{"ShareN", func() { must(m.ShareN(obs.Ctx(meter), 1, mfns, 2)) }},
 		{"ShareN+ReleaseN", func() {
-			must(m.ShareN(2, mfns, 2, meter))
+			must(m.ShareN(obs.Ctx(meter), 2, mfns, 2))
 			must(m.ReleaseN(2, mfns))
 		}},
 		// A one-frame list is built on the caller's stack; the walks must
 		// not make it escape.
 		{"ShareN+ReleaseN/one", func() {
-			must(m.ShareN(2, []MFN{mfns[0]}, 2, meter))
+			must(m.ShareN(obs.Ctx(meter), 2, []MFN{mfns[0]}, 2))
 			must(m.ReleaseN(2, []MFN{mfns[0]}))
 		}},
-		{"CopyFrameN/one", func() { must(m.CopyFrameN([]MFN{10}, []MFN{11}, meter)) }},
+		{"CopyFrameN/one", func() { must(m.CopyFrameN(obs.Ctx(meter), []MFN{10}, []MFN{11})) }},
 	} {
 		if got := testing.AllocsPerRun(50, tc.op); got != 0 {
 			t.Errorf("%s allocates %.0f times per call over %d scattered frames, want 0", tc.name, got, len(mfns))
@@ -231,7 +231,7 @@ func TestFragmentedLayoutEquivalence(t *testing.T) {
 	}
 	build := func(order func([]MFN) []MFN) twin {
 		m := New(2 * stride * PageSize)
-		if _, err := m.AllocN(1, m.TotalFrames(), nil); err != nil {
+		if _, err := m.AllocN(obs.OpCtx{}, 1, m.TotalFrames()); err != nil {
 			t.Fatal(err)
 		}
 		return twin{m, vclock.NewMeter(nil),
@@ -252,12 +252,12 @@ func TestFragmentedLayoutEquivalence(t *testing.T) {
 		name string
 		op   func(tw twin) error
 	}{
-		{"share", func(tw twin) error { return errOf(tw.m.sharePTEs(1, ptesOf(tw.mfns), 2, tw.meter)) }},
-		{"share by a sharer", func(tw twin) error { return errOf(tw.m.sharePTEs(2, ptesOf(tw.mfns), 2, tw.meter)) }},
-		{"ShareN again", func(tw twin) error { return tw.m.ShareN(1, tw.mfns, 3, tw.meter) }},
+		{"share", func(tw twin) error { return errOf(tw.m.sharePTEs(obs.Ctx(tw.meter), 1, ptesOf(tw.mfns), 2)) }},
+		{"share by a sharer", func(tw twin) error { return errOf(tw.m.sharePTEs(obs.Ctx(tw.meter), 2, ptesOf(tw.mfns), 2)) }},
+		{"ShareN again", func(tw twin) error { return tw.m.ShareN(obs.Ctx(tw.meter), 1, tw.mfns, 3) }},
 		{"pledge", func(tw twin) error { return tw.m.pledgePTEs(ptesOf(tw.mfns)) }},
 		{"pledge twice", func(tw twin) error { return tw.m.pledgePTEs(ptesOf(tw.mfns)) }},
-		{"adopt", func(tw twin) error { return tw.m.adoptPledged(2, ptesOf(tw.mfns), tw.meter) }},
+		{"adopt", func(tw twin) error { return tw.m.adoptPledged(obs.Ctx(tw.meter), 2, ptesOf(tw.mfns)) }},
 		{"cancel", func(tw twin) error { return tw.m.cancelPledged(ptesOf(tw.mfns)) }},
 		{"pledge owned", func(tw twin) error {
 			if err := tw.m.pledgePTEs(ptesOf(tw.kept)); err != nil {
@@ -265,7 +265,7 @@ func TestFragmentedLayoutEquivalence(t *testing.T) {
 			}
 			return tw.m.pledgePTEs(ptesOf(tw.left))
 		}},
-		{"adopt owned", func(tw twin) error { return tw.m.adoptPledged(2, ptesOf(tw.kept), tw.meter) }},
+		{"adopt owned", func(tw twin) error { return tw.m.adoptPledged(obs.Ctx(tw.meter), 2, ptesOf(tw.kept)) }},
 		{"owner releases, leaving zombies", func(tw twin) error {
 			if err := tw.m.releasePTEs(1, ptesOf(tw.kept)); err != nil {
 				return err
@@ -275,7 +275,7 @@ func TestFragmentedLayoutEquivalence(t *testing.T) {
 		{"cancel the zombies", func(tw twin) error { return tw.m.cancelPledged(ptesOf(tw.left)) }},
 		{"adopter releases", func(tw twin) error { return tw.m.ReleaseN(2, tw.kept) }},
 		{"releasePTEs", func(tw twin) error { return tw.m.releasePTEs(2, ptesOf(tw.mfns)) }},
-		{"ShareN by a sharer", func(tw twin) error { return tw.m.ShareN(2, tw.mfns, 3, tw.meter) }},
+		{"ShareN by a sharer", func(tw twin) error { return tw.m.ShareN(obs.Ctx(tw.meter), 2, tw.mfns, 3) }},
 	}
 	// share 2, share by a sharer +1, ShareN +2, adopt +1, releasePTEs -1,
 	// ShareN by a sharer +2: seven sharers are left to drop.
@@ -326,7 +326,7 @@ func TestFragmentedErrorPaths(t *testing.T) {
 	m := New(65536 * PageSize)
 	// Dom 1 fills the first chunk and takes 100 frames of the next one, whose
 	// remaining frames stay above the watermark: never allocated.
-	owned, err := m.AllocN(1, stride+100, nil)
+	owned, err := m.AllocN(obs.OpCtx{}, 1, stride+100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +341,7 @@ func TestFragmentedErrorPaths(t *testing.T) {
 	spare := full[stride-99] // dom 1's, between two good frames, never shared or pledged
 	outOfRange := MFN(m.TotalFrames() + 7)
 	pastWatermark := partial[0] + 500
-	foreigns, err := m.AllocN(9, 1, nil)
+	foreigns, err := m.AllocN(obs.OpCtx{}, 9, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,15 +379,15 @@ func TestFragmentedErrorPaths(t *testing.T) {
 		{"foreign owner", foreign, ErrNotOwner},
 	} {
 		in := with(good, 90, tc.extra)
-		untouched("ShareN/"+tc.name, tc.want, func() error { return m.ShareN(1, in, 2, nil) })
+		untouched("ShareN/"+tc.name, tc.want, func() error { return m.ShareN(obs.OpCtx{}, 1, in, 2) })
 		untouched("sharePTEs/"+tc.name, tc.want, func() error {
-			_, err := m.sharePTEs(1, ptesOf(in), 2, nil)
+			_, err := m.sharePTEs(obs.OpCtx{}, 1, ptesOf(in), 2)
 			return err
 		})
 	}
 	in := with(good, 90, outOfRange)
 	untouched("pledgePTEs/out of range", ErrBadFrame, func() error { return m.pledgePTEs(ptesOf(in)) })
-	untouched("adoptPledged/out of range", ErrBadFrame, func() error { return m.adoptPledged(2, ptesOf(in), nil) })
+	untouched("adoptPledged/out of range", ErrBadFrame, func() error { return m.adoptPledged(obs.OpCtx{}, 2, ptesOf(in)) })
 	in = with(good, 90, pastWatermark)
 	untouched("pledgePTEs/past watermark", ErrDoubleFree, func() error { return m.pledgePTEs(ptesOf(in)) })
 
@@ -397,7 +397,7 @@ func TestFragmentedErrorPaths(t *testing.T) {
 	// stay its own. A dom_cow frame with one sharer and an owned frame
 	// look alike once both are bumped, which is why the walk moves no
 	// owner until every entry has passed.
-	if err := m.ShareN(1, good, 1, nil); err != nil {
+	if err := m.ShareN(obs.OpCtx{}, 1, good, 1); err != nil {
 		t.Fatal(err)
 	}
 	// zombie is a dom_cow frame only a pledge keeps: no sharer at all.
@@ -421,9 +421,9 @@ func TestFragmentedErrorPaths(t *testing.T) {
 		{"foreign outranked by a later out-of-range", []MFN{spare, zombie, foreign, good[1], outOfRange}, ErrBadFrame},
 	} {
 		for _, refs := range []int{1, 2, 3} {
-			untouched(fmt.Sprintf("ShareN/%s/refs=%d", tc.name, refs), tc.want, func() error { return m.ShareN(1, tc.in, refs, nil) })
+			untouched(fmt.Sprintf("ShareN/%s/refs=%d", tc.name, refs), tc.want, func() error { return m.ShareN(obs.OpCtx{}, 1, tc.in, refs) })
 			untouched(fmt.Sprintf("sharePTEs/%s/refs=%d", tc.name, refs), tc.want, func() error {
-				_, err := m.sharePTEs(1, ptesOf(tc.in), refs, nil)
+				_, err := m.sharePTEs(obs.OpCtx{}, 1, ptesOf(tc.in), refs)
 				return err
 			})
 		}
@@ -438,7 +438,7 @@ func TestFragmentedErrorPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	in = with(good, 70, spare)
-	untouched("adoptPledged/not pledged", ErrNotPledged, func() error { return m.adoptPledged(2, ptesOf(in), nil) })
+	untouched("adoptPledged/not pledged", ErrNotPledged, func() error { return m.adoptPledged(obs.OpCtx{}, 2, ptesOf(in)) })
 
 	// cancelPledged skips and records: the out-of-range entry outranks the
 	// unpledged frame, and every good frame still loses its pledge.
@@ -489,7 +489,7 @@ func TestFragmentedCloneReleaseStress(t *testing.T) {
 	}
 	parents := make([]*Space, 2)
 	for i := range parents {
-		p, err := NewSpace(m, DomID(1+i), pages, nil)
+		p, err := NewSpace(obs.OpCtx{}, m, DomID(1+i), pages)
 		if err != nil {
 			t.Fatal(err)
 		}

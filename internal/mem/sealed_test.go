@@ -94,7 +94,7 @@ func TestSnapshotIsolatedFromWrites(t *testing.T) {
 	}
 	mfn2, _ := s.MFNOf(2)
 	mfn3, _ := s.MFNOf(3)
-	if err := m.CopyFrameN([]MFN{mfn2}, []MFN{mfn3}, nil); err != nil {
+	if err := m.CopyFrameN(obs.OpCtx{}, []MFN{mfn2}, []MFN{mfn3}); err != nil {
 		t.Fatal(err)
 	}
 	for pfn := 0; pfn < 4; pfn++ {
@@ -124,7 +124,7 @@ func TestWritePageInstallsByReference(t *testing.T) {
 	s := newTestSpace(t, m, 1, 4)
 	page := fullPage(0x55)
 	for pfn := PFN(0); pfn < 2; pfn++ {
-		if err := s.WritePage(pfn, page, nil); err != nil {
+		if err := s.WritePage(obs.OpCtx{}, pfn, page); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -152,13 +152,13 @@ func TestWritePageInstallsByReference(t *testing.T) {
 
 	// A page of any other length cannot stand for a frame: it is refused,
 	// and the frame keeps what it held.
-	if err := s.WritePage(2, []byte("short page"), nil); !errors.Is(err, ErrBadOffset) {
+	if err := s.WritePage(obs.OpCtx{}, 2, []byte("short page")); !errors.Is(err, ErrBadOffset) {
 		t.Fatalf("short page: %v, want ErrBadOffset", err)
 	}
 	if got := readPage(t, s, 2); !bytes.Equal(got, make([]byte, PageSize)) {
 		t.Fatal("a refused short page changed the frame")
 	}
-	if err := s.WritePage(3, make([]byte, PageSize+1), nil); !errors.Is(err, ErrBadOffset) {
+	if err := s.WritePage(obs.OpCtx{}, 3, make([]byte, PageSize+1)); !errors.Is(err, ErrBadOffset) {
 		t.Fatalf("oversized page: %v, want ErrBadOffset", err)
 	}
 	audit(t, m)
@@ -173,7 +173,7 @@ func TestWritePageInstallsByReference(t *testing.T) {
 // a private copy, leaving the held page and its neighbours as they were.
 func TestSealedPageIdentityAtPoolBoundary(t *testing.T) {
 	m := newTestMem(16)
-	mfns, err := m.AllocN(1, 2, nil)
+	mfns, err := m.AllocN(obs.OpCtx{}, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +329,7 @@ func TestSnapshotRacesGuestWriter(t *testing.T) {
 func TestRecycledPageIsCleared(t *testing.T) {
 	const n = 64
 	m := newTestMem(4 * n)
-	mfns, err := m.AllocN(1, n, nil)
+	mfns, err := m.AllocN(obs.OpCtx{}, 1, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +341,7 @@ func TestRecycledPageIsCleared(t *testing.T) {
 	if err := m.ReleaseN(1, mfns); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := m.AllocN(2, n, nil)
+	fresh, err := m.AllocN(obs.OpCtx{}, 2, n)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,7 +118,7 @@ type runsRig struct {
 func newRunsRig(tb testing.TB, frames, pages int) *runsRig {
 	tb.Helper()
 	r := &runsRig{tb: tb, m: newTestMem(frames)}
-	sp, err := NewSpace(r.m, 1, pages, nil)
+	sp, err := NewSpace(obs.OpCtx{}, r.m, 1, pages)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func (r *runsRig) write(sp *Space, pfn int, how int, b byte) {
 // chunk makes an n-frame cache run, the frames whose bit is set in written
 // holding a page, and transfers it to dom_cow under the cache's reference.
 func (r *runsRig) chunk(n int, written uint8) []MFN {
-	mfns, err := r.m.AllocN(DomIDCache, n, nil)
+	mfns, err := r.m.AllocN(obs.OpCtx{}, DomIDCache, n)
 	if err != nil {
 		r.tb.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func (r *runsRig) chunk(n int, written uint8) []MFN {
 			}
 		}
 	}
-	if err := r.m.ShareN(DomIDCache, mfns, 1, nil); err != nil {
+	if err := r.m.ShareN(obs.OpCtx{}, DomIDCache, mfns, 1); err != nil {
 		r.tb.Fatal(err)
 	}
 	r.chunks = append(r.chunks, mfns)
@@ -352,7 +352,7 @@ func FuzzSnapshotRuns(f *testing.F) {
 					}
 				}
 			case 7:
-				cur.TouchCOW(PFN(int(b)%pages), nil)
+				cur.TouchCOW(obs.OpCtx{}, PFN(int(b)%pages))
 			case 8:
 				cur = r.spaces[int(a)%len(r.spaces)]
 			}

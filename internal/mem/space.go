@@ -233,9 +233,9 @@ func P2MFrameCount(n int) int {
 // NewSpace creates an address space for dom with capacity pages guest
 // frames, allocating and populating all of them (unikernels map their whole
 // memory at boot), plus the page-table and p2m frames.
-func NewSpace(m *Memory, dom DomID, pages int, meter *vclock.Meter) (*Space, error) {
+func NewSpace(ctx obs.OpCtx, m *Memory, dom DomID, pages int) (*Space, error) {
 	s := &Space{mem: m, dom: dom, npages: pages, ptes: getPTEs(pages)}
-	if err := allocInto(m, dom, s.ptes, meter); err != nil {
+	if err := allocInto(ctx, m, dom, s.ptes); err != nil {
 		putPTEs(s.ptes)
 		return nil, err
 	}
@@ -243,11 +243,11 @@ func NewSpace(m *Memory, dom DomID, pages int, meter *vclock.Meter) (*Space, err
 		s.ptes[i] = makePTE(p.mfn(), ptePresent|pteWritable, KindRegular)
 	}
 	var err error
-	if s.ptFrames, err = m.AllocN(dom, PTFrameCount(pages), meter); err != nil {
+	if s.ptFrames, err = m.AllocN(ctx, dom, PTFrameCount(pages)); err != nil {
 		s.Release()
 		return nil, err
 	}
-	if s.p2mFrames, err = m.AllocN(dom, P2MFrameCount(pages), meter); err != nil {
+	if s.p2mFrames, err = m.AllocN(ctx, dom, P2MFrameCount(pages)); err != nil {
 		s.Release()
 		return nil, err
 	}
@@ -378,8 +378,8 @@ func (s *Space) WriteOp(ctx obs.OpCtx, pfn PFN, off int, buf []byte) error {
 // (Memory.WritePage: the caller keeps the slice and nobody writes through
 // it again), after the same fault handling as Write. It is how an image's
 // or a cache chunk's pages reach a restored domain without a copy.
-func (s *Space) WritePage(pfn PFN, page []byte, meter *vclock.Meter) error {
-	mfn, err := s.writableMFN(obs.Ctx(meter), pfn)
+func (s *Space) WritePage(ctx obs.OpCtx, pfn PFN, page []byte) error {
+	mfn, err := s.writableMFN(ctx, pfn)
 	if err != nil {
 		return err
 	}
@@ -399,7 +399,7 @@ func (s *Space) writableMFN(ctx obs.OpCtx, pfn PFN) (MFN, error) {
 		}
 	}
 	if p.cow() {
-		if err := s.breakCOW(pfn, p, ctx.Meter()); err != nil {
+		if err := s.breakCOW(ctx, pfn, p); err != nil {
 			return 0, err
 		}
 	} else if !p.writable() {
@@ -412,26 +412,26 @@ func (s *Space) writableMFN(ctx obs.OpCtx, pfn PFN) (MFN, error) {
 // what the clone_cow CLONEOP subcommand does for the fuzzer's breakpoint
 // pages (§7.2). On a lazy entry it materializes the page first (the
 // unmapped-fault path), then breaks the COW protection as usual.
-func (s *Space) TouchCOW(pfn PFN, meter *vclock.Meter) error {
+func (s *Space) TouchCOW(ctx obs.OpCtx, pfn PFN) error {
 	p, err := s.pteAt(pfn)
 	if err != nil {
 		return err
 	}
 	if p.lazy() {
-		if err := s.demandFault(obs.Ctx(meter), pfn, p); err != nil {
+		if err := s.demandFault(ctx, pfn, p); err != nil {
 			return err
 		}
 	}
 	if !p.cow() {
 		return nil
 	}
-	return s.breakCOW(pfn, p, meter)
+	return s.breakCOW(ctx, pfn, p)
 }
 
 // breakCOW privatizes a COW-marked page: the write-fault dispatch all
 // write paths share.
-func (s *Space) breakCOW(pfn PFN, p *pte, meter *vclock.Meter) error {
-	newMFN, err := s.mem.resolveCOW(s.dom, p.mfn(), meter)
+func (s *Space) breakCOW(ctx obs.OpCtx, pfn PFN, p *pte) error {
+	newMFN, err := s.mem.resolveCOW(ctx, s.dom, p.mfn())
 	if err != nil {
 		return err
 	}
@@ -592,7 +592,7 @@ func (s *Space) CloneOpMode(ctx obs.OpCtx, childDom DomID, copyRing bool, mode C
 			// Genuinely shared, never COW: both sides keep writing
 			// to the same frame (§5.2.2). sharePTEs adds a reference
 			// to frames dom_cow already owns and transfers the rest.
-			if _, err := s.mem.sharePTEs(s.dom, ext, 2, meter); err != nil {
+			if _, err := s.mem.sharePTEs(ctx, s.dom, ext, 2); err != nil {
 				return fail(err)
 			}
 			st.SharedPages += n
@@ -628,7 +628,7 @@ func (s *Space) CloneOpMode(ctx obs.OpCtx, childDom DomID, copyRing bool, mode C
 			// clone made COW is one walk of sharer bumps, and a frame
 			// a lazy child's pledge left with the parent converts here
 			// unless a materialization converted it first.
-			if _, err := s.mem.sharePTEs(s.dom, ext, 2, meter); err != nil {
+			if _, err := s.mem.sharePTEs(ctx, s.dom, ext, 2); err != nil {
 				return fail(err)
 			}
 			if p.writable() && !p.cow() {
@@ -640,19 +640,19 @@ func (s *Space) CloneOpMode(ctx obs.OpCtx, childDom DomID, copyRing bool, mode C
 		case KindConsole, KindXenstore:
 			// Fresh zeroed frames: the child console/xenstore rings
 			// start empty.
-			mfns, err := s.mem.AllocN(childDom, n, meter)
+			mfns, err := s.mem.AllocN(ctx, childDom, n)
 			if err != nil {
 				return fail(err)
 			}
 			fixups = append(fixups, fixup{lo: lo, hi: hi, mfns: mfns})
 			st.PrivateFresh += n
 		case KindIORing:
-			mfns, err := s.mem.AllocN(childDom, n, meter)
+			mfns, err := s.mem.AllocN(ctx, childDom, n)
 			if err != nil {
 				return fail(err)
 			}
 			if copyRing {
-				if err := s.mem.copyFramePTEs(mfns, ext, meter); err != nil {
+				if err := s.mem.copyFramePTEs(ctx, mfns, ext); err != nil {
 					s.mem.ReleaseN(childDom, mfns)
 					return fail(err)
 				}
@@ -662,11 +662,11 @@ func (s *Space) CloneOpMode(ctx obs.OpCtx, childDom DomID, copyRing bool, mode C
 			}
 			fixups = append(fixups, fixup{lo: lo, hi: hi, mfns: mfns})
 		default: // KindPageTable, KindStartInfo, KindP2M: copy + rewrite
-			mfns, err := s.mem.AllocN(childDom, n, meter)
+			mfns, err := s.mem.AllocN(ctx, childDom, n)
 			if err != nil {
 				return fail(err)
 			}
-			if err := s.mem.copyFramePTEs(mfns, ext, meter); err != nil {
+			if err := s.mem.copyFramePTEs(ctx, mfns, ext); err != nil {
 				s.mem.ReleaseN(childDom, mfns)
 				return fail(err)
 			}
@@ -725,12 +725,12 @@ func (s *Space) CloneOpMode(ctx obs.OpCtx, childDom DomID, copyRing bool, mode C
 	// mapping is written once into the new page table and once into the
 	// new p2m.
 	var err error
-	child.ptFrames, err = s.mem.AllocN(childDom, PTFrameCount(len(s.ptes)), meter)
+	child.ptFrames, err = s.mem.AllocN(ctx, childDom, PTFrameCount(len(s.ptes)))
 	if err != nil {
 		child.Release()
 		return nil, st, err
 	}
-	child.p2mFrames, err = s.mem.AllocN(childDom, P2MFrameCount(len(s.ptes)), meter)
+	child.p2mFrames, err = s.mem.AllocN(ctx, childDom, P2MFrameCount(len(s.ptes)))
 	if err != nil {
 		child.Release()
 		return nil, st, err
@@ -768,7 +768,6 @@ func (s *Space) ResetOp(ctx obs.OpCtx, parent *Space) (int, error) {
 	if err := s.Drain(ctx); err != nil {
 		return 0, err
 	}
-	meter := ctx.Meter()
 	if s.retired {
 		return 0, ErrSpaceRetired
 	}
@@ -795,7 +794,7 @@ func (s *Space) ResetOp(ctx obs.OpCtx, parent *Space) (int, error) {
 			continue
 		}
 		cp, pp := &s.ptes[pfn], &parent.ptes[pfn]
-		transferred, err := share(m, parent.dom, parent.ptes[pfn:pfn+1], pteMFNMask, 2, meter)
+		transferred, err := share(ctx, m, parent.dom, parent.ptes[pfn:pfn+1], pteMFNMask, 2)
 		if err != nil {
 			return restored, err
 		}

@@ -12,7 +12,7 @@ import (
 // enough for several clones.
 func newTestSpace(t *testing.T, m *Memory, dom DomID, pages int) *Space {
 	t.Helper()
-	s, err := NewSpace(m, dom, pages, vclock.NewMeter(nil))
+	s, err := NewSpace(obs.Ctx(vclock.NewMeter(nil)), m, dom, pages)
 	if err != nil {
 		t.Fatalf("NewSpace: %v", err)
 	}
@@ -251,7 +251,7 @@ func TestTouchCOW(t *testing.T) {
 		t.Fatal(err)
 	}
 	before, _ := child.MFNOf(0)
-	if err := child.TouchCOW(0, nil); err != nil {
+	if err := child.TouchCOW(obs.OpCtx{}, 0); err != nil {
 		t.Fatal(err)
 	}
 	after, _ := child.MFNOf(0)
@@ -262,7 +262,7 @@ func TestTouchCOW(t *testing.T) {
 		t.Fatal("page still COW after TouchCOW")
 	}
 	// Idempotent on private pages.
-	if err := child.TouchCOW(0, nil); err != nil {
+	if err := child.TouchCOW(obs.OpCtx{}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := child.MFNOf(0); got != after {
@@ -327,7 +327,7 @@ func TestClonePartialFailureLeaksNothing(t *testing.T) {
 	// A clone that runs out of machine memory mid-way must release every
 	// frame the partial child accumulated (shared references included).
 	m := newTestMem(56)
-	s, err := NewSpace(m, 1, 32, nil)
+	s, err := NewSpace(obs.OpCtx{}, m, 1, 32)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"nephele/internal/obs"
 	"nephele/internal/vclock"
 )
 
@@ -267,10 +268,10 @@ func noCount(err error) (int, error) { return -1, err }
 
 var batchOps = []batchOp{
 	{"ShareN", false, func(m *Memory, dom DomID, mfns []MFN, _ []pte, refs int, meter *vclock.Meter) (int, error) {
-		return noCount(m.ShareN(dom, mfns, refs, meter))
+		return noCount(m.ShareN(obs.Ctx(meter), dom, mfns, refs))
 	}, (*refPool).share},
 	{"sharePTEs", true, func(m *Memory, dom DomID, _ []MFN, ptes []pte, refs int, meter *vclock.Meter) (int, error) {
-		return m.sharePTEs(dom, ptes, refs, meter)
+		return m.sharePTEs(obs.Ctx(meter), dom, ptes, refs)
 	}, (*refPool).share},
 	{"ReleaseN", false, func(m *Memory, dom DomID, mfns []MFN, _ []pte, _ int, _ *vclock.Meter) (int, error) {
 		return 0, m.ReleaseN(dom, mfns)
@@ -285,7 +286,7 @@ var batchOps = []batchOp{
 		return 0, m.cancelPledged(ptes)
 	}, func(r *refPool, _ DomID, mfns []MFN, _ int) (int, error) { return 0, r.cancel(mfns) }},
 	{"adoptPledged", true, func(m *Memory, dom DomID, _ []MFN, ptes []pte, _ int, meter *vclock.Meter) (int, error) {
-		return noCount(m.adoptPledged(dom, ptes, meter))
+		return noCount(m.adoptPledged(obs.Ctx(meter), dom, ptes))
 	}, func(r *refPool, _ DomID, mfns []MFN, _ int) (int, error) { return r.adopt(mfns) }},
 }
 
@@ -369,7 +370,7 @@ func TestReleaseOfZombieRefused(t *testing.T) {
 	})
 
 	m := New(4 * PageSize)
-	mfns, err := m.AllocN(1, 1, nil)
+	mfns, err := m.AllocN(obs.OpCtx{}, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +425,7 @@ func checkBatchedOps(t testing.TB, data []byte) {
 		dom DomID
 		n   int
 	}{{1, fuzzLow}, {9, fuzzEdge - fuzzLow}, {1, fuzzOwned - fuzzEdge}, {2, fuzzForeign}} {
-		mfns, err := m.AllocN(a.dom, a.n, nil)
+		mfns, err := m.AllocN(obs.OpCtx{}, a.dom, a.n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -451,7 +452,7 @@ func checkBatchedOps(t testing.TB, data []byte) {
 		}
 		if int(code)%(len(batchOps)+1) == len(batchOps) {
 			// Hand out a few more frames, recycled ones first.
-			got, err := m.AllocN(dom, n, nil)
+			got, err := m.AllocN(obs.OpCtx{}, dom, n)
 			if err != nil {
 				if !errors.Is(err, ErrOutOfMemory) {
 					t.Fatal(err)

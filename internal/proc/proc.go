@@ -14,7 +14,6 @@ import (
 	"nephele/internal/gmem"
 	"nephele/internal/mem"
 	"nephele/internal/obs"
-	"nephele/internal/vclock"
 )
 
 // PID identifies a process.
@@ -65,11 +64,12 @@ type Process struct {
 
 // Spawn creates a fresh process with pages of resident memory (execve of a
 // new program; charged as exec).
-func (m *Machine) Spawn(pages int, meter *vclock.Meter) (*Process, error) {
+func (m *Machine) Spawn(ctx obs.OpCtx, pages int) (*Process, error) {
+	meter := ctx.Meter()
 	pid := m.nextPID
 	m.nextPID++
 
-	space, err := mem.NewSpace(m.Mem, mem.DomID(pid), pages, nil)
+	space, err := mem.NewSpace(ctx.WithMeter(nil), m.Mem, mem.DomID(pid), pages)
 	if err != nil {
 		return nil, err
 	}
@@ -118,8 +118,8 @@ func (p *Process) ReadAt(addr gmem.GAddr, buf []byte) error {
 }
 
 // WriteAt implements gmem.MemIO.
-func (p *Process) WriteAt(addr gmem.GAddr, buf []byte, meter *vclock.Meter) error {
-	return gmem.WriteGuest(p.space, addr, buf, meter)
+func (p *Process) WriteAt(ctx obs.OpCtx, addr gmem.GAddr, buf []byte) error {
+	return gmem.WriteGuest(ctx, p.space, addr, buf)
 }
 
 var _ gmem.MemIO = (*Process)(nil)
@@ -128,7 +128,8 @@ var _ gmem.MemIO = (*Process)(nil)
 // ON-DEMAND-FORK's finding (and the paper's Fig. 6): fork duration is
 // dominated by page-table copying; the first fork additionally
 // write-protects every mapping.
-func (p *Process) Fork(meter *vclock.Meter) (*Process, error) {
+func (p *Process) Fork(ctx obs.OpCtx) (*Process, error) {
+	meter := ctx.Meter()
 	if p.dead {
 		return nil, ErrDead
 	}
@@ -142,7 +143,7 @@ func (p *Process) Fork(meter *vclock.Meter) (*Process, error) {
 	// Real COW cloning through the shared memory substrate, but charged
 	// with Linux costs (no ownership-transfer fee): pass a meterless
 	// context and account explicitly from the returned stats.
-	cspace, st, err := p.space.CloneOp(obs.OpCtx{}, mem.DomID(pid), true)
+	cspace, st, err := p.space.CloneOp(ctx.WithMeter(nil), mem.DomID(pid), true)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nephele/internal/gmem"
+	"nephele/internal/obs"
 	"nephele/internal/vclock"
 )
 
@@ -16,7 +17,7 @@ func newMachine(t *testing.T) *Machine {
 func TestSpawnAndExit(t *testing.T) {
 	m := newMachine(t)
 	free0 := m.Mem.FreeFrames()
-	p, err := m.Spawn(256, vclock.NewMeter(nil))
+	p, err := m.Spawn(obs.Ctx(vclock.NewMeter(nil)), 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,12 +43,12 @@ func TestSpawnAndExit(t *testing.T) {
 
 func TestProcessMemIO(t *testing.T) {
 	m := newMachine(t)
-	p, _ := m.Spawn(64, nil)
+	p, _ := m.Spawn(obs.OpCtx{}, 64)
 	addr, err := p.Alloc(100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.WriteAt(addr, []byte("process data"), nil); err != nil {
+	if err := p.WriteAt(obs.OpCtx{}, addr, []byte("process data")); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 12)
@@ -62,11 +63,11 @@ func TestProcessMemIO(t *testing.T) {
 
 func TestForkCOWIsolation(t *testing.T) {
 	m := newMachine(t)
-	p, _ := m.Spawn(64, nil)
+	p, _ := m.Spawn(obs.OpCtx{}, 64)
 	addr, _ := p.Alloc(32)
-	p.WriteAt(addr, []byte("original"), nil)
+	p.WriteAt(obs.OpCtx{}, addr, []byte("original"))
 
-	c, err := p.Fork(nil)
+	c, err := p.Fork(obs.OpCtx{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestForkCOWIsolation(t *testing.T) {
 	if string(buf) != "original" {
 		t.Fatalf("child read %q", buf)
 	}
-	c.WriteAt(addr, []byte("childnew"), nil)
+	c.WriteAt(obs.OpCtx{}, addr, []byte("childnew"))
 	p.ReadAt(addr, buf)
 	if string(buf) != "original" {
 		t.Fatalf("parent sees child write: %q", buf)
@@ -92,14 +93,14 @@ func TestFirstForkCostsMoreThanSecond(t *testing.T) {
 	// Fig. 6: the first fork write-protects the whole address space, so
 	// it costs more than the second.
 	m := NewMachine(8 << 30)
-	p, _ := m.Spawn(1024*256, nil) // 1 GiB resident
+	p, _ := m.Spawn(obs.OpCtx{}, 1024*256) // 1 GiB resident
 	m1 := vclock.NewMeter(nil)
-	c1, err := p.Fork(m1)
+	c1, err := p.Fork(obs.Ctx(m1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	m2 := vclock.NewMeter(nil)
-	c2, err := p.Fork(m2)
+	c2, err := p.Fork(obs.Ctx(m2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,14 +119,14 @@ func TestFirstForkCostsMoreThanSecond(t *testing.T) {
 func TestForkDurationScalesWithMemory(t *testing.T) {
 	// Fig. 6's x-axis: fork duration grows with resident memory.
 	m := NewMachine(8 << 30)
-	small, _ := m.Spawn(256, nil)    // 1 MiB
-	big, _ := m.Spawn(256*1024, nil) // 1 GiB
-	small.Fork(nil)                  // retire first-fork premium
-	big.Fork(nil)
+	small, _ := m.Spawn(obs.OpCtx{}, 256)    // 1 MiB
+	big, _ := m.Spawn(obs.OpCtx{}, 256*1024) // 1 GiB
+	small.Fork(obs.OpCtx{})                  // retire first-fork premium
+	big.Fork(obs.OpCtx{})
 	ms := vclock.NewMeter(nil)
-	small.Fork(ms)
+	small.Fork(obs.Ctx(ms))
 	mb := vclock.NewMeter(nil)
-	big.Fork(mb)
+	big.Fork(obs.Ctx(mb))
 	if mb.Elapsed() < 100*ms.Elapsed() {
 		t.Fatalf("1 GiB fork (%v) not ~1000x the 1 MiB fork (%v)", mb.Elapsed(), ms.Elapsed())
 	}
@@ -135,18 +136,18 @@ func TestForkSnapshotSemanticsWithHashMap(t *testing.T) {
 	// The same page-backed map used by guests works on processes — and
 	// gives fork snapshots (the Redis baseline of Fig. 8).
 	m := newMachine(t)
-	p, _ := m.Spawn(1024, nil)
+	p, _ := m.Spawn(obs.OpCtx{}, 1024)
 	db, err := gmem.NewHashMap(p, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.Put("k1", []byte("v1"), nil)
-	c, err := p.Fork(nil)
+	db.Put(obs.OpCtx{}, "k1", []byte("v1"))
+	c, err := p.Fork(obs.OpCtx{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cdb := db.CloneFor(c)
-	db.Put("k1", []byte("MUTATED"), nil)
+	db.Put(obs.OpCtx{}, "k1", []byte("MUTATED"))
 	got, err := cdb.Get("k1")
 	if err != nil {
 		t.Fatal(err)
@@ -158,9 +159,9 @@ func TestForkSnapshotSemanticsWithHashMap(t *testing.T) {
 
 func TestForkDeadProcess(t *testing.T) {
 	m := newMachine(t)
-	p, _ := m.Spawn(16, nil)
+	p, _ := m.Spawn(obs.OpCtx{}, 16)
 	p.Exit()
-	if _, err := p.Fork(nil); !errors.Is(err, ErrDead) {
+	if _, err := p.Fork(obs.OpCtx{}); !errors.Is(err, ErrDead) {
 		t.Fatalf("fork of dead process: %v", err)
 	}
 	if _, err := p.Alloc(16); !errors.Is(err, ErrDead) {
@@ -172,10 +173,10 @@ func TestChildIsFreshForFirstFork(t *testing.T) {
 	// A forked child has never forked itself, so ITS first fork pays the
 	// write-protect premium again.
 	m := newMachine(t)
-	p, _ := m.Spawn(1024, nil)
-	c, _ := p.Fork(nil)
+	p, _ := m.Spawn(obs.OpCtx{}, 1024)
+	c, _ := p.Fork(obs.OpCtx{})
 	mc := vclock.NewMeter(nil)
-	if _, err := c.Fork(mc); err != nil {
+	if _, err := c.Fork(obs.Ctx(mc)); err != nil {
 		t.Fatal(err)
 	}
 	floor := mc.Costs().ProcPTEntryCopy*1024 + mc.Costs().ProcMarkCOWEntry*1024

@@ -193,6 +193,7 @@ func (st *ImageStore) noteInsertFailure() {
 // order, so the MFNs are what one call per run would hand out) and
 // transferred with one ShareN.
 func (st *ImageStore) Insert(img *Image, meter *vclock.Meter) error {
+	ctx := obs.Ctx(meter)
 	img.ensureHashed()
 	key := img.key
 	if ci, ok := st.images[key]; ok {
@@ -235,7 +236,7 @@ func (st *ImageStore) Insert(img *Image, meter *vclock.Meter) error {
 		}
 		return err
 	}
-	mfns, err := st.mem.AllocN(st.dom, frames, meter)
+	mfns, err := st.mem.AllocN(ctx, st.dom, frames)
 	if err != nil {
 		return rollback(fmt.Errorf("toolstack: image cache insert: %w", err))
 	}
@@ -266,7 +267,7 @@ func (st *ImageStore) Insert(img *Image, meter *vclock.Meter) error {
 	// Commit: transfer the fresh frames to dom_cow (the cache keeps one
 	// reference each), then publish. ShareN validates before mutating, so
 	// a failure here still rolls back to the pre-insert state.
-	if err := st.mem.ShareN(st.dom, mfns, 1, meter); err != nil {
+	if err := st.mem.ShareN(ctx, st.dom, mfns, 1); err != nil {
 		return rollback(fmt.Errorf("toolstack: image cache insert: %w", err))
 	}
 	for _, ch := range ci.chunks {

@@ -470,7 +470,7 @@ func TestCacheInsertOutOfFramesRollsBack(t *testing.T) {
 	c := &Image{Config: baseConfig("c"), npages: 1024, runs: []mem.SnapshotRun{
 		{Start: 0, Count: 4, Pages: run()}, {Start: 4, Count: 4}, {Start: 8, Count: 4, Pages: run()}, {Start: 12, Count: 1012},
 	}}
-	filler, err := m.AllocN(9, m.FreeFrames()-2, nil)
+	filler, err := m.AllocN(obs.OpCtx{}, 9, m.FreeFrames()-2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func (x *XL) RestoreCachedOp(ctx obs.OpCtx, store *ImageStore, img *Image, name 
 
 	ci := store.touch(key)
 	if ci == nil {
-		rec, err := x.Restore(img, name, ctx.Meter())
+		rec, err := x.restore(ctx, img, name)
 		if err != nil {
 			return nil, false, err
 		}
@@ -37,10 +37,9 @@ func (x *XL) RestoreCachedOp(ctx obs.OpCtx, store *ImageStore, img *Image, name 
 
 	rctx, rspan := ctx.StartSpan("restore-cached")
 	defer rspan.End()
-	meter := rctx.Meter()
 	cfg := img.Config
 	cfg.Name = name
-	rec, err := x.Create(cfg, meter)
+	rec, err := x.create(rctx, cfg)
 	if err != nil {
 		return nil, true, err
 	}
@@ -88,7 +87,7 @@ func (x *XL) RestoreCachedOp(ctx obs.OpCtx, store *ImageStore, img *Image, name 
 		}
 		for j := cut; j < n; j++ {
 			if data := pages[j]; data != nil {
-				if err := space.WritePage(pfn+mem.PFN(j), data, meter); err != nil {
+				if err := space.WritePage(rctx, pfn+mem.PFN(j), data); err != nil {
 					return err
 				}
 			}

@@ -6,6 +6,7 @@ import (
 
 	"nephele/internal/hv"
 	"nephele/internal/mem"
+	"nephele/internal/obs"
 	"nephele/internal/vclock"
 )
 
@@ -178,9 +179,15 @@ func (x *XL) Save(id hv.DomID, meter *vclock.Meter) (*Image, error) {
 // installed in the new domain by reference (Space.WritePage) and the copy
 // of the whole image memory is charged.
 func (x *XL) Restore(img *Image, name string, meter *vclock.Meter) (*Record, error) {
+	return x.restore(obs.Ctx(meter), img, name)
+}
+
+// restore is Restore on an operation context: a cache miss restores inside
+// its caller's span.
+func (x *XL) restore(ctx obs.OpCtx, img *Image, name string) (*Record, error) {
 	cfg := img.Config
 	cfg.Name = name
-	rec, err := x.Create(cfg, meter)
+	rec, err := x.create(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -198,7 +205,7 @@ func (x *XL) Restore(img *Image, name string, meter *vclock.Meter) (*Record, err
 			if data == nil {
 				continue
 			}
-			if err := space.WritePage(pfn+mem.PFN(j), data, nil); err != nil {
+			if err := space.WritePage(ctx.WithMeter(nil), pfn+mem.PFN(j), data); err != nil {
 				return fmt.Errorf("toolstack: restore pfn %d: %w", pfn+mem.PFN(j), err)
 			}
 		}
@@ -209,6 +216,7 @@ func (x *XL) Restore(img *Image, name string, meter *vclock.Meter) (*Record, err
 		return nil, err
 	}
 	// The entire allocated memory is charged, used or not (§6.1).
+	meter := ctx.Meter()
 	meter.Charge(meter.Costs().ImagePageRestore, img.npages)
 	return rec, nil
 }

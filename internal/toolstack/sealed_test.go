@@ -274,7 +274,7 @@ func TestHashInheritanceMatchesFreshHash(t *testing.T) {
 	n := sp.Pages() - 3
 	rng := rand.New(rand.NewSource(14))
 	inherited := 0
-	unwritten, err := r.hv.Memory.AllocN(sp.Dom(), 1, nil) // copying it makes a page unwritten again
+	unwritten, err := r.hv.Memory.AllocN(obs.OpCtx{}, sp.Dom(), 1) // copying it makes a page unwritten again
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestHashInheritanceMatchesFreshHash(t *testing.T) {
 			case 3:
 				var mfn mem.MFN
 				if mfn, err = sp.MFNOf(pfn); err == nil {
-					err = r.hv.Memory.CopyFrameN([]mem.MFN{mfn}, unwritten, nil) // reads as zeroes again: splits a run
+					err = r.hv.Memory.CopyFrameN(obs.OpCtx{}, []mem.MFN{mfn}, unwritten) // reads as zeroes again: splits a run
 				}
 			case 4:
 				err = sp.Write(mem.PFN(64+rng.Intn(n-64)), 0, []byte{byte(round + 1)}, nil)

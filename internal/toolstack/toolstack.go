@@ -159,6 +159,13 @@ func (x *XL) Record(id hv.DomID) (*Record, error) {
 // Xenbus negotiation, backend creation and the userspace device
 // finalization. Guest kernel boot time is charged by the guest runtime.
 func (x *XL) Create(cfg DomainConfig, meter *vclock.Meter) (*Record, error) {
+	return x.create(obs.Ctx(meter), cfg)
+}
+
+// create is Create on an operation context: a cached restore creates its
+// domain inside its own span.
+func (x *XL) create(ctx obs.OpCtx, cfg DomainConfig) (*Record, error) {
+	meter := ctx.Meter()
 	meter.Charge(meter.Costs().ToolstackBoot, 1)
 	if !x.SkipNameCheck {
 		// Vanilla xl iterates all running VM names.
@@ -168,7 +175,7 @@ func (x *XL) Create(cfg DomainConfig, meter *vclock.Meter) (*Record, error) {
 		return nil, fmt.Errorf("%w: %q", ErrNameTaken, cfg.Name)
 	}
 
-	dom, err := x.HV.DomainCreate(obs.Ctx(meter), cfg.Pages(), max1(cfg.VCPUs))
+	dom, err := x.HV.DomainCreate(ctx, cfg.Pages(), max1(cfg.VCPUs))
 	if err != nil {
 		return nil, err
 	}
@@ -176,17 +183,18 @@ func (x *XL) Create(cfg DomainConfig, meter *vclock.Meter) (*Record, error) {
 		err = x.HV.DomctlSetCloning(dom.ID, true, cfg.MaxClones)
 	}
 	if err == nil {
-		err = x.introduce(dom.ID, cfg.Name, meter)
+		err = x.introduce(ctx, dom.ID, cfg.Name)
 	}
 	if err == nil {
-		err = x.createDevices(dom.ID, cfg, meter)
+		err = x.createDevices(ctx, dom.ID, cfg)
 	}
 	if err != nil {
 		// Nothing is registered yet, so there is no record or name to
 		// drop: unwind the devices and entries built so far, uncharged.
-		x.Devices.Teardown(uint32(dom.ID), x.Net, nil)
-		x.Devices.RemoveEntries(x.Store, uint32(dom.ID), nil)
-		x.HV.DomainDestroy(obs.OpCtx{}, dom.ID)
+		unwind := ctx.WithMeter(nil)
+		x.Devices.Teardown(unwind, uint32(dom.ID), x.Net)
+		x.Devices.RemoveEntries(unwind, x.Store, uint32(dom.ID))
+		x.HV.DomainDestroy(unwind, dom.ID)
 		return nil, err
 	}
 
@@ -205,7 +213,8 @@ func max1(n int) int {
 }
 
 // introduce registers a new domain with xenstored.
-func (x *XL) introduce(id hv.DomID, name string, meter *vclock.Meter) error {
+func (x *XL) introduce(ctx obs.OpCtx, id hv.DomID, name string) error {
+	meter := ctx.Meter()
 	meter.Charge(meter.Costs().Introduce, 1)
 	dir, err := x.Store.Dir(devices.DomainPath(uint32(id)))
 	if err != nil {
@@ -227,10 +236,10 @@ func (x *XL) introduce(id hv.DomID, name string, meter *vclock.Meter) error {
 
 // createDevices registers every configured device and finishes its setup,
 // kind by kind in table order.
-func (x *XL) createDevices(id hv.DomID, cfg DomainConfig, meter *vclock.Meter) error {
+func (x *XL) createDevices(ctx obs.OpCtx, id hv.DomID, cfg DomainConfig) error {
 	dc := cfg.deviceConfig()
 	for k := range x.Devices {
-		if err := x.Devices[k].Create(x.Store, dc, uint32(id), x.Net, meter); err != nil {
+		if err := x.Devices[k].Create(ctx, x.Store, dc, uint32(id), x.Net); err != nil {
 			return err
 		}
 	}
@@ -242,9 +251,10 @@ func (x *XL) Destroy(id hv.DomID, meter *vclock.Meter) error {
 	if !x.ReleaseClone(id) {
 		return fmt.Errorf("%w: %d", ErrNoDomain, id)
 	}
-	x.Devices.Teardown(uint32(id), x.Net, meter)
+	ctx := obs.Ctx(meter)
+	x.Devices.Teardown(ctx, uint32(id), x.Net)
 	x.Store.Remove(devices.DomainPath(uint32(id)), meter)
-	return x.HV.DomainDestroy(obs.Ctx(meter), id)
+	return x.HV.DomainDestroy(ctx, id)
 }
 
 // AdoptClone registers a clone created by xencloned in the toolstack

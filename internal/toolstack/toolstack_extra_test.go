@@ -6,6 +6,7 @@ import (
 
 	"nephele/internal/devices"
 	"nephele/internal/fault"
+	"nephele/internal/obs"
 	"nephele/internal/vclock"
 )
 
@@ -29,7 +30,7 @@ func TestVbdCreateAndDestroy(t *testing.T) {
 	if _, err := r.xl.Backends.Vbd.Vbd(uint32(rec.ID), 0); err != nil {
 		t.Fatal("vbd not created on boot")
 	}
-	st, err := devices.DeviceState(r.store, uint32(rec.ID), "vbd", 0, nil)
+	st, err := devices.DeviceState(obs.OpCtx{}, r.store, uint32(rec.ID), "vbd", 0)
 	if err != nil || st != devices.StateConnected {
 		t.Fatalf("vbd state = %v, %v", st, err)
 	}

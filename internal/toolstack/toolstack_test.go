@@ -8,6 +8,7 @@ import (
 	"nephele/internal/devices"
 	"nephele/internal/hv"
 	"nephele/internal/netsim"
+	"nephele/internal/obs"
 	"nephele/internal/vclock"
 	"nephele/internal/xenstore"
 )
@@ -86,7 +87,7 @@ func TestCreateBootsDomainWithDevices(t *testing.T) {
 	if name, _ := r.store.Read(fmt.Sprintf("/local/domain/%d/name", rec.ID), nil); name != "udp-0" {
 		t.Fatalf("name entry = %q", name)
 	}
-	st, err := devices.DeviceState(r.store, uint32(rec.ID), "vif", 0, nil)
+	st, err := devices.DeviceState(obs.OpCtx{}, r.store, uint32(rec.ID), "vif", 0)
 	if err != nil || st != devices.StateConnected {
 		t.Fatalf("vif state = %v, %v", st, err)
 	}
