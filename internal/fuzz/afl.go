@@ -39,8 +39,16 @@ func (r *rng) intn(n int) int {
 // Mutator produces new inputs from corpus entries with AFL's classic
 // strategies: bit flips, byte flips, arithmetic, interesting values,
 // havoc splices.
+//
+// Mutate and Splice write their result into one buffer the Mutator keeps
+// and reuses, so a warm fuzzing loop allocates no input. The result is the
+// caller's to read until the next Mutate or Splice call on the same
+// Mutator, which overwrites it; a caller that keeps an input (the corpus)
+// copies it, and so does one that hands a result back to the same
+// Mutator. Neither call writes to its arguments.
 type Mutator struct {
-	r *rng
+	r   *rng
+	buf []byte
 }
 
 // NewMutator creates a deterministic mutator.
@@ -48,11 +56,12 @@ func NewMutator(seed uint32) *Mutator { return &Mutator{r: newRNG(seed)} }
 
 var interesting = []byte{0x00, 0x01, 0x7F, 0x80, 0xFF}
 
-// Mutate derives a new input from base (never mutating base in place).
+// Mutate derives a new input from base (never mutating base in place). The
+// result is valid until the next Mutate or Splice call.
 func (m *Mutator) Mutate(base []byte) []byte {
-	out := append([]byte(nil), base...)
+	out := append(m.buf[:0], base...)
 	if len(out) == 0 {
-		out = []byte{0}
+		out = append(out, 0)
 	}
 	switch m.r.intn(5) {
 	case 0: // single bit flip
@@ -68,25 +77,33 @@ func (m *Mutator) Mutate(base []byte) []byte {
 	default: // havoc: random insert or truncate
 		if m.r.intn(2) == 0 && len(out) < 4096 {
 			i := m.r.intn(len(out) + 1)
-			out = append(out[:i], append([]byte{byte(m.r.next())}, out[i:]...)...)
+			out = append(out, 0)
+			copy(out[i+1:], out[i:])
+			out[i] = byte(m.r.next())
 		} else if len(out) > 1 {
 			out = out[:1+m.r.intn(len(out)-1)]
 		}
 	}
+	m.buf = out
 	return out
 }
 
-// Splice combines two corpus entries (AFL's splice stage).
+// Splice combines two corpus entries (AFL's splice stage). The result is
+// valid until the next Mutate or Splice call.
 func (m *Mutator) Splice(a, b []byte) []byte {
-	if len(a) == 0 {
-		return append([]byte(nil), b...)
+	out := m.buf[:0]
+	switch {
+	case len(a) == 0:
+		out = append(out, b...)
+	case len(b) == 0:
+		out = append(out, a...)
+	default:
+		cut := 1 + m.r.intn(len(a))
+		out = append(out, a[:cut]...)
+		out = append(out, b[m.r.intn(len(b)):]...)
 	}
-	if len(b) == 0 {
-		return append([]byte(nil), a...)
-	}
-	cut := 1 + m.r.intn(len(a))
-	out := append([]byte(nil), a[:cut]...)
-	return append(out, b[m.r.intn(len(b)):]...)
+	m.buf = out
+	return out
 }
 
 // Coverage is an AFL-style edge bitmap.

@@ -89,9 +89,11 @@ type Session struct {
 	cloneVM  *guest.Kernel
 	tgtClone *SyscallTarget
 	// kernelStateAddr/kernelStackAddr are guest pages every iteration
-	// dirties (bookkeeping + stack).
+	// dirties (bookkeeping + stack); marks holds the byte it stores on
+	// each, so the writes hand the guest no fresh buffer.
 	kernelStateAddr gmem.GAddr
 	kernelStackAddr gmem.GAddr
+	marks           [2]byte
 
 	// Unikraft-boot state: the config to boot each iteration from.
 	bootCfg toolstack.DomainConfig
@@ -247,7 +249,7 @@ func (s *Session) Iterate(meter *vclock.Meter) (bool, error) {
 	}
 	s.iter++
 
-	var res *ExecResult
+	var res ExecResult
 	var err error
 	switch s.cfg.Mode {
 	case ModeUnikraftClone:
@@ -277,7 +279,9 @@ func (s *Session) Iterate(meter *vclock.Meter) (bool, error) {
 		return false, err
 	}
 	if res.NewEdges > 0 {
-		s.corpus.Add(CorpusEntry{Data: input, NewEdges: res.NewEdges})
+		// input is the mutator's buffer, which the next iteration
+		// overwrites: the corpus keeps a copy.
+		s.corpus.Add(CorpusEntry{Data: append([]byte(nil), input...), NewEdges: res.NewEdges})
 		return true, nil
 	}
 	return false, nil
@@ -285,26 +289,29 @@ func (s *Session) Iterate(meter *vclock.Meter) (bool, error) {
 
 // iterateClone runs the input on the instrumented clone, then restores the
 // clone's memory with clone_reset.
-func (s *Session) iterateClone(ctx obs.OpCtx, input []byte) (*ExecResult, error) {
+//
+//nephele:noalloc
+func (s *Session) iterateClone(ctx obs.OpCtx, input []byte) (ExecResult, error) {
 	meter := ctx.Meter()
 	// Any execution dirties the guest's stack and kernel bookkeeping
 	// pages, not just the target's explicit writes; together with the
 	// scratch writes this yields the ~3 dirty pages per iteration the
 	// paper reports for Unikraft.
-	if err := s.cloneVM.WriteAt(ctx, s.kernelStateAddr, []byte{byte(s.iter)}); err != nil {
-		return nil, err
+	s.marks = [2]byte{byte(s.iter), byte(s.iter >> 8)}
+	if err := s.cloneVM.WriteAt(ctx, s.kernelStateAddr, s.marks[:1]); err != nil {
+		return ExecResult{}, err
 	}
-	if err := s.cloneVM.WriteAt(ctx, s.kernelStackAddr, []byte{byte(s.iter >> 8)}); err != nil {
-		return nil, err
+	if err := s.cloneVM.WriteAt(ctx, s.kernelStackAddr, s.marks[1:]); err != nil {
+		return ExecResult{}, err
 	}
 	res, err := s.tgtClone.Execute(ctx, input, s.cov, true)
 	if err != nil {
-		return nil, err
+		return ExecResult{}, err
 	}
 	resetStart := meter.Elapsed()
 	restored, err := s.p.HV.CloneReset(ctx, s.cloneVM.Dom)
 	if err != nil {
-		return nil, err
+		return ExecResult{}, err
 	}
 	s.dirtySum += restored
 	s.resetSum += meter.Lap(resetStart)
@@ -313,30 +320,30 @@ func (s *Session) iterateClone(ctx obs.OpCtx, input []byte) (*ExecResult, error)
 
 // iterateBoot boots a fresh VM, runs the input, destroys the VM — the
 // no-cloning baseline averaging ~2 executions/second.
-func (s *Session) iterateBoot(ctx obs.OpCtx, input []byte) (*ExecResult, error) {
+func (s *Session) iterateBoot(ctx obs.OpCtx, input []byte) (ExecResult, error) {
 	meter := ctx.Meter()
 	cfg := s.bootCfg
 	cfg.Name = fmt.Sprintf("fuzz-iter-%d", s.iter)
 	rec, err := s.p.Boot(cfg, meter)
 	if err != nil {
-		return nil, err
+		return ExecResult{}, err
 	}
 	k, err := guest.Boot(s.p, rec, guest.FlavorUnikraft, meter)
 	if err != nil {
-		return nil, err
+		return ExecResult{}, err
 	}
 	tgt, err := NewSyscallTarget(k, supportedSyscalls())
 	if err != nil {
-		return nil, err
+		return ExecResult{}, err
 	}
 	tgt.GetppidOnly = s.cfg.GetppidOnly
 	meter.Add(costKFXAttach)
 	res, err := tgt.Execute(ctx, input, s.cov, true)
 	if err != nil {
-		return nil, err
+		return ExecResult{}, err
 	}
 	if err := s.p.Destroy(rec.ID, meter); err != nil {
-		return nil, err
+		return ExecResult{}, err
 	}
 	return res, nil
 }

@@ -28,6 +28,10 @@ type SyscallTarget struct {
 	supported [64]bool
 	// GetppidOnly restricts the run to the getppid baseline of Fig. 9.
 	GetppidOnly bool
+	// wbuf and rbuf are the bytes SysWrite stores and SysRead loads. The
+	// target owns them so that an execution hands the memory interface
+	// no fresh buffer.
+	wbuf, rbuf [2]byte
 }
 
 // Syscall numbers the adapter understands.
@@ -81,39 +85,30 @@ const maxSyscallsPerInput = 4
 
 // Execute runs one input, recording coverage and charging stepped or
 // native per-edge costs depending on instrumented.
-func (t *SyscallTarget) Execute(ctx obs.OpCtx, input []byte, cov *Coverage, instrumented bool) (*ExecResult, error) {
-	meter := ctx.Meter()
-	res := &ExecResult{}
-	if len(input) < 2*maxSyscallsPerInput {
-		padded := make([]byte, 2*maxSyscallsPerInput)
-		copy(padded, input)
-		input = padded
-	}
-	edgeCost := costEdgeNative
+//
+//nephele:noalloc
+func (t *SyscallTarget) Execute(ctx obs.OpCtx, input []byte, cov *Coverage, instrumented bool) (ExecResult, error) {
+	w := walk{cov: cov, meter: ctx.Meter(), edgeCost: costEdgeNative, pc: 0x1000}
 	if instrumented {
-		edgeCost = costEdgeStepped
+		w.edgeCost = costEdgeStepped
 	}
-	pc := uint32(0x1000)
-	step := func(to uint32) {
-		res.Edges++
-		if cov != nil && cov.Record(pc, to) {
-			res.NewEdges++
-		}
-		meter.Add(edgeCost)
-		pc = to
+	var padded [2 * maxSyscallsPerInput]byte
+	if len(input) < len(padded) {
+		copy(padded[:], input)
+		input = padded[:]
 	}
-	for i := 0; i+1 < len(input) && res.Syscalls < maxSyscallsPerInput; i += 2 {
+	for i := 0; i+1 < len(input) && w.res.Syscalls < maxSyscallsPerInput; i += 2 {
 		sys := int(input[i]) % len(t.supported)
 		arg := input[i+1]
 		if t.GetppidOnly {
 			sys = SysGetppid
 		}
-		meter.Add(costSyscallRun)
-		res.Syscalls++
-		step(0x2000 + uint32(sys)*16)
+		w.meter.Add(costSyscallRun)
+		w.res.Syscalls++
+		w.step(0x2000 + uint32(sys)*16)
 		if !t.supported[sys] {
-			meter.Add(costUnsupported)
-			step(0xE000) // ENOSYS path
+			w.meter.Add(costUnsupported)
+			w.step(0xE000) // ENOSYS path
 			continue
 		}
 		switch sys {
@@ -121,23 +116,44 @@ func (t *SyscallTarget) Execute(ctx obs.OpCtx, input []byte, cov *Coverage, inst
 			// Dirty a scratch page: this is what makes clone_reset
 			// restore ~3 pages per Unikraft iteration.
 			off := int(arg) % (t.scratchSz - 8)
-			if err := t.mem.WriteAt(ctx, t.scratch+gmem.GAddr(off), []byte{arg, arg ^ 0xFF}); err != nil {
-				return res, fmt.Errorf("fuzz: target write: %w", err)
+			t.wbuf = [2]byte{arg, arg ^ 0xFF}
+			if err := t.mem.WriteAt(ctx, t.scratch+gmem.GAddr(off), t.wbuf[:]); err != nil {
+				return w.res, fmt.Errorf("fuzz: target write: %w", err)
 			}
-			res.DirtyOps++
-			step(0x3000 + uint32(arg))
+			w.res.DirtyOps++
+			w.step(0x3000 + uint32(arg))
 		case SysRead:
-			buf := make([]byte, 2)
 			off := int(arg) % (t.scratchSz - 8)
-			if err := t.mem.ReadAt(t.scratch+gmem.GAddr(off), buf); err != nil {
-				return res, fmt.Errorf("fuzz: target read: %w", err)
+			if err := t.mem.ReadAt(t.scratch+gmem.GAddr(off), t.rbuf[:]); err != nil {
+				return w.res, fmt.Errorf("fuzz: target read: %w", err)
 			}
-			step(0x4000 + uint32(buf[0]))
+			w.step(0x4000 + uint32(t.rbuf[0]))
 		case SysBrk:
-			step(0x5000 + uint32(arg)&0xF0)
+			w.step(0x5000 + uint32(arg)&0xF0)
 		default: // getppid, getpid, nanosleep: pure paths
-			step(0x6000 + uint32(sys)*4 + uint32(arg)&3)
+			w.step(0x6000 + uint32(sys)*4 + uint32(arg)&3)
 		}
 	}
-	return res, nil
+	return w.res, nil
+}
+
+// walk is one execution's control-flow walk: the result so far, the
+// program counter and what each traversed edge costs.
+type walk struct {
+	res      ExecResult
+	cov      *Coverage
+	meter    *vclock.Meter
+	edgeCost vclock.Duration
+	pc       uint32
+}
+
+// step traverses the edge from the current pc to to: it counts the edge,
+// records it in the coverage map (if any), charges its cost and moves pc.
+func (w *walk) step(to uint32) {
+	w.res.Edges++
+	if w.cov != nil && w.cov.Record(w.pc, to) {
+		w.res.NewEdges++
+	}
+	w.meter.Add(w.edgeCost)
+	w.pc = to
 }

@@ -19,8 +19,8 @@ import (
 //   - free-frame: a free frame holds no page, no refcount and no pledges;
 //   - frame-state: an owned frame has one reference, and a dom_cow frame with
 //     none is a zombie, which only its pledges keep alive;
-//   - accounting: the free and shared counters, the recycle stack and the
-//     per-domain usage equal what the frames say.
+//   - accounting: the free and shared counters and the recycle stack equal
+//     what the frames say.
 //
 // Audit cannot see a leaked reference: a sharer reference or an owned frame
 // nobody will give back is a consistent state. Tests catch those by
@@ -37,8 +37,6 @@ func (m *Memory) Audit() error {
 	pages := make(map[*[PageSize]byte]holder)
 	namedBy := make([]MFN, m.pages.n+1) // slot -> 1 + the frame naming it
 	inUse, shared := 0, 0
-	used := make(map[DomID]int)
-	var owners []DomID // the keys of used, in the order the walk met them
 	for i := 0; i < m.watermark; i++ {
 		mfn := MFN(i)
 		f := m.frame(mfn)
@@ -59,10 +57,6 @@ func (m *Memory) Audit() error {
 			continue
 		}
 		inUse++
-		if used[f.owner] == 0 {
-			owners = append(owners, f.owner)
-		}
-		used[f.owner]++
 		switch {
 		case f.owner == DomIDCOW:
 			shared++
@@ -100,14 +94,6 @@ func (m *Memory) Audit() error {
 		if int(mfn) >= m.watermark || m.frame(mfn).inUse() {
 			log.add("accounting", "pool stacks frame %d, which it cannot hand out", mfn)
 		}
-	}
-	for _, d := range owners {
-		if got := m.usedByDom[d]; got != used[d] {
-			log.add("accounting", "pool charges domain %d with %d frames, its frames say %d", d, got, used[d])
-		}
-	}
-	if len(m.usedByDom) != len(owners) {
-		log.add("accounting", "pool charges %d domains, its frames name %d", len(m.usedByDom), len(owners))
 	}
 	return log.err()
 }

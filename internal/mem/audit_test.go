@@ -81,12 +81,6 @@ func TestAuditNamesEachViolation(t *testing.T) {
 		{"shared counter", "accounting", func(m *Memory, s *Space) {
 			m.shared--
 		}},
-		{"usage of a domain", "accounting", func(m *Memory, s *Space) {
-			m.usedByDom[1]++
-		}},
-		{"usage of a domain with no frames", "accounting", func(m *Memory, s *Space) {
-			m.usedByDom[77] = 1
-		}},
 		{"recycle stack", "accounting", func(m *Memory, s *Space) {
 			m.recycled.push(s.ptFrames[0])
 		}},

@@ -109,7 +109,6 @@ func (m *Memory) cancelPledged(ptes []pte) error {
 			m.resetFrame(f, mfn)
 		}
 	}
-	m.dropUsage(DomIDCOW, freed)
 	m.shared -= freed
 	m.free += freed
 	return skipErr(ptes, pteMFNMask, bad, failed, ErrNotPledged)

@@ -312,9 +312,8 @@ type Memory struct {
 
 	watermark int      // frames handed out from MFN 0
 	recycled  mfnStack // freed frames, reused LIFO
-	usedByDom map[DomID]int
-	free      int // frames not in use
-	shared    int // frames owned by dom_cow
+	free      int      // frames not in use
+	shared    int      // frames owned by dom_cow
 	// chunks is the frame table (see frameChunkShift). The outer slice is
 	// fixed by New; its elements grow with the watermark.
 	chunks [][]frame
@@ -334,10 +333,9 @@ type Memory struct {
 func New(totalBytes uint64) *Memory {
 	total := int(totalBytes / PageSize)
 	return &Memory{
-		total:     total,
-		usedByDom: make(map[DomID]int),
-		free:      total,
-		chunks:    make([][]frame, (total+frameChunkMask)>>frameChunkShift),
+		total:  total,
+		free:   total,
+		chunks: make([][]frame, (total+frameChunkMask)>>frameChunkShift),
 	}
 }
 
@@ -462,9 +460,19 @@ func (m *Memory) SharedFrames() int {
 }
 
 // UsedBy reports the number of frames currently owned by dom. Frames shared
-// through dom_cow are charged to DomIDCOW.
+// through dom_cow are charged to DomIDCOW. The pool keeps no per-domain
+// count: UsedBy walks the frame table, so it costs what Audit's walk does
+// and belongs with it in tests.
 func (m *Memory) UsedBy(dom DomID) int {
-	return m.usedByDom[dom]
+	n := 0
+	for _, ch := range m.chunks {
+		for i := range ch {
+			if ch[i].inUse() && ch[i].owner == dom {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // initFrame hands frame mfn out to dom; the table must already cover
@@ -477,20 +485,9 @@ func (m *Memory) initFrame(mfn MFN, dom DomID) {
 	f.word = f.slot() | frameInUse
 }
 
-// dropUsage decrements dom's usage count.
-func (m *Memory) dropUsage(dom DomID, n int) {
-	if n == 0 {
-		return
-	}
-	m.usedByDom[dom] -= n
-	if m.usedByDom[dom] == 0 {
-		delete(m.usedByDom, dom)
-	}
-}
-
 // resetFrame returns frame f, whose number is mfn, to the recycled
-// stack without touching the per-owner usage accounting (the caller batches
-// that).
+// stack without touching the free and shared counts (the caller batches
+// those).
 func (m *Memory) resetFrame(f *frame, mfn MFN) {
 	m.putPage(f)
 	f.word &^= frameInUse
@@ -552,7 +549,6 @@ func allocFrames[T MFN | pte](m *Memory, dom DomID, out []T) error {
 		}
 		m.watermark += run
 	}
-	m.usedByDom[dom] += len(out)
 	m.free -= len(out)
 	return nil
 }
@@ -619,8 +615,6 @@ func share[T frameList](ctx obs.OpCtx, m *Memory, dom DomID, in []T, mask T, ref
 	}
 	transfers := toCOW(m.chunks, in[:hi], mask)
 	if transfers > 0 {
-		m.dropUsage(dom, transfers)
-		m.usedByDom[DomIDCOW] += transfers //nephele:hotalloc-ok — one int-keyed entry, re-inserted only after the pool's last shared frame went
 		m.shared += transfers
 		meter := ctx.Meter()
 		meter.Charge(meter.Costs().PageShare, transfers)
@@ -762,12 +756,9 @@ func (m *Memory) resolveCOW(ctx obs.OpCtx, dom DomID, mfn MFN) (MFN, error) {
 }
 
 // reown moves frame f between a domain and dom_cow, whichever way to
-// says, with the usage and shared accounting; the sharer count is the
-// caller's business.
+// says, with the shared count; the sharer count is the caller's business.
 func (m *Memory) reown(f *frame, to DomID) {
-	m.dropUsage(f.owner, 1)
 	f.owner = to
-	m.usedByDom[to]++
 	if to == DomIDCOW {
 		m.shared++
 	} else {
@@ -858,11 +849,6 @@ func release[T frameList](m *Memory, dom DomID, in []T, mask, present T) error {
 				m.resetFrame(f, mfn)
 			}
 		}
-	}
-	m.dropUsage(dom, ownFreed+zombied)
-	m.dropUsage(DomIDCOW, cowFreed)
-	if zombied > 0 {
-		m.usedByDom[DomIDCOW] += zombied //nephele:hotalloc-ok — one int-keyed entry, re-inserted only after the pool's last shared frame went
 	}
 	m.shared += zombied - cowFreed
 	m.free += ownFreed + cowFreed

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"nephele/internal/obs"
@@ -24,9 +25,10 @@ func readTag(t *testing.T, s *Space, pfn PFN, n int) string {
 // forgot its work list when it failed: one of the two dirtied pages cannot be
 // restored (the parent's entry names a frame a third domain owns), so the
 // reset must restore nothing, leave the pool and both tables as they were,
-// and do the whole job once the entry is healed.
+// keep the dirty log's bits with its list, and do the whole job once the
+// entry is healed.
 func TestResetOpFailedKeepsDirtyList(t *testing.T) {
-	const parentDom, childDom, thirdDom = 1, 2, 99
+	const parentDom, childDom, thirdDom, grandDom = 1, 2, 99, 3
 	m := newTestMem(512)
 	parent := newTestSpace(t, m, parentDom, 32)
 	for _, pfn := range []PFN{10, 20} {
@@ -77,6 +79,25 @@ func TestResetOpFailedKeepsDirtyList(t *testing.T) {
 	}
 	if got := readTag(t, child, 10, 3); got != "C10" {
 		t.Fatalf("failed reset restored pfn 10: child reads %q", got)
+	}
+
+	// A clone of the child write-protects both logged pages anew, so the
+	// child faults on each again: the bits the failed reset kept must stop
+	// either from being logged twice.
+	grandchild, _, err := child.CloneOp(obs.OpCtx{}, grandDom, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pfn := range []PFN{10, 20} {
+		if err := child.Write(pfn, 0, []byte(fmt.Sprintf("D%d", pfn)), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := grandchild.Release(); err != nil {
+		t.Fatal(err)
+	}
+	if got := child.dirty.pfns; !slices.Equal(got, []PFN{10, 20}) {
+		t.Fatalf("after a failed reset and a second fault on each page the log lists %v, want [10 20]", got)
 	}
 
 	parent.ptes[20] = parent.ptes[20].withMFN(healthy)
@@ -216,4 +237,86 @@ func resetDifferential(t *testing.T, mode CloneMode, seed int64) {
 		}
 		check(when)
 	}
+}
+
+// TestDirtyLogCloneStartsEmpty clones a child whose dirty log lists a page:
+// the grandchild's log starts empty, records the grandchild's own fault on
+// that pfn, and a reset of the grandchild against the child restores it and
+// leaves the child's log alone.
+func TestDirtyLogCloneStartsEmpty(t *testing.T) {
+	const parentDom, childDom, grandDom = 1, 2, 3
+	m := newTestMem(512)
+	parent := newTestSpace(t, m, parentDom, 32)
+	if err := parent.Write(7, 0, []byte("P7"), nil); err != nil {
+		t.Fatal(err)
+	}
+	child, _, err := parent.CloneOp(obs.OpCtx{}, childDom, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := child.Write(7, 0, []byte("C7"), nil); err != nil {
+		t.Fatal(err)
+	}
+	grandchild, _, err := child.CloneOp(obs.OpCtx{}, grandDom, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grandchild.dirty != nil {
+		t.Fatalf("a clone of a child with a non-empty log starts with log %v", grandchild.dirty.pfns)
+	}
+	if err := grandchild.Write(7, 0, []byte("G7"), nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := grandchild.dirty.pfns; !slices.Equal(got, []PFN{7}) {
+		t.Fatalf("grandchild's log lists %v after its fault on pfn 7, want [7]", got)
+	}
+	if restored, err := grandchild.ResetOp(obs.OpCtx{}, child); err != nil || restored != 1 {
+		t.Fatalf("grandchild reset: restored %d, err %v; want 1", restored, err)
+	}
+	if got := readTag(t, grandchild, 7, 2); got != "C7" {
+		t.Fatalf("after its reset the grandchild reads %q, want the child's \"C7\"", got)
+	}
+	if got := child.dirty.pfns; !slices.Equal(got, []PFN{7}) {
+		t.Fatalf("the grandchild's reset changed the child's log to %v", got)
+	}
+	// The grandchild shares the child's private frame now, so the child
+	// has nothing of its own left to restore at pfn 7.
+	if restored, err := child.ResetOp(obs.OpCtx{}, parent); err != nil || restored != 0 {
+		t.Fatalf("child reset: restored %d, err %v; want 0", restored, err)
+	}
+	audit(t, m)
+}
+
+// TestDirtyLogRedirtyAfterReset dirties a page, resets, dirties it again and
+// resets again: the reset clears the page's bit, so the second fault is
+// logged and the second reset restores the page too.
+func TestDirtyLogRedirtyAfterReset(t *testing.T) {
+	const parentDom, childDom = 1, 2
+	m := newTestMem(256)
+	parent := newTestSpace(t, m, parentDom, 16)
+	if err := parent.Write(4, 0, []byte("P4"), nil); err != nil {
+		t.Fatal(err)
+	}
+	child, _, err := parent.CloneOp(obs.OpCtx{}, childDom, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round, tag := range []string{"X4", "Y4"} {
+		if err := child.Write(4, 0, []byte(tag), nil); err != nil {
+			t.Fatal(err)
+		}
+		if got := child.dirty.pfns; !slices.Equal(got, []PFN{4}) {
+			t.Fatalf("round %d: log lists %v after the fault, want [4]", round, got)
+		}
+		if restored, err := child.ResetOp(obs.OpCtx{}, parent); err != nil || restored != 1 {
+			t.Fatalf("round %d: restored %d, err %v; want 1", round, restored, err)
+		}
+		if got := readTag(t, child, 4, 2); got != "P4" {
+			t.Fatalf("round %d: after the reset the child reads %q, want \"P4\"", round, got)
+		}
+		if len(child.dirty.pfns) != 0 || slices.ContainsFunc(child.dirty.bits, func(w uint64) bool { return w != 0 }) {
+			t.Fatalf("round %d: the reset left log %v, bits %x", round, child.dirty.pfns, child.dirty.bits)
+		}
+	}
+	audit(t, m)
 }

@@ -78,7 +78,7 @@ func imageOf(m *Memory, doms ...DomID) poolImage {
 		}
 	}
 	for _, d := range append(doms, DomIDCOW) {
-		img.Used[d] = m.usedByDom[d]
+		img.Used[d] = m.UsedBy(d)
 	}
 	return img
 }

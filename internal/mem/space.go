@@ -155,23 +155,31 @@ func (p pte) materialized() pte {
 // churn — the fuzzing and FaaS patterns, where children live briefly —
 // allocation-free. Slices from the pool hold stale entries, so every
 // consumer fully overwrites the prefix it slices off.
+//
+// The pool holds *[]pte boxes. getPTEs hands back the box a recycled table
+// came in (nil for a fresh one) and putPTEs puts the table back in it, so
+// only a table made fresh costs a box when it is released.
 var ptePool sync.Pool
 
-func getPTEs(n int) []pte {
+func getPTEs(n int) ([]pte, *[]pte) {
 	if v := ptePool.Get(); v != nil {
-		s := *(v.(*[]pte))
-		if cap(s) >= n {
-			return s[:n]
+		box := v.(*[]pte)
+		if s := *box; cap(s) >= n {
+			return s[:n], box
 		}
 	}
-	return make([]pte, n)
+	return make([]pte, n), nil
 }
 
-func putPTEs(s []pte) {
+func putPTEs(s []pte, box *[]pte) {
 	if cap(s) == 0 {
 		return
 	}
-	ptePool.Put(&s)
+	if box == nil {
+		box = new([]pte)
+	}
+	*box = s
+	ptePool.Put(box)
 }
 
 // Space is one domain's guest-physical address space under direct paging:
@@ -183,6 +191,9 @@ type Space struct {
 	dom    DomID
 	npages int // immutable page count, valid even after release
 	ptes   []pte
+	// ptesBox is the pool box ptes came out of (nil for a fresh table),
+	// handed back to putPTEs on release.
+	ptesBox *[]pte
 	// ptFrames and p2mFrames are the metadata frames backing the page
 	// table and the p2m map. They are private memory: never shared.
 	ptFrames  []MFN
@@ -193,13 +204,10 @@ type Space struct {
 	faults int
 	// unmapped counts resolved demand (unmapped) faults on lazy entries.
 	unmapped int
-	// dirty records the pfns privatized by COW faults since the last
-	// ResetOp, so clone_reset restores exactly the dirtied set instead of
-	// scanning the whole space. dirtySet deduplicates it: a pfn that faults
-	// again between resets (the space was cloned in between, which
-	// write-protects it anew) appears once in the work list.
-	dirty    []PFN
-	dirtySet map[PFN]struct{}
+	// dirty is the log of pfns privatized by COW faults since the last
+	// ResetOp (nil until the first fault), so clone_reset restores exactly
+	// the dirtied set instead of scanning the whole space.
+	dirty *dirtyLog
 
 	// lazy is the stream state of a lazily cloned child (nil otherwise);
 	// it is set before the space is published and never replaced.
@@ -234,9 +242,10 @@ func P2MFrameCount(n int) int {
 // frames, allocating and populating all of them (unikernels map their whole
 // memory at boot), plus the page-table and p2m frames.
 func NewSpace(ctx obs.OpCtx, m *Memory, dom DomID, pages int) (*Space, error) {
-	s := &Space{mem: m, dom: dom, npages: pages, ptes: getPTEs(pages)}
+	s := &Space{mem: m, dom: dom, npages: pages}
+	s.ptes, s.ptesBox = getPTEs(pages)
 	if err := allocInto(ctx, m, dom, s.ptes); err != nil {
-		putPTEs(s.ptes)
+		putPTEs(s.ptes, s.ptesBox)
 		return nil, err
 	}
 	for i, p := range s.ptes {
@@ -444,17 +453,31 @@ func (s *Space) breakCOW(ctx obs.OpCtx, pfn PFN, p *pte) error {
 	return nil
 }
 
-// markDirty records a privatized pfn for the next ResetOp,
-// deduplicating repeat faults on the same page.
+// dirtyLog is a space's dirty log, kept the way a PML-style hardware log
+// is: the pfns in the order they first faulted, which is the order a reset
+// restores them in, and one bit per pfn of the space saying whether it is
+// listed. A pfn that faults again before the reset (the space was cloned in
+// between, which write-protects it anew) is listed once.
+type dirtyLog struct {
+	pfns []PFN
+	bits []uint64
+}
+
+// markDirty records a privatized pfn for the next ResetOp, deduplicating
+// repeat faults on the same page. The log is made at the space's first
+// fault, with a bitmap covering every pfn.
 func (s *Space) markDirty(pfn PFN) {
-	if s.dirtySet == nil {
-		s.dirtySet = make(map[PFN]struct{})
+	l := s.dirty
+	if l == nil {
+		l = &dirtyLog{bits: make([]uint64, (s.npages+63)/64)}
+		s.dirty = l
 	}
-	if _, dup := s.dirtySet[pfn]; dup {
+	w, bit := pfn/64, uint64(1)<<(pfn%64)
+	if l.bits[w]&bit != 0 {
 		return
 	}
-	s.dirtySet[pfn] = struct{}{}
-	s.dirty = append(s.dirty, pfn)
+	l.bits[w] |= bit
+	l.pfns = append(l.pfns, pfn)
 }
 
 // CloneStats reports the work performed by one clone operation.
@@ -692,12 +715,8 @@ func (s *Space) CloneOpMode(ctx obs.OpCtx, childDom DomID, copyRing bool, mode C
 	// and garbage) and patch in the private mappings.
 	_, rspan := ctx.StartSpan("table-rebuild")
 	defer rspan.End()
-	child := &Space{
-		mem:    s.mem,
-		dom:    childDom,
-		npages: len(s.ptes),
-		ptes:   getPTEs(len(s.ptes)),
-	}
+	child := &Space{mem: s.mem, dom: childDom, npages: len(s.ptes)}
+	child.ptes, child.ptesBox = getPTEs(len(s.ptes))
 	copy(child.ptes, s.ptes)
 	for _, fx := range fixups {
 		if fx.mfns == nil {
@@ -755,8 +774,10 @@ func (s *Space) CloneOpMode(ctx obs.OpCtx, childDom DomID, copyRing bool, mode C
 // ctx's meter and trace — the reset could not proceed before it.
 //
 // Every recorded page is validated before anything is mutated, so a failed
-// reset leaves the pool, both page tables and the dirty record as they were
-// and can simply be retried. A recorded page that is no longer this space's
+// reset leaves the pool, both page tables and the dirty log, list and bits,
+// as they were and can simply be retried. A successful one empties the log:
+// it clears the bit of each pfn it lists, which costs the list's length, not
+// the space's. A recorded page that is no longer this space's
 // own private memory (it was re-shared by a clone of this space since) has
 // nothing to restore and is skipped. Per restored page the frame transitions
 // are the batched ones (DESIGN.md §10, "Frame states and transitions"): the
@@ -771,8 +792,12 @@ func (s *Space) ResetOp(ctx obs.OpCtx, parent *Space) (int, error) {
 	if s.retired {
 		return 0, ErrSpaceRetired
 	}
+	l := s.dirty
+	if l == nil {
+		return 0, nil
+	}
 	m := s.mem
-	for _, pfn := range s.dirty {
+	for _, pfn := range l.pfns {
 		if !s.privatized(pfn) {
 			continue
 		}
@@ -789,7 +814,7 @@ func (s *Space) ResetOp(ctx obs.OpCtx, parent *Space) (int, error) {
 		}
 	}
 	restored := 0
-	for _, pfn := range s.dirty {
+	for _, pfn := range l.pfns {
 		if !s.privatized(pfn) {
 			continue
 		}
@@ -805,8 +830,10 @@ func (s *Space) ResetOp(ctx obs.OpCtx, parent *Space) (int, error) {
 		*cp = cp.withMFN(pp.mfn()) | pteCOW
 		restored++
 	}
-	s.dirty = s.dirty[:0]
-	clear(s.dirtySet)
+	for _, pfn := range l.pfns {
+		l.bits[pfn/64] &^= 1 << (pfn % 64)
+	}
+	l.pfns = l.pfns[:0]
 	return restored, nil
 }
 
@@ -867,8 +894,8 @@ func (s *Space) Release() error {
 	if err := s.mem.ReleaseN(s.dom, s.p2mFrames); firstErr == nil {
 		firstErr = err
 	}
-	putPTEs(s.ptes)
-	s.ptes, s.ptFrames, s.p2mFrames = nil, nil, nil
+	putPTEs(s.ptes, s.ptesBox)
+	s.ptes, s.ptesBox, s.ptFrames, s.p2mFrames = nil, nil, nil, nil
 	s.retired = true
 	return firstErr
 }
