@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 
 	"nephele/internal/devices"
 	"nephele/internal/fault"
@@ -72,12 +73,25 @@ type clonedMetrics struct {
 // its first clone and reused afterwards.
 type parentInfo struct {
 	name string
-	// devs lists the parent's device indices per kind, parallel to the
-	// device-kind table.
-	devs [][]int
+	// id is the parent's domain ID as Xenstore spells it: the value the
+	// xs_clone heuristics rewrite and each child's "parent" entry.
+	id string
+	// kinds holds what the parent owns of each device kind, parallel to
+	// the device-kind table.
+	kinds []parentKind
 	// snapshots caches parent device subtrees (by root path) for the
 	// deep-copy ablation, so later clones skip re-reading the store.
 	snapshots map[string][]xenstore.Pair
+}
+
+// parentKind is the parent's share of one device kind: its device indices
+// and, when it has any, the two directories each child's xs_clone requests
+// copy, plus a handle on the directory that holds every domain's backend
+// directory of the kind, which a child's goes in under its ID.
+type parentKind struct {
+	devs        []int
+	front, back string
+	backends    xenstore.Dir
 }
 
 // Daemon is the xencloned process.
@@ -216,27 +230,31 @@ func (d *Daemon) serveOne(ctx obs.OpCtx, n hv.CloneNotification) error {
 		return err
 	}
 
+	// The child's directory, its device directory and its ID, formatted
+	// once for every path and value below.
+	dom, dev, id := devices.DomainDirs(uint32(n.Child))
+
 	// Step 2.1: introduce the child to xenstored (augmented with the
 	// parent ID) and write its base entries.
 	if err := func() error {
 		_, ispan := ctx.StartSpan("xenstore-intro")
 		defer ispan.End()
 		meter.Charge(meter.Costs().Introduce, 1)
-		dir, err := d.Store.Dir(devices.DomainPath(uint32(n.Child)))
+		dir, err := d.Store.Dir(dom)
 		if err != nil {
 			return err
 		}
-		childName := info.name + "-clone-" + strconv.FormatUint(uint64(n.Child), 10)
+		childName := info.name + "-clone-" + id
 		for _, w := range [...]devices.Entry{
 			{Key: "name", Value: childName},
-			{Key: "domid", Value: strconv.FormatUint(uint64(n.Child), 10)},
-			{Key: "parent", Value: strconv.FormatUint(uint64(n.Parent), 10)},
+			{Key: "domid", Value: id},
+			{Key: "parent", Value: info.id},
 		} {
 			if err := dir.Write(w.Key, w.Value, meter); err != nil {
 				return err
 			}
 		}
-		_, err = d.XL.AdoptClone(n.Parent, n.Child)
+		_, err = d.XL.AdoptClone(n.Parent, n.Child, childName)
 		return err
 	}(); err != nil {
 		return err
@@ -244,7 +262,7 @@ func (d *Daemon) serveOne(ctx obs.OpCtx, n hv.CloneNotification) error {
 
 	if !d.Opts.SkipDevices {
 		dctx, dspan := ctx.StartSpan("device-clone")
-		err := d.cloneDevices(dctx, n, info)
+		err := d.cloneDevices(dctx, n, info, dev, id)
 		dspan.End()
 		if err != nil {
 			return err
@@ -295,44 +313,60 @@ func (d *Daemon) parentInfo(ctx obs.OpCtx, parent hv.DomID) (*parentInfo, error)
 		return nil, err
 	}
 	kinds := d.XL.Devices
-	info := &parentInfo{name: name, devs: make([][]int, len(kinds))}
+	info := &parentInfo{
+		name:  name,
+		id:    strconv.FormatUint(uint64(parent), 10),
+		kinds: make([]parentKind, len(kinds)),
+	}
 	for k := range kinds {
-		dir := devices.FrontendDir(uint32(parent), kinds[k].Dir)
-		if !d.Store.Exists(dir, meter) {
+		pk := &info.kinds[k]
+		front := devices.FrontendDir(uint32(parent), kinds[k].Dir)
+		if !d.Store.Exists(front, meter) {
 			continue
 		}
-		names, err := d.Store.Directory(dir, meter)
+		names, err := d.Store.Directory(front, meter)
 		if err != nil {
 			return nil, err
 		}
 		for _, s := range names {
 			if idx, err := strconv.Atoi(s); err == nil {
-				info.devs[k] = append(info.devs[k], idx)
+				pk.devs = append(pk.devs, idx)
 			}
+		}
+		if len(pk.devs) == 0 {
+			continue
+		}
+		// The backend directory is /local/domain/0/backend/<kind>/<id>:
+		// the handle is on the directory above it.
+		pk.front, pk.back = front, devices.BackendDir(uint32(parent), kinds[k].Dir)
+		if pk.backends, err = d.Store.Dir(pk.back[:strings.LastIndexByte(pk.back, '/')]); err != nil {
+			return nil, err
 		}
 	}
 	d.cache[parent] = info
 	return info, nil
 }
 
-// cloneStoreDir clones one device directory with xs_clone or, under the
-// ablation, a deep copy: xencloned reads (and caches) the parent subtree,
-// then sends one Write request per node — exactly how the entries would be
-// created on regular instantiation (§6.1).
-func (d *Daemon) cloneStoreDir(ctx obs.OpCtx, n hv.CloneNotification, op xenstore.CloneOp, src, dst string) error {
+// cloneStoreDir clones the parent's directory src onto key below dst with
+// xs_clone or, under the ablation, a deep copy: xencloned reads (and
+// caches) the parent subtree, then sends one Write request per node —
+// exactly how the entries would be created on regular instantiation
+// (§6.1). id is the child's ID as Xenstore spells it.
+func (d *Daemon) cloneStoreDir(ctx obs.OpCtx, n hv.CloneNotification, info *parentInfo, op xenstore.CloneOp, src string, dst *xenstore.Dir, key, id string) error {
 	meter := ctx.Meter()
 	if !d.Opts.UseDeepCopy {
-		return d.Store.Clone(uint32(n.Parent), uint32(n.Child), op, src, dst, meter)
+		return dst.Clone(info.id, id, op, src, key, meter)
 	}
 	pairs, err := d.snapshot(ctx, n.Parent, src)
 	if err != nil {
 		return err
 	}
+	root := dst.Path() + "/" + key
 	for _, pr := range pairs {
 		rel, val := xenstore.RewriteForClone(uint32(n.Parent), uint32(n.Child), op, pr.Path, pr.Value)
-		path := dst
+		path := root
 		if rel != "" {
-			path = dst + "/" + rel
+			path = root + "/" + rel
 		}
 		if err := d.Store.Write(path, val, meter); err != nil {
 			return err
@@ -367,24 +401,29 @@ func (d *Daemon) snapshot(ctx obs.OpCtx, parent hv.DomID, src string) ([]xenstor
 // table order: one xs_clone request per directory (frontend, then backend)
 // carries the store entries of all the kind's devices, then the backend
 // creates each pre-connected clone device and finalizes it (for a vif: the
-// udev event and the switch attachment).
-func (d *Daemon) cloneDevices(ctx obs.OpCtx, n hv.CloneNotification, info *parentInfo) error {
+// udev event and the switch attachment). The requests go through handles:
+// one on the child's device directory dev, with the kind as the key, and
+// the parent's per-kind one on the backend directories, with the child's
+// ID as the key; the parent's directories come from its cached info.
+func (d *Daemon) cloneDevices(ctx obs.OpCtx, n hv.CloneNotification, info *parentInfo, dev, id string) error {
 	p, c := uint32(n.Parent), uint32(n.Child)
+	front, err := d.Store.Dir(dev)
+	if err != nil {
+		return err
+	}
 	kinds := d.XL.Devices
 	for k := range kinds {
-		kind := &kinds[k]
-		if len(info.devs[k]) == 0 || kind.Network && d.Opts.SkipNetworkDevices {
+		kind, pk := &kinds[k], &info.kinds[k]
+		if len(pk.devs) == 0 || kind.Network && d.Opts.SkipNetworkDevices {
 			continue
 		}
-		if err := d.cloneStoreDir(ctx, n, kind.CloneOp,
-			devices.FrontendDir(p, kind.Dir), devices.FrontendDir(c, kind.Dir)); err != nil {
+		if err := d.cloneStoreDir(ctx, n, info, kind.CloneOp, pk.front, &front, kind.Dir, id); err != nil {
 			return err
 		}
-		if err := d.cloneStoreDir(ctx, n, kind.CloneOp,
-			devices.BackendDir(p, kind.Dir), devices.BackendDir(c, kind.Dir)); err != nil {
+		if err := d.cloneStoreDir(ctx, n, info, kind.CloneOp, pk.back, &pk.backends, id, id); err != nil {
 			return err
 		}
-		for _, idx := range info.devs[k] {
+		for _, idx := range pk.devs {
 			if err := kind.Clone(ctx, p, c, idx, d.Net); err != nil {
 				return err
 			}

@@ -57,9 +57,27 @@ var (
 	ErrNoDevice     = errors.New("devices: no such device")
 )
 
-// DomainPath returns a domain's Xenstore directory, /local/domain/<domid>.
+// domainRoot is the Xenstore directory every domain's own directory sits in.
+const domainRoot = "/local/domain/"
+
+// DomainPath returns a domain's Xenstore directory, /local/domain/<domid>,
+// formatting the ID in place: one allocation, the path's.
 func DomainPath(domid uint32) string {
-	return "/local/domain/" + formatDomID(domid)
+	var b [len(domainRoot) + 10]byte
+	return string(strconv.AppendUint(append(b[:0], domainRoot...), uint64(domid), 10))
+}
+
+// DomainDirs returns a domain's Xenstore directory, its device directory
+// (/local/domain/<domid>/device) and its ID as paths and values spell it.
+// All three are slices of one string, so a caller that needs the three —
+// xencloned introducing a child and cloning its devices — formats the ID
+// once and pays one allocation.
+func DomainDirs(domid uint32) (dom, device, id string) {
+	const dev = "/device"
+	var b [len(domainRoot) + 10 + len(dev)]byte
+	device = string(append(strconv.AppendUint(append(b[:0], domainRoot...), uint64(domid), 10), dev...))
+	dom = device[:len(device)-len(dev)]
+	return dom, device, dom[len(domainRoot):]
 }
 
 // BackendPath returns the conventional Xenstore path of a backend device

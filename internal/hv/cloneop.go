@@ -182,7 +182,7 @@ func (h *Hypervisor) Clone(req CloneRequest) CloneResult {
 		}
 		used++
 		var child *Domain
-		var st *CloneOpStats
+		var st CloneOpStats
 		if child, st, err = h.cloneOne(ctx, parent, first+DomID(i), req.CopyRing, req.Mode); err != nil {
 			break
 		}
@@ -269,7 +269,7 @@ func (h *Hypervisor) admitClone(req CloneRequest) (*Domain, error) {
 // unwound: every allocated frame is returned, so a clone that dies of
 // memory pressure leaves the parent exactly as it was. The caller owns the
 // clone budget, the fault-injection gate and the parent.children link.
-func (h *Hypervisor) cloneOne(ctx obs.OpCtx, parent *Domain, id DomID, copyRing bool, mode mem.CloneMode) (child *Domain, st *CloneOpStats, err error) {
+func (h *Hypervisor) cloneOne(ctx obs.OpCtx, parent *Domain, id DomID, copyRing bool, mode mem.CloneMode) (child *Domain, st CloneOpStats, err error) {
 	meter := ctx.Meter()
 	ctx, cspan := ctx.StartSpan("clone-child")
 	defer cspan.End()
@@ -288,8 +288,6 @@ func (h *Hypervisor) cloneOne(ctx obs.OpCtx, parent *Domain, id DomID, copyRing 
 		h.Grants.RemoveDomain(id)
 		child = nil
 	}()
-
-	st = &CloneOpStats{}
 
 	_, vspan := ctx.StartSpan("vcpu-copy")
 	child = newDomain(id, len(parent.vcpus))
@@ -325,7 +323,7 @@ func (h *Hypervisor) cloneOne(ctx obs.OpCtx, parent *Domain, id DomID, copyRing 
 	cspace, mst, err := pspace.CloneOpMode(sctx, id, copyRing, mode)
 	sspan.End()
 	if err != nil {
-		return nil, nil, err
+		return nil, st, err
 	}
 	st.Memory = mst
 	child.space = cspace
@@ -333,7 +331,7 @@ func (h *Hypervisor) cloneOne(ctx obs.OpCtx, parent *Domain, id DomID, copyRing 
 	ov, err := h.Memory.AllocN(ctx, id, perDomainOverheadFrames)
 	if err != nil {
 		cspace.Release()
-		return nil, nil, err
+		return nil, st, err
 	}
 
 	// Children start paused; xencloned resumes them after stage two.
@@ -349,7 +347,7 @@ func (h *Hypervisor) cloneOne(ctx obs.OpCtx, parent *Domain, id DomID, copyRing 
 	est, err := h.Events.CloneDomain(ctx, parent.ID, id)
 	espan.End()
 	if err != nil {
-		return nil, nil, err
+		return nil, st, err
 	}
 	st.Events = est
 	_, gspan := ctx.StartSpan("grant-table")
@@ -357,7 +355,7 @@ func (h *Hypervisor) cloneOne(ctx obs.OpCtx, parent *Domain, id DomID, copyRing 
 	gst, err := h.Grants.CloneDomain(ctx, parent.ID, id, xlate)
 	gspan.End()
 	if err != nil {
-		return nil, nil, err
+		return nil, st, err
 	}
 	st.Grants = gst.Cloned
 	return child, st, nil

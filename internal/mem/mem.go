@@ -954,20 +954,20 @@ func (m *Memory) CopyFrameN(ctx obs.OpCtx, dst, src []MFN) error {
 	return copyFrames(ctx, m, dst, src, allMFN)
 }
 
-// copyFramePTEs is CopyFrameN with the frames a run of page-table entries
-// references as the sources (the clone path copies a private extent straight
-// off the parent's table).
-func (m *Memory) copyFramePTEs(ctx obs.OpCtx, dst []MFN, src []pte) error {
+// copyFramePTEs is CopyFrameN over the frames two runs of page-table entries
+// reference: the clone path copies a private extent straight off the
+// parent's table into the frames it allocated into the child's.
+func (m *Memory) copyFramePTEs(ctx obs.OpCtx, dst, src []pte) error {
 	return copyFrames(ctx, m, dst, src, pteMFNMask)
 }
 
-// copyFrames is CopyFrameN's body over either source form.
-func copyFrames[T frameList](ctx obs.OpCtx, m *Memory, dst []MFN, src []T, mask T) error {
+// copyFrames is CopyFrameN's body over either list form.
+func copyFrames[T frameList](ctx obs.OpCtx, m *Memory, dst, src []T, mask T) error {
 	if len(dst) != len(src) {
 		return fmt.Errorf("mem: CopyFrameN with %d dst, %d src frames", len(dst), len(src))
 	}
 	for i, e := range src {
-		if err := m.copyFrame(dst[i], MFN(e&mask)); err != nil {
+		if err := m.copyFrame(MFN(dst[i]&mask), MFN(e&mask)); err != nil {
 			return err
 		}
 	}

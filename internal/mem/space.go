@@ -157,8 +157,9 @@ func (p pte) materialized() pte {
 // consumer fully overwrites the prefix it slices off.
 //
 // The pool holds *[]pte boxes. getPTEs hands back the box a recycled table
-// came in (nil for a fresh one) and putPTEs puts the table back in it, so
-// only a table made fresh costs a box when it is released.
+// came in (nil for a fresh one) and Space.recycle puts the table back in it;
+// a table made fresh goes back in a box the space that made it carries, so
+// no release allocates one.
 var ptePool sync.Pool
 
 func getPTEs(n int) ([]pte, *[]pte) {
@@ -171,15 +172,21 @@ func getPTEs(n int) ([]pte, *[]pte) {
 	return make([]pte, n), nil
 }
 
-func putPTEs(s []pte, box *[]pte) {
-	if cap(s) == 0 {
+// recycle hands the space's table to the pool, in the box it came out of or,
+// for a table made fresh, in the space's own box field. The pool then keeps
+// the space's struct alive for as long as that box circulates, which is why
+// Release also drops the space's pointers to its Memory and dirty log.
+func (s *Space) recycle() {
+	if cap(s.ptes) == 0 {
 		return
 	}
+	box := s.ptesBox
 	if box == nil {
-		box = new([]pte)
+		box = &s.box
 	}
-	*box = s
+	*box = s.ptes
 	ptePool.Put(box)
+	s.ptes, s.ptesBox = nil, nil
 }
 
 // Space is one domain's guest-physical address space under direct paging:
@@ -192,7 +199,7 @@ type Space struct {
 	npages int // immutable page count, valid even after release
 	ptes   []pte
 	// ptesBox is the pool box ptes came out of (nil for a fresh table),
-	// handed back to putPTEs on release.
+	// handed back to recycle on release.
 	ptesBox *[]pte
 	// ptFrames and p2mFrames are the metadata frames backing the page
 	// table and the p2m map. They are private memory: never shared.
@@ -215,6 +222,10 @@ type Space struct {
 	// to cancel outstanding pledges.
 	lazy     *lazyState
 	lazyPTEs bool
+
+	// box is the pool box a table made fresh goes back in (recycle's);
+	// it sits last, after the fields the fault and reset paths read.
+	box []pte
 }
 
 // PTFrameCount returns the number of page-table frames needed to map n
@@ -245,7 +256,7 @@ func NewSpace(ctx obs.OpCtx, m *Memory, dom DomID, pages int) (*Space, error) {
 	s := &Space{mem: m, dom: dom, npages: pages}
 	s.ptes, s.ptesBox = getPTEs(pages)
 	if err := allocInto(ctx, m, dom, s.ptes); err != nil {
-		putPTEs(s.ptes, s.ptesBox)
+		s.recycle()
 		return nil, err
 	}
 	for i, p := range s.ptes {
@@ -525,56 +536,26 @@ func (s *Space) CloneOpMode(ctx obs.OpCtx, childDom DomID, copyRing bool, mode C
 		return nil, st, ErrStreamPending
 	}
 
-	// The walk below only mutates the parent (COW bits, sharer counts);
-	// the child's table is produced afterwards with one bulk copy of the
-	// parent's entries. That copy is exact for shared extents — once the
-	// parent's COW bits are updated, the desired child entry is
-	// bit-identical to the parent's — so only extents that received fresh
-	// private frames need their mappings patched. fixups records those; a
-	// fixup with nil mfns clears a stale COW bit the child must not
-	// inherit (a protected entry since made read-only or re-tagged).
-	type fixup struct {
-		lo, hi int
-		mfns   []MFN
-	}
-	var fixups []fixup
-	// lazyRuns records the pfn ranges deferred under CloneLazy, in
-	// ascending order: the child's entries there become lazy, and the
-	// unwind cancels their pledges instead of dropping sharer references
-	// the child never took.
-	var lazyRuns []fixup
-	done := 0 // entries below this index have taken their child references
+	// The child's table is made first (a recycled slice avoids both zeroing
+	// and garbage) and filled extent by extent as the walk mutates the
+	// parent (COW bits, sharer counts). Once an extent's parent entries are
+	// write-protected, a shared extent's child entries are bit-identical to
+	// them, so the extent is one slice copy; a private extent's fresh frames
+	// are allocated straight into the child's entries, which then take the
+	// parent's flags. No extent builds a frame list.
+	child := &Space{mem: s.mem, dom: childDom, npages: len(s.ptes)}
+	child.ptes, child.ptesBox = getPTEs(len(s.ptes))
+	done := 0 // child entries below this index are filled and hold their frames
 	var wspan, bspan obs.Span
 	fail := func(err error) (*Space, CloneStats, error) {
 		bspan.End()
 		wspan.End()
-		// Unwind the half-built child: shared extents are reconstructed
-		// from the parent's entries, private frames from the fixups.
-		// ReleaseN gives them the same dispatch child.Release() would
-		// (drop a sharer reference, free an owned frame). Deferred lazy
-		// runs are excluded — their child references are pledges, and
-		// those are cancelled separately below.
-		var undo []MFN
-		li := 0
-		for i := 0; i < done; i++ {
-			for li < len(lazyRuns) && lazyRuns[li].hi <= i {
-				li++
-			}
-			if li < len(lazyRuns) && lazyRuns[li].lo <= i {
-				continue
-			}
-			p := s.ptes[i]
-			if p.present() && (p.kind() == KindIDC || p.kind() == KindRegular) {
-				undo = append(undo, p.mfn())
-			}
-		}
-		for _, fx := range fixups {
-			undo = append(undo, fx.mfns...)
-		}
-		s.mem.ReleaseN(childDom, undo)
-		for _, lr := range lazyRuns {
-			s.mem.cancelPledged(s.ptes[lr.lo:lr.hi])
-		}
+		// Unwind the half-built child from its own filled prefix, the way
+		// Release unwinds a whole space: deferred lazy entries cancel their
+		// pledges, shared frames drop the child's reference, private frames
+		// are freed.
+		s.mem.releaseTable(childDom, child.ptes[:done], mode == CloneLazy)
+		child.recycle()
 		return nil, st, err
 	}
 
@@ -590,6 +571,7 @@ func (s *Space) CloneOpMode(ctx obs.OpCtx, childDom DomID, copyRing bool, mode C
 	for lo := 0; lo < len(s.ptes); {
 		p := s.ptes[lo]
 		if !p.present() {
+			child.ptes[lo] = p
 			lo++
 			continue
 		}
@@ -598,7 +580,7 @@ func (s *Space) CloneOpMode(ctx obs.OpCtx, childDom DomID, copyRing bool, mode C
 			hi++
 		}
 		n, kind := hi-lo, p.kind()
-		ext := s.ptes[lo:hi]
+		ext, cext := s.ptes[lo:hi], child.ptes[lo:hi]
 
 		// One span per extent, named for the clone policy it went through:
 		// family sharing, lazy deferral, or private duplication.
@@ -618,6 +600,7 @@ func (s *Space) CloneOpMode(ctx obs.OpCtx, childDom DomID, copyRing bool, mode C
 			if _, err := s.mem.sharePTEs(ctx, s.dom, ext, 2); err != nil {
 				return fail(err)
 			}
+			copy(cext, ext)
 			st.SharedPages += n
 		case KindRegular:
 			if mode == CloneLazy {
@@ -634,7 +617,12 @@ func (s *Space) CloneOpMode(ctx obs.OpCtx, childDom DomID, copyRing bool, mode C
 						ext[i] |= pteCOW
 					}
 				}
-				lazyRuns = append(lazyRuns, fixup{lo: lo, hi: hi})
+				// Deferred entries enter the unmapped-lazy state: mfn
+				// keeps naming the pledged source frame, and the COW bit
+				// stays clear until materialization decides it.
+				for i, e := range ext {
+					cext[i] = e&^pteCOW | pteLazy
+				}
 				st.Deferred += n
 				st.Extents++
 				bspan.End()
@@ -659,42 +647,29 @@ func (s *Space) CloneOpMode(ctx obs.OpCtx, childDom DomID, copyRing bool, mode C
 					ext[i] |= pteCOW
 				}
 			}
+			copy(cext, ext)
 			st.SharedPages += n
-		case KindConsole, KindXenstore:
-			// Fresh zeroed frames: the child console/xenstore rings
-			// start empty.
-			mfns, err := s.mem.AllocN(ctx, childDom, n)
-			if err != nil {
+		default:
+			// Private kinds: fresh frames, straight into the child's
+			// entries, then the parent's flags around them.
+			if err := allocInto(ctx, s.mem, childDom, cext); err != nil {
 				return fail(err)
 			}
-			fixups = append(fixups, fixup{lo: lo, hi: hi, mfns: mfns})
-			st.PrivateFresh += n
-		case KindIORing:
-			mfns, err := s.mem.AllocN(ctx, childDom, n)
-			if err != nil {
-				return fail(err)
+			for i, e := range ext {
+				cext[i] = e.withMFN(cext[i].mfn())
 			}
-			if copyRing {
-				if err := s.mem.copyFramePTEs(ctx, mfns, ext); err != nil {
-					s.mem.ReleaseN(childDom, mfns)
+			switch {
+			case kind == KindConsole || kind == KindXenstore || kind == KindIORing && !copyRing:
+				// Fresh zeroed frames: the child console/xenstore rings
+				// start empty, and so do its I/O rings unless asked.
+				st.PrivateFresh += n
+			default: // KindIORing with copyRing, KindPageTable, KindStartInfo, KindP2M: copy + rewrite
+				if err := s.mem.copyFramePTEs(ctx, cext, ext); err != nil {
+					s.mem.releasePTEs(childDom, cext)
 					return fail(err)
 				}
 				st.PrivateCopies += n
-			} else {
-				st.PrivateFresh += n
 			}
-			fixups = append(fixups, fixup{lo: lo, hi: hi, mfns: mfns})
-		default: // KindPageTable, KindStartInfo, KindP2M: copy + rewrite
-			mfns, err := s.mem.AllocN(ctx, childDom, n)
-			if err != nil {
-				return fail(err)
-			}
-			if err := s.mem.copyFramePTEs(ctx, mfns, ext); err != nil {
-				s.mem.ReleaseN(childDom, mfns)
-				return fail(err)
-			}
-			fixups = append(fixups, fixup{lo: lo, hi: hi, mfns: mfns})
-			st.PrivateCopies += n
 		}
 		bspan.End()
 		bspan = obs.Span{}
@@ -704,45 +679,22 @@ func (s *Space) CloneOpMode(ctx obs.OpCtx, childDom DomID, copyRing bool, mode C
 		// Only regular writable pages are COW in the child; any other
 		// extent carrying a (stale) COW bit must not pass it on.
 		if p.cow() && !(kind == KindRegular && p.writable()) {
-			fixups = append(fixups, fixup{lo: lo, hi: hi})
+			for i := range cext {
+				cext[i] &^= pteCOW
+			}
 		}
 		done = hi
 		lo = hi
 	}
 	wspan.End()
-
-	// Bulk-copy the parent's table (a recycled slice avoids both zeroing
-	// and garbage) and patch in the private mappings.
-	_, rspan := ctx.StartSpan("table-rebuild")
-	defer rspan.End()
-	child := &Space{mem: s.mem, dom: childDom, npages: len(s.ptes)}
-	child.ptes, child.ptesBox = getPTEs(len(s.ptes))
-	copy(child.ptes, s.ptes)
-	for _, fx := range fixups {
-		if fx.mfns == nil {
-			for i := fx.lo; i < fx.hi; i++ {
-				child.ptes[i] &^= pteCOW
-			}
-			continue
-		}
-		for i, mfn := range fx.mfns {
-			child.ptes[fx.lo+i] = child.ptes[fx.lo+i].withMFN(mfn)
-		}
-	}
-	for _, lr := range lazyRuns {
-		// Deferred entries enter the unmapped-lazy state: mfn keeps naming
-		// the pledged source frame, and the COW bit (set on the parent
-		// side above) stays clear until materialization decides it.
-		for i := lr.lo; i < lr.hi; i++ {
-			child.ptes[i] = child.ptes[i]&^pteCOW | pteLazy
-		}
-	}
-	child.lazyPTEs = len(lazyRuns) > 0
+	child.lazyPTEs = st.Deferred > 0
 
 	// Rebuild the child's page-table and p2m metadata frames. This is
 	// the dominant clone cost at large memory sizes (§6.2): every
 	// mapping is written once into the new page table and once into the
 	// new p2m.
+	_, rspan := ctx.StartSpan("table-rebuild")
+	defer rspan.End()
 	var err error
 	child.ptFrames, err = s.mem.AllocN(ctx, childDom, PTFrameCount(len(s.ptes)))
 	if err != nil {
@@ -855,48 +807,53 @@ func (s *Space) Release() error {
 	if s.retired {
 		return nil
 	}
-	var firstErr error
-	if s.lazyPTEs {
-		// Cancel the pledges behind still-unmaterialized entries and
-		// retire those entries before the batched release: the space
-		// holds pledges there, not sharer references, and releasePTEs
-		// must not drop references it never took.
-		for lo := 0; lo < len(s.ptes); {
-			if !s.ptes[lo].lazy() {
-				lo++
-				continue
-			}
-			hi := lo + 1
-			for hi < len(s.ptes) && s.ptes[hi].lazy() {
-				hi++
-			}
-			if err := s.mem.cancelPledged(s.ptes[lo:hi]); firstErr == nil {
-				firstErr = err
-			}
-			for i := lo; i < hi; i++ {
-				s.ptes[i] &^= ptePresent
-			}
-			lo = hi
-		}
-	}
-	// Batched passes over everything the space holds: shared frames drop
-	// a reference, owned frames are freed, frames owned by another domain
-	// are left alone. The guest pages go straight off the page table run by
-	// run (no intermediate list of any kind); the metadata frames follow.
-	// Setting retired retires every entry, so the per-pte present bits need
-	// no touching.
-	if err := s.mem.releasePTEs(s.dom, s.ptes); firstErr == nil {
-		firstErr = err
-	}
+	// Batched passes over everything the space holds: the guest pages
+	// straight off the page table (no intermediate list of any kind), then
+	// the metadata frames. Setting retired retires every entry, so the
+	// per-pte present bits need no touching.
+	firstErr := s.mem.releaseTable(s.dom, s.ptes, s.lazyPTEs)
 	if err := s.mem.ReleaseN(s.dom, s.ptFrames); firstErr == nil {
 		firstErr = err
 	}
 	if err := s.mem.ReleaseN(s.dom, s.p2mFrames); firstErr == nil {
 		firstErr = err
 	}
-	putPTEs(s.ptes, s.ptesBox)
-	s.ptes, s.ptesBox, s.ptFrames, s.p2mFrames = nil, nil, nil, nil
+	s.recycle()
+	s.mem, s.dirty, s.ptFrames, s.p2mFrames = nil, nil, nil, nil
 	s.retired = true
+	return firstErr
+}
+
+// releaseTable gives up every frame a run of page-table entries holds for
+// dom: shared frames drop a reference, owned frames are freed, frames owned
+// by another domain are left alone. When the run may hold lazy entries, the
+// pledges behind the unmaterialized ones are cancelled first and those
+// entries lose their present bit: they hold pledges, not sharer references,
+// and releasePTEs must not drop references they never took. Release tears a
+// whole space down through it, and a clone that fails part-way unwinds the
+// child's filled prefix the same way. It reports the first error.
+func (m *Memory) releaseTable(dom DomID, ptes []pte, lazy bool) error {
+	var firstErr error
+	for lo := 0; lazy && lo < len(ptes); {
+		if !ptes[lo].lazy() {
+			lo++
+			continue
+		}
+		hi := lo + 1
+		for hi < len(ptes) && ptes[hi].lazy() {
+			hi++
+		}
+		if err := m.cancelPledged(ptes[lo:hi]); firstErr == nil {
+			firstErr = err
+		}
+		for i := lo; i < hi; i++ {
+			ptes[i] &^= ptePresent
+		}
+		lo = hi
+	}
+	if err := m.releasePTEs(dom, ptes); firstErr == nil {
+		firstErr = err
+	}
 	return firstErr
 }
 

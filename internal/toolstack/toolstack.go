@@ -9,7 +9,6 @@ package toolstack
 import (
 	"errors"
 	"fmt"
-	"strconv"
 
 	"nephele/internal/devices"
 	"nephele/internal/fault"
@@ -216,7 +215,8 @@ func max1(n int) int {
 func (x *XL) introduce(ctx obs.OpCtx, id hv.DomID, name string) error {
 	meter := ctx.Meter()
 	meter.Charge(meter.Costs().Introduce, 1)
-	dir, err := x.Store.Dir(devices.DomainPath(uint32(id)))
+	path, _, domid := devices.DomainDirs(uint32(id))
+	dir, err := x.Store.Dir(path)
 	if err != nil {
 		return err
 	}
@@ -224,7 +224,7 @@ func (x *XL) introduce(ctx obs.OpCtx, id hv.DomID, name string) error {
 	// every later request's StorePerNode charge counts it.
 	for _, w := range [...]devices.Entry{
 		{Key: "name", Value: name},
-		{Key: "domid", Value: strconv.FormatUint(uint64(id), 10)},
+		{Key: "domid", Value: domid},
 		{Key: "memory", Value: "static-max"},
 	} {
 		if err := dir.Write(w.Key, w.Value, meter); err != nil {
@@ -258,9 +258,9 @@ func (x *XL) Destroy(id hv.DomID, meter *vclock.Meter) error {
 }
 
 // AdoptClone registers a clone created by xencloned in the toolstack
-// registry (xencloned generates the name itself, guaranteeing uniqueness,
-// so no scan happens — §6.1).
-func (x *XL) AdoptClone(parent, child hv.DomID) (*Record, error) {
+// registry under name, the one xencloned generated and wrote to Xenstore
+// (it guarantees uniqueness, so no scan happens — §6.1).
+func (x *XL) AdoptClone(parent, child hv.DomID, name string) (*Record, error) {
 	if err := x.faults.Check(fault.PointToolstackAdopt); err != nil {
 		return nil, err
 	}
@@ -269,7 +269,7 @@ func (x *XL) AdoptClone(parent, child hv.DomID) (*Record, error) {
 		return nil, fmt.Errorf("%w: parent %d", ErrNoDomain, parent)
 	}
 	cfg := prec.Config
-	cfg.Name = fmt.Sprintf("%s-clone-%d", prec.Config.Name, child)
+	cfg.Name = name
 	rec := &Record{ID: child, Config: cfg}
 	x.byName[cfg.Name] = child
 	x.byID[child] = rec

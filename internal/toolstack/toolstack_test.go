@@ -228,17 +228,18 @@ func TestRestoreIntoFreshNameRequired(t *testing.T) {
 func TestAdoptClone(t *testing.T) {
 	r := newRig(t)
 	rec, _ := r.xl.Create(baseConfig("parent"), nil)
-	crec, err := r.xl.AdoptClone(rec.ID, hv.DomID(500))
+	crec, err := r.xl.AdoptClone(rec.ID, hv.DomID(500), "parent-clone-500")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if crec.Config.Name == "parent" {
-		t.Fatal("clone name not uniquified")
+	if crec.Config.Name != "parent-clone-500" || crec.Config.MemoryMB != rec.Config.MemoryMB {
+		t.Fatalf("clone adopted as %q with %d MB, want parent-clone-500 with the parent's %d",
+			crec.Config.Name, crec.Config.MemoryMB, rec.Config.MemoryMB)
 	}
 	if r.xl.Count() != 2 {
 		t.Fatalf("Count = %d", r.xl.Count())
 	}
-	if _, err := r.xl.AdoptClone(hv.DomID(999), hv.DomID(501)); !errors.Is(err, ErrNoDomain) {
+	if _, err := r.xl.AdoptClone(hv.DomID(999), hv.DomID(501), "orphan-clone-501"); !errors.Is(err, ErrNoDomain) {
 		t.Fatalf("adopt from unknown parent: %v", err)
 	}
 }

@@ -25,6 +25,25 @@ import (
 // deep copy as Snapshot + RewriteForClone + one Write per node, and Clone
 // leaves the same tree and node count behind.
 func (s *Store) Clone(parentDom, childDom uint32, op CloneOp, parentPath, childPath string, meter *vclock.Meter) error {
+	elems, err := pathElems(childPath)
+	return s.clone(nil, elems, err, formatDomID(parentDom), formatDomID(childDom), op, parentPath, meter)
+}
+
+// Clone is one xs_clone request onto key, one path element below the
+// directory: Store.Clone of parentPath onto path/key — the same request,
+// charge, fault point and tree — walking from the directory's node.
+// parentID and childID are the two domain IDs in decimal, as Xenstore
+// spells them, so a caller that clones several directories for one child
+// formats its ID once.
+func (d *Dir) Clone(parentID, childID string, op CloneOp, parentPath, key string, meter *vclock.Meter) error {
+	return d.s.clone(d, key, checkKey(key), parentID, childID, op, parentPath, meter)
+}
+
+// clone is the one xs_clone request: parentPath's directory goes to the
+// node elems names below d's directory, or below the root for a nil d. bad
+// is the destination check's verdict, which fails the request once it is
+// charged and its source found.
+func (s *Store) clone(d *Dir, elems string, bad error, parentID, childID string, op CloneOp, parentPath string, meter *vclock.Meter) error {
 	if err := s.faults.Check(fault.PointXSClone); err != nil {
 		return err
 	}
@@ -39,16 +58,28 @@ func (s *Store) Clone(parentDom, childDom uint32, op CloneOp, parentPath, childP
 	if src == nil {
 		return fmt.Errorf("%w: %s", ErrNotFound, parentPath)
 	}
-	dstElems, err := pathElems(childPath)
-	if err != nil {
-		return err
+	if bad != nil {
+		return bad
 	}
-	if within(srcElems, dstElems) || within(dstElems, srcElems) {
-		return fmt.Errorf("%w: clone of %s onto overlapping %s", ErrBadPath, parentPath, childPath)
+	// The destination is dir/key with key one element (the root is "" and
+	// ""): it overlaps the source where the source is it or lies under it,
+	// or where dir is the source or lies under it.
+	dir, key := "", elems
+	if d != nil {
+		dir = d.elems
+	} else if cut := strings.LastIndexByte(elems, '/'); cut >= 0 {
+		dir, key = elems[:cut], elems[cut+1:]
 	}
-	dst := s.mkdir(s.at(0), dstElems)
+	if withinJoin(srcElems, dir, key) || within(dir, srcElems) {
+		dst := key
+		if dir != "" {
+			dst = dir + "/" + key
+		}
+		return fmt.Errorf("%w: clone of %s onto overlapping /%s", ErrBadPath, parentPath, dst)
+	}
+	dst := s.mkdir(s.dirNode(d, true), elems)
 	dst.value = src.value
-	rw := newRewriter(parentDom, childDom, op)
+	rw := rewriter{parent: parentID, child: childID, op: op}
 	s.copyTree(dst, src, &rw)
 	return nil
 }
@@ -57,6 +88,18 @@ func (s *Store) Clone(parentDom, childDom uint32, op CloneOp, parentPath, childP
 // or one below it.
 func within(a, b string) bool {
 	return b == "" || a == b || len(a) > len(b) && a[len(b)] == '/' && a[:len(b)] == b
+}
+
+// withinJoin is within(a, dir/key) for a dir that may be the root (""),
+// without building dir/key.
+func withinJoin(a, dir, key string) bool {
+	if dir != "" {
+		if len(a) <= len(dir) || a[len(dir)] != '/' || a[:len(dir)] != dir {
+			return false
+		}
+		a = a[len(dir)+1:]
+	}
+	return within(a, key)
 }
 
 // copyTree copies src's descendants into dst node by node, in src's
@@ -117,26 +160,22 @@ func RewriteForClone(parentDom, childDom uint32, op CloneOp, relPath, value stri
 	if relPath == "" {
 		return "", value
 	}
-	rw := newRewriter(parentDom, childDom, op)
+	rw := rewriter{parent: formatDomID(parentDom), child: formatDomID(childDom), op: op}
 	return relPath, rw.value(relPath[strings.LastIndexByte(relPath, '/')+1:], value)
 }
 
 // rewriter adapts the values that embed domain IDs. Backend and frontend
 // device entries reference the owning guest ID in their peer paths and
 // frontend-id/backend-id fields; those must be rewritten to the new clone
-// ID (§5.2.1). Both IDs are formatted once per request.
+// ID (§5.2.1). It holds both IDs formatted, as the request's caller
+// passed them or Store.Clone formatted them.
 type rewriter struct {
 	parent, child string
 	op            CloneOp
 }
 
-func newRewriter(parentDom, childDom uint32, op CloneOp) rewriter {
-	return rewriter{
-		parent: strconv.FormatUint(uint64(parentDom), 10),
-		child:  strconv.FormatUint(uint64(childDom), 10),
-		op:     op,
-	}
-}
+// formatDomID formats a domain ID as Xenstore paths and values spell it.
+func formatDomID(domid uint32) string { return strconv.FormatUint(uint64(domid), 10) }
 
 // value rewrites node values depending on the heuristic. The device
 // heuristics rewrite domain-ID references inside frontend/backend paths and

@@ -197,7 +197,7 @@ func (s *refStore) Clone(parentDom, childDom uint32, op CloneOp, parentPath, chi
 	}
 	dst := s.mkdir(dstElems)
 	dst.value = src.value
-	rw := newRewriter(parentDom, childDom, op)
+	rw := rewriter{parent: fmt.Sprint(parentDom), child: fmt.Sprint(childDom), op: op}
 	s.copy(dst, src, &rw)
 	return nil
 }
@@ -264,6 +264,17 @@ func (s *refStore) DirRead(dir, key string) (string, error) {
 		return "", err
 	}
 	return s.Read(p)
+}
+
+// DirClone is Dir(dir).Clone(...): Clone onto dir/key. A bad key is
+// refused where Clone refuses a malformed destination, once the request is
+// charged and its source found, so it goes in as the malformed path "".
+func (s *refStore) DirClone(parentDom, childDom uint32, op CloneOp, parentPath, dir, key string) error {
+	p, err := dirKey(dir, key)
+	if err != nil {
+		p = ""
+	}
+	return s.Clone(parentDom, childDom, op, parentPath, p)
 }
 
 // Walk returns every node under the root as "path=value", in sorted order.
@@ -362,7 +373,7 @@ func checkStoreOps(t *testing.T, data []byte) {
 	for step := 0; len(in) > 0 && step < 256; step++ {
 		var desc string
 		var err, want error
-		switch in.next() % 11 {
+		switch in.next() % 12 {
 		case 0:
 			p, v := in.opPath(), fuzzVals[in.next()%len(fuzzVals)]
 			desc = fmt.Sprintf("Write(%q, %q)", p, v)
@@ -460,6 +471,19 @@ func checkStoreOps(t *testing.T, data []byte) {
 			}
 			desc = fmt.Sprintf("Remove(%q), handle %d on %q", p, k, h.path)
 			err, want = s.Remove(p, meter), ref.Remove(p)
+		case 11:
+			// xs_clone onto a key of handle k: the source may be the
+			// handle's directory, lie above or below it, or be elsewhere.
+			k, key := in.next()%len(handles), in.opKey()
+			parent, child := uint32(in.next()%3+1), uint32(in.next()%3+1)
+			op, src := CloneOp(in.next()%5), in.opPath()
+			h := handles[k]
+			if h == nil {
+				continue
+			}
+			desc = fmt.Sprintf("Dir(%q).Clone(%d, %d, %v, %q, %q)", h.path, parent, child, op, src, key)
+			err = h.dir.Clone(fmt.Sprint(parent), fmt.Sprint(child), op, src, key, meter)
+			want = ref.DirClone(parent, child, op, src, h.path, key)
 		}
 		if !sameErr(err, want) {
 			t.Fatalf("step %d: %s: %v, reference %v", step, desc, err, want)
@@ -482,8 +506,8 @@ func checkStoreOps(t *testing.T, data []byte) {
 // FuzzStoreOps checks the node table against the reference model over
 // sequences of Write, Read, Remove, Clone, Directory, Exists and Snapshot
 // on a small path alphabet, so subtrees are removed and made again and the
-// table hands freed indices out again, and of Write and Read through Dir
-// handles kept across those removals.
+// table hands freed indices out again, and of Write, Read and Clone through
+// Dir handles kept across those removals.
 //
 //	go test -run XXX -fuzz FuzzStoreOps -fuzztime 10s ./internal/xenstore
 func FuzzStoreOps(f *testing.F) {
@@ -531,6 +555,21 @@ func FuzzStoreOps(f *testing.F) {
 		9, 3, 2,
 		8, 3, 2, 3,
 		10, 2, 0, 0})
+	// Handle-relative clones: handle 0 on /a writes b, handle 1 on /b
+	// (absent) clones /a onto c, which makes /b/c; handle 0 clones /a
+	// onto its own key b, and handle 1 clones /b/c onto c (both
+	// overlapping, refused), handle 0 clones with a bad key (refused
+	// once /a is found); /b is removed and handle 1, stale, clones /a
+	// onto c again.
+	f.Add([]byte{7, 0, 0, 0,
+		8, 0, 1, 3,
+		7, 1, 0, 1,
+		11, 1, 2, 0, 1, 2, 0, 0,
+		11, 0, 1, 0, 0, 0, 0, 0,
+		11, 1, 2, 0, 0, 0, 1, 1, 2,
+		11, 0, 7, 0, 0, 0, 1, 0, 0,
+		10, 1, 0, 0,
+		11, 1, 2, 0, 1, 2, 0, 0})
 	f.Fuzz(checkStoreOps)
 }
 

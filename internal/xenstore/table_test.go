@@ -1,6 +1,7 @@
 package xenstore
 
 import (
+	"errors"
 	"strconv"
 	"strings"
 	"testing"
@@ -77,51 +78,92 @@ func writeAll(s *Store, writes [][2]string) {
 // TestCloneAllocsPerDirectory pins what xs_clone of a console+vif device
 // tree costs the host: one kids array per directory it creates, sized once
 // from the source, and one string per peer path it rewrites. Node names
-// are the source's strings and the rewritten domids are formatted once per
-// request, so no leaf allocates. Each run clones domain 3's frontend tree
-// and both backend directories, as xencloned does for one child: 5 + 2 + 2
-// directories and 2 + 1 + 1 peer paths.
+// are the source's strings and a request rewrites with both domids
+// formatted, so no leaf allocates. Each run clones domain 3's frontend
+// tree and both backend directories, as xencloned does for one child:
+// 5 + 2 + 2 directories and 2 + 1 + 1 peer paths, 13 allocations, plus
+// what the caller spends naming the child:
+//
+//   - "store": Store.Clone with the three destination paths built per
+//     run (three), at domids below 100, which format without allocating;
+//   - "store-4-digit": the same at domids of 1000 and up, which cost a
+//     run one allocation to format and each request another to format
+//     again (four more);
+//   - "dir": Dir.Clone, xencloned's way, at domids of 1000 and up: the
+//     child's ID formatted once per run and its device directory's path
+//     built from it (two), one request per kind's frontend directory with
+//     the kind as the key, and the backend directories reached through
+//     one handle each, kept across runs, with the ID as the key.
 func TestCloneAllocsPerDirectory(t *testing.T) {
 	const runs = 40
-	s := New(0)
-	writeAll(s, consoleVif())
-	// Every child's clone roots exist as leaves, so no run grows a
-	// directory that was there before it. Writing and removing 1 600
-	// scratch leaves then leaves that many free slots behind, so no run
-	// grows the table either and the count is exact.
-	children := make([]string, runs+1) // AllocsPerRun runs once more to warm up
-	for k := range children {
-		children[k] = strconv.Itoa(10 + k) // domids below 100 format without allocating
-		s.Write("/local/domain/"+children[k]+"/device", "", nil)
-		s.Write("/local/domain/0/backend/console/"+children[k], "", nil)
-		s.Write("/local/domain/0/backend/vif/"+children[k], "", nil)
-	}
-	for k := 0; k < 1600; k++ {
-		s.Write("/scratch/"+strconv.Itoa(k), "", nil)
-	}
-	s.Remove("/scratch", nil)
-
-	k := 0
-	allocs := testing.AllocsPerRun(runs, func() {
-		c := children[k]
-		dom := uint32(10 + k)
-		k++
-		for _, dir := range [][2]string{
-			{"/local/domain/3/device", "/local/domain/" + c + "/device"},
-			{"/local/domain/0/backend/console/3", "/local/domain/0/backend/console/" + c},
-			{"/local/domain/0/backend/vif/3", "/local/domain/0/backend/vif/" + c},
-		} {
-			if err := s.Clone(3, dom, CloneDevVif, dir[0], dir[1], nil); err != nil {
+	for _, tc := range []struct {
+		name  string
+		first int // the first child's domid
+		want  float64
+	}{
+		{"store", 10, 13 + 3},
+		{"store-4-digit", 1000, 13 + 3 + 4},
+		{"dir", 1000, 13 + 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(0)
+			writeAll(s, consoleVif())
+			// Every child's clone roots exist as leaves, so no run grows a
+			// directory that was there before it. Writing and removing 1 600
+			// scratch leaves then leaves that many free slots behind, so no
+			// run grows the table either and the count is exact.
+			for k := 0; k <= runs; k++ { // AllocsPerRun runs once more to warm up
+				c := strconv.Itoa(tc.first + k)
+				s.Write("/local/domain/"+c+"/device", "", nil)
+				s.Write("/local/domain/0/backend/console/"+c, "", nil)
+				s.Write("/local/domain/0/backend/vif/"+c, "", nil)
+			}
+			for k := 0; k < 1600; k++ {
+				s.Write("/scratch/"+strconv.Itoa(k), "", nil)
+			}
+			s.Remove("/scratch", nil)
+			console, err := s.Dir("/local/domain/0/backend/console")
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-	})
-	// The three destination paths are built per run: three more.
-	if want := 9.0 + 4 + 3; allocs != want {
-		t.Fatalf("cloning a console+vif tree allocates %v times, want %v", allocs, want)
-	}
-	if got, _ := s.Read("/local/domain/0/backend/vif/50/0/frontend", nil); got != "/local/domain/50/device/vif/0" {
-		t.Fatalf("the last clone's vif frontend = %q", got)
+			vif, err := s.Dir("/local/domain/0/backend/vif")
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			dom := uint32(tc.first)
+			allocs := testing.AllocsPerRun(runs, func() {
+				var err error
+				if tc.name == "dir" {
+					c := strconv.FormatUint(uint64(dom), 10)
+					var dev Dir
+					if dev, err = s.Dir("/local/domain/" + c + "/device"); err == nil {
+						err = errors.Join(
+							dev.Clone("3", c, CloneDevVif, "/local/domain/3/device/console", "console", nil),
+							dev.Clone("3", c, CloneDevVif, "/local/domain/3/device/vif", "vif", nil),
+							console.Clone("3", c, CloneDevVif, "/local/domain/0/backend/console/3", c, nil),
+							vif.Clone("3", c, CloneDevVif, "/local/domain/0/backend/vif/3", c, nil))
+					}
+				} else {
+					c := strconv.Itoa(int(dom))
+					err = errors.Join(
+						s.Clone(3, dom, CloneDevVif, "/local/domain/3/device", "/local/domain/"+c+"/device", nil),
+						s.Clone(3, dom, CloneDevVif, "/local/domain/0/backend/console/3", "/local/domain/0/backend/console/"+c, nil),
+						s.Clone(3, dom, CloneDevVif, "/local/domain/0/backend/vif/3", "/local/domain/0/backend/vif/"+c, nil))
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				dom++
+			})
+			if allocs != tc.want {
+				t.Fatalf("cloning a console+vif tree allocates %v times, want %v", allocs, tc.want)
+			}
+			last := strconv.Itoa(int(dom) - 1)
+			if got, _ := s.Read("/local/domain/0/backend/vif/"+last+"/0/frontend", nil); got != "/local/domain/"+last+"/device/vif/0" {
+				t.Fatalf("the last clone's vif frontend = %q", got)
+			}
+		})
 	}
 }
 

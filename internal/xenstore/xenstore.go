@@ -334,6 +334,9 @@ func (s *Store) Dir(path string) (Dir, error) {
 	return Dir{s: s, elems: elems}, nil
 }
 
+// Path returns the directory's path.
+func (d *Dir) Path() string { return "/" + d.elems }
+
 // Write stores value at key, one path element below the directory: one
 // request, Store.Write of path/key.
 func (d *Dir) Write(key, value string, meter *vclock.Meter) error {
