@@ -104,7 +104,8 @@ type Daemon struct {
 
 	cache map[hv.DomID]*parentInfo
 	// secondStage records the virtual duration of the second stage per
-	// child, so experiment drivers can compose total clone latency.
+	// live child, so experiment drivers can compose total clone latency;
+	// a child's entry goes when the toolstack releases it.
 	secondStage map[hv.DomID]vclock.Duration
 	served      int
 	met         clonedMetrics
@@ -130,6 +131,7 @@ func New(hyp *hv.Hypervisor, store *xenstore.Store, xl *toolstack.XL, net *devic
 			secondStageUS: reg.Histogram("cloned.second_stage_us"),
 		},
 	}
+	xl.WatchRelease(func(id hv.DomID) { delete(d.secondStage, id) })
 	hyp.SetCloningEnabled(true)
 	return d
 }
@@ -151,7 +153,7 @@ func (d *Daemon) FailureStats() FailureStats {
 }
 
 // SecondStageDuration reports the second-stage virtual time spent for a
-// child.
+// child, while it lives.
 func (d *Daemon) SecondStageDuration(child hv.DomID) (vclock.Duration, bool) {
 	t, ok := d.secondStage[child]
 	return t, ok

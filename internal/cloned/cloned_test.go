@@ -161,6 +161,37 @@ func TestSecondStageFullDeviceCloning(t *testing.T) {
 	}
 }
 
+// TestSecondStageForgetsDestroyedChildren forks and destroys in a warm
+// loop, keeping every fourth child: the daemon keeps a second-stage time
+// for exactly the children still alive, and still reports each of theirs.
+func TestSecondStageForgetsDestroyedChildren(t *testing.T) {
+	r := newRig(t, Options{})
+	rec := r.bootParent(t)
+	meter := vclock.NewMeter(nil)
+	var live []hv.DomID
+	for i := 0; i < 48; i++ {
+		child := r.cloneOne(t, rec.ID, meter)
+		if i%4 == 0 {
+			live = append(live, child)
+			continue
+		}
+		if err := r.xl.Destroy(child, meter); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := r.d.SecondStageDuration(child); ok {
+			t.Fatalf("destroyed child %d still has a second-stage time", child)
+		}
+	}
+	if len(r.d.secondStage) != len(live) {
+		t.Fatalf("daemon keeps %d second-stage times, %d children live", len(r.d.secondStage), len(live))
+	}
+	for _, child := range live {
+		if d, ok := r.d.SecondStageDuration(child); !ok || d <= 0 {
+			t.Fatalf("live child %d: second-stage time %v, %t", child, d, ok)
+		}
+	}
+}
+
 func TestCacheMakesLaterClonesCheaper(t *testing.T) {
 	r := newRig(t, Options{})
 	rec := r.bootParent(t)

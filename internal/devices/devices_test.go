@@ -2,6 +2,7 @@ package devices
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 	"strconv"
 	"strings"
@@ -379,11 +380,12 @@ func TestWriteDevicePairMatchesPathRequests(t *testing.T) {
 	}
 
 	// The host cost of one vif pair with its mac and ip next to the
-	// resident guests, each run a new guest's: 14 allocations, for the two
-	// directory paths, the domid formatted once and the kids arrays of the
-	// directories the pair makes. The full-path requests allocate
-	// 46 times (measured the same way), 30 of them key paths and the
-	// slice listing them. A -race build allocates more in both.
+	// resident guests, each run a new guest's: 12 allocations, for the
+	// string both directory paths and the domid are slices of and the kids
+	// arrays of the directories the pair makes (14 when the paths and the
+	// domid were three strings). The full-path requests allocate 46 times
+	// (measured the same way), 30 of them key paths and the slice listing
+	// them. A -race build allocates more in both.
 	if raceEnabled {
 		return
 	}
@@ -393,7 +395,57 @@ func TestWriteDevicePairMatchesPathRequests(t *testing.T) {
 		if err := WriteDevicePair(obs.OpCtx{}, a, domid, "vif", 0, extra); err != nil {
 			t.Fatal(err)
 		}
-	}); allocs > 14 {
-		t.Fatalf("a vif pair allocates %v times, want at most 14", allocs)
+	}); allocs > 12 {
+		t.Fatalf("a vif pair allocates %v times, want at most 12", allocs)
+	}
+}
+
+// TestWriteDevicePairFormatsAsBefore checks that the paths and values
+// WriteDevicePair builds from one string — and the vif's mac and ip entries,
+// also one string — are byte for byte those of the separate formatting
+// (devicePath over formatDomID and strconv.Itoa, fmt for the addresses):
+// the same tree after the pair, for IDs of one to five digits and indexes
+// of one and two.
+func TestWriteDevicePairFormatsAsBefore(t *testing.T) {
+	vif := NewTable(nil, nil, nil, nil)[1]
+	var cfg Config
+	for i := 0; i <= 10; i++ {
+		cfg.Vifs = append(cfg.Vifs, VifConfig{IP: netsim.IP{10, byte(i), 200, byte(250 + i/2)}})
+	}
+	for _, domid := range []uint32{0, 7, 99, 100, 0x7FEF} {
+		for _, index := range []int{0, 10} {
+			id, handle := formatDomID(domid), strconv.Itoa(index)
+			front, back, gotID, gotHandle := devicePair(domid, vif.Dir, index)
+			if front != devicePath(false, id, vif.Dir, handle) || back != devicePath(true, id, vif.Dir, handle) ||
+				gotID != id || gotHandle != handle {
+				t.Fatalf("devicePair(%d, %d) = %q %q %q %q", domid, index, front, back, gotID, gotHandle)
+			}
+
+			extra := vif.entries(cfg, domid, index)
+			mac, ip := netsim.MACForDomain(domid), cfg.Vifs[index].IP
+			want := []Entry{
+				{"mac", fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", mac[0], mac[1], mac[2], mac[3], mac[4], mac[5])},
+				{"ip", fmt.Sprintf("%d.%d.%d.%d", ip[0], ip[1], ip[2], ip[3])},
+			}
+			if !slices.Equal(extra.list(), want) {
+				t.Fatalf("vif entries of %d/%d = %q, want %q", domid, index, extra.list(), want)
+			}
+
+			a, b := xenstore.New(0), xenstore.New(0)
+			if err := WriteDevicePair(obs.OpCtx{}, a, domid, vif.Dir, index, extra.list()); err != nil {
+				t.Fatal(err)
+			}
+			if err := pathRequests(b, domid, vif.Dir, index, want, nil); err != nil {
+				t.Fatal(err)
+			}
+			walk := func(s *xenstore.Store) []string {
+				var out []string
+				s.Walk("/", func(p, v string) { out = append(out, p+"="+v) })
+				return out
+			}
+			if got, want := walk(a), walk(b); !slices.Equal(got, want) {
+				t.Fatalf("domain %d, index %d: tree\n%q\nseparate formatting\n%q", domid, index, got, want)
+			}
+		}
 	}
 }

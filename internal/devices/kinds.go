@@ -73,9 +73,9 @@ type Kind struct {
 	present bool
 	// wanted counts the devices of the kind a configuration asks for, and
 	// entries returns the kind-specific Xenstore entries of one of them
-	// (nil func: none).
+	// (nil func: none), by value so that no list of them is allocated.
 	wanted  func(cfg Config) int
-	entries func(cfg Config, domid uint32, index int) []Entry
+	entries func(cfg Config, domid uint32, index int) extraEntries
 	// create and remove are what the two mean to the backend for one
 	// device, userspace finalization included. A kind with one device per
 	// guest ignores index, except that remove owns nothing past 0; remove
@@ -83,6 +83,19 @@ type Kind struct {
 	create    func(ctx obs.OpCtx, cfg Config, domid uint32, index int, sw *Switch)
 	remove    func(ctx obs.OpCtx, domid uint32, index int, sw *Switch) bool
 	setFaults func(r *fault.Registry)
+}
+
+// extraEntries holds a device's kind-specific Xenstore entries; a kind
+// with fewer than two leaves the rest empty.
+type extraEntries [2]Entry
+
+// list returns the entries up to the first empty one.
+func (e *extraEntries) list() []Entry {
+	n := 0
+	for n < len(e) && e[n].Key != "" {
+		n++
+	}
+	return e[:n]
 }
 
 // Table is the ordered device-kind table. Boot, inventory and clone visit
@@ -115,11 +128,12 @@ func NewTable(console *ConsoleBackend, net *NetBackend, ninep *NinePBackend, vbd
 		Dir: "vif", CloneOp: xenstore.CloneDevVif, Network: true,
 		present: net != nil, setFaults: net.SetFaults,
 		wanted: func(cfg Config) int { return len(cfg.Vifs) },
-		entries: func(cfg Config, domid uint32, index int) []Entry {
-			return []Entry{
-				{Key: "mac", Value: netsim.MACForDomain(domid).String()},
-				{Key: "ip", Value: cfg.Vifs[index].IP.String()},
-			}
+		entries: func(cfg Config, domid uint32, index int) extraEntries {
+			// Both values are slices of one string: one allocation.
+			var b [len("00:00:00:00:00:00") + len("255.255.255.255")]byte
+			mac := netsim.MACForDomain(domid).Append(b[:0])
+			s := string(cfg.Vifs[index].IP.Append(mac))
+			return extraEntries{{Key: "mac", Value: s[:len(mac)]}, {Key: "ip", Value: s[len(mac):]}}
 		},
 		create: func(ctx obs.OpCtx, cfg Config, domid uint32, index int, sw *Switch) {
 			net.plug(ctx, net.CreateVif(domid, index, cfg.Vifs[index].IP, ctx.Meter()), sw)
@@ -139,9 +153,9 @@ func NewTable(console *ConsoleBackend, net *NetBackend, ninep *NinePBackend, vbd
 		Dir: "9pfs", CloneOp: xenstore.CloneDev9pfs,
 		present: ninep != nil, setFaults: ninep.SetFaults,
 		wanted: func(cfg Config) int { return len(cfg.NinePFS) },
-		entries: func(cfg Config, _ uint32, index int) []Entry {
+		entries: func(cfg Config, _ uint32, index int) extraEntries {
 			np := cfg.NinePFS[index]
-			return []Entry{{Key: "tag", Value: np.Tag}, {Key: "export", Value: np.Export}}
+			return extraEntries{{Key: "tag", Value: np.Tag}, {Key: "export", Value: np.Export}}
 		},
 		create: func(ctx obs.OpCtx, cfg Config, domid uint32, index int, _ *Switch) {
 			ninep.Launch(ctx, domid, cfg.NinePFS[index].Export)
@@ -175,11 +189,11 @@ func (k *Kind) Create(ctx obs.OpCtx, store *xenstore.Store, cfg Config, domid ui
 		if !k.present {
 			return fmt.Errorf("devices: %s configured but no %s backend registered", k.Dir, k.Dir)
 		}
-		var extra []Entry
+		var extra extraEntries
 		if k.entries != nil {
 			extra = k.entries(cfg, domid, i)
 		}
-		if err := WriteDevicePair(ctx, store, domid, k.Dir, i, extra); err != nil {
+		if err := WriteDevicePair(ctx, store, domid, k.Dir, i, extra.list()); err != nil {
 			return err
 		}
 		k.create(ctx, cfg, domid, i, sw)

@@ -63,8 +63,19 @@ const domainRoot = "/local/domain/"
 // DomainPath returns a domain's Xenstore directory, /local/domain/<domid>,
 // formatting the ID in place: one allocation, the path's.
 func DomainPath(domid uint32) string {
-	var b [len(domainRoot) + 10]byte
-	return string(strconv.AppendUint(append(b[:0], domainRoot...), uint64(domid), 10))
+	var b [DomainPathMax]byte
+	return string(AppendDomainPath(b[:0], domid))
+}
+
+// DomainPathMax is the longest a domain's Xenstore directory can be.
+const DomainPathMax = len(domainRoot) + 10
+
+// AppendDomainPath appends a domain's Xenstore directory to b. A caller
+// that formats it into a DomainPathMax-byte array on its stack and passes
+// it to a request that keeps no part of it — XL.Destroy's Store.Remove —
+// allocates nothing for the path.
+func AppendDomainPath(b []byte, domid uint32) []byte {
+	return strconv.AppendUint(append(b, domainRoot...), uint64(domid), 10)
 }
 
 // DomainDirs returns a domain's Xenstore directory, its device directory
@@ -74,8 +85,8 @@ func DomainPath(domid uint32) string {
 // once and pays one allocation.
 func DomainDirs(domid uint32) (dom, device, id string) {
 	const dev = "/device"
-	var b [len(domainRoot) + 10 + len(dev)]byte
-	device = string(append(strconv.AppendUint(append(b[:0], domainRoot...), uint64(domid), 10), dev...))
+	var b [DomainPathMax + len(dev)]byte
+	device = string(append(AppendDomainPath(b[:0], domid), dev...))
 	dom = device[:len(device)-len(dev)]
 	return dom, device, dom[len(domainRoot):]
 }
@@ -99,8 +110,7 @@ func BackendDir(domid uint32, kind string) string {
 // formatDomID formats a domain ID as Xenstore paths and values spell it.
 func formatDomID(domid uint32) string { return strconv.FormatUint(uint64(domid), 10) }
 
-// devicePath builds every device path from a domain ID formatted once, so
-// a caller that needs the ID several times pays for one formatting: the
+// devicePath builds a device path from a formatted domain ID: the
 // frontend's /local/domain/<id>/device/<kind>/<index>, or the backend's
 // /local/domain/0/backend/<kind>/<id>/<index>. An empty index stops at the
 // per-guest directory of the kind, which xs_clone copies whole. Each case
@@ -118,6 +128,23 @@ func devicePath(backend bool, id, kind, index string) string {
 	}
 }
 
+// devicePair returns the frontend and backend paths of one device (what
+// devicePath gives for the index), the domain's ID and the device's index
+// as paths and values spell them. All four are slices of one string, so
+// the device's entries cost one allocation: the ID and index are formatted
+// on the stack, and a []byte-to-string conversion that only feeds a
+// concatenation copies nothing.
+func devicePair(domid uint32, kind string, index int) (front, back, id, handle string) {
+	var idb, ixb [20]byte
+	idd := strconv.AppendUint(idb[:0], uint64(domid), 10)
+	ix := strconv.AppendInt(ixb[:0], int64(index), 10)
+	s := domainRoot + string(idd) + "/device/" + kind + "/" + string(ix) +
+		"/local/domain/0/backend/" + kind + "/" + string(idd) + "/" + string(ix)
+	n := len(domainRoot) + len(idd) + len("/device/") + len(kind) + 1 + len(ix)
+	front, back = s[:n], s[n:]
+	return front, back, front[len(domainRoot) : len(domainRoot)+len(idd)], front[n-len(ix):]
+}
+
 // Entry is one Xenstore key/value pair of a device directory.
 type Entry struct{ Key, Value string }
 
@@ -131,8 +158,7 @@ type Entry struct{ Key, Value string }
 // the requests before it created.
 func WriteDevicePair(ctx obs.OpCtx, store *xenstore.Store, domid uint32, kind string, index int, extra []Entry) error {
 	meter := ctx.Meter()
-	id, handle := formatDomID(domid), strconv.Itoa(index)
-	fp, bp := devicePath(false, id, kind, handle), devicePath(true, id, kind, handle)
+	fp, bp, id, handle := devicePair(domid, kind, index)
 	front, err := store.Dir(fp)
 	if err != nil {
 		return err

@@ -3,6 +3,7 @@ package guest
 import (
 	"errors"
 	"fmt"
+	"strconv"
 
 	"nephele/internal/core"
 	"nephele/internal/devices"
@@ -97,7 +98,10 @@ func Boot(p *core.Platform, rec *toolstack.Record, flavor Flavor, meter *vclock.
 	if k.vif != nil {
 		meter.Charge(meter.Costs().GuestUDPNotify, 1)
 	}
-	k.Printk(fmt.Sprintf("%s: kernel up, dom %d\n", flavor, rec.ID))
+	// Built without fmt, the line boxes nothing; Printk keeps no part of
+	// it, so a short one stays on the stack.
+	var id [10]byte
+	k.Printk(flavor.String() + ": kernel up, dom " + string(strconv.AppendUint(id[:0], uint64(rec.ID), 10)) + "\n")
 	return k, nil
 }
 

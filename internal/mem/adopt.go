@@ -1,10 +1,15 @@
 package mem
 
 import (
+	"errors"
 	"fmt"
 
 	"nephele/internal/obs"
 )
+
+// adoptChunk is how many displaced frames AdoptShared releases per
+// ReleaseN call, the length of its stack buffer.
+const adoptChunk = 64
 
 // AdoptShared is the populate-by-share path of a cached restore: the run of
 // pfns starting at start stops being backed by this space's own private
@@ -52,15 +57,26 @@ func (s *Space) AdoptShared(ctx obs.OpCtx, srcDom DomID, start PFN, src []MFN) e
 	if err := s.mem.ShareN(ctx, srcDom, src, 2); err != nil {
 		return err
 	}
-	old := make([]MFN, len(src))
-	for i, mfn := range src {
-		p := &s.ptes[int(start)+i]
-		old[i] = p.mfn()
-		*p = p.withMFN(mfn) | pteCOW | pteWritable
-	}
 	// The displaced frames were validated as this space's own private
-	// memory, so releasing them frees them.
-	err := s.mem.ReleaseN(s.dom, old)
+	// memory, so releasing them frees them. They go back a chunk at a time
+	// through a buffer on the stack, in pfn order: the same frees in the
+	// same order as one list of them, so the frames later allocations
+	// recycle are the same, and no list is allocated. An out-of-range
+	// frame outranks a per-frame error, as in a single ReleaseN.
+	var old [adoptChunk]MFN
+	var err error
+	for base := 0; base < len(src); base += adoptChunk {
+		chunk := src[base:min(base+adoptChunk, len(src))]
+		for i, mfn := range chunk {
+			p := &s.ptes[int(start)+base+i]
+			old[i] = p.mfn()
+			*p = p.withMFN(mfn) | pteCOW | pteWritable
+		}
+		rerr := s.mem.ReleaseN(s.dom, old[:len(chunk)])
+		if rerr != nil && (err == nil || errors.Is(rerr, ErrBadFrame) && !errors.Is(err, ErrBadFrame)) {
+			err = rerr
+		}
+	}
 	meter.Charge(meter.Costs().PTEntryClone, len(src))
 	meter.Charge(meter.Costs().P2MEntryClone, len(src))
 	return err

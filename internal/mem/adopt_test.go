@@ -3,6 +3,7 @@ package mem
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"nephele/internal/obs"
@@ -149,5 +150,72 @@ func TestAdoptSharedValidationLeavesPoolUntouched(t *testing.T) {
 	}
 	if err := sp.AdoptShared(obs.OpCtx{}, DomIDCache, 0, mfns); !errors.Is(err, ErrSpaceRetired) {
 		t.Fatalf("adopt on retired space: %v", err)
+	}
+}
+
+// TestAdoptSharedLongRunAllocsNothing adopts runs longer than the chunk of
+// displaced frames AdoptShared releases at a time: no call allocates.
+func TestAdoptSharedLongRunAllocsNothing(t *testing.T) {
+	const run, runs = 2*adoptChunk + 17, 4
+	_, sp, mfns := adoptRig(t, (runs+3)*run, (runs+1)*run, run)
+	next := PFN(0)
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := sp.AdoptShared(obs.OpCtx{}, DomIDCache, next, mfns); err != nil {
+			t.Fatal(err)
+		}
+		next += run
+	})
+	if allocs != 0 {
+		t.Fatalf("AdoptShared of a %d-page run: %.0f allocs, want 0", run, allocs)
+	}
+}
+
+// TestAdoptSharedRecyclesInOneListOrder checks that releasing the displaced
+// frames chunk by chunk leaves the pool's recycled frames in the order one
+// ReleaseN of them all, in pfn order, leaves them: the next AllocN returns
+// the same frames in the same order, so every later allocation does too.
+func TestAdoptSharedRecyclesInOneListOrder(t *testing.T) {
+	const run = 2*adoptChunk + 17
+	displaced := func(sp *Space) []MFN {
+		old := make([]MFN, run)
+		for i := range old {
+			mfn, err := sp.MFNOf(PFN(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			old[i] = mfn
+		}
+		return old
+	}
+
+	m, sp, mfns := adoptRig(t, 4*run, run, run)
+	if err := sp.AdoptShared(obs.OpCtx{}, DomIDCache, 0, mfns); err != nil {
+		t.Fatal(err)
+	}
+	got, err := m.AllocN(obs.OpCtx{}, 9, run)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The same rig taken through one list: the share, then one ReleaseN of
+	// every displaced frame.
+	refM, refSp, refMFNs := adoptRig(t, 4*run, run, run)
+	old := displaced(refSp)
+	if err := refM.ShareN(obs.OpCtx{}, DomIDCache, refMFNs, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := refM.ReleaseN(refSp.dom, old); err != nil {
+		t.Fatal(err)
+	}
+	want, err := refM.AllocN(obs.OpCtx{}, 9, run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("AllocN after a %d-page adopt = %v, one list gives %v", run, got, want)
+	}
+	// Recycled frames come back most recent first: the last pfn's first.
+	if got[0] != old[run-1] || got[run-1] != old[0] {
+		t.Fatalf("AllocN after adopt starts %d and ends %d, want %d and %d", got[0], got[run-1], old[run-1], old[0])
 	}
 }

@@ -8,21 +8,47 @@ package netsim
 
 import (
 	"errors"
-	"fmt"
+	"strconv"
 )
 
 // MAC is a hardware address.
 type MAC [6]byte
 
 func (m MAC) String() string {
-	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", m[0], m[1], m[2], m[3], m[4], m[5])
+	var b [len("00:00:00:00:00:00")]byte
+	return string(m.Append(b[:0]))
+}
+
+// Append appends the address to b as String spells it: six lower-case
+// two-digit hex bytes separated by colons.
+func (m MAC) Append(b []byte) []byte {
+	const hex = "0123456789abcdef"
+	for i, x := range m {
+		if i > 0 {
+			b = append(b, ':')
+		}
+		b = append(b, hex[x>>4], hex[x&0xf])
+	}
+	return b
 }
 
 // IP is a v4 address.
 type IP [4]byte
 
 func (ip IP) String() string {
-	return fmt.Sprintf("%d.%d.%d.%d", ip[0], ip[1], ip[2], ip[3])
+	var b [len("255.255.255.255")]byte
+	return string(ip.Append(b[:0]))
+}
+
+// Append appends the address to b as String spells it: dotted decimal.
+func (ip IP) Append(b []byte) []byte {
+	for i, x := range ip {
+		if i > 0 {
+			b = append(b, '.')
+		}
+		b = strconv.AppendUint(b, uint64(x), 10)
+	}
+	return b
 }
 
 // Proto is the transport protocol of a packet.

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -169,5 +170,27 @@ func TestFlowHashDistributionProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAddressStringsMatchFmt checks String and Append against the fmt
+// spelling of both address kinds.
+func TestAddressStringsMatchFmt(t *testing.T) {
+	mac := func(m MAC) bool {
+		want := fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", m[0], m[1], m[2], m[3], m[4], m[5])
+		return m.String() == want && string(m.Append([]byte("x"))) == "x"+want
+	}
+	ip := func(a IP) bool {
+		want := fmt.Sprintf("%d.%d.%d.%d", a[0], a[1], a[2], a[3])
+		return a.String() == want && string(a.Append([]byte("x"))) == "x"+want
+	}
+	if err := quick.Check(mac, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := quick.Check(ip, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !ip(IP{255, 255, 255, 255}) || !ip(IP{}) || !mac(MAC{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}) || !mac(MAC{}) {
+		t.Fatal("extreme addresses spelled differently")
 	}
 }

@@ -102,6 +102,8 @@ type XL struct {
 	// lastSave is each live domain's most recent Save, which the next one
 	// inherits unchanged runs' hashes from (Image.ensureHashed).
 	lastSave map[hv.DomID]*Image
+	// releaseWatches are called with every domain ReleaseClone drops.
+	releaseWatches []func(hv.DomID)
 }
 
 // New creates a toolstack over the given platform components.
@@ -253,7 +255,9 @@ func (x *XL) Destroy(id hv.DomID, meter *vclock.Meter) error {
 	}
 	ctx := obs.Ctx(meter)
 	x.Devices.Teardown(ctx, uint32(id), x.Net)
-	x.Store.Remove(devices.DomainPath(uint32(id)), meter)
+	// Remove keeps no part of the path: formatted here, it costs no heap.
+	var path [devices.DomainPathMax]byte
+	x.Store.Remove(string(devices.AppendDomainPath(path[:0], uint32(id))), meter)
 	return x.HV.DomainDestroy(ctx, id)
 }
 
@@ -291,5 +295,16 @@ func (x *XL) ReleaseClone(child hv.DomID) bool {
 	delete(x.byName, rec.Config.Name)
 	delete(x.lastSave, child)
 	x.dom0Mem -= Dom0MemPerInstanceBytes
+	for _, fn := range x.releaseWatches {
+		fn(child)
+	}
 	return true
+}
+
+// WatchRelease registers fn to be called with every domain the toolstack
+// releases — a destroyed one, or a clone whose adoption is undone — once
+// its record is gone, as a daemon watches xenstored's @releaseDomain to
+// drop what it keeps per domain.
+func (x *XL) WatchRelease(fn func(hv.DomID)) {
+	x.releaseWatches = append(x.releaseWatches, fn)
 }

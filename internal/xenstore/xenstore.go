@@ -183,18 +183,19 @@ func (s *Store) freeTree(i int32) int {
 
 // search returns where name sits, or would sit, among n's kids and
 // whether it is there. It stops at the first probe that finds name: most
-// lookups are hits, and each probe costs a string compare.
+// lookups are hits. The operators, unlike strings.Compare, let name stay
+// on the caller's stack.
 func (s *Store) search(n *node, name string) (int, bool) {
 	lo, hi := 0, len(n.kids)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		switch c := strings.Compare(s.at(n.kids[m]).name, name); {
-		case c < 0:
-			lo = m + 1
-		case c > 0:
-			hi = m
-		default:
+		switch k := s.at(n.kids[m]).name; {
+		case k == name:
 			return m, true
+		case k < name:
+			lo = m + 1
+		default:
+			hi = m
 		}
 	}
 	return lo, false
@@ -218,13 +219,14 @@ func (s *Store) NodeCount() int {
 
 // pathElems validates path — absolute, no empty element — and returns its
 // elements as one slash-separated string ("" for the root) for strings.Cut
-// to walk, so no request builds a []string of them.
+// to walk, so no request builds a []string of them. Its error holds a
+// copy of path, so path does not escape through it.
 func pathElems(path string) (string, error) {
 	if path == "/" {
 		return "", nil
 	}
 	if path == "" || path[0] != '/' || path[len(path)-1] == '/' || strings.Contains(path, "//") {
-		return "", fmt.Errorf("%w: %q", ErrBadPath, path)
+		return "", fmt.Errorf("%w: %q", ErrBadPath, strings.Clone(path))
 	}
 	return path[1:], nil
 }
@@ -424,7 +426,8 @@ func (s *Store) Directory(path string, meter *vclock.Meter) ([]string, error) {
 	return out, nil
 }
 
-// Remove deletes the subtree at path, one request.
+// Remove deletes the subtree at path, one request. It keeps no part of
+// path, not even in its error, so a caller may format path on its stack.
 func (s *Store) Remove(path string, meter *vclock.Meter) error {
 	s.chargeRequest(meter, true)
 	elems, err := pathElems(path)
@@ -444,7 +447,7 @@ func (s *Store) Remove(path string, meter *vclock.Meter) error {
 		k, ok = s.search(parent, name)
 	}
 	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, path)
+		return fmt.Errorf("%w: %s", ErrNotFound, strings.Clone(path))
 	}
 	s.nodes -= s.freeTree(parent.kids[k])
 	s.removals++
