@@ -102,6 +102,8 @@ type Daemon struct {
 	Net   *devices.Switch
 	Opts  Options
 
+	// cache holds each live parent's device inventory, read on its first
+	// clone; a parent's entry goes when the toolstack releases it.
 	cache map[hv.DomID]*parentInfo
 	// secondStage records the virtual duration of the second stage per
 	// live child, so experiment drivers can compose total clone latency;
@@ -131,7 +133,10 @@ func New(hyp *hv.Hypervisor, store *xenstore.Store, xl *toolstack.XL, net *devic
 			secondStageUS: reg.Histogram("cloned.second_stage_us"),
 		},
 	}
-	xl.WatchRelease(func(id hv.DomID) { delete(d.secondStage, id) })
+	xl.WatchRelease(func(id hv.DomID) {
+		delete(d.secondStage, id)
+		delete(d.cache, id)
+	})
 	hyp.SetCloningEnabled(true)
 	return d
 }
@@ -287,12 +292,13 @@ func (d *Daemon) serveOne(ctx obs.OpCtx, n hv.CloneNotification) error {
 
 // rollback undoes whatever part of the second stage completed for a failed
 // child, in reverse creation order: device backends first (the table's
-// shared teardown), then the toolstack record, then the child's whole
-// Xenstore subtree. Every step tolerates the state it undoes being absent,
-// so rollback is safe no matter where the second stage failed, and running
-// it twice is harmless. The hypervisor-side teardown (domain, COW
-// references, clone budget) is NOT done here — that is CloneAbort's job,
-// invoked only when the failure is terminal.
+// shared teardown), then the toolstack record, then the child's Xenstore
+// subtree and its backend directory of every kind. Every step tolerates
+// the state it undoes being absent, so rollback is safe no matter where
+// the second stage failed, and running it twice is harmless. The
+// hypervisor-side teardown (domain, COW references, clone budget) is NOT
+// done here — that is CloneAbort's job, invoked only when the failure is
+// terminal.
 func (d *Daemon) rollback(ctx obs.OpCtx, n hv.CloneNotification) {
 	ctx, span := ctx.StartSpan("rollback")
 	defer span.End()
@@ -300,7 +306,7 @@ func (d *Daemon) rollback(ctx obs.OpCtx, n hv.CloneNotification) {
 	kinds := d.XL.Devices
 	kinds.Teardown(ctx, c, d.Net)
 	d.XL.ReleaseClone(n.Child)
-	kinds.RemoveEntries(ctx, d.Store, c)
+	d.XL.RemoveEntries(ctx, n.Child, devices.AllKinds)
 }
 
 // parentInfo reads (or recalls) the parent's device inventory. The first

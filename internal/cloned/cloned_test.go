@@ -192,6 +192,29 @@ func TestSecondStageForgetsDestroyedChildren(t *testing.T) {
 	}
 }
 
+// TestCacheForgetsDestroyedParents boots a parent, forks it, and destroys
+// the child and then the parent, over and over: the daemon keeps the
+// device inventory of a parent only while the parent lives.
+func TestCacheForgetsDestroyedParents(t *testing.T) {
+	r := newRig(t, Options{})
+	meter := vclock.NewMeter(nil)
+	for i := 0; i < 16; i++ {
+		rec := r.bootNamed(t, fmt.Sprintf("parent-%d", i))
+		child := r.cloneOne(t, rec.ID, meter)
+		if len(r.d.cache) != 1 {
+			t.Fatalf("round %d: daemon caches %d parents, 1 live", i, len(r.d.cache))
+		}
+		for _, id := range []hv.DomID{child, rec.ID} {
+			if err := r.xl.Destroy(id, meter); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(r.d.cache) != 0 {
+			t.Fatalf("round %d: daemon caches %d parents, none live", i, len(r.d.cache))
+		}
+	}
+}
+
 func TestCacheMakesLaterClonesCheaper(t *testing.T) {
 	r := newRig(t, Options{})
 	rec := r.bootParent(t)

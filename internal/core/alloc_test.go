@@ -20,8 +20,12 @@ import (
 // own records. Before the child's ID was formatted once, the parent's
 // device paths cached and private frames allocated straight into the
 // child's table, the same fork and destroy cost 67; before Destroy built
-// its Xenstore path on the stack, 36.
-const forkAllocs = 35
+// its Xenstore path on the stack, 36. Before Destroy removed the child's
+// backend directories, 35: the store kept every child's console and vif
+// directories, so each xs_clone made their <id> and <id>/0 directories
+// in fresh table slots, with four new kids arrays, where now it takes the
+// slots, and kids arrays, of the last child's.
+const forkAllocs = 31
 
 // TestForkAllocs pins the host allocations of the clone-fanout cycle:
 // CloneOp(Count=1) of a warm 4 MB Mini-OS parent with one vif (and its
@@ -78,8 +82,13 @@ func TestForkAllocs(t *testing.T) {
 // page pool. Before each device's paths and the vif's MAC and IP
 // values were built as one string, the boot line without boxing, a cached
 // restore's displaced frames released through a stack buffer and Destroy's
-// path formatted on the stack, the same cycles cost 45, 36 and 45.
-var createAllocs = map[string]float64{"boot": 36, "restore": 29, "restore-cached": 29}
+// path formatted on the stack, the same cycles cost 45, 36 and 45. Before
+// Destroy removed the domain's backend directories, 36, 29 and 29: the
+// store kept every domain's, so each create wrote its backend directories
+// into fresh table slots and grew their kids arrays from empty, eight
+// allocations a cycle, where now it takes the freed slots back with the
+// arrays they had.
+var createAllocs = map[string]float64{"boot": 28, "restore": 21, "restore-cached": 21}
 
 // TestCreateAllocs pins the host allocations of the create-churn ops: Boot
 // (xl create and the guest's boot), Restore and RestoreCachedOp of a warm

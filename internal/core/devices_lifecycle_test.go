@@ -8,6 +8,7 @@ import (
 	"nephele/internal/devices"
 	"nephele/internal/fault"
 	"nephele/internal/netsim"
+	"nephele/internal/obs"
 	"nephele/internal/toolstack"
 )
 
@@ -67,8 +68,7 @@ func countDevices(p *Platform) deviceCounts {
 // kind a guest owning one device of it is booted and forked, the child's
 // store directories and backend object must exist, and both ways out —
 // destroying the child, and a fatal fault in the kind's clone path — must
-// return the backends, the switch and the child's store subtree to their
-// pre-fork state.
+// return the backends, the switch and the store to their pre-fork state.
 func TestDeviceKindLifecycle(t *testing.T) {
 	for _, faulted := range []bool{false, true} {
 		p := smallPlatform(Options{SkipNameCheck: true})
@@ -137,11 +137,7 @@ func TestDeviceKindLifecycle(t *testing.T) {
 					if p.Store.Exists(fmt.Sprintf("/local/domain/%d", child), nil) {
 						t.Fatal("destroyed child's store subtree survives")
 					}
-					// XL.Destroy leaves the backend directory behind (ROADMAP's
-					// open leak), so the node count is not compared here.
-					after := countDevices(p)
-					after.storeNodes = before.storeNodes
-					if after != before {
+					if after := countDevices(p); after != before {
 						t.Fatalf("after destroy %+v, want the pre-fork %+v", after, before)
 					}
 				}
@@ -198,6 +194,91 @@ func TestCloneOneXsClonePerDirectory(t *testing.T) {
 			}
 			if nvifs == 1 && res.Total != oneVifCloneTotal {
 				t.Errorf("1-vif clone took %v virtual, want %v", res.Total, oneVifCloneTotal)
+			}
+		})
+	}
+}
+
+// TestDestroyConservesStoreNodes makes a domain owning one device of each
+// kind in turn by every way there is — Boot, Restore, RestoreCachedOp and a
+// fork — and destroys it: the store must hold as many nodes afterwards as
+// before, because Destroy removes the domain's subtree and its backend
+// directory of every kind it has. A warm-up round first makes what stays:
+// each kind's directory under Dom0's backend/, which a guest's backend
+// directory of the kind goes in.
+func TestDestroyConservesStoreNodes(t *testing.T) {
+	for _, kind := range []string{"console", "vif", "9pfs", "vbd"} {
+		t.Run(kind, func(t *testing.T) {
+			p := smallPlatform(Options{SkipNameCheck: true})
+			cfg := toolstack.DomainConfig{Name: "parent", MemoryMB: 4, VCPUs: 1, MaxClones: 8}
+			kindFixtures[kind].configure(&cfg)
+			parent, err := p.Boot(cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			img, err := p.XL.Save(parent.ID, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			images := p.NewImageStore(0)
+			if err := images.Insert(img, nil); err != nil {
+				t.Fatal(err)
+			}
+			boot := cfg
+			boot.Name = "booted"
+			ops := []struct {
+				name   string
+				create func() (DomID, error)
+			}{
+				{"boot", func() (DomID, error) {
+					rec, err := p.Boot(boot, nil)
+					if err != nil {
+						return 0, err
+					}
+					return rec.ID, nil
+				}},
+				{"restore", func() (DomID, error) {
+					rec, err := p.XL.Restore(img, "restored", nil)
+					if err != nil {
+						return 0, err
+					}
+					return rec.ID, nil
+				}},
+				{"restore-cached", func() (DomID, error) {
+					rec, hit, err := p.XL.RestoreCachedOp(obs.OpCtx{}, images, img, "cached")
+					if err != nil {
+						return 0, err
+					}
+					if !hit {
+						t.Fatal("cached restore of a resident image missed")
+					}
+					return rec.ID, nil
+				}},
+				{"fork", func() (DomID, error) {
+					res, err := fork(p, parent.ID, 1, nil)
+					if err != nil {
+						return 0, err
+					}
+					return res.Children[0], nil
+				}},
+			}
+			for round := 0; round < 2; round++ {
+				for _, op := range ops {
+					before := p.Store.NodeCount()
+					id, err := op.create()
+					if err != nil {
+						t.Fatalf("%s: %v", op.name, err)
+					}
+					if !kindFixtures[kind].owns(p, id) {
+						t.Fatalf("%s: the domain owns no %s backend object", op.name, kind)
+					}
+					if err := p.Destroy(id, nil); err != nil {
+						t.Fatalf("%s: %v", op.name, err)
+					}
+					if after := p.Store.NodeCount(); round > 0 && after != before {
+						t.Fatalf("%s + destroy: the store holds %d nodes, %d before", op.name, after, before)
+					}
+				}
 			}
 		})
 	}

@@ -201,31 +201,30 @@ func (k *Kind) Create(ctx obs.OpCtx, store *xenstore.Store, cfg Config, domid ui
 	return nil
 }
 
+// Kinds is a set of a Table's rows: bit k stands for row k.
+type Kinds uint32
+
+// AllKinds holds every row of any table.
+const AllKinds = ^Kinds(0)
+
+// Has reports whether the set holds row k.
+func (s Kinds) Has(k int) bool { return s&(1<<k) != 0 }
+
 // Teardown drops every backend object a domain owns — switch detach and
 // udev remove event included — walking the kinds in reverse and each
-// kind's indices upwards until the backend reports none. It asks the
-// backends, not a configuration or inventory, so it undoes exactly what
-// exists: a destroy, a half-built boot and a half-cloned child all unwind
-// through it, and running it twice is harmless. Xenstore entries are the
-// caller's to remove.
-func (t Table) Teardown(ctx obs.OpCtx, domid uint32, sw *Switch) {
+// kind's indices upwards until the backend reports none, and returns the
+// kinds it found one of. It asks the backends, not a configuration or
+// inventory, so it undoes exactly what exists: a destroy, a half-built
+// boot and a half-cloned child all unwind through it, and running it twice
+// is harmless. Xenstore entries are the caller's to remove.
+func (t Table) Teardown(ctx obs.OpCtx, domid uint32, sw *Switch) Kinds {
+	var found Kinds
 	for k := len(t) - 1; k >= 0; k-- {
 		for i := 0; t[k].present && t[k].remove(ctx, domid, i, sw); i++ {
+			found |= 1 << k
 		}
 	}
-}
-
-// RemoveEntries deletes a domain's Xenstore subtree — base entries and
-// whatever frontend device entries it holds — and its backend directory
-// under each kind, last kind first; absent ones are the desired state
-// already. It is how a failed boot and a failed clone unwind; XL.Destroy
-// removes the domain's subtree only.
-func (t Table) RemoveEntries(ctx obs.OpCtx, store *xenstore.Store, domid uint32) {
-	meter := ctx.Meter()
-	_ = store.Remove(DomainPath(domid), meter)
-	for k := len(t) - 1; k >= 0; k-- {
-		_ = store.Remove(BackendDir(domid, t[k].Dir), meter)
-	}
+	return found
 }
 
 // SetFaults installs a fault-injection registry on every backend's clone

@@ -91,6 +91,15 @@ func DomainDirs(domid uint32) (dom, device, id string) {
 	return dom, device, dom[len(domainRoot):]
 }
 
+// backendRoot is the Xenstore directory of Dom0's backends: each kind has
+// a directory in it, and each guest's backend directory of the kind sits
+// in that under the guest's ID.
+const backendRoot = "/local/domain/0/backend/"
+
+// BackendKindDir returns a kind's backend directory,
+// /local/domain/0/backend/<kind>.
+func BackendKindDir(kind string) string { return backendRoot + kind }
+
 // BackendPath returns the conventional Xenstore path of a backend device
 // directory (backends live under Dom0).
 func BackendPath(domid uint32, kind string, index int) string {
@@ -118,9 +127,9 @@ func formatDomID(domid uint32) string { return strconv.FormatUint(uint64(domid),
 func devicePath(backend bool, id, kind, index string) string {
 	switch {
 	case backend && index == "":
-		return "/local/domain/0/backend/" + kind + "/" + id
+		return backendRoot + kind + "/" + id
 	case backend:
-		return "/local/domain/0/backend/" + kind + "/" + id + "/" + index
+		return backendRoot + kind + "/" + id + "/" + index
 	case index == "":
 		return "/local/domain/" + id + "/device/" + kind
 	default:
@@ -139,7 +148,7 @@ func devicePair(domid uint32, kind string, index int) (front, back, id, handle s
 	idd := strconv.AppendUint(idb[:0], uint64(domid), 10)
 	ix := strconv.AppendInt(ixb[:0], int64(index), 10)
 	s := domainRoot + string(idd) + "/device/" + kind + "/" + string(ix) +
-		"/local/domain/0/backend/" + kind + "/" + string(idd) + "/" + string(ix)
+		backendRoot + kind + "/" + string(idd) + "/" + string(ix)
 	n := len(domainRoot) + len(idd) + len("/device/") + len(kind) + 1 + len(ix)
 	front, back = s[:n], s[n:]
 	return front, back, front[len(domainRoot) : len(domainRoot)+len(idd)], front[n-len(ix):]

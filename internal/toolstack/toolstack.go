@@ -9,6 +9,7 @@ package toolstack
 import (
 	"errors"
 	"fmt"
+	"strconv"
 
 	"nephele/internal/devices"
 	"nephele/internal/fault"
@@ -104,11 +105,14 @@ type XL struct {
 	lastSave map[hv.DomID]*Image
 	// releaseWatches are called with every domain ReleaseClone drops.
 	releaseWatches []func(hv.DomID)
+	// backends holds a handle on each kind's backend directory, in table
+	// order, which a domain's backend directories are removed through.
+	backends []xenstore.Dir
 }
 
 // New creates a toolstack over the given platform components.
 func New(hyp *hv.Hypervisor, store *xenstore.Store, be Backends, net *devices.Switch) *XL {
-	return &XL{
+	x := &XL{
 		HV:       hyp,
 		Store:    store,
 		Backends: be,
@@ -118,6 +122,12 @@ func New(hyp *hv.Hypervisor, store *xenstore.Store, be Backends, net *devices.Sw
 		byID:     make(map[hv.DomID]*Record),
 		lastSave: make(map[hv.DomID]*Image),
 	}
+	x.backends = make([]xenstore.Dir, len(x.Devices))
+	for k := range x.Devices {
+		// A kind's directory is a well-formed path, so this cannot fail.
+		x.backends[k], _ = store.Dir(devices.BackendKindDir(x.Devices[k].Dir))
+	}
+	return x
 }
 
 // SetFaults installs a fault-injection registry on the clone-adoption path
@@ -194,7 +204,7 @@ func (x *XL) create(ctx obs.OpCtx, cfg DomainConfig) (*Record, error) {
 		// drop: unwind the devices and entries built so far, uncharged.
 		unwind := ctx.WithMeter(nil)
 		x.Devices.Teardown(unwind, uint32(dom.ID), x.Net)
-		x.Devices.RemoveEntries(unwind, x.Store, uint32(dom.ID))
+		x.RemoveEntries(unwind, dom.ID, devices.AllKinds)
 		x.HV.DomainDestroy(unwind, dom.ID)
 		return nil, err
 	}
@@ -254,11 +264,29 @@ func (x *XL) Destroy(id hv.DomID, meter *vclock.Meter) error {
 		return fmt.Errorf("%w: %d", ErrNoDomain, id)
 	}
 	ctx := obs.Ctx(meter)
-	x.Devices.Teardown(ctx, uint32(id), x.Net)
-	// Remove keeps no part of the path: formatted here, it costs no heap.
-	var path [devices.DomainPathMax]byte
-	x.Store.Remove(string(devices.AppendDomainPath(path[:0], uint32(id))), meter)
+	x.RemoveEntries(ctx, id, x.Devices.Teardown(ctx, uint32(id), x.Net))
 	return x.HV.DomainDestroy(ctx, id)
+}
+
+// RemoveEntries deletes a domain's Xenstore entries: its own subtree, base
+// entries and whatever frontend device entries it holds, then its backend
+// directory of each kind in kinds, last kind first. Destroy passes the
+// kinds Teardown found a backend object of. A failed boot and a failed
+// clone pass all of them, since a store fault can leave a half-written
+// backend directory with no backend object; an absent one is the desired
+// state already. No request keeps its path, so the paths and the ID are
+// formatted on the stack and removing costs no heap.
+func (x *XL) RemoveEntries(ctx obs.OpCtx, id hv.DomID, kinds devices.Kinds) {
+	meter := ctx.Meter()
+	var path [devices.DomainPathMax]byte
+	_ = x.Store.Remove(string(devices.AppendDomainPath(path[:0], uint32(id))), meter)
+	var b [10]byte
+	key := string(strconv.AppendUint(b[:0], uint64(id), 10))
+	for k := len(x.backends) - 1; k >= 0; k-- {
+		if kinds.Has(k) {
+			_ = x.backends[k].Remove(key, meter)
+		}
+	}
 }
 
 // AdoptClone registers a clone created by xencloned in the toolstack

@@ -277,6 +277,17 @@ func (s *refStore) DirClone(parentDom, childDom uint32, op CloneOp, parentPath, 
 	return s.Clone(parentDom, childDom, op, parentPath, p)
 }
 
+// DirRemove is Dir(dir).Remove(key): Remove of dir/key, a bad key refused
+// once the request is charged.
+func (s *refStore) DirRemove(dir, key string) error {
+	p, err := dirKey(dir, key)
+	if err != nil {
+		s.charge(true)
+		return err
+	}
+	return s.Remove(p)
+}
+
 // Walk returns every node under the root as "path=value", in sorted order.
 func (s *refStore) Walk() []string {
 	var out []string
@@ -360,9 +371,9 @@ const opRotateEvery = 5
 // checkStoreOps decodes data into a sequence of requests, runs each on a
 // Store and on the reference model, and fails t at the first request whose
 // result, error, Stats, meter total, node count or whole-tree walk differs.
-// Four Dir handles live across steps: a step opens one on a path, writes or
-// reads a key through it, or removes its directory, an ancestor or a
-// sibling, so later requests go through handles whose node was freed, and
+// Four Dir handles live across steps: a step opens one on a path, writes,
+// reads, clones onto or removes a key through it, or removes its
+// directory, an ancestor or a sibling, so later requests go through handles whose node was freed, and
 // perhaps handed to another path, or that never found one.
 func checkStoreOps(t *testing.T, data []byte) {
 	t.Helper()
@@ -373,7 +384,7 @@ func checkStoreOps(t *testing.T, data []byte) {
 	for step := 0; len(in) > 0 && step < 256; step++ {
 		var desc string
 		var err, want error
-		switch in.next() % 12 {
+		switch in.next() % 13 {
 		case 0:
 			p, v := in.opPath(), fuzzVals[in.next()%len(fuzzVals)]
 			desc = fmt.Sprintf("Write(%q, %q)", p, v)
@@ -484,6 +495,14 @@ func checkStoreOps(t *testing.T, data []byte) {
 			desc = fmt.Sprintf("Dir(%q).Clone(%d, %d, %v, %q, %q)", h.path, parent, child, op, src, key)
 			err = h.dir.Clone(fmt.Sprint(parent), fmt.Sprint(child), op, src, key, meter)
 			want = ref.DirClone(parent, child, op, src, h.path, key)
+		case 12:
+			k, key := in.next()%len(handles), in.opKey()
+			h := handles[k]
+			if h == nil {
+				continue
+			}
+			desc = fmt.Sprintf("Dir(%q).Remove(%q)", h.path, key)
+			err, want = h.dir.Remove(key, meter), ref.DirRemove(h.path, key)
 		}
 		if !sameErr(err, want) {
 			t.Fatalf("step %d: %s: %v, reference %v", step, desc, err, want)
@@ -506,8 +525,8 @@ func checkStoreOps(t *testing.T, data []byte) {
 // FuzzStoreOps checks the node table against the reference model over
 // sequences of Write, Read, Remove, Clone, Directory, Exists and Snapshot
 // on a small path alphabet, so subtrees are removed and made again and the
-// table hands freed indices out again, and of Write, Read and Clone through
-// Dir handles kept across those removals.
+// table hands freed indices out again, and of Write, Read, Clone and
+// Remove through Dir handles kept across those removals.
 //
 //	go test -run XXX -fuzz FuzzStoreOps -fuzztime 10s ./internal/xenstore
 func FuzzStoreOps(f *testing.F) {
@@ -570,6 +589,25 @@ func FuzzStoreOps(f *testing.F) {
 		11, 0, 7, 0, 0, 0, 1, 0, 0,
 		10, 1, 0, 0,
 		11, 1, 2, 0, 1, 2, 0, 0})
+	// Removals through handles: handle 0 on /a writes b and c, removes b
+	// (found), b again (not found) and a bad key (refused); handle 1 on
+	// /a/c removes a key the leaf /a/c does not have; handle 0 removes c,
+	// leaving handle 1 stale; handle 1 writes b, which makes /a/c/b, and
+	// removes it; /a is removed and handle 0 removes c from its absent
+	// directory.
+	f.Add([]byte{7, 0, 0, 0,
+		8, 0, 1, 3,
+		8, 0, 2, 2,
+		12, 0, 1,
+		12, 0, 1,
+		12, 0, 7, 0,
+		7, 1, 1, 0, 2,
+		12, 1, 0,
+		12, 0, 2,
+		8, 1, 1, 3,
+		12, 1, 1,
+		10, 0, 0, 0,
+		12, 0, 2})
 	f.Fuzz(checkStoreOps)
 }
 

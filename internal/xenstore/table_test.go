@@ -198,6 +198,46 @@ func TestRewriteAfterRemoveAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestDirRemoveAllocatesNothing removes a guest's vif backend directory
+// through a handle on the kind's directory, the guest's ID formatted on the
+// stack as XL.Destroy formats it, and writes the directory again. The
+// removal puts one index on the free list, however many nodes the subtree
+// holds, and the rewrite takes the freed slots back from it in preorder:
+// once warm the pair allocates nothing.
+func TestDirRemoveAllocatesNothing(t *testing.T) {
+	s := New(0)
+	var back [][2]string
+	for _, w := range consoleVif() {
+		s.Write(w[0], w[1], nil)
+		if strings.HasPrefix(w[0], "/local/domain/0/backend/vif/") {
+			back = append(back, w)
+		}
+	}
+	vif, err := s.Dir("/local/domain/0/backend/vif")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := s.NodeCount()
+	for run := 0; run < 3; run++ {
+		if allocs := testing.AllocsPerRun(1, func() {
+			var id [10]byte
+			free := len(s.free)
+			if err := vif.Remove(string(strconv.AppendUint(id[:0], 3, 10)), nil); err != nil {
+				t.Fatal(err)
+			}
+			if got := len(s.free) - free; got != 1 {
+				t.Fatalf("removing a %d-node directory put %d indices on the free list, want 1", len(back)+2, got)
+			}
+			writeAll(s, back)
+		}); allocs != 0 {
+			t.Fatalf("run %d: removing and rewriting a backend directory allocates %v times", run, allocs)
+		}
+	}
+	if s.NodeCount() != nodes {
+		t.Fatalf("NodeCount = %d after the rewrites, want %d", s.NodeCount(), nodes)
+	}
+}
+
 // TestDirectoryAllocatesOnlyItsResult: listing a directory reads its kids
 // in order into the result, with no sort and no scratch slice.
 func TestDirectoryAllocatesOnlyItsResult(t *testing.T) {

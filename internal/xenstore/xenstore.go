@@ -65,8 +65,8 @@ func (op CloneOp) String() string {
 
 // node is one entry of the store's node table. kids lists the indices of
 // its children sorted by name, so a lookup binary-searches it and a listing
-// reads it in order. A leaf's kids is empty; a freed node keeps its kids
-// array for the next node that takes its index.
+// reads it in order. A leaf's kids is empty. A freed node keeps its kids
+// until alloc hands its index out: they are the free nodes below it.
 type node struct {
 	name, value string
 	kids        []int32
@@ -115,8 +115,10 @@ type Stats struct {
 type Store struct {
 	chunks [][]node // the node table; node 0 is the root
 	used   int32    // table slots handed out, freed ones included
-	free   []int32  // freed indices, reused last freed first
-	nodes  int      // live nodes, the root not counted
+	// free holds the roots of the freed subtrees, reused last freed first;
+	// the rest of a freed subtree hangs off its root's kids.
+	free  []int32
+	nodes int // live nodes, the root not counted
 	// removals counts the Remove requests that freed nodes: a Dir keeps
 	// the node it found only while this has not moved.
 	removals uint64
@@ -149,12 +151,20 @@ func (s *Store) at(i int32) *node {
 }
 
 // alloc takes a table slot for a node called name, a freed one if
-// there is one, and returns its index.
+// there is one, and returns its index. A freed slot's children go on the
+// free list, last to first, so a freed subtree is handed back in preorder:
+// the order a sorted rewrite of the same subtree asks for its nodes, each
+// with the kids array it had.
 func (s *Store) alloc(name string) int32 {
 	var i int32
 	if k := len(s.free) - 1; k >= 0 {
 		i = s.free[k]
 		s.free = s.free[:k]
+		n := s.at(i)
+		for j := len(n.kids) - 1; j >= 0; j-- {
+			s.free = append(s.free, n.kids[j])
+		}
+		n.kids = n.kids[:0]
 	} else {
 		i = s.used
 		s.used++
@@ -166,18 +176,15 @@ func (s *Store) alloc(name string) int32 {
 	return i
 }
 
-// freeTree returns node i and its descendants to the free list and
-// reports how many it freed. Children go first, last to first, so the
-// list hands the indices back in the order a sorted rewrite of the same
-// subtree asks for them, each with the kids array it had.
-func (s *Store) freeTree(i int32) int {
+// clearTree clears the names and values of node i and its descendants and
+// counts them.
+func (s *Store) clearTree(i int32) int {
 	n := s.at(i)
+	n.name, n.value = "", ""
 	freed := 1
-	for k := len(n.kids) - 1; k >= 0; k-- {
-		freed += s.freeTree(n.kids[k])
+	for _, k := range n.kids {
+		freed += s.clearTree(k)
 	}
-	n.name, n.value, n.kids = "", "", n.kids[:0]
-	s.free = append(s.free, i)
 	return freed
 }
 
@@ -351,10 +358,34 @@ func (d *Dir) Read(key string, meter *vclock.Meter) (string, error) {
 	return d.s.read(d, key, checkKey(key), meter)
 }
 
-// checkKey refuses a key that is not exactly one path element.
+// Remove deletes the subtree at key, one path element below the
+// directory: one request, Store.Remove of path/key. Like Store.Remove it
+// keeps no part of key, so a caller may format key on its stack.
+func (d *Dir) Remove(key string, meter *vclock.Meter) error {
+	s := d.s
+	s.chargeRequest(meter, true)
+	if err := checkKey(key); err != nil {
+		return err
+	}
+	if !s.unlink(s.dirNode(d, false), key) {
+		return fmt.Errorf("%w: %s", ErrNotFound, d.join(key))
+	}
+	return nil
+}
+
+// join returns the path of key below the directory.
+func (d *Dir) join(key string) string {
+	if d.elems == "" {
+		return "/" + key
+	}
+	return "/" + d.elems + "/" + key
+}
+
+// checkKey refuses a key that is not exactly one path element. Its error
+// holds a copy of key, so key does not escape through it.
 func checkKey(key string) error {
 	if key == "" || strings.IndexByte(key, '/') >= 0 {
-		return fmt.Errorf("%w: key %q", ErrBadPath, key)
+		return fmt.Errorf("%w: key %q", ErrBadPath, strings.Clone(key))
 	}
 	return nil
 }
@@ -385,8 +416,8 @@ func (s *Store) read(d *Dir, elems string, bad error, meter *vclock.Meter) (stri
 		n = s.find(dir, elems)
 	}
 	if n == nil {
-		if d != nil && d.elems != "" {
-			elems = d.elems + "/" + elems
+		if d != nil {
+			return "", fmt.Errorf("%w: %s", ErrNotFound, d.join(elems))
 		}
 		return "", fmt.Errorf("%w: /%s", ErrNotFound, elems)
 	}
@@ -441,18 +472,30 @@ func (s *Store) Remove(path string, meter *vclock.Meter) error {
 	if cut := strings.LastIndexByte(elems, '/'); cut >= 0 {
 		dir, name = elems[:cut], elems[cut+1:]
 	}
-	k, ok := 0, false
-	parent := s.find(s.at(0), dir)
-	if parent != nil {
-		k, ok = s.search(parent, name)
-	}
-	if !ok {
+	if !s.unlink(s.find(s.at(0), dir), name) {
 		return fmt.Errorf("%w: %s", ErrNotFound, strings.Clone(path))
 	}
-	s.nodes -= s.freeTree(parent.kids[k])
+	return nil
+}
+
+// unlink frees parent's child called name and its subtree, and reports
+// whether there was one; a nil parent has none. Only the child goes on
+// the free list: its descendants stay linked below it, names and values
+// cleared, until alloc reaches them.
+func (s *Store) unlink(parent *node, name string) bool {
+	if parent == nil {
+		return false
+	}
+	k, ok := s.search(parent, name)
+	if !ok {
+		return false
+	}
+	i := parent.kids[k]
+	s.free = append(s.free, i)
+	s.nodes -= s.clearTree(i)
 	s.removals++
 	parent.kids = slices.Delete(parent.kids, k, k+1)
-	return nil
+	return true
 }
 
 // Exists reports whether path is present (one request).
