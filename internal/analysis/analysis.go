@@ -10,11 +10,12 @@
 package analysis
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -23,9 +24,9 @@ type Analyzer struct {
 	// Name identifies the analyzer in diagnostics.
 	Name string
 	// Suppress is the escape-hatch comment token (e.g.
-	// "nephele:nondeterministic-ok"): a diagnostic is dropped when its line, or
-	// the line immediately above it, carries a line comment beginning
-	// with "//" and the token. A waiver that drops nothing is itself a
+	// "nephele:hotalloc-ok"): a diagnostic is dropped when its line, or the
+	// line immediately above it, carries a line comment whose first word
+	// is "//" and the token. A waiver that drops nothing is itself a
 	// finding. Empty means no escape hatch.
 	Suppress string
 	// Run inspects the package and reports findings via pass.Reportf.
@@ -64,9 +65,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // Run applies the analyzers to pkg and returns the diagnostics no
-// escape-hatch comment silenced, sorted by position. Every waiver of a run
-// analyzer that silenced nothing is reported as a finding of that
-// analyzer, at the waiver.
+// escape-hatch comment silenced, sorted by position. Every waiver that
+// silenced nothing, or whose token no analyzer in the run owns, is
+// reported as a finding at the waiver.
 func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var findings []Diagnostic
 	waivers := collectWaivers(pkg, analyzers)
@@ -88,30 +89,23 @@ func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 		}
 	}
 	for _, w := range waivers.all {
-		if !w.used {
-			findings = append(findings, Diagnostic{
-				Analyzer: w.a.Name,
-				Pos:      w.pos,
-				Message:  fmt.Sprintf("waiver //%s silences no finding on its line or the next", w.a.Suppress),
-			})
+		switch {
+		case w.a == nil:
+			findings = append(findings, Diagnostic{"waiver", w.pos, fmt.Sprintf("waiver //%s belongs to no analyzer", w.tok)})
+		case !w.used:
+			findings = append(findings, Diagnostic{w.a.Name, w.pos, fmt.Sprintf("waiver //%s silences no finding on its line or the next", w.tok)})
 		}
 	}
-	sort.Slice(findings, func(i, j int) bool {
-		a, b := findings[i].Pos, findings[j].Pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return findings[i].Message < findings[j].Message
+	slices.SortFunc(findings, func(x, y Diagnostic) int {
+		return cmp.Or(cmp.Compare(x.Pos.Filename, y.Pos.Filename), cmp.Compare(x.Pos.Line, y.Pos.Line), cmp.Compare(x.Message, y.Message))
 	})
 	return findings, nil
 }
 
-// waiver is a line comment beginning with an analyzer's Suppress token.
+// waiver is a line comment whose first word is "//nephele:<token>-ok".
 type waiver struct {
-	a    *Analyzer
+	tok  string    // "nephele:<token>-ok"
+	a    *Analyzer // the analyzer whose Suppress is tok; nil if none is
 	pos  token.Position
 	used bool // it silenced a diagnostic
 }
@@ -120,27 +114,27 @@ type waiver struct {
 // lookups are O(1) per diagnostic.
 type waivers struct {
 	all    []*waiver
-	byLine map[string]map[int][]*waiver
+	byLine map[token.Position][]*waiver // keyed by file and line only
 }
 
 func collectWaivers(pkg *Package, analyzers []*Analyzer) *waivers {
-	ws := &waivers{byLine: make(map[string]map[int][]*waiver)}
+	ws := &waivers{byLine: make(map[token.Position][]*waiver)}
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				for _, a := range analyzers {
-					if a.Suppress == "" || !strings.HasPrefix(c.Text, "//"+a.Suppress) {
-						continue
-					}
-					w := &waiver{a: a, pos: pkg.Fset.Position(c.Pos())}
-					m := ws.byLine[w.pos.Filename]
-					if m == nil {
-						m = make(map[int][]*waiver)
-						ws.byLine[w.pos.Filename] = m
-					}
-					m[w.pos.Line] = append(m[w.pos.Line], w)
-					ws.all = append(ws.all, w)
+				tok, _, _ := strings.Cut(strings.TrimPrefix(c.Text, "//"), " ")
+				if !strings.HasPrefix(c.Text, "//nephele:") || !strings.HasSuffix(tok, "-ok") {
+					continue
 				}
+				w := &waiver{tok: tok, pos: pkg.Fset.Position(c.Pos())}
+				for _, a := range analyzers {
+					if a.Suppress == tok {
+						w.a = a
+					}
+				}
+				at := token.Position{Filename: w.pos.Filename, Line: w.pos.Line}
+				ws.byLine[at] = append(ws.byLine[at], w)
+				ws.all = append(ws.all, w)
 			}
 		}
 	}
@@ -152,7 +146,7 @@ func collectWaivers(pkg *Package, analyzers []*Analyzer) *waivers {
 func (ws *waivers) silence(pos token.Position, a *Analyzer) bool {
 	found := false
 	for _, line := range []int{pos.Line, pos.Line - 1} {
-		for _, w := range ws.byLine[pos.Filename][line] {
+		for _, w := range ws.byLine[token.Position{Filename: pos.Filename, Line: line}] {
 			if w.a == a {
 				w.used = true
 				found = true

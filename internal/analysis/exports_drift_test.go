@@ -284,29 +284,28 @@ func origin(obj types.Object) types.Object {
 // only tests reference, keyed "<package under internal/>.<name>" (methods and
 // fields as "<Type>.<name>"), each with the reason it stays.
 var testOnlyExports = map[string]string{
-	"analysis.PackageDirs":          lint,
-	"analysis/analysistest.Run":     harness,
-	"analysis/determinism.Analyzer": lint,
-	"analysis/hotalloc.Analyzer":    lint,
-	"cluster.Cluster.SetFaults":     harness,
-	"fault.CachePoints":             harness,
-	"fault.ClusterPoints":           harness,
-	"fault.FailAlways":              harness,
-	"fault.FailNth":                 harness,
-	"fault.FailOnce":                harness,
-	"fault.IsFatal":                 harness,
-	"fault.IsFault":                 harness,
-	"fault.LazyPoints":              harness,
-	"fault.PipelinePoints":          harness,
-	"fault.PointOf":                 harness,
-	"fault.Registry.Clear":          harness,
-	"fault.Registry.Fired":          harness,
-	"fault.Registry.Hits":           harness,
-	"fault.Registry.Inject":         harness,
-	"fault.Registry.Reset":          harness,
-	"fault.Registry.TotalFired":     harness,
-	"mem/lazytest.NewScenario":      harness,
-	"mem/lazytest.Scenario.Shrink":  harness,
+	"analysis.PackageDirs":         lint,
+	"analysis/analysistest.Run":    harness,
+	"analysis/hotalloc.Analyzer":   lint,
+	"cluster.Cluster.SetFaults":    harness,
+	"fault.CachePoints":            harness,
+	"fault.ClusterPoints":          harness,
+	"fault.FailAlways":             harness,
+	"fault.FailNth":                harness,
+	"fault.FailOnce":               harness,
+	"fault.IsFatal":                harness,
+	"fault.IsFault":                harness,
+	"fault.LazyPoints":             harness,
+	"fault.PipelinePoints":         harness,
+	"fault.PointOf":                harness,
+	"fault.Registry.Clear":         harness,
+	"fault.Registry.Fired":         harness,
+	"fault.Registry.Hits":          harness,
+	"fault.Registry.Inject":        harness,
+	"fault.Registry.Reset":         harness,
+	"fault.Registry.TotalFired":    harness,
+	"mem/lazytest.NewScenario":     harness,
+	"mem/lazytest.Scenario.Shrink": harness,
 
 	"cloned.Daemon.FailureStats":         audit,
 	"cloned.Daemon.Served":               audit,

@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -12,17 +13,40 @@ import (
 	"nephele/internal/analysis"
 )
 
-// TestNoConcurrencyPrimitives holds the tree to the contract that one
-// goroutine drives a Platform or Cluster (DESIGN.md §12.2). No non-test file
-// outside internal/analysis and testdata may start a goroutine, spell a
-// channel type, use a sync lock, Once, WaitGroup or Cond, or import
-// sync/atomic. The one channel allowed is the completion channel named Done
-// (hv.CloneResult.Done and the record that closes it), which benchmark/
-// waits on. sync.Pool is allowed: the page pools hold free pages, not
-// platform state.
-func TestNoConcurrencyPrimitives(t *testing.T) {
+// bannedUses is the table TestNoHostNondeterminism checks: the members of a
+// package no program file in scope may name. A row with names bans each of
+// them wherever it appears; a row with allowed instead bans every call into
+// the package but those. internal/ rows leave the host-facing drivers (cmd,
+// benchmark, examples) free to time themselves.
+var bannedUses = []struct {
+	scope, pkg, why string
+	names, allowed  []string
+}{
+	{"", "sync", "a lock: one goroutine drives a platform", []string{"Mutex", "RWMutex", "Once", "WaitGroup", "Cond"}, nil},
+	{"internal/", "time", "wall-clock time", []string{"Now", "Since", "Until"}, nil},
+	{"internal/", "time", "a host-clock wait", []string{"After", "Sleep", "NewTimer", "NewTicker", "Tick", "AfterFunc"}, nil},
+	{"internal/", "runtime", "goroutine-dependent logic", []string{"NumGoroutine", "Stack"}, nil},
+	{"internal/", "math/rand", "process-global randomness", nil, []string{"New", "NewSource"}},
+	{"internal/", "math/rand/v2", "process-global randomness", nil, []string{"New", "NewPCG", "NewChaCha8"}},
+}
+
+// exemptUses are the banned uses one file keeps, keyed "<file> <import path>",
+// each with its reason.
+var exemptUses = map[string]string{
+	"internal/obs/span.go time": "a span records its wall time for profiling; nothing orders, charges or renders by it",
+}
+
+// TestNoHostNondeterminism holds the tree to the contract that identical
+// inputs give byte-identical virtual series, driven by one goroutine
+// (DESIGN.md §11, §12.2). No non-test file outside internal/analysis and
+// testdata may start a goroutine, spell a channel type, import sync/atomic
+// or use a bannedUses entry. The one channel allowed is the completion
+// channel named Done (hv.CloneResult.Done and the record that closes it),
+// which benchmark/ waits on. sync.Pool is allowed: the page pools hold free
+// pages, not platform state. Map iteration order is not checked here: the
+// golden tests compute every series twice in one process and compare.
+func TestNoHostNondeterminism(t *testing.T) {
 	root, files := programFiles(t)
-	bannedSync := map[string]bool{"Mutex": true, "RWMutex": true, "Once": true, "WaitGroup": true, "Cond": true}
 	fset := token.NewFileSet()
 	for _, file := range files {
 		if strings.HasPrefix(file, "internal/analysis/") {
@@ -35,18 +59,22 @@ func TestNoConcurrencyPrimitives(t *testing.T) {
 		report := func(n ast.Node, what string) {
 			t.Errorf("%s:%d: %s", file, fset.Position(n.Pos()).Line, what)
 		}
-		syncName := ""
+		imported := map[string]string{} // local name -> import path
 		for _, imp := range f.Imports {
-			switch p, _ := strconv.Unquote(imp.Path.Value); p {
-			case "sync/atomic":
+			p, _ := strconv.Unquote(imp.Path.Value)
+			if p == "sync/atomic" {
 				report(imp, "imports sync/atomic")
-			case "sync":
-				syncName = "sync"
-				if imp.Name != nil {
-					syncName = imp.Name.Name
-				}
 			}
+			name := p[strings.LastIndex(p, "/")+1:]
+			if p == "math/rand/v2" {
+				name = "rand"
+			}
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imported[name] = p
 		}
+		called := map[*ast.SelectorExpr]bool{}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.GoStmt:
@@ -63,9 +91,20 @@ func TestNoConcurrencyPrimitives(t *testing.T) {
 				}
 			case *ast.ChanType:
 				report(n, "channel type")
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
+					called[sel] = true
+				}
 			case *ast.SelectorExpr:
-				if x, ok := n.X.(*ast.Ident); ok && syncName != "" && x.Name == syncName && bannedSync[n.Sel.Name] {
-					report(n, "sync."+n.Sel.Name)
+				x, ok := n.X.(*ast.Ident)
+				if !ok || imported[x.Name] == "" || exemptUses[file+" "+imported[x.Name]] != "" {
+					break
+				}
+				for _, b := range bannedUses {
+					if b.pkg == imported[x.Name] && strings.HasPrefix(file, b.scope) &&
+						(slices.Contains(b.names, n.Sel.Name) || b.names == nil && called[n] && !slices.Contains(b.allowed, n.Sel.Name)) {
+						report(n, b.pkg+"."+n.Sel.Name+": "+b.why)
+					}
 				}
 			}
 			return true

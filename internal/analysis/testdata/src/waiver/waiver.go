@@ -13,4 +13,5 @@ func f() {
 	_ = 0
 	// A mention of //nephele:calls-ok in prose is no waiver.
 	flagged()
+	//nephele:gone-ok names a token no analyzer owns
 }

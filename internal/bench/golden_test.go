@@ -60,14 +60,33 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
+// checkRepeated fails unless two computations of one series, each on fresh
+// platforms, rendered byte-identical. Go starts every map iteration at a
+// random point, so an order dependence on a path the series reaches shows
+// here within one process; the golden files catch it across processes.
+func checkRepeated(t *testing.T, first, second string) {
+	t.Helper()
+	if first != second {
+		t.Fatalf("two runs in one process rendered different series.\nfirst:\n%s\nsecond:\n%s", first, second)
+	}
+}
+
 // TestGoldenFigures pins every figure of the table at its quick scale, one
 // testdata/golden-<name>.txt per entry, so a figure added to Figures
 // without a golden file fails here. Concatenated in table order, the files
-// are `nephele-bench -fig all -quick` without its host-cost footers.
+// are `nephele-bench -fig all -quick` without its host-cost footers. Each
+// figure is computed a second time, not from quickFigs, and the two must
+// agree before either is compared with its file.
 func TestGoldenFigures(t *testing.T) {
 	for _, def := range Figures {
 		t.Run(def.Name, func(t *testing.T) {
-			checkGolden(t, "golden-"+def.Name+".txt", quickFigure(t, def.Name).String())
+			again, err := def.Run(true, nil)
+			if err != nil {
+				t.Fatalf("figure %s: %v", def.Name, err)
+			}
+			got := quickFigure(t, def.Name).String()
+			checkRepeated(t, got, again.String())
+			checkGolden(t, "golden-"+def.Name+".txt", got)
 		})
 	}
 }

@@ -14,14 +14,20 @@ import (
 // virtual timestamps.
 // Span emission is deterministic under virtual time (spans never charge
 // the meter; parallel sections are absorbed in admission order), so the
-// rendered tree is byte-identical run to run. Regenerate with -update
-// only when a PR deliberately changes the pipeline's phase structure.
+// rendered tree is byte-identical run to run, which the test checks by
+// tracing the curve twice. Regenerate with -update only when a change
+// deliberately alters the pipeline's phase structure.
 func TestGoldenFig4Trace(t *testing.T) {
-	tr := obs.NewTrace()
-	if _, err := fig4CloneCurve("clone", false, tr, 4, 2); err != nil {
-		t.Fatal(err)
+	var renders [2]string
+	for i := range renders {
+		tr := obs.NewTrace()
+		if _, err := fig4CloneCurve("clone", false, tr, 4, 2); err != nil {
+			t.Fatal(err)
+		}
+		renders[i] = tr.Render()
 	}
-	checkGolden(t, "golden-fig4-trace.txt", tr.Render())
+	checkRepeated(t, renders[0], renders[1])
+	checkGolden(t, "golden-fig4-trace.txt", renders[0])
 }
 
 // TestFig4TraceShape asserts the structural invariants the Chrome-trace

@@ -74,7 +74,7 @@ func (fs *HostFS) AppendFile(p string, data []byte) int {
 func (fs *HostFS) List(prefix string) []string {
 	prefix = path.Clean("/" + prefix)
 	var out []string
-	for p := range fs.files { //nephele:nondeterministic-ok — sorted below
+	for p := range fs.files {
 		if strings.HasPrefix(p, prefix) {
 			out = append(out, p)
 		}
@@ -274,7 +274,7 @@ func (p *NinePProcess) HandleQMPClone(ctx obs.OpCtx, req QMPCloneRequest) error 
 		return err
 	}
 	ct := make(map[Fid]*fidEntry, len(pt))
-	for fid, e := range pt { //nephele:nondeterministic-ok — copies into a map; the charge counts entries
+	for fid, e := range pt {
 		cp := *e
 		ct[fid] = &cp
 	}
@@ -347,7 +347,7 @@ func (b *NinePBackend) Process(domid uint32) (*NinePProcess, error) {
 // BenchmarkAblation9pfsBackend).
 func (b *NinePBackend) ProcessCount() int {
 	seen := make(map[*NinePProcess]struct{})
-	for _, p := range b.processes { //nephele:nondeterministic-ok — counts distinct processes
+	for _, p := range b.processes {
 		seen[p] = struct{}{}
 	}
 	return len(seen)

@@ -76,7 +76,7 @@ func (st *BaseStore) chunk(h uint64) []byte {
 // Stats reports the interning effectiveness: distinct chunks resident,
 // bytes they hold, and how many intern calls were deduplicated.
 func (st *BaseStore) Stats() (chunks, bytes, reused int) {
-	for _, c := range st.chunks { //nephele:nondeterministic-ok — sums chunk sizes
+	for _, c := range st.chunks {
 		bytes += len(c)
 	}
 	return len(st.chunks), bytes, st.reused
@@ -135,11 +135,11 @@ func (v *Vbd) lookup(sector uint64) []byte {
 // layer it inherited.
 func (v *Vbd) OverlaySectors() int {
 	seen := make(map[uint64]struct{}, len(v.dirty))
-	for s := range v.dirty { //nephele:nondeterministic-ok — builds a set; only its size is read
+	for s := range v.dirty {
 		seen[s] = struct{}{}
 	}
 	for _, l := range v.frozen {
-		for s := range l.sectors { //nephele:nondeterministic-ok — builds a set; only its size is read
+		for s := range l.sectors {
 			seen[s] = struct{}{}
 		}
 	}
@@ -200,15 +200,15 @@ func (v *Vbd) WriteSector(ctx obs.OpCtx, sector uint64, data []byte) error {
 func (v *Vbd) Modified() (sectors []uint64, data [][]byte) {
 	flat := make(map[uint64][]byte)
 	for _, l := range v.frozen {
-		for s, d := range l.sectors { //nephele:nondeterministic-ok — a map per sector; layers apply in slice order
+		for s, d := range l.sectors {
 			flat[s] = d
 		}
 	}
-	for s, d := range v.dirty { //nephele:nondeterministic-ok — a map per sector; the dirty map applies last
+	for s, d := range v.dirty {
 		flat[s] = d
 	}
 	sectors = make([]uint64, 0, len(flat))
-	for s := range flat { //nephele:nondeterministic-ok — sorted below
+	for s := range flat {
 		sectors = append(sectors, s)
 	}
 	sort.Slice(sectors, func(i, j int) bool { return sectors[i] < sectors[j] })

@@ -368,9 +368,10 @@ func TestForkRunsContinuationsInline(t *testing.T) {
 		if ran[i] != ck.Dom {
 			t.Fatalf("continuation %d ran on dom %d, want child order %v", i, ran[i], ran)
 		}
-		buf := make([]byte, 6)
+		want := fmt.Sprintf("dom%03d", ck.Dom)
+		buf := make([]byte, len(want))
 		ck.ReadAt(addr, buf)
-		if want := fmt.Sprintf("dom%03d", ck.Dom); string(buf) != want {
+		if string(buf) != want {
 			t.Fatalf("child %d kept %q, want its own %q", ck.Dom, buf, want)
 		}
 	}

@@ -105,7 +105,7 @@ func (h *Hypervisor) Domain(id DomID) (*Domain, error) {
 // deterministic sequence.
 func (h *Hypervisor) Domains() []DomID {
 	out := make([]DomID, 0, len(h.domains))
-	for id := range h.domains { //nephele:nondeterministic-ok — sorted below
+	for id := range h.domains {
 		out = append(out, id)
 	}
 	slices.Sort(out)

@@ -245,7 +245,7 @@ func (r *Registry) Summary() string {
 	var b strings.Builder
 	writeSorted := func(kind string, m map[string]int64) {
 		names := make([]string, 0, len(m))
-		for n := range m { //nephele:nondeterministic-ok — sorted below
+		for n := range m {
 			names = append(names, n)
 		}
 		sort.Strings(names)
@@ -256,7 +256,7 @@ func (r *Registry) Summary() string {
 	writeSorted("counter", s.Counters)
 	writeSorted("gauge", s.Gauges)
 	hnames := make([]string, 0, len(s.Histograms))
-	for n := range s.Histograms { //nephele:nondeterministic-ok — sorted below
+	for n := range s.Histograms {
 		hnames = append(hnames, n)
 	}
 	sort.Strings(hnames)

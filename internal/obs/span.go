@@ -76,7 +76,7 @@ type Span struct {
 func (t *Trace) start(name string, parent int32, m *vclock.Meter) Span {
 	id := int32(len(t.recs) + 1)
 	t.recs = append(t.recs, SpanRecord{ID: id, Parent: parent, Name: name, StartV: m.Elapsed(), EndV: -1})
-	return Span{t: t, id: id, m: m, wall: time.Now()} //nephele:nondeterministic-ok — wall time is recorded for profiling only, never used for ordering
+	return Span{t: t, id: id, m: m, wall: time.Now()}
 }
 
 // End closes the span at the meter's current virtual time.
@@ -87,7 +87,7 @@ func (s Span) End() {
 		return
 	}
 	v := s.m.Elapsed()
-	wall := time.Since(s.wall) //nephele:nondeterministic-ok — wall time is recorded for profiling only, never used for ordering
+	wall := time.Since(s.wall)
 	rec := &s.t.recs[s.id-1]
 	rec.EndV = v
 	rec.WallNS = int64(wall)

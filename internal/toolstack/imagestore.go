@@ -286,17 +286,16 @@ func (st *ImageStore) Insert(img *Image, meter *vclock.Meter) error {
 }
 
 // evict drops least-recently-used images (never keep) until the
-// resident bound holds again. The victim is the oldest lastUse, the lowest
-// key on ties, so the choice does not depend on map order.
+// resident bound holds again. Every use takes a fresh st.order, so no two
+// images share a lastUse and the oldest is the one victim.
 func (st *ImageStore) evict(keep uint64) {
 	if st.maxPages <= 0 {
 		return
 	}
 	for st.resident > st.maxPages && len(st.images) > 1 {
 		var victim *cachedImage
-		for k, ci := range st.images { //nephele:nondeterministic-ok — minimum under the total order (lastUse, key)
-			if k != keep && (victim == nil || ci.lastUse < victim.lastUse ||
-				ci.lastUse == victim.lastUse && k < victim.key) {
+		for k, ci := range st.images {
+			if k != keep && (victim == nil || ci.lastUse < victim.lastUse) {
 				victim = ci
 			}
 		}
@@ -342,7 +341,7 @@ func (st *ImageStore) Drop(img *Image) bool {
 // Flush evicts everything.
 func (st *ImageStore) Flush() {
 	keys := make([]uint64, 0, len(st.images))
-	for k := range st.images { //nephele:nondeterministic-ok — sorted below
+	for k := range st.images {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
