@@ -13,11 +13,13 @@ import (
 var updateExamples = flag.Bool("update", false, "rewrite testdata/examples from the examples' current output")
 
 // TestExamplesGolden builds every program under examples/, plus cmd/xl
-// running the README's script, and compares each one's stdout with
-// testdata/examples/<name>.txt. The programs print virtual times and counts
-// only, so their output is byte-identical run to run and under any
-// GOMAXPROCS. Regenerate with `go test -run TestExamplesGolden -update .`
-// only when a change deliberately moves what a program prints.
+// running the README's script, runs each one twice and compares its stdout
+// with testdata/examples/<name>.txt. The programs print virtual times and
+// counts only, so their output is byte-identical run to run and under any
+// GOMAXPROCS: the two runs must agree before either is compared with the
+// file, and Go's per-process map-order randomisation makes an order
+// dependence show there. Regenerate with `go test -run TestExamplesGolden
+// -update .` only when a change deliberately moves what a program prints.
 func TestExamplesGolden(t *testing.T) {
 	dirs, err := os.ReadDir("examples")
 	if err != nil {
@@ -50,12 +52,19 @@ func TestExamplesGolden(t *testing.T) {
 	}
 	for _, name := range names {
 		t.Run(name, func(t *testing.T) {
-			var stderr bytes.Buffer
-			cmd := exec.Command(filepath.Join(bin, name), args[name]...)
-			cmd.Stderr = &stderr
-			got, err := cmd.Output()
-			if err != nil {
-				t.Fatalf("%s: %v\n%s", name, err, stderr.Bytes())
+			run := func() []byte {
+				var stderr bytes.Buffer
+				cmd := exec.Command(filepath.Join(bin, name), args[name]...)
+				cmd.Stderr = &stderr
+				out, err := cmd.Output()
+				if err != nil {
+					t.Fatalf("%s: %v\n%s", name, err, stderr.Bytes())
+				}
+				return out
+			}
+			got, again := run(), run()
+			if !bytes.Equal(got, again) {
+				t.Fatalf("two runs of %s printed different output.\nfirst:\n%s\nsecond:\n%s", name, got, again)
 			}
 			path := filepath.Join("testdata", "examples", name+".txt")
 			if *updateExamples {

@@ -6,7 +6,6 @@ import (
 
 	"nephele/internal/core"
 	"nephele/internal/fault"
-	"nephele/internal/fnv1a"
 	"nephele/internal/mem"
 	"nephele/internal/netsim"
 	"nephele/internal/obs"
@@ -236,24 +235,13 @@ func (c *Cluster) remoteClone(ctx obs.OpCtx, src, dst *Host, img *toolstack.Imag
 
 // chunksOf maps an image's runs onto transfer chunks: data runs ship
 // their stored pages under their content hash (the dedup identity and the
-// bonded-slave selector), zero and alias runs travel as a header only.
+// bonded-slave selector), zero and alias runs travel as a header only,
+// with no pages and hash 0: Link.Plan reads a pageless chunk's hash for
+// nothing.
 func chunksOf(img *toolstack.Image) []netsim.Chunk {
-	infos := img.RunInfos()
-	chunks := make([]netsim.Chunk, 0, len(infos))
-	for _, ri := range infos {
-		if ri.Kind == toolstack.RunData {
-			chunks = append(chunks, netsim.Chunk{Hash: ri.Hash, Pages: ri.StoredPages})
-			continue
-		}
-		chunks = append(chunks, netsim.Chunk{Hash: headerHash(ri), Pages: 0})
+	chunks := make([]netsim.Chunk, img.Runs())
+	for i := range chunks {
+		chunks[i].Hash, chunks[i].Pages = img.Chunk(i)
 	}
 	return chunks
-}
-
-// headerHash derives a deterministic chunk identity for a pageless run
-// from its geometry (FNV-1a over start, count, kind).
-func headerHash(ri toolstack.RunInfo) uint64 {
-	h := fnv1a.Uint64(fnv1a.Offset, uint64(ri.Start))
-	h = fnv1a.Uint64(h, uint64(ri.Count))
-	return fnv1a.Uint64(h, uint64(ri.Kind))
 }

@@ -12,7 +12,10 @@
 // every nonzero word goes through the byte loop.
 package fnv1a
 
-import "encoding/binary"
+import (
+	"bytes"
+	"encoding/binary"
+)
 
 // Offset is the FNV-1a 64 offset basis: the hash of no bytes.
 const Offset uint64 = 14695981039346656037
@@ -37,8 +40,14 @@ var zeroWords = func() (t [maxRun + 1]uint64) {
 	return t
 }()
 
+// zeroBlock is the longest stretch of zero words one table multiply folds.
+var zeroBlock [8 * maxRun]byte
+
 // Bytes folds b into h and returns the result; Bytes(Offset, b) is the
-// FNV-1a 64 hash of b.
+// FNV-1a 64 hash of b. A zero word usually starts a long zero stretch, so
+// Bytes first compares the whole stretch one multiply can fold with
+// zeroBlock (one memequal) and counts the zero words one by one only when
+// that compare fails.
 func Bytes(h uint64, b []byte) uint64 {
 	for len(b) >= 8 {
 		if binary.LittleEndian.Uint64(b) != 0 {
@@ -48,9 +57,12 @@ func Bytes(h uint64, b []byte) uint64 {
 			b = b[8:]
 			continue
 		}
-		n := 1
-		for rest := b[8:]; n < maxRun && len(rest) >= 8 && binary.LittleEndian.Uint64(rest) == 0; rest = rest[8:] {
-			n++
+		n := min(maxRun, len(b)/8)
+		if !bytes.Equal(b[:8*n], zeroBlock[:8*n]) {
+			n = 1
+			for rest := b[8:]; n < maxRun && len(rest) >= 8 && binary.LittleEndian.Uint64(rest) == 0; rest = rest[8:] {
+				n++
+			}
 		}
 		h *= zeroWords[n]
 		b = b[8*n:]

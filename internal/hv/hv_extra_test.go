@@ -2,6 +2,7 @@ package hv
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"nephele/internal/mem"
@@ -27,18 +28,40 @@ func TestDefaultConfig(t *testing.T) {
 	}
 }
 
+// TestDomainsListing: Domains lists exactly the live domains, Dom0
+// included, in ascending order. Enough domains are created and destroyed
+// that the map holding them would hand them out in another order.
 func TestDomainsListing(t *testing.T) {
 	h := newHV(t)
-	d1, _ := h.DomainCreate(obs.OpCtx{}, 16, 1)
-	d2, _ := h.DomainCreate(obs.OpCtx{}, 16, 1)
-	ids := h.Domains()
-	want := map[DomID]bool{mem.DomID0: true, d1.ID: true, d2.ID: true}
-	if len(ids) != 3 {
-		t.Fatalf("Domains = %v", ids)
+	var created []DomID
+	for i := 0; i < 48; i++ {
+		d, err := h.DomainCreate(obs.OpCtx{}, 16, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		created = append(created, d.ID)
 	}
-	for _, id := range ids {
-		if !want[id] {
-			t.Fatalf("unexpected domain %d in %v", id, ids)
+	live := []DomID{mem.DomID0}
+	for i, id := range created {
+		if i%3 == 1 {
+			if err := h.DomainDestroy(obs.OpCtx{}, id); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		live = append(live, id)
+	}
+	for i := 0; i < 8; i++ {
+		d, err := h.DomainCreate(obs.OpCtx{}, 16, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, d.ID)
+	}
+	slices.Sort(live)
+	for round := 0; round < 4; round++ {
+		if ids := h.Domains(); !slices.Equal(ids, live) {
+			t.Fatalf("Domains = %v, want %v", ids, live)
 		}
 	}
 }

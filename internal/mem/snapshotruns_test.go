@@ -11,17 +11,18 @@ import (
 // referenceSnapshotRuns is SnapshotRuns as first written, kept as the
 // differential oracle: the pfn → mfn list of the whole space, every frame's
 // page, then a map over every pfn's frame.
-func referenceSnapshotRuns(s *Space) ([]SnapshotRun, error) {
+func referenceSnapshotRuns(s *Space) ([]SnapshotRun, []*[PageSize]byte, error) {
 	mfns, err := s.snapshotMFNs()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	pages, err := s.mem.SnapshotFrames(mfns)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	firstAt := make(map[MFN]PFN, len(mfns))
 	var runs []SnapshotRun
+	var list []*[PageSize]byte
 	for lo := 0; lo < len(mfns); {
 		if seen, dup := firstAt[mfns[lo]]; dup {
 			hi := lo + 1
@@ -32,7 +33,7 @@ func referenceSnapshotRuns(s *Space) ([]SnapshotRun, error) {
 				}
 				hi++
 			}
-			runs = append(runs, SnapshotRun{Start: PFN(lo), Count: hi - lo, Alias: seen, IsAlias: true})
+			runs = append(runs, SnapshotRun{Start: PFN(lo), Count: int32(hi - lo), Kind: RunAlias, Alias: int32(seen)})
 			lo = hi
 			continue
 		}
@@ -45,35 +46,41 @@ func referenceSnapshotRuns(s *Space) ([]SnapshotRun, error) {
 			firstAt[mfns[hi]] = PFN(hi)
 			hi++
 		}
-		run := SnapshotRun{Start: PFN(lo), Count: hi - lo}
+		run := SnapshotRun{Start: PFN(lo), Count: int32(hi - lo)}
 		if !zero {
-			run.Pages = pages[lo:hi]
+			run.Kind, run.Page = RunData, int32(len(list))
+			for _, p := range pages[lo:hi] {
+				list = append(list, (*[PageSize]byte)(p))
+			}
 		}
 		runs = append(runs, run)
 		lo = hi
 	}
-	return runs, nil
+	return runs, list, nil
 }
 
 // diffRuns describes the first difference between two captures, "" when
 // they agree on every run's geometry and kind and on every page slot's
 // backing array.
-func diffRuns(got, want []SnapshotRun) string {
+func diffRuns(got, want []SnapshotRun, gotPages, wantPages []*[PageSize]byte) string {
 	for i := 0; i < len(got) && i < len(want); i++ {
 		g, w := got[i], want[i]
-		if g.Start != w.Start || g.Count != w.Count || g.IsAlias != w.IsAlias || g.Alias != w.Alias ||
-			(g.Pages == nil) != (w.Pages == nil) || len(g.Pages) != len(w.Pages) {
-			return fmt.Sprintf("run %d: got {start %d count %d alias %t@%d data %t}, want {start %d count %d alias %t@%d data %t}",
-				i, g.Start, g.Count, g.IsAlias, g.Alias, g.Pages != nil, w.Start, w.Count, w.IsAlias, w.Alias, w.Pages != nil)
-		}
-		for j := range w.Pages {
-			if (g.Pages[j] == nil) != (w.Pages[j] == nil) || g.Pages[j] != nil && !samePage(g.Pages[j], w.Pages[j]) {
-				return fmt.Sprintf("run %d (pfn %d): slot %d is not the reference's page", i, w.Start, j)
-			}
+		if g.Start != w.Start || g.Count != w.Count || g.Kind != w.Kind ||
+			g.Kind == RunAlias && g.Alias != w.Alias || g.Kind == RunData && g.Page != w.Page {
+			return fmt.Sprintf("run %d: got {start %d count %d kind %d alias %d page %d}, want {start %d count %d kind %d alias %d page %d}",
+				i, g.Start, g.Count, g.Kind, g.Alias, g.Page, w.Start, w.Count, w.Kind, w.Alias, w.Page)
 		}
 	}
 	if len(got) != len(want) {
 		return fmt.Sprintf("%d runs, want %d", len(got), len(want))
+	}
+	if len(gotPages) != len(wantPages) {
+		return fmt.Sprintf("%d pages, want %d", len(gotPages), len(wantPages))
+	}
+	for j := range wantPages {
+		if gotPages[j] == nil || gotPages[j] != wantPages[j] {
+			return fmt.Sprintf("page %d is not the reference's page", j)
+		}
 	}
 	return ""
 }
@@ -83,12 +90,12 @@ func diffRuns(got, want []SnapshotRun) string {
 // invariant that lets SnapshotRuns index dom_cow frames only.
 func checkSnapshotRuns(tb testing.TB, s *Space) []SnapshotRun {
 	tb.Helper()
-	want, werr := referenceSnapshotRuns(s)
-	got, gerr := s.SnapshotRuns()
+	want, wantPages, werr := referenceSnapshotRuns(s)
+	got, gotPages, gerr := s.SnapshotRuns()
 	if (werr == nil) != (gerr == nil) {
 		tb.Fatalf("space %d: SnapshotRuns err %v, reference err %v", s.dom, gerr, werr)
 	}
-	if d := diffRuns(got, want); d != "" {
+	if d := diffRuns(got, want, gotPages, wantPages); d != "" {
 		tb.Fatalf("space %d: %s", s.dom, d)
 	}
 	firstAt := make(map[MFN]int, len(s.ptes))
@@ -186,7 +193,7 @@ func (r *runsRig) check() (aliases int) {
 	r.tb.Helper()
 	for _, sp := range r.spaces {
 		for _, run := range checkSnapshotRuns(r.tb, sp) {
-			if run.IsAlias {
+			if run.Kind == RunAlias {
 				aliases++
 			}
 		}

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"nephele/internal/obs"
@@ -886,48 +887,62 @@ func (s *Space) snapshotMFNs() ([]MFN, error) {
 	return mfns, nil
 }
 
+// RunKind classifies one extent of a space capture.
+type RunKind uint8
+
+const (
+	// RunZero: pages the guest never wrote; they read as zeroes and the
+	// capture stores nothing for them.
+	RunZero RunKind = iota
+	// RunAlias: pfns mapping the very frames of an earlier run (pages
+	// adopted from one deduplicated cache frame), stored once, there.
+	RunAlias
+	// RunData: genuinely distinct written pages, one per pfn.
+	RunData
+)
+
 // SnapshotRun is one extent of a space capture: Count consecutive pfns
-// starting at Start. A zero run (Pages == nil) covers frames that have
-// never been written and read as zeroes; a data run carries one page image
-// per pfn. Alias >= 0 marks a run whose pfns map the very frames of an
-// earlier run (pages adopted from one deduplicated cache frame): its
-// contents are the pages of the run starting at pfn Alias, so the capture
-// stores them once.
+// starting at Start. A data run's pages are Count consecutive entries of
+// the capture's page list, from index Page; an alias run's contents are
+// the pages of the run starting at pfn Alias; a zero run stores nothing.
+// Page and Alias are meaningful only for their kind.
 type SnapshotRun struct {
 	Start PFN
-	Count int
-	Pages [][]byte
-	Alias PFN // valid iff IsAlias
-	// IsAlias reports that this run repeats the frames of the run starting
-	// at Alias.
-	IsAlias bool
+	Count int32
+	Page  int32
+	Alias int32
+	Kind  RunKind
 }
 
 // SnapshotRuns captures the space as run-length extents: consecutive
 // never-written pages collapse into zero runs with no per-page storage,
 // consecutive pfns backed by frames already captured earlier collapse into
-// alias runs, and only genuinely distinct written pages carry data. Its
-// pages are the frames' own, sealed, as Snapshot's are.
+// alias runs, and only genuinely distinct written pages carry data. The
+// second result is the one page list every data run indexes, in pfn
+// order; its pages are the frames' own, sealed, as Snapshot's are.
 //
 // It allocates per capture, never per pfn or per run: a counting walk sizes
-// the run list and the one page array every data run slices, and an
-// emitting walk fills them. Only frames dom_cow owns are indexed by frame
-// number, because only they can back two pfns of one space: AdoptShared
-// shares through dom_cow, and every other path maps a frame once. A frame
-// anyone else owns therefore never repeats an earlier one.
-func (s *Space) SnapshotRuns() ([]SnapshotRun, error) {
+// the run list and the page list, and an emitting walk fills them. Only
+// frames dom_cow owns are indexed by frame number, because only they can
+// back two pfns of one space: AdoptShared shares through dom_cow, and
+// every other path maps a frame once. A frame anyone else owns therefore
+// never repeats an earlier one.
+func (s *Space) SnapshotRuns() ([]SnapshotRun, []*[PageSize]byte, error) {
 	if s.retired {
-		return nil, ErrSpaceRetired
+		return nil, nil, ErrSpaceRetired
+	}
+	if len(s.ptes) > math.MaxInt32 {
+		return nil, nil, fmt.Errorf("mem: a space of %d pages is too large to capture", len(s.ptes))
 	}
 	m := s.mem
 	shared := 0
 	for i, p := range s.ptes {
 		if !p.present() {
-			return nil, fmt.Errorf("%w: pfn %d not present", ErrBadPFN, i)
+			return nil, nil, fmt.Errorf("%w: pfn %d not present", ErrBadPFN, i)
 		}
 		f, err := m.frameAt(p.mfn())
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if f.owner == DomIDCOW {
 			shared++
@@ -938,9 +953,9 @@ func (s *Space) SnapshotRuns() ([]SnapshotRun, error) {
 		c.firstAt = make(map[MFN]PFN, shared)
 	}
 	c.walk()
-	c.runs, c.pages = make([]SnapshotRun, 0, c.nruns), make([][]byte, 0, c.ndata)
+	c.runs, c.pages = make([]SnapshotRun, 0, c.nruns), make([]*[PageSize]byte, 0, c.ndata)
 	c.walk()
-	return c.runs, nil
+	return c.runs, c.pages, nil
 }
 
 // runCapture is one SnapshotRuns pass over a table whose frames are all in
@@ -955,7 +970,7 @@ type runCapture struct {
 
 	nruns, ndata int
 	runs         []SnapshotRun
-	pages        [][]byte
+	pages        []*[PageSize]byte
 }
 
 // earlier reports the first pfn backed by pfn i's frame when that pfn lies
@@ -993,7 +1008,7 @@ func (c *runCapture) walk() {
 				}
 				hi++
 			}
-			run.Alias, run.IsAlias = seen, true
+			run.Kind, run.Alias = RunAlias, int32(seen)
 		} else {
 			data := c.written(lo)
 			for hi < n && c.written(hi) == data {
@@ -1003,10 +1018,10 @@ func (c *runCapture) walk() {
 				hi++
 			}
 			if data {
-				run.Pages = c.capture(lo, hi)
+				run.Kind, run.Page = RunData, c.capture(lo, hi)
 			}
 		}
-		run.Count = hi - lo
+		run.Count = int32(hi - lo)
 		if c.runs == nil {
 			c.nruns++
 		} else {
@@ -1016,18 +1031,18 @@ func (c *runCapture) walk() {
 	}
 }
 
-// capture counts the pages of the data run [lo, hi), or seals its frames and
-// returns their pages as the next stretch of the page array.
-func (c *runCapture) capture(lo, hi int) [][]byte {
+// capture counts the pages of the data run [lo, hi), or seals its frames,
+// appends their pages to the page list and returns the index of the first.
+func (c *runCapture) capture(lo, hi int) int32 {
 	if c.runs == nil {
 		c.ndata += hi - lo
-		return nil
+		return 0
 	}
 	base := len(c.pages)
 	for _, p := range c.ptes[lo:hi] {
 		f := c.m.frame(p.mfn())
 		f.seal()
-		c.pages = append(c.pages, c.m.pageOf(f)[:])
+		c.pages = append(c.pages, c.m.pageOf(f))
 	}
-	return c.pages[base:len(c.pages):len(c.pages)]
+	return int32(base)
 }

@@ -21,9 +21,10 @@ var ErrBadHost = errors.New("netsim: host index outside the fabric")
 // slave-hash input) plus the pages it ships. Deduplicated chunks travel as
 // a header only (Pages 0 on the wire side).
 type Chunk struct {
-	// Hash picks the bond slave that carries the chunk (Hash % width), so
-	// it is a virtual-time input: a different hash function moves every
-	// cluster transfer time.
+	// Hash picks the bond slave that carries a chunk with pages (Hash %
+	// width), so it is a virtual-time input: a different hash function
+	// moves every cluster transfer time. A chunk with no pages costs one
+	// header and its hash is never read.
 	Hash  uint64
 	Pages int
 }

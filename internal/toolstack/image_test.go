@@ -41,11 +41,9 @@ func TestImageExtentEncoding(t *testing.T) {
 		t.Fatalf("image encodes %d runs for 3 touched pages", img.Runs())
 	}
 	stored := 0
-	for _, run := range img.runs {
-		for _, p := range run.Pages {
-			if p != nil {
-				stored++
-			}
+	for _, p := range img.pages {
+		if p != nil {
+			stored++
 		}
 	}
 	if stored != 2 {
@@ -73,33 +71,78 @@ func TestImageExtentEncoding(t *testing.T) {
 	check(500, 0, make([]byte, 16)) // untouched page reads zero
 }
 
+// extent is one run of a hand-built image (imageOf): a zero run, a data
+// run carrying its pages (a nil page reads as zeroes) or an alias run.
+type extent struct {
+	run   mem.SnapshotRun
+	pages []*[mem.PageSize]byte
+}
+
+func zeroRun(start, count int) extent {
+	return extent{run: mem.SnapshotRun{Start: mem.PFN(start), Count: int32(count)}}
+}
+
+func dataRun(start int, pages ...*[mem.PageSize]byte) extent {
+	return extent{run: mem.SnapshotRun{Start: mem.PFN(start), Count: int32(len(pages)), Kind: mem.RunData}, pages: pages}
+}
+
+func aliasRun(start, count, of int) extent {
+	return extent{run: mem.SnapshotRun{Start: mem.PFN(start), Count: int32(count), Kind: mem.RunAlias, Alias: int32(of)}}
+}
+
+// imageOf hand-builds an image of npages pages from extents in pfn order,
+// laying the data runs' pages out in one page list as a save does.
+func imageOf(cfg DomainConfig, npages int, exts ...extent) *Image {
+	img := &Image{Config: cfg, npages: npages}
+	for _, e := range exts {
+		if e.run.Kind == mem.RunData {
+			e.run.Page = int32(len(img.pages))
+			img.pages = append(img.pages, e.pages...)
+		}
+		img.runs = append(img.runs, e.run)
+	}
+	return img
+}
+
+// filled returns a page of b bytes.
+func filled(b byte) *[mem.PageSize]byte {
+	p := new([mem.PageSize]byte)
+	for i := range p {
+		p[i] = b
+	}
+	return p
+}
+
+// setPage replaces the stored page of pfn, which a data run of img covers.
+func setPage(img *Image, pfn int, p *[mem.PageSize]byte) {
+	r := &img.runs[img.runIndexOf(mem.PFN(pfn))]
+	img.pages[int(r.Page)+pfn-int(r.Start)] = p
+}
+
 // TestImagePageAtAliasResolution exercises the alias indirection of
 // pageAt directly against a hand-built image.
 func TestImagePageAtAliasResolution(t *testing.T) {
-	data := []byte{1, 2, 3}
-	img := &Image{
-		npages: 12,
-		runs: []mem.SnapshotRun{
-			{Start: 0, Count: 4},                             // zero run
-			{Start: 4, Count: 2, Pages: [][]byte{data, nil}}, // data run
-			{Start: 6, Count: 2, Alias: 4, IsAlias: true},    // repeats pfns 4..5
-			{Start: 8, Count: 4},                             // zero run
-		},
-	}
+	data := filled(3)
+	img := imageOf(DomainConfig{}, 12,
+		zeroRun(0, 4),
+		dataRun(4, data, nil),
+		aliasRun(6, 2, 4), // repeats pfns 4..5
+		zeroRun(8, 4),
+	)
 	if got := img.pageAt(3); got != nil {
-		t.Fatalf("pageAt(3) = %v, want nil", got)
+		t.Fatalf("pageAt(3) = %p, want nil", got)
 	}
-	if got := img.pageAt(4); !bytes.Equal(got, data) {
-		t.Fatalf("pageAt(4) = %v", got)
+	if got := img.pageAt(4); got != data {
+		t.Fatalf("pageAt(4) = %p, want %p", got, data)
 	}
-	if got := img.pageAt(6); !bytes.Equal(got, data) {
-		t.Fatalf("pageAt(6) via alias = %v", got)
+	if got := img.pageAt(6); got != data {
+		t.Fatalf("pageAt(6) via alias = %p, want %p", got, data)
 	}
 	if got := img.pageAt(7); got != nil {
-		t.Fatalf("pageAt(7) via alias = %v, want nil (scrubbed slot)", got)
+		t.Fatalf("pageAt(7) via alias = %p, want nil (scrubbed slot)", got)
 	}
 	if got := img.pageAt(11); got != nil {
-		t.Fatalf("pageAt(11) = %v, want nil", got)
+		t.Fatalf("pageAt(11) = %p, want nil", got)
 	}
 }
 
@@ -127,13 +170,14 @@ func TestContentHashesPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	key := img.CacheKey()
 	var got []uint64
-	for _, ri := range img.RunInfos() {
-		if ri.Kind == RunData {
-			got = append(got, ri.Hash)
+	for i, r := range img.runs {
+		if r.Kind == mem.RunData {
+			got = append(got, img.hashes[i])
 		}
 	}
-	if key := img.CacheKey(); key != 0xbfa4fb34a8ee486d {
+	if key != 0xbfa4fb34a8ee486d {
 		t.Errorf("CacheKey = %#x, want 0xbfa4fb34a8ee486d", key)
 	}
 	want := []uint64{0x9c46e5e07e35ad79, 0xcfed36bf7ecf0b6c, 0x7b2b0062741d7645}

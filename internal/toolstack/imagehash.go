@@ -11,37 +11,37 @@ import (
 // present marker and the page bytes. A nil slot (a page reading as zeroes)
 // hashes as absent, so the same contents hash identically whether the
 // zero page was scrubbed at save time or never stored.
-func hashRun(pages [][]byte) uint64 {
+func hashRun(pages []*[mem.PageSize]byte) uint64 {
 	h := fnv1a.Uint64(fnv1a.Offset, uint64(len(pages)))
-	for _, data := range pages {
-		if data == nil {
+	for _, p := range pages {
+		if p == nil {
 			h = fnv1a.Uint64(h, 0)
 			continue
 		}
 		h = fnv1a.Uint64(h, 1)
-		h = fnv1a.Bytes(h, data)
+		h = fnv1a.Bytes(h, p[:])
 	}
 	return h
 }
 
-// ensureHashed computes, once, the transfer-planning view of every run
-// (data runs' content hashes included) and the image cache key. The key
-// covers the restore-relevant configuration (the name is cleared — a
-// restore renames the domain anyway, and two saves of the same guest under
-// different names are the same image), the on-wire page count, and every
-// run's geometry plus content hash, so any difference in layout or bytes
-// yields a different key.
+// ensureHashed computes, once, every data run's content hash and the image
+// cache key. The key covers the restore-relevant configuration (the name
+// is cleared — a restore renames the domain anyway, and two saves of the
+// same guest under different names are the same image), the on-wire page
+// count, and every run's geometry plus content hash, so any difference in
+// layout or bytes yields a different key.
 //
 // A data run that an earlier image of the same domain already hashed —
-// same geometry, the very same backing arrays (sameRunHash) — takes that
-// hash over instead of being hashed again, so a re-save pays only for the
-// runs that changed. The predecessor is let go afterwards: a hashed image
-// is itself what the next save inherits from.
+// same geometry, the very same pages (sameRunHash) — takes that hash over
+// instead of being hashed again, so a re-save pays only for the runs that
+// changed. One forward cursor walks the earlier image's sorted runs
+// alongside these. The predecessor is let go afterwards: a hashed image is
+// itself what the next save inherits from.
 func (img *Image) ensureHashed() {
-	if img.hashed {
+	if img.hashes != nil {
 		return
 	}
-	infos := make([]RunInfo, len(img.runs))
+	hashes := make([]uint64, len(img.runs))
 	cfg := img.Config
 	cfg.Name = ""
 	cfgJSON, err := json.Marshal(cfg)
@@ -50,64 +50,61 @@ func (img *Image) ensureHashed() {
 		h = fnv1a.Bytes(h, cfgJSON)
 	}
 	h = fnv1a.Uint64(h, uint64(img.npages))
+	cursor := 0 // into img.prev.runs
 	for i := range img.runs {
 		r := &img.runs[i]
-		ri := &infos[i]
-		ri.Start, ri.Count = r.Start, r.Count
 		h = fnv1a.Uint64(h, uint64(r.Start))
 		h = fnv1a.Uint64(h, uint64(r.Count))
-		switch {
-		case r.IsAlias:
-			ri.Kind = RunAlias
+		switch r.Kind {
+		case mem.RunAlias:
 			h = fnv1a.Uint64(h, 1)
 			h = fnv1a.Uint64(h, uint64(r.Alias))
-		case r.Pages == nil:
-			ri.Kind = RunZero
+		case mem.RunZero:
 			h = fnv1a.Uint64(h, 2)
 		default:
-			ri.Kind = RunData
-			for _, data := range r.Pages {
-				if data != nil {
-					ri.StoredPages++
-				}
-			}
+			pages := img.runPages(i)
 			var same bool
-			if ri.Hash, same = img.prev.sameRunHash(r); !same {
-				ri.Hash = hashRun(r.Pages)
+			if hashes[i], same = img.prev.sameRunHash(&cursor, r.Start, pages); !same {
+				hashes[i] = hashRun(pages)
 			}
 			h = fnv1a.Uint64(h, 3)
-			h = fnv1a.Uint64(h, ri.Hash)
+			h = fnv1a.Uint64(h, hashes[i])
 		}
 	}
-	img.infos, img.key = infos, h
-	img.hashed, img.prev = true, nil
+	img.hashes, img.key = hashes, h
+	img.prev = nil
 }
 
-// sameRunHash returns the stored content hash of old's data run that has
-// r's geometry and whose every slot is r's slot: both absent, or the same
-// backing array. Image pages are never written after they enter an image
-// (sealed frames privatise before a write, DESIGN.md §10.1), so the same
-// array is the same bytes and the hash may be taken over unread. old must
-// be hashed or nil.
-func (old *Image) sameRunHash(r *mem.SnapshotRun) (uint64, bool) {
+// sameRunHash returns the stored content hash of old's data run that
+// starts at start, has len(pages) slots and whose every slot is the same
+// page pointer as pages': both absent, or the same page. Image pages are
+// never written after they enter an image (sealed frames privatise before
+// a write, DESIGN.md §10.1), so the same page is the same bytes and the
+// hash may be taken over unread. old must be hashed or nil. *cursor is
+// where the search through old's runs starts and is left at the first run
+// not before start, so calls in ascending start order walk old once.
+func (old *Image) sameRunHash(cursor *int, start mem.PFN, pages []*[mem.PageSize]byte) (uint64, bool) {
 	if old == nil {
 		return 0, false
 	}
-	i := old.runIndexOf(r.Start)
-	if i < 0 {
+	i := *cursor
+	for i < len(old.runs) && old.runs[i].Start < start {
+		i++
+	}
+	*cursor = i
+	if i == len(old.runs) {
 		return 0, false
 	}
 	o := &old.runs[i]
-	if o.Start != r.Start || o.Count != r.Count || o.IsAlias || o.Pages == nil {
+	if o.Start != start || int(o.Count) != len(pages) || o.Kind != mem.RunData {
 		return 0, false
 	}
-	for j, p := range r.Pages {
-		q := o.Pages[j]
-		if (p == nil) != (q == nil) || len(p) != len(q) || (len(p) > 0 && &p[0] != &q[0]) {
+	for j, q := range old.runPages(i) {
+		if pages[j] != q {
 			return 0, false
 		}
 	}
-	return old.infos[i].Hash, true
+	return old.hashes[i], true
 }
 
 // hashedAncestor returns the nearest image at or before img that has been
@@ -118,7 +115,7 @@ func (img *Image) hashedAncestor() *Image {
 	if img == nil {
 		return nil
 	}
-	if img.hashed {
+	if img.hashes != nil {
 		return img
 	}
 	return img.prev
@@ -132,35 +129,20 @@ func (img *Image) CacheKey() uint64 {
 	return img.key
 }
 
-// RunKind classifies one image extent for transfer planning.
-type RunKind int
-
-const (
-	// RunZero: pages the guest never wrote; nothing stored, nothing shipped.
-	RunZero RunKind = iota
-	// RunAlias: a family-shared range repeating an earlier extent; ships as
-	// a header only.
-	RunAlias
-	// RunData: genuinely distinct written pages with a content hash.
-	RunData
-)
-
-// RunInfo describes one image extent without exposing its page storage:
-// the geometry, the kind, how many page slots a data run stores, and the
-// data run's content hash (the cross-host dedup identity — the same FNV-1a
-// key the receiver's ImageStore chunks under).
-type RunInfo struct {
-	Start       mem.PFN
-	Count       int
-	Kind        RunKind
-	StoredPages int    // non-nil page slots in a data run; 0 otherwise
-	Hash        uint64 // content hash of a data run; 0 otherwise
-}
-
-// RunInfos returns the transfer-planning view of the image's extents, in
-// layout order. The first call hashes the image; every call returns the
-// same slice, which callers must not modify.
-func (img *Image) RunInfos() []RunInfo {
+// Chunk returns the transfer identity of run i: a data run's content hash
+// (the cross-host dedup identity — the same FNV-1a key the receiver's
+// ImageStore chunks under) and how many page slots it stores; 0, 0 for a
+// zero or alias run, which ships as a header only. The first call hashes
+// the image.
+func (img *Image) Chunk(i int) (hash uint64, stored int) {
 	img.ensureHashed()
-	return img.infos
+	if img.runs[i].Kind != mem.RunData {
+		return 0, 0
+	}
+	for _, p := range img.runPages(i) {
+		if p != nil {
+			stored++
+		}
+	}
+	return img.hashes[i], stored
 }

@@ -59,7 +59,7 @@ type imageChunk struct {
 // cachedImage is the cache's view of one inserted image.
 type cachedImage struct {
 	key     uint64
-	chunks  []*imageChunk // parallel to the image's runs: nil for zero and alias runs
+	chunks  []*imageChunk // one per data run of the image, in run order
 	lastUse uint64
 }
 
@@ -133,19 +133,19 @@ func (st *ImageStore) publish() {
 }
 
 // touch looks the key up, counting a hit or miss and refreshing the LRU
-// position. It returns nil on a miss.
-func (st *ImageStore) touch(key uint64) *cachedImage {
+// position. It reports whether the image is resident.
+func (st *ImageStore) touch(key uint64) bool {
 	ci, ok := st.images[key]
 	if !ok {
 		st.misses++
 		st.publish()
-		return nil
+		return false
 	}
 	st.hits++
 	st.order++
 	ci.lastUse = st.order
 	st.publish()
-	return ci
+	return true
 }
 
 // Contains reports whether the image is currently resident (no counter
@@ -188,10 +188,11 @@ func (st *ImageStore) noteInsertFailure() {
 // are committed — everything allocated by this call is released and the
 // store is exactly as before.
 //
-// It allocates per insert, not per run: the fresh chunks are counted
-// first, then made in one slab, their frames taken with one AllocN (in run
-// order, so the MFNs are what one call per run would hand out) and
-// transferred with one ShareN.
+// It allocates per insert, not per run: the cached image's one chunk
+// pointer per data run, and the fresh chunks, counted first and then made
+// in one slab, their frames taken with one AllocN (in run order, so the
+// MFNs are what one call per run would hand out) and transferred with one
+// ShareN.
 func (st *ImageStore) Insert(img *Image, meter *vclock.Meter) error {
 	ctx := obs.Ctx(meter)
 	img.ensureHashed()
@@ -202,31 +203,34 @@ func (st *ImageStore) Insert(img *Image, meter *vclock.Meter) error {
 		return nil
 	}
 
-	ci := &cachedImage{key: key, chunks: make([]*imageChunk, len(img.runs))}
-	missing := 0 // data runs with no resident chunk, a bound on the fresh ones
+	missing, data := 0, 0 // data runs with no resident chunk (a bound on the fresh ones), and all of them
 	for i := range img.runs {
-		if isDataRun(&img.runs[i]) && st.chunks[img.infos[i].Hash] == nil {
-			missing++
+		if img.runs[i].Kind == mem.RunData {
+			data++
+			if st.chunks[img.hashes[i]] == nil {
+				missing++
+			}
 		}
 	}
 	// Fresh chunks enter st.chunks at once, so a later run of this image
 	// with the same contents finds its chunk there; rollback takes them out.
+	ci := &cachedImage{key: key, chunks: make([]*imageChunk, 0, data)}
 	fresh := make([]imageChunk, 0, missing)
 	frames := 0
 	for i := range img.runs {
 		r := &img.runs[i]
-		if !isDataRun(r) {
+		if r.Kind != mem.RunData {
 			continue
 		}
-		h := img.infos[i].Hash
+		h := img.hashes[i]
 		ch := st.chunks[h]
 		if ch == nil {
 			fresh = append(fresh, imageChunk{hash: h})
 			ch = &fresh[len(fresh)-1]
 			st.chunks[h] = ch
-			frames += r.Count
+			frames += int(r.Count)
 		}
-		ci.chunks[i] = ch
+		ci.chunks = append(ci.chunks, ch)
 	}
 	var mfns []mem.MFN
 	rollback := func(err error) error {
@@ -240,20 +244,24 @@ func (st *ImageStore) Insert(img *Image, meter *vclock.Meter) error {
 	if err != nil {
 		return rollback(fmt.Errorf("toolstack: image cache insert: %w", err))
 	}
-	stored, off := 0, 0
+	stored, off, d := 0, 0, 0
 	for i := range img.runs {
-		ch := ci.chunks[i]
-		if ch == nil || ch.mfns != nil {
-			continue // not a data run, or its chunk has its frames
+		if img.runs[i].Kind != mem.RunData {
+			continue
 		}
-		r := &img.runs[i]
-		ch.mfns = mfns[off : off+r.Count : off+r.Count]
-		off += r.Count
-		for j, data := range r.Pages {
-			if data == nil {
+		ch := ci.chunks[d]
+		d++
+		if ch.mfns != nil {
+			continue // its chunk has its frames
+		}
+		pages := img.runPages(i)
+		ch.mfns = mfns[off : off+len(pages) : off+len(pages)]
+		off += len(pages)
+		for j, p := range pages {
+			if p == nil {
 				continue // the frame already reads as zeroes
 			}
-			if err := st.mem.WritePage(ch.mfns[j], data); err != nil {
+			if err := st.mem.WritePage(ch.mfns[j], p[:]); err != nil {
 				return rollback(fmt.Errorf("toolstack: image cache insert: %w", err))
 			}
 			stored++
@@ -271,9 +279,7 @@ func (st *ImageStore) Insert(img *Image, meter *vclock.Meter) error {
 		return rollback(fmt.Errorf("toolstack: image cache insert: %w", err))
 	}
 	for _, ch := range ci.chunks {
-		if ch != nil {
-			ch.refs++
-		}
+		ch.refs++
 	}
 	st.resident += frames
 	st.order++
@@ -311,9 +317,6 @@ func (st *ImageStore) evict(keep uint64) {
 // every chunk no other image still uses.
 func (st *ImageStore) drop(ci *cachedImage) {
 	for _, ch := range ci.chunks {
-		if ch == nil {
-			continue
-		}
 		ch.refs--
 		if ch.refs == 0 {
 			st.mem.ReleaseN(st.dom, ch.mfns)

@@ -19,26 +19,19 @@ import (
 func seededImage(name string, seed byte) *Image {
 	cfg := baseConfig(name)
 	npages := cfg.Pages() // 1024 for the 4 MiB minimum
-	page := func(b byte) []byte {
-		return bytes.Repeat([]byte{b}, mem.PageSize)
-	}
 	top := npages - 3
-	return &Image{
-		Config: cfg,
-		npages: npages,
-		runs: []mem.SnapshotRun{
-			{Start: 0, Count: 8}, // zero
-			{Start: 8, Count: 4, Pages: [][]byte{page(seed), nil, page(seed + 1), page(seed + 2)}},
-			{Start: 12, Count: 20}, // zero
-			{Start: 32, Count: 2, Pages: [][]byte{page(seed + 3), page(seed + 4)}},
-			// Alias covering the tail of the zero run at 12 is illegal (an
-			// alias must point backward at save granularity); this one spans
-			// the data run at 8 and runs into the zero run at 12.
-			{Start: 40, Count: 6, Alias: 8, IsAlias: true},
-			{Start: 46, Count: npages - 46 - 3}, // zero to the special pages
-			{Start: mem.PFN(top), Count: 3, Pages: [][]byte{page(seed + 5), page(seed + 6), page(seed + 7)}},
-		},
-	}
+	return imageOf(cfg, npages,
+		zeroRun(0, 8),
+		dataRun(8, filled(seed), nil, filled(seed+1), filled(seed+2)),
+		zeroRun(12, 20),
+		dataRun(32, filled(seed+3), filled(seed+4)),
+		// Alias covering the tail of the zero run at 12 is illegal (an
+		// alias must point backward at save granularity); this one spans
+		// the data run at 8 and runs into the zero run at 12.
+		aliasRun(40, 6, 8),
+		zeroRun(46, npages-46-3), // zero to the special pages
+		dataRun(top, filled(seed+5), filled(seed+6), filled(seed+7)),
+	)
 }
 
 // domainBytes flattens a domain's whole pseudo-physical space.
@@ -72,7 +65,9 @@ func TestRestoreDifferential(t *testing.T) {
 
 	want := make([]byte, img.npages*mem.PageSize)
 	for pfn := 0; pfn < img.npages; pfn++ {
-		copy(want[pfn*mem.PageSize:], img.pageAt(mem.PFN(pfn)))
+		if p := img.pageAt(mem.PFN(pfn)); p != nil {
+			copy(want[pfn*mem.PageSize:], p[:])
+		}
 	}
 	cold, err := r.xl.Restore(img, "diff-cold", nil)
 	if err != nil {
@@ -212,8 +207,7 @@ func TestImageStoreChunkDedupAcrossImages(t *testing.T) {
 	a := seededImage("a", 0x40)
 	b := seededImage("b", 0x40)
 	// Perturb only b's last data run (the special-pages run).
-	last := &b.runs[len(b.runs)-1]
-	last.Pages[0] = bytes.Repeat([]byte{0xEE}, mem.PageSize)
+	setPage(b, b.npages-3, filled(0xEE))
 
 	if err := store.Insert(a, nil); err != nil {
 		t.Fatal(err)
@@ -257,7 +251,7 @@ func TestImageStoreEviction(t *testing.T) {
 		t.Fatal("recently used images evicted")
 	}
 	// Touching b then inserting d must evict c, not b.
-	if store.touch(imgs[1].CacheKey()) == nil {
+	if !store.touch(imgs[1].CacheKey()) {
 		t.Fatal("touch missed a resident image")
 	}
 	if err := store.Insert(seededImage("d", 0x50), nil); err != nil {
@@ -282,7 +276,7 @@ func TestImageStoreDropKeepsSharedChunks(t *testing.T) {
 	store := NewImageStore(r.hv.Memory, 0)
 	a := seededImage("a", 0x40)
 	b := seededImage("b", 0x40)
-	b.runs[len(b.runs)-1].Pages[0] = bytes.Repeat([]byte{0xEE}, mem.PageSize)
+	setPage(b, b.npages-3, filled(0xEE))
 	if err := store.Insert(a, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -415,20 +409,19 @@ func TestRestoreCachedDestroyReleasesSharedFrames(t *testing.T) {
 // TestImagePageAtBinarySearch pins the sorted-run invariants pageAt's
 // binary search depends on, over a many-run image.
 func TestImagePageAtBinarySearch(t *testing.T) {
-	var runs []mem.SnapshotRun
+	var exts []extent
 	for i := 0; i < 64; i++ {
-		start := mem.PFN(i * 16)
 		if i%2 == 0 {
-			runs = append(runs, mem.SnapshotRun{Start: start, Count: 16})
-		} else {
-			pages := make([][]byte, 16)
-			for j := range pages {
-				pages[j] = []byte{byte(i), byte(j)}
-			}
-			runs = append(runs, mem.SnapshotRun{Start: start, Count: 16, Pages: pages})
+			exts = append(exts, zeroRun(i*16, 16))
+			continue
 		}
+		pages := make([]*[mem.PageSize]byte, 16)
+		for j := range pages {
+			pages[j] = &[mem.PageSize]byte{byte(i), byte(j)}
+		}
+		exts = append(exts, dataRun(i*16, pages...))
 	}
-	img := &Image{npages: 1024, runs: runs}
+	img := imageOf(DomainConfig{}, 1024, exts...)
 	for i := 0; i < 64; i++ {
 		for j := 0; j < 16; j++ {
 			got := img.pageAt(mem.PFN(i*16 + j))
@@ -437,7 +430,7 @@ func TestImagePageAtBinarySearch(t *testing.T) {
 					t.Fatalf("pfn %d: zero run returned data", i*16+j)
 				}
 			} else if got[0] != byte(i) || got[1] != byte(j) {
-				t.Fatalf("pfn %d: got %v", i*16+j, got)
+				t.Fatalf("pfn %d: got %v", i*16+j, got[:2])
 			}
 		}
 	}
@@ -463,13 +456,11 @@ func TestCacheInsertOutOfFramesRollsBack(t *testing.T) {
 	// last; c shares nothing and stores one 4-page run twice, which must
 	// become one chunk.
 	b := seededImage("b", 0x40)
-	b.runs[len(b.runs)-1].Pages[0] = bytes.Repeat([]byte{0xEE}, mem.PageSize)
-	run := func() [][]byte {
-		return [][]byte{bytes.Repeat([]byte{0xC0}, mem.PageSize), nil, bytes.Repeat([]byte{0xC1}, mem.PageSize), bytes.Repeat([]byte{0xC2}, mem.PageSize)}
+	setPage(b, b.npages-3, filled(0xEE))
+	run := func(start int) extent {
+		return dataRun(start, filled(0xC0), nil, filled(0xC1), filled(0xC2))
 	}
-	c := &Image{Config: baseConfig("c"), npages: 1024, runs: []mem.SnapshotRun{
-		{Start: 0, Count: 4, Pages: run()}, {Start: 4, Count: 4}, {Start: 8, Count: 4, Pages: run()}, {Start: 12, Count: 1012},
-	}}
+	c := imageOf(baseConfig("c"), 1024, run(0), zeroRun(4, 4), run(8), zeroRun(12, 1012))
 	filler, err := m.AllocN(obs.OpCtx{}, 9, m.FreeFrames()-2)
 	if err != nil {
 		t.Fatal(err)
@@ -491,9 +482,9 @@ func TestCacheInsertOutOfFramesRollsBack(t *testing.T) {
 		if store.Contains(img) {
 			t.Fatal("refused image is resident")
 		}
-		for i, ri := range img.RunInfos() {
+		for i, r := range img.runs {
 			shared := i < 4 && img == b
-			if ri.Kind == RunData && store.HasChunk(ri.Hash) != shared {
+			if r.Kind == mem.RunData && store.HasChunk(img.hashes[i]) != shared {
 				t.Fatalf("run %d: chunk resident %t after refused insert, want %t", i, !shared, shared)
 			}
 		}

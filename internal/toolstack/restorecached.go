@@ -23,8 +23,7 @@ func (x *XL) RestoreCachedOp(ctx obs.OpCtx, store *ImageStore, img *Image, name 
 	key := img.CacheKey()
 	hspan.End()
 
-	ci := store.touch(key)
-	if ci == nil {
+	if !store.touch(key) {
 		rec, err := x.restore(ctx, img, name)
 		if err != nil {
 			return nil, false, err
@@ -68,10 +67,11 @@ func (x *XL) RestoreCachedOp(ctx obs.OpCtx, store *ImageStore, img *Image, name 
 	}
 	adopted := 0
 	// Each stretch adopts the cache frames backing its source run (for an
-	// alias stretch, the very chunks behind the run it repeats), clipped
-	// at limit; the pages above limit are installed by reference.
+	// alias stretch, the very chunks behind the run it repeats), found by
+	// the run's content hash and clipped at limit; the pages above limit
+	// are installed by reference.
 	err = img.placeRuns(func(pfn mem.PFN, src, base, n int) error {
-		mfns, pages := ci.chunks[src].mfns[base:base+n], img.runs[src].Pages[base:base+n]
+		mfns, pages := store.chunks[img.hashes[src]].mfns[base:base+n], img.runPages(src)[base:base+n]
 		cut := n
 		if int(pfn)+cut > limit {
 			cut = limit - int(pfn)
@@ -86,8 +86,8 @@ func (x *XL) RestoreCachedOp(ctx obs.OpCtx, store *ImageStore, img *Image, name 
 			adopted += cut
 		}
 		for j := cut; j < n; j++ {
-			if data := pages[j]; data != nil {
-				if err := space.WritePage(rctx, pfn+mem.PFN(j), data); err != nil {
+			if p := pages[j]; p != nil {
+				if err := space.WritePage(rctx, pfn+mem.PFN(j), p[:]); err != nil {
 					return err
 				}
 			}

@@ -25,17 +25,17 @@ type Image struct {
 	Config DomainConfig
 	npages int // full allocated page count (the on-wire size)
 	// runs are the captured extents (mem.Space.SnapshotRuns), sorted by
-	// start and non-overlapping, with all-zero written pages scrubbed to
-	// nil slots.
-	runs []mem.SnapshotRun
+	// start and non-overlapping; pages is the one page list their data
+	// runs index, with all-zero written pages scrubbed to nil slots.
+	runs  []mem.SnapshotRun
+	pages []*[mem.PageSize]byte
 
-	// infos (one entry per run, a data run's FNV-1a content hash
-	// included) and the image-wide cache key are the content-addressed
-	// identity, computed on first use; hashed is set once they are final.
-	// Hashing never mutates runs. See ensureHashed.
-	infos  []RunInfo // parallel to runs
+	// hashes (one per run: a data run's FNV-1a content hash, 0 for the
+	// others) and the image-wide cache key are the content-addressed
+	// identity, computed on first use; hashes is nil until then. Hashing
+	// never mutates runs or pages. See ensureHashed.
+	hashes []uint64
 	key    uint64
-	hashed bool
 
 	// prev is the nearest hashed earlier image of the same live domain
 	// (set by Save, cleared once this image is hashed itself).
@@ -49,8 +49,11 @@ func (img *Image) Pages() int { return img.npages }
 // Runs reports the number of extents encoding the image.
 func (img *Image) Runs() int { return len(img.runs) }
 
-// isDataRun reports whether r stores pages: neither a zero nor an alias run.
-func isDataRun(r *mem.SnapshotRun) bool { return !r.IsAlias && r.Pages != nil }
+// runPages returns the page slots of data run i.
+func (img *Image) runPages(i int) []*[mem.PageSize]byte {
+	r := &img.runs[i]
+	return img.pages[r.Page : r.Page+r.Count : r.Page+r.Count]
+}
 
 // runIndexOf binary-searches the sorted runs for the one covering pfn,
 // returning -1 when no run does.
@@ -68,28 +71,23 @@ func (img *Image) runIndexOf(pfn mem.PFN) int {
 // pageAt resolves the stored contents of one pfn, following at most one
 // level of alias indirection (aliases always point into fresh runs). nil
 // means the page reads as zeroes.
-func (img *Image) pageAt(pfn mem.PFN) []byte {
+func (img *Image) pageAt(pfn mem.PFN) *[mem.PageSize]byte {
 	i := img.runIndexOf(pfn)
 	if i < 0 {
 		return nil
 	}
 	r := &img.runs[i]
-	if r.IsAlias {
-		src := r.Alias + (pfn - r.Start)
-		j := img.runIndexOf(src)
-		if j < 0 {
+	if r.Kind == mem.RunAlias {
+		pfn = mem.PFN(r.Alias) + (pfn - r.Start)
+		if i = img.runIndexOf(pfn); i < 0 {
 			return nil
 		}
-		sr := &img.runs[j]
-		if sr.IsAlias || sr.Pages == nil {
-			return nil
-		}
-		return sr.Pages[src-sr.Start]
+		r = &img.runs[i]
 	}
-	if r.Pages == nil {
+	if r.Kind != mem.RunData {
 		return nil
 	}
-	return r.Pages[pfn-r.Start]
+	return img.pages[int(r.Page)+int(pfn-r.Start)]
 }
 
 // placeRuns is the run walk both restore paths share. Zero runs are
@@ -104,25 +102,28 @@ func (img *Image) pageAt(pfn mem.PFN) []byte {
 func (img *Image) placeRuns(place func(pfn mem.PFN, src, base, n int) error) error {
 	for ri := range img.runs {
 		r := &img.runs[ri]
-		if isDataRun(r) {
-			if err := place(r.Start, ri, 0, r.Count); err != nil {
+		switch r.Kind {
+		case mem.RunData:
+			if err := place(r.Start, ri, 0, int(r.Count)); err != nil {
 				return err
 			}
 			continue
+		case mem.RunZero:
+			continue
 		}
-		for off := 0; r.IsAlias && off < r.Count; {
-			pfn := r.Alias + mem.PFN(off)
+		for off := 0; off < int(r.Count); {
+			pfn := mem.PFN(r.Alias) + mem.PFN(off)
 			i := img.runIndexOf(pfn)
 			if i < 0 {
 				off++
 				continue
 			}
 			sr := &img.runs[i]
-			n := int(sr.Start) + sr.Count - int(pfn)
-			if rest := r.Count - off; n > rest {
+			n := int(sr.Start) + int(sr.Count) - int(pfn)
+			if rest := int(r.Count) - off; n > rest {
 				n = rest
 			}
-			if isDataRun(sr) {
+			if sr.Kind == mem.RunData {
 				if err := place(r.Start+mem.PFN(off), i, int(pfn-sr.Start), n); err != nil {
 					return err
 				}
@@ -152,18 +153,16 @@ func (x *XL) Save(id hv.DomID, meter *vclock.Meter) (*Image, error) {
 	// per-page storage, repeated family-shared frames into alias runs,
 	// so only pages the guest actually touched need the zero scan. The
 	// pages are the frames' own, sealed: nothing is copied.
-	runs, err := space.SnapshotRuns()
+	runs, pages, err := space.SnapshotRuns()
 	if err != nil {
 		return nil, fmt.Errorf("toolstack: save domain %d: %w", id, err)
 	}
-	for _, r := range runs {
-		for j, data := range r.Pages {
-			if allZero(data) {
-				r.Pages[j] = nil
-			}
+	for j, p := range pages {
+		if *p == zeroPage {
+			pages[j] = nil
 		}
 	}
-	img := &Image{Config: rec.Config, npages: n, runs: runs}
+	img := &Image{Config: rec.Config, npages: n, runs: runs, pages: pages}
 	// Remember the image as the domain's latest, and let it inherit run
 	// hashes from the nearest hashed one before it. Destroy forgets it.
 	if _, live := x.byID[id]; live {
@@ -201,11 +200,11 @@ func (x *XL) restore(ctx obs.OpCtx, img *Image, name string) (*Record, error) {
 		return nil, fmt.Errorf("toolstack: image has %d pages, domain %d", img.npages, space.Pages())
 	}
 	err = img.placeRuns(func(pfn mem.PFN, src, base, n int) error {
-		for j, data := range img.runs[src].Pages[base : base+n] {
-			if data == nil {
+		for j, p := range img.runPages(src)[base : base+n] {
+			if p == nil {
 				continue
 			}
-			if err := space.WritePage(ctx.WithMeter(nil), pfn+mem.PFN(j), data); err != nil {
+			if err := space.WritePage(ctx.WithMeter(nil), pfn+mem.PFN(j), p[:]); err != nil {
 				return fmt.Errorf("toolstack: restore pfn %d: %w", pfn+mem.PFN(j), err)
 			}
 		}
@@ -221,11 +220,6 @@ func (x *XL) restore(ctx obs.OpCtx, img *Image, name string) (*Record, error) {
 	return rec, nil
 }
 
-func allZero(b []byte) bool {
-	for _, c := range b {
-		if c != 0 {
-			return false
-		}
-	}
-	return true
-}
+// zeroPage is what Save compares each captured page with: an all-zero
+// page is stored as a nil slot. The array compare is one memequal.
+var zeroPage [mem.PageSize]byte

@@ -6,8 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"nephele/internal/hv"
@@ -21,20 +21,23 @@ import (
 // never see a write that reached the image.
 func imageBytes(img *Image) []byte {
 	out := binary.LittleEndian.AppendUint64(nil, uint64(img.npages))
-	for _, r := range img.runs {
+	for i, r := range img.runs {
 		out = binary.LittleEndian.AppendUint64(out, uint64(r.Start))
 		out = binary.LittleEndian.AppendUint64(out, uint64(r.Count))
-		switch {
-		case r.IsAlias:
+		switch r.Kind {
+		case mem.RunAlias:
 			out = append(out, 'a')
 			out = binary.LittleEndian.AppendUint64(out, uint64(r.Alias))
-		case r.Pages == nil:
+		case mem.RunZero:
 			out = append(out, 'z')
 		default:
 			out = append(out, 'd')
-			for _, data := range r.Pages {
-				out = binary.LittleEndian.AppendUint32(out, uint32(len(data)))
-				out = append(out, data...)
+			for _, p := range img.runPages(i) {
+				if p == nil {
+					out = append(out, 0)
+					continue
+				}
+				out = append(append(out, 1), p[:]...)
 			}
 		}
 	}
@@ -193,69 +196,48 @@ func TestRestoredChildrenIsolated(t *testing.T) {
 	}
 }
 
-// TestStoredPageOfWrongLengthRefused: a page can be installed by reference
-// only if it is exactly one frame long, and SnapshotRuns never captures any
-// other. A hand-built image with a shorter or a longer stored page, among
-// the regular or the special pages, is refused by the cold restore, the
-// cached-miss restore and ImageStore.Insert with an error wrapping
-// mem.ErrBadOffset, and each leaves the domains, the free frames and the
-// store's stats as they were (a cached restore counts its miss).
+// TestStoredPageOfWrongLengthRefused: an image's pages are typed one frame
+// long, so a stored page of any other length cannot be put in one; what a
+// restore can still be handed is a stored page where the guest has none. A
+// hand-built image whose last data run lies past the guest's pages is
+// refused by the cold restore and the cached-miss restore with an error
+// wrapping mem.ErrBadPFN, and each leaves the domains, the free frames and
+// the store's stats as they were (a cached restore counts its miss).
 func TestStoredPageOfWrongLengthRefused(t *testing.T) {
 	cfg := baseConfig("bad-page")
 	n := cfg.Pages()
-	full := bytes.Repeat([]byte{0x3C}, mem.PageSize)
-	for _, tc := range []struct {
-		name string
-		pfn  int // 8..10 are regular pages, n-3..n-1 special ones
-		page []byte
-	}{
-		{"short regular", 8, []byte("short regular page")},
-		{"short special", n - 2, []byte("short special page")},
-		{"long regular", 9, make([]byte, mem.PageSize+1)},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			img := &Image{Config: cfg, npages: n, runs: []mem.SnapshotRun{
-				{Start: 0, Count: 8},
-				{Start: 8, Count: 3, Pages: [][]byte{full, full, nil}},
-				{Start: 11, Count: n - 11 - 3},
-				{Start: mem.PFN(n - 3), Count: 3, Pages: [][]byte{full, full, nil}},
-			}}
-			i := img.runIndexOf(mem.PFN(tc.pfn))
-			img.runs[i].Pages[tc.pfn-int(img.runs[i].Start)] = tc.page
-
-			r := newRig(t)
-			store := NewImageStore(r.hv.Memory, 0)
-			doms, free, stats := r.hv.DomainCount(), r.hv.Memory.FreeFrames(), store.Stats()
-			unchanged := func(path string, misses int64) {
-				t.Helper()
-				if got := r.hv.DomainCount(); got != doms {
-					t.Fatalf("%s: %d domains, want %d", path, got, doms)
-				}
-				if got := r.hv.Memory.FreeFrames(); got != free {
-					t.Fatalf("%s: %d free frames, want %d", path, got, free)
-				}
-				want := stats
-				want.Misses += misses
-				if got := store.Stats(); got != want {
-					t.Fatalf("%s: stats %+v, want %+v", path, got, want)
-				}
-			}
-
-			if _, err := r.xl.Restore(img, "bad-cold", nil); !errors.Is(err, mem.ErrBadOffset) {
-				t.Fatalf("cold restore: %v, want ErrBadOffset", err)
-			}
-			unchanged("cold restore", 0)
-			if _, _, err := r.xl.RestoreCachedOp(obs.OpCtx{}, store, img, "bad-miss"); !errors.Is(err, mem.ErrBadOffset) {
-				t.Fatalf("cached-miss restore: %v, want ErrBadOffset", err)
-			}
-			unchanged("cached-miss restore", 1)
-			stats = store.Stats()
-			if err := store.Insert(img, nil); !errors.Is(err, mem.ErrBadOffset) {
-				t.Fatalf("Insert: %v, want ErrBadOffset", err)
-			}
-			unchanged("Insert", 0)
-		})
+	img := imageOf(cfg, n,
+		zeroRun(0, 8),
+		dataRun(8, filled(0x3C), filled(0x3C), nil),
+		zeroRun(11, n-11),
+		dataRun(n, filled(0x3C), nil),
+	)
+	r := newRig(t)
+	store := NewImageStore(r.hv.Memory, 0)
+	doms, free, stats := r.hv.DomainCount(), r.hv.Memory.FreeFrames(), store.Stats()
+	unchanged := func(path string, misses int64) {
+		t.Helper()
+		if got := r.hv.DomainCount(); got != doms {
+			t.Fatalf("%s: %d domains, want %d", path, got, doms)
+		}
+		if got := r.hv.Memory.FreeFrames(); got != free {
+			t.Fatalf("%s: %d free frames, want %d", path, got, free)
+		}
+		want := stats
+		want.Misses += misses
+		if got := store.Stats(); got != want {
+			t.Fatalf("%s: stats %+v, want %+v", path, got, want)
+		}
 	}
+
+	if _, err := r.xl.Restore(img, "bad-cold", nil); !errors.Is(err, mem.ErrBadPFN) {
+		t.Fatalf("cold restore: %v, want ErrBadPFN", err)
+	}
+	unchanged("cold restore", 0)
+	if _, _, err := r.xl.RestoreCachedOp(obs.OpCtx{}, store, img, "bad-miss"); !errors.Is(err, mem.ErrBadPFN) {
+		t.Fatalf("cached-miss restore: %v, want ErrBadPFN", err)
+	}
+	unchanged("cached-miss restore", 1)
 }
 
 // TestHashInheritanceMatchesFreshHash: over 200 seeded rounds of guest
@@ -308,19 +290,20 @@ func TestHashInheritanceMatchesFreshHash(t *testing.T) {
 			continue
 		}
 		prev := img.prev
-		fresh := &Image{Config: img.Config, npages: img.npages, runs: img.runs}
+		fresh := &Image{Config: img.Config, npages: img.npages, runs: img.runs, pages: img.pages}
 		if img.CacheKey() != fresh.CacheKey() {
 			t.Fatalf("round %d: key with inheritance %#x, hashed afresh %#x", round, img.CacheKey(), fresh.CacheKey())
 		}
-		if !reflect.DeepEqual(img.RunInfos(), fresh.RunInfos()) {
-			t.Fatalf("round %d: run infos with inheritance differ from a fresh hash", round)
+		if !slices.Equal(img.hashes, fresh.hashes) {
+			t.Fatalf("round %d: run hashes with inheritance differ from a fresh hash", round)
 		}
-		for i := range img.runs {
-			if run := &img.runs[i]; !run.IsAlias && run.Pages != nil {
-				if got, want := img.infos[i].Hash, hashRun(run.Pages); got != want {
+		for i, run := range img.runs {
+			if run.Kind == mem.RunData {
+				if got, want := img.hashes[i], hashRun(img.runPages(i)); got != want {
 					t.Fatalf("round %d: run at %d hash %#x, hashRun %#x", round, run.Start, got, want)
 				}
-				if _, same := prev.sameRunHash(run); same {
+				cursor := 0
+				if _, same := prev.sameRunHash(&cursor, run.Start, img.runPages(i)); same {
 					inherited++
 				}
 			}
@@ -377,8 +360,8 @@ func TestResaveHashesOnlyChangedRuns(t *testing.T) {
 	}
 
 	var data []int
-	for i, ri := range second.RunInfos() {
-		if ri.Kind == RunData && ri.Count == 1024 {
+	for i, run := range second.runs {
+		if run.Kind == mem.RunData && run.Count == 1024 {
 			data = append(data, i)
 		}
 	}
@@ -387,7 +370,7 @@ func TestResaveHashesOnlyChangedRuns(t *testing.T) {
 	}
 	const lie = 0x0BADC0DE
 	for _, i := range data {
-		second.infos[i].Hash ^= lie
+		second.hashes[i] ^= lie
 	}
 	if err := sp.Write(2048+17, 8, []byte("8 bytes!"), nil); err != nil {
 		t.Fatal(err)
@@ -396,11 +379,11 @@ func TestResaveHashesOnlyChangedRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	infos := third.RunInfos()
-	if got, want := infos[data[0]].Hash, second.infos[data[0]].Hash; got != want {
+	third.CacheKey()
+	if got, want := third.hashes[data[0]], second.hashes[data[0]]; got != want {
 		t.Fatal("the untouched run was hashed again instead of taking its stored hash over")
 	}
-	if got, want := infos[data[1]].Hash, hashRun(third.runs[data[1]].Pages); got != want {
+	if got, want := third.hashes[data[1]], hashRun(third.runPages(data[1])); got != want {
 		t.Fatal("the written run took a stale hash over")
 	}
 }
@@ -519,7 +502,7 @@ func TestSaveRestoreRaceGuestWriter(t *testing.T) {
 		if !bytes.Equal(imageBytes(sv.img), sv.bytes) {
 			t.Fatalf("image %d: bytes moved under later guest writes", k)
 		}
-		if fresh := (&Image{Config: sv.img.Config, npages: sv.img.npages, runs: sv.img.runs}); fresh.CacheKey() != sv.key {
+		if fresh := (&Image{Config: sv.img.Config, npages: sv.img.npages, runs: sv.img.runs, pages: sv.img.pages}); fresh.CacheKey() != sv.key {
 			t.Fatalf("image %d hashes to %#x afresh, %#x when saved", k, fresh.CacheKey(), sv.key)
 		}
 	}
@@ -562,7 +545,7 @@ func TestSavedImageSurvivesSiblingResets(t *testing.T) {
 	if !bytes.Equal(imageBytes(img), stored) {
 		t.Fatal("the image's bytes changed under a sibling's faults and resets")
 	}
-	if fresh := (&Image{Config: img.Config, npages: img.npages, runs: img.runs}); fresh.CacheKey() != key {
+	if fresh := (&Image{Config: img.Config, npages: img.npages, runs: img.runs, pages: img.pages}); fresh.CacheKey() != key {
 		t.Fatalf("the image hashes to %#x afresh, %#x when saved", fresh.CacheKey(), key)
 	}
 }
